@@ -429,12 +429,15 @@ impl RpcClient {
     /// Retry or resolve every pending request whose clock ran out.
     fn expire(&mut self, ctx: &mut ActorCtx, out: &mut Vec<RpcCompletion>) {
         let now = ctx.now();
-        let due: Vec<u32> = self
+        let mut due: Vec<u32> = self
             .pending
             .iter()
             .filter(|(_, p)| p.backoff_until.unwrap_or(p.deadline) <= now)
             .map(|(&id, _)| id)
             .collect();
+        // `pending` iterates in per-process random order; resends advance
+        // the clock, so the order must be fixed for a seed to fix the run.
+        due.sort_unstable();
         for req_id in due {
             let (retry, dst, wire) = {
                 // A completion between collection and this pass can remove

@@ -213,6 +213,54 @@ fn unresponsive_server_times_out_after_retries() {
 }
 
 #[test]
+fn requests_falling_due_together_retry_in_ascending_id_order() {
+    // Eight requests to a mute server all fall due in one `advance` pass.
+    // Each resend advances the clock, so the order is visible in the trace
+    // and, one timeout later, in the order the requests are given up on.
+    let cluster = ClusterSpec::dawning3000(2).with_seed(44).build();
+    let sim = cluster.sim.clone();
+    let barrier = SimBarrier::new(&sim, 2);
+    let addr: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
+    let (b2, a2) = (barrier.clone(), addr.clone());
+    cluster.spawn_process(1, "mute", move |ctx, env| {
+        let port = env.open_port(ctx);
+        *a2.lock().unwrap() = Some(port.addr());
+        b2.wait(ctx);
+        ctx.sleep(SimDuration::from_ms(10));
+    });
+    cluster.spawn_process(0, "client", move |ctx, env| {
+        let port = env.open_port(ctx);
+        let ccfg = RpcClientConfig {
+            timeout: SimDuration::from_us(500),
+            max_attempts: 2,
+            ..RpcClientConfig::default()
+        };
+        let mut cli = RpcClient::new(ctx, port, ccfg).expect("client");
+        barrier.wait(ctx);
+        let dst = addr.lock().unwrap().expect("mute ready");
+        for token in 0..8u64 {
+            cli.issue(ctx, dst, 0, b"anyone?", token).expect("issue");
+        }
+        for pass in 0..2 {
+            ctx.sleep(SimDuration::from_ms(1));
+            let gave_up: Vec<u64> = cli.advance(ctx).iter().map(|c| c.token).collect();
+            let want: Vec<u64> = if pass == 0 { vec![] } else { (0..8).collect() };
+            assert_eq!(gave_up, want, "pass {pass}");
+        }
+    });
+    assert_eq!(sim.run(), RunOutcome::Completed, "retry workload hung");
+    assert_eq!(cluster.sim.get_count("rpc.cli_retries"), 8);
+    let retried: Vec<u32> = cluster
+        .trace_events()
+        .iter()
+        .filter(|e| e.stage.as_ref() == stage::RPC_RETRY)
+        .map(|e| e.trace.msg_id)
+        .collect();
+    assert_eq!(retried.len(), 8);
+    assert!(retried.is_sorted(), "retries out of id order: {retried:?}");
+}
+
+#[test]
 fn large_response_travels_via_rma_and_verifies() {
     let big: Vec<u8> = (0..8192u32)
         .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)

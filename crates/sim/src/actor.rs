@@ -3,21 +3,32 @@
 //! Application code in this reproduction (the processes that call the BCL
 //! API, the MPI ranks, …) is written as ordinary blocking Rust. Each such
 //! process runs on a real OS thread, but the engine enforces that **exactly
-//! one party runs at a time** — either the scheduler or a single actor —
-//! passing a baton through rendezvous channels. Execution is therefore
-//! sequential and fully deterministic even though the code is multi-threaded;
-//! virtual time only advances through the event queue.
+//! one thread runs at a time**: the one holding the baton. Execution is
+//! therefore sequential and fully deterministic even though the code is
+//! multi-threaded; virtual time only advances through the event queue.
 //!
-//! The handshake:
+//! The baton stays on the thread that parks. A parking actor runs the event
+//! loop itself ([`Sim::drive`](crate::Sim)): closure and poller events run
+//! inline on its stack, its *own* wakeup simply returns from `park()` with no
+//! thread switch at all, and a wakeup for another actor is one direct
+//! hand-off:
 //!
 //! ```text
-//! scheduler                       actor thread
-//! ---------                       ------------
-//! pop WakeActor(id, gen)
-//! shared.wake_tx.send(Run) ─────► wake_rx.recv() returns, user code runs
-//! shared.yield_rx.recv() ◄─────── (actor parks or finishes)
-//! continue event loop
+//! actor A (parking, drives)             actor B (blocked on its mailbox)
+//! -------------------------             --------------------------------
+//! pop Call / Poll        run inline
+//! pop Wake(A, gen)       return from park()        -- no switch
+//! pop Wake(B, gen)
+//! B.mailbox.post(Run) ────────────────► wait() returns, user code runs
+//! A.mailbox.wait()                      (B parks: B drives from here on)
 //! ```
+//!
+//! The thread blocked in `Sim::run` starts the loop and then sleeps until a
+//! driver reports that the queue drained, the time limit was reached, or
+//! something panicked. A mailbox hand-off is `store(Release)` + `unpark`,
+//! the wait is `swap(Acquire)` in a `park()` loop; that pair is the
+//! happens-before edge between consecutive baton holders, which the engine's
+//! `Relaxed` atomics (clock, current shard, horizon) rely on.
 //!
 //! Parks are *generational*: every park gets a fresh generation number and a
 //! `WakeActor` event only resumes the actor if the generations match. Stale
@@ -25,10 +36,9 @@
 //! instead of resuming the actor early.
 
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use crossbeam::channel::{bounded, Receiver, Sender};
+use std::thread::{JoinHandle, Thread};
 
 use crate::engine::Sim;
 use crate::time::{SimDuration, SimTime};
@@ -44,38 +54,56 @@ impl ActorId {
     }
 }
 
-/// What the scheduler tells a parked actor thread.
-pub(crate) enum WakeMsg {
-    /// Resume user code.
-    Run,
-    /// The simulation is being torn down; unwind out of user code quietly.
-    Shutdown,
-}
-
-/// What an actor thread tells the scheduler when handing the baton back.
-pub(crate) enum YieldMsg {
-    /// The actor parked (waiting for a timer or a signal).
-    Parked,
-    /// The actor's body returned normally.
-    Done,
-    /// The actor's body panicked; payload is the formatted message.
-    Panicked(String),
-}
-
 /// Zero-sized panic payload used to unwind actor threads at teardown.
 /// Recognized (and swallowed) by the actor runner and the global panic hook.
 pub(crate) struct ShutdownToken;
 
-/// Channel endpoints shared between the scheduler and one actor thread.
-pub(crate) struct ActorShared {
-    pub(crate) wake_tx: Sender<WakeMsg>,
-    pub(crate) yield_rx: Receiver<YieldMsg>,
+/// One-slot mailbox an actor thread blocks on while it does not hold the
+/// baton.
+pub(crate) struct Mailbox(AtomicU8);
+
+const EMPTY: u8 = 0;
+const RUN: u8 = 1;
+const SHUTDOWN: u8 = 2;
+
+impl Mailbox {
+    fn post(&self, msg: u8, owner: &Thread) {
+        // Release: everything the poster did under the baton is visible to
+        // the owner once its Acquire swap in `wait` reads this message.
+        self.0.store(msg, Ordering::Release);
+        owner.unpark();
+    }
+
+    /// Hand the baton to `owner`, the thread blocked on this mailbox.
+    pub(crate) fn post_run(&self, owner: &Thread) {
+        self.post(RUN, owner);
+    }
+
+    /// Tell `owner` the simulation is being torn down.
+    pub(crate) fn post_shutdown(&self, owner: &Thread) {
+        self.post(SHUTDOWN, owner);
+    }
+
+    /// Block until the baton (`Ok`) or a teardown order (`Err`) arrives.
+    /// `park` can return spuriously or on a left-over token, so the slot is
+    /// re-checked every time.
+    fn wait(&self) -> Result<(), ShutdownToken> {
+        loop {
+            match self.0.swap(EMPTY, Ordering::Acquire) {
+                EMPTY => std::thread::park(),
+                RUN => return Ok(()),
+                _ => return Err(ShutdownToken),
+            }
+        }
+    }
 }
 
 /// Scheduler-side record of one actor.
 pub(crate) struct ActorRecord {
     pub(crate) name: String,
-    pub(crate) shared: Arc<ActorShared>,
+    pub(crate) mailbox: Arc<Mailbox>,
+    /// The actor's thread, to unpark after posting to `mailbox`.
+    pub(crate) thread: Thread,
     /// Park generation; a `WakeActor` event must match this to resume.
     pub(crate) gen: u64,
     pub(crate) status: ActorStatus,
@@ -100,8 +128,7 @@ pub struct ActorCtx {
     sim: Sim,
     id: ActorId,
     name: String,
-    wake_rx: Receiver<WakeMsg>,
-    yield_tx: Sender<YieldMsg>,
+    mailbox: Arc<Mailbox>,
 }
 
 impl ActorCtx {
@@ -151,13 +178,12 @@ impl ActorCtx {
     /// which must have arranged a wake *before* calling this.
     pub(crate) fn park(&mut self) {
         self.sim.mark_parked(self.id);
-        // Hand the baton to the scheduler and wait for it back.
-        self.yield_tx
-            .send(YieldMsg::Parked)
-            .expect("engine vanished while actor parked");
-        match self.wake_rx.recv() {
-            Ok(WakeMsg::Run) => {}
-            Ok(WakeMsg::Shutdown) | Err(_) => panic::panic_any(ShutdownToken),
+        // Keep the baton and run the event loop here until this actor's own
+        // wakeup comes up; if the baton went elsewhere first, wait for it.
+        if !self.sim.drive(Some(self.id)) {
+            if let Err(token) = self.mailbox.wait() {
+                panic::panic_any(token);
+            }
         }
     }
 }
@@ -168,53 +194,38 @@ pub(crate) fn spawn_actor_thread(
     id: ActorId,
     name: String,
     body: Box<dyn FnOnce(&mut ActorCtx) + Send + 'static>,
-) -> (Arc<ActorShared>, JoinHandle<()>) {
-    // Rendezvous channels: the sender blocks until the receiver takes the
-    // message, which is exactly the baton-passing we need.
-    let (wake_tx, wake_rx) = bounded::<WakeMsg>(0);
-    let (yield_tx, yield_rx) = bounded::<YieldMsg>(0);
-    let shared = Arc::new(ActorShared { wake_tx, yield_rx });
-
+) -> (Arc<Mailbox>, JoinHandle<()>) {
+    let mailbox = Arc::new(Mailbox(AtomicU8::new(EMPTY)));
     let thread_name = format!("sim-actor-{}-{}", id.0, name);
-    let ctx_name = name;
+    let mut ctx = ActorCtx {
+        sim,
+        id,
+        name,
+        mailbox: mailbox.clone(),
+    };
     let join = std::thread::Builder::new()
         .name(thread_name)
         .spawn(move || {
             // Wait to be scheduled for the first time.
-            match wake_rx.recv() {
-                Ok(WakeMsg::Run) => {}
-                Ok(WakeMsg::Shutdown) | Err(_) => return,
+            if ctx.mailbox.wait().is_err() {
+                return;
             }
-            let mut ctx = ActorCtx {
-                sim,
-                id,
-                name: ctx_name,
-                wake_rx,
-                yield_tx,
+            let panicked = match panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
+                Ok(()) => None,
+                // Teardown unwind: exit quietly, nobody is listening.
+                Err(payload) if payload.is::<ShutdownToken>() => return,
+                Err(payload) => Some(if let Some(s) = payload.downcast_ref::<&str>() {
+                    (*s).to_string()
+                } else if let Some(s) = payload.downcast_ref::<String>() {
+                    s.clone()
+                } else {
+                    "<non-string panic payload>".to_string()
+                }),
             };
-            let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-            let msg = match result {
-                Ok(()) => YieldMsg::Done,
-                Err(payload) => {
-                    if payload.downcast_ref::<ShutdownToken>().is_some() {
-                        // Teardown unwind: exit quietly, nobody is listening.
-                        return;
-                    }
-                    let text = if let Some(s) = payload.downcast_ref::<&str>() {
-                        (*s).to_string()
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        s.clone()
-                    } else {
-                        "<non-string panic payload>".to_string()
-                    };
-                    YieldMsg::Panicked(text)
-                }
-            };
-            // If the engine is gone this send fails, which is fine.
-            let _ = ctx.yield_tx.send(msg);
+            ctx.sim.actor_exited(id, panicked);
         })
         .expect("failed to spawn actor thread");
-    (shared, join)
+    (mailbox, join)
 }
 
 /// Install a process-global panic hook that silences [`ShutdownToken`]

@@ -12,7 +12,8 @@
 //! The queue is sharded: each shard (normally one per simulated node, see
 //! `ClusterSpec::with_engine_shards`) owns its own binary heap plus a
 //! live-event set, and a small *index heap* tracks the advertised minimum key
-//! of every non-empty shard. The scheduler picks the globally smallest
+//! of every non-empty shard. The driver — whichever thread holds the baton,
+//! see [`crate::actor`] — picks the globally smallest
 //! `(time, seq)` key from the index, then **batch-drains** the winning shard
 //! while its keys stay strictly below the *horizon* — the best key any other
 //! shard advertises. Cross-shard pushes below the horizon tighten a
@@ -28,23 +29,27 @@
 //! in practice.
 //!
 //! Mid-batch pushes onto the *drained* shard skip the advertise/index-heap
-//! path entirely — the scheduler owns the shard (its `advertised` is `None`)
+//! path entirely — the batch owns the shard (its `advertised` is `None`)
 //! and re-advertises the true minimum at batch end, so those index entries
 //! would only ever be popped as stale. The self-profiler
 //! ([`suca_obs::prof`], enabled via [`Sim::set_profiling`] or
 //! `SUCA_SIM_PROF`) counts batches, end causes, index churn, and per-kind
 //! dispatch cost; with the `prof` cargo feature off the hooks compile out.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
+use std::thread::Thread;
+use std::time::Instant;
 
 use parking_lot::Mutex;
+use suca_obs::prof::{BatchEnd, KIND_CALL, KIND_POLL, KIND_WAKE};
 
 use crate::actor::{
     install_quiet_shutdown_hook, spawn_actor_thread, ActorCtx, ActorId, ActorRecord, ActorStatus,
-    WakeMsg, YieldMsg,
 };
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -121,14 +126,13 @@ pub enum RunOutcome {
 struct Shard {
     queue: BinaryHeap<Reverse<EventEntry>>,
     live: HashSet<u64>,
-    /// The `(time, seq)` key this shard currently advertises in the
-    /// scheduler's index heap (`None` while the scheduler owns the shard
-    /// during a batch, or while the shard is empty).
+    /// The `(time, seq)` key this shard currently advertises in the index
+    /// heap (`None` while a batch owns the shard, or while it is empty).
     advertised: Option<(SimTime, u64)>,
 }
 
-/// Actor table and span tracer: mutated only under the scheduler baton, kept
-/// in one mutex separate from the hot event-queue shards.
+/// Actor table and span tracer: mutated only by the baton holder, kept in
+/// one mutex separate from the hot event-queue shards.
 struct ControlState {
     actors: Vec<ActorRecord>,
     tracer: Tracer,
@@ -136,6 +140,46 @@ struct ControlState {
 
 /// Sentinel for "no batch in progress" in `current_shard`.
 const IDLE_SHARD: u32 = u32::MAX;
+
+/// The batch being drained: the owned shard, the best key any other shard
+/// advertised when it was picked, and the profiler's view of it so far.
+struct Batch {
+    sh: u32,
+    horizon: Option<(SimTime, u64)>,
+    len: u64,
+    pm_seen: bool,
+}
+
+/// Profiler stamp opening a dispatch interval: `(start, allocs, bytes)`.
+type Stamp = (Instant, u64, u64);
+
+/// Scheduler state that travels with the baton: whichever thread drives next
+/// resumes the batch the previous driver left. Only the baton holder locks
+/// it, so the mutex is never contended.
+struct DriveState {
+    limit: SimTime,
+    batch: Option<Batch>,
+    /// A `Wake`'s dispatch interval covers the hand-off and the actor's run,
+    /// so it stays open until the next [`Sim::next_event`], on any thread.
+    open_wake: Option<Stamp>,
+}
+
+/// What a driver tells the thread blocked in [`Sim::run`] when it gives the
+/// baton back.
+enum RunReport {
+    /// The queue drained or the next event lies past the limit.
+    Idle,
+    /// A handler or poller panicked; `run` re-raises the payload.
+    HandlerPanic(Box<dyn Any + Send>),
+    /// An actor's body panicked: `(name, message)`.
+    ActorPanic(String, String),
+}
+
+/// Mailbox of the thread blocked in [`Sim::run`].
+struct RunCaller {
+    thread: Thread,
+    report: Option<RunReport>,
+}
 
 pub(crate) struct SimInner {
     shards: Vec<Mutex<Shard>>,
@@ -164,6 +208,8 @@ pub(crate) struct SimInner {
     /// after it), so only events strictly below the watermark are provably
     /// still the global minimum.
     batch_pushed_min_ns: AtomicU64,
+    drive: Mutex<DriveState>,
+    run_caller: Mutex<RunCaller>,
     running: AtomicBool,
     seed: u64,
     /// Registered poller callbacks, indexed by `PollerId::idx`. Append-only.
@@ -200,37 +246,42 @@ fn trace_dispatch_enabled() -> bool {
     *FLAG.get_or_init(|| std::env::var_os("SUCA_SIM_TRACE_DISPATCH").is_some())
 }
 
-/// Resets `running` (and the batch state) even when a dispatched handler or
-/// actor panic unwinds through `run_inner`, so a harness that catches the
-/// panic can run the same `Sim` again instead of dying on the reentrancy
-/// assert.
+/// Resets `running` (and the batch state) even when `run_inner` re-raises a
+/// handler or actor panic, so a harness that catches the panic can run the
+/// same `Sim` again instead of dying on the reentrancy assert.
 struct RunningGuard<'a>(&'a SimInner);
 
 impl Drop for RunningGuard<'_> {
     fn drop(&mut self) {
         let inner = self.0;
-        let sh = inner.current_shard.load(Ordering::Relaxed);
-        if sh != IDLE_SHARD {
-            // A panic unwound mid-batch while the scheduler owned this shard
-            // (`advertised == None`, mid-batch own-shard pushes skip the
-            // index). Re-advertise its minimum or its remaining events would
-            // be invisible to the next run.
-            let mut g = inner.shards[sh as usize].lock();
-            match g.queue.peek() {
-                Some(Reverse(top)) => {
-                    let key = (top.time, top.seq);
-                    if g.advertised != Some(key) {
-                        g.advertised = Some(key);
-                        inner.index.lock().push(Reverse((key.0, key.1, sh)));
-                    }
-                }
-                None => g.advertised = None,
-            }
+        let mut st = inner.drive.lock();
+        if let Some(b) = st.batch.take() {
+            // A panic ended the run mid-batch while a driver owned this
+            // shard (`advertised == None`, mid-batch own-shard pushes skip
+            // the index). Re-advertise its minimum or its remaining events
+            // would be invisible to the next run.
+            inner.release_shard(b.sh);
         }
-        inner.horizon_ns.store(0, Ordering::Relaxed);
-        inner.batch_pushed_min_ns.store(u64::MAX, Ordering::Relaxed);
-        inner.current_shard.store(IDLE_SHARD, Ordering::Relaxed);
+        st.open_wake = None;
         inner.running.store(false, Ordering::Release);
+    }
+}
+
+impl SimInner {
+    /// Batch end: stand down and re-advertise shard `sh`'s minimum. Returns
+    /// whether that pushed an index entry.
+    fn release_shard(&self, sh: u32) -> bool {
+        self.horizon_ns.store(0, Ordering::Relaxed);
+        self.batch_pushed_min_ns.store(u64::MAX, Ordering::Relaxed);
+        self.current_shard.store(IDLE_SHARD, Ordering::Relaxed);
+        let mut g = self.shards[sh as usize].lock();
+        let key = g.queue.peek().map(|Reverse(top)| (top.time, top.seq));
+        let moved = key.is_some() && g.advertised != key;
+        g.advertised = key;
+        if let Some((t, s)) = key.filter(|_| moved) {
+            self.index.lock().push(Reverse((t, s, sh)));
+        }
+        moved
     }
 }
 
@@ -281,6 +332,15 @@ impl Sim {
                 current_shard: AtomicU32::new(IDLE_SHARD),
                 horizon_ns: AtomicU64::new(0),
                 batch_pushed_min_ns: AtomicU64::new(u64::MAX),
+                drive: Mutex::new(DriveState {
+                    limit: SimTime::MAX,
+                    batch: None,
+                    open_wake: None,
+                }),
+                run_caller: Mutex::new(RunCaller {
+                    thread: std::thread::current(),
+                    report: None,
+                }),
                 running: AtomicBool::new(false),
                 seed,
                 pollers: RwLock::new(Vec::new()),
@@ -409,10 +469,10 @@ impl Sim {
 
     fn push_event(&self, shard_idx: u32, time: SimTime, action: EventAction) -> EventId {
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        // `current_shard` is written only by the scheduler thread, and while
-        // a batch on shard `cur` is active the only code that can push is the
-        // handler/actor the scheduler is blocked on — so `cur` cannot change
-        // under us mid-push.
+        // `current_shard` is written only by the baton holder, and while a
+        // batch on shard `cur` is active the only code that can push is the
+        // handler or actor holding the baton — so `cur` cannot change under
+        // us mid-push.
         let cur = self.inner.current_shard.load(Ordering::Relaxed);
         let own_batch = shard_idx == cur;
         {
@@ -420,7 +480,7 @@ impl Sim {
             sh.queue.push(Reverse(EventEntry { time, seq, action }));
             sh.live.insert(seq);
             // Mid-batch pushes onto the drained shard skip the index: the
-            // scheduler owns it (`advertised == None`) and re-advertises the
+            // batch owns it (`advertised == None`) and re-advertises the
             // true minimum at batch end, so an entry pushed here could only
             // ever be popped as stale.
             if !own_batch {
@@ -431,7 +491,7 @@ impl Sim {
                         .index
                         .lock()
                         .push(Reverse((time, seq, shard_idx)));
-                    if cfg!(feature = "prof") && self.inner.prof.enabled() {
+                    if self.prof_on() {
                         self.inner.prof.index_push();
                     }
                 }
@@ -449,7 +509,7 @@ impl Sim {
                 .fetch_min(time.as_ns(), Ordering::AcqRel);
             dirty = true;
         }
-        if cfg!(feature = "prof") && self.inner.prof.enabled() {
+        if self.prof_on() {
             self.inner.prof.push(!own_batch && cur != IDLE_SHARD, dirty);
         }
         EventId {
@@ -497,10 +557,11 @@ impl Sim {
         let name = name.into();
         let shard = self.resolve_hint(hint);
         let id = ActorId(self.inner.control.lock().actors.len() as u32);
-        let (shared, join) = spawn_actor_thread(self.clone(), id, name.clone(), Box::new(body));
+        let (mailbox, join) = spawn_actor_thread(self.clone(), id, name.clone(), Box::new(body));
         self.inner.control.lock().actors.push(ActorRecord {
             name,
-            shared,
+            mailbox,
+            thread: join.thread().clone(),
             gen: 0,
             status: ActorStatus::Parked,
             join: Some(join),
@@ -528,216 +589,307 @@ impl Sim {
             "Sim::run called reentrantly"
         );
         let _guard = RunningGuard(&self.inner);
-        if cfg!(feature = "prof") && self.inner.prof.enabled() {
+        self.inner.drive.lock().limit = limit;
+        {
+            let mut rc = self.inner.run_caller.lock();
+            rc.thread = std::thread::current();
+            rc.report = None;
+        }
+        let prof_t0 = self.prof_on().then(|| {
             crate::alloc::set_counting(true);
-            let t0 = std::time::Instant::now();
-            let out = self.run_loop(limit, true);
+            Instant::now()
+        });
+        // Start the loop here; from the first actor wake on, the baton moves
+        // between actor threads and this thread only waits for the report.
+        self.drive(None);
+        let report = loop {
+            if let Some(r) = self.inner.run_caller.lock().report.take() {
+                break r;
+            }
+            std::thread::park();
+        };
+        if let Some(t0) = prof_t0 {
             self.inner.prof.add_run_ns(t0.elapsed().as_nanos() as u64);
             crate::alloc::set_counting(false);
-            out
-        } else {
-            self.run_loop(limit, false)
+        }
+        match report {
+            RunReport::Idle => self.finish(limit),
+            RunReport::HandlerPanic(payload) => resume_unwind(payload),
+            RunReport::ActorPanic(name, msg) => {
+                // Actor panics include failed harness assertions: dump the
+                // flight recorder before propagating.
+                self.inner
+                    .mtrace
+                    .dump_once(&format!("sim actor '{name}' panicked: {msg}"));
+                panic!("sim actor '{name}' panicked: {msg}");
+            }
         }
     }
 
-    /// The scheduler loop. `prof_on` is checked once per phase, not per
-    /// event; with the `prof` feature off, `run_inner` only ever passes
-    /// `false` so every profiling branch folds away.
-    fn run_loop(&self, limit: SimTime, prof_on: bool) -> RunOutcome {
-        use std::time::Instant;
-        use suca_obs::prof::BatchEnd;
-        let prof = &self.inner.prof;
-        let timer = |on: bool| if on { Some(Instant::now()) } else { None };
-        let el = |t0: Instant| t0.elapsed().as_nanos() as u64;
-        loop {
-            // Pick phase: find the shard advertising the globally smallest
-            // key, skipping stale index entries.
-            let pick_t0 = timer(prof_on);
-            let picked = loop {
-                let top = self.inner.index.lock().pop();
-                let Some(Reverse((t, s, sh))) = top else {
-                    break None;
-                };
-                let fresh = self.inner.shards[sh as usize].lock().advertised == Some((t, s));
-                if prof_on {
-                    prof.pick_pop(!fresh);
-                    prof.lock_acq(2);
-                }
-                if !fresh {
-                    continue; // the shard's minimum moved on; a fresher entry exists
-                }
-                if t > limit {
-                    // Leave the entry (and `advertised`) intact for a later run.
-                    self.inner.index.lock().push(Reverse((t, s, sh)));
-                    if prof_on {
-                        prof.index_push();
-                        prof.lock_acq(1);
-                    }
-                    break None;
-                }
-                break Some(sh);
-            };
-            let Some(sh) = picked else {
-                if let Some(t0) = pick_t0 {
-                    prof.add_pick_ns(el(t0));
-                }
-                return self.finish(limit);
-            };
-            // Take ownership of the shard: from here until batch end, every
-            // index entry naming `sh` is stale.
-            self.inner.shards[sh as usize].lock().advertised = None;
-            // Horizon: the smallest *fresh* key any other shard advertises.
-            // Stale entries (including our own superseded advertisements,
-            // which would otherwise wedge the batch at zero progress) are
-            // dropped here; the fresh one is pushed back.
-            let horizon = loop {
-                let top = self.inner.index.lock().pop();
-                let Some(Reverse((t, s, xsh))) = top else {
-                    break None;
-                };
-                let fresh =
-                    xsh != sh && self.inner.shards[xsh as usize].lock().advertised == Some((t, s));
-                if prof_on {
-                    prof.horizon_pop(!fresh);
-                    prof.lock_acq(2);
-                }
-                if fresh {
-                    self.inner.index.lock().push(Reverse((t, s, xsh)));
-                    if prof_on {
-                        prof.index_push();
-                        prof.lock_acq(1);
-                    }
-                    break Some((t, s));
-                }
-            };
-            self.inner.current_shard.store(sh, Ordering::Relaxed);
-            self.inner
-                .batch_pushed_min_ns
-                .store(u64::MAX, Ordering::Relaxed);
-            self.inner.horizon_ns.store(
-                horizon.map_or(u64::MAX, |(t, _)| t.as_ns()),
-                Ordering::Relaxed,
-            );
-            if let Some(t0) = pick_t0 {
-                prof.add_pick_ns(el(t0));
-            }
+    /// Is the self-profiler counting? With the `prof` feature off this is
+    /// `false` at compile time and every profiling branch folds away.
+    #[inline]
+    fn prof_on(&self) -> bool {
+        cfg!(feature = "prof") && self.inner.prof.enabled()
+    }
 
+    /// Open a dispatch interval for the profiler.
+    fn stamp() -> Stamp {
+        let (allocs, bytes) = crate::alloc::counts();
+        (Instant::now(), allocs, bytes)
+    }
+
+    /// Close a dispatch interval opened by [`Sim::stamp`].
+    fn prof_dispatch(&self, kind: usize, (t0, a0, b0): Stamp) {
+        let ns = t0.elapsed().as_nanos() as u64;
+        let (a1, b1) = crate::alloc::counts();
+        self.inner
+            .prof
+            .dispatch(kind, ns, a1.saturating_sub(a0), b1.saturating_sub(b0));
+    }
+
+    /// Pick phase: take ownership of the shard advertising the globally
+    /// smallest key (skipping stale index entries) and compute its horizon.
+    /// `None` when nothing is queued at or before `limit`.
+    fn pick_batch(&self, limit: SimTime, prof_on: bool) -> Option<Batch> {
+        let prof = &self.inner.prof;
+        let pick_t0 = prof_on.then(Instant::now);
+        let picked = loop {
+            let top = self.inner.index.lock().pop();
+            let Some(Reverse((t, s, sh))) = top else {
+                break None;
+            };
+            let fresh = self.inner.shards[sh as usize].lock().advertised == Some((t, s));
+            if prof_on {
+                prof.pick_pop(!fresh);
+                prof.lock_acq(2);
+            }
+            if !fresh {
+                continue; // the shard's minimum moved on; a fresher entry exists
+            }
+            if t > limit {
+                // Leave the entry (and `advertised`) intact for a later run.
+                self.inner.index.lock().push(Reverse((t, s, sh)));
+                if prof_on {
+                    prof.index_push();
+                    prof.lock_acq(1);
+                }
+                break None;
+            }
+            break Some(sh);
+        };
+        let Some(sh) = picked else {
+            if let Some(t0) = pick_t0 {
+                prof.add_pick_ns(t0.elapsed().as_nanos() as u64);
+            }
+            return None;
+        };
+        // Take ownership of the shard: from here until batch end, every
+        // index entry naming `sh` is stale.
+        self.inner.shards[sh as usize].lock().advertised = None;
+        // Horizon: the smallest *fresh* key any other shard advertises.
+        // Stale entries (including our own superseded advertisements,
+        // which would otherwise wedge the batch at zero progress) are
+        // dropped here; the fresh one is pushed back.
+        let horizon = loop {
+            let top = self.inner.index.lock().pop();
+            let Some(Reverse((t, s, xsh))) = top else {
+                break None;
+            };
+            let fresh =
+                xsh != sh && self.inner.shards[xsh as usize].lock().advertised == Some((t, s));
+            if prof_on {
+                prof.horizon_pop(!fresh);
+                prof.lock_acq(2);
+            }
+            if fresh {
+                self.inner.index.lock().push(Reverse((t, s, xsh)));
+                if prof_on {
+                    prof.index_push();
+                    prof.lock_acq(1);
+                }
+                break Some((t, s));
+            }
+        };
+        self.inner.current_shard.store(sh, Ordering::Relaxed);
+        self.inner
+            .batch_pushed_min_ns
+            .store(u64::MAX, Ordering::Relaxed);
+        self.inner.horizon_ns.store(
+            horizon.map_or(u64::MAX, |(t, _)| t.as_ns()),
+            Ordering::Relaxed,
+        );
+        if let Some(t0) = pick_t0 {
+            prof.add_pick_ns(t0.elapsed().as_nanos() as u64);
+        }
+        Some(Batch {
+            sh,
+            horizon,
+            len: 0,
+            pm_seen: false,
+        })
+    }
+
+    /// The next event in global `(time, seq)` order, resuming the batch the
+    /// previous driver left; `None` when the queue drained or the next event
+    /// lies past the run's limit. Callable from whichever thread holds the
+    /// baton.
+    fn next_event(&self) -> Option<EventEntry> {
+        let prof = &self.inner.prof;
+        let prof_on = self.prof_on();
+        let mut st = self.inner.drive.lock();
+        let limit = st.limit;
+        if let Some(stamp) = st.open_wake.take() {
+            self.prof_dispatch(KIND_WAKE, stamp);
+        }
+        loop {
+            let mut b = match st.batch.take() {
+                Some(b) => b,
+                None => self.pick_batch(limit, prof_on)?,
+            };
             // Batch phase: drain this shard while it holds the global
             // minimum. The shard lock is released around each dispatch so
             // handlers can schedule freely.
-            let mut batch_len: u64 = 0;
-            let mut pm_seen = false;
-            let mut cause = BatchEnd::Empty;
-            loop {
-                let pop_t0 = timer(prof_on);
-                let next = {
-                    let mut g = self.inner.shards[sh as usize].lock();
-                    loop {
-                        let Some(Reverse(e)) = g.queue.peek() else {
-                            cause = BatchEnd::Empty;
-                            break None;
+            let pop_t0 = prof_on.then(Instant::now);
+            let next = {
+                let mut g = self.inner.shards[b.sh as usize].lock();
+                loop {
+                    let Some(Reverse(e)) = g.queue.peek() else {
+                        break Err(BatchEnd::Empty);
+                    };
+                    if e.time > limit {
+                        break Err(BatchEnd::Limit);
+                    }
+                    if b.horizon.is_some_and(|h| (e.time, e.seq) >= h) {
+                        break Err(BatchEnd::Horizon);
+                    }
+                    // A cross-shard push below the horizon tightened the
+                    // watermark: keep draining strictly below it (those
+                    // events still precede the pushed one in global
+                    // order), end the batch at or above it.
+                    let pm = self.inner.batch_pushed_min_ns.load(Ordering::Acquire);
+                    if pm != u64::MAX {
+                        b.pm_seen = true;
+                        if e.time.as_ns() >= pm {
+                            break Err(BatchEnd::Dirty);
+                        }
+                    }
+                    let Reverse(e) = g.queue.pop().expect("peeked");
+                    if !g.live.remove(&e.seq) {
+                        continue; // cancelled tombstone: discard, no time advance
+                    }
+                    break Ok(e);
+                }
+            };
+            if let Some(t0) = pop_t0 {
+                prof.lock_acq(1);
+                prof.add_pop_ns(t0.elapsed().as_nanos() as u64);
+            }
+            let cause = match next {
+                Err(cause) => cause,
+                Ok(e) => {
+                    self.inner.now_ns.store(e.time.as_ns(), Ordering::Relaxed);
+                    self.inner.dispatched.fetch_add(1, Ordering::Relaxed);
+                    self.inner.pending.fetch_sub(1, Ordering::Relaxed);
+                    if trace_dispatch_enabled() {
+                        let kind = match &e.action {
+                            EventAction::Call(_) => "call".to_string(),
+                            EventAction::Wake(id, gen) => format!("wake a{} g{gen}", id.0),
+                            EventAction::Poll(idx) => format!("poll p{idx}"),
                         };
-                        if e.time > limit {
-                            cause = BatchEnd::Limit;
-                            break None;
-                        }
-                        if horizon.is_some_and(|(ht, hs)| (e.time, e.seq) >= (ht, hs)) {
-                            cause = BatchEnd::Horizon;
-                            break None;
-                        }
-                        // A cross-shard push below the horizon tightened the
-                        // watermark: keep draining strictly below it (those
-                        // events still precede the pushed one in global
-                        // order), end the batch at or above it.
-                        let pm = self.inner.batch_pushed_min_ns.load(Ordering::Acquire);
-                        if pm != u64::MAX {
-                            pm_seen = true;
-                            if e.time.as_ns() >= pm {
-                                cause = BatchEnd::Dirty;
-                                break None;
-                            }
-                        }
-                        let Reverse(e) = g.queue.pop().expect("peeked");
-                        if !g.live.remove(&e.seq) {
-                            continue; // cancelled tombstone: discard, no time advance
-                        }
-                        break Some(e);
+                        eprintln!("[dispatch] t={} seq={} {kind}", e.time, e.seq);
                     }
-                };
-                if prof_on {
-                    prof.lock_acq(1);
-                    if let Some(t0) = pop_t0 {
-                        prof.add_pop_ns(el(t0));
-                    }
+                    b.len += 1;
+                    st.batch = Some(b);
+                    return Some(e);
                 }
-                let Some(e) = next else { break };
-                self.inner.now_ns.store(e.time.as_ns(), Ordering::Relaxed);
-                self.inner.dispatched.fetch_add(1, Ordering::Relaxed);
-                self.inner.pending.fetch_sub(1, Ordering::Relaxed);
-                if trace_dispatch_enabled() {
-                    let kind = match &e.action {
-                        EventAction::Call(_) => "call".to_string(),
-                        EventAction::Wake(id, gen) => format!("wake a{} g{gen}", id.0),
-                        EventAction::Poll(idx) => format!("poll p{idx}"),
-                    };
-                    eprintln!("[dispatch] t={} seq={} {kind}", e.time, e.seq);
+            };
+            let end_t0 = prof_on.then(Instant::now);
+            let pushed = self.inner.release_shard(b.sh);
+            if let Some(t0) = end_t0 {
+                if pushed {
+                    prof.index_push();
                 }
-                batch_len += 1;
-                if prof_on {
-                    let kind = match &e.action {
-                        EventAction::Call(_) => suca_obs::prof::KIND_CALL,
-                        EventAction::Wake(..) => suca_obs::prof::KIND_WAKE,
-                        EventAction::Poll(_) => suca_obs::prof::KIND_POLL,
-                    };
-                    let (a0, b0) = crate::alloc::counts();
-                    let t0 = Instant::now();
-                    self.dispatch(e);
-                    let dt = el(t0);
-                    let (a1, b1) = crate::alloc::counts();
-                    prof.dispatch(kind, dt, a1.saturating_sub(a0), b1.saturating_sub(b0));
-                } else {
-                    self.dispatch(e);
-                }
-            }
-
-            // Batch end: stand down and re-advertise this shard's minimum.
-            let end_t0 = timer(prof_on);
-            self.inner.horizon_ns.store(0, Ordering::Relaxed);
-            self.inner
-                .batch_pushed_min_ns
-                .store(u64::MAX, Ordering::Relaxed);
-            self.inner
-                .current_shard
-                .store(IDLE_SHARD, Ordering::Relaxed);
-            {
-                let mut g = self.inner.shards[sh as usize].lock();
-                match g.queue.peek() {
-                    Some(Reverse(top)) => {
-                        let key = (top.time, top.seq);
-                        if g.advertised != Some(key) {
-                            g.advertised = Some(key);
-                            self.inner.index.lock().push(Reverse((key.0, key.1, sh)));
-                            if prof_on {
-                                prof.index_push();
-                            }
-                        }
-                    }
-                    None => g.advertised = None,
-                }
-            }
-            if prof_on {
                 prof.lock_acq(2);
-                if let Some(t0) = end_t0 {
-                    prof.add_batch_end_ns(el(t0));
-                }
-                prof.batch(
-                    sh as usize,
-                    batch_len,
-                    cause,
-                    pm_seen && cause != BatchEnd::Dirty,
-                );
+                prof.add_batch_end_ns(t0.elapsed().as_nanos() as u64);
+                let continued = b.pm_seen && cause != BatchEnd::Dirty;
+                prof.batch(b.sh as usize, b.len, cause, continued);
             }
         }
+    }
+
+    /// Run the event loop on the calling thread, which holds the baton:
+    /// `Call`/`Poll` events run inline, a `Wake` for another actor hands the
+    /// baton to that actor's thread. Returns `true` when `me`'s own wakeup
+    /// came up (the caller still holds the baton and resumes user code) and
+    /// `false` once the baton is gone — to another actor, or back to the
+    /// `run` caller with a [`RunReport`]. After `false` the caller must
+    /// touch no engine state until its own mailbox hands the baton back.
+    pub(crate) fn drive(&self, me: Option<ActorId>) -> bool {
+        loop {
+            let Some(e) = self.next_event() else {
+                self.report(RunReport::Idle);
+                return false;
+            };
+            let stamp = self.prof_on().then(Self::stamp);
+            let ok = match e.action {
+                EventAction::Call(f) => {
+                    self.run_handler(KIND_CALL, stamp, "sim event handler panicked", || f(self))
+                }
+                EventAction::Poll(idx) => {
+                    let f = self.inner.pollers.read().expect("poller registry poisoned")
+                        [idx as usize]
+                        .clone();
+                    self.run_handler(KIND_POLL, stamp, "sim poller panicked", || f(self))
+                }
+                EventAction::Wake(id, gen) => {
+                    if stamp.is_some() {
+                        self.inner.drive.lock().open_wake = stamp;
+                    }
+                    let mut ctl = self.inner.control.lock();
+                    let rec = &mut ctl.actors[id.0 as usize];
+                    if rec.status != ActorStatus::Parked || rec.gen != gen {
+                        continue; // stale wake: the actor moved on or finished
+                    }
+                    rec.status = ActorStatus::Running;
+                    if me == Some(id) {
+                        return true;
+                    }
+                    let (mailbox, thread) = (rec.mailbox.clone(), rec.thread.clone());
+                    drop(ctl);
+                    mailbox.post_run(&thread);
+                    return false;
+                }
+            };
+            if !ok {
+                return false;
+            }
+        }
+    }
+
+    /// Run one handler inline. A panic must not unwind through the user
+    /// frames of whichever actor happens to be driving: it is caught here
+    /// and carried to the `run` caller, which re-raises it.
+    fn run_handler(&self, kind: usize, stamp: Option<Stamp>, what: &str, f: impl FnOnce()) -> bool {
+        let r = catch_unwind(AssertUnwindSafe(f));
+        if let Some(stamp) = stamp {
+            self.prof_dispatch(kind, stamp);
+        }
+        let Err(payload) = r else { return true };
+        // Flight recorder: dump the per-message trace rings before the
+        // panic propagates.
+        self.inner.mtrace.dump_once(what);
+        self.report(RunReport::HandlerPanic(payload));
+        false
+    }
+
+    /// Give the baton back to the thread blocked in `run`.
+    fn report(&self, r: RunReport) {
+        let mut rc = self.inner.run_caller.lock();
+        rc.report = Some(r);
+        let thread = rc.thread.clone();
+        drop(rc);
+        thread.unpark();
     }
 
     fn finish(&self, limit: SimTime) -> RunOutcome {
@@ -763,66 +915,6 @@ impl Sim {
         }
     }
 
-    fn dispatch(&self, e: EventEntry) {
-        match e.action {
-            EventAction::Call(f) => {
-                // Flight recorder: a panicking hardware-model handler dumps
-                // the per-message trace rings before the panic propagates.
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self)));
-                if let Err(payload) = r {
-                    self.inner.mtrace.dump_once("sim event handler panicked");
-                    std::panic::resume_unwind(payload);
-                }
-            }
-            EventAction::Poll(idx) => {
-                let f = self.inner.pollers.read().expect("poller registry poisoned")[idx as usize]
-                    .clone();
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self)));
-                if let Err(payload) = r {
-                    self.inner.mtrace.dump_once("sim poller panicked");
-                    std::panic::resume_unwind(payload);
-                }
-            }
-            EventAction::Wake(id, gen) => {
-                let shared = {
-                    let mut ctl = self.inner.control.lock();
-                    let rec = &mut ctl.actors[id.0 as usize];
-                    if rec.status == ActorStatus::Parked && rec.gen == gen {
-                        rec.status = ActorStatus::Running;
-                        Some(rec.shared.clone())
-                    } else {
-                        None // stale wake: the actor moved on or finished
-                    }
-                };
-                let Some(shared) = shared else { return };
-                shared
-                    .wake_tx
-                    .send(WakeMsg::Run)
-                    .expect("actor thread died while parked");
-                match shared.yield_rx.recv().expect("actor thread hung up") {
-                    YieldMsg::Parked => {} // status already set by mark_parked
-                    YieldMsg::Done => {
-                        self.inner.control.lock().actors[id.0 as usize].status = ActorStatus::Done;
-                    }
-                    YieldMsg::Panicked(msg) => {
-                        let name = {
-                            let mut ctl = self.inner.control.lock();
-                            // Mark done so teardown does not try to shut it down.
-                            ctl.actors[id.0 as usize].status = ActorStatus::Done;
-                            ctl.actors[id.0 as usize].name.clone()
-                        };
-                        // Actor panics include failed harness assertions:
-                        // dump the flight recorder before propagating.
-                        self.inner
-                            .mtrace
-                            .dump_once(&format!("sim actor '{name}' panicked: {msg}"));
-                        panic!("sim actor '{name}' panicked: {msg}");
-                    }
-                }
-            }
-        }
-    }
-
     // ---- actor support (crate-internal) ------------------------------------
 
     /// Bump and return the park generation for an upcoming park.
@@ -845,9 +937,27 @@ impl Sim {
         self.schedule_wake_in(SimDuration::ZERO, id, gen)
     }
 
-    /// Record that an actor is about to hand the baton back.
+    /// Record that an actor is about to park.
     pub(crate) fn mark_parked(&self, id: ActorId) {
         self.inner.control.lock().actors[id.0 as usize].status = ActorStatus::Parked;
+    }
+
+    /// An actor's body returned (`panicked == None`) or panicked with a
+    /// message; called on the actor's thread, which holds the baton.
+    pub(crate) fn actor_exited(&self, id: ActorId, panicked: Option<String>) {
+        let mut ctl = self.inner.control.lock();
+        let rec = &mut ctl.actors[id.0 as usize];
+        rec.status = ActorStatus::Done;
+        let report = panicked.map(|msg| RunReport::ActorPanic(rec.name.clone(), msg));
+        drop(ctl);
+        match report {
+            Some(r) => self.report(r),
+            // Keep driving until the baton goes to someone else, then let
+            // the thread exit.
+            None => {
+                self.drive(None);
+            }
+        }
     }
 
     // ---- observability ------------------------------------------------------
@@ -1042,16 +1152,15 @@ impl Drop for SimInner {
         let mut actors = std::mem::take(&mut self.control.lock().actors);
         for rec in &mut actors {
             if rec.status != ActorStatus::Done {
-                // Actor is blocked in wake_rx.recv(); Shutdown makes it
-                // unwind via ShutdownToken and exit quietly. If the thread is
-                // already gone the send just fails.
-                let _ = rec.shared.wake_tx.send(WakeMsg::Shutdown);
+                // The actor is blocked on its mailbox; a shutdown order makes
+                // it unwind via ShutdownToken and exit quietly.
+                rec.mailbox.post_shutdown(&rec.thread);
             }
             if let Some(join) = rec.join.take() {
-                // A finishing actor can hold the last `Sim` clone (it
-                // signals the scheduler before its closure unwinds), so
-                // this drop may run *on* an actor thread — joining itself
-                // would be EDEADLK. Let such a thread detach instead.
+                // A finishing actor can hold the last `Sim` clone (it gives
+                // the baton away before its closure is dropped), so this
+                // drop may run *on* an actor thread — joining itself would
+                // be EDEADLK. Let such a thread detach instead.
                 if join.thread().id() != std::thread::current().id() {
                     let _ = join.join();
                 }
@@ -1140,10 +1249,20 @@ mod tests {
     fn panicking_handler_leaves_sim_runnable() {
         // Regression: a panic unwinding through run_inner used to leave
         // `running == true`, so the next run died on the reentrancy assert.
+        // A sleeping actor is driving when the handler fires: the panic must
+        // surface from `run` with its payload, not unwind the actor's frames.
         let sim = Sim::new(1);
+        let woke = Arc::new(AtomicU64::new(0));
+        let w = woke.clone();
+        sim.spawn("sleeper", move |ctx| {
+            ctx.sleep(SimDuration::from_us(2));
+            w.store(ctx.now().as_ns(), Ordering::Relaxed);
+        });
         sim.schedule_in(SimDuration::from_us(1), |_| panic!("injected"));
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
-        assert!(r.is_err(), "panic must propagate");
+        let payload = r.expect_err("panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"injected"));
+        assert_eq!(woke.load(Ordering::Relaxed), 0, "actor must stay parked");
         let hits = Arc::new(AtomicU64::new(0));
         let h = hits.clone();
         sim.schedule_in(SimDuration::from_us(1), move |_| {
@@ -1151,6 +1270,7 @@ mod tests {
         });
         assert_eq!(sim.run(), RunOutcome::Completed, "sim must run again");
         assert_eq!(hits.load(Ordering::Relaxed), 1);
+        assert_eq!(woke.load(Ordering::Relaxed), 2_000, "actor resumed on time");
     }
 
     #[test]
@@ -1478,6 +1598,9 @@ mod tests {
         // so a panic unwinding mid-batch must re-advertise the shard's
         // remaining minimum or those events stay invisible forever.
         let sim = Sim::new_with_shards(1, 4);
+        // The first panic fires while this actor drives, the second (the
+        // actor now waits on its mailbox) on the `run` caller's thread.
+        sim.spawn_pinned(0, "bystander", |ctx| ctx.sleep(SimDuration::from_us(9)));
         let hits = Arc::new(AtomicU64::new(0));
         let h = hits.clone();
         sim.schedule_in_on(1, SimDuration::from_us(1), |s| {
@@ -1533,5 +1656,115 @@ mod tests {
         for shards in [2, 4] {
             assert_eq!(single, run(shards), "order diverged at {shards} shards");
         }
+    }
+
+    // ---- migrating-driver tests --------------------------------------------
+
+    #[test]
+    fn run_until_limit_on_an_actor_thread_resumes_with_the_same_order() {
+        // The limit falls inside a batch the sleeping actor is draining.
+        let go = |split: Option<u64>| {
+            let sim = Sim::new_with_shards(4, 2);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let l = log.clone();
+            sim.spawn_pinned(0, "a", move |ctx| {
+                for i in 0..4u64 {
+                    ctx.sleep(SimDuration::from_ns(30));
+                    l.lock().push((ctx.now().as_ns(), i));
+                }
+            });
+            for k in 0..12u64 {
+                let l = log.clone();
+                sim.schedule_in_on(k as u32 % 2, SimDuration::from_ns(10 * k + 5), move |s| {
+                    l.lock().push((s.now().as_ns(), 100 + k));
+                });
+            }
+            if let Some(t) = split {
+                assert_eq!(sim.run_until(SimTime::from_ns(t)), RunOutcome::Pending);
+                assert_eq!(sim.now().as_ns(), t);
+            }
+            assert_eq!(sim.run(), RunOutcome::Completed);
+            let l = log.lock().clone();
+            l
+        };
+        assert_eq!(go(None), go(Some(47)));
+    }
+
+    #[test]
+    fn finished_actor_keeps_driving_until_the_queue_drains() {
+        // The body returns at t=0 holding the baton; the pending handler
+        // must still run (on that thread) and the thread must then exit.
+        let sim = Sim::new(1);
+        let ran_on = Arc::new(Mutex::new(None));
+        let r = ran_on.clone();
+        sim.spawn("brief", |_| {});
+        sim.schedule_in(SimDuration::from_us(3), move |_| {
+            *r.lock() = Some(std::thread::current().id());
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        let join = sim.inner.control.lock().actors[0].join.take().unwrap();
+        assert_eq!(*ran_on.lock(), Some(join.thread().id()));
+        join.join().expect("actor thread exits cleanly");
+    }
+
+    #[test]
+    fn self_wake_takes_no_hand_off() {
+        // While the only live actor sleeps, handlers run on its thread and
+        // its own wakeup just returns from `park`.
+        let sim = Sim::new(1);
+        let ids = Arc::new(Mutex::new(Vec::new()));
+        let (i1, i2) = (ids.clone(), ids.clone());
+        sim.spawn("only", move |ctx| {
+            ctx.sim().schedule_in(SimDuration::from_us(1), move |_| {
+                i1.lock().push(std::thread::current().id());
+            });
+            ctx.sleep(SimDuration::from_us(2));
+            i2.lock().push(std::thread::current().id());
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        let ids = ids.lock();
+        assert_eq!((ids.len(), ids[0]), (2, ids[1]));
+        assert_ne!(ids[0], std::thread::current().id());
+    }
+
+    #[test]
+    fn mixed_actor_signal_timeout_order_is_shard_count_invariant() {
+        // Even nodes sleep, then notify from a cross-shard call; odd nodes
+        // wait with a timeout the notify sometimes beats, so both sources
+        // leave stale wakes behind.
+        let go = |shards: usize| {
+            let sim = Sim::new_with_shards(6, shards);
+            let sig = crate::signal::Signal::new(&sim);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            for n in 0..6u32 {
+                let (sig, log) = (sig.clone(), log.clone());
+                sim.spawn_pinned(n, format!("n{n}"), move |ctx| {
+                    for k in 0..5u32 {
+                        if n % 2 == 1 {
+                            let d = SimDuration::from_ns(4 + 5 * u64::from(n));
+                            let hit = sig.wait_timeout(ctx, d);
+                            log.lock().push((ctx.now().as_ns(), n, k, hit));
+                            continue;
+                        }
+                        ctx.sleep(SimDuration::from_ns(15 + 3 * u64::from(n)));
+                        log.lock().push((ctx.now().as_ns(), n, k, false));
+                        let (sig, log) = (sig.clone(), log.clone());
+                        let d = SimDuration::from_ns(u64::from(k % 2));
+                        ctx.sim().schedule_in_on(n + 1, d, move |s| {
+                            log.lock().push((s.now().as_ns(), 100 + n, k, false));
+                            sig.notify();
+                        });
+                    }
+                });
+            }
+            assert_eq!(sim.run(), RunOutcome::Completed);
+            let l = log.lock().clone();
+            l
+        };
+        let one = go(1);
+        let waits = || one.iter().filter(|e| e.1 % 2 == 1);
+        assert!(waits().any(|e| e.3) && waits().any(|e| !e.3));
+        assert_eq!(one, go(3));
+        assert_eq!(one, go(6));
     }
 }

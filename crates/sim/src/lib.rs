@@ -13,8 +13,10 @@
 //!   schedule boxed closures ([`Sim::schedule_in`]).
 //! * **Thread-backed actors** — application processes (the code calling the
 //!   BCL/MPI APIs) run on real OS threads written as ordinary blocking Rust
-//!   ([`Sim::spawn`], [`ActorCtx`]). A baton handshake guarantees exactly one
-//!   party runs at a time, so execution stays deterministic.
+//!   ([`Sim::spawn`], [`ActorCtx`]). Exactly one thread holds the baton at a
+//!   time, so execution stays deterministic; an actor that parks keeps the
+//!   baton and runs the event loop itself, so only a wakeup for a *different*
+//!   actor costs an OS thread switch.
 //!
 //! ```
 //! use suca_sim::{Sim, SimDuration, Signal, RunOutcome};
