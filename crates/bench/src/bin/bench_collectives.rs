@@ -37,8 +37,10 @@ use suca_sim::{ActorCtx, RunOutcome, SimDuration, TelemetryConfig};
 
 const SEED: u64 = 0xC0113C7;
 /// Timed repetitions per op (after one untimed warmup). The simulator is
-/// deterministic — repetitions guard against cold-start effects (buffer
-/// pools, plan caches), not noise.
+/// deterministic — repetitions guard against cold-start effects in virtual
+/// time (buffer pools, pin tables), not noise. On the host clock the warmup
+/// also absorbs `suca-coll`'s validate-once verdict memo: the first launch of
+/// each plan shape validates it, every later one reads the verdict.
 const REPS: u32 = 2;
 /// Fleet-mode trace sampling at the largest node count.
 const FLEET_SAMPLE_PPM: u32 = 10_000;

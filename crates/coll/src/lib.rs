@@ -32,9 +32,13 @@
 //!
 //! [`PlanRegistry`] picks the algorithm per (kind, rank count, payload
 //! size, fabric topology): Myrinet's linear switch array and the nwrc mesh
-//! get different plans behind the same API.
+//! get different plans behind the same API. A launching rank asks it for its
+//! own row only ([`PlanRegistry::schedule_for`] → [`rank_schedule`]); the
+//! whole plan is built and validated once per distinct shape per process,
+//! and only the verdict is kept.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Mutex, OnceLock};
 
 /// Which collective a plan implements.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -255,46 +259,22 @@ impl std::error::Error for PlanError {}
 
 impl Plan {
     /// Build a plan for `kind` with `algorithm` over `ranks` ranks rooted
-    /// at `root`. Algorithms that do not define the kind (recursive
-    /// doubling has no bcast shape) fall back to the binomial tree.
-    /// Generated plans always validate; [`Plan::validate`] is for
-    /// externally supplied or property-generated schedules.
+    /// at `root`: [`rank_schedule`] for every rank. Generated plans always
+    /// validate; [`Plan::validate`] still runs on each distinct shape before
+    /// a row of it is handed out ([`PlanRegistry::schedule_for`]), and is
+    /// the gate for externally supplied or property-generated schedules.
     pub fn build(kind: CollKind, algorithm: Algorithm, ranks: u32, root: u32) -> Plan {
         let n = ranks.max(1);
         let root = root % n;
-        let schedules = (0..n)
-            .map(|abs| {
-                // Schedules are generated in root-relative rank space and
-                // the peers mapped back, so one shape serves every root.
-                let rel = (abs + n - root) % n;
-                let steps = match (algorithm, kind) {
-                    (Algorithm::FlatFanIn, CollKind::Bcast) => flat_bcast(rel, n),
-                    (Algorithm::FlatFanIn, _) => flat_allreduce(rel, n),
-                    (Algorithm::BinomialTree, CollKind::Bcast) => binomial_bcast(rel, n),
-                    (Algorithm::BinomialTree, _) => binomial_allreduce(rel, n),
-                    (Algorithm::Ring, CollKind::Bcast) => ring_bcast(rel, n),
-                    (Algorithm::Ring, _) => ring_allreduce(rel, n),
-                    (Algorithm::RecursiveDoubling, CollKind::Bcast) => binomial_bcast(rel, n),
-                    (Algorithm::RecursiveDoubling, _) => recursive_doubling(rel, n),
-                };
-                steps
-                    .into_iter()
-                    .map(|mut s| {
-                        for p in s.recv_from.iter_mut().chain(s.send_to.iter_mut()) {
-                            *p = (*p + root) % n;
-                        }
-                        s
-                    })
-                    .collect()
-            })
-            .collect();
         Plan {
             kind,
             algorithm,
             ranks: n,
             root,
             chunks: 1,
-            schedules,
+            schedules: (0..n)
+                .map(|rank| rank_schedule(kind, algorithm, n, root, rank))
+                .collect(),
         }
     }
 
@@ -339,45 +319,47 @@ impl Plan {
         }
 
         // Abstract execution: per-edge message counts, step pointers, and a
-        // sent-on-entry flag per rank; iterate to fixpoint.
+        // sent-on-entry flag per rank. A blocked rank can only be unblocked
+        // by an arrival, so ranks are revisited from a worklist fed by sends
+        // rather than re-swept until nothing moves; the fixpoint is the same.
         let mut edges: HashMap<(u32, u32, u32), u32> = HashMap::new();
         let mut cursor = vec![0usize; n as usize];
         let mut entered = vec![false; n as usize];
-        loop {
-            let mut progress = false;
-            for r in 0..n as usize {
-                while let Some(step) = self.schedules[r].get(cursor[r]) {
-                    if !entered[r] {
-                        for &d in &step.send_to {
-                            *edges.entry((r as u32, d, step.chunk)).or_default() += 1;
-                        }
-                        entered[r] = true;
-                        progress = true;
-                    }
-                    // One arrival per recv_from entry; duplicates in the
-                    // list need that many queued messages.
-                    let mut need: HashMap<(u32, u32, u32), u32> = HashMap::new();
-                    for &p in &step.recv_from {
-                        *need.entry((p, r as u32, step.chunk)).or_default() += 1;
-                    }
-                    let ready = need
-                        .iter()
-                        .all(|(edge, k)| edges.get(edge).copied().unwrap_or(0) >= *k);
-                    if !ready {
-                        break;
-                    }
-                    for (edge, k) in need {
-                        if let Some(c) = edges.get_mut(&edge) {
-                            *c -= k;
+        let mut queued = vec![true; n as usize];
+        let mut worklist: VecDeque<u32> = (0..n).collect();
+        while let Some(rank) = worklist.pop_front() {
+            let r = rank as usize;
+            queued[r] = false;
+            while let Some(step) = self.schedules[r].get(cursor[r]) {
+                if !entered[r] {
+                    for &d in &step.send_to {
+                        *edges.entry((rank, d, step.chunk)).or_default() += 1;
+                        if !queued[d as usize] {
+                            queued[d as usize] = true;
+                            worklist.push_back(d);
                         }
                     }
-                    cursor[r] += 1;
-                    entered[r] = false;
-                    progress = true;
+                    entered[r] = true;
                 }
-            }
-            if !progress {
-                break;
+                // One arrival per recv_from entry; duplicates in the list
+                // need that many queued messages. Take them one by one and
+                // put them back if the step turns out not to be ready.
+                let mut taken = 0;
+                for &p in &step.recv_from {
+                    match edges.get_mut(&(p, rank, step.chunk)) {
+                        Some(c) if *c > 0 => *c -= 1,
+                        _ => break,
+                    }
+                    taken += 1;
+                }
+                if taken < step.recv_from.len() {
+                    for &p in &step.recv_from[..taken] {
+                        *edges.entry((p, rank, step.chunk)).or_default() += 1;
+                    }
+                    break;
+                }
+                cursor[r] += 1;
+                entered[r] = false;
             }
         }
 
@@ -474,6 +456,46 @@ impl Plan {
 // ---------------------------------------------------------------------------
 // Algorithm shapes, in root-relative rank space (root = 0).
 // ---------------------------------------------------------------------------
+
+/// One rank's schedule of the `(kind, algorithm, ranks, root)` plan — row
+/// `rank` of [`Plan::build`], which is defined as this function over every
+/// rank, so a whole plan and a single row cannot diverge. Costs what that
+/// rank's steps cost (O(log n) for the tree and butterfly shapes).
+/// Algorithms that do not define the kind (recursive doubling has no bcast
+/// shape) fall back to the binomial tree.
+///
+/// # Panics
+/// If `rank` is not a rank of the plan.
+pub fn rank_schedule(
+    kind: CollKind,
+    algorithm: Algorithm,
+    ranks: u32,
+    root: u32,
+    rank: u32,
+) -> Vec<PlanStep> {
+    let n = ranks.max(1);
+    let root = root % n;
+    assert!(rank < n, "rank {rank} outside a {n}-rank plan");
+    // Shapes are generated in root-relative rank space and the peers mapped
+    // back, so one shape serves every root.
+    let rel = (rank + n - root) % n;
+    let mut steps = match (algorithm, kind) {
+        (Algorithm::FlatFanIn, CollKind::Bcast) => flat_bcast(rel, n),
+        (Algorithm::FlatFanIn, _) => flat_allreduce(rel, n),
+        (Algorithm::BinomialTree, CollKind::Bcast) => binomial_bcast(rel, n),
+        (Algorithm::BinomialTree, _) => binomial_allreduce(rel, n),
+        (Algorithm::Ring, CollKind::Bcast) => ring_bcast(rel, n),
+        (Algorithm::Ring, _) => ring_allreduce(rel, n),
+        (Algorithm::RecursiveDoubling, CollKind::Bcast) => binomial_bcast(rel, n),
+        (Algorithm::RecursiveDoubling, _) => recursive_doubling(rel, n),
+    };
+    for s in &mut steps {
+        for p in s.recv_from.iter_mut().chain(s.send_to.iter_mut()) {
+            *p = (*p + root) % n;
+        }
+    }
+    steps
+}
 
 fn flat_allreduce(r: u32, n: u32) -> Vec<PlanStep> {
     if n == 1 {
@@ -648,9 +670,10 @@ pub const LARGE_MSG_BYTES: u64 = 8192;
 /// Rank count at or below which the flat star beats any tree.
 pub const FLAT_MAX_RANKS: u32 = 4;
 
-/// Selects and builds validated plans per (kind, ranks, bytes) for one
-/// fabric topology. Selection is a pure function, so every node of a
-/// cluster derives the identical plan without coordination.
+/// Selects the algorithm per (kind, ranks, bytes) for one fabric topology
+/// and hands out validated per-rank schedules. Selection is a pure
+/// function, so every node of a cluster derives the identical plan without
+/// coordination.
 #[derive(Clone, Copy, Debug)]
 pub struct PlanRegistry {
     topology: Topology,
@@ -693,19 +716,62 @@ impl PlanRegistry {
         }
     }
 
-    /// Select, build, and validate the plan. Generated plans are valid by
-    /// construction; validation still runs so no schedule — however it was
-    /// produced — reaches the firmware unchecked.
-    pub fn plan(
+    /// Select the algorithm, make sure the plan it names has been validated,
+    /// and return `rank`'s row of it. Generated plans are valid by
+    /// construction; validation still runs — once per distinct
+    /// `(kind, algorithm, ranks, root)`, see `VerdictMemo` — so no
+    /// schedule, however it was produced, reaches the firmware unchecked.
+    /// Every rank of a job gets the same verdict, so a rejection is uniform.
+    pub fn schedule_for(
         &self,
         kind: CollKind,
         ranks: u32,
         root: u32,
         bytes: u64,
-    ) -> Result<Plan, PlanError> {
-        let plan = Plan::build(kind, self.select(kind, ranks, bytes), ranks, root);
-        plan.validate()?;
-        Ok(plan)
+        rank: u32,
+    ) -> Result<Vec<PlanStep>, PlanError> {
+        static VERDICTS: OnceLock<VerdictMemo> = OnceLock::new();
+        let algorithm = self.select(kind, ranks, bytes);
+        let n = ranks.max(1);
+        let root = root % n;
+        VERDICTS
+            .get_or_init(VerdictMemo::default)
+            .check((kind, algorithm, n, root), || {
+                Plan::build(kind, algorithm, n, root)
+            })?;
+        Ok(rank_schedule(kind, algorithm, n, root, rank))
+    }
+}
+
+/// What names a generated plan: `(kind, algorithm, ranks, root)`, root
+/// already reduced modulo `ranks`. Generation is a pure function of it.
+type ShapeKey = (CollKind, Algorithm, u32, u32);
+
+/// Validate-once memo: the validator's verdict per [`ShapeKey`].
+///
+/// Every rank of every collective call needs its plan checked, and the
+/// check costs O(n log n) where the rank's own row costs O(log n). The
+/// verdict is a pure function of the key, so the first caller builds the
+/// whole plan, validates it and stores the verdict; the plan is dropped.
+/// Storing verdicts rather than plans keeps an entry at a few bytes (a bcast
+/// over every root of 1,024 ranks is 1,024 verdicts, not 1,024 one-megabyte
+/// plans), so there is nothing to evict, reset or tune.
+#[derive(Default)]
+struct VerdictMemo {
+    verdicts: Mutex<HashMap<ShapeKey, Result<(), PlanError>>>,
+}
+
+impl VerdictMemo {
+    /// The verdict on `key`; `build` runs only on the first sight of it.
+    /// The lock is held across build and validation, so concurrent first
+    /// callers of one key validate it once and the rest wait for the result.
+    fn check(&self, key: ShapeKey, build: impl FnOnce() -> Plan) -> Result<(), PlanError> {
+        self.verdicts
+            .lock()
+            .expect("verdict memo poisoned: a plan build or validation panicked")
+            .entry(key)
+            .or_insert_with(|| build().validate())
+            .clone()
     }
 }
 
@@ -911,16 +977,130 @@ mod tests {
     }
 
     #[test]
-    fn registry_plans_validate_and_respect_root() {
+    fn registry_rows_are_the_selected_plans_rows_and_respect_root() {
         for fabric in ["myrinet", "nwrc-mesh"] {
             let reg = PlanRegistry::for_fabric(fabric);
             for kind in [CollKind::Barrier, CollKind::Bcast, CollKind::Allreduce] {
                 for n in [2u32, 5, 16, 64] {
-                    let plan = reg.plan(kind, n, n - 1, 1024).unwrap();
-                    assert_eq!(plan.root, n - 1);
-                    assert_eq!(plan.ranks, n);
+                    let root = n - 1;
+                    let plan = Plan::build(kind, reg.select(kind, n, 1024), n, root);
+                    for r in 0..n {
+                        // A root at or past `ranks` wraps, as in `Plan::build`.
+                        for asked_root in [root, root + n] {
+                            assert_eq!(
+                                reg.schedule_for(kind, n, asked_root, 1024, r).unwrap(),
+                                plan.schedules[r as usize],
+                                "{fabric} {kind:?} n={n} rank {r}"
+                            );
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn rank_schedule_is_the_plans_row_for_every_shape_and_root() {
+        for algo in ALGOS {
+            for kind in [CollKind::Barrier, CollKind::Bcast, CollKind::Allreduce] {
+                for n in 1u32..=70 {
+                    for root in 0..n {
+                        let plan = Plan::build(kind, algo, n, root);
+                        for r in 0..n {
+                            assert_eq!(
+                                rank_schedule(kind, algo, n, root, r),
+                                plan.schedules[r as usize],
+                                "{algo:?}/{kind:?} n={n} root={root} rank {r}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validator_is_linear_on_a_chain() {
+        // A chain advances one rank per sweep, so sweeping until nothing
+        // moves is quadratic: 10 s here even in a release build. Driven from
+        // the worklist it takes ~6 ms (release) / ~60 ms (debug).
+        let plan = Plan::build(CollKind::Allreduce, Algorithm::Ring, 16_384, 0);
+        let t0 = std::time::Instant::now();
+        plan.validate().unwrap();
+        let took = t0.elapsed();
+        assert!(
+            took.as_secs() < 2,
+            "validating a 16,384-rank chain took {took:?}"
+        );
+    }
+
+    const KEY: ShapeKey = (CollKind::Barrier, Algorithm::BinomialTree, 8, 0);
+
+    fn build((kind, algorithm, ranks, root): ShapeKey) -> Plan {
+        Plan::build(kind, algorithm, ranks, root)
+    }
+
+    #[test]
+    fn memo_builds_and_validates_a_key_once_under_concurrent_callers() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let memo = VerdictMemo::default();
+        let builds = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    let verdict = memo.check(KEY, || {
+                        builds.fetch_add(1, Ordering::SeqCst);
+                        build(KEY)
+                    });
+                    assert_eq!(verdict, Ok(()));
+                });
+            }
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert_eq!(memo.verdicts.lock().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn memo_hands_a_stored_rejection_to_every_later_caller() {
+        let memo = VerdictMemo::default();
+        let broken = || {
+            let mut plan = build(KEY);
+            plan.schedules[0].clear();
+            plan
+        };
+        let first = memo.check(KEY, broken);
+        assert!(
+            matches!(first, Err(PlanError::Deadlock { .. })),
+            "{first:?}"
+        );
+        // Later callers get the stored verdict; their builder never runs,
+        // so even a valid plan under the same key stays rejected.
+        for _ in 0..3 {
+            let again = memo.check(KEY, || unreachable!("verdict already stored"));
+            assert_eq!(again, first);
+        }
+    }
+
+    #[test]
+    fn memo_keeps_one_verdict_per_root_and_no_plan() {
+        let memo = VerdictMemo::default();
+        let mut builds = 0;
+        for sweep in 0..2 {
+            for root in 0..256 {
+                let key = (CollKind::Bcast, Algorithm::BinomialTree, 256, root);
+                let verdict = memo.check(key, || {
+                    builds += 1;
+                    build(key)
+                });
+                assert_eq!(verdict, Ok(()), "sweep {sweep} root {root}");
+            }
+        }
+        assert_eq!(builds, 256, "the second sweep must not rebuild");
+        // What is retained is the verdict map alone, and its value type
+        // cannot hold a plan.
+        let verdicts: &Mutex<HashMap<ShapeKey, Result<(), PlanError>>> = &memo.verdicts;
+        assert_eq!(verdicts.lock().unwrap().len(), 256);
     }
 }

@@ -85,8 +85,9 @@ proptest! {
     }
 
     /// Completeness on the generator side: every plan the registry can
-    /// select — any kind, size class, rank count, root, fabric — validates
-    /// and computes the right answer (sum reduction for allreduce, root
+    /// select — any kind, size class, rank count, root, fabric — assembled
+    /// from the per-rank rows it hands out, validates and computes the
+    /// right answer (sum reduction for allreduce, root
     /// replication for bcast).
     #[test]
     fn registry_plans_always_validate_and_compute(
@@ -103,10 +104,21 @@ proptest! {
         };
         let topo = if mesh { Topology::Mesh2D } else { Topology::LinearSwitchArray };
         let root = root_pick % ranks;
-        let plan = PlanRegistry::new(topo).plan(kind, ranks, root, bytes);
-        prop_assert!(plan.is_ok(), "registry produced invalid plan: {:?}", plan.err());
-        let plan = plan.unwrap();
-        prop_assert_eq!(plan.ranks, ranks);
+        // The plan as the ranks of a job see it: one `schedule_for` row each.
+        let reg = PlanRegistry::new(topo);
+        let rows: Result<Vec<_>, _> = (0..ranks)
+            .map(|r| reg.schedule_for(kind, ranks, root, bytes, r))
+            .collect();
+        prop_assert!(rows.is_ok(), "registry rejected its own plan: {:?}", rows.err());
+        let plan = Plan {
+            kind,
+            algorithm: reg.select(kind, ranks, bytes),
+            ranks,
+            root,
+            chunks: 1,
+            schedules: rows.unwrap(),
+        };
+        prop_assert_eq!(plan.validate(), Ok(()), "rows do not assemble into a valid plan");
 
         let inputs: Vec<f64> = (0..ranks).map(|r| (r + 3) as f64).collect();
         let out = plan.execute_f64_reference(&inputs).expect("validated plan wedged");

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use suca_sim::{Sim, SimDuration};
+use suca_sim::{Counter, Sim, SimDuration};
 
 use suca_myrinet::fabric::{Fabric, FabricNodeId, FaultPlan, RxHandler};
 use suca_myrinet::link::Link;
@@ -74,11 +74,13 @@ pub struct Mesh {
     /// The router grid, retained so chaos plans can kill channels.
     routers: Vec<Arc<Switch>>,
     endpoints: Vec<Arc<MeshEndpoint>>,
+    injected: Counter,
 }
 
 struct MeshEndpoint {
     node: FabricNodeId,
     handler: parking_lot::Mutex<Option<RxHandler>>,
+    delivered: Counter,
 }
 
 impl suca_myrinet::link::PacketSink for MeshEndpoint {
@@ -89,7 +91,7 @@ impl suca_myrinet::link::PacketSink for MeshEndpoint {
             sim.add_count("fabric.misrouted", 1);
             return;
         }
-        sim.add_count("fabric.delivered", 1);
+        self.delivered.inc();
         match self.handler.lock().as_ref() {
             Some(h) => h(sim, pkt),
             None => sim.add_count("fabric.unclaimed", 1),
@@ -174,6 +176,8 @@ impl Mesh {
         }
 
         // Host channels.
+        let metrics = sim.metrics();
+        let delivered = metrics.counter("fabric.delivered");
         let mut uplinks = Vec::with_capacity(n_nodes as usize);
         let mut downlinks = Vec::with_capacity(n_nodes as usize);
         let mut endpoints = Vec::with_capacity(n_nodes as usize);
@@ -181,6 +185,7 @@ impl Mesh {
             let ep = Arc::new(MeshEndpoint {
                 node: FabricNodeId(node),
                 handler: parking_lot::Mutex::new(None),
+                delivered: delivered.clone(),
             });
             let down = Link::new(
                 sim,
@@ -211,6 +216,7 @@ impl Mesh {
             downlinks,
             routers,
             endpoints,
+            injected: metrics.counter("fabric.injected"),
         })
     }
 
@@ -306,7 +312,7 @@ impl Fabric for Mesh {
             payload.len(),
             self.cfg.mtu
         );
-        sim.add_count("fabric.injected", 1);
+        self.injected.inc();
         let pkt = suca_myrinet::fabric::Packet {
             src,
             dst,

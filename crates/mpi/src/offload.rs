@@ -1,9 +1,11 @@
 //! NIC-offloaded collectives: plan selection, compilation, launch.
 //!
-//! The host side of the tentpole path: pick an algorithm from the
-//! fabric-aware [`PlanRegistry`], compile this rank's rank-space schedule
-//! into execution-form [`CollStep`]s over concrete port addresses, and hand
-//! it to the NIC in one `ioctl_collective` trap. The MCP's plan interpreter
+//! The host side of the tentpole path: ask the fabric-aware
+//! [`PlanRegistry`] for this rank's row of the selected plan (the registry
+//! validates each distinct plan once per process; no n-rank plan is built or
+//! held here), compile that rank-space schedule into execution-form
+//! [`CollStep`]s over concrete port addresses, and hand it to the NIC in one
+//! `ioctl_collective` trap. The MCP's plan interpreter
 //! then runs the whole collective — fan-in combining, fan-out forwarding,
 //! result DMA — with no further host crossing; the initiator polls one
 //! completion event (`ChainPolicy::collective()`).
@@ -59,6 +61,16 @@ impl Comm {
         ctx.sim().msg_trace().dump_once(reason);
     }
 
+    /// One fallible host-side step of a launch (buffer allocation, payload
+    /// staging, the descriptor trap, result read-back): a per-rank failure,
+    /// counted under `mpi.coll_launch_failed` and flight-recorded.
+    fn launch_step<T, E>(&self, ctx: &ActorCtx, step: Result<T, E>, reason: &str) -> Option<T> {
+        if step.is_err() {
+            self.offload_error(ctx, "mpi.coll_launch_failed", reason);
+        }
+        step.ok()
+    }
+
     /// Launch one NIC-offloaded collective and wait for its completion.
     ///
     /// Returns the final accumulator (as `f64`s) when `result_lanes > 0`,
@@ -83,8 +95,9 @@ impl Comm {
         let me = self.rank();
         let bytes = (payload.len() * 8) as u64;
         let coll_id = self.next_coll_id();
-        let plan = match PlanRegistry::for_fabric(self.fabric).plan(kind, n, root, bytes) {
-            Ok(p) => p,
+        let registry = PlanRegistry::for_fabric(self.fabric);
+        let schedule = match registry.schedule_for(kind, n, root, bytes, me) {
+            Ok(s) => s,
             Err(_) => {
                 self.offload_error(
                     ctx,
@@ -94,8 +107,8 @@ impl Comm {
                 return None;
             }
         };
-        let steps: Vec<CollStep> = plan.schedules[me as usize]
-            .iter()
+        let steps: Vec<CollStep> = schedule
+            .into_iter()
             .map(|s| CollStep {
                 recv_from: s.recv_from.iter().map(|&r| self.eadi.addr_of(r)).collect(),
                 send_to: s.send_to.iter().map(|&r| self.eadi.addr_of(r)).collect(),
@@ -105,13 +118,24 @@ impl Comm {
             .collect();
         let port = self.eadi.port();
         let result_len = (result_lanes * 8) as u64;
-        let payload_buf = port.alloc_buffer(bytes.max(1)).ok()?;
+        let payload_buf = self.launch_step(
+            ctx,
+            port.alloc_buffer(bytes.max(1)),
+            "mpi: no buffer for a collective payload",
+        )?;
         if bytes > 0 {
-            port.write_buffer(payload_buf, &f64s_to_bytes(payload))
-                .ok()?;
+            self.launch_step(
+                ctx,
+                port.write_buffer(payload_buf, &f64s_to_bytes(payload)),
+                "mpi: collective payload could not be staged",
+            )?;
         }
-        let result_buf = port.alloc_buffer(result_len.max(1)).ok()?;
-        let msg_id = match port.collective(
+        let result_buf = self.launch_step(
+            ctx,
+            port.alloc_buffer(result_len.max(1)),
+            "mpi: no buffer for a collective result",
+        )?;
+        let launched = port.collective(
             ctx,
             coll_id,
             op,
@@ -120,17 +144,12 @@ impl Comm {
             bytes,
             result_buf,
             result_len,
-        ) {
-            Ok(id) => id,
-            Err(_) => {
-                self.offload_error(
-                    ctx,
-                    "mpi.coll_launch_failed",
-                    "mpi: collective descriptor rejected by the kernel",
-                );
-                return None;
-            }
-        };
+        );
+        let msg_id = self.launch_step(
+            ctx,
+            launched,
+            "mpi: collective descriptor rejected by the kernel",
+        )?;
         match self.eadi.wait_external(ctx, msg_id) {
             SendStatus::Ok => {}
             SendStatus::Rejected => {
@@ -146,7 +165,11 @@ impl Comm {
         if result_lanes == 0 {
             return Some(Vec::new());
         }
-        let raw = port.read_buffer(result_buf, result_len).ok()?;
+        let raw = self.launch_step(
+            ctx,
+            port.read_buffer(result_buf, result_len),
+            "mpi: collective result could not be read back",
+        )?;
         Some(bytes_to_f64s(&raw))
     }
 }

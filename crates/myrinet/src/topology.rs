@@ -11,7 +11,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use suca_sim::mtrace::stage as trace_stage;
-use suca_sim::{Sim, SimDuration};
+use suca_sim::{Counter, Sim, SimDuration};
 
 use crate::fabric::{Fabric, FabricNodeId, FaultPlan, Packet, PacketTrace, RxHandler};
 use crate::link::{Link, PacketSink};
@@ -60,6 +60,7 @@ impl MyrinetConfig {
 struct NicEndpoint {
     node: FabricNodeId,
     handler: Mutex<Option<RxHandler>>,
+    delivered: Counter,
 }
 
 impl PacketSink for NicEndpoint {
@@ -72,7 +73,7 @@ impl PacketSink for NicEndpoint {
             crate::switch::trace_wire_instant(sim, &pkt, trace_stage::DROP_MISROUTE);
             return;
         }
-        sim.add_count("fabric.delivered", 1);
+        self.delivered.inc();
         let guard = self.handler.lock();
         match guard.as_ref() {
             Some(h) => h(sim, pkt),
@@ -95,6 +96,7 @@ pub struct Myrinet {
     /// The switch array, retained so chaos plans can kill ports.
     switches: Vec<Arc<Switch>>,
     endpoints: Vec<Arc<NicEndpoint>>,
+    injected: Counter,
 }
 
 /// Trunk port indices on every switch.
@@ -136,6 +138,8 @@ impl Myrinet {
         }
 
         // Host links, both directions.
+        let metrics = sim.metrics();
+        let delivered = metrics.counter("fabric.delivered");
         let mut uplinks = Vec::with_capacity(n_nodes as usize);
         let mut downlinks = Vec::with_capacity(n_nodes as usize);
         let mut endpoints = Vec::with_capacity(n_nodes as usize);
@@ -145,6 +149,7 @@ impl Myrinet {
             let ep = Arc::new(NicEndpoint {
                 node: FabricNodeId(node),
                 handler: Mutex::new(None),
+                delivered: delivered.clone(),
             });
             let down = Link::new(
                 sim,
@@ -174,6 +179,7 @@ impl Myrinet {
             downlinks,
             switches,
             endpoints,
+            injected: metrics.counter("fabric.injected"),
         })
     }
 
@@ -245,7 +251,7 @@ impl Fabric for Myrinet {
             payload.len(),
             self.cfg.mtu
         );
-        sim.add_count("fabric.injected", 1);
+        self.injected.inc();
         let pkt = Packet {
             src,
             dst,
