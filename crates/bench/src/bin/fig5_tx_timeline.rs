@@ -5,32 +5,17 @@
 //! into the network (more than half of it the PIO descriptor fill), plus
 //! 0.82 µs later to consume the send-completion event.
 
-use suca_bench::measure::{measured_host_overheads, traced_zero_len_spans};
-use suca_bench::report::{render, Row};
-use suca_sim::{render_gantt, render_timeline};
+use suca_bench::measure::{measured_host_overheads, traced_zero_len_run};
+use suca_bench::report::{assert_anchor, render, render_timeline, Row};
 
 fn main() {
-    let spans = traced_zero_len_spans();
-    let tx: Vec<_> = spans
-        .iter()
-        .filter(|s| s.track == "n0/tx")
-        .cloned()
-        .collect();
+    let run = traced_zero_len_run();
+    let tx: Vec<_> = run.rows.iter().filter(|r| r.node == 0).cloned().collect();
     println!("-- Fig. 5: transmission timeline (sender side, 0-length message)\n");
-    print!("{}", render_timeline(&tx));
-    println!();
-    print!("{}", render_gantt(&tx, 72));
+    print!("{}", render_timeline(&tx, 72));
 
-    let host: f64 = tx
-        .iter()
-        .filter(|s| s.stage.starts_with("library") || s.stage.starts_with("kernel"))
-        .map(|s| s.duration().as_us())
-        .sum();
-    let fill: f64 = tx
-        .iter()
-        .filter(|s| s.stage.contains("PIO") || s.stage.contains("dispatch"))
-        .map(|s| s.duration().as_us())
-        .sum();
+    let host = run.bucket.host_ns_per_msg() / 1_000.0;
+    let fill_pct = run.bucket.request_fill_share() * 100.0;
     let (send_oh, send_done, _) = measured_host_overheads();
     println!();
     print!(
@@ -41,14 +26,13 @@ fn main() {
                 Row::new("host CPU overhead to push message", 7.04, send_oh, "us"),
                 Row::new("  (same, summed from stage spans)", 7.04, host, "us"),
                 Row::new("complete sending op (event poll)", 0.82, send_done, "us"),
-                Row::new(
-                    "request fill (dispatch+PIO) share",
-                    50.0,
-                    fill / host * 100.0,
-                    "%"
-                ),
+                Row::new("request fill (dispatch+PIO) share", 50.0, fill_pct, "%"),
             ],
         )
     );
     println!("paper: \"filling sending request consumed more than half of the time\"");
+    assert_anchor("host overhead (measured)", send_oh, 7.04);
+    assert_anchor("host overhead (trace)", host, 7.04);
+    assert_anchor("send-completion poll", send_done, 0.82);
+    assert_anchor("request fill share", fill_pct, 56.1);
 }

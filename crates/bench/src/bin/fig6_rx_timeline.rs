@@ -5,27 +5,21 @@
 //! into the user-space queue; the process polls it for ≈ 1.01 µs. "Not trap
 //! into kernel environment makes the reception operation much faster."
 
-use suca_bench::measure::{measured_host_overheads, traced_zero_len_spans};
-use suca_bench::report::{render, Row};
-use suca_sim::{render_gantt, render_timeline};
+use suca_bench::measure::{measured_host_overheads, traced_zero_len_run};
+use suca_bench::report::{assert_anchor, render, render_timeline, Row};
+use suca_sim::TraceLayer;
 
 fn main() {
-    let spans = traced_zero_len_spans();
-    let rx: Vec<_> = spans
-        .iter()
-        .filter(|s| s.track == "n1/rx")
-        .cloned()
-        .collect();
+    let run = traced_zero_len_run();
+    let rx: Vec<_> = run.rows.iter().filter(|r| r.node == 1).cloned().collect();
     println!("-- Fig. 6: reception timeline (receiver side, 0-length message)\n");
-    print!("{}", render_timeline(&rx));
-    println!();
-    print!("{}", render_gantt(&rx, 72));
+    print!("{}", render_timeline(&rx, 72));
 
     let (_, _, poll) = measured_host_overheads();
-    let host_cpu: f64 = rx
+    let host_cpu = rx
         .iter()
-        .filter(|s| s.stage.starts_with("library"))
-        .map(|s| s.duration().as_us())
+        .filter(|r| r.layer == TraceLayer::Library)
+        .map(|r| r.duration_ns() as f64 / 1_000.0)
         .sum();
     println!();
     print!(
@@ -39,4 +33,6 @@ fn main() {
         )
     );
     println!("kernel traps on receive path: 0 (by construction; see table1)");
+    assert_anchor("receive poll (measured)", poll, 1.01);
+    assert_anchor("receive poll (trace)", host_cpu, 1.01);
 }

@@ -8,16 +8,14 @@
 
 use suca_baselines::{arch_one_way_us, ArchModel};
 use suca_bench::measure::traced_zero_len_run;
-use suca_bench::report::{emit_metrics, render, Row};
+use suca_bench::report::{assert_anchor, emit_metrics, render, render_timeline, Row};
 use suca_cluster::{measure_one_way, ClusterSpec};
-use suca_sim::{render_gantt, render_timeline};
+use suca_sim::mtrace::stage;
 
 fn main() {
-    let (spans, traced_sim) = traced_zero_len_run();
+    let run = traced_zero_len_run();
     println!("-- Fig. 7: one-way timeline, 0-length message (all stages, both hosts)\n");
-    print!("{}", render_timeline(&spans));
-    println!();
-    print!("{}", render_gantt(&spans, 72));
+    print!("{}", render_timeline(&run.rows, 72));
 
     let bcl = measure_one_way(ClusterSpec::dawning3000(2), 0, 1, 0, 3, 10).one_way_us;
     let user_level = arch_one_way_us(ArchModel::user_level(), 0, 2, 8);
@@ -25,21 +23,11 @@ fn main() {
     // The paper's 4.17 us "extra" is the kernel-resident work a user-level
     // protocol skips; the PIO descriptor fill is paid by both architectures
     // and so is excluded.
-    let kernel_stage_sum: f64 = spans
-        .iter()
-        .filter(|s| s.stage.starts_with("kernel") && !s.stage.contains("PIO"))
-        .map(|s| s.duration().as_us())
-        .sum();
+    let kernel_stage_sum = run.bucket.kernel_ns_per_msg() / 1_000.0;
     // Paper: "About one third of the overhead is used to transfer message
     // from NIC to network (stage 4)" — the descriptor fetch + reliable
     // protocol stage on the sending NIC.
-    let nic_share: f64 = spans
-        .iter()
-        .filter(|s| s.stage.contains("reliable setup"))
-        .map(|s| s.duration().as_us())
-        .sum::<f64>()
-        / bcl
-        * 100.0;
+    let nic_share = run.bucket.span_ns_per_msg(stage::DESCRIPTOR) / 1_000.0 / bcl * 100.0;
     println!();
     print!(
         "{}",
@@ -66,5 +54,8 @@ fn main() {
         )
     );
     println!();
-    emit_metrics(&traced_sim, "fig7_oneway_timeline");
+    emit_metrics(&run.sim, "fig7_oneway_timeline");
+    assert_anchor("one-way latency", bcl, 18.3);
+    assert_anchor("kernel stages", kernel_stage_sum, 4.17);
+    assert_anchor("NIC send stage share", nic_share, 36.1);
 }

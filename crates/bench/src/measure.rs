@@ -10,7 +10,10 @@ use suca_cluster::ClusterSpec;
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig};
 use suca_pvm::{PvmConfig, PvmTask};
-use suca_sim::RunOutcome;
+use suca_sim::critpath::{self, BucketReport};
+use suca_sim::{RunOutcome, Sim, TraceEvent, TraceId};
+
+use crate::report::stage_rows;
 
 /// Which upper layer to measure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -179,22 +182,31 @@ pub fn layer_bandwidth_mbps(layer: Layer, intra: bool, size: usize, count: u32) 
     (size as f64 * (count - 1) as f64) / (end - start)
 }
 
-/// Run one traced 0-length BCL message between nodes 0 → 1 and return the
-/// recorded stage spans (setup traffic excluded). Powers Figs. 5–7.
-pub fn traced_zero_len_spans() -> Vec<suca_sim::Span> {
-    traced_zero_len_run().0
+/// One 0-length BCL message from node 0 to node 1, as Figs. 5–7 read it
+/// off the per-message trace.
+pub struct TracedZeroLen {
+    /// The figures' stage rows (see [`stage_rows`]).
+    pub rows: Vec<TraceEvent>,
+    /// The message's critical-path aggregate: the Fig. 5/7 identities.
+    pub bucket: BucketReport,
+    /// The run, for harnesses that emit its metrics snapshot.
+    pub sim: Sim,
 }
 
-/// Like [`traced_zero_len_spans`], but also hands back the run's `Sim` so
-/// harnesses can emit its metrics snapshot.
-pub fn traced_zero_len_run() -> (Vec<suca_sim::Span>, suca_sim::Sim) {
+/// Send one 0-length BCL message between nodes 0 → 1 and pick its chain
+/// out of the per-message trace by `TraceId` (setup traffic excluded).
+/// Powers Figs. 5–7.
+pub fn traced_zero_len_run() -> TracedZeroLen {
     use suca_bcl::ChannelId;
     use suca_cluster::SimBarrier;
 
-    let cluster = ClusterSpec::dawning3000(2).build();
+    let spec = ClusterSpec::dawning3000(2);
+    let poll_recv = spec.bcl.poll_recv;
+    let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
     let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let sent: Arc<Mutex<Option<TraceId>>> = Arc::new(Mutex::new(None));
 
     let b2 = barrier.clone();
     let ab = addr_b.clone();
@@ -203,22 +215,32 @@ pub fn traced_zero_len_run() -> (Vec<suca_sim::Span>, suca_sim::Sim) {
         *ab.lock() = Some(port.addr());
         b2.wait(ctx);
         let _ = port.wait_recv(ctx);
-        ctx.sim().set_tracing(false);
     });
     let b3 = barrier.clone();
+    let sent2 = sent.clone();
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        // Only trace the message itself, not port setup.
-        ctx.sim().set_tracing(true);
         let dst = addr_b.lock().expect("rx ready");
         let buf = port.alloc_buffer(1).expect("buf");
-        port.send(ctx, dst, ChannelId::SYSTEM, buf, 0)
+        let msg_id = port
+            .send(ctx, dst, ChannelId::SYSTEM, buf, 0)
             .expect("send");
+        *sent2.lock() = Some(TraceId::new(0, msg_id));
     });
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let spans = sim.take_spans();
-    (spans, sim)
+    let id = sent.lock().expect("message sent");
+    let mut events = cluster.trace_events();
+    events.retain(|ev| ev.trace == id);
+    let bucket = critpath::bottleneck_report(&critpath::analyze(&events))
+        .bucket_for(0)
+        .expect("the message's chain closed")
+        .clone();
+    TracedZeroLen {
+        rows: stage_rows(&events, poll_recv),
+        bucket,
+        sim,
+    }
 }
 
 /// Host-side scalar overheads measured directly (the §5 numbers):

@@ -4,7 +4,8 @@
 use std::io;
 use std::path::PathBuf;
 
-use suca_sim::{MetricsSnapshot, Sim};
+use suca_sim::mtrace::stage;
+use suca_sim::{MetricsSnapshot, Sim, SimDuration, TraceEvent, TracePhase};
 
 /// Directory the harness binaries write metrics snapshots into. Overridable
 /// via `SUCA_METRICS_DIR`; relative paths resolve against the working
@@ -165,6 +166,119 @@ pub fn emit_metrics(sim: &Sim, harness: &str) -> MetricsSnapshot {
     snap
 }
 
+/// The stages Figs. 5–7 draw for one 0-byte message, in drawing order:
+/// trace stage, the side of the transfer it runs on, the paper's wording.
+#[rustfmt::skip]
+const FIG_STAGES: [(&str, &str, &str); 12] = [
+    (stage::COMPOSE,      "tx", "library: compose send request"),
+    (stage::K_TRAP_ENTER, "tx", "kernel: trap enter"),
+    (stage::K_DISPATCH,   "tx", "kernel: ioctl dispatch + security checks"),
+    (stage::K_PIN,        "tx", "kernel: pin-down table lookup + translation"),
+    (stage::K_PIO,        "tx", "kernel: fill send descriptor (PIO) + doorbell"),
+    (stage::K_TRAP_EXIT,  "tx", "kernel: trap exit"),
+    (stage::DESCRIPTOR,   "tx", "mcp: descriptor fetch + reliable setup"),
+    (stage::INJECT,       "tx", "mcp: fragment process"),
+    (stage::WIRE_TX,      "tx", "wire: inject + transmit"),
+    (stage::RX,           "rx", "mcp: receive process"),
+    (stage::DMA_CQ,       "rx", "dma: completion event to user queue"),
+    (stage::POLL_RECV,    "rx", "library: poll completion queue (user space, no trap)"),
+];
+
+/// The Fig. 5–7 rows of one message: the events of `events` (one message's
+/// chain) whose stage the figures draw, taken on the side of the transfer
+/// the figure shows it on — the sender's own completion DMA is not a
+/// row — and ordered by start time. The receive poll is traced as an
+/// instant at poll end, so its row is rebuilt as the `poll_recv` cost
+/// ending there, the way the kernel module rebuilds trap enter/exit.
+pub fn stage_rows(events: &[TraceEvent], poll_recv: SimDuration) -> Vec<TraceEvent> {
+    let mut rows: Vec<(usize, TraceEvent)> = events
+        .iter()
+        .filter_map(|ev| {
+            let sender_side = ev.node == ev.trace.origin;
+            let at = FIG_STAGES
+                .iter()
+                .position(|&(st, side, _)| st == ev.stage && (side == "tx") == sender_side)?;
+            let mut row = ev.clone();
+            if row.stage == stage::POLL_RECV {
+                row.phase = TracePhase::Span;
+                row.start_ns = row.end_ns.saturating_sub(poll_recv.as_ns());
+            }
+            Some((at, row))
+        })
+        .collect();
+    rows.sort_by_key(|(at, row)| (row.start_ns, *at));
+    rows.into_iter().map(|(_, row)| row).collect()
+}
+
+/// `n<node>/<side> :: <paper wording>` for a figure stage; stages the
+/// figures have no wording for keep their trace name.
+fn row_label(ev: &TraceEvent) -> String {
+    match FIG_STAGES.iter().find(|&&(st, ..)| st == ev.stage) {
+        Some((_, side, wording)) => format!("n{}/{side} :: {wording}", ev.node),
+        None => format!("n{} :: {}", ev.node, ev.stage),
+    }
+}
+
+/// Render stage rows the way the paper's timeline figures present them: a
+/// table (one row per stage: start, end, duration in µs), a blank line, and
+/// an ASCII Gantt chart `width` cells wide, bars on a common time axis
+/// starting at the earliest row.
+pub fn render_timeline(rows: &[TraceEvent], width: usize) -> String {
+    use std::fmt::Write as _;
+    let us = |ns: u64| ns as f64 / 1_000.0;
+    let mut out = String::new();
+    let (Some(t0), Some(t1)) = (
+        rows.iter().map(|r| r.start_ns).min(),
+        rows.iter().map(|r| r.end_ns).max(),
+    ) else {
+        return out;
+    };
+    let labels: Vec<String> = rows.iter().map(row_label).collect();
+    let label_w = labels.iter().map(String::len).max().unwrap_or(0);
+    // The table pads one column short of the longest label: the figures'
+    // committed layout.
+    let table_w = label_w.saturating_sub(1);
+    for (label, r) in labels.iter().zip(rows) {
+        let (start, end, d) = (us(r.start_ns), us(r.end_ns), us(r.duration_ns()));
+        let _ = writeln!(
+            out,
+            "{label:<table_w$} {start:>10.3} -> {end:>10.3}  ({d:>7.3} us)"
+        );
+    }
+    let width = width.max(1);
+    let total = (t1 - t0).max(1);
+    let scale = |t: u64| ((t - t0) as u128 * width as u128 / total as u128) as usize;
+    let axis = " ".repeat(width.saturating_sub(8));
+    let _ = writeln!(out, "\n{:<label_w$} 0{axis}{:.2}us", "", us(t1 - t0));
+    for (label, r) in labels.iter().zip(rows) {
+        // Every row gets at least one cell, also a zero-length stage at the
+        // right edge.
+        let a = scale(r.start_ns).min(width - 1);
+        let b = scale(r.end_ns).clamp(a + 1, width);
+        let bar = format!(
+            "{}{}{}",
+            " ".repeat(a),
+            "#".repeat(b - a),
+            " ".repeat(width - b)
+        );
+        let _ = writeln!(
+            out,
+            "{label:<label_w$} |{bar}| {:.2}us",
+            us(r.duration_ns())
+        );
+    }
+    out
+}
+
+/// Panic unless `measured` is within 1 % of `anchor`, the value committed
+/// in EXPERIMENTS.md for `what`.
+pub fn assert_anchor(what: &str, measured: f64, anchor: f64) {
+    assert!(
+        (measured - anchor).abs() <= anchor.abs() * 0.01,
+        "{what}: measured {measured:.4}, EXPERIMENTS.md says {anchor}"
+    );
+}
+
 /// One comparison row.
 #[derive(Clone, Debug)]
 pub struct Row {
@@ -233,4 +347,61 @@ pub fn render(title: &str, rows: &[Row]) -> String {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use suca_sim::{TraceId, TraceLayer};
+
+    fn row(stage_name: &'static str, start_ns: u64, end_ns: u64) -> TraceEvent {
+        TraceEvent::span(
+            TraceId::new(0, 2),
+            0,
+            TraceLayer::Mcp,
+            stage_name,
+            start_ns,
+            end_ns,
+        )
+    }
+
+    #[test]
+    fn gantt_renders_scaled_bars() {
+        let rows = [row("first-half", 0, 500), row("second-half", 500, 1000)];
+        let text = render_timeline(&rows, 40);
+        let lines: Vec<&str> = text.lines().collect();
+        // Two table rows, a blank, the axis, two bars.
+        assert_eq!(lines.len(), 6);
+        assert_eq!(lines[2], "");
+        let (first, second) = (lines[4], lines[5]);
+        // Equal halves get equal-ish bars.
+        let count = |l: &str| l.matches('#').count();
+        let (a, b) = (count(first), count(second));
+        assert!((a as i64 - b as i64).abs() <= 1, "{a} vs {b}");
+        assert!((19..=21).contains(&a));
+        // Second bar starts where the first ended.
+        assert!(second.find('#').unwrap() >= first.rfind('#').unwrap());
+    }
+
+    #[test]
+    fn no_rows_render_empty() {
+        assert!(render_timeline(&[], 40).is_empty());
+    }
+
+    #[test]
+    fn gantt_draws_a_zero_length_row_at_the_right_edge() {
+        let rows = [row("whole", 0, 1000), row("edge", 1000, 1000)];
+        let text = render_timeline(&rows, 40);
+        let edge = text.lines().last().expect("edge bar");
+        assert_eq!(edge.matches('#').count(), 1);
+        assert!(edge.ends_with("#| 0.00us"), "{edge}");
+    }
+
+    #[test]
+    fn table_rows_carry_paper_wording_and_microseconds() {
+        let text = render_timeline(&[row(stage::K_TRAP_ENTER, 0, 1_200)], 40);
+        let first = text.lines().next().expect("table row");
+        assert!(first.starts_with("n0/tx :: kernel: trap enter"), "{first}");
+        assert!(first.ends_with("(  1.200 us)"), "{first}");
+    }
 }

@@ -4,8 +4,8 @@
 //! results: dispatch follows the strict global `(time, seq)` order at any
 //! shard count, so every report a harness emits must be byte-identical
 //! between the production shape (one shard per node), the single-queue
-//! reference mode (`with_engine_shards(Some(1))`, what
-//! `SUCA_SIM_SINGLE_QUEUE` forces), and any odd shard count in between.
+//! reference mode (`with_engine_shards(Some(1))`), and any odd shard count
+//! in between.
 //! These tests pin that contract through the full stack — RPC framing,
 //! go-back-N, MCP firmware rings, fabric links/switches, chaos recovery —
 //! by comparing the SLO/chaos reports plus the metrics and telemetry

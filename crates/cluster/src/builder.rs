@@ -62,8 +62,7 @@ pub struct ClusterSpec {
     /// node, which is the intended production shape; `Some(1)` is the
     /// single-queue reference mode. Shard count never changes results —
     /// dispatch order is the strict global `(time, seq)` order either way —
-    /// only scheduling throughput. The `SUCA_SIM_SINGLE_QUEUE` environment
-    /// variable forces 1 shard regardless of this field (reference runs).
+    /// only scheduling throughput.
     pub engine_shards: Option<usize>,
     /// Enable the engine self-profiler ([`Sim::set_profiling`]) for this
     /// run. Off by default: profiled runs register extra `sim.prof.*`
@@ -183,11 +182,7 @@ impl ClusterSpec {
     /// shared [`suca_sim::Metrics`] registry, reachable afterwards via
     /// [`Cluster::metrics_snapshot`].
     pub fn build(self) -> Cluster {
-        let shards = if std::env::var_os("SUCA_SIM_SINGLE_QUEUE").is_some() {
-            1
-        } else {
-            self.engine_shards.unwrap_or(self.nodes.max(1) as usize)
-        };
+        let shards = self.engine_shards.unwrap_or(self.nodes.max(1) as usize);
         let sim = Sim::new_with_shards(self.seed, shards);
         if self.profile {
             sim.set_profiling(true);

@@ -98,9 +98,6 @@ pub struct BclPort {
     /// (the NIC never saw the consumption; re-posts must replace).
     intra_consumed: Mutex<std::collections::HashSet<u16>>,
     intra_msg: Mutex<u32>,
-    // Interned once so hot-path span/event recording never allocates.
-    track_tx: &'static str,
-    track_rx: &'static str,
 }
 
 impl BclPort {
@@ -135,8 +132,6 @@ impl BclPort {
             bound: Mutex::new(HashMap::new()),
             intra_consumed: Mutex::new(std::collections::HashSet::new()),
             intra_msg: Mutex::new(1), // odd ids: intra-node
-            track_tx: suca_sim::intern(&format!("n{}/tx", node.os.node_id.0)),
-            track_rx: suca_sim::intern(&format!("n{}/rx", node.os.node_id.0)),
         })
     }
 
@@ -213,12 +208,6 @@ impl BclPort {
             return self.send_intra(ctx, dst, channel, addr, len);
         }
         let start = ctx.now();
-        ctx.sim().trace_span(
-            self.track_tx,
-            "library: compose send request",
-            start,
-            start + self.node.cfg.lib_compose,
-        );
         ctx.sleep(self.node.cfg.lib_compose);
         let kmod = self.node.kmod.clone();
         let proc = self.proc.clone();
@@ -363,13 +352,6 @@ impl BclPort {
     /// Block until a receive event arrives (polling semantics, no trap).
     pub fn wait_recv(&self, ctx: &mut ActorCtx) -> RecvEvent {
         let ev = self.queues.wait_recv(ctx);
-        let start = ctx.now();
-        ctx.sim().trace_span(
-            self.track_rx,
-            "library: poll completion queue (user space, no trap)",
-            start,
-            start + self.node.cfg.poll_recv,
-        );
         ctx.sleep(self.node.cfg.poll_recv);
         self.trace_poll(ctx, ev.src.node.0, ev.msg_id, stage::POLL_RECV);
         ev
@@ -553,12 +535,6 @@ impl BclPort {
         result_len: u64,
     ) -> Result<u32, BclError> {
         let start = ctx.now();
-        ctx.sim().trace_span(
-            self.track_tx,
-            "library: compose collective request",
-            start,
-            start + self.node.cfg.lib_compose,
-        );
         ctx.sleep(self.node.cfg.lib_compose);
         let kmod = self.node.kmod.clone();
         let proc = self.proc.clone();

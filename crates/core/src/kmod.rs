@@ -64,8 +64,6 @@ pub struct BclKmod {
     pin_evictions: Counter,
     pio_descriptors: Counter,
     pinned_bytes: Gauge,
-    // Interned once so per-send span recording never allocates.
-    track_tx: &'static str,
 }
 
 impl BclKmod {
@@ -74,9 +72,7 @@ impl BclKmod {
         let pin = PinDownTable::new(cfg.pin_table_pages);
         let pin_table_pages = cfg.pin_table_pages as u64;
         let metrics = os.sim().metrics();
-        let track_tx = suca_sim::intern(&format!("n{}/tx", os.node_id.0));
         let kmod = Arc::new(BclKmod {
-            track_tx,
             cfg,
             mcp,
             num_nodes,
@@ -225,13 +221,6 @@ impl BclKmod {
             )
         };
         // One table search per request plus the per-page pin cost on misses.
-        let start = ctx.now();
-        ctx.sim().trace_span(
-            self.track_tx,
-            "kernel: pin-down table lookup + translation",
-            start,
-            start + hit_cost + miss_cost,
-        );
         ctx.sleep(hit_cost + miss_cost);
         let segs = proc.space.sg_list(addr, len)?;
         Ok(segs)
@@ -241,28 +230,12 @@ impl BclKmod {
     /// scatter/gather entries plus the doorbell.
     fn charge_descriptor_pio(&self, ctx: &mut ActorCtx, segments: u64) {
         self.pio_descriptors.inc();
-        let start = ctx.now();
-        let d = self.cfg.descriptor_pio(segments);
-        ctx.sim().trace_span(
-            self.track_tx,
-            "kernel: fill send descriptor (PIO) + doorbell",
-            start,
-            start + d,
-        );
-        ctx.sleep(d);
+        ctx.sleep(self.cfg.descriptor_pio(segments));
     }
 
     fn charge_checks(&self, ctx: &mut ActorCtx) {
         self.ioctls.inc();
-        let start = ctx.now();
-        let d = self.cfg.copyin_dispatch + self.os.costs.security_check;
-        ctx.sim().trace_span(
-            self.track_tx,
-            "kernel: ioctl dispatch + security checks",
-            start,
-            start + d,
-        );
-        ctx.sleep(d);
+        ctx.sleep(self.cfg.copyin_dispatch + self.os.costs.security_check);
     }
 
     // ---- ioctl subcommands (call under NodeOs::trap) ----
@@ -448,13 +421,6 @@ impl BclKmod {
             self.pin_translate(ctx, proc, addr, len)?
         } else {
             // The table is consulted even for empty payloads.
-            let start = ctx.now();
-            ctx.sim().trace_span(
-                self.track_tx,
-                "kernel: pin-down table lookup + translation",
-                start,
-                start + self.os.costs.pin_lookup_hit,
-            );
             ctx.sleep(self.os.costs.pin_lookup_hit);
             Vec::new()
         };
@@ -646,13 +612,6 @@ impl BclKmod {
         };
         if payload_len == 0 && result_len == 0 {
             // Barrier: the table is still consulted once.
-            let start = ctx.now();
-            ctx.sim().trace_span(
-                self.track_tx,
-                "kernel: pin-down table lookup + translation",
-                start,
-                start + self.os.costs.pin_lookup_hit,
-            );
             ctx.sleep(self.os.costs.pin_lookup_hit);
         }
         let pin_done = ctx.now();

@@ -305,9 +305,6 @@ pub(crate) struct McpInner {
     stale_epoch_drops: Counter,
     node_down_drops: Counter,
     recovery_ns: Histogram,
-    // Interned once so hot-path trace recording never allocates.
-    track_tx: &'static str,
-    track_rx: &'static str,
 }
 
 /// Handle to one NIC's firmware.
@@ -418,8 +415,6 @@ impl Mcp {
             stale_epoch_drops: metrics.counter("mcp.stale_epoch_drops"),
             node_down_drops: metrics.counter("mcp.node_down_drops"),
             recovery_ns: metrics.histogram("chaos.recovery_ns"),
-            track_tx: suca_sim::intern(&format!("n{}/tx", node.0)),
-            track_rx: suca_sim::intern(&format!("n{}/rx", node.0)),
             rings: Rings {
                 rx_ctrl: Mutex::new(VecDeque::new()),
                 rx_data: Mutex::new(VecDeque::new()),
@@ -898,12 +893,6 @@ impl McpInner {
                 // reliable-protocol setup), then continue.
                 let start = self.sim.now();
                 let d = self.cfg.mcp.send_fixed;
-                self.sim.trace_span(
-                    self.track_tx,
-                    "mcp: descriptor fetch + reliable setup",
-                    start,
-                    start + d,
-                );
                 if self.mt_enabled() {
                     self.sim.trace_event(TraceEvent::span(
                         trace,
@@ -977,14 +966,6 @@ impl McpInner {
                 let proc = self.cfg.mcp.send_per_frag;
                 let tx = self.wire_time(rail, pkt.len());
                 let start = self.sim.now();
-                self.sim
-                    .trace_span(self.track_tx, "mcp: fragment process", start, start + proc);
-                self.sim.trace_span(
-                    self.track_tx,
-                    "wire: inject + transmit",
-                    start + proc,
-                    start + proc + tx,
-                );
                 let meta = if self.mt_enabled() {
                     self.sim.trace_event(
                         TraceEvent::span(
@@ -1525,7 +1506,6 @@ impl McpInner {
             WireKind::Data | WireKind::RmaReadReq | WireKind::RmaReadData | WireKind::Coll => {
                 let proc = self.cfg.mcp.recv_per_frag;
                 let start = sim.now();
-                sim.trace_span(self.track_rx, "mcp: receive process", start, start + proc);
                 if self.mt_enabled() {
                     sim.trace_event(
                         TraceEvent::span(
@@ -1998,14 +1978,6 @@ impl McpInner {
             data: inc.loc,
         };
         let start = self.sim.now();
-        let d = SimDuration::for_bytes(self.cfg.mcp.event_bytes, self.cfg.pci.dma_bytes_per_sec)
-            + self.cfg.pci.dma_setup;
-        self.sim.trace_span(
-            self.track_rx,
-            "dma: completion event to user queue",
-            start,
-            start + d,
-        );
         self.completion_dmas.inc();
         let trace = TraceId::new(src.0, msg_id);
         let me = self.clone();

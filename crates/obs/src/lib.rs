@@ -36,8 +36,6 @@ pub mod timeseries;
 pub mod trace;
 pub mod watchdog;
 
-pub use trace::intern;
-
 /// A monotonically increasing counter. Cloning shares the underlying cell.
 #[derive(Clone)]
 pub struct Counter(Arc<AtomicU64>);
@@ -236,9 +234,16 @@ impl Metrics {
     }
 
     /// Name-based counter increment (compat path, e.g. dynamic per-node
-    /// names). One registry-map lock per call — fine off the hot path.
+    /// names). One registry-map lock per call; the name is looked up by
+    /// `&str` and only allocated on first registration.
     pub fn add(&self, name: &str, n: u64) {
-        self.counter(name).add(n);
+        let mut map = self.inner.counters.lock().expect("registry poisoned");
+        match map.get(name) {
+            Some(c) => c.add(n),
+            None => {
+                map.insert(name.to_string(), Counter(Arc::new(AtomicU64::new(n))));
+            }
+        }
     }
 
     /// Name-based counter read (0 if never registered).

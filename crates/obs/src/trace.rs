@@ -36,7 +36,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::{json_escape, Metrics};
 
@@ -699,21 +699,6 @@ impl MsgTracer {
         eprintln!("==== end flight recorder dump ====");
         true
     }
-}
-
-/// Intern a string, returning a `&'static str` that is pointer-stable for
-/// the life of the process. Components intern their per-node track names
-/// once at construction so per-event recording never allocates.
-pub fn intern(s: &str) -> &'static str {
-    static POOL: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Mutex::new(BTreeSet::new()));
-    let mut set = pool.lock().expect("intern pool poisoned");
-    if let Some(&hit) = set.get(s) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    set.insert(leaked);
-    leaked
 }
 
 /// Serialize events in Chrome trace-event JSON (the format Perfetto and
@@ -1567,13 +1552,5 @@ mod tests {
         assert_eq!(snap.histograms["trace.dma_ns"].max, 250);
         // cq DMA ends at 700, poll at 900.
         assert_eq!(snap.histograms["trace.cq_wait_ns"].max, 200);
-    }
-
-    #[test]
-    fn intern_returns_pointer_stable_strings() {
-        let a = intern("unit-test-track/n0");
-        let b = intern(&String::from("unit-test-track/n0"));
-        assert_eq!(a.as_ptr(), b.as_ptr());
-        assert_eq!(a, "unit-test-track/n0");
     }
 }

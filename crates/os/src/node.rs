@@ -57,8 +57,6 @@ pub struct NodeOs {
     traps_node: Counter,
     interrupts: Counter,
     interrupts_node: Counter,
-    // Interned once so per-trap span recording never allocates.
-    track_tx: &'static str,
 }
 
 impl NodeOs {
@@ -85,7 +83,6 @@ impl NodeOs {
             traps_node: metrics.counter(&format!("os.traps.n{}", node_id.0)),
             interrupts: metrics.counter("os.interrupts"),
             interrupts_node: metrics.counter(&format!("os.interrupts.n{}", node_id.0)),
-            track_tx: suca_sim::intern(&format!("n{}/tx", node_id.0)),
         })
     }
 
@@ -133,23 +130,8 @@ impl NodeOs {
     pub fn trap<R>(&self, ctx: &mut ActorCtx, f: impl FnOnce(&mut ActorCtx) -> R) -> R {
         self.traps.inc();
         self.traps_node.inc();
-        let track = self.track_tx;
-        let start = ctx.now();
-        self.sim.trace_span(
-            track,
-            "kernel: trap enter",
-            start,
-            start + self.costs.trap_enter,
-        );
         ctx.sleep(self.costs.trap_enter);
         let r = f(ctx);
-        let start = ctx.now();
-        self.sim.trace_span(
-            track,
-            "kernel: trap exit",
-            start,
-            start + self.costs.trap_exit,
-        );
         ctx.sleep(self.costs.trap_exit);
         r
     }

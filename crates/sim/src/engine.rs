@@ -32,9 +32,9 @@
 //! path entirely — the batch owns the shard (its `advertised` is `None`)
 //! and re-advertises the true minimum at batch end, so those index entries
 //! would only ever be popped as stale. The self-profiler
-//! ([`suca_obs::prof`], enabled via [`Sim::set_profiling`] or
-//! `SUCA_SIM_PROF`) counts batches, end causes, index churn, and per-kind
-//! dispatch cost; with the `prof` cargo feature off the hooks compile out.
+//! ([`suca_obs::prof`], enabled via [`Sim::set_profiling`]) counts batches,
+//! end causes, index churn, and per-kind dispatch cost; with the `prof`
+//! cargo feature off the hooks compile out.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -53,7 +53,6 @@ use crate::actor::{
 };
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Span, Tracer};
 
 /// Identifies a scheduled event; returned by the `schedule_*` methods and
 /// accepted by [`Sim::cancel`] (used for e.g. retransmission timers).
@@ -131,13 +130,6 @@ struct Shard {
     advertised: Option<(SimTime, u64)>,
 }
 
-/// Actor table and span tracer: mutated only by the baton holder, kept in
-/// one mutex separate from the hot event-queue shards.
-struct ControlState {
-    actors: Vec<ActorRecord>,
-    tracer: Tracer,
-}
-
 /// Sentinel for "no batch in progress" in `current_shard`.
 const IDLE_SHARD: u32 = u32::MAX;
 
@@ -186,7 +178,9 @@ pub(crate) struct SimInner {
     /// Advertised per-shard minima: `(time, seq, shard)`. Lazy — stale
     /// entries (a shard whose advertised key moved on) are skipped at pop.
     index: Mutex<BinaryHeap<Reverse<(SimTime, u64, u32)>>>,
-    control: Mutex<ControlState>,
+    /// Actor table: mutated only by the baton holder, kept in one mutex
+    /// separate from the hot event-queue shards.
+    actors: Mutex<Vec<ActorRecord>>,
     /// Current virtual time in ns. Atomic so `Sim::now` never touches a
     /// queue lock from hot paths.
     now_ns: AtomicU64,
@@ -309,7 +303,7 @@ impl Sim {
         let shards = shards.max(1);
         let metrics = suca_obs::Metrics::new();
         metrics.set_meta("seed", seed.to_string());
-        let sim = Sim {
+        Sim {
             inner: Arc::new(SimInner {
                 shards: (0..shards)
                     .map(|_| {
@@ -321,10 +315,7 @@ impl Sim {
                     })
                     .collect(),
                 index: Mutex::new(BinaryHeap::new()),
-                control: Mutex::new(ControlState {
-                    actors: Vec::new(),
-                    tracer: Tracer::new(),
-                }),
+                actors: Mutex::new(Vec::new()),
                 now_ns: AtomicU64::new(0),
                 seq: AtomicU64::new(0),
                 dispatched: AtomicU64::new(0),
@@ -352,11 +343,7 @@ impl Sim {
                 prof_probes: AtomicBool::new(false),
                 health: suca_obs::health::HealthEngine::new(),
             }),
-        };
-        if std::env::var_os("SUCA_SIM_PROF").is_some() {
-            sim.set_profiling(true);
         }
-        sim
     }
 
     /// Number of event-queue shards.
@@ -556,9 +543,9 @@ impl Sim {
     ) -> ActorId {
         let name = name.into();
         let shard = self.resolve_hint(hint);
-        let id = ActorId(self.inner.control.lock().actors.len() as u32);
+        let id = ActorId(self.inner.actors.lock().len() as u32);
         let (mailbox, join) = spawn_actor_thread(self.clone(), id, name.clone(), Box::new(body));
-        self.inner.control.lock().actors.push(ActorRecord {
+        self.inner.actors.lock().push(ActorRecord {
             name,
             mailbox,
             thread: join.thread().clone(),
@@ -846,8 +833,8 @@ impl Sim {
                     if stamp.is_some() {
                         self.inner.drive.lock().open_wake = stamp;
                     }
-                    let mut ctl = self.inner.control.lock();
-                    let rec = &mut ctl.actors[id.0 as usize];
+                    let mut actors = self.inner.actors.lock();
+                    let rec = &mut actors[id.0 as usize];
                     if rec.status != ActorStatus::Parked || rec.gen != gen {
                         continue; // stale wake: the actor moved on or finished
                     }
@@ -856,7 +843,7 @@ impl Sim {
                         return true;
                     }
                     let (mailbox, thread) = (rec.mailbox.clone(), rec.thread.clone());
-                    drop(ctl);
+                    drop(actors);
                     mailbox.post_run(&thread);
                     return false;
                 }
@@ -901,9 +888,8 @@ impl Sim {
         }
         let stuck: Vec<String> = self
             .inner
-            .control
-            .lock()
             .actors
+            .lock()
             .iter()
             .filter(|a| a.status == ActorStatus::Parked)
             .map(|a| a.name.clone())
@@ -919,15 +905,15 @@ impl Sim {
 
     /// Bump and return the park generation for an upcoming park.
     pub(crate) fn next_park_gen(&self, id: ActorId) -> u64 {
-        let mut ctl = self.inner.control.lock();
-        let rec = &mut ctl.actors[id.0 as usize];
+        let mut actors = self.inner.actors.lock();
+        let rec = &mut actors[id.0 as usize];
         rec.gen += 1;
         rec.gen
     }
 
     /// Schedule a generational wakeup on the actor's pinned shard.
     pub(crate) fn schedule_wake_in(&self, delay: SimDuration, id: ActorId, gen: u64) -> EventId {
-        let shard = self.inner.control.lock().actors[id.0 as usize].shard;
+        let shard = self.inner.actors.lock()[id.0 as usize].shard;
         let time = self.now() + delay;
         self.push_event(shard, time, EventAction::Wake(id, gen))
     }
@@ -939,17 +925,17 @@ impl Sim {
 
     /// Record that an actor is about to park.
     pub(crate) fn mark_parked(&self, id: ActorId) {
-        self.inner.control.lock().actors[id.0 as usize].status = ActorStatus::Parked;
+        self.inner.actors.lock()[id.0 as usize].status = ActorStatus::Parked;
     }
 
     /// An actor's body returned (`panicked == None`) or panicked with a
     /// message; called on the actor's thread, which holds the baton.
     pub(crate) fn actor_exited(&self, id: ActorId, panicked: Option<String>) {
-        let mut ctl = self.inner.control.lock();
-        let rec = &mut ctl.actors[id.0 as usize];
+        let mut actors = self.inner.actors.lock();
+        let rec = &mut actors[id.0 as usize];
         rec.status = ActorStatus::Done;
         let report = panicked.map(|msg| RunReport::ActorPanic(rec.name.clone(), msg));
-        drop(ctl);
+        drop(actors);
         match report {
             Some(r) => self.report(r),
             // Keep driving until the baton goes to someone else, then let
@@ -961,33 +947,6 @@ impl Sim {
     }
 
     // ---- observability ------------------------------------------------------
-
-    /// Enable/disable span tracing (used by the timeline figures).
-    pub fn set_tracing(&self, on: bool) {
-        self.inner.control.lock().tracer.set_enabled(on);
-    }
-
-    /// Record a named span on a track. No-op while tracing is disabled.
-    /// Pass `&'static str` (or interned) names to avoid allocating on the
-    /// per-fragment path; `String` still works for dynamic names.
-    pub fn trace_span(
-        &self,
-        track: impl Into<std::borrow::Cow<'static, str>>,
-        stage: impl Into<std::borrow::Cow<'static, str>>,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        self.inner
-            .control
-            .lock()
-            .tracer
-            .span(track, stage, start, end);
-    }
-
-    /// Drain all recorded spans (sorted by start time, then insertion).
-    pub fn take_spans(&self) -> Vec<Span> {
-        self.inner.control.lock().tracer.take()
-    }
 
     /// The per-message causal tracer (always-armed flight recorder). Hot
     /// paths check [`suca_obs::trace::MsgTracer::enabled`] before building
@@ -1082,8 +1041,7 @@ impl Sim {
         self.inner.health.install(rules, &self.inner.metrics);
     }
 
-    /// Enable/disable the engine self-profiler (also enabled by setting
-    /// `SUCA_SIM_PROF` in the environment). While on, the scheduler counts
+    /// Enable/disable the engine self-profiler. While on, the scheduler counts
     /// batches, end causes, index churn and per-kind dispatch cost, and
     /// times its phases (see [`suca_obs::prof`]). The first enable also
     /// registers `sim.prof.*` telemetry probes so profiled runs export
@@ -1149,7 +1107,7 @@ impl Sim {
 impl Drop for SimInner {
     fn drop(&mut self) {
         // Unwind any still-parked actor threads so tests don't leak threads.
-        let mut actors = std::mem::take(&mut self.control.lock().actors);
+        let mut actors = std::mem::take(&mut *self.actors.lock());
         for rec in &mut actors {
             if rec.status != ActorStatus::Done {
                 // The actor is blocked on its mailbox; a shutdown order makes
@@ -1702,7 +1660,7 @@ mod tests {
             *r.lock() = Some(std::thread::current().id());
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let join = sim.inner.control.lock().actors[0].join.take().unwrap();
+        let join = sim.inner.actors.lock()[0].join.take().unwrap();
         assert_eq!(*ran_on.lock(), Some(join.thread().id()));
         join.join().expect("actor thread exits cleanly");
     }

@@ -40,28 +40,22 @@ mod actor;
 mod engine;
 mod rng;
 mod signal;
-mod stats;
 mod telemetry;
 mod time;
-mod trace;
 
 pub use actor::{ActorCtx, ActorId};
 pub use engine::{EventId, PollerId, RunOutcome, Sim};
 pub use rng::SimRng;
 pub use signal::{Semaphore, Signal};
-pub use stats::{Counters, Samples};
 pub use telemetry::TelemetryConfig;
 pub use time::{SimDuration, SimTime};
-pub use trace::{render_gantt, render_timeline, Span};
 
 // Re-export the observability layer so components taking a `Sim` handle can
 // hold typed instrument handles without a separate suca-obs dependency.
 pub use suca_obs::{Counter, Gauge, Histogram, Metrics, MetricsSnapshot};
 
-// Per-message causal tracing (see `suca_obs::trace`): the event model, the
-// flight-recorder ring, and the string interner components use for
-// allocation-free track names.
-pub use suca_obs::intern;
+// Per-message causal tracing (see `suca_obs::trace`): the event model and
+// the flight-recorder ring.
 pub use suca_obs::trace as mtrace;
 pub use suca_obs::trace::{MsgTracer, SampleSpec, TraceEvent, TraceId, TraceLayer, TracePhase};
 
