@@ -10,9 +10,8 @@
 //!
 //! In-binary acceptance, before the report is written:
 //!
-//! * **Determinism** — the 64-node offloaded cells are byte-identical
-//!   (latencies and metrics snapshot) across engine shard counts
-//!   (single-queue reference, one shard per node, an odd count 3).
+//! * **Determinism** — the 64-node offloaded myrinet cell is byte-identical
+//!   (latencies and metrics snapshot) on a rerun.
 //! * **Crossing budget** — at 64 and 256 nodes every traced chain of the
 //!   offloaded cells closes under `ChainPolicy::collective()`: exactly
 //!   1 kernel trap, 0 interrupts, at least one wire injection per
@@ -116,25 +115,20 @@ fn run_op(ctx: &mut ActorCtx, comm: &Comm, op: &str, lanes: usize) {
     }
 }
 
-/// Build one cluster and measure every op on it. `shards == None` is the
-/// production sharded engine; `check_budget` runs the collective
-/// crossing-budget check (full below fleet scale, sampled at it).
+/// Build one cluster and measure every op on it. `check_budget` runs the
+/// collective crossing-budget check (full below fleet scale, sampled at it).
 fn run_cell(
     fabric_label: &'static str,
     nodes: u32,
     offload: bool,
-    shards: Option<usize>,
     check_budget: bool,
 ) -> CellResult {
     let (spec, _) = fabric_spec(fabric_label, nodes);
     let fleet = nodes >= 1024;
-    let mut spec = spec
-        .with_seed(SEED)
-        .with_engine_shards(shards)
-        .with_telemetry(TelemetryConfig {
-            sample_period: SimDuration::from_ms(1),
-            ..TelemetryConfig::default()
-        });
+    let mut spec = spec.with_seed(SEED).with_telemetry(TelemetryConfig {
+        sample_period: SimDuration::from_ms(1),
+        ..TelemetryConfig::default()
+    });
     if fleet {
         spec = spec.with_trace_sampling(FLEET_SAMPLE_PPM);
     }
@@ -264,20 +258,12 @@ fn main() {
     println!("-- bench_collectives: NIC plan interpreter vs host p2p baselines\n");
 
     // Determinism: the 64-node offloaded myrinet cell must produce the
-    // same latencies and metrics bytes at every engine shard count.
-    let reference = run_cell("myrinet", 64, true, Some(1), false);
-    for shards in [None, Some(3)] {
-        let got = run_cell("myrinet", 64, true, shards, false);
-        assert_eq!(
-            reference.latencies, got.latencies,
-            "shards={shards:?}: latencies diverged from single-queue reference"
-        );
-        assert_eq!(
-            reference.metrics_json, got.metrics_json,
-            "shards={shards:?}: metrics diverged from single-queue reference"
-        );
-    }
-    println!("[determinism] myrinet/64 offloaded: single_queue == sharded == 3-shard");
+    // same latencies and metrics bytes on a rerun.
+    let run = run_cell("myrinet", 64, true, false);
+    let rerun = run_cell("myrinet", 64, true, false);
+    assert_eq!(run.latencies, rerun.latencies, "latencies diverged");
+    assert_eq!(run.metrics_json, rerun.metrics_json, "metrics diverged");
+    println!("[determinism] myrinet/64 offloaded: run == rerun");
 
     let mut rows: Vec<Row> = Vec::new();
     for fabric in ["myrinet", "mesh"] {
@@ -288,7 +274,7 @@ fn main() {
             }
             for offload in [true, false] {
                 let impl_ = if offload { "offloaded" } else { "host" };
-                let res = run_cell(fabric, nodes, offload, None, offload);
+                let res = run_cell(fabric, nodes, offload, offload);
                 for (op, lanes, us) in &res.latencies {
                     let bytes = (*lanes * 8) as u64;
                     let bw = if bytes > 0 && *us > 0.0 {

@@ -5,25 +5,20 @@
 //!
 //! Every node runs one process that sends `SUCA_BENCH_ENGINE_MSGS`
 //! (default 4) small messages to its right neighbor and receives as many
-//! from its left — all-to-neighbor traffic that keeps every per-node event
-//! shard busy, which is exactly the shape the sharded engine batches well.
-//! Three throughput numbers per `(nodes, fabric, mode)` cell:
+//! from its left — all-to-neighbor traffic, one actor thread per node.
+//! Three throughput numbers per `(fabric, nodes)` cell:
 //!
 //! * **sim-events/sec** — raw engine dispatch rate (`events_dispatched`
 //!   over wall time);
 //! * **delivered-messages/sec** — end-to-end message rate;
 //! * **wall-clock ms** — time for `Sim::run` on this host.
 //!
-//! `mode` is `sharded` (the default: one event-queue shard per node) or
-//! `single_queue` (`with_engine_shards(Some(1))`, the reference the small
-//! node counts are cross-checked against). Before the sweep, the 32-node
-//! cells assert that the sharded and single-queue runs produce
-//! byte-identical metrics snapshots and identical event counts — the
-//! determinism contract the engine refactor preserves — and that enabling
-//! the self-profiler perturbs neither.
+//! Before the sweep, the 32-node cells assert that a run, a rerun and a
+//! profiled run produce byte-identical metrics snapshots and identical
+//! event counts.
 //!
 //! Sweep rows run with the engine self-profiler on: each cell's full
-//! report lands in `<prof_dir>/engine_<fabric>_<nodes>_<mode>.json` and a
+//! report lands in `<prof_dir>/engine_<fabric>_<nodes>.json` and a
 //! summary is merged into the row. The 512-node cells must attribute
 //! ≥ 80% of scheduler wall clock to named phases. At 1,024 nodes the run
 //! switches to fleet mode — 1% deterministic trace sampling plus the
@@ -34,8 +29,8 @@
 //! The machine-readable report lands in `<bench_dir>/BENCH_engine.json`
 //! (`SUCA_BENCH_DIR` overrides the directory; CI points it at the
 //! workspace root and archives the file per PR, giving the perf
-//! trajectory a paper trail). Schema v2 adds host/rustc/thread metadata so
-//! rows are comparable across machines.
+//! trajectory a paper trail). The host/rustc/thread metadata makes rows
+//! comparable across machines.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -60,12 +55,10 @@ fn env_u32(name: &str, default: u32) -> u32 {
         .unwrap_or(default)
 }
 
-/// One `(nodes, fabric, mode)` measurement.
+/// One `(fabric, nodes)` measurement.
 struct Row {
     nodes: u32,
     fabric: &'static str,
-    mode: &'static str,
-    shards: usize,
     sim_events: u64,
     delivered_msgs: u64,
     wall_ms: f64,
@@ -95,7 +88,6 @@ struct RunResult {
 /// How to run one cell.
 #[derive(Clone, Copy)]
 struct RunOpts {
-    shards: Option<usize>,
     msgs: u32,
     profile: bool,
     /// Trace sampling rate (None = record everything).
@@ -107,9 +99,8 @@ struct RunOpts {
 }
 
 impl RunOpts {
-    fn plain(shards: Option<usize>, msgs: u32) -> RunOpts {
+    fn plain(msgs: u32) -> RunOpts {
         RunOpts {
-            shards,
             msgs,
             profile: false,
             sample_ppm: None,
@@ -133,12 +124,9 @@ fn spec_for(fabric: &'static str, nodes: u32) -> ClusterSpec {
     })
 }
 
-/// Run the neighbor ring and measure. `shards == None` is the production
-/// sharded shape; `Some(1)` the single-queue reference.
+/// Run the neighbor ring and measure.
 fn run_ring(fabric: &'static str, nodes: u32, opts: RunOpts) -> RunResult {
-    let mut spec = spec_for(fabric, nodes)
-        .with_engine_shards(opts.shards)
-        .with_profiling(opts.profile);
+    let mut spec = spec_for(fabric, nodes).with_profiling(opts.profile);
     if let Some(ppm) = opts.sample_ppm {
         spec = spec.with_trace_sampling(ppm);
     }
@@ -210,12 +198,6 @@ fn run_ring(fabric: &'static str, nodes: u32, opts: RunOpts) -> RunResult {
         row: Row {
             nodes,
             fabric,
-            mode: if opts.shards == Some(1) {
-                "single_queue"
-            } else {
-                "sharded"
-            },
-            shards: sim.shards(),
             sim_events,
             delivered_msgs: delivered,
             wall_ms: wall_s * 1e3,
@@ -233,43 +215,19 @@ fn run_ring(fabric: &'static str, nodes: u32, opts: RunOpts) -> RunResult {
 }
 
 fn prof_row_json(r: &ProfReport) -> String {
-    use std::fmt::Write as _;
-    let pops = r.pick_pops + r.horizon_pops;
-    let stale = r.pick_stale_pops + r.horizon_stale_pops;
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"batches\": {}, \"mean_batch_len\": {:.2}, \"attributed_pct\": {:.1}, \
-         \"end_horizon\": {}, \"end_dirty\": {}, \"end_empty\": {}, \"end_limit\": {}, \
-         \"dirty_continues\": {}, \"index_pushes\": {}, \"stale_pop_pct\": {:.1}, \
-         \"cross_shard_pushes\": {}, \"lock_acquisitions\": {}, \"lock_hold_ms\": {:.3}",
-        r.batches,
-        r.mean_batch_len(),
+    format!(
+        "{{\"attributed_pct\": {:.1}, \"lock_acquisitions\": {}, \"lock_hold_ms\": {:.3}}}",
         r.attributed_pct(),
-        r.end_horizon,
-        r.end_dirty,
-        r.end_empty,
-        r.end_limit,
-        r.dirty_continues,
-        r.index_pushes,
-        if pops == 0 {
-            0.0
-        } else {
-            stale as f64 / pops as f64 * 100.0
-        },
-        r.cross_shard_pushes,
         r.lock_acquisitions,
         r.lock_hold_ns() as f64 / 1e6,
-    );
-    out.push('}');
-    out
+    )
 }
 
 fn to_json(rows: &[Row], msgs: u32) -> String {
     use std::fmt::Write as _;
     let (os, arch, rustc, threads) = host_meta();
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"suca.bench_engine.v2\",");
+    let _ = writeln!(out, "  \"schema\": \"suca.bench_engine.v3\",");
     let _ = writeln!(out, "  \"seed\": {SEED},");
     let _ = writeln!(out, "  \"msgs_per_node\": {msgs},");
     let _ = writeln!(out, "  \"payload_bytes\": {PAYLOAD},");
@@ -292,14 +250,12 @@ fn to_json(rows: &[Row], msgs: u32) -> String {
             .unwrap_or_else(|| "null".to_string());
         let _ = writeln!(
             out,
-            "    {{\"nodes\": {}, \"fabric\": \"{}\", \"mode\": \"{}\", \"shards\": {}, \
+            "    {{\"nodes\": {}, \"fabric\": \"{}\", \
              \"sim_events\": {}, \"delivered_msgs\": {}, \"wall_ms\": {:.3}, \
              \"events_per_sec\": {:.1}, \"msgs_per_sec\": {:.1}, \"sim_us\": {:.3}, \
              \"trace_sample_ppm\": {}, \"obs_bytes\": {obs}, \"prof\": {prof}}}{comma}",
             r.nodes,
             r.fabric,
-            r.mode,
-            r.shards,
             r.sim_events,
             r.delivered_msgs,
             r.wall_ms,
@@ -318,61 +274,51 @@ fn main() {
     let max_nodes = env_u32("SUCA_BENCH_ENGINE_MAX_NODES", 1024);
     println!("-- bench_engine: neighbor-ring storm, {msgs} msgs/node x {PAYLOAD} B\n");
 
-    // Determinism cross-check at the smallest scale, both fabrics: the
-    // sharded engine must produce byte-identical metrics (and the same
-    // event count) as the single-queue reference, a sharded rerun must
-    // reproduce itself, and turning the profiler on must perturb nothing.
+    // Determinism cross-check at the smallest scale, both fabrics: a rerun
+    // must reproduce the run byte for byte, and turning the profiler on
+    // must perturb nothing.
     let mut baseline_obs_per_msg = f64::MAX;
     for fabric in ["myrinet", "mesh"] {
-        let sharded = run_ring(
+        let run = run_ring(
             fabric,
             32,
             RunOpts {
                 capture_obs: true,
-                ..RunOpts::plain(None, msgs)
+                ..RunOpts::plain(msgs)
             },
         );
-        let rerun = run_ring(fabric, 32, RunOpts::plain(None, msgs));
+        let rerun = run_ring(fabric, 32, RunOpts::plain(msgs));
         assert_eq!(
-            sharded.metrics_json, rerun.metrics_json,
-            "{fabric}: sharded run not reproducible at fixed seed"
+            run.metrics_json, rerun.metrics_json,
+            "{fabric}: run not reproducible at fixed seed"
         );
-        let single = run_ring(fabric, 32, RunOpts::plain(Some(1), msgs));
-        assert_eq!(
-            sharded.metrics_json, single.metrics_json,
-            "{fabric}: sharded metrics diverge from single-queue reference"
-        );
-        assert_eq!(
-            sharded.row.sim_events, single.row.sim_events,
-            "{fabric}: event count diverges from single-queue reference"
-        );
+        assert_eq!(run.row.sim_events, rerun.row.sim_events);
         let profiled = run_ring(
             fabric,
             32,
             RunOpts {
                 profile: true,
-                ..RunOpts::plain(None, msgs)
+                ..RunOpts::plain(msgs)
             },
         );
         assert_eq!(
-            sharded.metrics_json, profiled.metrics_json,
+            run.metrics_json, profiled.metrics_json,
             "{fabric}: profiling perturbed the run"
         );
-        assert_eq!(sharded.row.sim_events, profiled.row.sim_events);
+        assert_eq!(run.row.sim_events, profiled.row.sim_events);
         // The unsampled 32-node run is the observability-size baseline the
         // fleet-mode acceptance below is measured against.
         if fabric == "myrinet" {
-            let bytes = sharded.row.obs_bytes.expect("captured") as f64;
-            baseline_obs_per_msg = bytes / sharded.row.delivered_msgs as f64;
+            let bytes = run.row.obs_bytes.expect("captured") as f64;
+            baseline_obs_per_msg = bytes / run.row.delivered_msgs as f64;
             println!(
                 "[baseline] myrinet/32 unsampled observability: {:.0} B/msg",
                 baseline_obs_per_msg
             );
         }
         println!(
-            "[determinism] {fabric}/32: sharded == single_queue == rerun == profiled \
-             ({} events, {} msgs)",
-            sharded.row.sim_events, sharded.row.delivered_msgs
+            "[determinism] {fabric}/32: run == rerun == profiled ({} events, {} msgs)",
+            run.row.sim_events, run.row.delivered_msgs
         );
     }
 
@@ -389,14 +335,13 @@ fn main() {
                 fabric,
                 nodes,
                 RunOpts {
-                    shards: None,
                     msgs,
                     profile: true,
                     sample_ppm: fleet.then_some(FLEET_SAMPLE_PPM),
                     capture_obs: nodes >= 512,
                 },
             );
-            let cell = format!("engine_{fabric}_{nodes}_sharded");
+            let cell = format!("engine_{fabric}_{nodes}");
             if let Some(p) = &res.row.prof {
                 std::fs::write(prof_out.join(format!("{cell}.json")), p.to_json())
                     .expect("write prof report");
@@ -420,28 +365,24 @@ fn main() {
                     "{fabric}/512: only {:.1}% of scheduler wall clock attributed",
                     p.attributed_pct()
                 );
-                // Cap on the scheduler's own overhead (the pick, pop, and
-                // batch-end phases). The profiler attributes the large-run
-                // slowdown to actor-thread baton handoffs inside dispatch
-                // (~90% of wall at 512 nodes, an OS context-switch cost
-                // structural to thread-backed actors, not an engine cost);
-                // this assertion keeps the engine's share from regressing
-                // back into the picture.
-                let sched_ns = p.pick_ns + p.pop_ns + p.batch_end_ns;
+                // Cap on the scheduler's own overhead (the pop phase). The
+                // profiler attributes the large-run slowdown to actor-thread
+                // baton handoffs inside dispatch (~90% of wall at 512 nodes,
+                // an OS context-switch cost structural to thread-backed
+                // actors, not an engine cost); this assertion keeps the
+                // engine's share from regressing back into the picture.
                 assert!(
-                    sched_ns * 4 <= p.attributed_ns(),
-                    "{fabric}/512: scheduler phases take {:.1}% of attributed wall (cap 25%)",
-                    sched_ns as f64 / p.attributed_ns() as f64 * 100.0
+                    p.pop_ns * 4 <= p.attributed_ns(),
+                    "{fabric}/512: queue pop takes {:.1}% of attributed wall (cap 25%)",
+                    p.pop_ns as f64 / p.attributed_ns() as f64 * 100.0
                 );
                 println!(
                     "[prof] {fabric}/512: {:.1}% of {:.0} ms attributed \
-                     (pick {:.1} ms, pop {:.1} ms, dispatch {:.1} ms, batch-end {:.1} ms)",
+                     (pop {:.1} ms, dispatch {:.1} ms)",
                     p.attributed_pct(),
                     p.run_ns as f64 / 1e6,
-                    p.pick_ns as f64 / 1e6,
                     p.pop_ns as f64 / 1e6,
                     p.dispatch_ns.iter().sum::<u64>() as f64 / 1e6,
-                    p.batch_end_ns as f64 / 1e6,
                 );
             }
             // Acceptance: fleet mode (1% sampling + rollup) passes the
@@ -468,52 +409,22 @@ fn main() {
                 );
             }
             rows.push(res.row);
-            // Single-queue reference rows at the small counts give the
-            // sharded-vs-reference wall-clock trajectory without paying
-            // for a 1,024-node single-queue run every PR.
-            if nodes <= 128 {
-                let res = run_ring(
-                    fabric,
-                    nodes,
-                    RunOpts {
-                        profile: true,
-                        ..RunOpts::plain(Some(1), msgs)
-                    },
-                );
-                if let Some(p) = &res.row.prof {
-                    std::fs::write(
-                        prof_out.join(format!("engine_{fabric}_{nodes}_single_queue.json")),
-                        p.to_json(),
-                    )
-                    .expect("write prof report");
-                }
-                rows.push(res.row);
-            }
         }
     }
 
-    println!(
-        "\nfabric   nodes mode          shards    events     msgs   wall_ms   events/s     msgs/s  attr%  batch"
-    );
+    println!("\nfabric   nodes    events     msgs   wall_ms   events/s     msgs/s  attr%");
     for r in &rows {
-        let (attr, blen) = r
-            .prof
-            .as_ref()
-            .map(|p| (p.attributed_pct(), p.mean_batch_len()))
-            .unwrap_or((0.0, 0.0));
+        let attr = r.prof.as_ref().map_or(0.0, ProfReport::attributed_pct);
         println!(
-            "{:<8} {:>5} {:<13} {:>5} {:>9} {:>8} {:>9.2} {:>10.0} {:>10.0} {:>6.1} {:>6.2}",
+            "{:<8} {:>5} {:>9} {:>8} {:>9.2} {:>10.0} {:>10.0} {:>6.1}",
             r.fabric,
             r.nodes,
-            r.mode,
-            r.shards,
             r.sim_events,
             r.delivered_msgs,
             r.wall_ms,
             r.events_per_sec,
             r.msgs_per_sec,
             attr,
-            blen,
         );
     }
 
@@ -522,5 +433,5 @@ fn main() {
     let path = dir.join("BENCH_engine.json");
     std::fs::write(&path, to_json(&rows, msgs)).expect("write BENCH_engine.json");
     println!("\n[bench] {} rows -> {}", rows.len(), path.display());
-    println!("\nbench_engine OK: deterministic across shard counts, profiled sweep recorded");
+    println!("\nbench_engine OK: deterministic across reruns, profiled sweep recorded");
 }

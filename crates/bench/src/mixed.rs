@@ -58,7 +58,7 @@ const N_PIPE: usize = 2;
 const KEEPALIVE_NS: u64 = 40_000_000;
 
 /// Scale and shape knobs. The defaults are the harness scale; the e2e
-/// determinism test shrinks them to stay fast across shard sweeps.
+/// determinism test shrinks them to stay fast.
 #[derive(Clone, Debug)]
 pub struct MixedCfg {
     /// Flood the pub-sub tenant open-loop past its admission quota.
@@ -66,8 +66,6 @@ pub struct MixedCfg {
     /// Solo baseline: only the KV tenant issues (identical topology, so
     /// the clean-vs-solo p99 ratio isolates cross-tenant interference).
     pub kv_only: bool,
-    /// Event-engine shard override (`None` = per-node production shape).
-    pub engine_shards: Option<usize>,
     /// Simulated KV users per client actor.
     pub kv_users_per_client: u32,
     /// Closed-loop ops each KV user issues.
@@ -83,7 +81,6 @@ impl Default for MixedCfg {
         MixedCfg {
             overload_pubsub: false,
             kv_only: false,
-            engine_shards: None,
             kv_users_per_client: 32,
             kv_ops_per_user: 4,
             pub_events: 40,
@@ -155,7 +152,7 @@ pub fn burn_rule(tenant: u8) -> String {
     format!("t{tenant}.err_burn")
 }
 
-fn spec_for(fabric: &str, cfg: &MixedCfg) -> ClusterSpec {
+fn spec_for(fabric: &str) -> ClusterSpec {
     // Dual rail on every variant: the primary fabric is the one under
     // test, the other rides along as the failover rail.
     let (san, san2) = match fabric {
@@ -173,7 +170,6 @@ fn spec_for(fabric: &str, cfg: &MixedCfg) -> ClusterSpec {
         .with_san(san)
         .with_second_san(san2)
         .with_seed(SEED)
-        .with_engine_shards(cfg.engine_shards)
         .with_health(mixed_health_rules())
 }
 
@@ -205,7 +201,7 @@ fn client_cfg(tenant: u8, priority: Priority) -> RpcClientConfig {
 
 /// Run one mixed-tenant variant and gather its per-tenant SLO report.
 pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
-    let spec = spec_for(fabric, cfg);
+    let spec = spec_for(fabric);
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     sim.schedule_at(SimTime::from_ns(KEEPALIVE_NS), |_| {});

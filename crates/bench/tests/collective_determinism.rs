@@ -1,10 +1,9 @@
 //! NIC-offloaded collectives are deterministic: at a fixed seed the
 //! per-rank results, the metrics snapshot, and the per-message trace
-//! export must be byte-identical across engine shard counts (single-queue
-//! reference, an odd count, one shard per node), across reruns, and on
-//! both fabrics independently. The plan interpreter lives in per-node NIC
-//! state and its event ordering must not leak HashMap iteration order or
-//! shard scheduling into anything observable.
+//! export must be byte-identical across reruns, on both fabrics
+//! independently. The plan interpreter lives in per-node NIC state and its
+//! event ordering must not leak HashMap iteration order into anything
+//! observable.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -99,34 +98,27 @@ fn assert_same(a: &RunBytes, b: &RunBytes, what: &str) {
     assert_eq!(a.metrics, b.metrics, "{what}: metrics diverged");
 }
 
-#[test]
-fn collectives_identical_across_shards_and_reruns_myrinet() {
-    let spec = || ClusterSpec::dawning3000(NODES).with_seed(SEED);
-    let reference = run_once(spec().with_engine_shards(Some(1)));
+fn assert_rerun_identical(spec: impl Fn() -> ClusterSpec, what: &str) {
+    let reference = run_once(spec());
     assert!(
         reference.trace.contains("mcp:coll_post"),
         "NIC collective path not exercised"
     );
-    for shards in [None, Some(3)] {
-        let got = run_once(spec().with_engine_shards(shards));
-        assert_same(&reference, &got, &format!("myrinet shards={shards:?}"));
-    }
-    let rerun = run_once(spec().with_engine_shards(Some(1)));
-    assert_same(&reference, &rerun, "myrinet rerun");
+    assert_same(&reference, &run_once(spec()), what);
 }
 
 #[test]
-fn collectives_identical_across_shards_and_reruns_mesh() {
-    let spec = || ClusterSpec::dawning3000_mesh(NODES).with_seed(SEED);
-    let reference = run_once(spec().with_engine_shards(Some(1)));
-    assert!(
-        reference.trace.contains("mcp:coll_post"),
-        "NIC collective path not exercised"
+fn collectives_identical_across_reruns_myrinet() {
+    assert_rerun_identical(
+        || ClusterSpec::dawning3000(NODES).with_seed(SEED),
+        "myrinet rerun",
     );
-    for shards in [None, Some(3)] {
-        let got = run_once(spec().with_engine_shards(shards));
-        assert_same(&reference, &got, &format!("mesh shards={shards:?}"));
-    }
-    let rerun = run_once(spec().with_engine_shards(Some(1)));
-    assert_same(&reference, &rerun, "mesh rerun");
+}
+
+#[test]
+fn collectives_identical_across_reruns_mesh() {
+    assert_rerun_identical(
+        || ClusterSpec::dawning3000_mesh(NODES).with_seed(SEED),
+        "mesh rerun",
+    );
 }

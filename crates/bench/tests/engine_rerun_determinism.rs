@@ -1,11 +1,8 @@
-//! End-to-end determinism across event-engine shard counts.
+//! End-to-end rerun determinism.
 //!
-//! The sharded engine's contract is that shard count is invisible in the
-//! results: dispatch follows the strict global `(time, seq)` order at any
-//! shard count, so every report a harness emits must be byte-identical
-//! between the production shape (one shard per node), the single-queue
-//! reference mode (`with_engine_shards(Some(1))`), and any odd shard count
-//! in between.
+//! Dispatch follows the strict `(time, seq)` order and every random
+//! decision derives from the seed, so every report a harness emits must be
+//! byte-identical when the same run is repeated.
 //! These tests pin that contract through the full stack — RPC framing,
 //! go-back-N, MCP firmware rings, fabric links/switches, chaos recovery —
 //! by comparing the SLO/chaos reports plus the metrics and telemetry
@@ -129,24 +126,19 @@ fn assert_bytes_equal(reference: &RunBytes, got: &RunBytes, what: &str) {
     assert_eq!(reference.chaos, got.chaos, "{what}: chaos report diverged");
 }
 
-/// Clean single-rail run: production sharding (one shard per node), the
-/// single-queue reference, and a deliberately odd shard count must all
-/// produce the same bytes as each other.
+/// Clean single-rail run, twice: all four artifacts equal.
 #[test]
-fn rpc_slo_reports_identical_across_shard_counts() {
+fn rpc_slo_reports_identical_across_reruns() {
     let spec = || ClusterSpec::dawning3000(8).with_seed(SEED);
-    let reference = run_kv(spec().with_engine_shards(Some(1)), 4, None);
+    let reference = run_kv(spec(), 4, None);
     assert!(reference.slo.contains("\"issued\""));
-    for shards in [None, Some(3)] {
-        let got = run_kv(spec().with_engine_shards(shards), 4, None);
-        assert_bytes_equal(&reference, &got, &format!("shards={shards:?}"));
-    }
+    assert_bytes_equal(&reference, &run_kv(spec(), 4, None), "clean rerun");
 }
 
-/// Dual-rail storm run: fault injection, retransmission, failover and
-/// resync paths must also be shard-count-invariant.
+/// Dual-rail storm run, twice: fault injection, retransmission, failover
+/// and resync paths must also repeat byte for byte.
 #[test]
-fn chaos_slo_reports_identical_across_shard_counts() {
+fn chaos_slo_reports_identical_across_reruns() {
     let spec = || {
         let mut spec = ClusterSpec::dawning3000(16)
             .with_seed(SEED)
@@ -164,9 +156,8 @@ fn chaos_slo_reports_identical_across_shard_counts() {
         },
     );
     plan.push(SimTime::from_ns(2_000_000), Fault::NicReset { node: 13 });
-    let reference = run_kv(spec().with_engine_shards(Some(1)), 2, Some(&plan));
+    let reference = run_kv(spec(), 2, Some(&plan));
     let chaos = reference.chaos.as_deref().expect("chaos report gathered");
     assert!(chaos.contains("\"injected\""));
-    let sharded = run_kv(spec(), 2, Some(&plan));
-    assert_bytes_equal(&reference, &sharded, "storm sharded-vs-single-queue");
+    assert_bytes_equal(&reference, &run_kv(spec(), 2, Some(&plan)), "storm rerun");
 }

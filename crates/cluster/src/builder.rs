@@ -58,22 +58,16 @@ pub struct ClusterSpec {
     /// [`ClusterSpec::build`] for every cluster, so all harnesses get the
     /// sampler and the watchdog without opting in.
     pub telemetry: TelemetryConfig,
-    /// Event-queue shard count. `None` (the default) means one shard per
-    /// node, which is the intended production shape; `Some(1)` is the
-    /// single-queue reference mode. Shard count never changes results —
-    /// dispatch order is the strict global `(time, seq)` order either way —
-    /// only scheduling throughput.
-    pub engine_shards: Option<usize>,
     /// Enable the engine self-profiler ([`Sim::set_profiling`]) for this
-    /// run. Off by default: profiled runs register extra `sim.prof.*`
-    /// telemetry probes, which unprofiled determinism comparisons must not
+    /// run. Off by default: profiled runs register an extra `sim.prof.*`
+    /// telemetry probe, which unprofiled determinism comparisons must not
     /// see.
     pub profile: bool,
     /// Deterministic trace sampling rate in parts-per-million, applied to
     /// the per-message tracer at build time (`None` = record everything).
     /// Sampling is by hash of the chain's `TraceId`, so every hop of an
     /// admitted message is kept on every node and the sampled population is
-    /// identical for a fixed seed at any shard count.
+    /// identical for a fixed seed.
     pub trace_sample_ppm: Option<u32>,
     /// Health rule set ([`Sim::install_health`]). `None` (the default)
     /// leaves the health engine unarmed and registers nothing, keeping
@@ -96,7 +90,6 @@ impl ClusterSpec {
             cpus: 4,
             seed: 0xDA3000,
             telemetry: TelemetryConfig::default(),
-            engine_shards: None,
             profile: false,
             trace_sample_ppm: None,
             health: None,
@@ -146,13 +139,6 @@ impl ClusterSpec {
         self
     }
 
-    /// Override the event-queue shard count (`Some(1)` = single-queue
-    /// reference mode; the default is one shard per node).
-    pub fn with_engine_shards(mut self, shards: Option<usize>) -> Self {
-        self.engine_shards = shards;
-        self
-    }
-
     /// Enable the engine self-profiler for this run (see
     /// [`Sim::set_profiling`]).
     pub fn with_profiling(mut self, on: bool) -> Self {
@@ -182,8 +168,7 @@ impl ClusterSpec {
     /// shared [`suca_sim::Metrics`] registry, reachable afterwards via
     /// [`Cluster::metrics_snapshot`].
     pub fn build(self) -> Cluster {
-        let shards = self.engine_shards.unwrap_or(self.nodes.max(1) as usize);
-        let sim = Sim::new_with_shards(self.seed, shards);
+        let sim = Sim::new(self.seed);
         if self.profile {
             sim.set_profiling(true);
         }
@@ -265,11 +250,8 @@ impl Cluster {
     ) -> ActorId {
         let n = self.nodes[node as usize].clone();
         let proc = n.create_process();
-        // Pin the actor's wakeups to its node's event-queue shard so a
-        // process's work stays local to the shard being batch-drained.
-        self.sim.spawn_pinned(node, name, move |ctx| {
-            body(ctx, ProcessEnv { node: n, proc })
-        })
+        self.sim
+            .spawn(name, move |ctx| body(ctx, ProcessEnv { node: n, proc }))
     }
 
     /// Point-in-time copy of every instrument registered by any layer of

@@ -5,8 +5,8 @@
 //! exactly scripted healthy → all-errors → healthy timeline. This pins down
 //! the three properties the harnesses rely on:
 //!
-//! 1. **Determinism** — the `suca.health.v1` report is byte-identical at
-//!    any engine shard count and across reruns of the same seed.
+//! 1. **Determinism** — the `suca.health.v1` report is byte-identical
+//!    across reruns of the same seed.
 //! 2. **Clean silence** — a healthy feed fires nothing.
 //! 3. **Lifecycle** — an error burst fires exactly the burn-rate rule
 //!    (pending → firing), and the alert resolves once the feed recovers.
@@ -30,13 +30,9 @@ fn rules() -> Vec<HealthRule> {
 ///
 /// `errors` injects an all-errors band during ticks 10..20; otherwise every
 /// completion is Ok. Ten completions land 1 ns (+i) past each tick
-/// boundary, so each closed tick window holds exactly ten events and the
-/// feed is identical regardless of how the event engine is sharded.
-fn run_synthetic(shards: Option<usize>, errors: bool) -> String {
-    let c = ClusterSpec::dawning3000(4)
-        .with_engine_shards(shards)
-        .with_health(rules())
-        .build();
+/// boundary, so each closed tick window holds exactly ten events.
+fn run_synthetic(errors: bool) -> String {
+    let c = ClusterSpec::dawning3000(4).with_health(rules()).build();
     let sim = c.sim.clone();
     for tick in 0..40u64 {
         let fail_band = errors && (10..20).contains(&tick);
@@ -62,26 +58,15 @@ fn run_synthetic(shards: Option<usize>, errors: bool) -> String {
 }
 
 #[test]
-fn reports_are_byte_identical_across_shard_counts_and_reruns() {
-    let per_node = run_synthetic(None, true);
-    let one = run_synthetic(Some(1), true);
-    let three = run_synthetic(Some(3), true);
-    let rerun = run_synthetic(None, true);
-    assert_eq!(
-        per_node, one,
-        "1-shard report diverged from per-node shards"
-    );
-    assert_eq!(
-        per_node, three,
-        "3-shard report diverged from per-node shards"
-    );
-    assert_eq!(per_node, rerun, "rerun of the same seed diverged");
-    assert!(per_node.contains("\"schema\": \"suca.health.v1\""));
+fn reports_are_byte_identical_across_reruns() {
+    let run = run_synthetic(true);
+    assert_eq!(run, run_synthetic(true), "rerun of the same seed diverged");
+    assert!(run.contains("\"schema\": \"suca.health.v1\""));
 }
 
 #[test]
 fn clean_feed_is_alert_silent() {
-    let json = run_synthetic(None, false);
+    let json = run_synthetic(false);
     assert!(
         json.contains("\"counts\": {\"fired\": 0, \"resolved\": 0, \"active\": 0}"),
         "clean feed fired an alert:\n{json}"

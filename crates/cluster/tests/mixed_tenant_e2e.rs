@@ -2,17 +2,14 @@
 //!
 //! The `mixed_slo` harness runs three tenants (KV, pub-sub log, staged
 //! pipeline) concurrently on a 32-node dual-rail cluster. Its contract is
-//! the same one `engine_shard_determinism` pins for the single-tenant
-//! harnesses: the event-engine shard count is invisible in the results,
-//! so the SLO report (with its per-tenant sections), the health report
-//! (per-tenant burn-rate rules), the metrics snapshot, and the telemetry
-//! timeseries must all be byte-identical between the production shape
-//! (one shard per node), the single-queue reference, an odd in-between
-//! shard count, and a plain rerun — on both fabrics.
+//! the same one `engine_rerun_determinism` pins for the single-tenant
+//! harnesses: the SLO report (with its per-tenant sections), the health
+//! report (per-tenant burn-rate rules), the metrics snapshot, and the
+//! telemetry timeseries must all be byte-identical on a rerun — on both
+//! fabrics.
 //!
-//! The workload knobs are shrunk from harness scale to keep the shard
-//! sweep fast; the topology (32 nodes, dual rail, 8 servers) is the real
-//! one.
+//! The workload knobs are shrunk from harness scale to keep the test
+//! fast; the topology (32 nodes, dual rail, 8 servers) is the real one.
 
 use suca_bench::mixed::{assert_base_invariants, run_mixed, MixedCfg, SEED};
 
@@ -24,9 +21,8 @@ struct RunBytes {
     timeseries: String,
 }
 
-fn run_bytes(fabric: &str, shards: Option<usize>) -> RunBytes {
+fn run_bytes(fabric: &str) -> RunBytes {
     let cfg = MixedCfg {
-        engine_shards: shards,
         kv_users_per_client: 8,
         kv_ops_per_user: 2,
         pub_events: 10,
@@ -34,7 +30,7 @@ fn run_bytes(fabric: &str, shards: Option<usize>) -> RunBytes {
         ..MixedCfg::default()
     };
     let out = run_mixed("e2e", fabric, &cfg);
-    assert_base_invariants(&format!("e2e/{fabric}/shards={shards:?}"), &out);
+    assert_base_invariants(&format!("e2e/{fabric}"), &out);
     for t in &out.report.tenants {
         assert!(
             t.issued > 0 && t.completed == t.issued,
@@ -68,29 +64,23 @@ fn assert_bytes_equal(reference: &RunBytes, got: &RunBytes, what: &str) {
     );
 }
 
-fn sweep(fabric: &str) {
-    let reference = run_bytes(fabric, Some(1));
+fn rerun(fabric: &str) {
+    let reference = run_bytes(fabric);
     assert!(
         reference.slo.contains("\"tenant\""),
         "{fabric}: per-tenant sections missing from the SLO report"
     );
-    let rerun = run_bytes(fabric, Some(1));
-    assert_bytes_equal(&reference, &rerun, &format!("{fabric} rerun"));
-    for shards in [Some(3), None] {
-        let got = run_bytes(fabric, shards);
-        assert_bytes_equal(&reference, &got, &format!("{fabric} shards={shards:?}"));
-    }
+    assert_bytes_equal(&reference, &run_bytes(fabric), &format!("{fabric} rerun"));
 }
 
-/// Myrinet-primary rails: shard counts 1 (reference), 3, and per-node,
-/// plus a rerun, all byte-identical.
+/// Myrinet-primary rails.
 #[test]
-fn mixed_reports_identical_across_shard_counts_myrinet() {
-    sweep("myrinet");
+fn mixed_reports_identical_across_reruns_myrinet() {
+    rerun("myrinet");
 }
 
-/// Mesh-primary rails: same sweep.
+/// Mesh-primary rails.
 #[test]
-fn mixed_reports_identical_across_shard_counts_mesh() {
-    sweep("mesh");
+fn mixed_reports_identical_across_reruns_mesh() {
+    rerun("mesh");
 }

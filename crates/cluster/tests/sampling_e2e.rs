@@ -1,6 +1,6 @@
 //! End-to-end fleet-mode trace sampling: the sampled population must be
-//! the hash-predicted subset, byte-identical across reruns and shard
-//! counts for a fixed seed, every admitted chain must stay complete, and
+//! the hash-predicted subset, byte-identical across reruns for a fixed
+//! seed, every admitted chain must stay complete, and
 //! the flight-recorder path (`TraceId::NONE`) must keep recording.
 
 use std::collections::BTreeSet;
@@ -19,10 +19,8 @@ const RATE_PPM: u32 = 250_000; // 25%
 
 /// Run an 8-node neighbor ring with every node sending `MSGS` messages
 /// right, and return the buffered trace events.
-fn run_ring(shards: Option<usize>, sample_ppm: Option<u32>) -> Vec<TraceEvent> {
-    let mut spec = ClusterSpec::dawning3000(NODES)
-        .with_seed(SEED)
-        .with_engine_shards(shards);
+fn run_ring(sample_ppm: Option<u32>) -> Vec<TraceEvent> {
+    let mut spec = ClusterSpec::dawning3000(NODES).with_seed(SEED);
     if let Some(ppm) = sample_ppm {
         spec = spec.with_trace_sampling(ppm);
     }
@@ -65,8 +63,8 @@ fn chain_ids(events: &[TraceEvent]) -> BTreeSet<TraceId> {
 
 #[test]
 fn sampled_population_is_the_hash_predicted_subset() {
-    let full = run_ring(None, None);
-    let sampled = run_ring(None, Some(RATE_PPM));
+    let full = run_ring(None);
+    let sampled = run_ring(Some(RATE_PPM));
     let spec = SampleSpec::ratio_ppm(RATE_PPM).with_seed(SEED);
 
     let all_chains = chain_ids(&full);
@@ -97,7 +95,7 @@ fn sampled_population_is_the_hash_predicted_subset() {
 
 #[test]
 fn sampled_chains_stay_complete() {
-    let sampled = run_ring(None, Some(RATE_PPM));
+    let sampled = run_ring(Some(RATE_PPM));
     let spec = SampleSpec::ratio_ppm(RATE_PPM).with_seed(SEED);
     let report = check_completeness_sampled(&sampled, &ChainPolicy::bcl(), spec);
     assert!(
@@ -109,26 +107,22 @@ fn sampled_chains_stay_complete() {
 }
 
 #[test]
-fn sampled_trace_is_deterministic_across_reruns_and_shard_counts() {
-    let a = to_chrome_json(&run_ring(None, Some(RATE_PPM)));
-    let b = to_chrome_json(&run_ring(None, Some(RATE_PPM)));
+fn sampled_trace_is_deterministic_across_reruns() {
+    let a = to_chrome_json(&run_ring(Some(RATE_PPM)));
+    let b = to_chrome_json(&run_ring(Some(RATE_PPM)));
     assert_eq!(a, b, "sampled trace not reproducible at fixed seed");
-    let single = to_chrome_json(&run_ring(Some(1), Some(RATE_PPM)));
-    assert_eq!(a, single, "sampled trace differs under single-queue engine");
-    let two = to_chrome_json(&run_ring(Some(2), Some(RATE_PPM)));
-    assert_eq!(a, two, "sampled trace differs at 2 shards");
 }
 
 #[test]
 fn flight_recorder_survives_sampling() {
     // Even at rate 0 (admit nothing), TraceId::NONE events keep recording —
     // the flight recorder stays armed in fleet mode.
-    let sampled = run_ring(None, Some(0));
+    let sampled = run_ring(Some(0));
     assert!(
         chain_ids(&sampled).is_empty(),
         "rate 0 admitted a traced chain"
     );
-    let full = run_ring(None, None);
+    let full = run_ring(None);
     let none_full = full.iter().filter(|e| e.trace == TraceId::NONE).count();
     let none_sampled = sampled.iter().filter(|e| e.trace == TraceId::NONE).count();
     assert_eq!(

@@ -270,7 +270,7 @@ struct Rings {
 }
 
 /// Poller handles for the rings plus the send-engine step, registered once
-/// at boot on this node's event-queue shard.
+/// at boot.
 struct McpPollers {
     rx_ctrl: PollerId,
     rx_data: PollerId,
@@ -448,12 +448,11 @@ impl Mcp {
                 coll_early_total: 0,
             }),
         });
-        // Ring pollers, pinned to this node's event-queue shard. Weak
-        // references so the engine's poller registry never pins the firmware
-        // alive past cluster teardown.
+        // Ring pollers. Weak references so the engine's poller registry
+        // never pins the firmware alive past cluster teardown.
         let poller = |f: fn(&Arc<McpInner>)| {
             let weak = Arc::downgrade(&inner);
-            inner.sim.register_poller(node.0, move |_| {
+            inner.sim.register_poller(move |_| {
                 if let Some(inner) = weak.upgrade() {
                     f(&inner);
                 }

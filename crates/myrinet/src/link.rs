@@ -165,11 +165,7 @@ impl Link {
             start + tx + self.propagation
         };
         let dst = Arc::clone(&self.dst);
-        // Place the arrival on the destination node's event-queue shard:
-        // wire time plus propagation is exactly the conservative lookahead
-        // that lets the engine batch-drain per-node shards.
-        let dst_node = pkt.dst.0;
-        sim.schedule_at_on(dst_node, arrival, move |s| dst.deliver(s, pkt));
+        sim.schedule_at(arrival, move |s| dst.deliver(s, pkt));
     }
 
     /// `(sent, dropped, corrupted)` counts.

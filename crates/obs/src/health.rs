@@ -27,7 +27,7 @@
 //!   fire/clear sim-times plus measured fault-detection latency against a
 //!   caller-supplied injection schedule ([`DetectionSpec`]). Every input is
 //!   a deterministic function of the sim clock, so a fixed seed yields a
-//!   byte-identical report at any engine shard count.
+//!   byte-identical report on every rerun.
 //!
 //! The engine is created **unarmed** and registers nothing: harnesses that
 //! never install rules see byte-identical metric/timeseries artifacts.
@@ -612,7 +612,7 @@ impl HealthEngine {
 
     /// Telemetry-tick driver: rotate the SLO windows, then evaluate every
     /// rule and step the per-scope alert state machines. Deterministic:
-    /// inputs are the sim clock, the (shard-invariant) counters/probes, and
+    /// inputs are the sim clock, the counters/probes, and
     /// the completion stream.
     pub fn on_tick(&self, now_ns: u64, series: &TimeSeries, tracer: &MsgTracer) {
         if !self.armed() {
@@ -919,7 +919,7 @@ fn emit_instant(
 
 /// Deterministic alert report (`suca.health.v1`). Hand-rolled JSON with a
 /// fixed key order, integer sim-times, and sorted alerts: a fixed seed
-/// yields a byte-identical file at any engine shard count.
+/// yields a byte-identical file on every rerun.
 #[derive(Clone, Debug)]
 pub struct AlertReport {
     /// Harness name (`rpc_slo`, `chaos_slo`, …).

@@ -2,28 +2,20 @@
 //!
 //! PRs 2–3 instrumented the *simulated machine*; nothing measured the
 //! *simulator*. This module holds the counters and wall-clock accumulators
-//! the sharded scheduler (`suca-sim`'s engine) bumps while it runs, so a
-//! slow 512-node sweep can explain its own slowdown:
+//! the scheduler (`suca-sim`'s engine) bumps while it runs, so a slow
+//! 512-node sweep can explain its own slowdown:
 //!
-//! * **batch shape** — length histogram plus why each batch ended
-//!   (horizon hit, cross-shard dirty push, shard drained empty, time
-//!   limit) and how often a dirty push was absorbed without ending the
-//!   batch;
-//! * **index churn** — index-heap pops split into fresh vs stale for both
-//!   the pick and the horizon phases, and index re-advertisements;
-//! * **push traffic** — total pushes, cross-shard pushes, pushes that
-//!   landed below an active batch horizon;
 //! * **dispatch cost** — per-event-kind (closure / actor wake / poller)
 //!   counts, wall time, and heap allocations attributed by reading the
 //!   counting allocator around each dispatch;
 //! * **scheduler wall clock** — the run loop's time split into named
-//!   phases (pick+horizon, queue pop, dispatch by kind, batch end) so a
-//!   report can state what fraction of the wall clock is attributed.
+//!   phases (queue pop, dispatch by kind) so a report can state what
+//!   fraction of the wall clock is attributed.
 //!
 //! Lock accounting is phase-based: `lock_acquisitions` counts every
-//! scheduler-side `lock()` exactly, while `lock_hold_ns` is approximated
-//! by the pop and batch-end phase wall time — both phases run entirely
-//! under the shard lock (dispatch never does).
+//! event-queue `lock()` the pop phase takes, while `lock_hold_ns` is the pop
+//! phase's wall time — it runs entirely under the queue lock (dispatch never
+//! does).
 //!
 //! The profiler is **off by default**. Disabled cost is one relaxed atomic
 //! load per hook, and builds without the engine's `prof` cargo feature
@@ -36,8 +28,6 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::HistogramSnapshot;
-
 /// Event-kind index for closure events.
 pub const KIND_CALL: usize = 0;
 /// Event-kind index for actor wakeups.
@@ -47,91 +37,29 @@ pub const KIND_POLL: usize = 2;
 
 const KIND_NAMES: [&str; 3] = ["call", "wake", "poll"];
 
-/// Why a batch drain stopped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchEnd {
-    /// The shard's next key reached the cross-shard horizon.
-    Horizon,
-    /// A cross-shard push landed below the remaining drain window.
-    Dirty,
-    /// The shard drained empty.
-    Empty,
-    /// The shard's next event lies past the run's time limit.
-    Limit,
-}
-
-const HIST_BUCKETS: usize = 65;
-
 #[derive(Default)]
-struct Counters {
-    batches: AtomicU64,
-    end_horizon: AtomicU64,
-    end_dirty: AtomicU64,
-    end_empty: AtomicU64,
-    end_limit: AtomicU64,
-    dirty_continues: AtomicU64,
-    batch_len_sum: AtomicU64,
-    batch_len_min: AtomicU64,
-    batch_len_max: AtomicU64,
-    pick_pops: AtomicU64,
-    pick_stale_pops: AtomicU64,
-    horizon_pops: AtomicU64,
-    horizon_stale_pops: AtomicU64,
-    index_pushes: AtomicU64,
-    pushes: AtomicU64,
-    cross_shard_pushes: AtomicU64,
-    dirty_pushes: AtomicU64,
-}
-
 struct ProfShared {
     enabled: AtomicBool,
-    c: Counters,
-    batch_len_buckets: [AtomicU64; HIST_BUCKETS],
     dispatch_count: [AtomicU64; 3],
     dispatch_ns: [AtomicU64; 3],
     alloc_count: [AtomicU64; 3],
     alloc_bytes: [AtomicU64; 3],
-    per_shard_events: Vec<AtomicU64>,
-    per_shard_batches: Vec<AtomicU64>,
     run_ns: AtomicU64,
-    pick_ns: AtomicU64,
     pop_ns: AtomicU64,
-    batch_end_ns: AtomicU64,
     lock_acquisitions: AtomicU64,
 }
 
 /// Shared handle to one engine's profiler state. Cloning shares the cells;
 /// every hook is a relaxed atomic op, safe from any thread.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct EngineProf {
     inner: Arc<ProfShared>,
 }
 
 impl EngineProf {
-    /// Fresh, disabled profiler for an engine with `shards` event-queue
-    /// shards.
-    pub fn new(shards: usize) -> Self {
-        EngineProf {
-            inner: Arc::new(ProfShared {
-                enabled: AtomicBool::new(false),
-                c: Counters {
-                    batch_len_min: AtomicU64::new(u64::MAX),
-                    ..Counters::default()
-                },
-                batch_len_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                dispatch_count: std::array::from_fn(|_| AtomicU64::new(0)),
-                dispatch_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-                alloc_count: std::array::from_fn(|_| AtomicU64::new(0)),
-                alloc_bytes: std::array::from_fn(|_| AtomicU64::new(0)),
-                per_shard_events: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-                per_shard_batches: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-                run_ns: AtomicU64::new(0),
-                pick_ns: AtomicU64::new(0),
-                pop_ns: AtomicU64::new(0),
-                batch_end_ns: AtomicU64::new(0),
-                lock_acquisitions: AtomicU64::new(0),
-            }),
-        }
+    /// Fresh, disabled profiler.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Is profiling on? The engine checks this once per hook.
@@ -145,81 +73,10 @@ impl EngineProf {
         self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// One index pop during the pick phase (`stale` = the entry no longer
-    /// matched its shard's advertisement).
-    #[inline]
-    pub fn pick_pop(&self, stale: bool) {
-        self.inner.c.pick_pops.fetch_add(1, Ordering::Relaxed);
-        if stale {
-            self.inner.c.pick_stale_pops.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// One index pop during the horizon phase.
-    #[inline]
-    pub fn horizon_pop(&self, stale: bool) {
-        self.inner.c.horizon_pops.fetch_add(1, Ordering::Relaxed);
-        if stale {
-            self.inner
-                .c
-                .horizon_stale_pops
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// One entry (re-)advertised into the index heap.
-    #[inline]
-    pub fn index_push(&self) {
-        self.inner.c.index_pushes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One event pushed. `cross` = the push targeted a shard other than the
-    /// one being batch-drained; `dirty` = it also landed below the active
-    /// drain window and tightened/ended the batch.
-    #[inline]
-    pub fn push(&self, cross: bool, dirty: bool) {
-        self.inner.c.pushes.fetch_add(1, Ordering::Relaxed);
-        if cross {
-            self.inner
-                .c
-                .cross_shard_pushes
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if dirty {
-            self.inner.c.dirty_pushes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// One scheduler-side lock acquisition.
+    /// `n` scheduler-side lock acquisitions.
     #[inline]
     pub fn lock_acq(&self, n: u64) {
         self.inner.lock_acquisitions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// One finished batch on shard `shard`: `len` events drained, why it
-    /// stopped, and whether it absorbed a dirty push without ending
-    /// (`continued`).
-    pub fn batch(&self, shard: usize, len: u64, cause: BatchEnd, continued: bool) {
-        let c = &self.inner.c;
-        c.batches.fetch_add(1, Ordering::Relaxed);
-        c.batch_len_sum.fetch_add(len, Ordering::Relaxed);
-        c.batch_len_min.fetch_min(len, Ordering::Relaxed);
-        c.batch_len_max.fetch_max(len, Ordering::Relaxed);
-        let bucket = (64 - len.leading_zeros()) as usize;
-        self.inner.batch_len_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        match cause {
-            BatchEnd::Horizon => c.end_horizon.fetch_add(1, Ordering::Relaxed),
-            BatchEnd::Dirty => c.end_dirty.fetch_add(1, Ordering::Relaxed),
-            BatchEnd::Empty => c.end_empty.fetch_add(1, Ordering::Relaxed),
-            BatchEnd::Limit => c.end_limit.fetch_add(1, Ordering::Relaxed),
-        };
-        if continued {
-            c.dirty_continues.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(cell) = self.inner.per_shard_batches.get(shard) {
-            cell.fetch_add(1, Ordering::Relaxed);
-            self.inner.per_shard_events[shard].fetch_add(len, Ordering::Relaxed);
-        }
     }
 
     /// One dispatched event of `kind` that took `ns` wall nanoseconds and
@@ -232,49 +89,16 @@ impl EngineProf {
         self.inner.alloc_bytes[kind].fetch_add(alloc_bytes, Ordering::Relaxed);
     }
 
-    /// Add wall time to the pick+horizon phase.
-    #[inline]
-    pub fn add_pick_ns(&self, ns: u64) {
-        self.inner.pick_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Add wall time to the queue-pop phase (runs under the shard lock).
+    /// Add wall time to the queue-pop phase (runs under the queue lock).
     #[inline]
     pub fn add_pop_ns(&self, ns: u64) {
         self.inner.pop_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Add wall time to the batch-end phase (runs under the shard lock).
-    #[inline]
-    pub fn add_batch_end_ns(&self, ns: u64) {
-        self.inner.batch_end_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Add wall time to the whole run loop.
     #[inline]
     pub fn add_run_ns(&self, ns: u64) {
         self.inner.run_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Batches drained so far (cheap; for counter-track probes).
-    pub fn batches(&self) -> u64 {
-        self.inner.c.batches.load(Ordering::Relaxed)
-    }
-
-    /// Index-heap (re-)advertisements so far.
-    pub fn index_pushes(&self) -> u64 {
-        self.inner.c.index_pushes.load(Ordering::Relaxed)
-    }
-
-    /// Cross-shard pushes so far.
-    pub fn cross_shard_pushes(&self) -> u64 {
-        self.inner.c.cross_shard_pushes.load(Ordering::Relaxed)
-    }
-
-    /// Stale index pops so far (pick + horizon phases).
-    pub fn stale_pops(&self) -> u64 {
-        self.inner.c.pick_stale_pops.load(Ordering::Relaxed)
-            + self.inner.c.horizon_stale_pops.load(Ordering::Relaxed)
     }
 
     /// Total events dispatched while profiling (all kinds).
@@ -290,45 +114,15 @@ impl EngineProf {
     pub fn report(&self) -> ProfReport {
         let s = &self.inner;
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let batches = ld(&s.c.batches);
-        let batch_len = HistogramSnapshot {
-            count: batches,
-            sum: ld(&s.c.batch_len_sum),
-            min: if batches == 0 {
-                0
-            } else {
-                ld(&s.c.batch_len_min)
-            },
-            max: ld(&s.c.batch_len_max),
-            buckets: s.batch_len_buckets.iter().map(ld).collect(),
-        };
         ProfReport {
             enabled: self.enabled(),
-            shards: s.per_shard_events.len(),
-            batches,
-            batch_len,
-            end_horizon: ld(&s.c.end_horizon),
-            end_dirty: ld(&s.c.end_dirty),
-            end_empty: ld(&s.c.end_empty),
-            end_limit: ld(&s.c.end_limit),
-            dirty_continues: ld(&s.c.dirty_continues),
-            pick_pops: ld(&s.c.pick_pops),
-            pick_stale_pops: ld(&s.c.pick_stale_pops),
-            horizon_pops: ld(&s.c.horizon_pops),
-            horizon_stale_pops: ld(&s.c.horizon_stale_pops),
-            index_pushes: ld(&s.c.index_pushes),
-            pushes: ld(&s.c.pushes),
-            cross_shard_pushes: ld(&s.c.cross_shard_pushes),
-            dirty_pushes: ld(&s.c.dirty_pushes),
+            cross_shard_pushes: 0,
             dispatch_count: s.dispatch_count.each_ref().map(ld),
             dispatch_ns: s.dispatch_ns.each_ref().map(ld),
             alloc_count: s.alloc_count.each_ref().map(ld),
             alloc_bytes: s.alloc_bytes.each_ref().map(ld),
-            per_shard_events: s.per_shard_events.iter().map(ld).collect(),
             run_ns: ld(&s.run_ns),
-            pick_ns: ld(&s.pick_ns),
             pop_ns: ld(&s.pop_ns),
-            batch_end_ns: ld(&s.batch_end_ns),
             lock_acquisitions: ld(&s.lock_acquisitions),
         }
     }
@@ -339,38 +133,9 @@ impl EngineProf {
 pub struct ProfReport {
     /// Was profiling on when the report was taken?
     pub enabled: bool,
-    /// Event-queue shards in the profiled engine.
-    pub shards: usize,
-    /// Batches drained.
-    pub batches: u64,
-    /// Batch-length histogram (log2 buckets, exact count/sum/min/max).
-    pub batch_len: HistogramSnapshot,
-    /// Batches ended by reaching the cross-shard horizon.
-    pub end_horizon: u64,
-    /// Batches ended by a cross-shard push below the drain window.
-    pub end_dirty: u64,
-    /// Batches ended by draining the shard empty.
-    pub end_empty: u64,
-    /// Batches ended by the run's time limit.
-    pub end_limit: u64,
-    /// Batches that absorbed a dirty push and kept draining.
-    pub dirty_continues: u64,
-    /// Index pops in the pick phase.
-    pub pick_pops: u64,
-    /// Pick-phase pops that were stale.
-    pub pick_stale_pops: u64,
-    /// Index pops in the horizon phase.
-    pub horizon_pops: u64,
-    /// Horizon-phase pops that were stale.
-    pub horizon_stale_pops: u64,
-    /// Entries (re-)advertised into the index heap.
-    pub index_pushes: u64,
-    /// Events pushed.
-    pub pushes: u64,
-    /// Pushes that targeted a shard other than the one being drained.
+    /// Always 0. Exists only because `benchmark/` reads it; goes with the
+    /// `sim.cross_shard_pushes` per-layer row in the next benchmark PR.
     pub cross_shard_pushes: u64,
-    /// Cross-shard pushes that landed below an active drain window.
-    pub dirty_pushes: u64,
     /// Dispatched events by kind (`[call, wake, poll]`).
     pub dispatch_count: [u64; 3],
     /// Dispatch wall nanoseconds by kind.
@@ -380,17 +145,10 @@ pub struct ProfReport {
     pub alloc_count: [u64; 3],
     /// Heap bytes allocated during dispatch, by kind.
     pub alloc_bytes: [u64; 3],
-    /// Events drained per shard (deterministic; sums to total dispatches
-    /// while profiling).
-    pub per_shard_events: Vec<u64>,
     /// Run-loop wall nanoseconds.
     pub run_ns: u64,
-    /// Pick+horizon phase wall nanoseconds.
-    pub pick_ns: u64,
-    /// Queue-pop phase wall nanoseconds (under the shard lock).
+    /// Queue-pop phase wall nanoseconds (under the queue lock).
     pub pop_ns: u64,
-    /// Batch-end phase wall nanoseconds (under the shard lock).
-    pub batch_end_ns: u64,
     /// Scheduler-side lock acquisitions.
     pub lock_acquisitions: u64,
 }
@@ -401,15 +159,16 @@ impl ProfReport {
         self.dispatch_count.iter().sum()
     }
 
-    /// Mean batch length (0 when no batches ran).
+    /// Always `events()`. Exists only because `benchmark/` reads it; goes
+    /// with the `sim.mean_batch_len` per-layer row in the next benchmark PR.
     pub fn mean_batch_len(&self) -> f64 {
-        self.batch_len.mean()
+        self.events() as f64
     }
 
-    /// Wall nanoseconds attributed to a named phase (pick+horizon, pop,
-    /// per-kind dispatch, batch end).
+    /// Wall nanoseconds attributed to a named phase (pop, per-kind
+    /// dispatch).
     pub fn attributed_ns(&self) -> u64 {
-        self.pick_ns + self.pop_ns + self.batch_end_ns + self.dispatch_ns.iter().sum::<u64>()
+        self.pop_ns + self.dispatch_ns.iter().sum::<u64>()
     }
 
     /// Percentage of the run loop's wall clock attributed to named phases
@@ -422,63 +181,14 @@ impl ProfReport {
         }
     }
 
-    /// Approximate scheduler lock-hold wall nanoseconds (the pop and
-    /// batch-end phases run entirely under the shard lock).
+    /// Scheduler lock-hold wall nanoseconds (the pop phase runs entirely
+    /// under the queue lock).
     pub fn lock_hold_ns(&self) -> u64 {
-        self.pop_ns + self.batch_end_ns
+        self.pop_ns
     }
 
     fn write_counters(&self, out: &mut String, indent: &str) {
-        let top = self
-            .batch_len
-            .buckets
-            .iter()
-            .rposition(|&b| b != 0)
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        let buckets: Vec<String> = self.batch_len.buckets[..top]
-            .iter()
-            .map(|b| b.to_string())
-            .collect();
-        let shard_events: Vec<String> = self
-            .per_shard_events
-            .iter()
-            .map(|e| e.to_string())
-            .collect();
-        let _ = write!(
-            out,
-            "{indent}\"batches\": {},\n\
-             {indent}\"batch_len\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-             \"p50\": {:.1}, \"p99\": {:.1}, \"log2_buckets\": [{}]}},\n\
-             {indent}\"end_causes\": {{\"horizon\": {}, \"dirty\": {}, \"empty\": {}, \
-             \"limit\": {}}},\n\
-             {indent}\"dirty_continues\": {},\n\
-             {indent}\"index\": {{\"pick_pops\": {}, \"pick_stale_pops\": {}, \
-             \"horizon_pops\": {}, \"horizon_stale_pops\": {}, \"pushes\": {}}},\n\
-             {indent}\"pushes\": {{\"total\": {}, \"cross_shard\": {}, \"dirty\": {}}},\n\
-             {indent}\"dispatch\": {{",
-            self.batches,
-            self.batch_len.count,
-            self.batch_len.sum,
-            self.batch_len.min,
-            self.batch_len.max,
-            self.batch_len.p50(),
-            self.batch_len.p99(),
-            buckets.join(", "),
-            self.end_horizon,
-            self.end_dirty,
-            self.end_empty,
-            self.end_limit,
-            self.dirty_continues,
-            self.pick_pops,
-            self.pick_stale_pops,
-            self.horizon_pops,
-            self.horizon_stale_pops,
-            self.index_pushes,
-            self.pushes,
-            self.cross_shard_pushes,
-            self.dirty_pushes,
-        );
+        let _ = write!(out, "{indent}\"dispatch\": {{");
         for (i, name) in KIND_NAMES.iter().enumerate() {
             let _ = write!(
                 out,
@@ -487,11 +197,7 @@ impl ProfReport {
                 self.dispatch_count[i]
             );
         }
-        let _ = write!(
-            out,
-            "}},\n{indent}\"per_shard_events\": [{}]",
-            shard_events.join(", ")
-        );
+        out.push('}');
     }
 
     /// The deterministic (schedule-following) counters only — what the
@@ -509,26 +215,23 @@ impl ProfReport {
         let mut out = String::from("{\n");
         let _ = write!(
             out,
-            "  \"schema\": \"suca.prof.v1\",\n  \"enabled\": {},\n  \"shards\": {},\n  \
-             \"counters\": {{\n",
-            self.enabled, self.shards
+            "  \"schema\": \"suca.prof.v2\",\n  \"enabled\": {},\n  \"counters\": {{\n",
+            self.enabled
         );
         self.write_counters(&mut out, "    ");
         out.push_str("\n  },\n  \"wall\": {\n");
         let _ = write!(
             out,
-            "    \"run_ns\": {},\n    \"pick_ns\": {},\n    \"pop_ns\": {},\n",
-            self.run_ns, self.pick_ns, self.pop_ns
+            "    \"run_ns\": {},\n    \"pop_ns\": {},\n",
+            self.run_ns, self.pop_ns
         );
         for (i, name) in KIND_NAMES.iter().enumerate() {
             let _ = writeln!(out, "    \"dispatch_{name}_ns\": {},", self.dispatch_ns[i]);
         }
         let _ = write!(
             out,
-            "    \"batch_end_ns\": {},\n    \"attributed_ns\": {},\n    \
-             \"attributed_pct\": {:.1},\n    \"lock_acquisitions\": {},\n    \
-             \"lock_hold_ns\": {}\n  }},\n  \"alloc\": {{",
-            self.batch_end_ns,
+            "    \"attributed_ns\": {},\n    \"attributed_pct\": {:.1},\n    \
+             \"lock_acquisitions\": {},\n    \"lock_hold_ns\": {}\n  }},\n  \"alloc\": {{",
             self.attributed_ns(),
             self.attributed_pct(),
             self.lock_acquisitions,
@@ -553,24 +256,12 @@ mod tests {
     use super::*;
 
     fn sample_prof() -> EngineProf {
-        let p = EngineProf::new(4);
+        let p = EngineProf::new();
         p.set_enabled(true);
-        p.pick_pop(false);
-        p.pick_pop(true);
-        p.horizon_pop(true);
-        p.horizon_pop(false);
-        p.index_push();
-        p.push(true, true);
-        p.push(false, false);
-        p.batch(0, 3, BatchEnd::Horizon, false);
-        p.batch(1, 1, BatchEnd::Dirty, false);
-        p.batch(0, 8, BatchEnd::Empty, true);
         p.dispatch(KIND_CALL, 100, 2, 64);
         p.dispatch(KIND_WAKE, 5000, 0, 0);
         p.dispatch(KIND_POLL, 50, 0, 0);
-        p.add_pick_ns(10);
-        p.add_pop_ns(20);
-        p.add_batch_end_ns(30);
+        p.add_pop_ns(50);
         p.add_run_ns(6000);
         p.lock_acq(7);
         p
@@ -579,27 +270,15 @@ mod tests {
     #[test]
     fn counters_accumulate_and_report() {
         let r = sample_prof().report();
-        assert_eq!(r.batches, 3);
-        assert_eq!(r.batch_len.count, 3);
-        assert_eq!(r.batch_len.sum, 12);
-        assert_eq!(r.batch_len.min, 1);
-        assert_eq!(r.batch_len.max, 8);
-        assert_eq!(
-            (r.end_horizon, r.end_dirty, r.end_empty, r.end_limit),
-            (1, 1, 1, 0)
-        );
-        assert_eq!(r.dirty_continues, 1);
-        assert_eq!((r.pick_pops, r.pick_stale_pops), (2, 1));
-        assert_eq!((r.horizon_pops, r.horizon_stale_pops), (2, 1));
-        assert_eq!((r.pushes, r.cross_shard_pushes, r.dirty_pushes), (2, 1, 1));
         assert_eq!(r.events(), 3);
-        assert_eq!(r.per_shard_events, vec![11, 1, 0, 0]);
+        assert_eq!(r.dispatch_count, [1, 1, 1]);
+        assert_eq!(r.alloc_count, [2, 0, 0]);
         assert_eq!(r.lock_acquisitions, 7);
         assert_eq!(r.lock_hold_ns(), 50);
-        // 10 + 20 + 30 + 5150 of 6000 ns attributed.
-        assert_eq!(r.attributed_ns(), 5210);
+        // 50 + 5150 of 6000 ns attributed.
+        assert_eq!(r.attributed_ns(), 5200);
         assert!(
-            (r.attributed_pct() - 86.8).abs() < 0.1,
+            (r.attributed_pct() - 86.7).abs() < 0.1,
             "{}",
             r.attributed_pct()
         );
@@ -608,10 +287,9 @@ mod tests {
     #[test]
     fn report_json_is_balanced_and_schema_tagged() {
         let j = sample_prof().report().to_json();
-        assert!(j.contains("\"schema\": \"suca.prof.v1\""));
-        assert!(j.contains("\"end_causes\""));
+        assert!(j.contains("\"schema\": \"suca.prof.v2\""));
+        assert!(j.contains("\"dispatch\": {\"call\": 1, \"wake\": 1, \"poll\": 1}"));
         assert!(j.contains("\"attributed_pct\""));
-        assert!(j.contains("\"per_shard_events\": [11, 1, 0, 0]"));
         let depth = j.chars().fold(0i32, |d, c| match c {
             '{' | '[' => d + 1,
             '}' | ']' => d - 1,
@@ -623,18 +301,15 @@ mod tests {
     #[test]
     fn counters_json_excludes_wall_clock() {
         let j = sample_prof().report().counters_json();
-        assert!(j.contains("\"batches\": 3"));
+        assert!(j.contains("\"wake\": 1"));
         assert!(!j.contains("_ns\""), "wall-clock leaked into {j}");
         assert!(!j.contains("alloc"), "allocator numbers leaked into {j}");
     }
 
     #[test]
     fn empty_report_is_sane() {
-        let r = EngineProf::new(1).report();
-        assert_eq!(r.batches, 0);
-        assert_eq!(r.batch_len.min, 0);
+        let r = EngineProf::new().report();
+        assert_eq!(r.events(), 0);
         assert_eq!(r.attributed_pct(), 100.0);
-        let j = r.to_json();
-        assert!(j.contains("\"log2_buckets\": []"));
     }
 }

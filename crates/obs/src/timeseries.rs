@@ -618,7 +618,7 @@ mod tests {
         assert_eq!(rollup_key("link.n5->sw2.busy"), "link.*.busy");
         // Not an indexed prefix: left alone.
         assert_eq!(rollup_key("nic.sram_used"), "nic.sram_used");
-        assert_eq!(rollup_key("sim.prof.batches"), "sim.prof.batches");
+        assert_eq!(rollup_key("sim.prof.events"), "sim.prof.events");
         assert_eq!(rollup_key("nx.y"), "nx.y");
     }
 

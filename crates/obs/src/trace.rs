@@ -388,7 +388,7 @@ impl TraceEvent {
 /// [`TraceId`] — *not* a random draw — falls below `rate_ppm`, so:
 ///
 /// * sampling is **deterministic**: a fixed seed yields a byte-identical
-///   sampled trace set on every rerun and at every shard count;
+///   sampled trace set on every rerun;
 /// * a chain is sampled **consistently end to end**: every hop of an
 ///   admitted message is recorded on every node it touches, so sampled
 ///   chains stay *closed* and [`check_completeness`] budgets still hold

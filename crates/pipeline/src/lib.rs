@@ -5,7 +5,7 @@
 //! worker nodes, all through the tenant-stamped RPC layer.
 //!
 //! * **Planning** ([`plan_stage`]) — pure, deterministic task-to-worker
-//!   rotation; any engine shard count computes identical placement.
+//!   rotation.
 //! * **Workers** ([`PipelineWorker`]) — EXEC materializes a deterministic
 //!   output per `(job, stage, task)` and acks its checksum; FETCH returns
 //!   the stored output (sized past the inline bound, so output collection

@@ -1,8 +1,7 @@
 //! Job planning: deterministic task-to-worker group schedules.
 //!
 //! Pure (no sim, no I/O): a plan is a function of `(job, stage, tasks,
-//! workers)` alone, so a fixed seed reproduces placement exactly and any
-//! engine shard count computes the same schedule.
+//! workers)` alone, so a fixed seed reproduces placement exactly.
 
 /// Shape of one pipeline job.
 #[derive(Clone, Copy, Debug)]

@@ -28,7 +28,7 @@
 //! something panicked. A mailbox hand-off is `store(Release)` + `unpark`,
 //! the wait is `swap(Acquire)` in a `park()` loop; that pair is the
 //! happens-before edge between consecutive baton holders, which the engine's
-//! `Relaxed` atomics (clock, current shard, horizon) rely on.
+//! `Relaxed` atomics (clock, event counters) rely on.
 //!
 //! Parks are *generational*: every park gets a fresh generation number and a
 //! `WakeActor` event only resumes the actor if the generations match. Stale
@@ -108,9 +108,6 @@ pub(crate) struct ActorRecord {
     pub(crate) gen: u64,
     pub(crate) status: ActorStatus,
     pub(crate) join: Option<JoinHandle<()>>,
-    /// Event-queue shard this actor's wakeups land on (normally the node
-    /// the process runs on; see [`Sim::spawn_pinned`](crate::Sim)).
-    pub(crate) shard: u32,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -7,46 +7,28 @@
 //! [`crate::actor`]), and unboxed poller ticks (used by descriptor-ring
 //! firmware loops, see [`Sim::register_poller`]).
 //!
-//! # Sharded queues, one global order
+//! # One queue
 //!
-//! The queue is sharded: each shard (normally one per simulated node, see
-//! `ClusterSpec::with_engine_shards`) owns its own binary heap plus a
-//! live-event set, and a small *index heap* tracks the advertised minimum key
-//! of every non-empty shard. The driver — whichever thread holds the baton,
-//! see [`crate::actor`] — picks the globally smallest
-//! `(time, seq)` key from the index, then **batch-drains** the winning shard
-//! while its keys stay strictly below the *horizon* — the best key any other
-//! shard advertises. Cross-shard pushes below the horizon tighten a
-//! *pushed-min watermark*; the batch keeps draining while its next key stays
-//! strictly below the watermark and ends when it reaches it. Because a
-//! freshly allocated `seq` is larger than every seq already in any queue, a
-//! cross-shard push *at* the horizon time can never sort before the horizon
-//! event, so the time-only horizon test is conservative and the dispatch
-//! order is exactly the strict global `(time, seq)` order of the
-//! single-queue engine. A fixed seed therefore yields byte-identical reports
-//! at any shard count; wormhole link latency (cross-node events land at
-//! least one propagation delay in the future) is what makes the batches long
-//! in practice.
-//!
-//! Mid-batch pushes onto the *drained* shard skip the advertise/index-heap
-//! path entirely — the batch owns the shard (its `advertised` is `None`)
-//! and re-advertises the true minimum at batch end, so those index entries
-//! would only ever be popped as stale. The self-profiler
-//! ([`suca_obs::prof`], enabled via [`Sim::set_profiling`]) counts batches,
-//! end causes, index churn, and per-kind dispatch cost; with the `prof`
+//! All events live in one binary heap keyed `(time, seq)` plus a live-event
+//! set, behind one mutex. `seq` is a single counter bumped in program order,
+//! and exactly one thread — whichever holds the baton, see [`crate::actor`]
+//! — runs at a time, so the dispatch order is the strict `(time, seq)` order
+//! and a fixed seed yields byte-identical reports on every rerun. The
+//! self-profiler ([`suca_obs::prof`], enabled via [`Sim::set_profiling`])
+//! counts per-kind dispatch cost and times the pop phase; with the `prof`
 //! cargo feature off the hooks compile out.
 
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 use std::thread::Thread;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use suca_obs::prof::{BatchEnd, KIND_CALL, KIND_POLL, KIND_WAKE};
+use suca_obs::prof::{KIND_CALL, KIND_POLL, KIND_WAKE};
 
 use crate::actor::{
     install_quiet_shutdown_hook, spawn_actor_thread, ActorCtx, ActorId, ActorRecord, ActorStatus,
@@ -60,16 +42,12 @@ use crate::time::{SimDuration, SimTime};
 pub struct EventId {
     time: SimTime,
     seq: u64,
-    shard: u32,
 }
 
 /// Handle to a registered poller callback (see [`Sim::register_poller`]).
 /// Scheduling a poll tick allocates nothing: the event carries only this id.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct PollerId {
-    idx: u32,
-    shard: u32,
-}
+pub struct PollerId(u32);
 
 /// A registered poller callback (shared so a poll tick can run it without
 /// holding the registry lock).
@@ -117,40 +95,23 @@ pub enum RunOutcome {
     Pending,
 }
 
-/// One event-queue shard. `live` tracks the seqs of still-pending (never
-/// fired, never cancelled) events, which makes [`Sim::cancel`] exact: a
-/// cancel succeeds iff the seq is removed here, a popped event whose seq is
-/// absent is a cancelled tombstone and is discarded. Nothing grows without
-/// bound: every seq leaves `live` exactly once, at cancel or at pop.
-struct Shard {
-    queue: BinaryHeap<Reverse<EventEntry>>,
+/// The event queue. `live` tracks the seqs of still-pending (never fired,
+/// never cancelled) events, which makes [`Sim::cancel`] exact: a cancel
+/// succeeds iff the seq is removed here, a popped event whose seq is absent
+/// is a cancelled tombstone and is discarded. Nothing grows without bound:
+/// every seq leaves `live` exactly once, at cancel or at pop.
+struct Queue {
+    heap: BinaryHeap<Reverse<EventEntry>>,
     live: HashSet<u64>,
-    /// The `(time, seq)` key this shard currently advertises in the index
-    /// heap (`None` while a batch owns the shard, or while it is empty).
-    advertised: Option<(SimTime, u64)>,
-}
-
-/// Sentinel for "no batch in progress" in `current_shard`.
-const IDLE_SHARD: u32 = u32::MAX;
-
-/// The batch being drained: the owned shard, the best key any other shard
-/// advertised when it was picked, and the profiler's view of it so far.
-struct Batch {
-    sh: u32,
-    horizon: Option<(SimTime, u64)>,
-    len: u64,
-    pm_seen: bool,
 }
 
 /// Profiler stamp opening a dispatch interval: `(start, allocs, bytes)`.
 type Stamp = (Instant, u64, u64);
 
-/// Scheduler state that travels with the baton: whichever thread drives next
-/// resumes the batch the previous driver left. Only the baton holder locks
+/// Scheduler state that travels with the baton. Only the baton holder locks
 /// it, so the mutex is never contended.
 struct DriveState {
     limit: SimTime,
-    batch: Option<Batch>,
     /// A `Wake`'s dispatch interval covers the hand-off and the actor's run,
     /// so it stays open until the next [`Sim::next_event`], on any thread.
     open_wake: Option<Stamp>,
@@ -174,12 +135,9 @@ struct RunCaller {
 }
 
 pub(crate) struct SimInner {
-    shards: Vec<Mutex<Shard>>,
-    /// Advertised per-shard minima: `(time, seq, shard)`. Lazy — stale
-    /// entries (a shard whose advertised key moved on) are skipped at pop.
-    index: Mutex<BinaryHeap<Reverse<(SimTime, u64, u32)>>>,
+    queue: Mutex<Queue>,
     /// Actor table: mutated only by the baton holder, kept in one mutex
-    /// separate from the hot event-queue shards.
+    /// separate from the hot event queue.
     actors: Mutex<Vec<ActorRecord>>,
     /// Current virtual time in ns. Atomic so `Sim::now` never touches a
     /// queue lock from hot paths.
@@ -187,26 +145,11 @@ pub(crate) struct SimInner {
     /// Global event sequence counter; allocation order == program order.
     seq: AtomicU64,
     dispatched: AtomicU64,
-    /// Live (never fired, never cancelled) events across all shards.
-    pending: AtomicU64,
-    /// Shard being batch-drained, or `IDLE_SHARD`. Doubles as the ambient
-    /// placement for events scheduled without an explicit shard hint.
-    current_shard: AtomicU32,
-    /// Time component of the batch horizon (0 while no batch is active):
-    /// a cross-shard push strictly below this must bound the batch.
-    horizon_ns: AtomicU64,
-    /// Smallest cross-shard push time seen below the active horizon
-    /// (`u64::MAX` = none). The batch keeps draining strictly below this
-    /// watermark. At the watermark time the drained shard may hold events
-    /// scheduled *after* the cross-shard push (larger seq — they must sort
-    /// after it), so only events strictly below the watermark are provably
-    /// still the global minimum.
-    batch_pushed_min_ns: AtomicU64,
     drive: Mutex<DriveState>,
     run_caller: Mutex<RunCaller>,
     running: AtomicBool,
     seed: u64,
-    /// Registered poller callbacks, indexed by `PollerId::idx`. Append-only.
+    /// Registered poller callbacks, indexed by `PollerId`. Append-only.
     pollers: RwLock<Vec<PollerFn>>,
     /// Metrics registry lives *outside* the engine mutex: bumping a counter
     /// from inside an event handler must not touch the scheduler lock.
@@ -223,9 +166,9 @@ pub(crate) struct SimInner {
     /// Engine self-profiler cells (see [`suca_obs::prof`]). Off by default;
     /// hooks compile out without the `prof` cargo feature.
     prof: suca_obs::prof::EngineProf,
-    /// Guard so `set_profiling` registers the `sim.prof.*` counter-track
-    /// probes exactly once (and never for unprofiled runs, whose timeseries
-    /// JSON must stay byte-identical across shard counts).
+    /// Guard so `set_profiling` registers the `sim.prof.events`
+    /// counter-track probe exactly once (and never for unprofiled runs,
+    /// whose timeseries JSON must not carry it).
     prof_probes: AtomicBool,
     /// Online health engine (see [`suca_obs::health`]). Created unarmed —
     /// it registers its `health.*` instruments only when a harness installs
@@ -234,48 +177,15 @@ pub(crate) struct SimInner {
     health: suca_obs::health::HealthEngine,
 }
 
-/// `SUCA_SIM_TRACE_DISPATCH` is read once per process, not once per event.
-fn trace_dispatch_enabled() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("SUCA_SIM_TRACE_DISPATCH").is_some())
-}
-
-/// Resets `running` (and the batch state) even when `run_inner` re-raises a
-/// handler or actor panic, so a harness that catches the panic can run the
-/// same `Sim` again instead of dying on the reentrancy assert.
+/// Resets `running` (and the open profiler interval) even when `run_inner`
+/// re-raises a handler or actor panic, so a harness that catches the panic
+/// can run the same `Sim` again instead of dying on the reentrancy assert.
 struct RunningGuard<'a>(&'a SimInner);
 
 impl Drop for RunningGuard<'_> {
     fn drop(&mut self) {
-        let inner = self.0;
-        let mut st = inner.drive.lock();
-        if let Some(b) = st.batch.take() {
-            // A panic ended the run mid-batch while a driver owned this
-            // shard (`advertised == None`, mid-batch own-shard pushes skip
-            // the index). Re-advertise its minimum or its remaining events
-            // would be invisible to the next run.
-            inner.release_shard(b.sh);
-        }
-        st.open_wake = None;
-        inner.running.store(false, Ordering::Release);
-    }
-}
-
-impl SimInner {
-    /// Batch end: stand down and re-advertise shard `sh`'s minimum. Returns
-    /// whether that pushed an index entry.
-    fn release_shard(&self, sh: u32) -> bool {
-        self.horizon_ns.store(0, Ordering::Relaxed);
-        self.batch_pushed_min_ns.store(u64::MAX, Ordering::Relaxed);
-        self.current_shard.store(IDLE_SHARD, Ordering::Relaxed);
-        let mut g = self.shards[sh as usize].lock();
-        let key = g.queue.peek().map(|Reverse(top)| (top.time, top.seq));
-        let moved = key.is_some() && g.advertised != key;
-        g.advertised = key;
-        if let Some((t, s)) = key.filter(|_| moved) {
-            self.index.lock().push(Reverse((t, s, sh)));
-        }
-        moved
+        self.0.drive.lock().open_wake = None;
+        self.0.running.store(false, Ordering::Release);
     }
 }
 
@@ -287,45 +197,25 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Create a single-shard simulation with the given master RNG seed. The
-    /// seed fixes every random decision in the run (fault injection, jitter),
-    /// so a `(seed, program)` pair is a complete reproduction recipe.
+    /// Create a simulation with the given master RNG seed. The seed fixes
+    /// every random decision in the run (fault injection, jitter), so a
+    /// `(seed, program)` pair is a complete reproduction recipe.
     pub fn new(seed: u64) -> Self {
-        Self::new_with_shards(seed, 1)
-    }
-
-    /// Create a simulation whose event queue is split into `shards` shards
-    /// (clamped to at least 1). Shard count affects scheduling *throughput*
-    /// only: dispatch order is the strict global `(time, seq)` order at any
-    /// shard count, so reports are byte-identical across shard counts.
-    pub fn new_with_shards(seed: u64, shards: usize) -> Self {
         install_quiet_shutdown_hook();
-        let shards = shards.max(1);
         let metrics = suca_obs::Metrics::new();
         metrics.set_meta("seed", seed.to_string());
         Sim {
             inner: Arc::new(SimInner {
-                shards: (0..shards)
-                    .map(|_| {
-                        Mutex::new(Shard {
-                            queue: BinaryHeap::new(),
-                            live: HashSet::new(),
-                            advertised: None,
-                        })
-                    })
-                    .collect(),
-                index: Mutex::new(BinaryHeap::new()),
+                queue: Mutex::new(Queue {
+                    heap: BinaryHeap::new(),
+                    live: HashSet::new(),
+                }),
                 actors: Mutex::new(Vec::new()),
                 now_ns: AtomicU64::new(0),
                 seq: AtomicU64::new(0),
                 dispatched: AtomicU64::new(0),
-                pending: AtomicU64::new(0),
-                current_shard: AtomicU32::new(IDLE_SHARD),
-                horizon_ns: AtomicU64::new(0),
-                batch_pushed_min_ns: AtomicU64::new(u64::MAX),
                 drive: Mutex::new(DriveState {
                     limit: SimTime::MAX,
-                    batch: None,
                     open_wake: None,
                 }),
                 run_caller: Mutex::new(RunCaller {
@@ -339,37 +229,16 @@ impl Sim {
                 mtrace: suca_obs::trace::MsgTracer::new(),
                 timeseries: suca_obs::timeseries::TimeSeries::new(),
                 telemetry_started: AtomicBool::new(false),
-                prof: suca_obs::prof::EngineProf::new(shards),
+                prof: suca_obs::prof::EngineProf::new(),
                 prof_probes: AtomicBool::new(false),
                 health: suca_obs::health::HealthEngine::new(),
             }),
         }
     }
 
-    /// Number of event-queue shards.
-    pub fn shards(&self) -> usize {
-        self.inner.shards.len()
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         SimTime::from_ns(self.inner.now_ns.load(Ordering::Relaxed))
-    }
-
-    /// The shard new events land on when no explicit hint is given: the
-    /// shard currently being drained (so work a handler or actor schedules
-    /// stays local), or shard 0 outside a run.
-    fn ambient_shard(&self) -> u32 {
-        let cur = self.inner.current_shard.load(Ordering::Relaxed);
-        if cur == IDLE_SHARD {
-            0
-        } else {
-            cur
-        }
-    }
-
-    fn resolve_hint(&self, hint: u32) -> u32 {
-        hint % self.inner.shards.len() as u32
     }
 
     /// Schedule `f` to run `delay` after the current instant.
@@ -379,7 +248,7 @@ impl Sim {
         f: impl FnOnce(&Sim) + Send + 'static,
     ) -> EventId {
         let time = self.now() + delay;
-        self.push_event(self.ambient_shard(), time, EventAction::Call(Box::new(f)))
+        self.push_event(time, EventAction::Call(Box::new(f)))
     }
 
     /// Schedule `f` at an absolute instant. Panics if `time` is in the past —
@@ -390,50 +259,14 @@ impl Sim {
             "cannot schedule event in the past ({time} < {})",
             self.now()
         );
-        self.push_event(self.ambient_shard(), time, EventAction::Call(Box::new(f)))
+        self.push_event(time, EventAction::Call(Box::new(f)))
     }
 
-    /// Like [`Sim::schedule_in`] but places the event on the shard named by
-    /// `hint` (normally the destination node id; reduced mod shard count).
-    /// Placement never changes dispatch order — only batching locality.
-    pub fn schedule_in_on(
-        &self,
-        hint: u32,
-        delay: SimDuration,
-        f: impl FnOnce(&Sim) + Send + 'static,
-    ) -> EventId {
-        let time = self.now() + delay;
-        self.push_event(
-            self.resolve_hint(hint),
-            time,
-            EventAction::Call(Box::new(f)),
-        )
-    }
-
-    /// Like [`Sim::schedule_at`] but with an explicit shard hint.
-    pub fn schedule_at_on(
-        &self,
-        hint: u32,
-        time: SimTime,
-        f: impl FnOnce(&Sim) + Send + 'static,
-    ) -> EventId {
-        assert!(
-            time >= self.now(),
-            "cannot schedule event in the past ({time} < {})",
-            self.now()
-        );
-        self.push_event(
-            self.resolve_hint(hint),
-            time,
-            EventAction::Call(Box::new(f)),
-        )
-    }
-
-    /// Register a reusable poller callback on shard `hint`. Pollers are the
-    /// zero-alloc alternative to boxed closures for recurring firmware work
+    /// Register a reusable poller callback. Pollers are the zero-alloc
+    /// alternative to boxed closures for recurring firmware work
     /// (descriptor-ring drains): registration allocates once, every
     /// [`Sim::schedule_poll_in`] after that is allocation-free.
-    pub fn register_poller(&self, hint: u32, f: impl Fn(&Sim) + Send + Sync + 'static) -> PollerId {
+    pub fn register_poller(&self, f: impl Fn(&Sim) + Send + Sync + 'static) -> PollerId {
         let mut pollers = self
             .inner
             .pollers
@@ -441,108 +274,41 @@ impl Sim {
             .expect("poller registry poisoned");
         let idx = u32::try_from(pollers.len()).expect("poller registry overflow");
         pollers.push(Arc::new(f));
-        PollerId {
-            idx,
-            shard: self.resolve_hint(hint),
-        }
+        PollerId(idx)
     }
 
     /// Schedule a tick of a registered poller `delay` after the current
     /// instant. No allocation: the event carries only the [`PollerId`].
     pub fn schedule_poll_in(&self, delay: SimDuration, id: PollerId) -> EventId {
         let time = self.now() + delay;
-        self.push_event(id.shard, time, EventAction::Poll(id.idx))
+        self.push_event(time, EventAction::Poll(id.0))
     }
 
-    fn push_event(&self, shard_idx: u32, time: SimTime, action: EventAction) -> EventId {
+    fn push_event(&self, time: SimTime, action: EventAction) -> EventId {
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        // `current_shard` is written only by the baton holder, and while a
-        // batch on shard `cur` is active the only code that can push is the
-        // handler or actor holding the baton — so `cur` cannot change under
-        // us mid-push.
-        let cur = self.inner.current_shard.load(Ordering::Relaxed);
-        let own_batch = shard_idx == cur;
-        {
-            let mut sh = self.inner.shards[shard_idx as usize].lock();
-            sh.queue.push(Reverse(EventEntry { time, seq, action }));
-            sh.live.insert(seq);
-            // Mid-batch pushes onto the drained shard skip the index: the
-            // batch owns it (`advertised == None`) and re-advertises the
-            // true minimum at batch end, so an entry pushed here could only
-            // ever be popped as stale.
-            if !own_batch {
-                let key = (time, seq);
-                if sh.advertised.is_none_or(|a| key < a) {
-                    sh.advertised = Some(key);
-                    self.inner
-                        .index
-                        .lock()
-                        .push(Reverse((time, seq, shard_idx)));
-                    if self.prof_on() {
-                        self.inner.prof.index_push();
-                    }
-                }
-            }
-        }
-        self.inner.pending.fetch_add(1, Ordering::Relaxed);
-        // A cross-shard push strictly below the active batch horizon bounds
-        // the drain window: tighten the pushed-min watermark. A push *at*
-        // the horizon time is safe: this seq is fresher than the horizon
-        // event's, so it sorts after it.
-        let mut dirty = false;
-        if !own_batch && time.as_ns() < self.inner.horizon_ns.load(Ordering::Relaxed) {
-            self.inner
-                .batch_pushed_min_ns
-                .fetch_min(time.as_ns(), Ordering::AcqRel);
-            dirty = true;
-        }
-        if self.prof_on() {
-            self.inner.prof.push(!own_batch && cur != IDLE_SHARD, dirty);
-        }
-        EventId {
-            time,
-            seq,
-            shard: shard_idx,
-        }
+        let mut q = self.inner.queue.lock();
+        q.heap.push(Reverse(EventEntry { time, seq, action }));
+        q.live.insert(seq);
+        EventId { time, seq }
     }
 
     /// Cancel a pending event. Returns `false` if it already fired or was
     /// already cancelled. Cancelling a wakeup event is safe: generational
     /// parking means a cancelled wake simply never matches.
     pub fn cancel(&self, id: EventId) -> bool {
-        let removed = self.inner.shards[id.shard as usize]
-            .lock()
-            .live
-            .remove(&id.seq);
-        if removed {
-            // The entry stays in the heap as a tombstone and is discarded
-            // (without advancing time) when it reaches the front.
-            self.inner.pending.fetch_sub(1, Ordering::Relaxed);
-        }
-        removed
+        // The entry stays in the heap as a tombstone and is discarded
+        // (without advancing time) when it reaches the front.
+        self.inner.queue.lock().live.remove(&id.seq)
     }
 
     /// Spawn a thread-backed actor; it starts running at the current instant
-    /// (after already-scheduled events at this instant). The actor's events
-    /// land on the ambient shard; use [`Sim::spawn_pinned`] to place it.
+    /// (after already-scheduled events at this instant).
     pub fn spawn(
         &self,
         name: impl Into<String>,
         body: impl FnOnce(&mut ActorCtx) + Send + 'static,
     ) -> ActorId {
-        self.spawn_pinned(self.ambient_shard(), name, body)
-    }
-
-    /// Spawn a thread-backed actor whose wakeups are pinned to the shard
-    /// named by `hint` (normally the node the process runs on).
-    pub fn spawn_pinned(
-        &self,
-        hint: u32,
-        name: impl Into<String>,
-        body: impl FnOnce(&mut ActorCtx) + Send + 'static,
-    ) -> ActorId {
         let name = name.into();
-        let shard = self.resolve_hint(hint);
         let id = ActorId(self.inner.actors.lock().len() as u32);
         let (mailbox, join) = spawn_actor_thread(self.clone(), id, name.clone(), Box::new(body));
         self.inner.actors.lock().push(ActorRecord {
@@ -552,10 +318,9 @@ impl Sim {
             gen: 0,
             status: ActorStatus::Parked,
             join: Some(join),
-            shard,
         });
         let now = self.now();
-        self.push_event(shard, now, EventAction::Wake(id, 0));
+        self.push_event(now, EventAction::Wake(id, 0));
         id
     }
 
@@ -635,174 +400,37 @@ impl Sim {
             .dispatch(kind, ns, a1.saturating_sub(a0), b1.saturating_sub(b0));
     }
 
-    /// Pick phase: take ownership of the shard advertising the globally
-    /// smallest key (skipping stale index entries) and compute its horizon.
-    /// `None` when nothing is queued at or before `limit`.
-    fn pick_batch(&self, limit: SimTime, prof_on: bool) -> Option<Batch> {
-        let prof = &self.inner.prof;
-        let pick_t0 = prof_on.then(Instant::now);
-        let picked = loop {
-            let top = self.inner.index.lock().pop();
-            let Some(Reverse((t, s, sh))) = top else {
-                break None;
-            };
-            let fresh = self.inner.shards[sh as usize].lock().advertised == Some((t, s));
-            if prof_on {
-                prof.pick_pop(!fresh);
-                prof.lock_acq(2);
-            }
-            if !fresh {
-                continue; // the shard's minimum moved on; a fresher entry exists
-            }
-            if t > limit {
-                // Leave the entry (and `advertised`) intact for a later run.
-                self.inner.index.lock().push(Reverse((t, s, sh)));
-                if prof_on {
-                    prof.index_push();
-                    prof.lock_acq(1);
-                }
-                break None;
-            }
-            break Some(sh);
-        };
-        let Some(sh) = picked else {
-            if let Some(t0) = pick_t0 {
-                prof.add_pick_ns(t0.elapsed().as_nanos() as u64);
-            }
-            return None;
-        };
-        // Take ownership of the shard: from here until batch end, every
-        // index entry naming `sh` is stale.
-        self.inner.shards[sh as usize].lock().advertised = None;
-        // Horizon: the smallest *fresh* key any other shard advertises.
-        // Stale entries (including our own superseded advertisements,
-        // which would otherwise wedge the batch at zero progress) are
-        // dropped here; the fresh one is pushed back.
-        let horizon = loop {
-            let top = self.inner.index.lock().pop();
-            let Some(Reverse((t, s, xsh))) = top else {
-                break None;
-            };
-            let fresh =
-                xsh != sh && self.inner.shards[xsh as usize].lock().advertised == Some((t, s));
-            if prof_on {
-                prof.horizon_pop(!fresh);
-                prof.lock_acq(2);
-            }
-            if fresh {
-                self.inner.index.lock().push(Reverse((t, s, xsh)));
-                if prof_on {
-                    prof.index_push();
-                    prof.lock_acq(1);
-                }
-                break Some((t, s));
-            }
-        };
-        self.inner.current_shard.store(sh, Ordering::Relaxed);
-        self.inner
-            .batch_pushed_min_ns
-            .store(u64::MAX, Ordering::Relaxed);
-        self.inner.horizon_ns.store(
-            horizon.map_or(u64::MAX, |(t, _)| t.as_ns()),
-            Ordering::Relaxed,
-        );
-        if let Some(t0) = pick_t0 {
-            prof.add_pick_ns(t0.elapsed().as_nanos() as u64);
-        }
-        Some(Batch {
-            sh,
-            horizon,
-            len: 0,
-            pm_seen: false,
-        })
-    }
-
-    /// The next event in global `(time, seq)` order, resuming the batch the
-    /// previous driver left; `None` when the queue drained or the next event
-    /// lies past the run's limit. Callable from whichever thread holds the
-    /// baton.
+    /// The next event in `(time, seq)` order; `None` when the queue drained
+    /// or the next event lies past the run's limit. Callable from whichever
+    /// thread holds the baton.
     fn next_event(&self) -> Option<EventEntry> {
-        let prof = &self.inner.prof;
-        let prof_on = self.prof_on();
         let mut st = self.inner.drive.lock();
-        let limit = st.limit;
         if let Some(stamp) = st.open_wake.take() {
             self.prof_dispatch(KIND_WAKE, stamp);
         }
-        loop {
-            let mut b = match st.batch.take() {
-                Some(b) => b,
-                None => self.pick_batch(limit, prof_on)?,
-            };
-            // Batch phase: drain this shard while it holds the global
-            // minimum. The shard lock is released around each dispatch so
-            // handlers can schedule freely.
-            let pop_t0 = prof_on.then(Instant::now);
-            let next = {
-                let mut g = self.inner.shards[b.sh as usize].lock();
-                loop {
-                    let Some(Reverse(e)) = g.queue.peek() else {
-                        break Err(BatchEnd::Empty);
-                    };
-                    if e.time > limit {
-                        break Err(BatchEnd::Limit);
-                    }
-                    if b.horizon.is_some_and(|h| (e.time, e.seq) >= h) {
-                        break Err(BatchEnd::Horizon);
-                    }
-                    // A cross-shard push below the horizon tightened the
-                    // watermark: keep draining strictly below it (those
-                    // events still precede the pushed one in global
-                    // order), end the batch at or above it.
-                    let pm = self.inner.batch_pushed_min_ns.load(Ordering::Acquire);
-                    if pm != u64::MAX {
-                        b.pm_seen = true;
-                        if e.time.as_ns() >= pm {
-                            break Err(BatchEnd::Dirty);
-                        }
-                    }
-                    let Reverse(e) = g.queue.pop().expect("peeked");
-                    if !g.live.remove(&e.seq) {
-                        continue; // cancelled tombstone: discard, no time advance
-                    }
-                    break Ok(e);
+        let pop_t0 = self.prof_on().then(Instant::now);
+        let next = {
+            let mut q = self.inner.queue.lock();
+            loop {
+                match q.heap.peek() {
+                    Some(Reverse(e)) if e.time <= st.limit => {}
+                    _ => break None,
                 }
-            };
-            if let Some(t0) = pop_t0 {
-                prof.lock_acq(1);
-                prof.add_pop_ns(t0.elapsed().as_nanos() as u64);
+                let Reverse(e) = q.heap.pop().expect("peeked");
+                if q.live.remove(&e.seq) {
+                    break Some(e);
+                }
+                // Cancelled tombstone: discard, no time advance.
             }
-            let cause = match next {
-                Err(cause) => cause,
-                Ok(e) => {
-                    self.inner.now_ns.store(e.time.as_ns(), Ordering::Relaxed);
-                    self.inner.dispatched.fetch_add(1, Ordering::Relaxed);
-                    self.inner.pending.fetch_sub(1, Ordering::Relaxed);
-                    if trace_dispatch_enabled() {
-                        let kind = match &e.action {
-                            EventAction::Call(_) => "call".to_string(),
-                            EventAction::Wake(id, gen) => format!("wake a{} g{gen}", id.0),
-                            EventAction::Poll(idx) => format!("poll p{idx}"),
-                        };
-                        eprintln!("[dispatch] t={} seq={} {kind}", e.time, e.seq);
-                    }
-                    b.len += 1;
-                    st.batch = Some(b);
-                    return Some(e);
-                }
-            };
-            let end_t0 = prof_on.then(Instant::now);
-            let pushed = self.inner.release_shard(b.sh);
-            if let Some(t0) = end_t0 {
-                if pushed {
-                    prof.index_push();
-                }
-                prof.lock_acq(2);
-                prof.add_batch_end_ns(t0.elapsed().as_nanos() as u64);
-                let continued = b.pm_seen && cause != BatchEnd::Dirty;
-                prof.batch(b.sh as usize, b.len, cause, continued);
-            }
+        };
+        if let Some(t0) = pop_t0 {
+            self.inner.prof.lock_acq(1);
+            self.inner.prof.add_pop_ns(t0.elapsed().as_nanos() as u64);
         }
+        let e = next?;
+        self.inner.now_ns.store(e.time.as_ns(), Ordering::Relaxed);
+        self.inner.dispatched.fetch_add(1, Ordering::Relaxed);
+        Some(e)
     }
 
     /// Run the event loop on the calling thread, which holds the baton:
@@ -880,8 +508,8 @@ impl Sim {
     }
 
     fn finish(&self, limit: SimTime) -> RunOutcome {
-        let raw_pending: usize = self.inner.shards.iter().map(|s| s.lock().queue.len()).sum();
-        if raw_pending > 0 {
+        // Live events only: a cancelled tombstone past `limit` is not work.
+        if self.pending_events() > 0 {
             // Stopped by the time limit with events still queued.
             self.inner.now_ns.store(limit.as_ns(), Ordering::Relaxed);
             return RunOutcome::Pending;
@@ -911,11 +539,10 @@ impl Sim {
         rec.gen
     }
 
-    /// Schedule a generational wakeup on the actor's pinned shard.
+    /// Schedule a generational wakeup.
     pub(crate) fn schedule_wake_in(&self, delay: SimDuration, id: ActorId, gen: u64) -> EventId {
-        let shard = self.inner.actors.lock()[id.0 as usize].shard;
         let time = self.now() + delay;
-        self.push_event(shard, time, EventAction::Wake(id, gen))
+        self.push_event(time, EventAction::Wake(id, gen))
     }
 
     /// Schedule a generational wakeup at the current instant (signal notify).
@@ -1020,11 +647,11 @@ impl Sim {
         &self.inner.timeseries
     }
 
-    /// Number of live (non-cancelled) events still in the queue. O(1): a
-    /// counter maintained at push/pop/cancel, read every telemetry tick to
-    /// decide whether the sampler reschedules itself.
+    /// Number of live (non-cancelled) events still in the queue. O(1): the
+    /// size of the live set, read every telemetry tick to decide whether
+    /// the sampler reschedules itself.
     pub fn pending_events(&self) -> usize {
-        self.inner.pending.load(Ordering::Relaxed) as usize
+        self.inner.queue.lock().live.len()
     }
 
     /// The online health engine. Unarmed (every hook a no-op) until a
@@ -1042,49 +669,19 @@ impl Sim {
     }
 
     /// Enable/disable the engine self-profiler. While on, the scheduler counts
-    /// batches, end causes, index churn and per-kind dispatch cost, and
-    /// times its phases (see [`suca_obs::prof`]). The first enable also
-    /// registers `sim.prof.*` telemetry probes so profiled runs export
-    /// Perfetto counter tracks; unprofiled runs register nothing, keeping
-    /// their timeseries JSON byte-identical across shard counts.
+    /// per-kind dispatch cost and times the pop phase (see
+    /// [`suca_obs::prof`]). The first enable also registers the
+    /// `sim.prof.events` telemetry probe so profiled runs export a Perfetto
+    /// counter track; unprofiled runs register nothing.
     pub fn set_profiling(&self, on: bool) {
         self.inner.prof.set_enabled(on);
         if on && !self.inner.prof_probes.swap(true, Ordering::Relaxed) {
-            let ts = &self.inner.timeseries;
             let p = self.inner.prof.clone();
-            ts.register(
+            self.inner.timeseries.register(
                 "sim.prof.events",
                 suca_obs::timeseries::FABRIC_NODE,
                 None,
                 move |_| p.events(),
-            );
-            let p = self.inner.prof.clone();
-            ts.register(
-                "sim.prof.batches",
-                suca_obs::timeseries::FABRIC_NODE,
-                None,
-                move |_| p.batches(),
-            );
-            let p = self.inner.prof.clone();
-            ts.register(
-                "sim.prof.index_pushes",
-                suca_obs::timeseries::FABRIC_NODE,
-                None,
-                move |_| p.index_pushes(),
-            );
-            let p = self.inner.prof.clone();
-            ts.register(
-                "sim.prof.cross_shard_pushes",
-                suca_obs::timeseries::FABRIC_NODE,
-                None,
-                move |_| p.cross_shard_pushes(),
-            );
-            let p = self.inner.prof.clone();
-            ts.register(
-                "sim.prof.stale_pops",
-                suca_obs::timeseries::FABRIC_NODE,
-                None,
-                move |_| p.stale_pops(),
             );
         }
     }
@@ -1176,11 +773,10 @@ mod tests {
         }
         // Nothing is retained for fired or cancelled events: the live set
         // and the queue are both empty, bounded regardless of churn.
-        for sh in &sim.inner.shards {
-            let g = sh.lock();
-            assert!(g.live.is_empty(), "live set must drain");
-            assert!(g.queue.is_empty(), "queue must drain");
-        }
+        let q = sim.inner.queue.lock();
+        assert!(q.live.is_empty(), "live set must drain");
+        assert!(q.heap.is_empty(), "queue must drain");
+        drop(q);
         assert_eq!(sim.pending_events(), 0);
     }
 
@@ -1195,11 +791,10 @@ mod tests {
             sim.schedule_in(SimDuration::from_us(round + 1), |_| {});
             sim.run();
         }
-        for sh in &sim.inner.shards {
-            let g = sh.lock();
-            assert!(g.live.is_empty());
-            assert!(g.queue.is_empty());
-        }
+        let q = sim.inner.queue.lock();
+        assert!(q.live.is_empty());
+        assert!(q.heap.is_empty());
+        drop(q);
         assert_eq!(sim.pending_events(), 0);
     }
 
@@ -1349,24 +944,16 @@ mod tests {
         assert_ne!(a1, b);
     }
 
-    // ---- sharded-engine tests ----------------------------------------------
-
-    /// Run a messy cross-shard program and return its dispatch log.
-    fn shard_torture(shards: usize) -> (Vec<(u64, u32)>, u64) {
-        shard_torture_prof(shards, false).0
-    }
-
-    /// Like [`shard_torture`] but optionally profiled; also returns the sim
-    /// so callers can inspect the profiler report.
-    fn shard_torture_prof(shards: usize, prof: bool) -> ((Vec<(u64, u32)>, u64), Sim) {
-        let sim = Sim::new_with_shards(9, shards);
+    /// Run a messy program of rescheduling chains with zero-delay hops and
+    /// same-instant ties, optionally profiled; returns its dispatch log, the
+    /// dispatch count and the sim (for the profiler report).
+    fn torture(prof: bool) -> (Vec<(u64, u32)>, u64, Sim) {
+        let sim = Sim::new(9);
         sim.set_profiling(prof);
         let log = Arc::new(Mutex::new(Vec::new()));
-        // Chains on every shard that keep rescheduling onto other shards,
-        // including zero-delay cross-shard hops and same-instant ties.
         for node in 0..8u32 {
             let log = log.clone();
-            sim.schedule_in_on(node, SimDuration::from_ns(u64::from(node % 3)), move |s| {
+            sim.schedule_in(SimDuration::from_ns(u64::from(node % 3)), move |s| {
                 chain(s, node, 0, log.clone());
             });
         }
@@ -1377,13 +964,12 @@ mod tests {
             }
             let peer = (node + 1) % 8;
             let l2 = log.clone();
-            s.schedule_in_on(
-                peer,
+            s.schedule_in(
                 SimDuration::from_ns(u64::from(depth % 2)), // 0 or 1 ns hops
                 move |s| chain(s, peer, depth + 1, l2),
             );
             if depth.is_multiple_of(3) {
-                // A same-shard tie at the current instant.
+                // A tie at the current instant.
                 let l3 = log.clone();
                 s.schedule_in(SimDuration::ZERO, move |s| {
                     l3.lock().push((s.now().as_ns(), 1000 + node));
@@ -1393,87 +979,17 @@ mod tests {
         assert_eq!(sim.run(), RunOutcome::Completed);
         let l = Arc::try_unwrap(log).unwrap().into_inner();
         let n = sim.events_dispatched();
-        ((l, n), sim)
-    }
-
-    #[test]
-    fn sharded_dispatch_order_matches_single_queue() {
-        let (one, n1) = shard_torture(1);
-        for shards in [2, 3, 8] {
-            let (many, nm) = shard_torture(shards);
-            assert_eq!(one, many, "dispatch order diverged at {shards} shards");
-            assert_eq!(n1, nm);
-        }
-    }
-
-    #[test]
-    fn pinned_actors_on_shards_interleave_like_single_queue() {
-        let run = |shards: usize| {
-            let sim = Sim::new_with_shards(3, shards);
-            let log = Arc::new(Mutex::new(Vec::new()));
-            for (i, who) in ["a", "b", "c", "d"].iter().enumerate() {
-                let log = log.clone();
-                sim.spawn_pinned(i as u32, *who, move |ctx| {
-                    for k in 0..4 {
-                        ctx.sleep(SimDuration::from_us(10));
-                        log.lock().push(format!("{who}{k}"));
-                    }
-                });
-            }
-            assert_eq!(sim.run(), RunOutcome::Completed);
-            let l = log.lock().clone();
-            l
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn cross_shard_zero_delay_signal_wakes_preserve_order() {
-        let run = |shards: usize| {
-            let sim = Sim::new_with_shards(5, shards);
-            let sig = crate::signal::Signal::new(&sim);
-            let log = Arc::new(Mutex::new(Vec::new()));
-            for i in 0..4u32 {
-                let sig = sig.clone();
-                let log = log.clone();
-                sim.spawn_pinned(i, format!("w{i}"), move |ctx| {
-                    sig.wait(ctx);
-                    log.lock().push(i);
-                });
-            }
-            let sig2 = sig.clone();
-            sim.schedule_in_on(3, SimDuration::from_us(5), move |_| sig2.notify());
-            assert_eq!(sim.run(), RunOutcome::Completed);
-            let l = log.lock().clone();
-            l
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn cancel_works_across_shards() {
-        let sim = Sim::new_with_shards(1, 4);
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = hits.clone();
-        let id = sim.schedule_in_on(2, SimDuration::from_us(1), move |_| {
-            h.fetch_add(1, Ordering::Relaxed);
-        });
-        sim.schedule_in_on(3, SimDuration::from_us(2), |_| {});
-        assert!(sim.cancel(id));
-        assert!(!sim.cancel(id));
-        assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(hits.load(Ordering::Relaxed), 0);
-        assert_eq!(sim.now().as_us(), 2.0);
+        (l, n, sim)
     }
 
     #[test]
     fn pollers_fire_in_seq_order_with_zero_alloc_events() {
-        let sim = Sim::new_with_shards(1, 2);
+        let sim = Sim::new(1);
         let log = Arc::new(Mutex::new(Vec::new()));
         let l1 = log.clone();
-        let p1 = sim.register_poller(0, move |s| l1.lock().push(("p1", s.now().as_ns())));
+        let p1 = sim.register_poller(move |s| l1.lock().push(("p1", s.now().as_ns())));
         let l2 = log.clone();
-        let p2 = sim.register_poller(1, move |s| l2.lock().push(("p2", s.now().as_ns())));
+        let p2 = sim.register_poller(move |s| l2.lock().push(("p2", s.now().as_ns())));
         sim.schedule_poll_in(SimDuration::from_ns(10), p2);
         sim.schedule_poll_in(SimDuration::from_ns(10), p1); // tie: p2 first (earlier seq)
         sim.schedule_poll_in(SimDuration::from_ns(5), p1);
@@ -1481,16 +997,16 @@ mod tests {
         assert_eq!(
             *log.lock(),
             vec![("p1", 5), ("p2", 10), ("p1", 10)],
-            "poll ticks follow the global (time, seq) order"
+            "poll ticks follow the (time, seq) order"
         );
     }
 
     #[test]
     fn pending_events_counter_tracks_push_pop_cancel() {
-        let sim = Sim::new_with_shards(1, 4);
+        let sim = Sim::new(1);
         assert_eq!(sim.pending_events(), 0);
-        let a = sim.schedule_in_on(0, SimDuration::from_us(1), |_| {});
-        let _b = sim.schedule_in_on(1, SimDuration::from_us(2), |_| {});
+        let a = sim.schedule_in(SimDuration::from_us(1), |_| {});
+        let _b = sim.schedule_in(SimDuration::from_us(2), |_| {});
         assert_eq!(sim.pending_events(), 2);
         assert!(sim.cancel(a));
         assert_eq!(sim.pending_events(), 1);
@@ -1504,29 +1020,20 @@ mod tests {
         let _arm = crate::alloc::TEST_ARM_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let ((plain, n_plain), _) = shard_torture_prof(8, false);
-        let ((profiled, n_prof), sim) = shard_torture_prof(8, true);
+        let (plain, n_plain, _) = torture(false);
+        let (profiled, n_prof, sim) = torture(true);
         assert_eq!(plain, profiled, "profiling must not change dispatch order");
         assert_eq!(n_plain, n_prof);
         let r = sim.prof_report();
         assert!(r.enabled);
-        assert_eq!(r.shards, 8);
         assert_eq!(r.events(), n_prof, "every dispatch attributed to a kind");
         assert_eq!(
-            r.per_shard_events.iter().sum::<u64>(),
-            n_prof,
-            "every dispatch attributed to a shard"
+            r.lock_acquisitions,
+            n_prof + 1,
+            "one queue lock per pop, plus the pop that found it empty"
         );
-        assert_eq!(
-            r.end_horizon + r.end_dirty + r.end_empty + r.end_limit,
-            r.batches,
-            "every batch has exactly one end cause"
-        );
-        assert_eq!(r.batch_len.sum, n_prof);
-        assert!(r.pushes >= n_prof, "every dispatched event was pushed");
-        assert!(r.pick_pops >= r.batches, "each batch needs a pick");
         // The deterministic counter section is byte-stable across reruns.
-        let ((_, _), again) = shard_torture_prof(8, true);
+        let (_, _, again) = torture(true);
         assert_eq!(
             r.counters_json(),
             again.prof_report().counters_json(),
@@ -1539,93 +1046,57 @@ mod tests {
 
     #[test]
     fn disabled_profiler_counts_nothing() {
-        let ((_, n), sim) = shard_torture_prof(4, false);
+        let (_, n, sim) = torture(false);
         assert!(n > 0);
         let r = sim.prof_report();
         assert!(!r.enabled);
-        assert_eq!(r.batches, 0);
         assert_eq!(r.events(), 0);
-        assert_eq!(r.pushes, 0);
+        assert_eq!(r.lock_acquisitions, 0);
         assert_eq!(r.run_ns, 0);
     }
 
     #[test]
-    fn panic_mid_batch_re_advertises_the_owned_shard() {
-        // Regression for the mid-batch ownership hole: the scheduler takes a
-        // shard (`advertised = None`) and own-shard pushes skip the index,
-        // so a panic unwinding mid-batch must re-advertise the shard's
-        // remaining minimum or those events stay invisible forever.
-        let sim = Sim::new_with_shards(1, 4);
-        // The first panic fires while this actor drives, the second (the
-        // actor now waits on its mailbox) on the `run` caller's thread.
-        sim.spawn_pinned(0, "bystander", |ctx| ctx.sleep(SimDuration::from_us(9)));
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = hits.clone();
-        sim.schedule_in_on(1, SimDuration::from_us(1), |s| {
-            // Mid-batch own-shard push (skips the index), then panic.
-            s.schedule_in(SimDuration::from_us(1), |_| {
-                panic!("should be cancelled-free")
-            });
-            panic!("injected");
-        });
-        sim.schedule_in_on(1, SimDuration::from_us(5), move |_| {
-            h.fetch_add(1, Ordering::Relaxed);
-        });
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
-        assert!(r.is_err(), "panic must propagate");
-        // Cancel the re-scheduled panic bomb, then the survivor must fire.
-        // (Its EventId is unknown here; drain it by letting it panic again.)
-        let r2 = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
-        assert!(r2.is_err(), "own-shard push must also be re-advertised");
-        assert_eq!(sim.run(), RunOutcome::Completed, "shard must stay visible");
-        assert_eq!(hits.load(Ordering::Relaxed), 1, "survivor event must fire");
+    fn run_until_ignores_cancelled_tombstones_past_the_limit() {
+        // Regression: `finish` used to count tombstones as pending work, so
+        // a cancelled timer beyond the limit turned `Completed` into
+        // `Pending` and dragged the clock to the limit.
+        let sim = Sim::new(1);
+        sim.schedule_in(SimDuration::from_us(1), |_| {});
+        let id = sim.schedule_in(SimDuration::from_us(100), |_| {});
+        assert!(sim.cancel(id));
+        assert_eq!(
+            sim.run_until(SimTime::from_ns(10_000)),
+            RunOutcome::Completed
+        );
+        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.now().as_us(), 1.0, "clock stays at the last event");
     }
 
     #[test]
-    fn cross_shard_push_at_watermark_ends_batch_conservatively() {
-        // A handler pushes cross-shard at time T and then own-shard at the
-        // same T: the own-shard event carries the larger seq and must
-        // dispatch *after* the cross-shard one. The watermark drain must not
-        // keep draining at T.
-        let run = |shards: usize| {
-            let sim = Sim::new_with_shards(2, shards);
-            let log = Arc::new(Mutex::new(Vec::new()));
-            for node in 0..4u32 {
-                let log = log.clone();
-                sim.schedule_in_on(node, SimDuration::from_ns(10), move |s| {
-                    let peer = (node + 1) % 4;
-                    let l1 = log.clone();
-                    // Cross-shard push at now+5…
-                    s.schedule_in_on(peer, SimDuration::from_ns(5), move |s| {
-                        l1.lock().push((s.now().as_ns(), peer, "x"));
-                    });
-                    // …then own-shard at the same instant (larger seq).
-                    let l2 = log.clone();
-                    s.schedule_in(SimDuration::from_ns(5), move |s| {
-                        l2.lock().push((s.now().as_ns(), node, "o"));
-                    });
-                });
-            }
-            assert_eq!(sim.run(), RunOutcome::Completed);
-            let l = log.lock().clone();
-            l
-        };
-        let single = run(1);
-        for shards in [2, 4] {
-            assert_eq!(single, run(shards), "order diverged at {shards} shards");
-        }
+    fn run_until_reports_deadlock_behind_a_cancelled_tombstone() {
+        // Same hole, worse symptom: a wedged actor behind a cancelled timer
+        // was reported as "work pending".
+        let sim = Sim::new(1);
+        let sig = crate::signal::Signal::new(&sim);
+        sim.spawn("stuck", move |ctx| sig.wait(ctx)); // never notified
+        let id = sim.schedule_in(SimDuration::from_us(100), |_| {});
+        assert!(sim.cancel(id));
+        assert_eq!(
+            sim.run_until(SimTime::from_ns(10_000)),
+            RunOutcome::Deadlock(vec!["stuck".to_string()])
+        );
     }
 
     // ---- migrating-driver tests --------------------------------------------
 
     #[test]
     fn run_until_limit_on_an_actor_thread_resumes_with_the_same_order() {
-        // The limit falls inside a batch the sleeping actor is draining.
+        // The limit is reached while the sleeping actor is driving.
         let go = |split: Option<u64>| {
-            let sim = Sim::new_with_shards(4, 2);
+            let sim = Sim::new(4);
             let log = Arc::new(Mutex::new(Vec::new()));
             let l = log.clone();
-            sim.spawn_pinned(0, "a", move |ctx| {
+            sim.spawn("a", move |ctx| {
                 for i in 0..4u64 {
                     ctx.sleep(SimDuration::from_ns(30));
                     l.lock().push((ctx.now().as_ns(), i));
@@ -1633,7 +1104,7 @@ mod tests {
             });
             for k in 0..12u64 {
                 let l = log.clone();
-                sim.schedule_in_on(k as u32 % 2, SimDuration::from_ns(10 * k + 5), move |s| {
+                sim.schedule_in(SimDuration::from_ns(10 * k + 5), move |s| {
                     l.lock().push((s.now().as_ns(), 100 + k));
                 });
             }
@@ -1683,46 +1154,5 @@ mod tests {
         let ids = ids.lock();
         assert_eq!((ids.len(), ids[0]), (2, ids[1]));
         assert_ne!(ids[0], std::thread::current().id());
-    }
-
-    #[test]
-    fn mixed_actor_signal_timeout_order_is_shard_count_invariant() {
-        // Even nodes sleep, then notify from a cross-shard call; odd nodes
-        // wait with a timeout the notify sometimes beats, so both sources
-        // leave stale wakes behind.
-        let go = |shards: usize| {
-            let sim = Sim::new_with_shards(6, shards);
-            let sig = crate::signal::Signal::new(&sim);
-            let log = Arc::new(Mutex::new(Vec::new()));
-            for n in 0..6u32 {
-                let (sig, log) = (sig.clone(), log.clone());
-                sim.spawn_pinned(n, format!("n{n}"), move |ctx| {
-                    for k in 0..5u32 {
-                        if n % 2 == 1 {
-                            let d = SimDuration::from_ns(4 + 5 * u64::from(n));
-                            let hit = sig.wait_timeout(ctx, d);
-                            log.lock().push((ctx.now().as_ns(), n, k, hit));
-                            continue;
-                        }
-                        ctx.sleep(SimDuration::from_ns(15 + 3 * u64::from(n)));
-                        log.lock().push((ctx.now().as_ns(), n, k, false));
-                        let (sig, log) = (sig.clone(), log.clone());
-                        let d = SimDuration::from_ns(u64::from(k % 2));
-                        ctx.sim().schedule_in_on(n + 1, d, move |s| {
-                            log.lock().push((s.now().as_ns(), 100 + n, k, false));
-                            sig.notify();
-                        });
-                    }
-                });
-            }
-            assert_eq!(sim.run(), RunOutcome::Completed);
-            let l = log.lock().clone();
-            l
-        };
-        let one = go(1);
-        let waits = || one.iter().filter(|e| e.1 % 2 == 1);
-        assert!(waits().any(|e| e.3) && waits().any(|e| !e.3));
-        assert_eq!(one, go(3));
-        assert_eq!(one, go(6));
     }
 }

@@ -51,11 +51,8 @@ impl Signal {
 
     /// Wake every actor currently waiting. May be called from event handlers
     /// or other actors; wakeups are delivered as events at the current
-    /// instant, in registration order. Each wake event lands on the waiting
-    /// actor's own event-queue shard; because seq numbers are assigned here
-    /// (in registration order) and dispatch follows the global `(time, seq)`
-    /// order, the wake order is identical at any shard count — even for
-    /// zero-delay cross-shard notifies below the batching horizon.
+    /// instant, in registration order: seq numbers are assigned here and
+    /// dispatch follows the `(time, seq)` order.
     pub fn notify(&self) {
         let mut st = self.state.lock();
         st.notified += 1;

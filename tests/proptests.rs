@@ -6,7 +6,10 @@
 //!   reach it on real hardware);
 //! * scatter/gather slicing is consistent with flat byte ranges;
 //! * go-back-N delivers every packet exactly once, in order, under any
-//!   loss pattern.
+//!   loss pattern;
+//! * the event engine dispatches any program of handlers, pollers, cancels
+//!   and actors in exactly the `(time, insertion index)` order of a sorted
+//!   `Vec`.
 
 use std::sync::Arc;
 
@@ -22,6 +25,7 @@ use suca::bcl::ChannelId;
 use suca::cluster::{ClusterSpec, SanKind, SimBarrier};
 use suca::myrinet::FaultPlan;
 use suca::prelude::*;
+use suca::sim::{EventId, PollerId, Signal};
 
 /// Ship `payloads` through BCL node 0 → node 1 under `fault`, asserting
 /// intact in-order delivery. Uses normal channels (rendezvous) so arbitrary
@@ -390,5 +394,362 @@ proptest! {
         prop_assert_eq!(sg_total(&segs), len);
         let got = read_sg(&mem, &segs, off, take).expect("read");
         prop_assert_eq!(&got[..], &pattern[off as usize..(off + take) as usize]);
+    }
+}
+
+// ---- event-engine order oracle ---------------------------------------------
+
+/// Delays in ns; the repeated 0 and the small spread make ties common.
+const DELAYS: [u64; 5] = [0, 0, 1, 2, 7];
+/// Log tag of poller `p` is `POLL_TAG + p`, of actor `a` `ACTOR_TAG + a`;
+/// a handler node logs its own index.
+const POLL_TAG: usize = 1_000;
+const ACTOR_TAG: usize = 2_000;
+const ACTOR_NAMES: [&str; 2] = ["a0", "a1"];
+
+/// One schedulable event of the generated program.
+struct Node {
+    delay: u64,
+    /// `Some(p)`: a tick of poller `p` (a leaf). `None`: a handler that
+    /// schedules `kids`, then cancels `cancel`.
+    poller: Option<usize>,
+    kids: Vec<usize>,
+    cancel: Option<usize>,
+}
+
+#[derive(Clone, Copy)]
+enum Step {
+    Sleep(u64),
+    /// Wait on this actor's own signal.
+    Wait,
+    /// Notify the other actor's signal.
+    Notify,
+    Cancel(usize),
+    Schedule(usize),
+}
+
+struct Program {
+    nodes: Vec<Node>,
+    roots: Vec<usize>,
+    scripts: [Vec<Step>; 2],
+    split: Option<u64>,
+}
+
+#[derive(Clone, Debug, PartialEq)]
+enum Entry {
+    Fired(u64, usize),
+    Cancelled(usize, bool),
+    /// A `run`/`run_until` returned: outcome, clock, dispatches so far.
+    Ran(RunOutcome, u64, u64),
+}
+
+type RawNode = (usize, u16, u16, u8);
+type RawStep = (u8, u16);
+
+fn build_program(raw: &[RawNode], raw_scripts: [&[RawStep]; 2], split: u64) -> Program {
+    let n = raw.len();
+    let mut nodes: Vec<Node> = Vec::with_capacity(n);
+    let mut roots = Vec::new();
+    for (k, &(delay, parent, cancel, kind)) in raw.iter().enumerate() {
+        let poller = (kind == 0).then_some(k % 2);
+        let cancel = Some(usize::from(cancel) % (2 * n)).filter(|&t| poller.is_none() && t < n);
+        nodes.push(Node {
+            delay: DELAYS[delay],
+            poller,
+            kids: Vec::new(),
+            cancel,
+        });
+        // Parents have smaller indices, so every chain ends.
+        match usize::from(parent) % (k + 1) {
+            j if j < k && nodes[j].poller.is_none() => nodes[j].kids.push(k),
+            _ => roots.push(k),
+        }
+    }
+    let script = |raw: &[RawStep]| {
+        raw.iter()
+            .map(|&(kind, pick)| match kind {
+                0 | 1 => Step::Sleep(DELAYS[usize::from(pick) % DELAYS.len()]),
+                2 => Step::Wait,
+                3 => Step::Notify,
+                4 => Step::Cancel(usize::from(pick) % n),
+                _ => Step::Schedule(usize::from(pick) % n),
+            })
+            .collect()
+    };
+    Program {
+        nodes,
+        roots,
+        scripts: [script(raw_scripts[0]), script(raw_scripts[1])],
+        split: (split >= 3).then_some(split),
+    }
+}
+
+/// What the handlers and actors of the real run share.
+struct Real {
+    prog: Program,
+    log: Arc<Mutex<Vec<Entry>>>,
+    ids: Mutex<Vec<Option<EventId>>>,
+    pollers: [PollerId; 2],
+}
+
+impl Real {
+    fn schedule(self: &Arc<Self>, sim: &Sim, k: usize) {
+        let node = &self.prog.nodes[k];
+        let delay = SimDuration::from_ns(node.delay);
+        let id = match node.poller {
+            Some(p) => sim.schedule_poll_in(delay, self.pollers[p]),
+            None => {
+                let me = self.clone();
+                sim.schedule_in(delay, move |s| me.fire(s, k))
+            }
+        };
+        self.ids.lock()[k] = Some(id);
+    }
+
+    fn fire(self: &Arc<Self>, sim: &Sim, k: usize) {
+        self.log.lock().push(Entry::Fired(sim.now().as_ns(), k));
+        let node = &self.prog.nodes[k];
+        for &kid in &node.kids {
+            self.schedule(sim, kid);
+        }
+        if let Some(target) = node.cancel {
+            self.cancel(sim, target);
+        }
+    }
+
+    fn cancel(&self, sim: &Sim, target: usize) {
+        let id = self.ids.lock()[target];
+        if let Some(id) = id {
+            let hit = sim.cancel(id);
+            self.log.lock().push(Entry::Cancelled(target, hit));
+        }
+    }
+
+    fn ran(&self, sim: &Sim, outcome: RunOutcome) {
+        self.log.lock().push(Entry::Ran(
+            outcome,
+            sim.now().as_ns(),
+            sim.events_dispatched(),
+        ));
+    }
+}
+
+fn run_real(prog: Program) -> Vec<Entry> {
+    let sim = Sim::new(1);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let pollers = [0, 1].map(|p| {
+        let log = log.clone();
+        sim.register_poller(move |s| {
+            log.lock().push(Entry::Fired(s.now().as_ns(), POLL_TAG + p));
+        })
+    });
+    let sigs = [Signal::new(&sim), Signal::new(&sim)];
+    let real = Arc::new(Real {
+        ids: Mutex::new(vec![None; prog.nodes.len()]),
+        prog,
+        log,
+        pollers,
+    });
+    let spawn = |a: usize| {
+        let (real, sigs) = (real.clone(), sigs.clone());
+        sim.spawn(ACTOR_NAMES[a], move |ctx| {
+            for &step in &real.prog.scripts[a] {
+                match step {
+                    Step::Sleep(d) => ctx.sleep(SimDuration::from_ns(d)),
+                    Step::Wait => sigs[a].wait(ctx),
+                    Step::Notify => sigs[1 - a].notify(),
+                    Step::Cancel(k) => real.cancel(ctx.sim(), k),
+                    Step::Schedule(k) => real.schedule(ctx.sim(), k),
+                }
+                if matches!(step, Step::Sleep(_) | Step::Wait) {
+                    let now = ctx.now().as_ns();
+                    real.log.lock().push(Entry::Fired(now, ACTOR_TAG + a));
+                }
+            }
+        });
+    };
+    spawn(0);
+    for &k in &real.prog.roots {
+        real.schedule(&sim, k);
+    }
+    spawn(1);
+    if let Some(t) = real.prog.split {
+        let out = sim.run_until(SimTime::from_ns(t));
+        real.ran(&sim, out);
+    }
+    loop {
+        let out = sim.run();
+        real.ran(&sim, out.clone());
+        if out == RunOutcome::Completed {
+            break;
+        }
+        sigs.iter().for_each(Signal::notify);
+    }
+    assert_eq!(sim.pending_events(), 0);
+    let log = real.log.lock().clone();
+    log
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Ev {
+    Node(usize),
+    Wake(usize),
+}
+
+/// The reference: pending events in a `Vec`, dispatched by stable sort on
+/// time, so ties fall back to insertion order.
+struct Model<'a> {
+    prog: &'a Program,
+    now: u64,
+    inserted: usize,
+    dispatched: u64,
+    /// `(time, insertion index, event)`, live events only.
+    pending: Vec<(u64, usize, Ev)>,
+    /// Insertion index of the latest scheduling of each node.
+    ids: Vec<Option<usize>>,
+    /// Next script step per actor; `waiting` actors sit in `Step::Wait`.
+    pos: [usize; 2],
+    started: [bool; 2],
+    waiting: [bool; 2],
+    log: Vec<Entry>,
+}
+
+impl Model<'_> {
+    fn push(&mut self, delay: u64, ev: Ev) -> usize {
+        self.inserted += 1;
+        self.pending.push((self.now + delay, self.inserted, ev));
+        self.inserted
+    }
+
+    fn schedule(&mut self, k: usize) {
+        let id = self.push(self.prog.nodes[k].delay, Ev::Node(k));
+        self.ids[k] = Some(id);
+    }
+
+    fn cancel(&mut self, target: usize) {
+        if let Some(id) = self.ids[target] {
+            let live = self.pending.iter().position(|e| e.1 == id);
+            if let Some(i) = live {
+                self.pending.remove(i);
+            }
+            self.log.push(Entry::Cancelled(target, live.is_some()));
+        }
+    }
+
+    fn notify(&mut self, a: usize) {
+        if std::mem::take(&mut self.waiting[a]) {
+            self.push(0, Ev::Wake(a));
+        }
+    }
+
+    fn dispatch(&mut self, ev: Ev) {
+        match ev {
+            Ev::Node(k) => {
+                let prog = self.prog;
+                let node = &prog.nodes[k];
+                let tag = node.poller.map_or(k, |p| POLL_TAG + p);
+                self.log.push(Entry::Fired(self.now, tag));
+                for &kid in &node.kids {
+                    self.schedule(kid);
+                }
+                if let Some(target) = node.cancel {
+                    self.cancel(target);
+                }
+            }
+            Ev::Wake(a) => {
+                if std::mem::replace(&mut self.started[a], true) {
+                    self.log.push(Entry::Fired(self.now, ACTOR_TAG + a));
+                }
+                while let Some(&step) = self.prog.scripts[a].get(self.pos[a]) {
+                    self.pos[a] += 1;
+                    match step {
+                        Step::Sleep(d) => {
+                            self.push(d, Ev::Wake(a));
+                            return;
+                        }
+                        Step::Wait => {
+                            self.waiting[a] = true;
+                            return;
+                        }
+                        Step::Notify => self.notify(1 - a),
+                        Step::Cancel(k) => self.cancel(k),
+                        Step::Schedule(k) => self.schedule(k),
+                    }
+                }
+            }
+        }
+    }
+
+    fn run(&mut self, limit: u64) {
+        let outcome = loop {
+            self.pending.sort_by_key(|e| e.0); // stable: ties keep insertion order
+            match self.pending.first() {
+                Some(&(t, _, ev)) if t <= limit => {
+                    self.pending.remove(0);
+                    self.now = t;
+                    self.dispatched += 1;
+                    self.dispatch(ev);
+                }
+                Some(_) => {
+                    self.now = limit;
+                    break RunOutcome::Pending;
+                }
+                None if self.waiting == [false; 2] => break RunOutcome::Completed,
+                None => {
+                    let stuck = (0..2).filter(|&a| self.waiting[a]);
+                    break RunOutcome::Deadlock(stuck.map(|a| ACTOR_NAMES[a].into()).collect());
+                }
+            }
+        };
+        self.log
+            .push(Entry::Ran(outcome, self.now, self.dispatched));
+    }
+}
+
+fn run_model(prog: &Program) -> Vec<Entry> {
+    let mut m = Model {
+        prog,
+        now: 0,
+        inserted: 0,
+        dispatched: 0,
+        pending: Vec::new(),
+        ids: vec![None; prog.nodes.len()],
+        pos: [0; 2],
+        started: [false; 2],
+        waiting: [false; 2],
+        log: Vec::new(),
+    };
+    m.push(0, Ev::Wake(0));
+    for &k in &prog.roots {
+        m.schedule(k);
+    }
+    m.push(0, Ev::Wake(1));
+    if let Some(t) = prog.split {
+        m.run(t);
+    }
+    loop {
+        m.run(u64::MAX);
+        if matches!(m.log.last(), Some(Entry::Ran(RunOutcome::Completed, ..))) {
+            return m.log;
+        }
+        m.notify(0);
+        m.notify(1);
+    }
+}
+
+proptest! {
+    #[test]
+    fn engine_dispatch_order_matches_sorted_vec_model(
+        nodes in prop::collection::vec(
+            (0usize..DELAYS.len(), any::<u16>(), any::<u16>(), 0u8..6),
+            1..40
+        ),
+        script0 in prop::collection::vec((0u8..6, any::<u16>()), 0..10),
+        script1 in prop::collection::vec((0u8..6, any::<u16>()), 0..10),
+        split in 0u64..25,
+    ) {
+        let expect = run_model(&build_program(&nodes, [&script0, &script1], split));
+        let got = run_real(build_program(&nodes, [&script0, &script1], split));
+        prop_assert_eq!(got, expect);
     }
 }
