@@ -423,6 +423,9 @@ fn rma_write_and_read_roundtrip() {
         d3.wait(ctx);
     });
     assert_eq!(sim.run(), RunOutcome::Completed);
+    // Two completion events reached the initiator's send queue (the write's
+    // and the read's) and nothing else was posted: each is one counted DMA.
+    assert_eq!(sim.get_count("mcp.completion_dmas"), 2);
 }
 
 #[test]

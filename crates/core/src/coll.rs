@@ -4,9 +4,9 @@
 //! holds the execution-level form the kernel module writes into NIC memory:
 //! a per-participant schedule over concrete [`ProcAddr`]es plus the pinned
 //! payload/result scatter-gather lists. The MCP's plan interpreter (see
-//! `mcp.rs`) walks the schedule entirely NIC-side — fan-in combining and
-//! fan-out forwarding never cross back to the host, so a participant pays
-//! exactly one initiating trap and polls one completion event
+//! `mcp/interp.rs`) walks the schedule entirely NIC-side — fan-in combining
+//! and fan-out forwarding never cross back to the host, so a participant
+//! pays exactly one initiating trap and polls one completion event
 //! (`ChainPolicy::collective()` in `suca-obs`).
 
 use suca_mem::PhysAddr;

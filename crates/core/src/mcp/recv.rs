@@ -1,0 +1,377 @@
+//! MCP receive engine: packet demux into the descriptor rings, go-back-N
+//! acceptance, reassembly of messages straight into user buffers, rejects,
+//! and the target and requester halves of one-sided RMA.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+use suca_mem::PhysAddr;
+use suca_myrinet::{FabricNodeId, Packet};
+use suca_os::NodeId;
+use suca_sim::mtrace::{stage, TraceId, TraceLayer};
+use suca_sim::Sim;
+
+use super::{Completion, JobKind, McpInner, McpState, RxDesc, SendJob};
+use crate::port::{ChannelId, ChannelKind, PortId, ProcAddr, RecvDataLoc, RecvEvent, SendStatus};
+use crate::reliable::{EpochVerdict, GbnVerdict};
+use crate::sg::{sg_total, slice_sg};
+use crate::wire::{WireHeader, WireKind};
+
+/// A message being reassembled into its destination buffer.
+pub(super) struct Incoming {
+    port: PortId,
+    channel: ChannelId,
+    src_port: PortId,
+    total: u64,
+    received: u64,
+    target: Vec<(PhysAddr, u64)>,
+    loc: RecvDataLoc,
+}
+
+/// A one-sided read this node requested and has not fully received.
+pub(super) struct PendingRead {
+    port: PortId,
+    segments: Vec<(PhysAddr, u64)>,
+    total: u64,
+    received: u64,
+}
+
+/// Receive-side SRAM state.
+#[derive(Default)]
+pub(super) struct RecvState {
+    /// Messages mid-reassembly, keyed `(source node, msg id)`.
+    incoming: HashMap<(u32, u32), Incoming>,
+    /// Refused multi-fragment messages whose remaining fragments must be
+    /// swallowed silently.
+    rejected: HashSet<(u32, u32)>,
+    /// Outstanding read requests by msg id.
+    pub(super) pending_reads: HashMap<u32, PendingRead>,
+}
+
+impl RecvState {
+    /// A read request is about to leave; its reply lands in `job.segments`.
+    pub(super) fn expect_read(&mut self, job: &SendJob, len: u64) {
+        let read = PendingRead {
+            port: job.src_port,
+            segments: job.segments.clone(),
+            total: len,
+            received: 0,
+        };
+        self.pending_reads.insert(job.msg_id, read);
+    }
+
+    /// `len` bytes of a message landed in its buffer; returns the message
+    /// once all of it has.
+    fn frag_landed(&mut self, key: (u32, u32), len: u64) -> Option<Incoming> {
+        let inc = self.incoming.get_mut(&key)?;
+        inc.received += len;
+        if inc.received < inc.total {
+            return None;
+        }
+        self.incoming.remove(&key)
+    }
+
+    /// `len` bytes of a read reply landed; returns the read once complete.
+    fn read_landed(&mut self, msg_id: u32, len: u64) -> Option<PendingRead> {
+        let read = self.pending_reads.get_mut(&msg_id)?;
+        read.received += len;
+        if read.received < read.total {
+            return None;
+        }
+        self.pending_reads.remove(&msg_id)
+    }
+
+    /// NIC reset: forget everything. Outstanding reads will never match a
+    /// reply now; returns their `(msg id, owning port)` in msg-id order.
+    pub(super) fn wipe(&mut self) -> Vec<(u32, PortId)> {
+        let reads = std::mem::take(self).pending_reads;
+        let mut orphaned: Vec<_> = reads.into_iter().map(|(id, r)| (id, r.port)).collect();
+        orphaned.sort_unstable_by_key(|&(id, _)| id);
+        orphaned
+    }
+}
+
+impl McpInner {
+    pub(super) fn on_packet(self: &Arc<Self>, sim: &Sim, pkt: Packet, rail: usize) {
+        if self.is_down(&self.state.lock()) {
+            // Crashed node: the NIC is off the bus; every arrival is a
+            // counted drop until the restart.
+            self.node_down_drops.inc();
+            let trace = pkt
+                .trace
+                .map_or(TraceId::NONE, |t| TraceId::new(t.origin, t.msg_id));
+            self.mt_instant(trace, stage::DROP_NODE_DOWN);
+            return;
+        }
+        if pkt.corrupted {
+            sim.add_count("bcl.crc_dropped", 1);
+            if let Some(t) = pkt.trace {
+                self.mt_instant(TraceId::new(t.origin, t.msg_id), stage::DROP_CRC);
+            }
+            return; // CRC check fails; go-back-N recovers via timeout
+        }
+        let Some((header, payload)) = WireHeader::decode(&pkt.payload) else {
+            sim.add_count("bcl.malformed", 1);
+            return;
+        };
+        // Arrivals park in a descriptor ring for their processing delay;
+        // the matching poll tick is allocation-free.
+        let src = pkt.src;
+        let (ring, delay) = match header.kind {
+            WireKind::Ack | WireKind::Reject | WireKind::EpochSync | WireKind::EpochSyncAck => {
+                (&self.rings.rx_ctrl, self.cfg.mcp.ack_process)
+            }
+            WireKind::Data | WireKind::RmaReadReq | WireKind::RmaReadData | WireKind::Coll => {
+                let proc = self.cfg.mcp.recv_per_frag;
+                let at = sim.now()..sim.now() + proc;
+                let trace = self.header_trace(src, &header);
+                let bytes = header.frag_len as u64;
+                self.mt_span(trace, TraceLayer::Mcp, stage::RX, at, header.seq, bytes);
+                (&self.rings.rx_data, proc)
+            }
+        };
+        let desc = RxDesc {
+            src,
+            header,
+            payload,
+            rail,
+        };
+        ring.push(sim, delay, desc);
+    }
+
+    /// An arrival's `recv_per_frag` elapsed: go-back-N verdict, then demux.
+    pub(super) fn on_data(self: &Arc<Self>, d: RxDesc) {
+        let (src, header, rail) = (d.src, d.header, d.rail);
+        let mut st = self.state.lock();
+        let rx = &mut st.peers.entry(src.0).or_default().rx;
+        // Data from a *newer* epoch adopts it implicitly (the peer's NIC
+        // was reset and restarted its stream); older epochs are counted
+        // stale drops with no ack — the peer is already past them.
+        let verdict = rx.on_data(header.epoch, header.seq);
+        let ack = Self::ack_header(rx.epoch(), rx.cum_ack());
+        match verdict {
+            EpochVerdict::Gbn(GbnVerdict::Accept) => {
+                let st = &mut *st;
+                match (header.kind, header.channel.kind) {
+                    (WireKind::Data, ChannelKind::Open) => self.rma_write(st, d),
+                    (WireKind::Data, _) => self.deliver_message(st, d),
+                    (WireKind::RmaReadReq, _) => self.rma_read_request(st, d),
+                    (WireKind::RmaReadData, _) => self.rma_read_data(st, d),
+                    (WireKind::Coll, _) => self.coll_rx(st, d),
+                    // `poll_rx` routes control kinds elsewhere; reaching
+                    // here means it and this demux disagree.
+                    _ => self.protocol_error(
+                        self.header_trace(src, &header),
+                        "control packet reached the data-accept path",
+                    ),
+                }
+            }
+            EpochVerdict::Gbn(GbnVerdict::Duplicate | GbnVerdict::OutOfOrder) => {
+                self.sim.add_count("bcl.rx_discarded", 1);
+                self.mt_instant(self.header_trace(src, &header), stage::RX_DISCARD);
+            }
+            EpochVerdict::Stale => {
+                self.stale_epoch_drop(self.header_trace(src, &header));
+                return;
+            }
+        }
+        drop(st);
+        // Ack on the arrival rail so the reverse path mirrors the one the
+        // sender actually used (its old rail may be dark).
+        self.send_control(rail, src, ack);
+    }
+
+    /// Refuse a message at its first fragment: tell the sender (`fatal` =
+    /// do not retry) and remember to swallow the fragments still coming
+    /// (`frag_len` is the payload length; `decode` checked it).
+    fn refuse_message(
+        &self,
+        st: &mut McpState,
+        src: FabricNodeId,
+        header: &WireHeader,
+        rail: usize,
+        fatal: bool,
+    ) {
+        self.sim.add_count("mcp.rejects_sent", 1);
+        self.mt_instant(TraceId::new(src.0, header.msg_id), stage::REJECT_SENT);
+        if header.total_len > header.frag_len {
+            st.recv.rejected.insert((src.0, header.msg_id));
+        }
+        self.send_control(rail, src, Self::reject_header(header.msg_id, fatal));
+    }
+
+    fn deliver_message(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
+        let RxDesc {
+            src,
+            header,
+            payload,
+            rail,
+        } = d;
+        let key = (src.0, header.msg_id);
+        let trace = TraceId::new(src.0, header.msg_id);
+        if st.recv.rejected.contains(&key) {
+            if header.offset as u64 + payload.len() as u64 >= header.total_len as u64 {
+                st.recv.rejected.remove(&key); // last fragment seen; forget
+            }
+            return;
+        }
+        if header.offset == 0 {
+            // First fragment: find a destination buffer.
+            let Some(port) = st.ports.get_mut(&header.dst_port.0) else {
+                self.sim.add_count("bcl.rx_no_port", 1);
+                self.mt_instant(trace, stage::DROP_NO_PORT);
+                return;
+            };
+            let (target, loc) = match header.channel.kind {
+                ChannelKind::System => match port.pool.claim() {
+                    Some(idx) => (
+                        port.pool.segments(idx).to_vec(),
+                        RecvDataLoc::SystemBuffer(idx),
+                    ),
+                    None => {
+                        // Paper §2.2: "The incoming message will be discarded
+                        // if there is no free buffer in the pool."
+                        self.sim.add_count("bcl.sys_pool_discard", 1);
+                        self.mt_instant(trace, stage::DROP_NO_BUFFER);
+                        if header.total_len > header.frag_len {
+                            st.recv.rejected.insert(key);
+                        }
+                        return;
+                    }
+                },
+                ChannelKind::Normal => match port.normal.remove(&header.channel.index) {
+                    Some(segs) => (segs, RecvDataLoc::Posted),
+                    None => {
+                        // Rendezvous violated: tell the sender to retry.
+                        self.sim.add_count("bcl.rx_not_ready", 1);
+                        self.refuse_message(st, src, &header, rail, false);
+                        return;
+                    }
+                },
+                ChannelKind::Open => unreachable!(),
+            };
+            if (header.total_len as u64) > sg_total(&target) {
+                // Message longer than the receive buffer: refuse (fatal).
+                self.sim.add_count("bcl.rx_too_big", 1);
+                self.refuse_message(st, src, &header, rail, true);
+                return;
+            }
+            st.recv.incoming.insert(
+                key,
+                Incoming {
+                    port: header.dst_port,
+                    channel: header.channel,
+                    src_port: header.src_port,
+                    total: header.total_len as u64,
+                    received: 0,
+                    target,
+                    loc,
+                },
+            );
+        }
+        let Some(inc) = st.recv.incoming.get(&key) else {
+            self.sim.add_count("bcl.rx_orphan_frag", 1);
+            self.mt_instant(trace, stage::RX_DISCARD);
+            return;
+        };
+        // DMA the fragment into its place in the user buffer.
+        let segs = inc.target.clone();
+        let len = payload.len() as u64;
+        let off = header.offset as u64;
+        self.dma_payload(trace, segs, off, payload, header.seq, move |me| {
+            let mut st = me.state.lock();
+            let Some(inc) = st.recv.frag_landed(key, len) else {
+                return;
+            };
+            let ev = RecvEvent {
+                src: ProcAddr {
+                    node: NodeId(src.0),
+                    port: inc.src_port,
+                },
+                channel: inc.channel,
+                len: inc.total,
+                msg_id: header.msg_id,
+                data: inc.loc,
+            };
+            me.post_completion(&st, inc.port, trace, Completion::Recv(ev));
+        });
+    }
+
+    fn rma_write(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
+        let (header, payload) = (d.header, d.payload);
+        let trace = TraceId::new(d.src.0, header.msg_id);
+        let Some(port) = st.ports.get(&header.dst_port.0) else {
+            self.sim.add_count("bcl.rx_no_port", 1);
+            self.mt_instant(trace, stage::DROP_NO_PORT);
+            return;
+        };
+        let Some(segs) = port.open.get(&header.channel.index) else {
+            self.sim.add_count("bcl.rma_bad_channel", 1);
+            return;
+        };
+        let off = header.offset as u64;
+        if off + payload.len() as u64 > sg_total(segs) {
+            // NIC-side bounds check: one-sided writes cannot scribble past
+            // the bound window.
+            self.sim.add_count("bcl.rma_oob", 1);
+            return;
+        }
+        self.dma_payload(trace, segs.clone(), off, payload, header.seq, |_| {});
+    }
+
+    fn rma_read_request(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
+        let (src, header) = (d.src, d.header);
+        let refuse = |counter: &str| {
+            self.sim.add_count(counter, 1);
+            self.send_control(d.rail, src, Self::reject_header(header.msg_id, true));
+        };
+        let Some(port) = st.ports.get(&header.dst_port.0) else {
+            return refuse("bcl.rx_no_port");
+        };
+        let Some(segs) = port.open.get(&header.channel.index) else {
+            return refuse("bcl.rma_bad_channel");
+        };
+        let offset = header.offset as u64;
+        let len = header.total_len as u64;
+        if offset + len > sg_total(segs) {
+            return refuse("bcl.rma_oob");
+        }
+        let segments = slice_sg(segs, offset, len);
+        st.send.queue.push_back(SendJob {
+            src_port: header.dst_port,
+            dst_fid: src,
+            dst_port: header.src_port,
+            channel: header.channel,
+            msg_id: header.msg_id,
+            segments,
+            total_len: len,
+            kind: JobKind::RmaReadData,
+            retries: 0,
+            notify_sender: false,
+        });
+        self.kick_sender_deferred();
+    }
+
+    fn rma_read_data(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
+        let (header, payload) = (d.header, d.payload);
+        let msg_id = header.msg_id;
+        // The read reply joins the requesting chain, which is this node's.
+        let trace = self.local_trace(msg_id);
+        let Some(read) = st.recv.pending_reads.get(&msg_id) else {
+            // A reply with no matching outstanding read request: the
+            // firmware's request/reply bookkeeping is out of sync.
+            self.sim.add_count("bcl.rx_orphan_read_data", 1);
+            self.protocol_error(trace, "read-reply data with no pending read request");
+            return;
+        };
+        let segs = read.segments.clone();
+        let len = payload.len() as u64;
+        let off = header.offset as u64;
+        self.dma_payload(trace, segs, off, payload, header.seq, move |me| {
+            let mut st = me.state.lock();
+            if let Some(read) = st.recv.read_landed(msg_id, len) {
+                me.post_local_event(&st, read.port, msg_id, SendStatus::Ok);
+            }
+        });
+    }
+}

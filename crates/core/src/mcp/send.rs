@@ -1,0 +1,504 @@
+//! MCP send engine: the descriptor queue, fragment staging, the LANai send
+//! loop (`sender_step` / `next_work`) and the completed-job memory that
+//! message-level (reject) retries draw on.
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+
+use bytes::Bytes;
+
+use suca_mem::PhysAddr;
+use suca_myrinet::{FabricNodeId, PacketTrace, SramLease, FRAMING_BYTES};
+use suca_sim::mtrace::{stage, TraceId, TraceLayer};
+use suca_sim::SimDuration;
+
+use super::{Completion, McpInner, McpState, TxDesc};
+use crate::port::{ChannelId, PortId, SendEvent, SendStatus};
+use crate::sg::read_sg;
+use crate::wire::{WireHeader, WireKind, HEADER_BYTES};
+
+/// What a send descriptor asks the MCP to do.
+#[derive(Clone, Debug)]
+pub enum JobKind {
+    /// Ordinary message to a system or normal channel.
+    Message,
+    /// One-sided write into the destination's open channel at `offset`.
+    RmaWrite {
+        /// Byte offset within the target's bound buffer.
+        offset: u64,
+    },
+    /// One-sided read request: ask the target for `len` bytes at `offset`
+    /// of its open channel; the reply lands in this job's `segments`.
+    RmaReadReq {
+        /// Byte offset within the target's bound buffer.
+        offset: u64,
+        /// Bytes to read.
+        len: u64,
+    },
+    /// Reply stream for a read request (generated NIC-side at the target).
+    RmaReadData,
+    /// One collective-plan contribution, generated NIC-side by the plan
+    /// interpreter. The payload is held inline (it is a snapshot of the
+    /// interpreter's SRAM accumulator, not host memory), prefixed on the
+    /// wire with the 4-byte LE collective id; always a single fragment.
+    Coll {
+        /// Collective id matching the arrival to the peer's run.
+        coll_id: u32,
+        /// Plan chunk index, carried in the header `offset`.
+        chunk: u32,
+        /// Accumulator snapshot at step entry.
+        data: Vec<u8>,
+    },
+}
+
+/// A send descriptor, as written into NIC memory by the kernel module.
+#[derive(Clone, Debug)]
+pub struct SendJob {
+    /// Originating port (for the completion event).
+    pub src_port: PortId,
+    /// Destination NIC.
+    pub dst_fid: FabricNodeId,
+    /// Destination port.
+    pub dst_port: PortId,
+    /// Destination channel.
+    pub channel: ChannelId,
+    /// Message id (assigned by the kernel module, unique per node).
+    pub msg_id: u32,
+    /// Physical segments of the payload in user memory.
+    pub segments: Vec<(PhysAddr, u64)>,
+    /// Payload length.
+    pub total_len: u64,
+    /// Operation.
+    pub kind: JobKind,
+    /// Message-level retries performed so far.
+    pub retries: u32,
+    /// Whether to post a send-completion event when injected.
+    pub notify_sender: bool,
+}
+
+struct ActiveSend {
+    job: SendJob,
+    /// Generation guard: staging callbacks from an aborted send are dropped.
+    gen: u64,
+    /// Staged fragments: (offset, data, SRAM lease held until injection).
+    staged: VecDeque<(u64, Vec<u8>, Option<SramLease>)>,
+    stage_next: u64,
+    staging: bool,
+    injected: u64,
+}
+
+/// How many fragments the staging engine keeps ahead of injection.
+const STAGE_AHEAD: usize = 8;
+/// Completed-job memory for message-level retries.
+const COMPLETED_CAP: usize = 256;
+
+/// Send-side SRAM state.
+#[derive(Default)]
+pub(super) struct SendEngine {
+    /// Descriptors posted and not yet started, FIFO.
+    pub(super) queue: VecDeque<SendJob>,
+    /// Encoded packets owed a retransmission; they go before any fresh
+    /// fragment.
+    pub(super) retx: VecDeque<(FabricNodeId, Bytes)>,
+    active: Option<ActiveSend>,
+    active_gen: u64,
+    /// True while exactly one chain of `sender_step` events exists.
+    busy: bool,
+    /// Fully injected jobs a late `Reject` may still name, oldest first in
+    /// `completed_order`, bounded by [`COMPLETED_CAP`].
+    completed: HashMap<u32, SendJob>,
+    completed_order: VecDeque<u32>,
+}
+
+impl SendEngine {
+    /// Make `job` the active send. Zero-length messages and read requests
+    /// still send one (empty) fragment; collective contributions are
+    /// NIC-resident (the interpreter's accumulator), so their single wire
+    /// fragment is assembled in place with no host staging DMA.
+    fn activate(&mut self, job: SendJob) {
+        self.active_gen += 1;
+        let mut active = ActiveSend {
+            job,
+            gen: self.active_gen,
+            staged: VecDeque::new(),
+            stage_next: 0,
+            staging: false,
+            injected: 0,
+        };
+        if active.job.total_len == 0 {
+            active.staged.push_back((0, Vec::new(), None));
+        } else if let JobKind::Coll {
+            coll_id, ref data, ..
+        } = active.job.kind
+        {
+            let mut wire = Vec::with_capacity(4 + data.len());
+            wire.extend_from_slice(&coll_id.to_le_bytes());
+            wire.extend_from_slice(data);
+            active.stage_next = active.job.total_len;
+            active.staged.push_back((0, wire, None));
+        }
+        self.active = Some(active);
+    }
+
+    fn remember(&mut self, job: SendJob) {
+        self.completed_order.push_back(job.msg_id);
+        self.completed.insert(job.msg_id, job);
+        if self.completed_order.len() > COMPLETED_CAP {
+            if let Some(old) = self.completed_order.pop_front() {
+                self.completed.remove(&old);
+            }
+        }
+    }
+
+    /// Pull the job a `Reject` names out of wherever it is: active, queued,
+    /// or recently completed.
+    fn take_job(&mut self, msg_id: u32) -> Option<SendJob> {
+        if self.active.as_ref().is_some_and(|a| a.job.msg_id == msg_id) {
+            return self.active.take().map(|a| a.job);
+        }
+        if let Some(pos) = self.queue.iter().position(|j| j.msg_id == msg_id) {
+            return self.queue.remove(pos);
+        }
+        let job = self.completed.remove(&msg_id)?;
+        self.completed_order.retain(|&m| m != msg_id);
+        Some(job)
+    }
+
+    /// NIC reset: forget everything. Returns the in-progress and queued
+    /// sends, in order (their payload staging died with the SRAM). Bumping
+    /// the generation orphans in-flight staging DMA callbacks.
+    pub(super) fn wipe(&mut self) -> Vec<SendJob> {
+        let old = std::mem::take(self);
+        self.active_gen = old.active_gen + 1;
+        self.busy = old.busy;
+        let active = old.active.map(|a| a.job);
+        active.into_iter().chain(old.queue).collect()
+    }
+}
+
+/// One unit of send-engine work, decided under the state lock and executed
+/// outside it.
+enum Work {
+    /// Nothing to do (queue empty, window closed, staging DMA pending or
+    /// node down); `busy` was cleared and whatever changes that re-kicks.
+    Idle,
+    /// Active send abandoned after a protocol error.
+    Dropped,
+    /// A new descriptor was activated; charge the fixed cost.
+    NewJob { trace: TraceId },
+    /// Put one encoded packet on the wire: a freshly staged fragment, or
+    /// (`retx`) one the retransmit queue owed.
+    Inject { desc: TxDesc, retx: bool },
+}
+
+impl McpInner {
+    /// Trace identity of a send job. Read-reply jobs are generated NIC-side
+    /// at the *target*; their chain belongs to the requesting node, which is
+    /// where the reply is headed.
+    fn job_trace(&self, job: &SendJob) -> TraceId {
+        match job.kind {
+            JobKind::RmaReadData => TraceId::new(job.dst_fid.0, job.msg_id),
+            _ => self.local_trace(job.msg_id),
+        }
+    }
+
+    /// Per-packet trace metadata riding the fabric, so switches and links
+    /// can attribute hops and faults without parsing protocol headers (and
+    /// the identity of the packet's own inject / wire spans). Read-reply
+    /// data belongs to the requester's chain, like [`Self::job_trace`].
+    fn packet_trace(&self, dst: FabricNodeId, header: &WireHeader) -> PacketTrace {
+        let origin = match header.kind {
+            WireKind::RmaReadData => dst.0,
+            _ => self.node.0,
+        };
+        PacketTrace {
+            origin,
+            msg_id: header.msg_id,
+            seq: header.seq,
+        }
+    }
+
+    pub(super) fn kick_sender(self: &Arc<Self>) {
+        let idle = !std::mem::replace(&mut self.state.lock().send.busy, true);
+        if idle {
+            self.sim.schedule_poll_in(SimDuration::ZERO, self.sender);
+        }
+    }
+
+    /// [`Self::kick_sender`] for callers that hold the state lock it takes.
+    /// The zero-delay deferral is an event of its own and must stay one:
+    /// folding it into the caller would shift every later `(time, seq)`.
+    pub(super) fn kick_sender_deferred(self: &Arc<Self>) {
+        let me = self.clone();
+        self.sim
+            .schedule_in(SimDuration::ZERO, move |_| me.kick_sender());
+    }
+
+    /// One step of the LANai send loop. Invariant: `busy` is true and
+    /// exactly one chain of `sender_step` events exists while it is.
+    pub(super) fn sender_step(self: &Arc<Self>) {
+        let work = self.next_work(&mut self.state.lock());
+        let step_again_in = |d| {
+            self.sim.schedule_poll_in(d, self.sender);
+        };
+        match work {
+            Work::Idle => {}
+            // Keep the engine chain alive so queued jobs still go out.
+            Work::Dropped => step_again_in(SimDuration::ZERO),
+            Work::NewJob { trace } => {
+                // Charge the per-message fixed cost (descriptor fetch +
+                // reliable-protocol setup), then continue.
+                let start = self.sim.now();
+                let d = self.cfg.mcp.send_fixed;
+                let at = start..start + d;
+                self.mt_span(trace, TraceLayer::Mcp, stage::DESCRIPTOR, at, 0, 0);
+                step_again_in(d);
+            }
+            Work::Inject { desc, retx } => {
+                let mut mcp_stage = stage::INJECT;
+                if retx {
+                    self.retx_packets.inc();
+                    mcp_stage = stage::RETX;
+                }
+                let proc = self.cfg.mcp.send_per_frag;
+                let wire_bytes = desc.pkt.len() as u64 + FRAMING_BYTES;
+                let link = self.fabrics[desc.rail].link_bytes_per_sec();
+                let tx = SimDuration::for_bytes(wire_bytes, link);
+                if let Some(m) = desc.meta {
+                    let trace = TraceId::new(m.origin, m.msg_id);
+                    let start = self.sim.now();
+                    let wire = start + proc;
+                    let pkt = desc.pkt.len() as u64;
+                    let frag = pkt - HEADER_BYTES as u64;
+                    self.mt_span(trace, TraceLayer::Mcp, mcp_stage, start..wire, m.seq, frag);
+                    let at = wire..wire + tx;
+                    self.mt_span(trace, TraceLayer::Wire, stage::WIRE_TX, at, m.seq, pkt);
+                }
+                self.rings.tx.push(&self.sim, proc, desc);
+                // The LANai waits out the fragment's wire time before the
+                // next step, in the same chain.
+                step_again_in(proc + tx);
+            }
+        }
+    }
+
+    /// Pick the next unit of send-engine work. Lock held. Any violated
+    /// protocol-state invariant becomes a counted [`Work::Dropped`] (with a
+    /// flight-recorder dump) instead of a firmware panic.
+    fn next_work(self: &Arc<Self>, st: &mut McpState) -> Work {
+        if self.is_down(st) {
+            // Node crashed: the engine stalls; the restart event re-kicks.
+            st.send.busy = false;
+            return Work::Idle;
+        }
+        if let Some((dst, pkt)) = st.send.retx.pop_front() {
+            // The retx queue stores already-encoded packets, so recover
+            // identity from the wire header (only runs after a timeout —
+            // off the common path).
+            let meta = WireHeader::decode(&pkt).map(|(h, _)| self.packet_trace(dst, &h));
+            let rail = st.rail_to(dst);
+            let desc = TxDesc {
+                rail,
+                dst,
+                pkt,
+                meta,
+            };
+            return Work::Inject { desc, retx: true };
+        }
+        let Some(a) = st.send.active.as_mut() else {
+            // No active send: start the next queued job, if any.
+            let Some(job) = st.send.queue.pop_front() else {
+                st.send.busy = false;
+                return Work::Idle;
+            };
+            let trace = self.job_trace(&job);
+            st.send.activate(job);
+            self.stage_more(st);
+            return Work::NewJob { trace };
+        };
+        let dst = a.job.dst_fid;
+        let window = self.cfg.reliability.window;
+        let tx = st.peers.entry(dst.0).or_default().tx_or_open(window);
+        if !tx.can_send() {
+            // Closed window or an epoch resync in flight; the ack (or the
+            // sync-ack) re-kicks the engine.
+            st.send.busy = false;
+            return Work::Idle;
+        }
+        let Some((off, data, sram_lease)) = a.staged.pop_front() else {
+            // Nothing staged yet.
+            if a.staging || a.stage_next < a.job.total_len {
+                st.send.busy = false;
+                return Work::Idle;
+            }
+            // All bytes staged & injected but the job never closed: a
+            // protocol-state inconsistency, not a reason to kill the node.
+            return self.protocol_drop(st, "send engine inconsistent: open job, nothing staged");
+        };
+        // The fragment leaves SRAM as it is injected.
+        drop(sram_lease);
+        let mut header = Self::header_for(&a.job, off, &data);
+        a.injected += data.len() as u64;
+        let job_done = a.injected >= a.job.total_len;
+        header.seq = tx.next_seq();
+        header.epoch = tx.epoch();
+        let meta = Some(self.packet_trace(dst, &header));
+        let pkt = header.encode(&data);
+        if let Err(e) = tx.record_sent(header.seq, pkt.clone()) {
+            // The window was checked open above, so any failure here is a
+            // firmware-state inconsistency — counted, not fatal.
+            return self.protocol_drop(st, e.reason());
+        }
+        if !job_done {
+            self.stage_more(st);
+        } else if let Some(a) = st.send.active.take() {
+            // The next job (if any) starts after this fragment's wire
+            // time, in the same chain.
+            if a.job.notify_sender {
+                self.post_send_event(st, &a.job, SendStatus::Ok);
+            }
+            if let JobKind::Coll { coll_id, .. } = a.job.kind {
+                // A collective send left the NIC: its run may now be
+                // eligible to complete. Coll jobs are never retried at
+                // message level (the interpreter owns recovery), so they
+                // skip the completed-job memory.
+                self.coll_send_injected(st, (a.job.src_port.0, coll_id));
+            } else {
+                st.send.remember(a.job);
+            }
+        }
+        let peer = st.peers.entry(dst.0).or_default();
+        self.arm_timer(peer, dst);
+        let desc = TxDesc {
+            rail: peer.rail,
+            dst,
+            pkt,
+            meta,
+        };
+        Work::Inject { desc, retx: false }
+    }
+
+    /// Abandon the active send after a protocol-state violation: the sender
+    /// (if it asked) learns via a Rejected completion, the error is counted
+    /// and the flight recorder dumped. Lock held.
+    fn protocol_drop(self: &Arc<Self>, st: &mut McpState, reason: &'static str) -> Work {
+        let mut trace = TraceId::NONE;
+        if let Some(a) = st.send.active.take() {
+            trace = self.job_trace(&a.job);
+            if a.job.notify_sender {
+                self.post_send_event(st, &a.job, SendStatus::Rejected);
+            }
+        }
+        self.protocol_error(trace, reason);
+        Work::Dropped
+    }
+
+    fn header_for(job: &SendJob, frag_off: u64, data: &[u8]) -> WireHeader {
+        let (kind, offset, total) = match job.kind {
+            JobKind::Message => (WireKind::Data, frag_off, job.total_len),
+            JobKind::RmaWrite { offset } => (WireKind::Data, offset + frag_off, job.total_len),
+            JobKind::RmaReadReq { offset, len } => (WireKind::RmaReadReq, offset, len),
+            JobKind::RmaReadData => (WireKind::RmaReadData, frag_off, job.total_len),
+            // `offset` carries the plan chunk index; the collective id
+            // rides the first 4 payload bytes.
+            JobKind::Coll { chunk, .. } => (WireKind::Coll, u64::from(chunk), job.total_len),
+        };
+        WireHeader {
+            kind,
+            channel: job.channel,
+            src_port: job.src_port,
+            dst_port: job.dst_port,
+            msg_id: job.msg_id,
+            seq: 0,   // stamped by the caller
+            epoch: 0, // stamped by the caller
+            offset: offset as u32,
+            total_len: total as u32,
+            frag_len: data.len() as u32,
+        }
+    }
+
+    /// Start/continue staging fragments from user memory into SRAM.
+    /// Must be called with the state lock held.
+    fn stage_more(self: &Arc<Self>, st: &mut McpState) {
+        let Some(a) = st.send.active.as_mut() else {
+            return;
+        };
+        if a.staging || a.staged.len() >= STAGE_AHEAD || a.stage_next >= a.job.total_len {
+            return;
+        }
+        let off = a.stage_next;
+        let len = self.frag_cap.min(a.job.total_len - off);
+        // SRAM back-pressure: if the staging buffers are exhausted, pause;
+        // injection drops a lease per fragment and re-invokes stage_more.
+        let Some(lease) = self.sram.try_alloc(len) else {
+            self.sram_stalls.inc();
+            return;
+        };
+        a.staging = true;
+        a.stage_next = off + len;
+        let gen = a.gen;
+        let segs = a.job.segments.clone();
+        let me = self.clone();
+        self.host_dma.submit(len, move |_| {
+            let data = read_sg(&me.mem, &segs, off, len).expect("staging DMA faulted");
+            let mut st = me.state.lock();
+            let Some(a) = st.send.active.as_mut().filter(|a| a.gen == gen) else {
+                return; // send was aborted (rejected, wiped) while staging
+            };
+            a.staging = false;
+            a.staged.push_back((off, data, Some(lease)));
+            me.stage_more(&mut st);
+            drop(st);
+            me.kick_sender();
+        });
+    }
+
+    /// DMA a send-completion event into the job owner's user-space queue.
+    pub(super) fn post_send_event(
+        self: &Arc<Self>,
+        st: &McpState,
+        job: &SendJob,
+        status: SendStatus,
+    ) {
+        let msg_id = job.msg_id;
+        let ev = Completion::Send(SendEvent { msg_id, status });
+        self.post_completion(st, job.src_port, self.job_trace(job), ev);
+    }
+
+    /// The receiver refused message `msg_id`: retry it after a delay, or —
+    /// on a fatal refusal or once retries run out — fail it to its sender.
+    pub(super) fn on_reject(self: &Arc<Self>, msg_id: u32, fatal: bool) {
+        let retry = {
+            let mut st = self.state.lock();
+            st.send.take_job(msg_id).and_then(|mut job| {
+                job.retries += 1;
+                if fatal || job.retries > self.cfg.reliability.max_message_retries {
+                    self.sim.add_count("bcl.msg_failed", 1);
+                    self.mt_instant(self.job_trace(&job), stage::MSG_FAILED);
+                    if let JobKind::RmaReadReq { .. } = job.kind {
+                        st.recv.pending_reads.remove(&msg_id);
+                    }
+                    self.post_send_event(&st, &job, SendStatus::Rejected);
+                    return None;
+                }
+                self.sim.add_count("bcl.msg_retries", 1);
+                self.mt_instant(self.job_trace(&job), stage::MSG_RETRY);
+                // The first injection already posted an Ok completion;
+                // retries are silent (only a final failure produces
+                // another event).
+                job.notify_sender = false;
+                Some(job)
+            })
+        };
+        let Some(job) = retry else {
+            self.kick_sender(); // active may have been dropped
+            return;
+        };
+        let me = self.clone();
+        self.sim
+            .schedule_in(self.cfg.reliability.reject_retry_delay, move |_| {
+                me.state.lock().send.queue.push_back(job);
+                me.kick_sender();
+            });
+    }
+}

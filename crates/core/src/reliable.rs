@@ -10,8 +10,8 @@
 //! NIC pair (BCL relies on this for reassembly-free receives).
 //!
 //! This module is pure state logic (no simulator types) so the protocol can
-//! be exhaustively unit- and property-tested; `mcp.rs` wires it to timers
-//! and the fabric.
+//! be exhaustively unit- and property-tested; `mcp/peer.rs` wires it to
+//! timers and the fabric.
 
 use std::collections::VecDeque;
 
@@ -28,9 +28,9 @@ fn seq_before(a: u32, b: u32) -> bool {
 }
 
 /// A violated go-back-N sender invariant. The firmware never panics on
-/// these: `mcp.rs` converts them into counted protocol errors that trip
-/// the flight recorder and abandon the offending send (the same treatment
-/// the MCP state machine gives its own inconsistencies).
+/// these: `mcp/send.rs` converts them into counted protocol errors that
+/// trip the flight recorder and abandon the offending send (the same
+/// treatment the MCP state machine gives its own inconsistencies).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GbnError {
     /// `record_sent` was handed a sequence number other than

@@ -1,5 +1,5 @@
 //! Direct tests of the BCL stack assembled by hand (no cluster crate):
-//! exercises the public wiring (`Mcp::new` + `BclNode::new`), hostile
+//! exercises the public wiring (`Mcp::new_multi_rail` + `BclNode::new`), hostile
 //! wire-level inputs, and NIC-level observability.
 
 use std::sync::Arc;
@@ -26,14 +26,8 @@ fn build_pair(sim: &Sim) -> (Arc<BclNode>, Arc<BclNode>, Arc<Myrinet>) {
             OsPersonality::AIX,
             OsCostModel::aix_power3(),
         );
-        let mcp = Mcp::new(
-            sim,
-            NodeId(i),
-            FabricNodeId(i),
-            fabric.clone(),
-            mem,
-            cfg.clone(),
-        );
+        let rails: Vec<Arc<dyn Fabric>> = vec![fabric.clone()];
+        let mcp = Mcp::new_multi_rail(sim, NodeId(i), FabricNodeId(i), rails, mem, cfg.clone());
         nodes.push(BclNode::new(sim, os, mcp, 2, cfg.clone()));
     }
     let b = nodes.pop().expect("two");
