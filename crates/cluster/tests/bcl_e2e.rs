@@ -203,6 +203,8 @@ fn late_posted_normal_channel_is_retried_and_delivered() {
     let sim = cluster.sim.clone();
     let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
     let barrier = SimBarrier::new(&sim, 2);
+    let tx_mem = cluster.nodes[0].os.memory().clone();
+    let frames_before_send = Arc::new(Mutex::new(0));
 
     let ab = addr_b.clone();
     let b2 = barrier.clone();
@@ -215,21 +217,35 @@ fn late_posted_normal_channel_is_retried_and_delivered() {
         port.post_recv(ctx, 0, 512).unwrap();
         let ev = port.wait_recv(ctx);
         let data = port.recv_bytes(ctx, &ev).unwrap();
-        assert_eq!(data, pattern(512, 9));
+        assert_eq!(data, pattern(512, 9), "the retry must carry the payload");
     });
     let b3 = barrier.clone();
+    let (mem, before) = (tx_mem.clone(), frames_before_send.clone());
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
         let dst = addr_b.lock().unwrap();
+        *before.lock() = mem.allocated_frames();
+        // `send_bytes` frees its page at once; the `Ok` completion is
+        // posted long before the retries re-stage the payload from it.
         port.send_bytes(ctx, dst, ChannelId::normal(0), &pattern(512, 9))
             .unwrap();
+        assert_eq!(port.wait_send(ctx).status, SendStatus::Ok);
+        assert_eq!(
+            mem.allocated_frames(),
+            *before.lock() + 1,
+            "a refusable job keeps its page past the completion event"
+        );
     });
     assert_eq!(sim.run(), RunOutcome::Completed);
     assert!(
         sim.get_count("bcl.msg_retries") > 0,
         "expected message-level retries"
     );
+    // Delivered and acknowledged: the job is past refusal, so the NIC let
+    // go of the page the retries were reading and it was reclaimed.
+    assert_eq!(tx_mem.allocated_frames(), *frames_before_send.lock());
+    assert_eq!(sim.get_count("mem.dma_lifetime_violations"), 0);
 }
 
 #[test]

@@ -1,0 +1,169 @@
+//! Buffer lifetime end to end: frames die when the NIC lets go of them, a
+//! long run fits in a small node, and the DMA-lifetime checker counts a host
+//! write into a buffer the NIC is still reading (the bug class of the RPC
+//! response-scratch corruption) — once, with one flight-recorder dump.
+
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+
+use suca_bcl::{ChannelId, ProcAddr, SendStatus};
+use suca_cluster::{ClusterSpec, SimBarrier};
+use suca_mem::PhysMemory;
+use suca_sim::RunOutcome;
+
+const VIOLATIONS: &str = "mem.dma_lifetime_violations";
+
+/// `rma_write` from a scratch buffer, then overwrite the scratch — after the
+/// send completion (`wait_first`) or racing the NIC. Returns the violation
+/// count, whether the flight recorder dumped, and what landed in the window.
+fn overwrite_scratch_after_rma_write(wait_first: bool) -> (u64, bool, Vec<u8>) {
+    const LEN: u64 = 1024;
+    let cluster = ClusterSpec::dawning3000(2).build();
+    let sim = cluster.sim.clone();
+    let barrier = SimBarrier::new(&sim, 2);
+    let addr: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
+    let landed = Arc::new(Mutex::new(Vec::new()));
+    {
+        let (barrier, addr, landed) = (barrier.clone(), addr.clone(), landed.clone());
+        cluster.spawn_process(1, "window", move |ctx, env| {
+            let port = env.open_port(ctx);
+            let win = port.bind_open(ctx, 0, LEN).expect("bind");
+            *addr.lock() = Some(port.addr());
+            barrier.wait(ctx);
+            barrier.wait(ctx); // the writer is done
+            ctx.sleep(suca_sim::SimDuration::from_us(500));
+            *landed.lock() = port.read_buffer(win, LEN).expect("read window");
+        });
+    }
+    cluster.spawn_process(0, "writer", move |ctx, env| {
+        let port = env.open_port(ctx);
+        let scratch = port.alloc_buffer(LEN).expect("alloc");
+        port.write_buffer(scratch, &[0xAA; LEN as usize])
+            .expect("fill");
+        barrier.wait(ctx);
+        let dst = addr.lock().expect("window bound");
+        port.rma_write(ctx, dst, 0, 0, scratch, LEN).expect("write");
+        if wait_first {
+            assert_eq!(port.wait_send(ctx).status, SendStatus::Ok);
+        }
+        // The next response re-uses the scratch.
+        port.write_buffer(scratch, &[0x55; LEN as usize])
+            .expect("reuse");
+        barrier.wait(ctx);
+    });
+    assert_eq!(sim.run(), RunOutcome::Completed);
+    let landed = landed.lock().clone();
+    (
+        sim.get_count(VIOLATIONS),
+        sim.msg_trace().has_dumped(),
+        landed,
+    )
+}
+
+#[test]
+fn host_write_into_a_buffer_the_nic_still_reads_is_one_counted_violation() {
+    let (violations, dumped, _) = overwrite_scratch_after_rma_write(false);
+    assert_eq!(violations, 1, "exactly the one overwrite");
+    assert!(dumped, "the first violation dumps the flight recorder");
+}
+
+#[test]
+fn host_write_after_the_send_completion_is_clean() {
+    let (violations, dumped, landed) = overwrite_scratch_after_rma_write(true);
+    assert_eq!((violations, dumped), (0, false));
+    assert_eq!(landed, vec![0xAA; 1024], "the bytes sent, not the re-use");
+}
+
+/// `rounds` ping-pong round trips between nodes 0 and 1 in which *both*
+/// directions are `send_bytes` of a 64-byte payload: two fresh pages per
+/// round trip, each freed while the NIC still has to read it. Node 1 never
+/// polls its send queue. Returns the two nodes' allocated frames after round
+/// `sample_at` and after the last round (sampled at the same point of the
+/// loop), plus the cluster for its counters.
+fn send_bytes_ping_pong(
+    spec: ClusterSpec,
+    rounds: u32,
+    sample_at: u32,
+) -> ([u64; 2], suca_cluster::Cluster) {
+    let cluster = spec.build();
+    let sim = cluster.sim.clone();
+    let barrier = SimBarrier::new(&sim, 2);
+    let addr: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
+    let memories: Vec<PhysMemory> = cluster
+        .nodes
+        .iter()
+        .map(|n| n.os.memory().clone())
+        .collect();
+    let samples = Arc::new(Mutex::new([0u64; 2]));
+    {
+        let (barrier, addr) = (barrier.clone(), addr.clone());
+        cluster.spawn_process(1, "pong", move |ctx, env| {
+            let port = env.open_port(ctx);
+            *addr.lock() = Some(port.addr());
+            barrier.wait(ctx);
+            for _ in 0..rounds {
+                let ev = port.wait_recv(ctx);
+                let ping = port.recv_bytes(ctx, &ev).expect("ping");
+                port.send_bytes(ctx, ev.src, ChannelId::SYSTEM, &ping)
+                    .expect("pong");
+            }
+        });
+    }
+    {
+        let samples = samples.clone();
+        cluster.spawn_process(0, "ping", move |ctx, env| {
+            let port = env.open_port(ctx);
+            barrier.wait(ctx);
+            let dst = addr.lock().expect("pong opened first");
+            for round in 1..=rounds {
+                let ping = [round as u8; 64];
+                port.send_bytes(ctx, dst, ChannelId::SYSTEM, &ping)
+                    .expect("ping");
+                let ev = port.wait_recv(ctx);
+                assert_eq!(port.recv_bytes(ctx, &ev).expect("pong"), ping);
+                while port.poll_send(ctx).is_some() {}
+                let frames = || memories.iter().map(|m| m.allocated_frames()).sum();
+                if round == sample_at {
+                    samples.lock()[0] = frames();
+                } else if round == rounds {
+                    samples.lock()[1] = frames();
+                }
+            }
+        });
+    }
+    assert_eq!(sim.run(), RunOutcome::Completed, "ping-pong stuck");
+    let samples = *samples.lock();
+    (samples, cluster)
+}
+
+#[test]
+fn six_thousand_send_bytes_round_trips_fit_in_an_8_mib_node() {
+    // 8 MiB is 2,048 frames, 64 of them each port's pool: with a page per
+    // `send_bytes` never freed, this dies of `Mem(OutOfMemory)` after about
+    // 1.9 k round trips.
+    let mut spec = ClusterSpec::dawning3000(2).with_trace_sampling(0);
+    spec.mem_bytes = 8 << 20;
+    let ([early, late], cluster) = send_bytes_ping_pong(spec, 6_000, 100);
+    assert_eq!(early, late, "frames in use must not grow with the run");
+    assert_eq!(cluster.sim.get_count(VIOLATIONS), 0);
+    // Dead pages left the pin-down table with their frames.
+    let pinned: usize = cluster
+        .nodes
+        .iter()
+        .map(|n| n.bcl.kmod.pinned_pages())
+        .sum();
+    assert!(
+        pinned <= 2 * 64 + 2,
+        "pin table still counts {pinned} pages"
+    );
+}
+
+#[test]
+#[ignore = "1 M messages: run in release (CI does)"]
+fn a_million_messages_keep_a_flat_frame_count() {
+    let spec = ClusterSpec::dawning3000(2).with_trace_sampling(0);
+    let ([at_10k, at_1m], cluster) = send_bytes_ping_pong(spec, 500_000, 5_000);
+    assert_eq!(at_10k, at_1m, "frames at message 10 k vs message 1 M");
+    assert_eq!(cluster.sim.get_count(VIOLATIONS), 0);
+}

@@ -153,6 +153,18 @@ impl BclPort {
         Ok(self.proc.space.alloc(len.max(1))?)
     }
 
+    /// Free a buffer from [`BclPort::alloc_buffer`] (or one this port
+    /// allocated on the caller's behalf: `post_recv`, `bind_open`). The
+    /// pages fault from now on and leave the kernel's pin-down table. It is
+    /// safe the moment the buffer has been handed to a send: the NIC keeps
+    /// what it still has to read or write, and the frames are reclaimed
+    /// when it lets go. Uncharged, like allocation.
+    pub fn free_buffer(&self, addr: VirtAddr, len: u64) -> Result<(), BclError> {
+        let len = len.max(1);
+        self.node.kmod.unmap_notify(&self.proc, addr, len);
+        Ok(self.proc.space.free(addr, len)?)
+    }
+
     /// Fill a user buffer (models the application producing data; free).
     pub fn write_buffer(&self, addr: VirtAddr, data: &[u8]) -> Result<(), BclError> {
         Ok(self.proc.space.write(addr, data)?)
@@ -270,7 +282,9 @@ impl BclPort {
         ));
     }
 
-    /// Convenience: allocate a buffer, fill it with `data`, and send it.
+    /// Convenience: allocate a buffer, fill it with `data`, send it, and
+    /// free it — the NIC holds the pages until it has no more use for them,
+    /// whether or not the caller ever polls the completion.
     pub fn send_bytes(
         &self,
         ctx: &mut ActorCtx,
@@ -278,9 +292,13 @@ impl BclPort {
         channel: ChannelId,
         data: &[u8],
     ) -> Result<u32, BclError> {
-        let addr = self.alloc_buffer(data.len() as u64)?;
-        self.write_buffer(addr, data)?;
-        self.send(ctx, dst, channel, addr, data.len() as u64)
+        let len = data.len() as u64;
+        let addr = self.alloc_buffer(len)?;
+        let sent = self
+            .write_buffer(addr, data)
+            .and_then(|()| self.send(ctx, dst, channel, addr, len));
+        self.free_buffer(addr, len)?;
+        sent
     }
 
     fn send_intra(

@@ -9,7 +9,7 @@
 //! pays exactly one initiating trap and polls one completion event
 //! (`ChainPolicy::collective()` in `suca-obs`).
 
-use suca_mem::PhysAddr;
+use suca_mem::NicSegs;
 
 use crate::port::{PortId, ProcAddr};
 
@@ -88,11 +88,11 @@ pub struct CollSetup {
     /// This participant's schedule, executed in order.
     pub steps: Vec<CollStep>,
     /// Pinned segments of the local contribution.
-    pub payload: Vec<(PhysAddr, u64)>,
+    pub payload: NicSegs,
     /// Contribution length in bytes (0 for barrier).
     pub payload_len: u64,
     /// Pinned segments the final accumulator is DMA'd into.
-    pub result: Vec<(PhysAddr, u64)>,
+    pub result: NicSegs,
     /// Result length in bytes; must equal the accumulator's final length.
     pub result_len: u64,
     /// Kernel-assigned message id: stamped on every wire send of this

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use suca_mem::{PhysAddr, PinDownTable, PinLookup, VirtAddr, PAGE_SIZE};
+use suca_mem::{NicSegs, PinDownTable, PinLookup, VirtAddr, PAGE_SIZE};
 use suca_myrinet::FabricNodeId;
 use suca_os::{NodeOs, OsProcess, Pid};
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
@@ -188,14 +188,20 @@ impl BclKmod {
     }
 
     /// Translate + pin a user range; charges hit/miss costs to the actor
-    /// and returns the physical scatter/gather list.
+    /// and returns the physical scatter/gather list with a NIC reference
+    /// taken on every frame — the list is about to enter NIC state, and
+    /// from here on the frames outlive a `free` by their owner. `busy`:
+    /// the owner must not write the buffer before its completion event
+    /// (sends, one-sided reads, collectives); pool buffers, posted receive
+    /// buffers and bound windows are the owner's to write while held.
     fn pin_translate(
         &self,
         ctx: &mut ActorCtx,
         proc: &OsProcess,
         addr: VirtAddr,
         len: u64,
-    ) -> Result<Vec<(PhysAddr, u64)>, BclError> {
+        busy: bool,
+    ) -> Result<NicSegs, BclError> {
         let (hit_cost, miss_cost) = {
             let mut st = self.state.lock();
             let results = st.pin.pin_range(&proc.space, addr, len)?;
@@ -207,9 +213,8 @@ impl BclKmod {
             self.pin_misses.add(misses);
             // Drop the transient pin immediately: the entry stays cached
             // (evictable, LRU) so repeat sends hit — the whole point of the
-            // pin-down cache. Simulated memory never swaps, so releasing
-            // before DMA completion is safe here; real BCL holds the pin
-            // until the completion event.
+            // pin-down cache. The pin *table* count is not what keeps the
+            // frames alive under DMA; the NIC reference taken below is.
             st.pin.unpin_range(proc.space.asid(), addr, len);
             let (_, _, evictions) = st.pin.stats();
             self.pin_evictions.add(evictions - st.evictions_seen);
@@ -223,7 +228,17 @@ impl BclKmod {
         // One table search per request plus the per-page pin cost on misses.
         ctx.sleep(hit_cost + miss_cost);
         let segs = proc.space.sg_list(addr, len)?;
-        Ok(segs)
+        Ok(self.os.memory().nic_hold(segs, busy))
+    }
+
+    /// The process unmapped `[addr, addr + len)`: forget the pages' pin
+    /// entries, so `kmod.pinned_bytes` stops counting dead pages. Uncharged,
+    /// like allocation; frames the NIC still references live on until it
+    /// lets go (see `suca_mem::phys`).
+    pub(crate) fn unmap_notify(&self, proc: &OsProcess, addr: VirtAddr, len: u64) {
+        let mut st = self.state.lock();
+        st.pin.purge_range(proc.space.asid(), addr, len);
+        self.publish_pin_level(&mut st);
     }
 
     /// Charge the PIO cost of writing a send descriptor with `segments`
@@ -266,7 +281,7 @@ impl BclKmod {
         let mut bufs = Vec::with_capacity(pool_buffers.len());
         for &addr in pool_buffers {
             self.check_buffer(proc, addr, buf_bytes)?;
-            bufs.push(self.pin_translate(ctx, proc, addr, buf_bytes)?);
+            bufs.push(self.pin_translate(ctx, proc, addr, buf_bytes, false)?);
         }
         let port = {
             let mut st = self.state.lock();
@@ -326,7 +341,10 @@ impl BclKmod {
             return Err(self.reject(BclError::BadChannel(ChannelId::normal(chan))));
         }
         self.check_buffer(proc, addr, len)?;
-        let segs = self.pin_translate(ctx, proc, addr, len)?;
+        // Not busy: the intra-node path lands a message in the posted
+        // buffer by host copy while this posting stays armed on the NIC
+        // (the library replaces it at the next post).
+        let segs = self.pin_translate(ctx, proc, addr, len, false)?;
         let n_segs = segs.len() as u64;
         if !self.mcp.post_normal(port, chan, segs, replace) {
             return Err(BclError::ChannelBusy(ChannelId::normal(chan)));
@@ -355,7 +373,7 @@ impl BclKmod {
             return Err(self.reject(BclError::BadChannel(ChannelId::open(chan))));
         }
         self.check_buffer(proc, addr, len)?;
-        let segs = self.pin_translate(ctx, proc, addr, len)?;
+        let segs = self.pin_translate(ctx, proc, addr, len, false)?;
         let n_segs = segs.len() as u64;
         self.mcp.bind_open(port, chan, segs);
         self.charge_descriptor_pio(ctx, n_segs);
@@ -418,11 +436,11 @@ impl BclKmod {
             self.check_buffer(proc, addr, len)?;
         }
         let segs = if len > 0 {
-            self.pin_translate(ctx, proc, addr, len)?
+            self.pin_translate(ctx, proc, addr, len, true)?
         } else {
             // The table is consulted even for empty payloads.
             ctx.sleep(self.os.costs.pin_lookup_hit);
-            Vec::new()
+            NicSegs::default()
         };
         let pin_done = ctx.now();
         let msg_id = self.alloc_msg_id();
@@ -472,7 +490,7 @@ impl BclKmod {
             return Err(self.reject(BclError::BadChannel(ChannelId::open(chan))));
         }
         self.check_buffer(proc, addr, len)?;
-        let segs = self.pin_translate(ctx, proc, addr, len)?;
+        let segs = self.pin_translate(ctx, proc, addr, len, true)?;
         let pin_done = ctx.now();
         let msg_id = self.alloc_msg_id();
         self.charge_descriptor_pio(ctx, segs.len() as u64);
@@ -521,7 +539,7 @@ impl BclKmod {
             return Err(self.reject(BclError::BadChannel(ChannelId::open(chan))));
         }
         self.check_buffer(proc, into, len)?;
-        let segs = self.pin_translate(ctx, proc, into, len)?;
+        let segs = self.pin_translate(ctx, proc, into, len, true)?;
         let pin_done = ctx.now();
         let msg_id = self.alloc_msg_id();
         self.charge_descriptor_pio(ctx, 1);
@@ -600,15 +618,15 @@ impl BclKmod {
         }
         let payload_segs = if payload_len > 0 {
             self.check_buffer(proc, payload, payload_len)?;
-            self.pin_translate(ctx, proc, payload, payload_len)?
+            self.pin_translate(ctx, proc, payload, payload_len, true)?
         } else {
-            Vec::new()
+            NicSegs::default()
         };
         let result_segs = if result_len > 0 {
             self.check_buffer(proc, result, result_len)?;
-            self.pin_translate(ctx, proc, result, result_len)?
+            self.pin_translate(ctx, proc, result, result_len, true)?
         } else {
-            Vec::new()
+            NicSegs::default()
         };
         if payload_len == 0 && result_len == 0 {
             // Barrier: the table is still consulted once.

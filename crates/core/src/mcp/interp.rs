@@ -339,7 +339,7 @@ impl McpInner {
                 dst_port: dst.port,
                 channel: ChannelId::SYSTEM,
                 msg_id,
-                segments: Vec::new(),
+                segments: Default::default(),
                 total_len: 4 + data.len() as u64,
                 kind: JobKind::Coll {
                     coll_id,
@@ -408,9 +408,12 @@ impl McpInner {
             self.post_local_event(st, port, msg_id, SendStatus::Ok);
             return;
         }
-        self.dma_payload(trace, run.setup.result, 0, run.acc.into(), 0, move |me| {
+        // Both staging buffers ride the result DMA: busy until the event.
+        let payload = run.setup.payload;
+        self.dma_payload(trace, run.setup.result, run.acc.into(), 0, move |me| {
             let st = me.state.lock();
             me.post_local_event(&st, port, msg_id, SendStatus::Ok);
+            drop(payload);
         });
     }
 }
@@ -455,9 +458,9 @@ mod tests {
                 step(vec![addr(1), addr(2)], vec![]),
                 step(vec![], vec![addr(1), addr(2)]),
             ],
-            payload: Vec::new(),
+            payload: Default::default(),
             payload_len: 8,
-            result: Vec::new(),
+            result: Default::default(),
             result_len: 8,
             msg_id: 5,
         }

@@ -47,7 +47,7 @@ use std::sync::{Arc, Weak};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use suca_mem::{PhysAddr, PhysMemory};
+use suca_mem::{NicSegs, PhysAddr, PhysMemory};
 use suca_myrinet::{Fabric, FabricNodeId, PacketTrace, SramPool};
 use suca_os::NodeId;
 use suca_pci::DmaEngine;
@@ -58,16 +58,20 @@ use crate::coll::CollSetup;
 use crate::config::BclConfig;
 use crate::port::{PortId, RecvEvent, SendEvent, SendStatus};
 use crate::queues::{SystemPool, UserQueues};
-use crate::sg::write_sg;
+use crate::sg::{slice_sg, write_sg};
 use crate::wire::{WireHeader, WireKind, HEADER_BYTES};
 
 pub use send::{JobKind, SendJob};
 
+/// One registered port. Every buffer here is a [`NicSegs`], as is every
+/// buffer anywhere in [`McpState`]: the MCP never stores a segment list it
+/// does not hold a reference on, and whatever forgets a list (completion,
+/// port close, SRAM wipe, eviction) releases it by dropping it.
 struct NicPort {
     queues: Arc<UserQueues>,
     pool: Arc<SystemPool>,
-    normal: HashMap<u16, Vec<(PhysAddr, u64)>>,
-    open: HashMap<u16, Vec<(PhysAddr, u64)>>,
+    normal: HashMap<u16, NicSegs>,
+    open: HashMap<u16, NicSegs>,
 }
 
 /// All of NIC SRAM, behind the one firmware lock.
@@ -317,7 +321,8 @@ impl Mcp {
         assert!(prev.is_none(), "port {port:?} registered twice on NIC");
     }
 
-    /// Kernel module: tear down a port.
+    /// Kernel module: tear down a port. Its pool, posted buffers and bound
+    /// windows are released with it.
     pub fn unregister_port(&self, port: PortId) {
         self.inner.state.lock().ports.remove(&port.0);
     }
@@ -327,13 +332,7 @@ impl Mcp {
     /// and `replace` is not set. `replace` is used when the library knows
     /// the previous posting was consumed by the intra-node path (which
     /// bypasses the NIC entirely).
-    pub fn post_normal(
-        &self,
-        port: PortId,
-        idx: u16,
-        segs: Vec<(PhysAddr, u64)>,
-        replace: bool,
-    ) -> bool {
+    pub fn post_normal(&self, port: PortId, idx: u16, segs: NicSegs, replace: bool) -> bool {
         let mut st = self.inner.state.lock();
         let p = st
             .ports
@@ -347,7 +346,7 @@ impl Mcp {
     }
 
     /// Kernel module: bind a buffer to an open (RMA) channel.
-    pub fn bind_open(&self, port: PortId, idx: u16, segs: Vec<(PhysAddr, u64)>) {
+    pub fn bind_open(&self, port: PortId, idx: u16, segs: NicSegs) {
         let mut st = self.inner.state.lock();
         let p = st
             .ports
@@ -357,12 +356,13 @@ impl Mcp {
     }
 
     /// Kernel module: post a send descriptor (the doorbell side effect).
-    pub fn post_send(&self, job: SendJob) {
+    pub fn post_send(&self, mut job: SendJob) {
         {
             let mut st = self.inner.state.lock();
             if let JobKind::RmaReadReq { len, .. } = job.kind {
-                // The reply lands in this job's segments.
-                st.recv.expect_read(&job, len);
+                // The reply lands in this job's segments; the request
+                // packet itself has no use for them.
+                st.recv.expect_read(&mut job, len);
             }
             st.send.queue.push_back(job);
         }
@@ -571,14 +571,20 @@ impl McpInner {
 
     // ---------------- the two host-DMA writes ----------------
 
-    /// DMA `data` into `segs` at byte `off`, record the `dma:data` span,
-    /// then run `then` (no lock held) — every payload that reaches host
-    /// memory takes this path.
+    /// A payload DMA's own reference on the `len` bytes at `off` of a held
+    /// list: what the transfer in flight keeps, so that its target outlives
+    /// the state that named it (a wipe, a port close) by exactly the DMA.
+    fn dma_window(&self, segs: &[(PhysAddr, u64)], off: u64, len: u64) -> NicSegs {
+        self.mem.nic_hold(slice_sg(segs, off, len), false)
+    }
+
+    /// DMA `data` into `target` (see [`Self::dma_window`]), record the
+    /// `dma:data` span, then run `then` (no lock held) — every payload that
+    /// reaches host memory takes this path.
     fn dma_payload(
         self: &Arc<Self>,
         trace: TraceId,
-        segs: Vec<(PhysAddr, u64)>,
-        off: u64,
+        target: NicSegs,
         data: Bytes,
         seq: u32,
         then: impl FnOnce(&Arc<Self>) + Send + 'static,
@@ -587,7 +593,7 @@ impl McpInner {
         let t0 = self.sim.now();
         let me = self.clone();
         self.host_dma.submit(len, move |_| {
-            write_sg(&me.mem, &segs, off, &data).expect("payload DMA faulted");
+            write_sg(&me.mem, &target, 0, &data).expect("payload DMA faulted");
             let at = t0..me.sim.now();
             me.mt_span(trace, TraceLayer::Dma, stage::DMA_DATA, at, seq, len);
             then(&me);

@@ -227,6 +227,7 @@ impl McpInner {
     pub(super) fn on_ack(self: &Arc<Self>, src: FabricNodeId, epoch: u16, cum: u32) {
         {
             let mut st = self.state.lock();
+            let st = &mut *st;
             let peer = st.peers.entry(src.0).or_default();
             match peer.on_ack(epoch, cum) {
                 Ack::Ignored => return,
@@ -240,6 +241,8 @@ impl McpInner {
                     }
                     if in_flight {
                         self.arm_timer(peer, src);
+                    } else {
+                        st.send.settle(src);
                     }
                 }
             }

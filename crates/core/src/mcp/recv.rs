@@ -5,7 +5,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use suca_mem::PhysAddr;
+use suca_mem::NicSegs;
 use suca_myrinet::{FabricNodeId, Packet};
 use suca_os::NodeId;
 use suca_sim::mtrace::{stage, TraceId, TraceLayer};
@@ -24,14 +24,17 @@ pub(super) struct Incoming {
     src_port: PortId,
     total: u64,
     received: u64,
-    target: Vec<(PhysAddr, u64)>,
+    /// The posted buffer itself (busy until the receive completion), or a
+    /// second reference on the claimed pool buffer.
+    target: NicSegs,
     loc: RecvDataLoc,
 }
 
 /// A one-sided read this node requested and has not fully received.
 pub(super) struct PendingRead {
     port: PortId,
-    segments: Vec<(PhysAddr, u64)>,
+    /// The requester's landing buffer, busy until the read completes.
+    segments: NicSegs,
     total: u64,
     received: u64,
 }
@@ -49,11 +52,13 @@ pub(super) struct RecvState {
 }
 
 impl RecvState {
-    /// A read request is about to leave; its reply lands in `job.segments`.
-    pub(super) fn expect_read(&mut self, job: &SendJob, len: u64) {
+    /// A read request is about to leave; its reply lands in `job.segments`,
+    /// which move here — one holder, so the buffer is released exactly when
+    /// the read completes, is refused, or is wiped.
+    pub(super) fn expect_read(&mut self, job: &mut SendJob, len: u64) {
         let read = PendingRead {
             port: job.src_port,
-            segments: job.segments.clone(),
+            segments: std::mem::take(&mut job.segments),
             total: len,
             received: 0,
         };
@@ -225,7 +230,7 @@ impl McpInner {
             let (target, loc) = match header.channel.kind {
                 ChannelKind::System => match port.pool.claim() {
                     Some(idx) => (
-                        port.pool.segments(idx).to_vec(),
+                        port.pool.segments(idx).clone(),
                         RecvDataLoc::SystemBuffer(idx),
                     ),
                     None => {
@@ -275,10 +280,9 @@ impl McpInner {
             return;
         };
         // DMA the fragment into its place in the user buffer.
-        let segs = inc.target.clone();
         let len = payload.len() as u64;
-        let off = header.offset as u64;
-        self.dma_payload(trace, segs, off, payload, header.seq, move |me| {
+        let target = self.dma_window(&inc.target, header.offset as u64, len);
+        self.dma_payload(trace, target, payload, header.seq, move |me| {
             let mut st = me.state.lock();
             let Some(inc) = st.recv.frag_landed(key, len) else {
                 return;
@@ -316,7 +320,8 @@ impl McpInner {
             self.sim.add_count("bcl.rma_oob", 1);
             return;
         }
-        self.dma_payload(trace, segs.clone(), off, payload, header.seq, |_| {});
+        let target = self.dma_window(segs, off, payload.len() as u64);
+        self.dma_payload(trace, target, payload, header.seq, |_| {});
     }
 
     fn rma_read_request(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
@@ -336,7 +341,9 @@ impl McpInner {
         if offset + len > sg_total(segs) {
             return refuse("bcl.rma_oob");
         }
-        let segments = slice_sg(segs, offset, len);
+        // The reply job holds the slice of the window it reads on its own:
+        // the window may be re-bound or its port closed before it runs.
+        let segments = self.mem.nic_hold(slice_sg(segs, offset, len), false);
         st.send.queue.push_back(SendJob {
             src_port: header.dst_port,
             dst_fid: src,
@@ -364,10 +371,9 @@ impl McpInner {
             self.protocol_error(trace, "read-reply data with no pending read request");
             return;
         };
-        let segs = read.segments.clone();
         let len = payload.len() as u64;
-        let off = header.offset as u64;
-        self.dma_payload(trace, segs, off, payload, header.seq, move |me| {
+        let target = self.dma_window(&read.segments, header.offset as u64, len);
+        self.dma_payload(trace, target, payload, header.seq, move |me| {
             let mut st = me.state.lock();
             if let Some(read) = st.recv.read_landed(msg_id, len) {
                 me.post_local_event(&st, read.port, msg_id, SendStatus::Ok);

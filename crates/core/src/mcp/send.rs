@@ -7,13 +7,13 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use suca_mem::PhysAddr;
+use suca_mem::NicSegs;
 use suca_myrinet::{FabricNodeId, PacketTrace, SramLease, FRAMING_BYTES};
 use suca_sim::mtrace::{stage, TraceId, TraceLayer};
 use suca_sim::SimDuration;
 
 use super::{Completion, McpInner, McpState, TxDesc};
-use crate::port::{ChannelId, PortId, SendEvent, SendStatus};
+use crate::port::{ChannelId, ChannelKind, PortId, SendEvent, SendStatus};
 use crate::sg::read_sg;
 use crate::wire::{WireHeader, WireKind, HEADER_BYTES};
 
@@ -64,8 +64,9 @@ pub struct SendJob {
     pub channel: ChannelId,
     /// Message id (assigned by the kernel module, unique per node).
     pub msg_id: u32,
-    /// Physical segments of the payload in user memory.
-    pub segments: Vec<(PhysAddr, u64)>,
+    /// Physical segments of the payload in user memory, held (and busy
+    /// until the completion event) for as long as the job may read them.
+    pub segments: NicSegs,
     /// Payload length.
     pub total_len: u64,
     /// Operation.
@@ -74,6 +75,16 @@ pub struct SendJob {
     pub retries: u32,
     /// Whether to post a send-completion event when injected.
     pub notify_sender: bool,
+}
+
+impl SendJob {
+    /// Can the receiver still ask for this job again after it completed?
+    /// Only a message to a normal channel is refused retryably (no buffer
+    /// posted yet); the system channel discards silently, one-sided
+    /// operations are refused fatally or not at all.
+    fn refusable(&self) -> bool {
+        matches!(self.kind, JobKind::Message) && self.channel.kind == ChannelKind::Normal
+    }
 }
 
 struct ActiveSend {
@@ -105,9 +116,14 @@ pub(super) struct SendEngine {
     /// True while exactly one chain of `sender_step` events exists.
     busy: bool,
     /// Fully injected jobs a late `Reject` may still name, oldest first in
-    /// `completed_order`, bounded by [`COMPLETED_CAP`].
+    /// `completed_order`, bounded by [`COMPLETED_CAP`]. Their owners were
+    /// told they are done; only [`SendJob::refusable`] ones still hold
+    /// their segments (a retry re-stages from user memory), until evicted
+    /// or [`SendEngine::settle`]d.
     completed: HashMap<u32, SendJob>,
     completed_order: VecDeque<u32>,
+    /// Entries of `completed` still holding segments.
+    completed_holding: usize,
 }
 
 impl SendEngine {
@@ -140,14 +156,51 @@ impl SendEngine {
         self.active = Some(active);
     }
 
-    fn remember(&mut self, job: SendJob) {
+    /// The job was fully injected and its owner told: the buffer is the
+    /// owner's again (not busy), and unless the receiver may yet refuse the
+    /// job retryably, the NIC lets go of it altogether.
+    fn remember(&mut self, mut job: SendJob) {
+        if job.refusable() {
+            job.segments.end_busy();
+        } else {
+            job.segments = NicSegs::default();
+        }
+        // Ids can repeat (a read reply carries its requester's), and an
+        // insert replaces.
+        self.forget(job.msg_id);
+        self.completed_holding += usize::from(!job.segments.is_empty());
         self.completed_order.push_back(job.msg_id);
         self.completed.insert(job.msg_id, job);
         if self.completed_order.len() > COMPLETED_CAP {
             if let Some(old) = self.completed_order.pop_front() {
-                self.completed.remove(&old);
+                self.forget(old);
             }
         }
+    }
+
+    /// Drop `msg_id` from the completed-job map (not from the order queue).
+    fn forget(&mut self, msg_id: u32) -> Option<SendJob> {
+        let job = self.completed.remove(&msg_id)?;
+        self.completed_holding -= usize::from(!job.segments.is_empty());
+        Some(job)
+    }
+
+    /// Everything sent to `dst` so far is acknowledged. A receiver refuses
+    /// a message before it acknowledges the fragment that made it decide
+    /// (`on_data`: the `Reject` is queued ahead of the ack, on the same
+    /// rail), so no remembered job to `dst` can be refused any more: forget
+    /// the ones still holding their buffers.
+    pub(super) fn settle(&mut self, dst: FabricNodeId) {
+        if self.completed_holding == 0 {
+            return;
+        }
+        let past_refusal = |j: &&SendJob| j.dst_fid == dst && !j.segments.is_empty();
+        let jobs = self.completed.values().filter(past_refusal);
+        let done: Vec<u32> = jobs.map(|j| j.msg_id).collect();
+        for msg_id in &done {
+            self.forget(*msg_id);
+        }
+        self.completed_order.retain(|m| !done.contains(m));
     }
 
     /// Pull the job a `Reject` names out of wherever it is: active, queued,
@@ -159,14 +212,15 @@ impl SendEngine {
         if let Some(pos) = self.queue.iter().position(|j| j.msg_id == msg_id) {
             return self.queue.remove(pos);
         }
-        let job = self.completed.remove(&msg_id)?;
+        let job = self.forget(msg_id)?;
         self.completed_order.retain(|&m| m != msg_id);
         Some(job)
     }
 
     /// NIC reset: forget everything. Returns the in-progress and queued
-    /// sends, in order (their payload staging died with the SRAM). Bumping
-    /// the generation orphans in-flight staging DMA callbacks.
+    /// sends, in order (their payload staging died with the SRAM); the
+    /// completed-job memory and the buffers it held are simply dropped.
+    /// Bumping the generation orphans in-flight staging DMA callbacks.
     pub(super) fn wipe(&mut self) -> Vec<SendJob> {
         let old = std::mem::take(self);
         self.active_gen = old.active_gen + 1;
@@ -437,14 +491,14 @@ impl McpInner {
         a.staging = true;
         a.stage_next = off + len;
         let gen = a.gen;
-        let segs = a.job.segments.clone();
         let me = self.clone();
         self.host_dma.submit(len, move |_| {
-            let data = read_sg(&me.mem, &segs, off, len).expect("staging DMA faulted");
             let mut st = me.state.lock();
             let Some(a) = st.send.active.as_mut().filter(|a| a.gen == gen) else {
                 return; // send was aborted (rejected, wiped) while staging
             };
+            // Still the active send, so the job still holds what is read.
+            let data = read_sg(&me.mem, &a.job.segments, off, len).expect("staging DMA faulted");
             a.staging = false;
             a.staged.push_back((off, data, Some(lease)));
             me.stage_more(&mut st);
@@ -500,5 +554,74 @@ impl McpInner {
                 me.state.lock().send.queue.push_back(job);
                 me.kick_sender();
             });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use suca_mem::{PhysMemory, PAGE_SIZE};
+
+    const DST: FabricNodeId = FabricNodeId(1);
+
+    /// A fully injected one-page message whose owner already freed the
+    /// page: the job's reference is all that keeps the frame alive.
+    fn sent(mem: &PhysMemory, msg_id: u32, channel: ChannelId) -> SendJob {
+        let frame = mem.alloc_frame().expect("frame");
+        let segments = mem.nic_hold(vec![(frame.base(), PAGE_SIZE)], true);
+        mem.free_frame(frame).expect("free");
+        SendJob {
+            src_port: PortId(0),
+            dst_fid: DST,
+            dst_port: PortId(0),
+            channel,
+            msg_id,
+            segments,
+            total_len: PAGE_SIZE,
+            kind: JobKind::Message,
+            retries: 0,
+            notify_sender: true,
+        }
+    }
+
+    #[test]
+    fn a_completed_job_keeps_its_buffer_only_while_it_can_be_refused() {
+        let mem = PhysMemory::new(1 << 20);
+        let mut eng = SendEngine::default();
+        // The system channel never refuses retryably: released at once,
+        // though the job itself stays nameable by a late fatal `Reject`.
+        eng.remember(sent(&mem, 2, ChannelId::SYSTEM));
+        assert_eq!(mem.allocated_frames(), 0);
+        assert!(eng.take_job(2).is_some_and(|j| j.segments.is_empty()));
+        // A normal-channel message may be refused after its completion...
+        eng.remember(sent(&mem, 4, ChannelId::normal(0)));
+        eng.remember(sent(&mem, 6, ChannelId::normal(1)));
+        assert_eq!((mem.allocated_frames(), eng.completed_holding), (2, 2));
+        // ...and a refusal takes the job, buffer and all, for the retry.
+        let retry = eng.take_job(4).expect("remembered");
+        assert_eq!(retry.segments.len(), 1);
+        // An ack that drains another destination settles nothing here.
+        eng.settle(FabricNodeId(9));
+        assert_eq!(mem.allocated_frames(), 2);
+        // One that drains this destination puts job 6 past refusal.
+        eng.settle(DST);
+        assert_eq!((mem.allocated_frames(), eng.completed_holding), (1, 0));
+        assert!(eng.take_job(6).is_none() && eng.completed_order.is_empty());
+        drop(retry);
+        assert_eq!(mem.allocated_frames(), 0);
+        assert_eq!(mem.lifetime_violations(), 0);
+    }
+
+    #[test]
+    fn eviction_and_wipe_release_what_the_completed_memory_held() {
+        let mem = PhysMemory::new(4 << 20);
+        let mut eng = SendEngine::default();
+        for i in 0..COMPLETED_CAP as u32 + 10 {
+            eng.remember(sent(&mem, 2 * i, ChannelId::normal(0)));
+        }
+        assert_eq!(mem.allocated_frames(), COMPLETED_CAP as u64);
+        assert_eq!(eng.completed_holding, COMPLETED_CAP);
+        assert!(eng.wipe().is_empty(), "nothing was queued or active");
+        assert_eq!((mem.allocated_frames(), eng.completed_holding), (0, 0));
     }
 }

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 use parking_lot::Mutex;
 
-use suca_mem::PhysAddr;
+use suca_mem::NicSegs;
 use suca_sim::{ActorCtx, Gauge, Signal, Sim};
 
 use crate::port::{RecvEvent, SendEvent};
@@ -133,14 +133,15 @@ impl UserQueues {
 /// each arriving small message; the library returns it after consumption.
 pub struct SystemPool {
     buf_bytes: u64,
-    /// Physical segments of each buffer (pinned at port open).
-    bufs: Vec<Vec<(PhysAddr, u64)>>,
+    /// Physical segments of each buffer (pinned at port open, and held —
+    /// not busy: the owner reads them — until the pool is dropped).
+    bufs: Vec<NicSegs>,
     free: Mutex<VecDeque<u32>>,
 }
 
 impl SystemPool {
     /// Build from the pinned segment lists of the pool's buffers.
-    pub fn new(buf_bytes: u64, bufs: Vec<Vec<(PhysAddr, u64)>>) -> Self {
+    pub fn new(buf_bytes: u64, bufs: Vec<NicSegs>) -> Self {
         let free = (0..bufs.len() as u32).collect();
         SystemPool {
             buf_bytes,
@@ -179,7 +180,7 @@ impl SystemPool {
     }
 
     /// Physical segments of buffer `idx`.
-    pub fn segments(&self, idx: u32) -> &[(PhysAddr, u64)] {
+    pub fn segments(&self, idx: u32) -> &NicSegs {
         &self.bufs[idx as usize]
     }
 
@@ -254,8 +255,7 @@ mod tests {
 
     #[test]
     fn pool_fifo_claim_release() {
-        let bufs = vec![vec![(PhysAddr(0), 4096)], vec![(PhysAddr(4096), 4096)]];
-        let pool = SystemPool::new(4096, bufs);
+        let pool = SystemPool::new(4096, vec![NicSegs::default(), NicSegs::default()]);
         assert_eq!(pool.free_count(), 2);
         let a = pool.claim().unwrap();
         let b = pool.claim().unwrap();

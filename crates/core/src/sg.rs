@@ -4,6 +4,12 @@
 //! `(PhysAddr, len)` segments (one per page at most); the MCP's DMA engines
 //! then read/write those segments at arbitrary byte offsets — fragments
 //! rarely align with page boundaries.
+//!
+//! [`read_sg`] and [`write_sg`] are the only way NIC-side code touches host
+//! memory, and they go through `suca-mem`'s DMA accessors: they reach a
+//! buffer its owner already freed for as long as the NIC holds it
+//! ([`suca_mem::NicSegs`]), and touching anything the NIC does *not* hold
+//! is a counted lifetime violation.
 
 use suca_mem::{MemError, PhysAddr, PhysMemory};
 
@@ -41,7 +47,7 @@ pub fn slice_sg(segs: &[(PhysAddr, u64)], offset: u64, len: u64) -> Vec<(PhysAdd
     out
 }
 
-/// Read `len` bytes starting at logical `offset` of the segment list.
+/// DMA-read `len` bytes starting at logical `offset` of the segment list.
 pub fn read_sg(
     mem: &PhysMemory,
     segs: &[(PhysAddr, u64)],
@@ -51,13 +57,13 @@ pub fn read_sg(
     let mut out = vec![0u8; len as usize];
     let mut done = 0usize;
     for (addr, seg_len) in slice_sg(segs, offset, len) {
-        mem.read(addr, &mut out[done..done + seg_len as usize])?;
+        mem.dma_read(addr, &mut out[done..done + seg_len as usize])?;
         done += seg_len as usize;
     }
     Ok(out)
 }
 
-/// Write `data` starting at logical `offset` of the segment list.
+/// DMA-write `data` starting at logical `offset` of the segment list.
 pub fn write_sg(
     mem: &PhysMemory,
     segs: &[(PhysAddr, u64)],
@@ -66,7 +72,7 @@ pub fn write_sg(
 ) -> Result<(), MemError> {
     let mut done = 0usize;
     for (addr, seg_len) in slice_sg(segs, offset, data.len() as u64) {
-        mem.write(addr, &data[done..done + seg_len as usize])?;
+        mem.dma_write(addr, &data[done..done + seg_len as usize])?;
         done += seg_len as usize;
     }
     Ok(())
@@ -75,16 +81,16 @@ pub fn write_sg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use suca_mem::{AddressSpace, Asid, PAGE_SIZE};
+    use suca_mem::{AddressSpace, Asid, NicSegs, PAGE_SIZE};
 
-    fn setup(len: u64) -> (PhysMemory, Vec<(PhysAddr, u64)>) {
+    fn setup(len: u64) -> (PhysMemory, NicSegs) {
         let mem = PhysMemory::new(1 << 22);
         let space = AddressSpace::new(Asid(1), mem.clone());
         let base = space.alloc(len).unwrap();
         // Write a recognizable pattern through the virtual view.
         let pattern: Vec<u8> = (0..len).map(|i| (i % 241) as u8).collect();
         space.write(base, &pattern).unwrap();
-        let segs = space.sg_list(base, len).unwrap();
+        let segs = mem.nic_hold(space.sg_list(base, len).unwrap(), false);
         (mem, segs)
     }
 
@@ -105,6 +111,7 @@ mod tests {
         assert_eq!(read_sg(&mem, &segs, 100, 5).unwrap(), b"patch");
         // Neighbors untouched.
         assert_eq!(read_sg(&mem, &segs, 99, 1).unwrap(), vec![99u8]);
+        assert_eq!(mem.lifetime_violations(), 0, "the list is held");
     }
 
     #[test]

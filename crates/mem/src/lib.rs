@@ -17,7 +17,7 @@ pub mod shm;
 pub use addr::{pages_spanned, BusAddr, PhysAddr, PhysFrame, VirtAddr, VirtPage, PAGE_SIZE};
 pub use copy::CopyModel;
 pub use pagetable::{AddressSpace, Asid};
-pub use phys::PhysMemory;
+pub use phys::{NicSegs, PhysMemory};
 pub use pin::{PinDownTable, PinLookup};
 pub use shm::SharedRegion;
 

@@ -76,31 +76,13 @@ impl AddressSpace {
     /// Returns its base virtual address (page-aligned).
     pub fn alloc(&self, len: u64) -> Result<VirtAddr, MemError> {
         let pages = pages_spanned(VirtAddr(0), len.max(1));
-        let mut inner = self.inner.lock();
-        let base = VirtPage(inner.next_page);
-        // Reserve before faulting frames in, so a mid-way OOM cannot leave a
-        // half-visible region at a reused address.
-        inner.next_page += pages;
-        let mut mapped = Vec::with_capacity(pages as usize);
-        for i in 0..pages {
-            match self.mem.alloc_frame() {
-                Ok(f) => {
-                    inner.table.insert(VirtPage(base.0 + i), f);
-                    mapped.push((VirtPage(base.0 + i), f));
-                }
-                Err(e) => {
-                    for (vp, f) in mapped {
-                        inner.table.remove(&vp);
-                        let _ = self.mem.free_frame(f);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(base.base())
+        let frames = self.mem.alloc_frames(pages)?;
+        Ok(self.map_frames(&frames))
     }
 
     /// Unmap and free a region previously returned by [`AddressSpace::alloc`].
+    /// The pages fault from now on; frames the NIC still references are
+    /// reclaimed when it lets go (see [`crate::phys`]).
     pub fn free(&self, base: VirtAddr, len: u64) -> Result<(), MemError> {
         assert_eq!(base.page_offset(), 0, "free of non page-aligned region");
         let pages = pages_spanned(base, len.max(1));

@@ -1,27 +1,149 @@
 //! Simulated physical memory with real contents.
 //!
-//! Every node owns one [`PhysMemory`]: a sparse array of 4 KiB frames holding
-//! actual bytes. All data movement in the reproduction — PIO, host DMA,
-//! intra-node shared-memory copies — reads and writes these frames, so data
-//! integrity can be asserted end to end (through fragmentation, packet drops
-//! and retransmission).
+//! Every node owns one [`PhysMemory`]: a sparse array of 4 KiB frames whose
+//! bytes exist once something has been written to them (an unwritten frame
+//! reads as zeros and costs one small record, not a page). All data movement
+//! in the reproduction — PIO, host DMA, intra-node shared-memory copies —
+//! reads and writes these frames, so data integrity can be asserted end to
+//! end (through fragmentation, packet drops and retransmission).
+//!
+//! ## Frame lifetime
+//!
+//! One record per frame decides when it exists and when it dies, the way a
+//! kernel treats a page that is `munmap`ped while pinned for I/O:
+//!
+//! * **mapped** — set by allocation, cleared by [`PhysMemory::free_frame`].
+//!   Host access ([`PhysMemory::read`] / [`PhysMemory::write`]) to an
+//!   unmapped frame faults at once.
+//! * **NIC references** — one per scatter/gather list in NIC state that
+//!   names the frame, held through a [`NicSegs`] guard
+//!   ([`PhysMemory::nic_hold`]). A freed frame is *reclaimed* — record and
+//!   bytes dropped, its share of the capacity returned — only when the last
+//!   reference is gone, so a buffer may be freed the moment it has been
+//!   handed to the NIC.
+//! * **busy** — the references whose owner has not yet been told (by a
+//!   completion event) that the buffer is its own again.
+//!
+//! The same record is the DMA-lifetime checker. Two things are violations,
+//! counted (`mem.dma_lifetime_violations`, plus one flight-recorder dump per
+//! run) rather than panicking: a **host write to a busy frame** — the NIC
+//! may still be reading it — and a **DMA** ([`PhysMemory::dma_read`] /
+//! [`PhysMemory::dma_write`]) **to a frame the NIC holds no reference on**.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{Deref, RangeInclusive};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use suca_sim::{Counter, MsgTracer, Sim};
 
 use crate::addr::{PhysAddr, PhysFrame, PAGE_SIZE};
 use crate::MemError;
 
+const HOST_WRITE_TO_BUSY: &str = "mem: host write to a frame with DMA in flight";
+const DMA_UNREFERENCED: &str = "mem: DMA to a frame the NIC holds no reference on";
+
+/// Hasher of the frame table. Its keys are frame numbers this allocator
+/// handed out consecutively — never values from outside the program — so it
+/// needs no defence against crafted collisions, and every simulated memory
+/// access pays for it: one multiplication spreads consecutive numbers over
+/// the buckets.
+#[derive(Default)]
+struct FrameHasher(u64);
+
+impl Hasher for FrameHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("frame numbers hash through write_u64");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+struct Frame {
+    /// Contents; `None` until the first write (reads as zeros).
+    data: Option<Box<[u8]>>,
+    /// Cleared by `free_frame`; an unmapped frame lives on only while
+    /// `nic_refs > 0`.
+    mapped: bool,
+    /// Scatter/gather lists in NIC state naming this frame.
+    nic_refs: u32,
+    /// Of those, the ones whose owner still awaits its completion event.
+    nic_busy: u32,
+}
+
+/// Who is touching memory; decides which lifetime rule applies.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Accessor {
+    Host,
+    Nic,
+}
+
 struct PhysInner {
-    frames: HashMap<u64, Box<[u8]>>,
+    frames: HashMap<u64, Frame, BuildHasherDefault<FrameHasher>>,
     /// Next frame number to hand out. Frames are never reused after free in
     /// this model; a u64 namespace cannot realistically be exhausted and
     /// non-reuse catches use-after-free bugs deterministically.
     next_frame: u64,
     total_frames: u64,
+    /// Frames not yet reclaimed: mapped, or freed but still NIC-referenced.
     allocated: u64,
+    violations: u64,
+    /// Where violations are published once a simulation watches this memory.
+    reporter: Option<(Counter, MsgTracer)>,
+}
+
+impl PhysInner {
+    /// The record of a frame `who` is about to touch, after applying its
+    /// lifetime rule: a fault is an error, a violation is noted and allowed.
+    fn access(
+        &mut self,
+        frame: PhysFrame,
+        who: Accessor,
+        write: bool,
+        violation: &mut Option<&'static str>,
+    ) -> Result<&mut Frame, MemError> {
+        let f = self
+            .frames
+            .get_mut(&frame.0)
+            .ok_or(MemError::BadFrame(frame))?;
+        match who {
+            Accessor::Host if !f.mapped => return Err(MemError::BadFrame(frame)),
+            Accessor::Host if write && f.nic_busy > 0 => *violation = Some(HOST_WRITE_TO_BUSY),
+            Accessor::Nic if f.nic_refs == 0 => *violation = Some(DMA_UNREFERENCED),
+            _ => {}
+        }
+        Ok(f)
+    }
+
+    /// Apply `f` to the record of every frame `segs` touches (frames that
+    /// no longer exist are skipped), then reclaim the ones nothing holds.
+    fn for_each_seg_frame(&mut self, segs: &[(PhysAddr, u64)], mut f: impl FnMut(&mut Frame)) {
+        for &(addr, len) in segs.iter().filter(|s| s.1 > 0) {
+            for n in frames_of(addr, len) {
+                let Some(frame) = self.frames.get_mut(&n) else {
+                    continue;
+                };
+                f(frame);
+                if !frame.mapped && frame.nic_refs == 0 {
+                    self.frames.remove(&n);
+                    self.allocated -= 1;
+                }
+            }
+        }
+    }
+}
+
+/// Frame numbers touched by the `len > 0` bytes at `addr`.
+fn frames_of(addr: PhysAddr, len: u64) -> RangeInclusive<u64> {
+    addr.frame().0..=addr.add(len - 1).frame().0
 }
 
 /// Handle to one node's physical memory. Clones share storage.
@@ -36,38 +158,74 @@ impl PhysMemory {
     pub fn new(total_bytes: u64) -> Self {
         PhysMemory {
             inner: Arc::new(Mutex::new(PhysInner {
-                frames: HashMap::new(),
+                frames: HashMap::default(),
                 next_frame: 1, // frame 0 reserved: catches null-frame bugs
                 total_frames: total_bytes / PAGE_SIZE,
                 allocated: 0,
+                violations: 0,
+                reporter: None,
             })),
         }
     }
 
-    /// Allocate one zeroed frame.
-    pub fn alloc_frame(&self) -> Result<PhysFrame, MemError> {
-        let mut inner = self.inner.lock();
-        if inner.allocated >= inner.total_frames {
-            return Err(MemError::OutOfMemory);
-        }
-        let n = inner.next_frame;
-        inner.next_frame += 1;
-        inner.allocated += 1;
-        inner.frames.insert(n, vec![0u8; PAGE_SIZE as usize].into());
-        Ok(PhysFrame(n))
+    /// Publish this memory's lifetime violations in `sim`: each one bumps
+    /// the `mem.dma_lifetime_violations` counter and the first of the run
+    /// dumps the flight recorder. The node's OS calls this at boot.
+    pub fn watch(&self, sim: &Sim) {
+        let counter = sim.metrics().counter("mem.dma_lifetime_violations");
+        self.inner.lock().reporter = Some((counter, sim.msg_trace().clone()));
     }
 
-    /// Free a frame. Accessing it afterwards is an [`MemError::BadFrame`].
+    /// Lifetime violations seen so far (see the module docs for the two
+    /// kinds).
+    pub fn lifetime_violations(&self) -> u64 {
+        self.inner.lock().violations
+    }
+
+    /// Allocate one frame (zero-filled, as every fresh frame reads).
+    pub fn alloc_frame(&self) -> Result<PhysFrame, MemError> {
+        Ok(self.alloc_frames(1)?[0])
+    }
+
+    /// Allocate `n` consecutively numbered frames, all or none. A fresh
+    /// frame reads as zeros and holds no bytes until first written.
+    pub fn alloc_frames(&self, n: u64) -> Result<Vec<PhysFrame>, MemError> {
+        let mut inner = self.inner.lock();
+        if inner.allocated + n > inner.total_frames {
+            return Err(MemError::OutOfMemory);
+        }
+        let first = inner.next_frame;
+        inner.next_frame += n;
+        inner.allocated += n;
+        let fresh = || Frame {
+            data: None,
+            mapped: true,
+            nic_refs: 0,
+            nic_busy: 0,
+        };
+        inner
+            .frames
+            .extend((first..first + n).map(|f| (f, fresh())));
+        Ok((first..first + n).map(PhysFrame).collect())
+    }
+
+    /// Free a frame. Host access afterwards is a [`MemError::BadFrame`];
+    /// the frame is reclaimed now, or — while the NIC still references it —
+    /// when the last [`NicSegs`] naming it is dropped.
     pub fn free_frame(&self, f: PhysFrame) -> Result<(), MemError> {
         let mut inner = self.inner.lock();
-        if inner.frames.remove(&f.0).is_none() {
-            return Err(MemError::BadFrame(f));
+        let frame = inner.frames.get_mut(&f.0).filter(|fr| fr.mapped);
+        let frame = frame.ok_or(MemError::BadFrame(f))?;
+        frame.mapped = false;
+        if frame.nic_refs == 0 {
+            inner.frames.remove(&f.0);
+            inner.allocated -= 1;
         }
-        inner.allocated -= 1;
         Ok(())
     }
 
-    /// Frames currently allocated.
+    /// Frames currently allocated: mapped, or freed but not yet let go of
+    /// by the NIC. This is what counts against the capacity.
     pub fn allocated_frames(&self) -> u64 {
         self.inner.lock().allocated
     }
@@ -77,45 +235,177 @@ impl PhysMemory {
         self.inner.lock().total_frames
     }
 
-    /// Read `buf.len()` bytes starting at `addr`, possibly crossing frame
-    /// boundaries. Fails if any touched frame is unallocated.
-    pub fn read(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
-        let inner = self.inner.lock();
-        let mut pos = addr;
-        let mut done = 0usize;
-        while done < buf.len() {
-            let frame = pos.frame();
-            let off = pos.frame_offset() as usize;
-            let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
-            let data = inner
-                .frames
-                .get(&frame.0)
-                .ok_or(MemError::BadFrame(frame))?;
-            buf[done..done + chunk].copy_from_slice(&data[off..off + chunk]);
-            done += chunk;
-            pos = pos.add(chunk as u64);
+    /// Take a NIC reference on every frame of `segs` — the kernel module
+    /// does this where a translated buffer enters NIC state. `busy` marks
+    /// the frames as in flight until [`NicSegs::end_busy`]: set it for
+    /// buffers whose owner will get a completion event, not for windows and
+    /// pools the owner may write while the NIC holds them.
+    pub fn nic_hold(&self, segs: Vec<(PhysAddr, u64)>, busy: bool) -> NicSegs {
+        self.inner.lock().for_each_seg_frame(&segs, |f| {
+            f.nic_refs += 1;
+            f.nic_busy += u32::from(busy);
+        });
+        NicSegs {
+            mem: Some(self.clone()),
+            segs,
+            busy,
         }
-        Ok(())
     }
 
-    /// Write `buf` starting at `addr`, possibly crossing frame boundaries.
+    /// Host read of `buf.len()` bytes starting at `addr`, possibly crossing
+    /// frame boundaries. Fails if any touched frame is unallocated or freed.
+    pub fn read(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
+        self.read_as(Accessor::Host, addr, buf)
+    }
+
+    /// Host write of `buf` starting at `addr`, possibly crossing frame
+    /// boundaries. Writing a busy frame is a counted lifetime violation.
     pub fn write(&self, addr: PhysAddr, buf: &[u8]) -> Result<(), MemError> {
+        self.write_as(Accessor::Host, addr, buf)
+    }
+
+    /// NIC (DMA) read. Reaches freed frames the NIC still references;
+    /// touching a frame it holds no reference on is a counted violation.
+    pub fn dma_read(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
+        self.read_as(Accessor::Nic, addr, buf)
+    }
+
+    /// NIC (DMA) write; the counterpart of [`PhysMemory::dma_read`].
+    pub fn dma_write(&self, addr: PhysAddr, buf: &[u8]) -> Result<(), MemError> {
+        self.write_as(Accessor::Nic, addr, buf)
+    }
+
+    fn read_as(&self, who: Accessor, addr: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
+        let mut violation = None;
         let mut inner = self.inner.lock();
         let mut pos = addr;
         let mut done = 0usize;
         while done < buf.len() {
-            let frame = pos.frame();
             let off = pos.frame_offset() as usize;
             let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
-            let data = inner
-                .frames
-                .get_mut(&frame.0)
-                .ok_or(MemError::BadFrame(frame))?;
+            let out = &mut buf[done..done + chunk];
+            match &inner.access(pos.frame(), who, false, &mut violation)?.data {
+                Some(data) => out.copy_from_slice(&data[off..off + chunk]),
+                None => out.fill(0),
+            }
+            done += chunk;
+            pos = pos.add(chunk as u64);
+        }
+        Self::report(inner, violation);
+        Ok(())
+    }
+
+    fn write_as(&self, who: Accessor, addr: PhysAddr, buf: &[u8]) -> Result<(), MemError> {
+        let mut violation = None;
+        let mut inner = self.inner.lock();
+        let mut pos = addr;
+        let mut done = 0usize;
+        while done < buf.len() {
+            let off = pos.frame_offset() as usize;
+            let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
+            let frame = inner.access(pos.frame(), who, true, &mut violation)?;
+            let data = frame
+                .data
+                .get_or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into());
             data[off..off + chunk].copy_from_slice(&buf[done..done + chunk]);
             done += chunk;
             pos = pos.add(chunk as u64);
         }
+        Self::report(inner, violation);
         Ok(())
+    }
+
+    /// Count one access's violation (if any) and publish it, outside the
+    /// lock.
+    fn report(mut inner: parking_lot::MutexGuard<'_, PhysInner>, violation: Option<&'static str>) {
+        let Some(reason) = violation else {
+            return;
+        };
+        inner.violations += 1;
+        let reporter = inner.reporter.clone();
+        drop(inner);
+        if let Some((counter, recorder)) = reporter {
+            counter.inc();
+            recorder.dump_once(reason);
+        }
+    }
+}
+
+/// A physical scatter/gather list whose frames the NIC holds a reference
+/// on, from [`PhysMemory::nic_hold`]. NIC-side state stores buffers only in
+/// this form, so a list cannot outlive its references nor its references
+/// the list: dropping it (completion, port close, SRAM wipe, eviction) is
+/// the release, and the last release reclaims frames their owner already
+/// freed. A clone is a second, never-busy reference — what an in-flight DMA
+/// keeps while the state that started it may be wiped underneath.
+///
+/// Dereferences to the `(address, length)` segments.
+pub struct NicSegs {
+    /// `None` only for the empty list, which holds nothing.
+    mem: Option<PhysMemory>,
+    segs: Vec<(PhysAddr, u64)>,
+    busy: bool,
+}
+
+impl NicSegs {
+    /// The owner has been told (completion event) that the buffer is its
+    /// own again: host writes stop being violations. The reference stays
+    /// until drop. Idempotent.
+    pub fn end_busy(&mut self) {
+        if let Some(mem) = self.mem.as_ref().filter(|_| self.busy) {
+            let mut inner = mem.inner.lock();
+            inner.for_each_seg_frame(&self.segs, |f| f.nic_busy = f.nic_busy.saturating_sub(1));
+        }
+        self.busy = false;
+    }
+}
+
+impl Default for NicSegs {
+    /// The empty list (zero-length payloads, NIC-generated packets).
+    fn default() -> Self {
+        NicSegs {
+            mem: None,
+            segs: Vec::new(),
+            busy: false,
+        }
+    }
+}
+
+impl Clone for NicSegs {
+    fn clone(&self) -> Self {
+        match &self.mem {
+            Some(mem) => mem.nic_hold(self.segs.clone(), false),
+            None => NicSegs::default(),
+        }
+    }
+}
+
+impl Drop for NicSegs {
+    fn drop(&mut self) {
+        if let Some(mem) = &self.mem {
+            let busy = u32::from(self.busy);
+            mem.inner.lock().for_each_seg_frame(&self.segs, |f| {
+                f.nic_busy = f.nic_busy.saturating_sub(busy);
+                f.nic_refs = f.nic_refs.saturating_sub(1);
+            });
+        }
+    }
+}
+
+impl Deref for NicSegs {
+    type Target = [(PhysAddr, u64)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.segs
+    }
+}
+
+impl fmt::Debug for NicSegs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NicSegs")
+            .field("segs", &self.segs)
+            .field("busy", &self.busy)
+            .finish()
     }
 }
 
@@ -177,5 +467,126 @@ mod tests {
         // Freed frames are not recycled, so a fresh alloc gets a new number.
         let g = m.alloc_frame().unwrap();
         assert_ne!(g, f);
+    }
+
+    fn materialised(m: &PhysMemory) -> usize {
+        let inner = m.inner.lock();
+        inner.frames.values().filter(|f| f.data.is_some()).count()
+    }
+
+    #[test]
+    fn unwritten_frame_reads_zeros_and_holds_no_box() {
+        let m = PhysMemory::new(1 << 20);
+        let frames = m.alloc_frames(3).unwrap();
+        assert_eq!(m.allocated_frames(), 3);
+        let mut out = vec![0xFFu8; 2 * PAGE_SIZE as usize];
+        m.read(frames[0].base().add(7), &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 0));
+        assert_eq!(materialised(&m), 0, "a read must not materialise");
+    }
+
+    #[test]
+    fn partial_write_materialises_exactly_one_frame() {
+        let m = PhysMemory::new(1 << 20);
+        let frames = m.alloc_frames(3).unwrap();
+        m.write(frames[1].base().add(10), b"x").unwrap();
+        assert_eq!(materialised(&m), 1);
+        let mut out = [0xFFu8; 12];
+        m.read(frames[1].base(), &mut out).unwrap();
+        assert_eq!(
+            &out, b"\0\0\0\0\0\0\0\0\0\0x\0",
+            "rest of the frame is zero"
+        );
+    }
+
+    #[test]
+    fn alloc_frames_is_all_or_nothing() {
+        let m = PhysMemory::new(PAGE_SIZE * 2);
+        assert!(matches!(m.alloc_frames(3), Err(MemError::OutOfMemory)));
+        assert_eq!(m.allocated_frames(), 0);
+        assert_eq!(m.alloc_frames(2).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn referenced_frame_unmaps_at_free_and_reclaims_at_last_release() {
+        let m = PhysMemory::new(PAGE_SIZE * 2);
+        let f = m.alloc_frame().unwrap();
+        m.write(f.base(), b"in flight").unwrap();
+        let held = m.nic_hold(vec![(f.base(), 9)], true);
+        let dma_copy = held.clone();
+        m.free_frame(f).unwrap();
+        // Unmapped at once: the host faults, a second free is an error...
+        let mut out = [0u8; 9];
+        assert!(matches!(
+            m.read(f.base(), &mut out),
+            Err(MemError::BadFrame(_))
+        ));
+        assert!(matches!(m.free_frame(f), Err(MemError::BadFrame(_))));
+        // ...but the NIC still reads what it was given, and the frame still
+        // counts against the capacity.
+        m.dma_read(f.base(), &mut out).unwrap();
+        assert_eq!(&out, b"in flight");
+        assert_eq!(m.allocated_frames(), 1);
+        m.alloc_frame().unwrap();
+        assert!(matches!(m.alloc_frame(), Err(MemError::OutOfMemory)));
+        drop(held);
+        assert_eq!(m.allocated_frames(), 2, "a clone is a reference too");
+        drop(dma_copy);
+        assert_eq!(m.allocated_frames(), 1, "reclaimed at the last release");
+        assert!(matches!(
+            m.dma_read(f.base(), &mut out),
+            Err(MemError::BadFrame(_))
+        ));
+        assert_eq!(m.lifetime_violations(), 0);
+    }
+
+    #[test]
+    fn host_write_to_a_busy_frame_is_a_violation_until_the_owner_is_told() {
+        let m = PhysMemory::new(1 << 20);
+        let f = m.alloc_frame().unwrap();
+        let mut held = m.nic_hold(vec![(f.base(), 64)], true);
+        let mut out = [0u8; 1];
+        m.read(f.base(), &mut out).unwrap();
+        assert_eq!(m.lifetime_violations(), 0, "host reads are always fine");
+        m.write(f.base(), b"scribble").unwrap();
+        assert_eq!(m.lifetime_violations(), 1);
+        held.end_busy();
+        held.end_busy(); // idempotent
+        m.write(f.base(), b"mine again").unwrap();
+        assert_eq!(m.lifetime_violations(), 1);
+        // Referenced-not-busy (pool buffers, bound windows) may be written.
+        let window = m.nic_hold(vec![(f.base(), 64)], false);
+        m.write(f.base(), b"by design").unwrap();
+        assert_eq!(m.lifetime_violations(), 1);
+        drop((held, window));
+        assert_eq!(m.allocated_frames(), 1, "still mapped, so not reclaimed");
+    }
+
+    #[test]
+    fn dma_to_an_unreferenced_frame_is_a_violation() {
+        let m = PhysMemory::new(1 << 20);
+        let f = m.alloc_frame().unwrap();
+        m.dma_write(f.base(), b"stray").unwrap();
+        assert_eq!(m.lifetime_violations(), 1);
+        let mut out = [0u8; 5];
+        m.dma_read(f.base(), &mut out).unwrap();
+        assert_eq!(m.lifetime_violations(), 2);
+        assert_eq!(&out, b"stray", "counted, not refused");
+        let _held = m.nic_hold(vec![(f.base(), 5)], false);
+        m.dma_write(f.base(), b"legit").unwrap();
+        assert_eq!(m.lifetime_violations(), 2);
+    }
+
+    #[test]
+    fn a_watched_memory_publishes_violations_and_dumps_once() {
+        let sim = Sim::new(1);
+        let m = PhysMemory::new(1 << 20);
+        m.watch(&sim);
+        let f = m.alloc_frame().unwrap();
+        assert!(!sim.msg_trace().has_dumped());
+        m.dma_write(f.base(), b"a").unwrap();
+        m.dma_write(f.base(), b"b").unwrap();
+        assert_eq!(sim.get_count("mem.dma_lifetime_violations"), 2);
+        assert!(sim.msg_trace().has_dumped());
     }
 }

@@ -163,6 +163,16 @@ impl PinDownTable {
         }
     }
 
+    /// Remove the entries of every page of a byte range the process
+    /// unmapped: a dead page can never hit again (virtual pages are not
+    /// re-used), so keeping it would only count it as pinned.
+    pub fn purge_range(&mut self, asid: Asid, addr: VirtAddr, len: u64) {
+        let pages = crate::addr::pages_spanned(addr, len.max(1));
+        for i in 0..pages {
+            self.entries.remove(&(asid, VirtPage(addr.page().0 + i)));
+        }
+    }
+
     /// Remove all entries belonging to a process (port close / exit).
     pub fn purge_asid(&mut self, asid: Asid) {
         self.entries.retain(|(a, _), _| *a != asid);
@@ -244,6 +254,17 @@ mod tests {
         assert!(t.pin_range(&s, b, PAGE_SIZE).is_ok());
         let (_, _, ev) = t.stats();
         assert_eq!(ev, 1);
+    }
+
+    #[test]
+    fn purge_range_forgets_exactly_the_unmapped_pages() {
+        let (s, mut t) = setup();
+        let base = s.alloc(PAGE_SIZE * 3).unwrap();
+        t.pin_range(&s, base, PAGE_SIZE * 3).unwrap();
+        t.purge_range(s.asid(), base.add(PAGE_SIZE), PAGE_SIZE * 2);
+        assert_eq!(t.len(), 1);
+        let again = t.pin_range(&s, base, 1).unwrap();
+        assert_eq!(again[0].1, PinLookup::Hit, "the other page stays cached");
     }
 
     #[test]

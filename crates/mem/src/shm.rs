@@ -38,19 +38,7 @@ pub struct SharedRegion {
 impl SharedRegion {
     /// Allocate a zeroed shared segment of at least `len` bytes.
     pub fn alloc(mem: &PhysMemory, len: u64) -> Result<Self, MemError> {
-        let pages = len.max(1).div_ceil(PAGE_SIZE);
-        let mut frames = Vec::with_capacity(pages as usize);
-        for _ in 0..pages {
-            match mem.alloc_frame() {
-                Ok(f) => frames.push(f),
-                Err(e) => {
-                    for f in frames {
-                        let _ = mem.free_frame(f);
-                    }
-                    return Err(e);
-                }
-            }
-        }
+        let frames = mem.alloc_frames(len.max(1).div_ceil(PAGE_SIZE))?;
         Ok(SharedRegion {
             inner: Arc::new(RegionInner {
                 mem: mem.clone(),

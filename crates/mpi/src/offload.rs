@@ -120,56 +120,72 @@ impl Comm {
         let result_len = (result_lanes * 8) as u64;
         let payload_buf = self.launch_step(
             ctx,
-            port.alloc_buffer(bytes.max(1)),
+            port.alloc_buffer(bytes),
             "mpi: no buffer for a collective payload",
         )?;
-        if bytes > 0 {
-            self.launch_step(
-                ctx,
-                port.write_buffer(payload_buf, &f64s_to_bytes(payload)),
-                "mpi: collective payload could not be staged",
-            )?;
-        }
         let result_buf = self.launch_step(
             ctx,
-            port.alloc_buffer(result_len.max(1)),
+            port.alloc_buffer(result_len),
             "mpi: no buffer for a collective result",
-        )?;
-        let launched = port.collective(
-            ctx,
-            coll_id,
-            op,
-            steps,
-            payload_buf,
-            bytes,
-            result_buf,
-            result_len,
         );
-        let msg_id = self.launch_step(
-            ctx,
-            launched,
-            "mpi: collective descriptor rejected by the kernel",
-        )?;
-        match self.eadi.wait_external(ctx, msg_id) {
-            SendStatus::Ok => {}
-            SendStatus::Rejected => {
-                self.offload_error(
+        // Stage the contribution, hand the NIC the descriptor, wait for the
+        // completion, read the result back.
+        let run = |ctx: &mut ActorCtx, result_buf| {
+            if bytes > 0 {
+                self.launch_step(
                     ctx,
-                    "mpi.coll_nic_rejected",
-                    "mpi: NIC rejected a collective run",
-                );
-                return None;
+                    port.write_buffer(payload_buf, &f64s_to_bytes(payload)),
+                    "mpi: collective payload could not be staged",
+                )?;
             }
-        }
-        ctx.sleep(self.cfg.recv_overhead);
-        if result_lanes == 0 {
-            return Some(Vec::new());
-        }
-        let raw = self.launch_step(
-            ctx,
-            port.read_buffer(result_buf, result_len),
-            "mpi: collective result could not be read back",
-        )?;
-        Some(bytes_to_f64s(&raw))
+            let launched = port.collective(
+                ctx,
+                coll_id,
+                op,
+                steps,
+                payload_buf,
+                bytes,
+                result_buf,
+                result_len,
+            );
+            let msg_id = self.launch_step(
+                ctx,
+                launched,
+                "mpi: collective descriptor rejected by the kernel",
+            )?;
+            match self.eadi.wait_external(ctx, msg_id) {
+                SendStatus::Ok => {}
+                SendStatus::Rejected => {
+                    self.offload_error(
+                        ctx,
+                        "mpi.coll_nic_rejected",
+                        "mpi: NIC rejected a collective run",
+                    );
+                    return None;
+                }
+            }
+            ctx.sleep(self.cfg.recv_overhead);
+            if result_lanes == 0 {
+                return Some(Vec::new());
+            }
+            let raw = self.launch_step(
+                ctx,
+                port.read_buffer(result_buf, result_len),
+                "mpi: collective result could not be read back",
+            )?;
+            Some(bytes_to_f64s(&raw))
+        };
+        // Whatever becomes of the run, the staging buffers are done with
+        // after it: the NIC keeps the pages it may still touch until it
+        // lets go of them.
+        let result = result_buf.and_then(|result_buf| {
+            let result = run(ctx, result_buf);
+            let freed = port.free_buffer(result_buf, result_len);
+            self.launch_step(ctx, freed, "mpi: collective result buffer not freed");
+            result
+        });
+        let freed = port.free_buffer(payload_buf, bytes);
+        self.launch_step(ctx, freed, "mpi: collective payload buffer not freed");
+        result
     }
 }

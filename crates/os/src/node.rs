@@ -69,6 +69,7 @@ impl NodeOs {
         costs: OsCostModel,
     ) -> Arc<NodeOs> {
         let metrics = sim.metrics();
+        mem.watch(sim);
         Arc::new(NodeOs {
             sim: sim.clone(),
             node_id,

@@ -390,10 +390,12 @@ proptest! {
         let base = space.alloc(len).expect("alloc");
         let pattern: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
         space.write(base, &pattern).expect("fill");
-        let segs = space.sg_list(base, len).expect("sg");
+        // Held as the kernel module would hold it: `read_sg` is a DMA.
+        let segs = mem.nic_hold(space.sg_list(base, len).expect("sg"), false);
         prop_assert_eq!(sg_total(&segs), len);
         let got = read_sg(&mem, &segs, off, take).expect("read");
         prop_assert_eq!(&got[..], &pattern[off as usize..(off + take) as usize]);
+        prop_assert_eq!(mem.lifetime_violations(), 0);
     }
 }
 
