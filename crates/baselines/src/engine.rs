@@ -794,6 +794,33 @@ mod tests {
     }
 
     #[test]
+    fn every_preset_meets_its_own_chain_policy_per_message() {
+        use suca_sim::mtrace::check_completeness;
+
+        let os = OsCostModel::aix_power3();
+        for arch in [
+            ArchModel::kernel_level(&os),
+            ArchModel::user_level(),
+            ArchModel::gm(),
+            ArchModel::am2(),
+            ArchModel::bip(),
+        ] {
+            let (name, policy) = (arch.name, arch.chain_policy());
+            let (sim, net) = net(arch);
+            let a = net.endpoint(0);
+            let b = net.endpoint(1);
+            sim.spawn("tx", move |ctx| a.send(ctx, 1, b"one message", 1));
+            sim.spawn("rx", move |ctx| {
+                let _ = b.recv(ctx);
+            });
+            assert_eq!(sim.run(), RunOutcome::Completed);
+            let report = check_completeness(&sim.trace_events(), &policy);
+            assert_eq!(report.chains.len(), 1, "{name}: one message, one chain");
+            assert!(report.is_closed(), "{name}: {:?}", report.violations);
+        }
+    }
+
+    #[test]
     fn try_recv_is_nonblocking() {
         let (sim, net) = net(ArchModel::bip());
         let b = net.endpoint(1);

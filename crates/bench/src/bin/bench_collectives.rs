@@ -20,19 +20,22 @@
 //! * **Offload wins at scale** — the offloaded barrier is faster than the
 //!   host dissemination barrier at ≥ 256 nodes.
 //!
-//! The machine-readable report lands in `<bench_dir>/BENCH_collectives.json`
-//! (schema `suca.bench_collectives.v1`); CI validates the schema and
-//! re-asserts the barrier crossover from the JSON.
+//! The machine-readable report lands in
+//! `target/bench/BENCH_collectives.json` (schema
+//! `suca.bench_collectives.v1`), written only after every check above held.
+//! `SUCA_BENCH_COLL_MAX_NODES` caps the sweep (the tier-1 gate stops at 64
+//! nodes, below the crossover cells).
 
 use std::sync::{Arc, Mutex};
 
-use suca_bench::report::{bench_dir, host_meta};
-use suca_cluster::ClusterSpec;
+use suca_bench::report::host_meta;
+use suca_bench::{env_u32, sweep_spec};
 use suca_coll::{CollKind, PlanRegistry};
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
+use suca_sim::artifact::write_artifact;
 use suca_sim::mtrace::{check_completeness, check_completeness_sampled, ChainPolicy, SampleSpec};
-use suca_sim::{ActorCtx, RunOutcome, SimDuration, TelemetryConfig};
+use suca_sim::{ActorCtx, RunOutcome};
 
 const SEED: u64 = 0xC0113C7;
 /// Timed repetitions per op (after one untimed warmup). The simulator is
@@ -43,13 +46,6 @@ const SEED: u64 = 0xC0113C7;
 const REPS: u32 = 2;
 /// Fleet-mode trace sampling at the largest node count.
 const FLEET_SAMPLE_PPM: u32 = 10_000;
-
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// `(op, f64 lanes)` cells measured at a given node count. The payload
 /// sweep runs at the smallest count only; the node sweep fixes 1 KiB.
@@ -77,16 +73,6 @@ struct CellResult {
     /// `(op, lanes, latency_us)` from rank 0, in measurement order.
     latencies: Vec<(String, usize, f64)>,
     metrics_json: String,
-}
-
-fn fabric_spec(label: &str, nodes: u32) -> (ClusterSpec, &'static str) {
-    // The registry keys on `Fabric::name()`; the bench labels match
-    // `bench_engine`'s conventions.
-    match label {
-        "myrinet" => (ClusterSpec::dawning3000(nodes), "myrinet"),
-        "mesh" => (ClusterSpec::dawning3000_mesh(nodes), "nwrc-mesh"),
-        other => panic!("unknown fabric {other}"),
-    }
 }
 
 fn run_op(ctx: &mut ActorCtx, comm: &Comm, op: &str, lanes: usize) {
@@ -123,12 +109,8 @@ fn run_cell(
     offload: bool,
     check_budget: bool,
 ) -> CellResult {
-    let (spec, _) = fabric_spec(fabric_label, nodes);
     let fleet = nodes >= 1024;
-    let mut spec = spec.with_seed(SEED).with_telemetry(TelemetryConfig {
-        sample_period: SimDuration::from_ms(1),
-        ..TelemetryConfig::default()
-    });
+    let mut spec = sweep_spec(fabric_label, nodes, SEED);
     if fleet {
         spec = spec.with_trace_sampling(FLEET_SAMPLE_PPM);
     }
@@ -266,8 +248,9 @@ fn main() {
     println!("[determinism] myrinet/64 offloaded: run == rerun");
 
     let mut rows: Vec<Row> = Vec::new();
-    for fabric in ["myrinet", "mesh"] {
-        let (_, fabric_name) = fabric_spec(fabric, 64);
+    // The bench labels follow `bench_engine`; the plan registry keys on
+    // `Fabric::name()`.
+    for (fabric, fabric_name) in [("myrinet", "myrinet"), ("mesh", "nwrc-mesh")] {
         for nodes in [64u32, 256, 1024] {
             if nodes > max_nodes {
                 continue;
@@ -276,12 +259,12 @@ fn main() {
                 let impl_ = if offload { "offloaded" } else { "host" };
                 let res = run_cell(fabric, nodes, offload, offload);
                 for (op, lanes, us) in &res.latencies {
+                    assert!(
+                        *us > 0.0,
+                        "{fabric}/{nodes} {impl_} {op}: empty measurement"
+                    );
                     let bytes = (*lanes * 8) as u64;
-                    let bw = if bytes > 0 && *us > 0.0 {
-                        bytes as f64 / *us // B/µs == MB/s
-                    } else {
-                        0.0
-                    };
+                    let bw = bytes as f64 / *us; // B/µs == MB/s
                     rows.push(Row {
                         fabric,
                         nodes,
@@ -317,7 +300,7 @@ fn main() {
             if nodes > max_nodes {
                 continue;
             }
-            let lat = |impl_: &str| {
+            let row = |impl_: &str| {
                 rows.iter()
                     .find(|r| {
                         r.fabric == fabric
@@ -325,13 +308,17 @@ fn main() {
                             && r.op == "barrier"
                             && r.impl_ == impl_
                     })
-                    .map(|r| r.latency_us)
                     .expect("barrier row present")
             };
-            let (off, host) = (lat("offloaded"), lat("host"));
+            let (off, host) = (row("offloaded").latency_us, row("host").latency_us);
             assert!(
                 off < host,
                 "{fabric}/{nodes}: offloaded barrier {off:.2} us not faster than host {host:.2} us"
+            );
+            assert_ne!(
+                row("offloaded").algorithm,
+                row("host").algorithm,
+                "{fabric}/{nodes}: both impls report the same algorithm"
             );
             println!(
                 "[crossover] {fabric}/{nodes}: offloaded barrier {off:.2} us vs host {host:.2} us \
@@ -341,10 +328,38 @@ fn main() {
         }
     }
 
-    let dir = bench_dir();
-    std::fs::create_dir_all(&dir).expect("create bench dir");
-    let path = dir.join("BENCH_collectives.json");
-    std::fs::write(&path, to_json(&rows)).expect("write BENCH_collectives.json");
+    let path = write_artifact("bench", "BENCH_collectives", &to_json(&rows))
+        .expect("write BENCH_collectives.json");
     println!("\n[bench] {} rows -> {}", rows.len(), path.display());
     println!("\nbench_collectives OK: deterministic, budget-clean, offload wins at scale");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_json_is_well_formed_and_attests_the_checks() {
+        let row = |op, bytes, bw_mbps| Row {
+            fabric: "mesh",
+            nodes: 64,
+            op,
+            impl_: "offloaded",
+            algorithm: "mesh-xy-tree",
+            bytes,
+            latency_us: 42.125,
+            bw_mbps,
+        };
+        let j = to_json(&[row("barrier", 0, 0.0), row("bcast", 1024, 24.31)]);
+        assert_eq!(suca_sim::artifact::validate_json(&j), Ok(()));
+        assert!(j.contains("\"schema\": \"suca.bench_collectives.v1\""));
+        // Constants: the report is only written after both checks passed.
+        assert!(j.contains("\"determinism_ok\": true,"));
+        assert!(j.contains("\"budget_ok\": true,"));
+        assert!(j.contains(
+            "{\"fabric\": \"mesh\", \"nodes\": 64, \"op\": \"bcast\", \"impl\": \"offloaded\", \
+             \"algorithm\": \"mesh-xy-tree\", \"bytes\": 1024, \"latency_us\": 42.125, \
+             \"bw_mbps\": 24.31}\n"
+        ));
+    }
 }

@@ -3,9 +3,8 @@
 //! fabric) at 32/128/512/1,024 nodes on both SANs, timed against the wall
 //! clock.
 //!
-//! Every node runs one process that sends `SUCA_BENCH_ENGINE_MSGS`
-//! (default 4) small messages to its right neighbor and receives as many
-//! from its left — all-to-neighbor traffic, one actor thread per node.
+//! Every node runs one process that sends `MSGS` small messages to its
+//! right neighbor and receives as many from its left (`suca_bench::ring`).
 //! Three throughput numbers per `(fabric, nodes)` cell:
 //!
 //! * **sim-events/sec** — raw engine dispatch rate (`events_dispatched`
@@ -18,7 +17,7 @@
 //! event counts.
 //!
 //! Sweep rows run with the engine self-profiler on: each cell's full
-//! report lands in `<prof_dir>/engine_<fabric>_<nodes>.json` and a
+//! report lands in `target/prof/engine_<fabric>_<nodes>.json` and a
 //! summary is merged into the row. The 512-node cells must attribute
 //! ≥ 80% of scheduler wall clock to named phases. At 1,024 nodes the run
 //! switches to fleet mode — 1% deterministic trace sampling plus the
@@ -26,34 +25,27 @@
 //! while emitting < 10% of the unsampled 32-node baseline's observability
 //! bytes per delivered message.
 //!
-//! The machine-readable report lands in `<bench_dir>/BENCH_engine.json`
-//! (`SUCA_BENCH_DIR` overrides the directory; CI points it at the
-//! workspace root and archives the file per PR, giving the perf
-//! trajectory a paper trail). The host/rustc/thread metadata makes rows
-//! comparable across machines.
+//! The machine-readable report lands in `target/bench/BENCH_engine.json`,
+//! one row per line; CI runs the sweep pinned to one CPU, compares each
+//! cell's events/sec against the committed root `BENCH_engine.json`, and
+//! archives the file per PR. The host/rustc/thread metadata makes rows
+//! comparable across machines. `SUCA_BENCH_ENGINE_MAX_NODES` caps the
+//! sweep (the tier-1 gate stops at 32 nodes).
 
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
-use suca_bcl::{ChannelId, ProcAddr};
-use suca_bench::report::{bench_dir, host_meta, prof_dir, timeseries_dir, traces_dir};
-use suca_cluster::{ClusterSpec, SimBarrier};
+use suca_bench::report::host_meta;
+use suca_bench::{env_u32, ring, sweep_spec};
+use suca_sim::artifact::write_artifact;
 use suca_sim::mtrace::{check_completeness_sampled, ChainPolicy, SampleSpec};
-use suca_sim::{ProfReport, RunOutcome, SimDuration, TelemetryConfig};
+use suca_sim::ProfReport;
 
 const SEED: u64 = 0xE7617E; // "engine"
 const PAYLOAD: usize = 512;
+/// Messages each node sends.
+const MSGS: u32 = 4;
 /// Fleet-mode trace sampling rate (1%) applied at the largest node count.
 const FLEET_SAMPLE_PPM: u32 = 10_000;
 /// Node count at which the bench switches to fleet-mode observability.
 const FLEET_NODES: u32 = 1024;
-
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One `(fabric, nodes)` measurement.
 struct Row {
@@ -81,14 +73,11 @@ struct RunResult {
     /// `(trace_json, timeseries_or_rollup_json)` when observability output
     /// was captured.
     obs: Option<(String, String)>,
-    /// Violations from the sampled crossing-budget check (sampled runs).
-    sampled_violations: Option<Vec<String>>,
 }
 
 /// How to run one cell.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct RunOpts {
-    msgs: u32,
     profile: bool,
     /// Trace sampling rate (None = record everything).
     sample_ppm: Option<u32>,
@@ -98,81 +87,24 @@ struct RunOpts {
     capture_obs: bool,
 }
 
-impl RunOpts {
-    fn plain(msgs: u32) -> RunOpts {
-        RunOpts {
-            msgs,
-            profile: false,
-            sample_ppm: None,
-            capture_obs: false,
-        }
-    }
-}
-
-fn spec_for(fabric: &'static str, nodes: u32) -> ClusterSpec {
-    let base = match fabric {
-        "myrinet" => ClusterSpec::dawning3000(nodes),
-        "mesh" => ClusterSpec::dawning3000_mesh(nodes),
-        other => panic!("unknown fabric {other}"),
-    };
-    // Sample telemetry at 1 ms instead of the default 10 µs: at 1,024
-    // nodes the probe registry is thousands of entries and per-10 µs
-    // sampling would measure the sampler, not the engine.
-    base.with_seed(SEED).with_telemetry(TelemetryConfig {
-        sample_period: SimDuration::from_ms(1),
-        ..TelemetryConfig::default()
-    })
-}
-
 /// Run the neighbor ring and measure.
 fn run_ring(fabric: &'static str, nodes: u32, opts: RunOpts) -> RunResult {
-    let mut spec = spec_for(fabric, nodes).with_profiling(opts.profile);
+    let mut spec = sweep_spec(fabric, nodes, SEED).with_profiling(opts.profile);
     if let Some(ppm) = opts.sample_ppm {
         spec = spec.with_trace_sampling(ppm);
     }
-    let cluster = spec.build();
-    let sim = cluster.sim.clone();
-    let msgs = opts.msgs;
-    let barrier = SimBarrier::new(&sim, nodes);
-    let addrs: Arc<Mutex<Vec<Option<ProcAddr>>>> = Arc::new(Mutex::new(vec![None; nodes as usize]));
-    let delivered = Arc::new(Mutex::new(0u64));
-    for node in 0..nodes {
-        let (b, a, d) = (barrier.clone(), addrs.clone(), delivered.clone());
-        cluster.spawn_process(node, "ring", move |ctx, env| {
-            let port = env.open_port(ctx);
-            a.lock().unwrap()[node as usize] = Some(port.addr());
-            // One channel per in-flight message: a channel holds a single
-            // outstanding recv, so message i rides channel i.
-            for i in 0..msgs {
-                port.post_recv(ctx, i as u16, PAYLOAD as u64)
-                    .expect("post recv");
-            }
-            b.wait(ctx);
-            let right = a.lock().unwrap()[((node + 1) % nodes) as usize].expect("neighbor up");
-            let payload = vec![node as u8; PAYLOAD];
-            for i in 0..msgs {
-                port.send_bytes(ctx, right, ChannelId::normal(i as u16), &payload)
-                    .expect("send");
-            }
-            let mut got = 0u64;
-            for _ in 0..msgs {
-                let ev = port.wait_recv(ctx);
-                assert_eq!(ev.len, PAYLOAD as u64, "short delivery");
-                got += 1;
-            }
-            *d.lock().unwrap() += got;
-        });
-    }
-    let wall = Instant::now();
-    assert_eq!(sim.run(), RunOutcome::Completed, "ring workload hung");
-    let wall_s = wall.elapsed().as_secs_f64();
-    let delivered = *delivered.lock().unwrap();
-    assert_eq!(delivered, u64::from(nodes) * u64::from(msgs));
+    let (cluster, wall) = ring::run(spec, MSGS, PAYLOAD);
+    let sim = &cluster.sim;
+    let wall_s = wall.as_secs_f64();
+    let delivered = u64::from(nodes) * u64::from(MSGS);
     let sim_events = sim.events_dispatched();
+    assert!(
+        sim_events > 0 && wall_s > 0.0,
+        "{fabric}/{nodes}: empty measurement ({sim_events} events in {wall_s} s)"
+    );
     let metrics_json = cluster.metrics_snapshot().to_json();
 
     let mut obs = None;
-    let mut sampled_violations = None;
     let mut obs_bytes = None;
     if opts.capture_obs {
         let events = sim.trace_events();
@@ -181,14 +113,25 @@ fn run_ring(fabric: &'static str, nodes: u32, opts: RunOpts) -> RunResult {
         // Fleet scale bounds the timeseries artifact via the rollup; small
         // runs keep the full per-probe snapshot.
         let ts_json = if nodes >= 512 {
-            ts_snap.rollup().to_json()
+            let rollup = ts_snap.rollup();
+            assert!(
+                !rollup.groups.is_empty() && rollup.groups.len() < 100,
+                "{fabric}/{nodes}: rollup of {} probes has {} groups (want 1..100)",
+                rollup.probes,
+                rollup.groups.len()
+            );
+            rollup.to_json()
         } else {
             ts_snap.to_json()
         };
         if let Some(ppm) = opts.sample_ppm {
             let spec = SampleSpec::ratio_ppm(ppm).with_seed(SEED);
             let report = check_completeness_sampled(&events, &ChainPolicy::bcl(), spec);
-            sampled_violations = Some(report.violations.clone());
+            assert!(
+                report.violations.is_empty(),
+                "{fabric}/{nodes}: sampled crossing-budget check failed:\n{}",
+                report.violations.join("\n")
+            );
         }
         obs_bytes = Some((trace_json.len() + ts_json.len() + metrics_json.len()) as u64);
         obs = Some((trace_json, ts_json));
@@ -210,7 +153,6 @@ fn run_ring(fabric: &'static str, nodes: u32, opts: RunOpts) -> RunResult {
         },
         metrics_json,
         obs,
-        sampled_violations,
     }
 }
 
@@ -223,13 +165,13 @@ fn prof_row_json(r: &ProfReport) -> String {
     )
 }
 
-fn to_json(rows: &[Row], msgs: u32) -> String {
+fn to_json(rows: &[Row]) -> String {
     use std::fmt::Write as _;
     let (os, arch, rustc, threads) = host_meta();
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"suca.bench_engine.v3\",");
     let _ = writeln!(out, "  \"seed\": {SEED},");
-    let _ = writeln!(out, "  \"msgs_per_node\": {msgs},");
+    let _ = writeln!(out, "  \"msgs_per_node\": {MSGS},");
     let _ = writeln!(out, "  \"payload_bytes\": {PAYLOAD},");
     let _ = writeln!(
         out,
@@ -270,9 +212,8 @@ fn to_json(rows: &[Row], msgs: u32) -> String {
 }
 
 fn main() {
-    let msgs = env_u32("SUCA_BENCH_ENGINE_MSGS", 4);
     let max_nodes = env_u32("SUCA_BENCH_ENGINE_MAX_NODES", 1024);
-    println!("-- bench_engine: neighbor-ring storm, {msgs} msgs/node x {PAYLOAD} B\n");
+    println!("-- bench_engine: neighbor-ring storm, {MSGS} msgs/node x {PAYLOAD} B\n");
 
     // Determinism cross-check at the smallest scale, both fabrics: a rerun
     // must reproduce the run byte for byte, and turning the profiler on
@@ -284,10 +225,10 @@ fn main() {
             32,
             RunOpts {
                 capture_obs: true,
-                ..RunOpts::plain(msgs)
+                ..RunOpts::default()
             },
         );
-        let rerun = run_ring(fabric, 32, RunOpts::plain(msgs));
+        let rerun = run_ring(fabric, 32, RunOpts::default());
         assert_eq!(
             run.metrics_json, rerun.metrics_json,
             "{fabric}: run not reproducible at fixed seed"
@@ -298,7 +239,7 @@ fn main() {
             32,
             RunOpts {
                 profile: true,
-                ..RunOpts::plain(msgs)
+                ..RunOpts::default()
             },
         );
         assert_eq!(
@@ -322,8 +263,6 @@ fn main() {
         );
     }
 
-    let prof_out = prof_dir();
-    std::fs::create_dir_all(&prof_out).expect("create prof dir");
     let mut rows = Vec::new();
     for fabric in ["myrinet", "mesh"] {
         for nodes in [32u32, 128, 512, 1024] {
@@ -335,31 +274,31 @@ fn main() {
                 fabric,
                 nodes,
                 RunOpts {
-                    msgs,
                     profile: true,
                     sample_ppm: fleet.then_some(FLEET_SAMPLE_PPM),
                     capture_obs: nodes >= 512,
                 },
             );
             let cell = format!("engine_{fabric}_{nodes}");
-            if let Some(p) = &res.row.prof {
-                std::fs::write(prof_out.join(format!("{cell}.json")), p.to_json())
-                    .expect("write prof report");
-            }
-            if let Some((trace_json, ts_json)) = &res.obs {
-                let tdir = traces_dir();
-                std::fs::create_dir_all(&tdir).expect("create traces dir");
-                std::fs::write(tdir.join(format!("{cell}.json")), trace_json)
-                    .expect("write trace json");
-                let tsdir = timeseries_dir();
-                std::fs::create_dir_all(&tsdir).expect("create timeseries dir");
-                std::fs::write(tsdir.join(format!("{cell}.rollup.json")), ts_json)
+            let p = res.row.prof.as_ref().expect("sweep rows are profiled");
+            // The phases are disjoint intervals inside the run loop, so
+            // their sum may pass the loop's own time by timer skew only;
+            // past twice it, a timer is counting something else.
+            assert!(
+                p.attributed_ns() <= 2 * p.run_ns,
+                "{fabric}/{nodes}: {} ns attributed to phases of a {} ns run loop",
+                p.attributed_ns(),
+                p.run_ns
+            );
+            write_artifact("prof", &cell, &p.to_json()).expect("write prof report");
+            if let Some((trace_json, rollup_json)) = &res.obs {
+                write_artifact("traces", &cell, trace_json).expect("write trace json");
+                write_artifact("timeseries", &format!("{cell}.rollup"), rollup_json)
                     .expect("write rollup json");
             }
             // Acceptance: the profiler must explain where a 512-node run's
             // scheduler wall clock goes.
             if nodes == 512 {
-                let p = res.row.prof.as_ref().expect("profiled");
                 assert!(
                     p.attributed_pct() >= 80.0,
                     "{fabric}/512: only {:.1}% of scheduler wall clock attributed",
@@ -385,16 +324,10 @@ fn main() {
                     p.dispatch_ns.iter().sum::<u64>() as f64 / 1e6,
                 );
             }
-            // Acceptance: fleet mode (1% sampling + rollup) passes the
-            // sampled crossing-budget check and emits < 10% of the
-            // unsampled baseline's observability bytes per message.
+            // Acceptance: fleet mode (1% sampling + rollup) passed the
+            // sampled crossing-budget check in `run_ring` and emits < 10% of
+            // the unsampled baseline's observability bytes per message.
             if fleet {
-                let violations = res.sampled_violations.as_ref().expect("sampled check ran");
-                assert!(
-                    violations.is_empty(),
-                    "{fabric}/{nodes}: sampled crossing-budget check failed:\n{}",
-                    violations.join("\n")
-                );
                 let per_msg =
                     res.row.obs_bytes.expect("captured") as f64 / res.row.delivered_msgs as f64;
                 assert!(
@@ -428,10 +361,62 @@ fn main() {
         );
     }
 
-    let dir = bench_dir();
-    std::fs::create_dir_all(&dir).expect("create bench dir");
-    let path = dir.join("BENCH_engine.json");
-    std::fs::write(&path, to_json(&rows, msgs)).expect("write BENCH_engine.json");
+    let path =
+        write_artifact("bench", "BENCH_engine", &to_json(&rows)).expect("write BENCH_engine.json");
     println!("\n[bench] {} rows -> {}", rows.len(), path.display());
     println!("\nbench_engine OK: deterministic across reruns, profiled sweep recorded");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_json_is_well_formed_with_and_without_optional_columns() {
+        let row = |prof: Option<ProfReport>, obs_bytes| Row {
+            nodes: 32,
+            fabric: "myrinet",
+            sim_events: 1_000,
+            delivered_msgs: 128,
+            wall_ms: 1.5,
+            events_per_sec: 666_666.7,
+            msgs_per_sec: 85_333.3,
+            sim_us: 84.25,
+            trace_sample_ppm: 1_000_000,
+            prof,
+            obs_bytes,
+        };
+        let prof = suca_sim::EngineProf::new().report();
+        let j = to_json(&[row(Some(prof), Some(4096)), row(None, None)]);
+        assert_eq!(suca_sim::artifact::validate_json(&j), Ok(()));
+        assert!(j.contains("\"schema\": \"suca.bench_engine.v3\""));
+        assert!(j.contains("\"msgs_per_node\": 4,"));
+        assert!(j.contains("\"obs_bytes\": null, \"prof\": null}"));
+        for key in ["os", "arch", "rustc", "threads"] {
+            assert!(
+                j.contains(&format!("\"{key}\": ")),
+                "host meta missing {key}"
+            );
+        }
+        // One row per line: CI's perf gate reads the file with awk.
+        let first = j.lines().find(|l| l.contains("\"nodes\"")).expect("a row");
+        for key in [
+            "nodes",
+            "fabric",
+            "sim_events",
+            "delivered_msgs",
+            "wall_ms",
+            "events_per_sec",
+            "msgs_per_sec",
+            "sim_us",
+            "trace_sample_ppm",
+            "obs_bytes",
+            "prof",
+            "attributed_pct",
+            "lock_acquisitions",
+            "lock_hold_ms",
+        ] {
+            assert!(first.contains(&format!("\"{key}\": ")), "row missing {key}");
+        }
+    }
 }

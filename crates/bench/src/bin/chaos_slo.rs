@@ -19,21 +19,15 @@
 //! report `chaos_storm.json` (fault + recovery counters, recovery-latency
 //! percentiles).
 
-use std::sync::{Arc, Mutex};
-
-use suca_bcl::ProcAddr;
+use suca_bench::kv_cluster::{self, interleave_servers};
 use suca_bench::report::emit_metrics;
-use suca_chaos::{chaos_dir, ChaosController, ChaosPlan, ChaosReport, Fault};
-use suca_cluster::{Cluster, ClusterSpec, SanKind, SimBarrier};
-use suca_load::{
-    run_closed_loop, ClosedLoopCfg, KvCosts, KvService, LatencyHists, LoadStats, Mix, SloReport,
-};
+use suca_chaos::{ChaosController, ChaosPlan, ChaosReport, Fault};
+use suca_cluster::{Cluster, ClusterSpec, SanKind};
+use suca_load::{run_closed_loop, ClosedLoopCfg, KvCosts, LatencyHists, LoadStats, Mix, SloReport};
 use suca_mesh::MeshConfig;
-use suca_rpc::{RpcClient, RpcClientConfig, RpcServer, RpcServerConfig};
-use suca_sim::{
-    ActorCtx, DetectionSpec, HealthRule, RunOutcome, SimDuration, SimTime, TelemetryConfig,
-    WatchdogConfig,
-};
+use suca_rpc::{RpcClientConfig, RpcServerConfig};
+use suca_sim::artifact::write_artifact;
+use suca_sim::{DetectionSpec, HealthRule, SimDuration, SimTime, TelemetryConfig, WatchdogConfig};
 
 const SEED: u64 = 0xC4A05;
 const NODES: u32 = 32;
@@ -105,11 +99,6 @@ fn dual_rail_spec() -> ClusterSpec {
     spec
 }
 
-/// Spread the shards evenly (same policy as `rpc_slo`).
-fn interleave_servers(nodes: u32, n_servers: u32) -> Vec<u32> {
-    (0..n_servers).map(|s| s * nodes / n_servers).collect()
-}
-
 /// The scripted storm. The rail faults aim at client nodes (what is under
 /// test there is the *path* recovery machinery); the node crash aims at a
 /// shard, because a crashed node is only detectable through traffic it
@@ -153,21 +142,9 @@ fn storm() -> ChaosPlan {
     plan
 }
 
-/// Spawn shards + closed-loop clients (the `rpc_slo` scaffolding), with an
-/// optional fault storm installed before the first actor runs.
+/// Shards + closed-loop clients on the dual-rail cluster, with an optional
+/// fault storm installed before the first actor runs.
 fn run_kv(plan: Option<&ChaosPlan>) -> (Cluster, LoadStats) {
-    let spec = dual_rail_spec();
-    let server_nodes = interleave_servers(NODES, N_SERVERS);
-    let cluster = spec.build();
-    let sim = cluster.sim.clone();
-    // The sampler stops once the event queue drains, so park a no-op far
-    // enough out that every alert the storm raises has quiet ticks to
-    // resolve. Scheduled in both variants so clean and storm runs see the
-    // same tick count.
-    sim.schedule_at(SimTime::from_ns(KEEPALIVE_NS), |_| {});
-    if let Some(plan) = plan {
-        ChaosController::install(&cluster, plan);
-    }
     let server_cfg = RpcServerConfig {
         queue_cap: 1024,
         idle_timeout: SimDuration::from_ms(5),
@@ -184,38 +161,25 @@ fn run_kv(plan: Option<&ChaosPlan>) -> (Cluster, LoadStats) {
         slot_bytes: suca_load::SCAN_BYTES as u64,
         ..RpcClientConfig::default()
     };
-    let barrier = SimBarrier::new(&sim, NODES);
-    let addrs: Arc<Mutex<Vec<Option<ProcAddr>>>> =
-        Arc::new(Mutex::new(vec![None; N_SERVERS as usize]));
-    let totals: Arc<Mutex<LoadStats>> = Arc::new(Mutex::new(LoadStats::default()));
-    for (s, &node) in server_nodes.iter().enumerate() {
-        let (b, a, scfg) = (barrier.clone(), addrs.clone(), server_cfg.clone());
-        cluster.spawn_process(node, "kv-shard", move |ctx, env| {
-            let port = env.open_port(ctx);
-            a.lock().unwrap()[s] = Some(port.addr());
-            let mut srv = RpcServer::new(ctx, port, scfg).expect("shard up");
-            let mut svc = KvService::new(KvCosts::default());
-            b.wait(ctx);
-            srv.serve_until_idle(ctx, &mut |ctx: &mut ActorCtx, op: u8, req: &[u8]| {
-                svc.handle(ctx, op, req)
-            });
-        });
-    }
-    let client_nodes: Vec<u32> = (0..NODES).filter(|n| !server_nodes.contains(n)).collect();
-    for (c, &node) in client_nodes.iter().enumerate() {
-        let (b, a, t) = (barrier.clone(), addrs.clone(), totals.clone());
-        let ccfg = client_cfg.clone();
-        let c = c as u32;
-        cluster.spawn_process(node, "load-client", move |ctx, env| {
-            let port = env.open_port(ctx);
-            let mut cli = RpcClient::new(ctx, port, ccfg).expect("client up");
-            b.wait(ctx);
-            let servers: Vec<ProcAddr> = a
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|x| x.expect("shard ready"))
-                .collect();
+    kv_cluster::run(
+        dual_rail_spec(),
+        &interleave_servers(NODES, N_SERVERS),
+        server_cfg,
+        client_cfg,
+        KvCosts::default(),
+        |cluster| {
+            // The sampler stops once the event queue drains, so park a no-op
+            // far enough out that every alert the storm raises has quiet
+            // ticks to resolve. Scheduled in both variants so clean and
+            // storm runs see the same tick count.
+            cluster
+                .sim
+                .schedule_at(SimTime::from_ns(KEEPALIVE_NS), |_| {});
+            if let Some(plan) = plan {
+                ChaosController::install(cluster, plan);
+            }
+        },
+        |ctx, cli, servers, c| {
             // Think 0.5-1.5 ms x 4 ops keeps every client live through the
             // whole storm window (1-3.5 ms).
             let cfg = ClosedLoopCfg {
@@ -228,13 +192,9 @@ fn run_kv(plan: Option<&ChaosPlan>) -> (Cluster, LoadStats) {
             };
             let mut rng = ctx.sim().fork_rng(&format!("load.chaos.client{c}"));
             let hists = LatencyHists::new(&ctx.sim().metrics());
-            let stats = run_closed_loop(ctx, &mut cli, &servers, &mut rng, &cfg, &hists);
-            t.lock().unwrap().merge(&stats);
-        });
-    }
-    assert_eq!(sim.run(), RunOutcome::Completed, "chaos_slo workload hung");
-    let stats = *totals.lock().unwrap();
-    (cluster, stats)
+            run_closed_loop(ctx, cli, servers, &mut rng, &cfg, &hists)
+        },
+    )
 }
 
 fn gather_slo(cluster: &Cluster, stats: &LoadStats, variant: &str) -> SloReport {
@@ -246,16 +206,6 @@ fn gather_slo(cluster: &Cluster, stats: &LoadStats, variant: &str) -> SloReport 
     assert_eq!(report.watchdog_stalls, 0, "{variant}: a chain stuck");
     assert_eq!(stats.bad_payloads, 0, "{variant}: payload corruption");
     report
-}
-
-/// Write an SLO report into `target/chaos/` (next to the chaos report),
-/// not the default `target/slo/`.
-fn write_slo_to_chaos_dir(report: &SloReport, stem: &str) -> std::path::PathBuf {
-    let dir = chaos_dir();
-    std::fs::create_dir_all(&dir).expect("create chaos dir");
-    let path = dir.join(format!("{stem}.json"));
-    std::fs::write(&path, report.to_json()).expect("write SLO report");
-    path
 }
 
 fn main() {
@@ -284,7 +234,8 @@ fn main() {
         .report("chaos_slo", "chaos_clean", SEED, &[])
         .write_named("chaos_slo_clean")
         .expect("write clean health report");
-    write_slo_to_chaos_dir(&clean, "slo_chaos_clean");
+    // The SLO reports land next to the chaos report, not under `slo`.
+    write_artifact("chaos", "slo_chaos_clean", &clean.to_json()).expect("write SLO report");
     emit_metrics(&clean_cluster.sim, "chaos_slo_clean");
 
     // The storm.
@@ -304,6 +255,13 @@ fn main() {
     );
     assert_eq!(report.skipped, 0, "no fault may target missing hardware");
     assert!(
+        report.link_down >= 1
+            && report.port_dead >= 1
+            && report.nic_resets >= 1
+            && report.node_crashes >= 1,
+        "a fault kind was scheduled but never counted as injected: {report:?}"
+    );
+    assert!(
         report.path_deaths >= 1,
         "the storm must trip retransmission exhaustion"
     );
@@ -316,6 +274,10 @@ fn main() {
         "recovery must complete an epoch resync handshake"
     );
     assert_eq!(report.node_restarts, 1, "the crashed node must restart");
+    assert!(
+        report.recovery_p99_us > 0.0,
+        "resyncs completed but no recovery latency was recorded"
+    );
 
     // Detection contract: every injected fault kind must be picked up by
     // its symptom rule within the bound, and every alert the storm raised
@@ -326,8 +288,10 @@ fn main() {
             .health()
             .report("chaos_slo", "chaos_storm", SEED, &storm_detections());
     assert!(
-        !health.is_silent(),
-        "chaos_storm: the storm must raise alerts"
+        health.alerts.len() >= plan.events.len(),
+        "chaos_storm: {} faults raised only {} alerts",
+        plan.events.len(),
+        health.alerts.len()
     );
     let missed: Vec<&str> = health
         .undetected()
@@ -370,7 +334,7 @@ fn main() {
         "chaos_storm: health report not deterministic at fixed seed"
     );
 
-    write_slo_to_chaos_dir(&slo, "slo_chaos_storm");
+    write_artifact("chaos", "slo_chaos_storm", &slo.to_json()).expect("write SLO report");
     report
         .write_named("chaos_storm")
         .expect("write chaos report");

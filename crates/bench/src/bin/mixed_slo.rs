@@ -46,6 +46,15 @@ fn run_solo(fabric: &str) -> MixedOutcome {
         kv.completed, kv.issued,
         "solo/{fabric}: unloaded KV tenant must complete everything"
     );
+    for t in &out.report.tenants {
+        assert_eq!(
+            t.issued > 0,
+            t.tenant == TENANT_KV,
+            "solo/{fabric}: the KV tenant alone must issue (tenant {} issued {})",
+            t.tenant,
+            t.issued
+        );
+    }
     assert!(
         out.cluster.sim.health().is_silent(),
         "solo/{fabric}: health fired on a KV-only run: {:?}",
@@ -150,30 +159,24 @@ fn run_overload(fabric: &str) -> MixedOutcome {
 fn write_reports(out: &MixedOutcome, variant: &str, fabric: &str) {
     let stem = format!("mixed_{variant}_{fabric}");
     out.report.write_named(&stem).expect("write SLO report");
-    out.cluster
-        .sim
-        .health()
-        .report("mixed_slo", &format!("{variant}_{fabric}"), SEED, &[])
-        .write_named(&stem)
-        .expect("write health report");
+    let health =
+        out.cluster
+            .sim
+            .health()
+            .report("mixed_slo", &format!("{variant}_{fabric}"), SEED, &[]);
+    assert!(health.ticks > 0, "{stem}: health sampler never ticked");
+    for t in [TENANT_KV, TENANT_PUBSUB, TENANT_PIPELINE] {
+        assert!(
+            health.rules.iter().any(|r| r.name == burn_rule(t)),
+            "{stem}: tenant {t}'s burn-rate rule not installed"
+        );
+    }
+    health.write_named(&stem).expect("write health report");
     emit_metrics(&out.cluster.sim, &stem);
 }
 
 fn main() {
     println!("-- Mixed multi-tenant workloads: per-tenant SLO reports per variant x fabric\n");
-
-    if let Ok(v) = std::env::var("SUCA_MIXED_SLO_DEBUG") {
-        let mut it = v.splitn(2, '_');
-        let (variant, fabric) = (it.next().unwrap(), it.next().expect("variant_fabric"));
-        let out = match variant {
-            "solo" => run_solo(fabric),
-            "clean" => run_clean(fabric),
-            "overload" => run_overload(fabric),
-            other => panic!("unknown debug variant {other}"),
-        };
-        println!("{}", out.report.to_json());
-        return;
-    }
 
     let mut rows = Vec::new();
     for fabric in ["myrinet", "mesh"] {

@@ -8,32 +8,13 @@
 
 use std::process::Command;
 
-use suca_bench::report::metrics_dir;
+use suca_bench::HARNESSES;
+use suca_sim::artifact::{artifact_dir, write_artifact};
 
 fn main() {
-    let bins = [
-        "table1_architectures",
-        "fig5_tx_timeline",
-        "fig6_rx_timeline",
-        "fig7_oneway_timeline",
-        "fig8_latency",
-        "fig9_bandwidth",
-        "table2_protocols",
-        "table3_mpi_pvm",
-        "overheads",
-        "ablations",
-        "congestion",
-        "trace_export",
-        "telemetry",
-        "rpc_slo",
-        "chaos_slo",
-        "mixed_slo",
-        "bench_engine",
-        "bench_collectives",
-    ];
     let me = std::env::current_exe().expect("own path");
     let dir = me.parent().expect("bin dir");
-    for bin in bins {
+    for &(bin, _) in HARNESSES {
         println!("\n================================================================");
         println!("### {bin}");
         println!("================================================================");
@@ -50,7 +31,7 @@ fn main() {
 /// document. The per-harness files are themselves JSON objects, so they can
 /// be embedded verbatim without parsing.
 fn merge_metrics() {
-    let dir = metrics_dir();
+    let dir = artifact_dir("metrics");
     let mut entries: Vec<(String, String)> = Vec::new();
     let Ok(rd) = std::fs::read_dir(&dir) else {
         return;
@@ -77,13 +58,10 @@ fn merge_metrics() {
         out.push_str(&format!("  \"{name}\": {}{comma}\n", body.trim_end()));
     }
     out.push_str("}\n");
-    let path = dir.join("repro_all.json");
-    match std::fs::write(&path, out) {
-        Ok(()) => println!(
-            "\n[metrics] merged {} snapshots -> {}",
-            entries.len(),
-            path.display()
-        ),
-        Err(e) => eprintln!("[metrics] could not write merged snapshot: {e}"),
-    }
+    let path = write_artifact("metrics", "repro_all", &out).expect("write merged snapshot");
+    println!(
+        "\n[metrics] merged {} snapshots -> {}",
+        entries.len(),
+        path.display()
+    );
 }

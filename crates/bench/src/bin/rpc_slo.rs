@@ -21,19 +21,17 @@
 //! also exports its Perfetto trace (RPC spans joined to BCL chains) and
 //! the queue-depth/in-flight timeseries.
 
-use std::sync::{Arc, Mutex};
-
-use suca_bcl::ProcAddr;
+use suca_bench::kv_cluster::{self, interleave_servers};
 use suca_bench::report::{emit_metrics, write_timeseries_json, write_trace_json_with_counters};
-use suca_cluster::{Cluster, ClusterSpec, SanKind, SimBarrier};
+use suca_bench::{env_u32, spec_for};
+use suca_cluster::{Cluster, ClusterSpec};
 use suca_load::{
-    run_closed_loop, run_open_loop, ClosedLoopCfg, KvCosts, KvService, LatencyHists, LoadStats,
-    Mix, OpenLoopCfg, SloReport,
+    run_closed_loop, run_open_loop, ClosedLoopCfg, KvCosts, LatencyHists, Mix, OpenLoopCfg,
+    SloReport,
 };
-use suca_mesh::MeshConfig;
-use suca_myrinet::{FaultPlan, MyrinetConfig};
-use suca_rpc::{RpcClient, RpcClientConfig, RpcServer, RpcServerConfig};
-use suca_sim::{ActorCtx, HealthRule, RunOutcome, SimDuration};
+use suca_myrinet::FaultPlan;
+use suca_rpc::{RpcClientConfig, RpcServerConfig};
+use suca_sim::{AlertReport, HealthRule, SimDuration};
 
 const SEED: u64 = 0x51_0BEE;
 
@@ -60,106 +58,40 @@ fn health_rules() -> Vec<HealthRule> {
     ]
 }
 
-fn spec_for(fabric: &str, nodes: u32, drop_prob: f64) -> ClusterSpec {
+/// `nodes` nodes on `fabric` dropping each packet with `drop_prob` per
+/// link traversal, under the standing rule set.
+fn slo_spec(fabric: &str, nodes: u32, drop_prob: f64) -> ClusterSpec {
     let fault = FaultPlan {
         drop_prob,
         corrupt_prob: 0.0,
     };
-    let san = match fabric {
-        "myrinet" => {
-            let mut cfg = MyrinetConfig::dawning3000();
-            cfg.fault = fault;
-            SanKind::Myrinet(cfg)
-        }
-        "mesh" => {
-            let mut cfg = MeshConfig::dawning3000();
-            cfg.fault = fault;
-            SanKind::Mesh(cfg)
-        }
-        other => panic!("unknown fabric {other}"),
-    };
-    ClusterSpec::dawning3000(nodes)
-        .with_san(san)
+    spec_for(fabric, nodes, fault)
         .with_seed(SEED)
         .with_health(health_rules())
 }
 
-/// Spread `n_servers` shard nodes evenly across `[0, nodes)`. Both SAN
-/// models reward locality (Myrinet is a linear switch array; the mesh is
-/// a grid), so clumping every server at one end funnels the whole
-/// cluster's traffic through one bisection trunk — interleaving spreads
-/// it over every segment.
-fn interleave_servers(nodes: u32, n_servers: u32) -> Vec<u32> {
-    (0..n_servers).map(|s| s * nodes / n_servers).collect()
-}
-
-/// Shared scaffolding: spawn one KV shard per `server_nodes` entry and
-/// one client actor per remaining node, barrier-synced so no server's
-/// idle clock starts before every client's arena is pinned.
-fn run_cluster(
-    spec: ClusterSpec,
-    server_nodes: &[u32],
-    server_cfg: RpcServerConfig,
-    client_cfg: RpcClientConfig,
-    costs: KvCosts,
-    drive: impl Fn(&mut ActorCtx, &mut RpcClient, &[ProcAddr], u32) -> LoadStats + Send + Sync + 'static,
-) -> (Cluster, LoadStats) {
-    let nodes = spec.nodes;
-    let n_servers = server_nodes.len() as u32;
-    assert!(n_servers < nodes);
-    let cluster = spec.build();
-    let sim = cluster.sim.clone();
-    let barrier = SimBarrier::new(&sim, nodes);
-    let addrs: Arc<Mutex<Vec<Option<ProcAddr>>>> =
-        Arc::new(Mutex::new(vec![None; n_servers as usize]));
-    let totals: Arc<Mutex<LoadStats>> = Arc::new(Mutex::new(LoadStats::default()));
-    for (s, &node) in server_nodes.iter().enumerate() {
-        let (b, a, scfg) = (barrier.clone(), addrs.clone(), server_cfg.clone());
-        cluster.spawn_process(node, "kv-shard", move |ctx, env| {
-            let port = env.open_port(ctx);
-            a.lock().unwrap()[s] = Some(port.addr());
-            let mut srv = RpcServer::new(ctx, port, scfg).expect("shard up");
-            let mut svc = KvService::new(costs);
-            b.wait(ctx);
-            srv.serve_until_idle(ctx, &mut |ctx: &mut ActorCtx, op: u8, req: &[u8]| {
-                svc.handle(ctx, op, req)
-            });
-        });
+/// The run's health report, checked for what every variant must show: the
+/// standing rule set installed, the sampler ticking, and no alert fired
+/// before it was pending.
+fn health_report(cluster: &Cluster, variant: &str) -> AlertReport {
+    let report = cluster.sim.health().report("rpc_slo", variant, SEED, &[]);
+    assert_eq!(
+        report.rules.len(),
+        health_rules().len(),
+        "{variant}: rule set not installed"
+    );
+    assert!(report.ticks > 0, "{variant}: health sampler never ticked");
+    for a in &report.alerts {
+        assert!(
+            a.pending_ns <= a.fired_ns,
+            "{variant}: alert fired before it was pending: {a:?}"
+        );
     }
-    let drive = Arc::new(drive);
-    let client_nodes: Vec<u32> = (0..nodes).filter(|n| !server_nodes.contains(n)).collect();
-    for (c, &node) in client_nodes.iter().enumerate() {
-        let (b, a, t) = (barrier.clone(), addrs.clone(), totals.clone());
-        let (ccfg, drive) = (client_cfg.clone(), drive.clone());
-        let c = c as u32;
-        cluster.spawn_process(node, "load-client", move |ctx, env| {
-            let port = env.open_port(ctx);
-            let mut cli = RpcClient::new(ctx, port, ccfg).expect("client up");
-            b.wait(ctx);
-            let servers: Vec<ProcAddr> = a
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|x| x.expect("shard ready"))
-                .collect();
-            let stats = drive(ctx, &mut cli, &servers, c);
-            t.lock().unwrap().merge(&stats);
-        });
-    }
-    assert_eq!(sim.run(), RunOutcome::Completed, "rpc_slo workload hung");
-    let stats = *totals.lock().unwrap();
-    (cluster, stats)
+    report
 }
 
 const CLEAN_CLIENTS: u32 = 24;
 const CLEAN_USERS_PER_CLIENT: u32 = 84; // 24 x 84 = 2,016 simulated users
-
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn run_clean(fabric: &str) -> (Cluster, SloReport) {
     let n_clients = env_u32("SUCA_RPC_SLO_CLIENTS", CLEAN_CLIENTS);
@@ -179,12 +111,13 @@ fn run_clean(fabric: &str) -> (Cluster, SloReport) {
         slot_bytes: suca_load::SCAN_BYTES as u64,
         ..RpcClientConfig::default()
     };
-    let (cluster, stats) = run_cluster(
-        spec_for(fabric, nodes, 0.0),
+    let (cluster, stats) = kv_cluster::run(
+        slo_spec(fabric, nodes, 0.0),
         &interleave_servers(nodes, n_servers),
         server_cfg,
         client_cfg,
         KvCosts::default(),
+        |_| {},
         move |ctx, cli, servers, actor| {
             // Think 4–12 ms keeps each shard near 10% utilization and the
             // fabric's trunk links comfortably underloaded — "clean" must
@@ -247,12 +180,13 @@ fn run_overload(fabric: &str) -> (Cluster, SloReport) {
         put: SimDuration::from_us(25),
         scan: SimDuration::from_us(25),
     };
-    let (cluster, stats) = run_cluster(
-        spec_for(fabric, 8, 0.0),
+    let (cluster, stats) = kv_cluster::run(
+        slo_spec(fabric, 8, 0.0),
         &interleave_servers(8, 2),
         server_cfg,
         client_cfg,
         costs,
+        |_| {},
         |ctx, cli, servers, actor| {
             let cfg = OpenLoopCfg {
                 mean_interarrival: SimDuration::from_us(80),
@@ -272,8 +206,11 @@ fn run_overload(fabric: &str) -> (Cluster, SloReport) {
     let report = SloReport::gather(&cluster.sim, "overload", fabric, 8, 300, &stats);
     assert!(report.accounted(), "overload/{fabric}: requests leaked");
     assert!(
-        report.srv_sheds > 0,
-        "overload/{fabric}: admission control never shed"
+        report.srv_sheds > 0 && report.shed > 0,
+        "overload/{fabric}: admission control never shed ({} shed replies, {} requests \
+         finally shed)",
+        report.srv_sheds,
+        report.shed
     );
     assert!(
         report.srv_queue_high_water <= 16,
@@ -311,12 +248,13 @@ fn run_loss(fabric: &str) -> (Cluster, SloReport) {
         slot_bytes: suca_load::SCAN_BYTES as u64,
         ..RpcClientConfig::default()
     };
-    let (cluster, stats) = run_cluster(
-        spec_for(fabric, 4, 0.05),
+    let (cluster, stats) = kv_cluster::run(
+        slo_spec(fabric, 4, 0.05),
         &interleave_servers(4, 2),
         server_cfg,
         client_cfg,
         KvCosts::default(),
+        |_| {},
         |ctx, cli, servers, actor| {
             let cfg = ClosedLoopCfg {
                 users: 20,
@@ -347,27 +285,11 @@ fn run_loss(fabric: &str) -> (Cluster, SloReport) {
 fn main() {
     println!("-- RPC service layer under load: SLO reports per variant x fabric\n");
 
-    if let Ok(v) = std::env::var("SUCA_RPC_SLO_DEBUG") {
-        let (_c, r) = match v.as_str() {
-            "clean_myrinet" => run_clean("myrinet"),
-            "clean_mesh" => run_clean("mesh"),
-            "overload_myrinet" => run_overload("myrinet"),
-            "loss5_myrinet" => run_loss("myrinet"),
-            other => panic!("unknown debug variant {other}"),
-        };
-        println!("{}", r.to_json());
-        return;
-    }
-
     let mut summaries = Vec::new();
     for fabric in ["myrinet", "mesh"] {
         let (clean_cluster, clean) = run_clean(fabric);
         clean.write().expect("write clean report");
-        let clean_health =
-            clean_cluster
-                .sim
-                .health()
-                .report("rpc_slo", &format!("clean_{fabric}"), SEED, &[]);
+        let clean_health = health_report(&clean_cluster, &format!("clean_{fabric}"));
         clean_health
             .write_named(&format!("rpc_slo_clean_{fabric}"))
             .expect("write clean health report");
@@ -383,11 +305,7 @@ fn main() {
                 rerun.to_json(),
                 "clean/myrinet: SLO report not deterministic at fixed seed"
             );
-            let rerun_health =
-                rerun_cluster
-                    .sim
-                    .health()
-                    .report("rpc_slo", "clean_myrinet", SEED, &[]);
+            let rerun_health = health_report(&rerun_cluster, "clean_myrinet");
             assert_eq!(
                 clean_health.to_json(),
                 rerun_health.to_json(),
@@ -401,10 +319,14 @@ fn main() {
 
         let (over_cluster, over) = run_overload(fabric);
         over.write().expect("write overload report");
-        over_cluster
-            .sim
-            .health()
-            .report("rpc_slo", &format!("overload_{fabric}"), SEED, &[])
+        let over_health = health_report(&over_cluster, &format!("overload_{fabric}"));
+        assert_eq!(
+            over_health.unresolved(),
+            0,
+            "overload/{fabric}: alerts must resolve once the arrivals stop: {:?}",
+            over_health.alerts
+        );
+        over_health
             .write_named(&format!("rpc_slo_overload_{fabric}"))
             .expect("write overload health report");
         if fabric == "myrinet" {

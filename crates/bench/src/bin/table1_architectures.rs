@@ -14,10 +14,15 @@ use suca_bench::report::emit_metrics;
 use suca_cluster::{ClusterSpec, SimBarrier};
 use suca_myrinet::{Myrinet, MyrinetConfig};
 use suca_os::{OsCostModel, OsPersonality};
+use suca_sim::mtrace::check_completeness;
 use suca_sim::Sim;
 
-/// Count (traps, interrupts) for one message under a baseline arch.
+/// Count (traps, interrupts) for one message under a baseline arch, and
+/// hold that message's causal chain to the architecture's own crossing
+/// budget: the global counters say how many crossings the run made, the
+/// chain says this message made them.
 fn count_baseline(arch: ArchModel) -> (u64, u64) {
+    let (name, policy) = (arch.name, arch.chain_policy());
     let sim = Sim::new(1);
     let fabric = Myrinet::build(&sim, 2, MyrinetConfig::dawning3000());
     let net = BaselineNet::build(&sim, fabric, arch, OsPersonality::LINUX).expect("buildable");
@@ -28,6 +33,9 @@ fn count_baseline(arch: ArchModel) -> (u64, u64) {
         let _ = b.recv(ctx);
     });
     sim.run();
+    let chains = check_completeness(&sim.trace_events(), &policy);
+    assert_eq!(chains.chains.len(), 1, "{name}: one message, one chain");
+    assert!(chains.is_closed(), "{name}: {:?}", chains.violations);
     (sim.get_count("os.traps"), sim.get_count("os.interrupts"))
 }
 

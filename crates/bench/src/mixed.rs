@@ -15,13 +15,12 @@
 use std::sync::{Arc, Mutex};
 
 use suca_bcl::ProcAddr;
-use suca_cluster::{Cluster, ClusterSpec, SanKind, SimBarrier};
+use suca_cluster::{Cluster, ClusterSpec, SimBarrier};
 use suca_load::{
     run_closed_loop, ClosedLoopCfg, KvCosts, KvService, LatencyHists, LoadStats, Mix, SloReport,
     TenantSlo,
 };
-use suca_mesh::MeshConfig;
-use suca_myrinet::MyrinetConfig;
+use suca_myrinet::FaultPlan;
 use suca_pipeline::{run_driver, DriverCfg, DriverStats, PipelineCosts, PipelineWorker};
 use suca_pubsub::{
     run_publisher, run_publisher_open, run_subscriber, FloodCfg, PubSubCosts, PubSubService,
@@ -32,6 +31,9 @@ use suca_rpc::{
     TenantPolicy,
 };
 use suca_sim::{ActorCtx, HealthRule, RunOutcome, SimDuration, SimTime};
+
+use crate::kv_cluster::interleave_servers;
+use crate::spec_for;
 
 /// Fixed seed for every mixed_slo variant.
 pub const SEED: u64 = 0x3_7E4A47;
@@ -152,31 +154,18 @@ pub fn burn_rule(tenant: u8) -> String {
     format!("t{tenant}.err_burn")
 }
 
-fn spec_for(fabric: &str) -> ClusterSpec {
+fn mixed_spec(fabric: &str) -> ClusterSpec {
     // Dual rail on every variant: the primary fabric is the one under
     // test, the other rides along as the failover rail.
-    let (san, san2) = match fabric {
-        "myrinet" => (
-            SanKind::Myrinet(MyrinetConfig::dawning3000()),
-            SanKind::Mesh(MeshConfig::dawning3000()),
-        ),
-        "mesh" => (
-            SanKind::Mesh(MeshConfig::dawning3000()),
-            SanKind::Myrinet(MyrinetConfig::dawning3000()),
-        ),
-        other => panic!("unknown fabric {other}"),
+    let other = if fabric == "myrinet" {
+        "mesh"
+    } else {
+        "myrinet"
     };
-    ClusterSpec::dawning3000(NODES)
-        .with_san(san)
-        .with_second_san(san2)
+    spec_for(fabric, NODES, FaultPlan::NONE)
+        .with_second_san(spec_for(other, NODES, FaultPlan::NONE).san)
         .with_seed(SEED)
         .with_health(mixed_health_rules())
-}
-
-/// Spread service nodes across the fabric (same rationale as rpc_slo:
-/// both SANs reward locality, clumping funnels the bisection).
-fn service_nodes() -> Vec<u32> {
-    (0..N_SERVERS).map(|s| s * NODES / N_SERVERS).collect()
 }
 
 fn client_cfg(tenant: u8, priority: Priority) -> RpcClientConfig {
@@ -201,13 +190,12 @@ fn client_cfg(tenant: u8, priority: Priority) -> RpcClientConfig {
 
 /// Run one mixed-tenant variant and gather its per-tenant SLO report.
 pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
-    let spec = spec_for(fabric);
-    let cluster = spec.build();
+    let cluster = mixed_spec(fabric).build();
     let sim = cluster.sim.clone();
     sim.schedule_at(SimTime::from_ns(KEEPALIVE_NS), |_| {});
     let barrier = SimBarrier::new(&sim, NODES);
 
-    let servers = service_nodes();
+    let servers = interleave_servers(NODES, N_SERVERS);
     let addrs: Arc<Mutex<Vec<Option<ProcAddr>>>> = Arc::new(Mutex::new(vec![None; servers.len()]));
     let tenant_totals: Arc<Mutex<[LoadStats; 3]>> = Arc::new(Mutex::new([LoadStats::default(); 3]));
     let sub_totals: Arc<Mutex<SubTotals>> = Arc::new(Mutex::new(SubTotals::default()));

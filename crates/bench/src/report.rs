@@ -4,75 +4,9 @@
 use std::io;
 use std::path::PathBuf;
 
+use suca_sim::artifact::write_artifact;
 use suca_sim::mtrace::stage;
 use suca_sim::{MetricsSnapshot, Sim, SimDuration, TraceEvent, TracePhase};
-
-/// Directory the harness binaries write metrics snapshots into. Overridable
-/// via `SUCA_METRICS_DIR`; relative paths resolve against the working
-/// directory (the workspace root under `cargo run`).
-pub fn metrics_dir() -> PathBuf {
-    std::env::var_os("SUCA_METRICS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/metrics"))
-}
-
-/// Directory the engine scalability benchmark writes `BENCH_engine.json`
-/// into. Overridable via `SUCA_BENCH_DIR`; relative paths resolve against
-/// the working directory (the workspace root under `cargo run`). CI points
-/// this at the workspace root so the perf trajectory is recorded per PR.
-pub fn bench_dir() -> PathBuf {
-    std::env::var_os("SUCA_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/bench"))
-}
-
-/// Directory the harness binaries write Chrome/Perfetto trace files into.
-/// Overridable via `SUCA_TRACES_DIR`; relative paths resolve against the
-/// working directory (the workspace root under `cargo run`).
-pub fn traces_dir() -> PathBuf {
-    std::env::var_os("SUCA_TRACES_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/traces"))
-}
-
-/// Directory the harness binaries write telemetry timeseries JSON into.
-/// Overridable via `SUCA_TIMESERIES_DIR`; relative paths resolve against
-/// the working directory (the workspace root under `cargo run`).
-pub fn timeseries_dir() -> PathBuf {
-    std::env::var_os("SUCA_TIMESERIES_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/timeseries"))
-}
-
-/// Directory the harness binaries write engine self-profiler reports into.
-/// Overridable via `SUCA_PROF_DIR`; relative paths resolve against the
-/// working directory (the workspace root under `cargo run`).
-pub fn prof_dir() -> PathBuf {
-    std::env::var_os("SUCA_PROF_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/prof"))
-}
-
-/// Serialize `sim`'s engine self-profiler report as JSON to
-/// `<prof_dir>/<run>.json`.
-pub fn write_prof_json(sim: &Sim, run: &str) -> io::Result<PathBuf> {
-    let dir = prof_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{run}.json"));
-    std::fs::write(&path, sim.prof_report().to_json())?;
-    Ok(path)
-}
-
-/// Serialize `sim`'s telemetry snapshot folded through the cluster rollup
-/// (bounded output independent of node count) to
-/// `<timeseries_dir>/<run>.rollup.json`.
-pub fn write_timeseries_rollup_json(sim: &Sim, run: &str) -> io::Result<PathBuf> {
-    let dir = timeseries_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{run}.rollup.json"));
-    std::fs::write(&path, sim.timeseries().snapshot().rollup().to_json())?;
-    Ok(path)
-}
 
 /// Host metadata for cross-machine comparability of benchmark rows:
 /// `(os, arch, rustc_version, available_threads)`. `rustc -V` is probed
@@ -100,69 +34,44 @@ fn rustc_version() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Serialize per-message trace events as Chrome/Perfetto JSON to
-/// `<traces_dir>/<run>.json` (loadable at <https://ui.perfetto.dev>).
-pub fn write_trace_json(events: &[suca_sim::TraceEvent], run: &str) -> io::Result<PathBuf> {
-    let dir = traces_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{run}.json"));
-    std::fs::write(&path, suca_sim::mtrace::to_chrome_json(events))?;
-    Ok(path)
+/// Serialize per-message trace events as Chrome/Perfetto JSON to the
+/// `traces` artifact `run` (loadable at <https://ui.perfetto.dev>).
+pub fn write_trace_json(events: &[TraceEvent], run: &str) -> io::Result<PathBuf> {
+    write_artifact("traces", run, &suca_sim::mtrace::to_chrome_json(events))
 }
 
 /// Serialize `sim`'s telemetry snapshot (every probe's sampled ring) as
-/// deterministic JSON to `<timeseries_dir>/<run>.json`.
+/// deterministic JSON to the `timeseries` artifact `run`.
 pub fn write_timeseries_json(sim: &Sim, run: &str) -> io::Result<PathBuf> {
-    let dir = timeseries_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{run}.json"));
-    std::fs::write(&path, sim.timeseries().snapshot().to_json())?;
-    Ok(path)
+    write_artifact("timeseries", run, &sim.timeseries().snapshot().to_json())
 }
 
 /// Like [`write_trace_json`], but merges `sim`'s telemetry rings in as
 /// Perfetto counter tracks so queue depths and occupancies render alongside
 /// the per-message spans.
 pub fn write_trace_json_with_counters(
-    events: &[suca_sim::TraceEvent],
+    events: &[TraceEvent],
     sim: &Sim,
     run: &str,
 ) -> io::Result<PathBuf> {
-    let dir = traces_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{run}.json"));
-    std::fs::write(
-        &path,
-        suca_sim::mtrace::to_chrome_json_with_counters(events, &sim.timeseries().snapshot()),
-    )?;
-    Ok(path)
-}
-
-/// Serialize `snap` as JSON to `<metrics_dir>/<harness>.json`.
-pub fn write_metrics_json(snap: &MetricsSnapshot, harness: &str) -> io::Result<PathBuf> {
-    let dir = metrics_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{harness}.json"));
-    std::fs::write(&path, snap.to_json())?;
-    Ok(path)
+    let json = suca_sim::mtrace::to_chrome_json_with_counters(events, &sim.timeseries().snapshot());
+    write_artifact("traces", run, &json)
 }
 
 /// Snapshot `sim`'s metrics registry, stamp the harness name into its
-/// metadata, write it to disk, and print where it went. Harness binaries
-/// call this once per instrumented run; failures are reported but not
-/// fatal (the numbers on stdout are the primary artifact).
+/// metadata, write it as the `metrics` artifact `harness`, and print where
+/// it went. Harness binaries call this once per instrumented run.
 pub fn emit_metrics(sim: &Sim, harness: &str) -> MetricsSnapshot {
     sim.metrics().set_meta("harness", harness);
     let snap = sim.metrics_snapshot();
-    match write_metrics_json(&snap, harness) {
-        Ok(path) => println!(
-            "[metrics] {} counters, {} gauges -> {}",
-            snap.counters.len(),
-            snap.gauges.len(),
-            path.display()
-        ),
-        Err(e) => eprintln!("[metrics] could not write snapshot for {harness}: {e}"),
-    }
+    let path = write_artifact("metrics", harness, &snap.to_json())
+        .unwrap_or_else(|e| panic!("[metrics] could not write snapshot for {harness}: {e}"));
+    println!(
+        "[metrics] {} counters, {} gauges -> {}",
+        snap.counters.len(),
+        snap.gauges.len(),
+        path.display()
+    );
     snap
 }
 

@@ -8,17 +8,13 @@
 //! by comparing the SLO/chaos reports plus the metrics and telemetry
 //! snapshots byte-for-byte.
 
-use std::sync::{Arc, Mutex};
-
-use suca_bcl::ProcAddr;
+use suca_bench::kv_cluster;
 use suca_chaos::{ChaosController, ChaosPlan, ChaosReport, Fault};
-use suca_cluster::{ClusterSpec, SanKind, SimBarrier};
-use suca_load::{
-    run_closed_loop, ClosedLoopCfg, KvCosts, KvService, LatencyHists, LoadStats, Mix, SloReport,
-};
+use suca_cluster::{ClusterSpec, SanKind};
+use suca_load::{run_closed_loop, ClosedLoopCfg, KvCosts, LatencyHists, Mix, SloReport};
 use suca_mesh::MeshConfig;
-use suca_rpc::{RpcClient, RpcClientConfig, RpcServer, RpcServerConfig};
-use suca_sim::{ActorCtx, RunOutcome, SimDuration, SimTime};
+use suca_rpc::{RpcClientConfig, RpcServerConfig};
+use suca_sim::{SimDuration, SimTime};
 
 const SEED: u64 = 0x5AADED;
 
@@ -36,13 +32,8 @@ struct RunBytes {
 /// JSON artifact the harnesses would emit.
 fn run_kv(spec: ClusterSpec, users_per_client: u32, plan: Option<&ChaosPlan>) -> RunBytes {
     let nodes = spec.nodes;
-    let server_nodes: Vec<u32> = vec![0, nodes / 2];
+    let server_nodes = [0, nodes / 2];
     let n_servers = server_nodes.len() as u32;
-    let cluster = spec.build();
-    let sim = cluster.sim.clone();
-    if let Some(plan) = plan {
-        ChaosController::install(&cluster, plan);
-    }
     let server_cfg = RpcServerConfig {
         queue_cap: 256,
         idle_timeout: SimDuration::from_ms(5),
@@ -56,38 +47,18 @@ fn run_kv(spec: ClusterSpec, users_per_client: u32, plan: Option<&ChaosPlan>) ->
         slot_bytes: suca_load::SCAN_BYTES as u64,
         ..RpcClientConfig::default()
     };
-    let barrier = SimBarrier::new(&sim, nodes);
-    let addrs: Arc<Mutex<Vec<Option<ProcAddr>>>> =
-        Arc::new(Mutex::new(vec![None; n_servers as usize]));
-    let totals: Arc<Mutex<LoadStats>> = Arc::new(Mutex::new(LoadStats::default()));
-    for (s, &node) in server_nodes.iter().enumerate() {
-        let (b, a, scfg) = (barrier.clone(), addrs.clone(), server_cfg.clone());
-        cluster.spawn_process(node, "kv-shard", move |ctx, env| {
-            let port = env.open_port(ctx);
-            a.lock().unwrap()[s] = Some(port.addr());
-            let mut srv = RpcServer::new(ctx, port, scfg).expect("shard up");
-            let mut svc = KvService::new(KvCosts::default());
-            b.wait(ctx);
-            srv.serve_until_idle(ctx, &mut |ctx: &mut ActorCtx, op: u8, req: &[u8]| {
-                svc.handle(ctx, op, req)
-            });
-        });
-    }
-    let client_nodes: Vec<u32> = (0..nodes).filter(|n| !server_nodes.contains(n)).collect();
-    for (c, &node) in client_nodes.iter().enumerate() {
-        let (b, a, t) = (barrier.clone(), addrs.clone(), totals.clone());
-        let ccfg = client_cfg.clone();
-        let c = c as u32;
-        cluster.spawn_process(node, "load-client", move |ctx, env| {
-            let port = env.open_port(ctx);
-            let mut cli = RpcClient::new(ctx, port, ccfg).expect("client up");
-            b.wait(ctx);
-            let servers: Vec<ProcAddr> = a
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|x| x.expect("shard ready"))
-                .collect();
+    let (cluster, stats) = kv_cluster::run(
+        spec,
+        &server_nodes,
+        server_cfg,
+        client_cfg,
+        KvCosts::default(),
+        |cluster| {
+            if let Some(plan) = plan {
+                ChaosController::install(cluster, plan);
+            }
+        },
+        move |ctx, cli, servers, c| {
             // Think 0.5–1.5 ms keeps clients live through the storm window.
             let cfg = ClosedLoopCfg {
                 users: users_per_client,
@@ -99,12 +70,9 @@ fn run_kv(spec: ClusterSpec, users_per_client: u32, plan: Option<&ChaosPlan>) ->
             };
             let mut rng = ctx.sim().fork_rng(&format!("load.shard_det.client{c}"));
             let hists = LatencyHists::new(&ctx.sim().metrics());
-            let stats = run_closed_loop(ctx, &mut cli, &servers, &mut rng, &cfg, &hists);
-            t.lock().unwrap().merge(&stats);
-        });
-    }
-    assert_eq!(sim.run(), RunOutcome::Completed, "shard_det workload hung");
-    let stats = *totals.lock().unwrap();
+            run_closed_loop(ctx, cli, servers, &mut rng, &cfg, &hists)
+        },
+    );
     let users = u64::from(nodes - n_servers) * u64::from(users_per_client);
     let slo = SloReport::gather(&cluster.sim, "shard_det", "any", nodes, users, &stats);
     assert!(slo.accounted(), "requests leaked");

@@ -15,7 +15,7 @@
 //! * [`ChaosReport`] — recovery accounting gathered from the metrics
 //!   registry (injections, path deaths, rail failovers, epoch resyncs,
 //!   stale-epoch drops, recovery-latency percentiles), serialized as
-//!   stable JSON under `target/chaos/` (override with `SUCA_CHAOS_DIR`).
+//!   stable JSON (the `chaos` artifact kind: `target/chaos/`).
 
 #![warn(missing_docs)]
 
@@ -320,15 +320,9 @@ impl ChaosController {
     }
 }
 
-/// Where chaos reports land: `$SUCA_CHAOS_DIR` or `target/chaos`.
-pub fn chaos_dir() -> PathBuf {
-    std::env::var_os("SUCA_CHAOS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/chaos"))
-}
-
 /// Recovery accounting for one chaos run, gathered from the metrics
-/// registry. Stable JSON — CI diffs two fixed-seed runs byte-for-byte.
+/// registry. Stable JSON — `chaos_slo` compares two fixed-seed runs
+/// byte-for-byte.
 #[derive(Clone, Debug)]
 pub struct ChaosReport {
     /// Run label.
@@ -337,7 +331,7 @@ pub struct ChaosReport {
     pub seed: u64,
     /// Faults injected (hooks accepted).
     pub injected: u64,
-    /// Faults whose hook refused (bad index) — must be 0 in CI.
+    /// Faults whose hook refused (bad index) — `chaos_slo` asserts 0.
     pub skipped: u64,
     /// Link-down injections.
     pub link_down: u64,
@@ -447,13 +441,9 @@ impl ChaosReport {
         o
     }
 
-    /// Write to `chaos_dir()/{file_stem}.json` and return the path.
+    /// Write as the `chaos` artifact `file_stem` and return the path.
     pub fn write_named(&self, file_stem: &str) -> std::io::Result<PathBuf> {
-        let dir = chaos_dir();
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{file_stem}.json"));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+        suca_sim::artifact::write_artifact("chaos", file_stem, &self.to_json())
     }
 }
 
@@ -536,5 +526,32 @@ mod tests {
         assert_eq!(j, r.to_json());
         assert!(j.contains("\"recovery_p99_us\": 901.250,"));
         assert!(j.ends_with("\"recovery_max_us\": 910.000\n}\n"));
+        assert_eq!(suca_sim::artifact::validate_json(&j), Ok(()));
+        for key in [
+            "variant",
+            "seed",
+            "injected",
+            "skipped",
+            "link_down",
+            "link_up",
+            "port_dead",
+            "nic_resets",
+            "node_crashes",
+            "node_restarts",
+            "path_deaths",
+            "rail_failovers",
+            "epoch_resyncs",
+            "stale_epoch_drops",
+            "link_down_drops",
+            "dead_port_drops",
+            "node_down_drops",
+            "rpc_dead_dests",
+            "watchdog_stalls",
+            "recovery_p50_us",
+            "recovery_p99_us",
+            "recovery_max_us",
+        ] {
+            assert!(j.contains(&format!("\n  \"{key}\": ")), "missing {key}");
+        }
     }
 }

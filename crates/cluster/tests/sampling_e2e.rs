@@ -4,12 +4,11 @@
 //! the flight-recorder path (`TraceId::NONE`) must keep recording.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
 
-use suca_bcl::{ChannelId, ProcAddr};
-use suca_cluster::{ClusterSpec, SimBarrier};
+use suca_bench::ring;
+use suca_cluster::ClusterSpec;
 use suca_sim::mtrace::{check_completeness_sampled, to_chrome_json, ChainPolicy, SampleSpec};
-use suca_sim::{RunOutcome, TraceEvent, TraceId};
+use suca_sim::{TraceEvent, TraceId};
 
 const SEED: u64 = 0x5A11;
 const NODES: u32 = 8;
@@ -24,32 +23,7 @@ fn run_ring(sample_ppm: Option<u32>) -> Vec<TraceEvent> {
     if let Some(ppm) = sample_ppm {
         spec = spec.with_trace_sampling(ppm);
     }
-    let cluster = spec.build();
-    let sim = cluster.sim.clone();
-    let barrier = SimBarrier::new(&sim, NODES);
-    let addrs: Arc<Mutex<Vec<Option<ProcAddr>>>> = Arc::new(Mutex::new(vec![None; NODES as usize]));
-    for node in 0..NODES {
-        let (b, a) = (barrier.clone(), addrs.clone());
-        cluster.spawn_process(node, "ring", move |ctx, env| {
-            let port = env.open_port(ctx);
-            a.lock().unwrap()[node as usize] = Some(port.addr());
-            for i in 0..MSGS {
-                port.post_recv(ctx, i as u16, PAYLOAD as u64)
-                    .expect("post recv");
-            }
-            b.wait(ctx);
-            let right = a.lock().unwrap()[((node + 1) % NODES) as usize].expect("neighbor up");
-            let payload = vec![node as u8; PAYLOAD];
-            for i in 0..MSGS {
-                port.send_bytes(ctx, right, ChannelId::normal(i as u16), &payload)
-                    .expect("send");
-            }
-            for _ in 0..MSGS {
-                port.wait_recv(ctx);
-            }
-        });
-    }
-    assert_eq!(sim.run(), RunOutcome::Completed, "ring hung");
+    let (cluster, _wall) = ring::run(spec, MSGS, PAYLOAD);
     cluster.trace_events()
 }
 

@@ -437,20 +437,6 @@ impl Plan {
             None
         }
     }
-
-    /// Total messages the plan puts on the (logical) wire.
-    pub fn total_messages(&self) -> usize {
-        self.schedules
-            .iter()
-            .flatten()
-            .map(|s| s.send_to.len())
-            .sum()
-    }
-
-    /// Longest schedule over all ranks (round count upper bound).
-    pub fn max_steps(&self) -> usize {
-        self.schedules.iter().map(|s| s.len()).max().unwrap_or(0)
-    }
 }
 
 // ---------------------------------------------------------------------------

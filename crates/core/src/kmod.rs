@@ -22,7 +22,7 @@ use suca_mem::{NicSegs, PinDownTable, PinLookup, VirtAddr, PAGE_SIZE};
 use suca_myrinet::FabricNodeId;
 use suca_os::{NodeOs, OsProcess, Pid};
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{ActorCtx, Counter, Gauge, SimDuration, SimTime};
+use suca_sim::{ActorCtx, Counter, Gauge, SimTime};
 
 use crate::coll::{CollOp, CollSetup, CollStep};
 use crate::config::BclConfig;
@@ -730,10 +730,5 @@ impl BclKmod {
                 hi,
             ));
         }
-    }
-
-    /// Kernel-visible cost of one trap round trip (for the harnesses).
-    pub fn trap_cost(&self) -> SimDuration {
-        self.os.costs.trap_roundtrip()
     }
 }

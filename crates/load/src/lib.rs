@@ -29,4 +29,4 @@ pub use gen::{
     OpenLoopCfg, ShardMap, KV_CLASSES,
 };
 pub use kv::{KvCosts, KvService, OP_GET, OP_PUT, OP_SCAN, SCAN_BYTES, VALUE_BYTES};
-pub use slo::{slo_dir, ClassSlo, SloReport, TenantSlo};
+pub use slo::{ClassSlo, SloReport, TenantSlo};

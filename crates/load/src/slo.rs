@@ -1,10 +1,10 @@
 //! Deterministic SLO reports: per-op-class latency percentiles, goodput,
-//! and full request accounting, serialized as stable JSON under
-//! `target/slo/` (override with `SUCA_SLO_DIR`).
+//! and full request accounting, serialized as stable JSON (the `slo`
+//! artifact kind: `target/slo/`).
 //!
 //! The JSON is hand-rolled with a fixed key order and `{:.3}` floats so a
-//! fixed-seed run is byte-identical — CI diffs two runs of the clean
-//! variant to prove it.
+//! fixed-seed run is byte-identical — `rpc_slo` runs its clean variant
+//! twice and compares the two reports to prove it.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -14,13 +14,6 @@ use suca_sim::Sim;
 use crate::gen::LoadStats;
 use crate::kv::op_name;
 use crate::kv::{OP_GET, OP_PUT, OP_SCAN};
-
-/// Where SLO reports land: `$SUCA_SLO_DIR` or `target/slo`.
-pub fn slo_dir() -> PathBuf {
-    std::env::var_os("SUCA_SLO_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/slo"))
-}
 
 /// Latency summary for one op class (microseconds).
 #[derive(Clone, Debug)]
@@ -314,13 +307,9 @@ impl SloReport {
         o
     }
 
-    /// Write to `slo_dir()/{file_stem}.json` and return the path.
+    /// Write as the `slo` artifact `file_stem` and return the path.
     pub fn write_named(&self, file_stem: &str) -> std::io::Result<PathBuf> {
-        let dir = slo_dir();
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{file_stem}.json"));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+        suca_sim::artifact::write_artifact("slo", file_stem, &self.to_json())
     }
 
     /// Write to the canonical `{variant}_{fabric}.json` name.
@@ -395,5 +384,49 @@ mod tests {
         assert!(j.contains("\"tenants\": ["));
         assert!(j.contains("\"priority\": \"high\","));
         assert!(j.ends_with("}\n"));
+        assert_eq!(suca_sim::artifact::validate_json(&j), Ok(()));
+        // Every scalar of the report, the tenant section and the class rows.
+        for key in [
+            "variant",
+            "fabric",
+            "nodes",
+            "users",
+            "issued",
+            "completed",
+            "shed",
+            "timed_out",
+            "client_shed",
+            "retries",
+            "late_responses",
+            "dead_dests",
+            "re_homed",
+            "srv_sheds",
+            "srv_queue_high_water",
+            "watchdog_stalls",
+            "elapsed_us",
+            "goodput_ops_per_s",
+            "classes",
+        ] {
+            assert!(j.contains(&format!("\n  \"{key}\": ")), "missing {key}");
+        }
+        for key in [
+            "name",
+            "tenant",
+            "priority",
+            "issued",
+            "completed",
+            "shed",
+            "timed_out",
+            "client_shed",
+            "classes",
+        ] {
+            assert!(
+                j.contains(&format!("\n      \"{key}\": ")),
+                "tenant section missing {key}"
+            );
+        }
+        let class_row = "{\"name\": \"get\", \"count\": 9, \"mean_us\": 12.000, \"p50_us\": 10.000, \
+                         \"p95_us\": 20.000, \"p99_us\": 30.000, \"p999_us\": 40.000, \"max_us\": 41.000}";
+        assert_eq!(j.matches(class_row).count(), 2, "report and tenant rows");
     }
 }

@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use suca_sim::mtrace::stage;
 use suca_sim::{Counter, Sim, SimDuration};
 
 use suca_myrinet::fabric::{Fabric, FabricNodeId, FaultPlan, RxHandler};
@@ -65,7 +66,6 @@ impl MeshConfig {
 pub struct Mesh {
     cfg: MeshConfig,
     width: u32,
-    height: u32,
     /// Host→router injection links, indexed by node id.
     uplinks: Vec<Arc<Link>>,
     /// Router→host ejection links, indexed by node id (retained so chaos
@@ -89,6 +89,7 @@ impl suca_myrinet::link::PacketSink for MeshEndpoint {
         // wrong host; real NICs sink it, so we count and drop — never panic.
         if pkt.dst != self.node {
             sim.add_count("fabric.misrouted", 1);
+            suca_myrinet::switch::trace_wire_instant(sim, &pkt, stage::DROP_MISROUTE);
             return;
         }
         self.delivered.inc();
@@ -211,7 +212,6 @@ impl Mesh {
         Arc::new(Mesh {
             cfg,
             width,
-            height,
             uplinks,
             downlinks,
             routers,
@@ -263,11 +263,6 @@ impl Mesh {
     /// Number of router hops between two nodes.
     pub fn hops(&self, src: FabricNodeId, dst: FabricNodeId) -> usize {
         self.route(src, dst).len()
-    }
-
-    /// Mesh dimensions.
-    pub fn dims(&self) -> (u32, u32) {
-        (self.width, self.height)
     }
 }
 
@@ -434,6 +429,39 @@ mod tests {
         let near = time_to(1);
         let far = time_to(63);
         assert!(near > 0 && far > near, "near={near} far={far}");
+    }
+
+    #[test]
+    fn misrouted_packet_leaves_a_drop_instant_on_its_origin_ring() {
+        use suca_myrinet::link::PacketSink;
+        use suca_myrinet::{Packet, PacketTrace};
+
+        let sim = Sim::new(1);
+        let m = Mesh::build(&sim, 2, 2, 4, MeshConfig::dawning3000());
+        let log = listen(&m, 3);
+        // What chaos rewiring or a corrupted route byte produces: a packet
+        // for node 2 ejected at node 3.
+        let pkt = Packet {
+            src: FabricNodeId(1),
+            dst: FabricNodeId(2),
+            payload: Bytes::from_static(b"lost"),
+            corrupted: false,
+            route: vec![port::HOST],
+            route_pos: 1,
+            trace: Some(PacketTrace {
+                origin: 1,
+                msg_id: 7,
+                seq: 0,
+            }),
+        };
+        m.endpoints[3].deliver(&sim, pkt);
+        assert!(log.lock().is_empty(), "the wrong host saw the packet");
+        assert_eq!(sim.get_count("fabric.misrouted"), 1);
+        let events = sim.trace_events();
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!(events[0].stage, stage::DROP_MISROUTE);
+        assert_eq!(events[0].node, 1, "the drop belongs on the origin's ring");
+        assert_eq!(events[0].trace, suca_sim::TraceId::new(1, 7));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::link::{Link, PacketSink};
 /// Record a wire-layer instant for a packet carrying trace identity. The
 /// event lands on the *origin* node's ring so a message's whole journey
 /// stays together even when it crosses many switches.
-pub(crate) fn trace_wire_instant(sim: &Sim, pkt: &Packet, stage_name: &'static str) {
+pub fn trace_wire_instant(sim: &Sim, pkt: &Packet, stage_name: &'static str) {
     let Some(t) = pkt.trace else { return };
     if !sim.msg_trace().enabled() {
         return;

@@ -47,12 +47,6 @@ impl MyrinetConfig {
             fault: FaultPlan::NONE,
         }
     }
-
-    /// Same network with fault injection enabled (for reliability tests).
-    pub fn with_faults(mut self, fault: FaultPlan) -> Self {
-        self.fault = fault;
-        self
-    }
 }
 
 /// NIC attachment endpoint: terminates a switch→host link and dispatches to

@@ -55,11 +55,6 @@ impl MessageCritPath {
     pub fn self_time(&self, stage_name: &str) -> u64 {
         self.self_ns.get(stage_name).copied().unwrap_or(0)
     }
-
-    /// Summed span duration of one stage (0 when absent).
-    pub fn span_time(&self, stage_name: &str) -> u64 {
-        self.span_ns.get(stage_name).copied().unwrap_or(0)
-    }
 }
 
 /// Analyze every chain in `events` that recorded an `api:send`. Chains

@@ -57,13 +57,6 @@ pub const CLASS_NAMES: [&str; 4] = ["get", "put", "scan", "other"];
 /// per-tick state stays bounded no matter what ids a workload invents.
 pub const MAX_TENANTS: usize = 4;
 
-/// Where alert reports land: `$SUCA_HEALTH_DIR` or `target/health`.
-pub fn health_dir() -> PathBuf {
-    std::env::var_os("SUCA_HEALTH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/health"))
-}
-
 fn class_idx(op_class: u8) -> usize {
     (op_class as usize).min(3)
 }
@@ -1081,13 +1074,9 @@ impl AlertReport {
         out
     }
 
-    /// Write to `health_dir()/{file_stem}.json` and return the path.
+    /// Write as the `health` artifact `file_stem` and return the path.
     pub fn write_named(&self, file_stem: &str) -> std::io::Result<PathBuf> {
-        let dir = health_dir();
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{file_stem}.json"));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+        crate::write_artifact("health", file_stem, &self.to_json())
     }
 }
 
@@ -1392,12 +1381,22 @@ mod tests {
         let j = r1.to_json();
         assert!(j.contains("\"schema\": \"suca.health.v1\""));
         assert!(j.contains("\"detect_ns\": 5000"));
-        let depth = j.chars().fold(0i32, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0, "balanced JSON");
+        // The counts block is derived from the alert rows, never stored.
+        assert!(j.contains("\"counts\": {\"fired\": 1, \"resolved\": 1, \"active\": 0}"));
+        for key in [
+            "harness",
+            "variant",
+            "seed",
+            "ticks",
+            "rules",
+            "alerts",
+            "detections",
+            "detect_latency_ns",
+            "clear_latency_ns",
+        ] {
+            assert!(j.contains(&format!("\n  \"{key}\": ")), "missing {key}");
+        }
+        assert_eq!(crate::validate_json(&j), Ok(()));
     }
 
     #[test]

@@ -29,12 +29,15 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+pub mod artifact;
 pub mod critpath;
 pub mod health;
 pub mod prof;
 pub mod timeseries;
 pub mod trace;
 pub mod watchdog;
+
+pub use artifact::{validate_json, write_artifact};
 
 /// A monotonically increasing counter. Cloning shares the underlying cell.
 #[derive(Clone)]
@@ -788,20 +791,13 @@ mod tests {
         m.gauge("cq.depth").set(4);
         m.histogram("sz").record(100);
         let j = m.snapshot().to_json();
-        // Structural checks (no JSON parser available offline).
         assert!(j.starts_with("{\n"));
         assert!(j.ends_with("}\n"));
         assert!(j.contains("\"harness\": \"unit \\\"test\\\"\""));
         assert!(j.contains("\"fabric.dropped\": 1"));
         assert!(j.contains("\"value\": 4, \"high_water\": 4"));
         assert!(j.contains("\"count\": 1, \"sum\": 100"));
-        // Balanced braces/brackets.
-        let depth = j.chars().fold(0i32, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0);
+        assert_eq!(crate::validate_json(&j), Ok(()));
     }
 
     #[test]

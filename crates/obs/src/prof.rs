@@ -290,12 +290,7 @@ mod tests {
         assert!(j.contains("\"schema\": \"suca.prof.v2\""));
         assert!(j.contains("\"dispatch\": {\"call\": 1, \"wake\": 1, \"poll\": 1}"));
         assert!(j.contains("\"attributed_pct\""));
-        let depth = j.chars().fold(0i32, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0, "balanced JSON:\n{j}");
+        assert_eq!(crate::validate_json(&j), Ok(()));
     }
 
     #[test]

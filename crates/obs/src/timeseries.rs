@@ -124,19 +124,6 @@ impl TimeSeries {
         });
     }
 
-    /// Number of registered probes.
-    pub fn probe_count(&self) -> usize {
-        self.inner.lock().expect("timeseries poisoned").probes.len()
-    }
-
-    /// Sorted names of every registered probe.
-    pub fn probe_names(&self) -> Vec<String> {
-        let inner = self.inner.lock().expect("timeseries poisoned");
-        let mut names: Vec<String> = inner.probes.iter().map(|p| p.name.clone()).collect();
-        names.sort();
-        names
-    }
-
     /// Sampling ticks taken so far.
     pub fn samples_taken(&self) -> u64 {
         self.inner
@@ -592,12 +579,7 @@ mod tests {
         assert!(j1.contains("\"capacity\": null"));
         assert!(j1.contains("\"capacity\": 10"));
         assert!(j1.contains("[100, 3], [200, 3]"));
-        let depth = j1.chars().fold(0i32, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0, "balanced JSON");
+        assert_eq!(crate::validate_json(&j1), Ok(()));
     }
 
     #[test]
@@ -659,18 +641,13 @@ mod tests {
         let bigroll = big.snapshot().rollup();
         assert_eq!(bigroll.groups.len(), 1);
         assert_eq!(bigroll.groups[0].points.len(), 1);
-        // Deterministic, schema-tagged, balanced JSON.
+        // Deterministic, schema-tagged, well-formed JSON.
         let j1 = roll.to_json();
         let j2 = ts.snapshot().rollup().to_json();
         assert_eq!(j1, j2);
         assert!(j1.contains("\"schema\": \"suca.timeseries_rollup.v1\""));
         assert!(j1.contains("[100, 8, 0, 70, 280]"));
-        let depth = j1.chars().fold(0i32, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0, "balanced JSON");
+        assert_eq!(crate::validate_json(&j1), Ok(()));
     }
 
     #[test]

@@ -559,14 +559,6 @@ impl MsgTracer {
         self.inner.sample_seed.store(spec.seed, Ordering::Relaxed);
     }
 
-    /// Would an event for `trace` be recorded right now? Hot paths that
-    /// build expensive events can pre-check this instead of just
-    /// [`MsgTracer::enabled`].
-    #[inline]
-    pub fn should_record(&self, trace: TraceId) -> bool {
-        self.enabled() && self.sampling().admits(trace)
-    }
-
     /// Events rejected by the sampler so far.
     pub fn total_sampled_out(&self) -> u64 {
         self.inner.sampled_out.load(Ordering::Relaxed)
@@ -1393,12 +1385,7 @@ mod tests {
         assert!(j.contains("\"process_name\""));
         assert!(j.contains("\"name\": \"node 0\""));
         assert!(j.contains("\"name\": \"api:send\""));
-        let depth = j.chars().fold(0i32, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0);
+        assert_eq!(crate::validate_json(&j), Ok(()));
     }
 
     #[test]
@@ -1423,14 +1410,9 @@ mod tests {
         assert!(j.contains("\"name\": \"fabric\""));
         assert!(j.contains("\"ts\": 1.000"), "sample at 1 us");
         assert!(j.contains("\"args\": {\"value\": 4096}"));
-        // Still a balanced document with the span events intact.
+        // Still a well-formed document with the span events intact.
         assert!(j.contains("\"ph\": \"X\""));
-        let depth = j.chars().fold(0i32, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0);
+        assert_eq!(crate::validate_json(&j), Ok(()));
     }
 
     #[test]

@@ -11,7 +11,6 @@ use suca_sim::{ActorCtx, Semaphore, Sim, SimDuration};
 #[derive(Clone)]
 pub struct CpuSet {
     cpus: Semaphore,
-    n: u32,
 }
 
 impl CpuSet {
@@ -20,13 +19,7 @@ impl CpuSet {
         assert!(n > 0);
         CpuSet {
             cpus: Semaphore::new(sim, n as u64),
-            n,
         }
-    }
-
-    /// Number of CPUs.
-    pub fn num_cpus(&self) -> u32 {
-        self.n
     }
 
     /// CPUs currently idle.

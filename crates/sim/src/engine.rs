@@ -39,10 +39,7 @@ use crate::time::{SimDuration, SimTime};
 /// Identifies a scheduled event; returned by the `schedule_*` methods and
 /// accepted by [`Sim::cancel`] (used for e.g. retransmission timers).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId {
-    time: SimTime,
-    seq: u64,
-}
+pub struct EventId(u64);
 
 /// Handle to a registered poller callback (see [`Sim::register_poller`]).
 /// Scheduling a poll tick allocates nothing: the event carries only this id.
@@ -289,7 +286,7 @@ impl Sim {
         let mut q = self.inner.queue.lock();
         q.heap.push(Reverse(EventEntry { time, seq, action }));
         q.live.insert(seq);
-        EventId { time, seq }
+        EventId(seq)
     }
 
     /// Cancel a pending event. Returns `false` if it already fired or was
@@ -298,7 +295,7 @@ impl Sim {
     pub fn cancel(&self, id: EventId) -> bool {
         // The entry stays in the heap as a tombstone and is discarded
         // (without advancing time) when it reaches the front.
-        self.inner.queue.lock().live.remove(&id.seq)
+        self.inner.queue.lock().live.remove(&id.0)
     }
 
     /// Spawn a thread-backed actor; it starts running at the current instant

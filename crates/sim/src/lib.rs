@@ -54,6 +54,10 @@ pub use time::{SimDuration, SimTime};
 // hold typed instrument handles without a separate suca-obs dependency.
 pub use suca_obs::{Counter, Gauge, Histogram, Metrics, MetricsSnapshot};
 
+// The one artifact writer (see `suca_obs::artifact`), for report types in
+// crates that depend on the engine only.
+pub use suca_obs::artifact;
+
 // Per-message causal tracing (see `suca_obs::trace`): the event model and
 // the flight-recorder ring.
 pub use suca_obs::trace as mtrace;

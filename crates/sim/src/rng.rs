@@ -69,11 +69,6 @@ impl SimRng {
         result
     }
 
-    /// Uniform `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Fill `dest` with uniform bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {

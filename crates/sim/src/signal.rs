@@ -18,7 +18,6 @@ use crate::engine::Sim;
 
 struct SignalState {
     waiters: Vec<(ActorId, u64)>,
-    notified: u64,
 }
 
 /// A broadcast wakeup channel. Clones share state.
@@ -35,7 +34,6 @@ impl Signal {
             sim: sim.clone(),
             state: Arc::new(Mutex::new(SignalState {
                 waiters: Vec::new(),
-                notified: 0,
             })),
         }
     }
@@ -54,18 +52,10 @@ impl Signal {
     /// instant, in registration order: seq numbers are assigned here and
     /// dispatch follows the `(time, seq)` order.
     pub fn notify(&self) {
-        let mut st = self.state.lock();
-        st.notified += 1;
-        let waiters = std::mem::take(&mut st.waiters);
-        drop(st);
+        let waiters = std::mem::take(&mut self.state.lock().waiters);
         for (id, gen) in waiters {
             self.sim.schedule_wake_now(id, gen);
         }
-    }
-
-    /// Number of times `notify` has been called (observability for tests).
-    pub fn notify_count(&self) -> u64 {
-        self.state.lock().notified
     }
 
     /// Convenience: wait until `pred()` becomes true, re-checking after each
