@@ -12,19 +12,19 @@
 //!    performance." → reliability-cost sweep.
 //! 4. §1/§3: NIC-resident translation caches thrash under large working
 //!    sets; the kernel-resident pin-down table does not. → working-set sweep
-//!    of user-level NIC TLB vs BCL's pin-down table.
+//!    of the user-level architecture's NIC TLB vs BCL's pin-down table, both
+//!    on the one stack, with the shape asserted.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use suca_baselines::{ArchModel, BaselineNet};
-use suca_bcl::{BclConfig, ChannelId};
+use suca_bcl::{Architecture, BclConfig, ChannelId};
+use suca_bench::report::assert_anchor;
 use suca_cluster::{measure_one_way, ClusterSpec, SimBarrier};
-use suca_myrinet::{Myrinet, MyrinetConfig};
-use suca_os::OsPersonality;
 use suca_pci::PciModel;
-use suca_sim::{Sim, SimDuration};
+use suca_sim::mtrace::stage;
+use suca_sim::{SimDuration, TraceId};
 
 fn latency_with(cfg: BclConfig, os_costs: suca_os::OsCostModel) -> f64 {
     let mut spec = ClusterSpec::dawning3000(2).with_bcl(cfg);
@@ -59,9 +59,8 @@ fn ablation_cpu() {
     );
     for factor in [1.0, 2.0, 4.0] {
         let os = suca_os::OsCostModel::aix_power3().scaled_cpu(factor);
-        let mut cfg = BclConfig::dawning3000();
-        cfg.os = os.clone();
-        let extra = cfg.kernel_extra().as_us();
+        let cfg = BclConfig::dawning3000();
+        let extra = cfg.kernel_extra(&os).as_us();
         let lat = latency_with(cfg, os);
         println!(
             "{:<26} {extra:>11.2} us {lat:>14.2}",
@@ -86,56 +85,30 @@ fn ablation_reliability() {
     println!();
 }
 
-/// User-level NIC TLB: average send stall per message as the working set of
-/// distinct 4 KB buffers grows past the cache.
-fn user_level_tlb_stall(working_set: u64) -> (f64, u64) {
-    let sim = Sim::new(3);
-    let fabric = Myrinet::build(&sim, 2, MyrinetConfig::dawning3000());
-    let net = BaselineNet::build(&sim, fabric, ArchModel::user_level(), OsPersonality::LINUX)
-        .expect("buildable");
-    let a = net.endpoint(0);
-    let b = net.endpoint(1);
-    // Round 1 warms the cache (compulsory misses); only round 2 counts.
-    let after_round1 = Arc::new(Mutex::new(0u64));
-    let ar1 = after_round1.clone();
-    sim.spawn("tx", move |ctx| {
-        for round in 0..2u64 {
-            for i in 0..working_set {
-                a.send(ctx, 1, &[0u8; 64], i);
-                let _ = a.recv(ctx); // pacing
-            }
-            if round == 0 {
-                *ar1.lock() = ctx.sim().get_count("baseline.tlb_misses");
-            }
-        }
-    });
-    sim.spawn("rx", move |ctx| {
-        for _ in 0..working_set * 2 {
-            let _ = b.recv(ctx);
-            b.send(ctx, 0, b"", u64::MAX); // constant id: no extra pressure
-        }
-    });
-    sim.run();
-    let warm = *after_round1.lock();
-    let steady_misses = sim.get_count("baseline.tlb_misses").saturating_sub(warm);
-    let miss_cost_us = 16.0;
-    (
-        steady_misses as f64 * miss_cost_us / working_set as f64,
-        steady_misses,
-    )
+/// What one arm of the translation sweep measured in its second round
+/// over `working_set` distinct 64 B buffers (the first round only warms the
+/// caches): the mean send-call time, the MCP's NIC-TLB misses, and the
+/// mean descriptor-fetch stall — each message's `mcp:descriptor` span past
+/// the configured fetch cost.
+#[derive(Default)]
+struct TranslationArm {
+    send_us: f64,
+    misses: u64,
+    stall_us: f64,
 }
 
-/// BCL: mean send-call time cycling `working_set` distinct buffers, second
-/// round (pin-down table caches translations in host memory).
-fn bcl_send_time(working_set: u64, pin_table_pages: usize) -> f64 {
-    let mut cfg = BclConfig::dawning3000();
-    cfg.pin_table_pages = pin_table_pages;
-    let spec = ClusterSpec::dawning3000(2).with_bcl(cfg);
+/// Cycle `working_set` buffers from node 0 to node 1 twice, one paced
+/// message at a time, on `spec`. Each buffer is `alloc_buffer`'d, so each
+/// is one page for whichever table translates it. The sender takes the
+/// trace recorded so far after every timed message, so the rings (and the
+/// watchdog's scans of them) stay as short as one round trip.
+fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
+    let send_fixed = spec.bcl.mcp.send_fixed.as_ns();
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
     let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
-    let mean = Arc::new(Mutex::new(0.0f64));
+    let out = Arc::new(Mutex::new(TranslationArm::default()));
 
     let b2 = barrier.clone();
     let a2 = addr.clone();
@@ -151,7 +124,7 @@ fn bcl_send_time(working_set: u64, pin_table_pages: usize) -> f64 {
         }
     });
     let b3 = barrier.clone();
-    let m2 = mean.clone();
+    let o2 = out.clone();
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         let bufs: Vec<_> = (0..working_set)
@@ -159,15 +132,14 @@ fn bcl_send_time(working_set: u64, pin_table_pages: usize) -> f64 {
             .collect();
         b3.wait(ctx);
         let dst = addr.lock().expect("rx");
-        let mut second_round = 0.0;
+        let mut warm_misses = 0;
         for round in 0..2 {
             for &buf in &bufs {
                 let t0 = ctx.now().as_us();
-                port.send(ctx, dst, ChannelId::SYSTEM, buf, 64)
+                let msg_id = port
+                    .send(ctx, dst, ChannelId::SYSTEM, buf, 64)
                     .expect("send");
-                if round == 1 {
-                    second_round += ctx.now().as_us() - t0;
-                }
+                let send_us = ctx.now().as_us() - t0;
                 loop {
                     let ev = port.wait_recv(ctx);
                     let _ = port.recv_bytes(ctx, &ev).expect("consume token");
@@ -176,17 +148,36 @@ fn bcl_send_time(working_set: u64, pin_table_pages: usize) -> f64 {
                     }
                 }
                 while port.poll_send(ctx).is_some() {}
+                if round == 1 {
+                    let id = TraceId::new(0, msg_id);
+                    let events = ctx.sim().msg_trace().take_events();
+                    let fetch = events
+                        .iter()
+                        .find(|ev| ev.trace == id && ev.stage == stage::DESCRIPTOR)
+                        .expect("descriptor fetch traced");
+                    let mut o = o2.lock();
+                    o.send_us += send_us;
+                    o.stall_us += (fetch.duration_ns() - send_fixed) as f64 / 1_000.0;
+                }
+            }
+            if round == 0 {
+                warm_misses = ctx.sim().get_count("mcp.nic_tlb_misses");
             }
         }
-        *m2.lock() = second_round / working_set as f64;
+        o2.lock().misses = ctx.sim().get_count("mcp.nic_tlb_misses") - warm_misses;
     });
     assert_eq!(
         sim.run(),
         suca_sim::RunOutcome::Completed,
         "ablation harness hung"
     );
-    let m = *mean.lock();
-    m
+    let arm = std::mem::take(&mut *out.lock());
+    let n = working_set as f64;
+    TranslationArm {
+        send_us: arm.send_us / n,
+        stall_us: arm.stall_us / n,
+        ..arm
+    }
 }
 
 fn ablation_translation() {
@@ -195,20 +186,42 @@ fn ablation_translation() {
         "   (user-level: 256-entry NIC TLB, 16 us/miss; BCL: pin-down table in host kernel memory)"
     );
     println!(
-        "{:>12} {:>26} {:>26} {:>26}",
+        "{:>12} {:>18} {:>26} {:>26} {:>26}",
         "buffers",
+        "user-level misses",
         "user-level stall/send",
         "BCL send (64K-page table)",
         "BCL send (256-page table)"
     );
+    let bcl = |pin_table_pages| {
+        let mut cfg = BclConfig::dawning3000();
+        cfg.pin_table_pages = pin_table_pages;
+        ClusterSpec::dawning3000(2).with_bcl(cfg)
+    };
+    let mut bcl_flat = None;
     for ws in [64u64, 256, 1024, 4096] {
-        let (stall, _misses) = user_level_tlb_stall(ws);
-        let bcl_big = bcl_send_time(ws, 65_536);
-        let bcl_small = bcl_send_time(ws, 256);
-        println!(
-            "{ws:>12} {:>23.2} us {:>23.2} us {:>23.2} us",
-            stall, bcl_big, bcl_small
+        let user = translation_arm(
+            ClusterSpec::dawning3000(2).with_architecture(Architecture::UserLevel),
+            ws,
         );
+        let bcl_big = translation_arm(bcl(65_536), ws);
+        let bcl_small = translation_arm(bcl(256), ws);
+        println!(
+            "{ws:>12} {:>18} {:>23.2} us {:>23.2} us {:>23.2} us",
+            user.misses, user.stall_us, bcl_big.send_us, bcl_small.send_us
+        );
+        // The shape the paper argues, asserted: the NIC cache is free while
+        // it covers the working set and collapses past it; BCL's kernel
+        // table never involves the NIC's fetch and stays flat.
+        let shape = match ws {
+            ..=256 => user.stall_us < 0.01,
+            4096 => user.stall_us >= 10.0,
+            _ => true,
+        };
+        assert!(shape, "user-level stall at {ws}: {} us", user.stall_us);
+        assert_eq!((bcl_big.misses, bcl_big.stall_us), (0, 0.0));
+        let flat = *bcl_flat.get_or_insert(bcl_big.send_us);
+        assert_anchor("BCL send, 64K-page table", bcl_big.send_us, flat);
     }
     println!("\nshape: user-level stall explodes past its NIC cache; BCL stays flat as long");
     println!("as the host-resident pin-down table covers the working set — the paper's");

@@ -7,6 +7,7 @@
 
 use suca_bench::measure::{measured_host_overheads, traced_zero_len_run};
 use suca_bench::report::{assert_anchor, render, render_timeline, Row};
+use suca_cluster::ClusterSpec;
 
 fn main() {
     let run = traced_zero_len_run();
@@ -16,7 +17,7 @@ fn main() {
 
     let host = run.bucket.host_ns_per_msg() / 1_000.0;
     let fill_pct = run.bucket.request_fill_share() * 100.0;
-    let (send_oh, send_done, _) = measured_host_overheads();
+    let (send_oh, send_done, _) = measured_host_overheads(ClusterSpec::dawning3000(2));
     println!();
     print!(
         "{}",

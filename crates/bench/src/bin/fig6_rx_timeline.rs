@@ -7,6 +7,7 @@
 
 use suca_bench::measure::{measured_host_overheads, traced_zero_len_run};
 use suca_bench::report::{assert_anchor, render, render_timeline, Row};
+use suca_cluster::ClusterSpec;
 use suca_sim::TraceLayer;
 
 fn main() {
@@ -15,7 +16,7 @@ fn main() {
     println!("-- Fig. 6: reception timeline (receiver side, 0-length message)\n");
     print!("{}", render_timeline(&rx, 72));
 
-    let (_, _, poll) = measured_host_overheads();
+    let (_, _, poll) = measured_host_overheads(ClusterSpec::dawning3000(2));
     let host_cpu = rx
         .iter()
         .filter(|r| r.layer == TraceLayer::Library)

@@ -8,6 +8,7 @@ use suca_bench::report::{render, Row};
 use suca_cluster::{measure_bandwidth, ClusterSpec};
 
 fn main() {
+    let spec = ClusterSpec::dawning3000(2);
     println!("-- Fig. 9: inter-node bandwidth vs message size (BCL)\n");
     println!("{:>10}  {:>12}", "bytes", "MB/s");
     let sizes = [
@@ -18,7 +19,7 @@ fn main() {
     let mut bw128k = 0.0;
     for &s in &sizes {
         let count = (2 * 1024 * 1024 / s).clamp(8, 256) as u32;
-        let r = measure_bandwidth(ClusterSpec::dawning3000(2), 0, 1, s, count, 8);
+        let r = measure_bandwidth(spec.clone(), 0, 1, s, count, 8);
         println!("{s:>10}  {:>12.1}", r.mb_per_sec);
         peak = peak.max(r.mb_per_sec);
         if half_point.is_none() && r.mb_per_sec >= 146.0 / 2.0 {
@@ -29,7 +30,7 @@ fn main() {
         }
     }
     let t128k_us = 131072.0 / bw128k; // MB/s == B/us
-    let kernel_extra = suca_bcl::BclConfig::dawning3000().kernel_extra().as_us();
+    let kernel_extra = spec.bcl.kernel_extra(&spec.os_costs).as_us();
     println!();
     print!(
         "{}",

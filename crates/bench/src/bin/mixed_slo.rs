@@ -5,7 +5,7 @@
 //! Variants, each on Myrinet-primary and mesh-primary rails:
 //!
 //! * **solo** — only the KV tenant issues. Identical topology and seed,
-//!   so its p99 is the interference-free baseline.
+//!   so its p99 is the interference-free reference.
 //! * **clean** — all three tenants at moderate load. Every tenant's
 //!   accounting identity holds with zero sheds, subscribers see gap-free
 //!   streams, pipeline outputs verify, and the per-tenant burn-rate
@@ -186,7 +186,7 @@ fn main() {
 
         // The isolation claim, measured: overloading the pub-sub tenant
         // inflates its own tail while the high-priority KV tenant stays
-        // within a bounded factor of its interference-free baseline.
+        // within a bounded factor of its interference-free p99.
         let (solo_p99, over_p99) = (solo.kv_p99_us(), over.kv_p99_us());
         assert!(
             solo_p99 > 0.0,

@@ -6,25 +6,33 @@
 //! latency and an extra receive copy (the paper declines a bandwidth
 //! comparison and notes "BCL reaches a much higher bandwidth"); BIP very low
 //! latency but no flow control / error correction and lower bandwidth.
+//!
+//! Every row, BCL's and the comparators', is the same two measurements on
+//! the same stack: `measure_one_way` (3 warm-up + 10 timed ping-pongs) and
+//! `measure_bandwidth` (a warm-up message, then the clock, 24 × 128 KB);
+//! a comparator is BCL with its [`Architecture`] preset.
 
-use suca_baselines::{arch_bandwidth_mbps, arch_one_way_us, ArchModel};
+use suca_bcl::Architecture;
 use suca_bench::report::{render, Row};
 use suca_cluster::{measure_bandwidth, measure_one_way, ClusterSpec};
 
+/// Inter-node 0 B latency (µs) and 128 KB bandwidth (MB/s) under `arch`.
+fn inter_node(arch: Architecture) -> (f64, f64) {
+    let spec = || ClusterSpec::dawning3000(2).with_architecture(arch);
+    (
+        measure_one_way(spec(), 0, 1, 0, 3, 10).one_way_us,
+        measure_bandwidth(spec(), 0, 1, 128 * 1024, 24, 8).mb_per_sec,
+    )
+}
+
 fn main() {
     let bcl_intra_lat = measure_one_way(ClusterSpec::dawning3000(2), 0, 0, 0, 3, 10).one_way_us;
-    let bcl_inter_lat = measure_one_way(ClusterSpec::dawning3000(2), 0, 1, 0, 3, 10).one_way_us;
     let bcl_intra_bw =
         measure_bandwidth(ClusterSpec::dawning3000(2), 0, 0, 128 * 1024, 8, 8).mb_per_sec;
-    let bcl_inter_bw =
-        measure_bandwidth(ClusterSpec::dawning3000(2), 0, 1, 128 * 1024, 24, 8).mb_per_sec;
-
-    let gm_lat = arch_one_way_us(ArchModel::gm(), 0, 3, 10);
-    let gm_bw = arch_bandwidth_mbps(ArchModel::gm(), 128 * 1024, 16);
-    let am2_lat = arch_one_way_us(ArchModel::am2(), 0, 3, 10);
-    let am2_bw = arch_bandwidth_mbps(ArchModel::am2(), 128 * 1024, 16);
-    let bip_lat = arch_one_way_us(ArchModel::bip(), 0, 3, 10);
-    let bip_bw = arch_bandwidth_mbps(ArchModel::bip(), 128 * 1024, 16);
+    let (bcl_inter_lat, bcl_inter_bw) = inter_node(Architecture::SemiUser);
+    let (gm_lat, gm_bw) = inter_node(Architecture::Gm);
+    let (am2_lat, am2_bw) = inter_node(Architecture::Am2);
+    let (bip_lat, bip_bw) = inter_node(Architecture::Bip);
 
     let rows = vec![
         Row::new("BCL latency intra-node", 2.7, bcl_intra_lat, "us"),
@@ -34,7 +42,7 @@ fn main() {
         Row::new("GM latency (paper: 11-21)", None, gm_lat, "us"),
         Row::new("GM bandwidth (paper: >140)", None, gm_bw, "MB/s"),
         Row::new("AM-II latency", None, am2_lat, "us"),
-        Row::new("AM-II bandwidth (extra copy)", None, am2_bw, "MB/s"),
+        Row::new("AM-II bandwidth (paper: << BCL)", None, am2_bw, "MB/s"),
         Row::new("BIP latency (paper: very low)", None, bip_lat, "us"),
         Row::new("BIP bandwidth (< BCL)", None, bip_bw, "MB/s"),
     ];

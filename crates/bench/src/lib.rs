@@ -51,8 +51,8 @@ macro_rules! harnesses {
             table2_protocols Tier1,
             table3_mpi_pvm Tier1,
             overheads Tier1,
-            // 8.4 s in release, 39 s in debug (thousands of messages
-            // per ablation cell with the flight recorder on).
+            // 6.5 s in release, 43 s in debug (thousands of paced
+            // messages per ablation-4 cell with the flight recorder on).
             ablations ReleaseOnly,
             congestion Tier1,
             trace_export Tier1,

@@ -1,6 +1,8 @@
-//! Measurement functions for the MPI and PVM layers (Table 3) and shared
-//! sweep utilities. BCL-level and baseline-protocol measurements live in
-//! `suca-cluster::harness` and `suca-baselines::harness` respectively.
+//! Measurement functions for the MPI and PVM layers (Table 3), the traced
+//! 0-byte message behind Figs. 5–7, and the §5 host overheads. BCL-level
+//! latency and bandwidth — for BCL and for every comparator architecture,
+//! which is BCL with an `Architecture` preset — live in
+//! `suca-cluster::harness`.
 
 use std::sync::Arc;
 
@@ -243,13 +245,13 @@ pub fn traced_zero_len_run() -> TracedZeroLen {
     }
 }
 
-/// Host-side scalar overheads measured directly (the §5 numbers):
-/// `(send_overhead_us, send_complete_us, recv_poll_us)`.
-pub fn measured_host_overheads() -> (f64, f64, f64) {
+/// Host-side scalar overheads measured directly on a two-node `spec` (the
+/// §5 numbers): `(send_overhead_us, send_complete_us, recv_poll_us)`.
+pub fn measured_host_overheads(spec: ClusterSpec) -> (f64, f64, f64) {
     use suca_bcl::ChannelId;
     use suca_cluster::SimBarrier;
 
-    let cluster = ClusterSpec::dawning3000(2).build();
+    let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
     let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
@@ -288,4 +290,23 @@ pub fn measured_host_overheads() -> (f64, f64, f64) {
     assert_eq!(sim.run(), RunOutcome::Completed);
     let g = out.lock();
     (g.0, g.1, g.2)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use suca_bcl::Architecture;
+
+    #[test]
+    fn user_level_send_call_is_bcl_minus_the_kernel_extra() {
+        // The paper's 4.17 us "extra overhead" is the whole kernel-resident
+        // share of the send call: moving the kernel out leaves the library
+        // compose and the descriptor PIO, to the ns.
+        let spec = ClusterSpec::dawning3000(2);
+        let extra = spec.bcl.kernel_extra(&spec.os_costs).as_ns();
+        let send_call_ns = |spec| (measured_host_overheads(spec).0 * 1e3).round() as u64;
+        let bcl = send_call_ns(spec.clone());
+        let user = send_call_ns(spec.with_architecture(Architecture::UserLevel));
+        assert_eq!((bcl, extra, user), (7_040, 4_170, 2_870));
+    }
 }

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use suca_bcl::BclConfig;
+use suca_bcl::{Architecture, BclConfig};
 use suca_mesh::{Mesh, MeshConfig};
 use suca_myrinet::{Fabric, Myrinet, MyrinetConfig};
 use suca_os::{NodeId, OsCostModel, OsPersonality};
@@ -132,6 +132,17 @@ impl ClusterSpec {
         self
     }
 
+    /// Run `arch` on this machine: BCL's preset for it
+    /// ([`BclConfig::for_architecture`]), and an OS with device `mmap` when
+    /// user code touches the NIC (AIX has none).
+    pub fn with_architecture(mut self, arch: Architecture) -> Self {
+        self.bcl = BclConfig::for_architecture(arch);
+        if arch.user_nic_access() {
+            self.personality = OsPersonality::LINUX;
+        }
+        self
+    }
+
     /// Override the telemetry/watchdog configuration (fault-injection tests
     /// tighten the thresholds to trip the watchdog within a short run).
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
@@ -167,7 +178,13 @@ impl ClusterSpec {
     /// engines, completion queues) registers its instruments in the run's
     /// shared [`suca_sim::Metrics`] registry, reachable afterwards via
     /// [`Cluster::metrics_snapshot`].
+    ///
+    /// Panics when the architecture cannot exist on the host OS
+    /// ([`Architecture::check_os`]).
     pub fn build(self) -> Cluster {
+        if let Err(e) = self.bcl.arch.check_os(&self.personality) {
+            panic!("{e}");
+        }
         let sim = Sim::new(self.seed);
         if self.profile {
             sim.set_profiling(true);

@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 use suca_bcl::{BclError, ChannelId};
 use suca_sim::{ActorCtx, RunOutcome, Signal, Sim};
 
-use crate::builder::{Cluster, ClusterSpec};
+use crate::builder::ClusterSpec;
 
 /// A reusable rendezvous barrier for test/benchmark actors. Crossing it
 /// costs no virtual time; it only sequences setup phases.
@@ -264,23 +264,175 @@ pub fn measure_bandwidth(
     }
 }
 
-/// Convenience: the half-bandwidth point n₁/₂ — the message size at which
-/// bandwidth reaches half its peak (paper: "the half-bandwidth is reached
-/// with less than 4 KB message"). Returned as the first size in `sizes`
-/// whose measured bandwidth is ≥ half of `peak`.
-pub fn half_bandwidth_point(
-    spec: &ClusterSpec,
-    sizes: &[u64],
-    peak: f64,
-    count: u32,
-) -> Option<u64> {
-    sizes
-        .iter()
-        .copied()
-        .find(|&s| measure_bandwidth(spec.clone(), 0, 1, s, count, 8).mb_per_sec >= peak / 2.0)
-}
+#[cfg(test)]
+mod tests {
+    //! The comparator architectures through the same harnesses as BCL.
 
-/// Build a default 2-node cluster and return it (tests use this a lot).
-pub fn two_nodes() -> Cluster {
-    ClusterSpec::dawning3000(2).build()
+    use super::*;
+    use suca_bcl::{Architecture, BclConfig};
+    use suca_myrinet::FaultPlan;
+    use suca_os::{OsCostModel, OsPersonality};
+    use suca_sim::{SimDuration, SimTime};
+
+    use crate::builder::SanKind;
+
+    fn spec(arch: Architecture) -> ClusterSpec {
+        ClusterSpec::dawning3000(2).with_architecture(arch)
+    }
+
+    /// Inter-node 0 B one-way latency, Table 2's 3 warm-up + 10 timed.
+    fn one_way(arch: Architecture) -> f64 {
+        measure_one_way(spec(arch), 0, 1, 0, 3, 10).one_way_us
+    }
+
+    /// Inter-node bandwidth streaming 12 × 128 KB after the warm-up.
+    fn bandwidth(arch: Architecture) -> f64 {
+        measure_bandwidth(spec(arch), 0, 1, 128 * 1024, 12, 8).mb_per_sec
+    }
+
+    #[test]
+    fn user_level_latency_is_bcl_minus_the_kernel() {
+        // Only trap enter, ioctl dispatch + security checks and the pin-down
+        // lookup sit before BCL's doorbell; its trap exit runs while the NIC
+        // already fetches the descriptor. So the user-level one-way latency
+        // is BCL's minus exactly those, to the ns — not minus all 4.17 us.
+        let (os, cfg) = (OsCostModel::aix_power3(), BclConfig::dawning3000());
+        let before_doorbell =
+            os.trap_enter + cfg.copyin_dispatch + os.security_check + os.pin_lookup_hit;
+        assert_eq!(before_doorbell.as_ns(), 3_100);
+        let bcl = one_way(Architecture::SemiUser);
+        let user = one_way(Architecture::UserLevel);
+        let delta_ns = ((bcl - user) * 1e3).round() as u64;
+        assert_eq!(
+            delta_ns,
+            before_doorbell.as_ns(),
+            "BCL {bcl} us, user-level {user} us"
+        );
+    }
+
+    #[test]
+    fn kernel_level_is_much_slower() {
+        let lat = one_way(Architecture::KernelLevel);
+        assert!(
+            lat > 40.0,
+            "kernel-level 0-len one-way {lat} us; should be tens of us"
+        );
+    }
+
+    #[test]
+    fn bip_has_lowest_latency_but_lower_bandwidth_than_user_level() {
+        let bip = one_way(Architecture::Bip);
+        for other in [
+            Architecture::UserLevel,
+            Architecture::Gm,
+            Architecture::SemiUser,
+        ] {
+            let lat = one_way(other);
+            assert!(bip < lat, "BIP {bip} us !< {} {lat} us", other.name());
+        }
+        let bip_bw = bandwidth(Architecture::Bip);
+        for other in [Architecture::UserLevel, Architecture::SemiUser] {
+            let bw = bandwidth(other);
+            assert!(
+                bip_bw < bw,
+                "BIP {bip_bw} MB/s !< {} {bw} MB/s",
+                other.name()
+            );
+        }
+    }
+
+    #[test]
+    fn am2_bandwidth_is_well_below_gm() {
+        let am2 = bandwidth(Architecture::Am2);
+        let gm = bandwidth(Architecture::Gm);
+        assert!(am2 < gm * 0.8, "AM-II {am2} not clearly below GM {gm}");
+    }
+
+    #[test]
+    fn gm_matches_its_published_range() {
+        let lat = one_way(Architecture::Gm);
+        assert!(
+            (11.0..=21.0).contains(&lat),
+            "GM latency {lat} outside the paper's 11–21 us"
+        );
+        let bw = bandwidth(Architecture::Gm);
+        assert!(bw > 140.0, "GM bandwidth {bw} not over 140 MB/s");
+    }
+
+    #[test]
+    fn user_level_cannot_exist_on_aix() {
+        let on_aix = |arch| ClusterSpec {
+            personality: OsPersonality::AIX,
+            ..spec(arch)
+        };
+        let refused = std::panic::catch_unwind(|| on_aix(Architecture::UserLevel).build());
+        let Err(panic) = refused else {
+            panic!("a user-level protocol must be unbuildable on AIX");
+        };
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert_eq!(
+            msg,
+            "user-level (generic) requires mmap of device memory, which AIX does not support"
+        );
+        // The kernel-level protocol is fine on AIX.
+        assert_eq!(on_aix(Architecture::KernelLevel).build().nodes.len(), 2);
+    }
+
+    /// Messages out of 30 single-fragment sends that node 1 receives
+    /// within 30 ms, under 5 % drop + 5 % corruption per link.
+    fn delivered_under_faults(arch: Architecture) -> u32 {
+        let mut spec = spec(arch).with_seed(7);
+        spec.san = SanKind::Myrinet(suca_myrinet::MyrinetConfig {
+            fault: FaultPlan {
+                drop_prob: 0.05,
+                corrupt_prob: 0.05,
+            },
+            ..suca_myrinet::MyrinetConfig::dawning3000()
+        });
+        let cluster = spec.build();
+        let barrier = SimBarrier::new(&cluster.sim, 2);
+        let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+        let got = Arc::new(Mutex::new(0u32));
+        let (b2, a2, g2) = (barrier.clone(), addr.clone(), got.clone());
+        cluster.spawn_process(1, "rx", move |ctx, env| {
+            let port = env.open_port(ctx);
+            *a2.lock() = Some(port.addr());
+            b2.wait(ctx);
+            // Poll for a bounded interval, then report what arrived.
+            for _ in 0..30 {
+                ctx.sleep(SimDuration::from_ms(1));
+                while let Some(ev) = port.poll_recv(ctx) {
+                    port.recv_bytes(ctx, &ev).expect("data");
+                    *g2.lock() += 1;
+                }
+            }
+        });
+        cluster.spawn_process(0, "tx", move |ctx, env| {
+            let port = env.open_port(ctx);
+            barrier.wait(ctx);
+            let dst = addr.lock().expect("rx ready");
+            for i in 0..30u32 {
+                port.send_bytes(ctx, dst, ChannelId::SYSTEM, &i.to_le_bytes())
+                    .expect("send");
+            }
+        });
+        cluster.sim.run_until(SimTime::from_ns(60_000_000));
+        let n = *got.lock();
+        n
+    }
+
+    #[test]
+    fn reliable_archs_survive_faults_bip_loses_data() {
+        for arch in Architecture::ALL {
+            let n = delivered_under_faults(arch);
+            if arch.reliable() {
+                assert_eq!(n, 30, "{} lost data", arch.name());
+            } else {
+                assert!(
+                    n < 30,
+                    "BIP should lose messages under faults (no error correction)"
+                );
+            }
+        }
+    }
 }

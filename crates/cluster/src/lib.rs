@@ -11,8 +11,5 @@ pub mod harness;
 pub mod node;
 
 pub use builder::{Cluster, ClusterSpec, SanKind};
-pub use harness::{
-    half_bandwidth_point, measure_bandwidth, measure_one_way, two_nodes, BandwidthResult,
-    LatencyResult, SimBarrier,
-};
+pub use harness::{measure_bandwidth, measure_one_way, BandwidthResult, LatencyResult, SimBarrier};
 pub use node::{ClusterNode, ProcessEnv};

@@ -34,8 +34,8 @@ impl ClusterNode {
         bcl_cfg: BclConfig,
     ) -> Arc<ClusterNode> {
         let mem = PhysMemory::new(mem_bytes);
-        let os = NodeOs::new(sim, id, mem.clone(), personality, os_costs);
-        let mcp = Mcp::new_multi_rail(sim, id, FabricNodeId(id.0), rails, mem, bcl_cfg.clone());
+        let os = NodeOs::new(sim, id, mem, personality, os_costs);
+        let mcp = Mcp::new_multi_rail(sim, os.clone(), FabricNodeId(id.0), rails, bcl_cfg.clone());
         let bcl = BclNode::new(sim, os.clone(), mcp, num_nodes, bcl_cfg);
         Arc::new(ClusterNode {
             os,

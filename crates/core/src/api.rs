@@ -9,7 +9,9 @@
 //! traps into the kernel module for anything that touches the NIC, and polls
 //! completion queues in user space without any trap — the semi-user-level
 //! receive path. Intra-node destinations short-circuit to the shared-memory
-//! hub, never entering the kernel on the data path.
+//! hub, never entering the kernel on the data path. Under a comparator
+//! [`crate::Architecture`] the inter-node send and the receive consume are
+//! the two places this file moves the kernel.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -206,8 +208,9 @@ impl BclPort {
     /// Send `len` bytes starting at `addr` to `dst` on `channel`.
     /// Returns the message id; completion arrives as a [`SendEvent`].
     ///
-    /// Inter-node: one kernel trap (the defining cost of the architecture).
-    /// Intra-node: no trap — the shared-memory path.
+    /// Inter-node: one kernel trap (the defining cost of the architecture;
+    /// the user-level comparators write the descriptor through the NIC's
+    /// doorbell page instead). Intra-node: no trap — the shared-memory path.
     pub fn send(
         &self,
         ctx: &mut ActorCtx,
@@ -224,9 +227,13 @@ impl BclPort {
         let kmod = self.node.kmod.clone();
         let proc = self.proc.clone();
         let id = self.id;
-        let msg_id = self.node.os.trap(ctx, |ctx| {
-            kmod.ioctl_send(ctx, &proc, id, dst, channel, addr, len)
-        })?;
+        let msg_id = if self.node.cfg.arch.user_nic_access() {
+            kmod.doorbell_send(ctx, &proc, id, dst, channel, addr, len)
+        } else {
+            self.node.os.trap(ctx, |ctx| {
+                kmod.ioctl_send(ctx, &proc, id, dst, channel, addr, len)
+            })
+        }?;
         self.trace_send_span(ctx, msg_id, start, len);
         Ok(msg_id)
     }
@@ -265,6 +272,18 @@ impl BclPort {
 
     /// Record the user-space poll instant that closes a traced chain.
     fn trace_poll(&self, ctx: &ActorCtx, origin: u32, msg_id: u32, stage_name: &'static str) {
+        self.trace_instant(ctx, origin, msg_id, TraceLayer::Library, stage_name);
+    }
+
+    /// Record an instant on message `(origin, msg_id)`'s chain.
+    fn trace_instant(
+        &self,
+        ctx: &ActorCtx,
+        origin: u32,
+        msg_id: u32,
+        layer: TraceLayer,
+        stage_name: &'static str,
+    ) {
         // Intra-node messages carry odd, node-local ids and are not traced.
         if !msg_id.is_multiple_of(2) {
             return;
@@ -276,10 +295,34 @@ impl BclPort {
         sim.trace_event(TraceEvent::instant(
             TraceId::new(origin, msg_id),
             self.node.os.node_id.0,
-            TraceLayer::Library,
+            layer,
             stage_name,
             ctx.now().as_ns(),
         ));
+    }
+
+    /// Take one receive event. Every architecture but kernel-level polls
+    /// in user space (paper: 1.01 µs), copying the payload out of a bounce
+    /// buffer first where it has one (AM-II). Kernel-level receive is a
+    /// blocking `recv()`: the interrupt handler's wakeup is a context
+    /// switch, then the call copies the message out of the kernel and
+    /// returns through a trap. Costs are the node's own.
+    fn consume_recv(&self, ctx: &mut ActorCtx, ev: &RecvEvent) {
+        let (os, cfg) = (&self.node.os, &self.node.cfg);
+        let mut cost = cfg.poll_recv;
+        let copies = cfg.arch.recv_copies();
+        if copies > 0 {
+            cost += os.copy_cost(ev.len) * u64::from(copies);
+        }
+        let origin = ev.src.node.0;
+        if cfg.arch.kernel_receive() {
+            ctx.sleep(os.costs.context_switch);
+            self.trace_instant(ctx, origin, ev.msg_id, TraceLayer::Kernel, stage::TRAP);
+            os.trap(ctx, |ctx| ctx.sleep(cost));
+        } else {
+            ctx.sleep(cost);
+        }
+        self.trace_poll(ctx, origin, ev.msg_id, stage::POLL_RECV);
     }
 
     /// Convenience: allocate a buffer, fill it with `data`, send it, and
@@ -338,12 +381,11 @@ impl BclPort {
         Ok(msg_id)
     }
 
-    /// Non-blocking poll of the receive completion queue (no trap). Charges
-    /// the paper's 1.01 µs only when an event is consumed.
+    /// Non-blocking poll of the receive completion queue (no trap under
+    /// BCL). Charges the receive cost only when an event is consumed.
     pub fn poll_recv(&self, ctx: &mut ActorCtx) -> Option<RecvEvent> {
         let ev = self.queues.pop_recv()?;
-        ctx.sleep(self.node.cfg.poll_recv);
-        self.trace_poll(ctx, ev.src.node.0, ev.msg_id, stage::POLL_RECV);
+        self.consume_recv(ctx, &ev);
         Some(ev)
     }
 
@@ -367,11 +409,11 @@ impl BclPort {
         }
     }
 
-    /// Block until a receive event arrives (polling semantics, no trap).
+    /// Block until a receive event arrives (polling semantics, no trap under
+    /// BCL).
     pub fn wait_recv(&self, ctx: &mut ActorCtx) -> RecvEvent {
         let ev = self.queues.wait_recv(ctx);
-        ctx.sleep(self.node.cfg.poll_recv);
-        self.trace_poll(ctx, ev.src.node.0, ev.msg_id, stage::POLL_RECV);
+        self.consume_recv(ctx, &ev);
         ev
     }
 

@@ -20,6 +20,8 @@ use suca_os::OsCostModel;
 use suca_pci::PciModel;
 use suca_sim::SimDuration;
 
+use crate::arch::Architecture;
+
 /// MCP (NIC firmware) costs on the 33 MHz LANai.
 #[derive(Clone, Debug)]
 pub struct McpCosts {
@@ -123,8 +125,9 @@ pub struct BclLimits {
 ///
 /// ```
 /// let cfg = suca_bcl::BclConfig::dawning3000();
-/// assert!((cfg.host_send_overhead_zero_len().as_us() - 7.04).abs() < 0.01);
-/// assert!((cfg.kernel_extra().as_us() - 4.17).abs() < 0.01);
+/// let os = suca_os::OsCostModel::aix_power3();
+/// assert!((cfg.host_send_overhead_zero_len(&os).as_us() - 7.04).abs() < 0.01);
+/// assert!((cfg.kernel_extra(&os).as_us() - 4.17).abs() < 0.01);
 /// ```
 #[derive(Clone, Debug)]
 pub struct BclConfig {
@@ -156,8 +159,8 @@ pub struct BclConfig {
     pub intra: IntraNodeConfig,
     /// Table sizes.
     pub limits: BclLimits,
-    /// Host OS cost model.
-    pub os: OsCostModel,
+    /// Where the kernel sits: BCL, or the comparator this stack plays.
+    pub arch: Architecture,
     /// PCI bus cost model.
     pub pci: PciModel,
     /// Kernel pin-down table capacity, in pages. Host-memory resident, so
@@ -170,7 +173,6 @@ pub struct BclConfig {
 impl BclConfig {
     /// The DAWNING-3000 calibration (see module docs for the identities).
     pub fn dawning3000() -> Self {
-        let os = OsCostModel::aix_power3();
         let pci = PciModel::dawning3000();
         BclConfig {
             lib_compose: SimDuration::from_us_f64(0.47),
@@ -215,7 +217,7 @@ impl BclConfig {
                 max_message_bytes: 16 << 20,
                 max_ports: 256,
             },
-            os,
+            arch: Architecture::SemiUser,
             pci,
             pin_table_pages: 65_536, // 256 MB of pinnable pages in host RAM
             nic_sram_bytes: 2 << 20, // 2 MB LANai SRAM
@@ -231,19 +233,87 @@ impl BclConfig {
     }
 
     /// The kernel-resident share of the send path for a pin-hit, zero-
-    /// segment send — the paper's 4.17 µs "extra overhead" of semi-user-
-    /// level vs user-level (PIO excluded: both architectures pay it).
-    pub fn kernel_extra(&self) -> SimDuration {
-        self.os.trap_enter
-            + self.copyin_dispatch
-            + self.os.security_check
-            + self.os.pin_lookup_hit
-            + self.os.trap_exit
+    /// segment send on a kernel with costs `os` — the paper's 4.17 µs
+    /// "extra overhead" of semi-user-level vs user-level (PIO excluded: both
+    /// architectures pay it).
+    pub fn kernel_extra(&self, os: &OsCostModel) -> SimDuration {
+        os.trap_enter + self.copyin_dispatch + os.security_check + os.pin_lookup_hit + os.trap_exit
     }
 
     /// Host CPU send overhead for a 0-byte message (paper: 7.04 µs).
-    pub fn host_send_overhead_zero_len(&self) -> SimDuration {
-        self.lib_compose + self.kernel_extra() + self.descriptor_pio(0)
+    pub fn host_send_overhead_zero_len(&self, os: &OsCostModel) -> SimDuration {
+        self.lib_compose + self.kernel_extra(os) + self.descriptor_pio(0)
+    }
+
+    /// The stack playing `arch`: BCL's calibration with that architecture's
+    /// cost differences. Presets set existing fields only; the structural
+    /// differences are `arch` itself, and the trap, copy, interrupt and
+    /// context-switch costs stay the node's own (`NodeOs::costs`).
+    pub fn for_architecture(arch: Architecture) -> Self {
+        let us = SimDuration::from_us_f64;
+        let mut c = Self::dawning3000();
+        c.arch = arch;
+        let m = &mut c.mcp;
+        match arch {
+            // User-level is the paper's comparison point: BCL minus the
+            // kernel, with the same library, PIO and firmware costs.
+            Architecture::SemiUser | Architecture::UserLevel => {}
+            // TCP-like: the socket layer's protocol processing (checksums,
+            // headers: 14 µs) rides the ioctl dispatch; a plain driver's
+            // firmware.
+            Architecture::KernelLevel => {
+                c.copyin_dispatch = us(0.85 + 14.0);
+                (m.send_fixed, m.send_per_frag, m.recv_per_frag) = (us(4.0), us(3.0), us(2.5));
+            }
+            // GM (paper: 11–21 µs on a wide variety of hosts, > 140 MB/s):
+            // heavier per-message firmware, lighter per fragment, a costlier
+            // receive event.
+            Architecture::Gm => {
+                (m.send_fixed, m.send_per_frag, m.recv_per_frag) = (us(7.6), us(1.35), us(1.6));
+                c.poll_recv = us(1.3);
+            }
+            // AM-II: handler dispatch in the library and on receive, and a
+            // per-fragment firmware path slow enough that "BCL reaches a much
+            // higher bandwidth" (its extra receive copy is structural).
+            Architecture::Am2 => {
+                c.lib_compose = us(0.60);
+                (m.send_fixed, m.send_per_frag, m.recv_per_frag) = (us(8.5), us(12.0), us(1.9));
+                c.poll_recv = us(2.4);
+            }
+            // BIP: "a very low latency … Its bandwidth is lower than that of
+            // BCL": no reliability setup per message (go-back-N is off),
+            // worse pipelining per fragment.
+            Architecture::Bip => {
+                (m.send_fixed, m.send_per_frag, m.recv_per_frag) = (us(2.6), us(4.4), us(1.2));
+                c.poll_recv = us(0.9);
+            }
+        }
+        c
+    }
+
+    /// Kernel-level (TCP-like) networking on the same machine.
+    pub fn kernel_level() -> Self {
+        Self::for_architecture(Architecture::KernelLevel)
+    }
+
+    /// Generic user-level messaging: BCL minus the kernel.
+    pub fn user_level() -> Self {
+        Self::for_architecture(Architecture::UserLevel)
+    }
+
+    /// GM (Myricom's message system).
+    pub fn gm() -> Self {
+        Self::for_architecture(Architecture::Gm)
+    }
+
+    /// AM-II (Active Messages II).
+    pub fn am2() -> Self {
+        Self::for_architecture(Architecture::Am2)
+    }
+
+    /// BIP (Basic Interface for Parallelism).
+    pub fn bip() -> Self {
+        Self::for_architecture(Architecture::Bip)
     }
 }
 
@@ -254,7 +324,9 @@ mod tests {
     #[test]
     fn paper_identity_send_overhead_7_04us() {
         let c = BclConfig::dawning3000();
-        let got = c.host_send_overhead_zero_len().as_us();
+        let got = c
+            .host_send_overhead_zero_len(&OsCostModel::aix_power3())
+            .as_us();
         assert!(
             (got - 7.04).abs() < 0.01,
             "0-len host send overhead = {got} us, paper says 7.04"
@@ -264,7 +336,7 @@ mod tests {
     #[test]
     fn paper_identity_kernel_extra_4_17us() {
         let c = BclConfig::dawning3000();
-        let got = c.kernel_extra().as_us();
+        let got = c.kernel_extra(&OsCostModel::aix_power3()).as_us();
         assert!(
             (got - 4.17).abs() < 0.01,
             "kernel extra = {got} us, paper says 4.17"

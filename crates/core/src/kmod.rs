@@ -14,11 +14,12 @@
 //! where user requests touch the NIC.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use suca_mem::{NicSegs, PinDownTable, PinLookup, VirtAddr, PAGE_SIZE};
+use suca_mem::{pages_spanned, Asid, NicSegs, PinDownTable, PinLookup, VirtAddr, PAGE_SIZE};
 use suca_myrinet::FabricNodeId;
 use suca_os::{NodeOs, OsProcess, Pid};
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
@@ -395,6 +396,101 @@ impl BclKmod {
         let trap_entry = ctx.now();
         self.charge_checks(ctx);
         let dispatch_done = ctx.now();
+        self.check_send(proc, port, dst, channel, addr, len)?;
+        let segs = if len > 0 {
+            self.pin_translate(ctx, proc, addr, len, true)?
+        } else {
+            // The table is consulted even for empty payloads.
+            ctx.sleep(self.os.costs.pin_lookup_hit);
+            NicSegs::default()
+        };
+        // Kernel-level networking copies the payload into kernel buffers.
+        let copies = self.cfg.arch.send_copies();
+        if copies > 0 && len > 0 {
+            ctx.sleep(self.os.copy_cost(len) * u64::from(copies));
+        }
+        let pin_done = ctx.now();
+        let msg_id = self.alloc_msg_id();
+        self.charge_descriptor_pio(ctx, segs.len() as u64);
+        self.trace_send_trap(msg_id, trap_entry, dispatch_done, pin_done, ctx.now(), len);
+        self.mcp
+            .post_send(Self::message(port, dst, channel, msg_id, segs, None, len));
+        Ok(msg_id)
+    }
+
+    /// The user-level architectures' send, with no trap: the library checks
+    /// the request and writes the descriptor through the NIC's mapped
+    /// doorbell page. No dispatch, security or pin-down cost is charged —
+    /// the descriptor names virtual pages (`JobKind::Message::user_pages`),
+    /// which the NIC translates itself at descriptor fetch. It sits beside
+    /// [`Self::ioctl_send`] because it shares the checks and the message
+    /// ids; the NIC still holds the frames it will read.
+    #[allow(clippy::too_many_arguments)] // mirrors the ioctl request block
+    pub fn doorbell_send(
+        &self,
+        ctx: &mut ActorCtx,
+        proc: &OsProcess,
+        port: PortId,
+        dst: ProcAddr,
+        channel: ChannelId,
+        addr: VirtAddr,
+        len: u64,
+    ) -> Result<u32, BclError> {
+        self.check_send(proc, port, dst, channel, addr, len)?;
+        let (segs, pages) = if len > 0 {
+            let segs = self
+                .os
+                .memory()
+                .nic_hold(proc.space.sg_list(addr, len)?, true);
+            let first = addr.page().0;
+            let pages = first..first + pages_spanned(addr, len);
+            (segs, Some(Box::new((proc.space.asid(), pages))))
+        } else {
+            (NicSegs::default(), None)
+        };
+        let msg_id = self.alloc_msg_id();
+        self.charge_descriptor_pio(ctx, segs.len() as u64);
+        self.mcp
+            .post_send(Self::message(port, dst, channel, msg_id, segs, pages, len));
+        Ok(msg_id)
+    }
+
+    /// The descriptor of an ordinary message.
+    fn message(
+        port: PortId,
+        dst: ProcAddr,
+        channel: ChannelId,
+        msg_id: u32,
+        segments: NicSegs,
+        user_pages: Option<Box<(Asid, Range<u64>)>>,
+        len: u64,
+    ) -> SendJob {
+        SendJob {
+            src_port: port,
+            dst_fid: FabricNodeId(dst.node.0),
+            dst_port: dst.port,
+            channel,
+            msg_id,
+            segments,
+            total_len: len,
+            kind: JobKind::Message { user_pages },
+            retries: 0,
+            notify_sender: true,
+        }
+    }
+
+    /// The request checks every send makes before anything is charged for
+    /// its payload: caller, port ownership, destination, channel, length,
+    /// path health, ring space and the buffer itself.
+    fn check_send(
+        &self,
+        proc: &OsProcess,
+        port: PortId,
+        dst: ProcAddr,
+        channel: ChannelId,
+        addr: VirtAddr,
+        len: u64,
+    ) -> Result<(), BclError> {
         self.check_caller(proc)?;
         {
             let st = self.state.lock();
@@ -435,30 +531,7 @@ impl BclKmod {
         if len > 0 {
             self.check_buffer(proc, addr, len)?;
         }
-        let segs = if len > 0 {
-            self.pin_translate(ctx, proc, addr, len, true)?
-        } else {
-            // The table is consulted even for empty payloads.
-            ctx.sleep(self.os.costs.pin_lookup_hit);
-            NicSegs::default()
-        };
-        let pin_done = ctx.now();
-        let msg_id = self.alloc_msg_id();
-        self.charge_descriptor_pio(ctx, segs.len() as u64);
-        self.trace_send_trap(msg_id, trap_entry, dispatch_done, pin_done, ctx.now(), len);
-        self.mcp.post_send(SendJob {
-            src_port: port,
-            dst_fid: FabricNodeId(dst.node.0),
-            dst_port: dst.port,
-            channel,
-            msg_id,
-            segments: segs,
-            total_len: len,
-            kind: JobKind::Message,
-            retries: 0,
-            notify_sender: true,
-        });
-        Ok(msg_id)
+        Ok(())
     }
 
     /// One-sided write into `dst`'s open channel.

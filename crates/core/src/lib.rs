@@ -15,10 +15,14 @@
 //! Plus the intra-node shared-memory path ([`intranode::IntraHub`]), the
 //! go-back-N reliability layer ([`reliable`]), and the calibrated cost
 //! model ([`config::BclConfig`]) that reproduces the paper's measurements.
+//! The same stack plays the comparators of Tables 1–2 (kernel-level,
+//! user-level, GM, AM-II, BIP): [`arch::Architecture`] moves the traps,
+//! interrupts, copies and address translation.
 
 #![warn(missing_docs)]
 
 pub mod api;
+pub mod arch;
 pub mod coll;
 pub mod config;
 pub mod error;
@@ -32,6 +36,7 @@ pub mod sg;
 pub mod wire;
 
 pub use api::{BclNode, BclPort};
+pub use arch::{Architecture, MmapUnsupported};
 pub use coll::{CollOp, CollSetup, CollStep};
 pub use config::BclConfig;
 pub use error::BclError;

@@ -251,7 +251,7 @@ impl McpInner {
             let data = if len == 0 {
                 Vec::new()
             } else {
-                read_sg(&me.mem, &segs, 0, len).expect("collective payload DMA faulted")
+                read_sg(me.os.memory(), &segs, 0, len).expect("collective payload DMA faulted")
             };
             let at = t0..me.sim.now();
             me.mt_span(trace, TraceLayer::Mcp, stage::COLL_POST, at, 0, len);
@@ -273,7 +273,7 @@ impl McpInner {
                 return;
             };
             let msg_id = run.setup.msg_id;
-            match run.advance(self.node.0) {
+            match run.advance(self.os.node_id.0) {
                 Next::Parked => return,
                 Next::Send { to, chunk, data } => self.coll_send(st, key, msg_id, to, chunk, data),
                 Next::Folded { combines } => {
@@ -321,11 +321,11 @@ impl McpInner {
         let (src_port, coll_id) = (PortId(key.0), key.1);
         let mut queued = false;
         for dst in to {
-            if dst.node.0 == self.node.0 {
+            if dst.node.0 == self.os.node_id.0 {
                 // Co-located participant on this same NIC: a local copy
                 // step — one interpreter tick, no wire, no go-back-N.
                 let me = self.clone();
-                let arrival = ((self.node.0, src_port.0, chunk), data.clone());
+                let arrival = ((self.os.node_id.0, src_port.0, chunk), data.clone());
                 self.sim.schedule_in(self.cfg.mcp.coll_step, move |_| {
                     let mut st = me.state.lock();
                     me.mt_instant(me.local_trace(msg_id), stage::COLL_COMBINE);

@@ -47,9 +47,9 @@ use std::sync::{Arc, Weak};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use suca_mem::{NicSegs, PhysAddr, PhysMemory};
+use suca_mem::{NicSegs, PhysAddr};
 use suca_myrinet::{Fabric, FabricNodeId, PacketTrace, SramPool};
-use suca_os::NodeId;
+use suca_os::NodeOs;
 use suca_pci::DmaEngine;
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
 use suca_sim::{Counter, Histogram, PollerId, Sim, SimDuration, SimTime};
@@ -151,12 +151,13 @@ struct Rings {
 struct McpInner {
     sim: Sim,
     cfg: BclConfig,
-    node: NodeId,
+    /// The host this NIC sits in: its node id, the physical memory its DMA
+    /// engines reach, and the OS its interrupts are delivered to.
+    os: Arc<NodeOs>,
     fid: FabricNodeId,
     /// All rails this NIC is attached to. Single-rail clusters have one
     /// entry; dual-fabric nodes fail over between entries on path death.
     fabrics: Vec<Arc<dyn Fabric>>,
-    mem: PhysMemory,
     host_dma: DmaEngine,
     sram: SramPool,
     frag_cap: u64,
@@ -190,17 +191,16 @@ enum Completion {
 }
 
 impl Mcp {
-    /// Boot the firmware on the NIC of `node`, attached at `fid` to every
+    /// Boot the firmware on the NIC of `os`'s node, attached at `fid` to every
     /// rail in `fabrics` (node ids and fabric ids are identity-mapped by the
     /// cluster builder). Rail 0 is the initial path to every destination;
     /// the others are failover targets. Every rail must expose this node at
     /// `fid`.
     pub fn new_multi_rail(
         sim: &Sim,
-        node: NodeId,
+        os: Arc<NodeOs>,
         fid: FabricNodeId,
         fabrics: Vec<Arc<dyn Fabric>>,
-        mem: PhysMemory,
         cfg: BclConfig,
     ) -> Mcp {
         assert!(!fabrics.is_empty(), "a NIC needs at least one rail");
@@ -234,10 +234,9 @@ impl Mcp {
             McpInner {
                 sim: sim.clone(),
                 cfg,
-                node,
+                os,
                 fid,
                 fabrics: fabrics.clone(),
-                mem,
                 host_dma,
                 sram,
                 frag_cap,
@@ -276,7 +275,7 @@ impl Mcp {
         // occupancy, sampled by the sim-clock telemetry tick. Weak handles
         // keep the registry from pinning the firmware alive.
         let ts = sim.timeseries();
-        let n = node.0;
+        let n = inner.os.node_id.0;
         let probe = |name: &str, cap: Option<u64>, read: fn(&McpState) -> u64| {
             let w = Arc::downgrade(&inner);
             ts.register(format!("n{n}.mcp.{name}"), n, cap, move |_| {
@@ -468,7 +467,7 @@ impl McpInner {
         if self.sim.msg_trace().enabled() {
             self.sim.trace_event(TraceEvent::instant(
                 trace,
-                self.node.0,
+                self.os.node_id.0,
                 TraceLayer::Mcp,
                 stage_name,
                 self.sim.now().as_ns(),
@@ -490,7 +489,7 @@ impl McpInner {
         if self.sim.msg_trace().enabled() {
             let (start, end) = (at.start.as_ns(), at.end.as_ns());
             self.sim.trace_event(
-                TraceEvent::span(trace, self.node.0, layer, stage_name, start, end)
+                TraceEvent::span(trace, self.os.node_id.0, layer, stage_name, start, end)
                     .with_seq(seq)
                     .with_bytes(bytes),
             );
@@ -500,7 +499,7 @@ impl McpInner {
     /// Trace identity of a message this node's host originated (sends,
     /// one-sided reads and collectives alike).
     fn local_trace(&self, msg_id: u32) -> TraceId {
-        TraceId::new(self.node.0, msg_id)
+        TraceId::new(self.os.node_id.0, msg_id)
     }
 
     /// Trace identity of a received packet. Read-reply data joins the local
@@ -575,7 +574,7 @@ impl McpInner {
     /// list: what the transfer in flight keeps, so that its target outlives
     /// the state that named it (a wipe, a port close) by exactly the DMA.
     fn dma_window(&self, segs: &[(PhysAddr, u64)], off: u64, len: u64) -> NicSegs {
-        self.mem.nic_hold(slice_sg(segs, off, len), false)
+        self.os.memory().nic_hold(slice_sg(segs, off, len), false)
     }
 
     /// DMA `data` into `target` (see [`Self::dma_window`]), record the
@@ -593,7 +592,7 @@ impl McpInner {
         let t0 = self.sim.now();
         let me = self.clone();
         self.host_dma.submit(len, move |_| {
-            write_sg(&me.mem, &target, 0, &data).expect("payload DMA faulted");
+            write_sg(me.os.memory(), &target, 0, &data).expect("payload DMA faulted");
             let at = t0..me.sim.now();
             me.mt_span(trace, TraceLayer::Dma, stage::DMA_DATA, at, seq, len);
             then(&me);
@@ -601,8 +600,10 @@ impl McpInner {
     }
 
     /// DMA a completion event into one of `port`'s user-space queues —
-    /// the only way the host ever learns anything from the NIC. Silently
-    /// skipped when the port closed meanwhile. Lock held.
+    /// the only way the host ever learns anything from the NIC (under
+    /// kernel-level receive, a receive event is queued by the handler of
+    /// the interrupt it raises). Silently skipped when the port closed
+    /// meanwhile. Lock held.
     fn post_completion(
         self: &Arc<Self>,
         st: &McpState,
@@ -622,9 +623,23 @@ impl McpInner {
             me.mt_span(trace, TraceLayer::Dma, stage::DMA_CQ, at, 0, 0);
             match ev {
                 Completion::Send(ev) => queues.push_send(ev),
+                Completion::Recv(ev) if me.cfg.arch.kernel_receive() => {
+                    me.interrupt(trace, move || queues.push_recv(ev));
+                }
                 Completion::Recv(ev) => queues.push_recv(ev),
             }
         });
+    }
+
+    /// Raise a host interrupt for `trace` ([`NodeOs::interrupt`]: counted,
+    /// and `handler` runs after the entry and service costs).
+    fn interrupt(&self, trace: TraceId, handler: impl FnOnce() + Send + 'static) {
+        if self.sim.msg_trace().enabled() {
+            let (node, now) = (self.os.node_id.0, self.sim.now().as_ns());
+            let ev = TraceEvent::instant(trace, node, TraceLayer::Kernel, stage::INTERRUPT, now);
+            self.sim.trace_event(ev);
+        }
+        self.os.interrupt(&self.sim, move |_| handler());
     }
 
     /// Send-queue completion for a message `port` originated on this node

@@ -148,6 +148,11 @@ impl McpInner {
     pub(super) fn on_data(self: &Arc<Self>, d: RxDesc) {
         let (src, header, rail) = (d.src, d.header, d.rail);
         let mut st = self.state.lock();
+        if !self.cfg.arch.reliable() {
+            // No go-back-N (BIP): every intact arrival is taken, and none
+            // is acknowledged.
+            return self.accept(&mut st, d);
+        }
         let rx = &mut st.peers.entry(src.0).or_default().rx;
         // Data from a *newer* epoch adopts it implicitly (the peer's NIC
         // was reset and restarted its stream); older epochs are counted
@@ -155,22 +160,7 @@ impl McpInner {
         let verdict = rx.on_data(header.epoch, header.seq);
         let ack = Self::ack_header(rx.epoch(), rx.cum_ack());
         match verdict {
-            EpochVerdict::Gbn(GbnVerdict::Accept) => {
-                let st = &mut *st;
-                match (header.kind, header.channel.kind) {
-                    (WireKind::Data, ChannelKind::Open) => self.rma_write(st, d),
-                    (WireKind::Data, _) => self.deliver_message(st, d),
-                    (WireKind::RmaReadReq, _) => self.rma_read_request(st, d),
-                    (WireKind::RmaReadData, _) => self.rma_read_data(st, d),
-                    (WireKind::Coll, _) => self.coll_rx(st, d),
-                    // `poll_rx` routes control kinds elsewhere; reaching
-                    // here means it and this demux disagree.
-                    _ => self.protocol_error(
-                        self.header_trace(src, &header),
-                        "control packet reached the data-accept path",
-                    ),
-                }
-            }
+            EpochVerdict::Gbn(GbnVerdict::Accept) => self.accept(&mut st, d),
             EpochVerdict::Gbn(GbnVerdict::Duplicate | GbnVerdict::OutOfOrder) => {
                 self.sim.add_count("bcl.rx_discarded", 1);
                 self.mt_instant(self.header_trace(src, &header), stage::RX_DISCARD);
@@ -184,6 +174,24 @@ impl McpInner {
         // Ack on the arrival rail so the reverse path mirrors the one the
         // sender actually used (its old rail may be dark).
         self.send_control(rail, src, ack);
+    }
+
+    /// Dispatch an accepted arrival by kind. Lock held.
+    fn accept(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
+        let header = d.header;
+        match (header.kind, header.channel.kind) {
+            (WireKind::Data, ChannelKind::Open) => self.rma_write(st, d),
+            (WireKind::Data, _) => self.deliver_message(st, d),
+            (WireKind::RmaReadReq, _) => self.rma_read_request(st, d),
+            (WireKind::RmaReadData, _) => self.rma_read_data(st, d),
+            (WireKind::Coll, _) => self.coll_rx(st, d),
+            // `poll_rx` routes control kinds elsewhere; reaching here means
+            // it and this demux disagree.
+            _ => self.protocol_error(
+                self.header_trace(d.src, &header),
+                "control packet reached the data-accept path",
+            ),
+        }
     }
 
     /// Refuse a message at its first fragment: tell the sender (`fatal` =
@@ -343,7 +351,10 @@ impl McpInner {
         }
         // The reply job holds the slice of the window it reads on its own:
         // the window may be re-bound or its port closed before it runs.
-        let segments = self.mem.nic_hold(slice_sg(segs, offset, len), false);
+        let segments = self
+            .os
+            .memory()
+            .nic_hold(slice_sg(segs, offset, len), false);
         st.send.queue.push_back(SendJob {
             src_port: header.dst_port,
             dst_fid: src,

@@ -3,11 +3,12 @@
 //! message-level (reject) retries draw on.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use suca_mem::NicSegs;
+use suca_mem::{Asid, NicSegs};
 use suca_myrinet::{FabricNodeId, PacketTrace, SramLease, FRAMING_BYTES};
 use suca_sim::mtrace::{stage, TraceId, TraceLayer};
 use suca_sim::SimDuration;
@@ -21,7 +22,12 @@ use crate::wire::{WireHeader, WireKind, HEADER_BYTES};
 #[derive(Clone, Debug)]
 pub enum JobKind {
     /// Ordinary message to a system or normal channel.
-    Message,
+    Message {
+        /// The virtual pages `(address space, page numbers)` a user-level
+        /// descriptor names: the NIC translates them itself at descriptor
+        /// fetch. `None` when the kernel translated (every trapping send).
+        user_pages: Option<Box<(Asid, Range<u64>)>>,
+    },
     /// One-sided write into the destination's open channel at `offset`.
     RmaWrite {
         /// Byte offset within the target's bound buffer.
@@ -83,7 +89,7 @@ impl SendJob {
     /// posted yet); the system channel discards silently, one-sided
     /// operations are refused fatally or not at all.
     fn refusable(&self) -> bool {
-        matches!(self.kind, JobKind::Message) && self.channel.kind == ChannelKind::Normal
+        matches!(self.kind, JobKind::Message { .. }) && self.channel.kind == ChannelKind::Normal
     }
 }
 
@@ -102,6 +108,12 @@ struct ActiveSend {
 const STAGE_AHEAD: usize = 8;
 /// Completed-job memory for message-level retries.
 const COMPLETED_CAP: usize = 256;
+/// Translations the user-level NIC caches in SRAM: VMMC-2 and U-Net kept
+/// a few hundred, where BCL's host-resident pin-down table holds 64 K pages.
+const NIC_TLB_ENTRIES: usize = 256;
+/// Descriptor-fetch stall per translation miss: the NIC fetches the entry
+/// from the host's table (a host round trip plus the firmware's walk).
+const NIC_TLB_MISS: SimDuration = SimDuration::from_us(16);
 
 /// Send-side SRAM state.
 #[derive(Default)]
@@ -124,6 +136,9 @@ pub(super) struct SendEngine {
     completed_order: VecDeque<u32>,
     /// Entries of `completed` still holding segments.
     completed_holding: usize,
+    /// The user-level NIC's translation cache, least recently used first
+    /// (empty under BCL).
+    tlb: VecDeque<(Asid, u64)>,
 }
 
 impl SendEngine {
@@ -154,6 +169,24 @@ impl SendEngine {
             active.staged.push_back((0, wire, None));
         }
         self.active = Some(active);
+    }
+
+    /// Translate a user-level descriptor's `pages` of `asid`; returns the
+    /// misses.
+    fn translate(&mut self, asid: Asid, pages: Range<u64>) -> u64 {
+        let mut misses = 0;
+        for key in pages.map(|page| (asid, page)) {
+            if let Some(pos) = self.tlb.iter().position(|k| *k == key) {
+                self.tlb.remove(pos);
+            } else {
+                misses += 1;
+                if self.tlb.len() == NIC_TLB_ENTRIES {
+                    self.tlb.pop_front();
+                }
+            }
+            self.tlb.push_back(key);
+        }
+        misses
     }
 
     /// The job was fully injected and its owner told: the buffer is the
@@ -238,8 +271,9 @@ enum Work {
     Idle,
     /// Active send abandoned after a protocol error.
     Dropped,
-    /// A new descriptor was activated; charge the fixed cost.
-    NewJob { trace: TraceId },
+    /// A new descriptor was activated; charge the fixed cost plus any
+    /// translation-miss stall.
+    NewJob { trace: TraceId, stall: SimDuration },
     /// Put one encoded packet on the wire: a freshly staged fragment, or
     /// (`retx`) one the retransmit queue owed.
     Inject { desc: TxDesc, retx: bool },
@@ -263,7 +297,7 @@ impl McpInner {
     fn packet_trace(&self, dst: FabricNodeId, header: &WireHeader) -> PacketTrace {
         let origin = match header.kind {
             WireKind::RmaReadData => dst.0,
-            _ => self.node.0,
+            _ => self.os.node_id.0,
         };
         PacketTrace {
             origin,
@@ -299,11 +333,11 @@ impl McpInner {
             Work::Idle => {}
             // Keep the engine chain alive so queued jobs still go out.
             Work::Dropped => step_again_in(SimDuration::ZERO),
-            Work::NewJob { trace } => {
+            Work::NewJob { trace, stall } => {
                 // Charge the per-message fixed cost (descriptor fetch +
                 // reliable-protocol setup), then continue.
                 let start = self.sim.now();
-                let d = self.cfg.mcp.send_fixed;
+                let d = self.cfg.mcp.send_fixed + stall;
                 let at = start..start + d;
                 self.mt_span(trace, TraceLayer::Mcp, stage::DESCRIPTOR, at, 0, 0);
                 step_again_in(d);
@@ -366,18 +400,36 @@ impl McpInner {
                 return Work::Idle;
             };
             let trace = self.job_trace(&job);
+            let mut stall = SimDuration::ZERO;
+            if let JobKind::Message {
+                user_pages: Some(p),
+            } = &job.kind
+            {
+                let misses = st.send.translate(p.0, p.1.clone());
+                if misses > 0 {
+                    self.sim.add_count("mcp.nic_tlb_misses", misses);
+                }
+                stall = NIC_TLB_MISS * misses;
+            }
             st.send.activate(job);
             self.stage_more(st);
-            return Work::NewJob { trace };
+            return Work::NewJob { trace, stall };
         };
         let dst = a.job.dst_fid;
-        let window = self.cfg.reliability.window;
-        let tx = st.peers.entry(dst.0).or_default().tx_or_open(window);
-        if !tx.can_send() {
-            // Closed window or an epoch resync in flight; the ack (or the
-            // sync-ack) re-kicks the engine.
-            st.send.busy = false;
-            return Work::Idle;
+        // Without go-back-N (BIP) there is no window to wait for, nothing
+        // to stamp, keep or time out.
+        let reliable = self.cfg.arch.reliable();
+        let mut tx = None;
+        if reliable {
+            let stream = st.peers.entry(dst.0).or_default();
+            let stream = stream.tx_or_open(self.cfg.reliability.window);
+            if !stream.can_send() {
+                // Closed window or an epoch resync in flight; the ack (or
+                // the sync-ack) re-kicks the engine.
+                st.send.busy = false;
+                return Work::Idle;
+            }
+            tx = Some(stream);
         }
         let Some((off, data, sram_lease)) = a.staged.pop_front() else {
             // Nothing staged yet.
@@ -394,14 +446,18 @@ impl McpInner {
         let mut header = Self::header_for(&a.job, off, &data);
         a.injected += data.len() as u64;
         let job_done = a.injected >= a.job.total_len;
-        header.seq = tx.next_seq();
-        header.epoch = tx.epoch();
+        if let Some(tx) = &tx {
+            header.seq = tx.next_seq();
+            header.epoch = tx.epoch();
+        }
         let meta = Some(self.packet_trace(dst, &header));
         let pkt = header.encode(&data);
-        if let Err(e) = tx.record_sent(header.seq, pkt.clone()) {
-            // The window was checked open above, so any failure here is a
-            // firmware-state inconsistency — counted, not fatal.
-            return self.protocol_drop(st, e.reason());
+        if let Some(tx) = tx {
+            if let Err(e) = tx.record_sent(header.seq, pkt.clone()) {
+                // The window was checked open above, so any failure here is
+                // a firmware-state inconsistency — counted, not fatal.
+                return self.protocol_drop(st, e.reason());
+            }
         }
         if !job_done {
             self.stage_more(st);
@@ -422,7 +478,9 @@ impl McpInner {
             }
         }
         let peer = st.peers.entry(dst.0).or_default();
-        self.arm_timer(peer, dst);
+        if reliable {
+            self.arm_timer(peer, dst);
+        }
         let desc = TxDesc {
             rail: peer.rail,
             dst,
@@ -449,7 +507,7 @@ impl McpInner {
 
     fn header_for(job: &SendJob, frag_off: u64, data: &[u8]) -> WireHeader {
         let (kind, offset, total) = match job.kind {
-            JobKind::Message => (WireKind::Data, frag_off, job.total_len),
+            JobKind::Message { .. } => (WireKind::Data, frag_off, job.total_len),
             JobKind::RmaWrite { offset } => (WireKind::Data, offset + frag_off, job.total_len),
             JobKind::RmaReadReq { offset, len } => (WireKind::RmaReadReq, offset, len),
             JobKind::RmaReadData => (WireKind::RmaReadData, frag_off, job.total_len),
@@ -498,7 +556,8 @@ impl McpInner {
                 return; // send was aborted (rejected, wiped) while staging
             };
             // Still the active send, so the job still holds what is read.
-            let data = read_sg(&me.mem, &a.job.segments, off, len).expect("staging DMA faulted");
+            let data =
+                read_sg(me.os.memory(), &a.job.segments, off, len).expect("staging DMA faulted");
             a.staging = false;
             a.staged.push_back((off, data, Some(lease)));
             me.stage_more(&mut st);
@@ -578,7 +637,7 @@ mod tests {
             msg_id,
             segments,
             total_len: PAGE_SIZE,
-            kind: JobKind::Message,
+            kind: JobKind::Message { user_pages: None },
             retries: 0,
             notify_sender: true,
         }

@@ -22,12 +22,12 @@ fn build_pair(sim: &Sim) -> (Arc<BclNode>, Arc<BclNode>, Arc<Myrinet>) {
         let os = NodeOs::new(
             sim,
             NodeId(i),
-            mem.clone(),
+            mem,
             OsPersonality::AIX,
             OsCostModel::aix_power3(),
         );
         let rails: Vec<Arc<dyn Fabric>> = vec![fabric.clone()];
-        let mcp = Mcp::new_multi_rail(sim, NodeId(i), FabricNodeId(i), rails, mem, cfg.clone());
+        let mcp = Mcp::new_multi_rail(sim, os.clone(), FabricNodeId(i), rails, cfg.clone());
         nodes.push(BclNode::new(sim, os, mcp, 2, cfg.clone()));
     }
     let b = nodes.pop().expect("two");

@@ -98,7 +98,7 @@ impl Comm {
         self.bcast_host(ctx, root, data);
     }
 
-    /// Binomial-tree broadcast from `root`. Host reference baseline.
+    /// Binomial-tree broadcast from `root`: the host reference algorithm.
     pub fn bcast_host(&self, ctx: &mut ActorCtx, root: u32, data: &mut Vec<u8>) {
         let n = self.size();
         if n <= 1 {

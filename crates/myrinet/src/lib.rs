@@ -3,8 +3,8 @@
 //! Links (1.28 Gb/s, serialized, fault-injectable), 8-port cut-through
 //! crossbar switches, NIC SRAM accounting, a linear-array-of-switches
 //! topology builder for up to the full 70-node DAWNING-3000, and the
-//! [`Fabric`] trait that protocol stacks (BCL, the baselines) program
-//! against. The nwrc 2-D mesh (`suca-mesh`) implements the same trait,
+//! [`Fabric`] trait that protocol stacks (BCL, in each of its
+//! architectures) program against. The nwrc 2-D mesh (`suca-mesh`) implements the same trait,
 //! which is the paper's heterogeneous-network portability claim made
 //! concrete.
 

@@ -79,7 +79,8 @@ impl TraceId {
 pub enum TraceLayer {
     /// User-space BCL library (`BclPort`).
     Library,
-    /// Kernel module (the one trap) / kernel-level baselines.
+    /// Kernel module (the one trap) and, under kernel-level receive, the
+    /// interrupt and the receive trap.
     Kernel,
     /// NIC control program (firmware).
     Mcp,

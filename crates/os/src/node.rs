@@ -3,9 +3,9 @@
 //! A [`NodeOs`] owns the node's physical memory, creates processes (PID +
 //! address space), provides the **trap** primitive that charges kernel entry/
 //! exit costs and counts critical-path traps, and raises **interrupts** for
-//! the kernel-level baseline. BCL's kernel module is registered here and
-//! reached via `ioctl`, exactly mirroring the paper's structure (user library
-//! → ioctl subcommands → kernel module).
+//! the kernel-level architecture's receive path. BCL's kernel module is
+//! registered here and reached via `ioctl`, exactly mirroring the paper's
+//! structure (user library → ioctl subcommands → kernel module).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -138,9 +138,10 @@ impl NodeOs {
     }
 
     /// Raise a hardware interrupt: after entry + service cost, `handler`
-    /// runs as an event. Counts one critical-path interrupt. Used by the
-    /// kernel-level (TCP-like) baseline — BCL's whole point is to have zero
-    /// of these.
+    /// runs as an event. Counts one critical-path interrupt. The NIC raises
+    /// one per received message under the kernel-level (TCP-like)
+    /// architecture (`suca_bcl::Architecture::KernelLevel`) — BCL's whole
+    /// point is to have zero of these.
     pub fn interrupt(&self, sim: &Sim, handler: impl FnOnce(&Sim) + Send + 'static) {
         self.interrupts.inc();
         self.interrupts_node.inc();
@@ -148,8 +149,9 @@ impl NodeOs {
         sim.schedule_in(cost, handler);
     }
 
-    /// Charge the cost of one user↔kernel copy of `len` bytes to the
-    /// calling actor.
+    /// The cost of one user↔kernel copy of `len` bytes, for the caller to
+    /// charge (the kernel-level architecture's send and receive copies,
+    /// AM-II's bounce-buffer copy).
     pub fn copy_cost(&self, len: u64) -> SimDuration {
         if len == 0 {
             SimDuration::ZERO

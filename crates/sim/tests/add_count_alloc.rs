@@ -1,6 +1,5 @@
 //! `Sim::add_count` on an already-registered counter must not allocate:
-//! `bcl.intra_msgs` and the baselines' `os.traps` are bumped by name once
-//! per message.
+//! `bcl.intra_msgs` is bumped by name once per message.
 //!
 //! Its own test file, hence its own process: arming the process-global
 //! allocation counter races with nothing.

@@ -10,7 +10,6 @@
 
 #![warn(missing_docs)]
 
-pub use suca_baselines as baselines;
 pub use suca_bcl as bcl;
 pub use suca_chaos as chaos;
 pub use suca_cluster as cluster;
