@@ -27,7 +27,7 @@ use crate::coll::{CollOp, CollStep};
 use crate::config::BclConfig;
 use crate::error::BclError;
 use crate::intranode::IntraHub;
-use crate::kmod::BclKmod;
+use crate::kmod::{BclKmod, Entry, Request, Rma};
 use crate::mcp::Mcp;
 use crate::port::{ChannelId, ChannelKind, PortId, ProcAddr, RecvDataLoc, RecvEvent, SendEvent};
 use crate::queues::UserQueues;
@@ -83,6 +83,13 @@ impl BclNode {
     pub fn fabric_name(&self) -> &'static str {
         self.mcp.fabric_name()
     }
+
+    /// Trap into the kernel module and run `ioctl` there — the one way the
+    /// library reaches the kernel ("these APIs are only the covers of some
+    /// ioctl() syscall subcommands", §4.1.1).
+    fn ioctl<R>(&self, ctx: &mut ActorCtx, ioctl: impl FnOnce(&mut ActorCtx, &BclKmod) -> R) -> R {
+        self.os.trap(ctx, |ctx| ioctl(ctx, &self.kmod))
+    }
 }
 
 /// An open BCL port — the application-facing handle.
@@ -94,8 +101,6 @@ pub struct BclPort {
     pool_user: Vec<VirtAddr>,
     /// User-side record of posted normal channels: channel → (addr, len).
     posted: Mutex<HashMap<u16, (VirtAddr, u64)>>,
-    /// User-side record of bound open channels.
-    bound: Mutex<HashMap<u16, (VirtAddr, u64)>>,
     /// Normal channels whose posting was consumed by the intra-node path
     /// (the NIC never saw the consumption; re-posts must replace).
     intra_consumed: Mutex<std::collections::HashSet<u16>>,
@@ -119,10 +124,9 @@ impl BclPort {
         for _ in 0..cfg.system_pool.buffers {
             pool_user.push(proc.space.alloc(cfg.system_pool.buffer_bytes)?);
         }
-        let os = node.os.clone();
-        let kmod = node.kmod.clone();
-        let q2 = queues.clone();
-        let id = os.trap(ctx, |ctx| kmod.ioctl_open_port(ctx, proc, q2, &pool_user))?;
+        let id = node.ioctl(ctx, |ctx, kmod| {
+            kmod.ioctl_open_port(ctx, proc, queues.clone(), &pool_user)
+        })?;
         node.intra.register_port(id, queues.clone());
         Ok(BclPort {
             node: node.clone(),
@@ -131,7 +135,6 @@ impl BclPort {
             queues,
             pool_user,
             posted: Mutex::new(HashMap::new()),
-            bound: Mutex::new(HashMap::new()),
             intra_consumed: Mutex::new(std::collections::HashSet::new()),
             intra_msg: Mutex::new(1), // odd ids: intra-node
         })
@@ -195,11 +198,8 @@ impl BclPort {
     ) -> Result<(), BclError> {
         ctx.sleep(self.node.cfg.lib_compose);
         let replace = self.intra_consumed.lock().remove(&chan);
-        let kmod = self.node.kmod.clone();
-        let proc = self.proc.clone();
-        let id = self.id;
-        self.node.os.trap(ctx, |ctx| {
-            kmod.ioctl_post_recv(ctx, &proc, id, chan, addr, len, replace)
+        self.node.ioctl(ctx, |ctx, kmod| {
+            kmod.ioctl_post_recv(ctx, &self.proc, self.id, chan, (addr, len), replace)
         })?;
         self.posted.lock().insert(chan, (addr, len));
         Ok(())
@@ -222,52 +222,39 @@ impl BclPort {
         if dst.node == self.node.os.node_id {
             return self.send_intra(ctx, dst, channel, addr, len);
         }
-        let start = ctx.now();
-        ctx.sleep(self.node.cfg.lib_compose);
-        let kmod = self.node.kmod.clone();
-        let proc = self.proc.clone();
-        let id = self.id;
-        let msg_id = if self.node.cfg.arch.user_nic_access() {
-            kmod.doorbell_send(ctx, &proc, id, dst, channel, addr, len)
-        } else {
-            self.node.os.trap(ctx, |ctx| {
-                kmod.ioctl_send(ctx, &proc, id, dst, channel, addr, len)
-            })
-        }?;
-        self.trace_send_span(ctx, msg_id, start, len);
-        Ok(msg_id)
+        let buf = (addr, len);
+        self.submit(ctx, Request::Message { dst, channel, buf })
     }
 
-    /// Record the library-layer send span (compose through trap return) for
-    /// an inter-node message, plus the `api:compose` sub-stage the
-    /// critical-path analyzer attributes. Intra-node sends (odd ids) are
-    /// never traced.
-    fn trace_send_span(&self, ctx: &ActorCtx, msg_id: u32, start: suca_sim::SimTime, len: u64) {
+    /// The library half of every send-class request: compose it, hand it to
+    /// the kernel module — by trap, or for a message under a user-level
+    /// architecture through the NIC's doorbell page — then record the
+    /// library-layer send span (compose through return) and its
+    /// `api:compose` sub-stage, which the critical-path analyzer attributes.
+    fn submit(&self, ctx: &mut ActorCtx, req: Request) -> Result<u32, BclError> {
+        let start = ctx.now().as_ns();
+        ctx.sleep(self.node.cfg.lib_compose);
+        let len = req.bytes();
+        let doorbell =
+            self.node.cfg.arch.user_nic_access() && matches!(req, Request::Message { .. });
+        let (proc, port) = (&self.proc, self.id);
+        let msg_id = if doorbell {
+            self.node.kmod.submit(ctx, proc, port, Entry::Doorbell, req)
+        } else {
+            self.node.ioctl(ctx, |ctx, kmod| {
+                kmod.submit(ctx, proc, port, Entry::Trap, req)
+            })
+        }?;
         let sim = ctx.sim();
-        if !sim.msg_trace().enabled() {
-            return;
+        if sim.msg_trace().enabled() {
+            let node = self.node.os.node_id.0;
+            let trace = TraceId::new(node, msg_id);
+            let span = |st, hi| TraceEvent::span(trace, node, TraceLayer::Library, st, start, hi);
+            sim.trace_event(span(stage::SEND, ctx.now().as_ns()).with_bytes(len));
+            let composed = start + self.node.cfg.lib_compose.as_ns();
+            sim.trace_event(span(stage::COMPOSE, composed));
         }
-        let node = self.node.os.node_id.0;
-        let trace = TraceId::new(node, msg_id);
-        sim.trace_event(
-            TraceEvent::span(
-                trace,
-                node,
-                TraceLayer::Library,
-                stage::SEND,
-                start.as_ns(),
-                ctx.now().as_ns(),
-            )
-            .with_bytes(len),
-        );
-        sim.trace_event(TraceEvent::span(
-            trace,
-            node,
-            TraceLayer::Library,
-            stage::COMPOSE,
-            start.as_ns(),
-            start.as_ns() + self.node.cfg.lib_compose.as_ns(),
-        ));
+        Ok(msg_id)
     }
 
     /// Record the user-space poll instant that closes a traced chain.
@@ -514,13 +501,9 @@ impl BclPort {
     pub fn bind_open(&self, ctx: &mut ActorCtx, chan: u16, len: u64) -> Result<VirtAddr, BclError> {
         let addr = self.alloc_buffer(len)?;
         ctx.sleep(self.node.cfg.lib_compose);
-        let kmod = self.node.kmod.clone();
-        let proc = self.proc.clone();
-        let id = self.id;
-        self.node.os.trap(ctx, |ctx| {
-            kmod.ioctl_bind_open(ctx, &proc, id, chan, addr, len)
+        self.node.ioctl(ctx, |ctx, kmod| {
+            kmod.ioctl_bind_open(ctx, &self.proc, self.id, chan, (addr, len))
         })?;
-        self.bound.lock().insert(chan, (addr, len));
         Ok(addr)
     }
 
@@ -536,16 +519,16 @@ impl BclPort {
         addr: VirtAddr,
         len: u64,
     ) -> Result<u32, BclError> {
-        let start = ctx.now();
-        ctx.sleep(self.node.cfg.lib_compose);
-        let kmod = self.node.kmod.clone();
-        let proc = self.proc.clone();
-        let id = self.id;
-        let msg_id = self.node.os.trap(ctx, |ctx| {
-            kmod.ioctl_rma_write(ctx, &proc, id, dst, chan, offset, addr, len)
-        })?;
-        self.trace_send_span(ctx, msg_id, start, len);
-        Ok(msg_id)
+        let buf = (addr, len);
+        self.submit(
+            ctx,
+            Request::RmaWrite(Rma {
+                dst,
+                chan,
+                offset,
+                buf,
+            }),
+        )
     }
 
     /// One-sided read of `len` bytes from `dst`'s open channel `chan` at
@@ -561,16 +544,16 @@ impl BclPort {
         into: VirtAddr,
         len: u64,
     ) -> Result<u32, BclError> {
-        let start = ctx.now();
-        ctx.sleep(self.node.cfg.lib_compose);
-        let kmod = self.node.kmod.clone();
-        let proc = self.proc.clone();
-        let id = self.id;
-        let msg_id = self.node.os.trap(ctx, |ctx| {
-            kmod.ioctl_rma_read(ctx, &proc, id, dst, chan, offset, into, len)
-        })?;
-        self.trace_send_span(ctx, msg_id, start, len);
-        Ok(msg_id)
+        let buf = (into, len);
+        self.submit(
+            ctx,
+            Request::RmaRead(Rma {
+                dst,
+                chan,
+                offset,
+                buf,
+            }),
+        )
     }
 
     /// Launch a NIC-offloaded collective. The `steps` schedule (compiled
@@ -594,38 +577,23 @@ impl BclPort {
         result: VirtAddr,
         result_len: u64,
     ) -> Result<u32, BclError> {
-        let start = ctx.now();
-        ctx.sleep(self.node.cfg.lib_compose);
-        let kmod = self.node.kmod.clone();
-        let proc = self.proc.clone();
-        let id = self.id;
-        let msg_id = self.node.os.trap(ctx, |ctx| {
-            kmod.ioctl_collective(
-                ctx,
-                &proc,
-                id,
-                coll_id,
-                op,
-                steps,
-                payload,
-                payload_len,
-                result,
-                result_len,
-            )
-        })?;
-        self.trace_send_span(ctx, msg_id, start, payload_len);
-        Ok(msg_id)
+        let (payload, result) = ((payload, payload_len), (result, result_len));
+        let req = Request::Collective {
+            coll_id,
+            op,
+            steps,
+            payload,
+            result,
+        };
+        self.submit(ctx, req)
     }
 
     /// Close the port. One kernel trap.
     pub fn close(self, ctx: &mut ActorCtx) -> Result<(), BclError> {
         ctx.sleep(self.node.cfg.lib_compose);
         self.node.intra.unregister_port(self.id);
-        let kmod = self.node.kmod.clone();
-        let proc = self.proc.clone();
-        let id = self.id;
-        self.node
-            .os
-            .trap(ctx, |ctx| kmod.ioctl_close_port(ctx, &proc, id))
+        self.node.ioctl(ctx, |ctx, kmod| {
+            kmod.ioctl_close_port(ctx, &self.proc, self.id)
+        })
     }
 }

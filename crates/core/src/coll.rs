@@ -72,10 +72,10 @@ pub struct CollStep {
 }
 
 /// A collective descriptor, as written into NIC memory by the kernel
-/// module's `ioctl_collective` — the one host crossing of the whole
-/// collective. Everything the interpreter needs is here: the schedule, the
-/// pinned contribution to fetch, and the pinned buffer the finished result
-/// is DMA'd back into.
+/// module's one send path (`BclKmod::submit`) — the one host crossing of
+/// the whole collective. Everything the interpreter needs is here: the
+/// schedule, the pinned contribution to fetch, and the pinned buffer the
+/// finished result is DMA'd back into.
 #[derive(Clone, Debug)]
 pub struct CollSetup {
     /// Initiating port; the completion event lands in its send queue.

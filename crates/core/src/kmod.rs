@@ -11,15 +11,18 @@
 //! kernel privilege, performs the paper's §4.3 security checks, charges
 //! kernel CPU costs to the calling actor, and finally programs the NIC by
 //! PIO. This file is the "semi" of semi-user-level: it is the only place
-//! where user requests touch the NIC.
+//! where user requests touch the NIC. Every send-class request — a message,
+//! an RMA write or read, a collective — takes the one path,
+//! [`BclKmod::submit`]; what differs by kind is one table
+//! (`Request::rule`). The user-level architectures' doorbell send takes
+//! the same path with the kernel's charges left out ([`Entry::Doorbell`]).
 
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use suca_mem::{pages_spanned, Asid, NicSegs, PinDownTable, PinLookup, VirtAddr, PAGE_SIZE};
+use suca_mem::{pages_spanned, NicSegs, PinDownTable, PinLookup, VirtAddr, PAGE_SIZE};
 use suca_myrinet::FabricNodeId;
 use suca_os::{NodeOs, OsProcess, Pid};
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
@@ -31,6 +34,99 @@ use crate::error::BclError;
 use crate::mcp::{JobKind, Mcp, SendJob};
 use crate::port::{ChannelId, ChannelKind, PortId, ProcAddr};
 use crate::queues::{SystemPool, UserQueues};
+
+/// How a request reaches the module.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Entry {
+    /// Through [`NodeOs::trap`]: dispatch, security and pin-down are charged
+    /// to the caller, and the trap is traced.
+    Trap,
+    /// Through the NIC's mapped doorbell page (the user-level architectures'
+    /// send): the same checks and message ids, none of the kernel's charges.
+    /// The descriptor names virtual pages (`JobKind::Message::user_pages`)
+    /// the NIC translates itself; it still holds the frames it will read.
+    Doorbell,
+}
+
+/// A send-class request: everything a process can ask the NIC to send,
+/// each posted by [`BclKmod::submit`]. A buffer is `(start, bytes)` in the
+/// caller's space.
+#[derive(Clone, Debug)]
+pub enum Request {
+    /// An ordinary message on a system or normal channel.
+    Message {
+        /// Destination process.
+        dst: ProcAddr,
+        /// Destination channel.
+        channel: ChannelId,
+        /// The payload.
+        buf: (VirtAddr, u64),
+    },
+    /// One-sided write of the local buffer into a window.
+    RmaWrite(Rma),
+    /// One-sided read from a window into the local buffer.
+    RmaRead(Rma),
+    /// A NIC-offloaded collective.
+    Collective {
+        /// Collective id, identical on every participant.
+        coll_id: u32,
+        /// Reduction operator.
+        op: CollOp,
+        /// This participant's schedule.
+        steps: Vec<CollStep>,
+        /// The contribution (0 bytes for barrier).
+        payload: (VirtAddr, u64),
+        /// Where the final accumulator is DMA'd (0 bytes: none wanted).
+        result: (VirtAddr, u64),
+    },
+}
+
+/// A one-sided access to the window `dst` bound to an open channel.
+#[derive(Clone, Copy, Debug)]
+pub struct Rma {
+    /// Owner of the window.
+    pub dst: ProcAddr,
+    /// Open channel the window is bound to.
+    pub chan: u16,
+    /// Byte offset into the window.
+    pub offset: u64,
+    /// The local buffer: a write's source, a read's target.
+    pub buf: (VirtAddr, u64),
+}
+
+impl Request {
+    /// This request's row of the per-kind table (DESIGN.md §5 "Kernel
+    /// module"), the only place the send path differs by kind. Columns:
+    /// refused with `RingFull` while the NIC's send ring is full; an empty
+    /// buffer is still pinned (and checked); descriptor PIO segments from
+    /// the segments pinned; the architecture's kernel-level send copies
+    /// apply.
+    fn rule(&self) -> (bool, bool, fn(u64) -> u64, bool) {
+        match self {
+            Request::Message { .. } => (true, false, |pinned| pinned, true),
+            Request::RmaWrite(_) => (false, true, |pinned| pinned, false),
+            Request::RmaRead(_) => (false, true, |_| 1, false),
+            Request::Collective { .. } => (true, false, |pinned| pinned.max(1), false),
+        }
+    }
+
+    /// The payload (a read's target), then a collective's result buffer.
+    fn buffers(&self) -> [Option<(VirtAddr, u64)>; 2] {
+        match *self {
+            Request::Message { buf, .. }
+            | Request::RmaWrite(Rma { buf, .. })
+            | Request::RmaRead(Rma { buf, .. }) => [Some(buf), None],
+            Request::Collective {
+                payload, result, ..
+            } => [Some(payload), Some(result)],
+        }
+    }
+
+    /// Payload bytes the request carries; its trace spans record them.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.buffers()[0].map_or(0, |(_, len)| len)
+    }
+}
 
 struct KernelPort {
     owner: Pid,
@@ -151,30 +247,35 @@ impl BclKmod {
         e
     }
 
-    fn check_caller(&self, proc: &OsProcess) -> Result<(), BclError> {
+    /// The preamble every request opens with. A trapped request pays the
+    /// ioctl dispatch and the security check; then the caller must be live
+    /// and, for a request on a port, own it.
+    fn preamble(
+        &self,
+        ctx: &mut ActorCtx,
+        proc: &OsProcess,
+        port: Option<PortId>,
+        entry: Entry,
+    ) -> Result<(), BclError> {
+        if entry == Entry::Trap {
+            self.ioctls.inc();
+            ctx.sleep(self.cfg.copyin_dispatch + self.os.costs.security_check);
+        }
         // "The parameters checked include application process ID …"
         if !self.os.is_live(proc.pid) {
             return Err(self.reject(BclError::DeadProcess(proc.pid)));
         }
-        Ok(())
-    }
-
-    fn check_owner(&self, st: &KmodState, port: PortId, pid: Pid) -> Result<(), BclError> {
-        match st.ports.get(&port.0) {
-            Some(kp) if kp.owner == pid => Ok(()),
-            Some(_) => Err(self.reject(BclError::NotPortOwner { port, pid })),
+        let Some(port) = port else {
+            return Ok(());
+        };
+        match self.state.lock().ports.get(&port.0) {
+            Some(kp) if kp.owner == proc.pid => Ok(()),
+            Some(_) => Err(self.reject(BclError::NotPortOwner {
+                port,
+                pid: proc.pid,
+            })),
             None => Err(self.reject(BclError::BadPort(port))),
         }
-    }
-
-    fn check_buffer(&self, proc: &OsProcess, addr: VirtAddr, len: u64) -> Result<(), BclError> {
-        // "… communication buffer pointer …": the range must be mapped in
-        // the *caller's* space; a forged pointer fails here, in the kernel,
-        // before the NIC ever sees it.
-        if !proc.space.is_mapped(addr, len.max(1)) {
-            return Err(self.reject(BclError::BadBuffer { addr: addr.0, len }));
-        }
-        Ok(())
     }
 
     fn check_dest(&self, dst: ProcAddr) -> Result<(), BclError> {
@@ -185,49 +286,124 @@ impl BclKmod {
         if dst.port.0 >= self.cfg.limits.max_ports {
             return Err(self.reject(BclError::BadPort(dst.port)));
         }
+        if self.mcp.path_is_dead(FabricNodeId(dst.node.0)) {
+            // The NIC exhausted retransmission on every rail; refusing here
+            // (kernel-side, per the trust model) lets callers re-home work
+            // instead of feeding a black hole.
+            return Err(BclError::PathDead(dst.node));
+        }
         Ok(())
     }
 
-    /// Translate + pin a user range; charges hit/miss costs to the actor
-    /// and returns the physical scatter/gather list with a NIC reference
-    /// taken on every frame — the list is about to enter NIC state, and
-    /// from here on the frames outlive a `free` by their owner. `busy`:
-    /// the owner must not write the buffer before its completion event
-    /// (sends, one-sided reads, collectives); pool buffers, posted receive
-    /// buffers and bound windows are the owner's to write while held.
-    fn pin_translate(
+    /// Every destination the request names, then the kind's own limits:
+    /// channel, length, fragment capacity, f64 lanes.
+    fn check_request(&self, req: &Request) -> Result<(), BclError> {
+        let limits = &self.cfg.limits;
+        let refused = match *req {
+            Request::Message {
+                dst,
+                channel,
+                buf: (_, len),
+            } => {
+                self.check_dest(dst)?;
+                let pool = self.cfg.system_pool.buffer_bytes;
+                let max = limits.max_message_bytes;
+                match channel.kind {
+                    ChannelKind::System if len > pool => {
+                        Some(BclError::TooBigForSystemChannel { len, max: pool })
+                    }
+                    ChannelKind::Normal if channel.index >= limits.normal_channels => {
+                        Some(BclError::BadChannel(channel))
+                    }
+                    ChannelKind::Open => Some(BclError::BadChannel(channel)),
+                    _ if len > max => Some(BclError::MessageTooLong { len, max }),
+                    _ => None,
+                }
+            }
+            Request::RmaWrite(rma) | Request::RmaRead(rma) => {
+                self.check_dest(rma.dst)?;
+                (rma.chan >= limits.open_channels)
+                    .then(|| BclError::BadChannel(ChannelId::open(rma.chan)))
+            }
+            Request::Collective {
+                ref steps,
+                payload: (addr, len),
+                result: (_, result_len),
+                ..
+            } => {
+                // Every peer the schedule names is a communication target:
+                // the same destination checks as a send, per edge.
+                for step in steps {
+                    for &peer in step.recv_from.iter().chain(&step.send_to) {
+                        self.check_dest(peer)?;
+                    }
+                }
+                // Single-fragment contract: each wire contribution is the
+                // payload plus the 4-byte collective id in one packet. Whole
+                // f64 lanes only, so NIC-side combining can never straddle
+                // an element.
+                let max = self.mcp.frag_cap().saturating_sub(4);
+                if len > max {
+                    Some(BclError::MessageTooLong { len, max })
+                } else if !len.is_multiple_of(8) || !result_len.is_multiple_of(8) {
+                    Some(BclError::BadBuffer { addr: addr.0, len })
+                } else {
+                    None
+                }
+            }
+        };
+        refused.map_or(Ok(()), |e| Err(self.reject(e)))
+    }
+
+    /// Check a user range is the caller's, then hand back its physical
+    /// scatter/gather list with a NIC reference taken on every frame — the
+    /// list is about to enter NIC state, and from here on the frames outlive
+    /// a `free` by their owner. A trapped request translates through the
+    /// pin-down table and is charged for it; a doorbell request skips the
+    /// table (the NIC translates). `busy`: the owner must not write the
+    /// buffer before its completion event (sends, one-sided reads,
+    /// collectives); pool buffers, posted receive buffers and bound windows
+    /// are the owner's to write while held.
+    fn pin(
         &self,
         ctx: &mut ActorCtx,
         proc: &OsProcess,
-        addr: VirtAddr,
-        len: u64,
+        (addr, len): (VirtAddr, u64),
         busy: bool,
+        entry: Entry,
     ) -> Result<NicSegs, BclError> {
-        let (hit_cost, miss_cost) = {
-            let mut st = self.state.lock();
-            let results = st.pin.pin_range(&proc.space, addr, len)?;
-            let misses = results
-                .iter()
-                .filter(|(_, l)| *l == PinLookup::Miss)
-                .count() as u64;
-            self.pin_hits.add(results.len() as u64 - misses);
-            self.pin_misses.add(misses);
-            // Drop the transient pin immediately: the entry stays cached
-            // (evictable, LRU) so repeat sends hit — the whole point of the
-            // pin-down cache. The pin *table* count is not what keeps the
-            // frames alive under DMA; the NIC reference taken below is.
-            st.pin.unpin_range(proc.space.asid(), addr, len);
-            let (_, _, evictions) = st.pin.stats();
-            self.pin_evictions.add(evictions - st.evictions_seen);
-            st.evictions_seen = evictions;
-            self.publish_pin_level(&mut st);
-            (
-                self.os.costs.pin_lookup_hit,
-                self.os.costs.pin_miss_per_page * misses,
-            )
-        };
-        // One table search per request plus the per-page pin cost on misses.
-        ctx.sleep(hit_cost + miss_cost);
+        // "… communication buffer pointer …": the range must be mapped in
+        // the *caller's* space; a forged pointer fails here, in the kernel,
+        // before the NIC ever sees it.
+        if !proc.space.is_mapped(addr, len.max(1)) {
+            return Err(self.reject(BclError::BadBuffer { addr: addr.0, len }));
+        }
+        if entry == Entry::Trap {
+            let misses = {
+                let mut st = self.state.lock();
+                let results = st.pin.pin_range(&proc.space, addr, len)?;
+                let misses = results
+                    .iter()
+                    .filter(|(_, l)| *l == PinLookup::Miss)
+                    .count() as u64;
+                self.pin_hits.add(results.len() as u64 - misses);
+                self.pin_misses.add(misses);
+                // Drop the transient pin immediately: the entry stays cached
+                // (evictable, LRU) so repeat sends hit — the whole point of
+                // the pin-down cache. The pin *table* count is not what
+                // keeps the frames alive under DMA; the NIC reference taken
+                // below is.
+                st.pin.unpin_range(proc.space.asid(), addr, len);
+                let (_, _, evictions) = st.pin.stats();
+                self.pin_evictions.add(evictions - st.evictions_seen);
+                st.evictions_seen = evictions;
+                self.publish_pin_level(&mut st);
+                misses
+            };
+            // One table search per request plus the per-page pin cost on
+            // misses.
+            ctx.sleep(self.os.costs.pin_lookup_hit + self.os.costs.pin_miss_per_page * misses);
+        }
         let segs = proc.space.sg_list(addr, len)?;
         Ok(self.os.memory().nic_hold(segs, busy))
     }
@@ -249,11 +425,6 @@ impl BclKmod {
         ctx.sleep(self.cfg.descriptor_pio(segments));
     }
 
-    fn charge_checks(&self, ctx: &mut ActorCtx) {
-        self.ioctls.inc();
-        ctx.sleep(self.cfg.copyin_dispatch + self.os.costs.security_check);
-    }
-
     // ---- ioctl subcommands (call under NodeOs::trap) ----
 
     /// Create a port for `proc`. The library pre-allocated the completion
@@ -266,8 +437,7 @@ impl BclKmod {
         queues: Arc<UserQueues>,
         pool_buffers: &[VirtAddr],
     ) -> Result<PortId, BclError> {
-        self.charge_checks(ctx);
-        self.check_caller(proc)?;
+        self.preamble(ctx, proc, None, Entry::Trap)?;
         {
             let st = self.state.lock();
             if st.ports.values().any(|kp| kp.owner == proc.pid) {
@@ -281,8 +451,7 @@ impl BclKmod {
         let buf_bytes = self.cfg.system_pool.buffer_bytes;
         let mut bufs = Vec::with_capacity(pool_buffers.len());
         for &addr in pool_buffers {
-            self.check_buffer(proc, addr, buf_bytes)?;
-            bufs.push(self.pin_translate(ctx, proc, addr, buf_bytes, false)?);
+            bufs.push(self.pin(ctx, proc, (addr, buf_bytes), false, Entry::Trap)?);
         }
         let port = {
             let mut st = self.state.lock();
@@ -305,11 +474,9 @@ impl BclKmod {
         proc: &OsProcess,
         port: PortId,
     ) -> Result<(), BclError> {
-        self.charge_checks(ctx);
-        self.check_caller(proc)?;
+        self.preamble(ctx, proc, Some(port), Entry::Trap)?;
         {
             let mut st = self.state.lock();
-            self.check_owner(&st, port, proc.pid)?;
             st.ports.remove(&port.0);
             st.pin.purge_asid(proc.space.asid());
             self.publish_pin_level(&mut st);
@@ -321,31 +488,23 @@ impl BclKmod {
 
     /// Post a receive buffer on a normal channel ("making ready for message
     /// buffer still need switch into kernel mode", §4.1.1).
-    #[allow(clippy::too_many_arguments)]
     pub fn ioctl_post_recv(
         &self,
         ctx: &mut ActorCtx,
         proc: &OsProcess,
         port: PortId,
         chan: u16,
-        addr: VirtAddr,
-        len: u64,
+        buf: (VirtAddr, u64),
         replace: bool,
     ) -> Result<(), BclError> {
-        self.charge_checks(ctx);
-        self.check_caller(proc)?;
-        {
-            let st = self.state.lock();
-            self.check_owner(&st, port, proc.pid)?;
-        }
+        self.preamble(ctx, proc, Some(port), Entry::Trap)?;
         if chan >= self.cfg.limits.normal_channels {
             return Err(self.reject(BclError::BadChannel(ChannelId::normal(chan))));
         }
-        self.check_buffer(proc, addr, len)?;
         // Not busy: the intra-node path lands a message in the posted
         // buffer by host copy while this posting stays armed on the NIC
         // (the library replaces it at the next post).
-        let segs = self.pin_translate(ctx, proc, addr, len, false)?;
+        let segs = self.pin(ctx, proc, buf, false, Entry::Trap)?;
         let n_segs = segs.len() as u64;
         if !self.mcp.post_normal(port, chan, segs, replace) {
             return Err(BclError::ChannelBusy(ChannelId::normal(chan)));
@@ -361,371 +520,139 @@ impl BclKmod {
         proc: &OsProcess,
         port: PortId,
         chan: u16,
-        addr: VirtAddr,
-        len: u64,
+        buf: (VirtAddr, u64),
     ) -> Result<(), BclError> {
-        self.charge_checks(ctx);
-        self.check_caller(proc)?;
-        {
-            let st = self.state.lock();
-            self.check_owner(&st, port, proc.pid)?;
-        }
+        self.preamble(ctx, proc, Some(port), Entry::Trap)?;
         if chan >= self.cfg.limits.open_channels {
             return Err(self.reject(BclError::BadChannel(ChannelId::open(chan))));
         }
-        self.check_buffer(proc, addr, len)?;
-        let segs = self.pin_translate(ctx, proc, addr, len, false)?;
+        let segs = self.pin(ctx, proc, buf, false, Entry::Trap)?;
         let n_segs = segs.len() as u64;
         self.mcp.bind_open(port, chan, segs);
         self.charge_descriptor_pio(ctx, n_segs);
         Ok(())
     }
 
-    /// The send ioctl — the single kernel trap on BCL's critical send path.
-    #[allow(clippy::too_many_arguments)] // mirrors the ioctl request block
-    pub fn ioctl_send(
+    /// The one send path: every send-class request runs the paper's
+    /// sequence once — "security checks, buffer pin-down and virtual to
+    /// physical address translation, after which the kernel fills a send
+    /// descriptor into NIC memory via PIO":
+    ///
+    /// 1. charge dispatch + security (trapped requests);
+    /// 2. check the caller and the port's owner;
+    /// 3. check every destination: node, port, then path health;
+    /// 4. check the kind's own limits;
+    /// 5. check the send-ring bound, for the kinds that have one;
+    /// 6. pin each buffer, charging one bare table lookup when nothing is
+    ///    pinned (trapped requests);
+    /// 7. charge the kernel-level send copies;
+    /// 8. allocate the message id, charge the descriptor PIO, trace the
+    ///    trap, and post to the MCP.
+    ///
+    /// A collective is the one trap that buys the whole collective: the
+    /// NIC's plan interpreter then runs fan-in combining and fan-out
+    /// forwarding with no further host crossing until the initiator polls
+    /// its completion event (`ChainPolicy::collective()`).
+    pub fn submit(
         &self,
         ctx: &mut ActorCtx,
         proc: &OsProcess,
         port: PortId,
-        dst: ProcAddr,
-        channel: ChannelId,
-        addr: VirtAddr,
-        len: u64,
+        entry: Entry,
+        req: Request,
     ) -> Result<u32, BclError> {
         let trap_entry = ctx.now();
-        self.charge_checks(ctx);
+        self.preamble(ctx, proc, Some(port), entry)?;
         let dispatch_done = ctx.now();
-        self.check_send(proc, port, dst, channel, addr, len)?;
-        let segs = if len > 0 {
-            self.pin_translate(ctx, proc, addr, len, true)?
-        } else {
-            // The table is consulted even for empty payloads.
-            ctx.sleep(self.os.costs.pin_lookup_hit);
-            NicSegs::default()
-        };
-        // Kernel-level networking copies the payload into kernel buffers.
-        let copies = self.cfg.arch.send_copies();
-        if copies > 0 && len > 0 {
-            ctx.sleep(self.os.copy_cost(len) * u64::from(copies));
+        self.check_request(&req)?;
+        let (ring_bound, pin_empty, pio_segments, kernel_copies) = req.rule();
+        if ring_bound && self.mcp.queue_depth() >= self.cfg.limits.send_ring {
+            return Err(BclError::RingFull);
+        }
+        let mut segs = [NicSegs::default(), NicSegs::default()];
+        let mut pinned = false;
+        for (slot, buf) in segs.iter_mut().zip(req.buffers()) {
+            if let Some(buf) = buf.filter(|&(_, len)| len > 0 || pin_empty) {
+                *slot = self.pin(ctx, proc, buf, true, entry)?;
+                pinned = true;
+            }
+        }
+        let bytes = req.bytes();
+        if entry == Entry::Trap {
+            if !pinned {
+                // The table is consulted even when nothing is pinned.
+                ctx.sleep(self.os.costs.pin_lookup_hit);
+            }
+            // Kernel-level networking copies the payload into kernel buffers.
+            let copies = self.cfg.arch.send_copies();
+            if kernel_copies && copies > 0 && bytes > 0 {
+                ctx.sleep(self.os.copy_cost(bytes) * u64::from(copies));
+            }
         }
         let pin_done = ctx.now();
         let msg_id = self.alloc_msg_id();
-        self.charge_descriptor_pio(ctx, segs.len() as u64);
-        self.trace_send_trap(msg_id, trap_entry, dispatch_done, pin_done, ctx.now(), len);
-        self.mcp
-            .post_send(Self::message(port, dst, channel, msg_id, segs, None, len));
-        Ok(msg_id)
-    }
-
-    /// The user-level architectures' send, with no trap: the library checks
-    /// the request and writes the descriptor through the NIC's mapped
-    /// doorbell page. No dispatch, security or pin-down cost is charged —
-    /// the descriptor names virtual pages (`JobKind::Message::user_pages`),
-    /// which the NIC translates itself at descriptor fetch. It sits beside
-    /// [`Self::ioctl_send`] because it shares the checks and the message
-    /// ids; the NIC still holds the frames it will read.
-    #[allow(clippy::too_many_arguments)] // mirrors the ioctl request block
-    pub fn doorbell_send(
-        &self,
-        ctx: &mut ActorCtx,
-        proc: &OsProcess,
-        port: PortId,
-        dst: ProcAddr,
-        channel: ChannelId,
-        addr: VirtAddr,
-        len: u64,
-    ) -> Result<u32, BclError> {
-        self.check_send(proc, port, dst, channel, addr, len)?;
-        let (segs, pages) = if len > 0 {
-            let segs = self
-                .os
-                .memory()
-                .nic_hold(proc.space.sg_list(addr, len)?, true);
-            let first = addr.page().0;
-            let pages = first..first + pages_spanned(addr, len);
-            (segs, Some(Box::new((proc.space.asid(), pages))))
-        } else {
-            (NicSegs::default(), None)
+        let pinned_segs = (segs[0].len() + segs[1].len()) as u64;
+        self.charge_descriptor_pio(ctx, pio_segments(pinned_segs));
+        if entry == Entry::Trap {
+            let stamps = [trap_entry, dispatch_done, pin_done, ctx.now()];
+            self.trace_send_trap(msg_id, stamps, bytes);
+        }
+        let [segments, result] = segs;
+        let (dst, channel, kind, total_len, notify_sender) = match req {
+            Request::Message {
+                dst,
+                channel,
+                buf: (addr, len),
+            } => {
+                let user_pages = (entry == Entry::Doorbell && len > 0).then(|| {
+                    let first = addr.page().0;
+                    Box::new((proc.space.asid(), first..first + pages_spanned(addr, len)))
+                });
+                (dst, channel, JobKind::Message { user_pages }, len, true)
+            }
+            Request::RmaWrite(rma) => {
+                let kind = JobKind::RmaWrite { offset: rma.offset };
+                (rma.dst, ChannelId::open(rma.chan), kind, rma.buf.1, true)
+            }
+            Request::RmaRead(rma) => {
+                let (offset, len) = (rma.offset, rma.buf.1);
+                // The request packet itself carries no payload, and the read
+                // completes when its data lands, not when the request leaves.
+                let kind = JobKind::RmaReadReq { offset, len };
+                (rma.dst, ChannelId::open(rma.chan), kind, 0, false)
+            }
+            Request::Collective {
+                coll_id,
+                op,
+                steps,
+                payload: (_, payload_len),
+                result: (_, result_len),
+            } => {
+                self.mcp.post_collective(CollSetup {
+                    port,
+                    coll_id,
+                    op,
+                    steps,
+                    payload: segments,
+                    payload_len,
+                    result,
+                    result_len,
+                    msg_id,
+                });
+                return Ok(msg_id);
+            }
         };
-        let msg_id = self.alloc_msg_id();
-        self.charge_descriptor_pio(ctx, segs.len() as u64);
-        self.mcp
-            .post_send(Self::message(port, dst, channel, msg_id, segs, pages, len));
-        Ok(msg_id)
-    }
-
-    /// The descriptor of an ordinary message.
-    fn message(
-        port: PortId,
-        dst: ProcAddr,
-        channel: ChannelId,
-        msg_id: u32,
-        segments: NicSegs,
-        user_pages: Option<Box<(Asid, Range<u64>)>>,
-        len: u64,
-    ) -> SendJob {
-        SendJob {
+        self.mcp.post_send(SendJob {
             src_port: port,
             dst_fid: FabricNodeId(dst.node.0),
             dst_port: dst.port,
             channel,
             msg_id,
             segments,
-            total_len: len,
-            kind: JobKind::Message { user_pages },
+            total_len,
+            kind,
             retries: 0,
-            notify_sender: true,
-        }
-    }
-
-    /// The request checks every send makes before anything is charged for
-    /// its payload: caller, port ownership, destination, channel, length,
-    /// path health, ring space and the buffer itself.
-    fn check_send(
-        &self,
-        proc: &OsProcess,
-        port: PortId,
-        dst: ProcAddr,
-        channel: ChannelId,
-        addr: VirtAddr,
-        len: u64,
-    ) -> Result<(), BclError> {
-        self.check_caller(proc)?;
-        {
-            let st = self.state.lock();
-            self.check_owner(&st, port, proc.pid)?;
-        }
-        self.check_dest(dst)?;
-        match channel.kind {
-            ChannelKind::System => {
-                if len > self.cfg.system_pool.buffer_bytes {
-                    return Err(self.reject(BclError::TooBigForSystemChannel {
-                        len,
-                        max: self.cfg.system_pool.buffer_bytes,
-                    }));
-                }
-            }
-            ChannelKind::Normal => {
-                if channel.index >= self.cfg.limits.normal_channels {
-                    return Err(self.reject(BclError::BadChannel(channel)));
-                }
-            }
-            ChannelKind::Open => return Err(self.reject(BclError::BadChannel(channel))),
-        }
-        if len > self.cfg.limits.max_message_bytes {
-            return Err(self.reject(BclError::MessageTooLong {
-                len,
-                max: self.cfg.limits.max_message_bytes,
-            }));
-        }
-        if self.mcp.path_is_dead(FabricNodeId(dst.node.0)) {
-            // The NIC exhausted retransmission on every rail; refusing here
-            // (kernel-side, per the trust model) lets callers re-home work
-            // instead of feeding a black hole.
-            return Err(BclError::PathDead(dst.node));
-        }
-        if self.mcp.queue_depth() >= self.cfg.limits.send_ring {
-            return Err(BclError::RingFull);
-        }
-        if len > 0 {
-            self.check_buffer(proc, addr, len)?;
-        }
-        Ok(())
-    }
-
-    /// One-sided write into `dst`'s open channel.
-    #[allow(clippy::too_many_arguments)]
-    pub fn ioctl_rma_write(
-        &self,
-        ctx: &mut ActorCtx,
-        proc: &OsProcess,
-        port: PortId,
-        dst: ProcAddr,
-        chan: u16,
-        offset: u64,
-        addr: VirtAddr,
-        len: u64,
-    ) -> Result<u32, BclError> {
-        let trap_entry = ctx.now();
-        self.charge_checks(ctx);
-        let dispatch_done = ctx.now();
-        self.check_caller(proc)?;
-        {
-            let st = self.state.lock();
-            self.check_owner(&st, port, proc.pid)?;
-        }
-        self.check_dest(dst)?;
-        if self.mcp.path_is_dead(FabricNodeId(dst.node.0)) {
-            return Err(BclError::PathDead(dst.node));
-        }
-        if chan >= self.cfg.limits.open_channels {
-            return Err(self.reject(BclError::BadChannel(ChannelId::open(chan))));
-        }
-        self.check_buffer(proc, addr, len)?;
-        let segs = self.pin_translate(ctx, proc, addr, len, true)?;
-        let pin_done = ctx.now();
-        let msg_id = self.alloc_msg_id();
-        self.charge_descriptor_pio(ctx, segs.len() as u64);
-        self.trace_send_trap(msg_id, trap_entry, dispatch_done, pin_done, ctx.now(), len);
-        self.mcp.post_send(SendJob {
-            src_port: port,
-            dst_fid: FabricNodeId(dst.node.0),
-            dst_port: dst.port,
-            channel: ChannelId::open(chan),
-            msg_id,
-            segments: segs,
-            total_len: len,
-            kind: JobKind::RmaWrite { offset },
-            retries: 0,
-            notify_sender: true,
-        });
-        Ok(msg_id)
-    }
-
-    /// One-sided read from `dst`'s open channel into a local buffer.
-    #[allow(clippy::too_many_arguments)]
-    pub fn ioctl_rma_read(
-        &self,
-        ctx: &mut ActorCtx,
-        proc: &OsProcess,
-        port: PortId,
-        dst: ProcAddr,
-        chan: u16,
-        offset: u64,
-        into: VirtAddr,
-        len: u64,
-    ) -> Result<u32, BclError> {
-        let trap_entry = ctx.now();
-        self.charge_checks(ctx);
-        let dispatch_done = ctx.now();
-        self.check_caller(proc)?;
-        {
-            let st = self.state.lock();
-            self.check_owner(&st, port, proc.pid)?;
-        }
-        self.check_dest(dst)?;
-        if self.mcp.path_is_dead(FabricNodeId(dst.node.0)) {
-            return Err(BclError::PathDead(dst.node));
-        }
-        if chan >= self.cfg.limits.open_channels {
-            return Err(self.reject(BclError::BadChannel(ChannelId::open(chan))));
-        }
-        self.check_buffer(proc, into, len)?;
-        let segs = self.pin_translate(ctx, proc, into, len, true)?;
-        let pin_done = ctx.now();
-        let msg_id = self.alloc_msg_id();
-        self.charge_descriptor_pio(ctx, 1);
-        self.trace_send_trap(msg_id, trap_entry, dispatch_done, pin_done, ctx.now(), len);
-        self.mcp.post_send(SendJob {
-            src_port: port,
-            dst_fid: FabricNodeId(dst.node.0),
-            dst_port: dst.port,
-            channel: ChannelId::open(chan),
-            msg_id,
-            segments: segs,
-            total_len: 0, // the request packet itself carries no payload
-            kind: JobKind::RmaReadReq { offset, len },
-            retries: 0,
-            notify_sender: false,
-        });
-        Ok(msg_id)
-    }
-
-    /// The collective ioctl — one kernel trap buys the whole collective.
-    /// Pins the contribution and result buffers, validates every peer the
-    /// schedule names (§4.3 checks apply to each), and hands the NIC a plan
-    /// descriptor. Fan-in combining and fan-out forwarding then run
-    /// firmware-side with no further host crossings until the initiator
-    /// polls its completion event (`ChainPolicy::collective()`).
-    #[allow(clippy::too_many_arguments)] // mirrors the ioctl request block
-    pub fn ioctl_collective(
-        &self,
-        ctx: &mut ActorCtx,
-        proc: &OsProcess,
-        port: PortId,
-        coll_id: u32,
-        op: CollOp,
-        steps: Vec<CollStep>,
-        payload: VirtAddr,
-        payload_len: u64,
-        result: VirtAddr,
-        result_len: u64,
-    ) -> Result<u32, BclError> {
-        let trap_entry = ctx.now();
-        self.charge_checks(ctx);
-        let dispatch_done = ctx.now();
-        self.check_caller(proc)?;
-        {
-            let st = self.state.lock();
-            self.check_owner(&st, port, proc.pid)?;
-        }
-        // Every peer the schedule names is a communication target: the same
-        // destination checks as a send, per edge.
-        for step in &steps {
-            for p in step.recv_from.iter().chain(step.send_to.iter()) {
-                self.check_dest(*p)?;
-                if self.mcp.path_is_dead(FabricNodeId(p.node.0)) {
-                    return Err(BclError::PathDead(p.node));
-                }
-            }
-        }
-        // Single-fragment contract: each wire contribution is the payload
-        // plus the 4-byte collective id in one packet. Whole f64 lanes only,
-        // so NIC-side combining can never straddle an element.
-        let max = self.mcp.frag_cap().saturating_sub(4);
-        if payload_len > max {
-            return Err(self.reject(BclError::MessageTooLong {
-                len: payload_len,
-                max,
-            }));
-        }
-        if !payload_len.is_multiple_of(8) || !result_len.is_multiple_of(8) {
-            return Err(self.reject(BclError::BadBuffer {
-                addr: payload.0,
-                len: payload_len,
-            }));
-        }
-        if self.mcp.queue_depth() >= self.cfg.limits.send_ring {
-            return Err(BclError::RingFull);
-        }
-        let payload_segs = if payload_len > 0 {
-            self.check_buffer(proc, payload, payload_len)?;
-            self.pin_translate(ctx, proc, payload, payload_len, true)?
-        } else {
-            NicSegs::default()
-        };
-        let result_segs = if result_len > 0 {
-            self.check_buffer(proc, result, result_len)?;
-            self.pin_translate(ctx, proc, result, result_len, true)?
-        } else {
-            NicSegs::default()
-        };
-        if payload_len == 0 && result_len == 0 {
-            // Barrier: the table is still consulted once.
-            ctx.sleep(self.os.costs.pin_lookup_hit);
-        }
-        let pin_done = ctx.now();
-        let msg_id = self.alloc_msg_id();
-        self.charge_descriptor_pio(ctx, (payload_segs.len() + result_segs.len()).max(1) as u64);
-        self.trace_send_trap(
-            msg_id,
-            trap_entry,
-            dispatch_done,
-            pin_done,
-            ctx.now(),
-            payload_len,
-        );
-        self.mcp.post_collective(CollSetup {
-            port,
-            coll_id,
-            op,
-            steps,
-            payload: payload_segs,
-            payload_len,
-            result: result_segs,
-            result_len,
-            msg_id,
+            notify_sender,
         });
         Ok(msg_id)
     }
@@ -746,45 +673,23 @@ impl BclKmod {
     /// The OS charges the mode-switch costs *around* the ioctl body, so the
     /// trap enter/exit spans are reconstructed from the cost model on either
     /// side of `[entry, exit]` rather than observed here.
-    fn trace_send_trap(
-        &self,
-        msg_id: u32,
-        entry: SimTime,
-        dispatch_done: SimTime,
-        pin_done: SimTime,
-        exit: SimTime,
-        bytes: u64,
-    ) {
+    fn trace_send_trap(&self, msg_id: u32, stamps: [SimTime; 4], bytes: u64) {
         let sim = self.os.sim();
         if !sim.msg_trace().enabled() {
             return;
         }
+        let [entry, dispatch_done, pin_done, exit] = stamps.map(SimTime::as_ns);
         let node = self.os.node_id.0;
         let trace = TraceId::new(node, msg_id);
+        let span = |st, lo, hi| TraceEvent::span(trace, node, TraceLayer::Kernel, st, lo, hi);
         sim.trace_event(TraceEvent::instant(
             trace,
             node,
             TraceLayer::Kernel,
             stage::TRAP,
-            entry.as_ns(),
+            entry,
         ));
-        sim.trace_event(
-            TraceEvent::span(
-                trace,
-                node,
-                TraceLayer::Kernel,
-                stage::IOCTL_SEND,
-                entry.as_ns(),
-                exit.as_ns(),
-            )
-            .with_bytes(bytes),
-        );
-        let (entry, dispatch_done, pin_done, exit) = (
-            entry.as_ns(),
-            dispatch_done.as_ns(),
-            pin_done.as_ns(),
-            exit.as_ns(),
-        );
+        sim.trace_event(span(stage::IOCTL_SEND, entry, exit).with_bytes(bytes));
         let enter_ns = self.os.costs.trap_enter.as_ns();
         let exit_ns = self.os.costs.trap_exit.as_ns();
         for (st, lo, hi) in [
@@ -794,14 +699,7 @@ impl BclKmod {
             (stage::K_PIO, pin_done, exit),
             (stage::K_TRAP_EXIT, exit, exit + exit_ns),
         ] {
-            sim.trace_event(TraceEvent::span(
-                trace,
-                node,
-                TraceLayer::Kernel,
-                st,
-                lo,
-                hi,
-            ));
+            sim.trace_event(span(st, lo, hi));
         }
     }
 }

@@ -40,7 +40,7 @@ pub use arch::{Architecture, MmapUnsupported};
 pub use coll::{CollOp, CollSetup, CollStep};
 pub use config::BclConfig;
 pub use error::BclError;
-pub use kmod::BclKmod;
+pub use kmod::{BclKmod, Entry, Request, Rma};
 pub use mcp::{JobKind, Mcp, SendJob};
 pub use port::{
     ChannelId, ChannelKind, PortId, ProcAddr, RecvDataLoc, RecvEvent, SendEvent, SendStatus,

@@ -300,15 +300,12 @@ impl McpInner {
                     self.protocol_error(TraceId::NONE, "parked resync packet fails to decode");
                     continue;
                 };
-                h.seq = tx.next_seq();
-                h.epoch = tx.epoch();
-                let enc = h.encode(&payload);
-                if tx.record_sent(h.seq, enc.clone()).is_err() {
+                let Ok(enc) = tx.stamp(&mut h, &payload) else {
                     // The tail is at most one window, so this cannot close;
                     // evidence over panic if the invariant ever breaks.
                     self.protocol_error(TraceId::NONE, "resync tail overflows fresh window");
                     continue;
-                }
+                };
                 st.send.retx.push_back((src, enc));
             }
             let in_flight = tx.in_flight() > 0;

@@ -446,19 +446,16 @@ impl McpInner {
         let mut header = Self::header_for(&a.job, off, &data);
         a.injected += data.len() as u64;
         let job_done = a.injected >= a.job.total_len;
-        if let Some(tx) = &tx {
-            header.seq = tx.next_seq();
-            header.epoch = tx.epoch();
-        }
-        let meta = Some(self.packet_trace(dst, &header));
-        let pkt = header.encode(&data);
-        if let Some(tx) = tx {
-            if let Err(e) = tx.record_sent(header.seq, pkt.clone()) {
+        let pkt = match tx {
+            Some(tx) => match tx.stamp(&mut header, &data) {
+                Ok(pkt) => pkt,
                 // The window was checked open above, so any failure here is
                 // a firmware-state inconsistency — counted, not fatal.
-                return self.protocol_drop(st, e.reason());
-            }
-        }
+                Err(e) => return self.protocol_drop(st, e.reason()),
+            },
+            None => header.encode(&data),
+        };
+        let meta = Some(self.packet_trace(dst, &header));
         if !job_done {
             self.stage_more(st);
         } else if let Some(a) = st.send.active.take() {

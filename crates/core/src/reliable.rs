@@ -17,6 +17,8 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 
+use crate::wire::WireHeader;
+
 /// Serial-number comparison (RFC 1982 style): true when `a` precedes `b`
 /// in the circular u32 sequence space. The signed interpretation of the
 /// wrapped difference gives the right answer whenever the live sequence
@@ -277,6 +279,17 @@ impl EpochSender {
     /// Record a packet as sent on the current epoch's stream.
     pub fn record_sent(&mut self, seq: u32, pkt: Bytes) -> Result<(), GbnError> {
         self.gbn.record_sent(seq, pkt)
+    }
+
+    /// The one go-back-N stamp: give `header` the next sequence number and
+    /// the current epoch, encode it with `payload`, and keep the encoded
+    /// packet for retransmission. Returns the packet to put on the wire.
+    pub fn stamp(&mut self, header: &mut WireHeader, payload: &[u8]) -> Result<Bytes, GbnError> {
+        header.seq = self.next_seq();
+        header.epoch = self.epoch;
+        let pkt = header.encode(payload);
+        self.record_sent(header.seq, pkt.clone())?;
+        Ok(pkt)
     }
 
     /// Process a cumulative ACK stamped with `epoch`. Returns the number of

@@ -5,7 +5,7 @@
 //! validates each distinct plan once per process; no n-rank plan is built or
 //! held here), compile that rank-space schedule into execution-form
 //! [`CollStep`]s over concrete port addresses, and hand it to the NIC in one
-//! `ioctl_collective` trap. The MCP's plan interpreter
+//! collective trap (`BclKmod::submit`). The MCP's plan interpreter
 //! then runs the whole collective — fan-in combining, fan-out forwarding,
 //! result DMA — with no further host crossing; the initiator polls one
 //! completion event (`ChainPolicy::collective()`).

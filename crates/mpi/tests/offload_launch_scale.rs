@@ -74,10 +74,7 @@ fn launch_allocations_do_not_grow_with_the_rank_count() {
     eprintln!(
         "allocations per rank per offloaded barrier: 16 ranks {small:.1}, 128 ranks {large:.1}"
     );
-    assert!(
-        small > 0.0,
-        "allocation counting is off (suca-sim `prof` feature)"
-    );
+    assert!(small > 0.0, "allocation counting is off");
     assert!(
         large <= MAX_GROWTH * small,
         "a launch at 128 ranks allocates {large:.1} times per rank per barrier, \

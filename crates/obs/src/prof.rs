@@ -18,8 +18,7 @@
 //! does).
 //!
 //! The profiler is **off by default**. Disabled cost is one relaxed atomic
-//! load per hook, and builds without the engine's `prof` cargo feature
-//! compile every hook out entirely. Counters in [`ProfReport::counters_json`]
+//! load per hook. Counters in [`ProfReport::counters_json`]
 //! are deterministic for a fixed seed (they follow the dispatch schedule);
 //! wall-clock and allocation numbers are not and live in separate JSON
 //! sections.
@@ -140,8 +139,7 @@ pub struct ProfReport {
     pub dispatch_count: [u64; 3],
     /// Dispatch wall nanoseconds by kind.
     pub dispatch_ns: [u64; 3],
-    /// Heap allocations made during dispatch, by kind (0 without the
-    /// engine's `prof` feature).
+    /// Heap allocations made during dispatch, by kind.
     pub alloc_count: [u64; 3],
     /// Heap bytes allocated during dispatch, by kind.
     pub alloc_bytes: [u64; 3],

@@ -1,22 +1,21 @@
 //! Counting global allocator for the engine self-profiler.
 //!
-//! With the `prof` cargo feature (on by default) this installs a
-//! [`GlobalAlloc`] wrapper around [`System`] that counts allocations and
-//! bytes while counting is armed — the scheduler arms it only for profiled
-//! runs and reads the deltas around each dispatch to attribute hot-path
-//! allocations per event kind. Disarmed cost is one relaxed atomic load per
-//! allocation; builds without the feature install no allocator at all and
-//! [`counts`] is a constant zero.
+//! Installs a [`GlobalAlloc`] wrapper around [`System`] that counts
+//! allocations and bytes while counting is armed — the scheduler arms it
+//! only for profiled runs and reads the deltas around each dispatch to
+//! attribute hot-path allocations per event kind. Disarmed cost is one
+//! relaxed atomic load per allocation.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Arm/disarm allocation counting (no-op without the `prof` feature).
+/// Arm/disarm allocation counting.
 pub fn set_counting(on: bool) {
-    COUNTING.store(on && cfg!(feature = "prof"), Ordering::Relaxed);
+    COUNTING.store(on, Ordering::Relaxed);
 }
 
 /// Cumulative `(allocations, bytes)` counted while armed. Monotonic; read
@@ -28,46 +27,40 @@ pub fn counts() -> (u64, u64) {
     )
 }
 
-#[cfg(feature = "prof")]
-mod counting {
-    use super::*;
-    use std::alloc::{GlobalAlloc, Layout, System};
+struct CountingAlloc;
 
-    struct CountingAlloc;
-
-    // SAFETY: pure pass-through to `System`; the counter bumps have no
-    // effect on the returned memory.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            if COUNTING.load(Ordering::Relaxed) {
-                ALLOCS.fetch_add(1, Ordering::Relaxed);
-                ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            }
-            unsafe { System.alloc(layout) }
+// SAFETY: pure pass-through to `System`; the counter bumps have no
+// effect on the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            if COUNTING.load(Ordering::Relaxed) && new_size > layout.size() {
-                ALLOCS.fetch_add(1, Ordering::Relaxed);
-                ALLOC_BYTES.fetch_add((new_size - layout.size()) as u64, Ordering::Relaxed);
-            }
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
+        unsafe { System.alloc(layout) }
     }
 
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) && new_size > layout.size() {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add((new_size - layout.size()) as u64, Ordering::Relaxed);
+        }
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
 }
 
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
 /// Serializes unit tests that arm the (process-global) counting state.
-#[cfg(all(test, feature = "prof"))]
+#[cfg(test)]
 pub(crate) static TEST_ARM_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-#[cfg(all(test, feature = "prof"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -15,8 +15,7 @@
 //! — runs at a time, so the dispatch order is the strict `(time, seq)` order
 //! and a fixed seed yields byte-identical reports on every rerun. The
 //! self-profiler ([`suca_obs::prof`], enabled via [`Sim::set_profiling`])
-//! counts per-kind dispatch cost and times the pop phase; with the `prof`
-//! cargo feature off the hooks compile out.
+//! counts per-kind dispatch cost and times the pop phase.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -160,8 +159,7 @@ pub(crate) struct SimInner {
     timeseries: suca_obs::timeseries::TimeSeries,
     /// Guard so `start_telemetry` arms exactly one sampler per run.
     pub(crate) telemetry_started: AtomicBool,
-    /// Engine self-profiler cells (see [`suca_obs::prof`]). Off by default;
-    /// hooks compile out without the `prof` cargo feature.
+    /// Engine self-profiler cells (see [`suca_obs::prof`]). Off by default.
     prof: suca_obs::prof::EngineProf,
     /// Guard so `set_profiling` registers the `sim.prof.events`
     /// counter-track probe exactly once (and never for unprofiled runs,
@@ -375,11 +373,10 @@ impl Sim {
         }
     }
 
-    /// Is the self-profiler counting? With the `prof` feature off this is
-    /// `false` at compile time and every profiling branch folds away.
+    /// Is the self-profiler counting?
     #[inline]
     fn prof_on(&self) -> bool {
-        cfg!(feature = "prof") && self.inner.prof.enabled()
+        self.inner.prof.enabled()
     }
 
     /// Open a dispatch interval for the profiler.
@@ -1012,7 +1009,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "prof")]
     fn profiled_run_keeps_order_and_balances_counters() {
         let _arm = crate::alloc::TEST_ARM_LOCK
             .lock()
