@@ -249,7 +249,7 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     // The bench labels follow `bench_engine`; the plan registry keys on
-    // `Fabric::name()`.
+    // `Network::name()`.
     for (fabric, fabric_name) in [("myrinet", "myrinet"), ("mesh", "nwrc-mesh")] {
         for nodes in [64u32, 256, 1024] {
             if nodes > max_nodes {

@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use suca_cluster::Cluster;
 use suca_myrinet::FabricNodeId;
 use suca_sim::mtrace::stage;
-use suca_sim::{Sim, SimDuration, SimTime, TraceEvent, TraceId, TraceLayer};
+use suca_sim::{Sim, SimDuration, SimTime, TraceEvent, TraceId, TraceLayer, FABRIC_NODE};
 
 /// One injectable fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -269,7 +269,7 @@ impl ChaosController {
                     let fabric = cluster.rails[rail].clone();
                     let revive = fabric.clone();
                     sim.schedule_at(ev.at, move |s| {
-                        if fabric.set_node_link_up(s, FabricNodeId(node), false) {
+                        if fabric.set_node_link_up(FabricNodeId(node), false) {
                             s.add_count("chaos.faults", 1);
                             s.add_count("chaos.link_down", 1);
                             instant(s, node, stage::CHAOS_LINK_DOWN);
@@ -278,7 +278,7 @@ impl ChaosController {
                         }
                     });
                     sim.schedule_at(ev.at + down_for, move |s| {
-                        if revive.set_node_link_up(s, FabricNodeId(node), true) {
+                        if revive.set_node_link_up(FabricNodeId(node), true) {
                             s.add_count("chaos.link_up", 1);
                             instant(s, node, stage::CHAOS_LINK_UP);
                         }
@@ -287,10 +287,12 @@ impl ChaosController {
                 Fault::SwitchPortDeath { rail, switch, port } => {
                     let fabric = cluster.rails[rail].clone();
                     sim.schedule_at(ev.at, move |s| {
-                        if fabric.set_switch_port_dead(s, switch, port, true) {
+                        if fabric.set_switch_port_dead(switch, port, true) {
                             s.add_count("chaos.faults", 1);
                             s.add_count("chaos.port_dead", 1);
-                            instant(s, switch as u32, stage::CHAOS_PORT_DEAD);
+                            // A switch port belongs to no node: the instant
+                            // goes on the fabric track.
+                            instant(s, FABRIC_NODE, stage::CHAOS_PORT_DEAD);
                         } else {
                             s.add_count("chaos.skipped", 1);
                         }
@@ -484,6 +486,29 @@ mod tests {
             assert_eq!(x.fault, y.fault);
         }
         assert_eq!(a.kind_counts(), (3, 0, 2, 1));
+    }
+
+    #[test]
+    fn port_death_instant_lands_on_the_fabric_track() {
+        // Switch 1 port 3 is node 9's cable; node 1 has nothing to do with it.
+        let cluster = suca_cluster::ClusterSpec::dawning3000(14).build();
+        let mut plan = ChaosPlan::new();
+        let port_death = Fault::SwitchPortDeath {
+            rail: 0,
+            switch: 1,
+            port: 3,
+        };
+        plan.push(SimTime::from_ns(1_000), port_death);
+        ChaosController::install(&cluster, &plan);
+        cluster.sim.run();
+        assert_eq!(cluster.sim.get_count("chaos.port_dead"), 1);
+        let deaths: Vec<u32> = cluster
+            .trace_events()
+            .iter()
+            .filter(|e| e.stage == stage::CHAOS_PORT_DEAD)
+            .map(|e| e.node)
+            .collect();
+        assert_eq!(deaths, [FABRIC_NODE], "not on node 1's track");
     }
 
     #[test]

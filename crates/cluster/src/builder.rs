@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use suca_bcl::{Architecture, BclConfig};
 use suca_mesh::{Mesh, MeshConfig};
-use suca_myrinet::{Fabric, Myrinet, MyrinetConfig};
+use suca_myrinet::{Myrinet, MyrinetConfig, Network};
 use suca_os::{NodeId, OsCostModel, OsPersonality};
 use suca_sim::{ActorCtx, ActorId, HealthRule, Sim, TelemetryConfig};
 
@@ -117,10 +117,12 @@ impl ClusterSpec {
     }
 
     /// Attach a second rail (dual-fabric nodes for chaos/failover runs).
-    /// Use a *different* fabric kind than the primary — per-link telemetry
-    /// probe names are derived from link labels, and two fabrics of the same
-    /// kind would collide. Heterogeneous rails are also the paper's story:
-    /// the same binary runs over Myrinet or the nwrc mesh.
+    /// It must be a *different* fabric kind than the primary
+    /// ([`ClusterSpec::build`] refuses otherwise): link labels name the
+    /// per-link telemetry probes and the `link:{label}` fault streams, and
+    /// two fabrics of one kind would share both. Heterogeneous rails are
+    /// also the paper's story: the same binary runs over Myrinet or the nwrc
+    /// mesh.
     pub fn with_second_san(mut self, san: SanKind) -> Self {
         self.san2 = Some(san);
         self
@@ -180,10 +182,18 @@ impl ClusterSpec {
     /// [`Cluster::metrics_snapshot`].
     ///
     /// Panics when the architecture cannot exist on the host OS
-    /// ([`Architecture::check_os`]).
+    /// ([`Architecture::check_os`]), or when the second rail is the
+    /// primary's kind ([`ClusterSpec::with_second_san`]).
     pub fn build(self) -> Cluster {
         if let Err(e) = self.bcl.arch.check_os(&self.personality) {
             panic!("{e}");
+        }
+        if let Some(san2) = &self.san2 {
+            assert!(
+                std::mem::discriminant(san2) != std::mem::discriminant(&self.san),
+                "the second rail must be a different SAN kind than the primary: \
+                 one kind's link labels would repeat on both rails"
+            );
         }
         let sim = Sim::new(self.seed);
         if self.profile {
@@ -202,7 +212,7 @@ impl ClusterSpec {
                 SanKind::Mesh(_) => "mesh",
             },
         );
-        let build_san = |san: &SanKind| -> Arc<dyn Fabric> {
+        let build_san = |san: &SanKind| -> Arc<Network> {
             match san {
                 SanKind::Myrinet(cfg) => Myrinet::build(&sim, self.nodes, cfg.clone()),
                 SanKind::Mesh(cfg) => Mesh::build_square(&sim, self.nodes, cfg.clone()),
@@ -251,9 +261,9 @@ pub struct Cluster {
     /// All nodes, indexed by node id.
     pub nodes: Vec<Arc<ClusterNode>>,
     /// The primary SAN (rail 0).
-    pub fabric: Arc<dyn Fabric>,
+    pub fabric: Arc<Network>,
     /// Every rail, primary first. Single-rail clusters have one entry.
-    pub rails: Vec<Arc<dyn Fabric>>,
+    pub rails: Vec<Arc<Network>>,
 }
 
 impl Cluster {
@@ -299,6 +309,14 @@ mod tests {
             assert_eq!(c.nodes.len(), 4);
             assert_eq!(c.fabric.num_nodes(), 4);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "the second rail must be a different SAN kind than the primary")]
+    fn same_kind_second_rail_is_refused() {
+        let _ = ClusterSpec::dawning3000(4)
+            .with_second_san(SanKind::Myrinet(MyrinetConfig::dawning3000()))
+            .build();
     }
 
     #[test]

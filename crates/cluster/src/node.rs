@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use suca_bcl::{BclConfig, BclNode, Mcp};
 use suca_mem::PhysMemory;
-use suca_myrinet::{Fabric, FabricNodeId};
+use suca_myrinet::{FabricNodeId, Network};
 use suca_os::{CpuSet, NodeId, NodeOs, OsCostModel, OsPersonality, OsProcess};
 use suca_sim::{ActorCtx, Sim};
 
@@ -25,7 +25,7 @@ impl ClusterNode {
     pub fn new(
         sim: &Sim,
         id: NodeId,
-        rails: Vec<Arc<dyn Fabric>>,
+        rails: Vec<Arc<Network>>,
         num_nodes: u32,
         mem_bytes: u64,
         n_cpus: u32,

@@ -277,6 +277,7 @@ fn orphan_read_reply_counts_protocol_error_and_dumps_flight_recorder() {
             FabricNodeId(1),
             FabricNodeId(0),
             header.encode(&payload),
+            None,
         );
     });
     assert!(!sim.msg_trace().has_dumped());

@@ -48,7 +48,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use suca_mem::{NicSegs, PhysAddr};
-use suca_myrinet::{Fabric, FabricNodeId, PacketTrace, SramPool};
+use suca_myrinet::{FabricNodeId, Network, PacketTrace, SramPool};
 use suca_os::NodeOs;
 use suca_pci::DmaEngine;
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
@@ -157,7 +157,7 @@ struct McpInner {
     fid: FabricNodeId,
     /// All rails this NIC is attached to. Single-rail clusters have one
     /// entry; dual-fabric nodes fail over between entries on path death.
-    fabrics: Vec<Arc<dyn Fabric>>,
+    fabrics: Vec<Arc<Network>>,
     host_dma: DmaEngine,
     sram: SramPool,
     frag_cap: u64,
@@ -200,7 +200,7 @@ impl Mcp {
         sim: &Sim,
         os: Arc<NodeOs>,
         fid: FabricNodeId,
-        fabrics: Vec<Arc<dyn Fabric>>,
+        fabrics: Vec<Arc<Network>>,
         cfg: BclConfig,
     ) -> Mcp {
         assert!(!fabrics.is_empty(), "a NIC needs at least one rail");
@@ -553,7 +553,7 @@ impl McpInner {
         let Some(d) = ring.queue.lock().pop_front() else {
             return;
         };
-        self.fabrics[d.rail].inject_traced(&self.sim, self.fid, d.dst, d.pkt, d.meta);
+        self.fabrics[d.rail].inject(&self.sim, self.fid, d.dst, d.pkt, d.meta);
     }
 
     /// Queue a zero-payload control packet; it leaves after `ack_send`.

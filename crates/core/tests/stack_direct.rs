@@ -9,11 +9,11 @@ use parking_lot::Mutex;
 
 use suca_bcl::{BclNode, BclPort, ChannelId, Mcp, ProcAddr};
 use suca_mem::PhysMemory;
-use suca_myrinet::{Fabric, FabricNodeId, Myrinet, MyrinetConfig};
+use suca_myrinet::{FabricNodeId, Myrinet, MyrinetConfig, Network};
 use suca_os::{NodeId, NodeOs, OsCostModel, OsPersonality};
 use suca_sim::{RunOutcome, Signal, Sim, SimDuration};
 
-fn build_pair(sim: &Sim) -> (Arc<BclNode>, Arc<BclNode>, Arc<Myrinet>) {
+fn build_pair(sim: &Sim) -> (Arc<BclNode>, Arc<BclNode>, Arc<Network>) {
     let fabric = Myrinet::build(sim, 2, MyrinetConfig::dawning3000());
     let cfg = suca_bcl::BclConfig::dawning3000();
     let mut nodes = Vec::new();
@@ -26,7 +26,7 @@ fn build_pair(sim: &Sim) -> (Arc<BclNode>, Arc<BclNode>, Arc<Myrinet>) {
             OsPersonality::AIX,
             OsCostModel::aix_power3(),
         );
-        let rails: Vec<Arc<dyn Fabric>> = vec![fabric.clone()];
+        let rails = vec![fabric.clone()];
         let mcp = Mcp::new_multi_rail(sim, os.clone(), FabricNodeId(i), rails, cfg.clone());
         nodes.push(BclNode::new(sim, os, mcp, 2, cfg.clone()));
     }
@@ -75,7 +75,7 @@ fn garbage_packets_on_the_wire_do_not_crash_the_firmware() {
     // NIC: the firmware must count it as malformed and carry on.
     for i in 0..5u8 {
         let junk = Bytes::from(vec![i; 7 + i as usize * 13]);
-        fabric.inject(&sim, FabricNodeId(0), FabricNodeId(1), junk);
+        fabric.inject(&sim, FabricNodeId(0), FabricNodeId(1), junk, None);
     }
     assert_eq!(sim.run(), RunOutcome::Completed);
     assert_eq!(sim.get_count("bcl.malformed"), 5);

@@ -3,10 +3,11 @@
 //! DAWNING-3000's alternative system-area network is a custom 2-D mesh built
 //! from the nwrc1032 wormhole routing chip (40 MHz, 6 channels of 32 bits)
 //! fronted by the PMI960 NIC. We model it as a grid of cut-through routers
-//! with dimension-order (XY) routing, implementing the same
-//! [`suca_myrinet::Fabric`] trait as Myrinet — which is what makes the
-//! paper's heterogeneous-network portability claim testable: the identical
-//! BCL/MPI binary runs over either network (see `examples/heterogeneous.rs`).
+//! with dimension-order (XY) routing: the same [`suca_myrinet::Network`] as
+//! Myrinet, cabled as a grid instead of a row of switches. That is what makes
+//! the paper's heterogeneous-network portability claim testable: the
+//! identical BCL/MPI binary runs over either network (see
+//! `examples/heterogeneous.rs`).
 //!
 //! XY routing is deadlock-free on a mesh, and since our routes are computed
 //! at injection (source routing), the model cannot deadlock by construction;
@@ -17,21 +18,10 @@
 
 use std::sync::Arc;
 
-use suca_sim::mtrace::stage;
-use suca_sim::{Counter, Sim, SimDuration};
+use suca_sim::{Sim, SimDuration};
 
-use suca_myrinet::fabric::{Fabric, FabricNodeId, FaultPlan, RxHandler};
-use suca_myrinet::link::Link;
-use suca_myrinet::switch::Switch;
-
-/// Router port assignment on every nwrc1032.
-mod port {
-    pub const HOST: u8 = 0;
-    pub const EAST: u8 = 1;
-    pub const WEST: u8 = 2;
-    pub const NORTH: u8 = 3;
-    pub const SOUTH: u8 = 4;
-}
+use suca_myrinet::fabric::mesh_port as port;
+use suca_myrinet::{FaultPlan, LinkSpec, Network, Routing, Switch};
 
 /// Tunables for a mesh build-out.
 #[derive(Clone, Debug)]
@@ -62,49 +52,20 @@ impl MeshConfig {
     }
 }
 
-/// A built 2-D mesh.
-pub struct Mesh {
-    cfg: MeshConfig,
-    width: u32,
-    /// Host→router injection links, indexed by node id.
-    uplinks: Vec<Arc<Link>>,
-    /// Router→host ejection links, indexed by node id (retained so chaos
-    /// plans can down a host cable in both directions).
-    downlinks: Vec<Arc<Link>>,
-    /// The router grid, retained so chaos plans can kill channels.
-    routers: Vec<Arc<Switch>>,
-    endpoints: Vec<Arc<MeshEndpoint>>,
-    injected: Counter,
-}
-
-struct MeshEndpoint {
-    node: FabricNodeId,
-    handler: parking_lot::Mutex<Option<RxHandler>>,
-    delivered: Counter,
-}
-
-impl suca_myrinet::link::PacketSink for MeshEndpoint {
-    fn deliver(&self, sim: &Sim, pkt: suca_myrinet::fabric::Packet) {
-        // Chaos rewiring or a corrupted route byte can steer a packet to the
-        // wrong host; real NICs sink it, so we count and drop — never panic.
-        if pkt.dst != self.node {
-            sim.add_count("fabric.misrouted", 1);
-            suca_myrinet::switch::trace_wire_instant(sim, &pkt, stage::DROP_MISROUTE);
-            return;
-        }
-        self.delivered.inc();
-        match self.handler.lock().as_ref() {
-            Some(h) => h(sim, pkt),
-            None => sim.add_count("fabric.unclaimed", 1),
-        }
-    }
-}
+/// Builder of the nwrc mesh wiring of a [`Network`].
+pub struct Mesh;
 
 impl Mesh {
     /// Build a `width × height` mesh; node ids are row-major. `n_nodes` may
     /// be smaller than `width * height` (unused tail positions get routers
     /// but no hosts — matching a partially populated machine).
-    pub fn build(sim: &Sim, width: u32, height: u32, n_nodes: u32, cfg: MeshConfig) -> Arc<Mesh> {
+    pub fn build(
+        sim: &Sim,
+        width: u32,
+        height: u32,
+        n_nodes: u32,
+        cfg: MeshConfig,
+    ) -> Arc<Network> {
         assert!(width >= 1 && height >= 1);
         assert!(n_nodes >= 1 && n_nodes <= width * height);
         let routers: Vec<Arc<Switch>> = (0..width * height)
@@ -117,227 +78,40 @@ impl Mesh {
                 )
             })
             .collect();
+        let link = LinkSpec {
+            bytes_per_sec: cfg.channel_bytes_per_sec,
+            propagation: cfg.propagation,
+            fault: cfg.fault,
+        };
+        // One channel each way between routers `a` and `b`, leaving `a` on
+        // port `ab` and `b` on port `ba`; the labels name the direction.
+        let channel = |a: usize, b: usize, (ab, to_b): (u8, char), (ba, to_a): (u8, char)| {
+            let there = link.link(sim, format!("m{a}->{to_b}{b}"), routers[b].clone());
+            routers[a].connect(ab as usize, there);
+            let back = link.link(sim, format!("m{b}->{to_a}{a}"), routers[a].clone());
+            routers[b].connect(ba as usize, back);
+        };
         let idx = |x: u32, y: u32| (y * width + x) as usize;
-
-        // Neighbor channels, both directions.
         for y in 0..height {
             for x in 0..width {
                 let me = idx(x, y);
                 if x + 1 < width {
-                    let east = idx(x + 1, y);
-                    routers[me].connect(
-                        port::EAST as usize,
-                        Link::new(
-                            sim,
-                            format!("m{me}->e{east}"),
-                            cfg.channel_bytes_per_sec,
-                            cfg.propagation,
-                            cfg.fault,
-                            routers[east].clone(),
-                        ),
-                    );
-                    routers[east].connect(
-                        port::WEST as usize,
-                        Link::new(
-                            sim,
-                            format!("m{east}->w{me}"),
-                            cfg.channel_bytes_per_sec,
-                            cfg.propagation,
-                            cfg.fault,
-                            routers[me].clone(),
-                        ),
-                    );
+                    channel(me, idx(x + 1, y), (port::EAST, 'e'), (port::WEST, 'w'));
                 }
                 if y + 1 < height {
-                    let south = idx(x, y + 1);
-                    routers[me].connect(
-                        port::SOUTH as usize,
-                        Link::new(
-                            sim,
-                            format!("m{me}->s{south}"),
-                            cfg.channel_bytes_per_sec,
-                            cfg.propagation,
-                            cfg.fault,
-                            routers[south].clone(),
-                        ),
-                    );
-                    routers[south].connect(
-                        port::NORTH as usize,
-                        Link::new(
-                            sim,
-                            format!("m{south}->n{me}"),
-                            cfg.channel_bytes_per_sec,
-                            cfg.propagation,
-                            cfg.fault,
-                            routers[me].clone(),
-                        ),
-                    );
+                    channel(me, idx(x, y + 1), (port::SOUTH, 's'), (port::NORTH, 'n'));
                 }
             }
         }
-
-        // Host channels.
-        let metrics = sim.metrics();
-        let delivered = metrics.counter("fabric.delivered");
-        let mut uplinks = Vec::with_capacity(n_nodes as usize);
-        let mut downlinks = Vec::with_capacity(n_nodes as usize);
-        let mut endpoints = Vec::with_capacity(n_nodes as usize);
-        for node in 0..n_nodes {
-            let ep = Arc::new(MeshEndpoint {
-                node: FabricNodeId(node),
-                handler: parking_lot::Mutex::new(None),
-                delivered: delivered.clone(),
-            });
-            let down = Link::new(
-                sim,
-                format!("m{node}->h{node}"),
-                cfg.channel_bytes_per_sec,
-                cfg.propagation,
-                cfg.fault,
-                ep.clone(),
-            );
-            routers[node as usize].connect(port::HOST as usize, down.clone());
-            downlinks.push(down);
-            uplinks.push(Link::new(
-                sim,
-                format!("h{node}->m{node}"),
-                cfg.channel_bytes_per_sec,
-                cfg.propagation,
-                cfg.fault,
-                routers[node as usize].clone(),
-            ));
-            endpoints.push(ep);
-        }
-
-        Arc::new(Mesh {
-            cfg,
-            width,
-            uplinks,
-            downlinks,
-            routers,
-            endpoints,
-            injected: metrics.counter("fabric.injected"),
-        })
+        let routing = Routing::Mesh2D { width };
+        Network::attach_hosts(sim, routing, cfg.mtu, link, routers, n_nodes)
     }
 
     /// Convenience: near-square mesh for `n_nodes`.
-    pub fn build_square(sim: &Sim, n_nodes: u32, cfg: MeshConfig) -> Arc<Mesh> {
+    pub fn build_square(sim: &Sim, n_nodes: u32, cfg: MeshConfig) -> Arc<Network> {
         let width = (n_nodes as f64).sqrt().ceil() as u32;
         let height = n_nodes.div_ceil(width);
         Self::build(sim, width, height, n_nodes, cfg)
-    }
-
-    fn coords(&self, n: FabricNodeId) -> (u32, u32) {
-        (n.0 % self.width, n.0 / self.width)
-    }
-
-    /// Dimension-order (X then Y) source route, terminated by the host port.
-    fn route(&self, src: FabricNodeId, dst: FabricNodeId) -> Vec<u8> {
-        let (sx, sy) = self.coords(src);
-        let (dx, dy) = self.coords(dst);
-        let mut r = Vec::with_capacity((sx.abs_diff(dx) + sy.abs_diff(dy) + 1) as usize);
-        let mut x = sx;
-        while x != dx {
-            if dx > x {
-                r.push(port::EAST);
-                x += 1;
-            } else {
-                r.push(port::WEST);
-                x -= 1;
-            }
-        }
-        let mut y = sy;
-        while y != dy {
-            if dy > y {
-                r.push(port::SOUTH);
-                y += 1;
-            } else {
-                r.push(port::NORTH);
-                y -= 1;
-            }
-        }
-        r.push(port::HOST);
-        r
-    }
-
-    /// Number of router hops between two nodes.
-    pub fn hops(&self, src: FabricNodeId, dst: FabricNodeId) -> usize {
-        self.route(src, dst).len()
-    }
-}
-
-impl Fabric for Mesh {
-    fn name(&self) -> &'static str {
-        "nwrc-mesh"
-    }
-
-    fn num_nodes(&self) -> u32 {
-        self.endpoints.len() as u32
-    }
-
-    fn mtu(&self) -> usize {
-        self.cfg.mtu
-    }
-
-    fn link_bytes_per_sec(&self) -> u64 {
-        self.cfg.channel_bytes_per_sec
-    }
-
-    fn attach(&self, node: FabricNodeId, rx: RxHandler) {
-        let mut guard = self.endpoints[node.0 as usize].handler.lock();
-        assert!(guard.is_none(), "node {} attached twice", node.0);
-        *guard = Some(rx);
-    }
-
-    fn inject(&self, sim: &Sim, src: FabricNodeId, dst: FabricNodeId, payload: bytes::Bytes) {
-        self.inject_traced(sim, src, dst, payload, None);
-    }
-
-    fn inject_traced(
-        &self,
-        sim: &Sim,
-        src: FabricNodeId,
-        dst: FabricNodeId,
-        payload: bytes::Bytes,
-        trace: Option<suca_myrinet::PacketTrace>,
-    ) {
-        assert!(
-            payload.len() <= self.cfg.mtu,
-            "packet of {} B exceeds mesh MTU {}",
-            payload.len(),
-            self.cfg.mtu
-        );
-        self.injected.inc();
-        let pkt = suca_myrinet::fabric::Packet {
-            src,
-            dst,
-            payload,
-            corrupted: false,
-            route: self.route(src, dst),
-            route_pos: 0,
-            trace,
-        };
-        self.uplinks[src.0 as usize].send(sim, pkt);
-    }
-
-    fn set_node_link_up(&self, _sim: &Sim, node: FabricNodeId, up: bool) -> bool {
-        let Some(uplink) = self.uplinks.get(node.0 as usize) else {
-            return false;
-        };
-        uplink.set_up(up);
-        self.downlinks[node.0 as usize].set_up(up);
-        true
-    }
-
-    fn set_switch_port_dead(&self, _sim: &Sim, switch: usize, port: usize, dead: bool) -> bool {
-        match self.routers.get(switch) {
-            Some(r) => r.set_port_dead(port, dead),
-            None => false,
-        }
-    }
-
-    fn num_switches(&self) -> usize {
-        self.routers.len()
     }
 }
 
@@ -346,9 +120,13 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use parking_lot::Mutex;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use suca_myrinet::fabric::PORT_RIGHT;
+    use suca_myrinet::{FabricNodeId, Myrinet, MyrinetConfig, PacketTrace};
+    use suca_sim::mtrace::stage;
     use suca_sim::RunOutcome;
 
-    fn listen(net: &Arc<Mesh>, node: u32) -> Arc<Mutex<Vec<Vec<u8>>>> {
+    fn listen(net: &Network, node: u32) -> Arc<Mutex<Vec<Vec<u8>>>> {
         let log = Arc::new(Mutex::new(Vec::new()));
         let l = log.clone();
         net.attach(
@@ -356,6 +134,10 @@ mod tests {
             Box::new(move |_, pkt| l.lock().push(pkt.payload.to_vec())),
         );
         log
+    }
+
+    fn send(sim: &Sim, net: &Network, src: u32, dst: u32, payload: Bytes) {
+        net.inject(sim, FabricNodeId(src), FabricNodeId(dst), payload, None);
     }
 
     #[test]
@@ -373,12 +155,7 @@ mod tests {
         let sim = Sim::new(1);
         let m = Mesh::build(&sim, 4, 4, 16, MeshConfig::dawning3000());
         let log = listen(&m, 15);
-        m.inject(
-            &sim,
-            FabricNodeId(0),
-            FabricNodeId(15),
-            Bytes::from_static(b"diag"),
-        );
+        send(&sim, &m, 0, 15, Bytes::from_static(b"diag"));
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert_eq!(*log.lock(), vec![b"diag".to_vec()]);
     }
@@ -391,12 +168,7 @@ mod tests {
         let logs: Vec<_> = (0..70).map(|n| listen(&m, n)).collect();
         for src in 0..70u32 {
             for dst in 0..70u32 {
-                m.inject(
-                    &sim,
-                    FabricNodeId(src),
-                    FabricNodeId(dst),
-                    Bytes::from_static(b"p"),
-                );
+                send(&sim, &m, src, dst, Bytes::from_static(b"p"));
             }
         }
         assert_eq!(sim.run(), RunOutcome::Completed);
@@ -416,12 +188,7 @@ mod tests {
                 FabricNodeId(dst),
                 Box::new(move |s, _| *t2.lock() = s.now().as_ns()),
             );
-            m.inject(
-                &sim,
-                FabricNodeId(0),
-                FabricNodeId(dst),
-                Bytes::from_static(b"t"),
-            );
+            send(&sim, &m, 0, dst, Bytes::from_static(b"t"));
             sim.run();
             let v = *t.lock();
             v
@@ -432,93 +199,190 @@ mod tests {
     }
 
     #[test]
-    fn misrouted_packet_leaves_a_drop_instant_on_its_origin_ring() {
-        use suca_myrinet::link::PacketSink;
-        use suca_myrinet::{Packet, PacketTrace};
-
-        let sim = Sim::new(1);
-        let m = Mesh::build(&sim, 2, 2, 4, MeshConfig::dawning3000());
-        let log = listen(&m, 3);
-        // What chaos rewiring or a corrupted route byte produces: a packet
-        // for node 2 ejected at node 3.
-        let pkt = Packet {
-            src: FabricNodeId(1),
-            dst: FabricNodeId(2),
-            payload: Bytes::from_static(b"lost"),
-            corrupted: false,
-            route: vec![port::HOST],
-            route_pos: 1,
-            trace: Some(PacketTrace {
-                origin: 1,
-                msg_id: 7,
-                seq: 0,
-            }),
-        };
-        m.endpoints[3].deliver(&sim, pkt);
-        assert!(log.lock().is_empty(), "the wrong host saw the packet");
-        assert_eq!(sim.get_count("fabric.misrouted"), 1);
-        let events = sim.trace_events();
-        assert_eq!(events.len(), 1, "{events:?}");
-        assert_eq!(events[0].stage, stage::DROP_MISROUTE);
-        assert_eq!(events[0].node, 1, "the drop belongs on the origin's ring");
-        assert_eq!(events[0].trace, suca_sim::TraceId::new(1, 7));
-    }
-
-    #[test]
     fn mesh_chaos_hooks_down_host_cable_and_router_channel() {
         let sim = Sim::new(1);
         let m = Mesh::build(&sim, 2, 2, 4, MeshConfig::dawning3000());
         assert_eq!(m.num_switches(), 4);
         let log = listen(&m, 1);
-        assert!(m.set_node_link_up(&sim, FabricNodeId(1), false));
-        assert!(!m.set_node_link_up(&sim, FabricNodeId(9), false));
-        m.inject(
-            &sim,
-            FabricNodeId(0),
-            FabricNodeId(1),
-            Bytes::from_static(b"a"),
-        );
-        m.inject(
-            &sim,
-            FabricNodeId(1),
-            FabricNodeId(0),
-            Bytes::from_static(b"b"),
-        );
+        assert!(m.set_node_link_up(FabricNodeId(1), false));
+        assert!(!m.set_node_link_up(FabricNodeId(9), false));
+        send(&sim, &m, 0, 1, Bytes::from_static(b"a"));
+        send(&sim, &m, 1, 0, Bytes::from_static(b"b"));
         sim.run();
         assert!(log.lock().is_empty());
         assert_eq!(sim.get_count("link.down_drops"), 2);
-        assert!(m.set_node_link_up(&sim, FabricNodeId(1), true));
+        assert!(m.set_node_link_up(FabricNodeId(1), true));
         // Kill router 0's east channel: node 0 -> node 1 now dies in-switch.
-        assert!(m.set_switch_port_dead(&sim, 0, port::EAST as usize, true));
-        assert!(!m.set_switch_port_dead(&sim, 99, 0, true));
-        m.inject(
-            &sim,
-            FabricNodeId(0),
-            FabricNodeId(1),
-            Bytes::from_static(b"c"),
-        );
+        assert!(m.set_switch_port_dead(0, port::EAST as usize, true));
+        assert!(!m.set_switch_port_dead(99, 0, true));
+        send(&sim, &m, 0, 1, Bytes::from_static(b"c"));
         sim.run();
         assert!(log.lock().is_empty());
         assert_eq!(sim.get_count("switch.dead_port_drop"), 1);
-        assert!(m.set_switch_port_dead(&sim, 0, port::EAST as usize, false));
-        m.inject(
-            &sim,
-            FabricNodeId(0),
-            FabricNodeId(1),
-            Bytes::from_static(b"d"),
-        );
+        assert!(m.set_switch_port_dead(0, port::EAST as usize, false));
+        send(&sim, &m, 0, 1, Bytes::from_static(b"d"));
         sim.run();
         assert_eq!(log.lock().len(), 1);
     }
 
+    // The shared path, once per wiring: both builders return one `Network`,
+    // so each case below runs the same code over Myrinet and the mesh.
+
+    type Build = fn(&Sim, u32) -> Arc<Network>;
+    const WIRINGS: [Build; 2] = [
+        |sim, n| Myrinet::build(sim, n, MyrinetConfig::dawning3000()),
+        |sim, n| Mesh::build_square(sim, n, MeshConfig::dawning3000()),
+    ];
+
+    /// Run `case` on each wiring with `n` nodes, in a fresh simulation.
+    fn each_wiring(n: u32, mut case: impl FnMut(&Sim, &Network)) {
+        for build in WIRINGS {
+            let sim = Sim::new(1);
+            case(&sim, &build(&sim, n));
+        }
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
     #[test]
-    fn mesh_and_myrinet_share_the_fabric_interface() {
-        // Compile-time check that both SANs are interchangeable.
-        fn takes_fabric(_f: &dyn Fabric) {}
-        let sim = Sim::new(1);
-        let mesh = Mesh::build(&sim, 2, 2, 4, MeshConfig::dawning3000());
-        let myr = suca_myrinet::Myrinet::build(&sim, 4, suca_myrinet::MyrinetConfig::dawning3000());
-        takes_fabric(mesh.as_ref());
-        takes_fabric(myr.as_ref());
+    fn each_wiring_is_one_network_named_for_plan_selection() {
+        let mut names = Vec::new();
+        each_wiring(4, |_, net| {
+            assert_eq!(net.num_nodes(), 4);
+            assert_eq!(net.mtu(), 4096);
+            assert_eq!(net.link_bytes_per_sec(), 160_000_000);
+            names.push(net.name());
+        });
+        assert_eq!(names, ["myrinet", "nwrc-mesh"]);
+    }
+
+    #[test]
+    fn delivery_anchors_per_wiring() {
+        // (wiring, nodes, src, dst, hops, ns for 0 B, ns for the 4096 B MTU).
+        // Both: (hops + 1) links × (wire bytes / 160 MB/s + propagation)
+        // + hops × switch latency, with 16 B of framing per packet.
+        for (build, nodes, src, dst, hops, ns_empty, ns_mtu) in [
+            (WIRINGS[0], 70, 0, 1, 1, 600, 51_800),
+            (WIRINGS[0], 70, 0, 69, 12, 5_550, 338_350),
+            (WIRINGS[1], 64, 0, 1, 2, 1_360, 78_160),
+            (WIRINGS[1], 64, 0, 63, 15, 9_420, 419_020),
+        ] {
+            for (len, ns) in [(0, ns_empty), (4096, ns_mtu)] {
+                let sim = Sim::new(1);
+                let net = build(&sim, nodes);
+                let at = Arc::new(Mutex::new(None));
+                let at2 = at.clone();
+                net.attach(
+                    FabricNodeId(dst),
+                    Box::new(move |s, _| *at2.lock() = Some(s.now().as_ns())),
+                );
+                send(&sim, &net, src, dst, Bytes::from(vec![0u8; len]));
+                sim.run();
+                let what = format!("{} {src}->{dst} {len} B", net.name());
+                assert_eq!(*at.lock(), Some(ns), "{what}");
+                assert_eq!(
+                    net.hops(FabricNodeId(src), FabricNodeId(dst)),
+                    hops,
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_packet_panics() {
+        each_wiring(2, |sim, net| {
+            let msg = panic_message(|| send(sim, net, 0, 1, Bytes::from(vec![0u8; 5000])));
+            assert_eq!(
+                msg,
+                "packet of 5000 B exceeds MTU 4096 — fragmentation is the protocol's job"
+            );
+        });
+    }
+
+    #[test]
+    fn unclaimed_packets_are_counted_not_lost_silently() {
+        each_wiring(2, |sim, net| {
+            send(sim, net, 0, 1, Bytes::from_static(b"z"));
+            sim.run();
+            assert_eq!(sim.get_count("fabric.delivered"), 1, "{}", net.name());
+            assert_eq!(sim.get_count("fabric.unclaimed"), 1, "{}", net.name());
+        });
+    }
+
+    #[test]
+    fn double_attach_panics() {
+        each_wiring(2, |_, net| {
+            let _ = listen(net, 1);
+            assert_eq!(
+                panic_message(|| drop(listen(net, 1))),
+                "node 1 attached twice"
+            );
+        });
+    }
+
+    #[test]
+    fn out_of_range_chaos_hooks_return_false() {
+        each_wiring(4, |_, net| {
+            let last = net.num_switches() - 1;
+            assert!(!net.set_node_link_up(FabricNodeId(4), false));
+            assert!(!net.set_switch_port_dead(last + 1, 0, true));
+            assert!(!net.set_switch_port_dead(last, 8, true));
+            assert!(net.set_switch_port_dead(last, 0, true));
+        });
+    }
+
+    #[test]
+    fn misrouted_packet_leaves_a_drop_instant_on_its_origin_ring() {
+        // Each wiring with one miscabled trunk: switch 0's port toward
+        // switch 1 loops back into switch 0, so a packet from node 0 for
+        // node 1 is ejected at node 0.
+        for (routing, trunk_port) in [
+            (
+                Routing::LinearArray {
+                    hosts_per_switch: 1,
+                },
+                PORT_RIGHT,
+            ),
+            (Routing::Mesh2D { width: 2 }, port::EAST as usize),
+        ] {
+            let sim = Sim::new(1);
+            let cfg = MyrinetConfig::dawning3000();
+            let link = LinkSpec {
+                bytes_per_sec: cfg.link_bytes_per_sec,
+                propagation: cfg.propagation,
+                fault: cfg.fault,
+            };
+            let sw: Vec<_> = (0..2)
+                .map(|i| Switch::new(&sim, format!("s{i}"), 8, cfg.switch_cut_through))
+                .collect();
+            sw[0].connect(trunk_port, link.link(&sim, "s0->s0".into(), sw[0].clone()));
+            let net = Network::attach_hosts(&sim, routing, cfg.mtu, link, sw, 2);
+            let at0 = listen(&net, 0);
+            let at1 = listen(&net, 1);
+            let trace = PacketTrace {
+                origin: 0,
+                msg_id: 7,
+                seq: 0,
+            };
+            let payload = Bytes::from_static(b"lost");
+            net.inject(&sim, FabricNodeId(0), FabricNodeId(1), payload, Some(trace));
+            sim.run();
+            assert!(at0.lock().is_empty(), "the wrong host saw the packet");
+            assert!(at1.lock().is_empty());
+            assert_eq!(sim.get_count("fabric.misrouted"), 1);
+            let drops: Vec<_> = sim
+                .trace_events()
+                .into_iter()
+                .filter(|e| e.stage == stage::DROP_MISROUTE)
+                .collect();
+            assert_eq!(drops.len(), 1, "{} {drops:?}", net.name());
+            assert_eq!(drops[0].node, 0, "the drop belongs on the origin's ring");
+            assert_eq!(drops[0].trace, suca_sim::TraceId::new(0, 7));
+        }
     }
 }

@@ -1,18 +1,26 @@
-//! The system-area-network abstraction.
+//! The system-area network.
 //!
 //! BCL's heterogeneous-network claim (paper §3, benefit 3) is that the NIC is
 //! invisible to user space, so the same binary runs over Myrinet or the
-//! custom nwrc 2-D mesh. We encode that as the [`Fabric`] trait: a protocol
-//! stack (BCL's MCP, the GM-like baseline, …) talks only to this trait, and
-//! the two SAN crates implement it.
+//! custom nwrc 2-D mesh. Here both SANs are one concrete [`Network`] of
+//! serialized links, cut-through switches and host endpoints; they differ
+//! only in how the switches are cabled and routed ([`Routing`]). The MCP
+//! holds `Network`s and never branches on the wiring: [`Network::name`] is
+//! the one topology key anything above reads (collective plan selection).
 //!
 //! Payload bytes are opaque to the fabric — protocols serialize their own
 //! headers into the payload, exactly as on real hardware. The fabric adds a
 //! fixed per-packet framing overhead (route bytes + CRC) to the wire length.
 
+use std::sync::{Arc, OnceLock};
+
 use bytes::Bytes;
 
-use suca_sim::Sim;
+use suca_sim::mtrace::stage;
+use suca_sim::{Counter, Sim, SimDuration};
+
+use crate::link::{Link, PacketSink};
+use crate::switch::{trace_wire_instant, Switch};
 
 /// Index of a host attachment point (one per node NIC).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -85,37 +93,241 @@ impl FaultPlan {
     };
 }
 
-/// A system-area network a protocol stack can attach to.
-pub trait Fabric: Send + Sync {
-    /// Human-readable name ("myrinet", "nwrc-mesh").
-    fn name(&self) -> &'static str;
+/// Trunk ports of every switch in a [`Routing::LinearArray`]; hosts sit on
+/// the ports below them.
+pub const PORT_RIGHT: usize = 6;
+/// See [`PORT_RIGHT`].
+pub const PORT_LEFT: usize = 7;
+
+/// Router ports of every node of a [`Routing::Mesh2D`] grid.
+pub mod mesh_port {
+    /// The router's own host.
+    pub const HOST: u8 = 0;
+    /// Toward `x + 1`.
+    pub const EAST: u8 = 1;
+    /// Toward `x - 1`.
+    pub const WEST: u8 = 2;
+    /// Toward `y - 1`.
+    pub const NORTH: u8 = 3;
+    /// Toward `y + 1`.
+    pub const SOUTH: u8 = 4;
+}
+
+/// How a network's switches are cabled: where each host plugs in and the
+/// source route between two hosts. This is all that tells the SANs apart.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Routing {
+    /// Myrinet: a row of 8-port crossbars, `hosts_per_switch` hosts on the
+    /// low ports of each, neighbours trunked on [`PORT_RIGHT`] / [`PORT_LEFT`].
+    LinearArray {
+        /// Hosts per switch (radix 8 minus the two trunk ports, at most).
+        hosts_per_switch: usize,
+    },
+    /// The nwrc mesh: a row-major grid of routers, one host each on
+    /// [`mesh_port::HOST`], dimension-order (X then Y) routes.
+    Mesh2D {
+        /// Routers per row.
+        width: u32,
+    },
+}
+
+impl Routing {
+    /// Node `n`'s host cable: its switch, the port there, and the labels of
+    /// the switch→host and host→switch links.
+    fn host_cable(self, n: u32) -> (usize, usize, String, String) {
+        match self {
+            Routing::LinearArray { hosts_per_switch } => {
+                let sw = n as usize / hosts_per_switch;
+                let port = n as usize % hosts_per_switch;
+                (sw, port, format!("sw{sw}->n{n}"), format!("n{n}->sw{sw}"))
+            }
+            Routing::Mesh2D { .. } => (
+                n as usize,
+                mesh_port::HOST as usize,
+                format!("m{n}->h{n}"),
+                format!("h{n}->m{n}"),
+            ),
+        }
+    }
+
+    /// Source route from `src` to `dst`: one output port per switch visited,
+    /// the last one the destination's host port.
+    fn route(self, src: FabricNodeId, dst: FabricNodeId) -> Vec<u8> {
+        let (s, d) = (src.0, dst.0);
+        // Per dimension: (from, to, port when `to` is higher, port when
+        // lower); a linear array's second dimension is empty.
+        let (legs, exit) = match self {
+            Routing::LinearArray { hosts_per_switch } => {
+                let h = hosts_per_switch as u32;
+                let x = (s / h, d / h, PORT_RIGHT as u8, PORT_LEFT as u8);
+                ([x, (0, 0, 0, 0)], (d % h) as u8)
+            }
+            Routing::Mesh2D { width: w } => {
+                let x = (s % w, d % w, mesh_port::EAST, mesh_port::WEST);
+                let y = (s / w, d / w, mesh_port::SOUTH, mesh_port::NORTH);
+                ([x, y], mesh_port::HOST)
+            }
+        };
+        let hops: u32 = legs.iter().map(|&(from, to, ..)| from.abs_diff(to)).sum();
+        let mut route = Vec::with_capacity(hops as usize + 1);
+        for (from, to, up, down) in legs {
+            let port = if to > from { up } else { down };
+            route.extend(std::iter::repeat_n(port, from.abs_diff(to) as usize));
+        }
+        route.push(exit);
+        route
+    }
+}
+
+/// What every link of one network shares, copied from its builder's config.
+#[derive(Clone, Copy, Debug)]
+pub struct LinkSpec {
+    /// Per-direction bandwidth.
+    pub bytes_per_sec: u64,
+    /// Propagation delay.
+    pub propagation: SimDuration,
+    /// Fault injection per traversal.
+    pub fault: FaultPlan,
+}
+
+impl LinkSpec {
+    /// A link labelled `label` delivering into `dst`.
+    pub fn link(&self, sim: &Sim, label: String, dst: Arc<dyn PacketSink>) -> Arc<Link> {
+        Link::new(
+            sim,
+            label,
+            self.bytes_per_sec,
+            self.propagation,
+            self.fault,
+            dst,
+        )
+    }
+}
+
+/// A NIC attachment: terminates a switch→host link and hands packets to the
+/// protocol's handler, attached once at boot.
+struct Endpoint {
+    node: FabricNodeId,
+    handler: OnceLock<RxHandler>,
+    delivered: Counter,
+}
+
+impl PacketSink for Endpoint {
+    fn deliver(&self, sim: &Sim, pkt: Packet) {
+        // Miscabling or a corrupted route byte can steer a packet to the
+        // wrong host. Real NICs sink it; panicking a sim thread never is.
+        if pkt.dst != self.node {
+            sim.add_count("fabric.misrouted", 1);
+            trace_wire_instant(sim, &pkt, stage::DROP_MISROUTE);
+            return;
+        }
+        self.delivered.inc();
+        match self.handler.get() {
+            Some(h) => h(sim, pkt),
+            // No protocol attached: hardware would sink the packet.
+            None => sim.add_count("fabric.unclaimed", 1),
+        }
+    }
+}
+
+/// A built system-area network: Myrinet or the nwrc mesh, depending only on
+/// its [`Routing`].
+pub struct Network {
+    routing: Routing,
+    mtu: usize,
+    link_bytes_per_sec: u64,
+    /// Switches (Myrinet) or routers (mesh), retained so chaos plans can
+    /// kill ports.
+    switches: Vec<Arc<Switch>>,
+    /// Host→switch links, indexed by node.
+    uplinks: Vec<Arc<Link>>,
+    /// Switch→host links, indexed by node (a host cable carries both
+    /// directions, so a node's "link down" kills both).
+    downlinks: Vec<Arc<Link>>,
+    endpoints: Vec<Arc<Endpoint>>,
+    injected: Counter,
+}
+
+impl Network {
+    /// Cable one host per node to `switches`, which the builder has already
+    /// trunked together, at the switch and port `routing` places it on, and
+    /// assemble the network. Both SAN builders end here.
+    pub fn attach_hosts(
+        sim: &Sim,
+        routing: Routing,
+        mtu: usize,
+        link: LinkSpec,
+        switches: Vec<Arc<Switch>>,
+        n_nodes: u32,
+    ) -> Arc<Network> {
+        let metrics = sim.metrics();
+        let delivered = metrics.counter("fabric.delivered");
+        let mut uplinks = Vec::with_capacity(n_nodes as usize);
+        let mut downlinks = Vec::with_capacity(n_nodes as usize);
+        let mut endpoints = Vec::with_capacity(n_nodes as usize);
+        for node in 0..n_nodes {
+            let (sw, port, down_label, up_label) = routing.host_cable(node);
+            let ep = Arc::new(Endpoint {
+                node: FabricNodeId(node),
+                handler: OnceLock::new(),
+                delivered: delivered.clone(),
+            });
+            let down = link.link(sim, down_label, ep.clone());
+            switches[sw].connect(port, down.clone());
+            downlinks.push(down);
+            uplinks.push(link.link(sim, up_label, switches[sw].clone()));
+            endpoints.push(ep);
+        }
+        Arc::new(Network {
+            routing,
+            mtu,
+            link_bytes_per_sec: link.bytes_per_sec,
+            switches,
+            uplinks,
+            downlinks,
+            endpoints,
+            injected: metrics.counter("fabric.injected"),
+        })
+    }
+
+    /// Topology name ("myrinet", "nwrc-mesh").
+    pub fn name(&self) -> &'static str {
+        match self.routing {
+            Routing::LinearArray { .. } => "myrinet",
+            Routing::Mesh2D { .. } => "nwrc-mesh",
+        }
+    }
 
     /// Number of host attachment points.
-    fn num_nodes(&self) -> u32;
+    pub fn num_nodes(&self) -> u32 {
+        self.endpoints.len() as u32
+    }
 
     /// Largest payload one packet may carry. Protocols fragment above this.
-    fn mtu(&self) -> usize;
+    pub fn mtu(&self) -> usize {
+        self.mtu
+    }
 
     /// Per-direction bandwidth of a host link. NIC firmware uses this to
     /// pace injection (the LANai polls send-DMA completion before starting
     /// the next fragment).
-    fn link_bytes_per_sec(&self) -> u64;
+    pub fn link_bytes_per_sec(&self) -> u64 {
+        self.link_bytes_per_sec
+    }
 
     /// Register the receive handler for a node's NIC. Panics if the node is
     /// out of range or already attached — both are wiring bugs.
-    fn attach(&self, node: FabricNodeId, rx: RxHandler);
+    pub fn attach(&self, node: FabricNodeId, rx: RxHandler) {
+        let fresh = self.endpoints[node.0 as usize].handler.set(rx).is_ok();
+        assert!(fresh, "node {} attached twice", node.0);
+    }
 
-    /// Inject a packet. The fabric models transmission, switching and fault
-    /// injection, then invokes the destination's handler (if the packet
-    /// survives). Panics if `payload` exceeds the MTU — fragmentation is the
-    /// protocol's job and an oversized packet is a protocol bug.
-    fn inject(&self, sim: &Sim, src: FabricNodeId, dst: FabricNodeId, payload: Bytes);
-
-    /// [`Fabric::inject`] with per-message trace identity attached. The
-    /// default implementation discards the metadata so fabrics that predate
-    /// tracing keep working; fabrics that model hops override it to tag the
-    /// packet.
-    fn inject_traced(
+    /// Inject a packet, tagged with `trace` for per-message tracing. The
+    /// network models transmission, switching and fault injection, then
+    /// invokes the destination's handler (if the packet survives). Panics
+    /// if `payload` exceeds the MTU — fragmentation is the protocol's job
+    /// and an oversized packet is a protocol bug.
+    pub fn inject(
         &self,
         sim: &Sim,
         src: FabricNodeId,
@@ -123,30 +335,53 @@ pub trait Fabric: Send + Sync {
         payload: Bytes,
         trace: Option<PacketTrace>,
     ) {
-        let _ = trace;
-        self.inject(sim, src, dst, payload);
+        assert!(
+            payload.len() <= self.mtu,
+            "packet of {} B exceeds MTU {} — fragmentation is the protocol's job",
+            payload.len(),
+            self.mtu
+        );
+        self.injected.inc();
+        let pkt = Packet {
+            src,
+            dst,
+            payload,
+            corrupted: false,
+            route: self.routing.route(src, dst),
+            route_pos: 0,
+            trace,
+        };
+        self.uplinks[src.0 as usize].send(sim, pkt);
     }
 
-    /// Chaos hook: force a node's host link up or down (both directions).
+    /// Number of switch hops between two nodes (for latency assertions).
+    pub fn hops(&self, src: FabricNodeId, dst: FabricNodeId) -> usize {
+        self.routing.route(src, dst).len()
+    }
+
+    /// Chaos hook: force a node's host cable up or down (both directions).
     /// While down, every traversal is a counted drop — the packet is
-    /// consumed, nothing is delivered. Returns `false` when this fabric has
-    /// no such hook (the default), so chaos controllers stay fabric-agnostic.
-    fn set_node_link_up(&self, sim: &Sim, node: FabricNodeId, up: bool) -> bool {
-        let _ = (sim, node, up);
-        false
+    /// consumed, nothing is delivered. Returns `false` for an unknown node.
+    pub fn set_node_link_up(&self, node: FabricNodeId, up: bool) -> bool {
+        let Some(uplink) = self.uplinks.get(node.0 as usize) else {
+            return false;
+        };
+        uplink.set_up(up);
+        self.downlinks[node.0 as usize].set_up(up);
+        true
     }
 
     /// Chaos hook: kill or revive one output port of one switch/router.
     /// Packets routed through a dead port are counted drops. Returns `false`
-    /// when unsupported or out of range.
-    fn set_switch_port_dead(&self, sim: &Sim, switch: usize, port: usize, dead: bool) -> bool {
-        let _ = (sim, switch, port, dead);
-        false
+    /// when the switch or port is out of range.
+    pub fn set_switch_port_dead(&self, switch: usize, port: usize, dead: bool) -> bool {
+        self.switches
+            .get(switch)
+            .is_some_and(|sw| sw.set_port_dead(port, dead))
     }
 
     /// Number of switching elements (for chaos plans to pick targets from).
-    /// `0` when the fabric exposes no switch hooks.
-    fn num_switches(&self) -> usize {
-        0
+    pub fn num_switches(&self) -> usize {
+        self.switches.len()
     }
 }

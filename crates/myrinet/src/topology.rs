@@ -1,4 +1,4 @@
-//! Whole-network construction and source routing.
+//! The Myrinet wiring.
 //!
 //! DAWNING-3000 interconnects its 70 nodes with 8-port M2M-OCT-SW8 switches.
 //! We build a linear array of switches: each switch hosts up to
@@ -8,13 +8,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use suca_sim::{Sim, SimDuration};
 
-use suca_sim::mtrace::stage as trace_stage;
-use suca_sim::{Counter, Sim, SimDuration};
-
-use crate::fabric::{Fabric, FabricNodeId, FaultPlan, Packet, PacketTrace, RxHandler};
-use crate::link::{Link, PacketSink};
+use crate::fabric::{FaultPlan, LinkSpec, Network, Routing, PORT_LEFT, PORT_RIGHT};
 use crate::switch::Switch;
 
 /// Tunables for a Myrinet build-out.
@@ -49,247 +45,47 @@ impl MyrinetConfig {
     }
 }
 
-/// NIC attachment endpoint: terminates a switch→host link and dispatches to
-/// the protocol's registered handler.
-struct NicEndpoint {
-    node: FabricNodeId,
-    handler: Mutex<Option<RxHandler>>,
-    delivered: Counter,
-}
-
-impl PacketSink for NicEndpoint {
-    fn deliver(&self, sim: &Sim, pkt: Packet) {
-        // A packet can reach the wrong endpoint when chaos rewires the
-        // fabric under it (or a corrupted route byte survives). Real NICs
-        // sink such packets; panicking a sim thread is never acceptable.
-        if pkt.dst != self.node {
-            sim.add_count("fabric.misrouted", 1);
-            crate::switch::trace_wire_instant(sim, &pkt, trace_stage::DROP_MISROUTE);
-            return;
-        }
-        self.delivered.inc();
-        let guard = self.handler.lock();
-        match guard.as_ref() {
-            Some(h) => h(sim, pkt),
-            None => {
-                // No protocol attached: hardware would sink the packet.
-                sim.add_count("fabric.unclaimed", 1);
-            }
-        }
-    }
-}
-
-/// A built Myrinet network.
-pub struct Myrinet {
-    cfg: MyrinetConfig,
-    /// Host→switch uplinks, indexed by node.
-    uplinks: Vec<Arc<Link>>,
-    /// Switch→host downlinks, indexed by node (retained for chaos hooks:
-    /// a node's "link down" kills both directions).
-    downlinks: Vec<Arc<Link>>,
-    /// The switch array, retained so chaos plans can kill ports.
-    switches: Vec<Arc<Switch>>,
-    endpoints: Vec<Arc<NicEndpoint>>,
-    injected: Counter,
-}
-
-/// Trunk port indices on every switch.
-const PORT_RIGHT: usize = 6;
-const PORT_LEFT: usize = 7;
+/// Builder of the Myrinet wiring of a [`Network`].
+pub struct Myrinet;
 
 impl Myrinet {
     /// Build a network with `n_nodes` attachment points.
-    pub fn build(sim: &Sim, n_nodes: u32, cfg: MyrinetConfig) -> Arc<Myrinet> {
+    pub fn build(sim: &Sim, n_nodes: u32, cfg: MyrinetConfig) -> Arc<Network> {
         assert!(n_nodes > 0);
         assert!(cfg.hosts_per_switch >= 1 && cfg.hosts_per_switch <= PORT_RIGHT);
-        let h = cfg.hosts_per_switch;
-        let n_switches = (n_nodes as usize).div_ceil(h);
-
-        let switches: Vec<Arc<Switch>> = (0..n_switches)
+        let hosts_per_switch = cfg.hosts_per_switch;
+        let switches: Vec<Arc<Switch>> = (0..(n_nodes as usize).div_ceil(hosts_per_switch))
             .map(|i| Switch::new(sim, format!("sw{i}"), 8, cfg.switch_cut_through))
             .collect();
-
+        let link = LinkSpec {
+            bytes_per_sec: cfg.link_bytes_per_sec,
+            propagation: cfg.propagation,
+            fault: cfg.fault,
+        };
         // Trunks between neighboring switches, both directions.
-        for i in 0..n_switches.saturating_sub(1) {
-            let right = Link::new(
-                sim,
-                format!("sw{i}->sw{}", i + 1),
-                cfg.link_bytes_per_sec,
-                cfg.propagation,
-                cfg.fault,
-                switches[i + 1].clone() as Arc<dyn PacketSink>,
-            );
-            switches[i].connect(PORT_RIGHT, right);
-            let left = Link::new(
-                sim,
-                format!("sw{}->sw{i}", i + 1),
-                cfg.link_bytes_per_sec,
-                cfg.propagation,
-                cfg.fault,
-                switches[i].clone() as Arc<dyn PacketSink>,
-            );
-            switches[i + 1].connect(PORT_LEFT, left);
+        for (i, pair) in switches.windows(2).enumerate() {
+            let (a, b, j) = (&pair[0], &pair[1], i + 1);
+            let right = link.link(sim, format!("sw{i}->sw{j}"), b.clone());
+            a.connect(PORT_RIGHT, right);
+            let left = link.link(sim, format!("sw{j}->sw{i}"), a.clone());
+            b.connect(PORT_LEFT, left);
         }
-
-        // Host links, both directions.
-        let metrics = sim.metrics();
-        let delivered = metrics.counter("fabric.delivered");
-        let mut uplinks = Vec::with_capacity(n_nodes as usize);
-        let mut downlinks = Vec::with_capacity(n_nodes as usize);
-        let mut endpoints = Vec::with_capacity(n_nodes as usize);
-        for node in 0..n_nodes {
-            let sw = node as usize / h;
-            let port = node as usize % h;
-            let ep = Arc::new(NicEndpoint {
-                node: FabricNodeId(node),
-                handler: Mutex::new(None),
-                delivered: delivered.clone(),
-            });
-            let down = Link::new(
-                sim,
-                format!("sw{sw}->n{node}"),
-                cfg.link_bytes_per_sec,
-                cfg.propagation,
-                cfg.fault,
-                ep.clone() as Arc<dyn PacketSink>,
-            );
-            switches[sw].connect(port, down.clone());
-            downlinks.push(down);
-            let up = Link::new(
-                sim,
-                format!("n{node}->sw{sw}"),
-                cfg.link_bytes_per_sec,
-                cfg.propagation,
-                cfg.fault,
-                switches[sw].clone() as Arc<dyn PacketSink>,
-            );
-            uplinks.push(up);
-            endpoints.push(ep);
-        }
-
-        Arc::new(Myrinet {
-            cfg,
-            uplinks,
-            downlinks,
-            switches,
-            endpoints,
-            injected: metrics.counter("fabric.injected"),
-        })
-    }
-
-    /// Source route from `src` to `dst`: a port byte per switch visited.
-    fn route(&self, src: FabricNodeId, dst: FabricNodeId) -> Vec<u8> {
-        let h = self.cfg.hosts_per_switch;
-        let src_sw = src.0 as usize / h;
-        let dst_sw = dst.0 as usize / h;
-        let mut route = Vec::with_capacity(src_sw.abs_diff(dst_sw) + 1);
-        let mut cur = src_sw;
-        while cur != dst_sw {
-            if dst_sw > cur {
-                route.push(PORT_RIGHT as u8);
-                cur += 1;
-            } else {
-                route.push(PORT_LEFT as u8);
-                cur -= 1;
-            }
-        }
-        route.push((dst.0 as usize % h) as u8);
-        route
-    }
-
-    /// Number of switch hops between two nodes (for latency assertions).
-    pub fn hops(&self, src: FabricNodeId, dst: FabricNodeId) -> usize {
-        self.route(src, dst).len()
-    }
-}
-
-impl Fabric for Myrinet {
-    fn name(&self) -> &'static str {
-        "myrinet"
-    }
-
-    fn num_nodes(&self) -> u32 {
-        self.endpoints.len() as u32
-    }
-
-    fn mtu(&self) -> usize {
-        self.cfg.mtu
-    }
-
-    fn link_bytes_per_sec(&self) -> u64 {
-        self.cfg.link_bytes_per_sec
-    }
-
-    fn attach(&self, node: FabricNodeId, rx: RxHandler) {
-        let ep = &self.endpoints[node.0 as usize];
-        let mut guard = ep.handler.lock();
-        assert!(guard.is_none(), "node {} attached twice", node.0);
-        *guard = Some(rx);
-    }
-
-    fn inject(&self, sim: &Sim, src: FabricNodeId, dst: FabricNodeId, payload: bytes::Bytes) {
-        self.inject_traced(sim, src, dst, payload, None);
-    }
-
-    fn inject_traced(
-        &self,
-        sim: &Sim,
-        src: FabricNodeId,
-        dst: FabricNodeId,
-        payload: bytes::Bytes,
-        trace: Option<PacketTrace>,
-    ) {
-        assert!(
-            payload.len() <= self.cfg.mtu,
-            "packet of {} B exceeds MTU {} — fragmentation is the protocol's job",
-            payload.len(),
-            self.cfg.mtu
-        );
-        self.injected.inc();
-        let pkt = Packet {
-            src,
-            dst,
-            payload,
-            corrupted: false,
-            route: self.route(src, dst),
-            route_pos: 0,
-            trace,
-        };
-        self.uplinks[src.0 as usize].send(sim, pkt);
-    }
-
-    fn set_node_link_up(&self, _sim: &Sim, node: FabricNodeId, up: bool) -> bool {
-        let Some(uplink) = self.uplinks.get(node.0 as usize) else {
-            return false;
-        };
-        // A host cable carries both directions: kill the uplink and the
-        // switch-side downlink together.
-        uplink.set_up(up);
-        self.downlinks[node.0 as usize].set_up(up);
-        true
-    }
-
-    fn set_switch_port_dead(&self, _sim: &Sim, switch: usize, port: usize, dead: bool) -> bool {
-        match self.switches.get(switch) {
-            Some(sw) => sw.set_port_dead(port, dead),
-            None => false,
-        }
-    }
-
-    fn num_switches(&self) -> usize {
-        self.switches.len()
+        let routing = Routing::LinearArray { hosts_per_switch };
+        Network::attach_hosts(sim, routing, cfg.mtu, link, switches, n_nodes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::FabricNodeId;
     use bytes::Bytes;
+    use parking_lot::Mutex;
     use suca_sim::RunOutcome;
 
     type Arrivals = Arc<Mutex<Vec<(u64, Vec<u8>, bool)>>>;
 
-    fn collect_arrivals(sim: &Sim, net: &Arc<Myrinet>, node: u32) -> Arrivals {
+    fn collect_arrivals(net: &Network, node: u32) -> Arrivals {
         let log = Arc::new(Mutex::new(Vec::new()));
         let l2 = log.clone();
         net.attach(
@@ -299,21 +95,25 @@ mod tests {
                     .push((s.now().as_ns(), pkt.payload.to_vec(), pkt.corrupted));
             }),
         );
-        let _ = sim;
         log
+    }
+
+    fn send(sim: &Sim, net: &Network, src: u32, dst: u32, payload: &'static [u8]) {
+        net.inject(
+            sim,
+            FabricNodeId(src),
+            FabricNodeId(dst),
+            Bytes::from_static(payload),
+            None,
+        );
     }
 
     #[test]
     fn same_switch_delivery() {
         let sim = Sim::new(1);
         let net = Myrinet::build(&sim, 4, MyrinetConfig::dawning3000());
-        let log = collect_arrivals(&sim, &net, 1);
-        net.inject(
-            &sim,
-            FabricNodeId(0),
-            FabricNodeId(1),
-            Bytes::from_static(b"ping"),
-        );
+        let log = collect_arrivals(&net, 1);
+        send(&sim, &net, 0, 1, b"ping");
         assert_eq!(sim.run(), RunOutcome::Completed);
         let got = log.lock();
         assert_eq!(got.len(), 1);
@@ -329,23 +129,13 @@ mod tests {
         let net = Myrinet::build(&sim, 14, MyrinetConfig::dawning3000());
         // Node 0 on sw0, node 13 on sw2: two trunk hops.
         assert_eq!(net.hops(FabricNodeId(0), FabricNodeId(13)), 3);
-        let log = collect_arrivals(&sim, &net, 13);
-        net.inject(
-            &sim,
-            FabricNodeId(0),
-            FabricNodeId(13),
-            Bytes::from_static(b"x"),
-        );
+        let log = collect_arrivals(&net, 13);
+        send(&sim, &net, 0, 13, b"x");
         sim.run();
         assert_eq!(log.lock().len(), 1);
         // And the reverse direction too.
-        let back = collect_arrivals(&sim, &net, 0);
-        net.inject(
-            &sim,
-            FabricNodeId(13),
-            FabricNodeId(0),
-            Bytes::from_static(b"y"),
-        );
+        let back = collect_arrivals(&net, 0);
+        send(&sim, &net, 13, 0, b"y");
         sim.run();
         assert_eq!(back.lock().len(), 1);
     }
@@ -354,7 +144,7 @@ mod tests {
     fn all_pairs_reachable_in_70_node_cluster() {
         let sim = Sim::new(1);
         let net = Myrinet::build(&sim, 70, MyrinetConfig::dawning3000());
-        let counts: Vec<_> = (0..70).map(|n| collect_arrivals(&sim, &net, n)).collect();
+        let counts: Vec<_> = (0..70).map(|n| collect_arrivals(&net, n)).collect();
         for src in 0..70u32 {
             for dst in 0..70u32 {
                 net.inject(
@@ -362,6 +152,7 @@ mod tests {
                     FabricNodeId(src),
                     FabricNodeId(dst),
                     Bytes::copy_from_slice(&src.to_le_bytes()),
+                    None,
                 );
             }
         }
@@ -373,57 +164,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds MTU")]
-    fn oversized_packet_panics() {
-        let sim = Sim::new(1);
-        let net = Myrinet::build(&sim, 2, MyrinetConfig::dawning3000());
-        net.inject(
-            &sim,
-            FabricNodeId(0),
-            FabricNodeId(1),
-            Bytes::from(vec![0u8; 5000]),
-        );
-    }
-
-    #[test]
     fn node_link_chaos_hook_downs_both_directions() {
         let sim = Sim::new(1);
         let net = Myrinet::build(&sim, 4, MyrinetConfig::dawning3000());
-        let at1 = collect_arrivals(&sim, &net, 1);
-        let at2 = collect_arrivals(&sim, &net, 2);
-        assert!(net.set_node_link_up(&sim, FabricNodeId(1), false));
-        assert!(!net.set_node_link_up(&sim, FabricNodeId(99), false));
+        let at1 = collect_arrivals(&net, 1);
+        let at2 = collect_arrivals(&net, 2);
+        assert!(net.set_node_link_up(FabricNodeId(1), false));
+        assert!(!net.set_node_link_up(FabricNodeId(99), false));
         // Outbound from the downed node and inbound toward it both blackhole.
-        net.inject(
-            &sim,
-            FabricNodeId(1),
-            FabricNodeId(2),
-            Bytes::from_static(b"a"),
-        );
-        net.inject(
-            &sim,
-            FabricNodeId(0),
-            FabricNodeId(1),
-            Bytes::from_static(b"b"),
-        );
+        send(&sim, &net, 1, 2, b"a");
+        send(&sim, &net, 0, 1, b"b");
         sim.run();
         assert!(at1.lock().is_empty());
         assert!(at2.lock().is_empty());
         assert_eq!(sim.get_count("link.down_drops"), 2);
         // Revival restores both directions.
-        assert!(net.set_node_link_up(&sim, FabricNodeId(1), true));
-        net.inject(
-            &sim,
-            FabricNodeId(1),
-            FabricNodeId(2),
-            Bytes::from_static(b"c"),
-        );
-        net.inject(
-            &sim,
-            FabricNodeId(0),
-            FabricNodeId(1),
-            Bytes::from_static(b"d"),
-        );
+        assert!(net.set_node_link_up(FabricNodeId(1), true));
+        send(&sim, &net, 1, 2, b"c");
+        send(&sim, &net, 0, 1, b"d");
         sim.run();
         assert_eq!(at1.lock().len(), 1);
         assert_eq!(at2.lock().len(), 1);
@@ -434,43 +192,19 @@ mod tests {
         let sim = Sim::new(1);
         let net = Myrinet::build(&sim, 14, MyrinetConfig::dawning3000());
         assert_eq!(net.num_switches(), 3);
-        let log = collect_arrivals(&sim, &net, 13);
+        let log = collect_arrivals(&net, 13);
         // Kill sw0's right trunk: cross-switch traffic from node 0 dies at
         // the switch, counted, without panicking.
-        assert!(net.set_switch_port_dead(&sim, 0, PORT_RIGHT, true));
-        assert!(!net.set_switch_port_dead(&sim, 7, 0, true));
-        assert!(!net.set_switch_port_dead(&sim, 0, 200, true));
-        net.inject(
-            &sim,
-            FabricNodeId(0),
-            FabricNodeId(13),
-            Bytes::from_static(b"x"),
-        );
+        assert!(net.set_switch_port_dead(0, PORT_RIGHT, true));
+        assert!(!net.set_switch_port_dead(7, 0, true));
+        assert!(!net.set_switch_port_dead(0, 200, true));
+        send(&sim, &net, 0, 13, b"x");
         sim.run();
         assert!(log.lock().is_empty());
         assert_eq!(sim.get_count("switch.dead_port_drop"), 1);
-        assert!(net.set_switch_port_dead(&sim, 0, PORT_RIGHT, false));
-        net.inject(
-            &sim,
-            FabricNodeId(0),
-            FabricNodeId(13),
-            Bytes::from_static(b"y"),
-        );
+        assert!(net.set_switch_port_dead(0, PORT_RIGHT, false));
+        send(&sim, &net, 0, 13, b"y");
         sim.run();
         assert_eq!(log.lock().len(), 1);
-    }
-
-    #[test]
-    fn unclaimed_packets_are_counted_not_lost_silently() {
-        let sim = Sim::new(1);
-        let net = Myrinet::build(&sim, 2, MyrinetConfig::dawning3000());
-        net.inject(
-            &sim,
-            FabricNodeId(0),
-            FabricNodeId(1),
-            Bytes::from_static(b"z"),
-        );
-        sim.run();
-        assert_eq!(sim.get_count("fabric.unclaimed"), 1);
     }
 }
