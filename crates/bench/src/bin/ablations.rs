@@ -14,6 +14,8 @@
 //!    sets; the kernel-resident pin-down table does not. → working-set sweep
 //!    of the user-level architecture's NIC TLB vs BCL's pin-down table, both
 //!    on the one stack, with the shape asserted.
+//!
+//! Every cluster built here must finish with `watchdog.stalls == 0`.
 
 use std::sync::Arc;
 
@@ -170,6 +172,13 @@ fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
         sim.run(),
         suca_sim::RunOutcome::Completed,
         "ablation harness hung"
+    );
+    // A full pin-down table evicts (the paper's scalable translation): load,
+    // not a stall.
+    assert_eq!(
+        sim.get_count("watchdog.stalls"),
+        0,
+        "translation arm stalled"
     );
     let arm = std::mem::take(&mut *out.lock());
     let n = working_set as f64;

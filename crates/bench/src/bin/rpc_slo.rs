@@ -48,12 +48,14 @@ fn health_rules() -> Vec<HealthRule> {
         // over the clean service tail, under the overload timeout.
         HealthRule::latency_p99("rpc.p99_slow", None, 2_000_000, 50, 200, 10),
         // Capacity saturation with hysteresis: fire at 90% of declared
-        // capacity, clear below 50%, 5 consecutive pegged ticks to fire.
+        // capacity, clear below 50%, 5 consecutive breaching ticks to fire.
+        // Each suffix must name probes that declare a capacity (the pin
+        // table's is in pages; `kmod.pinned_bytes` declares none).
         HealthRule::saturation("mcp.send_queue_full", "mcp.send_queue", 900_000, 500_000)
             .with_lifecycle(5, 20),
         HealthRule::saturation("nic.sram_full", "nic.sram_used", 900_000, 500_000)
             .with_lifecycle(5, 20),
-        HealthRule::saturation("kmod.pinned_full", "kmod.pinned_bytes", 900_000, 500_000)
+        HealthRule::saturation("kmod.pinned_full", "kmod.pinned_pages", 900_000, 500_000)
             .with_lifecycle(5, 20),
     ]
 }

@@ -232,15 +232,13 @@ impl StormBuilder {
 }
 
 fn instant(sim: &Sim, node: u32, stage_name: &'static str) {
-    if sim.msg_trace().enabled() {
-        sim.trace_event(TraceEvent::instant(
-            TraceId::NONE,
-            node,
-            TraceLayer::Wire,
-            stage_name,
-            sim.now().as_ns(),
-        ));
-    }
+    sim.trace_event(TraceEvent::instant(
+        TraceId::NONE,
+        node,
+        TraceLayer::Wire,
+        stage_name,
+        sim.now().as_ns(),
+    ));
 }
 
 /// Applies a [`ChaosPlan`] to a built cluster. Stateless after

@@ -27,7 +27,6 @@ fn watchdog_fires_during_unrecovered_blackhole() {
             watchdog: WatchdogConfig {
                 chain_budget_ns: 150_000,
                 check_every: 1,
-                ..WatchdogConfig::default()
             },
         });
     let cluster = spec.build();
@@ -97,7 +96,6 @@ fn failover_recovers_the_blackhole_and_keeps_the_watchdog_silent() {
             watchdog: WatchdogConfig {
                 chain_budget_ns: 10_000_000, // 10 ms >> recovery latency
                 check_every: 1,
-                ..WatchdogConfig::default()
             },
         });
     spec.bcl.reliability.max_path_timeouts = 3;

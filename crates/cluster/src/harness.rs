@@ -151,6 +151,7 @@ pub fn measure_one_way(
     }
 
     assert_eq!(sim.run(), RunOutcome::Completed, "latency harness stuck");
+    assert_eq!(sim.get_count("watchdog.stalls"), 0, "latency run stalled");
     let st = send_times.lock();
     let rt = recv_times.lock();
     assert_eq!(st.len() as u32, total);

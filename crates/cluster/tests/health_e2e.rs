@@ -39,7 +39,7 @@ fn run_synthetic(errors: bool) -> String {
         for i in 0..10u64 {
             let ok = !fail_band;
             sim.schedule_at(SimTime::from_ns(tick * TICK_NS + 1 + i), move |s| {
-                s.health().observe_rpc(0, 0, ok, 1_500 + i * 100, 64);
+                s.health().observe_rpc(0, 0, ok, 1_500 + i * 100);
             });
         }
     }
@@ -82,7 +82,7 @@ fn overload_fires_exactly_the_burn_rate_rule_then_resolves() {
         for i in 0..10u64 {
             let ok = !fail_band;
             sim.schedule_at(SimTime::from_ns(tick * TICK_NS + 1 + i), move |s| {
-                s.health().observe_rpc(0, 0, ok, 1_500, 64);
+                s.health().observe_rpc(0, 0, ok, 1_500);
             });
         }
     }

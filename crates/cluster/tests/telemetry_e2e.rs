@@ -140,7 +140,6 @@ fn watchdog_fires_on_wedged_retransmission_loop() {
         watchdog: WatchdogConfig {
             chain_budget_ns: 100_000, // < the 300 us retransmit timeout
             check_every: 1,
-            ..WatchdogConfig::default()
         },
     });
 

@@ -246,14 +246,12 @@ impl BclPort {
             })
         }?;
         let sim = ctx.sim();
-        if sim.msg_trace().enabled() {
-            let node = self.node.os.node_id.0;
-            let trace = TraceId::new(node, msg_id);
-            let span = |st, hi| TraceEvent::span(trace, node, TraceLayer::Library, st, start, hi);
-            sim.trace_event(span(stage::SEND, ctx.now().as_ns()).with_bytes(len));
-            let composed = start + self.node.cfg.lib_compose.as_ns();
-            sim.trace_event(span(stage::COMPOSE, composed));
-        }
+        let node = self.node.os.node_id.0;
+        let trace = TraceId::new(node, msg_id);
+        let span = |st, hi| TraceEvent::span(trace, node, TraceLayer::Library, st, start, hi);
+        sim.trace_event(span(stage::SEND, ctx.now().as_ns()).with_bytes(len));
+        let composed = start + self.node.cfg.lib_compose.as_ns();
+        sim.trace_event(span(stage::COMPOSE, composed));
         Ok(msg_id)
     }
 
@@ -275,11 +273,7 @@ impl BclPort {
         if !msg_id.is_multiple_of(2) {
             return;
         }
-        let sim = ctx.sim();
-        if !sim.msg_trace().enabled() {
-            return;
-        }
-        sim.trace_event(TraceEvent::instant(
+        ctx.sim().trace_event(TraceEvent::instant(
             TraceId::new(origin, msg_id),
             self.node.os.node_id.0,
             layer,

@@ -675,9 +675,6 @@ impl BclKmod {
     /// side of `[entry, exit]` rather than observed here.
     fn trace_send_trap(&self, msg_id: u32, stamps: [SimTime; 4], bytes: u64) {
         let sim = self.os.sim();
-        if !sim.msg_trace().enabled() {
-            return;
-        }
         let [entry, dispatch_done, pin_done, exit] = stamps.map(SimTime::as_ns);
         let node = self.os.node_id.0;
         let trace = TraceId::new(node, msg_id);

@@ -464,15 +464,13 @@ impl McpInner {
 
     /// Record an MCP-layer instant on this node's ring.
     fn mt_instant(&self, trace: TraceId, stage_name: &'static str) {
-        if self.sim.msg_trace().enabled() {
-            self.sim.trace_event(TraceEvent::instant(
-                trace,
-                self.os.node_id.0,
-                TraceLayer::Mcp,
-                stage_name,
-                self.sim.now().as_ns(),
-            ));
-        }
+        self.sim.trace_event(TraceEvent::instant(
+            trace,
+            self.os.node_id.0,
+            TraceLayer::Mcp,
+            stage_name,
+            self.sim.now().as_ns(),
+        ));
     }
 
     /// Record a span on this node's ring; `seq` / `bytes` are 0 when the
@@ -486,14 +484,12 @@ impl McpInner {
         seq: u32,
         bytes: u64,
     ) {
-        if self.sim.msg_trace().enabled() {
-            let (start, end) = (at.start.as_ns(), at.end.as_ns());
-            self.sim.trace_event(
-                TraceEvent::span(trace, self.os.node_id.0, layer, stage_name, start, end)
-                    .with_seq(seq)
-                    .with_bytes(bytes),
-            );
-        }
+        let (start, end) = (at.start.as_ns(), at.end.as_ns());
+        self.sim.trace_event(
+            TraceEvent::span(trace, self.os.node_id.0, layer, stage_name, start, end)
+                .with_seq(seq)
+                .with_bytes(bytes),
+        );
     }
 
     /// Trace identity of a message this node's host originated (sends,
@@ -634,11 +630,9 @@ impl McpInner {
     /// Raise a host interrupt for `trace` ([`NodeOs::interrupt`]: counted,
     /// and `handler` runs after the entry and service costs).
     fn interrupt(&self, trace: TraceId, handler: impl FnOnce() + Send + 'static) {
-        if self.sim.msg_trace().enabled() {
-            let (node, now) = (self.os.node_id.0, self.sim.now().as_ns());
-            let ev = TraceEvent::instant(trace, node, TraceLayer::Kernel, stage::INTERRUPT, now);
-            self.sim.trace_event(ev);
-        }
+        let (node, now) = (self.os.node_id.0, self.sim.now().as_ns());
+        let ev = TraceEvent::instant(trace, node, TraceLayer::Kernel, stage::INTERRUPT, now);
+        self.sim.trace_event(ev);
         self.os.interrupt(&self.sim, move |_| handler());
     }
 

@@ -20,9 +20,6 @@ use crate::link::{Link, PacketSink};
 /// stays together even when it crosses many switches.
 pub fn trace_wire_instant(sim: &Sim, pkt: &Packet, stage_name: &'static str) {
     let Some(t) = pkt.trace else { return };
-    if !sim.msg_trace().enabled() {
-        return;
-    }
     sim.trace_event(
         TraceEvent::instant(
             TraceId::new(t.origin, t.msg_id),

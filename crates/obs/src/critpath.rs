@@ -22,7 +22,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use crate::trace::{is_terminal, stage, TraceEvent, TraceId, TracePhase};
+use crate::trace::{chains, is_terminal, stage, TraceEvent, TraceId, TracePhase};
 
 /// Where one message's latency went.
 #[derive(Clone, Debug)]
@@ -62,31 +62,21 @@ impl MessageCritPath {
 /// so callers can distinguish "slow" from "wedged". Results are ordered by
 /// [`TraceId`].
 pub fn analyze(events: &[TraceEvent]) -> Vec<MessageCritPath> {
-    let mut chains: BTreeMap<TraceId, Vec<&TraceEvent>> = BTreeMap::new();
-    for ev in events {
-        if !ev.trace.is_none() {
-            chains.entry(ev.trace).or_default().push(ev);
-        }
-    }
-
     let mut out = Vec::new();
-    for (trace, evs) in chains {
-        let Some(send) = evs
-            .iter()
-            .filter(|e| e.stage.as_ref() == stage::SEND)
-            .min_by_key(|e| e.start_ns)
-        else {
+    for chain in chains(events) {
+        let (trace, evs) = (chain.trace, &chain.events);
+        let Some(send) = chain.send else {
             continue; // no root: a partial chain (e.g. the send was evicted)
         };
         let start = send.start_ns;
-        let terminal_end = evs
+        // A chain closes on its first terminal, but the sender's and the
+        // receiver's polls both are terminals: the window ends at the last.
+        let end = evs
             .iter()
             .filter(|e| is_terminal(e.stage.as_ref()))
             .map(|e| e.end_ns)
-            .max();
-        let closed = terminal_end.is_some();
-        let end = terminal_end
-            .unwrap_or_else(|| evs.iter().map(|e| e.end_ns).max().unwrap_or(start))
+            .max()
+            .unwrap_or(chain.last_ns)
             .max(start);
 
         // Spans clipped to the [start, end] window.
@@ -153,7 +143,7 @@ pub fn analyze(events: &[TraceEvent]) -> Vec<MessageCritPath> {
             self_ns,
             span_ns,
             dominant,
-            closed,
+            closed: chain.closed(),
         });
     }
     out

@@ -6,7 +6,7 @@
 //! Pieces:
 //!
 //! * **Streaming SLO windows** ([`HealthEngine::observe_rpc`]) — per-tenant,
-//!   per-RPC-class latency/goodput/error accumulators, rotated into a
+//!   per-RPC-class latency/ok/error accumulators, rotated into a
 //!   bounded ring of per-tick buckets on every telemetry tick. Quantiles
 //!   over "the last N ticks" are exact log2-bucket merges
 //!   ([`crate::HistogramSnapshot`]), available during the run. Rules scope
@@ -14,9 +14,11 @@
 //!   can alert on exactly the workload that is burning its budget.
 //! * **Rule engine** ([`HealthRule`]) — multi-window burn-rate and tail-latency
 //!   rules over the SLO windows, capacity-saturation rules with hysteresis
-//!   over the registered telemetry probes, and counter-rate rules (protocol
-//!   errors, path deaths, fault-symptom drops). The stall watchdog feeds in
-//!   as one more rule family via [`HealthEngine::note_stalls`], keeping its
+//!   over the registered telemetry probes that declare a capacity (the only
+//!   capacity watcher: installing one that matches no such probe panics),
+//!   and counter-rate rules (protocol errors, path deaths, fault-symptom
+//!   drops). The stall watchdog's chain stalls feed in as one more rule
+//!   family via [`HealthEngine::note_stalls`], keeping its
 //!   `watchdog.stalls` counter semantics untouched.
 //! * **Alert lifecycle** — per (rule, scope) state machine: a breach must
 //!   persist `for_ticks` consecutive ticks to fire and stay healthy
@@ -110,7 +112,8 @@ pub enum RuleKind {
     },
     /// Capacity saturation with hysteresis, one scope per matching probe:
     /// every registered probe with a declared capacity whose name equals
-    /// `probe_suffix` or ends in `.probe_suffix` participates. While idle
+    /// `probe_suffix` or ends in `.probe_suffix` participates (at least one
+    /// must exist when the rule is installed). While idle
     /// the scope breaches at `value ≥ capacity × fire_ppm / 1e6`; while
     /// firing it is healthy only at `value ≤ capacity × clear_ppm / 1e6` —
     /// levels in between hold the current state, so a level flapping around
@@ -345,7 +348,6 @@ struct ClassBucket {
     hist: HistogramSnapshot,
     ok: u64,
     err: u64,
-    bytes: u64,
 }
 
 impl ClassBucket {
@@ -354,27 +356,16 @@ impl ClassBucket {
             hist: HistogramSnapshot::empty(),
             ok: 0,
             err: 0,
-            bytes: 0,
         }
     }
 
-    fn record(&mut self, ok: bool, latency_ns: u64, bytes: u64) {
-        self.hist.min = if self.hist.count == 0 {
-            latency_ns
-        } else {
-            self.hist.min.min(latency_ns)
-        };
-        self.hist.count += 1;
-        self.hist.sum = self.hist.sum.saturating_add(latency_ns);
-        self.hist.max = self.hist.max.max(latency_ns);
-        let b = (64 - latency_ns.leading_zeros()) as usize;
-        self.hist.buckets[b] += 1;
+    fn record(&mut self, ok: bool, latency_ns: u64) {
+        self.hist.record(latency_ns);
         if ok {
             self.ok += 1;
         } else {
             self.err += 1;
         }
-        self.bytes = self.bytes.saturating_add(bytes);
     }
 }
 
@@ -496,11 +487,27 @@ impl HealthEngine {
     }
 
     /// Install `rules` and register the `health.*` instruments. Call once
-    /// per run, before traffic starts; a second call replaces nothing and
-    /// panics — a run has exactly one rule set or none.
-    pub fn install(&self, rules: Vec<HealthRule>, metrics: &Metrics) {
+    /// per run, after every probe is registered in `series` and before
+    /// traffic starts; a second call replaces nothing and panics — a run has
+    /// exactly one rule set or none. A saturation rule whose suffix matches
+    /// no probe with a declared capacity would never evaluate, so it panics
+    /// too.
+    pub fn install(&self, rules: Vec<HealthRule>, metrics: &Metrics, series: &TimeSeries) {
         let mut st = self.state.lock().expect("health poisoned");
         assert!(st.is_none(), "health rules already installed for this run");
+        let probes = series.snapshot().series;
+        for r in &rules {
+            if let RuleKind::Saturation { probe_suffix, .. } = &r.kind {
+                assert!(
+                    probes
+                        .iter()
+                        .any(|p| p.capacity.is_some() && probe_matches(&p.name, probe_suffix)),
+                    "saturation rule {:?}: suffix {probe_suffix:?} matches no probe with a \
+                     declared capacity",
+                    r.name
+                );
+            }
+        }
         let mut max_window = 1u32;
         let mut rate_rings = Vec::with_capacity(rules.len());
         for r in &rules {
@@ -544,13 +551,13 @@ impl HealthEngine {
     /// request): fold one RPC outcome into the open SLO bucket of its
     /// tenant and class.
     #[inline]
-    pub fn observe_rpc(&self, tenant: u8, op_class: u8, ok: bool, latency_ns: u64, bytes: u64) {
+    pub fn observe_rpc(&self, tenant: u8, op_class: u8, ok: bool, latency_ns: u64) {
         if !self.armed() {
             return;
         }
         let mut st = self.state.lock().expect("health poisoned");
         if let Some(st) = st.as_mut() {
-            st.windows.open[tenant_idx(tenant)][class_idx(op_class)].record(ok, latency_ns, bytes);
+            st.windows.open[tenant_idx(tenant)][class_idx(op_class)].record(ok, latency_ns);
         }
     }
 
@@ -567,13 +574,12 @@ impl HealthEngine {
         }
     }
 
-    /// Watchdog bridge: each stall the watchdog reports becomes an
-    /// immediately-firing alert under the `watchdog.chain` /
-    /// `watchdog.pegged` rule family. The watchdog keeps its own
+    /// Watchdog bridge: each chain stall the watchdog reports becomes an
+    /// immediately-firing `watchdog.chain` alert. The watchdog keeps its own
     /// `watchdog.stalls` counter and stderr/flight-recorder behavior; this
     /// only adds the alert-lifecycle view. Stall alerts never resolve — a
-    /// wedged chain or a capacity-pegged probe past the watchdog threshold
-    /// is an incident, not a transient.
+    /// chain silent past the watchdog budget is an incident, not a
+    /// transient.
     pub fn note_stalls(&self, now_ns: u64, stalls: &[Stall], tracer: &MsgTracer) {
         if !self.armed() || stalls.is_empty() {
             return;
@@ -582,14 +588,9 @@ impl HealthEngine {
         let Some(st) = guard.as_mut() else {
             return;
         };
-        for s in stalls {
-            let (rule, scope) = match s {
-                Stall::Chain { origin, msg_id, .. } => (
-                    "watchdog.chain".to_string(),
-                    format!("origin{origin}.msg{msg_id}"),
-                ),
-                Stall::Pegged { probe, .. } => ("watchdog.pegged".to_string(), probe.clone()),
-            };
+        for Stall { origin, msg_id, .. } in stalls {
+            let rule = "watchdog.chain".to_string();
+            let scope = format!("origin{origin}.msg{msg_id}");
             st.c_fired.inc();
             st.g_firing.add(1);
             emit_instant(tracer, stage::HEALTH_FIRING, &rule, &scope, now_ns);
@@ -672,12 +673,8 @@ impl HealthEngine {
                     clear_ppm,
                 } => {
                     series.for_each_latest(|name, _node, capacity, value| {
-                        let matches = name == probe_suffix
-                            || (name.len() > probe_suffix.len()
-                                && name.ends_with(probe_suffix.as_str())
-                                && name.as_bytes()[name.len() - probe_suffix.len() - 1] == b'.');
                         let Some(cap) = capacity else { return };
-                        if !matches || cap == 0 {
+                        if cap == 0 || !probe_matches(name, probe_suffix) {
                             return;
                         }
                         let v = u128::from(value) * 1_000_000;
@@ -871,6 +868,13 @@ impl HealthEngine {
     }
 }
 
+/// Does a saturation rule's `suffix` select probe `name`? It must equal
+/// the name or end it after a `.`.
+fn probe_matches(name: &str, suffix: &str) -> bool {
+    name.strip_suffix(suffix)
+        .is_some_and(|head| head.is_empty() || head.ends_with('.'))
+}
+
 /// Scope label for an SLO-window rule: `all`, `scan`, `t1.all`,
 /// `t2.scan`. Tenant ids are folded the same way the windows fold them,
 /// so the label always names the bucket actually watched.
@@ -893,9 +897,6 @@ fn emit_instant(
     scope: &str,
     now_ns: u64,
 ) {
-    if !tracer.enabled() {
-        return;
-    }
     let node = scope
         .strip_prefix('n')
         .and_then(|rest| rest.split('.').next())
@@ -937,11 +938,7 @@ pub struct AlertReport {
 fn latency_summary(out: &mut String, values: &[u64]) {
     let mut hist = HistogramSnapshot::empty();
     for &v in values {
-        hist.min = if hist.count == 0 { v } else { hist.min.min(v) };
-        hist.count += 1;
-        hist.sum = hist.sum.saturating_add(v);
-        hist.max = hist.max.max(v);
-        hist.buckets[(64 - v.leading_zeros()) as usize] += 1;
+        hist.record(v);
     }
     let _ = write!(
         out,
@@ -1085,17 +1082,25 @@ mod tests {
     use super::*;
 
     fn engine_with(rules: Vec<HealthRule>) -> (HealthEngine, Metrics, TimeSeries, MsgTracer) {
+        engine_on(TimeSeries::new(), rules)
+    }
+
+    /// Install `rules` over `ts`, whose probes are already registered.
+    fn engine_on(
+        ts: TimeSeries,
+        rules: Vec<HealthRule>,
+    ) -> (HealthEngine, Metrics, TimeSeries, MsgTracer) {
         let m = Metrics::new();
         let h = HealthEngine::new();
-        h.install(rules, &m);
-        (h, m, TimeSeries::new(), MsgTracer::new())
+        h.install(rules, &m, &ts);
+        (h, m, ts, MsgTracer::new())
     }
 
     #[test]
     fn unarmed_engine_registers_nothing_and_ignores_hooks() {
         let h = HealthEngine::new();
         assert!(!h.armed());
-        h.observe_rpc(0, 0, true, 100, 32);
+        h.observe_rpc(0, 0, true, 100);
         h.observe_error(0, 1);
         assert!(h.is_silent());
         let report = h.report("unit", "clean", 7, &[]);
@@ -1115,7 +1120,7 @@ mod tests {
         // Healthy traffic: plenty of events, no errors.
         for _ in 0..6 {
             for _ in 0..10 {
-                h.observe_rpc(0, 0, true, 5_000, 32);
+                h.observe_rpc(0, 0, true, 5_000);
             }
             tick(&h, &mut t);
         }
@@ -1123,7 +1128,7 @@ mod tests {
         // All-error traffic: breach persists, fires after for_ticks = 2.
         for i in 0..6 {
             for _ in 0..10 {
-                h.observe_rpc(0, 0, false, 5_000, 0);
+                h.observe_rpc(0, 0, false, 5_000);
             }
             tick(&h, &mut t);
             if i == 0 {
@@ -1141,7 +1146,7 @@ mod tests {
         // healthy evaluations resolve it.
         for _ in 0..10 {
             for _ in 0..10 {
-                h.observe_rpc(0, 0, true, 5_000, 32);
+                h.observe_rpc(0, 0, true, 5_000);
             }
             tick(&h, &mut t);
         }
@@ -1157,7 +1162,7 @@ mod tests {
         let (h, _m, ts, tr) = engine_with(vec![rule]);
         // 100% errors but below min_events: never fires.
         for i in 0..8 {
-            h.observe_rpc(0, 0, false, 1_000, 0);
+            h.observe_rpc(0, 0, false, 1_000);
             h.on_tick((i + 1) * 10_000, &ts, &tr);
         }
         assert!(h.is_silent(), "insufficient data never breaches");
@@ -1170,15 +1175,15 @@ mod tests {
         let (h, _m, ts, tr) = engine_with(vec![rule]);
         for i in 0..4 {
             for _ in 0..5 {
-                h.observe_rpc(0, 2, true, 50_000, 8192); // 50 µs scans: fine
-                h.observe_rpc(0, 0, true, 9_000_000, 32); // slow GETs: other class
+                h.observe_rpc(0, 2, true, 50_000); // 50 µs scans: fine
+                h.observe_rpc(0, 0, true, 9_000_000); // slow GETs: other class
             }
             h.on_tick((i + 1) * 10_000, &ts, &tr);
         }
         assert!(h.is_silent(), "class filter keeps slow GETs out of scope");
         for i in 4..8 {
             for _ in 0..5 {
-                h.observe_rpc(0, 2, true, 8_000_000, 8192); // 8 ms scans
+                h.observe_rpc(0, 2, true, 8_000_000); // 8 ms scans
             }
             h.on_tick((i + 1) * 10_000, &ts, &tr);
         }
@@ -1195,8 +1200,8 @@ mod tests {
         // Tenant 0 burns its entire budget; tenant 1 is healthy → silent.
         for i in 0..4u64 {
             for _ in 0..10 {
-                h.observe_rpc(0, 0, false, 1_000, 0);
-                h.observe_rpc(1, 0, true, 1_000, 32);
+                h.observe_rpc(0, 0, false, 1_000);
+                h.observe_rpc(1, 0, true, 1_000);
             }
             h.on_tick((i + 1) * 10_000, &ts, &tr);
         }
@@ -1204,7 +1209,7 @@ mod tests {
         // Tenant 1 burns → fires with a tenant-scoped label.
         for i in 4..8u64 {
             for _ in 0..10 {
-                h.observe_rpc(1, 0, false, 1_000, 0);
+                h.observe_rpc(1, 0, false, 1_000);
             }
             h.on_tick((i + 1) * 10_000, &ts, &tr);
         }
@@ -1222,14 +1227,15 @@ mod tests {
     fn saturation_hysteresis_holds_between_thresholds() {
         let rule = HealthRule::saturation("queue-sat", "mcp.send_queue", 900_000, 400_000)
             .with_lifecycle(2, 2);
-        let (h, _m, ts, tr) = engine_with(vec![rule]);
         let level = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         let l2 = level.clone();
+        let ts = TimeSeries::new();
         ts.register("n3.mcp.send_queue", 3, Some(100), move |_| {
             l2.load(std::sync::atomic::Ordering::Relaxed)
         });
         // An unrelated probe with capacity must not create a scope.
         ts.register("n3.nic.sram_used", 3, Some(100), |_| 100);
+        let (h, _m, ts, tr) = engine_on(ts, vec![rule]);
         let mut t = 0u64;
         let step = |h: &HealthEngine, lvl: u64, t: &mut u64| {
             level.store(lvl, std::sync::atomic::Ordering::Relaxed);
@@ -1275,31 +1281,40 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(
+        expected = "saturation rule \"pinned_full\": suffix \"kmod.pinned_bytes\" \
+                               matches no probe with a declared capacity"
+    )]
+    fn saturation_rule_matching_no_capacity_probe_is_refused() {
+        // `kmod.pinned_bytes` declares no capacity, so a saturation rule on
+        // it could never evaluate; its sibling `kmod.pinned_pages` can.
+        let ts = TimeSeries::new();
+        ts.register("n0.kmod.pinned_bytes", 0, None, |_| 0);
+        ts.register("n0.kmod.pinned_pages", 0, Some(65_536), |_| 0);
+        let rule = |suffix| HealthRule::saturation("pinned_full", suffix, 900_000, 500_000);
+        let m = Metrics::new();
+        HealthEngine::new().install(vec![rule("kmod.pinned_pages")], &m, &ts);
+        HealthEngine::new().install(vec![rule("kmod.pinned_bytes")], &m, &ts);
+    }
+
+    #[test]
     fn stalls_become_firing_alerts() {
         let (h, m, _ts, tr) = engine_with(vec![]);
         h.note_stalls(
             1_000,
-            &[
-                Stall::Chain {
-                    origin: 2,
-                    msg_id: 9,
-                    age_ns: 500,
-                },
-                Stall::Pegged {
-                    probe: "n1.nic.sram_used".to_string(),
-                    capacity: 64,
-                    streak: 12,
-                },
-            ],
+            &[Stall {
+                origin: 2,
+                msg_id: 9,
+                age_ns: 500,
+            }],
             &tr,
         );
         let alerts = h.alerts();
-        assert_eq!(alerts.len(), 2);
+        assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].rule, "watchdog.chain");
         assert_eq!(alerts[0].scope, "origin2.msg9");
-        assert_eq!(alerts[1].rule, "watchdog.pegged");
-        assert_eq!(m.get("health.alerts_fired"), 2);
-        assert_eq!(h.active_count(), 2, "stall alerts never resolve");
+        assert_eq!(m.get("health.alerts_fired"), 1);
+        assert_eq!(h.active_count(), 1, "stall alerts never resolve");
     }
 
     #[test]
@@ -1307,10 +1322,10 @@ mod tests {
         let rule = HealthRule::burn_rate("burn", None, 1_000, 1, 2, 4, 1_000_000);
         let (h, _m, ts, tr) = engine_with(vec![rule]);
         // Tick 1: two GETs; tick 2: one PUT; tick 3: empty.
-        h.observe_rpc(0, 0, true, 100, 32);
-        h.observe_rpc(0, 0, true, 300, 32);
+        h.observe_rpc(0, 0, true, 100);
+        h.observe_rpc(0, 0, true, 300);
         h.on_tick(10_000, &ts, &tr);
-        h.observe_rpc(0, 1, true, 200, 32);
+        h.observe_rpc(0, 1, true, 200);
         h.on_tick(20_000, &ts, &tr);
         h.on_tick(30_000, &ts, &tr);
         // Empty window: deterministic zeros, no NaN.
@@ -1403,9 +1418,9 @@ mod tests {
     #[should_panic(expected = "already installed")]
     fn double_install_panics() {
         let m = Metrics::new();
-        let h = HealthEngine::new();
-        h.install(vec![], &m);
-        h.install(vec![], &m);
+        let (h, ts) = (HealthEngine::new(), TimeSeries::new());
+        h.install(vec![], &m, &ts);
+        h.install(vec![], &m, &ts);
     }
 
     #[test]
@@ -1414,7 +1429,7 @@ mod tests {
         let _h = HealthEngine::new();
         assert!(!m.counter_values().contains_key("health.alerts_fired"));
         let h2 = HealthEngine::new();
-        h2.install(vec![], &m);
+        h2.install(vec![], &m, &TimeSeries::new());
         assert!(m.counter_values().contains_key("health.alerts_fired"));
         assert_eq!(m.get("health.evals"), 0);
     }

@@ -118,41 +118,20 @@ impl Gauge {
 /// bucket 0 holds the value 0. u64 needs 65.
 const HIST_BUCKETS: usize = 65;
 
-#[derive(Clone)]
-struct HistState {
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    buckets: [u64; HIST_BUCKETS],
-}
-
 /// A log2-bucketed histogram of u64 samples (latencies in ns, sizes in
 /// bytes). Cloning shares the underlying cell. Recording takes a short
 /// uncontended mutex — use it for per-message events, not per-byte ones.
 #[derive(Clone)]
-pub struct Histogram(Arc<Mutex<HistState>>);
+pub struct Histogram(Arc<Mutex<HistogramSnapshot>>);
 
 impl Histogram {
     fn new() -> Self {
-        Histogram(Arc::new(Mutex::new(HistState {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: [0; HIST_BUCKETS],
-        })))
+        Histogram(Arc::new(Mutex::new(HistogramSnapshot::empty())))
     }
 
     /// Record one sample.
     pub fn record(&self, v: u64) {
-        let mut st = self.0.lock().expect("histogram poisoned");
-        st.count += 1;
-        st.sum = st.sum.saturating_add(v);
-        st.min = st.min.min(v);
-        st.max = st.max.max(v);
-        let bucket = (64 - v.leading_zeros()) as usize;
-        st.buckets[bucket] += 1;
+        self.0.lock().expect("histogram poisoned").record(v);
     }
 
     /// Number of samples recorded.
@@ -161,14 +140,7 @@ impl Histogram {
     }
 
     fn snap(&self) -> HistogramSnapshot {
-        let st = self.0.lock().expect("histogram poisoned").clone();
-        HistogramSnapshot {
-            count: st.count,
-            sum: st.sum,
-            min: if st.count == 0 { 0 } else { st.min },
-            max: st.max,
-            buckets: st.buckets.to_vec(),
-        }
+        self.0.lock().expect("histogram poisoned").clone()
     }
 }
 
@@ -348,6 +320,16 @@ impl HistogramSnapshot {
             max: 0,
             buckets: vec![0; HIST_BUCKETS],
         }
+    }
+
+    /// Record one sample: the one recording loop behind [`Histogram`] and
+    /// the health engine's SLO windows.
+    pub fn record(&mut self, v: u64) {
+        self.min = if self.count == 0 { v } else { self.min.min(v) };
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
+        self.max = self.max.max(v);
+        self.buckets[(64 - v.leading_zeros()) as usize] += 1;
     }
 
     /// Fold `other` into `self`, bucket by bucket. The merge is **exact**:

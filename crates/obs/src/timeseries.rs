@@ -17,9 +17,9 @@
 //!   virtual timestamps only) so fixed seeds produce byte-identical files,
 //!   and feed Perfetto counter tracks
 //!   ([`crate::trace::to_chrome_json_with_counters`]).
-//! * Probes with a declared capacity track how many *consecutive* samples
-//!   sat at or above it — the stall watchdog's "pegged" signal
-//!   ([`crate::watchdog`]).
+//! * A probe's declared capacity is the level at which its resource is
+//!   *full*: what the health engine's `saturation` rules
+//!   ([`crate::health`]) compare its latest sample against.
 //!
 //! Sampling closures run under the registry lock and must not call back
 //! into the [`TimeSeries`] they are registered with.
@@ -48,17 +48,12 @@ struct Probe {
     sample: SampleFn,
     ring: VecDeque<(u64, u64)>,
     evicted: u64,
-    /// Consecutive samples at/above `capacity` (0 when capacity is None).
-    pegged_streak: u32,
-    /// The watchdog already reported this probe as pegged.
-    pegged_flagged: bool,
 }
 
 struct Inner {
     probes: Vec<Probe>,
     ring_capacity: usize,
     samples_taken: u64,
-    last_sample_ns: u64,
 }
 
 /// The probe registry plus the bounded sample rings. One per simulation,
@@ -86,7 +81,6 @@ impl TimeSeries {
                 probes: Vec::new(),
                 ring_capacity: ring_capacity.max(1),
                 samples_taken: 0,
-                last_sample_ns: 0,
             }),
         }
     }
@@ -94,7 +88,8 @@ impl TimeSeries {
     /// Register a probe. `sample` is called with the current virtual time
     /// in nanoseconds at every sampling tick and must be cheap and
     /// side-effect-free. `capacity` (when known) declares the level at
-    /// which the resource is *full*, enabling pegged-at-capacity detection.
+    /// which the resource is *full*; `saturation` rules watch only probes
+    /// that declare one.
     ///
     /// Panics on a duplicate name: probe names are the JSON identity and
     /// must be unique per run.
@@ -119,8 +114,6 @@ impl TimeSeries {
             sample: Box::new(sample),
             ring: VecDeque::with_capacity(cap.min(1024)),
             evicted: 0,
-            pegged_streak: 0,
-            pegged_flagged: false,
         });
     }
 
@@ -140,7 +133,6 @@ impl TimeSeries {
         let mut inner = self.inner.lock().expect("timeseries poisoned");
         let ring_capacity = inner.ring_capacity;
         inner.samples_taken += 1;
-        inner.last_sample_ns = now_ns;
         for p in inner.probes.iter_mut() {
             let v = (p.sample)(now_ns);
             if p.ring.len() >= ring_capacity {
@@ -148,15 +140,6 @@ impl TimeSeries {
                 p.evicted += 1;
             }
             p.ring.push_back((now_ns, v));
-            match p.capacity {
-                Some(cap) if cap > 0 && v >= cap => {
-                    p.pegged_streak = p.pegged_streak.saturating_add(1)
-                }
-                _ => {
-                    p.pegged_streak = 0;
-                    p.pegged_flagged = false;
-                }
-            }
         }
     }
 
@@ -172,23 +155,6 @@ impl TimeSeries {
                 f(&p.name, p.node, p.capacity, v);
             }
         }
-    }
-
-    /// Probes that have now been at/above their declared capacity for at
-    /// least `min_samples` consecutive samples and were not yet reported.
-    /// Each probe is returned once per continuous pegged episode (the flag
-    /// rearms when the probe drops below capacity). Returns
-    /// `(name, capacity, streak)` tuples.
-    pub fn newly_pegged(&self, min_samples: u32) -> Vec<(String, u64, u32)> {
-        let mut inner = self.inner.lock().expect("timeseries poisoned");
-        let mut out = Vec::new();
-        for p in inner.probes.iter_mut() {
-            if !p.pegged_flagged && p.capacity.is_some() && p.pegged_streak >= min_samples.max(1) {
-                p.pegged_flagged = true;
-                out.push((p.name.clone(), p.capacity.unwrap_or(0), p.pegged_streak));
-            }
-        }
-        out
     }
 
     /// Point-in-time copy of every probe's ring, sorted by probe name.
@@ -526,35 +492,6 @@ mod tests {
         assert_eq!(q.points, vec![(7, 7), (8, 8), (9, 9)]);
         assert_eq!(q.evicted, 7);
         assert_eq!(s.samples_taken, 10);
-    }
-
-    #[test]
-    fn pegged_detection_requires_consecutive_samples() {
-        let ts = TimeSeries::new();
-        let level = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(8));
-        let l2 = level.clone();
-        ts.register("full", 0, Some(8), move |_| {
-            l2.load(std::sync::atomic::Ordering::Relaxed)
-        });
-        ts.sample_all(0);
-        ts.sample_all(1);
-        assert!(ts.newly_pegged(3).is_empty(), "streak of 2 < 3");
-        // A dip resets the streak.
-        level.store(0, std::sync::atomic::Ordering::Relaxed);
-        ts.sample_all(2);
-        level.store(9, std::sync::atomic::Ordering::Relaxed);
-        ts.sample_all(3);
-        ts.sample_all(4);
-        assert!(ts.newly_pegged(3).is_empty(), "streak restarted after dip");
-        ts.sample_all(5);
-        let pegged = ts.newly_pegged(3);
-        assert_eq!(pegged.len(), 1);
-        assert_eq!(pegged[0].0, "full");
-        assert_eq!(pegged[0].1, 8);
-        assert_eq!(pegged[0].2, 3);
-        // Reported once per episode.
-        ts.sample_all(6);
-        assert!(ts.newly_pegged(3).is_empty());
     }
 
     #[test]

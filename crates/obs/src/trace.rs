@@ -14,12 +14,15 @@
 //! * [`TraceEvent`] — one typed record (span with begin/end, or instant)
 //!   tagged with layer, node, message identity, sequence number and bytes.
 //! * [`MsgTracer`] — bounded per-node ring buffers holding the most recent
-//!   events. Always armed (cheap: one atomic load when disabled, one short
-//!   uncontended mutex per event when enabled) so it doubles as a *flight
-//!   recorder*: [`MsgTracer::dump_once`] prints the rings to stderr on the
-//!   first sim panic or protocol error.
+//!   events. Always armed (one short uncontended mutex per admitted event;
+//!   [`SampleSpec`] decides which messages are admitted) so it doubles as a
+//!   *flight recorder*: [`MsgTracer::dump_once`] prints the rings to stderr
+//!   on the first sim panic or protocol error.
 //! * [`to_chrome_json`] — Chrome trace-event / Perfetto JSON exporter, one
 //!   process per node and one thread per layer.
+//! * [`chains`] — groups events by [`TraceId`] into per-message [`Chain`]s;
+//!   the checker, the stage histograms, the critical path and the stall
+//!   watchdog all read chains through it, so "closed" means one thing.
 //! * [`check_completeness`] — walks every message's causal chain and
 //!   asserts it is *closed*: the send reaches a completion poll or a
 //!   counted drop, every retransmission is attributed to a previously
@@ -457,7 +460,6 @@ struct NodeRing {
 }
 
 struct TracerInner {
-    enabled: AtomicBool,
     capacity: AtomicUsize,
     dumped: AtomicBool,
     /// Sampling state, split into atomics so the record path never takes a
@@ -477,8 +479,9 @@ struct TracerInner {
 pub const DEFAULT_RING_CAPACITY: usize = 8192;
 
 /// Bounded per-node ring buffers of [`TraceEvent`]s. Cloning shares the
-/// underlying rings. Enabled by default so the flight recorder is always
-/// armed; disable for perf-sensitive sweeps with [`MsgTracer::set_enabled`].
+/// underlying rings. Always recording, so the flight recorder is always
+/// armed; perf-sensitive runs sample messages out with
+/// [`MsgTracer::set_sampling`].
 #[derive(Clone)]
 pub struct MsgTracer {
     inner: Arc<TracerInner>,
@@ -500,7 +503,6 @@ impl MsgTracer {
     pub fn with_capacity(capacity: usize) -> Self {
         MsgTracer {
             inner: Arc::new(TracerInner {
-                enabled: AtomicBool::new(true),
                 capacity: AtomicUsize::new(capacity.max(1)),
                 dumped: AtomicBool::new(false),
                 sample_rate_ppm: AtomicU32::new(1_000_000),
@@ -509,17 +511,6 @@ impl MsgTracer {
                 rings: Mutex::new(BTreeMap::new()),
             }),
         }
-    }
-
-    /// Is recording on? Hot paths check this before building an event.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turn recording on/off (rings are kept either way).
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Per-node ring capacity.
@@ -566,12 +557,9 @@ impl MsgTracer {
     }
 
     /// Record one event into its node's ring, evicting the oldest entry
-    /// when full. No-op while disabled; while a sampling spec is installed,
-    /// events of unadmitted messages are counted and dropped.
+    /// when full. While a sampling spec is installed, events of unadmitted
+    /// messages are counted and dropped.
     pub fn record(&self, ev: TraceEvent) {
-        if !self.enabled() {
-            return;
-        }
         if !self.sampling().admits(ev.trace) {
             self.inner.sampled_out.fetch_add(1, Ordering::Relaxed);
             return;
@@ -979,43 +967,78 @@ pub fn is_terminal(stage_name: &str) -> bool {
     )
 }
 
-/// Walk each message's causal chain and check it is closed and within the
-/// architecture's crossing budget. Chains tagged [`TraceId::NONE`] are
-/// skipped (they are unattributable by construction). Trap/interrupt
-/// budgets apply only to chains that injected fragments — purely
-/// intra-node messages never trap by design.
-pub fn check_completeness(events: &[TraceEvent], policy: &ChainPolicy) -> CompletenessReport {
-    let mut chains: BTreeMap<TraceId, Vec<&TraceEvent>> = BTreeMap::new();
-    for ev in events {
-        if ev.trace.is_none() {
-            continue;
-        }
-        chains.entry(ev.trace).or_default().push(ev);
-    }
+/// One message's causal chain, as grouped by [`chains`].
+#[derive(Debug)]
+pub struct Chain<'a> {
+    /// The message.
+    pub trace: TraceId,
+    /// Its events, in input order.
+    pub events: Vec<&'a TraceEvent>,
+    /// Its earliest-starting [`stage::SEND`], when one was recorded.
+    pub send: Option<&'a TraceEvent>,
+    /// Its first [`is_terminal`] event in input order, when it reached one.
+    pub terminal: Option<&'a TraceEvent>,
+    /// End time of its newest event.
+    pub last_ns: u64,
+}
 
+impl Chain<'_> {
+    /// Did the chain reach a completion or a counted drop?
+    pub fn closed(&self) -> bool {
+        self.terminal.is_some()
+    }
+}
+
+/// Group `events` by [`TraceId`] into per-message chains, ordered by id.
+/// [`TraceId::NONE`] events are unattributable by construction and belong
+/// to no chain.
+pub fn chains(events: &[TraceEvent]) -> Vec<Chain<'_>> {
+    let mut by_id: BTreeMap<TraceId, Chain<'_>> = BTreeMap::new();
+    for ev in events.iter().filter(|ev| !ev.trace.is_none()) {
+        let c = by_id.entry(ev.trace).or_insert_with(|| Chain {
+            trace: ev.trace,
+            events: Vec::new(),
+            send: None,
+            terminal: None,
+            last_ns: 0,
+        });
+        c.events.push(ev);
+        c.last_ns = c.last_ns.max(ev.end_ns);
+        if ev.stage == stage::SEND && c.send.is_none_or(|s| ev.start_ns < s.start_ns) {
+            c.send = Some(ev);
+        }
+        if c.terminal.is_none() && is_terminal(&ev.stage) {
+            c.terminal = Some(ev);
+        }
+    }
+    by_id.into_values().collect()
+}
+
+/// Walk each message's causal chain and check it is closed and within the
+/// architecture's crossing budget. Trap/interrupt budgets apply only to
+/// chains that injected fragments — purely intra-node messages never trap
+/// by design.
+pub fn check_completeness(events: &[TraceEvent], policy: &ChainPolicy) -> CompletenessReport {
     let mut report = CompletenessReport::default();
-    for (trace, evs) in chains {
+    for chain in chains(events) {
+        let trace = chain.trace;
         let mut summary = ChainSummary {
             trace,
-            events: evs.len(),
-            has_send: false,
+            events: chain.events.len(),
+            has_send: chain.send.is_some(),
             injects: 0,
             retransmissions: 0,
             hops: 0,
             traps: 0,
             interrupts: 0,
-            terminal: None,
+            terminal: chain.terminal.map(|ev| ev.stage.clone()),
         };
         let mut inject_seqs: BTreeSet<u32> = BTreeSet::new();
         let mut retx_seqs: Vec<u32> = Vec::new();
-        let mut send_start: Option<u64> = None;
+        let send_start = chain.send.map(|ev| ev.start_ns);
         let mut first_inject: Option<u64> = None;
-        for ev in &evs {
+        for ev in &chain.events {
             match ev.stage.as_ref() {
-                stage::SEND => {
-                    summary.has_send = true;
-                    send_start = Some(send_start.map_or(ev.start_ns, |t| t.min(ev.start_ns)));
-                }
                 stage::INJECT => {
                     summary.injects += 1;
                     inject_seqs.insert(ev.seq);
@@ -1029,9 +1052,6 @@ pub fn check_completeness(events: &[TraceEvent], policy: &ChainPolicy) -> Comple
                 stage::TRAP => summary.traps += 1,
                 stage::INTERRUPT => summary.interrupts += 1,
                 _ => {}
-            }
-            if summary.terminal.is_none() && is_terminal(ev.stage.as_ref()) {
-                summary.terminal = Some(ev.stage.clone());
             }
         }
 
@@ -1125,12 +1145,6 @@ pub const STAGE_HISTOGRAMS: [&str; 5] = [
 /// completion-queue DMA finishing and the user poll consuming it
 /// (`trace.cq_wait_ns`). Returns the number of chains measured.
 pub fn record_stage_histograms(events: &[TraceEvent], metrics: &Metrics) -> usize {
-    let mut chains: BTreeMap<TraceId, Vec<&TraceEvent>> = BTreeMap::new();
-    for ev in events {
-        if !ev.trace.is_none() {
-            chains.entry(ev.trace).or_default().push(ev);
-        }
-    }
     let trap = metrics.histogram("trace.trap_ns");
     let inject = metrics.histogram("trace.inject_ns");
     let wire = metrics.histogram("trace.wire_ns");
@@ -1138,10 +1152,9 @@ pub fn record_stage_histograms(events: &[TraceEvent], metrics: &Metrics) -> usiz
     let cq_wait = metrics.histogram("trace.cq_wait_ns");
 
     let mut measured = 0usize;
-    for evs in chains.values() {
-        let has_send = evs.iter().any(|e| e.stage == stage::SEND);
-        let injects = evs.iter().any(|e| e.stage == stage::INJECT);
-        if !has_send || !injects {
+    for chain in chains(events) {
+        let evs = &chain.events;
+        if chain.send.is_none() || !evs.iter().any(|e| e.stage == stage::INJECT) {
             continue;
         }
         measured += 1;
@@ -1220,21 +1233,6 @@ mod tests {
         assert_eq!(evs[3].start_ns, 9);
         assert_eq!(tr.total_recorded(), 10);
         assert_eq!(tr.total_evicted(), 6);
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let tr = MsgTracer::new();
-        tr.set_enabled(false);
-        tr.record(TraceEvent::instant(
-            id(2),
-            0,
-            TraceLayer::Mcp,
-            stage::HOP,
-            1,
-        ));
-        assert!(tr.events().is_empty());
-        assert_eq!(tr.total_recorded(), 0);
     }
 
     #[test]

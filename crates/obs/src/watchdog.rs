@@ -1,28 +1,27 @@
 //! Stall watchdog: turns "the simulation silently degraded" into a
 //! first-class, dumped, counted event.
 //!
-//! Two stall signals, both checked from the simulator's telemetry tick:
+//! One stall signal, checked from the simulator's telemetry tick: a traced
+//! message recorded an [`stage::SEND`](crate::trace::stage::SEND) but no
+//! terminal stage, and has been *silent* — no event of its chain — for
+//! longer than a configurable sim-time budget. The budget measures silence
+//! since the chain's newest event, not its age: a live go-back-N loop
+//! records an `mcp:retx` every retransmission timeout (300 µs by default),
+//! so it stays invisible to any budget above that.
 //!
-//! 1. **Open chain over budget** — a traced message recorded an
-//!    [`stage::SEND`](crate::trace::stage::SEND) but no terminal stage, and
-//!    its newest event is older than a configurable sim-time budget. A
-//!    wedged retransmission loop keeps generating events, so the chain
-//!    stays in the ring while never closing — exactly the livelock shape a
-//!    deadlock detector misses.
-//! 2. **Probe pegged at capacity** — a telemetry probe with a declared
-//!    capacity sat at/above it for M consecutive samples
-//!    ([`TimeSeries::newly_pegged`]).
+//! A resource at its capacity is load, not a fault: runs that want an
+//! alert on it install a `saturation` rule ([`crate::health`]).
 //!
 //! On the first stall the watchdog dumps the flight recorder
 //! ([`MsgTracer::dump_once`]) and the last telemetry window to stderr;
-//! every distinct stalled chain/probe increments the `watchdog.stalls`
-//! counter exactly once, so clean runs can assert `watchdog.stalls == 0`.
+//! every distinct stalled chain increments the `watchdog.stalls` counter
+//! exactly once, so clean runs can assert `watchdog.stalls == 0`.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use crate::timeseries::TimeSeries;
-use crate::trace::{is_terminal, stage, MsgTracer, TraceId};
+use crate::trace::{chains, MsgTracer};
 use crate::{Counter, Metrics};
 
 /// Stall thresholds. The defaults are deliberately generous: they must stay
@@ -34,9 +33,6 @@ pub struct WatchdogConfig {
     /// Flag a chain whose newest event is older than this and which never
     /// reached a terminal stage (virtual nanoseconds).
     pub chain_budget_ns: u64,
-    /// Flag a probe at/above its capacity for this many consecutive
-    /// samples.
-    pub pegged_samples: u32,
     /// Run the (comparatively expensive) checks every N sampling ticks.
     pub check_every: u32,
 }
@@ -47,44 +43,30 @@ impl Default for WatchdogConfig {
             // 250 ms of virtual time: ~250× the longest clean message
             // lifetime observed across the repro harnesses.
             chain_budget_ns: 250_000_000,
-            // At the default 10 µs period: ~5 ms continuously full.
-            pegged_samples: 512,
             check_every: 50,
         }
     }
 }
 
 struct WatchState {
-    flagged_chains: std::collections::BTreeSet<(u32, u32)>,
+    flagged_chains: BTreeSet<(u32, u32)>,
     telemetry_dumped: bool,
 }
 
-/// One detected stall, reported by [`Watchdog::check`]. The telemetry
-/// driver forwards these to the health engine, where they surface as
-/// immediately-firing `watchdog.*` alerts; the `watchdog.stalls` counter
-/// and the stderr/flight-recorder response are unchanged.
+/// One detected stall, reported by [`Watchdog::check`]: a traced message
+/// chain recorded a send but no terminal stage and has been silent past the
+/// budget. The telemetry driver forwards these to the health engine, where
+/// they surface as immediately-firing `watchdog.chain` alerts; the
+/// `watchdog.stalls` counter and the stderr/flight-recorder response are
+/// unchanged.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Stall {
-    /// A traced message chain recorded a send but no terminal stage and has
-    /// been silent past the budget.
-    Chain {
-        /// Origin node of the stuck message.
-        origin: u32,
-        /// Message id within the origin.
-        msg_id: u32,
-        /// Sim-time since the chain's newest event.
-        age_ns: u64,
-    },
-    /// A capacity probe sat at/above its declared capacity for the
-    /// configured number of consecutive samples.
-    Pegged {
-        /// Probe name (e.g. `n3.nic.sram_used`).
-        probe: String,
-        /// Declared capacity.
-        capacity: u64,
-        /// Consecutive samples at/above capacity.
-        streak: u32,
-    },
+pub struct Stall {
+    /// Origin node of the stuck message.
+    pub origin: u32,
+    /// Message id within the origin.
+    pub msg_id: u32,
+    /// Sim-time since the chain's newest event.
+    pub age_ns: u64,
 }
 
 /// The stall detector. One per simulation, driven by the telemetry tick.
@@ -103,15 +85,10 @@ impl Watchdog {
             cfg,
             stalls: metrics.counter("watchdog.stalls"),
             state: Mutex::new(WatchState {
-                flagged_chains: std::collections::BTreeSet::new(),
+                flagged_chains: BTreeSet::new(),
                 telemetry_dumped: false,
             }),
         }
-    }
-
-    /// Configured thresholds.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.cfg
     }
 
     /// Stalls counted so far.
@@ -119,36 +96,20 @@ impl Watchdog {
         self.stalls.get()
     }
 
-    /// Run both stall checks at virtual time `now_ns`. Returns the *new*
-    /// stalls (each distinct chain/probe is reported once).
+    /// Check for open chains silent past the budget at virtual time
+    /// `now_ns`. Returns the *new* stalls (each distinct chain is reported
+    /// once). A chain whose SEND survives in the bounded ring is by
+    /// construction recent enough to judge; once the SEND is evicted the
+    /// chain is skipped (eviction is oldest-first, so a terminal can never
+    /// be evicted before its send).
     pub fn check(&self, now_ns: u64, tracer: &MsgTracer, series: &TimeSeries) -> Vec<Stall> {
         let mut new_stalls = Vec::new();
-
-        // Signal 1: open chains over budget. A chain whose SEND survives in
-        // the bounded ring is by construction recent enough to judge; once
-        // the SEND is evicted the chain is skipped (eviction is
-        // oldest-first, so a terminal can never be evicted before its
-        // send).
         let events = tracer.events();
-        let mut chains: BTreeMap<TraceId, (bool, bool, u64)> = BTreeMap::new();
-        for ev in &events {
-            if ev.trace.is_none() {
+        for chain in chains(&events) {
+            if chain.send.is_none() || chain.closed() {
                 continue;
             }
-            let e = chains.entry(ev.trace).or_insert((false, false, 0));
-            if ev.stage.as_ref() == stage::SEND {
-                e.0 = true;
-            }
-            if is_terminal(ev.stage.as_ref()) {
-                e.1 = true;
-            }
-            e.2 = e.2.max(ev.end_ns);
-        }
-        for (trace, (has_send, closed, last_ns)) in chains {
-            if !has_send || closed {
-                continue;
-            }
-            let age = now_ns.saturating_sub(last_ns);
+            let (trace, age) = (chain.trace, now_ns.saturating_sub(chain.last_ns));
             if age <= self.cfg.chain_budget_ns {
                 continue;
             }
@@ -158,7 +119,7 @@ impl Watchdog {
             };
             if fresh {
                 self.stalls.inc();
-                new_stalls.push(Stall::Chain {
+                new_stalls.push(Stall {
                     origin: trace.origin,
                     msg_id: trace.msg_id,
                     age_ns: age,
@@ -173,25 +134,6 @@ impl Watchdog {
                     series,
                 );
             }
-        }
-
-        // Signal 2: probes pegged at capacity. `newly_pegged` reports each
-        // probe once per continuous episode.
-        for (name, cap, streak) in series.newly_pegged(self.cfg.pegged_samples) {
-            self.stalls.inc();
-            self.trip(
-                &format!(
-                    "watchdog: probe {name} pegged at capacity {cap} for \
-                     {streak} consecutive samples at t={now_ns} ns"
-                ),
-                tracer,
-                series,
-            );
-            new_stalls.push(Stall::Pegged {
-                probe: name,
-                capacity: cap,
-                streak,
-            });
         }
         new_stalls
     }
@@ -217,7 +159,7 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{TraceEvent, TraceLayer};
+    use crate::trace::{stage, TraceEvent, TraceId, TraceLayer};
 
     fn open_chain(tracer: &MsgTracer, msg: u32, at_ns: u64) {
         let t = TraceId::new(0, msg);
@@ -250,7 +192,6 @@ mod tests {
         let wd = Watchdog::new(
             WatchdogConfig {
                 chain_budget_ns: 1_000,
-                pegged_samples: 4,
                 check_every: 1,
             },
             &m,
@@ -262,7 +203,7 @@ mod tests {
         assert!(
             matches!(
                 stalls[0],
-                Stall::Chain {
+                Stall {
                     origin: 0,
                     msg_id: 2,
                     ..
@@ -287,7 +228,6 @@ mod tests {
         let wd = Watchdog::new(
             WatchdogConfig {
                 chain_budget_ns: 1_000,
-                pegged_samples: 4,
                 check_every: 1,
             },
             &m,
@@ -306,31 +246,52 @@ mod tests {
     }
 
     #[test]
-    fn pegged_probe_counts_as_stall() {
+    fn chain_signal_measures_silence_since_newest_event() {
         let m = Metrics::new();
         let tracer = MsgTracer::new();
         let ts = TimeSeries::new();
-        ts.register("n0.sram", 0, Some(8), |_| 8);
         let wd = Watchdog::new(
             WatchdogConfig {
                 chain_budget_ns: 1_000_000,
-                pegged_samples: 3,
                 check_every: 1,
             },
             &m,
         );
-        for t in 0..3u64 {
-            ts.sample_all(t * 10);
+        // A live go-back-N loop: the chain never closes, but it records an
+        // `mcp:retx` every 300 µs (the default retransmit timeout). Open for
+        // 6 ms, it is never 1 ms silent, so it is never flagged.
+        open_chain(&tracer, 2, 0);
+        let mut last = 0;
+        for k in 1..=20u64 {
+            last = k * 300_000;
+            tracer.record(
+                TraceEvent::span(
+                    TraceId::new(0, 2),
+                    0,
+                    TraceLayer::Mcp,
+                    stage::RETX,
+                    last,
+                    last + 50,
+                )
+                .with_seq(0),
+            );
+            assert!(
+                wd.check(last + 299_000, &tracer, &ts).is_empty(),
+                "retx {k}"
+            );
         }
-        let stalls = wd.check(30, &tracer, &ts);
-        assert_eq!(stalls.len(), 1);
-        assert!(
-            matches!(&stalls[0], Stall::Pegged { probe, capacity: 8, .. } if probe == "n0.sram"),
-            "stall identifies the probe: {stalls:?}"
+        assert_eq!(wd.stalls(), 0);
+        // The retransmissions stop: flagged once the silence passes 1 ms.
+        assert!(wd.check(last + 1_000_000, &tracer, &ts).is_empty());
+        let stalls = wd.check(last + 1_100_000, &tracer, &ts);
+        assert_eq!(
+            stalls,
+            [Stall {
+                origin: 0,
+                msg_id: 2,
+                age_ns: 1_100_000 - 50,
+            }]
         );
         assert_eq!(wd.stalls(), 1);
-        // Still pegged — but the episode was already reported.
-        ts.sample_all(40);
-        assert!(wd.check(50, &tracer, &ts).is_empty());
     }
 }

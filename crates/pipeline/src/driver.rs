@@ -263,14 +263,11 @@ fn run_fetch_stage(
 /// Unattributable instant on the trace's pipeline stages (the driver's
 /// node), mirroring the health-lifecycle pattern.
 fn instant(ctx: &ActorCtx, node: u32, stage_name: &'static str) {
-    let sim = ctx.sim();
-    if sim.msg_trace().enabled() {
-        sim.trace_event(TraceEvent::instant(
-            TraceId::NONE,
-            node,
-            TraceLayer::Rpc,
-            stage_name,
-            ctx.now().as_ns(),
-        ));
-    }
+    ctx.sim().trace_event(TraceEvent::instant(
+        TraceId::NONE,
+        node,
+        TraceLayer::Rpc,
+        stage_name,
+        ctx.now().as_ns(),
+    ));
 }

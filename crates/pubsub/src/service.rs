@@ -215,16 +215,13 @@ impl PubSubService {
                 DeliveryKind::Shed | DeliveryKind::Evicted => (FLAG_SHED, &[][..]),
             };
             if wire_flags & FLAG_SHED != 0 {
-                let sim = ctx.sim();
-                if sim.msg_trace().enabled() {
-                    sim.trace_event(TraceEvent::instant(
-                        TraceId::NONE,
-                        self.node,
-                        TraceLayer::Rpc,
-                        stage::PUBSUB_SHED,
-                        ctx.now().as_ns(),
-                    ));
-                }
+                ctx.sim().trace_event(TraceEvent::instant(
+                    TraceId::NONE,
+                    self.node,
+                    TraceLayer::Rpc,
+                    stage::PUBSUB_SHED,
+                    ctx.now().as_ns(),
+                ));
             }
             let Some(&dst) = self.addrs.get(&d.sub) else {
                 // A subscriber we never saw an address for cannot happen

@@ -158,8 +158,7 @@ impl RpcClient {
             format!("n{node}.p{}.rpc.inflight", addr.port.0),
             node,
             // No declared capacity: the bound is the arena (asserted via
-            // the gauge high-water), and a full arena is client-side
-            // admission control, not a stalled resource.
+            // the gauge high-water), and no saturation rule watches it.
             None,
             move |_| probe.load(Ordering::Relaxed),
         );
@@ -505,23 +504,19 @@ impl RpcClient {
             p.op_class,
             status == RpcStatus::Ok,
             now.since(p.issued).as_ns(),
-            payload.len() as u64,
         );
         if let Some(msg) = p.first_msg {
-            let sim = ctx.sim();
-            if sim.msg_trace().enabled() {
-                sim.trace_event(
-                    TraceEvent::span(
-                        TraceId::new(self.node, msg),
-                        self.node,
-                        TraceLayer::Rpc,
-                        stage::RPC_CALL,
-                        p.issued.as_ns(),
-                        now.as_ns(),
-                    )
-                    .with_bytes(payload.len() as u64),
-                );
-            }
+            ctx.sim().trace_event(
+                TraceEvent::span(
+                    TraceId::new(self.node, msg),
+                    self.node,
+                    TraceLayer::Rpc,
+                    stage::RPC_CALL,
+                    p.issued.as_ns(),
+                    now.as_ns(),
+                )
+                .with_bytes(payload.len() as u64),
+            );
         }
         out.push(RpcCompletion {
             token: p.token,
@@ -542,15 +537,12 @@ impl RpcClient {
         let Some(msg) = p.first_msg else {
             return;
         };
-        let sim = ctx.sim();
-        if sim.msg_trace().enabled() {
-            sim.trace_event(TraceEvent::instant(
-                TraceId::new(self.node, msg),
-                self.node,
-                TraceLayer::Rpc,
-                stage_name,
-                ctx.now().as_ns(),
-            ));
-        }
+        ctx.sim().trace_event(TraceEvent::instant(
+            TraceId::new(self.node, msg),
+            self.node,
+            TraceLayer::Rpc,
+            stage_name,
+            ctx.now().as_ns(),
+        ));
     }
 }

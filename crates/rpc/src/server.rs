@@ -187,11 +187,10 @@ impl RpcServer {
         ctx.sim().timeseries().register(
             format!("n{node}.p{}.rpc.srv_queue", addr.port.0),
             node,
-            // Deliberately no declared capacity: under overload the bounded
-            // queue legitimately sits at `queue_cap` for long stretches
-            // while shedding, which the watchdog's pegged-probe heuristic
-            // would misread as a stall. Boundedness is asserted through the
-            // `rpc.srv_queue_depth` gauge high-water instead.
+            // No declared capacity: under overload the bounded queue
+            // legitimately sits at `queue_cap` for long stretches while
+            // shedding, and no saturation rule watches it. Boundedness is
+            // asserted through the `rpc.srv_queue_depth` gauge high-water.
             None,
             move |_| probe.load(Ordering::Relaxed),
         );
@@ -362,7 +361,9 @@ impl RpcServer {
             self.c_bad_frames.inc();
             return;
         }
-        let trace = (ev.msg_id.is_multiple_of(2) && ctx.sim().msg_trace().enabled())
+        let trace = ev
+            .msg_id
+            .is_multiple_of(2)
             .then(|| TraceId::new(ev.src.node.0, ev.msg_id));
         // Resolve the admission contract: open world (no policies) trusts
         // the frame's priority against the global bound only; a policy

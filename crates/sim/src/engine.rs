@@ -656,10 +656,13 @@ impl Sim {
     }
 
     /// Install a health rule set, arming the engine and registering its
-    /// `health.*` instruments. Call once per run, before traffic starts
-    /// (the cluster builder does this when a spec carries rules).
+    /// `health.*` instruments. Call once per run, after every probe is
+    /// registered and before traffic starts (the cluster builder does this
+    /// when a spec carries rules).
     pub fn install_health(&self, rules: Vec<suca_obs::health::HealthRule>) {
-        self.inner.health.install(rules, &self.inner.metrics);
+        self.inner
+            .health
+            .install(rules, &self.inner.metrics, &self.inner.timeseries);
     }
 
     /// Enable/disable the engine self-profiler. While on, the scheduler counts

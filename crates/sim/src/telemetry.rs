@@ -26,7 +26,7 @@ use crate::time::SimDuration;
 pub struct TelemetryConfig {
     /// Virtual time between probe samples.
     pub sample_period: SimDuration,
-    /// Stall thresholds (chain budget, pegged-sample count, check cadence).
+    /// Stall thresholds (chain budget, check cadence).
     pub watchdog: WatchdogConfig,
 }
 
@@ -149,6 +149,28 @@ mod tests {
             sim.timeseries().snapshot().to_json()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn full_resource_is_watched_by_saturation_not_the_watchdog() {
+        let sim = Sim::new(1);
+        sim.timeseries()
+            .register("n0.nic.sram_used", 0, Some(64), |_| 64);
+        sim.install_health(vec![suca_obs::health::HealthRule::saturation(
+            "sram_full",
+            "nic.sram_used",
+            900_000,
+            500_000,
+        )]);
+        // Held at capacity for over 10x the 512 samples (10 µs apart) the
+        // watchdog once counted as a stall.
+        sim.schedule_in(SimDuration::from_us(5_200 * 10), |_| {});
+        sim.start_telemetry(TelemetryConfig::default());
+        sim.run();
+        assert!(sim.timeseries().samples_taken() >= 5_120);
+        assert_eq!(sim.get_count("watchdog.stalls"), 0, "load is not a stall");
+        assert_eq!(sim.health().fired_count(), 1, "one saturation alert");
+        assert_eq!(sim.health().alerts()[0].scope, "n0.nic.sram_used");
     }
 
     #[test]
