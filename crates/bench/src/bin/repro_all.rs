@@ -1,4 +1,4 @@
-//! Run every table/figure harness and print the full reproduction report.
+//! Run every harness of `suca_bench::HARNESSES` and print the full reproduction report.
 //! `cargo run -p suca-bench --release --bin repro_all`
 //!
 //! Each instrumented harness drops a metrics snapshot into

@@ -1,8 +1,11 @@
 //! # suca-bench — paper-reproduction harnesses
 //!
-//! Measurement functions plus one binary per table/figure of the paper
-//! (see `src/bin/`). Criterion benches on the simulator itself live in
-//! `benches/`.
+//! Measurement functions plus the harness binaries (see `src/bin/`): one,
+//! `paper`, for the paper's whole evaluation — every table and figure, each
+//! quantity measured once, byte-checked against the committed ledger
+//! `BENCH_stack.json` — and one per extension (ablations, contention,
+//! tracing, SLOs, chaos, engine and collective scaling). Criterion benches
+//! on the simulator itself live in `benches/`.
 //!
 //! Each harness binary asserts its own invariants on the typed reports it
 //! builds and exits non-zero when one breaks; those asserts are the only
@@ -42,21 +45,12 @@ pub enum Tier {
 macro_rules! harnesses {
     ($with:ident) => {
         $with! {
-            table1_architectures Tier1,
-            fig5_tx_timeline Tier1,
-            fig6_rx_timeline Tier1,
-            fig7_oneway_timeline Tier1,
-            fig8_latency Tier1,
-            fig9_bandwidth Tier1,
-            table2_protocols Tier1,
-            table3_mpi_pvm Tier1,
-            overheads Tier1,
+            paper Tier1,
             // 6.5 s in release, 43 s in debug (thousands of paced
             // messages per ablation-4 cell with the flight recorder on).
             ablations ReleaseOnly,
             congestion Tier1,
             trace_export Tier1,
-            telemetry Tier1,
             rpc_slo Tier1,
             chaos_slo Tier1,
             // 19.4 s in release, 82 s in debug. Its base invariants run

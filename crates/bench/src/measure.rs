@@ -8,12 +8,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use suca_cluster::ClusterSpec;
+use suca_cluster::{ClusterSpec, ProcessEnv};
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig};
 use suca_pvm::{PvmConfig, PvmTask};
 use suca_sim::critpath::{self, BucketReport};
-use suca_sim::{RunOutcome, Sim, TraceEvent, TraceId};
+use suca_sim::{ActorCtx, RunOutcome, Sim, TraceEvent, TraceId};
 
 use crate::report::stage_rows;
 
@@ -24,6 +24,58 @@ pub enum Layer {
     Mpi,
     /// PVM over BCL.
     Pvm,
+}
+
+/// One rank of a two-rank MPI or PVM job: the two calls the measurements
+/// make, on either layer.
+enum Rank {
+    Mpi(Comm),
+    Pvm(PvmTask),
+}
+
+impl Rank {
+    fn open(layer: Layer, ctx: &mut ActorCtx, env: &ProcessEnv, uni: Universe, rank: u32) -> Rank {
+        let (bcl, proc) = (&env.node.bcl, &env.proc);
+        match layer {
+            Layer::Mpi => Rank::Mpi(Comm::init(
+                ctx,
+                bcl,
+                proc,
+                uni,
+                rank,
+                MpiConfig::dawning3000(),
+            )),
+            Layer::Pvm => Rank::Pvm(PvmTask::enroll(
+                ctx,
+                bcl,
+                proc,
+                uni,
+                rank,
+                PvmConfig::dawning3000(),
+            )),
+        }
+    }
+
+    fn send(&self, ctx: &mut ActorCtx, dst: u32, tag: i32, data: &[u8]) {
+        match self {
+            Rank::Mpi(comm) => comm.send(ctx, dst, tag, data),
+            Rank::Pvm(task) => {
+                task.initsend().pack_bytes(data);
+                task.send(ctx, dst, tag);
+            }
+        }
+    }
+
+    /// Receive the next message from `src` with `tag`; its payload length.
+    fn recv(&self, ctx: &mut ActorCtx, src: u32, tag: i32) -> usize {
+        match self {
+            Rank::Mpi(comm) => comm.recv(ctx, src as i32, tag).data.len(),
+            Rank::Pvm(task) => {
+                let mut m = task.recv(ctx, src as i32, tag);
+                m.buf.unpack_bytes().expect("a packed byte array").len()
+            }
+        }
+    }
 }
 
 /// Mean one-way latency (µs) at the given layer. `intra` puts both ranks on
@@ -43,57 +95,19 @@ pub fn layer_one_way_us(layer: Layer, intra: bool, size: usize, warmup: u32, ite
         let send_t = send_t.clone();
         let recv_t = recv_t.clone();
         let node = if rank == 0 { 0 } else { dst_node };
-        cluster.spawn_process(node, format!("lat{rank}"), move |ctx, env| match layer {
-            Layer::Mpi => {
-                let comm = Comm::init(
-                    ctx,
-                    &env.node.bcl,
-                    &env.proc,
-                    uni,
-                    rank,
-                    MpiConfig::dawning3000(),
-                );
-                let payload = vec![0x44u8; size];
+        cluster.spawn_process(node, format!("lat{rank}"), move |ctx, env| {
+            let me = Rank::open(layer, ctx, &env, uni, rank);
+            let payload = vec![0x44u8; size];
+            for _ in 0..total {
                 if rank == 0 {
-                    for _ in 0..total {
-                        send_t.lock().push(ctx.now().as_us());
-                        comm.send(ctx, 1, 1, &payload);
-                        let _ = comm.recv(ctx, 1, 2); // pacing reply
-                    }
+                    send_t.lock().push(ctx.now().as_us());
+                    me.send(ctx, 1, 1, &payload);
+                    me.recv(ctx, 1, 2); // pacing reply
                 } else {
-                    for _ in 0..total {
-                        let m = comm.recv(ctx, 0, 1);
-                        recv_t.lock().push(ctx.now().as_us());
-                        assert_eq!(m.data.len(), size);
-                        comm.send(ctx, 0, 2, b"");
-                    }
-                }
-            }
-            Layer::Pvm => {
-                let task = PvmTask::enroll(
-                    ctx,
-                    &env.node.bcl,
-                    &env.proc,
-                    uni,
-                    rank,
-                    PvmConfig::dawning3000(),
-                );
-                let payload = vec![0x44u8; size];
-                if rank == 0 {
-                    for _ in 0..total {
-                        send_t.lock().push(ctx.now().as_us());
-                        task.initsend().pack_bytes(&payload);
-                        task.send(ctx, 1, 1);
-                        let _ = task.recv(ctx, 1, 2);
-                    }
-                } else {
-                    for _ in 0..total {
-                        let mut m = task.recv(ctx, 0, 1);
-                        recv_t.lock().push(ctx.now().as_us());
-                        assert_eq!(m.buf.unpack_bytes().unwrap().len(), size);
-                        task.initsend().pack_bytes(b"");
-                        task.send(ctx, 0, 2);
-                    }
+                    let len = me.recv(ctx, 0, 1);
+                    recv_t.lock().push(ctx.now().as_us());
+                    assert_eq!(len, size);
+                    me.send(ctx, 0, 2, b"");
                 }
             }
         });
@@ -125,56 +139,21 @@ pub fn layer_bandwidth_mbps(layer: Layer, intra: bool, size: usize, count: u32) 
         let t0 = t0.clone();
         let t1 = t1.clone();
         let node = if rank == 0 { 0 } else { dst_node };
-        cluster.spawn_process(node, format!("bw{rank}"), move |ctx, env| match layer {
-            Layer::Mpi => {
-                let comm = Comm::init(
-                    ctx,
-                    &env.node.bcl,
-                    &env.proc,
-                    uni,
-                    rank,
-                    MpiConfig::dawning3000(),
-                );
-                let payload = vec![0x55u8; size];
-                if rank == 0 {
-                    // Warmup message starts the clock at its completion.
-                    comm.send(ctx, 1, 1, &payload);
-                    *t0.lock() = ctx.now().as_us();
-                    for _ in 1..count {
-                        comm.send(ctx, 1, 1, &payload);
-                    }
-                } else {
-                    let _ = comm.recv(ctx, 0, 1);
-                    for _ in 1..count {
-                        let _ = comm.recv(ctx, 0, 1);
-                    }
-                    *t1.lock() = ctx.now().as_us();
+        cluster.spawn_process(node, format!("bw{rank}"), move |ctx, env| {
+            let me = Rank::open(layer, ctx, &env, uni, rank);
+            let payload = vec![0x55u8; size];
+            if rank == 0 {
+                // Warmup message starts the clock at its completion.
+                me.send(ctx, 1, 1, &payload);
+                *t0.lock() = ctx.now().as_us();
+                for _ in 1..count {
+                    me.send(ctx, 1, 1, &payload);
                 }
-            }
-            Layer::Pvm => {
-                let task = PvmTask::enroll(
-                    ctx,
-                    &env.node.bcl,
-                    &env.proc,
-                    uni,
-                    rank,
-                    PvmConfig::dawning3000(),
-                );
-                let payload = vec![0x55u8; size];
-                if rank == 0 {
-                    task.initsend().pack_bytes(&payload);
-                    task.send(ctx, 1, 1);
-                    *t0.lock() = ctx.now().as_us();
-                    for _ in 1..count {
-                        task.initsend().pack_bytes(&payload);
-                        task.send(ctx, 1, 1);
-                    }
-                } else {
-                    for _ in 0..count {
-                        let _ = task.recv(ctx, 0, 1);
-                    }
-                    *t1.lock() = ctx.now().as_us();
+            } else {
+                for _ in 0..count {
+                    me.recv(ctx, 0, 1);
                 }
+                *t1.lock() = ctx.now().as_us();
             }
         });
     }
@@ -202,9 +181,7 @@ pub fn traced_zero_len_run() -> TracedZeroLen {
     use suca_bcl::ChannelId;
     use suca_cluster::SimBarrier;
 
-    let spec = ClusterSpec::dawning3000(2);
-    let poll_recv = spec.bcl.poll_recv;
-    let cluster = spec.build();
+    let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
     let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
@@ -239,7 +216,7 @@ pub fn traced_zero_len_run() -> TracedZeroLen {
         .expect("the message's chain closed")
         .clone();
     TracedZeroLen {
-        rows: stage_rows(&events, poll_recv),
+        rows: stage_rows(&events),
         bucket,
         sim,
     }

@@ -5,8 +5,9 @@ use std::io;
 use std::path::PathBuf;
 
 use suca_sim::artifact::write_artifact;
+use suca_sim::critpath::BucketReport;
 use suca_sim::mtrace::stage;
-use suca_sim::{MetricsSnapshot, Sim, SimDuration, TraceEvent, TracePhase};
+use suca_sim::{MetricsSnapshot, Sim, TraceEvent};
 
 /// Host metadata for cross-machine comparability of benchmark rows:
 /// `(os, arch, rustc_version, available_threads)`. `rustc -V` is probed
@@ -96,27 +97,20 @@ const FIG_STAGES: [(&str, &str, &str); 12] = [
 /// The Fig. 5–7 rows of one message: the events of `events` (one message's
 /// chain) whose stage the figures draw, taken on the side of the transfer
 /// the figure shows it on — the sender's own completion DMA is not a
-/// row — and ordered by start time. The receive poll is traced as an
-/// instant at poll end, so its row is rebuilt as the `poll_recv` cost
-/// ending there, the way the kernel module rebuilds trap enter/exit.
-pub fn stage_rows(events: &[TraceEvent], poll_recv: SimDuration) -> Vec<TraceEvent> {
-    let mut rows: Vec<(usize, TraceEvent)> = events
+/// row — and ordered by start time.
+pub fn stage_rows(events: &[TraceEvent]) -> Vec<TraceEvent> {
+    let mut rows: Vec<(usize, &TraceEvent)> = events
         .iter()
         .filter_map(|ev| {
             let sender_side = ev.node == ev.trace.origin;
             let at = FIG_STAGES
                 .iter()
                 .position(|&(st, side, _)| st == ev.stage && (side == "tx") == sender_side)?;
-            let mut row = ev.clone();
-            if row.stage == stage::POLL_RECV {
-                row.phase = TracePhase::Span;
-                row.start_ns = row.end_ns.saturating_sub(poll_recv.as_ns());
-            }
-            Some((at, row))
+            Some((at, ev))
         })
         .collect();
     rows.sort_by_key(|(at, row)| (row.start_ns, *at));
-    rows.into_iter().map(|(_, row)| row).collect()
+    rows.into_iter().map(|(_, row)| row.clone()).collect()
 }
 
 /// `n<node>/<side> :: <paper wording>` for a figure stage; stages the
@@ -258,6 +252,86 @@ pub fn render(title: &str, rows: &[Row]) -> String {
     out
 }
 
+/// The paper ledger: every row the `paper` harness prints, plus one
+/// critical-path decomposition per Fig. 8 size, one JSON object per line
+/// under `"rows"`. The writer is deterministic, so two ledgers compare as
+/// text: [`first_difference`] is the whole reader.
+#[derive(Default)]
+pub struct Ledger {
+    lines: Vec<String>,
+}
+
+impl Ledger {
+    /// Print `rows` as the table `title` and record them under `section`.
+    pub fn table(&mut self, section: &str, title: &str, rows: &[Row]) {
+        print!("{}", render(title, rows));
+        self.record(section, rows);
+    }
+
+    /// Record rows a section prints in its own layout.
+    pub fn record(&mut self, section: &str, rows: &[Row]) {
+        for r in rows {
+            let paper = r.paper.map_or("null".to_string(), |p| p.to_string());
+            self.lines.push(format!(
+                "{{\"section\": \"{section}\", \"what\": \"{}\", \"paper\": {paper}, \
+                 \"measured\": {:.4}, \"unit\": \"{}\"}}",
+                r.what.trim(),
+                r.measured,
+                r.unit
+            ));
+        }
+    }
+
+    /// Record where the messages of `bytes` in bucket `b` spent their
+    /// summed one-way latency: per-stage critical-path self time and the
+    /// wait no stage covers, which sum back to it.
+    pub fn decomposition(&mut self, section: &str, bytes: u64, b: &BucketReport) {
+        let stages: Vec<String> = b
+            .stage_self_ns
+            .iter()
+            .map(|(stage, ns)| format!("\"{stage}\": {ns}"))
+            .collect();
+        self.lines.push(format!(
+            "{{\"section\": \"{section}\", \"bytes\": {bytes}, \"messages\": {}, \
+             \"one_way_ns\": {}, \"self_ns\": {{{}}}, \"wait_ns\": {}}}",
+            b.messages,
+            b.total_ns,
+            stages.join(", "),
+            b.wait_ns
+        ));
+    }
+
+    /// The ledger as a JSON document.
+    pub fn to_json(&self, schema: &str) -> String {
+        format!(
+            "{{\n  \"schema\": \"{schema}\",\n  \"rows\": [\n    {}\n  ]\n}}\n",
+            self.lines.join(",\n    ")
+        )
+    }
+}
+
+/// The first line where `actual` differs from `committed`, as
+/// `line N: committed `…`, measured `…``; `None` when they are equal.
+pub fn first_difference(committed: &str, actual: &str) -> Option<String> {
+    let show = |l: Option<&str>| l.map_or("<end of file>".to_string(), |l| format!("`{l}`"));
+    let (mut a, mut b) = (committed.lines(), actual.lines());
+    let mut n = 0;
+    loop {
+        n += 1;
+        match (a.next(), b.next()) {
+            (None, None) => return None,
+            (x, y) if x == y => {}
+            (x, y) => {
+                return Some(format!(
+                    "line {n}: committed {}, measured {}",
+                    show(x),
+                    show(y)
+                ))
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,5 +386,39 @@ mod tests {
         let first = text.lines().next().expect("table row");
         assert!(first.starts_with("n0/tx :: kernel: trap enter"), "{first}");
         assert!(first.ends_with("(  1.200 us)"), "{first}");
+    }
+
+    #[test]
+    fn ledger_is_valid_json_and_names_the_first_differing_line() {
+        let mut ledger = Ledger::default();
+        ledger.record("fig9", &[Row::new("peak", 146.0, 144.8153, "MB/s")]);
+        ledger.record("fig7", &[Row::new("  user-level", None, 15.2, "us")]);
+        let bucket = BucketReport {
+            label: "0 B".to_string(),
+            max_bytes: 0,
+            messages: 1,
+            total_ns: 2750,
+            wait_ns: 1000,
+            stage_self_ns: [("wire:tx", 300), ("mcp:rx", 1450)]
+                .map(|(st, ns)| (st.to_string(), ns))
+                .into(),
+            stage_span_ns: Default::default(),
+            dominant: Default::default(),
+        };
+        ledger.decomposition("fig8", 0, &bucket);
+        let json = ledger.to_json("test.v1");
+        assert_eq!(suca_sim::artifact::validate_json(&json), Ok(()), "{json}");
+        assert!(json.contains(r#""what": "peak", "paper": 146, "measured": 144.8153,"#));
+        assert!(json.contains(r#""paper": null, "measured": 15.2000,"#));
+        assert!(json.contains(r#""self_ns": {"mcp:rx": 1450, "wire:tx": 300}, "wait_ns": 1000"#));
+
+        assert_eq!(first_difference(&json, &json), None);
+        let flipped = json.replacen("144.8153", "144.8154", 1);
+        let diff = first_difference(&json, &flipped).expect("a digit moved");
+        assert!(diff.starts_with("line 4: committed `"), "{diff}");
+        let longer = format!("{json}extra\n");
+        assert!(first_difference(&json, &longer)
+            .expect("a line was added")
+            .ends_with("committed <end of file>, measured `extra`"));
     }
 }

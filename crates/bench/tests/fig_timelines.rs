@@ -1,8 +1,9 @@
 //! Pins what Figs. 5–7 draw: the stage rows of one 0-byte message on
 //! `ClusterSpec::dawning3000(2)`, read off the per-message trace.
 //!
-//! The figure bins print these rows and assert only the anchor sums; this
-//! test holds every row to the nanosecond, plus the overlaps the Fig. 7
+//! The `paper` bin prints these rows and asserts only the anchor sums; this
+//! test holds every row to the nanosecond, as recorded — the receive poll
+//! included, a span of its charged cost — plus the overlaps the Fig. 7
 //! Gantt shows, so a change to the trace stream or to the row selection
 //! cannot move a figure unnoticed.
 

@@ -11,9 +11,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use suca_bcl::{BclError, ChannelId};
-use suca_sim::{ActorCtx, RunOutcome, Signal, Sim};
+use suca_sim::critpath::{self, MessageCritPath};
+use suca_sim::{ActorCtx, RunOutcome, Signal, Sim, TraceId};
 
-use crate::builder::ClusterSpec;
+use crate::builder::{Cluster, ClusterSpec};
 
 /// A reusable rendezvous barrier for test/benchmark actors. Crossing it
 /// costs no virtual time; it only sequences setup phases.
@@ -55,15 +56,34 @@ impl SimBarrier {
 }
 
 /// Outcome of a latency measurement.
-#[derive(Clone, Debug)]
 pub struct LatencyResult {
     /// Message size in bytes.
     pub size: u64,
-    /// Mean one-way latency over the measured iterations, µs.
+    /// Mean one-way latency over the timed messages, µs.
     pub one_way_us: f64,
+    /// Summed one-way latency of the timed messages, ns: send call to the
+    /// receiver's poll return.
+    pub timed_ns: u64,
+    /// The timed messages, in send order.
+    pub timed: Vec<TraceId>,
+    /// The finished run, for callers that read its trace or write its
+    /// artifacts.
+    pub cluster: Cluster,
 }
 
-/// Measure mean one-way latency between two BCL processes.
+impl LatencyResult {
+    /// The timed messages' critical paths, in send order. Intra-node
+    /// messages are not traced, so a `src == dst` run has none.
+    pub fn critpath(&self) -> Vec<MessageCritPath> {
+        let mut paths = critpath::analyze(&self.cluster.trace_events());
+        paths.retain(|p| self.timed.contains(&p.trace));
+        paths
+    }
+}
+
+/// Measure mean one-way latency between two BCL processes: `warmup`
+/// untimed, then `iters` timed messages, each answered by a 0 B pacing
+/// reply.
 ///
 /// * `src == dst` measures the intra-node shared-memory path.
 /// * Sizes up to the system-buffer size use the system channel (as the
@@ -82,7 +102,9 @@ pub fn measure_one_way(
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
     let addr_of_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
-    let send_times = Arc::new(Mutex::new(Vec::new()));
+    // Per message: (send call, trace id) on the sender, poll return on the
+    // receiver.
+    let sends = Arc::new(Mutex::new(Vec::new()));
     let recv_times = Arc::new(Mutex::new(Vec::new()));
     let total = warmup + iters;
     let use_system = size <= system_max;
@@ -108,7 +130,7 @@ pub fn measure_one_way(
             barrier.wait(ctx);
             for _ in 0..total {
                 let ev = port.wait_recv(ctx);
-                recv_times.lock().push(ctx.now().as_us());
+                recv_times.lock().push(ctx.now().as_ns());
                 let data = port.recv_bytes(ctx, &ev).expect("recv data");
                 assert_eq!(data.len() as u64, size, "payload length corrupted");
                 if let Some(addr) = buf {
@@ -124,7 +146,7 @@ pub fn measure_one_way(
     // Sender.
     {
         let barrier = barrier.clone();
-        let send_times = send_times.clone();
+        let sends = sends.clone();
         cluster.spawn_process(src, "latency-send", move |ctx, env| {
             let port = env.open_port(ctx);
             let buf = port.alloc_buffer(size.max(1)).expect("alloc");
@@ -133,8 +155,9 @@ pub fn measure_one_way(
             barrier.wait(ctx);
             let dst_addr = addr_of_b.lock().expect("receiver opened first");
             for _ in 0..total {
-                send_times.lock().push(ctx.now().as_us());
-                port.send(ctx, dst_addr, channel, buf, size).expect("send");
+                let at = ctx.now().as_ns();
+                let id = port.send(ctx, dst_addr, channel, buf, size).expect("send");
+                sends.lock().push((at, TraceId::new(src, id)));
                 // Wait for the pacing reply before the next iteration
                 // (consuming it returns its system-pool buffer).
                 loop {
@@ -152,17 +175,20 @@ pub fn measure_one_way(
 
     assert_eq!(sim.run(), RunOutcome::Completed, "latency harness stuck");
     assert_eq!(sim.get_count("watchdog.stalls"), 0, "latency run stalled");
-    let st = send_times.lock();
-    let rt = recv_times.lock();
-    assert_eq!(st.len() as u32, total);
-    assert_eq!(rt.len() as u32, total);
-    let mut sum = 0.0;
-    for i in warmup as usize..total as usize {
-        sum += rt[i] - st[i];
-    }
+    let (sends, recv_times) = (sends.lock().split_off(warmup as usize), recv_times.lock());
+    assert_eq!(sends.len() as u32, iters);
+    assert_eq!(recv_times.len() as u32, total);
+    let timed_ns = sends
+        .iter()
+        .zip(&recv_times[warmup as usize..])
+        .map(|(&(sent, _), &got)| got - sent)
+        .sum::<u64>();
     LatencyResult {
         size,
-        one_way_us: sum / iters as f64,
+        one_way_us: timed_ns as f64 / iters as f64 / 1_000.0,
+        timed_ns,
+        timed: sends.iter().map(|&(_, id)| id).collect(),
+        cluster,
     }
 }
 

@@ -13,7 +13,7 @@ use suca_bcl::{BclConfig, ChannelId, PortId, SendStatus};
 use suca_cluster::{ClusterSpec, SanKind, SimBarrier};
 use suca_myrinet::{FabricNodeId, FaultPlan};
 use suca_sim::mtrace::{check_completeness, stage, ChainPolicy};
-use suca_sim::{RunOutcome, SimDuration, TraceEvent, TraceLayer};
+use suca_sim::{RunOutcome, SimDuration, TraceEvent, TraceLayer, TracePhase};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -121,7 +121,7 @@ fn clean_ping_pong_chain_closes_with_one_trap_no_interrupts() {
     let hop = first_at(&evs, stage::HOP).expect("hop instant");
     let rx = first_at(&evs, stage::RX).expect("rx span");
     let dma = first_at(&evs, stage::DMA_DATA).expect("data DMA span");
-    let poll = first_at(&evs, stage::POLL_RECV).expect("poll instant");
+    let poll = first_at(&evs, stage::POLL_RECV).expect("poll span");
     assert!(send <= trap, "trap happens inside the send call");
     assert!(trap <= desc, "descriptor fetch follows the trap");
     assert!(desc <= inject, "injection follows the descriptor");
@@ -135,10 +135,21 @@ fn clean_ping_pong_chain_closes_with_one_trap_no_interrupts() {
             .any(|e| e.stage.as_ref() == stage::DMA_CQ && e.node == 1),
         "receive completion must be DMA'd to the remote user queue"
     );
-    // The sender polled its own completion without another trap.
-    assert!(
+    // Each poll is a span of its charged cost; the sender polled its own
+    // completion without another trap.
+    let cfg = BclConfig::dawning3000();
+    let poll_span = |name: &str, node: u32| {
         evs.iter()
-            .any(|e| e.stage.as_ref() == stage::POLL_SEND && e.node == 0),
+            .find(|e| e.stage.as_ref() == name && e.node == node)
+            .map(|e| (e.phase, e.duration_ns()))
+    };
+    assert_eq!(
+        poll_span(stage::POLL_RECV, 1),
+        Some((TracePhase::Span, cfg.poll_recv.as_ns()))
+    );
+    assert_eq!(
+        poll_span(stage::POLL_SEND, 0),
+        Some((TracePhase::Span, cfg.poll_send.as_ns())),
         "send completion is observed by user-space polling"
     );
     assert!(

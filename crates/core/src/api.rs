@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 use suca_mem::VirtAddr;
 use suca_os::{NodeOs, OsProcess};
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{ActorCtx, Sim};
+use suca_sim::{ActorCtx, Sim, SimDuration};
 
 use crate::coll::{CollOp, CollStep};
 use crate::config::BclConfig;
@@ -255,31 +255,43 @@ impl BclPort {
         Ok(msg_id)
     }
 
-    /// Record the user-space poll instant that closes a traced chain.
-    fn trace_poll(&self, ctx: &ActorCtx, origin: u32, msg_id: u32, stage_name: &'static str) {
-        self.trace_instant(ctx, origin, msg_id, TraceLayer::Library, stage_name);
-    }
-
-    /// Record an instant on message `(origin, msg_id)`'s chain.
-    fn trace_instant(
+    /// Record `event(trace id, this node, now)` on message
+    /// `(origin, msg_id)`'s chain.
+    fn trace(
         &self,
         ctx: &ActorCtx,
         origin: u32,
         msg_id: u32,
-        layer: TraceLayer,
-        stage_name: &'static str,
+        event: impl FnOnce(TraceId, u32, u64) -> TraceEvent,
     ) {
         // Intra-node messages carry odd, node-local ids and are not traced.
-        if !msg_id.is_multiple_of(2) {
-            return;
+        if msg_id.is_multiple_of(2) {
+            let node = self.node.os.node_id.0;
+            let ev = event(TraceId::new(origin, msg_id), node, ctx.now().as_ns());
+            ctx.sim().trace_event(ev);
         }
-        ctx.sim().trace_event(TraceEvent::instant(
-            TraceId::new(origin, msg_id),
-            self.node.os.node_id.0,
-            layer,
-            stage_name,
-            ctx.now().as_ns(),
-        ));
+    }
+
+    /// Record the user-space poll that closes a traced chain: a span of the
+    /// poll's charged `cost`, ending now.
+    fn trace_poll(
+        &self,
+        ctx: &ActorCtx,
+        origin: u32,
+        msg_id: u32,
+        st: &'static str,
+        cost: SimDuration,
+    ) {
+        self.trace(ctx, origin, msg_id, |trace, node, now| {
+            TraceEvent::span(
+                trace,
+                node,
+                TraceLayer::Library,
+                st,
+                now - cost.as_ns(),
+                now,
+            )
+        });
     }
 
     /// Take one receive event. Every architecture but kernel-level polls
@@ -298,12 +310,22 @@ impl BclPort {
         let origin = ev.src.node.0;
         if cfg.arch.kernel_receive() {
             ctx.sleep(os.costs.context_switch);
-            self.trace_instant(ctx, origin, ev.msg_id, TraceLayer::Kernel, stage::TRAP);
+            self.trace(ctx, origin, ev.msg_id, |trace, node, now| {
+                TraceEvent::instant(trace, node, TraceLayer::Kernel, stage::TRAP, now)
+            });
             os.trap(ctx, |ctx| ctx.sleep(cost));
         } else {
             ctx.sleep(cost);
         }
-        self.trace_poll(ctx, origin, ev.msg_id, stage::POLL_RECV);
+        self.trace_poll(ctx, origin, ev.msg_id, stage::POLL_RECV, cost);
+    }
+
+    /// Take one send-completion event: a user-space poll (paper: 0.82 µs).
+    fn consume_send(&self, ctx: &mut ActorCtx, ev: &SendEvent) {
+        let cost = self.node.cfg.poll_send;
+        ctx.sleep(cost);
+        let node = self.node.os.node_id.0;
+        self.trace_poll(ctx, node, ev.msg_id, stage::POLL_SEND, cost);
     }
 
     /// Convenience: allocate a buffer, fill it with `data`, send it, and
@@ -371,11 +393,7 @@ impl BclPort {
     }
 
     /// Block until a receive event arrives or `timeout` elapses.
-    pub fn wait_recv_timeout(
-        &self,
-        ctx: &mut ActorCtx,
-        timeout: suca_sim::SimDuration,
-    ) -> Option<RecvEvent> {
+    pub fn wait_recv_timeout(&self, ctx: &mut ActorCtx, timeout: SimDuration) -> Option<RecvEvent> {
         let deadline = ctx.now() + timeout;
         loop {
             if let Some(ev) = self.poll_recv(ctx) {
@@ -401,8 +419,7 @@ impl BclPort {
     /// Non-blocking poll of the send completion queue (0.82 µs on success).
     pub fn poll_send(&self, ctx: &mut ActorCtx) -> Option<SendEvent> {
         let ev = self.queues.pop_send()?;
-        ctx.sleep(self.node.cfg.poll_send);
-        self.trace_poll(ctx, self.node.os.node_id.0, ev.msg_id, stage::POLL_SEND);
+        self.consume_send(ctx, &ev);
         Some(ev)
     }
 
@@ -415,8 +432,7 @@ impl BclPort {
     /// Block until a send event arrives.
     pub fn wait_send(&self, ctx: &mut ActorCtx) -> SendEvent {
         let ev = self.queues.wait_send(ctx);
-        ctx.sleep(self.node.cfg.poll_send);
-        self.trace_poll(ctx, self.node.os.node_id.0, ev.msg_id, stage::POLL_SEND);
+        self.consume_send(ctx, &ev);
         ev
     }
 
@@ -424,11 +440,7 @@ impl BclPort {
     /// backpressure twin of [`BclPort::wait_recv_timeout`]: callers that
     /// hit [`crate::BclError::RingFull`] can park here without risking an
     /// unbounded stall when completions stop flowing.
-    pub fn wait_send_timeout(
-        &self,
-        ctx: &mut ActorCtx,
-        timeout: suca_sim::SimDuration,
-    ) -> Option<SendEvent> {
+    pub fn wait_send_timeout(&self, ctx: &mut ActorCtx, timeout: SimDuration) -> Option<SendEvent> {
         let deadline = ctx.now() + timeout;
         loop {
             if let Some(ev) = self.poll_send(ctx) {

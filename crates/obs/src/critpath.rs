@@ -3,7 +3,7 @@
 //!
 //! For every traced message the analyzer computes where its end-to-end
 //! latency actually went: a timeline sweep from the `api:send` begin to the
-//! terminal stage attributes each elementary time slice to the
+//! receiver's poll return attributes each elementary time slice to the
 //! *innermost* active span (latest start wins; ties go to the span that
 //! ends first), so nested stages (`kernel:pio` inside `kernel:ioctl_send`
 //! inside `api:send`) charge only their own work and pipelined stages
@@ -33,7 +33,8 @@ pub struct MessageCritPath {
     pub bytes: u64,
     /// `api:send` begin, virtual ns.
     pub start_ns: u64,
-    /// Send begin → terminal stage end (or last event when unclosed).
+    /// Send begin → receive-poll end (the last terminal's end without a
+    /// receive poll, the last event's when unclosed).
     pub total_ns: u64,
     /// Duration of the `api:send` span (host-side overhead window).
     pub send_ns: u64,
@@ -69,13 +70,18 @@ pub fn analyze(events: &[TraceEvent]) -> Vec<MessageCritPath> {
             continue; // no root: a partial chain (e.g. the send was evicted)
         };
         let start = send.start_ns;
-        // A chain closes on its first terminal, but the sender's and the
-        // receiver's polls both are terminals: the window ends at the last.
-        let end = evs
-            .iter()
-            .filter(|e| is_terminal(e.stage.as_ref()))
-            .map(|e| e.end_ns)
-            .max()
+        // The message has arrived when the receiver's poll returns; the
+        // sender's completion poll may come any time later (in a ping-pong,
+        // after the reply). Without a receive poll the window ends at the
+        // last terminal: a failure, a counted drop or a send completion.
+        let terminal_end = |pick: fn(&str) -> bool| {
+            evs.iter()
+                .filter(|e| pick(e.stage.as_ref()))
+                .map(|e| e.end_ns)
+                .max()
+        };
+        let end = terminal_end(|st| st == stage::POLL_RECV)
+            .or_else(|| terminal_end(is_terminal))
             .unwrap_or(chain.last_ns)
             .max(start);
 
@@ -300,7 +306,7 @@ impl BottleneckReport {
         self.buckets.iter().find(|b| b.max_bytes == bound)
     }
 
-    /// Render the human-readable report the `repro_all` telemetry harness
+    /// Render the human-readable report the `paper` harness
     /// prints.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -356,7 +362,7 @@ mod tests {
     /// model): compose 470, trap enter 1100, dispatch+security 1550, pin
     /// lookup 450, descriptor PIO 2400, trap exit 1070 ⇒ host 7040; then
     /// NIC descriptor 6600 (overlapping trap exit), inject 1600, wire, rx
-    /// 1450, cq DMA 370, poll at 18300.
+    /// 1450, cq DMA 370, the 1010 ns receive poll returning at 18300.
     fn zero_b_chain() -> Vec<TraceEvent> {
         let t = TraceId::new(0, 2);
         vec![
@@ -374,7 +380,7 @@ mod tests {
             TraceEvent::span(t, 0, TraceLayer::Wire, stage::WIRE_TX, 14170, 14470).with_seq(0),
             TraceEvent::span(t, 1, TraceLayer::Mcp, stage::RX, 14470, 15920).with_seq(0),
             TraceEvent::span(t, 1, TraceLayer::Dma, stage::DMA_CQ, 15920, 16290),
-            TraceEvent::instant(t, 1, TraceLayer::Library, stage::POLL_RECV, 18300),
+            TraceEvent::span(t, 1, TraceLayer::Library, stage::POLL_RECV, 17290, 18300),
         ]
     }
 
@@ -399,12 +405,45 @@ mod tests {
         assert_eq!(p.self_time(stage::DESCRIPTOR), 12570 - 7040);
         // The api:send envelope is fully covered by its children.
         assert_eq!(p.self_time(stage::SEND), 0);
-        // Gap between cq DMA end (16290) and the poll (18300).
-        assert_eq!(p.wait_ns, 18300 - 16290);
+        // The poll is its own stage; the gap between cq DMA end (16290)
+        // and the poll's start (17290) is wait.
+        assert_eq!(p.self_time(stage::POLL_RECV), 1010);
+        assert_eq!(p.wait_ns, 17290 - 16290);
         // Self times + wait account for the whole window.
         let covered: u64 = p.self_ns.values().sum();
         assert_eq!(covered + p.wait_ns, p.total_ns);
         assert_eq!(p.dominant, stage::DESCRIPTOR);
+    }
+
+    #[test]
+    fn window_ends_at_the_receive_poll_not_the_later_send_poll() {
+        // Ping-pong: the sender polls its completion only after the reply
+        // arrives, long after the receiver polled the message.
+        let mut evs = zero_b_chain();
+        let t = evs[0].trace;
+        evs.push(TraceEvent::span(
+            t,
+            0,
+            TraceLayer::Dma,
+            stage::DMA_CQ,
+            12570,
+            12940,
+        ));
+        evs.push(TraceEvent::span(
+            t,
+            0,
+            TraceLayer::Library,
+            stage::POLL_SEND,
+            36600,
+            37420,
+        ));
+        let p = &analyze(&evs)[0];
+        assert_eq!(p.total_ns, 18300);
+        assert_eq!(p.self_time(stage::POLL_SEND), 0);
+        assert_eq!(p.self_ns.values().sum::<u64>() + p.wait_ns, 18300);
+        // Without a receive poll the last terminal still closes the window.
+        evs.retain(|e| e.stage.as_ref() != stage::POLL_RECV);
+        assert_eq!(analyze(&evs)[0].total_ns, 37420);
     }
 
     #[test]
@@ -445,7 +484,7 @@ mod tests {
             vec![
                 TraceEvent::span(t, 0, TraceLayer::Library, stage::SEND, 0, 100).with_bytes(bytes),
                 TraceEvent::span(t, 0, TraceLayer::Wire, stage::WIRE_TX, 100, 300),
-                TraceEvent::instant(t, 1, TraceLayer::Library, stage::POLL_RECV, 400),
+                TraceEvent::span(t, 1, TraceLayer::Library, stage::POLL_RECV, 300, 400),
             ]
         };
         let mut evs = mk(2, 0);
@@ -469,7 +508,14 @@ mod tests {
             TraceEvent::span(t, 0, TraceLayer::Library, stage::SEND, 0, 8000).with_bytes(65536),
             TraceEvent::span(t, 0, TraceLayer::Wire, stage::WIRE_TX, 8000, 420_000),
             TraceEvent::span(t, 1, TraceLayer::Dma, stage::DMA_DATA, 420_000, 450_000),
-            TraceEvent::instant(t, 1, TraceLayer::Library, stage::POLL_RECV, 452_000),
+            TraceEvent::span(
+                t,
+                1,
+                TraceLayer::Library,
+                stage::POLL_RECV,
+                451_000,
+                452_000,
+            ),
         ];
         let paths = analyze(&evs);
         assert_eq!(paths[0].dominant, stage::WIRE_TX);

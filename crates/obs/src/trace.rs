@@ -1141,9 +1141,9 @@ pub const STAGE_HISTOGRAMS: [&str; 5] = [
 /// Derive per-stage latency histograms from a trace: for every inter-node
 /// chain, total time in the kernel send path (`trace.trap_ns`), MCP
 /// fragment processing (`trace.inject_ns`), wire occupancy
-/// (`trace.wire_ns`), DMA (`trace.dma_ns`), and the gap between the
-/// completion-queue DMA finishing and the user poll consuming it
-/// (`trace.cq_wait_ns`). Returns the number of chains measured.
+/// (`trace.wire_ns`), DMA (`trace.dma_ns`), and the time from the
+/// completion-queue DMA finishing to the user poll returning the event, the
+/// poll's own cost included (`trace.cq_wait_ns`). Returns the number of chains measured.
 pub fn record_stage_histograms(events: &[TraceEvent], metrics: &Metrics) -> usize {
     let trap = metrics.histogram("trace.trap_ns");
     let inject = metrics.histogram("trace.inject_ns");
@@ -1179,7 +1179,7 @@ pub fn record_stage_histograms(events: &[TraceEvent], metrics: &Metrics) -> usiz
         let polled = evs
             .iter()
             .filter(|e| e.stage == stage::POLL_RECV)
-            .map(|e| e.start_ns)
+            .map(|e| e.end_ns)
             .min();
         if let (Some(done), Some(poll)) = (cq_done, polled) {
             cq_wait.record(poll.saturating_sub(done));
@@ -1210,7 +1210,7 @@ mod tests {
             TraceEvent::span(t, 1, TraceLayer::Mcp, stage::RX, 400, 450).with_seq(0),
             TraceEvent::span(t, 1, TraceLayer::Dma, stage::DMA_DATA, 450, 600),
             TraceEvent::span(t, 1, TraceLayer::Dma, stage::DMA_CQ, 600, 700),
-            TraceEvent::instant(t, 1, TraceLayer::Library, stage::POLL_RECV, 900),
+            TraceEvent::span(t, 1, TraceLayer::Library, stage::POLL_RECV, 800, 900),
         ]
     }
 
