@@ -13,6 +13,7 @@ use suca_mem::PhysMemory;
 use suca_sim::RunOutcome;
 
 const VIOLATIONS: &str = "mem.dma_lifetime_violations";
+const PIN_MISSES: &str = "kmod.pin_misses";
 
 /// `rma_write` from a scratch buffer, then overwrite the scratch — after the
 /// send completion (`wait_first`) or racing the NIC. Returns the violation
@@ -76,16 +77,18 @@ fn host_write_after_the_send_completion_is_clean() {
 }
 
 /// `rounds` ping-pong round trips between nodes 0 and 1 in which *both*
-/// directions are `send_bytes` of a 64-byte payload: two fresh pages per
-/// round trip, each freed while the NIC still has to read it. Node 1 never
-/// polls its send queue. Returns the two nodes' allocated frames after round
-/// `sample_at` and after the last round (sampled at the same point of the
-/// loop), plus the cluster for its counters.
+/// directions are `send_bytes` of a 64-byte payload, each staged in one of
+/// its port's staging buffers and free again once its completion is posted.
+/// Node 1 never polls its send queue, so its buffers come back unconsumed.
+/// Returns the two nodes' allocated frames after round `sample_at` and
+/// after the last round (sampled at the same point of the loop), the
+/// `kmod.pin_misses` count once both ports are open, and the cluster for
+/// its counters.
 fn send_bytes_ping_pong(
     spec: ClusterSpec,
     rounds: u32,
     sample_at: u32,
-) -> ([u64; 2], suca_cluster::Cluster) {
+) -> ([u64; 2], u64, suca_cluster::Cluster) {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
@@ -96,6 +99,7 @@ fn send_bytes_ping_pong(
         .map(|n| n.os.memory().clone())
         .collect();
     let samples = Arc::new(Mutex::new([0u64; 2]));
+    let misses_at_open = Arc::new(Mutex::new(0u64));
     {
         let (barrier, addr) = (barrier.clone(), addr.clone());
         cluster.spawn_process(1, "pong", move |ctx, env| {
@@ -108,13 +112,16 @@ fn send_bytes_ping_pong(
                 port.send_bytes(ctx, ev.src, ChannelId::SYSTEM, &ping)
                     .expect("pong");
             }
+            // The port, and its staging buffer, outlive the last sample.
+            barrier.wait(ctx);
         });
     }
     {
-        let samples = samples.clone();
+        let (samples, misses_at_open) = (samples.clone(), misses_at_open.clone());
         cluster.spawn_process(0, "ping", move |ctx, env| {
             let port = env.open_port(ctx);
             barrier.wait(ctx);
+            *misses_at_open.lock() = ctx.sim().get_count(PIN_MISSES);
             let dst = addr.lock().expect("pong opened first");
             for round in 1..=rounds {
                 let ping = [round as u8; 64];
@@ -130,11 +137,13 @@ fn send_bytes_ping_pong(
                     samples.lock()[1] = frames();
                 }
             }
+            barrier.wait(ctx);
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "ping-pong stuck");
     let samples = *samples.lock();
-    (samples, cluster)
+    let misses_at_open = *misses_at_open.lock();
+    (samples, misses_at_open, cluster)
 }
 
 #[test]
@@ -144,9 +153,12 @@ fn six_thousand_send_bytes_round_trips_fit_in_an_8_mib_node() {
     // 1.9 k round trips.
     let mut spec = ClusterSpec::dawning3000(2).with_trace_sampling(0);
     spec.mem_bytes = 8 << 20;
-    let ([early, late], cluster) = send_bytes_ping_pong(spec, 6_000, 100);
+    let ([early, late], misses_at_open, cluster) = send_bytes_ping_pong(spec, 6_000, 100);
     assert_eq!(early, late, "frames in use must not grow with the run");
     assert_eq!(cluster.sim.get_count(VIOLATIONS), 0);
+    // Each port's first send pins its staging buffer; every later one hits.
+    let misses = cluster.sim.get_count(PIN_MISSES) - misses_at_open;
+    assert!(misses <= 2, "{misses} pin-down misses over the run");
     // Dead pages left the pin-down table with their frames.
     let pinned: usize = cluster
         .nodes
@@ -163,7 +175,7 @@ fn six_thousand_send_bytes_round_trips_fit_in_an_8_mib_node() {
 #[ignore = "1 M messages: run in release (CI does)"]
 fn a_million_messages_keep_a_flat_frame_count() {
     let spec = ClusterSpec::dawning3000(2).with_trace_sampling(0);
-    let ([at_10k, at_1m], cluster) = send_bytes_ping_pong(spec, 500_000, 5_000);
+    let ([at_10k, at_1m], _, cluster) = send_bytes_ping_pong(spec, 500_000, 5_000);
     assert_eq!(at_10k, at_1m, "frames at message 10 k vs message 1 M");
     assert_eq!(cluster.sim.get_count(VIOLATIONS), 0);
 }

@@ -328,9 +328,16 @@ impl BclPort {
         self.trace_poll(ctx, node, ev.msg_id, stage::POLL_SEND, cost);
     }
 
-    /// Convenience: allocate a buffer, fill it with `data`, send it, and
-    /// free it — the NIC holds the pages until it has no more use for them,
-    /// whether or not the caller ever polls the completion.
+    /// Convenience: stage `data` in a library buffer and send it from there.
+    ///
+    /// A system-channel message up to a pool buffer's size is staged in one
+    /// of the port's pinned staging buffers, so after its first use a send
+    /// hits the pin-down cache. The buffer is the library's again once the
+    /// send's completion is posted — whether or not the caller ever polls
+    /// it — or at once when the send is refused. Any other message goes
+    /// through a fresh buffer, freed as soon as it is handed over: the NIC
+    /// holds the pages until it has no more use for them (a normal-channel
+    /// message can be refused after its completion and re-staged from them).
     pub fn send_bytes(
         &self,
         ctx: &mut ActorCtx,
@@ -339,10 +346,21 @@ impl BclPort {
         data: &[u8],
     ) -> Result<u32, BclError> {
         let len = data.len() as u64;
+        let staged_bytes = self.node.cfg.system_pool.buffer_bytes;
+        let send = |ctx: &mut ActorCtx, addr| {
+            self.write_buffer(addr, data)?;
+            self.send(ctx, dst, channel, addr, len)
+        };
+        if channel.kind == ChannelKind::System && len <= staged_bytes {
+            let staging = &self.queues.staging;
+            let addr = match staging.take() {
+                Some(addr) => addr,
+                None => self.alloc_buffer(staged_bytes)?,
+            };
+            return staging.send(addr, || send(ctx, addr));
+        }
         let addr = self.alloc_buffer(len)?;
-        let sent = self
-            .write_buffer(addr, data)
-            .and_then(|()| self.send(ctx, dst, channel, addr, len));
+        let sent = send(ctx, addr);
         self.free_buffer(addr, len)?;
         sent
     }
@@ -601,5 +619,17 @@ impl BclPort {
         self.node.ioctl(ctx, |ctx, kmod| {
             kmod.ioctl_close_port(ctx, &self.proc, self.id)
         })
+    }
+}
+
+impl Drop for BclPort {
+    /// The staging buffers die with the port, staged ones included: the NIC
+    /// keeps the frames it still holds until it lets go.
+    fn drop(&mut self) {
+        let bytes = self.node.cfg.system_pool.buffer_bytes;
+        for addr in self.queues.staging.drain() {
+            // Nothing to report to from a drop, which must not panic.
+            let _ = self.free_buffer(addr, bytes);
+        }
     }
 }

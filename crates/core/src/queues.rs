@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 use parking_lot::Mutex;
 
-use suca_mem::NicSegs;
+use suca_mem::{NicSegs, VirtAddr};
 use suca_sim::{ActorCtx, Gauge, Signal, Sim};
 
 use crate::port::{RecvEvent, SendEvent};
@@ -23,6 +23,9 @@ use crate::port::{RecvEvent, SendEvent};
 pub struct UserQueues {
     recv: Mutex<VecDeque<RecvEvent>>,
     send: Mutex<VecDeque<SendEvent>>,
+    /// The library's staging buffers for system-channel sends, freed by
+    /// the posting of their completions.
+    pub(crate) staging: StagingPool,
     /// Depth gauges (cluster-wide, high-water tracked): an unbounded model
     /// queue standing in for a fixed ring, so the high-water mark tells us
     /// how deep a real ring would have to be.
@@ -43,6 +46,7 @@ impl UserQueues {
         UserQueues {
             recv: Mutex::new(VecDeque::new()),
             send: Mutex::new(VecDeque::new()),
+            staging: StagingPool::default(),
             recv_depth: metrics.gauge("cq.recv_depth"),
             send_depth: metrics.gauge("cq.send_depth"),
             recv_signal: Signal::new(sim),
@@ -62,8 +66,10 @@ impl UserQueues {
         self.any_signal.notify();
     }
 
-    /// NIC side: post a send event and wake pollers.
+    /// NIC side: post a send event and wake pollers. A staging buffer the
+    /// event's send used is free from here on, consumed or not.
     pub fn push_send(&self, ev: SendEvent) {
+        self.staging.posted(ev.msg_id);
         {
             let mut q = self.send.lock();
             q.push_back(ev);
@@ -125,6 +131,76 @@ impl UserQueues {
     /// Events currently queued (recv, send) — for tests.
     pub fn depths(&self) -> (usize, usize) {
         (self.recv.lock().len(), self.send.lock().len())
+    }
+}
+
+/// Pinned staging buffers for the library's system-channel sends
+/// (`BclPort::send_bytes`; DESIGN.md §5 "Buffer lifetime"). Each is one
+/// system-pool buffer in the sender's space, so its pages stay in the
+/// kernel's pin-down table and a repeat send hits. The pool grows on demand
+/// and never shrinks: its size is the port's peak count of staged sends
+/// whose completions have not been posted.
+#[derive(Default)]
+pub(crate) struct StagingPool(Mutex<Staging>);
+
+#[derive(Default)]
+struct Staging {
+    /// Buffers ready for the next send, most recently freed last.
+    free: Vec<VirtAddr>,
+    /// Buffers whose send's completion is not yet posted, by message id.
+    held: Vec<(u32, VirtAddr)>,
+    /// Staged sends being submitted right now, and the completions posted
+    /// while any was (a send's id is known only once it returns).
+    submitting: u32,
+    posted_meanwhile: Vec<u32>,
+}
+
+impl StagingPool {
+    /// A free buffer, if the pool has one.
+    pub(crate) fn take(&self) -> Option<VirtAddr> {
+        self.0.lock().free.pop()
+    }
+
+    /// Run `send` from staging buffer `buf`, then file the buffer: held
+    /// until the send's completion is posted, or free at once when the
+    /// send was refused or its completion is already posted.
+    pub(crate) fn send<E>(
+        &self,
+        buf: VirtAddr,
+        send: impl FnOnce() -> Result<u32, E>,
+    ) -> Result<u32, E> {
+        self.0.lock().submitting += 1;
+        let sent = send();
+        let mut st = self.0.lock();
+        match sent {
+            Ok(id) if !st.posted_meanwhile.contains(&id) => st.held.push((id, buf)),
+            _ => st.free.push(buf),
+        }
+        st.submitting -= 1;
+        if st.submitting == 0 {
+            st.posted_meanwhile.clear();
+        }
+        sent
+    }
+
+    /// The completion of message `msg_id` was posted.
+    fn posted(&self, msg_id: u32) {
+        let mut st = self.0.lock();
+        if let Some(i) = st.held.iter().position(|&(id, _)| id == msg_id) {
+            let (_, buf) = st.held.swap_remove(i);
+            st.free.push(buf);
+        } else if st.submitting > 0 {
+            st.posted_meanwhile.push(msg_id);
+        }
+    }
+
+    /// Empty the pool, held buffers included; the owner frees them.
+    pub(crate) fn drain(&self) -> Vec<VirtAddr> {
+        let mut st = self.0.lock();
+        let held = std::mem::take(&mut st.held).into_iter().map(|(_, buf)| buf);
+        let mut all = std::mem::take(&mut st.free);
+        all.extend(held);
+        all
     }
 }
 
@@ -251,6 +327,43 @@ mod tests {
             assert_eq!(e.status, SendStatus::Ok);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
+    }
+
+    #[test]
+    fn a_staging_buffer_is_free_once_its_completion_is_posted() {
+        let sim = Sim::new(1);
+        let q = UserQueues::new(&sim);
+        let done = |msg_id| SendEvent {
+            msg_id,
+            status: SendStatus::Ok,
+        };
+        let (a, b) = (VirtAddr(0x1000), VirtAddr(0x2000));
+        assert_eq!(q.staging.take(), None, "the pool starts empty");
+        // Held until its completion is posted; never consumed here.
+        assert_eq!(q.staging.send(a, || Ok::<_, ()>(2)), Ok(2));
+        assert_eq!(q.staging.take(), None);
+        q.push_send(done(2));
+        assert_eq!(q.staging.take(), Some(a));
+        // A refused send gives its buffer back at once.
+        assert_eq!(q.staging.send(a, || Err(())), Err(()));
+        assert_eq!(q.staging.take(), Some(a));
+        // So does one whose completion was posted before it returned.
+        assert_eq!(
+            q.staging.send(b, || {
+                q.push_send(done(4));
+                Ok::<_, ()>(4)
+            }),
+            Ok(4)
+        );
+        assert_eq!(q.staging.take(), Some(b));
+        // Dropping the port takes held buffers too.
+        q.staging.send(a, || Ok::<_, ()>(6)).unwrap();
+        q.staging.send(b, || Ok::<_, ()>(8)).unwrap();
+        q.push_send(done(8));
+        let mut all = q.staging.drain();
+        all.sort();
+        assert_eq!(all, vec![a, b]);
+        assert_eq!(q.depths(), (0, 3), "the events stay queued for the owner");
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! agree cluster-wide: the communicator size, the element count, and the
 //! shared configuration.
 
-use suca_bcl::{CollOp, CollStep, SendStatus};
+use suca_bcl::{BclError, CollOp, CollStep, SendStatus};
 use suca_coll::{CollKind, Combine, PlanRegistry};
+use suca_mem::VirtAddr;
 use suca_sim::ActorCtx;
 
 use crate::comm::Comm;
@@ -71,6 +72,35 @@ impl Comm {
         step.ok()
     }
 
+    /// This communicator's offload payload and result buffers, one
+    /// fragment's largest contribution each.
+    fn alloc_offload_bufs(&self, ctx: &ActorCtx) -> Option<[VirtAddr; 2]> {
+        let port = self.eadi.port();
+        let bytes = self.max_coll_payload;
+        let payload = self.launch_step(
+            ctx,
+            port.alloc_buffer(bytes),
+            "mpi: no buffer for a collective payload",
+        )?;
+        let result = self.launch_step(
+            ctx,
+            port.alloc_buffer(bytes),
+            "mpi: no buffer for a collective result",
+        );
+        if result.is_none() {
+            let freed = port.free_buffer(payload, bytes);
+            self.launch_step(ctx, freed, "mpi: collective payload buffer not freed");
+        }
+        Some([payload, result?])
+    }
+
+    /// Free offload buffers from [`Comm::alloc_offload_bufs`].
+    pub(crate) fn free_offload_bufs(&self, bufs: [VirtAddr; 2]) -> Result<(), BclError> {
+        let port = self.eadi.port();
+        let [payload, result] = bufs.map(|buf| port.free_buffer(buf, self.max_coll_payload));
+        payload.and(result)
+    }
+
     /// Launch one NIC-offloaded collective and wait for its completion.
     ///
     /// Returns the final accumulator (as `f64`s) when `result_lanes > 0`,
@@ -118,19 +148,14 @@ impl Comm {
             .collect();
         let port = self.eadi.port();
         let result_len = (result_lanes * 8) as u64;
-        let payload_buf = self.launch_step(
-            ctx,
-            port.alloc_buffer(bytes),
-            "mpi: no buffer for a collective payload",
-        )?;
-        let result_buf = self.launch_step(
-            ctx,
-            port.alloc_buffer(result_len),
-            "mpi: no buffer for a collective result",
-        );
+        let bufs = match self.offload_bufs.lock().take() {
+            Some(bufs) => bufs,
+            None => self.alloc_offload_bufs(ctx)?,
+        };
+        let [payload_buf, result_buf] = bufs;
         // Stage the contribution, hand the NIC the descriptor, wait for the
         // completion, read the result back.
-        let run = |ctx: &mut ActorCtx, result_buf| {
+        let run = |ctx: &mut ActorCtx| {
             if bytes > 0 {
                 self.launch_step(
                     ctx,
@@ -175,17 +200,17 @@ impl Comm {
             )?;
             Some(bytes_to_f64s(&raw))
         };
-        // Whatever becomes of the run, the staging buffers are done with
-        // after it: the NIC keeps the pages it may still touch until it
-        // lets go of them.
-        let result = result_buf.and_then(|result_buf| {
-            let result = run(ctx, result_buf);
-            let freed = port.free_buffer(result_buf, result_len);
-            self.launch_step(ctx, freed, "mpi: collective result buffer not freed");
-            result
-        });
-        let freed = port.free_buffer(payload_buf, bytes);
-        self.launch_step(ctx, freed, "mpi: collective payload buffer not freed");
+        let result = run(ctx);
+        if result.is_some() {
+            // Kept for the next run: its pages stay in the pin-down table.
+            *self.offload_bufs.lock() = Some(bufs);
+        } else {
+            // A failed run may have left the NIC holding the pages: give
+            // them up (the NIC keeps what it may still touch) and let the
+            // next run allocate afresh.
+            let freed = self.free_offload_bufs(bufs);
+            self.launch_step(ctx, freed, "mpi: collective buffers not freed");
+        }
         result
     }
 }

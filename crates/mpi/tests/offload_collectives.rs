@@ -42,8 +42,10 @@ fn mpi_job_on(
     cluster
 }
 
-/// Offload-eligible collectives only; returns a per-rank transcript.
-fn offloaded_suite(ctx: &mut suca_sim::ActorCtx, comm: &Comm) -> Vec<u8> {
+/// Offload-eligible collectives only; returns a per-rank transcript and
+/// the cluster's `kmod.pin_misses` once every rank has run its first
+/// bcast and allreduce, then at the end.
+fn offloaded_suite(ctx: &mut suca_sim::ActorCtx, comm: &Comm) -> (Vec<u8>, [u64; 2]) {
     let me = comm.rank();
     let n = comm.size();
     let mut transcript = Vec::new();
@@ -77,6 +79,10 @@ fn offloaded_suite(ctx: &mut suca_sim::ActorCtx, comm: &Comm) -> Vec<u8> {
         })
         .collect();
     assert_eq!(summed, expect_sum, "rank {me}: allreduce sum wrong");
+    comm.barrier(ctx);
+    let misses_warm = ctx.sim().get_count("kmod.pin_misses");
+    comm.bcast_f64(ctx, 2, &mut blob);
+    assert_eq!(blob, expect, "rank {me}: second bcast_f64 payload wrong");
 
     let minned = comm.allreduce_f64(ctx, &[me as f64, 100.0 - me as f64], ReduceOp::Min);
     assert_eq!(minned, vec![0.0, 100.0 - (n - 1) as f64]);
@@ -89,7 +95,10 @@ fn offloaded_suite(ctx: &mut suca_sim::ActorCtx, comm: &Comm) -> Vec<u8> {
     }
 
     comm.barrier(ctx);
-    transcript
+    (
+        transcript,
+        [misses_warm, ctx.sim().get_count("kmod.pin_misses")],
+    )
 }
 
 #[test]
@@ -110,7 +119,10 @@ fn offloaded_collectives_correct_and_one_trap_on_both_fabrics() {
             RANKS,
             MpiConfig::dawning3000(),
             move |ctx, comm| {
-                let transcript = offloaded_suite(ctx, comm);
+                let (transcript, [warm, end]) = offloaded_suite(ctx, comm);
+                // The communicator's offload buffers stay pinned: after the
+                // first bcast and allreduce, every pin-down lookup hits.
+                assert_eq!(warm, end, "rank {}: offload pins missed", comm.rank());
                 t2.lock().push((comm.rank(), transcript));
             },
         );
@@ -186,7 +198,7 @@ fn offloaded_matches_host_reference() {
             RANKS,
             cfg,
             move |ctx, comm| {
-                let transcript = offloaded_suite(ctx, comm);
+                let (transcript, _) = offloaded_suite(ctx, comm);
                 t2.lock().push((comm.rank(), transcript));
             },
         );

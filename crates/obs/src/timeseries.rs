@@ -106,13 +106,13 @@ impl TimeSeries {
             !inner.probes.iter().any(|p| p.name == name),
             "duplicate telemetry probe {name:?}"
         );
-        let cap = inner.ring_capacity;
+        // The ring grows as samples arrive: most runs take only a few.
         inner.probes.push(Probe {
             name,
             node,
             capacity,
             sample: Box::new(sample),
-            ring: VecDeque::with_capacity(cap.min(1024)),
+            ring: VecDeque::new(),
             evicted: 0,
         });
     }
@@ -492,6 +492,23 @@ mod tests {
         assert_eq!(q.points, vec![(7, 7), (8, 8), (9, 9)]);
         assert_eq!(q.evicted, 7);
         assert_eq!(s.samples_taken, 10);
+    }
+
+    #[test]
+    fn rings_hold_nothing_until_sampled_and_grow_to_the_bound() {
+        let ts = TimeSeries::new();
+        ts.register("idle", 0, None, |_| 0);
+        let ring_capacity = |ts: &TimeSeries| ts.inner.lock().unwrap().probes[0].ring.capacity();
+        assert_eq!(ring_capacity(&ts), 0, "registration reserves no ring");
+        let bound = DEFAULT_RING_CAPACITY as u64;
+        for t in 0..bound + 2 {
+            ts.sample_all(t);
+        }
+        let snap = ts.snapshot();
+        let idle = snap.series("idle").unwrap();
+        assert_eq!(idle.points.len() as u64, bound);
+        assert_eq!(idle.points[0], (2, 0), "the oldest two were evicted");
+        assert_eq!(idle.evicted, 2);
     }
 
     #[test]
