@@ -13,9 +13,10 @@
 //!   go-back-N: the run completes, queues stay within the bound, and the
 //!   watchdog stays silent.
 //! * **loss5** — 4 nodes with 5% per-link packet drop. Go-back-N absorbs
-//!   the loss (counted retransmissions); every request still resolves
-//!   exactly once and the latency tail inflates instead of anything
-//!   hanging.
+//!   the loss (counted retransmissions), mostly at ack speed: gap acks must
+//!   draw more fast retransmits than the timer fires timeouts. Every
+//!   request still resolves exactly once and the latency tail inflates
+//!   instead of anything hanging.
 //!
 //! Reports land in `target/slo/{variant}_{fabric}.json`; the overload run
 //! also exports its Perfetto trace (RPC spans joined to BCL chains) and
@@ -281,13 +282,29 @@ fn run_loss(fabric: &str) -> (Cluster, SloReport) {
         report.watchdog_stalls, 0,
         "loss5/{fabric}: loss must not stall the pipeline"
     );
+    let (fast, timeouts) = recovery(&cluster);
+    assert!(
+        fast > timeouts,
+        "loss5/{fabric}: gap acks must repair most losses ({fast} fast retransmits, \
+         {timeouts} timeouts)"
+    );
     (cluster, report)
+}
+
+/// How go-back-N recovered: `(bcl.fast_retx, bcl.timeouts)`.
+fn recovery(cluster: &Cluster) -> (u64, u64) {
+    let sim = &cluster.sim;
+    (
+        sim.get_count("bcl.fast_retx"),
+        sim.get_count("bcl.timeouts"),
+    )
 }
 
 fn main() {
     println!("-- RPC service layer under load: SLO reports per variant x fabric\n");
 
     let mut summaries = Vec::new();
+    let mut recoveries = Vec::new();
     for fabric in ["myrinet", "mesh"] {
         let (clean_cluster, clean) = run_clean(fabric);
         clean.write().expect("write clean report");
@@ -347,6 +364,7 @@ fn main() {
         let (loss_cluster, loss) = run_loss(fabric);
         loss.write().expect("write loss report");
         emit_metrics(&loss_cluster.sim, &format!("rpc_slo_loss5_{fabric}"));
+        recoveries.push((fabric, recovery(&loss_cluster)));
         summaries.push(loss);
     }
 
@@ -372,6 +390,9 @@ fn main() {
                 r.variant, r.fabric, c.name, c.p50_us, c.p95_us, c.p99_us, c.p999_us
             );
         }
+    }
+    for (fabric, (fast, timeouts)) in recoveries {
+        println!("  loss5/{fabric} recovery: {fast} fast retransmits, {timeouts} timeouts");
     }
     println!(
         "\nrpc_slo OK: all variants accounted, deterministic, shedding bounded, watchdog \

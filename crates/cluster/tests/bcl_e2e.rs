@@ -144,6 +144,10 @@ fn b2_wait_then_send(
         .unwrap();
 }
 
+/// One 1,000 B message per local send completion. That completion comes
+/// before the ack, so a lost fragment usually has the next message right
+/// behind it and is repaired by a gap ack; only a loss at the end of the run
+/// is left to the timer. Timer-only recovery has its own test below.
 #[test]
 fn reliability_recovers_from_drops_and_corruption() {
     let mut spec = ClusterSpec::dawning3000(2);
@@ -193,6 +197,123 @@ fn reliability_recovers_from_drops_and_corruption() {
         sim.get_count("bcl.retx_packets") > 0,
         "reliability layer never retransmitted"
     );
+}
+
+/// A back-to-back stream of multi-fragment messages under 5 % loss: most
+/// losses have later fragments behind them, whose out-of-order arrivals
+/// draw gap acks, so go-back-N resends at ack speed instead of waiting out
+/// the timer.
+#[test]
+fn gap_acks_recover_most_losses_in_a_stream_without_the_timer() {
+    let mut spec = ClusterSpec::dawning3000(2);
+    if let suca_cluster::SanKind::Myrinet(ref mut cfg) = spec.san {
+        cfg.fault = FaultPlan {
+            drop_prob: 0.05,
+            corrupt_prob: 0.0,
+        };
+    }
+    let cluster = spec.build();
+    let sim = cluster.sim.clone();
+    let barrier = SimBarrier::new(&sim, 2);
+    let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    const N: u16 = 24;
+    const LEN: u64 = 32 * 1024; // 8 fragments each
+
+    let b2 = barrier.clone();
+    let ab = addr_b.clone();
+    cluster.spawn_process(1, "rx", move |ctx, env| {
+        let port = env.open_port(ctx);
+        *ab.lock() = Some(port.addr());
+        for i in 0..N {
+            port.post_recv(ctx, i, LEN).unwrap();
+        }
+        b2.wait(ctx);
+        for i in 0..N {
+            let ev = port.wait_recv(ctx);
+            assert_eq!(ev.channel, ChannelId::normal(i), "message {i} out of order");
+            let data = port.recv_bytes(ctx, &ev).unwrap();
+            assert_eq!(data, pattern(LEN as usize, i as u8), "message {i} damaged");
+        }
+    });
+    cluster.spawn_process(0, "tx", move |ctx, env| {
+        let port = env.open_port(ctx);
+        barrier.wait(ctx);
+        let dst = addr_b.lock().expect("receiver ready");
+        for i in 0..N {
+            let buf = port.alloc_buffer(LEN).unwrap();
+            port.write_buffer(buf, &pattern(LEN as usize, i as u8))
+                .unwrap();
+            port.send(ctx, dst, ChannelId::normal(i), buf, LEN).unwrap();
+        }
+        for _ in 0..N {
+            assert_eq!(port.wait_send(ctx).status, SendStatus::Ok);
+        }
+    });
+    assert_eq!(sim.run(), RunOutcome::Completed);
+    assert!(
+        sim.get_count("fabric.dropped") > 0,
+        "fault injection never fired; test is vacuous"
+    );
+    let (fast, timeouts) = (
+        sim.get_count("bcl.fast_retx"),
+        sim.get_count("bcl.timeouts"),
+    );
+    assert!(fast > 0, "no gap ack ever drew a resend");
+    assert!(
+        fast > timeouts,
+        "{fast} fast retransmits vs {timeouts} timeouts: the timer still does most of the recovery"
+    );
+}
+
+/// The timer's liveness case: a ping-pong never has a packet in flight
+/// behind a lost one, so no gap ack is drawn and every loss is a tail loss
+/// that only the retransmit timeout repairs.
+#[test]
+fn timer_alone_repairs_tail_losses_in_a_ping_pong() {
+    let mut spec = ClusterSpec::dawning3000(2);
+    if let suca_cluster::SanKind::Myrinet(ref mut cfg) = spec.san {
+        cfg.fault = FaultPlan {
+            drop_prob: 0.05,
+            corrupt_prob: 0.0,
+        };
+    }
+    let cluster = spec.build();
+    let sim = cluster.sim.clone();
+    let barrier = SimBarrier::new(&sim, 2);
+    let addrs: Arc<Mutex<[Option<suca_bcl::ProcAddr>; 2]>> = Arc::new(Mutex::new([None; 2]));
+    const ROUNDS: u32 = 40;
+    for me in 0..2usize {
+        let (barrier, addrs) = (barrier.clone(), addrs.clone());
+        cluster.spawn_process(me as u32, format!("p{me}"), move |ctx, env| {
+            let port = env.open_port(ctx);
+            addrs.lock()[me] = Some(port.addr());
+            barrier.wait(ctx);
+            let peer = addrs.lock()[1 - me].expect("peer ready");
+            for i in 0..ROUNDS {
+                if me == 1 {
+                    let ev = port.wait_recv(ctx);
+                    assert_eq!(port.recv_bytes(ctx, &ev).unwrap(), pattern(1000, i as u8));
+                }
+                port.send_bytes(ctx, peer, ChannelId::SYSTEM, &pattern(1000, i as u8))
+                    .unwrap();
+                let _ = port.wait_send(ctx);
+                if me == 0 {
+                    let ev = port.wait_recv(ctx);
+                    assert_eq!(port.recv_bytes(ctx, &ev).unwrap(), pattern(1000, i as u8));
+                }
+            }
+        });
+    }
+    assert_eq!(sim.run(), RunOutcome::Completed);
+    assert!(
+        sim.get_count("fabric.dropped") > 0,
+        "fault injection never fired; test is vacuous"
+    );
+    assert!(
+        sim.get_count("bcl.timeouts") > 0,
+        "no loss reached the timer"
+    );
+    assert_eq!(sim.get_count("bcl.fast_retx"), 0, "a ping-pong has no gaps");
 }
 
 // -------------------------------------------------------------- rendezvous

@@ -1,8 +1,9 @@
 //! One record per destination NIC: the epoch-stamped go-back-N streams,
 //! the retransmit timer, the active rail and path health. The transitions
-//! (ack progress, timeout, path death, rail failover, resync, wipe) are
-//! methods on [`Peer`] with no simulator in them; the `McpInner` half of
-//! this file wires their verdicts to timers, counters and control packets.
+//! (ack progress, fast retransmit, timeout, path death, rail failover,
+//! resync, wipe) are methods on [`Peer`] with no simulator in them; the
+//! `McpInner` half of this file wires their verdicts to timers, counters
+//! and control packets.
 
 use std::sync::Arc;
 
@@ -36,6 +37,10 @@ pub(super) struct Peer {
     consec_timeouts: u32,
     /// Path deaths (one rail tried each) since the last ack progress.
     failovers_no_progress: u32,
+    /// The last hole fast-retransmitted, as `(epoch, cum)` of the gap ack
+    /// that named it: each hole is resent at ack speed once, and after that
+    /// only by the timer.
+    fast_retx_hole: Option<(u16, u32)>,
     /// Every rail was tried without progress. The kernel refuses *new*
     /// sends ([`crate::BclError::PathDead`]); the firmware keeps retrying
     /// underneath so a revived path clears itself.
@@ -48,7 +53,7 @@ pub(super) struct Peer {
 /// What a cumulative ack did to a peer's tx stream.
 #[derive(Debug, PartialEq, Eq)]
 pub(super) enum Ack {
-    /// No tx stream, or nothing newly acknowledged.
+    /// No tx stream, or nothing newly acknowledged and no new hole.
     Ignored,
     /// For a stream already abandoned, or one mid-resync: never applied.
     Stale,
@@ -57,6 +62,10 @@ pub(super) enum Ack {
         /// Packets still unacknowledged (the timer must be re-armed).
         in_flight: bool,
     },
+    /// The receiver flagged a gap behind `cum` not resent yet: go back N
+    /// now, without waiting for the timer. Health is cleared if the same
+    /// ack also freed slots.
+    FastRetransmit(Vec<Bytes>),
 }
 
 /// What a retransmit timeout asks the firmware to do.
@@ -87,18 +96,33 @@ impl Peer {
         self.dead = false;
     }
 
-    pub(super) fn on_ack(&mut self, epoch: u16, cum: u32) -> Ack {
+    /// A cumulative ack arrived; `gap` is set when the receiver sent it
+    /// for an out-of-order arrival, i.e. the packet at `cum` was lost. The
+    /// cum is applied first; a gap then resends the unacked window once
+    /// per hole. A fast retransmit is not a timeout: path health counts
+    /// only timeouts, so a dead link (which delivers no gap acks) is
+    /// still detected after `max_path_timeouts` of them.
+    pub(super) fn on_ack(&mut self, epoch: u16, cum: u32, gap: bool) -> Ack {
         let Some(tx) = self.tx.as_mut() else {
             return Ack::Ignored;
         };
-        match tx.on_ack(epoch, cum) {
-            None => Ack::Stale,
-            Some(0) => Ack::Ignored,
-            Some(_) => {
-                let in_flight = tx.in_flight() > 0;
-                self.clear_health();
-                Ack::Progress { in_flight }
+        let Some(freed) = tx.on_ack(epoch, cum) else {
+            return Ack::Stale;
+        };
+        let in_flight = tx.in_flight() > 0;
+        let hole = Some((epoch, cum));
+        let resend = (gap && in_flight && self.fast_retx_hole != hole)
+            .then(|| tx.unacked().cloned().collect());
+        if freed > 0 {
+            self.clear_health();
+        }
+        match resend {
+            Some(pkts) => {
+                self.fast_retx_hole = hole;
+                Ack::FastRetransmit(pkts)
             }
+            None if freed == 0 => Ack::Ignored,
+            None => Ack::Progress { in_flight },
         }
     }
 
@@ -224,30 +248,36 @@ impl McpInner {
         self.arm_timer(peer, dst);
     }
 
-    pub(super) fn on_ack(self: &Arc<Self>, src: FabricNodeId, epoch: u16, cum: u32) {
+    pub(super) fn on_ack(self: &Arc<Self>, src: FabricNodeId, epoch: u16, cum: u32, gap: bool) {
         {
             let mut st = self.state.lock();
             let st = &mut *st;
             let peer = st.peers.entry(src.0).or_default();
-            match peer.on_ack(epoch, cum) {
+            let in_flight = match peer.on_ack(epoch, cum, gap) {
                 Ack::Ignored => return,
                 Ack::Stale => {
                     self.stale_epoch_drop(TraceId::NONE);
                     return;
                 }
-                Ack::Progress { in_flight } => {
-                    if let Some(timer) = peer.timer.take() {
-                        self.sim.cancel(timer);
-                    }
-                    if in_flight {
-                        self.arm_timer(peer, src);
-                    } else {
-                        st.send.settle(src);
-                    }
+                Ack::Progress { in_flight } => in_flight,
+                Ack::FastRetransmit(pkts) => {
+                    // The timeout path's queue: each resent fragment pays
+                    // `send_per_frag` and the wire, and is traced `mcp:retx`.
+                    self.sim.add_count("bcl.fast_retx", 1);
+                    st.send.retx.extend(pkts.into_iter().map(|p| (src, p)));
+                    true
                 }
+            };
+            if let Some(timer) = peer.timer.take() {
+                self.sim.cancel(timer);
+            }
+            if in_flight {
+                self.arm_timer(peer, src);
+            } else {
+                st.send.settle(src);
             }
         }
-        self.kick_sender(); // window may have opened
+        self.kick_sender(); // window may have opened, or a resend is queued
     }
 
     /// A peer began an epoch resync toward us: adopt the new epoch (capture
@@ -345,9 +375,10 @@ impl McpInner {
     }
 
     /// Cumulative ack, stamped with the receive stream's epoch so a sender
-    /// mid-resync never applies it to the wrong stream.
-    pub(super) fn ack_header(epoch: u16, cum: u32) -> WireHeader {
-        Self::control_header(WireKind::Ack, epoch, 0, cum, 0)
+    /// mid-resync never applies it to the wrong stream. `offset` carries the
+    /// gap flag: 1 when the ack answers an out-of-order arrival.
+    pub(super) fn ack_header(epoch: u16, cum: u32, gap: bool) -> WireHeader {
+        Self::control_header(WireKind::Ack, epoch, 0, cum, u32::from(gap))
     }
 
     pub(super) fn reject_header(msg_id: u32, fatal: bool) -> WireHeader {
@@ -473,29 +504,117 @@ mod tests {
         peer.failovers_no_progress = 1;
         peer.dead = true;
         // A duplicate ack frees nothing and clears nothing.
-        assert_eq!(peer.on_ack(0, 0), Ack::Ignored);
+        assert_eq!(peer.on_ack(0, 0, false), Ack::Ignored);
         assert_eq!(peer.consec_timeouts, 2);
-        assert_eq!(peer.on_ack(0, 1), Ack::Progress { in_flight: true });
+        assert_eq!(peer.on_ack(0, 1, false), Ack::Progress { in_flight: true });
         assert_eq!((peer.consec_timeouts, peer.failovers_no_progress), (0, 0));
         assert!(!peer.dead);
-        assert_eq!(peer.on_ack(0, 2), Ack::Progress { in_flight: false });
+        assert_eq!(peer.on_ack(0, 2, false), Ack::Progress { in_flight: false });
         // Nothing outstanding: the timer lapses without counting.
         assert_eq!(peer.on_timeout(3, 2, T0), None);
         assert_eq!(peer.consec_timeouts, 0);
     }
 
+    fn pkts(vals: &[u8]) -> Vec<Bytes> {
+        vals.iter().map(|&v| Bytes::from(vec![v])).collect()
+    }
+
+    #[test]
+    fn a_gap_ack_resends_the_window_once_per_hole() {
+        let mut peer = peer_with_in_flight(3);
+        // A plain duplicate ack is no loss signal.
+        assert_eq!(peer.on_ack(0, 0, false), Ack::Ignored);
+        assert_eq!(
+            peer.on_ack(0, 0, true),
+            Ack::FastRetransmit(pkts(&[0, 1, 2]))
+        );
+        // Later arrivals behind the same hole flag it again: one resend is
+        // already on its way, so only the timer may send another.
+        assert_eq!(peer.on_ack(0, 0, true), Ack::Ignored);
+        assert_eq!(peer.on_ack(0, 0, false), Ack::Ignored);
+        // A fresh epoch's hole at the same seq is a new hole.
+        assert_eq!(
+            peer.on_timeout(1, 2, T0),
+            Some(Timeout::PathDead {
+                failed_over: true,
+                epoch: 1,
+                parked: 0,
+            })
+        );
+        let tx = peer.tx.as_mut().expect("stream exists");
+        for p in tx.on_sync_ack(1, 0).expect("current epoch") {
+            let seq = tx.next_seq();
+            tx.record_sent(seq, p).expect("tail fits the window");
+        }
+        assert_eq!(
+            peer.on_ack(1, 0, true),
+            Ack::FastRetransmit(pkts(&[0, 1, 2]))
+        );
+    }
+
+    #[test]
+    fn a_gap_ack_that_frees_packets_clears_health_and_resends_the_rest() {
+        let mut peer = peer_with_in_flight(3);
+        assert!(peer.on_timeout(3, 2, T0).is_some());
+        assert!(peer.on_timeout(3, 2, T0).is_some());
+        peer.failovers_no_progress = 1;
+        peer.dead = true;
+        assert_eq!(peer.on_ack(0, 1, true), Ack::FastRetransmit(pkts(&[1, 2])));
+        assert_eq!((peer.consec_timeouts, peer.failovers_no_progress), (0, 0));
+        assert!(!peer.dead);
+    }
+
+    #[test]
+    fn a_gap_ack_mid_resync_is_stale_and_with_nothing_in_flight_resends_nothing() {
+        let mut peer = peer_with_in_flight(2);
+        assert!(matches!(
+            peer.on_timeout(1, 2, T0),
+            Some(Timeout::PathDead { .. })
+        ));
+        assert_eq!(peer.on_ack(0, 0, true), Ack::Stale, "parked epoch");
+        assert_eq!(peer.on_ack(1, 0, true), Ack::Stale, "resync in flight");
+
+        let mut peer = peer_with_in_flight(2);
+        assert_eq!(peer.on_ack(0, 2, true), Ack::Progress { in_flight: false });
+        assert_eq!(peer.on_ack(0, 2, true), Ack::Ignored);
+        let mut idle = peer_with_in_flight(0);
+        assert_eq!(idle.on_ack(0, 0, true), Ack::Ignored);
+    }
+
+    #[test]
+    fn gap_acks_between_timeouts_do_not_delay_path_death() {
+        let mut peer = peer_with_in_flight(2);
+        assert!(matches!(peer.on_ack(0, 0, true), Ack::FastRetransmit(_)));
+        for _ in 0..2 {
+            assert!(matches!(
+                peer.on_timeout(3, 2, T0),
+                Some(Timeout::Retransmit(_))
+            ));
+            assert_eq!(peer.on_ack(0, 0, true), Ack::Ignored);
+        }
+        assert_eq!(peer.consec_timeouts, 2);
+        assert!(matches!(
+            peer.on_timeout(3, 2, T0),
+            Some(Timeout::PathDead { .. })
+        ));
+    }
+
     #[test]
     fn ack_or_timeout_without_a_tx_stream_is_ignored() {
         let mut peer = Peer::default();
-        assert_eq!(peer.on_ack(0, 7), Ack::Ignored);
-        assert_eq!(peer.on_ack(3, 7), Ack::Ignored, "not even a stale drop");
+        assert_eq!(peer.on_ack(0, 7, false), Ack::Ignored);
+        assert_eq!(
+            peer.on_ack(3, 7, false),
+            Ack::Ignored,
+            "not even a stale drop"
+        );
         assert_eq!(peer.on_timeout(1, 2, T0), None);
         assert!(peer.tx.is_none(), "looking must not open a stream");
         // With a stream, a wrong-epoch or mid-resync ack *is* stale.
         let mut peer = peer_with_in_flight(1);
-        assert_eq!(peer.on_ack(1, 1), Ack::Stale);
+        assert_eq!(peer.on_ack(1, 1, false), Ack::Stale);
         assert!(peer.on_timeout(1, 2, T0).is_some());
-        assert_eq!(peer.on_ack(1, 1), Ack::Stale, "resync in flight");
+        assert_eq!(peer.on_ack(1, 1, false), Ack::Stale, "resync in flight");
     }
 
     #[test]

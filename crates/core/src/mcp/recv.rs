@@ -113,7 +113,9 @@ impl McpInner {
             if let Some(t) = pkt.trace {
                 self.mt_instant(TraceId::new(t.origin, t.msg_id), stage::DROP_CRC);
             }
-            return; // CRC check fails; go-back-N recovers via timeout
+            // CRC check fails; go-back-N recovers on the gap ack the next
+            // arrival draws, or on the timeout if none follows.
+            return;
         }
         let Some((header, payload)) = WireHeader::decode(&pkt.payload) else {
             sim.add_count("bcl.malformed", 1);
@@ -158,7 +160,9 @@ impl McpInner {
         // was reset and restarted its stream); older epochs are counted
         // stale drops with no ack — the peer is already past them.
         let verdict = rx.on_data(header.epoch, header.seq);
-        let ack = Self::ack_header(rx.epoch(), rx.cum_ack());
+        // A gap flag makes the sender resend at once (`Peer::on_ack`).
+        let gap = matches!(verdict, EpochVerdict::Gbn(v) if v.reveals_gap());
+        let ack = Self::ack_header(rx.epoch(), rx.cum_ack(), gap);
         match verdict {
             EpochVerdict::Gbn(GbnVerdict::Accept) => self.accept(&mut st, d),
             EpochVerdict::Gbn(GbnVerdict::Duplicate | GbnVerdict::OutOfOrder) => {

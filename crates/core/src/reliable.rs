@@ -5,9 +5,12 @@
 //! one-way time — and "performs re-transmission when timeout". We implement
 //! a classic go-back-N: per-destination sequence numbers, a bounded window
 //! of unacked packets buffered in NIC SRAM, cumulative ACKs, and full-window
-//! retransmission on timeout. The receiver accepts only the next expected
-//! sequence number, which also guarantees in-order fragment delivery per
-//! NIC pair (BCL relies on this for reassembly-free receives).
+//! retransmission on timeout *or* on a gap ack — an ack the receiver flags
+//! because it answers an out-of-order arrival, which `mcp/peer.rs` turns
+//! into one immediate resend per hole. The receiver accepts only the next
+//! expected sequence number, which also guarantees in-order fragment
+//! delivery per NIC pair (BCL relies on this for reassembly-free receives).
+//! The paper's MCP retransmits on timeout only; the gap ack is ours.
 //!
 //! This module is pure state logic (no simulator types) so the protocol can
 //! be exhaustively unit- and property-tested; `mcp/peer.rs` wires it to
@@ -138,7 +141,7 @@ impl GbnSender {
     }
 
     /// Packets currently unacknowledged (oldest first) — the retransmission
-    /// set on timeout.
+    /// set on timeout or gap ack.
     pub fn unacked(&self) -> impl Iterator<Item = &Bytes> + '_ {
         self.inflight.iter().map(|(_, p)| p)
     }
@@ -158,6 +161,17 @@ pub enum GbnVerdict {
     Duplicate,
     /// A gap precedes it (go-back-N never buffers): discard, re-ACK.
     OutOfOrder,
+}
+
+impl GbnVerdict {
+    /// Whether the re-ACK for this arrival carries the gap flag. Only an
+    /// out-of-order arrival shows that the packet at the cum was lost. A
+    /// duplicate means an ack was lost or a resend overlapped; its cum
+    /// names a packet that may well be in flight, and flagging it would
+    /// resend a window that was never lost.
+    pub fn reveals_gap(self) -> bool {
+        self == GbnVerdict::OutOfOrder
+    }
 }
 
 /// Receiver half of one NIC-pair stream.
@@ -601,6 +615,95 @@ mod tests {
             s.on_ack(r.cum_ack());
         }
         assert_eq!(delivered, (0..20).collect::<Vec<u32>>());
+    }
+
+    /// The MCP's loss recovery as a seeded lockstep model: data and acks are
+    /// lost independently; an ack carries the gap flag when its arrival
+    /// [`GbnVerdict::reveals_gap`], and the sender resends its window at
+    /// once the first time a hole is flagged, otherwise only on a "timeout"
+    /// round (one in which nothing reached it). Every fast retransmit must
+    /// answer a real loss: the last copy sent of the hole's packet was
+    /// dropped.
+    #[test]
+    fn lockstep_gap_acks_resend_each_hole_once_and_deliver_everything_in_order() {
+        const N: u32 = 40;
+        let mut fast_total = 0;
+        for seed in 1..=64u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut lost = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % 10 < 2 // 20 % loss, data and acks alike
+            };
+            let mut s = GbnSender::new(4);
+            let mut r = GbnReceiver::new();
+            let mut delivered: Vec<u32> = Vec::new();
+            let mut wire: VecDeque<(u32, u32)> = VecDeque::new();
+            let mut next = 0u32;
+            // Holes fast-resent since the last timeout, and the last one.
+            let mut resent_holes: Vec<u32> = Vec::new();
+            let mut last_hole = None;
+            // Seqs whose last copy sent was dropped.
+            let mut lost_seqs: Vec<u32> = Vec::new();
+            let mut rounds = 0;
+            let window = |s: &GbnSender| {
+                let base = s.next_seq().wrapping_sub(s.in_flight() as u32);
+                s.unacked()
+                    .enumerate()
+                    .map(|(i, b)| (base.wrapping_add(i as u32), val(b)))
+                    .collect::<Vec<(u32, u32)>>()
+            };
+            while delivered.len() < N as usize {
+                rounds += 1;
+                assert!(rounds < 10_000, "seed {seed}: no progress");
+                while s.can_send() && next < N {
+                    let seq = s.next_seq();
+                    s.record_sent(seq, pkt(next)).expect("in window");
+                    wire.push_back((seq, next));
+                    next += 1;
+                }
+                let mut acks = Vec::new();
+                for (seq, v) in wire.drain(..) {
+                    lost_seqs.retain(|&s| s != seq);
+                    if lost() {
+                        lost_seqs.push(seq);
+                        continue;
+                    }
+                    let verdict = r.on_data(seq);
+                    if verdict == GbnVerdict::Accept {
+                        delivered.push(v);
+                    }
+                    if !lost() {
+                        acks.push((r.cum_ack(), verdict.reveals_gap()));
+                    }
+                }
+                let heard = !acks.is_empty();
+                for (cum, gap) in acks {
+                    s.on_ack(cum);
+                    if gap && s.in_flight() > 0 && last_hole != Some(cum) {
+                        assert!(
+                            !resent_holes.contains(&cum),
+                            "seed {seed}: hole {cum} fast-resent twice before a timeout"
+                        );
+                        assert!(
+                            lost_seqs.contains(&cum),
+                            "seed {seed}: hole {cum} fast-resent but never lost"
+                        );
+                        resent_holes.push(cum);
+                        last_hole = Some(cum);
+                        fast_total += 1;
+                        wire.extend(window(&s));
+                    }
+                }
+                if !heard && s.in_flight() > 0 {
+                    resent_holes.clear(); // timeout: go back N
+                    wire.extend(window(&s));
+                }
+            }
+            assert_eq!(delivered, (0..N).collect::<Vec<u32>>(), "seed {seed}");
+        }
+        assert!(fast_total > 0, "gap acks never fired");
     }
 
     #[test]
