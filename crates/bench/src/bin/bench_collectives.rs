@@ -1,24 +1,26 @@
-//! NIC-offloaded collectives vs host reference baselines.
+//! One collective plan, two executors.
 //!
 //! Latency (and bandwidth, for payload-carrying ops) of barrier, sized
-//! broadcast and allreduce at 64 → 1,024 nodes on both SANs, each cell
-//! run twice: `offloaded` (the MCP plan interpreter, algorithm picked by
-//! the fabric-aware registry) and `host` (the point-to-point reference
-//! algorithms, `offload_collectives = false`). One rank per node; every
-//! rank times `REPS` repetitions after one warmup and rank 0's clock
-//! makes the row.
+//! broadcast and allreduce at 64 → 1,024 nodes on both SANs. Each cell
+//! runs the plan the fabric-aware registry selects twice: `offloaded` (the
+//! MCP plan interpreter) and `host` (the host walking the same plan over
+//! point-to-point, `offload_collectives = false`), so a row pair differs
+//! only in the executor. One rank per node; every rank times `REPS`
+//! repetitions after one warmup and rank 0's clock makes the row.
 //!
 //! In-binary acceptance, before the report is written:
 //!
 //! * **Determinism** — the 64-node offloaded myrinet cell is byte-identical
 //!   (latencies and metrics snapshot) on a rerun.
 //! * **Crossing budget** — at 64 and 256 nodes every traced chain of the
-//!   offloaded cells closes under `ChainPolicy::collective()`: exactly
+//!   offloaded cells closes under `ChainPolicy::collective()` (exactly
 //!   1 kernel trap, 0 interrupts, at least one wire injection per
-//!   participant. At 1,024 nodes the same check runs on a 1% deterministic
-//!   trace sample.
+//!   participant) and every traced chain of the host cells, one message
+//!   each, under `ChainPolicy::bcl()`. At 1,024 nodes the same checks run
+//!   on a 1% deterministic trace sample.
 //! * **Offload wins at scale** — the offloaded barrier is faster than the
-//!   host dissemination barrier at ≥ 256 nodes.
+//!   host-executed one at ≥ 256 nodes, and both ran the plan `select`
+//!   names.
 //!
 //! The machine-readable report lands in
 //! `target/bench/BENCH_collectives.json` (schema
@@ -102,7 +104,8 @@ fn run_op(ctx: &mut ActorCtx, comm: &Comm, op: &str, lanes: usize) {
 }
 
 /// Build one cluster and measure every op on it. `check_budget` runs the
-/// collective crossing-budget check (full below fleet scale, sampled at it).
+/// crossing-budget check of the cell's executor (full below fleet scale,
+/// sampled at it).
 fn run_cell(
     fabric_label: &'static str,
     nodes: u32,
@@ -159,19 +162,24 @@ fn run_cell(
     if check_budget {
         let events = sim.trace_events();
         assert!(!events.is_empty(), "{fabric_label}/{nodes}: no trace");
+        let policy = if offload {
+            ChainPolicy::collective()
+        } else {
+            ChainPolicy::bcl()
+        };
         if fleet {
             let spec = SampleSpec::ratio_ppm(FLEET_SAMPLE_PPM).with_seed(SEED);
-            let report = check_completeness_sampled(&events, &ChainPolicy::collective(), spec);
+            let report = check_completeness_sampled(&events, &policy, spec);
             assert!(
                 report.violations.is_empty(),
-                "{fabric_label}/{nodes}: sampled collective budget violated:\n{}",
+                "{fabric_label}/{nodes} offload={offload}: sampled budget violated:\n{}",
                 report.violations.join("\n")
             );
         } else {
-            let report = check_completeness(&events, &ChainPolicy::collective());
+            let report = check_completeness(&events, &policy);
             assert!(
                 report.is_closed(),
-                "{fabric_label}/{nodes}: collective budget violated:\n{}",
+                "{fabric_label}/{nodes} offload={offload}: budget violated:\n{}",
                 report.violations.join("\n")
             );
         }
@@ -182,20 +190,8 @@ fn run_cell(
     }
 }
 
-fn algorithm_for(
-    fabric_name: &str,
-    op: &str,
-    nodes: u32,
-    bytes: u64,
-    offload: bool,
-) -> &'static str {
-    if !offload {
-        return match op {
-            "barrier" => "host-dissemination",
-            "bcast" => "host-binomial",
-            _ => "host-reduce+bcast",
-        };
-    }
+/// The plan both executors run for this cell.
+fn algorithm_for(fabric_name: &str, op: &str, nodes: u32, bytes: u64) -> &'static str {
     let kind = match op {
         "barrier" => CollKind::Barrier,
         "bcast" => CollKind::Bcast,
@@ -237,7 +233,7 @@ fn to_json(rows: &[Row]) -> String {
 
 fn main() {
     let max_nodes = env_u32("SUCA_BENCH_COLL_MAX_NODES", 1024);
-    println!("-- bench_collectives: NIC plan interpreter vs host p2p baselines\n");
+    println!("-- bench_collectives: one plan, NIC executor vs host executor\n");
 
     // Determinism: the 64-node offloaded myrinet cell must produce the
     // same latencies and metrics bytes on a rerun.
@@ -257,7 +253,7 @@ fn main() {
             }
             for offload in [true, false] {
                 let impl_ = if offload { "offloaded" } else { "host" };
-                let res = run_cell(fabric, nodes, offload, offload);
+                let res = run_cell(fabric, nodes, offload, true);
                 for (op, lanes, us) in &res.latencies {
                     assert!(
                         *us > 0.0,
@@ -274,7 +270,7 @@ fn main() {
                             _ => "allreduce",
                         },
                         impl_,
-                        algorithm: algorithm_for(fabric_name, op, nodes, bytes, offload),
+                        algorithm: algorithm_for(fabric_name, op, nodes, bytes),
                         bytes,
                         latency_us: *us,
                         bw_mbps: bw,
@@ -315,10 +311,10 @@ fn main() {
                 off < host,
                 "{fabric}/{nodes}: offloaded barrier {off:.2} us not faster than host {host:.2} us"
             );
-            assert_ne!(
+            assert_eq!(
                 row("offloaded").algorithm,
                 row("host").algorithm,
-                "{fabric}/{nodes}: both impls report the same algorithm"
+                "{fabric}/{nodes}: the executors ran different plans"
             );
             println!(
                 "[crossover] {fabric}/{nodes}: offloaded barrier {off:.2} us vs host {host:.2} us \

@@ -3,10 +3,11 @@
 //! DAWNING-3000's MPI is MPICH retargeted at EADI-2 (paper Fig. 1); our
 //! layer mirrors that: a thin veneer that adds MPI envelope semantics and
 //! per-call overhead, delegating matching and transport to EADI. Collectives
-//! live in [`crate::collectives`]: host reference algorithms built strictly
-//! from point-to-point (the paper's "All other collective message passing
-//! should be implemented in the higher level software") plus the
-//! NIC-offloaded plan-driven path in [`crate::offload`].
+//! live in [`crate::collectives`] (the paper's "All other collective message
+//! passing should be implemented in the higher level software"): barrier,
+//! broadcast and allreduce are one plan each with two executors, the NIC's
+//! plan interpreter and the host walking the plan over point-to-point
+//! ([`crate::offload`]).
 
 use std::sync::Arc;
 
@@ -32,9 +33,10 @@ pub struct MpiConfig {
     pub send_overhead: SimDuration,
     /// Per-call overhead on the receiving side (status fill).
     pub recv_overhead: SimDuration,
-    /// Run barrier/bcast/allreduce on the NIC's plan interpreter when the
-    /// operands are eligible (see [`crate::offload`]); `false` forces the
-    /// host point-to-point reference algorithms everywhere.
+    /// Which executor runs the barrier/bcast/allreduce plans: the NIC's
+    /// plan interpreter when the operands are eligible (see
+    /// [`crate::offload`]), or, when `false`, the host everywhere. Both
+    /// run the same plan.
     pub offload_collectives: bool,
     /// EADI configuration underneath.
     pub eadi: EadiConfig,
@@ -202,6 +204,11 @@ impl Comm {
     /// Internal: receive on the reserved collective tag space.
     pub(crate) fn recv_coll(&self, ctx: &mut ActorCtx, src: u32, coll_tag: i32) -> Vec<u8> {
         let req = self.eadi.irecv(ctx, Some(src), Some(coll_tag));
+        self.wait_coll(ctx, req)
+    }
+
+    /// Internal: complete a receive posted on the collective tag space.
+    pub(crate) fn wait_coll(&self, ctx: &mut ActorCtx, req: RecvReq) -> Vec<u8> {
         let done = self.eadi.wait(ctx, req);
         ctx.sleep(self.cfg.recv_overhead);
         done.data

@@ -4,38 +4,16 @@
 //! collectives typed access (`f64`/`i32` vectors) and elementwise reduction
 //! semantics.
 
-/// Reduction operators for numeric collectives.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReduceOp {
-    /// Elementwise sum.
-    Sum,
-    /// Elementwise maximum.
-    Max,
-    /// Elementwise minimum.
-    Min,
-    /// Elementwise product.
-    Prod,
-}
+/// Reduction operators for numeric collectives: the NIC's own operator, so
+/// the host and the MCP fold with one function.
+pub use suca_bcl::CollOp as ReduceOp;
 
-impl ReduceOp {
-    /// Apply to a pair of values.
-    pub fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Max => a.max(b),
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Prod => a * b,
-        }
-    }
-
-    /// Fold `other` into `acc`, elementwise. Panics on length mismatch —
-    /// ranks disagreeing on count is a collective-contract violation.
-    pub fn fold(self, acc: &mut [f64], other: &[f64]) {
-        assert_eq!(acc.len(), other.len(), "reduce length mismatch");
-        for (a, b) in acc.iter_mut().zip(other) {
-            *a = self.apply(*a, *b);
-        }
-    }
+/// Fold `incoming` into `acc`, lane by lane over little-endian `f64`s, with
+/// [`ReduceOp::fold_bytes`], the fold the MCP's plan interpreter runs.
+/// Panics on a length mismatch — ranks disagreeing on count is a
+/// collective-contract violation.
+pub(crate) fn fold(op: ReduceOp, acc: &mut [u8], incoming: &[u8]) {
+    assert!(op.fold_bytes(acc, incoming), "reduce length mismatch");
 }
 
 /// Serialize an `f64` slice to little-endian bytes.
@@ -94,14 +72,18 @@ mod tests {
         assert_eq!(ReduceOp::Max.apply(2.0, 3.0), 3.0);
         assert_eq!(ReduceOp::Min.apply(2.0, 3.0), 2.0);
         assert_eq!(ReduceOp::Prod.apply(2.0, 3.0), 6.0);
-        let mut acc = vec![1.0, 5.0];
-        ReduceOp::Max.fold(&mut acc, &[3.0, 2.0]);
-        assert_eq!(acc, vec![3.0, 5.0]);
+        let mut acc = f64s_to_bytes(&[1.0, 5.0]);
+        fold(ReduceOp::Max, &mut acc, &f64s_to_bytes(&[3.0, 2.0]));
+        assert_eq!(bytes_to_f64s(&acc), vec![3.0, 5.0]);
     }
 
     #[test]
     #[should_panic(expected = "reduce length mismatch")]
     fn fold_length_mismatch_panics() {
-        ReduceOp::Sum.fold(&mut [1.0], &[1.0, 2.0]);
+        fold(
+            ReduceOp::Sum,
+            &mut f64s_to_bytes(&[1.0]),
+            &f64s_to_bytes(&[1.0, 2.0]),
+        );
     }
 }

@@ -1,8 +1,9 @@
 //! # suca-mpi — MPI-like layer over EADI-2
 //!
-//! Point-to-point with MPI envelope semantics ([`Comm`]), collectives built
-//! strictly from point-to-point ([`collectives`]), and typed helpers
-//! ([`datatype`]). Mirrors DAWNING-3000's MPICH-on-EADI-2 stack (paper
+//! Point-to-point with MPI envelope semantics ([`Comm`]), collectives
+//! ([`collectives`]: one plan per barrier/bcast/allreduce, run on the NIC or
+//! walked by the host over point-to-point, see [`offload`]), and typed
+//! helpers ([`datatype`]). Mirrors DAWNING-3000's MPICH-on-EADI-2 stack (paper
 //! Fig. 1); Table 3's MPI rows are measured through this layer.
 
 #![warn(missing_docs)]

@@ -1,41 +1,124 @@
-//! NIC-offloaded collectives: plan selection, compilation, launch.
+//! Plan-driven collectives: one schedule, two executors.
 //!
-//! The host side of the tentpole path: ask the fabric-aware
-//! [`PlanRegistry`] for this rank's row of the selected plan (the registry
-//! validates each distinct plan once per process; no n-rank plan is built or
-//! held here), compile that rank-space schedule into execution-form
-//! [`CollStep`]s over concrete port addresses, and hand it to the NIC in one
-//! collective trap (`BclKmod::submit`). The MCP's plan interpreter
-//! then runs the whole collective — fan-in combining, fan-out forwarding,
-//! result DMA — with no further host crossing; the initiator polls one
-//! completion event (`ChainPolicy::collective()`).
+//! Barrier, broadcast and allreduce all go through `Comm::run_plan`. It
+//! asks the fabric-aware [`PlanRegistry`] for this rank's row of the
+//! selected plan (the registry validates each distinct plan once per
+//! process; no n-rank plan is built or held here) and hands that row to one
+//! of two executors, which run the same steps in the same order:
 //!
-//! The offload decision must be identical on every rank (a rank running the
-//! host algorithm while its peers wait NIC-side would wedge the job), so
-//! eligibility depends only on values MPI semantics already require to
-//! agree cluster-wide: the communicator size, the element count, and the
-//! shared configuration.
+//! * **NIC executor.** The row is compiled into execution-form
+//!   [`CollStep`]s over concrete port addresses and posted to the NIC in one
+//!   collective trap (`BclKmod::submit`). The MCP's plan interpreter then
+//!   runs the whole collective — fan-in combining, fan-out forwarding,
+//!   result DMA — with no further host crossing; the initiator polls one
+//!   completion event (`ChainPolicy::collective()`).
+//! * **Host executor.** The rank walks the row over EADI point-to-point,
+//!   one collective tag per call: per step it posts the step's receives,
+//!   sends the accumulator to each `send_to` peer, then waits for the
+//!   receives in `recv_from` order and folds or adopts each one. Posting
+//!   the receives first keeps a butterfly exchange live when its payload
+//!   goes rendezvous.
+//!
+//! Both executors fold with [`CollOp::fold_bytes`] in the plan's listed
+//! order, so their results are bit-identical. The executor decision must be
+//! identical on every rank (a rank walking the plan on the host while its
+//! peers wait NIC-side would wedge the job), so eligibility depends only on
+//! values MPI semantics already require to agree cluster-wide: the
+//! communicator size, the element count, and the shared configuration.
 
 use suca_bcl::{BclError, CollOp, CollStep, SendStatus};
-use suca_coll::{CollKind, Combine, PlanRegistry};
+use suca_coll::{CollKind, Combine, PlanRegistry, PlanStep};
 use suca_mem::VirtAddr;
 use suca_sim::ActorCtx;
 
 use crate::comm::Comm;
-use crate::datatype::{bytes_to_f64s, f64s_to_bytes, ReduceOp};
-
-impl From<ReduceOp> for CollOp {
-    fn from(op: ReduceOp) -> CollOp {
-        match op {
-            ReduceOp::Sum => CollOp::Sum,
-            ReduceOp::Max => CollOp::Max,
-            ReduceOp::Min => CollOp::Min,
-            ReduceOp::Prod => CollOp::Prod,
-        }
-    }
-}
+use crate::datatype::fold;
 
 impl Comm {
+    /// Run one collective of `kind` rooted at `root` over `payload`, this
+    /// rank's contribution (the root's data for a broadcast), and return
+    /// the final accumulator.
+    ///
+    /// `sized` says every rank passes a payload of the agreed length (MPI
+    /// count semantics). Only then does the length key plan selection and
+    /// may the NIC run the plan. The byte [`Comm::bcast`], whose non-root
+    /// ranks learn the length from the root, passes `false`: it runs the
+    /// plan `select(kind, n, 0)` on the host executor.
+    ///
+    /// # Panics
+    /// If the registry rejects the plan. Every rank computes the same
+    /// verdict, so every rank panics alike; the rejection is counted
+    /// (`mpi.coll_plan_rejected`) and flight-recorded first.
+    pub(crate) fn run_plan(
+        &self,
+        ctx: &mut ActorCtx,
+        kind: CollKind,
+        root: u32,
+        op: CollOp,
+        payload: &[u8],
+        sized: bool,
+    ) -> Vec<u8> {
+        let bytes = if sized { payload.len() as u64 } else { 0 };
+        if sized && self.offload_eligible(bytes) {
+            let steps = self.plan_row(ctx, kind, root, bytes);
+            if let Some(out) = self.offloaded_collective(ctx, op, steps, payload) {
+                return out;
+            }
+        }
+        // After a per-rank launch failure too: the same plan, regenerated
+        // rather than held while the NIC runs it.
+        let steps = self.plan_row(ctx, kind, root, bytes);
+        self.host_collective(ctx, op, &steps, payload)
+    }
+
+    /// This rank's row of the plan the registry selects.
+    fn plan_row(&self, ctx: &ActorCtx, kind: CollKind, root: u32, bytes: u64) -> Vec<PlanStep> {
+        let registry = PlanRegistry::for_fabric(self.fabric);
+        match registry.schedule_for(kind, self.size(), root, bytes, self.rank()) {
+            Ok(steps) => steps,
+            Err(e) => {
+                self.offload_error(
+                    ctx,
+                    "mpi.coll_plan_rejected",
+                    "mpi: collective plan failed validation",
+                );
+                panic!("mpi: {} plan rejected: {e}", kind.as_str());
+            }
+        }
+    }
+
+    /// The host executor: walk `steps` over EADI point-to-point.
+    fn host_collective(
+        &self,
+        ctx: &mut ActorCtx,
+        op: CollOp,
+        steps: &[PlanStep],
+        payload: &[u8],
+    ) -> Vec<u8> {
+        // Generated plans key every message by chunk 0, so one tag per call
+        // is the plan's `(peer, chunk)` edge; EADI matches per source FIFO.
+        let tag = self.next_coll_tag();
+        let mut acc = payload.to_vec();
+        for step in steps {
+            let reqs: Vec<_> = step
+                .recv_from
+                .iter()
+                .map(|&peer| self.eadi.irecv(ctx, Some(peer), Some(tag)))
+                .collect();
+            for &peer in &step.send_to {
+                self.send_coll(ctx, peer, tag, &acc);
+            }
+            for req in reqs {
+                let got = self.wait_coll(ctx, req);
+                match step.combine {
+                    Combine::Reduce => fold(op, &mut acc, &got),
+                    Combine::Adopt => acc = got,
+                }
+            }
+        }
+        acc
+    }
+
     /// Fresh collective id. Ranks issue collectives in identical order, so
     /// independent counters agree cluster-wide.
     pub(crate) fn next_coll_id(&self) -> u32 {
@@ -54,9 +137,8 @@ impl Comm {
             && bytes.is_multiple_of(8)
     }
 
-    /// Counted protocol error on the offload path: bump `counter`, trip the
-    /// flight recorder once. Never panics — callers degrade to the host
-    /// reference algorithm or a local result.
+    /// Counted protocol error on a collective: bump `counter`, trip the
+    /// flight recorder once.
     fn offload_error(&self, ctx: &ActorCtx, counter: &'static str, reason: &str) {
         ctx.sim().add_count(counter, 1);
         ctx.sim().msg_trace().dump_once(reason);
@@ -101,43 +183,25 @@ impl Comm {
         payload.and(result)
     }
 
-    /// Launch one NIC-offloaded collective and wait for its completion.
+    /// The NIC executor: launch `steps` as one offloaded collective and
+    /// wait for its completion.
     ///
-    /// Returns the final accumulator (as `f64`s) when `result_lanes > 0`,
-    /// `Some(empty)` for barrier-style calls, and `None` when the launch
-    /// could not be made or the NIC rejected the run. Callers degrade to
-    /// the host reference algorithm: for the *uniform* failure modes (plan
-    /// validation — every rank computes the same plan and fails the same
-    /// way) that fallback is collectively consistent. Per-rank failures
-    /// (ring full, chaos SRAM wipe mid-run) cannot be hidden from peers by
-    /// any local policy; they are counted and flight-recorded here and
-    /// NIC-side, and the fallback keeps this rank live.
-    pub(crate) fn offloaded_collective(
+    /// Returns the final accumulator (empty for a zero-byte payload), or
+    /// `None` when the launch could not be made or the NIC rejected the
+    /// run. Such per-rank failures (ring full, chaos SRAM wipe mid-run)
+    /// cannot be hidden from peers by any local policy; they are counted
+    /// and flight-recorded here and NIC-side, and the caller re-runs the
+    /// same plan on the host executor to keep this rank live.
+    fn offloaded_collective(
         &self,
         ctx: &mut ActorCtx,
-        kind: CollKind,
-        root: u32,
         op: CollOp,
-        payload: &[f64],
-        result_lanes: usize,
-    ) -> Option<Vec<f64>> {
-        let n = self.size();
-        let me = self.rank();
-        let bytes = (payload.len() * 8) as u64;
+        steps: Vec<PlanStep>,
+        payload: &[u8],
+    ) -> Option<Vec<u8>> {
+        let bytes = payload.len() as u64;
         let coll_id = self.next_coll_id();
-        let registry = PlanRegistry::for_fabric(self.fabric);
-        let schedule = match registry.schedule_for(kind, n, root, bytes, me) {
-            Ok(s) => s,
-            Err(_) => {
-                self.offload_error(
-                    ctx,
-                    "mpi.coll_plan_rejected",
-                    "mpi: collective plan failed validation",
-                );
-                return None;
-            }
-        };
-        let steps: Vec<CollStep> = schedule
+        let steps: Vec<CollStep> = steps
             .into_iter()
             .map(|s| CollStep {
                 recv_from: s.recv_from.iter().map(|&r| self.eadi.addr_of(r)).collect(),
@@ -147,7 +211,6 @@ impl Comm {
             })
             .collect();
         let port = self.eadi.port();
-        let result_len = (result_lanes * 8) as u64;
         let bufs = match self.offload_bufs.lock().take() {
             Some(bufs) => bufs,
             None => self.alloc_offload_bufs(ctx)?,
@@ -159,7 +222,7 @@ impl Comm {
             if bytes > 0 {
                 self.launch_step(
                     ctx,
-                    port.write_buffer(payload_buf, &f64s_to_bytes(payload)),
+                    port.write_buffer(payload_buf, payload),
                     "mpi: collective payload could not be staged",
                 )?;
             }
@@ -171,7 +234,7 @@ impl Comm {
                 payload_buf,
                 bytes,
                 result_buf,
-                result_len,
+                bytes,
             );
             let msg_id = self.launch_step(
                 ctx,
@@ -190,15 +253,14 @@ impl Comm {
                 }
             }
             ctx.sleep(self.cfg.recv_overhead);
-            if result_lanes == 0 {
+            if bytes == 0 {
                 return Some(Vec::new());
             }
-            let raw = self.launch_step(
+            self.launch_step(
                 ctx,
-                port.read_buffer(result_buf, result_len),
+                port.read_buffer(result_buf, bytes),
                 "mpi: collective result could not be read back",
-            )?;
-            Some(bytes_to_f64s(&raw))
+            )
         };
         let result = run(ctx);
         if result.is_some() {

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use suca_cluster::{Cluster, ClusterSpec};
+use suca_coll::{Algorithm, CollKind, Plan, PlanRegistry, Topology};
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
 use suca_sim::mtrace::{check_completeness, stage, ChainPolicy};
@@ -181,33 +182,165 @@ fn offloaded_collectives_correct_and_one_trap_on_both_fabrics() {
     }
 }
 
-/// Forcing the host path off the NIC must give byte-identical results.
+/// Lane values whose sum depends on the association order: `1e16 + 1.0`
+/// rounds the `1.0` away, `(1e16 - 1e16) + 1.0` keeps it. Rank `r`'s lane
+/// `l` is `SUM_LANES[(r + l) % 3]`.
+const SUM_LANES: [f64; 3] = [1e16, -1e16, 1.0];
+/// The same for a product: `1e200 * 1e200` overflows, `1e200 * 1e-200`
+/// does not.
+const PROD_LANES: [f64; 3] = [1e200, 1e-200, 3.0];
+
+fn lanes(values: [f64; 3], rank: u32, len: usize) -> Vec<f64> {
+    (0..len).map(|l| values[(rank as usize + l) % 3]).collect()
+}
+
+/// `Plan::execute_f64_reference` of the plan the registry selects for an
+/// allreduce of `len` lanes: each rank's lane 0, from `SUM_LANES` inputs.
+fn reference_lane0(topology: Topology, ranks: u32, len: usize) -> Vec<f64> {
+    let bytes = (len * 8) as u64;
+    let algorithm = PlanRegistry::new(topology).select(CollKind::Allreduce, ranks, bytes);
+    let inputs: Vec<f64> = (0..ranks).map(|r| lanes(SUM_LANES, r, 1)[0]).collect();
+    Plan::build(CollKind::Allreduce, algorithm, ranks, 0)
+        .execute_f64_reference(&inputs)
+        .expect("generated plan runs to completion")
+}
+
+/// Barrier, `bcast_f64` and allreduce under every operator, over
+/// order-sensitive lanes; returns the results as one byte transcript.
+fn executor_suite(ctx: &mut suca_sim::ActorCtx, comm: &Comm) -> Vec<u8> {
+    let me = comm.rank();
+    let mut transcript = Vec::new();
+    comm.barrier(ctx);
+    let mut blob = lanes(SUM_LANES, me, 5);
+    comm.bcast_f64(ctx, 1, &mut blob);
+    assert_eq!(blob, lanes(SUM_LANES, 1, 5), "rank {me}: bcast_f64 wrong");
+    let mut results = vec![blob];
+    for (op, values) in [
+        (ReduceOp::Sum, SUM_LANES),
+        (ReduceOp::Prod, PROD_LANES),
+        (ReduceOp::Max, SUM_LANES),
+        (ReduceOp::Min, SUM_LANES),
+    ] {
+        results.push(comm.allreduce_f64(ctx, &lanes(values, me, 3), op));
+    }
+    comm.barrier(ctx);
+    for v in results.iter().flatten() {
+        transcript.extend_from_slice(&v.to_le_bytes());
+    }
+    transcript
+}
+
+/// Run `body` on every rank of an MPI job; returns each rank's result,
+/// sorted by rank.
+fn transcripts_of(
+    spec: ClusterSpec,
+    nodes: u32,
+    ranks: u32,
+    cfg: MpiConfig,
+    body: impl Fn(&mut suca_sim::ActorCtx, &Comm) -> Vec<u8> + Send + Sync + 'static,
+) -> RankTranscripts {
+    let transcripts: Transcripts = Arc::new(Mutex::new(Vec::new()));
+    let t2 = transcripts.clone();
+    mpi_job_on(spec, nodes, ranks, cfg, move |ctx, comm| {
+        let transcript = body(ctx, comm);
+        t2.lock().push((comm.rank(), transcript));
+    });
+    let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner();
+    ranks.sort_by_key(|(r, _)| *r);
+    ranks
+}
+
+/// One plan, two executors: the NIC and the host walking the same plan
+/// fold the same lanes in the same order, so every result is byte-equal,
+/// and each rank's sum is the plan's reference sum. 4 ranks run the flat
+/// fan-in, 7 and 8 binomial on Myrinet and odd / power-of-two recursive
+/// doubling on the mesh.
 #[test]
 fn offloaded_matches_host_reference() {
-    const NODES: u32 = 3;
-    const RANKS: u32 = 6;
-    let mut runs: Vec<RankTranscripts> = Vec::new();
-    for offload in [true, false] {
-        let mut cfg = MpiConfig::dawning3000();
-        cfg.offload_collectives = offload;
-        let transcripts: Transcripts = Arc::new(Mutex::new(Vec::new()));
-        let t2 = transcripts.clone();
-        mpi_job_on(
-            ClusterSpec::dawning3000(NODES),
+    const NODES: u32 = 4;
+    for (name, topology) in [
+        ("myrinet", Topology::LinearSwitchArray),
+        ("mesh", Topology::Mesh2D),
+    ] {
+        for ranks in [4u32, 7, 8] {
+            let runs = [true, false].map(|offload| {
+                let spec = match topology {
+                    Topology::Mesh2D => ClusterSpec::dawning3000_mesh(NODES),
+                    Topology::LinearSwitchArray => ClusterSpec::dawning3000(NODES),
+                };
+                let mut cfg = MpiConfig::dawning3000();
+                cfg.offload_collectives = offload;
+                transcripts_of(spec, NODES, ranks, cfg, executor_suite)
+            });
+            assert_eq!(
+                runs[0], runs[1],
+                "{name}/{ranks}: NIC and host executors disagree"
+            );
+            // The sum is the transcript's lanes 5..8; lane 5 is each rank's
+            // lane 0 of the order-sensitive sum.
+            let reference = reference_lane0(topology, ranks, 3);
+            for (rank, transcript) in &runs[0] {
+                let lane0 = &transcript[5 * 8..6 * 8];
+                assert_eq!(
+                    lane0,
+                    reference[*rank as usize].to_le_bytes(),
+                    "{name}/{ranks}: rank {rank} sum differs from the plan's reference"
+                );
+            }
+        }
+    }
+}
+
+/// Payloads too large for one NIC fragment run on the host executor even
+/// with offload on, and still follow the selected plan: a 600-lane
+/// allreduce (4,800 B) is recursive doubling on the mesh and goes
+/// rendezvous, so its butterfly relies on the receives being posted before
+/// the sends; 1,100 lanes (8,800 B) select the ring on both fabrics. Each
+/// rank's lane 0 equals the plan's reference sum bit for bit.
+#[test]
+fn host_executor_runs_plans_the_nic_cannot_take() {
+    const NODES: u32 = 4;
+    const RANKS: u32 = 8;
+    let eager_max = MpiConfig::dawning3000().eadi.eager_max;
+    for (name, topology, len, algorithm) in [
+        ("mesh", Topology::Mesh2D, 600, Algorithm::RecursiveDoubling),
+        ("mesh", Topology::Mesh2D, 1_100, Algorithm::Ring),
+        (
+            "myrinet",
+            Topology::LinearSwitchArray,
+            1_100,
+            Algorithm::Ring,
+        ),
+    ] {
+        let bytes = (len * 8) as u64;
+        assert!(bytes > eager_max, "{name}/{len}: payload would go eager");
+        assert_eq!(
+            PlanRegistry::new(topology).select(CollKind::Allreduce, RANKS, bytes),
+            algorithm
+        );
+        let spec = match topology {
+            Topology::Mesh2D => ClusterSpec::dawning3000_mesh(NODES),
+            Topology::LinearSwitchArray => ClusterSpec::dawning3000(NODES),
+        };
+        let runs = transcripts_of(
+            spec,
             NODES,
             RANKS,
-            cfg,
+            MpiConfig::dawning3000(),
             move |ctx, comm| {
-                let (transcript, _) = offloaded_suite(ctx, comm);
-                t2.lock().push((comm.rank(), transcript));
+                let out =
+                    comm.allreduce_f64(ctx, &lanes(SUM_LANES, comm.rank(), len), ReduceOp::Sum);
+                assert_eq!(out.len(), len);
+                out[0].to_le_bytes().to_vec()
             },
         );
-        let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner();
-        ranks.sort_by_key(|(r, _)| *r);
-        runs.push(ranks);
+        let reference = reference_lane0(topology, RANKS, len);
+        for (rank, lane0) in &runs {
+            assert_eq!(
+                lane0[..],
+                reference[*rank as usize].to_le_bytes(),
+                "{name}/{len} lanes: rank {rank} sum differs from the plan's reference"
+            );
+        }
     }
-    assert_eq!(
-        runs[0], runs[1],
-        "offloaded and host reference collectives disagree"
-    );
 }
