@@ -25,7 +25,7 @@ use suca_bcl::{Architecture, ChannelId};
 use suca_bench::measure::{measured_host_overheads, traced_zero_len_run};
 use suca_bench::report::{
     assert_anchor, emit_metrics, first_difference, render_timeline, write_timeseries_json,
-    write_trace_json_with_counters, Ledger, Row,
+    write_trace_json_with_counters, Ledger, Recovery, Row,
 };
 use suca_bench::{layer_bandwidth_mbps, layer_one_way_us, Layer};
 use suca_cluster::{measure_bandwidth, measure_one_way, ClusterSpec, LatencyResult, SimBarrier};
@@ -64,8 +64,11 @@ fn ns(us: f64) -> u64 {
     (us * 1e3).round() as u64
 }
 
+/// Every fabric here is loss-free, so a run's go-back-N recovers nothing.
 fn one_way(spec: ClusterSpec, dst: u32, size: u64) -> LatencyResult {
-    measure_one_way(spec, 0, dst, size, WARMUP, TIMED)
+    let r = measure_one_way(spec, 0, dst, size, WARMUP, TIMED);
+    Recovery::of(&r.cluster.sim).assert_none(&format!("one-way {size} B to node {dst}"));
+    r
 }
 
 fn bandwidth(spec: ClusterSpec, dst: u32, size: u64) -> f64 {
@@ -238,6 +241,7 @@ fn telemetry(ledger: &mut Ledger) {
     let (s0, s64) = (stream(0), stream(64 * 1024));
     for (r, run) in [(&s0, "telemetry_0b"), (&s64, "telemetry_64k")] {
         let sim = &r.cluster.sim;
+        Recovery::of(sim).assert_none(run);
         check_timeseries(sim, run);
         let ts = write_timeseries_json(sim, run).expect("write timeseries");
         let events = r.cluster.trace_events();
@@ -305,6 +309,7 @@ fn main() {
     // The one traced 0 B message, and the host overheads measured around
     // the calls themselves.
     let run = traced_zero_len_run();
+    Recovery::of(&run.sim).assert_none("traced 0 B message");
     let (send_oh, send_done, poll) = measured_host_overheads(spec.clone());
     let (user_send_oh, _, _) = measured_host_overheads(user_spec.clone());
 

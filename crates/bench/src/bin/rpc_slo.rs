@@ -6,12 +6,14 @@
 //! * **clean** — 32 nodes: 24 client actors multiplexing 2,016 closed-loop
 //!   simulated users over 8 KV shards. Every request must complete; the
 //!   SLO report at a fixed seed is byte-identical across runs (checked by
-//!   running the Myrinet variant twice).
+//!   running the Myrinet variant twice). Nothing is lost, so on Myrinet
+//!   go-back-N recovers nothing (no timeout, fast retransmit or discarded
+//!   arrival); the mesh's few spurious timeouts are printed.
 //! * **overload** — 8 nodes: 6 open-loop arrival processes overdrive 2
 //!   shards well past their service capacity. Admission control must shed
 //!   (bounded queues, counted `Shed` replies) instead of wedging
-//!   go-back-N: the run completes, queues stay within the bound, and the
-//!   watchdog stays silent.
+//!   go-back-N: the run completes, queues stay within the bound, the
+//!   watchdog stays silent, and go-back-N recovers nothing.
 //! * **loss5** — 4 nodes with 5% per-link packet drop. Go-back-N absorbs
 //!   the loss (counted retransmissions), mostly at ack speed: gap acks must
 //!   draw more fast retransmits than the timer fires timeouts. Every
@@ -23,7 +25,9 @@
 //! the queue-depth/in-flight timeseries.
 
 use suca_bench::kv_cluster::{self, interleave_servers};
-use suca_bench::report::{emit_metrics, write_timeseries_json, write_trace_json_with_counters};
+use suca_bench::report::{
+    emit_metrics, write_timeseries_json, write_trace_json_with_counters, Recovery,
+};
 use suca_bench::{env_u32, spec_for};
 use suca_cluster::{Cluster, ClusterSpec};
 use suca_load::{
@@ -152,6 +156,12 @@ fn run_clean(fabric: &str) -> (Cluster, SloReport) {
         "clean/{fabric}: health engine fired on a healthy run: {:?}",
         cluster.sim.health().alerts()
     );
+    // Nothing is lost, so go-back-N must recover nothing. On the mesh, acks
+    // queued behind data still outlast the fixed retransmit timeout now and
+    // then; `main` prints that run's counts instead.
+    if fabric == "myrinet" {
+        Recovery::of(&cluster.sim).assert_none("clean/myrinet");
+    }
     (cluster, report)
 }
 
@@ -234,6 +244,7 @@ fn run_overload(fabric: &str) -> (Cluster, SloReport) {
         "overload/{fabric}: sustained shedding must trip the error burn rate: {:?}",
         cluster.sim.health().alerts()
     );
+    Recovery::of(&cluster.sim).assert_none(&format!("overload/{fabric}"));
     (cluster, report)
 }
 
@@ -282,22 +293,12 @@ fn run_loss(fabric: &str) -> (Cluster, SloReport) {
         report.watchdog_stalls, 0,
         "loss5/{fabric}: loss must not stall the pipeline"
     );
-    let (fast, timeouts) = recovery(&cluster);
+    let rec = Recovery::of(&cluster.sim);
     assert!(
-        fast > timeouts,
-        "loss5/{fabric}: gap acks must repair most losses ({fast} fast retransmits, \
-         {timeouts} timeouts)"
+        rec.fast_retx > rec.timeouts,
+        "loss5/{fabric}: gap acks must repair most losses ({rec})"
     );
     (cluster, report)
-}
-
-/// How go-back-N recovered: `(bcl.fast_retx, bcl.timeouts)`.
-fn recovery(cluster: &Cluster) -> (u64, u64) {
-    let sim = &cluster.sim;
-    (
-        sim.get_count("bcl.fast_retx"),
-        sim.get_count("bcl.timeouts"),
-    )
 }
 
 fn main() {
@@ -334,6 +335,7 @@ fn main() {
                 .expect("write timeseries");
         }
         emit_metrics(&clean_cluster.sim, &format!("rpc_slo_clean_{fabric}"));
+        recoveries.push((format!("clean/{fabric}"), Recovery::of(&clean_cluster.sim)));
         summaries.push(clean);
 
         let (over_cluster, over) = run_overload(fabric);
@@ -364,7 +366,7 @@ fn main() {
         let (loss_cluster, loss) = run_loss(fabric);
         loss.write().expect("write loss report");
         emit_metrics(&loss_cluster.sim, &format!("rpc_slo_loss5_{fabric}"));
-        recoveries.push((fabric, recovery(&loss_cluster)));
+        recoveries.push((format!("loss5/{fabric}"), Recovery::of(&loss_cluster.sim)));
         summaries.push(loss);
     }
 
@@ -391,8 +393,8 @@ fn main() {
             );
         }
     }
-    for (fabric, (fast, timeouts)) in recoveries {
-        println!("  loss5/{fabric} recovery: {fast} fast retransmits, {timeouts} timeouts");
+    for (run, rec) in recoveries {
+        println!("  {run} recovery: {rec}");
     }
     println!(
         "\nrpc_slo OK: all variants accounted, deterministic, shedding bounded, watchdog \

@@ -59,6 +59,50 @@ pub fn write_trace_json_with_counters(
     write_artifact("traces", run, &json)
 }
 
+/// How a run's go-back-N recovered from loss, from its counters: fast
+/// retransmits (and the repeats among them, resends of a resent hole),
+/// retransmit timeouts, and arrivals discarded as duplicate or out of order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Recovery {
+    /// `bcl.fast_retx`.
+    pub fast_retx: u64,
+    /// `bcl.fast_retx_repeat`.
+    pub repeats: u64,
+    /// `bcl.timeouts`.
+    pub timeouts: u64,
+    /// `bcl.rx_discarded`.
+    pub rx_discarded: u64,
+}
+
+impl Recovery {
+    /// Read `sim`'s recovery counters (0 for one never incremented).
+    pub fn of(sim: &Sim) -> Self {
+        Recovery {
+            fast_retx: sim.get_count("bcl.fast_retx"),
+            repeats: sim.get_count("bcl.fast_retx_repeat"),
+            timeouts: sim.get_count("bcl.timeouts"),
+            rx_discarded: sim.get_count("bcl.rx_discarded"),
+        }
+    }
+
+    /// A run with no drop, corruption or fault must recover nothing: no
+    /// gap ack, no timeout, and so no packet received twice.
+    pub fn assert_none(&self, run: &str) {
+        let none = Recovery::default();
+        assert_eq!(*self, none, "{run}: loss-free run recovered from loss");
+    }
+}
+
+impl std::fmt::Display for Recovery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} fast retransmits ({} repeats), {} timeouts, {} discarded",
+            self.fast_retx, self.repeats, self.timeouts, self.rx_discarded
+        )
+    }
+}
+
 /// Snapshot `sim`'s metrics registry, stamp the harness name into its
 /// metadata, write it as the `metrics` artifact `harness`, and print where
 /// it went. Harness binaries call this once per instrumented run.

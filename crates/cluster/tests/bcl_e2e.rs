@@ -199,16 +199,15 @@ fn reliability_recovers_from_drops_and_corruption() {
     );
 }
 
-/// A back-to-back stream of multi-fragment messages under 5 % loss: most
-/// losses have later fragments behind them, whose out-of-order arrivals
-/// draw gap acks, so go-back-N resends at ack speed instead of waiting out
-/// the timer.
-#[test]
-fn gap_acks_recover_most_losses_in_a_stream_without_the_timer() {
+/// Send `n` back-to-back 32 KiB messages (8 fragments each) from node 0 to
+/// node 1 over a Myrinet that drops `drop_prob` of its packets, checking
+/// that every message arrives intact and in order, so none is skipped or
+/// repeated. Returns the simulator for its counters.
+fn lossy_stream(drop_prob: f64, n: u16) -> suca_sim::Sim {
     let mut spec = ClusterSpec::dawning3000(2);
     if let suca_cluster::SanKind::Myrinet(ref mut cfg) = spec.san {
         cfg.fault = FaultPlan {
-            drop_prob: 0.05,
+            drop_prob,
             corrupt_prob: 0.0,
         };
     }
@@ -216,19 +215,18 @@ fn gap_acks_recover_most_losses_in_a_stream_without_the_timer() {
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
     let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
-    const N: u16 = 24;
-    const LEN: u64 = 32 * 1024; // 8 fragments each
+    const LEN: u64 = 32 * 1024;
 
     let b2 = barrier.clone();
     let ab = addr_b.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
         *ab.lock() = Some(port.addr());
-        for i in 0..N {
+        for i in 0..n {
             port.post_recv(ctx, i, LEN).unwrap();
         }
         b2.wait(ctx);
-        for i in 0..N {
+        for i in 0..n {
             let ev = port.wait_recv(ctx);
             assert_eq!(ev.channel, ChannelId::normal(i), "message {i} out of order");
             let data = port.recv_bytes(ctx, &ev).unwrap();
@@ -239,13 +237,13 @@ fn gap_acks_recover_most_losses_in_a_stream_without_the_timer() {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
         let dst = addr_b.lock().expect("receiver ready");
-        for i in 0..N {
+        for i in 0..n {
             let buf = port.alloc_buffer(LEN).unwrap();
             port.write_buffer(buf, &pattern(LEN as usize, i as u8))
                 .unwrap();
             port.send(ctx, dst, ChannelId::normal(i), buf, LEN).unwrap();
         }
-        for _ in 0..N {
+        for _ in 0..n {
             assert_eq!(port.wait_send(ctx).status, SendStatus::Ok);
         }
     });
@@ -254,6 +252,16 @@ fn gap_acks_recover_most_losses_in_a_stream_without_the_timer() {
         sim.get_count("fabric.dropped") > 0,
         "fault injection never fired; test is vacuous"
     );
+    sim
+}
+
+/// A back-to-back stream of multi-fragment messages under 5 % loss: most
+/// losses have later fragments behind them, whose out-of-order arrivals
+/// draw gap acks, so go-back-N resends at ack speed instead of waiting out
+/// the timer.
+#[test]
+fn gap_acks_recover_most_losses_in_a_stream_without_the_timer() {
+    let sim = lossy_stream(0.05, 24);
     let (fast, timeouts) = (
         sim.get_count("bcl.fast_retx"),
         sim.get_count("bcl.timeouts"),
@@ -263,6 +271,17 @@ fn gap_acks_recover_most_losses_in_a_stream_without_the_timer() {
         fast > timeouts,
         "{fast} fast retransmits vs {timeouts} timeouts: the timer still does most of the recovery"
     );
+}
+
+/// At 20 % loss a resent hole is itself often dropped. The copies sent
+/// behind it still arrive, and once their out-of-order count outruns what
+/// was sent before the resend, the hole goes out again at ack speed.
+#[test]
+fn a_dropped_resend_is_resent_at_ack_speed_in_a_stream() {
+    let sim = lossy_stream(0.2, 24);
+    let repeats = sim.get_count("bcl.fast_retx_repeat");
+    assert!(repeats > 0, "no dropped resend was resent before the timer");
+    assert!(repeats <= sim.get_count("bcl.fast_retx"));
 }
 
 /// The timer's liveness case: a ping-pong never has a packet in flight

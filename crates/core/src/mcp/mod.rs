@@ -19,8 +19,9 @@
 //! * `peer.rs` — **one record per destination**: the go-back-N streams of
 //!   [`crate::reliable`] ("NIC control program need to process the reliable
 //!   protocol and perform re-transmission when timeout"), the retransmit
-//!   timer, the **gap-ack fast retransmit** (our extension: one immediate
-//!   resend per hole the receiver flags), and multi-rail recovery: timeout
+//!   timer, the **gap-ack fast retransmit** (our extension: an immediate
+//!   resend when the receiver's out-of-order count proves a hole, or a
+//!   resent hole, lost), and multi-rail recovery: timeout
 //!   → path death → **rail failover** → **epoch resync** → ack progress.
 //! * `recv.rs` — **receive engine**: CRC/sequence checking, demux to ports
 //!   and channels, DMA of payloads straight into user buffers (system pool
@@ -535,7 +536,7 @@ impl McpInner {
         };
         let h = d.header;
         match h.kind {
-            WireKind::Ack => self.on_ack(d.src, h.epoch, h.seq, h.offset == 1),
+            WireKind::Ack => self.on_ack(d.src, h.epoch, h.seq, h.offset),
             WireKind::Reject => self.on_reject(h.msg_id, h.offset == 1),
             WireKind::EpochSync => self.on_epoch_sync(d.src, h.epoch, h.msg_id as u16, d.rail),
             WireKind::EpochSyncAck => self.on_epoch_sync_ack(d.src, h.epoch, h.seq),

@@ -3,7 +3,9 @@
 //! (ack progress, fast retransmit, timeout, path death, rail failover,
 //! resync, wipe) are methods on [`Peer`] with no simulator in them; the
 //! `McpInner` half of this file wires their verdicts to timers, counters
-//! and control packets.
+//! and control packets. Whether a gap ack resends the window is not
+//! decided here: the tx stream's [`crate::reliable::GbnSender::on_gap_ack`]
+//! holds the rule and the memory of the last resend it judges by.
 
 use std::sync::Arc;
 
@@ -15,7 +17,7 @@ use suca_sim::{EventId, SimTime};
 
 use super::McpInner;
 use crate::port::{ChannelId, PortId};
-use crate::reliable::{EpochReceiver, EpochSender};
+use crate::reliable::{EpochReceiver, EpochSender, FastResend};
 use crate::wire::{WireHeader, WireKind};
 
 /// Everything the firmware knows about one destination.
@@ -37,10 +39,6 @@ pub(super) struct Peer {
     consec_timeouts: u32,
     /// Path deaths (one rail tried each) since the last ack progress.
     failovers_no_progress: u32,
-    /// The last hole fast-retransmitted, as `(epoch, cum)` of the gap ack
-    /// that named it: each hole is resent at ack speed once, and after that
-    /// only by the timer.
-    fast_retx_hole: Option<(u16, u32)>,
     /// Every rail was tried without progress. The kernel refuses *new*
     /// sends ([`crate::BclError::PathDead`]); the firmware keeps retrying
     /// underneath so a revived path clears itself.
@@ -62,10 +60,10 @@ pub(super) enum Ack {
         /// Packets still unacknowledged (the timer must be re-armed).
         in_flight: bool,
     },
-    /// The receiver flagged a gap behind `cum` not resent yet: go back N
-    /// now, without waiting for the timer. Health is cleared if the same
-    /// ack also freed slots.
-    FastRetransmit(Vec<Bytes>),
+    /// The gap ack proved the packet at `cum` lost (a new hole, or a
+    /// resent one whose resend was dropped): go back N now, without waiting
+    /// for the timer. Health is cleared if the same ack also freed slots.
+    FastRetransmit(FastResend),
 }
 
 /// What a retransmit timeout asks the firmware to do.
@@ -96,31 +94,27 @@ impl Peer {
         self.dead = false;
     }
 
-    /// A cumulative ack arrived; `gap` is set when the receiver sent it
-    /// for an out-of-order arrival, i.e. the packet at `cum` was lost. The
-    /// cum is applied first; a gap then resends the unacked window once
-    /// per hole. A fast retransmit is not a timeout: path health counts
-    /// only timeouts, so a dead link (which delivers no gap acks) is
-    /// still detected after `max_path_timeouts` of them.
-    pub(super) fn on_ack(&mut self, epoch: u16, cum: u32, gap: bool) -> Ack {
+    /// A cumulative ack arrived. `out_of_order` is nonzero on a gap ack:
+    /// the receiver's count of out-of-order arrivals since its cum last
+    /// moved. The cum is applied first; the stream's
+    /// [`crate::reliable::GbnSender::on_gap_ack`] then decides whether the
+    /// window goes out again now. A fast retransmit is not a timeout: path
+    /// health counts only timeouts, so a dead link (which delivers no gap
+    /// acks) is still detected after `max_path_timeouts` of them.
+    pub(super) fn on_ack(&mut self, epoch: u16, cum: u32, out_of_order: u32) -> Ack {
         let Some(tx) = self.tx.as_mut() else {
             return Ack::Ignored;
         };
         let Some(freed) = tx.on_ack(epoch, cum) else {
             return Ack::Stale;
         };
+        let resend = tx.on_gap_ack(cum, out_of_order);
         let in_flight = tx.in_flight() > 0;
-        let hole = Some((epoch, cum));
-        let resend = (gap && in_flight && self.fast_retx_hole != hole)
-            .then(|| tx.unacked().cloned().collect());
         if freed > 0 {
             self.clear_health();
         }
         match resend {
-            Some(pkts) => {
-                self.fast_retx_hole = hole;
-                Ack::FastRetransmit(pkts)
-            }
+            Some(resend) => Ack::FastRetransmit(resend),
             None if freed == 0 => Ack::Ignored,
             None => Ack::Progress { in_flight },
         }
@@ -167,7 +161,7 @@ impl Peer {
                 parked: tx.parked_epoch(),
             }
         } else {
-            Timeout::Retransmit(tx.unacked().cloned().collect())
+            Timeout::Retransmit(tx.resend_window())
         })
     }
 
@@ -248,23 +242,32 @@ impl McpInner {
         self.arm_timer(peer, dst);
     }
 
-    pub(super) fn on_ack(self: &Arc<Self>, src: FabricNodeId, epoch: u16, cum: u32, gap: bool) {
+    pub(super) fn on_ack(
+        self: &Arc<Self>,
+        src: FabricNodeId,
+        epoch: u16,
+        cum: u32,
+        out_of_order: u32,
+    ) {
         {
             let mut st = self.state.lock();
             let st = &mut *st;
             let peer = st.peers.entry(src.0).or_default();
-            let in_flight = match peer.on_ack(epoch, cum, gap) {
+            let in_flight = match peer.on_ack(epoch, cum, out_of_order) {
                 Ack::Ignored => return,
                 Ack::Stale => {
                     self.stale_epoch_drop(TraceId::NONE);
                     return;
                 }
                 Ack::Progress { in_flight } => in_flight,
-                Ack::FastRetransmit(pkts) => {
+                Ack::FastRetransmit(FastResend { packets, repeat }) => {
                     // The timeout path's queue: each resent fragment pays
                     // `send_per_frag` and the wire, and is traced `mcp:retx`.
                     self.sim.add_count("bcl.fast_retx", 1);
-                    st.send.retx.extend(pkts.into_iter().map(|p| (src, p)));
+                    if repeat {
+                        self.sim.add_count("bcl.fast_retx_repeat", 1);
+                    }
+                    st.send.retx.extend(packets.into_iter().map(|p| (src, p)));
                     true
                 }
             };
@@ -376,9 +379,10 @@ impl McpInner {
 
     /// Cumulative ack, stamped with the receive stream's epoch so a sender
     /// mid-resync never applies it to the wrong stream. `offset` carries the
-    /// gap flag: 1 when the ack answers an out-of-order arrival.
-    pub(super) fn ack_header(epoch: u16, cum: u32, gap: bool) -> WireHeader {
-        Self::control_header(WireKind::Ack, epoch, 0, cum, u32::from(gap))
+    /// out-of-order count of a gap ack (one answering an out-of-order
+    /// arrival), and 0 on any other ack.
+    pub(super) fn ack_header(epoch: u16, cum: u32, out_of_order: u32) -> WireHeader {
+        Self::control_header(WireKind::Ack, epoch, 0, cum, out_of_order)
     }
 
     pub(super) fn reject_header(msg_id: u32, fatal: bool) -> WireHeader {
@@ -504,12 +508,12 @@ mod tests {
         peer.failovers_no_progress = 1;
         peer.dead = true;
         // A duplicate ack frees nothing and clears nothing.
-        assert_eq!(peer.on_ack(0, 0, false), Ack::Ignored);
+        assert_eq!(peer.on_ack(0, 0, 0), Ack::Ignored);
         assert_eq!(peer.consec_timeouts, 2);
-        assert_eq!(peer.on_ack(0, 1, false), Ack::Progress { in_flight: true });
+        assert_eq!(peer.on_ack(0, 1, 0), Ack::Progress { in_flight: true });
         assert_eq!((peer.consec_timeouts, peer.failovers_no_progress), (0, 0));
         assert!(!peer.dead);
-        assert_eq!(peer.on_ack(0, 2, false), Ack::Progress { in_flight: false });
+        assert_eq!(peer.on_ack(0, 2, 0), Ack::Progress { in_flight: false });
         // Nothing outstanding: the timer lapses without counting.
         assert_eq!(peer.on_timeout(3, 2, T0), None);
         assert_eq!(peer.consec_timeouts, 0);
@@ -519,20 +523,50 @@ mod tests {
         vals.iter().map(|&v| Bytes::from(vec![v])).collect()
     }
 
+    fn fast(vals: &[u8], repeat: bool) -> Ack {
+        Ack::FastRetransmit(FastResend {
+            packets: pkts(vals),
+            repeat,
+        })
+    }
+
     #[test]
-    fn a_gap_ack_resends_the_window_once_per_hole() {
+    fn a_gap_ack_resends_a_hole_again_only_past_its_budget() {
         let mut peer = peer_with_in_flight(3);
         // A plain duplicate ack is no loss signal.
-        assert_eq!(peer.on_ack(0, 0, false), Ack::Ignored);
-        assert_eq!(
-            peer.on_ack(0, 0, true),
-            Ack::FastRetransmit(pkts(&[0, 1, 2]))
-        );
-        // Later arrivals behind the same hole flag it again: one resend is
-        // already on its way, so only the timer may send another.
-        assert_eq!(peer.on_ack(0, 0, true), Ack::Ignored);
-        assert_eq!(peer.on_ack(0, 0, false), Ack::Ignored);
-        // A fresh epoch's hole at the same seq is a new hole.
+        assert_eq!(peer.on_ack(0, 0, 0), Ack::Ignored);
+        // A new hole: resent at once. Packets 1 and 2 had one copy each out
+        // before the resend, so its budget is 2.
+        assert_eq!(peer.on_ack(0, 0, 1), fast(&[0, 1, 2], false));
+        // The original 2 arriving behind the hole proves nothing about the
+        // resent hole.
+        assert_eq!(peer.on_ack(0, 0, 2), Ack::Ignored);
+        // A third arrival must be a copy sent after the resent hole, which
+        // the rail would have delivered first: the resend was dropped.
+        assert_eq!(peer.on_ack(0, 0, 3), fast(&[0, 1, 2], true));
+        // The budget is now 4.
+        assert_eq!(peer.on_ack(0, 0, 4), Ack::Ignored);
+        assert_eq!(peer.on_ack(0, 0, 5), fast(&[0, 1, 2], true));
+        // Once the cum moves, the next hole is a new one.
+        assert_eq!(peer.on_ack(0, 1, 1), fast(&[1, 2], false));
+    }
+
+    #[test]
+    fn a_timeout_resend_sets_the_budget() {
+        let mut peer = peer_with_in_flight(3);
+        let resend = Timeout::Retransmit(pkts(&[0, 1, 2]));
+        assert_eq!(peer.on_timeout(3, 2, T0), Some(resend));
+        // Gap acks drawn by the originals behind the hole come right after
+        // the timer's resend and resend nothing.
+        assert_eq!(peer.on_ack(0, 0, 1), Ack::Ignored);
+        assert_eq!(peer.on_ack(0, 0, 2), Ack::Ignored);
+        assert_eq!(peer.on_ack(0, 0, 3), fast(&[0, 1, 2], true));
+    }
+
+    #[test]
+    fn a_new_epoch_starts_with_no_hole_memory() {
+        let mut peer = peer_with_in_flight(3);
+        assert_eq!(peer.on_ack(0, 0, 1), fast(&[0, 1, 2], false));
         assert_eq!(
             peer.on_timeout(1, 2, T0),
             Some(Timeout::PathDead {
@@ -546,10 +580,8 @@ mod tests {
             let seq = tx.next_seq();
             tx.record_sent(seq, p).expect("tail fits the window");
         }
-        assert_eq!(
-            peer.on_ack(1, 0, true),
-            Ack::FastRetransmit(pkts(&[0, 1, 2]))
-        );
+        // The same seq on the fresh stream is a new hole, budget or not.
+        assert_eq!(peer.on_ack(1, 0, 1), fast(&[0, 1, 2], false));
     }
 
     #[test]
@@ -559,7 +591,7 @@ mod tests {
         assert!(peer.on_timeout(3, 2, T0).is_some());
         peer.failovers_no_progress = 1;
         peer.dead = true;
-        assert_eq!(peer.on_ack(0, 1, true), Ack::FastRetransmit(pkts(&[1, 2])));
+        assert_eq!(peer.on_ack(0, 1, 1), fast(&[1, 2], false));
         assert_eq!((peer.consec_timeouts, peer.failovers_no_progress), (0, 0));
         assert!(!peer.dead);
     }
@@ -571,26 +603,26 @@ mod tests {
             peer.on_timeout(1, 2, T0),
             Some(Timeout::PathDead { .. })
         ));
-        assert_eq!(peer.on_ack(0, 0, true), Ack::Stale, "parked epoch");
-        assert_eq!(peer.on_ack(1, 0, true), Ack::Stale, "resync in flight");
+        assert_eq!(peer.on_ack(0, 0, 1), Ack::Stale, "parked epoch");
+        assert_eq!(peer.on_ack(1, 0, 1), Ack::Stale, "resync in flight");
 
         let mut peer = peer_with_in_flight(2);
-        assert_eq!(peer.on_ack(0, 2, true), Ack::Progress { in_flight: false });
-        assert_eq!(peer.on_ack(0, 2, true), Ack::Ignored);
+        assert_eq!(peer.on_ack(0, 2, 1), Ack::Progress { in_flight: false });
+        assert_eq!(peer.on_ack(0, 2, 1), Ack::Ignored);
         let mut idle = peer_with_in_flight(0);
-        assert_eq!(idle.on_ack(0, 0, true), Ack::Ignored);
+        assert_eq!(idle.on_ack(0, 0, 1), Ack::Ignored);
     }
 
     #[test]
     fn gap_acks_between_timeouts_do_not_delay_path_death() {
         let mut peer = peer_with_in_flight(2);
-        assert!(matches!(peer.on_ack(0, 0, true), Ack::FastRetransmit(_)));
+        assert!(matches!(peer.on_ack(0, 0, 1), Ack::FastRetransmit(_)));
         for _ in 0..2 {
             assert!(matches!(
                 peer.on_timeout(3, 2, T0),
                 Some(Timeout::Retransmit(_))
             ));
-            assert_eq!(peer.on_ack(0, 0, true), Ack::Ignored);
+            assert_eq!(peer.on_ack(0, 0, 1), Ack::Ignored);
         }
         assert_eq!(peer.consec_timeouts, 2);
         assert!(matches!(
@@ -602,19 +634,15 @@ mod tests {
     #[test]
     fn ack_or_timeout_without_a_tx_stream_is_ignored() {
         let mut peer = Peer::default();
-        assert_eq!(peer.on_ack(0, 7, false), Ack::Ignored);
-        assert_eq!(
-            peer.on_ack(3, 7, false),
-            Ack::Ignored,
-            "not even a stale drop"
-        );
+        assert_eq!(peer.on_ack(0, 7, 0), Ack::Ignored);
+        assert_eq!(peer.on_ack(3, 7, 0), Ack::Ignored, "not even a stale drop");
         assert_eq!(peer.on_timeout(1, 2, T0), None);
         assert!(peer.tx.is_none(), "looking must not open a stream");
         // With a stream, a wrong-epoch or mid-resync ack *is* stale.
         let mut peer = peer_with_in_flight(1);
-        assert_eq!(peer.on_ack(1, 1, false), Ack::Stale);
+        assert_eq!(peer.on_ack(1, 1, 0), Ack::Stale);
         assert!(peer.on_timeout(1, 2, T0).is_some());
-        assert_eq!(peer.on_ack(1, 1, false), Ack::Stale, "resync in flight");
+        assert_eq!(peer.on_ack(1, 1, 0), Ack::Stale, "resync in flight");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! MCP receive engine: packet demux into the descriptor rings, go-back-N
-//! acceptance, reassembly of messages straight into user buffers, rejects,
-//! and the target and requester halves of one-sided RMA.
+//! acceptance and its acks (a gap ack carries the receive stream's count of
+//! out-of-order arrivals), reassembly of messages straight into user
+//! buffers, rejects, and the target and requester halves of one-sided RMA.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -114,7 +115,8 @@ impl McpInner {
                 self.mt_instant(TraceId::new(t.origin, t.msg_id), stage::DROP_CRC);
             }
             // CRC check fails; go-back-N recovers on the gap ack the next
-            // arrival draws, or on the timeout if none follows.
+            // arrival draws, or on the timeout if none follows. A corrupt
+            // packet is never counted as an out-of-order arrival.
             return;
         }
         let Some((header, payload)) = WireHeader::decode(&pkt.payload) else {
@@ -160,9 +162,14 @@ impl McpInner {
         // was reset and restarted its stream); older epochs are counted
         // stale drops with no ack — the peer is already past them.
         let verdict = rx.on_data(header.epoch, header.seq);
-        // A gap flag makes the sender resend at once (`Peer::on_ack`).
-        let gap = matches!(verdict, EpochVerdict::Gbn(v) if v.reveals_gap());
-        let ack = Self::ack_header(rx.epoch(), rx.cum_ack(), gap);
+        // A gap ack carries the out-of-order count, from which the sender
+        // tells a new hole or a lost resend from a stale report
+        // (`GbnSender::on_gap_ack`).
+        let out_of_order = match verdict {
+            EpochVerdict::Gbn(v) if v.reveals_gap() => rx.out_of_order(),
+            _ => 0,
+        };
+        let ack = Self::ack_header(rx.epoch(), rx.cum_ack(), out_of_order);
         match verdict {
             EpochVerdict::Gbn(GbnVerdict::Accept) => self.accept(&mut st, d),
             EpochVerdict::Gbn(GbnVerdict::Duplicate | GbnVerdict::OutOfOrder) => {

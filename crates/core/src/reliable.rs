@@ -5,12 +5,16 @@
 //! one-way time — and "performs re-transmission when timeout". We implement
 //! a classic go-back-N: per-destination sequence numbers, a bounded window
 //! of unacked packets buffered in NIC SRAM, cumulative ACKs, and full-window
-//! retransmission on timeout *or* on a gap ack — an ack the receiver flags
-//! because it answers an out-of-order arrival, which `mcp/peer.rs` turns
-//! into one immediate resend per hole. The receiver accepts only the next
-//! expected sequence number, which also guarantees in-order fragment
-//! delivery per NIC pair (BCL relies on this for reassembly-free receives).
-//! The paper's MCP retransmits on timeout only; the gap ack is ours.
+//! retransmission on timeout *or* on a gap ack. A gap ack answers an
+//! out-of-order arrival and carries how many out-of-order arrivals the
+//! receiver has seen since its cum last moved; [`GbnSender::on_gap_ack`]
+//! resends at once for a new hole, and again for a hole already resent when
+//! that count exceeds the copies sent behind the hole before the resend —
+//! on a rail that never reorders or duplicates, the resent hole was lost.
+//! The receiver accepts only the next expected sequence number, which also
+//! guarantees in-order fragment delivery per NIC pair (BCL relies on this
+//! for reassembly-free receives). The paper's MCP retransmits on timeout
+//! only; the gap ack is ours.
 //!
 //! This module is pure state logic (no simulator types) so the protocol can
 //! be exhaustively unit- and property-tested; `mcp/peer.rs` wires it to
@@ -79,8 +83,30 @@ impl GbnError {
 pub struct GbnSender {
     next_seq: u32,
     window: u32,
-    /// Unacked packets in seq order: `(seq, encoded packet)`.
-    inflight: VecDeque<(u32, Bytes)>,
+    /// Unacked packets in seq order.
+    inflight: VecDeque<Unacked>,
+    /// The last window resend as `(hole, budget)`: the seq it resent first,
+    /// and how many copies of the packets behind that seq had gone out
+    /// before it.
+    last_resend: Option<(u32, u32)>,
+}
+
+/// One unacknowledged packet.
+struct Unacked {
+    seq: u32,
+    /// The encoded packet, kept for retransmission.
+    pkt: Bytes,
+    /// Copies put on the wire so far, the first included.
+    sends: u32,
+}
+
+/// The window resend a gap ack earned ([`GbnSender::on_gap_ack`]).
+#[derive(Debug, PartialEq, Eq)]
+pub struct FastResend {
+    /// Every unacknowledged packet, oldest first.
+    pub packets: Vec<Bytes>,
+    /// The hole had been resent already, and that resend was dropped.
+    pub repeat: bool,
 }
 
 impl GbnSender {
@@ -91,6 +117,7 @@ impl GbnSender {
             next_seq: 0,
             window,
             inflight: VecDeque::new(),
+            last_resend: None,
         }
     }
 
@@ -120,7 +147,7 @@ impl GbnSender {
                 window: self.window,
             });
         }
-        self.inflight.push_back((seq, pkt));
+        self.inflight.push_back(Unacked { seq, pkt, sends: 1 });
         self.next_seq = self.next_seq.wrapping_add(1);
         Ok(())
     }
@@ -129,8 +156,8 @@ impl GbnSender {
     /// Returns the number of packets newly acknowledged.
     pub fn on_ack(&mut self, cum_ack: u32) -> usize {
         let mut freed = 0;
-        while let Some(&(seq, _)) = self.inflight.front() {
-            if seq_before(seq, cum_ack) {
+        while let Some(u) = self.inflight.front() {
+            if seq_before(u.seq, cum_ack) {
                 self.inflight.pop_front();
                 freed += 1;
             } else {
@@ -140,10 +167,63 @@ impl GbnSender {
         freed
     }
 
-    /// Packets currently unacknowledged (oldest first) — the retransmission
-    /// set on timeout or gap ack.
+    /// Packets currently unacknowledged (oldest first).
     pub fn unacked(&self) -> impl Iterator<Item = &Bytes> + '_ {
-        self.inflight.iter().map(|(_, p)| p)
+        self.inflight.iter().map(|u| &u.pkt)
+    }
+
+    /// Go back N: every unacknowledged packet goes out again, oldest first.
+    /// The resend is remembered as `(hole, budget)` — its first seq, and the
+    /// copies of the packets behind that seq sent before it — for
+    /// [`GbnSender::on_gap_ack`]. Timeouts and gap acks both resend here.
+    pub fn resend_window(&mut self) -> Vec<Bytes> {
+        let Some(hole) = self.inflight.front().map(|u| u.seq) else {
+            return Vec::new();
+        };
+        let budget = self.inflight.iter().skip(1).map(|u| u.sends).sum();
+        self.last_resend = Some((hole, budget));
+        self.inflight
+            .iter_mut()
+            .map(|u| {
+                u.sends += 1;
+                u.pkt.clone()
+            })
+            .collect()
+    }
+
+    /// The fast-retransmit rule, for an ack already applied by
+    /// [`GbnSender::on_ack`]. `out_of_order` is the ack's count of
+    /// out-of-order arrivals since the receiver's cum last moved; 0 means
+    /// the ack is no gap ack. Every such arrival is a copy of a packet
+    /// behind the hole at `cum`, and it overtook no copy of the hole: a rail
+    /// never reorders. So the window goes out again at once when
+    ///
+    /// * no resend has started at this hole: the arrival overtook a copy of
+    ///   the hole, which was therefore lost (a resend that started at an
+    ///   earlier hole may have sent a later copy; resending again is then
+    ///   early, never wrong); or
+    /// * the last resend did, and `out_of_order` exceeds its budget: a rail
+    ///   never duplicates either, so at least one arrival is a copy sent
+    ///   after the resend, and the resent hole was lost (a `repeat`).
+    ///
+    /// Any other gap ack may have been drawn by a copy sent before the
+    /// resend, and is ignored; the timer remains the backstop.
+    pub fn on_gap_ack(&mut self, cum: u32, out_of_order: u32) -> Option<FastResend> {
+        let hole = self.inflight.front()?.seq;
+        if out_of_order == 0 || hole != cum {
+            return None;
+        }
+        let repeat = match self.last_resend {
+            Some((resent, budget)) if resent == hole => {
+                if out_of_order <= budget {
+                    return None;
+                }
+                true
+            }
+            _ => false,
+        };
+        let packets = self.resend_window();
+        Some(FastResend { packets, repeat })
     }
 
     /// Number of unacked packets.
@@ -164,11 +244,12 @@ pub enum GbnVerdict {
 }
 
 impl GbnVerdict {
-    /// Whether the re-ACK for this arrival carries the gap flag. Only an
-    /// out-of-order arrival shows that the packet at the cum was lost. A
-    /// duplicate means an ack was lost or a resend overlapped; its cum
-    /// names a packet that may well be in flight, and flagging it would
-    /// resend a window that was never lost.
+    /// Whether the re-ACK for this arrival is a gap ack, carrying the
+    /// receiver's out-of-order count. Only an out-of-order arrival shows
+    /// that the packet at the cum was lost. A duplicate means an ack was
+    /// lost or a resend overlapped; its cum names a packet that may well
+    /// be in flight, and a gap ack for it would resend a window that was
+    /// never lost.
     pub fn reveals_gap(self) -> bool {
         self == GbnVerdict::OutOfOrder
     }
@@ -177,22 +258,29 @@ impl GbnVerdict {
 /// Receiver half of one NIC-pair stream.
 pub struct GbnReceiver {
     expected: u32,
+    /// Out-of-order arrivals since `expected` last moved.
+    out_of_order: u32,
 }
 
 impl GbnReceiver {
     /// New stream.
     pub fn new() -> Self {
-        GbnReceiver { expected: 0 }
+        GbnReceiver {
+            expected: 0,
+            out_of_order: 0,
+        }
     }
 
     /// Classify an arriving sequence number and advance on accept.
     pub fn on_data(&mut self, seq: u32) -> GbnVerdict {
         if seq == self.expected {
             self.expected = self.expected.wrapping_add(1);
+            self.out_of_order = 0;
             GbnVerdict::Accept
         } else if seq_before(seq, self.expected) {
             GbnVerdict::Duplicate
         } else {
+            self.out_of_order = self.out_of_order.saturating_add(1);
             GbnVerdict::OutOfOrder
         }
     }
@@ -200,6 +288,12 @@ impl GbnReceiver {
     /// Cumulative ACK value to send (next expected seq).
     pub fn cum_ack(&self) -> u32 {
         self.expected
+    }
+
+    /// Out-of-order arrivals since the cum last moved — what a gap ack
+    /// carries for [`GbnSender::on_gap_ack`].
+    pub fn out_of_order(&self) -> u32 {
+        self.out_of_order
     }
 }
 
@@ -360,6 +454,18 @@ impl EpochSender {
         self.gbn.unacked()
     }
 
+    /// [`GbnSender::resend_window`] on the live stream.
+    pub fn resend_window(&mut self) -> Vec<Bytes> {
+        self.gbn.resend_window()
+    }
+
+    /// [`GbnSender::on_gap_ack`] on the live stream, for an ack that
+    /// [`EpochSender::on_ack`] applied. A fresh epoch's stream starts with
+    /// no resend to compare against.
+    pub fn on_gap_ack(&mut self, cum: u32, out_of_order: u32) -> Option<FastResend> {
+        self.gbn.on_gap_ack(cum, out_of_order)
+    }
+
     /// Number of unacked packets on the live stream.
     pub fn in_flight(&self) -> usize {
         self.gbn.in_flight()
@@ -457,6 +563,11 @@ impl EpochReceiver {
     /// Cumulative ACK value for the current epoch's stream.
     pub fn cum_ack(&self) -> u32 {
         self.gbn.cum_ack()
+    }
+
+    /// The current epoch's out-of-order count (an adopted epoch starts at 0).
+    pub fn out_of_order(&self) -> u32 {
+        self.gbn.out_of_order()
     }
 }
 
@@ -568,7 +679,10 @@ mod tests {
         assert_eq!(s.in_flight(), 2);
         assert_eq!(s.on_ack(1), 2, "ack past the wrap frees both");
 
-        let mut r = GbnReceiver { expected: u32::MAX };
+        let mut r = GbnReceiver {
+            expected: u32::MAX,
+            ..GbnReceiver::new()
+        };
         assert_eq!(r.on_data(u32::MAX), GbnVerdict::Accept);
         assert_eq!(r.on_data(0), GbnVerdict::Accept);
         assert_eq!(r.on_data(u32::MAX), GbnVerdict::Duplicate);
@@ -618,16 +732,30 @@ mod tests {
     }
 
     /// The MCP's loss recovery as a seeded lockstep model: data and acks are
-    /// lost independently; an ack carries the gap flag when its arrival
+    /// lost independently on one wire that never reorders. An ack carries
+    /// the receiver's out-of-order count when its arrival
     /// [`GbnVerdict::reveals_gap`], and the sender resends its window at
-    /// once the first time a hole is flagged, otherwise only on a "timeout"
-    /// round (one in which nothing reached it). Every fast retransmit must
-    /// answer a real loss: the last copy sent of the hole's packet was
-    /// dropped.
+    /// once when [`GbnSender::on_gap_ack`] says so, otherwise only on a
+    /// "timeout" round (one in which nothing reached it). Checked against
+    /// the model's own log of every copy sent:
+    ///
+    /// * every fast retransmit, first or repeat, answers a real loss: the
+    ///   last copy sent of the hole was dropped;
+    /// * a hole whose resend was dropped is resent before the next timeout
+    ///   round once a later-sent copy is delivered — provably so, when the
+    ///   arrivals behind the hole since the cum reached it outnumber the
+    ///   copies sent behind it before the hole's last copy.
     #[test]
-    fn lockstep_gap_acks_resend_each_hole_once_and_deliver_everything_in_order() {
+    fn lockstep_gap_acks_resend_lost_holes_and_lost_resends_in_order() {
+        /// Log `seqs` as sent and queue them on the wire.
+        fn put(log: &mut Vec<(u32, bool)>, wire: &mut VecDeque<usize>, seqs: Vec<Bytes>) {
+            for b in seqs {
+                wire.push_back(log.len());
+                log.push((val(&b), false));
+            }
+        }
         const N: u32 = 40;
-        let mut fast_total = 0;
+        let (mut fast_total, mut repeats) = (0, 0);
         for seed in 1..=64u64 {
             let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut lost = move || {
@@ -639,71 +767,80 @@ mod tests {
             let mut s = GbnSender::new(4);
             let mut r = GbnReceiver::new();
             let mut delivered: Vec<u32> = Vec::new();
-            let mut wire: VecDeque<(u32, u32)> = VecDeque::new();
+            // Every copy sent, in order: `(seq, dropped)`; seq = payload.
+            let mut log: Vec<(u32, bool)> = Vec::new();
+            let mut wire: VecDeque<usize> = VecDeque::new();
+            // Out-of-order arrivals since the cum last moved.
+            let mut behind = 0u32;
             let mut next = 0u32;
-            // Holes fast-resent since the last timeout, and the last one.
-            let mut resent_holes: Vec<u32> = Vec::new();
-            let mut last_hole = None;
-            // Seqs whose last copy sent was dropped.
-            let mut lost_seqs: Vec<u32> = Vec::new();
             let mut rounds = 0;
-            let window = |s: &GbnSender| {
-                let base = s.next_seq().wrapping_sub(s.in_flight() as u32);
-                s.unacked()
-                    .enumerate()
-                    .map(|(i, b)| (base.wrapping_add(i as u32), val(b)))
-                    .collect::<Vec<(u32, u32)>>()
-            };
             while delivered.len() < N as usize {
                 rounds += 1;
                 assert!(rounds < 10_000, "seed {seed}: no progress");
                 while s.can_send() && next < N {
                     let seq = s.next_seq();
                     s.record_sent(seq, pkt(next)).expect("in window");
-                    wire.push_back((seq, next));
+                    put(&mut log, &mut wire, vec![pkt(next)]);
                     next += 1;
                 }
+                // `(cum, count carried, arrivals behind the cum)` per ack.
                 let mut acks = Vec::new();
-                for (seq, v) in wire.drain(..) {
-                    lost_seqs.retain(|&s| s != seq);
+                for i in wire.drain(..) {
+                    let seq = log[i].0;
                     if lost() {
-                        lost_seqs.push(seq);
+                        log[i].1 = true;
                         continue;
                     }
                     let verdict = r.on_data(seq);
-                    if verdict == GbnVerdict::Accept {
-                        delivered.push(v);
+                    match verdict {
+                        GbnVerdict::Accept => {
+                            delivered.push(seq);
+                            behind = 0;
+                        }
+                        GbnVerdict::OutOfOrder => behind += 1,
+                        GbnVerdict::Duplicate => {}
                     }
+                    let count = if verdict.reveals_gap() {
+                        r.out_of_order()
+                    } else {
+                        0
+                    };
                     if !lost() {
-                        acks.push((r.cum_ack(), verdict.reveals_gap()));
+                        acks.push((r.cum_ack(), count, behind));
                     }
                 }
                 let heard = !acks.is_empty();
-                for (cum, gap) in acks {
+                for (cum, count, behind) in acks {
                     s.on_ack(cum);
-                    if gap && s.in_flight() > 0 && last_hole != Some(cum) {
+                    let last = log.iter().rposition(|&(seq, _)| seq == cum);
+                    let proven = count > 0
+                        && last.is_some_and(|l| {
+                            let sent_behind = log[..l].iter().filter(|&&(seq, _)| seq > cum);
+                            behind as usize > sent_behind.count()
+                        });
+                    let Some(resend) = s.on_gap_ack(cum, count) else {
                         assert!(
-                            !resent_holes.contains(&cum),
-                            "seed {seed}: hole {cum} fast-resent twice before a timeout"
+                            !proven,
+                            "seed {seed}: hole {cum} provably lost again, left to the timer"
                         );
-                        assert!(
-                            lost_seqs.contains(&cum),
-                            "seed {seed}: hole {cum} fast-resent but never lost"
-                        );
-                        resent_holes.push(cum);
-                        last_hole = Some(cum);
-                        fast_total += 1;
-                        wire.extend(window(&s));
-                    }
+                        continue;
+                    };
+                    assert!(
+                        last.is_some_and(|l| log[l].1),
+                        "seed {seed}: hole {cum} fast-resent but never lost"
+                    );
+                    fast_total += 1;
+                    repeats += usize::from(resend.repeat);
+                    put(&mut log, &mut wire, resend.packets);
                 }
                 if !heard && s.in_flight() > 0 {
-                    resent_holes.clear(); // timeout: go back N
-                    wire.extend(window(&s));
+                    put(&mut log, &mut wire, s.resend_window()); // timeout
                 }
             }
             assert_eq!(delivered, (0..N).collect::<Vec<u32>>(), "seed {seed}");
         }
         assert!(fast_total > 0, "gap acks never fired");
+        assert!(repeats > 0, "no lost resend was ever resent at ack speed");
     }
 
     #[test]
@@ -867,7 +1004,7 @@ mod tests {
                 let start = u32::MAX - start_offset;
                 let mut tx = GbnSender::new(8);
                 tx.next_seq = start;
-                let mut rx = GbnReceiver { expected: start };
+                let mut rx = GbnReceiver { expected: start, ..GbnReceiver::new() };
                 let mut delivered: Vec<u32> = Vec::new();
                 let mut next_to_queue = 0u32;
                 let mut losses = loss_pattern.into_iter();
