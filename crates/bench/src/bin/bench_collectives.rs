@@ -30,7 +30,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use suca_bench::report::host_meta;
+use suca_bench::report::{host_meta, Recovery};
 use suca_bench::{env_u32, sweep_spec};
 use suca_coll::{CollKind, PlanRegistry};
 use suca_eadi::Universe;
@@ -159,6 +159,8 @@ fn run_cell(
             "{fabric_label}/{nodes}: {counter} tripped"
         );
     }
+    // The sweep runs loss-free: nothing may be resent.
+    Recovery::of(&sim).assert_none(&format!("{fabric_label}/{nodes} offload={offload}"));
     if check_budget {
         let events = sim.trace_events();
         assert!(!events.is_empty(), "{fabric_label}/{nodes}: no trace");

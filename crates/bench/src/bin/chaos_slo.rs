@@ -9,7 +9,7 @@
 //! * **chaos_clean** — the dual-rail cluster with no faults: the SLO
 //!   baseline the storm is compared against.
 //! * **chaos_storm** — the same workload under the storm. Recovery must go
-//!   through the full machinery (retransmission exhaustion → path death →
+//!   through the full machinery (silence → path death →
 //!   rail failover → epoch resync), and at the end the books must balance:
 //!   `completed + shed + timed_out == issued`, no chain stuck (the armed
 //!   stall watchdog stays silent), and both the SLO and chaos reports are
@@ -20,7 +20,7 @@
 //! percentiles).
 
 use suca_bench::kv_cluster::{self, interleave_servers};
-use suca_bench::report::emit_metrics;
+use suca_bench::report::{emit_metrics, Recovery};
 use suca_chaos::{ChaosController, ChaosPlan, ChaosReport, Fault};
 use suca_cluster::{Cluster, ClusterSpec, SanKind};
 use suca_load::{run_closed_loop, ClosedLoopCfg, KvCosts, LatencyHists, LoadStats, Mix, SloReport};
@@ -129,7 +129,7 @@ fn storm() -> ChaosPlan {
     // t=2 ms: node 13's NIC resets, wiping its MCP SRAM.
     plan.push(SimTime::from_ns(2_000_000), Fault::NicReset { node: 13 });
     // t=2.5 ms: shard node 20 crashes whole, restarting 1 ms later.
-    // Recovery must ride the full chain: peers exhaust retransmissions,
+    // Recovery must ride the full chain: peers' probes go unanswered,
     // declare the path dead, fail over to rail 1 (also dead — the *node*
     // is down), and resync epochs once the restart brings it back.
     plan.push(
@@ -151,7 +151,7 @@ fn run_kv(plan: Option<&ChaosPlan>) -> (Cluster, LoadStats) {
         ..RpcServerConfig::default()
     };
     // The client timeout must comfortably cover a full recovery
-    // (3 x 300 us retransmission exhaustion + resync), so storm-time
+    // (3 x 300 us of silence to path death + resync), so storm-time
     // requests ride through failover instead of burning attempts.
     let client_cfg = RpcClientConfig {
         timeout: SimDuration::from_ms(5),
@@ -223,6 +223,14 @@ fn main() {
         0,
         "chaos_clean: no fault may be injected in the baseline"
     );
+    // Nothing fails, so nothing may look dead or be resent: path death
+    // counts silence, and a timer expiry only probes.
+    assert_eq!(
+        clean_cluster.sim.get_count("mcp.path_deaths"),
+        0,
+        "chaos_clean: a path was declared dead with no fault injected"
+    );
+    Recovery::of(&clean_cluster.sim).assert_none("chaos_clean");
     assert!(
         clean_cluster.sim.health().is_silent(),
         "chaos_clean: health engine fired with no faults injected: {:?}",
@@ -247,6 +255,14 @@ fn main() {
     );
     let (storm_cluster, storm_stats) = run_kv(Some(&plan));
     let slo = gather_slo(&storm_cluster, &storm_stats, "chaos_storm");
+    // Every destination survives the storm (the crashed shard restarts), so
+    // recovery must carry every request through: none may end as a
+    // `DeadDestination`.
+    assert_eq!(
+        (slo.completed, slo.dead_dests),
+        (slo.issued, 0),
+        "chaos_storm: every request must complete through the storm"
+    );
     let report = ChaosReport::gather(&storm_cluster.sim, "chaos_storm", SEED);
     assert_eq!(
         report.injected as usize,
@@ -263,7 +279,7 @@ fn main() {
     );
     assert!(
         report.path_deaths >= 1,
-        "the storm must trip retransmission exhaustion"
+        "the storm must trip path death by silence"
     );
     assert!(
         report.rail_failovers >= 1,

@@ -33,6 +33,7 @@ use suca_rpc::{
 use suca_sim::{ActorCtx, HealthRule, RunOutcome, SimDuration, SimTime};
 
 use crate::kv_cluster::interleave_servers;
+use crate::report::Recovery;
 use crate::spec_for;
 
 /// Fixed seed for every mixed_slo variant.
@@ -460,8 +461,10 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
 
 /// Invariants every variant must satisfy, asserted uniformly so the
 /// harness and the e2e test can't drift: per-tenant accounting identity,
-/// gap-free subscriber prefixes, verified pipeline outputs.
+/// gap-free subscriber prefixes, verified pipeline outputs, and — no
+/// variant injects loss — nothing resent.
 pub fn assert_base_invariants(tag: &str, out: &MixedOutcome) {
+    Recovery::of(&out.cluster.sim).assert_none(tag);
     for t in &out.report.tenants {
         assert!(
             t.accounted(),

@@ -59,17 +59,23 @@ pub fn write_trace_json_with_counters(
     write_artifact("traces", run, &json)
 }
 
-/// How a run's go-back-N recovered from loss, from its counters: fast
-/// retransmits (and the repeats among them, resends of a resent hole),
-/// retransmit timeouts, and arrivals discarded as duplicate or out of order.
+/// How a run's go-back-N recovered from loss, from its counters: the
+/// resends a gap ack proved (fast retransmits, and the repeats among them,
+/// resends of a resent hole) and the ones a probe's reply proved, timer
+/// expiries (each sends a probe and resends nothing), packets resent, and
+/// arrivals discarded as duplicate or out of order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Recovery {
     /// `bcl.fast_retx`.
     pub fast_retx: u64,
     /// `bcl.fast_retx_repeat`.
     pub repeats: u64,
+    /// `bcl.probe_retx`.
+    pub probe_retx: u64,
     /// `bcl.timeouts`.
     pub timeouts: u64,
+    /// `bcl.retx_packets`.
+    pub retx_packets: u64,
     /// `bcl.rx_discarded`.
     pub rx_discarded: u64,
 }
@@ -80,16 +86,27 @@ impl Recovery {
         Recovery {
             fast_retx: sim.get_count("bcl.fast_retx"),
             repeats: sim.get_count("bcl.fast_retx_repeat"),
+            probe_retx: sim.get_count("bcl.probe_retx"),
             timeouts: sim.get_count("bcl.timeouts"),
+            retx_packets: sim.get_count("bcl.retx_packets"),
             rx_discarded: sim.get_count("bcl.rx_discarded"),
         }
     }
 
     /// A run with no drop, corruption or fault must recover nothing: no
-    /// gap ack, no timeout, and so no packet received twice.
+    /// resend proven by a gap ack or a probe's reply, no packet resent, and
+    /// so none received twice. Timer expiries may fire (an ack can outlast
+    /// the probe interval behind queued data); they only ask.
     pub fn assert_none(&self, run: &str) {
-        let none = Recovery::default();
-        assert_eq!(*self, none, "{run}: loss-free run recovered from loss");
+        let resent = Recovery {
+            timeouts: 0,
+            ..*self
+        };
+        assert_eq!(
+            resent,
+            Recovery::default(),
+            "{run}: loss-free run recovered from loss"
+        );
     }
 }
 
@@ -97,8 +114,14 @@ impl std::fmt::Display for Recovery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} fast retransmits ({} repeats), {} timeouts, {} discarded",
-            self.fast_retx, self.repeats, self.timeouts, self.rx_discarded
+            "{} fast retransmits ({} repeats), {} probe retransmits, {} timeouts, \
+             {} packets resent, {} discarded",
+            self.fast_retx,
+            self.repeats,
+            self.probe_retx,
+            self.timeouts,
+            self.retx_packets,
+            self.rx_discarded
         )
     }
 }

@@ -284,11 +284,11 @@ fn a_dropped_resend_is_resent_at_ack_speed_in_a_stream() {
     assert!(repeats <= sim.get_count("bcl.fast_retx"));
 }
 
-/// The timer's liveness case: a ping-pong never has a packet in flight
-/// behind a lost one, so no gap ack is drawn and every loss is a tail loss
-/// that only the retransmit timeout repairs.
+/// The probe's liveness case: a ping-pong never has a packet in flight
+/// behind a lost one, so no gap ack is drawn and every loss is a tail loss.
+/// The timer only asks; the probe's reply proves the loss and resends.
 #[test]
-fn timer_alone_repairs_tail_losses_in_a_ping_pong() {
+fn probes_repair_tail_losses_in_a_ping_pong() {
     let mut spec = ClusterSpec::dawning3000(2);
     if let suca_cluster::SanKind::Myrinet(ref mut cfg) = spec.san {
         cfg.fault = FaultPlan {
@@ -333,6 +333,14 @@ fn timer_alone_repairs_tail_losses_in_a_ping_pong() {
         "no loss reached the timer"
     );
     assert_eq!(sim.get_count("bcl.fast_retx"), 0, "a ping-pong has no gaps");
+    assert!(
+        sim.get_count("bcl.probe_retx") > 0,
+        "no probe reply proved a loss"
+    );
+    assert!(
+        sim.get_count("bcl.retx_packets") > 0,
+        "the tail losses were never resent"
+    );
 }
 
 // -------------------------------------------------------------- rendezvous

@@ -123,11 +123,12 @@ fn watchdog_fires_on_wedged_retransmission_loop() {
     // Drop every packet under an RMA read: data sends complete at
     // injection (firmware reliability is transparent to the sender), but a
     // read only completes when the remote's data lands — which it never
-    // does. The go-back-N loop retransmits the request forever (300 us
-    // timer), the chain records a SEND but never a terminal stage, and the
-    // event queue never drains — the livelock shape a deadlock detector
-    // misses. Tighten the budget below the retransmit period so the chain
-    // looks stale at check time within a short bounded run.
+    // does. The go-back-N loop probes for the request forever (every
+    // 300 us: no ack ever gives an RTT sample), the chain records a SEND
+    // but never a terminal stage, and the event queue never drains — the
+    // livelock shape a deadlock detector misses. Tighten the budget below
+    // the probe period so the chain looks stale at check time within a
+    // short bounded run.
     let mut spec = ClusterSpec::dawning3000(2).with_seed(23);
     if let SanKind::Myrinet(ref mut cfg) = spec.san {
         cfg.fault = FaultPlan {
@@ -138,7 +139,7 @@ fn watchdog_fires_on_wedged_retransmission_loop() {
     let spec = spec.with_telemetry(TelemetryConfig {
         sample_period: SimDuration::from_us(20),
         watchdog: WatchdogConfig {
-            chain_budget_ns: 100_000, // < the 300 us retransmit timeout
+            chain_budget_ns: 100_000, // < the 300 us probe interval (no ack, no RTT sample)
             check_every: 1,
         },
     });

@@ -56,18 +56,23 @@ pub struct McpCosts {
 pub struct ReliabilityConfig {
     /// Sender window per destination NIC, in packets.
     pub window: u32,
-    /// Retransmission timeout.
+    /// The retransmit timer's ceiling. A timer expiry resends nothing: it
+    /// probes the receiver, after `clamp(4·srtt, 50 µs, retransmit_timeout)`
+    /// (the ceiling until an RTT sample exists). It is also the period at
+    /// which an epoch resync is re-offered, and the unit in which
+    /// `max_path_timeouts` counts silence.
     pub retransmit_timeout: SimDuration,
     /// Delay before retrying a message rejected by the receiver (normal
     /// channel not posted / system pool full).
     pub reject_retry_delay: SimDuration,
     /// Retries before a rejected message completes with an error event.
     pub max_message_retries: u32,
-    /// Consecutive retransmission timeouts (no ack progress) to the same
-    /// destination before the kernel declares the path dead: dual-rail
-    /// nodes fail the connection over to the other rail; single-rail nodes
-    /// refuse new sends to the destination while go-back-N keeps probing
-    /// underneath (ack progress revives the path). `0` disables detection
+    /// Periods of `retransmit_timeout` without ack progress to the same
+    /// destination (however many probes fired in them) before the kernel
+    /// declares the path dead: dual-rail nodes fail the connection over to
+    /// the other rail; single-rail nodes refuse new sends to the
+    /// destination while go-back-N keeps probing underneath (ack progress
+    /// revives the path). `0` disables detection
     /// entirely — the calibrated DAWNING-3000 profile keeps it off so the
     /// paper-identity harnesses are untouched; chaos/fault harnesses opt in.
     pub max_path_timeouts: u32,

@@ -18,11 +18,14 @@
 //!   produces the paper's 146 MB/s plateau. Also message-level retry.
 //! * `peer.rs` — **one record per destination**: the go-back-N streams of
 //!   [`crate::reliable`] ("NIC control program need to process the reliable
-//!   protocol and perform re-transmission when timeout"), the retransmit
-//!   timer, the **gap-ack fast retransmit** (our extension: an immediate
-//!   resend when the receiver's out-of-order count proves a hole, or a
-//!   resent hole, lost), and multi-rail recovery: timeout
-//!   → path death → **rail failover** → **epoch resync** → ack progress.
+//!   protocol and perform re-transmission when timeout"), the probe timer,
+//!   and the two resends on proof (our extensions): the **gap-ack fast
+//!   retransmit**, when the receiver's out-of-order count proves a hole, or
+//!   a resent hole, lost; and the **probe retransmit**, when a timer
+//!   expiry's probe, queued behind the window, draws a reply whose cum
+//!   still names the hole. A timer expiry resends nothing. Then multi-rail
+//!   recovery: silence → path death → **rail failover** → **epoch resync**
+//!   → ack progress.
 //! * `recv.rs` — **receive engine**: CRC/sequence checking, demux to ports
 //!   and channels, DMA of payloads straight into user buffers (system pool
 //!   or posted normal buffers), rejects, RMA one-sided reads/writes.
@@ -142,7 +145,7 @@ impl<T> Ring<T> {
 struct Rings {
     /// Control arrivals (acks, rejects, epoch handshake), `ack_process` each.
     rx_ctrl: Ring<RxDesc>,
-    /// Data arrivals, `recv_per_frag` each.
+    /// Data arrivals and probes, `recv_per_frag` each.
     rx_data: Ring<RxDesc>,
     /// Outgoing fragments from the send engine, `send_per_frag` each.
     tx: Ring<TxDesc>,
@@ -536,7 +539,8 @@ impl McpInner {
         };
         let h = d.header;
         match h.kind {
-            WireKind::Ack => self.on_ack(d.src, h.epoch, h.seq, h.offset),
+            WireKind::Ack => self.on_ack(d.src, h.epoch, h.seq, h.offset, h.msg_id),
+            WireKind::Probe => self.on_probe(d.src, h.epoch, h.msg_id, d.rail),
             WireKind::Reject => self.on_reject(h.msg_id, h.offset == 1),
             WireKind::EpochSync => self.on_epoch_sync(d.src, h.epoch, h.msg_id as u16, d.rail),
             WireKind::EpochSyncAck => self.on_epoch_sync_ack(d.src, h.epoch, h.seq),

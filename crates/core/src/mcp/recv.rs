@@ -2,6 +2,9 @@
 //! acceptance and its acks (a gap ack carries the receive stream's count of
 //! out-of-order arrivals), reassembly of messages straight into user
 //! buffers, rejects, and the target and requester halves of one-sided RMA.
+//! A probe takes the data ring, not the control one, so the cum its reply
+//! carries (`McpInner::on_probe`) already counts every packet that arrived
+//! ahead of it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -130,6 +133,9 @@ impl McpInner {
             WireKind::Ack | WireKind::Reject | WireKind::EpochSync | WireKind::EpochSyncAck => {
                 (&self.rings.rx_ctrl, self.cfg.mcp.ack_process)
             }
+            // In order behind the data it fences, at the cost of a
+            // fragment; it belongs to no message, so it has no `mcp:rx`.
+            WireKind::Probe => (&self.rings.rx_data, self.cfg.mcp.recv_per_frag),
             WireKind::Data | WireKind::RmaReadReq | WireKind::RmaReadData | WireKind::Coll => {
                 let proc = self.cfg.mcp.recv_per_frag;
                 let at = sim.now()..sim.now() + proc;

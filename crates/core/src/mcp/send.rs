@@ -120,8 +120,8 @@ const NIC_TLB_MISS: SimDuration = SimDuration::from_us(16);
 pub(super) struct SendEngine {
     /// Descriptors posted and not yet started, FIFO.
     pub(super) queue: VecDeque<SendJob>,
-    /// Encoded packets owed a retransmission; they go before any fresh
-    /// fragment.
+    /// Encoded packets owed a retransmission, and probes; they go before
+    /// any fresh fragment, in order.
     pub(super) retx: VecDeque<(FabricNodeId, Bytes)>,
     active: Option<ActiveSend>,
     active_gen: u64,
@@ -274,8 +274,8 @@ enum Work {
     /// A new descriptor was activated; charge the fixed cost plus any
     /// translation-miss stall.
     NewJob { trace: TraceId, stall: SimDuration },
-    /// Put one encoded packet on the wire: a freshly staged fragment, or
-    /// (`retx`) one the retransmit queue owed.
+    /// Put one encoded packet on the wire: a freshly staged fragment, a
+    /// probe, or (`retx`) one the retransmit queue owed.
     Inject { desc: TxDesc, retx: bool },
 }
 
@@ -294,7 +294,7 @@ impl McpInner {
     /// can attribute hops and faults without parsing protocol headers (and
     /// the identity of the packet's own inject / wire spans). Read-reply
     /// data belongs to the requester's chain, like [`Self::job_trace`].
-    fn packet_trace(&self, dst: FabricNodeId, header: &WireHeader) -> PacketTrace {
+    pub(super) fn packet_trace(&self, dst: FabricNodeId, header: &WireHeader) -> PacketTrace {
         let origin = match header.kind {
             WireKind::RmaReadData => dst.0,
             _ => self.os.node_id.0,
@@ -381,9 +381,13 @@ impl McpInner {
         }
         if let Some((dst, pkt)) = st.send.retx.pop_front() {
             // The retx queue stores already-encoded packets, so recover
-            // identity from the wire header (only runs after a timeout —
-            // off the common path).
-            let meta = WireHeader::decode(&pkt).map(|(h, _)| self.packet_trace(dst, &h));
+            // identity from the wire header (only runs after a loss or a
+            // timer expiry — off the common path). A probe belongs to no
+            // message and is no retransmission; it costs what a fragment
+            // costs, so it cannot overtake one.
+            let header = WireHeader::decode(&pkt).map(|(h, _)| h);
+            let retx = header.is_some_and(|h| h.kind != WireKind::Probe);
+            let meta = header.filter(|_| retx).map(|h| self.packet_trace(dst, &h));
             let rail = st.rail_to(dst);
             let desc = TxDesc {
                 rail,
@@ -391,7 +395,7 @@ impl McpInner {
                 pkt,
                 meta,
             };
-            return Work::Inject { desc, retx: true };
+            return Work::Inject { desc, retx };
         }
         let Some(a) = st.send.active.as_mut() else {
             // No active send: start the next queued job, if any.
@@ -447,7 +451,7 @@ impl McpInner {
         a.injected += data.len() as u64;
         let job_done = a.injected >= a.job.total_len;
         let pkt = match tx {
-            Some(tx) => match tx.stamp(&mut header, &data) {
+            Some(tx) => match tx.stamp(&mut header, &data, self.sim.now().as_ns()) {
                 Ok(pkt) => pkt,
                 // The window was checked open above, so any failure here is
                 // a firmware-state inconsistency — counted, not fatal.

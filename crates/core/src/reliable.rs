@@ -4,21 +4,32 @@
 //! transmission in the on-card control program" — about 5.65 µs of the
 //! one-way time — and "performs re-transmission when timeout". We implement
 //! a classic go-back-N: per-destination sequence numbers, a bounded window
-//! of unacked packets buffered in NIC SRAM, cumulative ACKs, and full-window
-//! retransmission on timeout *or* on a gap ack. A gap ack answers an
-//! out-of-order arrival and carries how many out-of-order arrivals the
-//! receiver has seen since its cum last moved; [`GbnSender::on_gap_ack`]
-//! resends at once for a new hole, and again for a hole already resent when
-//! that count exceeds the copies sent behind the hole before the resend —
-//! on a rail that never reorders or duplicates, the resent hole was lost.
-//! The receiver accepts only the next expected sequence number, which also
-//! guarantees in-order fragment delivery per NIC pair (BCL relies on this
-//! for reassembly-free receives). The paper's MCP retransmits on timeout
-//! only; the gap ack is ours.
+//! of unacked packets buffered in NIC SRAM, cumulative ACKs, and a
+//! full-window retransmission — but only on proof of a loss, never on a
+//! timer's guess. Two kinds of ack carry that proof:
 //!
-//! This module is pure state logic (no simulator types) so the protocol can
-//! be exhaustively unit- and property-tested; `mcp/peer.rs` wires it to
-//! timers and the fabric.
+//! * a gap ack answers an out-of-order arrival and carries how many
+//!   out-of-order arrivals the receiver has seen since its cum last moved;
+//!   [`GbnSender::on_gap_ack`] resends at once for a new hole, and again for
+//!   a hole already resent when that count exceeds the copies sent behind
+//!   the hole before the resend;
+//! * a probe's reply. A timer expiry only asks: the sender queues a
+//!   header-only probe behind every packet it has sent ([`GbnSender::probe`])
+//!   and the receiver answers with its cum after every earlier arrival.
+//!   [`GbnSender::on_probe_reply`] resends when the cum still names the
+//!   first unacked packet and the probe's fence lies past it, and reports a
+//!   receiver that lost its stream when the cum went backwards.
+//!
+//! Both rest on a rail that never reorders or duplicates. The probe timer's
+//! period comes from [`Srtt`], an RFC 6298 smoothed RTT sampled under
+//! Karn's rule. The receiver accepts only the next expected sequence
+//! number, which also guarantees in-order fragment delivery per NIC pair
+//! (BCL relies on this for reassembly-free receives). The paper's MCP
+//! retransmits on timeout only; the gap ack and the probe are ours.
+//!
+//! This module is pure state logic (no simulator types; times are plain
+//! nanoseconds) so the protocol can be exhaustively unit- and
+//! property-tested; `mcp/peer.rs` wires it to timers and the fabric.
 
 use std::collections::VecDeque;
 
@@ -76,9 +87,9 @@ impl GbnError {
 /// let mut tx = GbnSender::new(4);
 /// let mut rx = GbnReceiver::new();
 /// let seq = tx.next_seq();
-/// tx.record_sent(seq, Bytes::from_static(b"frag")).expect("in window");
+/// tx.record_sent(seq, Bytes::from_static(b"frag"), 0).expect("in window");
 /// assert_eq!(rx.on_data(seq), GbnVerdict::Accept);
-/// assert_eq!(tx.on_ack(rx.cum_ack()), 1); // window slot freed
+/// assert_eq!(tx.on_ack(rx.cum_ack()).packets, 1); // window slot freed
 /// ```
 pub struct GbnSender {
     next_seq: u32,
@@ -89,6 +100,12 @@ pub struct GbnSender {
     /// and how many copies of the packets behind that seq had gone out
     /// before it.
     last_resend: Option<(u32, u32)>,
+    /// The probe whose reply may still prove something, as `(token,
+    /// fence)`. A window resend clears it: a copy sent after the probe may
+    /// yet arrive, so the reply no longer proves the hole lost.
+    probe: Option<(u32, u32)>,
+    /// The last probe token issued; 0 before the first (plain acks carry 0).
+    last_token: u32,
 }
 
 /// One unacknowledged packet.
@@ -98,6 +115,32 @@ struct Unacked {
     pkt: Bytes,
     /// Copies put on the wire so far, the first included.
     sends: u32,
+    /// When the first copy went out (ns), for an RTT sample.
+    sent_ns: u64,
+}
+
+/// What a cumulative ack freed ([`GbnSender::on_ack`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Freed {
+    /// Packets newly acknowledged.
+    pub packets: usize,
+    /// When the newest of them was sent, if it was sent only once: the one
+    /// RTT sample Karn's rule allows. A resent packet's ack may answer
+    /// either copy. (In a go-back-N window the copy counts never rise from
+    /// front to back, so the newest freed packet is also the newest freed
+    /// one sent once.)
+    pub sent_once_ns: Option<u64>,
+}
+
+/// What a probe's reply proved ([`GbnSender::on_probe_reply`]).
+#[derive(Debug, PartialEq, Eq)]
+pub enum ProbeVerdict {
+    /// The first unacked packet was lost: every unacknowledged packet,
+    /// oldest first, goes out again.
+    Lost(Vec<Bytes>),
+    /// The receiver's cum is behind what it acknowledged before: it lost
+    /// its stream (a NIC reset), and only an epoch resync reconciles.
+    ReceiverReset,
 }
 
 /// The window resend a gap ack earned ([`GbnSender::on_gap_ack`]).
@@ -118,6 +161,8 @@ impl GbnSender {
             window,
             inflight: VecDeque::new(),
             last_resend: None,
+            probe: None,
+            last_token: 0,
         }
     }
 
@@ -131,11 +176,11 @@ impl GbnSender {
         self.next_seq
     }
 
-    /// Record a packet as sent (it must carry [`GbnSender::next_seq`]).
-    /// The encoded bytes are retained for retransmission. A violated
-    /// precondition is reported instead of panicking, so firmware can turn
-    /// it into a counted protocol error.
-    pub fn record_sent(&mut self, seq: u32, pkt: Bytes) -> Result<(), GbnError> {
+    /// Record a packet as sent at `sent_ns` (it must carry
+    /// [`GbnSender::next_seq`]). The encoded bytes are retained for
+    /// retransmission. A violated precondition is reported instead of
+    /// panicking, so firmware can turn it into a counted protocol error.
+    pub fn record_sent(&mut self, seq: u32, pkt: Bytes, sent_ns: u64) -> Result<(), GbnError> {
         if seq != self.next_seq {
             return Err(GbnError::OutOfOrderSeq {
                 expected: self.next_seq,
@@ -147,22 +192,26 @@ impl GbnSender {
                 window: self.window,
             });
         }
-        self.inflight.push_back(Unacked { seq, pkt, sends: 1 });
+        self.inflight.push_back(Unacked {
+            seq,
+            pkt,
+            sends: 1,
+            sent_ns,
+        });
         self.next_seq = self.next_seq.wrapping_add(1);
         Ok(())
     }
 
     /// Process a cumulative ACK (`cum_ack` = receiver's next expected seq).
-    /// Returns the number of packets newly acknowledged.
-    pub fn on_ack(&mut self, cum_ack: u32) -> usize {
-        let mut freed = 0;
+    pub fn on_ack(&mut self, cum_ack: u32) -> Freed {
+        let mut freed = Freed::default();
         while let Some(u) = self.inflight.front() {
-            if seq_before(u.seq, cum_ack) {
-                self.inflight.pop_front();
-                freed += 1;
-            } else {
+            if !seq_before(u.seq, cum_ack) {
                 break;
             }
+            freed.packets += 1;
+            freed.sent_once_ns = (u.sends == 1).then_some(u.sent_ns);
+            self.inflight.pop_front();
         }
         freed
     }
@@ -175,13 +224,15 @@ impl GbnSender {
     /// Go back N: every unacknowledged packet goes out again, oldest first.
     /// The resend is remembered as `(hole, budget)` — its first seq, and the
     /// copies of the packets behind that seq sent before it — for
-    /// [`GbnSender::on_gap_ack`]. Timeouts and gap acks both resend here.
-    pub fn resend_window(&mut self) -> Vec<Bytes> {
+    /// [`GbnSender::on_gap_ack`], and it voids the outstanding probe. Gap
+    /// acks and probe replies both resend here.
+    fn resend_window(&mut self) -> Vec<Bytes> {
         let Some(hole) = self.inflight.front().map(|u| u.seq) else {
             return Vec::new();
         };
         let budget = self.inflight.iter().skip(1).map(|u| u.sends).sum();
         self.last_resend = Some((hole, budget));
+        self.probe = None;
         self.inflight
             .iter_mut()
             .map(|u| {
@@ -207,7 +258,7 @@ impl GbnSender {
     ///   after the resend, and the resent hole was lost (a `repeat`).
     ///
     /// Any other gap ack may have been drawn by a copy sent before the
-    /// resend, and is ignored; the timer remains the backstop.
+    /// resend, and is ignored; the probe remains the backstop.
     pub fn on_gap_ack(&mut self, cum: u32, out_of_order: u32) -> Option<FastResend> {
         let hole = self.inflight.front()?.seq;
         if out_of_order == 0 || hole != cum {
@@ -226,9 +277,92 @@ impl GbnSender {
         Some(FastResend { packets, repeat })
     }
 
+    /// A timer expiry asks instead of resending: issue a probe and return
+    /// its `(token, fence)`. The fence is [`GbnSender::next_seq`]; the
+    /// caller must put the probe on the wire behind every packet sent so
+    /// far, on the same rail. Tokens skip 0, the value plain acks carry,
+    /// and a new probe supersedes the last one.
+    pub fn probe(&mut self) -> (u32, u32) {
+        self.last_token = self.last_token.wrapping_add(1).max(1);
+        let probe = (self.last_token, self.next_seq);
+        self.probe = Some(probe);
+        probe
+    }
+
+    /// The probe rule, for a reply already applied by
+    /// [`GbnSender::on_ack`]. The receiver answered after processing every
+    /// arrival ahead of the probe, and a rail never reorders, so every
+    /// packet sent before the probe has either arrived or been lost. The
+    /// reply counts only if it echoes the latest `token` and no window
+    /// resend has started since (a later copy could still arrive). Then:
+    ///
+    /// * `cum` is the first unacked seq and precedes the fence: that packet
+    ///   was lost, and the window goes out again;
+    /// * `cum` precedes the first unacked seq: the receiver acknowledged
+    ///   more than it now holds, so it lost its stream
+    ///   ([`ProbeVerdict::ReceiverReset`]);
+    /// * anything else (`cum` at or past the fence, whose ack just freed
+    ///   the window) proves nothing more.
+    pub fn on_probe_reply(&mut self, cum: u32, token: u32) -> Option<ProbeVerdict> {
+        let (_, fence) = self.probe.filter(|&(latest, _)| latest == token)?;
+        self.probe = None;
+        let hole = self.inflight.front()?.seq;
+        if seq_before(cum, hole) {
+            Some(ProbeVerdict::ReceiverReset)
+        } else if cum == hole && seq_before(cum, fence) {
+            Some(ProbeVerdict::Lost(self.resend_window()))
+        } else {
+            None
+        }
+    }
+
     /// Number of unacked packets.
     pub fn in_flight(&self) -> usize {
         self.inflight.len()
+    }
+}
+
+/// The probe interval's floor (50 µs): the period never drops below it,
+/// however short the measured RTT.
+pub const PROBE_FLOOR_NS: u64 = 50_000;
+
+/// Smoothed RTTs per probe interval.
+pub const PROBE_RTTS: u64 = 4;
+
+/// The smoothed ack round-trip time to one destination (RFC 6298's SRTT,
+/// gain 1/8), and the probe interval it sets. The caller samples it only as
+/// [`Freed::sent_once_ns`] allows (Karn's rule).
+///
+/// ```
+/// use suca_bcl::reliable::Srtt;
+///
+/// let mut rtt = Srtt::default();
+/// assert_eq!(rtt.probe_interval_ns(300_000), 300_000); // no sample yet
+/// rtt.sample(20_000);
+/// assert_eq!(rtt.probe_interval_ns(300_000), 80_000); // 4 x srtt
+/// rtt.sample(12_000);
+/// assert_eq!(rtt.probe_interval_ns(300_000), 76_000); // srtt 19 us
+/// rtt.sample(1_000);
+/// assert_eq!(rtt.probe_interval_ns(300_000), 67_000); // srtt 16.75 us
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Srtt {
+    ns: Option<u64>,
+}
+
+impl Srtt {
+    /// Fold in one RTT sample: the first is taken whole, later ones with
+    /// gain 1/8.
+    pub fn sample(&mut self, rtt_ns: u64) {
+        self.ns = Some(self.ns.map_or(rtt_ns, |s| (7 * s + rtt_ns) / 8));
+    }
+
+    /// `clamp(PROBE_RTTS × srtt, PROBE_FLOOR_NS, ceiling_ns)`; the ceiling
+    /// until a sample arrives. No backoff: an unanswered probe proves
+    /// nothing about the RTT.
+    pub fn probe_interval_ns(&self, ceiling_ns: u64) -> u64 {
+        let interval = self.ns.map_or(ceiling_ns, |s| s.saturating_mul(PROBE_RTTS));
+        interval.max(PROBE_FLOOR_NS).min(ceiling_ns)
     }
 }
 
@@ -384,26 +518,32 @@ impl EpochSender {
         self.gbn.next_seq()
     }
 
-    /// Record a packet as sent on the current epoch's stream.
-    pub fn record_sent(&mut self, seq: u32, pkt: Bytes) -> Result<(), GbnError> {
-        self.gbn.record_sent(seq, pkt)
+    /// Record a packet as sent at `sent_ns` on the current epoch's stream.
+    pub fn record_sent(&mut self, seq: u32, pkt: Bytes, sent_ns: u64) -> Result<(), GbnError> {
+        self.gbn.record_sent(seq, pkt, sent_ns)
     }
 
     /// The one go-back-N stamp: give `header` the next sequence number and
     /// the current epoch, encode it with `payload`, and keep the encoded
-    /// packet for retransmission. Returns the packet to put on the wire.
-    pub fn stamp(&mut self, header: &mut WireHeader, payload: &[u8]) -> Result<Bytes, GbnError> {
+    /// packet, sent at `sent_ns`, for retransmission. Returns the packet to
+    /// put on the wire.
+    pub fn stamp(
+        &mut self,
+        header: &mut WireHeader,
+        payload: &[u8],
+        sent_ns: u64,
+    ) -> Result<Bytes, GbnError> {
         header.seq = self.next_seq();
         header.epoch = self.epoch;
         let pkt = header.encode(payload);
-        self.record_sent(header.seq, pkt.clone())?;
+        self.record_sent(header.seq, pkt.clone(), sent_ns)?;
         Ok(pkt)
     }
 
-    /// Process a cumulative ACK stamped with `epoch`. Returns the number of
-    /// packets freed, or `None` when the ack belongs to a stale epoch (the
-    /// caller counts and drops it).
-    pub fn on_ack(&mut self, epoch: u16, cum_ack: u32) -> Option<usize> {
+    /// Process a cumulative ACK stamped with `epoch`. Returns what it
+    /// freed, or `None` when the ack belongs to a stale epoch (the caller
+    /// counts and drops it).
+    pub fn on_ack(&mut self, epoch: u16, cum_ack: u32) -> Option<Freed> {
         if epoch != self.epoch || self.is_syncing() {
             return None;
         }
@@ -454,16 +594,23 @@ impl EpochSender {
         self.gbn.unacked()
     }
 
-    /// [`GbnSender::resend_window`] on the live stream.
-    pub fn resend_window(&mut self) -> Vec<Bytes> {
-        self.gbn.resend_window()
-    }
-
     /// [`GbnSender::on_gap_ack`] on the live stream, for an ack that
     /// [`EpochSender::on_ack`] applied. A fresh epoch's stream starts with
     /// no resend to compare against.
     pub fn on_gap_ack(&mut self, cum: u32, out_of_order: u32) -> Option<FastResend> {
         self.gbn.on_gap_ack(cum, out_of_order)
+    }
+
+    /// [`GbnSender::probe`] on the live stream. A fresh epoch's stream
+    /// starts with no probe outstanding.
+    pub fn probe(&mut self) -> (u32, u32) {
+        self.gbn.probe()
+    }
+
+    /// [`GbnSender::on_probe_reply`] on the live stream, for a reply that
+    /// [`EpochSender::on_ack`] applied.
+    pub fn on_probe_reply(&mut self, cum: u32, token: u32) -> Option<ProbeVerdict> {
+        self.gbn.on_probe_reply(cum, token)
     }
 
     /// Number of unacked packets on the live stream.
@@ -551,6 +698,18 @@ impl EpochReceiver {
         )
     }
 
+    /// A probe stamped `epoch` asks for the cum; returns it, or `None` when
+    /// the probe is stale. A newer epoch is adopted, as a data packet would
+    /// adopt it: a reset sender whose first packets were all lost.
+    pub fn on_probe(&mut self, epoch: u16) -> Option<u32> {
+        if epoch_after(epoch, self.epoch) {
+            self.adopt(epoch);
+        } else if epoch != self.epoch {
+            return None;
+        }
+        Some(self.cum_ack())
+    }
+
     fn adopt(&mut self, epoch: u16) {
         self.abandoned.push((self.epoch, self.gbn.cum_ack()));
         if self.abandoned.len() > ABANDONED_CAP {
@@ -594,12 +753,12 @@ mod tests {
     fn window_limits_inflight() {
         let mut s = GbnSender::new(2);
         assert!(s.can_send());
-        s.record_sent(0, pkt(0)).expect("in window");
-        s.record_sent(1, pkt(1)).expect("in window");
+        s.record_sent(0, pkt(0), 0).expect("in window");
+        s.record_sent(1, pkt(1), 0).expect("in window");
         assert!(!s.can_send());
-        assert_eq!(s.on_ack(1), 1); // acks seq 0
+        assert_eq!(s.on_ack(1).packets, 1); // acks seq 0
         assert!(s.can_send());
-        s.record_sent(2, pkt(2)).expect("in window");
+        s.record_sent(2, pkt(2), 0).expect("in window");
         assert_eq!(s.in_flight(), 2);
     }
 
@@ -607,15 +766,15 @@ mod tests {
     fn record_sent_reports_violations_instead_of_panicking() {
         let mut s = GbnSender::new(1);
         assert_eq!(
-            s.record_sent(5, pkt(5)),
+            s.record_sent(5, pkt(5), 0),
             Err(GbnError::OutOfOrderSeq {
                 expected: 0,
                 got: 5
             })
         );
-        s.record_sent(0, pkt(0)).expect("in window");
+        s.record_sent(0, pkt(0), 0).expect("in window");
         assert_eq!(
-            s.record_sent(1, pkt(1)),
+            s.record_sent(1, pkt(1), 0),
             Err(GbnError::WindowOverflow { window: 1 })
         );
         // A failed record leaves the stream state untouched.
@@ -630,13 +789,13 @@ mod tests {
     fn cumulative_ack_frees_prefix() {
         let mut s = GbnSender::new(8);
         for i in 0..5 {
-            s.record_sent(i, pkt(i)).expect("in window");
+            s.record_sent(i, pkt(i), 0).expect("in window");
         }
-        assert_eq!(s.on_ack(3), 3);
+        assert_eq!(s.on_ack(3).packets, 3);
         assert_eq!(s.in_flight(), 2);
         // Stale ack is a no-op.
-        assert_eq!(s.on_ack(1), 0);
-        assert_eq!(s.on_ack(5), 2);
+        assert_eq!(s.on_ack(1).packets, 0);
+        assert_eq!(s.on_ack(5).packets, 2);
         assert_eq!(s.in_flight(), 0);
     }
 
@@ -644,7 +803,7 @@ mod tests {
     fn unacked_returns_retransmission_set_in_order() {
         let mut s = GbnSender::new(8);
         for i in 0..4 {
-            s.record_sent(i, pkt(i)).expect("in window");
+            s.record_sent(i, pkt(i), 0).expect("in window");
         }
         s.on_ack(2);
         let set: Vec<u32> = s.unacked().map(val).collect();
@@ -674,10 +833,10 @@ mod tests {
     fn wraparound_sequences() {
         let mut s = GbnSender::new(4);
         s.next_seq = u32::MAX;
-        s.record_sent(u32::MAX, pkt(1)).expect("in window");
-        s.record_sent(0, pkt(2)).expect("in window");
+        s.record_sent(u32::MAX, pkt(1), 0).expect("in window");
+        s.record_sent(0, pkt(2), 0).expect("in window");
         assert_eq!(s.in_flight(), 2);
-        assert_eq!(s.on_ack(1), 2, "ack past the wrap frees both");
+        assert_eq!(s.on_ack(1).packets, 2, "ack past the wrap frees both");
 
         let mut r = GbnReceiver {
             expected: u32::MAX,
@@ -705,7 +864,7 @@ mod tests {
             while s.can_send() {
                 let Some(v) = to_send.pop_front() else { break };
                 let seq = s.next_seq();
-                s.record_sent(seq, pkt(v)).expect("in window");
+                s.record_sent(seq, pkt(v), 0).expect("in window");
             }
             // "Transmit" the whole unacked window (models a timeout burst);
             // drop some deterministically.
@@ -731,45 +890,53 @@ mod tests {
         assert_eq!(delivered, (0..20).collect::<Vec<u32>>());
     }
 
-    /// The MCP's loss recovery as a seeded lockstep model: data and acks are
-    /// lost independently on one wire that never reorders. An ack carries
-    /// the receiver's out-of-order count when its arrival
+    /// The MCP's loss recovery as a seeded lockstep model: data, probes and
+    /// acks are lost independently on one wire that never reorders. An ack
+    /// carries the receiver's out-of-order count when its arrival
     /// [`GbnVerdict::reveals_gap`], and the sender resends its window at
-    /// once when [`GbnSender::on_gap_ack`] says so, otherwise only on a
-    /// "timeout" round (one in which nothing reached it). Checked against
+    /// once when [`GbnSender::on_gap_ack`] says so. A "timeout" round (one
+    /// in which nothing reached the sender) resends nothing: it queues a
+    /// probe behind the wire, whose reply echoes the token, and the sender
+    /// resends when [`GbnSender::on_probe_reply`] says so. Checked against
     /// the model's own log of every copy sent:
     ///
-    /// * every fast retransmit, first or repeat, answers a real loss: the
-    ///   last copy sent of the hole was dropped;
+    /// * every resend, by gap ack (first or repeat) or by probe reply,
+    ///   answers a real loss: the last copy sent of the hole was dropped;
     /// * a hole whose resend was dropped is resent before the next timeout
     ///   round once a later-sent copy is delivered — provably so, when the
     ///   arrivals behind the hole since the cum reached it outnumber the
-    ///   copies sent behind it before the hole's last copy.
+    ///   copies sent behind it before the hole's last copy;
+    /// * no reply ever reports a receiver reset: none happens here.
     #[test]
     fn lockstep_gap_acks_resend_lost_holes_and_lost_resends_in_order() {
+        /// A wire slot: a copy (its index in the log) or a probe's token.
+        enum Slot {
+            Copy(usize),
+            Probe(u32),
+        }
         /// Log `seqs` as sent and queue them on the wire.
-        fn put(log: &mut Vec<(u32, bool)>, wire: &mut VecDeque<usize>, seqs: Vec<Bytes>) {
+        fn put(log: &mut Vec<(u32, bool)>, wire: &mut VecDeque<Slot>, seqs: Vec<Bytes>) {
             for b in seqs {
-                wire.push_back(log.len());
+                wire.push_back(Slot::Copy(log.len()));
                 log.push((val(&b), false));
             }
         }
         const N: u32 = 40;
-        let (mut fast_total, mut repeats) = (0, 0);
+        let (mut fast_total, mut repeats, mut probe_total) = (0, 0, 0);
         for seed in 1..=64u64 {
             let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut lost = move || {
                 rng ^= rng << 13;
                 rng ^= rng >> 7;
                 rng ^= rng << 17;
-                rng % 10 < 2 // 20 % loss, data and acks alike
+                rng % 10 < 2 // 20 % loss: data, probes and acks alike
             };
             let mut s = GbnSender::new(4);
             let mut r = GbnReceiver::new();
             let mut delivered: Vec<u32> = Vec::new();
             // Every copy sent, in order: `(seq, dropped)`; seq = payload.
             let mut log: Vec<(u32, bool)> = Vec::new();
-            let mut wire: VecDeque<usize> = VecDeque::new();
+            let mut wire: VecDeque<Slot> = VecDeque::new();
             // Out-of-order arrivals since the cum last moved.
             let mut behind = 0u32;
             let mut next = 0u32;
@@ -779,68 +946,203 @@ mod tests {
                 assert!(rounds < 10_000, "seed {seed}: no progress");
                 while s.can_send() && next < N {
                     let seq = s.next_seq();
-                    s.record_sent(seq, pkt(next)).expect("in window");
+                    s.record_sent(seq, pkt(next), 0).expect("in window");
                     put(&mut log, &mut wire, vec![pkt(next)]);
                     next += 1;
                 }
-                // `(cum, count carried, arrivals behind the cum)` per ack.
+                // `(cum, count carried, arrivals behind the cum, token)`
+                // per ack; a probe's reply carries its token, others 0.
                 let mut acks = Vec::new();
-                for i in wire.drain(..) {
-                    let seq = log[i].0;
-                    if lost() {
-                        log[i].1 = true;
-                        continue;
-                    }
-                    let verdict = r.on_data(seq);
-                    match verdict {
-                        GbnVerdict::Accept => {
-                            delivered.push(seq);
-                            behind = 0;
+                for slot in wire.drain(..) {
+                    let (count, token) = match slot {
+                        Slot::Copy(i) => {
+                            if lost() {
+                                log[i].1 = true;
+                                continue;
+                            }
+                            let verdict = r.on_data(log[i].0);
+                            match verdict {
+                                GbnVerdict::Accept => {
+                                    delivered.push(log[i].0);
+                                    behind = 0;
+                                }
+                                GbnVerdict::OutOfOrder => behind += 1,
+                                GbnVerdict::Duplicate => {}
+                            }
+                            let count = if verdict.reveals_gap() {
+                                r.out_of_order()
+                            } else {
+                                0
+                            };
+                            (count, 0)
                         }
-                        GbnVerdict::OutOfOrder => behind += 1,
-                        GbnVerdict::Duplicate => {}
-                    }
-                    let count = if verdict.reveals_gap() {
-                        r.out_of_order()
-                    } else {
-                        0
+                        Slot::Probe(token) if !lost() => (0, token),
+                        Slot::Probe(_) => continue,
                     };
                     if !lost() {
-                        acks.push((r.cum_ack(), count, behind));
+                        acks.push((r.cum_ack(), count, behind, token));
                     }
                 }
                 let heard = !acks.is_empty();
-                for (cum, count, behind) in acks {
+                for (cum, count, behind, token) in acks {
                     s.on_ack(cum);
                     let last = log.iter().rposition(|&(seq, _)| seq == cum);
-                    let proven = count > 0
-                        && last.is_some_and(|l| {
-                            let sent_behind = log[..l].iter().filter(|&&(seq, _)| seq > cum);
-                            behind as usize > sent_behind.count()
-                        });
-                    let Some(resend) = s.on_gap_ack(cum, count) else {
-                        assert!(
-                            !proven,
-                            "seed {seed}: hole {cum} provably lost again, left to the timer"
-                        );
-                        continue;
+                    let resend = if token == 0 {
+                        let proven = count > 0
+                            && last.is_some_and(|l| {
+                                let sent_behind = log[..l].iter().filter(|&&(seq, _)| seq > cum);
+                                behind as usize > sent_behind.count()
+                            });
+                        let Some(resend) = s.on_gap_ack(cum, count) else {
+                            assert!(
+                                !proven,
+                                "seed {seed}: hole {cum} provably lost again, left to the timer"
+                            );
+                            continue;
+                        };
+                        fast_total += 1;
+                        repeats += usize::from(resend.repeat);
+                        resend.packets
+                    } else {
+                        match s.on_probe_reply(cum, token) {
+                            None => continue,
+                            Some(ProbeVerdict::Lost(packets)) => {
+                                probe_total += 1;
+                                packets
+                            }
+                            Some(ProbeVerdict::ReceiverReset) => {
+                                panic!("seed {seed}: reply at {cum} claims a receiver reset")
+                            }
+                        }
                     };
                     assert!(
                         last.is_some_and(|l| log[l].1),
-                        "seed {seed}: hole {cum} fast-resent but never lost"
+                        "seed {seed}: hole {cum} resent but never lost"
                     );
-                    fast_total += 1;
-                    repeats += usize::from(resend.repeat);
-                    put(&mut log, &mut wire, resend.packets);
+                    put(&mut log, &mut wire, resend);
                 }
                 if !heard && s.in_flight() > 0 {
-                    put(&mut log, &mut wire, s.resend_window()); // timeout
+                    // Timeout: ask, behind everything already on the wire.
+                    let (token, _) = s.probe();
+                    wire.push_back(Slot::Probe(token));
                 }
             }
             assert_eq!(delivered, (0..N).collect::<Vec<u32>>(), "seed {seed}");
         }
         assert!(fast_total > 0, "gap acks never fired");
         assert!(repeats > 0, "no lost resend was ever resent at ack speed");
+        assert!(probe_total > 0, "no probe reply ever proved a loss");
+    }
+
+    /// Karn's rule and the interval: a resent packet's ack gives no sample,
+    /// a packet sent once does, and the interval is `4 × srtt` between the
+    /// 50 µs floor and the ceiling.
+    #[test]
+    fn only_packets_sent_once_give_rtt_samples() {
+        let mut s = GbnSender::new(4);
+        for i in 0..3 {
+            s.record_sent(i, pkt(i), 1_000 * u64::from(i))
+                .expect("in window");
+        }
+        // The newest freed packet, seq 1, was sent once at 1 µs.
+        assert_eq!(
+            s.on_ack(2),
+            Freed {
+                packets: 2,
+                sent_once_ns: Some(1_000)
+            }
+        );
+        let (token, _) = s.probe();
+        let ProbeVerdict::Lost(resent) = s.on_probe_reply(2, token).expect("hole 2 lost") else {
+            panic!("no receiver reset here");
+        };
+        assert_eq!(resent.len(), 1);
+        // Its ack may answer either copy: no sample.
+        assert_eq!(
+            s.on_ack(3),
+            Freed {
+                packets: 1,
+                sent_once_ns: None
+            }
+        );
+        let mut rtt = Srtt::default();
+        assert_eq!(rtt.probe_interval_ns(300_000), 300_000, "the ceiling");
+        rtt.sample(5_000);
+        assert_eq!(rtt.probe_interval_ns(300_000), PROBE_FLOOR_NS, "the floor");
+        rtt.sample(1_000_000);
+        assert_eq!(rtt.probe_interval_ns(300_000), 300_000, "capped");
+        assert_eq!(
+            rtt.probe_interval_ns(40_000),
+            40_000,
+            "a ceiling below the floor wins"
+        );
+    }
+
+    /// [`GbnSender::on_probe_reply`]: only the latest probe's reply counts,
+    /// a resend after the probe voids it, a cum behind the window is a
+    /// receiver reset, and a cum at the fence proves nothing.
+    #[test]
+    fn a_probe_reply_resends_only_what_it_proves() {
+        let fresh = || {
+            let mut s = GbnSender::new(8);
+            for i in 0..3 {
+                s.record_sent(i, pkt(i), 0).expect("in window");
+            }
+            s
+        };
+        let lost = |s: &mut GbnSender, cum, token| match s.on_probe_reply(cum, token) {
+            Some(ProbeVerdict::Lost(p)) => p.iter().map(val).collect::<Vec<_>>(),
+            other => panic!("expected a resend, got {other:?}"),
+        };
+        // The hole at the cum, before the fence: resent.
+        let mut s = fresh();
+        let (token, fence) = s.probe();
+        assert_eq!((token, fence), (1, 3));
+        assert_eq!(lost(&mut s, 0, token), vec![0, 1, 2]);
+        assert_eq!(s.on_probe_reply(0, token), None, "answered once");
+        // A stale token proves nothing; the latest one still does.
+        let mut s = fresh();
+        let (old, _) = s.probe();
+        let (latest, _) = s.probe();
+        assert_eq!(s.on_probe_reply(0, old), None);
+        assert_eq!(lost(&mut s, 0, latest), vec![0, 1, 2]);
+        // A resend after the probe (a gap ack's) voids the reply.
+        let mut s = fresh();
+        let (token, _) = s.probe();
+        assert!(s.on_gap_ack(0, 1).is_some());
+        assert_eq!(s.on_probe_reply(0, token), None);
+        // A cum behind the first unacked seq: the receiver lost its stream.
+        let mut s = fresh();
+        s.on_ack(2);
+        let (token, _) = s.probe();
+        assert_eq!(
+            s.on_probe_reply(0, token),
+            Some(ProbeVerdict::ReceiverReset)
+        );
+        // A cum at the fence frees the window and resends nothing, even
+        // with packets sent after the probe still in flight.
+        let mut s = fresh();
+        let (token, fence) = s.probe();
+        s.record_sent(3, pkt(3), 0).expect("in window");
+        assert_eq!(s.on_ack(fence).packets, 3);
+        assert_eq!(s.on_probe_reply(fence, token), None);
+        assert_eq!(s.in_flight(), 1);
+        // Tokens skip 0, which plain acks carry.
+        let mut s = fresh();
+        s.last_token = u32::MAX;
+        assert_eq!(s.probe().0, 1);
+    }
+
+    #[test]
+    fn a_probe_adopts_a_newer_epoch_and_drops_a_stale_one() {
+        let mut rx = EpochReceiver::new();
+        for seq in 0..3 {
+            rx.on_data(1, seq);
+        }
+        assert_eq!(rx.on_probe(1), Some(3));
+        assert_eq!(rx.on_probe(0), None, "stale");
+        assert_eq!(rx.on_probe(2), Some(0), "a reset sender's stream");
+        assert_eq!(rx.on_sync(3, 1), Some(3), "the abandoned cum is kept");
     }
 
     #[test]
@@ -858,7 +1160,7 @@ mod tests {
         // Send 5 packets; receiver gets the first 3, the ack is "lost".
         for i in 0..5 {
             let seq = tx.next_seq();
-            tx.record_sent(seq, pkt(i)).expect("in window");
+            tx.record_sent(seq, pkt(i), 0).expect("in window");
             if i < 3 {
                 assert_eq!(rx.on_data(0, seq), EpochVerdict::Gbn(GbnVerdict::Accept));
             }
@@ -874,11 +1176,11 @@ mod tests {
         // Re-stamp under the new epoch; the receiver's fresh stream accepts.
         for (i, p) in resend.into_iter().enumerate() {
             let seq = tx.next_seq();
-            tx.record_sent(seq, p).expect("fits: old tail <= window");
+            tx.record_sent(seq, p, 0).expect("fits: old tail <= window");
             assert_eq!(rx.on_data(e, seq), EpochVerdict::Gbn(GbnVerdict::Accept));
             assert_eq!(rx.cum_ack(), i as u32 + 1);
         }
-        assert_eq!(tx.on_ack(e, rx.cum_ack()), Some(2));
+        assert_eq!(tx.on_ack(e, rx.cum_ack()).map(|f| f.packets), Some(2));
         assert_eq!(tx.in_flight(), 0);
     }
 
@@ -887,7 +1189,7 @@ mod tests {
         let mut tx = EpochSender::new(4);
         let mut rx = EpochReceiver::new();
         let seq = tx.next_seq();
-        tx.record_sent(seq, pkt(0)).expect("in window");
+        tx.record_sent(seq, pkt(0), 0).expect("in window");
         let e = tx.begin_resync();
         let cum = rx.on_sync(e, tx.parked_epoch()).expect("adopts");
         // Old-epoch data and acks floating on the dead rail are stale now.
@@ -925,7 +1227,7 @@ mod tests {
         let mut rx = EpochReceiver::new();
         for i in 0..5 {
             let seq = tx.next_seq();
-            tx.record_sent(seq, pkt(i)).expect("in window");
+            tx.record_sent(seq, pkt(i), 0).expect("in window");
             if i < 3 {
                 rx.on_data(0, seq);
             }
@@ -950,9 +1252,9 @@ mod tests {
         let mut tx = EpochSender::with_epoch(4, 3);
         assert_eq!(tx.epoch(), 3);
         let seq = tx.next_seq();
-        tx.record_sent(seq, pkt(0)).expect("in window");
+        tx.record_sent(seq, pkt(0), 0).expect("in window");
         assert_eq!(rx.on_data(3, seq), EpochVerdict::Gbn(GbnVerdict::Accept));
-        assert_eq!(tx.on_ack(3, rx.cum_ack()), Some(1));
+        assert_eq!(tx.on_ack(3, rx.cum_ack()).map(|f| f.packets), Some(1));
     }
 
     #[test]
@@ -960,7 +1262,7 @@ mod tests {
         let mut tx = EpochSender::new(4);
         for i in 0..3 {
             let seq = tx.next_seq();
-            tx.record_sent(seq, pkt(i)).expect("in window");
+            tx.record_sent(seq, pkt(i), 0).expect("in window");
         }
         let e1 = tx.begin_resync();
         let e2 = tx.begin_resync(); // second failover before the ack
@@ -1014,7 +1316,7 @@ mod tests {
                     prop_assert!(rounds < 10_000, "no progress");
                     while tx.can_send() && (next_to_queue as usize) < n {
                         let seq = tx.next_seq();
-                        tx.record_sent(seq, pkt(next_to_queue)).expect("in window");
+                        tx.record_sent(seq, pkt(next_to_queue), 0).expect("in window");
                         next_to_queue += 1;
                     }
                     // Timeout burst: retransmit the whole unacked window,

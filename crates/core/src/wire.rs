@@ -4,7 +4,13 @@
 //! by the fragment payload. Headers are serialized to real bytes — the
 //! fabric is given one opaque buffer, exactly as Myrinet sees one packet —
 //! and parsed back on the receiving NIC, so header overhead shows up in wire
-//! timing and corruption genuinely garbles messages.
+//! timing and corruption genuinely garbles messages. Control packets
+//! (acks, rejects, the epoch handshake, probes) are the header alone, its
+//! generic fields overloaded; their layouts are the header constructors in
+//! `mcp/peer.rs`. A probe is the one control packet that travels the data
+//! path: the sender queues it behind its data and the receiver runs it
+//! through its data rx ring, so its reply is ordered after every earlier
+//! packet.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -46,6 +52,12 @@ pub enum WireKind {
     /// go-back-N stream like `Data` but is consumed by the receiving NIC's
     /// plan interpreter instead of the host delivery path.
     Coll,
+    /// A timer expiry's question, header only: "your cum, once you have
+    /// processed everything I sent before this". `seq` carries the sender's
+    /// next seq (the fence) and `msg_id` a nonzero token, which the
+    /// [`WireKind::Ack`] that answers it echoes in its own `msg_id`. Not
+    /// sequenced: it rides behind the go-back-N stream, not in it.
+    Probe,
 }
 
 impl WireKind {
@@ -59,6 +71,7 @@ impl WireKind {
             WireKind::EpochSync => 6,
             WireKind::EpochSyncAck => 7,
             WireKind::Coll => 8,
+            WireKind::Probe => 9,
         }
     }
     fn from_wire(b: u8) -> Option<Self> {
@@ -71,6 +84,7 @@ impl WireKind {
             6 => Some(WireKind::EpochSync),
             7 => Some(WireKind::EpochSyncAck),
             8 => Some(WireKind::Coll),
+            9 => Some(WireKind::Probe),
             _ => None,
         }
     }
@@ -87,9 +101,11 @@ pub struct WireHeader {
     pub src_port: PortId,
     /// Destination port on the destination node.
     pub dst_port: PortId,
-    /// Sender-assigned message id (per source NIC, monotonically increasing).
+    /// Sender-assigned message id (per source NIC, monotonically increasing);
+    /// a probe's token on a `Probe` and on the `Ack` that answers it.
     pub msg_id: u32,
-    /// Link-level go-back-N sequence number (Data) or cumulative ack (Ack).
+    /// Link-level go-back-N sequence number (Data), cumulative ack (Ack) or
+    /// fence (Probe).
     pub seq: u32,
     /// Byte offset of this fragment within the message; for RMA, offset
     /// within the bound buffer.
@@ -203,6 +219,7 @@ mod tests {
             WireKind::EpochSync,
             WireKind::EpochSyncAck,
             WireKind::Coll,
+            WireKind::Probe,
         ] {
             let mut h = sample();
             h.kind = kind;

@@ -176,6 +176,9 @@ pub mod stage {
     pub const INJECT: &str = "mcp:inject";
     /// Go-back-N retransmission of a previously injected fragment (span).
     pub const RETX: &str = "mcp:retx";
+    /// A timer expiry queued a probe asking the receiver for its cum
+    /// (instant, on the chain of the first unacknowledged fragment).
+    pub const PROBE: &str = "mcp:probe";
     /// Remote MCP accepted a data fragment (span; `seq` set).
     pub const RX: &str = "mcp:rx";
     /// Remote MCP discarded a duplicate/out-of-order fragment (instant).

@@ -6,8 +6,9 @@
 //! terminal stage, and has been *silent* — no event of its chain — for
 //! longer than a configurable sim-time budget. The budget measures silence
 //! since the chain's newest event, not its age: a live go-back-N loop
-//! records an `mcp:retx` every retransmission timeout (300 µs by default),
-//! so it stays invisible to any budget above that.
+//! toward a dead path records an `mcp:probe` on the stalled chain every
+//! probe interval (at most the 300 µs default `retransmit_timeout`), so it
+//! stays invisible to any budget above that.
 //!
 //! A resource at its capacity is load, not a fault: runs that want an
 //! alert on it install a `saturation` rule ([`crate::health`]).
@@ -258,8 +259,9 @@ mod tests {
             &m,
         );
         // A live go-back-N loop: the chain never closes, but it records an
-        // `mcp:retx` every 300 µs (the default retransmit timeout). Open for
-        // 6 ms, it is never 1 ms silent, so it is never flagged.
+        // event every 300 µs (a resend here; a probe at the default
+        // ceiling). Open for 6 ms, it is never 1 ms silent, so it is never
+        // flagged.
         open_chain(&tracer, 2, 0);
         let mut last = 0;
         for k in 1..=20u64 {

@@ -270,7 +270,7 @@ proptest! {
             prop_assert!(rounds < 10_000, "no progress");
             while tx.can_send() && (next_to_queue as usize) < n {
                 let seq = tx.next_seq();
-                tx.record_sent(seq, Bytes::copy_from_slice(&next_to_queue.to_le_bytes()))
+                tx.record_sent(seq, Bytes::copy_from_slice(&next_to_queue.to_le_bytes()), 0)
                     .expect("seq from next_seq() under can_send()");
                 next_to_queue += 1;
             }
@@ -331,7 +331,7 @@ proptest! {
                                 // stream, exactly as the MCP does.
                                 for pkt in tail {
                                     let seq = tx.next_seq();
-                                    tx.record_sent(seq, pkt)
+                                    tx.record_sent(seq, pkt, 0)
                                         .expect("tail is at most one window");
                                 }
                             }
@@ -342,7 +342,7 @@ proptest! {
             }
             while tx.can_send() && (next_to_queue as usize) < n {
                 let seq = tx.next_seq();
-                tx.record_sent(seq, Bytes::copy_from_slice(&next_to_queue.to_le_bytes()))
+                tx.record_sent(seq, Bytes::copy_from_slice(&next_to_queue.to_le_bytes()), 0)
                     .expect("seq from next_seq() under can_send()");
                 next_to_queue += 1;
             }
