@@ -5,8 +5,14 @@
 //! runs the plan the fabric-aware registry selects twice: `offloaded` (the
 //! MCP plan interpreter) and `host` (the host walking the same plan over
 //! point-to-point, `offload_collectives = false`), so a row pair differs
-//! only in the executor. One rank per node; every rank times `REPS`
-//! repetitions after one warmup and rank 0's clock makes the row.
+//! only in the executor. One rank per node. After one warmup, each of
+//! `REPS` timed repetitions starts on every rank at one agreed virtual
+//! instant and ends when the last rank returns, so a bcast row is the time
+//! until the last rank has the root's data, not the root's send time. The
+//! row is the mean over repetitions. The 64-node payload sweep adds 8 KiB
+//! and 64 KiB allreduce and bcast as `host` rows only: payloads above one
+//! NIC fragment never run on the NIC, so an `offloaded` row of them would
+//! be mislabelled.
 //!
 //! In-binary acceptance, before the report is written:
 //!
@@ -21,6 +27,8 @@
 //! * **Offload wins at scale** — the offloaded barrier is faster than the
 //!   host-executed one at ≥ 256 nodes, and both ran the plan `select`
 //!   names.
+//! * **Large payloads stay fast** — each 8 KiB and 64 KiB cell stays under
+//!   its bound in `LARGE_CELLS`.
 //!
 //! The machine-readable report lands in
 //! `target/bench/BENCH_collectives.json` (schema
@@ -37,7 +45,7 @@ use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
 use suca_sim::artifact::write_artifact;
 use suca_sim::mtrace::{check_completeness, check_completeness_sampled, ChainPolicy, SampleSpec};
-use suca_sim::{ActorCtx, RunOutcome};
+use suca_sim::{ActorCtx, RunOutcome, SimDuration, SimTime};
 
 const SEED: u64 = 0xC0113C7;
 /// Timed repetitions per op (after one untimed warmup). The simulator is
@@ -48,6 +56,21 @@ const SEED: u64 = 0xC0113C7;
 const REPS: u32 = 2;
 /// Fleet-mode trace sampling at the largest node count.
 const FLEET_SAMPLE_PPM: u32 = 10_000;
+/// How far past its own clock rank 0 sets a repetition's start instant. It
+/// covers the broadcast of that instant to every rank; a rank the instant
+/// reaches too late fails the run rather than skewing the row.
+const START_MARGIN: SimDuration = SimDuration::from_us(5_000);
+/// `(op, f64 lanes, bound µs)`: the 64-node payload sweep's cells above one
+/// NIC fragment, `host` rows only, on both fabrics. Each bound is at least
+/// 1.3× the latency of the tree the registry selects and under a fifth of
+/// the chain's it selected from 8 KiB up before the chain was deleted
+/// (EXPERIMENTS.md, "Large payloads").
+const LARGE_CELLS: [(&str, usize, f64); 4] = [
+    ("bcast", 1_024, 2_000.0),
+    ("allreduce", 1_024, 4_000.0),
+    ("bcast", 8_192, 6_000.0),
+    ("allreduce", 8_192, 12_000.0),
+];
 
 /// `(op, f64 lanes)` cells measured at a given node count. The payload
 /// sweep runs at the smallest count only; the node sweep fixes 1 KiB.
@@ -58,6 +81,25 @@ fn op_list(nodes: u32) -> Vec<(&'static str, usize)> {
         ops.push(("allreduce", 504)); // largest single-fragment payload
     }
     ops
+}
+
+/// Agree on one start instant for a timed repetition and sleep to it: after
+/// a barrier, rank 0 broadcasts its clock plus `START_MARGIN`. Returns the
+/// instant.
+fn start_together(ctx: &mut ActorCtx, comm: &Comm) -> SimTime {
+    comm.barrier(ctx);
+    let mut at = [(ctx.now().as_ns() + START_MARGIN.as_ns()) as f64];
+    comm.bcast_f64(ctx, 0, &mut at);
+    let start = SimTime::from_ns(at[0] as u64);
+    let now = ctx.now();
+    assert!(
+        now <= start,
+        "rank {}: the start instant arrived {} us late",
+        comm.rank(),
+        now.since(start).as_us()
+    );
+    ctx.sleep(start.since(now));
+    start
 }
 
 struct Row {
@@ -72,7 +114,7 @@ struct Row {
 }
 
 struct CellResult {
-    /// `(op, lanes, latency_us)` from rank 0, in measurement order.
+    /// `(op, lanes, latency_us)` in measurement order.
     latencies: Vec<(String, usize, f64)>,
     metrics_json: String,
 }
@@ -103,13 +145,14 @@ fn run_op(ctx: &mut ActorCtx, comm: &Comm, op: &str, lanes: usize) {
     }
 }
 
-/// Build one cluster and measure every op on it. `check_budget` runs the
+/// Build one cluster and measure `ops` on it. `check_budget` runs the
 /// crossing-budget check of the cell's executor (full below fleet scale,
 /// sampled at it).
 fn run_cell(
     fabric_label: &'static str,
     nodes: u32,
     offload: bool,
+    ops: &[(&'static str, usize)],
     check_budget: bool,
 ) -> CellResult {
     let fleet = nodes >= 1024;
@@ -120,24 +163,25 @@ fn run_cell(
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, nodes);
-    let lat: Arc<Mutex<Vec<(String, usize, f64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let ops = ops.to_vec();
+    // `slowest[op][rep]`: the latest any rank returned, in ns past the start.
+    let slowest = Arc::new(Mutex::new(vec![[0u64; REPS as usize]; ops.len()]));
     for r in 0..nodes {
         let uni = uni.clone();
-        let lat = lat.clone();
+        let ops = ops.clone();
+        let slowest = slowest.clone();
         cluster.spawn_process(r, format!("coll{r}"), move |ctx, env| {
             let mut cfg = MpiConfig::dawning3000();
             cfg.offload_collectives = offload;
             let comm = Comm::init(ctx, &env.node.bcl, &env.proc, uni, r, cfg);
-            for (op, lanes) in op_list(nodes) {
+            for (i, &(op, lanes)) in ops.iter().enumerate() {
                 run_op(ctx, &comm, op, lanes); // warmup
-                let t0 = ctx.now();
-                for _ in 0..REPS {
+                for rep in 0..REPS as usize {
+                    let start = start_together(ctx, &comm);
                     run_op(ctx, &comm, op, lanes);
-                }
-                let t1 = ctx.now();
-                if r == 0 {
-                    let us = (t1.as_ns() - t0.as_ns()) as f64 / 1e3 / f64::from(REPS);
-                    lat.lock().unwrap().push((op.to_string(), lanes, us));
+                    let took = ctx.now().since(start).as_ns();
+                    let slot = &mut slowest.lock().unwrap()[i][rep];
+                    *slot = (*slot).max(took);
                 }
             }
         });
@@ -186,21 +230,29 @@ fn run_cell(
             );
         }
     }
+    let slowest = Arc::into_inner(slowest).unwrap().into_inner().unwrap();
     CellResult {
-        latencies: Arc::into_inner(lat).unwrap().into_inner().unwrap(),
+        latencies: ops
+            .iter()
+            .zip(slowest)
+            .map(|(&(op, lanes), reps)| {
+                let mean_ns = reps.iter().sum::<u64>() as f64 / f64::from(REPS);
+                (op.to_string(), lanes, mean_ns / 1e3)
+            })
+            .collect(),
         metrics_json: cluster.metrics_snapshot().to_json(),
     }
 }
 
 /// The plan both executors run for this cell.
-fn algorithm_for(fabric_name: &str, op: &str, nodes: u32, bytes: u64) -> &'static str {
+fn algorithm_for(fabric_name: &str, op: &str, nodes: u32) -> &'static str {
     let kind = match op {
         "barrier" => CollKind::Barrier,
         "bcast" => CollKind::Bcast,
         _ => CollKind::Allreduce,
     };
     PlanRegistry::for_fabric(fabric_name)
-        .select(kind, nodes, bytes)
+        .select(kind, nodes)
         .as_str()
 }
 
@@ -239,8 +291,8 @@ fn main() {
 
     // Determinism: the 64-node offloaded myrinet cell must produce the
     // same latencies and metrics bytes on a rerun.
-    let run = run_cell("myrinet", 64, true, false);
-    let rerun = run_cell("myrinet", 64, true, false);
+    let run = run_cell("myrinet", 64, true, &op_list(64), false);
+    let rerun = run_cell("myrinet", 64, true, &op_list(64), false);
     assert_eq!(run.latencies, rerun.latencies, "latencies diverged");
     assert_eq!(run.metrics_json, rerun.metrics_json, "metrics diverged");
     println!("[determinism] myrinet/64 offloaded: run == rerun");
@@ -255,8 +307,16 @@ fn main() {
             }
             for offload in [true, false] {
                 let impl_ = if offload { "offloaded" } else { "host" };
-                let res = run_cell(fabric, nodes, offload, true);
-                for (op, lanes, us) in &res.latencies {
+                let mut latencies =
+                    run_cell(fabric, nodes, offload, &op_list(nodes), true).latencies;
+                if nodes == 64 && !offload {
+                    // A cluster of their own: their fragments overflow the
+                    // per-node trace rings, so no chain survives whole for
+                    // the budget check. The NIC never runs them.
+                    let ops = LARGE_CELLS.map(|(op, lanes, _)| (op, lanes));
+                    latencies.extend(run_cell(fabric, nodes, false, &ops, false).latencies);
+                }
+                for (op, lanes, us) in &latencies {
                     assert!(
                         *us > 0.0,
                         "{fabric}/{nodes} {impl_} {op}: empty measurement"
@@ -272,7 +332,7 @@ fn main() {
                             _ => "allreduce",
                         },
                         impl_,
-                        algorithm: algorithm_for(fabric_name, op, nodes, bytes),
+                        algorithm: algorithm_for(fabric_name, op, nodes),
                         bytes,
                         latency_us: *us,
                         bw_mbps: bw,
@@ -322,6 +382,28 @@ fn main() {
                 "[crossover] {fabric}/{nodes}: offloaded barrier {off:.2} us vs host {host:.2} us \
                  ({:.1}x)",
                 host / off
+            );
+        }
+    }
+
+    // Above one NIC fragment the registry's trees must hold their bounds.
+    for (op, lanes, bound) in LARGE_CELLS {
+        let bytes = (lanes * 8) as u64;
+        for fabric in ["myrinet", "mesh"] {
+            let Some(row) = rows
+                .iter()
+                .find(|r| r.fabric == fabric && r.op == op && r.bytes == bytes)
+            else {
+                continue; // a sweep capped below 64 nodes
+            };
+            assert!(
+                row.latency_us < bound,
+                "{fabric}/64 host {op} of {bytes} B: {:.2} us, bound {bound} us",
+                row.latency_us
+            );
+            println!(
+                "[large] {fabric}/64 host {op} {bytes} B: {} {:.2} us < {bound} us",
+                row.algorithm, row.latency_us
             );
         }
     }

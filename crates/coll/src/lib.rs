@@ -1,12 +1,12 @@
 //! Declarative collective execution plans.
 //!
-//! A collective (barrier / bcast / allreduce) is described as one *plan*: a
-//! per-rank schedule of steps, each step a set of peer receives (combined
-//! into the rank's accumulator) followed by peer sends of the accumulator.
-//! The NIC firmware interprets the schedule directly — fan-in combining and
-//! fan-out forwarding happen entirely NIC-side, so the host pays exactly one
-//! initiating trap per participant (the crossing-contract extension asserted
-//! by `ChainPolicy::collective()`).
+//! A collective (barrier / bcast / reduce / allreduce) is described as one
+//! *plan*: a per-rank schedule of steps, each step a set of peer receives
+//! (combined into the rank's accumulator) followed by peer sends of the
+//! accumulator. The NIC firmware interprets the schedule directly — fan-in
+//! combining and fan-out forwarding happen entirely NIC-side, so the host
+//! pays exactly one initiating trap per participant (the crossing-contract
+//! extension asserted by `ChainPolicy::collective()`).
 //!
 //! Step semantics, shared by the validator here and the firmware
 //! interpreter in `suca-bcl`:
@@ -30,9 +30,9 @@
 //! completion without wedging the firmware watchdog. The same oracle backs
 //! the property tests.
 //!
-//! [`PlanRegistry`] picks the algorithm per (kind, rank count, payload
-//! size, fabric topology): Myrinet's linear switch array and the nwrc mesh
-//! get different plans behind the same API. A launching rank asks it for its
+//! [`PlanRegistry`] picks the algorithm per (kind, rank count, fabric
+//! topology): Myrinet's linear switch array and the nwrc mesh get different
+//! plans behind the same API. A launching rank asks it for its
 //! own row only ([`PlanRegistry::schedule_for`] → [`rank_schedule`]); the
 //! whole plan is built and validated once per distinct shape per process,
 //! and only the verdict is kept.
@@ -47,6 +47,8 @@ pub enum CollKind {
     Barrier,
     /// Root's payload is replicated to every rank.
     Bcast,
+    /// Elementwise reduction of every rank's payload, result on the root.
+    Reduce,
     /// Elementwise reduction of every rank's payload, result on all ranks.
     Allreduce,
 }
@@ -57,6 +59,7 @@ impl CollKind {
         match self {
             CollKind::Barrier => "barrier",
             CollKind::Bcast => "bcast",
+            CollKind::Reduce => "reduce",
             CollKind::Allreduce => "allreduce",
         }
     }
@@ -71,9 +74,6 @@ pub enum Algorithm {
     /// Binomial tree fan-in and/or fan-out; log₂(n) rounds, works at any
     /// rank count.
     BinomialTree,
-    /// Chain 0→1→…→n−1 and back. Nearest-neighbor traffic only — the right
-    /// shape for a linear switch array moving large payloads.
-    Ring,
     /// Pairwise exchange doubling the stride each round; log₂(n) rounds
     /// with all links busy every round. Non-powers-of-two fold the extra
     /// ranks in/out around a power-of-two core.
@@ -86,7 +86,6 @@ impl Algorithm {
         match self {
             Algorithm::FlatFanIn => "flat",
             Algorithm::BinomialTree => "binomial",
-            Algorithm::Ring => "ring",
             Algorithm::RecursiveDoubling => "recursive-doubling",
         }
     }
@@ -447,8 +446,12 @@ impl Plan {
 /// `rank` of [`Plan::build`], which is defined as this function over every
 /// rank, so a whole plan and a single row cannot diverge. Costs what that
 /// rank's steps cost (O(log n) for the tree and butterfly shapes).
-/// Algorithms that do not define the kind (recursive doubling has no bcast
-/// shape) fall back to the binomial tree.
+///
+/// Every algorithm is a fan-in half and a fan-out half: reduce is the
+/// fan-in alone, bcast the fan-out alone, and allreduce and barrier the
+/// fan-in followed by the fan-out — except under recursive doubling, whose
+/// butterfly combines and distributes in the same rounds. Recursive
+/// doubling has no single-root shape, so its halves are the binomial tree's.
 ///
 /// # Panics
 /// If `rank` is not a rank of the plan.
@@ -465,15 +468,16 @@ pub fn rank_schedule(
     // Shapes are generated in root-relative rank space and the peers mapped
     // back, so one shape serves every root.
     let rel = (rank + n - root) % n;
-    let mut steps = match (algorithm, kind) {
-        (Algorithm::FlatFanIn, CollKind::Bcast) => flat_bcast(rel, n),
-        (Algorithm::FlatFanIn, _) => flat_allreduce(rel, n),
-        (Algorithm::BinomialTree, CollKind::Bcast) => binomial_bcast(rel, n),
-        (Algorithm::BinomialTree, _) => binomial_allreduce(rel, n),
-        (Algorithm::Ring, CollKind::Bcast) => ring_bcast(rel, n),
-        (Algorithm::Ring, _) => ring_allreduce(rel, n),
-        (Algorithm::RecursiveDoubling, CollKind::Bcast) => binomial_bcast(rel, n),
-        (Algorithm::RecursiveDoubling, _) => recursive_doubling(rel, n),
+    type Half = fn(u32, u32) -> Vec<PlanStep>;
+    let (fan_in, fan_out): (Half, Half) = match algorithm {
+        Algorithm::FlatFanIn => (flat_reduce, flat_bcast),
+        _ => (binomial_reduce, binomial_bcast),
+    };
+    let mut steps = match (kind, algorithm) {
+        (CollKind::Reduce, _) => fan_in(rel, n),
+        (CollKind::Bcast, _) => fan_out(rel, n),
+        (_, Algorithm::RecursiveDoubling) => recursive_doubling(rel, n),
+        _ => [fan_in(rel, n), fan_out(rel, n)].concat(),
     };
     for s in &mut steps {
         for p in s.recv_from.iter_mut().chain(s.send_to.iter_mut()) {
@@ -483,17 +487,15 @@ pub fn rank_schedule(
     steps
 }
 
-fn flat_allreduce(r: u32, n: u32) -> Vec<PlanStep> {
+/// Star fan-in: the root reduces every other rank's value in rank order.
+fn flat_reduce(r: u32, n: u32) -> Vec<PlanStep> {
     if n == 1 {
         return Vec::new();
     }
     if r == 0 {
-        vec![
-            PlanStep::recv_reduce((1..n).collect()),
-            PlanStep::send((1..n).collect()),
-        ]
+        vec![PlanStep::recv_reduce((1..n).collect())]
     } else {
-        vec![PlanStep::send(vec![0]), PlanStep::recv_adopt(vec![0])]
+        vec![PlanStep::send(vec![0])]
     }
 }
 
@@ -544,44 +546,6 @@ fn binomial_bcast(r: u32, n: u32) -> Vec<PlanStep> {
             steps.push(PlanStep::send(vec![r + m]));
         }
         m >>= 1;
-    }
-    steps
-}
-
-fn binomial_allreduce(r: u32, n: u32) -> Vec<PlanStep> {
-    let mut steps = binomial_reduce(r, n);
-    steps.extend(binomial_bcast(r, n));
-    steps
-}
-
-/// Chain reduce 0→…→n−1, then chain the finished value back n−1→…→0.
-/// Every hop is nearest-neighbor in rank order.
-fn ring_allreduce(r: u32, n: u32) -> Vec<PlanStep> {
-    if n == 1 {
-        return Vec::new();
-    }
-    let mut steps = Vec::new();
-    if r > 0 {
-        steps.push(PlanStep::recv_reduce(vec![r - 1]));
-    }
-    if r + 1 < n {
-        steps.push(PlanStep::send(vec![r + 1]));
-        steps.push(PlanStep::recv_adopt(vec![r + 1]));
-    }
-    if r > 0 {
-        steps.push(PlanStep::send(vec![r - 1]));
-    }
-    steps
-}
-
-/// Chain the root's value down the line 0→1→…→n−1.
-fn ring_bcast(r: u32, n: u32) -> Vec<PlanStep> {
-    let mut steps = Vec::new();
-    if r > 0 {
-        steps.push(PlanStep::recv_adopt(vec![r - 1]));
-    }
-    if r + 1 < n {
-        steps.push(PlanStep::send(vec![r + 1]));
     }
     steps
 }
@@ -649,14 +613,10 @@ impl Topology {
     }
 }
 
-/// Payload size (bytes) at which chain/pipeline shapes overtake trees for
-/// bandwidth-bound collectives.
-pub const LARGE_MSG_BYTES: u64 = 8192;
-
 /// Rank count at or below which the flat star beats any tree.
 pub const FLAT_MAX_RANKS: u32 = 4;
 
-/// Selects the algorithm per (kind, ranks, bytes) for one fabric topology
+/// Selects the algorithm per (kind, ranks) for one fabric topology
 /// and hands out validated per-rank schedules. Selection is a pure
 /// function, so every node of a cluster derives the identical plan without
 /// coordination.
@@ -681,24 +641,20 @@ impl PlanRegistry {
         self.topology
     }
 
-    /// Pick the algorithm for a collective of `ranks` ranks moving `bytes`
-    /// payload bytes per rank.
-    pub fn select(&self, kind: CollKind, ranks: u32, bytes: u64) -> Algorithm {
+    /// Pick the algorithm for a collective of `ranks` ranks. The payload
+    /// size keys nothing: no shape here wins on one side of a size
+    /// threshold and loses on the other.
+    pub fn select(&self, kind: CollKind, ranks: u32) -> Algorithm {
         if ranks <= FLAT_MAX_RANKS {
             return Algorithm::FlatFanIn;
         }
         match (self.topology, kind) {
-            // Linear switch array: trees for latency-bound ops, the
-            // nearest-neighbor chain once payloads are bandwidth-bound.
-            (Topology::LinearSwitchArray, CollKind::Barrier) => Algorithm::BinomialTree,
-            (Topology::LinearSwitchArray, _) if bytes >= LARGE_MSG_BYTES => Algorithm::Ring,
-            (Topology::LinearSwitchArray, _) => Algorithm::BinomialTree,
-            // Mesh: pairwise exchange exploits the bisection; bcast has no
-            // doubling shape, so it stays a tree until payloads are large.
-            (Topology::Mesh2D, CollKind::Bcast) if bytes >= LARGE_MSG_BYTES => Algorithm::Ring,
-            (Topology::Mesh2D, CollKind::Bcast) => Algorithm::BinomialTree,
-            (Topology::Mesh2D, _) if bytes >= LARGE_MSG_BYTES => Algorithm::Ring,
-            (Topology::Mesh2D, _) => Algorithm::RecursiveDoubling,
+            // Mesh: pairwise exchange exploits the bisection. Bcast and
+            // reduce have one root and no doubling shape.
+            (Topology::Mesh2D, CollKind::Barrier | CollKind::Allreduce) => {
+                Algorithm::RecursiveDoubling
+            }
+            _ => Algorithm::BinomialTree,
         }
     }
 
@@ -713,11 +669,10 @@ impl PlanRegistry {
         kind: CollKind,
         ranks: u32,
         root: u32,
-        bytes: u64,
         rank: u32,
     ) -> Result<Vec<PlanStep>, PlanError> {
         static VERDICTS: OnceLock<VerdictMemo> = OnceLock::new();
-        let algorithm = self.select(kind, ranks, bytes);
+        let algorithm = self.select(kind, ranks);
         let n = ranks.max(1);
         let root = root % n;
         VERDICTS
@@ -771,17 +726,23 @@ mod tests {
             .expect("validated plan wedged in reference executor")
     }
 
-    const ALGOS: [Algorithm; 4] = [
+    const ALGOS: [Algorithm; 3] = [
         Algorithm::FlatFanIn,
         Algorithm::BinomialTree,
-        Algorithm::Ring,
         Algorithm::RecursiveDoubling,
+    ];
+
+    const KINDS: [CollKind; 4] = [
+        CollKind::Barrier,
+        CollKind::Bcast,
+        CollKind::Reduce,
+        CollKind::Allreduce,
     ];
 
     #[test]
     fn generated_plans_validate_at_many_shapes() {
         for algo in ALGOS {
-            for kind in [CollKind::Barrier, CollKind::Bcast, CollKind::Allreduce] {
+            for kind in KINDS {
                 for n in [1u32, 2, 3, 4, 5, 7, 8, 13, 16, 31, 64] {
                     for root in [0, n - 1, n / 2] {
                         let plan = Plan::build(kind, algo, n, root);
@@ -808,6 +769,21 @@ mod tests {
                             "{algo:?} n={n} root={root} rank {r}: {v} != {want}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reduce_sums_on_the_root_every_algorithm() {
+        for algo in ALGOS {
+            for n in [2u32, 3, 5, 8, 13, 16] {
+                for root in [0, n - 1] {
+                    let plan = Plan::build(CollKind::Reduce, algo, n, root);
+                    let inputs: Vec<f64> = (0..n).map(|r| (r + 1) as f64).collect();
+                    let want: f64 = inputs.iter().sum();
+                    let out = execute_f64(&plan, &inputs);
+                    assert_eq!(out[root as usize], want, "{algo:?} n={n} root={root}");
                 }
             }
         }
@@ -932,29 +908,25 @@ mod tests {
         assert_eq!(myri.topology(), Topology::LinearSwitchArray);
         assert_eq!(mesh.topology(), Topology::Mesh2D);
         // Same call, different algorithm per fabric.
+        assert_eq!(myri.select(CollKind::Barrier, 256), Algorithm::BinomialTree);
         assert_eq!(
-            myri.select(CollKind::Barrier, 256, 0),
-            Algorithm::BinomialTree
-        );
-        assert_eq!(
-            mesh.select(CollKind::Barrier, 256, 0),
+            mesh.select(CollKind::Barrier, 256),
             Algorithm::RecursiveDoubling
         );
-        // Size switches the shape on both.
         assert_eq!(
-            myri.select(CollKind::Allreduce, 256, 64),
+            myri.select(CollKind::Allreduce, 256),
             Algorithm::BinomialTree
         );
-        assert_eq!(
-            myri.select(CollKind::Allreduce, 256, 65536),
-            Algorithm::Ring
-        );
+        // Single-root kinds are trees on both.
+        for reg in [myri, mesh] {
+            for kind in [CollKind::Bcast, CollKind::Reduce] {
+                assert_eq!(reg.select(kind, 5), Algorithm::BinomialTree);
+            }
+        }
         // Tiny rank counts collapse to the star everywhere.
-        assert_eq!(
-            myri.select(CollKind::Allreduce, 3, 65536),
-            Algorithm::FlatFanIn
-        );
-        assert_eq!(mesh.select(CollKind::Bcast, 2, 0), Algorithm::FlatFanIn);
+        assert_eq!(myri.select(CollKind::Allreduce, 3), Algorithm::FlatFanIn);
+        assert_eq!(mesh.select(CollKind::Reduce, 4), Algorithm::FlatFanIn);
+        assert_eq!(mesh.select(CollKind::Bcast, 2), Algorithm::FlatFanIn);
         // Unknown fabric names get the conservative linear model.
         assert_eq!(
             PlanRegistry::for_fabric("mystery").topology(),
@@ -966,15 +938,15 @@ mod tests {
     fn registry_rows_are_the_selected_plans_rows_and_respect_root() {
         for fabric in ["myrinet", "nwrc-mesh"] {
             let reg = PlanRegistry::for_fabric(fabric);
-            for kind in [CollKind::Barrier, CollKind::Bcast, CollKind::Allreduce] {
+            for kind in KINDS {
                 for n in [2u32, 5, 16, 64] {
                     let root = n - 1;
-                    let plan = Plan::build(kind, reg.select(kind, n, 1024), n, root);
+                    let plan = Plan::build(kind, reg.select(kind, n), n, root);
                     for r in 0..n {
                         // A root at or past `ranks` wraps, as in `Plan::build`.
                         for asked_root in [root, root + n] {
                             assert_eq!(
-                                reg.schedule_for(kind, n, asked_root, 1024, r).unwrap(),
+                                reg.schedule_for(kind, n, asked_root, r).unwrap(),
                                 plan.schedules[r as usize],
                                 "{fabric} {kind:?} n={n} rank {r}"
                             );
@@ -988,7 +960,7 @@ mod tests {
     #[test]
     fn rank_schedule_is_the_plans_row_for_every_shape_and_root() {
         for algo in ALGOS {
-            for kind in [CollKind::Barrier, CollKind::Bcast, CollKind::Allreduce] {
+            for kind in KINDS {
                 for n in 1u32..=70 {
                     for root in 0..n {
                         let plan = Plan::build(kind, algo, n, root);
@@ -1006,11 +978,59 @@ mod tests {
     }
 
     #[test]
+    fn reduce_row_is_the_allreduce_rows_fan_in_prefix() {
+        for algo in [Algorithm::FlatFanIn, Algorithm::BinomialTree] {
+            for n in 1u32..=40 {
+                for root in [0, n / 2, n - 1] {
+                    for r in 0..n {
+                        let fan_in = rank_schedule(CollKind::Reduce, algo, n, root, r);
+                        let fan_out = rank_schedule(CollKind::Bcast, algo, n, root, r);
+                        let all = rank_schedule(CollKind::Allreduce, algo, n, root, r);
+                        let what = format!("{algo:?} n={n} root={root} rank {r}");
+                        assert_eq!(all[..fan_in.len()], fan_in[..], "{what}");
+                        assert_eq!(all[fan_in.len()..], fan_out[..], "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A chain allreduce 0→1→…→n−1 and back, built by hand: the longest
+    /// dependency path a plan of `n` ranks can have. `algorithm` is only a
+    /// label; the validator reads the schedules.
+    fn chain_allreduce(n: u32) -> Plan {
+        let schedules = (0..n)
+            .map(|r| {
+                let mut steps = Vec::new();
+                if r > 0 {
+                    steps.push(PlanStep::recv_reduce(vec![r - 1]));
+                }
+                if r + 1 < n {
+                    steps.push(PlanStep::send(vec![r + 1]));
+                    steps.push(PlanStep::recv_adopt(vec![r + 1]));
+                }
+                if r > 0 {
+                    steps.push(PlanStep::send(vec![r - 1]));
+                }
+                steps
+            })
+            .collect();
+        Plan {
+            kind: CollKind::Allreduce,
+            algorithm: Algorithm::FlatFanIn,
+            ranks: n,
+            root: 0,
+            chunks: 1,
+            schedules,
+        }
+    }
+
+    #[test]
     fn validator_is_linear_on_a_chain() {
         // A chain advances one rank per sweep, so sweeping until nothing
         // moves is quadratic: 10 s here even in a release build. Driven from
         // the worklist it takes ~6 ms (release) / ~60 ms (debug).
-        let plan = Plan::build(CollKind::Allreduce, Algorithm::Ring, 16_384, 0);
+        let plan = chain_allreduce(16_384);
         let t0 = std::time::Instant::now();
         plan.validate().unwrap();
         let took = t0.elapsed();

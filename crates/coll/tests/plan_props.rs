@@ -85,21 +85,21 @@ proptest! {
     }
 
     /// Completeness on the generator side: every plan the registry can
-    /// select — any kind, size class, rank count, root, fabric — assembled
-    /// from the per-rank rows it hands out, validates and computes the
-    /// right answer (sum reduction for allreduce, root
-    /// replication for bcast).
+    /// select — any kind, rank count, root, fabric — assembled from the
+    /// per-rank rows it hands out, validates and computes the right answer
+    /// (sum reduction on every rank for allreduce, on the root for reduce,
+    /// root replication for bcast).
     #[test]
     fn registry_plans_always_validate_and_compute(
         ranks in 1u32..65,
         root_pick in 0u32..65,
-        bytes in 0u64..40_000,
-        kind_pick in 0u32..3,
+        kind_pick in 0u32..4,
         mesh in any::<bool>(),
     ) {
         let kind = match kind_pick {
             0 => CollKind::Barrier,
             1 => CollKind::Bcast,
+            2 => CollKind::Reduce,
             _ => CollKind::Allreduce,
         };
         let topo = if mesh { Topology::Mesh2D } else { Topology::LinearSwitchArray };
@@ -107,12 +107,12 @@ proptest! {
         // The plan as the ranks of a job see it: one `schedule_for` row each.
         let reg = PlanRegistry::new(topo);
         let rows: Result<Vec<_>, _> = (0..ranks)
-            .map(|r| reg.schedule_for(kind, ranks, root, bytes, r))
+            .map(|r| reg.schedule_for(kind, ranks, root, r))
             .collect();
         prop_assert!(rows.is_ok(), "registry rejected its own plan: {:?}", rows.err());
         let plan = Plan {
             kind,
-            algorithm: reg.select(kind, ranks, bytes),
+            algorithm: reg.select(kind, ranks),
             ranks,
             root,
             chunks: 1,
@@ -122,6 +122,7 @@ proptest! {
 
         let inputs: Vec<f64> = (0..ranks).map(|r| (r + 3) as f64).collect();
         let out = plan.execute_f64_reference(&inputs).expect("validated plan wedged");
+        let want: f64 = inputs.iter().sum();
         match kind {
             CollKind::Bcast => {
                 for (r, v) in out.iter().enumerate() {
@@ -129,8 +130,10 @@ proptest! {
                         "bcast rank {} got {}", r, v);
                 }
             }
+            CollKind::Reduce => {
+                prop_assert_eq!(out[root as usize], want, "reduce root got {}", out[root as usize]);
+            }
             CollKind::Allreduce | CollKind::Barrier => {
-                let want: f64 = inputs.iter().sum();
                 for (r, v) in out.iter().enumerate() {
                     prop_assert_eq!(*v, want, "allreduce rank {} got {}", r, v);
                 }

@@ -2,19 +2,20 @@
 //!
 //! The paper: "BCL supports point to point message passing. All other
 //! collective message passing should be implemented in the higher level
-//! software." Barrier, broadcast and allreduce are one `suca-coll` plan
-//! each, run by one of two executors (see [`crate::offload`]): the NIC's
-//! plan interpreter when the operands are eligible, otherwise the host,
-//! walking the same plan over [`Comm`] point-to-point. Reduce, gather,
-//! scatter, allgather and alltoall have no plan shape; they are textbook
-//! algorithms over point-to-point — binomial-tree reduce, linear
+//! software." Barrier, broadcast, reduce and allreduce are one `suca-coll`
+//! plan each, run by one of two executors (see [`crate::offload`]): the
+//! NIC's plan interpreter when the operands are eligible, otherwise the
+//! host, walking the same plan over [`Comm`] point-to-point. Gather,
+//! scatter, allgather and alltoall have no plan shape: a plan step sends or
+//! folds one whole accumulator, and these move a different slice per peer.
+//! They are textbook algorithms over point-to-point — linear
 //! gather/scatter, ring allgather, pairwise alltoall.
 
 use suca_coll::CollKind;
 use suca_sim::ActorCtx;
 
 use crate::comm::Comm;
-use crate::datatype::{bytes_to_f64s, f64s_to_bytes, fold, ReduceOp};
+use crate::datatype::{bytes_to_f64s, f64s_to_bytes, ReduceOp};
 
 impl Comm {
     /// Barrier: the selected plan with a zero-byte payload.
@@ -39,15 +40,15 @@ impl Comm {
 
     /// Broadcast a byte buffer whose length only the root knows (non-root
     /// ranks pass an empty vec and adopt the root's). The unknown size
-    /// rules out the NIC, whose result buffer is pinned up front, and keys
-    /// no plan choice: this always walks `select(Bcast, n, 0)` on the host.
-    /// Sized broadcasts should use [`Comm::bcast_f64`].
+    /// rules out the NIC, whose result buffer is pinned up front, so this
+    /// always walks the selected plan on the host. Sized broadcasts should
+    /// use [`Comm::bcast_f64`].
     pub fn bcast(&self, ctx: &mut ActorCtx, root: u32, data: &mut Vec<u8>) {
         *data = self.run_plan(ctx, CollKind::Bcast, root, ReduceOp::Sum, data, false);
     }
 
-    /// Binomial-tree reduce of `f64` vectors to `root`. Returns the result
-    /// on the root, `None` elsewhere.
+    /// Reduce `f64` vectors to `root`: the selected plan's fan-in. Returns
+    /// the result on the root, `None` elsewhere.
     pub fn reduce_f64(
         &self,
         ctx: &mut ActorCtx,
@@ -55,37 +56,13 @@ impl Comm {
         contribution: &[f64],
         op: ReduceOp,
     ) -> Option<Vec<f64>> {
-        let n = self.size();
-        let tag = self.next_coll_tag();
-        let me = (self.rank() + n - root) % n;
-        let mut acc = f64s_to_bytes(contribution);
-        // Receive from children (me | bit), fold; then send to parent.
-        let lowest = if me == 0 {
-            n.next_power_of_two()
-        } else {
-            me & me.wrapping_neg()
-        };
-        let mut bit = 1u32;
-        while bit < lowest && bit < n {
-            let child = me | bit;
-            if child < n && child != me {
-                let real_child = (child + root) % n;
-                fold(op, &mut acc, &self.recv_coll(ctx, real_child, tag));
-            }
-            bit <<= 1;
-        }
-        if me == 0 {
-            Some(bytes_to_f64s(&acc))
-        } else {
-            let parent = me & (me - 1);
-            let real_parent = (parent + root) % n;
-            self.send_coll(ctx, real_parent, tag, &acc);
-            None
-        }
+        let payload = f64s_to_bytes(contribution);
+        let out = self.run_plan(ctx, CollKind::Reduce, root, op, &payload, true);
+        (self.rank() == root % self.size()).then(|| bytes_to_f64s(&out))
     }
 
-    /// Allreduce over `f64` vectors: the selected plan's fan-in + fan-out,
-    /// algorithm picked per fabric and size.
+    /// Allreduce over `f64` vectors: the selected plan's fan-in and fan-out,
+    /// algorithm picked per fabric and rank count.
     pub fn allreduce_f64(
         &self,
         ctx: &mut ActorCtx,

@@ -1,10 +1,11 @@
 //! Plan-driven collectives: one schedule, two executors.
 //!
-//! Barrier, broadcast and allreduce all go through `Comm::run_plan`. It
-//! asks the fabric-aware [`PlanRegistry`] for this rank's row of the
-//! selected plan (the registry validates each distinct plan once per
-//! process; no n-rank plan is built or held here) and hands that row to one
-//! of two executors, which run the same steps in the same order:
+//! Barrier, broadcast, reduce and allreduce all go through
+//! `Comm::run_plan`. It asks the fabric-aware [`PlanRegistry`] for this
+//! rank's row of the selected plan (the registry validates each distinct
+//! plan once per process; no n-rank plan is built or held here) and hands
+//! that row to one of two executors, which run the same steps in the same
+//! order:
 //!
 //! * **NIC executor.** The row is compiled into execution-form
 //!   [`CollStep`]s over concrete port addresses and posted to the NIC in one
@@ -40,10 +41,11 @@ impl Comm {
     /// the final accumulator.
     ///
     /// `sized` says every rank passes a payload of the agreed length (MPI
-    /// count semantics). Only then does the length key plan selection and
-    /// may the NIC run the plan. The byte [`Comm::bcast`], whose non-root
-    /// ranks learn the length from the root, passes `false`: it runs the
-    /// plan `select(kind, n, 0)` on the host executor.
+    /// count semantics). Only then may the NIC run the plan, whose result
+    /// buffer it pins before the data arrives. The byte [`Comm::bcast`],
+    /// whose non-root ranks learn the length from the root, passes `false`:
+    /// it runs the same selected plan on the host executor. The length
+    /// never keys the plan.
     ///
     /// # Panics
     /// If the registry rejects the plan. Every rank computes the same
@@ -58,23 +60,22 @@ impl Comm {
         payload: &[u8],
         sized: bool,
     ) -> Vec<u8> {
-        let bytes = if sized { payload.len() as u64 } else { 0 };
-        if sized && self.offload_eligible(bytes) {
-            let steps = self.plan_row(ctx, kind, root, bytes);
+        if sized && self.offload_eligible(payload.len() as u64) {
+            let steps = self.plan_row(ctx, kind, root);
             if let Some(out) = self.offloaded_collective(ctx, op, steps, payload) {
                 return out;
             }
         }
         // After a per-rank launch failure too: the same plan, regenerated
         // rather than held while the NIC runs it.
-        let steps = self.plan_row(ctx, kind, root, bytes);
+        let steps = self.plan_row(ctx, kind, root);
         self.host_collective(ctx, op, &steps, payload)
     }
 
     /// This rank's row of the plan the registry selects.
-    fn plan_row(&self, ctx: &ActorCtx, kind: CollKind, root: u32, bytes: u64) -> Vec<PlanStep> {
+    fn plan_row(&self, ctx: &ActorCtx, kind: CollKind, root: u32) -> Vec<PlanStep> {
         let registry = PlanRegistry::for_fabric(self.fabric);
-        match registry.schedule_for(kind, self.size(), root, bytes, self.rank()) {
+        match registry.schedule_for(kind, self.size(), root, self.rank()) {
             Ok(steps) => steps,
             Err(e) => {
                 self.offload_error(

@@ -91,6 +91,13 @@ fn offloaded_suite(ctx: &mut suca_sim::ActorCtx, comm: &Comm) -> (Vec<u8>, [u64;
     assert_eq!(maxed, vec![(n - 1) as f64]);
     let prod = comm.allreduce_f64(ctx, &[2.0], ReduceOp::Prod);
     assert_eq!(prod, vec![2f64.powi(n as i32)]);
+    let reduced = comm.reduce_f64(ctx, 3, &[me as f64 + 1.0], ReduceOp::Prod);
+    let factorial = (1..=n).map(f64::from).product::<f64>();
+    assert_eq!(
+        reduced,
+        (me == 3).then(|| vec![factorial]),
+        "rank {me}: reduce wrong"
+    );
     for v in summed.iter().chain(&minned).chain(&maxed).chain(&prod) {
         transcript.extend_from_slice(&v.to_le_bytes());
     }
@@ -194,19 +201,21 @@ fn lanes(values: [f64; 3], rank: u32, len: usize) -> Vec<f64> {
     (0..len).map(|l| values[(rank as usize + l) % 3]).collect()
 }
 
-/// `Plan::execute_f64_reference` of the plan the registry selects for an
-/// allreduce of `len` lanes: each rank's lane 0, from `SUM_LANES` inputs.
-fn reference_lane0(topology: Topology, ranks: u32, len: usize) -> Vec<f64> {
-    let bytes = (len * 8) as u64;
-    let algorithm = PlanRegistry::new(topology).select(CollKind::Allreduce, ranks, bytes);
+/// `Plan::execute_f64_reference` of the plan the registry selects for a
+/// `kind` rooted at `root`: each rank's lane 0, from `SUM_LANES` inputs.
+fn reference_lane0(topology: Topology, kind: CollKind, ranks: u32, root: u32) -> Vec<f64> {
+    let algorithm = PlanRegistry::new(topology).select(kind, ranks);
     let inputs: Vec<f64> = (0..ranks).map(|r| lanes(SUM_LANES, r, 1)[0]).collect();
-    Plan::build(CollKind::Allreduce, algorithm, ranks, 0)
+    Plan::build(kind, algorithm, ranks, root)
         .execute_f64_reference(&inputs)
         .expect("generated plan runs to completion")
 }
 
-/// Barrier, `bcast_f64` and allreduce under every operator, over
-/// order-sensitive lanes; returns the results as one byte transcript.
+/// Barrier, `bcast_f64`, allreduce under every operator, and a sum
+/// `reduce_f64` to the first and to the last rank, over order-sensitive
+/// lanes; returns the results as one byte transcript. A reduce result is
+/// appended on its root only: rank 0 and rank n−1 end with their reduce's
+/// three lanes, and no other rank gets one.
 fn executor_suite(ctx: &mut suca_sim::ActorCtx, comm: &Comm) -> Vec<u8> {
     let me = comm.rank();
     let mut transcript = Vec::new();
@@ -222,6 +231,15 @@ fn executor_suite(ctx: &mut suca_sim::ActorCtx, comm: &Comm) -> Vec<u8> {
         (ReduceOp::Min, SUM_LANES),
     ] {
         results.push(comm.allreduce_f64(ctx, &lanes(values, me, 3), op));
+    }
+    for root in [0, comm.size() - 1] {
+        let reduced = comm.reduce_f64(ctx, root, &lanes(SUM_LANES, me, 3), ReduceOp::Sum);
+        assert_eq!(
+            reduced.is_some(),
+            me == root,
+            "rank {me}: reduce to {root} returned {reduced:?}"
+        );
+        results.extend(reduced);
     }
     comm.barrier(ctx);
     for v in results.iter().flatten() {
@@ -252,9 +270,10 @@ fn transcripts_of(
 
 /// One plan, two executors: the NIC and the host walking the same plan
 /// fold the same lanes in the same order, so every result is byte-equal,
-/// and each rank's sum is the plan's reference sum. 4 ranks run the flat
-/// fan-in, 7 and 8 binomial on Myrinet and odd / power-of-two recursive
-/// doubling on the mesh.
+/// and each rank's sum is the plan's reference sum; so is each reduce
+/// root's. 4 ranks run the flat fan-in, 7 and 8 binomial on Myrinet and
+/// odd / power-of-two recursive doubling on the mesh (reduce is binomial on
+/// both).
 #[test]
 fn offloaded_matches_host_reference() {
     const NODES: u32 = 4;
@@ -277,14 +296,31 @@ fn offloaded_matches_host_reference() {
                 "{name}/{ranks}: NIC and host executors disagree"
             );
             // The sum is the transcript's lanes 5..8; lane 5 is each rank's
-            // lane 0 of the order-sensitive sum.
-            let reference = reference_lane0(topology, ranks, 3);
+            // lane 0 of the order-sensitive sum. A reduce root's result
+            // follows the four allreduces, from lane 17.
+            let lane = |transcript: &[u8], l: usize| transcript[l * 8..(l + 1) * 8].to_vec();
+            let reference = reference_lane0(topology, CollKind::Allreduce, ranks, 0);
             for (rank, transcript) in &runs[0] {
-                let lane0 = &transcript[5 * 8..6 * 8];
                 assert_eq!(
-                    lane0,
+                    lane(transcript, 5),
                     reference[*rank as usize].to_le_bytes(),
                     "{name}/{ranks}: rank {rank} sum differs from the plan's reference"
+                );
+                let reduced = if [0, ranks - 1].contains(rank) {
+                    let reference = reference_lane0(topology, CollKind::Reduce, ranks, *rank);
+                    assert_eq!(
+                        lane(transcript, 17),
+                        reference[*rank as usize].to_le_bytes(),
+                        "{name}/{ranks}: reduce to {rank} differs from the plan's reference"
+                    );
+                    3
+                } else {
+                    0
+                };
+                assert_eq!(
+                    transcript.len(),
+                    (17 + reduced) * 8,
+                    "{name}/{ranks}: rank {rank}"
                 );
             }
         }
@@ -295,8 +331,9 @@ fn offloaded_matches_host_reference() {
 /// with offload on, and still follow the selected plan: a 600-lane
 /// allreduce (4,800 B) is recursive doubling on the mesh and goes
 /// rendezvous, so its butterfly relies on the receives being posted before
-/// the sends; 1,100 lanes (8,800 B) select the ring on both fabrics. Each
-/// rank's lane 0 equals the plan's reference sum bit for bit.
+/// the sends; 1,100 lanes (8,800 B) run the same plans as small payloads,
+/// binomial on Myrinet and recursive doubling on the mesh. Each rank's
+/// lane 0 equals the plan's reference sum bit for bit.
 #[test]
 fn host_executor_runs_plans_the_nic_cannot_take() {
     const NODES: u32 = 4;
@@ -304,18 +341,23 @@ fn host_executor_runs_plans_the_nic_cannot_take() {
     let eager_max = MpiConfig::dawning3000().eadi.eager_max;
     for (name, topology, len, algorithm) in [
         ("mesh", Topology::Mesh2D, 600, Algorithm::RecursiveDoubling),
-        ("mesh", Topology::Mesh2D, 1_100, Algorithm::Ring),
+        (
+            "mesh",
+            Topology::Mesh2D,
+            1_100,
+            Algorithm::RecursiveDoubling,
+        ),
         (
             "myrinet",
             Topology::LinearSwitchArray,
             1_100,
-            Algorithm::Ring,
+            Algorithm::BinomialTree,
         ),
     ] {
         let bytes = (len * 8) as u64;
         assert!(bytes > eager_max, "{name}/{len}: payload would go eager");
         assert_eq!(
-            PlanRegistry::new(topology).select(CollKind::Allreduce, RANKS, bytes),
+            PlanRegistry::new(topology).select(CollKind::Allreduce, RANKS),
             algorithm
         );
         let spec = match topology {
@@ -334,7 +376,7 @@ fn host_executor_runs_plans_the_nic_cannot_take() {
                 out[0].to_le_bytes().to_vec()
             },
         );
-        let reference = reference_lane0(topology, RANKS, len);
+        let reference = reference_lane0(topology, CollKind::Allreduce, RANKS, 0);
         for (rank, lane0) in &runs {
             assert_eq!(
                 lane0[..],
