@@ -17,16 +17,14 @@
 //!
 //! Every cluster built here must finish with `watchdog.stalls == 0`.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::{Architecture, BclConfig, ChannelId};
 use suca_bench::report::assert_anchor;
 use suca_cluster::{measure_one_way, ClusterSpec, SimBarrier};
 use suca_pci::PciModel;
 use suca_sim::mtrace::stage;
-use suca_sim::{SimDuration, TraceId};
+use suca_sim::{MutexExt, SimDuration, TraceId};
 
 fn latency_with(cfg: BclConfig, os_costs: suca_os::OsCostModel) -> f64 {
     let mut spec = ClusterSpec::dawning3000(2).with_bcl(cfg);
@@ -116,7 +114,7 @@ fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
     let a2 = addr.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.lock() = Some(port.addr());
+        *a2.locked() = Some(port.addr());
         b2.wait(ctx);
         for _ in 0..working_set * 2 {
             let ev = port.wait_recv(ctx);
@@ -133,7 +131,7 @@ fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
             .map(|_| port.alloc_buffer(64).expect("buf"))
             .collect();
         b3.wait(ctx);
-        let dst = addr.lock().expect("rx");
+        let dst = addr.locked().expect("rx");
         let mut warm_misses = 0;
         for round in 0..2 {
             for &buf in &bufs {
@@ -157,7 +155,7 @@ fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
                         .iter()
                         .find(|ev| ev.trace == id && ev.stage == stage::DESCRIPTOR)
                         .expect("descriptor fetch traced");
-                    let mut o = o2.lock();
+                    let mut o = o2.locked();
                     o.send_us += send_us;
                     o.stall_us += (fetch.duration_ns() - send_fixed) as f64 / 1_000.0;
                 }
@@ -166,7 +164,7 @@ fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
                 warm_misses = ctx.sim().get_count("mcp.nic_tlb_misses");
             }
         }
-        o2.lock().misses = ctx.sim().get_count("mcp.nic_tlb_misses") - warm_misses;
+        o2.locked().misses = ctx.sim().get_count("mcp.nic_tlb_misses") - warm_misses;
     });
     assert_eq!(
         sim.run(),
@@ -180,7 +178,7 @@ fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
         0,
         "translation arm stalled"
     );
-    let arm = std::mem::take(&mut *out.lock());
+    let arm = std::mem::take(&mut *out.locked());
     let n = working_set as f64;
     TranslationArm {
         send_us: arm.send_us / n,

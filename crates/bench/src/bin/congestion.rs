@@ -11,13 +11,11 @@
 //! 3. the same cross-traffic pattern on the 2-D mesh, which offers path
 //!    diversity in aggregate.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::ChannelId;
 use suca_cluster::{Cluster, ClusterSpec, SimBarrier};
-use suca_sim::RunOutcome;
+use suca_sim::{MutexExt, RunOutcome};
 
 const MSG: u64 = 64 * 1024;
 const COUNT: u32 = 8;
@@ -36,7 +34,7 @@ fn aggregate_bandwidth(cluster: &Cluster, pairs: &[(u32, u32)]) -> f64 {
             let t1 = t1.clone();
             cluster.spawn_process(dst, format!("rx{k}"), move |ctx, env| {
                 let port = env.open_port(ctx);
-                *addr.lock() = Some(port.addr());
+                *addr.locked() = Some(port.addr());
                 let mut bufs = Vec::new();
                 for c in 0..4u16 {
                     bufs.push(port.post_recv(ctx, c, MSG).expect("post"));
@@ -54,7 +52,7 @@ fn aggregate_bandwidth(cluster: &Cluster, pairs: &[(u32, u32)]) -> f64 {
                         .expect("re-post");
                     }
                 }
-                let mut g = t1.lock();
+                let mut g = t1.locked();
                 *g = g.max(ctx.now().as_us());
             });
         }
@@ -64,9 +62,9 @@ fn aggregate_bandwidth(cluster: &Cluster, pairs: &[(u32, u32)]) -> f64 {
             cluster.spawn_process(src, format!("tx{k}"), move |ctx, env| {
                 let port = env.open_port(ctx);
                 barrier.wait(ctx);
-                let dst = addr.lock().expect("rx ready");
+                let dst = addr.locked().expect("rx ready");
                 {
-                    let mut g = t0.lock();
+                    let mut g = t0.locked();
                     *g = g.min(ctx.now().as_us());
                 }
                 for i in 0..COUNT {
@@ -80,7 +78,7 @@ fn aggregate_bandwidth(cluster: &Cluster, pairs: &[(u32, u32)]) -> f64 {
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "congestion workload hung");
     let bytes = MSG as f64 * COUNT as f64 * pairs.len() as f64;
-    let (start, end) = (*t0.lock(), *t1.lock());
+    let (start, end) = (*t0.locked(), *t1.locked());
     bytes / (end - start)
 }
 

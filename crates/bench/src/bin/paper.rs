@@ -17,9 +17,7 @@
 //! the committed `BENCH_stack.json` at the repository root. An intended
 //! change copies `target/bench/BENCH_stack.json` over it.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::{Architecture, ChannelId};
 use suca_bench::measure::{measured_host_overheads, traced_zero_len_run};
@@ -32,7 +30,7 @@ use suca_cluster::{measure_bandwidth, measure_one_way, ClusterSpec, LatencyResul
 use suca_sim::artifact::write_artifact;
 use suca_sim::critpath;
 use suca_sim::mtrace::{check_completeness, stage};
-use suca_sim::{Sim, TraceId};
+use suca_sim::{MutexExt, Sim, TraceId};
 
 /// The committed ledger this run must reproduce byte for byte.
 const COMMITTED: &str = include_str!("../../../../BENCH_stack.json");
@@ -96,7 +94,7 @@ fn count(arch: Architecture) -> (u64, u64) {
     let c2 = counts.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.lock() = Some(port.addr());
+        *a2.locked() = Some(port.addr());
         b2.wait(ctx);
         let before = (
             ctx.sim().get_count("os.traps.n1"),
@@ -107,7 +105,7 @@ fn count(arch: Architecture) -> (u64, u64) {
             ctx.sim().get_count("os.traps.n1"),
             ctx.sim().get_count("os.interrupts.n1"),
         );
-        let mut g = c2.lock();
+        let mut g = c2.locked();
         g.1 += after.0 - before.0;
         g.2 += after.1 - before.1;
     });
@@ -117,17 +115,17 @@ fn count(arch: Architecture) -> (u64, u64) {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr.lock().expect("rx ready");
+        let dst = addr.locked().expect("rx ready");
         let before = ctx.sim().get_count("os.traps.n0");
         let msg_id = port
             .send_bytes(ctx, dst, ChannelId::SYSTEM, b"one message")
             .expect("send");
         let after = ctx.sim().get_count("os.traps.n0");
-        c3.lock().0 += after - before;
-        *s3.lock() = Some(TraceId::new(0, msg_id));
+        c3.locked().0 += after - before;
+        *s3.locked() = Some(TraceId::new(0, msg_id));
     });
     sim.run();
-    let (send_traps, recv_traps, recv_interrupts) = *counts.lock();
+    let (send_traps, recv_traps, recv_interrupts) = *counts.locked();
     let name = arch.name();
     if arch == Architecture::SemiUser {
         let snap = emit_metrics(&sim, "table1_bcl");
@@ -142,7 +140,7 @@ fn count(arch: Architecture) -> (u64, u64) {
             snap.counter_count()
         );
     }
-    let id = sent.lock().expect("message sent");
+    let id = sent.locked().expect("message sent");
     let mut events = cluster.trace_events();
     events.retain(|ev| ev.trace == id);
     let chains = check_completeness(&events, &arch.chain_policy());

@@ -4,9 +4,7 @@
 //! policy (exactly 1 trap, 0 interrupts), and print the trace-derived
 //! per-stage latency breakdown.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bench::report::{emit_metrics, write_trace_json};
 use suca_cluster::{Cluster, ClusterSpec, SanKind, SimBarrier};
@@ -14,7 +12,7 @@ use suca_myrinet::FaultPlan;
 use suca_sim::mtrace::{
     check_completeness, record_stage_histograms, stage, ChainPolicy, STAGE_HISTOGRAMS,
 };
-use suca_sim::{RunOutcome, SimDuration};
+use suca_sim::{MutexExt, RunOutcome, SimDuration};
 
 const MSGS: u32 = 20;
 const LEN: usize = 4096;
@@ -30,7 +28,7 @@ fn ping_pong(spec: ClusterSpec) -> Cluster {
     let a2 = addr.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.lock() = Some(port.addr());
+        *a2.locked() = Some(port.addr());
         b2.wait(ctx);
         for _ in 0..MSGS {
             let ev = port.wait_recv(ctx);
@@ -41,7 +39,7 @@ fn ping_pong(spec: ClusterSpec) -> Cluster {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr.lock().expect("rx ready");
+        let dst = addr.locked().expect("rx ready");
         for i in 0..MSGS {
             port.send_bytes(ctx, dst, suca_bcl::ChannelId::SYSTEM, &vec![i as u8; LEN])
                 .expect("send");

@@ -4,8 +4,8 @@
 //! `paper`, for the paper's whole evaluation — every table and figure, each
 //! quantity measured once, byte-checked against the committed ledger
 //! `BENCH_stack.json` — and one per extension (ablations, contention,
-//! tracing, SLOs, chaos, engine and collective scaling). Criterion benches
-//! on the simulator itself live in `benches/`.
+//! tracing, SLOs, chaos, engine and collective scaling). The engine's own
+//! wall-clock cost is `bench_engine`'s report, `BENCH_engine.json`.
 //!
 //! Each harness binary asserts its own invariants on the typed reports it
 //! builds and exits non-zero when one breaks; those asserts are the only

@@ -4,16 +4,14 @@
 //! which is BCL with an `Architecture` preset — live in
 //! `suca-cluster::harness`.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_cluster::{ClusterSpec, ProcessEnv};
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig};
 use suca_pvm::{PvmConfig, PvmTask};
 use suca_sim::critpath::{self, BucketReport};
-use suca_sim::{ActorCtx, RunOutcome, Sim, TraceEvent, TraceId};
+use suca_sim::{ActorCtx, MutexExt, RunOutcome, Sim, TraceEvent, TraceId};
 
 use crate::report::stage_rows;
 
@@ -100,12 +98,12 @@ pub fn layer_one_way_us(layer: Layer, intra: bool, size: usize, warmup: u32, ite
             let payload = vec![0x44u8; size];
             for _ in 0..total {
                 if rank == 0 {
-                    send_t.lock().push(ctx.now().as_us());
+                    send_t.locked().push(ctx.now().as_us());
                     me.send(ctx, 1, 1, &payload);
                     me.recv(ctx, 1, 2); // pacing reply
                 } else {
                     let len = me.recv(ctx, 0, 1);
-                    recv_t.lock().push(ctx.now().as_us());
+                    recv_t.locked().push(ctx.now().as_us());
                     assert_eq!(len, size);
                     me.send(ctx, 0, 2, b"");
                 }
@@ -113,8 +111,8 @@ pub fn layer_one_way_us(layer: Layer, intra: bool, size: usize, warmup: u32, ite
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "latency job hung");
-    let st = send_t.lock();
-    let rt = recv_t.lock();
+    let st = send_t.locked();
+    let rt = recv_t.locked();
     assert_eq!(st.len() as u32, total);
     assert_eq!(rt.len() as u32, total);
     (warmup as usize..total as usize)
@@ -145,7 +143,7 @@ pub fn layer_bandwidth_mbps(layer: Layer, intra: bool, size: usize, count: u32) 
             if rank == 0 {
                 // Warmup message starts the clock at its completion.
                 me.send(ctx, 1, 1, &payload);
-                *t0.lock() = ctx.now().as_us();
+                *t0.locked() = ctx.now().as_us();
                 for _ in 1..count {
                     me.send(ctx, 1, 1, &payload);
                 }
@@ -153,12 +151,12 @@ pub fn layer_bandwidth_mbps(layer: Layer, intra: bool, size: usize, count: u32) 
                 for _ in 0..count {
                     me.recv(ctx, 0, 1);
                 }
-                *t1.lock() = ctx.now().as_us();
+                *t1.locked() = ctx.now().as_us();
             }
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "bandwidth job hung");
-    let (start, end) = (*t0.lock(), *t1.lock());
+    let (start, end) = (*t0.locked(), *t1.locked());
     assert!(end > start);
     (size as f64 * (count - 1) as f64) / (end - start)
 }
@@ -191,7 +189,7 @@ pub fn traced_zero_len_run() -> TracedZeroLen {
     let ab = addr_b.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.lock() = Some(port.addr());
+        *ab.locked() = Some(port.addr());
         b2.wait(ctx);
         let _ = port.wait_recv(ctx);
     });
@@ -200,15 +198,15 @@ pub fn traced_zero_len_run() -> TracedZeroLen {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.lock().expect("rx ready");
+        let dst = addr_b.locked().expect("rx ready");
         let buf = port.alloc_buffer(1).expect("buf");
         let msg_id = port
             .send(ctx, dst, ChannelId::SYSTEM, buf, 0)
             .expect("send");
-        *sent2.lock() = Some(TraceId::new(0, msg_id));
+        *sent2.locked() = Some(TraceId::new(0, msg_id));
     });
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let id = sent.lock().expect("message sent");
+    let id = sent.locked().expect("message sent");
     let mut events = cluster.trace_events();
     events.retain(|ev| ev.trace == id);
     let bucket = critpath::bottleneck_report(&critpath::analyze(&events))
@@ -239,33 +237,33 @@ pub fn measured_host_overheads(spec: ClusterSpec) -> (f64, f64, f64) {
     let out_rx = out.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.lock() = Some(port.addr());
+        *ab.locked() = Some(port.addr());
         b2.wait(ctx);
         // Let the event arrive, then measure pure poll cost.
         ctx.sleep(suca_sim::SimDuration::from_us(100));
         let t0 = ctx.now().as_us();
         let _ = port.poll_recv(ctx).expect("event queued");
-        out_rx.lock().2 = ctx.now().as_us() - t0;
+        out_rx.locked().2 = ctx.now().as_us() - t0;
     });
     let b3 = barrier.clone();
     let out_tx = out.clone();
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.lock().expect("rx ready");
+        let dst = addr_b.locked().expect("rx ready");
         let buf = port.alloc_buffer(1).expect("buf");
         let t0 = ctx.now().as_us();
         port.send(ctx, dst, ChannelId::SYSTEM, buf, 0)
             .expect("send");
-        out_tx.lock().0 = ctx.now().as_us() - t0;
+        out_tx.locked().0 = ctx.now().as_us() - t0;
         // Wait for the completion event to be present, then time the poll.
         ctx.sleep(suca_sim::SimDuration::from_us(100));
         let t1 = ctx.now().as_us();
         let _ = port.poll_send(ctx).expect("send event queued");
-        out_tx.lock().1 = ctx.now().as_us() - t1;
+        out_tx.locked().1 = ctx.now().as_us() - t1;
     });
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let g = out.lock();
+    let g = out.locked();
     (g.0, g.1, g.2)
 }
 

@@ -6,14 +6,12 @@
 //! observable.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_cluster::ClusterSpec;
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
-use suca_sim::{ActorCtx, RunOutcome};
+use suca_sim::{ActorCtx, MutexExt, RunOutcome};
 
 const SEED: u64 = 0xC0117;
 const NODES: u32 = 8;
@@ -66,12 +64,12 @@ fn run_once(spec: ClusterSpec) -> RunBytes {
                 MpiConfig::dawning3000(),
             );
             let bytes = collective_workload(ctx, &comm);
-            t.lock().push((comm.rank(), bytes));
+            t.locked().push((comm.rank(), bytes));
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "collective workload hung");
 
-    let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner();
+    let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner().unwrap();
     ranks.sort_by_key(|(r, _)| *r);
     let mut results = String::new();
     for (r, bytes) in &ranks {

@@ -6,13 +6,11 @@
 //! simulation clock is global, one-way latency is measured directly (no
 //! RTT/2 approximation).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::{BclError, ChannelId};
 use suca_sim::critpath::{self, MessageCritPath};
-use suca_sim::{ActorCtx, RunOutcome, Signal, Sim, TraceId};
+use suca_sim::{ActorCtx, MutexExt, RunOutcome, Signal, Sim, TraceId};
 
 use crate::builder::{Cluster, ClusterSpec};
 
@@ -39,7 +37,7 @@ impl SimBarrier {
     /// Block until all `n` participants have arrived.
     pub fn wait(&self, ctx: &mut ActorCtx) {
         let gen = {
-            let mut st = self.state.lock();
+            let mut st = self.state.locked();
             let gen = st.1;
             st.0 += 1;
             if st.0 == self.n {
@@ -51,7 +49,7 @@ impl SimBarrier {
             gen
         };
         let state = self.state.clone();
-        self.signal.wait_until(ctx, || state.lock().1 != gen);
+        self.signal.wait_until(ctx, || state.locked().1 != gen);
     }
 }
 
@@ -121,7 +119,7 @@ pub fn measure_one_way(
         let recv_times = recv_times.clone();
         cluster.spawn_process(dst, "latency-recv", move |ctx, env| {
             let port = env.open_port(ctx);
-            *addr_of_b.lock() = Some(port.addr());
+            *addr_of_b.locked() = Some(port.addr());
             let buf = if use_system {
                 None
             } else {
@@ -130,7 +128,7 @@ pub fn measure_one_way(
             barrier.wait(ctx);
             for _ in 0..total {
                 let ev = port.wait_recv(ctx);
-                recv_times.lock().push(ctx.now().as_ns());
+                recv_times.locked().push(ctx.now().as_ns());
                 let data = port.recv_bytes(ctx, &ev).expect("recv data");
                 assert_eq!(data.len() as u64, size, "payload length corrupted");
                 if let Some(addr) = buf {
@@ -153,11 +151,11 @@ pub fn measure_one_way(
             port.write_buffer(buf, &vec![0xA5u8; size as usize])
                 .expect("fill");
             barrier.wait(ctx);
-            let dst_addr = addr_of_b.lock().expect("receiver opened first");
+            let dst_addr = addr_of_b.locked().expect("receiver opened first");
             for _ in 0..total {
                 let at = ctx.now().as_ns();
                 let id = port.send(ctx, dst_addr, channel, buf, size).expect("send");
-                sends.lock().push((at, TraceId::new(src, id)));
+                sends.locked().push((at, TraceId::new(src, id)));
                 // Wait for the pacing reply before the next iteration
                 // (consuming it returns its system-pool buffer).
                 loop {
@@ -175,7 +173,10 @@ pub fn measure_one_way(
 
     assert_eq!(sim.run(), RunOutcome::Completed, "latency harness stuck");
     assert_eq!(sim.get_count("watchdog.stalls"), 0, "latency run stalled");
-    let (sends, recv_times) = (sends.lock().split_off(warmup as usize), recv_times.lock());
+    let (sends, recv_times) = (
+        sends.locked().split_off(warmup as usize),
+        recv_times.locked(),
+    );
     assert_eq!(sends.len() as u32, iters);
     assert_eq!(recv_times.len() as u32, total);
     let timed_ns = sends
@@ -227,7 +228,7 @@ pub fn measure_bandwidth(
         let t1 = t1.clone();
         cluster.spawn_process(dst, "bw-recv", move |ctx, env| {
             let port = env.open_port(ctx);
-            *addr_of_b.lock() = Some(port.addr());
+            *addr_of_b.locked() = Some(port.addr());
             let mut bufs = Vec::new();
             for c in 0..window {
                 bufs.push(port.post_recv(ctx, c, size).expect("post"));
@@ -242,7 +243,7 @@ pub fn measure_bandwidth(
                         .expect("re-post");
                 }
             }
-            *t1.lock() = ctx.now().as_us();
+            *t1.locked() = ctx.now().as_us();
         });
     }
 
@@ -255,14 +256,14 @@ pub fn measure_bandwidth(
             port.write_buffer(buf, &vec![0x5Au8; size as usize])
                 .expect("fill");
             barrier.wait(ctx);
-            let dst_addr = addr_of_b.lock().expect("receiver first");
+            let dst_addr = addr_of_b.locked().expect("receiver first");
             // Warm the pin-down table so the stream measures steady state.
             // (One throwaway message, subtracted by starting the clock after
             // its completion event.)
             port.send(ctx, dst_addr, ChannelId::normal(0), buf, size)
                 .expect("warmup send");
             let _ = port.wait_send(ctx);
-            *t0.lock() = ctx.now().as_us();
+            *t0.locked() = ctx.now().as_us();
             let channel_of = |i: u32| ChannelId::normal((i % u32::from(window)) as u16);
             for i in 1..count {
                 loop {
@@ -280,8 +281,8 @@ pub fn measure_bandwidth(
     }
 
     assert_eq!(sim.run(), RunOutcome::Completed, "bandwidth harness stuck");
-    let start = *t0.lock();
-    let end = *t1.lock();
+    let start = *t0.locked();
+    let end = *t1.locked();
     assert!(end > start, "no time elapsed");
     // count-1 timed messages (the warmup message started the clock).
     let bytes = size as f64 * (count - 1) as f64;
@@ -423,28 +424,28 @@ mod tests {
         let (b2, a2, g2) = (barrier.clone(), addr.clone(), got.clone());
         cluster.spawn_process(1, "rx", move |ctx, env| {
             let port = env.open_port(ctx);
-            *a2.lock() = Some(port.addr());
+            *a2.locked() = Some(port.addr());
             b2.wait(ctx);
             // Poll for a bounded interval, then report what arrived.
             for _ in 0..30 {
                 ctx.sleep(SimDuration::from_ms(1));
                 while let Some(ev) = port.poll_recv(ctx) {
                     port.recv_bytes(ctx, &ev).expect("data");
-                    *g2.lock() += 1;
+                    *g2.locked() += 1;
                 }
             }
         });
         cluster.spawn_process(0, "tx", move |ctx, env| {
             let port = env.open_port(ctx);
             barrier.wait(ctx);
-            let dst = addr.lock().expect("rx ready");
+            let dst = addr.locked().expect("rx ready");
             for i in 0..30u32 {
                 port.send_bytes(ctx, dst, ChannelId::SYSTEM, &i.to_le_bytes())
                     .expect("send");
             }
         });
         cluster.sim.run_until(SimTime::from_ns(60_000_000));
-        let n = *got.lock();
+        let n = *got.locked();
         n
     }
 

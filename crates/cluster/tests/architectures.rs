@@ -2,15 +2,13 @@
 //! integrity, ordering, and each architecture's kernel crossings, counted
 //! by the OS and held per message to its own chain budget.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::{Architecture, BclPort, ChannelId, ProcAddr};
 use suca_cluster::{Cluster, ClusterSpec, SimBarrier};
 use suca_mem::VirtAddr;
 use suca_sim::mtrace::check_completeness;
-use suca_sim::{ActorCtx, RunOutcome, TraceId};
+use suca_sim::{ActorCtx, MutexExt, RunOutcome, TraceId};
 
 /// What each process of [`on_both`] runs once both ports are up:
 /// `(node, ctx, port, peer's address, posted buffer)`.
@@ -28,10 +26,10 @@ fn on_both(arch: Architecture, post: u64, body: Arc<Body>) -> Cluster {
         let (barrier, addrs, body) = (barrier.clone(), addrs.clone(), body.clone());
         cluster.spawn_process(node, format!("p{node}"), move |ctx, env| {
             let port = env.open_port(ctx);
-            addrs.lock()[node as usize] = Some(port.addr());
+            addrs.locked()[node as usize] = Some(port.addr());
             let posted = (post > 0).then(|| port.post_recv(ctx, 0, post).expect("post"));
             barrier.wait(ctx);
-            let peer = addrs.lock()[1 - node as usize].expect("peer opened");
+            let peer = addrs.locked()[1 - node as usize].expect("peer opened");
             body(node, ctx, &port, peer, posted);
         });
     }
@@ -108,11 +106,15 @@ fn kernel_level_counts_a_trap_per_send_and_recv() {
                 }
             }
             let made = ctx.sim().get_count(&counter) - before;
-            let mut t = t2.lock();
+            let mut t = t2.locked();
             *if node == 0 { &mut t.0 } else { &mut t.1 } = made;
         }),
     );
-    assert_eq!(*traps.lock(), (3, 3), "one trap per send, one per receive");
+    assert_eq!(
+        *traps.locked(),
+        (3, 3),
+        "one trap per send, one per receive"
+    );
     assert_eq!(
         cluster.sim.get_count("os.interrupts"),
         3,
@@ -133,13 +135,13 @@ fn every_architecture_meets_its_own_chain_policy_per_message() {
                     let msg_id = port
                         .send_bytes(ctx, peer, ChannelId::SYSTEM, b"one message")
                         .expect("send");
-                    *s2.lock() = Some(TraceId::new(0, msg_id));
+                    *s2.locked() = Some(TraceId::new(0, msg_id));
                 } else {
                     let _ = port.wait_recv(ctx);
                 }
             }),
         );
-        let id = sent.lock().expect("sent");
+        let id = sent.locked().expect("sent");
         let mut events = cluster.trace_events();
         events.retain(|ev| ev.trace == id);
         let report = check_completeness(&events, &arch.chain_policy());

@@ -3,14 +3,12 @@
 //! faults, rendezvous semantics, security rejections, RMA, and the
 //! critical-path trap/interrupt accounting behind Table 1.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::{BclError, BclPort, ChannelId, SendStatus};
 use suca_cluster::{measure_bandwidth, measure_one_way, ClusterSpec, SimBarrier};
 use suca_myrinet::FaultPlan;
-use suca_sim::RunOutcome;
+use suca_sim::{MutexExt, RunOutcome};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -103,7 +101,7 @@ fn large_message_integrity_through_fragmentation() {
     let ab = addr_b.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.lock() = Some(port.addr());
+        *ab.locked() = Some(port.addr());
         port.post_recv(ctx, 3, 300_000).unwrap();
         b2.wait(ctx);
         let ev = port.wait_recv(ctx);
@@ -137,7 +135,7 @@ fn b2_wait_then_send(
     channel: ChannelId,
 ) {
     barrier.wait(ctx);
-    let dst = addr_b.lock().expect("receiver ready");
+    let dst = addr_b.locked().expect("receiver ready");
     let buf = port.alloc_buffer(payload.len() as u64).unwrap();
     port.write_buffer(buf, payload).unwrap();
     port.send(ctx, dst, channel, buf, payload.len() as u64)
@@ -167,7 +165,7 @@ fn reliability_recovers_from_drops_and_corruption() {
     let ab = addr_b.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.lock() = Some(port.addr());
+        *ab.locked() = Some(port.addr());
         b2.wait(ctx);
         // Messages must arrive complete, uncorrupted and in order.
         for i in 0..N {
@@ -180,7 +178,7 @@ fn reliability_recovers_from_drops_and_corruption() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.lock().unwrap();
+        let dst = addr_b.locked().unwrap();
         for i in 0..N {
             port.send_bytes(ctx, dst, ChannelId::SYSTEM, &pattern(1000, i as u8))
                 .unwrap();
@@ -221,7 +219,7 @@ fn lossy_stream(drop_prob: f64, n: u16) -> suca_sim::Sim {
     let ab = addr_b.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.lock() = Some(port.addr());
+        *ab.locked() = Some(port.addr());
         for i in 0..n {
             port.post_recv(ctx, i, LEN).unwrap();
         }
@@ -236,7 +234,7 @@ fn lossy_stream(drop_prob: f64, n: u16) -> suca_sim::Sim {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr_b.lock().expect("receiver ready");
+        let dst = addr_b.locked().expect("receiver ready");
         for i in 0..n {
             let buf = port.alloc_buffer(LEN).unwrap();
             port.write_buffer(buf, &pattern(LEN as usize, i as u8))
@@ -305,9 +303,9 @@ fn probes_repair_tail_losses_in_a_ping_pong() {
         let (barrier, addrs) = (barrier.clone(), addrs.clone());
         cluster.spawn_process(me as u32, format!("p{me}"), move |ctx, env| {
             let port = env.open_port(ctx);
-            addrs.lock()[me] = Some(port.addr());
+            addrs.locked()[me] = Some(port.addr());
             barrier.wait(ctx);
-            let peer = addrs.lock()[1 - me].expect("peer ready");
+            let peer = addrs.locked()[1 - me].expect("peer ready");
             for i in 0..ROUNDS {
                 if me == 1 {
                     let ev = port.wait_recv(ctx);
@@ -358,7 +356,7 @@ fn late_posted_normal_channel_is_retried_and_delivered() {
     let b2 = barrier.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.lock() = Some(port.addr());
+        *ab.locked() = Some(port.addr());
         b2.wait(ctx);
         // Post *after* the sender has already sent: the reject/retry path.
         ctx.sleep(suca_sim::SimDuration::from_us(400));
@@ -372,8 +370,8 @@ fn late_posted_normal_channel_is_retried_and_delivered() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.lock().unwrap();
-        *before.lock() = mem.allocated_frames();
+        let dst = addr_b.locked().unwrap();
+        *before.locked() = mem.allocated_frames();
         // `send_bytes` frees its page at once; the `Ok` completion is
         // posted long before the retries re-stage the payload from it.
         port.send_bytes(ctx, dst, ChannelId::normal(0), &pattern(512, 9))
@@ -381,7 +379,7 @@ fn late_posted_normal_channel_is_retried_and_delivered() {
         assert_eq!(port.wait_send(ctx).status, SendStatus::Ok);
         assert_eq!(
             mem.allocated_frames(),
-            *before.lock() + 1,
+            *before.locked() + 1,
             "a refusable job keeps its page past the completion event"
         );
     });
@@ -392,7 +390,7 @@ fn late_posted_normal_channel_is_retried_and_delivered() {
     );
     // Delivered and acknowledged: the job is past refusal, so the NIC let
     // go of the page the retries were reading and it was reclaimed.
-    assert_eq!(tx_mem.allocated_frames(), *frames_before_send.lock());
+    assert_eq!(tx_mem.allocated_frames(), *frames_before_send.locked());
     assert_eq!(sim.get_count("mem.dma_lifetime_violations"), 0);
 }
 
@@ -408,7 +406,7 @@ fn system_pool_overflow_discards_as_the_paper_specifies() {
     let b2 = barrier.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.lock() = Some(port.addr());
+        *ab.locked() = Some(port.addr());
         b2.wait(ctx);
         // Never consume: the pool fills, later messages are discarded.
         ctx.sleep(suca_sim::SimDuration::from_ms(50));
@@ -422,7 +420,7 @@ fn system_pool_overflow_discards_as_the_paper_specifies() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.lock().unwrap();
+        let dst = addr_b.locked().unwrap();
         for _ in 0..pool_size + 10 {
             port.send_bytes(ctx, dst, ChannelId::SYSTEM, b"x").unwrap();
             let _ = port.wait_send(ctx);
@@ -555,12 +553,12 @@ fn rma_write_and_read_roundtrip() {
     let w2 = window.clone();
     cluster.spawn_process(1, "target", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.lock() = Some(port.addr());
+        *ab.locked() = Some(port.addr());
         let win = port.bind_open(ctx, 0, 8192).unwrap();
         // Preload the second half with a known pattern for the read test.
         port.write_buffer(win.add(4096), &pattern(4096, 42))
             .unwrap();
-        *w2.lock() = Some(win);
+        *w2.locked() = Some(win);
         b2.wait(ctx);
         d2.wait(ctx); // stay alive until the initiator finished
         let got = port.read_buffer(win, 2000).unwrap();
@@ -571,7 +569,7 @@ fn rma_write_and_read_roundtrip() {
     cluster.spawn_process(0, "initiator", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.lock().unwrap();
+        let dst = addr_b.locked().unwrap();
         // One-sided write into the window.
         let src = port.alloc_buffer(2000).unwrap();
         port.write_buffer(src, &pattern(2000, 5)).unwrap();
@@ -605,7 +603,7 @@ fn rma_out_of_bounds_read_fails_with_rejected_event() {
     let d2 = done.clone();
     cluster.spawn_process(1, "target", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.lock() = Some(port.addr());
+        *ab.locked() = Some(port.addr());
         port.bind_open(ctx, 0, 1024).unwrap();
         b2.wait(ctx);
         d2.wait(ctx);
@@ -615,7 +613,7 @@ fn rma_out_of_bounds_read_fails_with_rejected_event() {
     cluster.spawn_process(0, "initiator", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.lock().unwrap();
+        let dst = addr_b.locked().unwrap();
         let into = port.alloc_buffer(4096).unwrap();
         // Read beyond the 1 KB window: NIC-side bounds check refuses.
         let rid = port.rma_read(ctx, dst, 0, 512, into, 4096).unwrap();
@@ -640,7 +638,7 @@ fn critical_path_has_one_trap_and_zero_interrupts() {
     let b2 = barrier.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.lock() = Some(port.addr());
+        *ab.locked() = Some(port.addr());
         b2.wait(ctx);
         let _ = port.wait_recv(ctx);
     });
@@ -650,14 +648,14 @@ fn critical_path_has_one_trap_and_zero_interrupts() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.lock().unwrap();
+        let dst = addr_b.locked().unwrap();
         let before = ctx.sim().get_count("os.traps");
         port.send_bytes(ctx, dst, ChannelId::SYSTEM, b"hi").unwrap();
         let after = ctx.sim().get_count("os.traps");
-        *t2.lock() = (before, after);
+        *t2.locked() = (before, after);
     });
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let (before, after) = *traps.lock();
+    let (before, after) = *traps.locked();
     assert_eq!(after - before, 1, "exactly one trap on the send path");
     assert_eq!(sim.get_count("os.interrupts"), 0, "BCL never interrupts");
 }
@@ -687,10 +685,10 @@ fn same_application_runs_on_myrinet_and_mesh() {
             let received = received.clone();
             cluster.spawn_process(n, format!("p{n}"), move |ctx, env| {
                 let port = env.open_port(ctx);
-                addrs.lock().push(port.addr());
+                addrs.locked().push(port.addr());
                 barrier.wait(ctx);
                 let peers: Vec<_> = addrs
-                    .lock()
+                    .locked()
                     .iter()
                     .copied()
                     .filter(|a| *a != port.addr())
@@ -702,11 +700,11 @@ fn same_application_runs_on_myrinet_and_mesh() {
                 for _ in 0..3 {
                     let ev = port.wait_recv(ctx);
                     let _ = port.recv_bytes(ctx, &ev).unwrap();
-                    *received.lock() += 1;
+                    *received.locked() += 1;
                 }
             });
         }
         assert_eq!(sim.run(), RunOutcome::Completed, "{name} stuck");
-        assert_eq!(*received.lock(), 12, "{name} lost messages");
+        assert_eq!(*received.locked(), 12, "{name} lost messages");
     }
 }

@@ -2,14 +2,12 @@
 //! ring overflow, retry exhaustion, heavy loss, full-duplex bulk traffic,
 //! many ports, mixed intra/inter traffic, tiny go-back-N windows.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::{BclConfig, BclError, ChannelId, SendStatus};
 use suca_cluster::{ClusterSpec, SanKind, SimBarrier};
 use suca_myrinet::FaultPlan;
-use suca_sim::{RunOutcome, SimDuration};
+use suca_sim::{MutexExt, RunOutcome, SimDuration};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -31,14 +29,14 @@ fn two_proc(
     let a2 = addr.clone();
     cluster.spawn_process(rx_node, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.lock() = Some(port.addr());
+        *a2.locked() = Some(port.addr());
         b2.wait(ctx);
         rx(ctx, port);
     });
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr.lock().expect("rx ready");
+        let dst = addr.locked().expect("rx ready");
         tx(ctx, port, dst);
     });
     assert_eq!(sim.run(), RunOutcome::Completed, "stress workload hung");
@@ -193,10 +191,10 @@ fn full_duplex_bulk_transfers_both_directions() {
         let addrs = addrs.clone();
         cluster.spawn_process(me, format!("p{me}"), move |ctx, env| {
             let port = env.open_port(ctx);
-            addrs.lock()[me as usize] = Some(port.addr());
+            addrs.locked()[me as usize] = Some(port.addr());
             port.post_recv(ctx, 0, LEN as u64).unwrap();
             barrier.wait(ctx);
-            let peer = addrs.lock()[(1 - me) as usize].expect("peer ready");
+            let peer = addrs.locked()[(1 - me) as usize].expect("peer ready");
             let buf = port.alloc_buffer(LEN as u64).unwrap();
             port.write_buffer(buf, &pattern(LEN, me as u8)).unwrap();
             port.send(ctx, peer, ChannelId::normal(0), buf, LEN as u64)
@@ -225,13 +223,13 @@ fn eight_ports_all_to_all_on_two_nodes() {
         let received = received.clone();
         cluster.spawn_process(me % 2, format!("p{me}"), move |ctx, env| {
             let port = env.open_port(ctx);
-            addrs.lock()[me as usize] = Some(port.addr());
+            addrs.locked()[me as usize] = Some(port.addr());
             barrier.wait(ctx);
             // Everyone sends a tagged message to everyone else (mixed
             // intra-node and inter-node destinations on the same port).
             let peers: Vec<_> = (0..P)
                 .filter(|p| *p != me)
-                .map(|p| addrs.lock()[p as usize].expect("ready"))
+                .map(|p| addrs.locked()[p as usize].expect("ready"))
                 .collect();
             for (k, peer) in peers.iter().enumerate() {
                 // Stagger slightly so 7 simultaneous senders cannot blow the
@@ -249,12 +247,12 @@ fn eight_ports_all_to_all_on_two_nodes() {
                     ev.src.node,
                     "sender id inconsistent with source node"
                 );
-                *received.lock() += 1;
+                *received.locked() += 1;
             }
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "all-to-all hung");
-    assert_eq!(*received.lock(), P * (P - 1));
+    assert_eq!(*received.locked(), P * (P - 1));
 }
 
 #[test]
@@ -296,7 +294,7 @@ fn concurrent_rma_writes_to_disjoint_offsets() {
     let t0 = target.clone();
     cluster.spawn_process(0, "window-owner", move |ctx, env| {
         let port = env.open_port(ctx);
-        *t0.lock() = Some(port.addr());
+        *t0.locked() = Some(port.addr());
         let win = port.bind_open(ctx, 0, 8192).unwrap();
         b0.wait(ctx);
         d0.wait(ctx);
@@ -316,7 +314,7 @@ fn concurrent_rma_writes_to_disjoint_offsets() {
         cluster.spawn_process(w, format!("writer{w}"), move |ctx, env| {
             let port = env.open_port(ctx);
             barrier.wait(ctx);
-            let dst = target.lock().expect("owner ready");
+            let dst = target.locked().expect("owner ready");
             let buf = port.alloc_buffer(4096).unwrap();
             port.write_buffer(buf, &pattern(4096, w as u8)).unwrap();
             let off = (w as u64 - 1) * 4096;

@@ -3,14 +3,12 @@
 //! write into a buffer the NIC is still reading (the bug class of the RPC
 //! response-scratch corruption) — once, with one flight-recorder dump.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::{ChannelId, ProcAddr, SendStatus};
 use suca_cluster::{ClusterSpec, SimBarrier};
 use suca_mem::PhysMemory;
-use suca_sim::RunOutcome;
+use suca_sim::{MutexExt, RunOutcome};
 
 const VIOLATIONS: &str = "mem.dma_lifetime_violations";
 const PIN_MISSES: &str = "kmod.pin_misses";
@@ -30,11 +28,11 @@ fn overwrite_scratch_after_rma_write(wait_first: bool) -> (u64, bool, Vec<u8>) {
         cluster.spawn_process(1, "window", move |ctx, env| {
             let port = env.open_port(ctx);
             let win = port.bind_open(ctx, 0, LEN).expect("bind");
-            *addr.lock() = Some(port.addr());
+            *addr.locked() = Some(port.addr());
             barrier.wait(ctx);
             barrier.wait(ctx); // the writer is done
             ctx.sleep(suca_sim::SimDuration::from_us(500));
-            *landed.lock() = port.read_buffer(win, LEN).expect("read window");
+            *landed.locked() = port.read_buffer(win, LEN).expect("read window");
         });
     }
     cluster.spawn_process(0, "writer", move |ctx, env| {
@@ -43,7 +41,7 @@ fn overwrite_scratch_after_rma_write(wait_first: bool) -> (u64, bool, Vec<u8>) {
         port.write_buffer(scratch, &[0xAA; LEN as usize])
             .expect("fill");
         barrier.wait(ctx);
-        let dst = addr.lock().expect("window bound");
+        let dst = addr.locked().expect("window bound");
         port.rma_write(ctx, dst, 0, 0, scratch, LEN).expect("write");
         if wait_first {
             assert_eq!(port.wait_send(ctx).status, SendStatus::Ok);
@@ -54,7 +52,7 @@ fn overwrite_scratch_after_rma_write(wait_first: bool) -> (u64, bool, Vec<u8>) {
         barrier.wait(ctx);
     });
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let landed = landed.lock().clone();
+    let landed = landed.locked().clone();
     (
         sim.get_count(VIOLATIONS),
         sim.msg_trace().has_dumped(),
@@ -104,7 +102,7 @@ fn send_bytes_ping_pong(
         let (barrier, addr) = (barrier.clone(), addr.clone());
         cluster.spawn_process(1, "pong", move |ctx, env| {
             let port = env.open_port(ctx);
-            *addr.lock() = Some(port.addr());
+            *addr.locked() = Some(port.addr());
             barrier.wait(ctx);
             for _ in 0..rounds {
                 let ev = port.wait_recv(ctx);
@@ -121,8 +119,8 @@ fn send_bytes_ping_pong(
         cluster.spawn_process(0, "ping", move |ctx, env| {
             let port = env.open_port(ctx);
             barrier.wait(ctx);
-            *misses_at_open.lock() = ctx.sim().get_count(PIN_MISSES);
-            let dst = addr.lock().expect("pong opened first");
+            *misses_at_open.locked() = ctx.sim().get_count(PIN_MISSES);
+            let dst = addr.locked().expect("pong opened first");
             for round in 1..=rounds {
                 let ping = [round as u8; 64];
                 port.send_bytes(ctx, dst, ChannelId::SYSTEM, &ping)
@@ -132,17 +130,17 @@ fn send_bytes_ping_pong(
                 while port.poll_send(ctx).is_some() {}
                 let frames = || memories.iter().map(|m| m.allocated_frames()).sum();
                 if round == sample_at {
-                    samples.lock()[0] = frames();
+                    samples.locked()[0] = frames();
                 } else if round == rounds {
-                    samples.lock()[1] = frames();
+                    samples.locked()[1] = frames();
                 }
             }
             barrier.wait(ctx);
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "ping-pong stuck");
-    let samples = *samples.lock();
-    let misses_at_open = *misses_at_open.lock();
+    let samples = *samples.locked();
+    let misses_at_open = *misses_at_open.locked();
     (samples, misses_at_open, cluster)
 }
 

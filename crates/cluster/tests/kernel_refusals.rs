@@ -5,9 +5,7 @@
 //! costs the caller the trap, the dispatch and the security check — no pin,
 //! no descriptor PIO, no message id.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::{
     BclError, BclPort, ChannelId, CollOp, CollStep, Entry, PortId, ProcAddr, Request, Rma,
@@ -15,7 +13,7 @@ use suca_bcl::{
 use suca_cluster::{ClusterSpec, SimBarrier};
 use suca_mem::VirtAddr;
 use suca_os::NodeId;
-use suca_sim::{ActorCtx, RunOutcome, SimDuration};
+use suca_sim::{ActorCtx, MutexExt, RunOutcome, SimDuration};
 
 #[derive(Clone, Copy, Debug)]
 enum Kind {
@@ -131,7 +129,7 @@ fn every_refusal_costs_one_checked_trap_and_nothing_else() {
         cluster.spawn_process(1, "peer", move |ctx, env| {
             let port = env.open_port(ctx);
             port.post_recv(ctx, 0, LEN).expect("post");
-            *peer.lock() = Some(port.addr());
+            *peer.locked() = Some(port.addr());
             ready.wait(ctx);
             port.wait_recv(ctx);
         });
@@ -145,7 +143,7 @@ fn every_refusal_costs_one_checked_trap_and_nothing_else() {
         let other_port = BclPort::open(ctx, &env.node.bcl, &other).expect("open");
         let other_buf = other_port.alloc_buffer(LEN).expect("buf");
         ready.wait(ctx);
-        let peer = peer.lock().expect("peer opened");
+        let peer = peer.locked().expect("peer opened");
         let (cfg, os) = (env.node.bcl.config().clone(), env.node.os.clone());
         let trap = os.costs.trap_enter + os.costs.trap_exit;
         let checked = cfg.copyin_dispatch + os.costs.security_check;
@@ -237,7 +235,7 @@ fn every_refusal_costs_one_checked_trap_and_nothing_else() {
                     [1, 1, 1, 0, 0],
                     "{case}: (rejects, ioctls, traps, descriptor PIOs, pin lookups)"
                 );
-                *done.lock() += 1;
+                *done.locked() += 1;
             }
         }
         // No refusal consumed a message id: the first accepted send gets
@@ -248,5 +246,5 @@ fn every_refusal_costs_one_checked_trap_and_nothing_else() {
         assert_eq!(first, 2, "a refusal consumed a message id");
     });
     assert_eq!(cluster.sim.run(), RunOutcome::Completed);
-    assert_eq!(*refused.lock(), 23, "every case ran");
+    assert_eq!(*refused.locked(), 23, "every case ran");
 }

@@ -3,13 +3,11 @@
 //! the duration of every `kernel:*` event on its trace chain. The numbers
 //! are the calibrated model's own; any drift is a finding.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::{Architecture, BclPort, ChannelId, CollOp, CollStep, ProcAddr};
 use suca_cluster::{ClusterSpec, SimBarrier};
-use suca_sim::{ActorCtx, RunOutcome, TraceId};
+use suca_sim::{ActorCtx, MutexExt, RunOutcome, TraceId};
 
 /// One send-class request, issued by node 0 towards node 1.
 #[derive(Clone, Copy, Debug)]
@@ -68,9 +66,9 @@ fn measure(arch: Architecture, req: Req) -> Charges {
         let (ready, go, addrs) = (ready.clone(), go.clone(), addrs.clone());
         cluster.spawn_process(1, "peer", move |ctx, env| {
             let port = env.open_port(ctx);
-            addrs.lock()[1] = Some(port.addr());
+            addrs.locked()[1] = Some(port.addr());
             ready.wait(ctx);
-            let peer = addrs.lock()[0].expect("node 0 opened");
+            let peer = addrs.locked()[0].expect("node 0 opened");
             match req {
                 Req::Message(_) => {
                     port.post_recv(ctx, 0, WINDOW).expect("post");
@@ -102,9 +100,9 @@ fn measure(arch: Architecture, req: Req) -> Charges {
     let m2 = measured.clone();
     cluster.spawn_process(0, "caller", move |ctx, env| {
         let port = env.open_port(ctx);
-        addrs.lock()[0] = Some(port.addr());
+        addrs.locked()[0] = Some(port.addr());
         ready.wait(ctx);
-        let peer = addrs.lock()[1].expect("node 1 opened");
+        let peer = addrs.locked()[1].expect("node 1 opened");
         go.wait(ctx);
         let bytes = match req {
             Req::Message(len) | Req::RmaWrite(len) | Req::RmaRead(len) => len,
@@ -127,10 +125,10 @@ fn measure(arch: Architecture, req: Req) -> Charges {
         let call_ns = ctx.now().since(t0).as_ns();
         let after = counts(ctx);
         let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        *m2.lock() = Some((msg_id, call_ns, delta));
+        *m2.locked() = Some((msg_id, call_ns, delta));
     });
     assert_eq!(cluster.sim.run(), RunOutcome::Completed, "{arch:?} {req:?}");
-    let (msg_id, call_ns, delta) = measured.lock().take().expect("measured");
+    let (msg_id, call_ns, delta) = measured.locked().take().expect("measured");
     let trace = TraceId::new(0, msg_id);
     let kernel = cluster
         .trace_events()

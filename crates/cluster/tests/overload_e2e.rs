@@ -13,13 +13,11 @@
 //!   the paper). Draining through `wait_recv_timeout` yields exactly
 //!   pool-many events and then a timeout, never a stall.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::{ChannelId, ProcAddr, SendStatus};
 use suca_cluster::{ClusterSpec, SimBarrier};
-use suca_sim::{RunOutcome, SimDuration};
+use suca_sim::{MutexExt, RunOutcome, SimDuration};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -45,7 +43,7 @@ fn unposted_channel_times_out_then_recovers() {
     let b2 = barrier.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.lock() = Some(port.addr());
+        *ab.locked() = Some(port.addr());
         b2.wait(ctx);
         // Starvation phase: no buffer posted, so nothing can complete. The
         // blocking wait must return None on schedule, not hang, while the
@@ -87,7 +85,7 @@ fn unposted_channel_times_out_then_recovers() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.lock().expect("receiver published its address");
+        let dst = addr_b.locked().expect("receiver published its address");
         for i in 0..MSGS {
             port.send_bytes(ctx, dst, ChannelId::normal(0), &pattern(512, i as u8))
                 .unwrap();
@@ -144,7 +142,7 @@ fn system_pool_burst_drains_to_exactly_pool_capacity() {
     let b2 = barrier.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.lock() = Some(port.addr());
+        *ab.locked() = Some(port.addr());
         b2.wait(ctx);
         // Idle through the burst, then drain with the blocking timeout
         // wait.
@@ -165,7 +163,7 @@ fn system_pool_burst_drains_to_exactly_pool_capacity() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.lock().expect("receiver published its address");
+        let dst = addr_b.locked().expect("receiver published its address");
         for i in 0..pool + OVERFLOW {
             port.send_bytes(ctx, dst, ChannelId::SYSTEM, &i.to_le_bytes())
                 .unwrap();

@@ -4,16 +4,14 @@
 //! with all retransmissions attributed; protocol errors must trip the
 //! flight recorder without panicking the firmware.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::wire::{WireHeader, WireKind};
 use suca_bcl::{BclConfig, ChannelId, PortId, SendStatus};
 use suca_cluster::{ClusterSpec, SanKind, SimBarrier};
 use suca_myrinet::{FabricNodeId, FaultPlan};
 use suca_sim::mtrace::{check_completeness, stage, ChainPolicy};
-use suca_sim::{RunOutcome, SimDuration, TraceEvent, TraceLayer, TracePhase};
+use suca_sim::{MutexExt, RunOutcome, SimDuration, TraceEvent, TraceLayer, TracePhase};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -37,14 +35,14 @@ fn two_proc(
     let a2 = addr.clone();
     cluster.spawn_process(rx_node, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.lock() = Some(port.addr());
+        *a2.locked() = Some(port.addr());
         b2.wait(ctx);
         rx(ctx, port);
     });
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr.lock().expect("rx ready");
+        let dst = addr.locked().expect("rx ready");
         tx(ctx, port, dst);
     });
     assert_eq!(sim.run(), RunOutcome::Completed, "traced workload hung");
@@ -322,7 +320,7 @@ fn intra_node_messages_are_not_traced() {
     let a2 = addr.clone();
     cluster.spawn_process(0, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.lock() = Some(port.addr());
+        *a2.locked() = Some(port.addr());
         b2.wait(ctx);
         let ev = port.wait_recv(ctx);
         let _ = port.recv_bytes(ctx, &ev).unwrap();
@@ -330,7 +328,7 @@ fn intra_node_messages_are_not_traced() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr.lock().expect("rx ready");
+        let dst = addr.locked().expect("rx ready");
         port.send_bytes(ctx, dst, ChannelId::SYSTEM, &pattern(256, 4))
             .unwrap();
         let _ = port.wait_send(ctx);

@@ -14,14 +14,12 @@
 //! the two places this file moves the kernel.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_mem::VirtAddr;
 use suca_os::{NodeOs, OsProcess};
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{ActorCtx, Sim, SimDuration};
+use suca_sim::{ActorCtx, MutexExt, Sim, SimDuration};
 
 use crate::coll::{CollOp, CollStep};
 use crate::config::BclConfig;
@@ -197,11 +195,11 @@ impl BclPort {
         len: u64,
     ) -> Result<(), BclError> {
         ctx.sleep(self.node.cfg.lib_compose);
-        let replace = self.intra_consumed.lock().remove(&chan);
+        let replace = self.intra_consumed.locked().remove(&chan);
         self.node.ioctl(ctx, |ctx, kmod| {
             kmod.ioctl_post_recv(ctx, &self.proc, self.id, chan, (addr, len), replace)
         })?;
-        self.posted.lock().insert(chan, (addr, len));
+        self.posted.locked().insert(chan, (addr, len));
         Ok(())
     }
 
@@ -387,7 +385,7 @@ impl BclPort {
             Vec::new()
         };
         let msg_id = {
-            let mut c = self.intra_msg.lock();
+            let mut c = self.intra_msg.locked();
             let id = *c;
             *c = c.wrapping_add(2);
             id
@@ -493,7 +491,7 @@ impl BclPort {
             RecvDataLoc::Posted => {
                 let (addr, _len) = self
                     .posted
-                    .lock()
+                    .locked()
                     .remove(&ev.channel.index)
                     .ok_or(BclError::BadChannel(ev.channel))?;
                 Ok(self.proc.space.read_vec(addr, ev.len)?)
@@ -504,9 +502,9 @@ impl BclPort {
                 // posted buffer, land the bytes there too.
                 let _ = &ctx;
                 if ev.channel.kind == ChannelKind::Normal {
-                    if let Some((addr, _)) = self.posted.lock().remove(&ev.channel.index) {
+                    if let Some((addr, _)) = self.posted.locked().remove(&ev.channel.index) {
                         self.proc.space.write(addr, v)?;
-                        self.intra_consumed.lock().insert(ev.channel.index);
+                        self.intra_consumed.locked().insert(ev.channel.index);
                     }
                 }
                 Ok(v.clone())

@@ -15,12 +15,10 @@
 //! copies). This yields the paper's 2.7 µs / ~391 MB/s intra-node figures.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_mem::{PhysMemory, SharedRegion};
-use suca_sim::{ActorCtx, Sim, SimDuration};
+use suca_sim::{ActorCtx, MutexExt, Sim, SimDuration};
 
 use crate::config::IntraNodeConfig;
 use crate::port::{ChannelId, PortId, ProcAddr, RecvDataLoc, RecvEvent, SendEvent, SendStatus};
@@ -66,12 +64,12 @@ impl IntraHub {
 
     /// Library side: register a port's event queues at port open.
     pub fn register_port(&self, port: PortId, queues: Arc<UserQueues>) {
-        self.state.lock().ports.insert(port.0, queues);
+        self.state.locked().ports.insert(port.0, queues);
     }
 
     /// Library side: deregister at close.
     pub fn unregister_port(&self, port: PortId) {
-        self.state.lock().ports.remove(&port.0);
+        self.state.locked().ports.remove(&port.0);
     }
 
     /// Time one chunk copy occupies a CPU.
@@ -96,7 +94,7 @@ impl IntraHub {
         msg_id: u32,
         data: &[u8],
     ) -> bool {
-        let dst_queues = match self.state.lock().ports.get(&dst_port.0) {
+        let dst_queues = match self.state.locked().ports.get(&dst_port.0) {
             Some(q) => q.clone(),
             None => return false,
         };
@@ -106,7 +104,7 @@ impl IntraHub {
         // the sender's copy time.
         let mut copied = Vec::with_capacity(data.len());
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.locked();
             let ring_bytes = self.cfg.chunk_bytes * self.cfg.ring_depth as u64;
             let pair = match st.pairs.entry((src_port.0, dst_port.0)) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -193,7 +191,7 @@ impl IntraHub {
             msg_id,
             data: RecvDataLoc::Inline(copied),
         };
-        let src_queues = self.state.lock().ports.get(&src_port.0).cloned();
+        let src_queues = self.state.locked().ports.get(&src_port.0).cloned();
         self.sim.schedule_in(lag, move |_| {
             dst_queues.push_recv(ev);
             if let Some(q) = src_queues {
@@ -290,10 +288,10 @@ mod tests {
         let d2 = done.clone();
         sim.spawn("receiver", move |ctx| {
             let _ = qb.wait_recv(ctx);
-            *d2.lock() = ctx.now().as_us() / 1e6;
+            *d2.locked() = ctx.now().as_us() / 1e6;
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let bw = len as f64 / *done.lock() / 1e6;
+        let bw = len as f64 / *done.locked() / 1e6;
         assert!(
             (bw - 391.0).abs() < 15.0,
             "intra-node bandwidth {bw:.1} MB/s; paper says 391"
@@ -337,10 +335,10 @@ mod tests {
         sim.spawn("receiver", move |ctx| {
             for _ in 0..10 {
                 let ev = qb.wait_recv(ctx);
-                s2.lock().push(ev.msg_id);
+                s2.locked().push(ev.msg_id);
             }
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(*seen.lock(), (0..10).collect::<Vec<u32>>());
+        assert_eq!(*seen.locked(), (0..10).collect::<Vec<u32>>());
     }
 }

@@ -18,15 +18,13 @@
 //! the same path with the kernel's charges left out ([`Entry::Doorbell`]).
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_mem::{pages_spanned, NicSegs, PinDownTable, PinLookup, VirtAddr, PAGE_SIZE};
 use suca_myrinet::FabricNodeId;
 use suca_os::{NodeOs, OsProcess, Pid};
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{ActorCtx, Counter, Gauge, SimTime};
+use suca_sim::{ActorCtx, Counter, Gauge, MutexExt, SimTime};
 
 use crate::coll::{CollOp, CollSetup, CollStep};
 use crate::config::BclConfig;
@@ -201,12 +199,12 @@ impl BclKmod {
             format!("n{n}.kmod.pinned_pages"),
             n,
             Some(pin_table_pages),
-            move |_| w.upgrade().map_or(0, |k| k.state.lock().pin.len() as u64),
+            move |_| w.upgrade().map_or(0, |k| k.state.locked().pin.len() as u64),
         );
         let w = Arc::downgrade(&kmod);
         ts.register(format!("n{n}.kmod.pinned_bytes"), n, None, move |_| {
             w.upgrade()
-                .map_or(0, |k| k.state.lock().pin.len() as u64 * PAGE_SIZE)
+                .map_or(0, |k| k.state.locked().pin.len() as u64 * PAGE_SIZE)
         });
         kmod
     }
@@ -218,12 +216,12 @@ impl BclKmod {
 
     /// Pin-down table statistics `(hits, misses, evictions)`.
     pub fn pin_stats(&self) -> (u64, u64, u64) {
-        self.state.lock().pin.stats()
+        self.state.locked().pin.stats()
     }
 
     /// Pages currently cached in the pin-down table.
     pub fn pinned_pages(&self) -> usize {
-        self.state.lock().pin.len()
+        self.state.locked().pin.len()
     }
 
     /// Fold the pin table's current level into the shared `kmod.pinned_bytes`
@@ -268,7 +266,7 @@ impl BclKmod {
         let Some(port) = port else {
             return Ok(());
         };
-        match self.state.lock().ports.get(&port.0) {
+        match self.state.locked().ports.get(&port.0) {
             Some(kp) if kp.owner == proc.pid => Ok(()),
             Some(_) => Err(self.reject(BclError::NotPortOwner {
                 port,
@@ -380,7 +378,7 @@ impl BclKmod {
         }
         if entry == Entry::Trap {
             let misses = {
-                let mut st = self.state.lock();
+                let mut st = self.state.locked();
                 let results = st.pin.pin_range(&proc.space, addr, len)?;
                 let misses = results
                     .iter()
@@ -413,7 +411,7 @@ impl BclKmod {
     /// like allocation; frames the NIC still references live on until it
     /// lets go (see `suca_mem::phys`).
     pub(crate) fn unmap_notify(&self, proc: &OsProcess, addr: VirtAddr, len: u64) {
-        let mut st = self.state.lock();
+        let mut st = self.state.locked();
         st.pin.purge_range(proc.space.asid(), addr, len);
         self.publish_pin_level(&mut st);
     }
@@ -439,7 +437,7 @@ impl BclKmod {
     ) -> Result<PortId, BclError> {
         self.preamble(ctx, proc, None, Entry::Trap)?;
         {
-            let st = self.state.lock();
+            let st = self.state.locked();
             if st.ports.values().any(|kp| kp.owner == proc.pid) {
                 // "Each process can create only one port." (§2.2)
                 return Err(BclError::PortAlreadyOpen(proc.pid));
@@ -454,7 +452,7 @@ impl BclKmod {
             bufs.push(self.pin(ctx, proc, (addr, buf_bytes), false, Entry::Trap)?);
         }
         let port = {
-            let mut st = self.state.lock();
+            let mut st = self.state.locked();
             let id = PortId(st.next_port);
             st.next_port += 1;
             st.ports.insert(id.0, KernelPort { owner: proc.pid });
@@ -476,7 +474,7 @@ impl BclKmod {
     ) -> Result<(), BclError> {
         self.preamble(ctx, proc, Some(port), Entry::Trap)?;
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.locked();
             st.ports.remove(&port.0);
             st.pin.purge_asid(proc.space.asid());
             self.publish_pin_level(&mut st);
@@ -658,7 +656,7 @@ impl BclKmod {
     }
 
     fn alloc_msg_id(&self) -> u32 {
-        let mut st = self.state.lock();
+        let mut st = self.state.locked();
         let id = st.next_msg;
         st.next_msg = st.next_msg.wrapping_add(2);
         id

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use suca_myrinet::FabricNodeId;
 use suca_sim::mtrace::{stage, TraceId, TraceLayer};
+use suca_sim::MutexExt;
 
 use super::{JobKind, McpInner, McpState, RxDesc, SendJob};
 use crate::coll::CollSetup;
@@ -231,7 +232,7 @@ impl McpInner {
         let segs = setup.payload.clone();
         let len = setup.payload_len;
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.locked();
             if !st.ports.contains_key(&port.0) {
                 self.protocol_error(trace, "collective descriptor on unregistered port");
                 return;
@@ -255,7 +256,7 @@ impl McpInner {
             };
             let at = t0..me.sim.now();
             me.mt_span(trace, TraceLayer::Mcp, stage::COLL_POST, at, 0, len);
-            let mut st = me.state.lock();
+            let mut st = me.state.locked();
             let Some(run) = st.interp.runs.get_mut(&key) else {
                 return; // wiped meanwhile; the initiator was already rejected
             };
@@ -282,7 +283,7 @@ impl McpInner {
                     let me = self.clone();
                     let d = self.cfg.mcp.coll_step * combines.max(1);
                     self.sim.schedule_in(d, move |_| {
-                        let mut st = me.state.lock();
+                        let mut st = me.state.locked();
                         me.coll_advance(&mut st, key);
                     });
                     return;
@@ -327,7 +328,7 @@ impl McpInner {
                 let me = self.clone();
                 let arrival = ((self.os.node_id.0, src_port.0, chunk), data.clone());
                 self.sim.schedule_in(self.cfg.mcp.coll_step, move |_| {
-                    let mut st = me.state.lock();
+                    let mut st = me.state.locked();
                     me.mt_instant(me.local_trace(msg_id), stage::COLL_COMBINE);
                     me.coll_deliver(&mut st, (dst.port.0, coll_id), arrival);
                 });
@@ -380,7 +381,7 @@ impl McpInner {
     pub(super) fn coll_rx(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
         let (src, header) = (d.src, d.header);
         let trace = self.header_trace(src, &header);
-        let Some((id, data)) = d.payload.split_first_chunk::<4>() else {
+        let Some((id, data)) = d.payload().split_first_chunk::<4>() else {
             self.protocol_error(trace, "collective packet shorter than its id");
             return;
         };
@@ -410,8 +411,8 @@ impl McpInner {
         }
         // Both staging buffers ride the result DMA: busy until the event.
         let payload = run.setup.payload;
-        self.dma_payload(trace, run.setup.result, run.acc.into(), 0, move |me| {
-            let st = me.state.lock();
+        self.dma_payload(trace, run.setup.result, run.acc, 0, 0, move |me| {
+            let st = me.state.locked();
             me.post_local_event(&st, port, msg_id, SendStatus::Ok);
             drop(payload);
         });

@@ -47,17 +47,14 @@ mod send;
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::{Arc, Weak};
-
-use bytes::Bytes;
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, Weak};
 
 use suca_mem::{NicSegs, PhysAddr};
 use suca_myrinet::{FabricNodeId, Network, PacketTrace, SramPool};
 use suca_os::NodeOs;
 use suca_pci::DmaEngine;
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{Counter, Histogram, PollerId, Sim, SimDuration, SimTime};
+use suca_sim::{Counter, Histogram, MutexExt, PollerId, Sim, SimDuration, SimTime};
 
 use crate::coll::CollSetup;
 use crate::config::BclConfig;
@@ -106,15 +103,22 @@ impl McpState {
 struct RxDesc {
     src: FabricNodeId,
     header: WireHeader,
-    payload: Bytes,
+    /// The packet as it arrived; its payload is read in place.
+    pkt: Arc<[u8]>,
     rail: usize,
+}
+
+impl RxDesc {
+    fn payload(&self) -> &[u8] {
+        &self.pkt[HEADER_BYTES..]
+    }
 }
 
 /// One encoded packet awaiting its injection instant.
 struct TxDesc {
     rail: usize,
     dst: FabricNodeId,
-    pkt: Bytes,
+    pkt: Arc<[u8]>,
     meta: Option<PacketTrace>,
 }
 
@@ -137,7 +141,7 @@ impl<T> Ring<T> {
     }
 
     fn push(&self, sim: &Sim, delay: SimDuration, desc: T) {
-        self.queue.lock().push_back(desc);
+        self.queue.locked().push_back(desc);
         sim.schedule_poll_in(delay, self.poller);
     }
 }
@@ -284,7 +288,7 @@ impl Mcp {
         let probe = |name: &str, cap: Option<u64>, read: fn(&McpState) -> u64| {
             let w = Arc::downgrade(&inner);
             ts.register(format!("n{n}.mcp.{name}"), n, cap, move |_| {
-                w.upgrade().map_or(0, |i| read(&i.state.lock()))
+                w.upgrade().map_or(0, |i| read(&i.state.locked()))
             });
         };
         probe("send_queue", Some(send_ring), |st| {
@@ -312,7 +316,7 @@ impl Mcp {
 
     /// Kernel module: register a port's host-memory structures on the NIC.
     pub fn register_port(&self, port: PortId, queues: Arc<UserQueues>, pool: Arc<SystemPool>) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.locked();
         let prev = st.ports.insert(
             port.0,
             NicPort {
@@ -328,7 +332,7 @@ impl Mcp {
     /// Kernel module: tear down a port. Its pool, posted buffers and bound
     /// windows are released with it.
     pub fn unregister_port(&self, port: PortId) {
-        self.inner.state.lock().ports.remove(&port.0);
+        self.inner.state.locked().ports.remove(&port.0);
     }
 
     /// Kernel module: post a receive buffer on a normal channel.
@@ -337,7 +341,7 @@ impl Mcp {
     /// the previous posting was consumed by the intra-node path (which
     /// bypasses the NIC entirely).
     pub fn post_normal(&self, port: PortId, idx: u16, segs: NicSegs, replace: bool) -> bool {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.locked();
         let p = st
             .ports
             .get_mut(&port.0)
@@ -351,7 +355,7 @@ impl Mcp {
 
     /// Kernel module: bind a buffer to an open (RMA) channel.
     pub fn bind_open(&self, port: PortId, idx: u16, segs: NicSegs) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.state.locked();
         let p = st
             .ports
             .get_mut(&port.0)
@@ -362,7 +366,7 @@ impl Mcp {
     /// Kernel module: post a send descriptor (the doorbell side effect).
     pub fn post_send(&self, mut job: SendJob) {
         {
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.state.locked();
             if let JobKind::RmaReadReq { len, .. } = job.kind {
                 // The reply lands in this job's segments; the request
                 // packet itself has no use for them.
@@ -395,14 +399,14 @@ impl Mcp {
     /// Send descriptors currently queued (back-pressure for the ring-full
     /// check in the kernel module).
     pub fn queue_depth(&self) -> usize {
-        self.inner.state.lock().send.queue.len()
+        self.inner.state.locked().send.queue.len()
     }
 
     /// Library side: return a consumed system-pool buffer. On hardware the
     /// library updates a free list in host memory that the NIC reads by
     /// DMA; no kernel involvement either way.
     pub fn release_pool_buffer(&self, port: PortId, idx: u32) {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.locked();
         if let Some(p) = st.ports.get(&port.0) {
             p.pool.release(idx);
         }
@@ -421,13 +425,13 @@ impl Mcp {
     /// Advisory — the firmware keeps retrying underneath, and ack progress
     /// clears the mark; but the kernel refuses *new* sends meanwhile.
     pub fn path_is_dead(&self, dst: FabricNodeId) -> bool {
-        let st = self.inner.state.lock();
+        let st = self.inner.state.locked();
         st.peers.get(&dst.0).is_some_and(|p| p.dead)
     }
 
     /// The rail currently carrying traffic to `dst` (observability/tests).
     pub fn active_rail(&self, dst: FabricNodeId) -> usize {
-        self.inner.state.lock().rail_to(dst)
+        self.inner.state.locked().rail_to(dst)
     }
 
     /// Chaos: a NIC reset wipes all MCP SRAM state — send queue, staging,
@@ -451,7 +455,7 @@ impl Mcp {
         inner.sim.add_count("mcp.node_crashes", 1);
         inner.mt_instant(TraceId::NONE, stage::CHAOS_NODE_CRASH);
         inner.wipe_sram_state();
-        inner.state.lock().down_until = Some(inner.sim.now() + down_for);
+        inner.state.locked().down_until = Some(inner.sim.now() + down_for);
         let me = inner.clone();
         inner.sim.schedule_in(down_for, move |s| {
             s.add_count("mcp.node_restarts", 1);
@@ -534,7 +538,7 @@ impl McpInner {
     /// overload the generic header fields; their layouts are the header
     /// constructors in `peer.rs`.
     fn poll_rx(self: &Arc<Self>, ring: &Ring<RxDesc>) {
-        let Some(d) = ring.queue.lock().pop_front() else {
+        let Some(d) = ring.queue.locked().pop_front() else {
             return;
         };
         let h = d.header;
@@ -552,7 +556,7 @@ impl McpInner {
 
     /// Inject the next packet of a tx ring (data or control) onto its rail.
     fn poll_tx(&self, ring: &Ring<TxDesc>) {
-        let Some(d) = ring.queue.lock().pop_front() else {
+        let Some(d) = ring.queue.locked().pop_front() else {
             return;
         };
         self.fabrics[d.rail].inject(&self.sim, self.fid, d.dst, d.pkt, d.meta);
@@ -579,22 +583,25 @@ impl McpInner {
         self.os.memory().nic_hold(slice_sg(segs, off, len), false)
     }
 
-    /// DMA `data` into `target` (see [`Self::dma_window`]), record the
-    /// `dma:data` span, then run `then` (no lock held) — every payload that
-    /// reaches host memory takes this path.
+    /// DMA `data[from..]` into `target` (see [`Self::dma_window`]), record
+    /// the `dma:data` span, then run `then` (no lock held) — every payload
+    /// that reaches host memory takes this path. An arrival passes its
+    /// packet and [`HEADER_BYTES`], so the payload is never copied out.
     fn dma_payload(
         self: &Arc<Self>,
         trace: TraceId,
         target: NicSegs,
-        data: Bytes,
+        data: impl AsRef<[u8]> + Send + 'static,
+        from: usize,
         seq: u32,
         then: impl FnOnce(&Arc<Self>) + Send + 'static,
     ) {
-        let len = data.len() as u64;
+        let len = (data.as_ref().len() - from) as u64;
         let t0 = self.sim.now();
         let me = self.clone();
         self.host_dma.submit(len, move |_| {
-            write_sg(me.os.memory(), &target, 0, &data).expect("payload DMA faulted");
+            let data = &data.as_ref()[from..];
+            write_sg(me.os.memory(), &target, 0, data).expect("payload DMA faulted");
             let at = t0..me.sim.now();
             me.mt_span(trace, TraceLayer::Dma, stage::DMA_DATA, at, seq, len);
             then(&me);
@@ -663,7 +670,7 @@ impl McpInner {
     /// — each group in a hash-order-free sequence, because the completion
     /// DMAs queue in the order posted.
     fn wipe_sram_state(self: &Arc<Self>) {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.locked();
         let st = &mut *guard;
         for peer in st.peers.values_mut() {
             if let Some(timer) = peer.wipe(self.cfg.reliability.window) {

@@ -12,11 +12,9 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
-
 use suca_myrinet::FabricNodeId;
 use suca_sim::mtrace::{stage, TraceId};
-use suca_sim::{EventId, SimDuration, SimTime};
+use suca_sim::{EventId, MutexExt, SimDuration, SimTime};
 
 use super::McpInner;
 use crate::port::{ChannelId, PortId};
@@ -71,7 +69,7 @@ pub(super) enum Ack {
     /// cleared if the same ack also freed slots.
     FastRetransmit(FastResend),
     /// The probe's reply proved the packet at `cum` lost: go back N now.
-    ProbeRetransmit(Vec<Bytes>),
+    ProbeRetransmit(Vec<Arc<[u8]>>),
     /// The probe's reply showed the receiver lost its stream: the stream
     /// was parked and a resync to `epoch` begun at once, on the same rail.
     /// Path health is left alone: a reply from a wiped receiver proves the
@@ -266,7 +264,7 @@ impl McpInner {
     }
 
     fn on_timeout(self: &Arc<Self>, dst: FabricNodeId) {
-        let mut guard = self.state.lock();
+        let mut guard = self.state.locked();
         let down = self.is_down(&guard);
         let st = &mut *guard;
         let peer = st.peers.entry(dst.0).or_default();
@@ -299,12 +297,12 @@ impl McpInner {
                 // The probe joins the hole's chain, so a live loop is never
                 // silent to the watchdog.
                 let hole = peer.tx.as_ref().and_then(|tx| tx.unacked().next());
-                let trace = hole
-                    .and_then(WireHeader::decode)
-                    .map_or(TraceId::NONE, |(h, _)| {
-                        let t = self.packet_trace(dst, &h);
-                        TraceId::new(t.origin, t.msg_id)
-                    });
+                let trace =
+                    hole.and_then(|pkt| WireHeader::decode(pkt))
+                        .map_or(TraceId::NONE, |(h, _)| {
+                            let t = self.packet_trace(dst, &h);
+                            TraceId::new(t.origin, t.msg_id)
+                        });
                 self.mt_instant(trace, stage::PROBE);
                 // Behind every stamped packet, on the data path: the send
                 // engine injects the retransmit queue in order, and before
@@ -349,7 +347,7 @@ impl McpInner {
         token: u32,
     ) {
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.locked();
             let st = &mut *st;
             let now = self.sim.now();
             let peer = st.peers.entry(src.0).or_default();
@@ -406,7 +404,7 @@ impl McpInner {
         token: u32,
         rail: usize,
     ) {
-        let mut st = self.state.lock();
+        let mut st = self.state.locked();
         let rx = &mut st.peers.entry(src.0).or_default().rx;
         let Some(cum) = rx.on_probe(epoch) else {
             self.stale_epoch_drop(TraceId::NONE);
@@ -429,7 +427,7 @@ impl McpInner {
         parked: u16,
         rail: usize,
     ) {
-        let mut st = self.state.lock();
+        let mut st = self.state.locked();
         if self.is_down(&st) {
             return;
         }
@@ -449,7 +447,7 @@ impl McpInner {
     /// recovers — the latency since path death goes into the histogram.
     pub(super) fn on_epoch_sync_ack(self: &Arc<Self>, src: FabricNodeId, epoch: u16, old_cum: u32) {
         {
-            let mut guard = self.state.lock();
+            let mut guard = self.state.locked();
             if self.is_down(&guard) {
                 return;
             }
@@ -467,7 +465,7 @@ impl McpInner {
                     self.protocol_error(TraceId::NONE, "parked resync packet fails to decode");
                     continue;
                 };
-                let Ok(enc) = tx.stamp(&mut h, &payload, self.sim.now().as_ns()) else {
+                let Ok(enc) = tx.stamp(&mut h, payload, self.sim.now().as_ns()) else {
                     // The tail is at most one window, so this cannot close;
                     // evidence over panic if the invariant ever breaks.
                     self.protocol_error(TraceId::NONE, "resync tail overflows fresh window");
@@ -565,7 +563,7 @@ mod tests {
         let tx = peer.tx_or_open(WINDOW);
         for i in 0..n {
             let seq = tx.next_seq();
-            tx.record_sent(seq, Bytes::from(vec![i as u8]), 0)
+            tx.record_sent(seq, Arc::from([i as u8]), 0)
                 .expect("in window");
         }
         peer
@@ -659,7 +657,7 @@ mod tests {
             Ack::Progress { in_flight: false }
         );
         let tx = peer.tx.as_mut().expect("stream exists");
-        tx.record_sent(1, Bytes::from_static(b"x"), 20_000)
+        tx.record_sent(1, Arc::from(*b"x"), 20_000)
             .expect("in window");
         let period = peer.timer_period(RTO);
         assert_eq!(period, SimDuration::from_us(50));
@@ -682,7 +680,7 @@ mod tests {
     fn a_resent_packet_gives_no_rtt_sample() {
         let mut peer = peer_with_in_flight(1);
         let token = probe_token(expire(&mut peer, 0));
-        let resend = Ack::ProbeRetransmit(vec![Bytes::from(vec![0])]);
+        let resend = Ack::ProbeRetransmit(vec![Arc::from([0])]);
         assert_eq!(peer.on_ack(0, 0, 0, token, T0), resend);
         let late = SimTime::from_ns(1_000_000);
         assert_eq!(
@@ -691,7 +689,7 @@ mod tests {
         );
         assert_eq!(peer.timer_period(RTO), RTO, "no sample taken");
         let tx = peer.tx.as_mut().expect("stream exists");
-        tx.record_sent(1, Bytes::from_static(b"y"), late.as_ns())
+        tx.record_sent(1, Arc::from(*b"y"), late.as_ns())
             .expect("in window");
         let acked = SimTime::from_ns(late.as_ns() + 20_000);
         assert_eq!(
@@ -789,8 +787,8 @@ mod tests {
         assert_eq!(peer.silence, SimDuration::ZERO);
     }
 
-    fn pkts(vals: &[u8]) -> Vec<Bytes> {
-        vals.iter().map(|&v| Bytes::from(vec![v])).collect()
+    fn pkts(vals: &[u8]) -> Vec<Arc<[u8]>> {
+        vals.iter().map(|&v| Arc::from([v])).collect()
     }
 
     fn fast(vals: &[u8], repeat: bool) -> Ack {

@@ -13,13 +13,13 @@ use suca_mem::NicSegs;
 use suca_myrinet::{FabricNodeId, Packet};
 use suca_os::NodeId;
 use suca_sim::mtrace::{stage, TraceId, TraceLayer};
-use suca_sim::Sim;
+use suca_sim::{MutexExt, Sim};
 
 use super::{Completion, JobKind, McpInner, McpState, RxDesc, SendJob};
 use crate::port::{ChannelId, ChannelKind, PortId, ProcAddr, RecvDataLoc, RecvEvent, SendStatus};
 use crate::reliable::{EpochVerdict, GbnVerdict};
 use crate::sg::{sg_total, slice_sg};
-use crate::wire::{WireHeader, WireKind};
+use crate::wire::{WireHeader, WireKind, HEADER_BYTES};
 
 /// A message being reassembled into its destination buffer.
 pub(super) struct Incoming {
@@ -102,7 +102,7 @@ impl RecvState {
 
 impl McpInner {
     pub(super) fn on_packet(self: &Arc<Self>, sim: &Sim, pkt: Packet, rail: usize) {
-        if self.is_down(&self.state.lock()) {
+        if self.is_down(&self.state.locked()) {
             // Crashed node: the NIC is off the bus; every arrival is a
             // counted drop until the restart.
             self.node_down_drops.inc();
@@ -122,7 +122,7 @@ impl McpInner {
             // packet is never counted as an out-of-order arrival.
             return;
         }
-        let Some((header, payload)) = WireHeader::decode(&pkt.payload) else {
+        let Some((header, _)) = WireHeader::decode(&pkt.payload) else {
             sim.add_count("bcl.malformed", 1);
             return;
         };
@@ -148,7 +148,7 @@ impl McpInner {
         let desc = RxDesc {
             src,
             header,
-            payload,
+            pkt: pkt.payload,
             rail,
         };
         ring.push(sim, delay, desc);
@@ -157,7 +157,7 @@ impl McpInner {
     /// An arrival's `recv_per_frag` elapsed: go-back-N verdict, then demux.
     pub(super) fn on_data(self: &Arc<Self>, d: RxDesc) {
         let (src, header, rail) = (d.src, d.header, d.rail);
-        let mut st = self.state.lock();
+        let mut st = self.state.locked();
         if !self.cfg.arch.reliable() {
             // No go-back-N (BIP): every intact arrival is taken, and none
             // is acknowledged.
@@ -231,12 +231,8 @@ impl McpInner {
     }
 
     fn deliver_message(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
-        let RxDesc {
-            src,
-            header,
-            payload,
-            rail,
-        } = d;
+        let (src, header, rail) = (d.src, d.header, d.rail);
+        let payload = d.payload();
         let key = (src.0, header.msg_id);
         let trace = TraceId::new(src.0, header.msg_id);
         if st.recv.rejected.contains(&key) {
@@ -307,8 +303,8 @@ impl McpInner {
         // DMA the fragment into its place in the user buffer.
         let len = payload.len() as u64;
         let target = self.dma_window(&inc.target, header.offset as u64, len);
-        self.dma_payload(trace, target, payload, header.seq, move |me| {
-            let mut st = me.state.lock();
+        self.dma_payload(trace, target, d.pkt, HEADER_BYTES, header.seq, move |me| {
+            let mut st = me.state.locked();
             let Some(inc) = st.recv.frag_landed(key, len) else {
                 return;
             };
@@ -327,7 +323,7 @@ impl McpInner {
     }
 
     fn rma_write(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
-        let (header, payload) = (d.header, d.payload);
+        let (header, len) = (d.header, d.payload().len() as u64);
         let trace = TraceId::new(d.src.0, header.msg_id);
         let Some(port) = st.ports.get(&header.dst_port.0) else {
             self.sim.add_count("bcl.rx_no_port", 1);
@@ -339,14 +335,14 @@ impl McpInner {
             return;
         };
         let off = header.offset as u64;
-        if off + payload.len() as u64 > sg_total(segs) {
+        if off + len > sg_total(segs) {
             // NIC-side bounds check: one-sided writes cannot scribble past
             // the bound window.
             self.sim.add_count("bcl.rma_oob", 1);
             return;
         }
-        let target = self.dma_window(segs, off, payload.len() as u64);
-        self.dma_payload(trace, target, payload, header.seq, |_| {});
+        let target = self.dma_window(segs, off, len);
+        self.dma_payload(trace, target, d.pkt, HEADER_BYTES, header.seq, |_| {});
     }
 
     fn rma_read_request(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
@@ -388,7 +384,7 @@ impl McpInner {
     }
 
     fn rma_read_data(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
-        let (header, payload) = (d.header, d.payload);
+        let header = d.header;
         let msg_id = header.msg_id;
         // The read reply joins the requesting chain, which is this node's.
         let trace = self.local_trace(msg_id);
@@ -399,10 +395,10 @@ impl McpInner {
             self.protocol_error(trace, "read-reply data with no pending read request");
             return;
         };
-        let len = payload.len() as u64;
+        let len = d.payload().len() as u64;
         let target = self.dma_window(&read.segments, header.offset as u64, len);
-        self.dma_payload(trace, target, payload, header.seq, move |me| {
-            let mut st = me.state.lock();
+        self.dma_payload(trace, target, d.pkt, HEADER_BYTES, header.seq, move |me| {
+            let mut st = me.state.locked();
             if let Some(read) = st.recv.read_landed(msg_id, len) {
                 me.post_local_event(&st, read.port, msg_id, SendStatus::Ok);
             }

@@ -6,12 +6,10 @@ use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
-use bytes::Bytes;
-
 use suca_mem::{Asid, NicSegs};
 use suca_myrinet::{FabricNodeId, PacketTrace, SramLease, FRAMING_BYTES};
 use suca_sim::mtrace::{stage, TraceId, TraceLayer};
-use suca_sim::SimDuration;
+use suca_sim::{MutexExt, SimDuration};
 
 use super::{Completion, McpInner, McpState, TxDesc};
 use crate::port::{ChannelId, ChannelKind, PortId, SendEvent, SendStatus};
@@ -122,7 +120,7 @@ pub(super) struct SendEngine {
     pub(super) queue: VecDeque<SendJob>,
     /// Encoded packets owed a retransmission, and probes; they go before
     /// any fresh fragment, in order.
-    pub(super) retx: VecDeque<(FabricNodeId, Bytes)>,
+    pub(super) retx: VecDeque<(FabricNodeId, Arc<[u8]>)>,
     active: Option<ActiveSend>,
     active_gen: u64,
     /// True while exactly one chain of `sender_step` events exists.
@@ -307,7 +305,7 @@ impl McpInner {
     }
 
     pub(super) fn kick_sender(self: &Arc<Self>) {
-        let idle = !std::mem::replace(&mut self.state.lock().send.busy, true);
+        let idle = !std::mem::replace(&mut self.state.locked().send.busy, true);
         if idle {
             self.sim.schedule_poll_in(SimDuration::ZERO, self.sender);
         }
@@ -325,7 +323,7 @@ impl McpInner {
     /// One step of the LANai send loop. Invariant: `busy` is true and
     /// exactly one chain of `sender_step` events exists while it is.
     pub(super) fn sender_step(self: &Arc<Self>) {
-        let work = self.next_work(&mut self.state.lock());
+        let work = self.next_work(&mut self.state.locked());
         let step_again_in = |d| {
             self.sim.schedule_poll_in(d, self.sender);
         };
@@ -552,7 +550,7 @@ impl McpInner {
         let gen = a.gen;
         let me = self.clone();
         self.host_dma.submit(len, move |_| {
-            let mut st = me.state.lock();
+            let mut st = me.state.locked();
             let Some(a) = st.send.active.as_mut().filter(|a| a.gen == gen) else {
                 return; // send was aborted (rejected, wiped) while staging
             };
@@ -583,7 +581,7 @@ impl McpInner {
     /// on a fatal refusal or once retries run out — fail it to its sender.
     pub(super) fn on_reject(self: &Arc<Self>, msg_id: u32, fatal: bool) {
         let retry = {
-            let mut st = self.state.lock();
+            let mut st = self.state.locked();
             st.send.take_job(msg_id).and_then(|mut job| {
                 job.retries += 1;
                 if fatal || job.retries > self.cfg.reliability.max_message_retries {
@@ -611,7 +609,7 @@ impl McpInner {
         let me = self.clone();
         self.sim
             .schedule_in(self.cfg.reliability.reject_retry_delay, move |_| {
-                me.state.lock().send.queue.push_back(job);
+                me.state.locked().send.queue.push_back(job);
                 me.kick_sender();
             });
     }

@@ -12,10 +12,10 @@
 
 use std::collections::VecDeque;
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use suca_mem::{NicSegs, VirtAddr};
-use suca_sim::{ActorCtx, Gauge, Signal, Sim};
+use suca_sim::{ActorCtx, Gauge, MutexExt, Signal, Sim};
 
 use crate::port::{RecvEvent, SendEvent};
 
@@ -58,7 +58,7 @@ impl UserQueues {
     /// NIC side: post a receive event and wake pollers.
     pub fn push_recv(&self, ev: RecvEvent) {
         {
-            let mut q = self.recv.lock();
+            let mut q = self.recv.locked();
             q.push_back(ev);
             self.recv_depth.add(1);
         }
@@ -71,7 +71,7 @@ impl UserQueues {
     pub fn push_send(&self, ev: SendEvent) {
         self.staging.posted(ev.msg_id);
         {
-            let mut q = self.send.lock();
+            let mut q = self.send.locked();
             q.push_back(ev);
             self.send_depth.add(1);
         }
@@ -83,7 +83,7 @@ impl UserQueues {
     /// Progress engines (EADI) use this to pump both queues.
     pub fn wait_any(&self, ctx: &mut ActorCtx) {
         loop {
-            if !self.recv.lock().is_empty() || !self.send.lock().is_empty() {
+            if !self.recv.locked().is_empty() || !self.send.locked().is_empty() {
                 return;
             }
             self.any_signal.wait(ctx);
@@ -92,7 +92,7 @@ impl UserQueues {
 
     /// Library side: non-blocking poll of the receive queue.
     pub fn pop_recv(&self) -> Option<RecvEvent> {
-        let ev = self.recv.lock().pop_front();
+        let ev = self.recv.locked().pop_front();
         if ev.is_some() {
             self.recv_depth.sub(1);
         }
@@ -101,7 +101,7 @@ impl UserQueues {
 
     /// Library side: non-blocking poll of the send queue.
     pub fn pop_send(&self) -> Option<SendEvent> {
-        let ev = self.send.lock().pop_front();
+        let ev = self.send.locked().pop_front();
         if ev.is_some() {
             self.send_depth.sub(1);
         }
@@ -130,7 +130,7 @@ impl UserQueues {
 
     /// Events currently queued (recv, send) — for tests.
     pub fn depths(&self) -> (usize, usize) {
-        (self.recv.lock().len(), self.send.lock().len())
+        (self.recv.locked().len(), self.send.locked().len())
     }
 }
 
@@ -158,7 +158,7 @@ struct Staging {
 impl StagingPool {
     /// A free buffer, if the pool has one.
     pub(crate) fn take(&self) -> Option<VirtAddr> {
-        self.0.lock().free.pop()
+        self.0.locked().free.pop()
     }
 
     /// Run `send` from staging buffer `buf`, then file the buffer: held
@@ -169,9 +169,9 @@ impl StagingPool {
         buf: VirtAddr,
         send: impl FnOnce() -> Result<u32, E>,
     ) -> Result<u32, E> {
-        self.0.lock().submitting += 1;
+        self.0.locked().submitting += 1;
         let sent = send();
-        let mut st = self.0.lock();
+        let mut st = self.0.locked();
         match sent {
             Ok(id) if !st.posted_meanwhile.contains(&id) => st.held.push((id, buf)),
             _ => st.free.push(buf),
@@ -185,7 +185,7 @@ impl StagingPool {
 
     /// The completion of message `msg_id` was posted.
     fn posted(&self, msg_id: u32) {
-        let mut st = self.0.lock();
+        let mut st = self.0.locked();
         if let Some(i) = st.held.iter().position(|&(id, _)| id == msg_id) {
             let (_, buf) = st.held.swap_remove(i);
             st.free.push(buf);
@@ -196,7 +196,7 @@ impl StagingPool {
 
     /// Empty the pool, held buffers included; the owner frees them.
     pub(crate) fn drain(&self) -> Vec<VirtAddr> {
-        let mut st = self.0.lock();
+        let mut st = self.0.locked();
         let held = std::mem::take(&mut st.held).into_iter().map(|(_, buf)| buf);
         let mut all = std::mem::take(&mut st.free);
         all.extend(held);
@@ -244,13 +244,13 @@ impl SystemPool {
     /// NIC side: claim the next free buffer (FIFO). `None` ⇒ the incoming
     /// message is discarded, as the paper specifies.
     pub fn claim(&self) -> Option<u32> {
-        self.free.lock().pop_front()
+        self.free.locked().pop_front()
     }
 
     /// Library side: return a consumed buffer to the pool.
     pub fn release(&self, idx: u32) {
         assert!((idx as usize) < self.bufs.len(), "bogus pool index {idx}");
-        let mut free = self.free.lock();
+        let mut free = self.free.locked();
         debug_assert!(!free.contains(&idx), "double release of buffer {idx}");
         free.push_back(idx);
     }
@@ -262,7 +262,7 @@ impl SystemPool {
 
     /// Free buffers right now.
     pub fn free_count(&self) -> usize {
-        self.free.lock().len()
+        self.free.locked().len()
     }
 }
 

@@ -27,13 +27,16 @@
 //! (BCL relies on this for reassembly-free receives). The paper's MCP
 //! retransmits on timeout only; the gap ack and the probe are ours.
 //!
+//! The window keeps each packet as the `Arc<[u8]>` that went on the wire
+//! (`wire.rs`): a retained copy or a resend shares its bytes.
+//!
 //! This module is pure state logic (no simulator types; times are plain
 //! nanoseconds) so the protocol can be exhaustively unit- and
 //! property-tested; `mcp/peer.rs` wires it to timers and the fabric.
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
+use std::sync::Arc;
 
 use crate::wire::WireHeader;
 
@@ -82,12 +85,12 @@ impl GbnError {
 ///
 /// ```
 /// use suca_bcl::reliable::{GbnSender, GbnReceiver, GbnVerdict};
-/// use bytes::Bytes;
+/// use std::sync::Arc;
 ///
 /// let mut tx = GbnSender::new(4);
 /// let mut rx = GbnReceiver::new();
 /// let seq = tx.next_seq();
-/// tx.record_sent(seq, Bytes::from_static(b"frag"), 0).expect("in window");
+/// tx.record_sent(seq, Arc::from(*b"frag"), 0).expect("in window");
 /// assert_eq!(rx.on_data(seq), GbnVerdict::Accept);
 /// assert_eq!(tx.on_ack(rx.cum_ack()).packets, 1); // window slot freed
 /// ```
@@ -112,7 +115,7 @@ pub struct GbnSender {
 struct Unacked {
     seq: u32,
     /// The encoded packet, kept for retransmission.
-    pkt: Bytes,
+    pkt: Arc<[u8]>,
     /// Copies put on the wire so far, the first included.
     sends: u32,
     /// When the first copy went out (ns), for an RTT sample.
@@ -137,7 +140,7 @@ pub struct Freed {
 pub enum ProbeVerdict {
     /// The first unacked packet was lost: every unacknowledged packet,
     /// oldest first, goes out again.
-    Lost(Vec<Bytes>),
+    Lost(Vec<Arc<[u8]>>),
     /// The receiver's cum is behind what it acknowledged before: it lost
     /// its stream (a NIC reset), and only an epoch resync reconciles.
     ReceiverReset,
@@ -147,7 +150,7 @@ pub enum ProbeVerdict {
 #[derive(Debug, PartialEq, Eq)]
 pub struct FastResend {
     /// Every unacknowledged packet, oldest first.
-    pub packets: Vec<Bytes>,
+    pub packets: Vec<Arc<[u8]>>,
     /// The hole had been resent already, and that resend was dropped.
     pub repeat: bool,
 }
@@ -177,10 +180,10 @@ impl GbnSender {
     }
 
     /// Record a packet as sent at `sent_ns` (it must carry
-    /// [`GbnSender::next_seq`]). The encoded bytes are retained for
-    /// retransmission. A violated precondition is reported instead of
+    /// [`GbnSender::next_seq`]). The encoded packet is retained, shared,
+    /// for retransmission. A violated precondition is reported instead of
     /// panicking, so firmware can turn it into a counted protocol error.
-    pub fn record_sent(&mut self, seq: u32, pkt: Bytes, sent_ns: u64) -> Result<(), GbnError> {
+    pub fn record_sent(&mut self, seq: u32, pkt: Arc<[u8]>, sent_ns: u64) -> Result<(), GbnError> {
         if seq != self.next_seq {
             return Err(GbnError::OutOfOrderSeq {
                 expected: self.next_seq,
@@ -217,7 +220,7 @@ impl GbnSender {
     }
 
     /// Packets currently unacknowledged (oldest first).
-    pub fn unacked(&self) -> impl Iterator<Item = &Bytes> + '_ {
+    pub fn unacked(&self) -> impl Iterator<Item = &Arc<[u8]>> + '_ {
         self.inflight.iter().map(|u| &u.pkt)
     }
 
@@ -226,7 +229,7 @@ impl GbnSender {
     /// copies of the packets behind that seq sent before it — for
     /// [`GbnSender::on_gap_ack`], and it voids the outstanding probe. Gap
     /// acks and probe replies both resend here.
-    fn resend_window(&mut self) -> Vec<Bytes> {
+    fn resend_window(&mut self) -> Vec<Arc<[u8]>> {
         let Some(hole) = self.inflight.front().map(|u| u.seq) else {
             return Vec::new();
         };
@@ -519,7 +522,7 @@ impl EpochSender {
     }
 
     /// Record a packet as sent at `sent_ns` on the current epoch's stream.
-    pub fn record_sent(&mut self, seq: u32, pkt: Bytes, sent_ns: u64) -> Result<(), GbnError> {
+    pub fn record_sent(&mut self, seq: u32, pkt: Arc<[u8]>, sent_ns: u64) -> Result<(), GbnError> {
         self.gbn.record_sent(seq, pkt, sent_ns)
     }
 
@@ -532,7 +535,7 @@ impl EpochSender {
         header: &mut WireHeader,
         payload: &[u8],
         sent_ns: u64,
-    ) -> Result<Bytes, GbnError> {
+    ) -> Result<Arc<[u8]>, GbnError> {
         header.seq = self.next_seq();
         header.epoch = self.epoch;
         let pkt = header.encode(payload);
@@ -578,7 +581,7 @@ impl EpochSender {
     /// order, still carrying their *old* headers — the caller re-stamps seq
     /// and epoch and records them on the fresh stream), or `None` when the
     /// ack is stale. A duplicate sync-ack returns `Some(empty)`.
-    pub fn on_sync_ack(&mut self, epoch: u16, old_cum: u32) -> Option<Vec<Bytes>> {
+    pub fn on_sync_ack(&mut self, epoch: u16, old_cum: u32) -> Option<Vec<Arc<[u8]>>> {
         if epoch != self.epoch {
             return None;
         }
@@ -590,7 +593,7 @@ impl EpochSender {
     }
 
     /// Packets currently unacknowledged on the live stream (oldest first).
-    pub fn unacked(&self) -> impl Iterator<Item = &Bytes> + '_ {
+    pub fn unacked(&self) -> impl Iterator<Item = &Arc<[u8]>> + '_ {
         self.gbn.unacked()
     }
 
@@ -740,12 +743,12 @@ impl Default for EpochReceiver {
 mod tests {
     use super::*;
 
-    fn pkt(i: u32) -> Bytes {
-        Bytes::from(i.to_le_bytes().to_vec())
+    fn pkt(i: u32) -> Arc<[u8]> {
+        Arc::from(i.to_le_bytes())
     }
 
     /// Decode a test packet's payload without slice-length unwraps.
-    fn val(b: &Bytes) -> u32 {
+    fn val(b: &Arc<[u8]>) -> u32 {
         u32::from_le_bytes([b[0], b[1], b[2], b[3]])
     }
 
@@ -915,7 +918,7 @@ mod tests {
             Probe(u32),
         }
         /// Log `seqs` as sent and queue them on the wire.
-        fn put(log: &mut Vec<(u32, bool)>, wire: &mut VecDeque<Slot>, seqs: Vec<Bytes>) {
+        fn put(log: &mut Vec<(u32, bool)>, wire: &mut VecDeque<Slot>, seqs: Vec<Arc<[u8]>>) {
             for b in seqs {
                 wire.push_back(Slot::Copy(log.len()));
                 log.push((val(&b), false));

@@ -11,8 +11,15 @@
 //! path: the sender queues it behind its data and the receiver runs it
 //! through its data rx ring, so its reply is ordered after every earlier
 //! packet.
+//!
+//! A packet is one immutable `Arc<[u8]>`, built once by
+//! [`WireHeader::encode`] and shared, not copied, by the fabric, the
+//! sender's go-back-N window and the receiver's rx ring. The header has a
+//! fixed size, so a packet's payload is always `pkt[HEADER_BYTES..]`: the
+//! receive path keeps the packet and reads that range.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use std::iter;
+use std::sync::Arc;
 
 use crate::port::{ChannelId, ChannelKind, PortId};
 
@@ -121,35 +128,38 @@ pub struct WireHeader {
 }
 
 impl WireHeader {
-    /// Serialize, prepending to `payload`.
-    pub fn encode(&self, payload: &[u8]) -> Bytes {
+    /// Serialize, prepending to `payload`. The packet is allocated once at
+    /// its final length, and the payload is copied into it once.
+    pub fn encode(&self, payload: &[u8]) -> Arc<[u8]> {
         debug_assert_eq!(payload.len(), self.frag_len as usize);
-        let mut b = BytesMut::with_capacity(HEADER_BYTES + payload.len());
-        b.put_u8(self.kind.to_wire());
-        b.put_u8(self.channel.kind.to_wire());
-        b.put_u16_le(self.channel.index);
-        b.put_u16_le(self.src_port.0);
-        b.put_u16_le(self.dst_port.0);
-        b.put_u32_le(self.msg_id);
-        b.put_u32_le(self.seq);
-        b.put_u32_le(self.offset);
-        b.put_u32_le(self.total_len);
-        b.put_u32_le(self.frag_len);
-        b.put_u16_le(WIRE_MAGIC);
-        b.put_u16_le(self.epoch);
-        debug_assert_eq!(b.len(), HEADER_BYTES);
-        b.put_slice(payload);
-        b.freeze()
+        // Zero-filled, then written in place: collecting a chained iterator
+        // into the `Arc` allocates once too, but copies byte by byte.
+        let mut pkt: Arc<[u8]> = iter::repeat_n(0, HEADER_BYTES + payload.len()).collect();
+        let b = Arc::get_mut(&mut pkt).expect("a new packet is unshared");
+        b[0] = self.kind.to_wire();
+        b[1] = self.channel.kind.to_wire();
+        b[2..4].copy_from_slice(&self.channel.index.to_le_bytes());
+        b[4..6].copy_from_slice(&self.src_port.0.to_le_bytes());
+        b[6..8].copy_from_slice(&self.dst_port.0.to_le_bytes());
+        b[8..12].copy_from_slice(&self.msg_id.to_le_bytes());
+        b[12..16].copy_from_slice(&self.seq.to_le_bytes());
+        b[16..20].copy_from_slice(&self.offset.to_le_bytes());
+        b[20..24].copy_from_slice(&self.total_len.to_le_bytes());
+        b[24..28].copy_from_slice(&self.frag_len.to_le_bytes());
+        b[28..30].copy_from_slice(&WIRE_MAGIC.to_le_bytes());
+        b[30..32].copy_from_slice(&self.epoch.to_le_bytes());
+        b[HEADER_BYTES..].copy_from_slice(payload);
+        pkt
     }
 
-    /// Parse a packet; returns the header and the payload slice.
-    /// `None` on malformed input (short packet, bad kind, inconsistent
-    /// lengths) — corrupted packets must never panic the firmware.
-    pub fn decode(packet: &Bytes) -> Option<(WireHeader, Bytes)> {
-        if packet.len() < HEADER_BYTES {
+    /// Parse a packet; returns the header and the payload,
+    /// `&b[HEADER_BYTES..]`. `None` on malformed input (short packet,
+    /// bad kind, inconsistent lengths) — corrupted packets must never panic
+    /// the firmware.
+    pub fn decode(b: &[u8]) -> Option<(WireHeader, &[u8])> {
+        if b.len() < HEADER_BYTES {
             return None;
         }
-        let b = &packet[..];
         let kind = WireKind::from_wire(b[0])?;
         let chan_kind = ChannelKind::from_wire(b[1])?;
         let u16le = |i: usize| u16::from_le_bytes([b[i], b[i + 1]]);
@@ -172,10 +182,10 @@ impl WireHeader {
         if u16le(28) != WIRE_MAGIC {
             return None;
         }
-        if packet.len() != HEADER_BYTES + header.frag_len as usize {
+        if b.len() != HEADER_BYTES + header.frag_len as usize {
             return None;
         }
-        Some((header, packet.slice(HEADER_BYTES..)))
+        Some((header, &b[HEADER_BYTES..]))
     }
 }
 
@@ -205,7 +215,7 @@ mod tests {
         assert_eq!(pkt.len(), HEADER_BYTES + 5);
         let (h2, payload) = WireHeader::decode(&pkt).unwrap();
         assert_eq!(h, h2);
-        assert_eq!(&payload[..], b"hello");
+        assert_eq!(payload, b"hello");
     }
 
     #[test]
@@ -242,18 +252,31 @@ mod tests {
     #[test]
     fn malformed_packets_return_none() {
         // Too short.
-        assert!(WireHeader::decode(&Bytes::from_static(b"tiny")).is_none());
+        assert!(WireHeader::decode(b"tiny").is_none());
         // Bad kind byte.
         let mut raw = sample().encode(b"hello").to_vec();
         raw[0] = 200;
-        assert!(WireHeader::decode(&Bytes::from(raw.clone())).is_none());
+        assert!(WireHeader::decode(&raw).is_none());
         // Length mismatch (truncated payload).
         let good = sample().encode(b"hello");
-        let truncated = good.slice(..good.len() - 1);
-        assert!(WireHeader::decode(&truncated).is_none());
+        let truncated = &good[..good.len() - 1];
+        assert!(WireHeader::decode(truncated).is_none());
         // Bad magic.
         let mut raw2 = sample().encode(b"hello").to_vec();
         raw2[28] ^= 0xFF;
-        assert!(WireHeader::decode(&Bytes::from(raw2)).is_none());
+        assert!(WireHeader::decode(&raw2).is_none());
+    }
+
+    #[test]
+    fn received_payload_is_a_view_into_the_sent_packet() {
+        // The sender's window and the fabric each hold a clone of one
+        // packet; the receiver reads the payload in place.
+        let pkt = sample().encode(b"hello");
+        let arrived = pkt.clone();
+        let (_, payload) = WireHeader::decode(&arrived).unwrap();
+        assert!(
+            std::ptr::eq(payload, &pkt[HEADER_BYTES..]),
+            "payload was copied"
+        );
     }
 }

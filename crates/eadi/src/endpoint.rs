@@ -18,14 +18,12 @@
 //!   pumped from `wait`.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::{BclNode, BclPort, ChannelId, ChannelKind, ProcAddr, RecvEvent, SendStatus};
 use suca_mem::VirtAddr;
 use suca_os::OsProcess;
-use suca_sim::{ActorCtx, SimDuration};
+use suca_sim::{ActorCtx, MutexExt, SimDuration};
 
 use crate::header::{EadiHeader, EadiKind, EADI_HEADER};
 use crate::universe::Universe;
@@ -219,7 +217,7 @@ impl EadiEndpoint {
     /// arrives, pumping the progress engine meanwhile. Returns its status.
     pub fn wait_external(&self, ctx: &mut ActorCtx, msg_id: u32) -> SendStatus {
         loop {
-            if let Some(status) = self.st.lock().ext_done.remove(&msg_id) {
+            if let Some(status) = self.st.locked().ext_done.remove(&msg_id) {
                 return status;
             }
             self.pump_blocking(ctx);
@@ -234,13 +232,13 @@ impl EadiEndpoint {
 
     fn take_buf(&self, len: u64) -> VirtAddr {
         let class = Self::class_of(len);
-        let recycled = self.st.lock().buf_pool.get_mut(&class).and_then(Vec::pop);
+        let recycled = self.st.locked().buf_pool.get_mut(&class).and_then(Vec::pop);
         recycled.unwrap_or_else(|| self.port.alloc_buffer(class).expect("EADI staging buffer"))
     }
 
     fn recycle_on_completion(&self, msg_id: u32, buf: VirtAddr, len: u64) {
         self.st
-            .lock()
+            .locked()
             .buf_recycle
             .insert(msg_id, (buf, Self::class_of(len)));
     }
@@ -279,7 +277,7 @@ impl EadiEndpoint {
         } else {
             // Rendezvous: RTS now, data when CTS arrives.
             let xid = {
-                let mut st = self.st.lock();
+                let mut st = self.st.locked();
                 let xid = st.next_xid;
                 st.next_xid += 1;
                 st.pending_sends.insert(
@@ -318,7 +316,7 @@ impl EadiEndpoint {
         };
         loop {
             {
-                let mut st = self.st.lock();
+                let mut st = self.st.locked();
                 if let Some(pos) = st.send_done.iter().position(|x| *x == xid) {
                     st.send_done.swap_remove(pos);
                     return;
@@ -339,14 +337,14 @@ impl EadiEndpoint {
     /// Post a non-blocking receive.
     pub fn irecv(&self, ctx: &mut ActorCtx, src: Option<u32>, tag: Option<i32>) -> RecvReq {
         let req = {
-            let mut st = self.st.lock();
+            let mut st = self.st.locked();
             let req = st.next_req;
             st.next_req += 1;
             req
         };
         // Check the unexpected queue first (in arrival order).
         let matched = {
-            let mut st = self.st.lock();
+            let mut st = self.st.locked();
             let pos = st.unexpected.iter().position(|u| {
                 let (usrc, utag) = match u {
                     Unexpected::Eager { src, tag, .. } | Unexpected::Rts { src, tag, .. } => {
@@ -360,7 +358,7 @@ impl EadiEndpoint {
         match matched {
             Some(Unexpected::Eager { src, tag, data }) => {
                 self.st
-                    .lock()
+                    .locked()
                     .completed
                     .insert(req, RecvDone { src, tag, data });
             }
@@ -374,7 +372,7 @@ impl EadiEndpoint {
             }
             None => {
                 self.st
-                    .lock()
+                    .locked()
                     .posted
                     .push_back(PostedRecv { req, src, tag });
             }
@@ -385,7 +383,7 @@ impl EadiEndpoint {
     /// Block until a receive request completes.
     pub fn wait(&self, ctx: &mut ActorCtx, req: RecvReq) -> RecvDone {
         loop {
-            if let Some(done) = self.st.lock().completed.remove(&req) {
+            if let Some(done) = self.st.locked().completed.remove(&req) {
                 ctx.sleep(self.cfg.recv_overhead);
                 return done;
             }
@@ -397,7 +395,7 @@ impl EadiEndpoint {
     /// was still pending; `false` if it already matched (in which case the
     /// completion must still be consumed via `wait`/`test`).
     pub fn cancel_recv(&self, req: RecvReq) -> bool {
-        let mut st = self.st.lock();
+        let mut st = self.st.locked();
         let before = st.posted.len();
         st.posted.retain(|p| p.req != req);
         st.posted.len() != before
@@ -406,7 +404,7 @@ impl EadiEndpoint {
     /// Non-blocking test of a receive request.
     pub fn test(&self, ctx: &mut ActorCtx, req: RecvReq) -> Option<RecvDone> {
         self.try_progress(ctx);
-        let done = self.st.lock().completed.remove(&req);
+        let done = self.st.locked().completed.remove(&req);
         if done.is_some() {
             ctx.sleep(self.cfg.recv_overhead);
         }
@@ -430,7 +428,7 @@ impl EadiEndpoint {
 
     fn drain_send_events(&self, ctx: &mut ActorCtx) {
         while let Some(sev) = self.port.poll_send(ctx) {
-            let mut st = self.st.lock();
+            let mut st = self.st.locked();
             // A completion the endpoint never staged a buffer for belongs
             // to an externally launched message (offloaded collective):
             // park it for `wait_external` instead of dropping it.
@@ -479,7 +477,7 @@ impl EadiEndpoint {
     }
 
     fn match_posted(&self, src: u32, tag: i32) -> Option<RecvReq> {
-        let mut st = self.st.lock();
+        let mut st = self.st.locked();
         let pos = st
             .posted
             .iter()
@@ -491,7 +489,7 @@ impl EadiEndpoint {
         debug_assert_eq!(data.len(), h.total_len as usize);
         match self.match_posted(h.src_rank, h.tag) {
             Some(req) => {
-                self.st.lock().completed.insert(
+                self.st.locked().completed.insert(
                     req,
                     RecvDone {
                         src: h.src_rank,
@@ -500,7 +498,7 @@ impl EadiEndpoint {
                     },
                 );
             }
-            None => self.st.lock().unexpected.push_back(Unexpected::Eager {
+            None => self.st.locked().unexpected.push_back(Unexpected::Eager {
                 src: h.src_rank,
                 tag: h.tag,
                 data,
@@ -511,7 +509,7 @@ impl EadiEndpoint {
     fn on_rts(&self, ctx: &mut ActorCtx, h: EadiHeader) {
         match self.match_posted(h.src_rank, h.tag) {
             Some(req) => self.grant_cts(ctx, req, h.src_rank, h.tag, h.xid, h.total_len as u64),
-            None => self.st.lock().unexpected.push_back(Unexpected::Rts {
+            None => self.st.locked().unexpected.push_back(Unexpected::Rts {
                 src: h.src_rank,
                 tag: h.tag,
                 xid: h.xid,
@@ -548,7 +546,7 @@ impl EadiEndpoint {
             })
             .collect();
         let chan_base = {
-            let mut st = self.st.lock();
+            let mut st = self.st.locked();
             let Some(base) = find_free_run(&st.chan_used, nsegs as usize) else {
                 // All channels busy with other transfers: grant later, when
                 // a rendezvous completes and frees its run.
@@ -611,7 +609,7 @@ impl EadiEndpoint {
     /// Sender side: CTS arrived — stream the segments.
     fn on_cts(&self, ctx: &mut ActorCtx, h: EadiHeader) {
         let (dst_rank, data) = {
-            let st = self.st.lock();
+            let st = self.st.locked();
             let Some(p) = st.pending_sends.get(&h.xid) else {
                 ctx.sim().add_count("eadi.orphan_cts", 1);
                 return;
@@ -622,7 +620,7 @@ impl EadiEndpoint {
         let (nsegs, seg) = self.segmentation(total);
         let chan_base = h.aux as u16;
         let dst = self.uni.addr_of(dst_rank);
-        self.st.lock().segs_left.insert(h.xid, u32::from(nsegs));
+        self.st.locked().segs_left.insert(h.xid, u32::from(nsegs));
         for i in 0..nsegs {
             let off = u64::from(i) * seg;
             let this_len = seg.min(total - off);
@@ -634,7 +632,7 @@ impl EadiEndpoint {
                 .port
                 .send(ctx, dst, ChannelId::normal(chan_base + i), buf, this_len)
                 .expect("segment send");
-            let mut st = self.st.lock();
+            let mut st = self.st.locked();
             st.seg_to_xid.insert(msg_id, h.xid);
             st.buf_recycle
                 .insert(msg_id, (buf, Self::class_of(this_len)));
@@ -644,7 +642,7 @@ impl EadiEndpoint {
     /// Receiver side: a rendezvous segment landed.
     fn on_segment(&self, ctx: &mut ActorCtx, chan: u16, data: Vec<u8>) {
         let backlogged = {
-            let mut st = self.st.lock();
+            let mut st = self.st.locked();
             let Some(&rid) = st.chan_to_rndv.get(&chan) else {
                 // Not a rendezvous channel we know — drop loudly in counters.
                 return;

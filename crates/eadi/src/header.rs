@@ -5,8 +5,6 @@
 //! travel header-less on normal channels (the channel number itself is the
 //! context, negotiated by RTS/CTS).
 
-use bytes::{BufMut, BytesMut};
-
 /// Serialized header size.
 pub const EADI_HEADER: usize = 24;
 
@@ -60,18 +58,16 @@ pub struct EadiHeader {
 impl EadiHeader {
     /// Serialize with `payload` appended.
     pub fn encode(&self, payload: &[u8]) -> Vec<u8> {
-        let mut b = BytesMut::with_capacity(EADI_HEADER + payload.len());
-        b.put_u8(self.kind.to_wire());
-        b.put_u8(0);
-        b.put_u16_le(0);
-        b.put_i32_le(self.tag);
-        b.put_u32_le(self.src_rank);
-        b.put_u32_le(self.xid);
-        b.put_u32_le(self.total_len);
-        b.put_u32_le(self.aux);
+        let mut b = Vec::with_capacity(EADI_HEADER + payload.len());
+        b.extend_from_slice(&[self.kind.to_wire(), 0, 0, 0]);
+        b.extend_from_slice(&self.tag.to_le_bytes());
+        b.extend_from_slice(&self.src_rank.to_le_bytes());
+        b.extend_from_slice(&self.xid.to_le_bytes());
+        b.extend_from_slice(&self.total_len.to_le_bytes());
+        b.extend_from_slice(&self.aux.to_le_bytes());
         debug_assert_eq!(b.len(), EADI_HEADER);
-        b.put_slice(payload);
-        b.to_vec()
+        b.extend_from_slice(payload);
+        b
     }
 
     /// Parse; returns header and payload slice. `None` on malformed input.

@@ -4,12 +4,10 @@
 //! process registers its port address under its rank at startup; peers block
 //! until the whole universe is present (the usual `MPI_Init` rendezvous).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::ProcAddr;
-use suca_sim::{ActorCtx, Signal, Sim};
+use suca_sim::{ActorCtx, MutexExt, Signal, Sim};
 
 struct UniverseState {
     slots: Vec<Option<ProcAddr>>,
@@ -37,14 +35,14 @@ impl Universe {
 
     /// Number of ranks.
     pub fn size(&self) -> u32 {
-        self.state.lock().slots.len() as u32
+        self.state.locked().slots.len() as u32
     }
 
     /// Register this process's port under `rank`, then block until every
     /// rank has registered.
     pub fn register_and_wait(&self, ctx: &mut ActorCtx, rank: u32, addr: ProcAddr) {
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.locked();
             assert!(
                 st.slots[rank as usize].is_none(),
                 "rank {rank} registered twice"
@@ -55,20 +53,20 @@ impl Universe {
         self.signal.notify();
         let state = self.state.clone();
         self.signal.wait_until(ctx, || {
-            let st = state.lock();
+            let st = state.locked();
             st.registered as usize == st.slots.len()
         });
     }
 
     /// Address of `rank`. Panics if called before the universe is complete.
     pub fn addr_of(&self, rank: u32) -> ProcAddr {
-        self.state.lock().slots[rank as usize].expect("universe incomplete")
+        self.state.locked().slots[rank as usize].expect("universe incomplete")
     }
 
     /// Reverse lookup: rank of a port address.
     pub fn rank_of(&self, addr: ProcAddr) -> Option<u32> {
         self.state
-            .lock()
+            .locked()
             .slots
             .iter()
             .position(|s| *s == Some(addr))

@@ -8,9 +8,9 @@
 //! security property.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use suca_sim::MutexExt;
 
 use crate::addr::{pages_spanned, PhysAddr, PhysFrame, VirtAddr, VirtPage, PAGE_SIZE};
 use crate::phys::PhysMemory;
@@ -64,7 +64,7 @@ impl AddressSpace {
 
     /// This space's id.
     pub fn asid(&self) -> Asid {
-        self.inner.lock().asid
+        self.inner.locked().asid
     }
 
     /// The physical memory this space maps into.
@@ -86,7 +86,7 @@ impl AddressSpace {
     pub fn free(&self, base: VirtAddr, len: u64) -> Result<(), MemError> {
         assert_eq!(base.page_offset(), 0, "free of non page-aligned region");
         let pages = pages_spanned(base, len.max(1));
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.locked();
         for i in 0..pages {
             let vp = VirtPage(base.page().0 + i);
             let frame = inner
@@ -100,7 +100,7 @@ impl AddressSpace {
 
     /// Translate one virtual address; fails on unmapped pages.
     pub fn translate(&self, addr: VirtAddr) -> Result<PhysAddr, MemError> {
-        let inner = self.inner.lock();
+        let inner = self.inner.locked();
         let frame = inner
             .table
             .get(&addr.page())
@@ -110,7 +110,7 @@ impl AddressSpace {
 
     /// True if the whole byte range `[addr, addr+len)` is mapped.
     pub fn is_mapped(&self, addr: VirtAddr, len: u64) -> bool {
-        let inner = self.inner.lock();
+        let inner = self.inner.locked();
         let pages = pages_spanned(addr, len.max(1));
         (0..pages).all(|i| inner.table.contains_key(&VirtPage(addr.page().0 + i)))
     }
@@ -126,7 +126,7 @@ impl AddressSpace {
     /// returns the base of the contiguous region.
     pub fn map_frames(&self, frames: &[PhysFrame]) -> VirtAddr {
         assert!(!frames.is_empty(), "mapping zero frames");
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.locked();
         let base = VirtPage(inner.next_page);
         inner.next_page += frames.len() as u64;
         for (i, f) in frames.iter().enumerate() {

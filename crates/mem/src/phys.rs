@@ -34,10 +34,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Deref, RangeInclusive};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use parking_lot::Mutex;
-use suca_sim::{Counter, MsgTracer, Sim};
+use suca_sim::{Counter, MsgTracer, MutexExt, Sim};
 
 use crate::addr::{PhysAddr, PhysFrame, PAGE_SIZE};
 use crate::MemError;
@@ -173,13 +172,13 @@ impl PhysMemory {
     /// dumps the flight recorder. The node's OS calls this at boot.
     pub fn watch(&self, sim: &Sim) {
         let counter = sim.metrics().counter("mem.dma_lifetime_violations");
-        self.inner.lock().reporter = Some((counter, sim.msg_trace().clone()));
+        self.inner.locked().reporter = Some((counter, sim.msg_trace().clone()));
     }
 
     /// Lifetime violations seen so far (see the module docs for the two
     /// kinds).
     pub fn lifetime_violations(&self) -> u64 {
-        self.inner.lock().violations
+        self.inner.locked().violations
     }
 
     /// Allocate one frame (zero-filled, as every fresh frame reads).
@@ -190,7 +189,7 @@ impl PhysMemory {
     /// Allocate `n` consecutively numbered frames, all or none. A fresh
     /// frame reads as zeros and holds no bytes until first written.
     pub fn alloc_frames(&self, n: u64) -> Result<Vec<PhysFrame>, MemError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.locked();
         if inner.allocated + n > inner.total_frames {
             return Err(MemError::OutOfMemory);
         }
@@ -213,7 +212,7 @@ impl PhysMemory {
     /// the frame is reclaimed now, or — while the NIC still references it —
     /// when the last [`NicSegs`] naming it is dropped.
     pub fn free_frame(&self, f: PhysFrame) -> Result<(), MemError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.locked();
         let frame = inner.frames.get_mut(&f.0).filter(|fr| fr.mapped);
         let frame = frame.ok_or(MemError::BadFrame(f))?;
         frame.mapped = false;
@@ -227,12 +226,12 @@ impl PhysMemory {
     /// Frames currently allocated: mapped, or freed but not yet let go of
     /// by the NIC. This is what counts against the capacity.
     pub fn allocated_frames(&self) -> u64 {
-        self.inner.lock().allocated
+        self.inner.locked().allocated
     }
 
     /// Total frame capacity.
     pub fn total_frames(&self) -> u64 {
-        self.inner.lock().total_frames
+        self.inner.locked().total_frames
     }
 
     /// Take a NIC reference on every frame of `segs` — the kernel module
@@ -241,7 +240,7 @@ impl PhysMemory {
     /// buffers whose owner will get a completion event, not for windows and
     /// pools the owner may write while the NIC holds them.
     pub fn nic_hold(&self, segs: Vec<(PhysAddr, u64)>, busy: bool) -> NicSegs {
-        self.inner.lock().for_each_seg_frame(&segs, |f| {
+        self.inner.locked().for_each_seg_frame(&segs, |f| {
             f.nic_refs += 1;
             f.nic_busy += u32::from(busy);
         });
@@ -277,7 +276,7 @@ impl PhysMemory {
 
     fn read_as(&self, who: Accessor, addr: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
         let mut violation = None;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.locked();
         let mut pos = addr;
         let mut done = 0usize;
         while done < buf.len() {
@@ -297,7 +296,7 @@ impl PhysMemory {
 
     fn write_as(&self, who: Accessor, addr: PhysAddr, buf: &[u8]) -> Result<(), MemError> {
         let mut violation = None;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.locked();
         let mut pos = addr;
         let mut done = 0usize;
         while done < buf.len() {
@@ -317,7 +316,7 @@ impl PhysMemory {
 
     /// Count one access's violation (if any) and publish it, outside the
     /// lock.
-    fn report(mut inner: parking_lot::MutexGuard<'_, PhysInner>, violation: Option<&'static str>) {
+    fn report(mut inner: MutexGuard<'_, PhysInner>, violation: Option<&'static str>) {
         let Some(reason) = violation else {
             return;
         };
@@ -353,7 +352,7 @@ impl NicSegs {
     /// until drop. Idempotent.
     pub fn end_busy(&mut self) {
         if let Some(mem) = self.mem.as_ref().filter(|_| self.busy) {
-            let mut inner = mem.inner.lock();
+            let mut inner = mem.inner.locked();
             inner.for_each_seg_frame(&self.segs, |f| f.nic_busy = f.nic_busy.saturating_sub(1));
         }
         self.busy = false;
@@ -384,7 +383,7 @@ impl Drop for NicSegs {
     fn drop(&mut self) {
         if let Some(mem) = &self.mem {
             let busy = u32::from(self.busy);
-            mem.inner.lock().for_each_seg_frame(&self.segs, |f| {
+            mem.inner.locked().for_each_seg_frame(&self.segs, |f| {
                 f.nic_busy = f.nic_busy.saturating_sub(busy);
                 f.nic_refs = f.nic_refs.saturating_sub(1);
             });
@@ -470,7 +469,7 @@ mod tests {
     }
 
     fn materialised(m: &PhysMemory) -> usize {
-        let inner = m.inner.lock();
+        let inner = m.inner.locked();
         inner.frames.values().filter(|f| f.data.is_some()).count()
     }
 

@@ -118,25 +118,24 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use parking_lot::Mutex;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Mutex;
     use suca_myrinet::fabric::PORT_RIGHT;
     use suca_myrinet::{FabricNodeId, Myrinet, MyrinetConfig, PacketTrace};
     use suca_sim::mtrace::stage;
-    use suca_sim::RunOutcome;
+    use suca_sim::{MutexExt, RunOutcome};
 
     fn listen(net: &Network, node: u32) -> Arc<Mutex<Vec<Vec<u8>>>> {
         let log = Arc::new(Mutex::new(Vec::new()));
         let l = log.clone();
         net.attach(
             FabricNodeId(node),
-            Box::new(move |_, pkt| l.lock().push(pkt.payload.to_vec())),
+            Box::new(move |_, pkt| l.locked().push(pkt.payload.to_vec())),
         );
         log
     }
 
-    fn send(sim: &Sim, net: &Network, src: u32, dst: u32, payload: Bytes) {
+    fn send(sim: &Sim, net: &Network, src: u32, dst: u32, payload: Arc<[u8]>) {
         net.inject(sim, FabricNodeId(src), FabricNodeId(dst), payload, None);
     }
 
@@ -155,9 +154,9 @@ mod tests {
         let sim = Sim::new(1);
         let m = Mesh::build(&sim, 4, 4, 16, MeshConfig::dawning3000());
         let log = listen(&m, 15);
-        send(&sim, &m, 0, 15, Bytes::from_static(b"diag"));
+        send(&sim, &m, 0, 15, Arc::from(*b"diag"));
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(*log.lock(), vec![b"diag".to_vec()]);
+        assert_eq!(*log.locked(), vec![b"diag".to_vec()]);
     }
 
     #[test]
@@ -168,12 +167,12 @@ mod tests {
         let logs: Vec<_> = (0..70).map(|n| listen(&m, n)).collect();
         for src in 0..70u32 {
             for dst in 0..70u32 {
-                send(&sim, &m, src, dst, Bytes::from_static(b"p"));
+                send(&sim, &m, src, dst, Arc::from(*b"p"));
             }
         }
         assert_eq!(sim.run(), RunOutcome::Completed);
         for (n, log) in logs.iter().enumerate() {
-            assert_eq!(log.lock().len(), 70, "node {n}");
+            assert_eq!(log.locked().len(), 70, "node {n}");
         }
     }
 
@@ -186,11 +185,11 @@ mod tests {
             let t2 = t.clone();
             m.attach(
                 FabricNodeId(dst),
-                Box::new(move |s, _| *t2.lock() = s.now().as_ns()),
+                Box::new(move |s, _| *t2.locked() = s.now().as_ns()),
             );
-            send(&sim, &m, 0, dst, Bytes::from_static(b"t"));
+            send(&sim, &m, 0, dst, Arc::from(*b"t"));
             sim.run();
-            let v = *t.lock();
+            let v = *t.locked();
             v
         };
         let near = time_to(1);
@@ -206,23 +205,23 @@ mod tests {
         let log = listen(&m, 1);
         assert!(m.set_node_link_up(FabricNodeId(1), false));
         assert!(!m.set_node_link_up(FabricNodeId(9), false));
-        send(&sim, &m, 0, 1, Bytes::from_static(b"a"));
-        send(&sim, &m, 1, 0, Bytes::from_static(b"b"));
+        send(&sim, &m, 0, 1, Arc::from(*b"a"));
+        send(&sim, &m, 1, 0, Arc::from(*b"b"));
         sim.run();
-        assert!(log.lock().is_empty());
+        assert!(log.locked().is_empty());
         assert_eq!(sim.get_count("link.down_drops"), 2);
         assert!(m.set_node_link_up(FabricNodeId(1), true));
         // Kill router 0's east channel: node 0 -> node 1 now dies in-switch.
         assert!(m.set_switch_port_dead(0, port::EAST as usize, true));
         assert!(!m.set_switch_port_dead(99, 0, true));
-        send(&sim, &m, 0, 1, Bytes::from_static(b"c"));
+        send(&sim, &m, 0, 1, Arc::from(*b"c"));
         sim.run();
-        assert!(log.lock().is_empty());
+        assert!(log.locked().is_empty());
         assert_eq!(sim.get_count("switch.dead_port_drop"), 1);
         assert!(m.set_switch_port_dead(0, port::EAST as usize, false));
-        send(&sim, &m, 0, 1, Bytes::from_static(b"d"));
+        send(&sim, &m, 0, 1, Arc::from(*b"d"));
         sim.run();
-        assert_eq!(log.lock().len(), 1);
+        assert_eq!(log.locked().len(), 1);
     }
 
     // The shared path, once per wiring: both builders return one `Network`,
@@ -278,12 +277,12 @@ mod tests {
                 let at2 = at.clone();
                 net.attach(
                     FabricNodeId(dst),
-                    Box::new(move |s, _| *at2.lock() = Some(s.now().as_ns())),
+                    Box::new(move |s, _| *at2.locked() = Some(s.now().as_ns())),
                 );
-                send(&sim, &net, src, dst, Bytes::from(vec![0u8; len]));
+                send(&sim, &net, src, dst, Arc::from(vec![0u8; len]));
                 sim.run();
                 let what = format!("{} {src}->{dst} {len} B", net.name());
-                assert_eq!(*at.lock(), Some(ns), "{what}");
+                assert_eq!(*at.locked(), Some(ns), "{what}");
                 assert_eq!(
                     net.hops(FabricNodeId(src), FabricNodeId(dst)),
                     hops,
@@ -296,7 +295,7 @@ mod tests {
     #[test]
     fn oversized_packet_panics() {
         each_wiring(2, |sim, net| {
-            let msg = panic_message(|| send(sim, net, 0, 1, Bytes::from(vec![0u8; 5000])));
+            let msg = panic_message(|| send(sim, net, 0, 1, Arc::from(vec![0u8; 5000])));
             assert_eq!(
                 msg,
                 "packet of 5000 B exceeds MTU 4096 — fragmentation is the protocol's job"
@@ -307,7 +306,7 @@ mod tests {
     #[test]
     fn unclaimed_packets_are_counted_not_lost_silently() {
         each_wiring(2, |sim, net| {
-            send(sim, net, 0, 1, Bytes::from_static(b"z"));
+            send(sim, net, 0, 1, Arc::from(*b"z"));
             sim.run();
             assert_eq!(sim.get_count("fabric.delivered"), 1, "{}", net.name());
             assert_eq!(sim.get_count("fabric.unclaimed"), 1, "{}", net.name());
@@ -369,11 +368,11 @@ mod tests {
                 msg_id: 7,
                 seq: 0,
             };
-            let payload = Bytes::from_static(b"lost");
+            let payload = Arc::from(*b"lost");
             net.inject(&sim, FabricNodeId(0), FabricNodeId(1), payload, Some(trace));
             sim.run();
-            assert!(at0.lock().is_empty(), "the wrong host saw the packet");
-            assert!(at1.lock().is_empty());
+            assert!(at0.locked().is_empty(), "the wrong host saw the packet");
+            assert!(at1.locked().is_empty());
             assert_eq!(sim.get_count("fabric.misrouted"), 1);
             let drops: Vec<_> = sim
                 .trace_events()

@@ -9,13 +9,13 @@
 //! plan interpreter and the host walking the plan over point-to-point
 //! ([`crate::offload`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use suca_bcl::BclNode;
 use suca_eadi::{EadiConfig, EadiEndpoint, RecvReq, SendReq, Universe};
 use suca_mem::VirtAddr;
 use suca_os::OsProcess;
-use suca_sim::{ActorCtx, SimDuration};
+use suca_sim::{ActorCtx, MutexExt, SimDuration};
 
 /// Wildcard source (like `MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: i32 = -1;
@@ -71,7 +71,7 @@ pub struct Comm {
     pub(crate) cfg: MpiConfig,
     /// Per-communicator collective sequence number (isolates successive
     /// collectives' traffic in the reserved tag space).
-    pub(crate) coll_seq: parking_lot::Mutex<i32>,
+    pub(crate) coll_seq: Mutex<i32>,
     /// Fabric this rank's NIC sits on — keys collective plan selection.
     pub(crate) fabric: &'static str,
     /// Largest NIC-offloadable collective payload (whole `f64` lanes in
@@ -79,10 +79,10 @@ pub struct Comm {
     pub(crate) max_coll_payload: u64,
     /// Next collective id. Every rank issues collectives in the same
     /// order, so the local counter yields the same id cluster-wide.
-    pub(crate) coll_id: parking_lot::Mutex<u32>,
+    pub(crate) coll_id: Mutex<u32>,
     /// The offload payload and result buffers, allocated by the first
     /// offloaded collective and kept, so later ones hit the pin-down cache.
-    pub(crate) offload_bufs: parking_lot::Mutex<Option<[VirtAddr; 2]>>,
+    pub(crate) offload_bufs: Mutex<Option<[VirtAddr; 2]>>,
 }
 
 impl Comm {
@@ -101,11 +101,11 @@ impl Comm {
         Comm {
             eadi,
             cfg,
-            coll_seq: parking_lot::Mutex::new(0),
+            coll_seq: Mutex::new(0),
             fabric: node.fabric_name(),
             max_coll_payload,
-            coll_id: parking_lot::Mutex::new(1),
-            offload_bufs: parking_lot::Mutex::new(None),
+            coll_id: Mutex::new(1),
+            offload_bufs: Mutex::new(None),
         }
     }
 
@@ -216,7 +216,7 @@ impl Comm {
 
     /// Internal: fresh tag for one collective invocation.
     pub(crate) fn next_coll_tag(&self) -> i32 {
-        let mut seq = self.coll_seq.lock();
+        let mut seq = self.coll_seq.locked();
         *seq += 1;
         // Cycle within a window to stay far from user tags.
         COLLECTIVE_TAG_BASE - (*seq % 100_000)
@@ -226,7 +226,7 @@ impl Comm {
 impl Drop for Comm {
     /// The offload buffers die with the communicator.
     fn drop(&mut self) {
-        if let Some(bufs) = self.offload_bufs.lock().take() {
+        if let Some(bufs) = self.offload_bufs.locked().take() {
             // Nothing to report to from a drop, which must not panic.
             let _ = self.free_offload_bufs(bufs);
         }

@@ -30,7 +30,7 @@
 use suca_bcl::{BclError, CollOp, CollStep, SendStatus};
 use suca_coll::{CollKind, Combine, PlanRegistry, PlanStep};
 use suca_mem::VirtAddr;
-use suca_sim::ActorCtx;
+use suca_sim::{ActorCtx, MutexExt};
 
 use crate::comm::Comm;
 use crate::datatype::fold;
@@ -123,7 +123,7 @@ impl Comm {
     /// Fresh collective id. Ranks issue collectives in identical order, so
     /// independent counters agree cluster-wide.
     pub(crate) fn next_coll_id(&self) -> u32 {
-        let mut id = self.coll_id.lock();
+        let mut id = self.coll_id.locked();
         let v = *id;
         *id = id.wrapping_add(1);
         v
@@ -212,7 +212,7 @@ impl Comm {
             })
             .collect();
         let port = self.eadi.port();
-        let bufs = match self.offload_bufs.lock().take() {
+        let bufs = match self.offload_bufs.locked().take() {
             Some(bufs) => bufs,
             None => self.alloc_offload_bufs(ctx)?,
         };
@@ -266,7 +266,7 @@ impl Comm {
         let result = run(ctx);
         if result.is_some() {
             // Kept for the next run: its pages stay in the pin-down table.
-            *self.offload_bufs.lock() = Some(bufs);
+            *self.offload_bufs.locked() = Some(bufs);
         } else {
             // A failed run may have left the NIC holding the pages: give
             // them up (the NIC keeps what it may still touch) and let the

@@ -6,15 +6,13 @@
 //! its causal chain within the BCL crossing budget (1 trap, 0 interrupts)
 //! regardless of which SAN carried it.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_cluster::{Cluster, ClusterSpec};
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
 use suca_sim::mtrace::{check_completeness, ChainPolicy};
-use suca_sim::RunOutcome;
+use suca_sim::{MutexExt, RunOutcome};
 
 /// Per-rank transcripts: (rank, bytes), shared across actor closures.
 type RankTranscripts = Vec<(u32, Vec<u8>)>;
@@ -118,7 +116,7 @@ fn collectives_identical_on_myrinet_and_mesh_with_closed_chains() {
         let t2 = transcripts.clone();
         let cluster = mpi_job_on(spec, NODES, RANKS, move |ctx, comm| {
             let transcript = collective_suite(ctx, comm);
-            t2.lock().push((comm.rank(), transcript));
+            t2.locked().push((comm.rank(), transcript));
         });
 
         // Every traced message — whichever fabric carried it — must close
@@ -132,7 +130,7 @@ fn collectives_identical_on_myrinet_and_mesh_with_closed_chains() {
             report.violations.join("\n")
         );
 
-        let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner();
+        let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner().unwrap();
         ranks.sort_by_key(|(r, _)| *r);
         assert_eq!(ranks.len(), RANKS as usize, "{name}: missing ranks");
         per_fabric.push((name, ranks));

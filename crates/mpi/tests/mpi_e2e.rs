@@ -73,7 +73,8 @@ fn sendrecv_symmetric_exchange_does_not_deadlock() {
 
 #[test]
 fn barrier_synchronizes() {
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
+    use suca_sim::MutexExt;
     let order: Arc<Mutex<Vec<(u32, &'static str)>>> = Arc::new(Mutex::new(Vec::new()));
     let o2 = order.clone();
     mpi_job(3, 3, move |ctx, comm| {
@@ -81,11 +82,11 @@ fn barrier_synchronizes() {
         if comm.rank() == 2 {
             ctx.sleep(suca_sim::SimDuration::from_ms(1));
         }
-        o2.lock().push((comm.rank(), "before"));
+        o2.locked().push((comm.rank(), "before"));
         comm.barrier(ctx);
-        o2.lock().push((comm.rank(), "after"));
+        o2.locked().push((comm.rank(), "after"));
     });
-    let log = order.lock();
+    let log = order.locked();
     let last_before = log.iter().rposition(|e| e.1 == "before").expect("befores");
     let first_after = log.iter().position(|e| e.1 == "after").expect("afters");
     assert!(last_before < first_after, "barrier violated: {log:?}");

@@ -4,16 +4,14 @@
 //! (`ChainPolicy::collective()`), the fan-in/fan-out happening entirely in
 //! the NIC's plan interpreter.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_cluster::{Cluster, ClusterSpec};
 use suca_coll::{Algorithm, CollKind, Plan, PlanRegistry, Topology};
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
 use suca_sim::mtrace::{check_completeness, stage, ChainPolicy};
-use suca_sim::RunOutcome;
+use suca_sim::{MutexExt, RunOutcome};
 
 /// Per-rank transcripts: (rank, bytes), shared across actor closures.
 type RankTranscripts = Vec<(u32, Vec<u8>)>;
@@ -131,7 +129,7 @@ fn offloaded_collectives_correct_and_one_trap_on_both_fabrics() {
                 // The communicator's offload buffers stay pinned: after the
                 // first bcast and allreduce, every pin-down lookup hits.
                 assert_eq!(warm, end, "rank {}: offload pins missed", comm.rank());
-                t2.lock().push((comm.rank(), transcript));
+                t2.locked().push((comm.rank(), transcript));
             },
         );
 
@@ -175,7 +173,7 @@ fn offloaded_collectives_correct_and_one_trap_on_both_fabrics() {
             report.violations.join("\n")
         );
 
-        let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner();
+        let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner().unwrap();
         ranks.sort_by_key(|(r, _)| *r);
         assert_eq!(ranks.len(), RANKS as usize, "{name}: missing ranks");
         per_fabric.push((name, ranks));
@@ -261,9 +259,9 @@ fn transcripts_of(
     let t2 = transcripts.clone();
     mpi_job_on(spec, nodes, ranks, cfg, move |ctx, comm| {
         let transcript = body(ctx, comm);
-        t2.lock().push((comm.rank(), transcript));
+        t2.locked().push((comm.rank(), transcript));
     });
-    let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner();
+    let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner().unwrap();
     ranks.sort_by_key(|(r, _)| *r);
     ranks
 }

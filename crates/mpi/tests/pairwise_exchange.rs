@@ -9,14 +9,12 @@
 //! that were never lost and took 53.6 ms of virtual time; with the timer
 //! only probing, nothing is resent and it takes about 9 ms.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_cluster::ClusterSpec;
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig};
-use suca_sim::{RunOutcome, SimDuration, SimTime};
+use suca_sim::{MutexExt, RunOutcome, SimDuration, SimTime};
 
 /// The byte `rank` sends at offset `i` in round `k`.
 fn byte(rank: u32, k: u32, i: usize) -> u8 {
@@ -55,13 +53,13 @@ fn exchange(spec: ClusterSpec, ranks: u32, bytes: usize) -> (SimDuration, u64, u
                 let bad = (0..bytes).find(|&i| got.data[i] != byte(partner, k, i));
                 assert_eq!(bad, None, "rank {r} round {k}: first wrong byte");
             }
-            let mut span = span.lock();
+            let mut span = span.locked();
             span.0 = span.0.min(start);
             span.1 = span.1.max(ctx.now());
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "exchange hung");
-    let (start, end) = *span.lock();
+    let (start, end) = *span.locked();
     let resent = sim.get_count("bcl.retx_packets");
     (end.since(start), resent, sim.get_count("bcl.rx_discarded"))
 }

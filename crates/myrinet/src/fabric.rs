@@ -11,10 +11,10 @@
 //! Payload bytes are opaque to the fabric — protocols serialize their own
 //! headers into the payload, exactly as on real hardware. The fabric adds a
 //! fixed per-packet framing overhead (route bytes + CRC) to the wire length.
+//! A packet's bytes are one immutable `Arc<[u8]>`: cloning a packet in
+//! flight, in a retransmit window or in an rx ring shares them.
 
 use std::sync::{Arc, OnceLock};
-
-use bytes::Bytes;
 
 use suca_sim::mtrace::stage;
 use suca_sim::{Counter, Sim, SimDuration};
@@ -48,7 +48,7 @@ pub struct Packet {
     /// Destination NIC.
     pub dst: FabricNodeId,
     /// Protocol payload (headers included).
-    pub payload: Bytes,
+    pub payload: Arc<[u8]>,
     /// Set by fault injection when the packet was damaged in flight; the
     /// receiving firmware's CRC check observes this and discards the packet.
     pub corrupted: bool,
@@ -332,7 +332,7 @@ impl Network {
         sim: &Sim,
         src: FabricNodeId,
         dst: FabricNodeId,
-        payload: Bytes,
+        payload: Arc<[u8]>,
         trace: Option<PacketTrace>,
     ) {
         assert!(

@@ -6,12 +6,10 @@
 //! per-link deterministic RNG stream.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_sim::mtrace::stage as trace_stage;
-use suca_sim::{Counter, Sim, SimDuration, SimRng, SimTime};
+use suca_sim::{Counter, MutexExt, Sim, SimDuration, SimRng, SimTime};
 
 use crate::fabric::{FaultPlan, Packet};
 
@@ -96,7 +94,7 @@ impl Link {
             None,
             move |now_ns| {
                 w.upgrade().map_or(0, |l| {
-                    let ahead = l.state.lock().busy_until.as_ns().saturating_sub(now_ns);
+                    let ahead = l.state.locked().busy_until.as_ns().saturating_sub(now_ns);
                     ahead * l.bytes_per_sec / 1_000_000_000
                 })
             },
@@ -106,7 +104,7 @@ impl Link {
             format!("link.{}.tx_bytes", link.label),
             suca_sim::FABRIC_NODE,
             None,
-            move |_| w.upgrade().map_or(0, |l| l.state.lock().sent_bytes),
+            move |_| w.upgrade().map_or(0, |l| l.state.locked().sent_bytes),
         );
         let w = Arc::downgrade(&link);
         ts.register(
@@ -114,8 +112,9 @@ impl Link {
             suca_sim::FABRIC_NODE,
             None,
             move |now_ns| {
-                w.upgrade()
-                    .map_or(0, |l| u64::from(l.state.lock().busy_until.as_ns() > now_ns))
+                w.upgrade().map_or(0, |l| {
+                    u64::from(l.state.locked().busy_until.as_ns() > now_ns)
+                })
             },
         );
         link
@@ -138,14 +137,14 @@ impl Link {
     pub fn send(self: &Arc<Self>, sim: &Sim, mut pkt: Packet) {
         if !self.is_up() {
             self.down_drops.inc();
-            self.state.lock().dropped += 1;
+            self.state.locked().dropped += 1;
             crate::switch::trace_wire_instant(sim, &pkt, trace_stage::DROP_LINK_DOWN);
             return;
         }
         let tx = SimDuration::for_bytes(pkt.wire_len(), self.bytes_per_sec);
         self.tx_bytes.add(pkt.wire_len());
         let arrival = {
-            let mut st = self.state.lock();
+            let mut st = self.state.locked();
             let start = st.busy_until.max(sim.now());
             st.busy_until = start + tx;
             st.sent += 1;
@@ -170,7 +169,7 @@ impl Link {
 
     /// `(sent, dropped, corrupted)` counts.
     pub fn stats(&self) -> (u64, u64, u64) {
-        let st = self.state.lock();
+        let st = self.state.locked();
         (st.sent, st.dropped, st.corrupted)
     }
 
@@ -184,7 +183,6 @@ impl Link {
 mod tests {
     use super::*;
     use crate::fabric::FabricNodeId;
-    use bytes::Bytes;
     use suca_sim::RunOutcome;
 
     struct Recorder {
@@ -193,7 +191,7 @@ mod tests {
     impl PacketSink for Recorder {
         fn deliver(&self, sim: &Sim, pkt: Packet) {
             self.arrivals
-                .lock()
+                .locked()
                 .push((sim.now().as_ns(), pkt.corrupted));
         }
     }
@@ -202,7 +200,7 @@ mod tests {
         Packet {
             src: FabricNodeId(0),
             dst: FabricNodeId(1),
-            payload: Bytes::from(vec![0u8; n]),
+            payload: Arc::from(vec![0u8; n]),
             corrupted: false,
             route: vec![],
             route_pos: 0,
@@ -226,7 +224,7 @@ mod tests {
         );
         link.send(&sim, pkt(1584)); // 1584+16 = 1600 B -> 10 us at 160 MB/s
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(*rec.arrivals.lock(), vec![(10_050, false)]);
+        assert_eq!(*rec.arrivals.locked(), vec![(10_050, false)]);
     }
 
     #[test]
@@ -247,7 +245,7 @@ mod tests {
             link.send(&sim, pkt(1584));
         }
         sim.run();
-        let times: Vec<u64> = rec.arrivals.lock().iter().map(|a| a.0).collect();
+        let times: Vec<u64> = rec.arrivals.locked().iter().map(|a| a.0).collect();
         assert_eq!(times, vec![10_000, 20_000, 30_000]);
     }
 
@@ -271,12 +269,12 @@ mod tests {
             link.send(&sim, pkt(100));
         }
         sim.run();
-        assert!(rec.arrivals.lock().is_empty(), "down link must blackhole");
+        assert!(rec.arrivals.locked().is_empty(), "down link must blackhole");
         assert_eq!(sim.get_count("link.down_drops"), 3);
         link.set_up(true);
         link.send(&sim, pkt(100));
         sim.run();
-        assert_eq!(rec.arrivals.lock().len(), 1, "revived link delivers");
+        assert_eq!(rec.arrivals.locked().len(), 1, "revived link delivers");
     }
 
     #[test]
@@ -301,7 +299,7 @@ mod tests {
                 link.send(&sim, pkt(100));
             }
             sim.run();
-            let delivered = rec.arrivals.lock().clone();
+            let delivered = rec.arrivals.locked().clone();
             let stats = link.stats();
             (delivered, stats)
         };

@@ -6,11 +6,9 @@
 //! stages packets through SRAM buffers; this pool enforces the capacity so
 //! protocols experience back-pressure when staging outruns draining.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
-use suca_sim::Gauge;
+use suca_sim::{Gauge, MutexExt};
 
 struct PoolInner {
     capacity: u64,
@@ -49,14 +47,14 @@ impl SramPool {
     /// registry gauge. The gauge cell may be shared cluster-wide, so the
     /// pool publishes add/sub deltas rather than absolute levels.
     pub fn attach_gauge(&self, gauge: Gauge) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.locked();
         gauge.add(st.used);
         st.gauge = Some(gauge);
     }
 
     /// Try to lease `len` bytes; `None` if the pool cannot satisfy it.
     pub fn try_alloc(&self, len: u64) -> Option<SramLease> {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.locked();
         if st.used + len > st.capacity {
             return None;
         }
@@ -73,17 +71,17 @@ impl SramPool {
 
     /// Bytes currently leased.
     pub fn used(&self) -> u64 {
-        self.inner.lock().used
+        self.inner.locked().used
     }
 
     /// Largest simultaneous usage observed.
     pub fn high_water(&self) -> u64 {
-        self.inner.lock().high_water
+        self.inner.locked().high_water
     }
 
     /// Total capacity.
     pub fn capacity(&self) -> u64 {
-        self.inner.lock().capacity
+        self.inner.locked().capacity
     }
 }
 
@@ -101,7 +99,7 @@ impl SramLease {
 
 impl Drop for SramLease {
     fn drop(&mut self) {
-        let mut st = self.pool.inner.lock();
+        let mut st = self.pool.inner.locked();
         st.used -= self.len;
         if let Some(g) = &st.gauge {
             g.sub(self.len);

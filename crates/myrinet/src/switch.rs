@@ -5,12 +5,10 @@
 //! Output-port contention is inherited from the output [`Link`]'s
 //! serialization; the crossbar itself is non-blocking.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{Counter, Sim, SimDuration};
+use suca_sim::{Counter, MutexExt, Sim, SimDuration};
 
 use crate::fabric::Packet;
 use crate::link::{Link, PacketSink};
@@ -69,7 +67,7 @@ impl Switch {
     /// Wire output port `port` to `link`. Panics on double-wiring: topology
     /// construction bugs should fail loudly.
     pub fn connect(&self, port: usize, link: Arc<Link>) {
-        let mut out = self.out.lock();
+        let mut out = self.out.locked();
         assert!(
             out[port].is_none(),
             "switch {} port {port} wired twice",
@@ -80,13 +78,13 @@ impl Switch {
 
     /// Switch radix.
     pub fn radix(&self) -> usize {
-        self.out.lock().len()
+        self.out.locked().len()
     }
 
     /// Chaos hook: kill or revive an output port. Out-of-range ports return
     /// `false` (a chaos plan naming a bad port must not panic the sim).
     pub fn set_port_dead(&self, port: usize, dead: bool) -> bool {
-        let mut d = self.dead.lock();
+        let mut d = self.dead.locked();
         match d.get_mut(port) {
             Some(slot) => {
                 *slot = dead;
@@ -110,13 +108,13 @@ impl PacketSink for Switch {
         }
         let port = pkt.route[pkt.route_pos] as usize;
         pkt.route_pos += 1;
-        if self.dead.lock().get(port).copied().unwrap_or(false) {
+        if self.dead.locked().get(port).copied().unwrap_or(false) {
             self.dead_port_drops.inc();
             trace_wire_instant(sim, &pkt, stage::DROP_DEAD_PORT);
             return;
         }
         let link = {
-            let out = self.out.lock();
+            let out = self.out.locked();
             match out.get(port).and_then(|l| l.as_ref()) {
                 Some(link) => link.clone(),
                 None => {
@@ -136,12 +134,11 @@ impl PacketSink for Switch {
 mod tests {
     use super::*;
     use crate::fabric::{FabricNodeId, FaultPlan};
-    use bytes::Bytes;
 
     struct Recorder(Mutex<Vec<u64>>);
     impl PacketSink for Recorder {
         fn deliver(&self, sim: &Sim, _pkt: Packet) {
-            self.0.lock().push(sim.now().as_ns());
+            self.0.locked().push(sim.now().as_ns());
         }
     }
 
@@ -162,7 +159,7 @@ mod tests {
         let pkt = Packet {
             src: FabricNodeId(0),
             dst: FabricNodeId(1),
-            payload: Bytes::from_static(b""), // 16 B framing -> 100 ns at 160 MB/s
+            payload: Arc::from(*b""), // 16 B framing -> 100 ns at 160 MB/s
             corrupted: false,
             route: vec![3],
             route_pos: 0,
@@ -170,7 +167,7 @@ mod tests {
         };
         sw.deliver(&sim, pkt);
         sim.run();
-        assert_eq!(*rec.0.lock(), vec![400]); // 300 cut-through + 100 wire
+        assert_eq!(*rec.0.locked(), vec![400]); // 300 cut-through + 100 wire
     }
 
     #[test]
@@ -180,7 +177,7 @@ mod tests {
         let pkt = Packet {
             src: FabricNodeId(0),
             dst: FabricNodeId(1),
-            payload: Bytes::from_static(b""),
+            payload: Arc::from(*b""),
             corrupted: false,
             route: vec![5],
             route_pos: 0,
@@ -200,7 +197,7 @@ mod tests {
         let pkt = Packet {
             src: FabricNodeId(0),
             dst: FabricNodeId(1),
-            payload: Bytes::from_static(b""),
+            payload: Arc::from(*b""),
             corrupted: false,
             route: vec![200],
             route_pos: 0,
@@ -233,7 +230,7 @@ mod tests {
         let mk = || Packet {
             src: FabricNodeId(0),
             dst: FabricNodeId(1),
-            payload: Bytes::from_static(b""),
+            payload: Arc::from(*b""),
             corrupted: false,
             route: vec![3],
             route_pos: 0,
@@ -242,11 +239,11 @@ mod tests {
         sw.deliver(&sim, mk());
         sim.run();
         assert_eq!(sim.get_count("switch.dead_port_drop"), 1);
-        assert!(rec.0.lock().is_empty());
+        assert!(rec.0.locked().is_empty());
         assert!(sw.set_port_dead(3, false));
         sw.deliver(&sim, mk());
         sim.run();
-        assert_eq!(rec.0.lock().len(), 1, "revived port forwards again");
+        assert_eq!(rec.0.locked().len(), 1, "revived port forwards again");
     }
 
     #[test]
@@ -256,7 +253,7 @@ mod tests {
         let pkt = Packet {
             src: FabricNodeId(0),
             dst: FabricNodeId(1),
-            payload: Bytes::from_static(b""),
+            payload: Arc::from(*b""),
             corrupted: false,
             route: vec![],
             route_pos: 0,

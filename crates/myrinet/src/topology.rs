@@ -79,9 +79,8 @@ impl Myrinet {
 mod tests {
     use super::*;
     use crate::fabric::FabricNodeId;
-    use bytes::Bytes;
-    use parking_lot::Mutex;
-    use suca_sim::RunOutcome;
+    use std::sync::Mutex;
+    use suca_sim::{MutexExt, RunOutcome};
 
     type Arrivals = Arc<Mutex<Vec<(u64, Vec<u8>, bool)>>>;
 
@@ -91,7 +90,7 @@ mod tests {
         net.attach(
             FabricNodeId(node),
             Box::new(move |s, pkt| {
-                l2.lock()
+                l2.locked()
                     .push((s.now().as_ns(), pkt.payload.to_vec(), pkt.corrupted));
             }),
         );
@@ -103,7 +102,7 @@ mod tests {
             sim,
             FabricNodeId(src),
             FabricNodeId(dst),
-            Bytes::from_static(payload),
+            Arc::from(payload),
             None,
         );
     }
@@ -115,7 +114,7 @@ mod tests {
         let log = collect_arrivals(&net, 1);
         send(&sim, &net, 0, 1, b"ping");
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let got = log.lock();
+        let got = log.locked();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].1, b"ping");
         // 2 links * (20 B / 160 MB/s = 125 ns + 50 ns prop) + 300 ns switch.
@@ -132,12 +131,12 @@ mod tests {
         let log = collect_arrivals(&net, 13);
         send(&sim, &net, 0, 13, b"x");
         sim.run();
-        assert_eq!(log.lock().len(), 1);
+        assert_eq!(log.locked().len(), 1);
         // And the reverse direction too.
         let back = collect_arrivals(&net, 0);
         send(&sim, &net, 13, 0, b"y");
         sim.run();
-        assert_eq!(back.lock().len(), 1);
+        assert_eq!(back.locked().len(), 1);
     }
 
     #[test]
@@ -151,14 +150,14 @@ mod tests {
                     &sim,
                     FabricNodeId(src),
                     FabricNodeId(dst),
-                    Bytes::copy_from_slice(&src.to_le_bytes()),
+                    Arc::from(src.to_le_bytes()),
                     None,
                 );
             }
         }
         assert_eq!(sim.run(), RunOutcome::Completed);
         for (n, log) in counts.iter().enumerate() {
-            assert_eq!(log.lock().len(), 70, "node {n} missed packets");
+            assert_eq!(log.locked().len(), 70, "node {n} missed packets");
         }
         assert_eq!(sim.get_count("fabric.delivered"), 70 * 70);
     }
@@ -175,16 +174,16 @@ mod tests {
         send(&sim, &net, 1, 2, b"a");
         send(&sim, &net, 0, 1, b"b");
         sim.run();
-        assert!(at1.lock().is_empty());
-        assert!(at2.lock().is_empty());
+        assert!(at1.locked().is_empty());
+        assert!(at2.locked().is_empty());
         assert_eq!(sim.get_count("link.down_drops"), 2);
         // Revival restores both directions.
         assert!(net.set_node_link_up(FabricNodeId(1), true));
         send(&sim, &net, 1, 2, b"c");
         send(&sim, &net, 0, 1, b"d");
         sim.run();
-        assert_eq!(at1.lock().len(), 1);
-        assert_eq!(at2.lock().len(), 1);
+        assert_eq!(at1.locked().len(), 1);
+        assert_eq!(at2.locked().len(), 1);
     }
 
     #[test]
@@ -200,11 +199,11 @@ mod tests {
         assert!(!net.set_switch_port_dead(0, 200, true));
         send(&sim, &net, 0, 13, b"x");
         sim.run();
-        assert!(log.lock().is_empty());
+        assert!(log.locked().is_empty());
         assert_eq!(sim.get_count("switch.dead_port_drop"), 1);
         assert!(net.set_switch_port_dead(0, PORT_RIGHT, false));
         send(&sim, &net, 0, 13, b"y");
         sim.run();
-        assert_eq!(log.lock().len(), 1);
+        assert_eq!(log.locked().len(), 1);
     }
 }

@@ -8,12 +8,10 @@
 //! structure (user library → ioctl subcommands → kernel module).
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca_mem::{AddressSpace, Asid, PhysMemory};
-use suca_sim::{ActorCtx, Counter, Sim, SimDuration};
+use suca_sim::{ActorCtx, Counter, MutexExt, Sim, SimDuration};
 
 use crate::costs::{OsCostModel, OsPersonality};
 
@@ -99,7 +97,7 @@ impl NodeOs {
 
     /// Fork a new process with a fresh address space.
     pub fn create_process(&self) -> OsProcess {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.locked();
         let pid = Pid(inner.next_pid);
         inner.next_pid += 1;
         // ASIDs are globally unique per node: pid doubles as asid seed.
@@ -115,12 +113,12 @@ impl NodeOs {
     /// True if `pid` is a live process on this node (used by kernel-module
     /// security checks).
     pub fn is_live(&self, pid: Pid) -> bool {
-        self.inner.lock().live.contains_key(&pid)
+        self.inner.locked().live.contains_key(&pid)
     }
 
     /// Terminate a process (its ASID becomes invalid for checks).
     pub fn exit_process(&self, pid: Pid) {
-        self.inner.lock().live.remove(&pid);
+        self.inner.locked().live.remove(&pid);
     }
 
     /// Execute `f` in kernel mode from the calling actor: charges trap entry
@@ -215,11 +213,11 @@ mod tests {
         let fired = Arc::new(Mutex::new(0u64));
         let f2 = fired.clone();
         sim.schedule_in(SimDuration::from_us(1), move |s| {
-            o2.interrupt(s, move |s2| *f2.lock() = s2.now().as_ns());
+            o2.interrupt(s, move |s2| *f2.locked() = s2.now().as_ns());
         });
         sim.run();
         let cost = o.costs.interrupt_entry + o.costs.interrupt_service;
-        assert_eq!(*fired.lock(), 1_000 + cost.as_ns());
+        assert_eq!(*fired.locked(), 1_000 + cost.as_ns());
         assert_eq!(sim.get_count("os.interrupts"), 1);
     }
 

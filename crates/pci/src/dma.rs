@@ -7,11 +7,9 @@
 //! bandwidth curve (Fig. 9). The actual byte movement is performed by the
 //! completion closure, so data and timing stay consistent.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
-use suca_sim::{Counter, Gauge, Sim, SimDuration, SimTime};
+use suca_sim::{Counter, Gauge, MutexExt, Sim, SimDuration, SimTime};
 
 use crate::bus::PciModel;
 
@@ -73,7 +71,7 @@ impl DmaEngine {
                 SimDuration::for_bytes(len, self.bytes_per_sec)
             };
         let done = {
-            let mut st = self.state.lock();
+            let mut st = self.state.locked();
             let start = st.busy_until.max(now);
             let done = start + duration;
             st.busy_until = done;
@@ -94,12 +92,12 @@ impl DmaEngine {
 
     /// Instant at which the engine becomes idle.
     pub fn busy_until(&self) -> SimTime {
-        self.state.lock().busy_until
+        self.state.locked().busy_until
     }
 
     /// (transfers completed or queued, bytes moved).
     pub fn stats(&self) -> (u64, u64) {
-        let st = self.state.lock();
+        let st = self.state.locked();
         (st.completed, st.bytes_moved)
     }
 
@@ -136,10 +134,10 @@ mod tests {
         let times = Arc::new(Mutex::new(Vec::new()));
         for _ in 0..3 {
             let t = times.clone();
-            eng.submit(1000, move |s| t.lock().push(s.now().as_ns()));
+            eng.submit(1000, move |s| t.locked().push(s.now().as_ns()));
         }
         sim.run();
-        assert_eq!(*times.lock(), vec![1_000, 2_000, 3_000]);
+        assert_eq!(*times.locked(), vec![1_000, 2_000, 3_000]);
         assert_eq!(eng.stats(), (3, 3000));
     }
 

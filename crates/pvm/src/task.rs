@@ -6,14 +6,12 @@
 //! rank in the job (its *tid*), with PVM's `initsend`/`pack*`/`send` /
 //! `recv`/`upk*` call shape, including `-1` wildcards for both tid and tag.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use suca_bcl::BclNode;
 use suca_eadi::{EadiConfig, EadiEndpoint, Universe};
 use suca_os::OsProcess;
-use suca_sim::{ActorCtx, SimDuration};
+use suca_sim::{ActorCtx, MutexExt, SimDuration};
 
 use crate::msgbuf::{PackBuf, UnpackBuf};
 
@@ -88,8 +86,8 @@ impl PvmTask {
     }
 
     /// `pvm_initsend`: reset the send buffer; returns a guard to pack into.
-    pub fn initsend(&self) -> parking_lot::MutexGuard<'_, PackBuf> {
-        let mut b = self.sendbuf.lock();
+    pub fn initsend(&self) -> MutexGuard<'_, PackBuf> {
+        let mut b = self.sendbuf.locked();
         *b = PackBuf::new();
         b
     }
@@ -105,7 +103,7 @@ impl PvmTask {
     /// `pvm_send`: ship the current send buffer to `dst` with `tag`.
     pub fn send(&self, ctx: &mut ActorCtx, dst_tid: u32, tag: i32) {
         assert!(tag >= 0, "PVM user tags are non-negative");
-        let data = std::mem::take(&mut *self.sendbuf.lock());
+        let data = std::mem::take(&mut *self.sendbuf.locked());
         ctx.sleep(self.cfg.send_overhead + self.pack_cost(data.len() as u64));
         self.eadi.send(ctx, dst_tid, tag, data.finish());
     }
@@ -161,7 +159,7 @@ impl PvmTask {
     /// `pvm_bcast`-ish: send the current buffer to every other task.
     pub fn mcast(&self, ctx: &mut ActorCtx, tag: i32) {
         assert!(tag >= 0);
-        let data = std::mem::take(&mut *self.sendbuf.lock());
+        let data = std::mem::take(&mut *self.sendbuf.locked());
         ctx.sleep(self.cfg.send_overhead + self.pack_cost(data.len() as u64));
         for t in 0..self.ntasks() {
             if t != self.tid() {

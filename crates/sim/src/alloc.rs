@@ -63,10 +63,11 @@ pub(crate) static TEST_ARM_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MutexExt;
 
     #[test]
     fn counts_move_only_while_armed() {
-        let _arm = TEST_ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _arm = TEST_ARM_LOCK.locked();
         set_counting(false);
         let (a0, b0) = counts();
         let v = vec![0u8; 4096];

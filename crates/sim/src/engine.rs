@@ -22,11 +22,10 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::Thread;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use suca_obs::prof::{KIND_CALL, KIND_POLL, KIND_WAKE};
 
 use crate::actor::{
@@ -34,6 +33,7 @@ use crate::actor::{
 };
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
+use crate::MutexExt;
 
 /// Identifies a scheduled event; returned by the `schedule_*` methods and
 /// accepted by [`Sim::cancel`] (used for e.g. retransmission timers).
@@ -179,7 +179,7 @@ struct RunningGuard<'a>(&'a SimInner);
 
 impl Drop for RunningGuard<'_> {
     fn drop(&mut self) {
-        self.0.drive.lock().open_wake = None;
+        self.0.drive.locked().open_wake = None;
         self.0.running.store(false, Ordering::Release);
     }
 }
@@ -281,7 +281,7 @@ impl Sim {
 
     fn push_event(&self, time: SimTime, action: EventAction) -> EventId {
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let mut q = self.inner.queue.lock();
+        let mut q = self.inner.queue.locked();
         q.heap.push(Reverse(EventEntry { time, seq, action }));
         q.live.insert(seq);
         EventId(seq)
@@ -293,7 +293,7 @@ impl Sim {
     pub fn cancel(&self, id: EventId) -> bool {
         // The entry stays in the heap as a tombstone and is discarded
         // (without advancing time) when it reaches the front.
-        self.inner.queue.lock().live.remove(&id.0)
+        self.inner.queue.locked().live.remove(&id.0)
     }
 
     /// Spawn a thread-backed actor; it starts running at the current instant
@@ -304,9 +304,9 @@ impl Sim {
         body: impl FnOnce(&mut ActorCtx) + Send + 'static,
     ) -> ActorId {
         let name = name.into();
-        let id = ActorId(self.inner.actors.lock().len() as u32);
+        let id = ActorId(self.inner.actors.locked().len() as u32);
         let (mailbox, join) = spawn_actor_thread(self.clone(), id, name.clone(), Box::new(body));
-        self.inner.actors.lock().push(ActorRecord {
+        self.inner.actors.locked().push(ActorRecord {
             name,
             mailbox,
             thread: join.thread().clone(),
@@ -336,9 +336,9 @@ impl Sim {
             "Sim::run called reentrantly"
         );
         let _guard = RunningGuard(&self.inner);
-        self.inner.drive.lock().limit = limit;
+        self.inner.drive.locked().limit = limit;
         {
-            let mut rc = self.inner.run_caller.lock();
+            let mut rc = self.inner.run_caller.locked();
             rc.thread = std::thread::current();
             rc.report = None;
         }
@@ -350,7 +350,7 @@ impl Sim {
         // between actor threads and this thread only waits for the report.
         self.drive(None);
         let report = loop {
-            if let Some(r) = self.inner.run_caller.lock().report.take() {
+            if let Some(r) = self.inner.run_caller.locked().report.take() {
                 break r;
             }
             std::thread::park();
@@ -398,13 +398,13 @@ impl Sim {
     /// or the next event lies past the run's limit. Callable from whichever
     /// thread holds the baton.
     fn next_event(&self) -> Option<EventEntry> {
-        let mut st = self.inner.drive.lock();
+        let mut st = self.inner.drive.locked();
         if let Some(stamp) = st.open_wake.take() {
             self.prof_dispatch(KIND_WAKE, stamp);
         }
         let pop_t0 = self.prof_on().then(Instant::now);
         let next = {
-            let mut q = self.inner.queue.lock();
+            let mut q = self.inner.queue.locked();
             loop {
                 match q.heap.peek() {
                     Some(Reverse(e)) if e.time <= st.limit => {}
@@ -453,9 +453,9 @@ impl Sim {
                 }
                 EventAction::Wake(id, gen) => {
                     if stamp.is_some() {
-                        self.inner.drive.lock().open_wake = stamp;
+                        self.inner.drive.locked().open_wake = stamp;
                     }
-                    let mut actors = self.inner.actors.lock();
+                    let mut actors = self.inner.actors.locked();
                     let rec = &mut actors[id.0 as usize];
                     if rec.status != ActorStatus::Parked || rec.gen != gen {
                         continue; // stale wake: the actor moved on or finished
@@ -494,7 +494,7 @@ impl Sim {
 
     /// Give the baton back to the thread blocked in `run`.
     fn report(&self, r: RunReport) {
-        let mut rc = self.inner.run_caller.lock();
+        let mut rc = self.inner.run_caller.locked();
         rc.report = Some(r);
         let thread = rc.thread.clone();
         drop(rc);
@@ -511,7 +511,7 @@ impl Sim {
         let stuck: Vec<String> = self
             .inner
             .actors
-            .lock()
+            .locked()
             .iter()
             .filter(|a| a.status == ActorStatus::Parked)
             .map(|a| a.name.clone())
@@ -527,7 +527,7 @@ impl Sim {
 
     /// Bump and return the park generation for an upcoming park.
     pub(crate) fn next_park_gen(&self, id: ActorId) -> u64 {
-        let mut actors = self.inner.actors.lock();
+        let mut actors = self.inner.actors.locked();
         let rec = &mut actors[id.0 as usize];
         rec.gen += 1;
         rec.gen
@@ -546,13 +546,13 @@ impl Sim {
 
     /// Record that an actor is about to park.
     pub(crate) fn mark_parked(&self, id: ActorId) {
-        self.inner.actors.lock()[id.0 as usize].status = ActorStatus::Parked;
+        self.inner.actors.locked()[id.0 as usize].status = ActorStatus::Parked;
     }
 
     /// An actor's body returned (`panicked == None`) or panicked with a
     /// message; called on the actor's thread, which holds the baton.
     pub(crate) fn actor_exited(&self, id: ActorId, panicked: Option<String>) {
-        let mut actors = self.inner.actors.lock();
+        let mut actors = self.inner.actors.locked();
         let rec = &mut actors[id.0 as usize];
         rec.status = ActorStatus::Done;
         let report = panicked.map(|msg| RunReport::ActorPanic(rec.name.clone(), msg));
@@ -645,7 +645,7 @@ impl Sim {
     /// size of the live set, read every telemetry tick to decide whether
     /// the sampler reschedules itself.
     pub fn pending_events(&self) -> usize {
-        self.inner.queue.lock().live.len()
+        self.inner.queue.locked().live.len()
     }
 
     /// The online health engine. Unarmed (every hook a no-op) until a
@@ -701,7 +701,7 @@ impl Sim {
 impl Drop for SimInner {
     fn drop(&mut self) {
         // Unwind any still-parked actor threads so tests don't leak threads.
-        let mut actors = std::mem::take(&mut *self.actors.lock());
+        let mut actors = std::mem::take(&mut *self.actors.locked());
         for rec in &mut actors {
             if rec.status != ActorStatus::Done {
                 // The actor is blocked on its mailbox; a shutdown order makes
@@ -732,10 +732,10 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         for (i, d) in [(0u32, 30u64), (1, 10), (2, 10), (3, 20)] {
             let log = log.clone();
-            sim.schedule_in(SimDuration::from_ns(d), move |_| log.lock().push(i));
+            sim.schedule_in(SimDuration::from_ns(d), move |_| log.locked().push(i));
         }
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(*log.lock(), vec![1, 2, 3, 0]);
+        assert_eq!(*log.locked(), vec![1, 2, 3, 0]);
         assert_eq!(sim.now().as_ns(), 30);
     }
 
@@ -770,7 +770,7 @@ mod tests {
         }
         // Nothing is retained for fired or cancelled events: the live set
         // and the queue are both empty, bounded regardless of churn.
-        let q = sim.inner.queue.lock();
+        let q = sim.inner.queue.locked();
         assert!(q.live.is_empty(), "live set must drain");
         assert!(q.heap.is_empty(), "queue must drain");
         drop(q);
@@ -788,7 +788,7 @@ mod tests {
             sim.schedule_in(SimDuration::from_us(round + 1), |_| {});
             sim.run();
         }
-        let q = sim.inner.queue.lock();
+        let q = sim.inner.queue.locked();
         assert!(q.live.is_empty());
         assert!(q.heap.is_empty());
         drop(q);
@@ -847,10 +847,10 @@ mod tests {
         sim.spawn("sleeper", move |ctx| {
             ctx.sleep(SimDuration::from_us(5));
             ctx.sleep(SimDuration::from_us(7));
-            *t2.lock() = ctx.now();
+            *t2.locked() = ctx.now();
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(t.lock().as_us(), 12.0);
+        assert_eq!(t.locked().as_us(), 12.0);
     }
 
     #[test]
@@ -862,13 +862,13 @@ mod tests {
             sim.spawn(who, move |ctx| {
                 for i in 0..3 {
                     ctx.sleep(SimDuration::from_us(10));
-                    log.lock().push(format!("{who}{i}"));
+                    log.locked().push(format!("{who}{i}"));
                 }
             });
         }
         sim.run();
         // Same sleep times -> FIFO tie-break: 'a' was spawned first.
-        assert_eq!(*log.lock(), vec!["a0", "b0", "a1", "b1", "a2", "b2"]);
+        assert_eq!(*log.locked(), vec!["a0", "b0", "a1", "b1", "a2", "b2"]);
     }
 
     #[test]
@@ -955,7 +955,7 @@ mod tests {
             });
         }
         fn chain(s: &Sim, node: u32, depth: u32, log: Arc<Mutex<Vec<(u64, u32)>>>) {
-            log.lock().push((s.now().as_ns(), node));
+            log.locked().push((s.now().as_ns(), node));
             if depth >= 6 {
                 return;
             }
@@ -969,12 +969,12 @@ mod tests {
                 // A tie at the current instant.
                 let l3 = log.clone();
                 s.schedule_in(SimDuration::ZERO, move |s| {
-                    l3.lock().push((s.now().as_ns(), 1000 + node));
+                    l3.locked().push((s.now().as_ns(), 1000 + node));
                 });
             }
         }
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let l = Arc::try_unwrap(log).unwrap().into_inner();
+        let l = Arc::try_unwrap(log).unwrap().into_inner().unwrap();
         let n = sim.events_dispatched();
         (l, n, sim)
     }
@@ -984,15 +984,15 @@ mod tests {
         let sim = Sim::new(1);
         let log = Arc::new(Mutex::new(Vec::new()));
         let l1 = log.clone();
-        let p1 = sim.register_poller(move |s| l1.lock().push(("p1", s.now().as_ns())));
+        let p1 = sim.register_poller(move |s| l1.locked().push(("p1", s.now().as_ns())));
         let l2 = log.clone();
-        let p2 = sim.register_poller(move |s| l2.lock().push(("p2", s.now().as_ns())));
+        let p2 = sim.register_poller(move |s| l2.locked().push(("p2", s.now().as_ns())));
         sim.schedule_poll_in(SimDuration::from_ns(10), p2);
         sim.schedule_poll_in(SimDuration::from_ns(10), p1); // tie: p2 first (earlier seq)
         sim.schedule_poll_in(SimDuration::from_ns(5), p1);
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert_eq!(
-            *log.lock(),
+            *log.locked(),
             vec![("p1", 5), ("p2", 10), ("p1", 10)],
             "poll ticks follow the (time, seq) order"
         );
@@ -1013,9 +1013,7 @@ mod tests {
 
     #[test]
     fn profiled_run_keeps_order_and_balances_counters() {
-        let _arm = crate::alloc::TEST_ARM_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _arm = crate::alloc::TEST_ARM_LOCK.locked();
         let (plain, n_plain, _) = torture(false);
         let (profiled, n_prof, sim) = torture(true);
         assert_eq!(plain, profiled, "profiling must not change dispatch order");
@@ -1095,13 +1093,13 @@ mod tests {
             sim.spawn("a", move |ctx| {
                 for i in 0..4u64 {
                     ctx.sleep(SimDuration::from_ns(30));
-                    l.lock().push((ctx.now().as_ns(), i));
+                    l.locked().push((ctx.now().as_ns(), i));
                 }
             });
             for k in 0..12u64 {
                 let l = log.clone();
                 sim.schedule_in(SimDuration::from_ns(10 * k + 5), move |s| {
-                    l.lock().push((s.now().as_ns(), 100 + k));
+                    l.locked().push((s.now().as_ns(), 100 + k));
                 });
             }
             if let Some(t) = split {
@@ -1109,7 +1107,7 @@ mod tests {
                 assert_eq!(sim.now().as_ns(), t);
             }
             assert_eq!(sim.run(), RunOutcome::Completed);
-            let l = log.lock().clone();
+            let l = log.locked().clone();
             l
         };
         assert_eq!(go(None), go(Some(47)));
@@ -1124,11 +1122,11 @@ mod tests {
         let r = ran_on.clone();
         sim.spawn("brief", |_| {});
         sim.schedule_in(SimDuration::from_us(3), move |_| {
-            *r.lock() = Some(std::thread::current().id());
+            *r.locked() = Some(std::thread::current().id());
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let join = sim.inner.actors.lock()[0].join.take().unwrap();
-        assert_eq!(*ran_on.lock(), Some(join.thread().id()));
+        let join = sim.inner.actors.locked()[0].join.take().unwrap();
+        assert_eq!(*ran_on.locked(), Some(join.thread().id()));
         join.join().expect("actor thread exits cleanly");
     }
 
@@ -1141,13 +1139,13 @@ mod tests {
         let (i1, i2) = (ids.clone(), ids.clone());
         sim.spawn("only", move |ctx| {
             ctx.sim().schedule_in(SimDuration::from_us(1), move |_| {
-                i1.lock().push(std::thread::current().id());
+                i1.locked().push(std::thread::current().id());
             });
             ctx.sleep(SimDuration::from_us(2));
-            i2.lock().push(std::thread::current().id());
+            i2.locked().push(std::thread::current().id());
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let ids = ids.lock();
+        let ids = ids.locked();
         assert_eq!((ids.len(), ids[0]), (2, ids[1]));
         assert_ne!(ids[0], std::thread::current().id());
     }

@@ -38,6 +38,7 @@ pub mod alloc;
 
 mod actor;
 mod engine;
+mod lock;
 mod rng;
 mod signal;
 mod telemetry;
@@ -45,6 +46,7 @@ mod time;
 
 pub use actor::{ActorCtx, ActorId};
 pub use engine::{EventId, PollerId, RunOutcome, Sim};
+pub use lock::MutexExt;
 pub use rng::SimRng;
 pub use signal::{Semaphore, Signal};
 pub use telemetry::TelemetryConfig;

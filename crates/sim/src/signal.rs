@@ -9,12 +9,11 @@
 //! [`Semaphore`] builds counting-resource semantics (DMA engines, CPU slots)
 //! on top of `Signal`.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::actor::{ActorCtx, ActorId};
 use crate::engine::Sim;
+use crate::MutexExt;
 
 struct SignalState {
     waiters: Vec<(ActorId, u64)>,
@@ -43,7 +42,7 @@ impl Signal {
     /// Callers typically loop: `while !cond() { sig.wait(ctx); }`.
     pub fn wait(&self, ctx: &mut ActorCtx) {
         let gen = self.sim.next_park_gen(ctx.id());
-        self.state.lock().waiters.push((ctx.id(), gen));
+        self.state.locked().waiters.push((ctx.id(), gen));
         ctx.park();
     }
 
@@ -52,7 +51,7 @@ impl Signal {
     /// instant, in registration order: seq numbers are assigned here and
     /// dispatch follows the `(time, seq)` order.
     pub fn notify(&self) {
-        let waiters = std::mem::take(&mut self.state.lock().waiters);
+        let waiters = std::mem::take(&mut self.state.locked().waiters);
         for (id, gen) in waiters {
             self.sim.schedule_wake_now(id, gen);
         }
@@ -74,7 +73,7 @@ impl Signal {
     pub fn wait_timeout(&self, ctx: &mut ActorCtx, timeout: crate::SimDuration) -> bool {
         let deadline = ctx.now() + timeout;
         let gen = self.sim.next_park_gen(ctx.id());
-        self.state.lock().waiters.push((ctx.id(), gen));
+        self.state.locked().waiters.push((ctx.id(), gen));
         // The same generation wakes from either source; stale ones no-op.
         self.sim.schedule_wake_in(timeout, ctx.id(), gen);
         ctx.park();
@@ -107,7 +106,7 @@ impl Semaphore {
     pub fn acquire(&self, ctx: &mut ActorCtx) {
         loop {
             {
-                let mut st = self.state.lock();
+                let mut st = self.state.locked();
                 if st.permits > 0 {
                     st.permits -= 1;
                     return;
@@ -119,7 +118,7 @@ impl Semaphore {
 
     /// Try to acquire without blocking.
     pub fn try_acquire(&self) -> bool {
-        let mut st = self.state.lock();
+        let mut st = self.state.locked();
         if st.permits > 0 {
             st.permits -= 1;
             true
@@ -130,13 +129,13 @@ impl Semaphore {
 
     /// Return one permit and wake waiters.
     pub fn release(&self) {
-        self.state.lock().permits += 1;
+        self.state.locked().permits += 1;
         self.signal.notify();
     }
 
     /// Currently available permits.
     pub fn available(&self) -> u64 {
-        self.state.lock().permits
+        self.state.locked().permits
     }
 }
 
@@ -156,13 +155,13 @@ mod tests {
         let d2 = done.clone();
         sim.spawn("waiter", move |ctx| {
             s2.wait(ctx);
-            *d2.lock() = true;
+            *d2.locked() = true;
         });
         let s3 = sig.clone();
         sim.schedule_in(SimDuration::from_us(5), move |_| s3.notify());
 
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert!(*done.lock());
+        assert!(*done.locked());
         assert_eq!(sim.now().as_us(), 5.0);
     }
 
@@ -204,13 +203,13 @@ mod tests {
             let log = log.clone();
             sim.spawn(format!("w{i}"), move |ctx| {
                 sig.wait(ctx);
-                log.lock().push(i);
+                log.locked().push(i);
             });
         }
         let sig2 = sig.clone();
         sim.schedule_in(SimDuration::from_us(1), move |_| sig2.notify());
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(*log.lock(), vec![0, 1, 2]);
+        assert_eq!(*log.locked(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -224,17 +223,17 @@ mod tests {
             sim.spawn(format!("u{i}"), move |ctx| {
                 sem.acquire(ctx);
                 {
-                    let mut g = mi.lock();
+                    let mut g = mi.locked();
                     g.0 += 1;
                     g.1 = g.1.max(g.0);
                 }
                 ctx.sleep(SimDuration::from_us(10));
-                mi.lock().0 -= 1;
+                mi.locked().0 -= 1;
                 sem.release();
             });
         }
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(max_inside.lock().1, 1, "mutual exclusion violated");
+        assert_eq!(max_inside.locked().1, 1, "mutual exclusion violated");
         assert_eq!(sim.now().as_us(), 40.0, "holders serialized");
         assert_eq!(sem.available(), 1);
     }

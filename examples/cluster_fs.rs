@@ -14,9 +14,7 @@
 //! cargo run --example cluster_fs
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca::bcl::{ChannelId, ProcAddr, SendStatus};
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -65,7 +63,7 @@ fn main() {
         let committed = committed.clone();
         cluster.spawn_process(0, "blockserver", move |ctx, env| {
             let port = env.open_port(ctx);
-            *server.lock() = Some(port.addr());
+            *server.locked() = Some(port.addr());
             let disk = port
                 .bind_open(ctx, 0, BLOCK * BLOCKS)
                 .expect("export device");
@@ -86,7 +84,7 @@ fn main() {
                 // Commit: land the block in the exported window + remember.
                 port.write_buffer(disk.add(block * BLOCK), data)
                     .expect("commit");
-                committed.lock().push((block, data.to_vec()));
+                committed.locked().push((block, data.to_vec()));
                 ctx.sleep(SimDuration::from_us_f64(2.0)); // metadata update
                                                           // Ack with the block number.
                 port.send_bytes(ctx, ev.src, ChannelId::SYSTEM, &block.to_le_bytes())
@@ -105,7 +103,7 @@ fn main() {
         cluster.spawn_process(c, format!("client{c}"), move |ctx, env| {
             let port = env.open_port(ctx);
             up.wait(ctx);
-            let srv = server.lock().expect("server exported");
+            let srv = server.locked().expect("server exported");
             let scratch = port.alloc_buffer(BLOCK).expect("scratch");
             // Each client owns blocks c, c+CLIENTS+1, ... (disjoint sets).
             for w in 0..WRITES_PER_CLIENT {
@@ -148,7 +146,7 @@ fn main() {
     }
 
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let n = committed.lock().len();
+    let n = committed.locked().len();
     assert_eq!(n as u32, CLIENTS * WRITES_PER_CLIENT);
     println!(
         "\n{} concurrent clients, {} committed writes, reads served one-sidedly by\n\

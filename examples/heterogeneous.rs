@@ -12,9 +12,7 @@
 //! cargo run --example heterogeneous
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca::bcl::{Architecture, ChannelId};
 use suca::cluster::{Cluster, ClusterSpec, SimBarrier};
@@ -40,9 +38,9 @@ fn ring_app(cluster: &Cluster, n: u32) -> f64 {
         let finish = finish.clone();
         cluster.spawn_process(me, format!("ring{me}"), move |ctx, env| {
             let port = env.open_port(ctx);
-            addrs.lock()[me as usize] = port.addr();
+            addrs.locked()[me as usize] = port.addr();
             barrier.wait(ctx);
-            let next = addrs.lock()[((me + 1) % n) as usize];
+            let next = addrs.locked()[((me + 1) % n) as usize];
             // Pass a token around the ring, each hop appending its node id.
             if me == 0 {
                 port.send_bytes(ctx, next, ChannelId::SYSTEM, &[0u8])
@@ -56,12 +54,12 @@ fn ring_app(cluster: &Cluster, n: u32) -> f64 {
                     .expect("forward");
             } else {
                 assert_eq!(token.len(), n as usize + 1, "token visited every node");
-                *finish.lock() = ctx.now().as_us();
+                *finish.locked() = ctx.now().as_us();
             }
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let t = *finish.lock();
+    let t = *finish.locked();
     t
 }
 

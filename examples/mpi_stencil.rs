@@ -10,9 +10,7 @@
 //! cargo run --example mpi_stencil
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca::cluster::ClusterSpec;
 use suca::eadi::Universe;
@@ -139,13 +137,13 @@ fn main() {
                 for p in parts {
                     full.extend(bytes_to_f64s(&p));
                 }
-                *gathered.lock() = full;
+                *gathered.locked() = full;
             }
         });
     }
 
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let parallel = gathered.lock().clone();
+    let parallel = gathered.locked().clone();
     let serial = serial_reference();
     assert_eq!(parallel.len(), serial.len());
     let max_err = parallel

@@ -13,9 +13,7 @@
 //! cargo run --example multiuser_security
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca::bcl::{BclError, ChannelId, PortId, ProcAddr};
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -35,7 +33,7 @@ fn main() {
         let victim_addr = victim_addr.clone();
         cluster.spawn_process(1, "victim-rx", move |ctx, env| {
             let port = env.open_port(ctx);
-            *victim_addr.lock() = Some(port.addr());
+            *victim_addr.locked() = Some(port.addr());
             barrier.wait(ctx);
             for i in 0..5 {
                 let ev = port.wait_recv(ctx);
@@ -53,7 +51,7 @@ fn main() {
         cluster.spawn_process(0, "victim-tx", move |ctx, env| {
             let port = env.open_port(ctx);
             barrier.wait(ctx);
-            let dst = victim_addr.lock().expect("rx ready");
+            let dst = victim_addr.locked().expect("rx ready");
             for i in 0..5 {
                 port.send_bytes(
                     ctx,

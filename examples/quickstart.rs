@@ -9,9 +9,7 @@
 //! the receive path takes none — the NIC DMA'd the payload into the
 //! receiver's buffer and the completion event into its user-space queue.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca::bcl::ChannelId;
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -31,7 +29,7 @@ fn main() {
         let addr = addr.clone();
         cluster.spawn_process(1, "receiver", move |ctx, env| {
             let port = env.open_port(ctx);
-            *addr.lock() = Some(port.addr());
+            *addr.locked() = Some(port.addr());
             barrier.wait(ctx);
             let ev = port.wait_recv(ctx); // poll in user space — no trap!
             let data = port.recv_bytes(ctx, &ev).expect("payload");
@@ -49,7 +47,7 @@ fn main() {
     cluster.spawn_process(0, "sender", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr.lock().expect("receiver ready");
+        let dst = addr.locked().expect("receiver ready");
         let traps_before = ctx.sim().get_count("os.traps.n0");
         let t0 = ctx.now();
         port.send_bytes(ctx, dst, ChannelId::SYSTEM, b"hello, DAWNING-3000!")

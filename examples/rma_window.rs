@@ -10,9 +10,7 @@
 //! cargo run --example rma_window
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca::bcl::{ProcAddr, SendStatus};
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -33,7 +31,7 @@ fn main() {
         let server_addr = server_addr.clone();
         cluster.spawn_process(1, "server", move |ctx, env| {
             let port = env.open_port(ctx);
-            *server_addr.lock() = Some(port.addr());
+            *server_addr.locked() = Some(port.addr());
             let win = port.bind_open(ctx, 0, 8192).expect("bind window");
             let table: Vec<u8> = (0..4096u32).map(|i| (i * 7 % 256) as u8).collect();
             port.write_buffer(win.add(4096), &table).expect("preload");
@@ -54,7 +52,7 @@ fn main() {
     cluster.spawn_process(0, "client", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = server_addr.lock().expect("server ready");
+        let dst = server_addr.locked().expect("server ready");
 
         // One-sided write of a request record into the window's first half.
         let req = port.alloc_buffer(64).expect("buf");

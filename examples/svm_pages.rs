@@ -13,9 +13,7 @@
 //! cargo run --example svm_pages
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca::bcl::{ProcAddr, SendStatus};
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -40,7 +38,7 @@ fn main() {
         let home = home.clone();
         cluster.spawn_process(0, "home", move |ctx, env| {
             let port = env.open_port(ctx);
-            *home.lock() = Some(port.addr());
+            *home.locked() = Some(port.addr());
             let win = port.bind_open(ctx, 0, TOTAL).expect("bind shared array");
             // Initialize the shared array: arr[i] = i % 251.
             let init: Vec<u8> = (0..TOTAL).map(|i| (i % 251) as u8).collect();
@@ -68,7 +66,7 @@ fn main() {
         cluster.spawn_process(w, format!("worker{w}"), move |ctx, env| {
             let port = env.open_port(ctx);
             ready.wait(ctx);
-            let home = home.lock().expect("home bound");
+            let home = home.locked().expect("home bound");
             let my_base = (w as u64 - 1) * PAGE * PAGES_PER_WORKER;
             let scratch = port.alloc_buffer(PAGE).expect("scratch page");
             for p in 0..PAGES_PER_WORKER {

@@ -2,9 +2,7 @@
 //! over both SANs, faults injected under a full MPI workload, scale-out to
 //! the full 70-node DAWNING-3000, and SMP CPU accounting.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use suca::cluster::{ClusterSpec, SanKind};
 use suca::eadi::Universe;
@@ -32,12 +30,12 @@ fn mpi_allreduce_job(spec: ClusterSpec, ranks: u32) -> Vec<f64> {
             );
             let got = comm.allreduce_f64(ctx, &[r as f64, 1.0], ReduceOp::Sum);
             if r == 0 {
-                *out.lock() = got;
+                *out.locked() = got;
             }
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "MPI job hung");
-    let v = out.lock().clone();
+    let v = out.locked().clone();
     v
 }
 
@@ -86,11 +84,11 @@ fn mpi_survives_lossy_network() {
             comm.bcast(ctx, 2, &mut seed);
             let x = u64::from_le_bytes(seed.clone().try_into().expect("8")) as f64;
             let total = comm.allreduce_f64(ctx, &[x * (r + 1) as f64], ReduceOp::Sum);
-            results.lock().push(total[0]);
+            results.locked().push(total[0]);
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "lossy MPI job hung");
-    let rs = results.lock();
+    let rs = results.locked();
     let expect = 31415.0 * (1..=6).sum::<u64>() as f64;
     assert!(
         rs.iter().all(|&v| v == expect),
@@ -117,12 +115,12 @@ fn full_dawning_70_nodes_all_to_root() {
     let b0 = barrier.clone();
     cluster.spawn_process(0, "root", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ra.lock() = Some(port.addr());
+        *ra.locked() = Some(port.addr());
         b0.wait(ctx);
         for _ in 0..69 {
             let ev = port.wait_recv(ctx);
             let data = port.recv_bytes(ctx, &ev).expect("payload");
-            *s2.lock() += u64::from(u32::from_le_bytes(data.try_into().expect("4B")));
+            *s2.locked() += u64::from(u32::from_le_bytes(data.try_into().expect("4B")));
         }
     });
     for n in 1..70u32 {
@@ -131,7 +129,7 @@ fn full_dawning_70_nodes_all_to_root() {
         cluster.spawn_process(n, format!("n{n}"), move |ctx, env| {
             let port = env.open_port(ctx);
             b.wait(ctx);
-            let dst = ra.lock().expect("root first");
+            let dst = ra.locked().expect("root first");
             // Stagger to avoid exhausting the root's 64-buffer system pool.
             ctx.sleep(SimDuration::from_us(30 * u64::from(n)));
             port.send_bytes(ctx, dst, suca::bcl::ChannelId::SYSTEM, &n.to_le_bytes())
@@ -139,7 +137,7 @@ fn full_dawning_70_nodes_all_to_root() {
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "70-node job hung");
-    assert_eq!(*sum.lock(), (1..70).sum::<u64>());
+    assert_eq!(*sum.locked(), (1..70).sum::<u64>());
 }
 
 #[test]
@@ -234,9 +232,9 @@ fn thirty_two_rank_allreduce_over_sixteen_nodes() {
             comm.bcast(ctx, 13, &mut blob);
             assert_eq!(blob.len(), 9000);
             assert!(blob.iter().all(|b| *b == 0xCD));
-            *checked.lock() += 1;
+            *checked.locked() += 1;
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "32-rank job hung");
-    assert_eq!(*checked.lock(), R);
+    assert_eq!(*checked.locked(), R);
 }

@@ -11,10 +11,8 @@
 //!   and actors in exactly the `(time, insertion index)` order of a sorted
 //!   `Vec`.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use bytes::Bytes;
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use suca::bcl::reliable::{
@@ -45,7 +43,7 @@ fn roundtrip_payloads(payloads: Vec<Vec<u8>>, fault: FaultPlan, seed: u64) {
     let a2 = addr.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.lock() = Some(port.addr());
+        *a2.locked() = Some(port.addr());
         // Pre-post channels for the first lap (one channel per message,
         // modulo 8); later messages re-post on consumption below.
         for (i, p) in expect.iter().take(8).enumerate() {
@@ -77,7 +75,7 @@ fn roundtrip_payloads(payloads: Vec<Vec<u8>>, fault: FaultPlan, seed: u64) {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr.lock().expect("rx ready");
+        let dst = addr.locked().expect("rx ready");
         for (i, p) in payloads.iter().enumerate() {
             let buf = port.alloc_buffer(p.len().max(1) as u64).expect("alloc");
             port.write_buffer(buf, p).expect("fill");
@@ -135,7 +133,7 @@ proptest! {
     fn wire_decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         // Any outcome is fine; panicking is not (firmware must survive
         // corrupted packets).
-        let _ = WireHeader::decode(&Bytes::from(bytes));
+        let _ = WireHeader::decode(&bytes);
     }
 
     #[test]
@@ -155,7 +153,7 @@ proptest! {
         let encoded = header.encode(&payload);
         let (h2, p2) = WireHeader::decode(&encoded).expect("own encoding parses");
         prop_assert_eq!(h2, header);
-        prop_assert_eq!(&p2[..], &payload[..]);
+        prop_assert_eq!(p2, &payload[..]);
     }
 
     #[test]
@@ -202,7 +200,7 @@ proptest! {
         let encoded = header.encode(&payload);
         let (h2, p2) = WireHeader::decode(&encoded).expect("own encoding parses");
         prop_assert_eq!(h2, header);
-        prop_assert_eq!(&p2[..], &payload[..]);
+        prop_assert_eq!(p2, &payload[..]);
     }
 
     #[test]
@@ -226,7 +224,7 @@ proptest! {
         };
         let encoded = header.encode(&payload);
         let cut = cut_seed % encoded.len(); // 0..len, strictly short of full
-        prop_assert!(WireHeader::decode(&encoded.slice(..cut)).is_none());
+        prop_assert!(WireHeader::decode(&encoded[..cut]).is_none());
     }
 
     #[test]
@@ -248,10 +246,10 @@ proptest! {
         };
         let mut raw = header.encode(&payload).to_vec();
         raw[0] = bad_kind;
-        prop_assert!(WireHeader::decode(&Bytes::from(raw.clone())).is_none());
+        prop_assert!(WireHeader::decode(&raw).is_none());
         // Kind byte 0 is reserved/invalid too.
         raw[0] = 0;
-        prop_assert!(WireHeader::decode(&Bytes::from(raw)).is_none());
+        prop_assert!(WireHeader::decode(&raw).is_none());
     }
 
     #[test]
@@ -270,7 +268,7 @@ proptest! {
             prop_assert!(rounds < 10_000, "no progress");
             while tx.can_send() && (next_to_queue as usize) < n {
                 let seq = tx.next_seq();
-                tx.record_sent(seq, Bytes::copy_from_slice(&next_to_queue.to_le_bytes()), 0)
+                tx.record_sent(seq, Arc::from(next_to_queue.to_le_bytes()), 0)
                     .expect("seq from next_seq() under can_send()");
                 next_to_queue += 1;
             }
@@ -342,7 +340,7 @@ proptest! {
             }
             while tx.can_send() && (next_to_queue as usize) < n {
                 let seq = tx.next_seq();
-                tx.record_sent(seq, Bytes::copy_from_slice(&next_to_queue.to_le_bytes()), 0)
+                tx.record_sent(seq, Arc::from(next_to_queue.to_le_bytes()), 0)
                     .expect("seq from next_seq() under can_send()");
                 next_to_queue += 1;
             }
@@ -505,11 +503,11 @@ impl Real {
                 sim.schedule_in(delay, move |s| me.fire(s, k))
             }
         };
-        self.ids.lock()[k] = Some(id);
+        self.ids.locked()[k] = Some(id);
     }
 
     fn fire(self: &Arc<Self>, sim: &Sim, k: usize) {
-        self.log.lock().push(Entry::Fired(sim.now().as_ns(), k));
+        self.log.locked().push(Entry::Fired(sim.now().as_ns(), k));
         let node = &self.prog.nodes[k];
         for &kid in &node.kids {
             self.schedule(sim, kid);
@@ -520,15 +518,15 @@ impl Real {
     }
 
     fn cancel(&self, sim: &Sim, target: usize) {
-        let id = self.ids.lock()[target];
+        let id = self.ids.locked()[target];
         if let Some(id) = id {
             let hit = sim.cancel(id);
-            self.log.lock().push(Entry::Cancelled(target, hit));
+            self.log.locked().push(Entry::Cancelled(target, hit));
         }
     }
 
     fn ran(&self, sim: &Sim, outcome: RunOutcome) {
-        self.log.lock().push(Entry::Ran(
+        self.log.locked().push(Entry::Ran(
             outcome,
             sim.now().as_ns(),
             sim.events_dispatched(),
@@ -542,7 +540,8 @@ fn run_real(prog: Program) -> Vec<Entry> {
     let pollers = [0, 1].map(|p| {
         let log = log.clone();
         sim.register_poller(move |s| {
-            log.lock().push(Entry::Fired(s.now().as_ns(), POLL_TAG + p));
+            log.locked()
+                .push(Entry::Fired(s.now().as_ns(), POLL_TAG + p));
         })
     });
     let sigs = [Signal::new(&sim), Signal::new(&sim)];
@@ -565,7 +564,7 @@ fn run_real(prog: Program) -> Vec<Entry> {
                 }
                 if matches!(step, Step::Sleep(_) | Step::Wait) {
                     let now = ctx.now().as_ns();
-                    real.log.lock().push(Entry::Fired(now, ACTOR_TAG + a));
+                    real.log.locked().push(Entry::Fired(now, ACTOR_TAG + a));
                 }
             }
         });
@@ -588,7 +587,7 @@ fn run_real(prog: Program) -> Vec<Entry> {
         sigs.iter().for_each(Signal::notify);
     }
     assert_eq!(sim.pending_events(), 0);
-    let log = real.log.lock().clone();
+    let log = real.log.locked().clone();
     log
 }
 
