@@ -224,7 +224,6 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
             TenantPolicy::new(TENANT_PUBSUB, 8, Priority::Low),
             TenantPolicy::new(TENANT_PIPELINE, 32, Priority::Low),
         ],
-        ..RpcServerConfig::default()
     };
 
     // One multi-tenant server per service node: KV shard + pub-sub room

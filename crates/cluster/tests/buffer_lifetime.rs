@@ -7,8 +7,10 @@ use std::sync::{Arc, Mutex};
 
 use suca_bcl::{ChannelId, ProcAddr, SendStatus};
 use suca_cluster::{ClusterSpec, SimBarrier};
+use suca_eadi::Universe;
 use suca_mem::PhysMemory;
-use suca_sim::{MutexExt, RunOutcome};
+use suca_mpi::{Comm, MpiConfig, ReduceOp};
+use suca_sim::{MutexExt, RunOutcome, SimDuration};
 
 const VIOLATIONS: &str = "mem.dma_lifetime_violations";
 const PIN_MISSES: &str = "kmod.pin_misses";
@@ -167,6 +169,73 @@ fn six_thousand_send_bytes_round_trips_fit_in_an_8_mib_node() {
         pinned <= 2 * 64 + 2,
         "pin table still counts {pinned} pages"
     );
+}
+
+/// Every buffer a `Comm` keeps across a send — offload payload and result,
+/// rendezvous segments on both sides, staged control messages — is its
+/// port's pool's, and dies with the port: after offloaded collectives and
+/// one rendezvous, dropping every rank's `Comm` leaves each node at the
+/// frames it held once the ranks were set up.
+#[test]
+fn a_dropped_comm_leaves_each_node_at_its_post_setup_frames() {
+    const NODES: u32 = 2;
+    const RANKS: u32 = 4;
+    let cluster = ClusterSpec::dawning3000(NODES)
+        .with_trace_sampling(0)
+        .build();
+    let sim = cluster.sim.clone();
+    let uni = Universe::new(&sim, RANKS);
+    let barrier = SimBarrier::new(&sim, RANKS);
+    let memories: Vec<PhysMemory> = cluster
+        .nodes
+        .iter()
+        .map(|n| n.os.memory().clone())
+        .collect();
+    // Each node's frames after setup, at the end of the run, and at its end.
+    let samples = Arc::new(Mutex::new(Vec::new()));
+    for r in 0..RANKS {
+        let (uni, barrier) = (uni.clone(), barrier.clone());
+        let (memories, samples) = (memories.clone(), samples.clone());
+        cluster.spawn_process(r % NODES, format!("mpi{r}"), move |ctx, env| {
+            let frames = || -> Vec<u64> { memories.iter().map(|m| m.allocated_frames()).collect() };
+            let sample = |ctx: &mut suca_sim::ActorCtx| {
+                barrier.wait(ctx);
+                if r == 0 {
+                    // Let the NIC let go of what it still holds.
+                    ctx.sleep(SimDuration::from_ms(1));
+                    samples.locked().push(frames());
+                }
+                barrier.wait(ctx);
+            };
+            let cfg = MpiConfig::dawning3000();
+            let comm = Comm::init(ctx, &env.node.bcl, &env.proc, uni, r, cfg);
+            sample(ctx);
+            comm.barrier(ctx);
+            let sum = comm.allreduce_f64(ctx, &[f64::from(r); 8], ReduceOp::Sum);
+            assert_eq!(sum, [6.0; 8], "rank {r}: allreduce");
+            let mut blob = vec![f64::from(r); 32];
+            comm.bcast_f64(ctx, 1, &mut blob);
+            assert_eq!(blob, [1.0; 32], "rank {r}: bcast");
+            match r {
+                0 => comm.send(ctx, 1, 5, &[9; 20_000]),
+                1 => assert_eq!(comm.recv(ctx, 0, 5).data, [9; 20_000]),
+                _ => {}
+            }
+            sample(ctx);
+            drop(comm);
+            sample(ctx);
+        });
+    }
+    assert_eq!(sim.run(), RunOutcome::Completed, "MPI job hung");
+    let samples = samples.locked();
+    let [set_up, ran, dropped] = [&samples[0], &samples[1], &samples[2]];
+    for node in 0..NODES as usize {
+        assert!(ran[node] > set_up[node], "node {node} pooled nothing");
+        assert_eq!(dropped[node], set_up[node], "node {node}: frames left");
+    }
+    assert_eq!(sim.get_count(VIOLATIONS), 0);
+    assert_eq!(sim.get_count("mpi.coll_launch_failed"), 0);
+    assert_eq!(sim.get_count("mpi.coll_nic_rejected"), 0);
 }
 
 #[test]

@@ -151,6 +151,11 @@ impl BclPort {
         &self.proc
     }
 
+    /// The configuration of the node this port is open on.
+    pub fn config(&self) -> &BclConfig {
+        &self.node.cfg
+    }
+
     /// Allocate a message buffer in this process's space (convenience).
     pub fn alloc_buffer(&self, len: u64) -> Result<VirtAddr, BclError> {
         Ok(self.proc.space.alloc(len.max(1))?)
@@ -326,11 +331,29 @@ impl BclPort {
         self.trace_poll(ctx, node, ev.msg_id, stage::POLL_SEND, cost);
     }
 
+    /// A buffer of `len` bytes that outlives one send (a receive target, a
+    /// rendezvous segment): a pinned one of its size in pages from the
+    /// port's pool, or a fresh one. The caller owns it until
+    /// [`BclPort::give_buffer`].
+    pub fn take_buffer(&self, len: u64) -> Result<VirtAddr, BclError> {
+        match self.queues.staging.take(len) {
+            Some(addr) => Ok(addr),
+            None => self.alloc_buffer(len),
+        }
+    }
+
+    /// Return a buffer of `len` bytes from [`BclPort::take_buffer`] to the
+    /// pool once the NIC is done with it: every send from it has posted its
+    /// completion and every receive into it has been consumed.
+    pub fn give_buffer(&self, addr: VirtAddr, len: u64) {
+        self.queues.staging.give(addr, len);
+    }
+
     /// Convenience: stage `data` in a library buffer and send it from there.
     ///
-    /// A system-channel message up to a pool buffer's size is staged in one
-    /// of the port's pinned staging buffers, so after its first use a send
-    /// hits the pin-down cache. The buffer is the library's again once the
+    /// A system-channel message up to a pool buffer's size is staged in a
+    /// pool-buffer-sized buffer of the port's pool, so after its first use a
+    /// send hits the pin-down cache. The buffer is the pool's again once the
     /// send's completion is posted — whether or not the caller ever polls
     /// it — or at once when the send is refused. Any other message goes
     /// through a fresh buffer, freed as soon as it is handed over: the NIC
@@ -350,12 +373,9 @@ impl BclPort {
             self.send(ctx, dst, channel, addr, len)
         };
         if channel.kind == ChannelKind::System && len <= staged_bytes {
+            let addr = self.take_buffer(staged_bytes)?;
             let staging = &self.queues.staging;
-            let addr = match staging.take() {
-                Some(addr) => addr,
-                None => self.alloc_buffer(staged_bytes)?,
-            };
-            return staging.send(addr, || send(ctx, addr));
+            return staging.send(addr, staged_bytes, || send(ctx, addr));
         }
         let addr = self.alloc_buffer(len)?;
         let sent = send(ctx, addr);
@@ -621,11 +641,11 @@ impl BclPort {
 }
 
 impl Drop for BclPort {
-    /// The staging buffers die with the port, staged ones included: the NIC
-    /// keeps the frames it still holds until it lets go.
+    /// The pooled buffers die with the port, each at its own size, staged
+    /// ones included: the NIC keeps the frames it still holds until it lets
+    /// go.
     fn drop(&mut self) {
-        let bytes = self.node.cfg.system_pool.buffer_bytes;
-        for addr in self.queues.staging.drain() {
+        for (addr, bytes) in self.queues.staging.drain() {
             // Nothing to report to from a drop, which must not panic.
             let _ = self.free_buffer(addr, bytes);
         }

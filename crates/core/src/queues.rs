@@ -11,10 +11,9 @@
 //! event is charged by the MCP before an entry appears here.
 
 use std::collections::VecDeque;
-
 use std::sync::Mutex;
 
-use suca_mem::{NicSegs, VirtAddr};
+use suca_mem::{NicSegs, VirtAddr, PAGE_SIZE};
 use suca_sim::{ActorCtx, Gauge, MutexExt, Signal, Sim};
 
 use crate::port::{RecvEvent, SendEvent};
@@ -23,8 +22,8 @@ use crate::port::{RecvEvent, SendEvent};
 pub struct UserQueues {
     recv: Mutex<VecDeque<RecvEvent>>,
     send: Mutex<VecDeque<SendEvent>>,
-    /// The library's staging buffers for system-channel sends, freed by
-    /// the posting of their completions.
+    /// The library's pinned buffers: staged sends, freed by the posting of
+    /// their completions, and the ones upper layers take and give back.
     pub(crate) staging: StagingPool,
     /// Depth gauges (cluster-wide, high-water tracked): an unbounded model
     /// queue standing in for a fixed ring, so the high-water mark tells us
@@ -66,8 +65,8 @@ impl UserQueues {
         self.any_signal.notify();
     }
 
-    /// NIC side: post a send event and wake pollers. A staging buffer the
-    /// event's send used is free from here on, consumed or not.
+    /// NIC side: post a send event and wake pollers. A buffer the event's
+    /// send was staged in is free from here on, consumed or not.
     pub fn push_send(&self, ev: SendEvent) {
         self.staging.posted(ev.msg_id);
         {
@@ -134,44 +133,62 @@ impl UserQueues {
     }
 }
 
-/// Pinned staging buffers for the library's system-channel sends
-/// (`BclPort::send_bytes`; DESIGN.md §5 "Buffer lifetime"). Each is one
-/// system-pool buffer in the sender's space, so its pages stay in the
-/// kernel's pin-down table and a repeat send hits. The pool grows on demand
-/// and never shrinks: its size is the port's peak count of staged sends
-/// whose completions have not been posted.
+/// The port's one cache of pinned library buffers (DESIGN.md §5 "Buffer
+/// lifetime"): system-channel `BclPort::send_bytes` stages here, and an
+/// upper layer takes and gives back the buffers it keeps across a send
+/// (`BclPort::take_buffer` / `BclPort::give_buffer`). A buffer stays in the
+/// owner's space, so its pages stay in the kernel's pin-down table and a
+/// repeat send from it hits. Each buffer is kept with its size in pages and
+/// only ever re-used at that size. The pool grows on demand and never
+/// shrinks; the port frees it all when it is dropped.
 #[derive(Default)]
 pub(crate) struct StagingPool(Mutex<Staging>);
 
 #[derive(Default)]
 struct Staging {
-    /// Buffers ready for the next send, most recently freed last.
-    free: Vec<VirtAddr>,
-    /// Buffers whose send's completion is not yet posted, by message id.
-    held: Vec<(u32, VirtAddr)>,
+    /// Buffers ready for use, with their size in pages, most recently
+    /// freed last.
+    free: Vec<(VirtAddr, u64)>,
+    /// Staged buffers whose send's completion is not yet posted, by message
+    /// id.
+    held: Vec<(u32, (VirtAddr, u64))>,
     /// Staged sends being submitted right now, and the completions posted
     /// while any was (a send's id is known only once it returns).
     submitting: u32,
     posted_meanwhile: Vec<u32>,
 }
 
+/// Pages a buffer of `len` bytes spans: its size class.
+fn pages(len: u64) -> u64 {
+    len.max(1).div_ceil(PAGE_SIZE)
+}
+
 impl StagingPool {
-    /// A free buffer, if the pool has one.
-    pub(crate) fn take(&self) -> Option<VirtAddr> {
-        self.0.locked().free.pop()
+    /// The most recently freed buffer of `len` bytes' size class, if any.
+    pub(crate) fn take(&self, len: u64) -> Option<VirtAddr> {
+        let mut st = self.0.locked();
+        let i = st.free.iter().rposition(|&(_, p)| p == pages(len))?;
+        Some(st.free.remove(i).0)
     }
 
-    /// Run `send` from staging buffer `buf`, then file the buffer: held
-    /// until the send's completion is posted, or free at once when the
-    /// send was refused or its completion is already posted.
+    /// File buffer `buf` of `len` bytes as free.
+    pub(crate) fn give(&self, buf: VirtAddr, len: u64) {
+        self.0.locked().free.push((buf, pages(len)));
+    }
+
+    /// Run `send` from buffer `buf` of `len` bytes, then file the buffer:
+    /// held until the send's completion is posted, or free at once when
+    /// the send was refused or its completion is already posted.
     pub(crate) fn send<E>(
         &self,
         buf: VirtAddr,
+        len: u64,
         send: impl FnOnce() -> Result<u32, E>,
     ) -> Result<u32, E> {
         self.0.locked().submitting += 1;
         let sent = send();
         let mut st = self.0.locked();
+        let buf = (buf, pages(len));
         match sent {
             Ok(id) if !st.posted_meanwhile.contains(&id) => st.held.push((id, buf)),
             _ => st.free.push(buf),
@@ -194,13 +211,16 @@ impl StagingPool {
         }
     }
 
-    /// Empty the pool, held buffers included; the owner frees them.
-    pub(crate) fn drain(&self) -> Vec<VirtAddr> {
+    /// Empty the pool, held buffers included, as `(address, bytes)`; the
+    /// owner frees them.
+    pub(crate) fn drain(&self) -> Vec<(VirtAddr, u64)> {
         let mut st = self.0.locked();
         let held = std::mem::take(&mut st.held).into_iter().map(|(_, buf)| buf);
         let mut all = std::mem::take(&mut st.free);
         all.extend(held);
-        all
+        all.into_iter()
+            .map(|(buf, pages)| (buf, pages * PAGE_SIZE))
+            .collect()
     }
 }
 
@@ -337,33 +357,46 @@ mod tests {
             msg_id,
             status: SendStatus::Ok,
         };
-        let (a, b) = (VirtAddr(0x1000), VirtAddr(0x2000));
-        assert_eq!(q.staging.take(), None, "the pool starts empty");
+        let pool = &q.staging;
+        let (a, b, c) = (VirtAddr(0x1000), VirtAddr(0x2000), VirtAddr(0x4000));
+        assert_eq!(pool.take(64), None, "the pool starts empty");
         // Held until its completion is posted; never consumed here.
-        assert_eq!(q.staging.send(a, || Ok::<_, ()>(2)), Ok(2));
-        assert_eq!(q.staging.take(), None);
+        assert_eq!(pool.send(a, 4096, || Ok::<_, ()>(2)), Ok(2));
+        assert_eq!(pool.take(64), None);
         q.push_send(done(2));
-        assert_eq!(q.staging.take(), Some(a));
+        assert_eq!(pool.take(64), Some(a));
         // A refused send gives its buffer back at once.
-        assert_eq!(q.staging.send(a, || Err(())), Err(()));
-        assert_eq!(q.staging.take(), Some(a));
+        assert_eq!(pool.send(a, 4096, || Err(())), Err(()));
+        assert_eq!(pool.take(4096), Some(a));
         // So does one whose completion was posted before it returned.
         assert_eq!(
-            q.staging.send(b, || {
+            pool.send(b, 4096, || {
                 q.push_send(done(4));
                 Ok::<_, ()>(4)
             }),
             Ok(4)
         );
-        assert_eq!(q.staging.take(), Some(b));
-        // Dropping the port takes held buffers too.
-        q.staging.send(a, || Ok::<_, ()>(6)).unwrap();
-        q.staging.send(b, || Ok::<_, ()>(8)).unwrap();
-        q.push_send(done(8));
-        let mut all = q.staging.drain();
+        assert_eq!(pool.take(1), Some(b));
+        // Take and give round-trip at a buffer's own page count only, and a
+        // staged send files its buffer back at its own count.
+        pool.give(a, 10);
+        pool.give(c, 3 * 4096);
+        pool.send(b, 8192, || Ok::<_, ()>(6)).unwrap();
+        q.push_send(done(6));
+        assert_eq!(pool.take(2 * 4096 + 1), Some(c));
+        assert_eq!(pool.take(2 * 4096 + 1), None, "one 3-page buffer");
+        assert_eq!(pool.take(5000), Some(b));
+        assert_eq!(pool.take(5000), None, "no 1-page buffer stands in");
+        assert_eq!(pool.take(0), Some(a));
+        // Dropping the port takes held buffers too, each at its own size.
+        pool.send(a, 4096, || Ok::<_, ()>(8)).unwrap();
+        pool.send(b, 8000, || Ok::<_, ()>(10)).unwrap();
+        pool.give(c, 12_288);
+        q.push_send(done(10));
+        let mut all = pool.drain();
         all.sort();
-        assert_eq!(all, vec![a, b]);
-        assert_eq!(q.depths(), (0, 3), "the events stay queued for the owner");
+        assert_eq!(all, vec![(a, 4096), (b, 8192), (c, 12_288)]);
+        assert_eq!(q.depths(), (0, 4), "the events stay queued for the owner");
     }
 
     #[test]

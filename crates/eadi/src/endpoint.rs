@@ -28,15 +28,16 @@ use suca_sim::{ActorCtx, MutexExt, SimDuration};
 use crate::header::{EadiHeader, EadiKind, EADI_HEADER};
 use crate::universe::Universe;
 
-/// EADI tunables and layer costs.
+/// Rendezvous segment size.
+const SEGMENT_BYTES: u64 = 64 * 1024;
+
+/// Most segments per rendezvous (bounds channel usage).
+const MAX_SEGMENTS: u64 = 8;
+
+/// EADI layer costs. The eager limit is not among them: a payload goes
+/// eagerly when it fits one system-channel buffer behind its header.
 #[derive(Clone, Debug)]
 pub struct EadiConfig {
-    /// Largest payload sent eagerly (must fit a system buffer with header).
-    pub eager_max: u64,
-    /// Rendezvous segment size.
-    pub segment_bytes: u64,
-    /// Max segments per rendezvous (bounds channel usage).
-    pub max_segments: u16,
     /// Sender-side per-message library overhead (queueing, header build).
     pub send_overhead: SimDuration,
     /// Receiver-side per-message overhead (matching, completion).
@@ -47,9 +48,6 @@ impl EadiConfig {
     /// DAWNING-3000 calibration (feeds Table 3 through MPI/PVM).
     pub fn dawning3000() -> EadiConfig {
         EadiConfig {
-            eager_max: 4096 - EADI_HEADER as u64,
-            segment_bytes: 64 * 1024,
-            max_segments: 8,
             send_overhead: SimDuration::from_us_f64(1.10),
             recv_overhead: SimDuration::from_us_f64(1.10),
         }
@@ -107,14 +105,23 @@ struct RndvIn {
     nsegs: u16,
     parts: Vec<Option<Vec<u8>>>,
     remaining: u16,
-    /// Segment receive buffers to recycle at completion (kept pinned and
-    /// reused across transfers, like a real MPI's registered-buffer cache).
+    /// Segment receive buffers, taken from the port's pool and given back
+    /// at completion.
     bufs: Vec<(VirtAddr, u64)>,
 }
 
 struct PendingSend {
     dst_rank: u32,
     data: Vec<u8>,
+}
+
+/// A send this endpoint launched, by BCL message id, until its completion.
+enum OwnSend {
+    /// An eager, RTS or CTS message, staged by `BclPort::send_bytes`.
+    Control,
+    /// Rendezvous `xid`'s segment, sent from pool buffer `buf` of `len`
+    /// bytes.
+    Segment { xid: u32, buf: VirtAddr, len: u64 },
 }
 
 struct EadiState {
@@ -127,16 +134,12 @@ struct EadiState {
     chan_to_rndv: HashMap<u16, u32>,
     rndv: HashMap<u32, RndvIn>,
     pending_sends: HashMap<u32, PendingSend>,
-    seg_to_xid: HashMap<u32, u32>,
+    own_sends: HashMap<u32, OwnSend>,
     segs_left: HashMap<u32, u32>,
     send_done: Vec<u32>,
     chan_used: Vec<bool>,
     /// Rendezvous grants waiting for channels to free up.
     cts_backlog: VecDeque<(RecvReq, u32, i32, u32, u64)>,
-    /// Recycled staging buffers by size class (bytes, rounded to 4 KiB).
-    buf_pool: HashMap<u64, Vec<VirtAddr>>,
-    /// BCL msg id → staging buffer to recycle on send completion.
-    buf_recycle: HashMap<u32, (VirtAddr, u64)>,
     /// Completions for sends launched outside the endpoint on the same
     /// port (NIC-offloaded collectives): msg id → status. The progress
     /// engine must not swallow these.
@@ -149,6 +152,9 @@ pub struct EadiEndpoint {
     uni: Universe,
     rank: u32,
     cfg: EadiConfig,
+    /// Largest payload sent eagerly: a system-channel buffer less the
+    /// header.
+    eager_limit: u64,
     st: Mutex<EadiState>,
 }
 
@@ -164,12 +170,18 @@ impl EadiEndpoint {
     ) -> EadiEndpoint {
         let port = BclPort::open(ctx, node, proc).expect("EADI port open");
         let n_chans = node.config().limits.normal_channels as usize;
+        let eager_limit = node
+            .config()
+            .system_pool
+            .buffer_bytes
+            .saturating_sub(EADI_HEADER as u64);
         uni.register_and_wait(ctx, rank, port.addr());
         EadiEndpoint {
             port,
             uni,
             rank,
             cfg,
+            eager_limit,
             st: Mutex::new(EadiState {
                 next_xid: 1,
                 next_req: 1,
@@ -180,13 +192,11 @@ impl EadiEndpoint {
                 chan_to_rndv: HashMap::new(),
                 rndv: HashMap::new(),
                 pending_sends: HashMap::new(),
-                seg_to_xid: HashMap::new(),
+                own_sends: HashMap::new(),
                 segs_left: HashMap::new(),
                 send_done: Vec::new(),
                 chan_used: vec![false; n_chans],
                 cts_backlog: VecDeque::new(),
-                buf_pool: HashMap::new(),
-                buf_recycle: HashMap::new(),
                 ext_done: HashMap::new(),
             }),
         }
@@ -224,26 +234,19 @@ impl EadiEndpoint {
         }
     }
 
-    // -------------------------------------------------------------- buffers
-
-    fn class_of(len: u64) -> u64 {
-        len.max(1).div_ceil(4096) * 4096
-    }
-
-    fn take_buf(&self, len: u64) -> VirtAddr {
-        let class = Self::class_of(len);
-        let recycled = self.st.locked().buf_pool.get_mut(&class).and_then(Vec::pop);
-        recycled.unwrap_or_else(|| self.port.alloc_buffer(class).expect("EADI staging buffer"))
-    }
-
-    fn recycle_on_completion(&self, msg_id: u32, buf: VirtAddr, len: u64) {
-        self.st
-            .locked()
-            .buf_recycle
-            .insert(msg_id, (buf, Self::class_of(len)));
-    }
-
     // ----------------------------------------------------------------- send
+
+    /// Send an eager, RTS or CTS message to `dst_rank` on the system
+    /// channel, staged in the port's pool.
+    fn send_control(&self, ctx: &mut ActorCtx, dst_rank: u32, header: EadiHeader, payload: &[u8]) {
+        let dst = self.uni.addr_of(dst_rank);
+        let wire = header.encode(payload);
+        let msg_id = self
+            .port
+            .send_bytes(ctx, dst, ChannelId::SYSTEM, &wire)
+            .expect("EADI control send");
+        self.st.locked().own_sends.insert(msg_id, OwnSend::Control);
+    }
 
     /// Blocking tagged send.
     pub fn send(&self, ctx: &mut ActorCtx, dst_rank: u32, tag: i32, data: &[u8]) {
@@ -254,8 +257,7 @@ impl EadiEndpoint {
     /// Non-blocking tagged send; complete via [`EadiEndpoint::wait_send`].
     pub fn isend(&self, ctx: &mut ActorCtx, dst_rank: u32, tag: i32, data: &[u8]) -> SendReq {
         ctx.sleep(self.cfg.send_overhead);
-        let dst = self.uni.addr_of(dst_rank);
-        if data.len() as u64 <= self.cfg.eager_max {
+        if data.len() as u64 <= self.eager_limit {
             // Eager: header + payload on the system channel.
             let header = EadiHeader {
                 kind: EadiKind::Eager,
@@ -265,14 +267,7 @@ impl EadiEndpoint {
                 total_len: data.len() as u32,
                 aux: 0,
             };
-            let wire = header.encode(data);
-            let buf = self.take_buf(wire.len() as u64);
-            self.port.write_buffer(buf, &wire).expect("stage eager");
-            let msg_id = self
-                .port
-                .send(ctx, dst, ChannelId::SYSTEM, buf, wire.len() as u64)
-                .expect("eager send");
-            self.recycle_on_completion(msg_id, buf, wire.len() as u64);
+            self.send_control(ctx, dst_rank, header, data);
             SendReq::Done
         } else {
             // Rendezvous: RTS now, data when CTS arrives.
@@ -297,14 +292,7 @@ impl EadiEndpoint {
                 total_len: data.len() as u32,
                 aux: 0,
             };
-            let wire = header.encode(b"");
-            let buf = self.take_buf(wire.len() as u64);
-            self.port.write_buffer(buf, &wire).expect("stage rts");
-            let msg_id = self
-                .port
-                .send(ctx, dst, ChannelId::SYSTEM, buf, wire.len() as u64)
-                .expect("rts send");
-            self.recycle_on_completion(msg_id, buf, wire.len() as u64);
+            self.send_control(ctx, dst_rank, header, b"");
             SendReq::Rendezvous(xid)
         }
     }
@@ -429,24 +417,24 @@ impl EadiEndpoint {
     fn drain_send_events(&self, ctx: &mut ActorCtx) {
         while let Some(sev) = self.port.poll_send(ctx) {
             let mut st = self.st.locked();
-            // A completion the endpoint never staged a buffer for belongs
-            // to an externally launched message (offloaded collective):
-            // park it for `wait_external` instead of dropping it.
-            if !st.buf_recycle.contains_key(&sev.msg_id) && !st.seg_to_xid.contains_key(&sev.msg_id)
-            {
-                st.ext_done.insert(sev.msg_id, sev.status);
-                continue;
-            }
-            if let Some((buf, class)) = st.buf_recycle.remove(&sev.msg_id) {
-                st.buf_pool.entry(class).or_default().push(buf);
-            }
-            if let Some(xid) = st.seg_to_xid.remove(&sev.msg_id) {
-                let left = st.segs_left.get_mut(&xid).expect("segment accounting");
-                *left -= 1;
-                if *left == 0 {
-                    st.segs_left.remove(&xid);
-                    st.pending_sends.remove(&xid);
-                    st.send_done.push(xid);
+            match st.own_sends.remove(&sev.msg_id) {
+                // A completion of a message the endpoint never sent belongs
+                // to an externally launched one (offloaded collective):
+                // park it for `wait_external` instead of dropping it.
+                None => {
+                    st.ext_done.insert(sev.msg_id, sev.status);
+                }
+                // The port's pool took the staging buffer back already.
+                Some(OwnSend::Control) => {}
+                Some(OwnSend::Segment { xid, buf, len }) => {
+                    self.port.give_buffer(buf, len);
+                    let left = st.segs_left.get_mut(&xid).expect("segment accounting");
+                    *left -= 1;
+                    if *left == 0 {
+                        st.segs_left.remove(&xid);
+                        st.pending_sends.remove(&xid);
+                        st.send_done.push(xid);
+                    }
                 }
             }
         }
@@ -519,10 +507,7 @@ impl EadiEndpoint {
     }
 
     fn segmentation(&self, total: u64) -> (u16, u64) {
-        let nsegs = total
-            .div_ceil(self.cfg.segment_bytes)
-            .min(self.cfg.max_segments as u64)
-            .max(1) as u16;
+        let nsegs = total.div_ceil(SEGMENT_BYTES).clamp(1, MAX_SEGMENTS) as u16;
         let seg = total.div_ceil(nsegs as u64);
         (nsegs, seg)
     }
@@ -538,11 +523,12 @@ impl EadiEndpoint {
         total: u64,
     ) {
         let (nsegs, seg) = self.segmentation(total);
-        // Recycled, already-pinned segment buffers where possible.
+        // Already-pinned pool buffers where the port has them.
         let bufs: Vec<(VirtAddr, u64)> = (0..nsegs)
             .map(|i| {
                 let this_len = seg.min(total - u64::from(i) * seg).max(1);
-                (self.take_buf(this_len), Self::class_of(this_len))
+                let buf = self.port.take_buffer(this_len).expect("segment buffer");
+                (buf, this_len)
             })
             .collect();
         let chan_base = {
@@ -551,8 +537,8 @@ impl EadiEndpoint {
                 // All channels busy with other transfers: grant later, when
                 // a rendezvous completes and frees its run.
                 st.cts_backlog.push_back((req, src, tag, xid, total));
-                for (buf, class) in bufs {
-                    st.buf_pool.entry(class).or_default().push(buf);
+                for (buf, len) in bufs {
+                    self.port.give_buffer(buf, len);
                 }
                 return;
             };
@@ -580,10 +566,9 @@ impl EadiEndpoint {
             base as u16
         };
         // Post one buffer per segment.
-        for i in 0..nsegs {
-            let this_len = seg.min(total - u64::from(i) * seg);
+        for (i, &(buf, len)) in (0..).zip(&bufs) {
             self.port
-                .post_recv_at(ctx, chan_base + i, bufs[i as usize].0, this_len.max(1))
+                .post_recv_at(ctx, chan_base + i, buf, len)
                 .expect("post rendezvous segment");
         }
         // CTS back to the sender.
@@ -595,15 +580,7 @@ impl EadiEndpoint {
             total_len: total as u32,
             aux: u32::from(chan_base),
         };
-        let wire = header.encode(b"");
-        let buf = self.take_buf(wire.len() as u64);
-        self.port.write_buffer(buf, &wire).expect("stage cts");
-        let dst = self.uni.addr_of(src);
-        let msg_id = self
-            .port
-            .send(ctx, dst, ChannelId::SYSTEM, buf, wire.len() as u64)
-            .expect("cts send");
-        self.recycle_on_completion(msg_id, buf, wire.len() as u64);
+        self.send_control(ctx, src, header, b"");
     }
 
     /// Sender side: CTS arrived — stream the segments.
@@ -624,7 +601,7 @@ impl EadiEndpoint {
         for i in 0..nsegs {
             let off = u64::from(i) * seg;
             let this_len = seg.min(total - off);
-            let buf = self.take_buf(this_len);
+            let buf = self.port.take_buffer(this_len).expect("segment buffer");
             self.port
                 .write_buffer(buf, &data[off as usize..(off + this_len) as usize])
                 .expect("stage segment");
@@ -632,10 +609,12 @@ impl EadiEndpoint {
                 .port
                 .send(ctx, dst, ChannelId::normal(chan_base + i), buf, this_len)
                 .expect("segment send");
-            let mut st = self.st.locked();
-            st.seg_to_xid.insert(msg_id, h.xid);
-            st.buf_recycle
-                .insert(msg_id, (buf, Self::class_of(this_len)));
+            let seg = OwnSend::Segment {
+                xid: h.xid,
+                buf,
+                len: this_len,
+            };
+            self.st.locked().own_sends.insert(msg_id, seg);
         }
     }
 
@@ -660,8 +639,8 @@ impl EadiEndpoint {
                     st.chan_to_rndv.remove(&(r.chan_base + i));
                     st.chan_used[(r.chan_base + i) as usize] = false;
                 }
-                for (buf, class) in &r.bufs {
-                    st.buf_pool.entry(*class).or_default().push(*buf);
+                for &(buf, len) in &r.bufs {
+                    self.port.give_buffer(buf, len);
                 }
                 let mut data = Vec::new();
                 for part in r.parts {
@@ -704,6 +683,46 @@ fn find_free_run(used: &[bool], n: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use suca_cluster::ClusterSpec;
+    use suca_sim::RunOutcome;
+
+    /// Every completion of the endpoint's own sends — eager, RTS, CTS and
+    /// segments — is its own: none is parked for `wait_external`.
+    #[test]
+    fn own_completions_are_never_parked_as_external() {
+        const EAGER: u32 = 200;
+        let cluster = ClusterSpec::dawning3000(2).with_trace_sampling(0).build();
+        let sim = cluster.sim.clone();
+        let uni = Universe::new(&sim, 2);
+        for rank in 0..2 {
+            let uni = uni.clone();
+            cluster.spawn_process(rank, format!("rank{rank}"), move |ctx, env| {
+                let cfg = EadiConfig::dawning3000();
+                let ep = EadiEndpoint::create(ctx, &env.node.bcl, &env.proc, uni, rank, cfg);
+                let peer = 1 - rank;
+                if rank == 0 {
+                    for i in 0..EAGER {
+                        ep.send(ctx, peer, 1, &i.to_le_bytes());
+                    }
+                    ep.send(ctx, peer, 2, &[7; 20_000]);
+                } else {
+                    for i in 0..EAGER {
+                        assert_eq!(ep.recv(ctx, Some(peer), Some(1)).data, i.to_le_bytes());
+                    }
+                    assert_eq!(ep.recv(ctx, Some(peer), Some(2)).data, [7; 20_000]);
+                }
+                // Both ranks sent: an ack each way, then drain what is left.
+                ep.send(ctx, peer, 3, b"done");
+                ep.recv(ctx, Some(peer), Some(3));
+                ctx.sleep(SimDuration::from_us(500));
+                ep.try_progress(ctx);
+                let st = ep.st.locked();
+                assert!(st.ext_done.is_empty(), "rank {rank}: own completion parked");
+                assert!(st.own_sends.is_empty(), "rank {rank}: completion not seen");
+            });
+        }
+        assert_eq!(sim.run(), RunOutcome::Completed);
+    }
 
     #[test]
     fn free_run_finder() {

@@ -13,7 +13,6 @@ use std::sync::{Arc, Mutex};
 
 use suca_bcl::BclNode;
 use suca_eadi::{EadiConfig, EadiEndpoint, RecvReq, SendReq, Universe};
-use suca_mem::VirtAddr;
 use suca_os::OsProcess;
 use suca_sim::{ActorCtx, MutexExt, SimDuration};
 
@@ -80,9 +79,6 @@ pub struct Comm {
     /// Next collective id. Every rank issues collectives in the same
     /// order, so the local counter yields the same id cluster-wide.
     pub(crate) coll_id: Mutex<u32>,
-    /// The offload payload and result buffers, allocated by the first
-    /// offloaded collective and kept, so later ones hit the pin-down cache.
-    pub(crate) offload_bufs: Mutex<Option<[VirtAddr; 2]>>,
 }
 
 impl Comm {
@@ -105,7 +101,6 @@ impl Comm {
             fabric: node.fabric_name(),
             max_coll_payload,
             coll_id: Mutex::new(1),
-            offload_bufs: Mutex::new(None),
         }
     }
 
@@ -220,15 +215,5 @@ impl Comm {
         *seq += 1;
         // Cycle within a window to stay far from user tags.
         COLLECTIVE_TAG_BASE - (*seq % 100_000)
-    }
-}
-
-impl Drop for Comm {
-    /// The offload buffers die with the communicator.
-    fn drop(&mut self) {
-        if let Some(bufs) = self.offload_bufs.locked().take() {
-            // Nothing to report to from a drop, which must not panic.
-            let _ = self.free_offload_bufs(bufs);
-        }
     }
 }

@@ -27,9 +27,8 @@
 //! values MPI semantics already require to agree cluster-wide: the
 //! communicator size, the element count, and the shared configuration.
 
-use suca_bcl::{BclError, CollOp, CollStep, SendStatus};
+use suca_bcl::{CollOp, CollStep, SendStatus};
 use suca_coll::{CollKind, Combine, PlanRegistry, PlanStep};
-use suca_mem::VirtAddr;
 use suca_sim::{ActorCtx, MutexExt};
 
 use crate::comm::Comm;
@@ -155,35 +154,6 @@ impl Comm {
         step.ok()
     }
 
-    /// This communicator's offload payload and result buffers, one
-    /// fragment's largest contribution each.
-    fn alloc_offload_bufs(&self, ctx: &ActorCtx) -> Option<[VirtAddr; 2]> {
-        let port = self.eadi.port();
-        let bytes = self.max_coll_payload;
-        let payload = self.launch_step(
-            ctx,
-            port.alloc_buffer(bytes),
-            "mpi: no buffer for a collective payload",
-        )?;
-        let result = self.launch_step(
-            ctx,
-            port.alloc_buffer(bytes),
-            "mpi: no buffer for a collective result",
-        );
-        if result.is_none() {
-            let freed = port.free_buffer(payload, bytes);
-            self.launch_step(ctx, freed, "mpi: collective payload buffer not freed");
-        }
-        Some([payload, result?])
-    }
-
-    /// Free offload buffers from [`Comm::alloc_offload_bufs`].
-    pub(crate) fn free_offload_bufs(&self, bufs: [VirtAddr; 2]) -> Result<(), BclError> {
-        let port = self.eadi.port();
-        let [payload, result] = bufs.map(|buf| port.free_buffer(buf, self.max_coll_payload));
-        payload.and(result)
-    }
-
     /// The NIC executor: launch `steps` as one offloaded collective and
     /// wait for its completion.
     ///
@@ -211,12 +181,16 @@ impl Comm {
                 chunk: s.chunk,
             })
             .collect();
+        // The payload and result buffers, one fragment's largest
+        // contribution each, from the port's pool.
         let port = self.eadi.port();
-        let bufs = match self.offload_bufs.locked().take() {
-            Some(bufs) => bufs,
-            None => self.alloc_offload_bufs(ctx)?,
+        let buf_bytes = self.max_coll_payload;
+        let take = |ctx: &ActorCtx, what| self.launch_step(ctx, port.take_buffer(buf_bytes), what);
+        let payload_buf = take(ctx, "mpi: no buffer for a collective payload")?;
+        let Some(result_buf) = take(ctx, "mpi: no buffer for a collective result") else {
+            port.give_buffer(payload_buf, buf_bytes);
+            return None;
         };
-        let [payload_buf, result_buf] = bufs;
         // Stage the contribution, hand the NIC the descriptor, wait for the
         // completion, read the result back.
         let run = |ctx: &mut ActorCtx| {
@@ -265,13 +239,17 @@ impl Comm {
         };
         let result = run(ctx);
         if result.is_some() {
-            // Kept for the next run: its pages stay in the pin-down table.
-            *self.offload_bufs.locked() = Some(bufs);
+            // Back to the pool, so the next run takes them in the same
+            // roles: their pages stay in the pin-down table.
+            port.give_buffer(result_buf, buf_bytes);
+            port.give_buffer(payload_buf, buf_bytes);
         } else {
-            // A failed run may have left the NIC holding the pages: give
-            // them up (the NIC keeps what it may still touch) and let the
-            // next run allocate afresh.
-            let freed = self.free_offload_bufs(bufs);
+            // A failed run may have left the NIC holding the pages: free
+            // them (the NIC keeps what it may still touch) rather than let
+            // a later take re-use them.
+            let freed = port
+                .free_buffer(payload_buf, buf_bytes)
+                .and(port.free_buffer(result_buf, buf_bytes));
             self.launch_step(ctx, freed, "mpi: collective buffers not freed");
         }
         result

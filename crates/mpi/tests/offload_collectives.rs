@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use suca_cluster::{Cluster, ClusterSpec};
 use suca_coll::{Algorithm, CollKind, Plan, PlanRegistry, Topology};
-use suca_eadi::Universe;
+use suca_eadi::{Universe, EADI_HEADER};
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
 use suca_sim::mtrace::{check_completeness, stage, ChainPolicy};
 use suca_sim::{MutexExt, RunOutcome};
@@ -336,7 +336,9 @@ fn offloaded_matches_host_reference() {
 fn host_executor_runs_plans_the_nic_cannot_take() {
     const NODES: u32 = 4;
     const RANKS: u32 = 8;
-    let eager_max = MpiConfig::dawning3000().eadi.eager_max;
+    // EADI's eager limit: a system-channel buffer less its header.
+    let eager_limit =
+        ClusterSpec::dawning3000(NODES).bcl.system_pool.buffer_bytes - EADI_HEADER as u64;
     for (name, topology, len, algorithm) in [
         ("mesh", Topology::Mesh2D, 600, Algorithm::RecursiveDoubling),
         (
@@ -353,7 +355,7 @@ fn host_executor_runs_plans_the_nic_cannot_take() {
         ),
     ] {
         let bytes = (len * 8) as u64;
-        assert!(bytes > eager_max, "{name}/{len}: payload would go eager");
+        assert!(bytes > eager_limit, "{name}/{len}: payload would go eager");
         assert_eq!(
             PlanRegistry::new(topology).select(CollKind::Allreduce, RANKS),
             algorithm

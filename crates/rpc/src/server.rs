@@ -24,10 +24,22 @@ use suca_mem::VirtAddr;
 use suca_sim::mtrace::stage;
 use suca_sim::{ActorCtx, Counter, Gauge, Metrics, SimDuration, TraceEvent, TraceId, TraceLayer};
 
-use crate::frame::{RpcFrame, RpcKind, ARENA_CHANNEL};
+use crate::frame::{RpcFrame, RpcKind, ARENA_CHANNEL, FRAME_BYTES};
 use crate::tenant::{Priority, TenantId, TenantPolicy};
 
-/// Server policy knobs.
+/// Scratch-buffer size — the largest RMA response a server emits.
+const SCRATCH_BYTES: u64 = 16 * 1024;
+
+/// Scratch-ring depth: RMA responses that may be in flight at once. The
+/// NIC DMAs out of the scratch buffer *after* `rma_write` returns, so a
+/// buffer is only reusable once its send completion arrives; the ring lets
+/// that overlap service work instead of serializing every large response on
+/// its own DMA.
+const SCRATCH_SLOTS: usize = 8;
+
+/// Server policy knobs. The inline limit is not among them: a response or
+/// push goes inline when it fits one system-channel buffer behind its
+/// frame, and a larger response is RMA-written into the client's arena.
 #[derive(Clone, Debug)]
 pub struct RpcServerConfig {
     /// Admission-queue bound: arrivals beyond this are shed. This is the
@@ -35,18 +47,6 @@ pub struct RpcServerConfig {
     /// layer where a reject is cheap, not at the transport where it costs
     /// go-back-N retransmissions.
     pub queue_cap: usize,
-    /// Responses larger than this are RMA-written into the client's arena
-    /// instead of travelling inline on the system channel. Default leaves
-    /// room for the frame header in one 4 KB pool buffer.
-    pub rma_threshold: u64,
-    /// Scratch-buffer size — the largest RMA response this server emits.
-    pub scratch_bytes: u64,
-    /// Scratch-ring depth: RMA responses that may be in flight at once.
-    /// The NIC DMAs out of the scratch buffer *after* `rma_write` returns,
-    /// so a buffer is only reusable once its send completion arrives;
-    /// the ring lets that overlap service work instead of serializing
-    /// every large response on its own DMA.
-    pub scratch_slots: usize,
     /// [`RpcServer::serve_until_idle`] returns after the port stays quiet
     /// this long with an empty queue.
     pub idle_timeout: SimDuration,
@@ -62,9 +62,6 @@ impl Default for RpcServerConfig {
     fn default() -> Self {
         RpcServerConfig {
             queue_cap: 256,
-            rma_threshold: 4080,
-            scratch_bytes: 16 * 1024,
-            scratch_slots: 8,
             idle_timeout: SimDuration::from_us(2_000),
             tenants: Vec::new(),
         }
@@ -87,8 +84,8 @@ pub struct RpcRequest<'a> {
 
 /// A server-initiated event to deliver alongside a response (pub-sub
 /// fan-out). Pushes are inline-only: a payload larger than the server's
-/// `rma_threshold` is a protocol error (counted, flight-recorded,
-/// dropped), never a wedged channel.
+/// inline limit is a protocol error (counted, flight-recorded, dropped),
+/// never a wedged channel.
 #[derive(Clone, Debug)]
 pub struct RpcPush {
     /// Destination client port.
@@ -151,6 +148,9 @@ pub struct RpcServer {
     tenant_queued: HashMap<u8, usize>,
     tenant_counters: HashMap<u8, TenantCounters>,
     metrics: Metrics,
+    /// Largest inline response or push payload: a system-channel buffer
+    /// less the frame header.
+    inline_max: u64,
     /// RMA scratch ring: buffer, plus the in-flight transfer's message id
     /// (`None` = free). A buffer whose DMA has not completed must not be
     /// rewritten — the NIC reads it lazily, chunk by chunk.
@@ -176,9 +176,14 @@ pub struct RpcServer {
 impl RpcServer {
     /// Allocate the RMA scratch ring and register instruments.
     pub fn new(ctx: &mut ActorCtx, port: BclPort, cfg: RpcServerConfig) -> Result<Self, BclError> {
-        let scratch = (0..cfg.scratch_slots.max(1))
-            .map(|_| Ok((port.alloc_buffer(cfg.scratch_bytes)?, None)))
+        let scratch = (0..SCRATCH_SLOTS)
+            .map(|_| Ok((port.alloc_buffer(SCRATCH_BYTES)?, None)))
             .collect::<Result<Vec<_>, BclError>>()?;
+        let inline_max = port
+            .config()
+            .system_pool
+            .buffer_bytes
+            .saturating_sub(FRAME_BYTES as u64);
         let addr = port.addr();
         let node = addr.node.0;
         let m = ctx.sim().metrics();
@@ -199,6 +204,7 @@ impl RpcServer {
             queue_low: VecDeque::new(),
             tenant_queued: HashMap::new(),
             tenant_counters: HashMap::new(),
+            inline_max,
             scratch,
             scratch_next: 0,
             node,
@@ -479,7 +485,7 @@ impl RpcServer {
         }
         self.c_served.inc();
         let resp = reply.payload;
-        if resp.len() as u64 > self.cfg.rma_threshold {
+        if resp.len() as u64 > self.inline_max {
             self.respond_rma(ctx, &req, &resp);
         } else {
             self.c_inline.inc();
@@ -504,12 +510,12 @@ impl RpcServer {
     /// error that trips the flight recorder — pushes are inline-only and
     /// must fit the system channel's pool buffer.
     fn send_push(&mut self, ctx: &mut ActorCtx, push: &RpcPush) {
-        if push.payload.len() as u64 > self.cfg.rma_threshold {
+        if push.payload.len() as u64 > self.inline_max {
             self.c_push_oversize.inc();
             ctx.sim().msg_trace().dump_once(&format!(
                 "rpc push payload {}B exceeds inline bound {}B (tenant {}, class {})",
                 push.payload.len(),
-                self.cfg.rma_threshold,
+                self.inline_max,
                 push.tenant,
                 push.op_class
             ));
@@ -534,12 +540,12 @@ impl RpcServer {
         // A handler response that outgrows the scratch buffer is a server
         // bug, but on a monitored run it must surface as a counted,
         // flight-recorded shed — not a corrupted write or a panic.
-        if resp.len() as u64 > self.cfg.scratch_bytes {
+        if resp.len() as u64 > SCRATCH_BYTES {
             self.c_oversize.inc();
             ctx.sim().msg_trace().dump_once(&format!(
                 "rpc response {}B exceeds scratch buffer {}B (tenant {}, class {})",
                 resp.len(),
-                self.cfg.scratch_bytes,
+                SCRATCH_BYTES,
                 req.tenant,
                 req.op_class
             ));

@@ -284,3 +284,30 @@ fn large_response_travels_via_rma_and_verifies() {
     let report = check_completeness(&cluster.trace_events(), &ChainPolicy::bcl());
     assert!(report.is_closed(), "violations: {:?}", report.violations);
 }
+
+/// Responses either side of the inline limit — one system-channel buffer
+/// less the frame header — all come back whole: up to it inline, past it
+/// by RMA. A response that fits the buffer only without its frame must not
+/// go inline, where the kernel refuses it and the client times out.
+#[test]
+fn responses_around_the_inline_limit_all_arrive() {
+    let body = |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 7 + len) as u8).collect() };
+    let handler = move |_ctx: &mut ActorCtx, _op: u8, req: &[u8]| {
+        body(u16::from_le_bytes([req[0], req[1]]) as usize)
+    };
+    let cluster = rpc_pair(
+        RpcServerConfig::default(),
+        RpcClientConfig::default(),
+        handler,
+        move |ctx, cli, dst| {
+            for len in 4_076u16..=4_081 {
+                let c = cli.call(ctx, dst, 0, &len.to_le_bytes()).expect("call");
+                assert_eq!(c.status, RpcStatus::Ok, "{len} B response");
+                assert_eq!(c.payload, body(len as usize), "{len} B response");
+            }
+            cli.quiesce(ctx, SimDuration::from_us(200));
+        },
+    );
+    assert_eq!(cluster.sim.get_count("rpc.srv_inline_responses"), 1);
+    assert_eq!(cluster.sim.get_count("rpc.srv_rma_responses"), 5);
+}

@@ -229,7 +229,7 @@ proptest! {
 
     #[test]
     fn wire_invalid_kind_bytes_are_rejected(
-        bad_kind in 8u8..=255, // 1..=7 are the valid WireKind encodings; 0 is reserved
+        bad_kind in 10u8..=255, // 1..=9 are the valid WireKind encodings; 0 is reserved
         payload in prop::collection::vec(any::<u8>(), 0..512),
     ) {
         let header = suca::bcl::wire::WireHeader {
@@ -369,6 +369,37 @@ proptest! {
             }
         }
         prop_assert_eq!(delivered, (0..n as u32).collect::<Vec<u32>>());
+    }
+}
+
+/// Every valid kind byte, 1..=9, decodes to its own kind and re-encodes to
+/// the same packet.
+#[test]
+fn wire_every_valid_kind_byte_round_trips() {
+    let header = WireHeader {
+        kind: suca::bcl::wire::WireKind::Data,
+        channel: ChannelId::normal(1),
+        src_port: suca::bcl::PortId(3),
+        dst_port: suca::bcl::PortId(4),
+        msg_id: 9,
+        seq: 17,
+        offset: 0,
+        total_len: 3,
+        frag_len: 3,
+        epoch: 0,
+    };
+    let mut raw = header.encode(b"abc").to_vec();
+    let mut kinds = Vec::new();
+    for kind in 1u8..=9 {
+        raw[0] = kind;
+        let (decoded, payload) = WireHeader::decode(&raw).expect("a valid kind byte");
+        assert_eq!(payload, b"abc");
+        assert_eq!(&decoded.encode(payload)[..], &raw[..], "kind byte {kind}");
+        assert!(
+            !kinds.contains(&decoded.kind),
+            "kind byte {kind} decodes to a taken kind"
+        );
+        kinds.push(decoded.kind);
     }
 }
 
