@@ -305,11 +305,10 @@ fn main() {
                     p.attributed_pct()
                 );
                 // Cap on the scheduler's own overhead (the pop phase). The
-                // profiler attributes the large-run slowdown to actor-thread
-                // baton handoffs inside dispatch (~90% of wall at 512 nodes,
-                // an OS context-switch cost structural to thread-backed
-                // actors, not an engine cost); this assertion keeps the
-                // engine's share from regressing back into the picture.
+                // rest of the wall clock is dispatch: handlers, and each
+                // wake's stack switch plus the actor's own run (BCL calls,
+                // payload copies); this assertion keeps the engine's share
+                // from growing into the picture.
                 assert!(
                     p.pop_ns * 4 <= p.attributed_ns(),
                     "{fabric}/512: queue pop takes {:.1}% of attributed wall (cap 25%)",

@@ -10,8 +10,7 @@
 //! * [`gen`] — open-loop (fixed-seed Poisson-like arrivals) and
 //!   closed-loop (think-time users) generators. Thousands of simulated
 //!   users are multiplexed over a few dozen client actors — one
-//!   [`suca_rpc::RpcClient`] per actor — because each spawned simulation
-//!   process is an OS thread.
+//!   [`suca_rpc::RpcClient`] per actor.
 //! * [`slo`] — a deterministic SLO report (per-op-class p50/p95/p99/p99.9,
 //!   goodput, shed/timeout/retry accounting) written to `target/slo/`.
 //!

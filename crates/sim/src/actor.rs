@@ -1,34 +1,26 @@
-//! Thread-backed simulation actors.
+//! Simulation actors: blocking code on stackful coroutines.
 //!
 //! Application code in this reproduction (the processes that call the BCL
 //! API, the MPI ranks, …) is written as ordinary blocking Rust. Each such
-//! process runs on a real OS thread, but the engine enforces that **exactly
-//! one thread runs at a time**: the one holding the baton. Execution is
-//! therefore sequential and fully deterministic even though the code is
-//! multi-threaded; virtual time only advances through the event queue.
-//!
-//! The baton stays on the thread that parks. A parking actor runs the event
-//! loop itself ([`Sim::drive`](crate::Sim)): closure and poller events run
-//! inline on its stack, its *own* wakeup simply returns from `park()` with no
-//! thread switch at all, and a wakeup for another actor is one direct
-//! hand-off:
+//! process runs on a coroutine stack of its own ([`crate::coro`]), on the OS
+//! thread that called [`Sim::run`](crate::Sim::run). The driver loop runs on
+//! that caller's stack: closure and poller events run inline, and a wakeup
+//! switches into the actor it names, which runs until it parks and switches
+//! back:
 //!
 //! ```text
-//! actor A (parking, drives)             actor B (blocked on its mailbox)
-//! -------------------------             --------------------------------
-//! pop Call / Poll        run inline
-//! pop Wake(A, gen)       return from park()        -- no switch
-//! pop Wake(B, gen)
-//! B.mailbox.post(Run) ────────────────► wait() returns, user code runs
-//! A.mailbox.wait()                      (B parks: B drives from here on)
+//! driver (the `run` caller's stack)     actor B (its own stack)
+//! ---------------------------------     -----------------------
+//! pop Call / Poll       run inline
+//! pop Wake(B, gen)      switch ───────► park() returns, user code runs
+//!                                       ctx.sleep(..) -> park()
+//! next event            ◄─────── switch
 //! ```
 //!
-//! The thread blocked in `Sim::run` starts the loop and then sleeps until a
-//! driver reports that the queue drained, the time limit was reached, or
-//! something panicked. A mailbox hand-off is `store(Release)` + `unpark`,
-//! the wait is `swap(Acquire)` in a `park()` loop; that pair is the
-//! happens-before edge between consecutive baton holders, which the engine's
-//! `Relaxed` atomics (clock, event counters) rely on.
+//! Exactly one stack runs at a time and virtual time advances only through
+//! the event queue, so execution is sequential and fully deterministic. A
+//! switch is a function call into a few dozen instructions; no OS thread is
+//! created or woken.
 //!
 //! Parks are *generational*: every park gets a fresh generation number and a
 //! `WakeActor` event only resumes the actor if the generations match. Stale
@@ -36,10 +28,8 @@
 //! instead of resuming the actor early.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
-use std::thread::{JoinHandle, Thread};
 
+use crate::coro::{Coro, Link};
 use crate::engine::Sim;
 use crate::time::{SimDuration, SimTime};
 
@@ -54,67 +44,16 @@ impl ActorId {
     }
 }
 
-/// Zero-sized panic payload used to unwind actor threads at teardown.
-/// Recognized (and swallowed) by the actor runner and the global panic hook.
-pub(crate) struct ShutdownToken;
-
-/// One-slot mailbox an actor thread blocks on while it does not hold the
-/// baton.
-pub(crate) struct Mailbox(AtomicU8);
-
-const EMPTY: u8 = 0;
-const RUN: u8 = 1;
-const SHUTDOWN: u8 = 2;
-
-impl Mailbox {
-    fn post(&self, msg: u8, owner: &Thread) {
-        // Release: everything the poster did under the baton is visible to
-        // the owner once its Acquire swap in `wait` reads this message.
-        self.0.store(msg, Ordering::Release);
-        owner.unpark();
-    }
-
-    /// Hand the baton to `owner`, the thread blocked on this mailbox.
-    pub(crate) fn post_run(&self, owner: &Thread) {
-        self.post(RUN, owner);
-    }
-
-    /// Tell `owner` the simulation is being torn down.
-    pub(crate) fn post_shutdown(&self, owner: &Thread) {
-        self.post(SHUTDOWN, owner);
-    }
-
-    /// Block until the baton (`Ok`) or a teardown order (`Err`) arrives.
-    /// `park` can return spuriously or on a left-over token, so the slot is
-    /// re-checked every time.
-    fn wait(&self) -> Result<(), ShutdownToken> {
-        loop {
-            match self.0.swap(EMPTY, Ordering::Acquire) {
-                EMPTY => std::thread::park(),
-                RUN => return Ok(()),
-                _ => return Err(ShutdownToken),
-            }
-        }
-    }
-}
-
 /// Scheduler-side record of one actor.
 pub(crate) struct ActorRecord {
     pub(crate) name: String,
-    pub(crate) mailbox: Arc<Mailbox>,
-    /// The actor's thread, to unpark after posting to `mailbox`.
-    pub(crate) thread: Thread,
     /// Park generation; a `WakeActor` event must match this to resume.
     pub(crate) gen: u64,
-    pub(crate) status: ActorStatus,
-    pub(crate) join: Option<JoinHandle<()>>,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ActorStatus {
-    Parked,
-    Running,
-    Done,
+    /// The suspended coroutine. The driver takes it out while the actor
+    /// runs, and drops it (unmapping the stack) once the actor finished.
+    pub(crate) coro: Option<Coro>,
+    /// Set as the body returns (`Ok`) or panics (`Err(message)`).
+    pub(crate) exit: Option<Result<(), String>>,
 }
 
 /// Handle passed to actor bodies; the actor's view of the simulation.
@@ -125,7 +64,6 @@ pub struct ActorCtx {
     sim: Sim,
     id: ActorId,
     name: String,
-    mailbox: Arc<Mailbox>,
 }
 
 impl ActorCtx {
@@ -162,8 +100,8 @@ impl ActorCtx {
         self.park();
     }
 
-    /// Yield the baton without advancing time: all other events scheduled at
-    /// the current instant run before this actor resumes.
+    /// Yield without advancing time: all other events scheduled at the
+    /// current instant run before this actor resumes.
     pub fn yield_now(&mut self) {
         let gen = self.sim.next_park_gen(self.id);
         let id = self.id;
@@ -174,70 +112,58 @@ impl ActorCtx {
     /// Park until a matching wakeup. Internal: used by `sleep` and signals,
     /// which must have arranged a wake *before* calling this.
     pub(crate) fn park(&mut self) {
-        self.sim.mark_parked(self.id);
-        // Keep the baton and run the event loop here until this actor's own
-        // wakeup comes up; if the baton went elsewhere first, wait for it.
-        if !self.sim.drive(Some(self.id)) {
-            if let Err(token) = self.mailbox.wait() {
-                panic::panic_any(token);
-            }
-        }
+        // SAFETY: an `ActorCtx` exists only on its actor's own stack (the
+        // body borrows it for its whole run and cannot move it out), and
+        // that actor runs only when this sim's driver resumed it.
+        unsafe { self.sim.link().suspend() };
     }
 }
 
-/// Spawn machinery, called from [`Sim::spawn`].
-pub(crate) fn spawn_actor_thread(
+/// What a new actor's stack starts with: leaked by [`new_coro`], taken back
+/// by [`actor_main`] on the first resume.
+struct Start {
+    ctx: ActorCtx,
+    body: Box<dyn FnOnce(&mut ActorCtx) + Send + 'static>,
+}
+
+/// Spawn machinery, called from [`Sim::spawn`]: a coroutine whose first
+/// resume runs `body`.
+pub(crate) fn new_coro(
     sim: Sim,
     id: ActorId,
     name: String,
     body: Box<dyn FnOnce(&mut ActorCtx) + Send + 'static>,
-) -> (Arc<Mailbox>, JoinHandle<()>) {
-    let mailbox = Arc::new(Mailbox(AtomicU8::new(EMPTY)));
-    let thread_name = format!("sim-actor-{}-{}", id.0, name);
-    let mut ctx = ActorCtx {
-        sim,
-        id,
-        name,
-        mailbox: mailbox.clone(),
-    };
-    let join = std::thread::Builder::new()
-        .name(thread_name)
-        .spawn(move || {
-            // Wait to be scheduled for the first time.
-            if ctx.mailbox.wait().is_err() {
-                return;
-            }
-            let panicked = match panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
-                Ok(()) => None,
-                // Teardown unwind: exit quietly, nobody is listening.
-                Err(payload) if payload.is::<ShutdownToken>() => return,
-                Err(payload) => Some(if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "<non-string panic payload>".to_string()
-                }),
-            };
-            ctx.sim.actor_exited(id, panicked);
-        })
-        .expect("failed to spawn actor thread");
-    (mailbox, join)
+) -> Coro {
+    let start = Box::new(Start {
+        ctx: ActorCtx { sim, id, name },
+        body,
+    });
+    Coro::new(actor_main, Box::into_raw(start).cast())
 }
 
-/// Install a process-global panic hook that silences [`ShutdownToken`]
-/// unwinds (they are control flow, not errors) while delegating everything
-/// else to the previously installed hook. Idempotent.
-pub(crate) fn install_quiet_shutdown_hook() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<ShutdownToken>().is_some() {
-                return;
-            }
-            prev(info);
-        }));
+/// The coroutine base. It never returns: the finished actor switches to the
+/// driver for good, which unmaps the stack.
+extern "C" fn actor_main(start: *mut u8) -> ! {
+    // SAFETY: `new_coro` leaked this `Box<Start>` for exactly this call.
+    let start = unsafe { Box::from_raw(start.cast::<Start>()) };
+    let link = run_body(*start);
+    // SAFETY: this is the actor's own stack, resumed by the driver of the
+    // sim `link` belongs to, and `run_body` dropped every value on it.
+    unsafe { Link::finish(link) }
+}
+
+/// Run the body to its end, catching a panic, and record the exit. Every
+/// value on the coroutine stack is dropped by the time this returns.
+fn run_body(Start { mut ctx, body }: Start) -> *const Link {
+    let exit = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx))).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "<non-string panic payload>".to_string()
+        }
     });
+    ctx.sim.actor_exited(ctx.id, exit);
+    ctx.sim.link()
 }

@@ -3,7 +3,7 @@
 //! Events are `(time, seq)`-ordered, ties broken by insertion order, so runs
 //! are bit-for-bit reproducible. Three kinds of events exist: boxed closures
 //! (used by hardware models — NIC firmware, DMA engines, switches), actor
-//! wakeups (used by thread-backed application processes, see
+//! wakeups (used by application processes on coroutine stacks, see
 //! [`crate::actor`]), and unboxed poller ticks (used by descriptor-ring
 //! firmware loops, see [`Sim::register_poller`]).
 //!
@@ -11,9 +11,10 @@
 //!
 //! All events live in one binary heap keyed `(time, seq)` plus a live-event
 //! set, behind one mutex. `seq` is a single counter bumped in program order,
-//! and exactly one thread — whichever holds the baton, see [`crate::actor`]
-//! — runs at a time, so the dispatch order is the strict `(time, seq)` order
-//! and a fixed seed yields byte-identical reports on every rerun. The
+//! and exactly one stack — the driver loop's or one actor's, see
+//! [`crate::actor`] — runs at a time, so the dispatch order is the strict
+//! `(time, seq)` order and a fixed seed yields byte-identical reports on
+//! every rerun. The
 //! self-profiler ([`suca_obs::prof`], enabled via [`Sim::set_profiling`])
 //! counts per-kind dispatch cost and times the pop phase.
 
@@ -23,14 +24,13 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::Thread;
+use std::thread::ThreadId;
 use std::time::Instant;
 
 use suca_obs::prof::{KIND_CALL, KIND_POLL, KIND_WAKE};
 
-use crate::actor::{
-    install_quiet_shutdown_hook, spawn_actor_thread, ActorCtx, ActorId, ActorRecord, ActorStatus,
-};
+use crate::actor::{new_coro, ActorCtx, ActorId, ActorRecord};
+use crate::coro::Link;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::MutexExt;
@@ -104,45 +104,27 @@ struct Queue {
 /// Profiler stamp opening a dispatch interval: `(start, allocs, bytes)`.
 type Stamp = (Instant, u64, u64);
 
-/// Scheduler state that travels with the baton. Only the baton holder locks
-/// it, so the mutex is never contended.
-struct DriveState {
-    limit: SimTime,
-    /// A `Wake`'s dispatch interval covers the hand-off and the actor's run,
-    /// so it stays open until the next [`Sim::next_event`], on any thread.
-    open_wake: Option<Stamp>,
-}
-
-/// What a driver tells the thread blocked in [`Sim::run`] when it gives the
-/// baton back.
-enum RunReport {
-    /// The queue drained or the next event lies past the limit.
-    Idle,
+/// Why the driver loop stopped before the queue drained.
+enum Abort {
     /// A handler or poller panicked; `run` re-raises the payload.
     HandlerPanic(Box<dyn Any + Send>),
     /// An actor's body panicked: `(name, message)`.
     ActorPanic(String, String),
 }
 
-/// Mailbox of the thread blocked in [`Sim::run`].
-struct RunCaller {
-    thread: Thread,
-    report: Option<RunReport>,
-}
-
 pub(crate) struct SimInner {
     queue: Mutex<Queue>,
-    /// Actor table: mutated only by the baton holder, kept in one mutex
-    /// separate from the hot event queue.
+    /// Actor table, kept in one mutex separate from the hot event queue.
     actors: Mutex<Vec<ActorRecord>>,
+    /// Stack-pointer slots for switching between the driver loop and the
+    /// actor it resumed.
+    link: Link,
     /// Current virtual time in ns. Atomic so `Sim::now` never touches a
     /// queue lock from hot paths.
     now_ns: AtomicU64,
     /// Global event sequence counter; allocation order == program order.
     seq: AtomicU64,
     dispatched: AtomicU64,
-    drive: Mutex<DriveState>,
-    run_caller: Mutex<RunCaller>,
     running: AtomicBool,
     seed: u64,
     /// Registered poller callbacks, indexed by `PollerId`. Append-only.
@@ -172,14 +154,13 @@ pub(crate) struct SimInner {
     health: suca_obs::health::HealthEngine,
 }
 
-/// Resets `running` (and the open profiler interval) even when `run_inner`
-/// re-raises a handler or actor panic, so a harness that catches the panic
-/// can run the same `Sim` again instead of dying on the reentrancy assert.
+/// Resets `running` even when `run_inner` re-raises a handler or actor
+/// panic, so a harness that catches the panic can run the same `Sim` again
+/// instead of dying on the reentrancy assert.
 struct RunningGuard<'a>(&'a SimInner);
 
 impl Drop for RunningGuard<'_> {
     fn drop(&mut self) {
-        self.0.drive.locked().open_wake = None;
         self.0.running.store(false, Ordering::Release);
     }
 }
@@ -196,7 +177,6 @@ impl Sim {
     /// every random decision in the run (fault injection, jitter), so a
     /// `(seed, program)` pair is a complete reproduction recipe.
     pub fn new(seed: u64) -> Self {
-        install_quiet_shutdown_hook();
         let metrics = suca_obs::Metrics::new();
         metrics.set_meta("seed", seed.to_string());
         Sim {
@@ -206,17 +186,10 @@ impl Sim {
                     live: HashSet::new(),
                 }),
                 actors: Mutex::new(Vec::new()),
+                link: Link::default(),
                 now_ns: AtomicU64::new(0),
                 seq: AtomicU64::new(0),
                 dispatched: AtomicU64::new(0),
-                drive: Mutex::new(DriveState {
-                    limit: SimTime::MAX,
-                    open_wake: None,
-                }),
-                run_caller: Mutex::new(RunCaller {
-                    thread: std::thread::current(),
-                    report: None,
-                }),
                 running: AtomicBool::new(false),
                 seed,
                 pollers: RwLock::new(Vec::new()),
@@ -296,24 +269,24 @@ impl Sim {
         self.inner.queue.locked().live.remove(&id.0)
     }
 
-    /// Spawn a thread-backed actor; it starts running at the current instant
-    /// (after already-scheduled events at this instant).
+    /// Spawn an actor on a coroutine stack of its own; it starts running at
+    /// the current instant (after already-scheduled events at this instant).
     pub fn spawn(
         &self,
         name: impl Into<String>,
         body: impl FnOnce(&mut ActorCtx) + Send + 'static,
     ) -> ActorId {
         let name = name.into();
-        let id = ActorId(self.inner.actors.locked().len() as u32);
-        let (mailbox, join) = spawn_actor_thread(self.clone(), id, name.clone(), Box::new(body));
-        self.inner.actors.locked().push(ActorRecord {
+        let mut actors = self.inner.actors.locked();
+        let id = ActorId(u32::try_from(actors.len()).expect("actor table overflow"));
+        let coro = new_coro(self.clone(), id, name.clone(), Box::new(body));
+        actors.push(ActorRecord {
             name,
-            mailbox,
-            thread: join.thread().clone(),
             gen: 0,
-            status: ActorStatus::Parked,
-            join: Some(join),
+            coro: Some(coro),
+            exit: None,
         });
+        drop(actors);
         let now = self.now();
         self.push_event(now, EventAction::Wake(id, 0));
         id
@@ -336,33 +309,19 @@ impl Sim {
             "Sim::run called reentrantly"
         );
         let _guard = RunningGuard(&self.inner);
-        self.inner.drive.locked().limit = limit;
-        {
-            let mut rc = self.inner.run_caller.locked();
-            rc.thread = std::thread::current();
-            rc.report = None;
-        }
         let prof_t0 = self.prof_on().then(|| {
             crate::alloc::set_counting(true);
             Instant::now()
         });
-        // Start the loop here; from the first actor wake on, the baton moves
-        // between actor threads and this thread only waits for the report.
-        self.drive(None);
-        let report = loop {
-            if let Some(r) = self.inner.run_caller.locked().report.take() {
-                break r;
-            }
-            std::thread::park();
-        };
+        let result = self.drive(limit);
         if let Some(t0) = prof_t0 {
             self.inner.prof.add_run_ns(t0.elapsed().as_nanos() as u64);
             crate::alloc::set_counting(false);
         }
-        match report {
-            RunReport::Idle => self.finish(limit),
-            RunReport::HandlerPanic(payload) => resume_unwind(payload),
-            RunReport::ActorPanic(name, msg) => {
+        match result {
+            Ok(()) => self.finish(limit),
+            Err(Abort::HandlerPanic(payload)) => resume_unwind(payload),
+            Err(Abort::ActorPanic(name, msg)) => {
                 // Actor panics include failed harness assertions: dump the
                 // flight recorder before propagating.
                 self.inner
@@ -395,19 +354,14 @@ impl Sim {
     }
 
     /// The next event in `(time, seq)` order; `None` when the queue drained
-    /// or the next event lies past the run's limit. Callable from whichever
-    /// thread holds the baton.
-    fn next_event(&self) -> Option<EventEntry> {
-        let mut st = self.inner.drive.locked();
-        if let Some(stamp) = st.open_wake.take() {
-            self.prof_dispatch(KIND_WAKE, stamp);
-        }
+    /// or the next event lies past `limit`.
+    fn next_event(&self, limit: SimTime) -> Option<EventEntry> {
         let pop_t0 = self.prof_on().then(Instant::now);
         let next = {
             let mut q = self.inner.queue.locked();
             loop {
                 match q.heap.peek() {
-                    Some(Reverse(e)) if e.time <= st.limit => {}
+                    Some(Reverse(e)) if e.time <= limit => {}
                     _ => break None,
                 }
                 let Reverse(e) = q.heap.pop().expect("peeked");
@@ -427,78 +381,87 @@ impl Sim {
         Some(e)
     }
 
-    /// Run the event loop on the calling thread, which holds the baton:
-    /// `Call`/`Poll` events run inline, a `Wake` for another actor hands the
-    /// baton to that actor's thread. Returns `true` when `me`'s own wakeup
-    /// came up (the caller still holds the baton and resumes user code) and
-    /// `false` once the baton is gone — to another actor, or back to the
-    /// `run` caller with a [`RunReport`]. After `false` the caller must
-    /// touch no engine state until its own mailbox hands the baton back.
-    pub(crate) fn drive(&self, me: Option<ActorId>) -> bool {
-        loop {
-            let Some(e) = self.next_event() else {
-                self.report(RunReport::Idle);
-                return false;
-            };
+    /// The driver loop, on the `run` caller's stack: `Call` and `Poll`
+    /// events run inline, a `Wake` switches into its actor until the actor
+    /// parks or finishes. Returns once the queue drained or the next event
+    /// lies past `limit`, or early on the first panic.
+    fn drive(&self, limit: SimTime) -> Result<(), Abort> {
+        let here = std::thread::current().id();
+        while let Some(e) = self.next_event(limit) {
             let stamp = self.prof_on().then(Self::stamp);
-            let ok = match e.action {
+            match e.action {
                 EventAction::Call(f) => {
-                    self.run_handler(KIND_CALL, stamp, "sim event handler panicked", || f(self))
+                    self.run_handler(KIND_CALL, stamp, "sim event handler panicked", || f(self))?;
                 }
                 EventAction::Poll(idx) => {
                     let f = self.inner.pollers.read().expect("poller registry poisoned")
                         [idx as usize]
                         .clone();
-                    self.run_handler(KIND_POLL, stamp, "sim poller panicked", || f(self))
+                    self.run_handler(KIND_POLL, stamp, "sim poller panicked", || f(self))?;
                 }
                 EventAction::Wake(id, gen) => {
-                    if stamp.is_some() {
-                        self.inner.drive.locked().open_wake = stamp;
+                    let r = self.resume(id, gen, here);
+                    if let Some(stamp) = stamp {
+                        self.prof_dispatch(KIND_WAKE, stamp);
                     }
-                    let mut actors = self.inner.actors.locked();
-                    let rec = &mut actors[id.0 as usize];
-                    if rec.status != ActorStatus::Parked || rec.gen != gen {
-                        continue; // stale wake: the actor moved on or finished
-                    }
-                    rec.status = ActorStatus::Running;
-                    if me == Some(id) {
-                        return true;
-                    }
-                    let (mailbox, thread) = (rec.mailbox.clone(), rec.thread.clone());
-                    drop(actors);
-                    mailbox.post_run(&thread);
-                    return false;
+                    r?;
                 }
-            };
-            if !ok {
-                return false;
             }
         }
+        Ok(())
     }
 
-    /// Run one handler inline. A panic must not unwind through the user
-    /// frames of whichever actor happens to be driving: it is caught here
-    /// and carried to the `run` caller, which re-raises it.
-    fn run_handler(&self, kind: usize, stamp: Option<Stamp>, what: &str, f: impl FnOnce()) -> bool {
+    /// Run one handler inline. A panic is caught so the flight recorder can
+    /// dump before `run` re-raises it.
+    fn run_handler(
+        &self,
+        kind: usize,
+        stamp: Option<Stamp>,
+        what: &str,
+        f: impl FnOnce(),
+    ) -> Result<(), Abort> {
         let r = catch_unwind(AssertUnwindSafe(f));
         if let Some(stamp) = stamp {
             self.prof_dispatch(kind, stamp);
         }
-        let Err(payload) = r else { return true };
-        // Flight recorder: dump the per-message trace rings before the
-        // panic propagates.
-        self.inner.mtrace.dump_once(what);
-        self.report(RunReport::HandlerPanic(payload));
-        false
+        r.map_err(|payload| {
+            // Flight recorder: dump the per-message trace rings before the
+            // panic propagates.
+            self.inner.mtrace.dump_once(what);
+            Abort::HandlerPanic(payload)
+        })
     }
 
-    /// Give the baton back to the thread blocked in `run`.
-    fn report(&self, r: RunReport) {
-        let mut rc = self.inner.run_caller.locked();
-        rc.report = Some(r);
-        let thread = rc.thread.clone();
-        drop(rc);
-        thread.unpark();
+    /// Dispatch a wake: switch into actor `id` unless the wake is stale,
+    /// then put its coroutine back, or unmap its stack if it finished.
+    fn resume(&self, id: ActorId, gen: u64, here: ThreadId) -> Result<(), Abort> {
+        let mut coro = {
+            let mut actors = self.inner.actors.locked();
+            let rec = &mut actors[id.0 as usize];
+            if rec.gen != gen {
+                return Ok(()); // stale wake: the actor moved on
+            }
+            let Some(coro) = rec.coro.as_mut() else {
+                return Ok(()); // the actor finished
+            };
+            // Checked while the stack is in the table: a panic here leaves
+            // it mapped.
+            coro.claim(here);
+            rec.coro.take().expect("checked above")
+        };
+        // SAFETY: this is the sim's driver loop and no actor is running
+        // (`running` admits one driver, which runs actors one at a time);
+        // `coro` sat in the table, so it is suspended and not finished, and
+        // it was claimed by this thread just above.
+        unsafe { self.inner.link.resume(&mut coro) };
+        let mut actors = self.inner.actors.locked();
+        let rec = &mut actors[id.0 as usize];
+        match &rec.exit {
+            None => rec.coro = Some(coro),
+            Some(Ok(())) => {}
+            Some(Err(msg)) => return Err(Abort::ActorPanic(rec.name.clone(), msg.clone())),
+        }
+        Ok(())
     }
 
     fn finish(&self, limit: SimTime) -> RunOutcome {
@@ -513,7 +476,7 @@ impl Sim {
             .actors
             .locked()
             .iter()
-            .filter(|a| a.status == ActorStatus::Parked)
+            .filter(|a| a.coro.is_some())
             .map(|a| a.name.clone())
             .collect();
         if stuck.is_empty() {
@@ -544,27 +507,15 @@ impl Sim {
         self.schedule_wake_in(SimDuration::ZERO, id, gen)
     }
 
-    /// Record that an actor is about to park.
-    pub(crate) fn mark_parked(&self, id: ActorId) {
-        self.inner.actors.locked()[id.0 as usize].status = ActorStatus::Parked;
+    /// An actor's body returned (`Ok`) or panicked with a message; called
+    /// on the actor's stack just before it switches away for good.
+    pub(crate) fn actor_exited(&self, id: ActorId, exit: Result<(), String>) {
+        self.inner.actors.locked()[id.0 as usize].exit = Some(exit);
     }
 
-    /// An actor's body returned (`panicked == None`) or panicked with a
-    /// message; called on the actor's thread, which holds the baton.
-    pub(crate) fn actor_exited(&self, id: ActorId, panicked: Option<String>) {
-        let mut actors = self.inner.actors.locked();
-        let rec = &mut actors[id.0 as usize];
-        rec.status = ActorStatus::Done;
-        let report = panicked.map(|msg| RunReport::ActorPanic(rec.name.clone(), msg));
-        drop(actors);
-        match report {
-            Some(r) => self.report(r),
-            // Keep driving until the baton goes to someone else, then let
-            // the thread exit.
-            None => {
-                self.drive(None);
-            }
-        }
+    /// The driver loop's switch slots.
+    pub(crate) fn link(&self) -> &Link {
+        &self.inner.link
     }
 
     // ---- observability ------------------------------------------------------
@@ -695,29 +646,6 @@ impl Sim {
 
     pub(crate) fn inner(&self) -> &SimInner {
         &self.inner
-    }
-}
-
-impl Drop for SimInner {
-    fn drop(&mut self) {
-        // Unwind any still-parked actor threads so tests don't leak threads.
-        let mut actors = std::mem::take(&mut *self.actors.locked());
-        for rec in &mut actors {
-            if rec.status != ActorStatus::Done {
-                // The actor is blocked on its mailbox; a shutdown order makes
-                // it unwind via ShutdownToken and exit quietly.
-                rec.mailbox.post_shutdown(&rec.thread);
-            }
-            if let Some(join) = rec.join.take() {
-                // A finishing actor can hold the last `Sim` clone (it gives
-                // the baton away before its closure is dropped), so this
-                // drop may run *on* an actor thread — joining itself would
-                // be EDEADLK. Let such a thread detach instead.
-                if join.thread().id() != std::thread::current().id() {
-                    let _ = join.join();
-                }
-            }
-        }
     }
 }
 
@@ -1081,7 +1009,7 @@ mod tests {
         );
     }
 
-    // ---- migrating-driver tests --------------------------------------------
+    // ---- coroutine tests ----------------------------------------------------
 
     #[test]
     fn run_until_limit_on_an_actor_thread_resumes_with_the_same_order() {
@@ -1114,39 +1042,79 @@ mod tests {
     }
 
     #[test]
-    fn finished_actor_keeps_driving_until_the_queue_drains() {
-        // The body returns at t=0 holding the baton; the pending handler
-        // must still run (on that thread) and the thread must then exit.
+    fn actors_and_handlers_run_on_the_run_callers_thread() {
+        // Two actors hand off to each other through sleeps; every body step
+        // and every handler must run on the thread that called `run`.
         let sim = Sim::new(1);
-        let ran_on = Arc::new(Mutex::new(None));
-        let r = ran_on.clone();
-        sim.spawn("brief", |_| {});
-        sim.schedule_in(SimDuration::from_us(3), move |_| {
-            *r.locked() = Some(std::thread::current().id());
-        });
+        let ids = Arc::new(Mutex::new(Vec::new()));
+        for who in 0..2u64 {
+            let ids = ids.clone();
+            sim.spawn(format!("a{who}"), move |ctx| {
+                for _ in 0..3 {
+                    ids.locked().push(std::thread::current().id());
+                    let i = ids.clone();
+                    ctx.sim().schedule_in(SimDuration::from_ns(1), move |_| {
+                        i.locked().push(std::thread::current().id());
+                    });
+                    ctx.sleep(SimDuration::from_ns(2 + who));
+                }
+                ids.locked().push(std::thread::current().id());
+            });
+        }
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let join = sim.inner.actors.locked()[0].join.take().unwrap();
-        assert_eq!(*ran_on.locked(), Some(join.thread().id()));
-        join.join().expect("actor thread exits cleanly");
+        let ids = ids.locked();
+        assert_eq!(ids.len(), 2 * 7);
+        assert!(ids.iter().all(|&t| t == std::thread::current().id()));
     }
 
     #[test]
-    fn self_wake_takes_no_hand_off() {
-        // While the only live actor sleeps, handlers run on its thread and
-        // its own wakeup just returns from `park`.
+    fn finished_actor_stack_is_unmapped_before_run_returns() {
+        // The body returns at t=0; a handler at t=3 µs sees its stack gone
+        // (dropping a `Coro` unmaps it) while the run is still going.
         let sim = Sim::new(1);
-        let ids = Arc::new(Mutex::new(Vec::new()));
-        let (i1, i2) = (ids.clone(), ids.clone());
-        sim.spawn("only", move |ctx| {
-            ctx.sim().schedule_in(SimDuration::from_us(1), move |_| {
-                i1.locked().push(std::thread::current().id());
-            });
-            ctx.sleep(SimDuration::from_us(2));
-            i2.locked().push(std::thread::current().id());
+        let seen = Arc::new(Mutex::new(None));
+        let s = seen.clone();
+        sim.spawn("brief", |_| {});
+        sim.schedule_in(SimDuration::from_us(3), move |sim| {
+            let rec = &sim.inner.actors.locked()[0];
+            *s.locked() = Some((rec.coro.is_none(), rec.exit.clone()));
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let ids = ids.locked();
-        assert_eq!((ids.len(), ids[0]), (2, ids[1]));
-        assert_ne!(ids[0], std::thread::current().id());
+        assert_eq!(*seen.locked(), Some((true, Some(Ok(())))));
+    }
+
+    #[test]
+    fn a_parked_actor_is_never_resumed_on_another_thread() {
+        let sim = Sim::new(1);
+        sim.spawn("a", |ctx| ctx.sleep(SimDuration::from_us(2)));
+        assert_eq!(sim.run_until(SimTime::from_ns(1_000)), RunOutcome::Pending);
+        let s = sim.clone();
+        let payload = std::thread::spawn(move || s.run())
+            .join()
+            .expect_err("resuming on another thread must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(msg.contains("must keep running on one thread"), "{msg}");
+        // The stack stayed in the table: the actor still counts as parked.
+        assert!(sim.inner.actors.locked()[0].coro.is_some());
+    }
+
+    #[test]
+    fn an_actor_frame_can_use_a_mebibyte_of_stack() {
+        let sim = Sim::new(1);
+        let sum = Arc::new(AtomicU64::new(0));
+        let s = sum.clone();
+        sim.spawn("deep", move |ctx| {
+            let mut frame = [0u8; 1 << 20];
+            for page in frame.chunks_mut(4096) {
+                page[0] = 1;
+            }
+            ctx.sleep(SimDuration::from_us(1)); // live across a switch
+            let frame = std::hint::black_box(&frame);
+            s.store(frame.iter().map(|&b| u64::from(b)).sum(), Ordering::Relaxed);
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(sum.load(Ordering::Relaxed), (1 << 20) / 4096);
     }
 }

@@ -11,12 +11,12 @@
 //!
 //! * **Event handlers** — hardware components are state machines that
 //!   schedule boxed closures ([`Sim::schedule_in`]).
-//! * **Thread-backed actors** — application processes (the code calling the
-//!   BCL/MPI APIs) run on real OS threads written as ordinary blocking Rust
-//!   ([`Sim::spawn`], [`ActorCtx`]). Exactly one thread holds the baton at a
-//!   time, so execution stays deterministic; an actor that parks keeps the
-//!   baton and runs the event loop itself, so only a wakeup for a *different*
-//!   actor costs an OS thread switch.
+//! * **Actors** — application processes (the code calling the BCL/MPI APIs)
+//!   are ordinary blocking Rust ([`Sim::spawn`], [`ActorCtx`]), each on a
+//!   stackful coroutine of its own. The whole simulation runs on the thread
+//!   that calls [`Sim::run`]: the event loop runs on its stack and switches
+//!   into an actor for each of the actor's wakeups, so exactly one stack
+//!   runs at a time and execution stays deterministic.
 //!
 //! ```
 //! use suca_sim::{Sim, SimDuration, Signal, RunOutcome};
@@ -37,6 +37,7 @@
 pub mod alloc;
 
 mod actor;
+mod coro;
 mod engine;
 mod lock;
 mod rng;

@@ -1,4 +1,4 @@
-//! Wakeup primitives for thread-backed actors.
+//! Wakeup primitives for actors.
 //!
 //! [`Signal`] has condition-variable semantics: `notify` wakes every actor
 //! currently waiting; waiters re-check their predicate in a loop. Because
