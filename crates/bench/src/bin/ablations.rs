@@ -1,19 +1,12 @@
-//! §5.4 Discussion ablations.
+//! §1/§3 ablation: address translation under growing working sets.
 //!
-//! The paper's discussion names four levers; each is swept here:
-//!
-//! 1. "Another time consuming operation is to fill the sending request onto
-//!    NIC. This is limited by the I/O performance of the PCI bus. A good
-//!    motherboard can improve the I/O performance heavily." → PCI sweep.
-//! 2. "Host CPU frequency limits the parameter checking and trap operation's
-//!    overhead. A faster CPU will reduce these overheads." → CPU sweep.
-//! 3. "The other 5.65 µs is to perform the reliable transmission. To reduce
-//!    the protocol overhead is a way to improve the communication
-//!    performance." → reliability-cost sweep.
-//! 4. §1/§3: NIC-resident translation caches thrash under large working
-//!    sets; the kernel-resident pin-down table does not. → working-set sweep
-//!    of the user-level architecture's NIC TLB vs BCL's pin-down table, both
-//!    on the one stack, with the shape asserted.
+//! NIC-resident translation caches thrash under large working sets; the
+//! kernel-resident pin-down table does not. This sweeps the working set of
+//! the user-level architecture's NIC TLB against BCL's pin-down table, both
+//! on the one stack, and asserts the shape. It keeps its number 4:
+//! ablations 1–3, the §5.4 discussion's PCI, CPU and reliable-protocol
+//! levers, are each linear in one constant and are read off `paper`'s
+//! sensitivity matrix (EXPERIMENTS.md §5.4).
 //!
 //! Every cluster built here must finish with `watchdog.stalls == 0`.
 
@@ -21,69 +14,9 @@ use std::sync::{Arc, Mutex};
 
 use suca_bcl::{Architecture, BclConfig, ChannelId};
 use suca_bench::report::assert_anchor;
-use suca_cluster::{measure_one_way, ClusterSpec, SimBarrier};
-use suca_pci::PciModel;
+use suca_cluster::{ClusterSpec, SimBarrier};
 use suca_sim::mtrace::stage;
-use suca_sim::{MutexExt, SimDuration, TraceId};
-
-fn latency_with(cfg: BclConfig, os_costs: suca_os::OsCostModel) -> f64 {
-    let mut spec = ClusterSpec::dawning3000(2).with_bcl(cfg);
-    spec.os_costs = os_costs;
-    measure_one_way(spec, 0, 1, 0, 3, 8).one_way_us
-}
-
-fn ablation_pci() {
-    println!("-- Ablation 1: PCI (PIO) speed");
-    println!(
-        "{:<26} {:>14} {:>14}",
-        "PCI model", "0B send PIO", "one-way (us)"
-    );
-    for (name, pci) in [
-        ("DAWNING (0.24us/word)", PciModel::dawning3000()),
-        ("fast motherboard (0.06)", PciModel::fast_pci()),
-    ] {
-        let mut cfg = BclConfig::dawning3000();
-        cfg.pci = pci;
-        let pio = cfg.descriptor_pio(0).as_us();
-        let lat = latency_with(cfg, suca_os::OsCostModel::aix_power3());
-        println!("{name:<26} {pio:>11.2} us {lat:>14.2}");
-    }
-    println!();
-}
-
-fn ablation_cpu() {
-    println!("-- Ablation 2: host CPU speed (scales trap/check costs)");
-    println!(
-        "{:<26} {:>14} {:>14}",
-        "CPU", "kernel extra", "one-way (us)"
-    );
-    for factor in [1.0, 2.0, 4.0] {
-        let os = suca_os::OsCostModel::aix_power3().scaled_cpu(factor);
-        let cfg = BclConfig::dawning3000();
-        let extra = cfg.kernel_extra(&os).as_us();
-        let lat = latency_with(cfg, os);
-        println!(
-            "{:<26} {extra:>11.2} us {lat:>14.2}",
-            format!("{factor}x 375 MHz Power3")
-        );
-    }
-    println!();
-}
-
-fn ablation_reliability() {
-    println!("-- Ablation 3: reliable-protocol cost on the NIC");
-    println!("{:<34} {:>14}", "MCP protocol", "one-way (us)");
-    for (name, cut_us) in [
-        ("full reliability (default)", 0.0),
-        ("no reliability (-5.65us)", 5.65),
-    ] {
-        let mut cfg = BclConfig::dawning3000();
-        cfg.mcp.send_fixed = SimDuration::from_us_f64(cfg.mcp.send_fixed.as_us() - cut_us);
-        let lat = latency_with(cfg, suca_os::OsCostModel::aix_power3());
-        println!("{name:<34} {lat:>14.2}");
-    }
-    println!();
-}
+use suca_sim::{MutexExt, TraceId};
 
 /// What one arm of the translation sweep measured in its second round
 /// over `working_set` distinct 64 B buffers (the first round only warms the
@@ -187,7 +120,7 @@ fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
     }
 }
 
-fn ablation_translation() {
+fn main() {
     println!("-- Ablation 4: address translation under growing working sets");
     println!(
         "   (user-level: 256-entry NIC TLB, 16 us/miss; BCL: pin-down table in host kernel memory)"
@@ -233,11 +166,4 @@ fn ablation_translation() {
     println!("\nshape: user-level stall explodes past its NIC cache; BCL stays flat as long");
     println!("as the host-resident pin-down table covers the working set — the paper's");
     println!("\"usage of large memory\" argument (§1, §3 benefit 4).");
-}
-
-fn main() {
-    ablation_pci();
-    ablation_cpu();
-    ablation_reliability();
-    ablation_translation();
 }

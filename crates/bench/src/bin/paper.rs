@@ -1,6 +1,7 @@
 //! The paper's evaluation in one run: Table 1, Figs. 5–9, Tables 2–3, the
-//! §5 scalars and the critical-path report of two telemetry streams. Each
-//! quantity is measured once and every section reads it from there:
+//! §5 scalars, the critical-path report of two telemetry streams, and the
+//! sensitivity of four anchors to each cost constant. Each quantity is
+//! measured once and every section reads it from there:
 //!
 //! * one traced 0-byte message draws Figs. 5–7;
 //! * `measured_host_overheads` runs once per architecture (BCL and the
@@ -8,7 +9,9 @@
 //! * one ping-pong measurement, `measure_one_way`, gives every one-way latency,
 //!   always [`WARMUP`] untimed + [`TIMED`] timed messages, and the two
 //!   telemetry streams (0 warm-up + 30 timed);
-//! * one count rule, [`bw_count`], gives every bandwidth.
+//! * one count rule, [`bw_count`], gives every bandwidth;
+//! * the sensitivity matrix re-measures its anchors the same ways, once per
+//!   constant of [`COST_CONSTANTS`] raised by 1 µs.
 //!
 //! Every row printed goes, from the same list, into the ledger
 //! `BENCH_stack.json`, with one critical-path decomposition per Fig. 8 size
@@ -20,7 +23,7 @@
 use std::sync::{Arc, Mutex};
 
 use suca_bcl::{Architecture, ChannelId};
-use suca_bench::measure::{measured_host_overheads, traced_zero_len_run};
+use suca_bench::measure::{measured_host_overheads, traced_zero_len_run, COST_CONSTANTS};
 use suca_bench::report::{
     assert_anchor, emit_metrics, first_difference, render_timeline, write_timeseries_json,
     write_trace_json_with_counters, Ledger, Recovery, Row,
@@ -30,7 +33,7 @@ use suca_cluster::{measure_bandwidth, measure_one_way, ClusterSpec, LatencyResul
 use suca_sim::artifact::write_artifact;
 use suca_sim::critpath;
 use suca_sim::mtrace::{check_completeness, stage};
-use suca_sim::{MutexExt, Sim, TraceId};
+use suca_sim::{MutexExt, Sim, SimDuration, TraceId};
 
 /// The committed ledger this run must reproduce byte for byte.
 const COMMITTED: &str = include_str!("../../../../BENCH_stack.json");
@@ -295,6 +298,69 @@ fn telemetry(ledger: &mut Ledger) {
     );
     emit_metrics(&s0.cluster.sim, "telemetry");
     emit_metrics(&s64.cluster.sim, "telemetry_64k");
+}
+
+/// The sensitivity matrix's anchors: the 0 B send call, the 0 B and 64 KiB
+/// one-way latencies, and the per-message time of the 128 KiB stream, in µs.
+const ANCHORS: [&str; 4] = [
+    "send call 0 B",
+    "one-way 0 B",
+    "one-way 65536 B",
+    "transfer 131072 B",
+];
+
+/// [`ANCHORS`] measured on `spec`.
+fn anchors(spec: &ClusterSpec) -> [f64; 4] {
+    [
+        measured_host_overheads(spec.clone()).0,
+        one_way(spec.clone(), 1, 0).one_way_us,
+        one_way(spec.clone(), 1, 64 * 1024).one_way_us,
+        131072.0 / bandwidth(spec.clone(), 1, 128 * 1024),
+    ]
+}
+
+/// Raise each constant of [`COST_CONSTANTS`] by 1 µs, re-measure the
+/// anchors, and record the change per µs against `base`, the anchors the
+/// run already measured on `spec`. Virtual time is exact, so an entry is
+/// the number of times the constant sits on that anchor's critical path;
+/// the DESIGN.md identities are asserted on those counts, to the ns.
+fn sensitivity(ledger: &mut Ledger, spec: &ClusterSpec, base: [f64; 4]) {
+    let mut rows = Vec::new();
+    let mut ns_per_us = std::collections::HashMap::new();
+    for &(name, knob) in COST_CONSTANTS {
+        // No virtual time depends on the per-message trace, and in the
+        // debug profile it is a third of these runs' host time.
+        let mut raised = spec.clone().with_trace_sampling(0);
+        *knob(&mut raised) += SimDuration::from_us(1);
+        let raised = anchors(&raised);
+        let per_us: [f64; 4] = std::array::from_fn(|i| raised[i] - base[i]);
+        for (anchor, x) in ANCHORS.iter().zip(per_us) {
+            rows.push(Row::new(format!("{name} on {anchor}"), None, x, "x"));
+        }
+        ns_per_us.insert(name, per_us.map(|x| (x * 1e3).round() as i64));
+    }
+    let title = "Sensitivity: anchor change per +1 us of each constant";
+    ledger.table("sensitivity", title, &rows);
+    // DESIGN.md's identities, each (constant, anchor, count): the five
+    // `kernel_extra` terms and the words of `descriptor_pio(0)` on the send
+    // call, the trap exit and the send-completion poll off the 0 B one-way,
+    // and no interrupt anywhere.
+    let words = (spec.bcl.descriptor_base_words + spec.bcl.doorbell_words) as i64;
+    let identities = [
+        ("os.trap_enter", 0, 1),
+        ("copyin_dispatch", 0, 1),
+        ("os.security_check", 0, 1),
+        ("os.pin_lookup_hit", 0, 1),
+        ("os.trap_exit", 0, 1),
+        ("pci.pio_write_word", 0, words),
+        ("os.trap_exit", 1, 0),
+        ("poll_send", 1, 0),
+    ];
+    let no_interrupt = (0..4).map(|anchor| ("os.interrupt_entry", anchor, 0));
+    for (name, anchor, count) in identities.into_iter().chain(no_interrupt) {
+        let ns = ns_per_us[name][anchor];
+        assert_eq!(ns, 1_000 * count, "{name} on {}", ANCHORS[anchor]);
+    }
 }
 
 fn main() {
@@ -573,12 +639,6 @@ fn main() {
                 spec.bcl.pci.pio_write(1).as_us(),
                 "us",
             ),
-            Row::new(
-                "PIO read one word",
-                0.98,
-                spec.bcl.pci.pio_read(1).as_us(),
-                "us",
-            ),
             Row::new("semi-user extra vs user-level", 4.17, extra, "us"),
             Row::new("  as % of one-way latency", 22.0, extra / bcl * 100.0, "%"),
             Row::new("  one-way delta vs user-level", None, bcl - user, "us"),
@@ -586,6 +646,11 @@ fn main() {
             Row::new("extra at 128KB as % of transfer", 0.4, extra_128k, "%"),
         ],
     );
+
+    println!();
+    let at_64k = latencies.iter().find(|r| r.size == 64 * 1024);
+    let at_64k = at_64k.expect("Fig. 8 measures 64 KiB").one_way_us;
+    sensitivity(&mut ledger, &spec, [send_oh, bcl, at_64k, t128k_us]);
 
     println!();
     telemetry(&mut ledger);

@@ -46,8 +46,9 @@ macro_rules! harnesses {
     ($with:ident) => {
         $with! {
             paper Tier1,
-            // 6.5 s in release, 43 s in debug (thousands of paced
-            // messages per ablation-4 cell with the flight recorder on).
+            // 10 s in release, 70 s in debug on a 2-core host
+            // (thousands of paced messages per working-set cell with the
+            // flight recorder on).
             ablations ReleaseOnly,
             congestion Tier1,
             trace_export Tier1,

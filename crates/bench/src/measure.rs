@@ -1,17 +1,18 @@
 //! Measurement functions for the MPI and PVM layers (Table 3), the traced
-//! 0-byte message behind Figs. 5–7, and the §5 host overheads. BCL-level
-//! latency and bandwidth — for BCL and for every comparator architecture,
-//! which is BCL with an `Architecture` preset — live in
-//! `suca-cluster::harness`.
+//! 0-byte message behind Figs. 5–7, the §5 host overheads, and the cost
+//! constants of the sensitivity matrix. BCL-level latency and bandwidth —
+//! for BCL and for every comparator architecture, which is BCL with an
+//! `Architecture` preset — live in `suca-cluster::harness`.
 
 use std::sync::{Arc, Mutex};
 
-use suca_cluster::{ClusterSpec, ProcessEnv};
+use suca_cluster::{ClusterSpec, ProcessEnv, SanKind};
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig};
+use suca_myrinet::MyrinetConfig;
 use suca_pvm::{PvmConfig, PvmTask};
 use suca_sim::critpath::{self, BucketReport};
-use suca_sim::{ActorCtx, MutexExt, RunOutcome, Sim, TraceEvent, TraceId};
+use suca_sim::{ActorCtx, MutexExt, RunOutcome, Sim, SimDuration, TraceEvent, TraceId};
 
 use crate::report::stage_rows;
 
@@ -267,6 +268,42 @@ pub fn measured_host_overheads(spec: ClusterSpec) -> (f64, f64, f64) {
     (g.0, g.1, g.2)
 }
 
+/// A cost constant's name, and the accessor to its field in a cluster spec.
+pub type CostConstant = (&'static str, fn(&mut ClusterSpec) -> &mut SimDuration);
+
+/// The durations a 0 B or a streamed message can charge on a Myrinet
+/// cluster, in the order of the path: library, MCP, PCI, kernel, link.
+/// `paper` adds 1 µs to each in turn and re-measures its anchors.
+#[rustfmt::skip]
+pub const COST_CONSTANTS: &[CostConstant] = &[
+    ("lib_compose",                 |s| &mut s.bcl.lib_compose),
+    ("copyin_dispatch",             |s| &mut s.bcl.copyin_dispatch),
+    ("poll_recv",                   |s| &mut s.bcl.poll_recv),
+    ("poll_send",                   |s| &mut s.bcl.poll_send),
+    ("mcp.send_fixed",              |s| &mut s.bcl.mcp.send_fixed),
+    ("mcp.send_per_frag",           |s| &mut s.bcl.mcp.send_per_frag),
+    ("mcp.recv_per_frag",           |s| &mut s.bcl.mcp.recv_per_frag),
+    ("mcp.ack_process",             |s| &mut s.bcl.mcp.ack_process),
+    ("mcp.ack_send",                |s| &mut s.bcl.mcp.ack_send),
+    ("pci.pio_write_word",          |s| &mut s.bcl.pci.pio_write_word),
+    ("pci.dma_setup",               |s| &mut s.bcl.pci.dma_setup),
+    ("os.trap_enter",               |s| &mut s.os_costs.trap_enter),
+    ("os.trap_exit",                |s| &mut s.os_costs.trap_exit),
+    ("os.security_check",           |s| &mut s.os_costs.security_check),
+    ("os.pin_lookup_hit",           |s| &mut s.os_costs.pin_lookup_hit),
+    ("os.pin_miss_per_page",        |s| &mut s.os_costs.pin_miss_per_page),
+    ("os.interrupt_entry",          |s| &mut s.os_costs.interrupt_entry),
+    ("myrinet.propagation",         |s| &mut myrinet(s).propagation),
+    ("myrinet.switch_cut_through",  |s| &mut myrinet(s).switch_cut_through),
+];
+
+fn myrinet(spec: &mut ClusterSpec) -> &mut MyrinetConfig {
+    match &mut spec.san {
+        SanKind::Myrinet(cfg) => cfg,
+        SanKind::Mesh(_) => panic!("the link constants are Myrinet's"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,5 +320,20 @@ mod tests {
         let bcl = send_call_ns(spec.clone());
         let user = send_call_ns(spec.with_architecture(Architecture::UserLevel));
         assert_eq!((bcl, extra, user), (7_040, 4_170, 2_870));
+    }
+
+    #[test]
+    fn each_cost_constant_is_its_own_field() {
+        let names: std::collections::BTreeSet<_> = COST_CONSTANTS.iter().map(|c| c.0).collect();
+        assert_eq!(names.len(), COST_CONSTANTS.len(), "names are unique");
+        let base = ClusterSpec::dawning3000(2);
+        for (i, &(name, knob)) in COST_CONSTANTS.iter().enumerate() {
+            let mut spec = base.clone();
+            *knob(&mut spec) += SimDuration::from_us(1);
+            for (j, &(other, reach)) in COST_CONSTANTS.iter().enumerate() {
+                let moved = *reach(&mut spec) != *reach(&mut base.clone());
+                assert_eq!(moved, i == j, "raising {name} moved {other}");
+            }
+        }
     }
 }

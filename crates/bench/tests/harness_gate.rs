@@ -175,7 +175,13 @@ fn table3_mpi_pvm() {
 
 #[test]
 fn overheads() {
-    section("s5", 10, &[]);
+    section("s5", 9, &[]);
+}
+
+#[test]
+fn sensitivity() {
+    // Nineteen cost constants against four anchors.
+    section("sensitivity", 19 * 4, &[]);
 }
 
 #[test]

@@ -128,7 +128,8 @@ impl ClusterSpec {
         self
     }
 
-    /// Override the BCL config (for ablations).
+    /// Override the BCL config (the translation ablation's pin-table
+    /// sizes, and tests).
     pub fn with_bcl(mut self, bcl: BclConfig) -> Self {
         self.bcl = bcl;
         self

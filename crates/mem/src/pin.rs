@@ -5,7 +5,7 @@
 //! host memory — not in the NIC's scarce SRAM. The paper contrasts this with
 //! VMMC-2/U-Net, which cache translations on the NIC and thrash when a node's
 //! working set outgrows the NIC cache (the "usage of large memory" argument;
-//! reproduced by the `ablations` harness).
+//! reproduced by ablation 4 of the `ablations` harness).
 //!
 //! The table caches `(asid, virtual page) → frame` entries with an LRU
 //! eviction policy and a pin count so that pages in use by an in-flight DMA

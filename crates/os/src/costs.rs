@@ -4,8 +4,9 @@
 //! path costs ~4.17 µs extra (22 % of a 0-byte one-way latency) and buys
 //! portability + protection; kernel-level networking pays traps *and*
 //! interrupts on both sides. These constants calibrate an AIX 4.3.3 kernel
-//! on a 375 MHz Power3-II; `scaled_cpu` supports the paper's "a faster CPU
-//! will reduce these overheads" ablation.
+//! on a 375 MHz Power3-II. The paper's "a faster CPU will reduce these
+//! overheads" is read off `paper`'s sensitivity matrix: each constant's
+//! count on the send call and the one-way latency.
 
 use suca_sim::SimDuration;
 
@@ -55,24 +56,6 @@ impl OsCostModel {
         }
     }
 
-    /// Same kernel on a CPU `factor`× faster (factor > 1 ⇒ cheaper traps).
-    /// Memory-bandwidth-bound costs (copies) are left unscaled.
-    pub fn scaled_cpu(&self, factor: f64) -> Self {
-        assert!(factor > 0.0);
-        let s = |d: SimDuration| SimDuration::from_us_f64(d.as_us() / factor);
-        OsCostModel {
-            trap_enter: s(self.trap_enter),
-            trap_exit: s(self.trap_exit),
-            security_check: s(self.security_check),
-            pin_lookup_hit: s(self.pin_lookup_hit),
-            pin_miss_per_page: s(self.pin_miss_per_page),
-            interrupt_entry: s(self.interrupt_entry),
-            interrupt_service: s(self.interrupt_service),
-            context_switch: s(self.context_switch),
-            copy_bytes_per_sec: self.copy_bytes_per_sec,
-        }
-    }
-
     /// Round-trip trap cost (enter + exit).
     pub fn trap_roundtrip(&self) -> SimDuration {
         self.trap_enter + self.trap_exit
@@ -114,14 +97,6 @@ mod tests {
         let m = OsCostModel::aix_power3();
         assert_eq!(m.trap_roundtrip(), m.trap_enter + m.trap_exit);
         assert!(m.trap_roundtrip().as_us() < 2.5, "traps are ~2 us");
-    }
-
-    #[test]
-    fn scaling_halves_cpu_costs_but_not_copies() {
-        let m = OsCostModel::aix_power3();
-        let f = m.scaled_cpu(2.0);
-        assert!((f.trap_enter.as_us() - m.trap_enter.as_us() / 2.0).abs() < 1e-6);
-        assert_eq!(f.copy_bytes_per_sec, m.copy_bytes_per_sec);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! PCI programmed-I/O cost model.
 //!
 //! The paper measures its testbed PCI at **0.24 µs per word written** to the
-//! NIC and **0.98 µs per word read** from it, and observes that filling the
-//! send-request descriptor over PIO consumes more than half of the 7.04 µs
-//! send overhead. Those two constants therefore anchor the whole Fig. 5
-//! timeline; the `ablations` harness sweeps them to reproduce the paper's
-//! "a good motherboard can improve the I/O performance heavily" discussion.
+//! NIC, and observes that filling the send-request descriptor over PIO
+//! consumes more than half of the 7.04 µs send overhead. That constant
+//! therefore anchors the whole Fig. 5 timeline. No path reads the NIC over
+//! PIO (DESIGN.md says why), so the paper's 0.98 µs read cost is not
+//! modelled. The paper's "a good motherboard can improve the I/O
+//! performance heavily" is read off `paper`'s sensitivity matrix: how many
+//! times `pio_write_word` and `dma_setup` sit on each anchor's critical
+//! path.
 
 use suca_sim::SimDuration;
 
@@ -14,8 +17,6 @@ use suca_sim::SimDuration;
 pub struct PciModel {
     /// Cost of one 32-bit PIO write from host to device memory.
     pub pio_write_word: SimDuration,
-    /// Cost of one 32-bit PIO read by the host from device memory.
-    pub pio_read_word: SimDuration,
     /// Sustained DMA bandwidth between host memory and device memory.
     pub dma_bytes_per_sec: u64,
     /// Fixed cost to program one DMA descriptor and start the engine.
@@ -23,36 +24,19 @@ pub struct PciModel {
 }
 
 impl PciModel {
-    /// DAWNING-3000 testbed calibration (paper §5.1): PIO write 0.24 µs,
-    /// read 0.98 µs; 64-bit/33 MHz PCI sustaining ~220 MB/s of DMA.
+    /// DAWNING-3000 testbed calibration (paper §5.1): PIO write 0.24 µs;
+    /// 64-bit/33 MHz PCI sustaining ~220 MB/s of DMA.
     pub fn dawning3000() -> Self {
         PciModel {
             pio_write_word: SimDuration::from_us_f64(0.24),
-            pio_read_word: SimDuration::from_us_f64(0.98),
             dma_bytes_per_sec: 220_000_000,
             dma_setup: SimDuration::from_us_f64(0.30),
-        }
-    }
-
-    /// A "good motherboard" variant for the ablation: ~4× faster PIO and a
-    /// 66 MHz bus.
-    pub fn fast_pci() -> Self {
-        PciModel {
-            pio_write_word: SimDuration::from_us_f64(0.06),
-            pio_read_word: SimDuration::from_us_f64(0.25),
-            dma_bytes_per_sec: 440_000_000,
-            dma_setup: SimDuration::from_us_f64(0.15),
         }
     }
 
     /// Cost of writing `words` 32-bit words via PIO.
     pub fn pio_write(&self, words: u64) -> SimDuration {
         self.pio_write_word * words
-    }
-
-    /// Cost of reading `words` 32-bit words via PIO.
-    pub fn pio_read(&self, words: u64) -> SimDuration {
-        self.pio_read_word * words
     }
 
     /// Pure transfer time for a DMA of `len` bytes (excluding setup and
@@ -73,7 +57,6 @@ mod tests {
     fn paper_constants() {
         let m = PciModel::dawning3000();
         assert_eq!(m.pio_write(1).as_ns(), 240);
-        assert_eq!(m.pio_read(1).as_ns(), 980);
         // Descriptor fill of ~16 words is > half of the 7.04 us send
         // overhead, as the paper observes.
         assert!(m.pio_write(16).as_us() > 7.04 / 2.0);
@@ -83,14 +66,5 @@ mod tests {
     fn zero_len_dma_is_free() {
         let m = PciModel::dawning3000();
         assert_eq!(m.dma_transfer(0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn fast_pci_is_faster_everywhere() {
-        let slow = PciModel::dawning3000();
-        let fast = PciModel::fast_pci();
-        assert!(fast.pio_write(10) < slow.pio_write(10));
-        assert!(fast.pio_read(10) < slow.pio_read(10));
-        assert!(fast.dma_transfer(4096) < slow.dma_transfer(4096));
     }
 }

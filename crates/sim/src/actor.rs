@@ -134,11 +134,12 @@ pub(crate) fn new_coro(
     name: String,
     body: Box<dyn FnOnce(&mut ActorCtx) + Send + 'static>,
 ) -> Coro {
+    let coro_name = name.as_str().into();
     let start = Box::new(Start {
         ctx: ActorCtx { sim, id, name },
         body,
     });
-    Coro::new(actor_main, Box::into_raw(start).cast())
+    Coro::new(actor_main, Box::into_raw(start).cast(), coro_name)
 }
 
 /// The coroutine base. It never returns: the finished actor switches to the

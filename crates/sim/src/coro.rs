@@ -10,8 +10,14 @@
 //! state. The compiler already spills everything caller-saved around the
 //! call, so no other register needs saving.
 //!
+//! An actor that runs past the bottom of its stack hits a guard page. The
+//! fault handler installed with the first stack names the actor on stderr
+//! and aborts, as std does for a thread; any other fault goes on to the
+//! handler that was there before.
+//!
 //! To run on another target, port this file: the two assembly routines, the
-//! initial frame [`Coro::new`] writes, and the `mmap` constants.
+//! initial frame [`Coro::new`] writes, and the `mmap`, `sigaction` and
+//! `siginfo_t` constants.
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 compile_error!(
@@ -19,9 +25,11 @@ compile_error!(
      port crates/sim/src/coro.rs to build on another target"
 );
 
+use std::cell::Cell;
 use std::ffi::c_void;
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::{Once, OnceLock};
 use std::thread::ThreadId;
 
 /// Usable stack per actor, the size of a default Rust thread stack. Pages
@@ -43,13 +51,135 @@ const MAP_NORESERVE: i32 = 0x4000;
 /// frame's first word: the state a new thread starts with.
 const MXCSR_FPUCW: usize = 0x037F_0000_1F80;
 
+const SIGBUS: i32 = 7;
+const SIGSEGV: i32 = 11;
+const SIG_DFL: usize = 0;
+const SIG_IGN: usize = 1;
+const SA_SIGINFO: i32 = 4;
+const SA_ONSTACK: i32 = 0x0800_0000;
+/// Where `si_addr` sits in a `siginfo_t`: after `si_signo`, `si_errno`,
+/// `si_code` and the padding that aligns the union.
+const SI_ADDR_OFFSET: usize = 16;
+
+/// `struct sigaction` as glibc lays it out: the handler, a 1,024-bit signal
+/// mask, the flags and the restorer glibc fills in.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct SigAction {
+    handler: usize,
+    mask: [u64; 16],
+    flags: i32,
+    restorer: usize,
+}
+
+impl SigAction {
+    fn new(handler: usize, flags: i32) -> SigAction {
+        SigAction {
+            handler,
+            mask: [0; 16],
+            flags,
+            restorer: 0,
+        }
+    }
+}
+
 extern "C" {
     fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, off: i64)
         -> *mut c_void;
     fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
     fn munmap(addr: *mut c_void, len: usize) -> i32;
+    fn sigaction(sig: i32, act: *const SigAction, old: *mut SigAction) -> i32;
+    fn write(fd: i32, buf: *const c_void, len: usize) -> isize;
     fn suca_sim_coro_switch(save: *mut *mut u8, to: *mut u8);
     fn suca_sim_coro_start();
+}
+
+/// The guard page and the name of the actor running on this thread, for
+/// the fault handler. `guard` is 0 while the driver runs.
+#[derive(Clone, Copy)]
+struct Running {
+    guard: usize,
+    name: *const u8,
+    name_len: usize,
+}
+
+thread_local! {
+    static RUNNING: Cell<Running> = const {
+        Cell::new(Running { guard: 0, name: ptr::null(), name_len: 0 })
+    };
+}
+
+/// The SIGSEGV and SIGBUS actions [`on_fault`] chains to.
+static PREVIOUS: [OnceLock<SigAction>; 2] = [OnceLock::new(), OnceLock::new()];
+
+/// Put [`on_fault`] in front of the process's SIGSEGV and SIGBUS actions,
+/// once. It runs on the thread's alternate signal stack (`SA_ONSTACK`):
+/// std gives the main thread and every thread it spawns one.
+fn install_fault_handler() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let on_fault: extern "C" fn(i32, *mut c_void, *mut c_void) = on_fault;
+        let ours = SigAction::new(on_fault as usize, SA_SIGINFO | SA_ONSTACK);
+        for (sig, previous) in [SIGSEGV, SIGBUS].into_iter().zip(&PREVIOUS) {
+            let mut old = SigAction::new(SIG_DFL, 0);
+            // SAFETY: both pointers are valid for the call, and `on_fault`
+            // makes only async-signal-safe calls.
+            let rc = unsafe { sigaction(sig, &ours, &mut old) };
+            assert_eq!(
+                rc,
+                0,
+                "installing the actor stack-overflow handler failed: {}",
+                std::io::Error::last_os_error()
+            );
+            let _ = previous.set(old);
+        }
+    });
+}
+
+/// The SIGSEGV / SIGBUS handler. A fault inside the running actor's guard
+/// page is a stack overflow: say whose with `write(2)` and abort. Any other
+/// fault goes to the previous action.
+extern "C" fn on_fault(sig: i32, info: *mut c_void, uctx: *mut c_void) {
+    // SAFETY: the kernel hands an `SA_SIGINFO` handler a valid `siginfo_t`.
+    let addr = unsafe { info.cast::<u8>().add(SI_ADDR_OFFSET).cast::<usize>().read() };
+    let running = RUNNING.with(Cell::get);
+    if running.guard != 0 && (running.guard..running.guard + PAGE).contains(&addr) {
+        // SAFETY: `name` is the running actor's, held by its `Coro`, which
+        // lives until the driver's `resume` returns.
+        let name = unsafe { std::slice::from_raw_parts(running.name, running.name_len) };
+        let parts: [&[u8]; 3] = [
+            b"\nactor '",
+            name,
+            b"' has overflowed its stack\nfatal runtime error: stack overflow, aborting\n",
+        ];
+        for part in parts {
+            // SAFETY: `part` is valid for its length; a short write only
+            // shortens the message.
+            let _ = unsafe { write(2, part.as_ptr().cast(), part.len()) };
+        }
+        std::process::abort();
+    }
+    let previous = PREVIOUS[usize::from(sig == SIGBUS)].get();
+    match previous {
+        Some(p) if p.flags & SA_SIGINFO != 0 => {
+            // SAFETY: an `SA_SIGINFO` action's handler has this signature.
+            let f: extern "C" fn(i32, *mut c_void, *mut c_void) =
+                unsafe { std::mem::transmute(p.handler) };
+            f(sig, info, uctx);
+        }
+        Some(p) if p.handler > SIG_IGN => {
+            // SAFETY: a plain action's handler has this signature.
+            let f: extern "C" fn(i32) = unsafe { std::mem::transmute(p.handler) };
+            f(sig);
+        }
+        // The default action: restore it and return, so the faulting
+        // instruction runs again and the kernel ends the process.
+        _ => {
+            let default = SigAction::new(SIG_DFL, 0);
+            // SAFETY: a valid action; `sigaction` is async-signal-safe.
+            let _ = unsafe { sigaction(sig, &default, ptr::null_mut()) };
+        }
+    }
 }
 
 // `suca_sim_coro_switch(save, to)`: push the callee-saved state, store the
@@ -106,12 +236,14 @@ std::arch::global_asm!(
 
 /// A suspended coroutine: its stack (a `PROT_NONE` guard page under
 /// [`STACK_BYTES`] of read-write memory, unmapped on drop), the stack
-/// pointer its last switch saved, and the OS thread it first ran on.
+/// pointer its last switch saved, the OS thread it first ran on, and the
+/// actor's name, for the overflow message.
 pub(crate) struct Coro {
     /// Lowest address of the mapping, where the guard page starts.
     base: NonNull<u8>,
     sp: *mut u8,
     home: Option<ThreadId>,
+    name: Box<str>,
 }
 
 // SAFETY: a `Coro` owns its mapping outright and `sp` points into it, so
@@ -122,9 +254,11 @@ unsafe impl Send for Coro {}
 impl Coro {
     const MAP_BYTES: usize = PAGE + STACK_BYTES;
 
-    /// A coroutine whose first resume calls `entry(arg)` on a fresh stack.
-    /// `entry` must end by switching away for good (see [`Link::finish`]).
-    pub(crate) fn new(entry: extern "C" fn(*mut u8) -> !, arg: *mut u8) -> Coro {
+    /// A coroutine of the actor `name` whose first resume calls
+    /// `entry(arg)` on a fresh stack. `entry` must end by switching away for
+    /// good (see [`Link::finish`]).
+    pub(crate) fn new(entry: extern "C" fn(*mut u8) -> !, arg: *mut u8, name: Box<str>) -> Coro {
+        install_fault_handler();
         let prot = PROT_READ | PROT_WRITE;
         let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE;
         // SAFETY: a fresh anonymous mapping at an address the kernel picks
@@ -169,6 +303,7 @@ impl Coro {
             base,
             sp,
             home: None,
+            name,
         }
     }
 
@@ -217,11 +352,17 @@ impl Link {
     /// [`Link::suspend`]) and not finished, and [`Coro::claim`] accepted
     /// the calling thread.
     pub(crate) unsafe fn resume(&self, coro: &mut Coro) {
+        let outer = RUNNING.replace(Running {
+            guard: coro.base.addr().get(),
+            name: coro.name.as_ptr(),
+            name_len: coro.name.len(),
+        });
         // SAFETY: `coro.sp` was saved by its last switch away (or made by
         // `Coro::new`) on a stack `coro` still owns; the caller guarantees
         // nothing else runs on it. The driver's slot lives as long as the
         // link, which outlives the run.
         unsafe { suca_sim_coro_switch(self.driver.as_ptr(), coro.sp) };
+        RUNNING.set(outer);
         coro.sp = self.actor.load(Ordering::Relaxed);
     }
 
