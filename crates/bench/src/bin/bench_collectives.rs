@@ -33,12 +33,16 @@
 //! The machine-readable report lands in
 //! `target/bench/BENCH_collectives.json` (schema
 //! `suca.bench_collectives.v1`), written only after every check above held.
-//! `SUCA_BENCH_COLL_MAX_NODES` caps the sweep (the tier-1 gate stops at 64
-//! nodes, below the crossover cells).
+//! Then each row is compared with the committed row of the same fabric,
+//! nodes, op, executor and bytes in `BENCH_collectives.json` at the
+//! repository root, and the run fails on the first that differs or is
+//! missing. `SUCA_BENCH_COLL_MAX_NODES` caps the sweep (the tier-1 gate
+//! stops at 64 nodes, below the crossover cells, and checks the committed
+//! rows up to there).
 
 use std::sync::{Arc, Mutex};
 
-use suca_bench::report::{host_meta, Recovery};
+use suca_bench::report::{field, fields, ledger_rows, render_markdown, Recovery};
 use suca_bench::{env_u32, sweep_spec};
 use suca_coll::{CollKind, PlanRegistry};
 use suca_eadi::Universe;
@@ -46,6 +50,9 @@ use suca_mpi::{Comm, MpiConfig, ReduceOp};
 use suca_sim::artifact::write_artifact;
 use suca_sim::mtrace::{check_completeness, check_completeness_sampled, ChainPolicy, SampleSpec};
 use suca_sim::{ActorCtx, RunOutcome, SimDuration, SimTime};
+
+/// The committed ledger every row of the sweep must reproduce.
+const COMMITTED: &str = include_str!("../../../../BENCH_collectives.json");
 
 const SEED: u64 = 0xC0113C7;
 /// Timed repetitions per op (after one untimed warmup). The simulator is
@@ -258,18 +265,12 @@ fn algorithm_for(fabric_name: &str, op: &str, nodes: u32) -> &'static str {
 
 fn to_json(rows: &[Row]) -> String {
     use std::fmt::Write as _;
-    let (os, arch, rustc, threads) = host_meta();
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"suca.bench_collectives.v1\",");
     let _ = writeln!(out, "  \"seed\": {SEED},");
     let _ = writeln!(out, "  \"reps\": {REPS},");
     let _ = writeln!(out, "  \"determinism_ok\": true,");
     let _ = writeln!(out, "  \"budget_ok\": true,");
-    let _ = writeln!(
-        out,
-        "  \"host\": {{\"os\": \"{os}\", \"arch\": \"{arch}\", \"rustc\": \"{rustc}\", \
-         \"threads\": {threads}}},"
-    );
     let _ = writeln!(out, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
@@ -283,6 +284,52 @@ fn to_json(rows: &[Row]) -> String {
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+/// (fabric, nodes, op, impl, bytes): what names a row of the ledger.
+fn key(row: &str) -> Vec<&str> {
+    let named = |&(k, _): &(&str, &str)| matches!(k, "fabric" | "nodes" | "op" | "impl" | "bytes");
+    fields(row)
+        .into_iter()
+        .filter(named)
+        .map(|(_, v)| v)
+        .collect()
+}
+
+/// Fail on the first row of `json` that differs from the committed row
+/// with its key, or has none, and when a committed row of at most
+/// `max_nodes` nodes was not measured.
+fn check_committed(json: &str, max_nodes: u32, path: &str) {
+    let intended = format!(
+        "if the change is intended, run the full sweep and copy {path} over BENCH_collectives.json"
+    );
+    let committed: Vec<&str> = ledger_rows(COMMITTED)
+        .into_iter()
+        .filter(|row| field(row, "nodes").and_then(|n| n.parse().ok()) <= Some(max_nodes))
+        .collect();
+    let measured = ledger_rows(json);
+    for row in &measured {
+        match committed.iter().find(|c| key(c) == key(row)) {
+            None => panic!(
+                "BENCH_collectives.json has no row {:?}; {intended}",
+                key(row)
+            ),
+            Some(c) if c != row => {
+                panic!("BENCH_collectives.json: committed `{c}`, measured `{row}`; {intended}")
+            }
+            Some(_) => {}
+        }
+    }
+    assert_eq!(
+        measured.len(),
+        committed.len(),
+        "BENCH_collectives.json: committed rows of at most {max_nodes} nodes the sweep did not \
+         measure; {intended}"
+    );
+    println!(
+        "[ledger] {} rows equal the committed BENCH_collectives.json",
+        measured.len()
+    );
 }
 
 fn main() {
@@ -342,15 +389,8 @@ fn main() {
         }
     }
 
-    println!(
-        "\nfabric   nodes op         impl       algorithm            bytes  latency_us    MB/s"
-    );
-    for r in &rows {
-        println!(
-            "{:<8} {:>5} {:<10} {:<10} {:<20} {:>5} {:>11.2} {:>7.1}",
-            r.fabric, r.nodes, r.op, r.impl_, r.algorithm, r.bytes, r.latency_us, r.bw_mbps
-        );
-    }
+    let json = to_json(&rows);
+    print!("\n{}", render_markdown(&ledger_rows(&json)));
 
     // Offload must win where it matters: barrier at scale.
     for fabric in ["myrinet", "mesh"] {
@@ -408,9 +448,10 @@ fn main() {
         }
     }
 
-    let path = write_artifact("bench", "BENCH_collectives", &to_json(&rows))
-        .expect("write BENCH_collectives.json");
+    let path =
+        write_artifact("bench", "BENCH_collectives", &json).expect("write BENCH_collectives.json");
     println!("\n[bench] {} rows -> {}", rows.len(), path.display());
+    check_committed(&json, max_nodes, &path.display().to_string());
     println!("\nbench_collectives OK: deterministic, budget-clean, offload wins at scale");
 }
 

@@ -166,29 +166,16 @@ fn count(arch: Architecture) -> (u64, u64) {
 }
 
 fn table1(ledger: &mut Ledger) {
-    println!("-- Table 1: comparison of three communication architectures\n");
     let archs = [
         Architecture::KernelLevel,
         Architecture::UserLevel,
         Architecture::SemiUser,
     ];
-    let measured = archs.map(count);
-    println!(
-        "{:<28} {:>14} {:>14} {:>12} {:>22}",
-        "architecture", "OS traps", "interrupts", "NIC access", "measured (traps,intr)"
-    );
-    for (arch, m) in archs.into_iter().zip(measured) {
-        println!(
-            "{:<28} {:>14} {:>14} {:>12} {:>18}",
-            arch.name(),
-            arch.traps(),
-            arch.interrupts(),
-            arch.nic_access(),
-            format!("({}, {})", m.0, m.1),
-        );
+    for arch in archs {
+        let measured = count(arch);
         assert_eq!(
             (arch.traps(), arch.interrupts()),
-            m,
+            measured,
             "measured privileged-op counts diverge from the architectural model"
         );
         let row = |what, model: u64, measured: u64| {
@@ -198,12 +185,14 @@ fn table1(ledger: &mut Ledger) {
         ledger.record(
             "table1",
             &[
-                row("OS traps", arch.traps(), m.0),
-                row("interrupts", arch.interrupts(), m.1),
+                row("OS traps", arch.traps(), measured.0),
+                row("interrupts", arch.interrupts(), measured.1),
             ],
         );
     }
-    println!("\n(measured columns count actual privileged operations during one message)");
+    let title = "Table 1: three communication architectures (paper: the model; \
+                 measured: privileged operations counted during one message)";
+    ledger.print("table1", title);
 }
 
 /// Sanity-check one run's telemetry snapshot: probes present, every probe
@@ -468,21 +457,10 @@ fn main() {
     assert_anchor("one-way delta vs user-level", bcl - user, 3.10);
     assert_anchor("NIC send stage share", nic_share, 36.1);
 
-    println!("\n-- Fig. 8: inter-node one-way latency vs message size (BCL)\n");
-    println!("{:>10}  {:>12}", "bytes", "latency (us)");
     for r in &latencies {
-        println!("{:>10}  {:>12.2}", r.size, r.one_way_us);
-        ledger.record(
-            "fig8",
-            &[Row::new(
-                format!("one-way {} B", r.size),
-                None,
-                r.one_way_us,
-                "us",
-            )],
-        );
+        let what = format!("one-way {} B", r.size);
+        ledger.record("fig8", &[Row::new(what, None, r.one_way_us, "us")]);
     }
-    println!("\npaper anchor: minimal latency 18.3 us between nodes; measured {bcl:.2} us");
     // The ledger's arithmetic: over the timed messages, critical-path self
     // time plus wait is the critical-path total is the measured one-way
     // latency, to the ns.
@@ -503,15 +481,17 @@ fn main() {
         }
         ledger.decomposition("fig8", r.size, b);
     }
+    println!();
+    ledger.print(
+        "fig8",
+        "Fig. 8: inter-node one-way latency vs message size (BCL), and where it goes",
+    );
 
-    println!("\n-- Fig. 9: inter-node bandwidth vs message size (BCL)\n");
-    println!("{:>10}  {:>12}", "bytes", "MB/s");
     let mut peak: f64 = 0.0;
     let mut half_point = None;
     let mut bw128k = 0.0;
     for &size in &BANDWIDTH_SIZES {
         let mb_s = bandwidth(spec.clone(), 1, size);
-        println!("{size:>10}  {mb_s:>12.1}");
         ledger.record(
             "fig9",
             &[Row::new(format!("bandwidth {size} B"), None, mb_s, "MB/s")],
@@ -527,7 +507,7 @@ fn main() {
     println!();
     ledger.table(
         "fig9",
-        "Fig. 9 anchors",
+        "Fig. 9: inter-node bandwidth vs message size (BCL), and its anchors",
         &[
             Row::new("peak bandwidth", 146.0, peak, "MB/s"),
             Row::new("  as % of 160 MB/s link", 91.0, peak / 160.0 * 100.0, "%"),

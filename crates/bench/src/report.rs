@@ -279,46 +279,6 @@ impl Row {
     }
 }
 
-/// Render rows as an aligned table with relative deviation.
-pub fn render(title: &str, rows: &[Row]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "== {title}");
-    let w = rows.iter().map(|r| r.what.len()).max().unwrap_or(10) + 2;
-    let _ = writeln!(
-        out,
-        "{:<w$} {:>10} {:>10} {:>8}  unit",
-        "metric", "paper", "measured", "delta"
-    );
-    for r in rows {
-        match r.paper {
-            Some(p) if p != 0.0 => {
-                let delta = (r.measured - p) / p * 100.0;
-                let _ = writeln!(
-                    out,
-                    "{:<w$} {:>10.2} {:>10.2} {:>+7.1}%  {}",
-                    r.what, p, r.measured, delta, r.unit
-                );
-            }
-            Some(p) => {
-                let _ = writeln!(
-                    out,
-                    "{:<w$} {:>10.2} {:>10.2} {:>8}  {}",
-                    r.what, p, r.measured, "-", r.unit
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "{:<w$} {:>10} {:>10.2} {:>8}  {}",
-                    r.what, "-", r.measured, "-", r.unit
-                );
-            }
-        }
-    }
-    out
-}
-
 /// The paper ledger: every row the `paper` harness prints, plus one
 /// critical-path decomposition per Fig. 8 size, one JSON object per line
 /// under `"rows"`. The writer is deterministic, so two ledgers compare as
@@ -329,13 +289,27 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Print `rows` as the table `title` and record them under `section`.
+    /// Record `rows` under `section` and print the whole section as the
+    /// table `title`.
     pub fn table(&mut self, section: &str, title: &str, rows: &[Row]) {
-        print!("{}", render(title, rows));
         self.record(section, rows);
+        self.print(section, title);
     }
 
-    /// Record rows a section prints in its own layout.
+    /// Print every row recorded under `section` so far as the table
+    /// `title`: [`render_markdown`] of the ledger lines themselves, the
+    /// block EXPERIMENTS.md carries for the section.
+    pub fn print(&self, section: &str, title: &str) {
+        let rows: Vec<&str> = self
+            .lines
+            .iter()
+            .map(String::as_str)
+            .filter(|row| field(row, "section") == Some(section))
+            .collect();
+        print!("== {title}\n{}", render_markdown(&rows));
+    }
+
+    /// Record rows without printing them.
     pub fn record(&mut self, section: &str, rows: &[Row]) {
         for r in rows {
             let paper = r.paper.map_or("null".to_string(), |p| p.to_string());
@@ -370,11 +344,194 @@ impl Ledger {
 
     /// The ledger as a JSON document.
     pub fn to_json(&self, schema: &str) -> String {
-        format!(
-            "{{\n  \"schema\": \"{schema}\",\n  \"rows\": [\n    {}\n  ]\n}}\n",
-            self.lines.join(",\n    ")
-        )
+        ledger_json(schema, &self.lines)
     }
+}
+
+/// A ledger document: `schema`, then `rows`, one JSON object per line.
+pub fn ledger_json(schema: &str, rows: &[String]) -> String {
+    format!(
+        "{{\n  \"schema\": \"{schema}\",\n  \"rows\": [\n    {}\n  ]\n}}\n",
+        rows.join(",\n    ")
+    )
+}
+
+/// The rows of a ledger document (`BENCH_stack.json`,
+/// `BENCH_collectives.json`, `BENCH_digest.json`): its one-line JSON
+/// objects, without their separating commas.
+pub fn ledger_rows(doc: &str) -> Vec<&str> {
+    doc.lines()
+        .map(|l| l.trim().trim_end_matches(','))
+        .filter(|l| l.starts_with('{') && l.ends_with('}'))
+        .collect()
+}
+
+/// The `key: value` pairs of one ledger row, in the writer's order: a
+/// string without its quotes, a number or `null` as written, a nested
+/// object as its `{…}` text. The ledgers are machine-written, one object
+/// per line, nested at most once and with no escapes; this reads that and
+/// nothing more.
+pub fn fields(row: &str) -> Vec<(&str, &str)> {
+    let bad = || -> ! { panic!("not a ledger row: {row}") };
+    let mut rest = row
+        .trim()
+        .strip_prefix('{')
+        .and_then(|r| r.strip_suffix('}'))
+        .unwrap_or_else(|| bad());
+    let mut out = Vec::new();
+    while let Some(r) = rest.trim_start_matches([',', ' ']).strip_prefix('"') {
+        let (key, r) = r.split_once("\": ").unwrap_or_else(|| bad());
+        let end = match r.as_bytes().first() {
+            Some(b'"') => r[1..].find('"').map(|i| i + 2),
+            Some(b'{') => r.find('}').map(|i| i + 1),
+            _ => Some(r.find(',').unwrap_or(r.len())),
+        }
+        .unwrap_or_else(|| bad());
+        let value = &r[..end];
+        let unquoted = value.strip_prefix('"').and_then(|v| v.strip_suffix('"'));
+        out.push((key, unquoted.unwrap_or(value)));
+        rest = &r[end..];
+    }
+    out
+}
+
+/// The value of `key` in a ledger row (see [`fields`]).
+pub fn field<'a>(row: &'a str, key: &str) -> Option<&'a str> {
+    fields(row)
+        .into_iter()
+        .find_map(|(k, v)| (k == key).then_some(v))
+}
+
+/// A ledger's rows grouped by their `section` field (`""` for rows without
+/// one), in the order each section first appears.
+pub fn sections<'a>(rows: &[&'a str]) -> Vec<(&'a str, Vec<&'a str>)> {
+    let mut out: Vec<(&str, Vec<&str>)> = Vec::new();
+    for &row in rows {
+        let section = field(row, "section").unwrap_or_default();
+        match out.iter_mut().find(|(s, _)| *s == section) {
+            Some((_, rows)) => rows.push(row),
+            None => out.push((section, vec![row])),
+        }
+    }
+    out
+}
+
+/// Render ledger rows as markdown: one table per run of rows with the same
+/// keys, a column per key (`section` left out, a nested object's keys
+/// flattened into columns of their own) and a `delta` column after
+/// `measured` where a row has a `paper` value. Every cell is the value as
+/// the ledger wrote it (`null` blank), and a column of numbers aligns
+/// right. `paper` prints each section this way, and EXPERIMENTS.md carries
+/// each block between `<!-- ledger:<section> -->` and `<!-- /ledger -->`,
+/// so the prose's tables are the ledgers' own digits.
+pub fn render_markdown(rows: &[&str]) -> String {
+    let parsed: Vec<Vec<(&str, &str)>> = rows.iter().map(|r| fields(r)).collect();
+    let keys = |row: &[(&str, &str)]| row.iter().map(|&(k, _)| k).collect::<String>();
+    let mut tables = Vec::new();
+    let mut rest = &parsed[..];
+    while let Some(first) = rest.first() {
+        let n = rest.iter().take_while(|r| keys(r) == keys(first)).count();
+        tables.push(markdown_table(&rest[..n]));
+        rest = &rest[n..];
+    }
+    tables.join("\n")
+}
+
+/// One table of [`render_markdown`]: rows that share their keys.
+fn markdown_table(rows: &[Vec<(&str, &str)>]) -> String {
+    use std::fmt::Write as _;
+    fn get<'a>(row: &[(&str, &'a str)], key: &str) -> &'a str {
+        let value = row.iter().find_map(|&(k, v)| (k == key).then_some(v));
+        value.unwrap_or_default()
+    }
+    let num = |v: &str| v.parse::<f64>().ok();
+    let mut columns: Vec<(&str, Vec<String>)> = Vec::new();
+    for &(key, first) in &rows[0] {
+        if key == "section" {
+            continue;
+        }
+        if first.starts_with('{') {
+            let nested: std::collections::BTreeSet<&str> = rows
+                .iter()
+                .flat_map(|r| fields(get(r, key)))
+                .map(|(k, _)| k)
+                .collect();
+            for k in nested {
+                let cells = rows
+                    .iter()
+                    .map(|r| get(&fields(get(r, key)), k).to_string());
+                columns.push((k, cells.collect()));
+            }
+            continue;
+        }
+        let cells = rows.iter().map(|r| match get(r, key) {
+            "null" => String::new(),
+            v => v.to_string(),
+        });
+        columns.push((key, cells.collect()));
+        if key == "measured" && rows.iter().any(|r| num(get(r, "paper")).is_some()) {
+            let delta = |r: &[(&str, &str)]| match (num(get(r, "paper")), num(get(r, key))) {
+                (Some(p), Some(m)) if p != 0.0 => format!("{:+.1}%", (m - p) / p * 100.0),
+                _ => String::new(),
+            };
+            columns.push(("delta", rows.iter().map(|r| delta(r)).collect()));
+        }
+    }
+    let width = |(head, cells): &(&str, Vec<String>)| {
+        let widest = cells.iter().map(|c| c.chars().count()).max().unwrap_or(0);
+        widest.max(head.chars().count()).max(3)
+    };
+    let widths: Vec<usize> = columns.iter().map(width).collect();
+    let right: Vec<bool> = columns
+        .iter()
+        .map(|(head, cells)| {
+            *head == "delta" || cells.iter().all(|c| c.is_empty() || num(c).is_some())
+        })
+        .collect();
+    let mut out = String::new();
+    let line = |out: &mut String, cells: Vec<&str>| {
+        for ((cell, &w), &right) in cells.iter().zip(&widths).zip(&right) {
+            let _ = match right {
+                true => write!(out, "| {cell:>w$} "),
+                false => write!(out, "| {cell:<w$} "),
+            };
+        }
+        out.push_str("|\n");
+    };
+    line(&mut out, columns.iter().map(|(head, _)| *head).collect());
+    let rules: Vec<String> = widths
+        .iter()
+        .zip(&right)
+        .map(|(&w, &right)| match right {
+            true => format!("{}:", "-".repeat(w - 1)),
+            false => "-".repeat(w),
+        })
+        .collect();
+    line(&mut out, rules.iter().map(String::as_str).collect());
+    for i in 0..rows.len() {
+        line(
+            &mut out,
+            columns.iter().map(|(_, c)| c[i].as_str()).collect(),
+        );
+    }
+    out
+}
+
+/// The start value of [`fnv1a64`].
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a, 64 bit: `hash` (start from [`FNV1A64_OFFSET`]) continued over
+/// `bytes`, so a file can be hashed a chunk at a time.
+pub fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One row of the `repro_all` digest `BENCH_digest.json`: an artifact's
+/// path under the output directory and the [`fnv1a64`] of its bytes.
+pub fn digest_row(artifact: &str, hash: u64) -> String {
+    format!("{{\"artifact\": \"{artifact}\", \"fnv1a64\": \"{hash:016x}\"}}")
 }
 
 /// The first line where `actual` differs from `committed`, as
@@ -455,12 +612,9 @@ mod tests {
         assert!(first.ends_with("(  1.200 us)"), "{first}");
     }
 
-    #[test]
-    fn ledger_is_valid_json_and_names_the_first_differing_line() {
-        let mut ledger = Ledger::default();
-        ledger.record("fig9", &[Row::new("peak", 146.0, 144.8153, "MB/s")]);
-        ledger.record("fig7", &[Row::new("  user-level", None, 15.2, "us")]);
-        let bucket = BucketReport {
+    /// One message of 0 B: 1,750 ns of stage self time and 1,000 ns of wait.
+    fn bucket() -> BucketReport {
+        BucketReport {
             label: "0 B".to_string(),
             max_bytes: 0,
             messages: 1,
@@ -471,8 +625,15 @@ mod tests {
                 .into(),
             stage_span_ns: Default::default(),
             dominant: Default::default(),
-        };
-        ledger.decomposition("fig8", 0, &bucket);
+        }
+    }
+
+    #[test]
+    fn ledger_is_valid_json_and_names_the_first_differing_line() {
+        let mut ledger = Ledger::default();
+        ledger.record("fig9", &[Row::new("peak", 146.0, 144.8153, "MB/s")]);
+        ledger.record("fig7", &[Row::new("  user-level", None, 15.2, "us")]);
+        ledger.decomposition("fig8", 0, &bucket());
         let json = ledger.to_json("test.v1");
         assert_eq!(suca_sim::artifact::validate_json(&json), Ok(()), "{json}");
         assert!(json.contains(r#""what": "peak", "paper": 146, "measured": 144.8153,"#));
@@ -487,5 +648,43 @@ mod tests {
         assert!(first_difference(&json, &longer)
             .expect("a line was added")
             .ends_with("committed <end of file>, measured `extra`"));
+    }
+
+    #[test]
+    fn markdown_is_the_ledger_rows_digits() {
+        let mut ledger = Ledger::default();
+        ledger.record("fig9", &[Row::new("peak", 146.0, 144.8153, "MB/s")]);
+        ledger.record("fig9", &[Row::new("half point", None, 2048.0, "bytes")]);
+        ledger.decomposition("fig9", 0, &bucket());
+        let json = ledger.to_json("test.v1");
+        let rows = ledger_rows(&json);
+        assert_eq!(rows.len(), 3);
+        assert_eq!(field(rows[0], "measured"), Some("144.8153"));
+        assert_eq!(
+            field(rows[2], "self_ns"),
+            Some(r#"{"mcp:rx": 1450, "wire:tx": 300}"#)
+        );
+        let sections = sections(&rows);
+        assert_eq!(sections.len(), 1);
+        let expected = "\
+| what       | paper |  measured | delta | unit  |
+| ---------- | ----: | --------: | ----: | ----- |
+| peak       |   146 |  144.8153 | -0.8% | MB/s  |
+| half point |       | 2048.0000 |       | bytes |
+
+| bytes | messages | one_way_ns | mcp:rx | wire:tx | wait_ns |
+| ----: | -------: | ---------: | -----: | ------: | ------: |
+|     0 |        1 |       2750 |   1450 |     300 |    1000 |
+";
+        assert_eq!(render_markdown(&sections[0].1), expected);
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(fnv1a64(FNV1A64_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(FNV1A64_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        let whole = fnv1a64(FNV1A64_OFFSET, b"foobar");
+        assert_eq!(whole, 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a64(fnv1a64(FNV1A64_OFFSET, b"foo"), b"bar"), whole);
     }
 }

@@ -12,14 +12,27 @@
 //!
 //! `paper` runs once. Besides its gate, one test per table and figure reads
 //! that run's section of the ledger against the committed one, so a moved
-//! digit fails the test named after the figure it belongs to.
+//! digit fails the test named after the figure it belongs to. Two more
+//! tests hold the committed files to each other: EXPERIMENTS.md's tables
+//! are the ledgers rendered, and `BENCH_digest.json` hashes the ledgers as
+//! committed.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::OnceLock;
 
+use suca_bench::report::{
+    digest_row, fnv1a64, ledger_rows, render_markdown, sections, FNV1A64_OFFSET,
+};
+
 /// The ledger `paper` must reproduce byte for byte.
 const COMMITTED: &str = include_str!("../../../BENCH_stack.json");
+/// The ledger `bench_collectives` must reproduce row for row.
+const COLLECTIVES: &str = include_str!("../../../BENCH_collectives.json");
+/// The digest `repro_all` must reproduce row for row.
+const DIGEST: &str = include_str!("../../../BENCH_digest.json");
+/// The report whose tables are the ledgers rendered.
+const EXPERIMENTS: &str = include_str!("../../../EXPERIMENTS.md");
 
 /// Sweep bounds that make a harness fit the debug profile; `repro_all`
 /// leaves them unset and runs the full sweep.
@@ -94,14 +107,11 @@ macro_rules! gate_tests {
 }
 suca_bench::harnesses!(gate_tests);
 
-/// The ledger lines of `section`, without the separating commas.
+/// The ledger lines of `section`.
 fn section_lines<'a>(ledger: &'a str, section: &str) -> Vec<&'a str> {
-    let key = format!("{{\"section\": \"{section}\",");
-    ledger
-        .lines()
-        .map(|l| l.trim().trim_end_matches(','))
-        .filter(|l| l.starts_with(&key))
-        .collect()
+    let rows = ledger_rows(ledger);
+    let found = sections(&rows).into_iter().find(|&(s, _)| s == section);
+    found.map(|(_, rows)| rows).unwrap_or_default()
 }
 
 /// `paper`'s `section`: the run recorded `rows` ledger lines under it, each
@@ -198,4 +208,70 @@ fn telemetry() {
             "traces/telemetry_64k.json",
         ],
     );
+}
+
+/// Every `<!-- ledger:<section> -->` block of EXPERIMENTS.md is
+/// `render_markdown` of that section of the committed ledgers (the
+/// `BENCH_stack.json` sections by name, `BENCH_collectives.json` as
+/// `collectives`), every section has exactly one, and no block names a
+/// section the ledgers lack. On failure it prints the block each section
+/// should carry.
+#[test]
+fn experiments_tables_are_the_ledgers() {
+    let stack = ledger_rows(COMMITTED);
+    let mut expected: Vec<(&str, String)> = sections(&stack)
+        .into_iter()
+        .map(|(section, rows)| (section, render_markdown(&rows)))
+        .collect();
+    expected.push(("collectives", render_markdown(&ledger_rows(COLLECTIVES))));
+    let mut failures = Vec::new();
+    for (section, block) in &expected {
+        let open = format!("<!-- ledger:{section} -->\n");
+        let found = EXPERIMENTS
+            .split_once(&open)
+            .and_then(|(_, rest)| rest.split_once("<!-- /ledger -->"));
+        let problem = match found {
+            Some((text, _)) if text == block => continue,
+            Some(_) => "the block differs",
+            None => "no block",
+        };
+        failures.push(format!(
+            "{section}: {problem}; it should read\n{open}{block}<!-- /ledger -->"
+        ));
+    }
+    let marked = EXPERIMENTS.lines().filter_map(|l| {
+        l.strip_prefix("<!-- ledger:")
+            .and_then(|l| l.strip_suffix(" -->"))
+    });
+    let mut seen = Vec::new();
+    for section in marked {
+        if !expected.iter().any(|(s, _)| *s == section) {
+            failures.push(format!("{section}: a block for a section no ledger has"));
+        } else if seen.contains(&section) {
+            failures.push(format!("{section}: a second block"));
+        }
+        seen.push(section);
+    }
+    assert!(
+        failures.is_empty(),
+        "EXPERIMENTS.md:\n{}",
+        failures.join("\n\n")
+    );
+}
+
+/// `BENCH_digest.json` holds the hash of each ledger as committed, so a
+/// change that moves a ledger without refreshing the digest fails here,
+/// not only after `repro_all`.
+#[test]
+fn digest_follows_the_ledgers() {
+    for (artifact, committed) in [
+        ("bench/BENCH_stack.json", COMMITTED),
+        ("bench/BENCH_collectives.json", COLLECTIVES),
+    ] {
+        let row = digest_row(artifact, fnv1a64(FNV1A64_OFFSET, committed.as_bytes()));
+        assert!(
+            ledger_rows(DIGEST).contains(&row.as_str()),
+            "BENCH_digest.json lacks `{row}`: the committed ledger moved without the digest"
+        );
+    }
 }

@@ -98,15 +98,6 @@ impl Architecture {
         u64::from(self.kernel_receive())
     }
 
-    /// Where the NIC is touched from (Table 1, third row).
-    pub fn nic_access(self) -> &'static str {
-        if self.user_nic_access() {
-            "user"
-        } else {
-            "kernel"
-        }
-    }
-
     /// The causal-chain budget every traced message of this architecture
     /// must meet: exactly its Table 1 crossings.
     pub fn chain_policy(self) -> ChainPolicy {
@@ -163,9 +154,9 @@ mod tests {
             Architecture::UserLevel,
             Architecture::SemiUser,
         ]
-        .map(|a| (a.traps(), a.interrupts(), a.nic_access()))
+        .map(|a| (a.traps(), a.interrupts(), a.user_nic_access()))
         .into();
-        assert_eq!(rows, [(2, 1, "kernel"), (0, 0, "user"), (1, 0, "kernel")]);
+        assert_eq!(rows, [(2, 1, false), (0, 0, true), (1, 0, false)]);
         // BCL's budget is the one every BCL chain is already held to.
         let (bcl, semi) = (ChainPolicy::bcl(), Architecture::SemiUser.chain_policy());
         assert_eq!(semi.traps_per_msg, bcl.traps_per_msg);

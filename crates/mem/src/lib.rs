@@ -1,21 +1,19 @@
 //! # suca-mem — host memory substrate
 //!
 //! Simulated physical memory with real contents, per-process virtual address
-//! spaces, the kernel's pin-down page table, shared-memory segments for the
-//! intra-node path, and the host memcpy cost model. Everything the paper's
-//! address-translation and protection story depends on.
+//! spaces, the kernel's pin-down page table, and shared-memory segments for
+//! the intra-node path. Everything the paper's address-translation and
+//! protection story depends on.
 
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod copy;
 pub mod pagetable;
 pub mod phys;
 pub mod pin;
 pub mod shm;
 
 pub use addr::{pages_spanned, BusAddr, PhysAddr, PhysFrame, VirtAddr, VirtPage, PAGE_SIZE};
-pub use copy::CopyModel;
 pub use pagetable::{AddressSpace, Asid};
 pub use phys::{NicSegs, PhysMemory};
 pub use pin::{PinDownTable, PinLookup};

@@ -197,7 +197,7 @@ mod tests {
         sim.spawn("p", move |ctx| {
             let r = o2.trap(ctx, |_| 42);
             assert_eq!(r, 42);
-            let expect = o2.costs.trap_roundtrip();
+            let expect = o2.costs.trap_enter + o2.costs.trap_exit;
             assert_eq!(ctx.now().since(suca_sim::SimTime::ZERO), expect);
         });
         assert_eq!(sim.run(), RunOutcome::Completed);

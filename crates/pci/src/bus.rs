@@ -38,15 +38,6 @@ impl PciModel {
     pub fn pio_write(&self, words: u64) -> SimDuration {
         self.pio_write_word * words
     }
-
-    /// Pure transfer time for a DMA of `len` bytes (excluding setup and
-    /// engine queueing, which [`crate::dma::DmaEngine`] accounts for).
-    pub fn dma_transfer(&self, len: u64) -> SimDuration {
-        if len == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::for_bytes(len, self.dma_bytes_per_sec)
-    }
 }
 
 #[cfg(test)]
@@ -60,11 +51,5 @@ mod tests {
         // Descriptor fill of ~16 words is > half of the 7.04 us send
         // overhead, as the paper observes.
         assert!(m.pio_write(16).as_us() > 7.04 / 2.0);
-    }
-
-    #[test]
-    fn zero_len_dma_is_free() {
-        let m = PciModel::dawning3000();
-        assert_eq!(m.dma_transfer(0), SimDuration::ZERO);
     }
 }
