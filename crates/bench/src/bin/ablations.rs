@@ -10,13 +10,13 @@
 //!
 //! Every cluster built here must finish with `watchdog.stalls == 0`.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::{Architecture, BclConfig, ChannelId};
 use suca_bench::report::assert_anchor;
 use suca_cluster::{ClusterSpec, SimBarrier};
 use suca_sim::mtrace::stage;
-use suca_sim::{MutexExt, TraceId};
+use suca_sim::{Lock, TraceId};
 
 /// What one arm of the translation sweep measured in its second round
 /// over `working_set` distinct 64 B buffers (the first round only warms the
@@ -40,8 +40,8 @@ fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
-    let out = Arc::new(Mutex::new(TranslationArm::default()));
+    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let out = Arc::new(Lock::new(TranslationArm::default()));
 
     let b2 = barrier.clone();
     let a2 = addr.clone();

@@ -11,11 +11,11 @@
 //! 3. the same cross-traffic pattern on the 2-D mesh, which offers path
 //!    diversity in aggregate.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::ChannelId;
 use suca_cluster::{Cluster, ClusterSpec, SimBarrier};
-use suca_sim::{MutexExt, RunOutcome};
+use suca_sim::{Lock, RunOutcome};
 
 const MSG: u64 = 64 * 1024;
 const COUNT: u32 = 8;
@@ -24,10 +24,10 @@ const COUNT: u32 = 8;
 fn aggregate_bandwidth(cluster: &Cluster, pairs: &[(u32, u32)]) -> f64 {
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, pairs.len() as u32 * 2);
-    let t0 = Arc::new(Mutex::new(f64::MAX));
-    let t1 = Arc::new(Mutex::new(0.0f64));
+    let t0 = Arc::new(Lock::new(f64::MAX));
+    let t1 = Arc::new(Lock::new(0.0f64));
     for (k, &(src, dst)) in pairs.iter().enumerate() {
-        let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+        let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
         {
             let barrier = barrier.clone();
             let addr = addr.clone();

@@ -4,7 +4,7 @@
 //! policy (exactly 1 trap, 0 interrupts), and print the trace-derived
 //! per-stage latency breakdown.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bench::report::{emit_metrics, write_trace_json};
 use suca_cluster::{Cluster, ClusterSpec, SanKind, SimBarrier};
@@ -12,7 +12,7 @@ use suca_myrinet::FaultPlan;
 use suca_sim::mtrace::{
     check_completeness, record_stage_histograms, stage, ChainPolicy, STAGE_HISTOGRAMS,
 };
-use suca_sim::{MutexExt, RunOutcome, SimDuration};
+use suca_sim::{Lock, RunOutcome, SimDuration};
 
 const MSGS: u32 = 20;
 const LEN: usize = 4096;
@@ -23,7 +23,7 @@ fn ping_pong(spec: ClusterSpec) -> Cluster {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     let b2 = barrier.clone();
     let a2 = addr.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {

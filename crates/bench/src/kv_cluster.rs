@@ -3,13 +3,13 @@
 //! on every other node, a barrier between setup and traffic, and the
 //! clients' tallies merged into one [`LoadStats`].
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::ProcAddr;
 use suca_cluster::{Cluster, ClusterSpec, SimBarrier};
 use suca_load::{KvCosts, KvService, LoadStats};
 use suca_rpc::{RpcClient, RpcClientConfig, RpcServer, RpcServerConfig};
-use suca_sim::{ActorCtx, RunOutcome};
+use suca_sim::{ActorCtx, Lock, RunOutcome};
 
 /// Spread `n_servers` shard nodes evenly across `[0, nodes)`. Both SAN
 /// models reward locality (Myrinet is a linear switch array; the mesh is
@@ -42,14 +42,14 @@ pub fn run(
     before_run(&cluster);
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, nodes);
-    let addrs: Arc<Mutex<Vec<Option<ProcAddr>>>> =
-        Arc::new(Mutex::new(vec![None; n_servers as usize]));
-    let totals: Arc<Mutex<LoadStats>> = Arc::new(Mutex::new(LoadStats::default()));
+    let addrs: Arc<Lock<Vec<Option<ProcAddr>>>> =
+        Arc::new(Lock::new(vec![None; n_servers as usize]));
+    let totals: Arc<Lock<LoadStats>> = Arc::new(Lock::new(LoadStats::default()));
     for (s, &node) in server_nodes.iter().enumerate() {
         let (b, a, scfg) = (barrier.clone(), addrs.clone(), server_cfg.clone());
         cluster.spawn_process(node, "kv-shard", move |ctx, env| {
             let port = env.open_port(ctx);
-            a.lock().unwrap()[s] = Some(port.addr());
+            a.locked()[s] = Some(port.addr());
             let mut srv = RpcServer::new(ctx, port, scfg).expect("shard up");
             let mut svc = KvService::new(costs);
             b.wait(ctx);
@@ -68,17 +68,13 @@ pub fn run(
             let port = env.open_port(ctx);
             let mut cli = RpcClient::new(ctx, port, ccfg).expect("client up");
             b.wait(ctx);
-            let servers: Vec<ProcAddr> = a
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|x| x.expect("shard ready"))
-                .collect();
+            let servers: Vec<ProcAddr> =
+                a.locked().iter().map(|x| x.expect("shard ready")).collect();
             let stats = drive(ctx, &mut cli, &servers, c);
-            t.lock().unwrap().merge(&stats);
+            t.locked().merge(&stats);
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "KV workload hung");
-    let stats = *totals.lock().unwrap();
+    let stats = *totals.locked();
     (cluster, stats)
 }

@@ -4,7 +4,7 @@
 //! for BCL and for every comparator architecture, which is BCL with an
 //! `Architecture` preset — live in `suca-cluster::harness`.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_cluster::{ClusterSpec, ProcessEnv, SanKind};
 use suca_eadi::Universe;
@@ -12,7 +12,7 @@ use suca_mpi::{Comm, MpiConfig};
 use suca_myrinet::MyrinetConfig;
 use suca_pvm::{PvmConfig, PvmTask};
 use suca_sim::critpath::{self, BucketReport};
-use suca_sim::{ActorCtx, MutexExt, RunOutcome, Sim, SimDuration, TraceEvent, TraceId};
+use suca_sim::{ActorCtx, Lock, RunOutcome, Sim, SimDuration, TraceEvent, TraceId};
 
 use crate::report::stage_rows;
 
@@ -85,8 +85,8 @@ pub fn layer_one_way_us(layer: Layer, intra: bool, size: usize, warmup: u32, ite
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, 2);
     let total = warmup + iters;
-    let send_t: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
-    let recv_t: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
+    let send_t: Arc<Lock<Vec<f64>>> = Arc::new(Lock::new(Vec::new()));
+    let recv_t: Arc<Lock<Vec<f64>>> = Arc::new(Lock::new(Vec::new()));
     let dst_node = if intra { 0 } else { 1 };
 
     for rank in 0..2u32 {
@@ -129,8 +129,8 @@ pub fn layer_bandwidth_mbps(layer: Layer, intra: bool, size: usize, count: u32) 
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, 2);
-    let t0 = Arc::new(Mutex::new(0.0f64));
-    let t1 = Arc::new(Mutex::new(0.0f64));
+    let t0 = Arc::new(Lock::new(0.0f64));
+    let t1 = Arc::new(Lock::new(0.0f64));
     let dst_node = if intra { 0 } else { 1 };
 
     for rank in 0..2u32 {
@@ -183,8 +183,8 @@ pub fn traced_zero_len_run() -> TracedZeroLen {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
-    let sent: Arc<Mutex<Option<TraceId>>> = Arc::new(Mutex::new(None));
+    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let sent: Arc<Lock<Option<TraceId>>> = Arc::new(Lock::new(None));
 
     let b2 = barrier.clone();
     let ab = addr_b.clone();
@@ -230,8 +230,8 @@ pub fn measured_host_overheads(spec: ClusterSpec) -> (f64, f64, f64) {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
-    let out = Arc::new(Mutex::new((0.0f64, 0.0f64, 0.0f64)));
+    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let out = Arc::new(Lock::new((0.0f64, 0.0f64, 0.0f64)));
 
     let b2 = barrier.clone();
     let ab = addr_b.clone();

@@ -12,7 +12,7 @@
 //! The harness binary (`mixed_slo`) and the cluster e2e determinism test
 //! both build on [`run_mixed`]; only scale knobs and assertions differ.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::ProcAddr;
 use suca_cluster::{Cluster, ClusterSpec, SimBarrier};
@@ -30,7 +30,7 @@ use suca_rpc::{
     Priority, RpcClient, RpcClientConfig, RpcReply, RpcServer, RpcServerConfig, TenantId,
     TenantPolicy,
 };
-use suca_sim::{ActorCtx, HealthRule, RunOutcome, SimDuration, SimTime};
+use suca_sim::{ActorCtx, HealthRule, Lock, RunOutcome, SimDuration, SimTime};
 
 use crate::kv_cluster::interleave_servers;
 use crate::report::Recovery;
@@ -197,10 +197,10 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
     let barrier = SimBarrier::new(&sim, NODES);
 
     let servers = interleave_servers(NODES, N_SERVERS);
-    let addrs: Arc<Mutex<Vec<Option<ProcAddr>>>> = Arc::new(Mutex::new(vec![None; servers.len()]));
-    let tenant_totals: Arc<Mutex<[LoadStats; 3]>> = Arc::new(Mutex::new([LoadStats::default(); 3]));
-    let sub_totals: Arc<Mutex<SubTotals>> = Arc::new(Mutex::new(SubTotals::default()));
-    let drv_totals: Arc<Mutex<DriverStats>> = Arc::new(Mutex::new(DriverStats::default()));
+    let addrs: Arc<Lock<Vec<Option<ProcAddr>>>> = Arc::new(Lock::new(vec![None; servers.len()]));
+    let tenant_totals: Arc<Lock<[LoadStats; 3]>> = Arc::new(Lock::new([LoadStats::default(); 3]));
+    let sub_totals: Arc<Lock<SubTotals>> = Arc::new(Lock::new(SubTotals::default()));
+    let drv_totals: Arc<Lock<DriverStats>> = Arc::new(Lock::new(DriverStats::default()));
 
     // Overload drives each publisher's room-home server past its service
     // rate (40 µs publishes vs 20 µs arrivals), so the pub-sub tenant's
@@ -232,7 +232,7 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
         let (b, a, scfg) = (barrier.clone(), addrs.clone(), server_cfg.clone());
         cluster.spawn_process(node, "mixed-srv", move |ctx, env| {
             let port = env.open_port(ctx);
-            a.lock().unwrap()[s] = Some(port.addr());
+            a.locked()[s] = Some(port.addr());
             let mut srv = RpcServer::new(ctx, port, scfg).expect("server up");
             let m = ctx.sim().metrics();
             let mut kv = KvService::new(KvCosts::default());
@@ -260,9 +260,8 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
 
     let client_nodes: Vec<u32> = (0..NODES).filter(|n| !servers.contains(n)).collect();
     assert_eq!(client_nodes.len(), N_KV + N_PUB + N_SUB + N_PIPE);
-    let fetch_servers = move |a: &Arc<Mutex<Vec<Option<ProcAddr>>>>| -> Vec<ProcAddr> {
-        a.lock()
-            .unwrap()
+    let fetch_servers = move |a: &Arc<Lock<Vec<Option<ProcAddr>>>>| -> Vec<ProcAddr> {
+        a.locked()
             .iter()
             .map(|x| x.expect("server ready"))
             .collect()
@@ -289,7 +288,7 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
             let mut rng = ctx.sim().fork_rng(&format!("mixed.kv.c{c}"));
             let hists = LatencyHists::named(&ctx.sim().metrics(), "t0", suca_load::KV_CLASSES);
             let stats = run_closed_loop(ctx, &mut cli, &servers, &mut rng, &cfg, &hists);
-            t.lock().unwrap()[TENANT_KV as usize].merge(&stats);
+            t.locked()[TENANT_KV as usize].merge(&stats);
         });
     }
 
@@ -331,7 +330,7 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
                 };
                 run_publisher(ctx, &mut cli, home, room, &mut rng, &pcfg, &hists)
             };
-            t.lock().unwrap()[TENANT_PUBSUB as usize].merge(&stats);
+            t.locked()[TENANT_PUBSUB as usize].merge(&stats);
         });
     }
     for su in 0..N_SUB {
@@ -361,8 +360,8 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
             };
             let hists = LatencyHists::named(&ctx.sim().metrics(), "t1", suca_pubsub::CLASS_NAMES);
             let (stats, sub) = run_subscriber(ctx, &mut cli, home, room, &scfg, &hists);
-            t.lock().unwrap()[TENANT_PUBSUB as usize].merge(&stats);
-            let mut s = st.lock().unwrap();
+            t.locked()[TENANT_PUBSUB as usize].merge(&stats);
+            let mut s = st.locked();
             s.received += sub.received;
             s.bytes += sub.bytes;
             s.gaps += sub.gaps;
@@ -396,8 +395,8 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
             };
             let hists = LatencyHists::named(&ctx.sim().metrics(), "t2", suca_pipeline::CLASS_NAMES);
             let (stats, drv) = run_driver(ctx, &mut cli, &servers, &dcfg, &hists);
-            t.lock().unwrap()[TENANT_PIPELINE as usize].merge(&stats);
-            let mut d = dt.lock().unwrap();
+            t.locked()[TENANT_PIPELINE as usize].merge(&stats);
+            let mut d = dt.locked();
             d.jobs_done += drv.jobs_done;
             d.execs_ok += drv.execs_ok;
             d.fetches_ok += drv.fetches_ok;
@@ -411,7 +410,7 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
         "mixed/{variant}/{fabric}: workload hung"
     );
 
-    let tenant_stats = *tenant_totals.lock().unwrap();
+    let tenant_stats = *tenant_totals.locked();
     let mut total = LoadStats::default();
     for s in &tenant_stats {
         total.merge(s);
@@ -447,8 +446,8 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
             &tenant_stats[TENANT_PIPELINE as usize],
         ),
     ];
-    let sub = *sub_totals.lock().unwrap();
-    let drv = *drv_totals.lock().unwrap();
+    let sub = *sub_totals.locked();
+    let drv = *drv_totals.locked();
     MixedOutcome {
         cluster,
         report,

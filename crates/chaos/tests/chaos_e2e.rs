@@ -4,14 +4,14 @@
 //! blackhole — with every message delivered exactly once across the
 //! cutover.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::ChannelId;
 use suca_chaos::{ChaosController, ChaosPlan, ChaosReport, Fault, StormBuilder};
 use suca_cluster::{ClusterSpec, SanKind, SimBarrier};
 use suca_mesh::MeshConfig;
 use suca_myrinet::FabricNodeId;
-use suca_sim::{MutexExt, RunOutcome, SimDuration, SimTime, TelemetryConfig, WatchdogConfig};
+use suca_sim::{Lock, RunOutcome, SimDuration, SimTime, TelemetryConfig, WatchdogConfig};
 
 #[test]
 fn watchdog_fires_during_unrecovered_blackhole() {
@@ -42,7 +42,7 @@ fn watchdog_fires_during_unrecovered_blackhole() {
     ChaosController::install(&cluster, &plan);
 
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     {
         let (barrier, addr) = (barrier.clone(), addr.clone());
         cluster.spawn_process(1, "rx", move |ctx, env| {
@@ -115,7 +115,7 @@ fn failover_recovers_the_blackhole_and_keeps_the_watchdog_silent() {
     ChaosController::install(&cluster, &plan);
 
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     {
         let (barrier, addr) = (barrier.clone(), addr.clone());
         cluster.spawn_process(1, "rx", move |ctx, env| {
@@ -218,10 +218,10 @@ fn frames_die_with_the_state_that_held_them_under_a_dual_rail_storm() {
         .iter()
         .map(|n| n.os.memory().clone())
         .collect();
-    let post_setup = Arc::new(Mutex::new(Vec::new()));
+    let post_setup = Arc::new(Lock::new(Vec::new()));
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
-    let delivered = Arc::new(Mutex::new(0u32));
+    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let delivered = Arc::new(Lock::new(0u32));
     let quiet = SimDuration::from_ms(20);
     {
         let (barrier, addr, delivered) = (barrier.clone(), addr.clone(), delivered.clone());

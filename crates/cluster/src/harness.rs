@@ -6,11 +6,11 @@
 //! simulation clock is global, one-way latency is measured directly (no
 //! RTT/2 approximation).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::{BclError, ChannelId};
 use suca_sim::critpath::{self, MessageCritPath};
-use suca_sim::{ActorCtx, MutexExt, RunOutcome, Signal, Sim, TraceId};
+use suca_sim::{ActorCtx, Lock, RunOutcome, Signal, Sim, TraceId};
 
 use crate::builder::{Cluster, ClusterSpec};
 
@@ -19,7 +19,7 @@ use crate::builder::{Cluster, ClusterSpec};
 #[derive(Clone)]
 pub struct SimBarrier {
     n: u32,
-    state: Arc<Mutex<(u32, u64)>>, // (arrived, generation)
+    state: Arc<Lock<(u32, u64)>>, // (arrived, generation)
     signal: Signal,
 }
 
@@ -29,7 +29,7 @@ impl SimBarrier {
         assert!(n > 0);
         SimBarrier {
             n,
-            state: Arc::new(Mutex::new((0, 0))),
+            state: Arc::new(Lock::new((0, 0))),
             signal: Signal::new(sim),
         }
     }
@@ -99,11 +99,11 @@ pub fn measure_one_way(
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_of_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr_of_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     // Per message: (send call, trace id) on the sender, poll return on the
     // receiver.
-    let sends = Arc::new(Mutex::new(Vec::new()));
-    let recv_times = Arc::new(Mutex::new(Vec::new()));
+    let sends = Arc::new(Lock::new(Vec::new()));
+    let recv_times = Arc::new(Lock::new(Vec::new()));
     let total = warmup + iters;
     let use_system = size <= system_max;
     let channel = if use_system {
@@ -217,9 +217,9 @@ pub fn measure_bandwidth(
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_of_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
-    let t0 = Arc::new(Mutex::new(0.0f64));
-    let t1 = Arc::new(Mutex::new(0.0f64));
+    let addr_of_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let t0 = Arc::new(Lock::new(0.0f64));
+    let t1 = Arc::new(Lock::new(0.0f64));
     let intra = src == dst;
 
     {
@@ -419,8 +419,8 @@ mod tests {
         });
         let cluster = spec.build();
         let barrier = SimBarrier::new(&cluster.sim, 2);
-        let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
-        let got = Arc::new(Mutex::new(0u32));
+        let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+        let got = Arc::new(Lock::new(0u32));
         let (b2, a2, g2) = (barrier.clone(), addr.clone(), got.clone());
         cluster.spawn_process(1, "rx", move |ctx, env| {
             let port = env.open_port(ctx);

@@ -2,13 +2,13 @@
 //! integrity, ordering, and each architecture's kernel crossings, counted
 //! by the OS and held per message to its own chain budget.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::{Architecture, BclPort, ChannelId, ProcAddr};
 use suca_cluster::{Cluster, ClusterSpec, SimBarrier};
 use suca_mem::VirtAddr;
 use suca_sim::mtrace::check_completeness;
-use suca_sim::{ActorCtx, MutexExt, RunOutcome, TraceId};
+use suca_sim::{ActorCtx, Lock, RunOutcome, TraceId};
 
 /// What each process of [`on_both`] runs once both ports are up:
 /// `(node, ctx, port, peer's address, posted buffer)`.
@@ -21,7 +21,7 @@ type Body = dyn Fn(u32, &mut ActorCtx, &BclPort, ProcAddr, Option<VirtAddr>) + S
 fn on_both(arch: Architecture, post: u64, body: Arc<Body>) -> Cluster {
     let cluster = ClusterSpec::dawning3000(2).with_architecture(arch).build();
     let barrier = SimBarrier::new(&cluster.sim, 2);
-    let addrs: Arc<Mutex<Vec<Option<ProcAddr>>>> = Arc::new(Mutex::new(vec![None; 2]));
+    let addrs: Arc<Lock<Vec<Option<ProcAddr>>>> = Arc::new(Lock::new(vec![None; 2]));
     for node in 0..2u32 {
         let (barrier, addrs, body) = (barrier.clone(), addrs.clone(), body.clone());
         cluster.spawn_process(node, format!("p{node}"), move |ctx, env| {
@@ -88,7 +88,7 @@ fn messages_arrive_in_send_order() {
 #[test]
 fn kernel_level_counts_a_trap_per_send_and_recv() {
     // (traps on node 0 while sending, traps on node 1 while receiving)
-    let traps = Arc::new(Mutex::new((0u64, 0u64)));
+    let traps = Arc::new(Lock::new((0u64, 0u64)));
     let t2 = traps.clone();
     let cluster = on_both(
         Architecture::KernelLevel,
@@ -125,7 +125,7 @@ fn kernel_level_counts_a_trap_per_send_and_recv() {
 #[test]
 fn every_architecture_meets_its_own_chain_policy_per_message() {
     for arch in Architecture::ALL {
-        let sent = Arc::new(Mutex::new(None));
+        let sent = Arc::new(Lock::new(None));
         let s2 = sent.clone();
         let cluster = on_both(
             arch,

@@ -3,12 +3,12 @@
 //! faults, rendezvous semantics, security rejections, RMA, and the
 //! critical-path trap/interrupt accounting behind Table 1.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::{BclError, BclPort, ChannelId, SendStatus};
 use suca_cluster::{measure_bandwidth, measure_one_way, ClusterSpec, SimBarrier};
 use suca_myrinet::FaultPlan;
-use suca_sim::{MutexExt, RunOutcome};
+use suca_sim::{Lock, RunOutcome};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -95,7 +95,7 @@ fn large_message_integrity_through_fragmentation() {
     let barrier = SimBarrier::new(&sim, 2);
     let payload = pattern(300_000, 7); // ~74 fragments, odd length
     let expect = payload.clone();
-    let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
 
     let b2 = barrier.clone();
     let ab = addr_b.clone();
@@ -130,7 +130,7 @@ fn b2_wait_then_send(
     ctx: &mut suca_sim::ActorCtx,
     port: &BclPort,
     barrier: &SimBarrier,
-    addr_b: &Arc<Mutex<Option<suca_bcl::ProcAddr>>>,
+    addr_b: &Arc<Lock<Option<suca_bcl::ProcAddr>>>,
     payload: &[u8],
     channel: ChannelId,
 ) {
@@ -158,7 +158,7 @@ fn reliability_recovers_from_drops_and_corruption() {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     const N: u32 = 40;
 
     let b2 = barrier.clone();
@@ -212,7 +212,7 @@ fn lossy_stream(drop_prob: f64, n: u16) -> suca_sim::Sim {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     const LEN: u64 = 32 * 1024;
 
     let b2 = barrier.clone();
@@ -297,7 +297,7 @@ fn probes_repair_tail_losses_in_a_ping_pong() {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addrs: Arc<Mutex<[Option<suca_bcl::ProcAddr>; 2]>> = Arc::new(Mutex::new([None; 2]));
+    let addrs: Arc<Lock<[Option<suca_bcl::ProcAddr>; 2]>> = Arc::new(Lock::new([None; 2]));
     const ROUNDS: u32 = 40;
     for me in 0..2usize {
         let (barrier, addrs) = (barrier.clone(), addrs.clone());
@@ -347,10 +347,10 @@ fn probes_repair_tail_losses_in_a_ping_pong() {
 fn late_posted_normal_channel_is_retried_and_delivered() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
-    let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     let barrier = SimBarrier::new(&sim, 2);
     let tx_mem = cluster.nodes[0].os.memory().clone();
-    let frames_before_send = Arc::new(Mutex::new(0));
+    let frames_before_send = Arc::new(Lock::new(0));
 
     let ab = addr_b.clone();
     let b2 = barrier.clone();
@@ -399,7 +399,7 @@ fn system_pool_overflow_discards_as_the_paper_specifies() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let pool_size = cluster.nodes[0].bcl.config().system_pool.buffers;
-    let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     let barrier = SimBarrier::new(&sim, 2);
 
     let ab = addr_b.clone();
@@ -543,8 +543,8 @@ fn rma_write_and_read_roundtrip() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
-    let window: Arc<Mutex<Option<suca_mem::VirtAddr>>> = Arc::new(Mutex::new(None));
+    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let window: Arc<Lock<Option<suca_mem::VirtAddr>>> = Arc::new(Lock::new(None));
     let done = SimBarrier::new(&sim, 2);
 
     let ab = addr_b.clone();
@@ -595,7 +595,7 @@ fn rma_out_of_bounds_read_fails_with_rejected_event() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     let done = SimBarrier::new(&sim, 2);
 
     let ab = addr_b.clone();
@@ -632,7 +632,7 @@ fn critical_path_has_one_trap_and_zero_interrupts() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
 
     let ab = addr_b.clone();
     let b2 = barrier.clone();
@@ -643,7 +643,7 @@ fn critical_path_has_one_trap_and_zero_interrupts() {
         let _ = port.wait_recv(ctx);
     });
     let b3 = barrier.clone();
-    let traps = Arc::new(Mutex::new((0u64, 0u64)));
+    let traps = Arc::new(Lock::new((0u64, 0u64)));
     let t2 = traps.clone();
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
@@ -675,8 +675,8 @@ fn same_application_runs_on_myrinet_and_mesh() {
         let cluster = spec.build();
         let sim = cluster.sim.clone();
         let barrier = SimBarrier::new(&sim, 4);
-        let addrs: Arc<Mutex<Vec<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(Vec::new()));
-        let received = Arc::new(Mutex::new(0u32));
+        let addrs: Arc<Lock<Vec<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(Vec::new()));
+        let received = Arc::new(Lock::new(0u32));
         // Every node sends to every other node over the system channel —
         // identical application code for both SANs.
         for n in 0..4u32 {

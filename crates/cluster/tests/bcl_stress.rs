@@ -2,12 +2,12 @@
 //! ring overflow, retry exhaustion, heavy loss, full-duplex bulk traffic,
 //! many ports, mixed intra/inter traffic, tiny go-back-N windows.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::{BclConfig, BclError, ChannelId, SendStatus};
 use suca_cluster::{ClusterSpec, SanKind, SimBarrier};
 use suca_myrinet::FaultPlan;
-use suca_sim::{MutexExt, RunOutcome, SimDuration};
+use suca_sim::{Lock, RunOutcome, SimDuration};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -24,7 +24,7 @@ fn two_proc(
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     let b2 = barrier.clone();
     let a2 = addr.clone();
     cluster.spawn_process(rx_node, "rx", move |ctx, env| {
@@ -184,7 +184,7 @@ fn full_duplex_bulk_transfers_both_directions() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addrs: Arc<Mutex<Vec<Option<suca_bcl::ProcAddr>>>> = Arc::new(Mutex::new(vec![None, None]));
+    let addrs: Arc<Lock<Vec<Option<suca_bcl::ProcAddr>>>> = Arc::new(Lock::new(vec![None, None]));
     const LEN: usize = 150_000;
     for me in 0..2u32 {
         let barrier = barrier.clone();
@@ -214,9 +214,9 @@ fn eight_ports_all_to_all_on_two_nodes() {
     let sim = cluster.sim.clone();
     const P: u32 = 8;
     let barrier = SimBarrier::new(&sim, P);
-    let addrs: Arc<Mutex<Vec<Option<suca_bcl::ProcAddr>>>> =
-        Arc::new(Mutex::new(vec![None; P as usize]));
-    let received = Arc::new(Mutex::new(0u32));
+    let addrs: Arc<Lock<Vec<Option<suca_bcl::ProcAddr>>>> =
+        Arc::new(Lock::new(vec![None; P as usize]));
+    let received = Arc::new(Lock::new(0u32));
     for me in 0..P {
         let barrier = barrier.clone();
         let addrs = addrs.clone();
@@ -287,7 +287,7 @@ fn concurrent_rma_writes_to_disjoint_offsets() {
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 3);
     let done = SimBarrier::new(&sim, 3);
-    let target: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let target: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
 
     let b0 = barrier.clone();
     let d0 = done.clone();

@@ -3,14 +3,14 @@
 //! write into a buffer the NIC is still reading (the bug class of the RPC
 //! response-scratch corruption) — once, with one flight-recorder dump.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::{ChannelId, ProcAddr, SendStatus};
 use suca_cluster::{ClusterSpec, SimBarrier};
 use suca_eadi::Universe;
 use suca_mem::PhysMemory;
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
-use suca_sim::{MutexExt, RunOutcome, SimDuration};
+use suca_sim::{Lock, RunOutcome, SimDuration};
 
 const VIOLATIONS: &str = "mem.dma_lifetime_violations";
 const PIN_MISSES: &str = "kmod.pin_misses";
@@ -23,8 +23,8 @@ fn overwrite_scratch_after_rma_write(wait_first: bool) -> (u64, bool, Vec<u8>) {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
-    let landed = Arc::new(Mutex::new(Vec::new()));
+    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let landed = Arc::new(Lock::new(Vec::new()));
     {
         let (barrier, addr, landed) = (barrier.clone(), addr.clone(), landed.clone());
         cluster.spawn_process(1, "window", move |ctx, env| {
@@ -92,14 +92,14 @@ fn send_bytes_ping_pong(
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
     let memories: Vec<PhysMemory> = cluster
         .nodes
         .iter()
         .map(|n| n.os.memory().clone())
         .collect();
-    let samples = Arc::new(Mutex::new([0u64; 2]));
-    let misses_at_open = Arc::new(Mutex::new(0u64));
+    let samples = Arc::new(Lock::new([0u64; 2]));
+    let misses_at_open = Arc::new(Lock::new(0u64));
     {
         let (barrier, addr) = (barrier.clone(), addr.clone());
         cluster.spawn_process(1, "pong", move |ctx, env| {
@@ -192,7 +192,7 @@ fn a_dropped_comm_leaves_each_node_at_its_post_setup_frames() {
         .map(|n| n.os.memory().clone())
         .collect();
     // Each node's frames after setup, at the end of the run, and at its end.
-    let samples = Arc::new(Mutex::new(Vec::new()));
+    let samples = Arc::new(Lock::new(Vec::new()));
     for r in 0..RANKS {
         let (uni, barrier) = (uni.clone(), barrier.clone());
         let (memories, samples) = (memories.clone(), samples.clone());

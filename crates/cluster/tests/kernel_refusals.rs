@@ -5,7 +5,7 @@
 //! costs the caller the trap, the dispatch and the security check — no pin,
 //! no descriptor PIO, no message id.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::{
     BclError, BclPort, ChannelId, CollOp, CollStep, Entry, PortId, ProcAddr, Request, Rma,
@@ -13,7 +13,7 @@ use suca_bcl::{
 use suca_cluster::{ClusterSpec, SimBarrier};
 use suca_mem::VirtAddr;
 use suca_os::NodeId;
-use suca_sim::{ActorCtx, MutexExt, RunOutcome, SimDuration};
+use suca_sim::{ActorCtx, Lock, RunOutcome, SimDuration};
 
 #[derive(Clone, Copy, Debug)]
 enum Kind {
@@ -122,8 +122,8 @@ fn counts(ctx: &ActorCtx) -> [u64; 5] {
 fn every_refusal_costs_one_checked_trap_and_nothing_else() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let ready = SimBarrier::new(&cluster.sim, 2);
-    let peer: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
-    let refused = Arc::new(Mutex::new(0));
+    let peer: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let refused = Arc::new(Lock::new(0));
     {
         let (ready, peer) = (ready.clone(), peer.clone());
         cluster.spawn_process(1, "peer", move |ctx, env| {

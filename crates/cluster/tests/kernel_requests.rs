@@ -3,11 +3,11 @@
 //! the duration of every `kernel:*` event on its trace chain. The numbers
 //! are the calibrated model's own; any drift is a finding.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::{Architecture, BclPort, ChannelId, CollOp, CollStep, ProcAddr};
 use suca_cluster::{ClusterSpec, SimBarrier};
-use suca_sim::{ActorCtx, MutexExt, RunOutcome, TraceId};
+use suca_sim::{ActorCtx, Lock, RunOutcome, TraceId};
 
 /// One send-class request, issued by node 0 towards node 1.
 #[derive(Clone, Copy, Debug)]
@@ -60,8 +60,8 @@ fn measure(arch: Architecture, req: Req) -> Charges {
         SimBarrier::new(&cluster.sim, 2),
         SimBarrier::new(&cluster.sim, 2),
     );
-    let addrs: Arc<Mutex<[Option<ProcAddr>; 2]>> = Arc::new(Mutex::new([None; 2]));
-    let measured = Arc::new(Mutex::new(None));
+    let addrs: Arc<Lock<[Option<ProcAddr>; 2]>> = Arc::new(Lock::new([None; 2]));
+    let measured = Arc::new(Lock::new(None));
     {
         let (ready, go, addrs) = (ready.clone(), go.clone(), addrs.clone());
         cluster.spawn_process(1, "peer", move |ctx, env| {

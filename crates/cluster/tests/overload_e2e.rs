@@ -13,11 +13,11 @@
 //!   the paper). Draining through `wait_recv_timeout` yields exactly
 //!   pool-many events and then a timeout, never a stall.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::{ChannelId, ProcAddr, SendStatus};
 use suca_cluster::{ClusterSpec, SimBarrier};
-use suca_sim::{MutexExt, RunOutcome, SimDuration};
+use suca_sim::{Lock, RunOutcome, SimDuration};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -37,7 +37,7 @@ fn unposted_channel_times_out_then_recovers() {
     let cluster = ClusterSpec::dawning3000(2).with_seed(0x0E41).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr_b: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
 
     let ab = addr_b.clone();
     let b2 = barrier.clone();
@@ -136,7 +136,7 @@ fn system_pool_burst_drains_to_exactly_pool_capacity() {
     let sim = cluster.sim.clone();
     let pool = cluster.nodes[0].bcl.config().system_pool.buffers;
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr_b: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
 
     let ab = addr_b.clone();
     let b2 = barrier.clone();

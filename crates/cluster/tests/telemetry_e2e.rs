@@ -6,14 +6,12 @@
 //! byte-identical timeseries JSON; and the NIC SRAM working set must stay
 //! bounded while pinned host memory grows with the application working set.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::ChannelId;
 use suca_cluster::{Cluster, ClusterSpec, SanKind, SimBarrier};
 use suca_myrinet::FaultPlan;
-use suca_sim::{
-    critpath, MutexExt, RunOutcome, SimDuration, SimTime, TelemetryConfig, WatchdogConfig,
-};
+use suca_sim::{critpath, Lock, RunOutcome, SimDuration, SimTime, TelemetryConfig, WatchdogConfig};
 
 /// Stream `msgs` messages of `size` bytes node 0 → node 1 from a rotating
 /// working set of `bufs` distinct send buffers, with a 0 B pacing reply per
@@ -28,7 +26,7 @@ fn stream(spec: ClusterSpec, size: u64, msgs: u32, bufs: usize) -> Cluster {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     {
         let barrier = barrier.clone();
         let addr = addr.clone();
@@ -147,7 +145,7 @@ fn watchdog_fires_on_wedged_retransmission_loop() {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     {
         let barrier = barrier.clone();
         let addr = addr.clone();

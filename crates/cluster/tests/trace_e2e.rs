@@ -4,14 +4,14 @@
 //! with all retransmissions attributed; protocol errors must trip the
 //! flight recorder without panicking the firmware.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::wire::{WireHeader, WireKind};
 use suca_bcl::{BclConfig, ChannelId, PortId, SendStatus};
 use suca_cluster::{ClusterSpec, SanKind, SimBarrier};
 use suca_myrinet::{FabricNodeId, FaultPlan};
 use suca_sim::mtrace::{check_completeness, stage, ChainPolicy};
-use suca_sim::{MutexExt, RunOutcome, SimDuration, TraceEvent, TraceLayer, TracePhase};
+use suca_sim::{Lock, RunOutcome, SimDuration, TraceEvent, TraceLayer, TracePhase};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -30,7 +30,7 @@ fn two_proc(
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     let b2 = barrier.clone();
     let a2 = addr.clone();
     cluster.spawn_process(rx_node, "rx", move |ctx, env| {
@@ -315,7 +315,7 @@ fn intra_node_messages_are_not_traced() {
     let cluster = ClusterSpec::dawning3000(1).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<suca_bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     let b2 = barrier.clone();
     let a2 = addr.clone();
     cluster.spawn_process(0, "rx", move |ctx, env| {

@@ -14,12 +14,12 @@
 //! the two places this file moves the kernel.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_mem::VirtAddr;
 use suca_os::{NodeOs, OsProcess};
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{ActorCtx, MutexExt, Sim, SimDuration};
+use suca_sim::{ActorCtx, Lock, Sim, SimDuration};
 
 use crate::coll::{CollOp, CollStep};
 use crate::config::BclConfig;
@@ -98,11 +98,11 @@ pub struct BclPort {
     queues: Arc<UserQueues>,
     pool_user: Vec<VirtAddr>,
     /// User-side record of posted normal channels: channel → (addr, len).
-    posted: Mutex<HashMap<u16, (VirtAddr, u64)>>,
+    posted: Lock<HashMap<u16, (VirtAddr, u64)>>,
     /// Normal channels whose posting was consumed by the intra-node path
     /// (the NIC never saw the consumption; re-posts must replace).
-    intra_consumed: Mutex<std::collections::HashSet<u16>>,
-    intra_msg: Mutex<u32>,
+    intra_consumed: Lock<std::collections::HashSet<u16>>,
+    intra_msg: Lock<u32>,
 }
 
 impl BclPort {
@@ -132,9 +132,9 @@ impl BclPort {
             id,
             queues,
             pool_user,
-            posted: Mutex::new(HashMap::new()),
-            intra_consumed: Mutex::new(std::collections::HashSet::new()),
-            intra_msg: Mutex::new(1), // odd ids: intra-node
+            posted: Lock::new(HashMap::new()),
+            intra_consumed: Lock::new(std::collections::HashSet::new()),
+            intra_msg: Lock::new(1), // odd ids: intra-node
         })
     }
 

@@ -15,10 +15,10 @@
 //! copies). This yields the paper's 2.7 µs / ~391 MB/s intra-node figures.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_mem::{PhysMemory, SharedRegion};
-use suca_sim::{ActorCtx, MutexExt, Sim, SimDuration};
+use suca_sim::{ActorCtx, Lock, Sim, SimDuration};
 
 use crate::config::IntraNodeConfig;
 use crate::port::{ChannelId, PortId, ProcAddr, RecvDataLoc, RecvEvent, SendEvent, SendStatus};
@@ -44,7 +44,7 @@ pub struct IntraHub {
     node: NodeId,
     cfg: IntraNodeConfig,
     mem: PhysMemory,
-    state: Mutex<HubState>,
+    state: Lock<HubState>,
 }
 
 impl IntraHub {
@@ -55,7 +55,7 @@ impl IntraHub {
             node,
             cfg,
             mem,
-            state: Mutex::new(HubState {
+            state: Lock::new(HubState {
                 ports: HashMap::new(),
                 pairs: HashMap::new(),
             }),
@@ -284,7 +284,7 @@ mod tests {
         sim.spawn("sender", move |ctx| {
             h2.send(ctx, PortId(0), PortId(1), ChannelId::SYSTEM, 1, &payload);
         });
-        let done = Arc::new(Mutex::new(0.0f64));
+        let done = Arc::new(Lock::new(0.0f64));
         let d2 = done.clone();
         sim.spawn("receiver", move |ctx| {
             let _ = qb.wait_recv(ctx);
@@ -330,7 +330,7 @@ mod tests {
                 );
             }
         });
-        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::new(Lock::new(Vec::new()));
         let s2 = seen.clone();
         sim.spawn("receiver", move |ctx| {
             for _ in 0..10 {

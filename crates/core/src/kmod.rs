@@ -18,13 +18,13 @@
 //! the same path with the kernel's charges left out ([`Entry::Doorbell`]).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_mem::{pages_spanned, NicSegs, PinDownTable, PinLookup, VirtAddr, PAGE_SIZE};
 use suca_myrinet::FabricNodeId;
 use suca_os::{NodeOs, OsProcess, Pid};
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{ActorCtx, Counter, Gauge, MutexExt, SimTime};
+use suca_sim::{ActorCtx, Counter, Gauge, Lock, SimTime};
 
 use crate::coll::{CollOp, CollSetup, CollStep};
 use crate::config::BclConfig;
@@ -150,7 +150,7 @@ pub struct BclKmod {
     cfg: BclConfig,
     mcp: Mcp,
     num_nodes: u32,
-    state: Mutex<KmodState>,
+    state: Lock<KmodState>,
     // Typed metric handles (cluster-wide totals across all nodes' modules).
     ioctls: Counter,
     security_rejects: Counter,
@@ -171,7 +171,7 @@ impl BclKmod {
             cfg,
             mcp,
             num_nodes,
-            state: Mutex::new(KmodState {
+            state: Lock::new(KmodState {
                 pin,
                 ports: HashMap::new(),
                 next_port: 0,

@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use suca_myrinet::FabricNodeId;
 use suca_sim::mtrace::{stage, TraceId, TraceLayer};
-use suca_sim::MutexExt;
 
 use super::{JobKind, McpInner, McpState, RxDesc, SendJob};
 use crate::coll::CollSetup;

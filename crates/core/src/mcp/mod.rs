@@ -47,14 +47,14 @@ mod send;
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 
 use suca_mem::{NicSegs, PhysAddr};
 use suca_myrinet::{FabricNodeId, Network, PacketTrace, SramPool};
 use suca_os::NodeOs;
 use suca_pci::DmaEngine;
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{Counter, Histogram, MutexExt, PollerId, Sim, SimDuration, SimTime};
+use suca_sim::{Counter, Histogram, Lock, PollerId, Sim, SimDuration, SimTime};
 
 use crate::coll::CollSetup;
 use crate::config::BclConfig;
@@ -128,14 +128,14 @@ struct TxDesc {
 /// finds its own descriptor at the front — behavior is identical to one
 /// boxed closure per descriptor, minus the per-packet allocation.
 struct Ring<T> {
-    queue: Mutex<VecDeque<T>>,
+    queue: Lock<VecDeque<T>>,
     poller: PollerId,
 }
 
 impl<T> Ring<T> {
     fn new(poller: PollerId) -> Self {
         Ring {
-            queue: Mutex::default(),
+            queue: Lock::default(),
             poller,
         }
     }
@@ -170,7 +170,7 @@ struct McpInner {
     host_dma: DmaEngine,
     sram: SramPool,
     frag_cap: u64,
-    state: Mutex<McpState>,
+    state: Lock<McpState>,
     rings: Rings,
     /// Poller of the send-engine step ([`McpInner::sender_step`]).
     sender: PollerId,
@@ -266,7 +266,7 @@ impl Mcp {
                     tx_ctrl: Ring::new(poller(|i| i.poll_tx(&i.rings.tx_ctrl))),
                 },
                 sender: poller(McpInner::sender_step),
-                state: Mutex::default(),
+                state: Lock::default(),
             }
         });
         for (rail, fabric) in fabrics.iter().enumerate() {

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use suca_myrinet::FabricNodeId;
 use suca_sim::mtrace::{stage, TraceId};
-use suca_sim::{EventId, MutexExt, SimDuration, SimTime};
+use suca_sim::{EventId, SimDuration, SimTime};
 
 use super::McpInner;
 use crate::port::{ChannelId, PortId};

@@ -13,7 +13,7 @@ use suca_mem::NicSegs;
 use suca_myrinet::{FabricNodeId, Packet};
 use suca_os::NodeId;
 use suca_sim::mtrace::{stage, TraceId, TraceLayer};
-use suca_sim::{MutexExt, Sim};
+use suca_sim::Sim;
 
 use super::{Completion, JobKind, McpInner, McpState, RxDesc, SendJob};
 use crate::port::{ChannelId, ChannelKind, PortId, ProcAddr, RecvDataLoc, RecvEvent, SendStatus};

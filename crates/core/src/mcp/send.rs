@@ -9,7 +9,7 @@ use std::sync::Arc;
 use suca_mem::{Asid, NicSegs};
 use suca_myrinet::{FabricNodeId, PacketTrace, SramLease, FRAMING_BYTES};
 use suca_sim::mtrace::{stage, TraceId, TraceLayer};
-use suca_sim::{MutexExt, SimDuration};
+use suca_sim::SimDuration;
 
 use super::{Completion, McpInner, McpState, TxDesc};
 use crate::port::{ChannelId, ChannelKind, PortId, SendEvent, SendStatus};

@@ -11,17 +11,16 @@
 //! event is charged by the MCP before an entry appears here.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 use suca_mem::{NicSegs, VirtAddr, PAGE_SIZE};
-use suca_sim::{ActorCtx, Gauge, MutexExt, Signal, Sim};
+use suca_sim::{ActorCtx, Gauge, Lock, Signal, Sim};
 
 use crate::port::{RecvEvent, SendEvent};
 
 /// Per-port completion queues, resident in the port owner's user memory.
 pub struct UserQueues {
-    recv: Mutex<VecDeque<RecvEvent>>,
-    send: Mutex<VecDeque<SendEvent>>,
+    recv: Lock<VecDeque<RecvEvent>>,
+    send: Lock<VecDeque<SendEvent>>,
     /// The library's pinned buffers: staged sends, freed by the posting of
     /// their completions, and the ones upper layers take and give back.
     pub(crate) staging: StagingPool,
@@ -43,8 +42,8 @@ impl UserQueues {
     pub fn new(sim: &Sim) -> Self {
         let metrics = sim.metrics();
         UserQueues {
-            recv: Mutex::new(VecDeque::new()),
-            send: Mutex::new(VecDeque::new()),
+            recv: Lock::new(VecDeque::new()),
+            send: Lock::new(VecDeque::new()),
             staging: StagingPool::default(),
             recv_depth: metrics.gauge("cq.recv_depth"),
             send_depth: metrics.gauge("cq.send_depth"),
@@ -142,7 +141,7 @@ impl UserQueues {
 /// only ever re-used at that size. The pool grows on demand and never
 /// shrinks; the port frees it all when it is dropped.
 #[derive(Default)]
-pub(crate) struct StagingPool(Mutex<Staging>);
+pub(crate) struct StagingPool(Lock<Staging>);
 
 #[derive(Default)]
 struct Staging {
@@ -232,7 +231,7 @@ pub struct SystemPool {
     /// Physical segments of each buffer (pinned at port open, and held —
     /// not busy: the owner reads them — until the pool is dropped).
     bufs: Vec<NicSegs>,
-    free: Mutex<VecDeque<u32>>,
+    free: Lock<VecDeque<u32>>,
 }
 
 impl SystemPool {
@@ -242,7 +241,7 @@ impl SystemPool {
         SystemPool {
             buf_bytes,
             bufs,
-            free: Mutex::new(free),
+            free: Lock::new(free),
         }
     }
 

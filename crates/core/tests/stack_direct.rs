@@ -2,13 +2,13 @@
 //! exercises the public wiring (`Mcp::new_multi_rail` + `BclNode::new`), hostile
 //! wire-level inputs, and NIC-level observability.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::{BclNode, BclPort, ChannelId, Mcp, ProcAddr};
 use suca_mem::PhysMemory;
 use suca_myrinet::{FabricNodeId, Myrinet, MyrinetConfig, Network};
 use suca_os::{NodeId, NodeOs, OsCostModel, OsPersonality};
-use suca_sim::{MutexExt, RunOutcome, Signal, Sim, SimDuration};
+use suca_sim::{Lock, RunOutcome, Signal, Sim, SimDuration};
 
 fn build_pair(sim: &Sim) -> (Arc<BclNode>, Arc<BclNode>, Arc<Network>) {
     let fabric = Myrinet::build(sim, 2, MyrinetConfig::dawning3000());
@@ -37,7 +37,7 @@ fn hand_assembled_stack_round_trips() {
     let sim = Sim::new(1);
     let (na, nb, _) = build_pair(&sim);
     let ready = Signal::new(&sim);
-    let addr: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
 
     let a2 = addr.clone();
     let r2 = ready.clone();
@@ -83,7 +83,7 @@ fn sram_high_water_reflects_staging() {
     let sim = Sim::new(3);
     let (na, nb, _) = build_pair(&sim);
     let ready = Signal::new(&sim);
-    let addr: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
     let a2 = addr.clone();
     let r2 = ready.clone();
     let nb2 = nb.clone();
@@ -120,7 +120,7 @@ fn queue_depth_drains_to_zero() {
     let sim = Sim::new(4);
     let (na, nb, _) = build_pair(&sim);
     let ready = Signal::new(&sim);
-    let addr: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
     let a2 = addr.clone();
     let r2 = ready.clone();
     let nb2 = nb.clone();

@@ -18,12 +18,12 @@
 //!   pumped from `wait`.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::{BclNode, BclPort, ChannelId, ChannelKind, ProcAddr, RecvEvent, SendStatus};
 use suca_mem::VirtAddr;
 use suca_os::OsProcess;
-use suca_sim::{ActorCtx, MutexExt, SimDuration};
+use suca_sim::{ActorCtx, Lock, SimDuration};
 
 use crate::header::{EadiHeader, EadiKind, EADI_HEADER};
 use crate::universe::Universe;
@@ -155,7 +155,7 @@ pub struct EadiEndpoint {
     /// Largest payload sent eagerly: a system-channel buffer less the
     /// header.
     eager_limit: u64,
-    st: Mutex<EadiState>,
+    st: Lock<EadiState>,
 }
 
 impl EadiEndpoint {
@@ -182,7 +182,7 @@ impl EadiEndpoint {
             rank,
             cfg,
             eager_limit,
-            st: Mutex::new(EadiState {
+            st: Lock::new(EadiState {
                 next_xid: 1,
                 next_req: 1,
                 next_rid: 1,

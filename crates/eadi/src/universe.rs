@@ -4,10 +4,10 @@
 //! process registers its port address under its rank at startup; peers block
 //! until the whole universe is present (the usual `MPI_Init` rendezvous).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::ProcAddr;
-use suca_sim::{ActorCtx, MutexExt, Signal, Sim};
+use suca_sim::{ActorCtx, Lock, Signal, Sim};
 
 struct UniverseState {
     slots: Vec<Option<ProcAddr>>,
@@ -17,7 +17,7 @@ struct UniverseState {
 /// The job-wide rank → address map.
 #[derive(Clone)]
 pub struct Universe {
-    state: Arc<Mutex<UniverseState>>,
+    state: Arc<Lock<UniverseState>>,
     signal: Signal,
 }
 
@@ -25,7 +25,7 @@ impl Universe {
     /// A universe of `n` ranks.
     pub fn new(sim: &Sim, n: u32) -> Universe {
         Universe {
-            state: Arc::new(Mutex::new(UniverseState {
+            state: Arc::new(Lock::new(UniverseState {
                 slots: vec![None; n as usize],
                 registered: 0,
             })),

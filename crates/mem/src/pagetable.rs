@@ -8,9 +8,9 @@
 //! security property.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use suca_sim::MutexExt;
+use suca_sim::Lock;
 
 use crate::addr::{pages_spanned, PhysAddr, PhysFrame, VirtAddr, VirtPage, PAGE_SIZE};
 use crate::phys::PhysMemory;
@@ -42,7 +42,7 @@ struct SpaceInner {
 #[derive(Clone)]
 pub struct AddressSpace {
     mem: PhysMemory,
-    inner: Arc<Mutex<SpaceInner>>,
+    inner: Arc<Lock<SpaceInner>>,
 }
 
 /// Base of the user heap in every simulated process (an arbitrary non-zero
@@ -54,7 +54,7 @@ impl AddressSpace {
     pub fn new(asid: Asid, mem: PhysMemory) -> Self {
         AddressSpace {
             mem,
-            inner: Arc::new(Mutex::new(SpaceInner {
+            inner: Arc::new(Lock::new(SpaceInner {
                 asid,
                 table: HashMap::new(),
                 next_page: USER_BASE_PAGE,

@@ -34,9 +34,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Deref, RangeInclusive};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-use suca_sim::{Counter, MsgTracer, MutexExt, Sim};
+use suca_sim::{Counter, Lock, LockGuard, MsgTracer, Sim};
 
 use crate::addr::{PhysAddr, PhysFrame, PAGE_SIZE};
 use crate::MemError;
@@ -148,7 +148,7 @@ fn frames_of(addr: PhysAddr, len: u64) -> RangeInclusive<u64> {
 /// Handle to one node's physical memory. Clones share storage.
 #[derive(Clone)]
 pub struct PhysMemory {
-    inner: Arc<Mutex<PhysInner>>,
+    inner: Arc<Lock<PhysInner>>,
 }
 
 impl PhysMemory {
@@ -156,7 +156,7 @@ impl PhysMemory {
     /// DAWNING-3000 nodes carried 1–4 GiB; tests typically use a few MiB.
     pub fn new(total_bytes: u64) -> Self {
         PhysMemory {
-            inner: Arc::new(Mutex::new(PhysInner {
+            inner: Arc::new(Lock::new(PhysInner {
                 frames: HashMap::default(),
                 next_frame: 1, // frame 0 reserved: catches null-frame bugs
                 total_frames: total_bytes / PAGE_SIZE,
@@ -316,7 +316,7 @@ impl PhysMemory {
 
     /// Count one access's violation (if any) and publish it, outside the
     /// lock.
-    fn report(mut inner: MutexGuard<'_, PhysInner>, violation: Option<&'static str>) {
+    fn report(mut inner: LockGuard<'_, PhysInner>, violation: Option<&'static str>) {
         let Some(reason) = violation else {
             return;
         };

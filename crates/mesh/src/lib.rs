@@ -119,14 +119,13 @@ impl Mesh {
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Mutex;
     use suca_myrinet::fabric::PORT_RIGHT;
     use suca_myrinet::{FabricNodeId, Myrinet, MyrinetConfig, PacketTrace};
     use suca_sim::mtrace::stage;
-    use suca_sim::{MutexExt, RunOutcome};
+    use suca_sim::{Lock, RunOutcome};
 
-    fn listen(net: &Network, node: u32) -> Arc<Mutex<Vec<Vec<u8>>>> {
-        let log = Arc::new(Mutex::new(Vec::new()));
+    fn listen(net: &Network, node: u32) -> Arc<Lock<Vec<Vec<u8>>>> {
+        let log = Arc::new(Lock::new(Vec::new()));
         let l = log.clone();
         net.attach(
             FabricNodeId(node),
@@ -181,7 +180,7 @@ mod tests {
         let time_to = |dst: u32| {
             let sim = Sim::new(1);
             let m = Mesh::build(&sim, 8, 8, 64, MeshConfig::dawning3000());
-            let t = Arc::new(Mutex::new(0u64));
+            let t = Arc::new(Lock::new(0u64));
             let t2 = t.clone();
             m.attach(
                 FabricNodeId(dst),
@@ -273,7 +272,7 @@ mod tests {
             for (len, ns) in [(0, ns_empty), (4096, ns_mtu)] {
                 let sim = Sim::new(1);
                 let net = build(&sim, nodes);
-                let at = Arc::new(Mutex::new(None));
+                let at = Arc::new(Lock::new(None));
                 let at2 = at.clone();
                 net.attach(
                     FabricNodeId(dst),

@@ -9,12 +9,12 @@
 //! plan interpreter and the host walking the plan over point-to-point
 //! ([`crate::offload`]).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_bcl::BclNode;
 use suca_eadi::{EadiConfig, EadiEndpoint, RecvReq, SendReq, Universe};
 use suca_os::OsProcess;
-use suca_sim::{ActorCtx, MutexExt, SimDuration};
+use suca_sim::{ActorCtx, Lock, SimDuration};
 
 /// Wildcard source (like `MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: i32 = -1;
@@ -70,7 +70,7 @@ pub struct Comm {
     pub(crate) cfg: MpiConfig,
     /// Per-communicator collective sequence number (isolates successive
     /// collectives' traffic in the reserved tag space).
-    pub(crate) coll_seq: Mutex<i32>,
+    pub(crate) coll_seq: Lock<i32>,
     /// Fabric this rank's NIC sits on — keys collective plan selection.
     pub(crate) fabric: &'static str,
     /// Largest NIC-offloadable collective payload (whole `f64` lanes in
@@ -78,7 +78,7 @@ pub struct Comm {
     pub(crate) max_coll_payload: u64,
     /// Next collective id. Every rank issues collectives in the same
     /// order, so the local counter yields the same id cluster-wide.
-    pub(crate) coll_id: Mutex<u32>,
+    pub(crate) coll_id: Lock<u32>,
 }
 
 impl Comm {
@@ -97,10 +97,10 @@ impl Comm {
         Comm {
             eadi,
             cfg,
-            coll_seq: Mutex::new(0),
+            coll_seq: Lock::new(0),
             fabric: node.fabric_name(),
             max_coll_payload,
-            coll_id: Mutex::new(1),
+            coll_id: Lock::new(1),
         }
     }
 

@@ -29,7 +29,7 @@
 
 use suca_bcl::{CollOp, CollStep, SendStatus};
 use suca_coll::{CollKind, Combine, PlanRegistry, PlanStep};
-use suca_sim::{ActorCtx, MutexExt};
+use suca_sim::ActorCtx;
 
 use crate::comm::Comm;
 use crate::datatype::fold;

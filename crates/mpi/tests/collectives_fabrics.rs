@@ -6,17 +6,17 @@
 //! its causal chain within the BCL crossing budget (1 trap, 0 interrupts)
 //! regardless of which SAN carried it.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_cluster::{Cluster, ClusterSpec};
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
 use suca_sim::mtrace::{check_completeness, ChainPolicy};
-use suca_sim::{MutexExt, RunOutcome};
+use suca_sim::{Lock, RunOutcome};
 
 /// Per-rank transcripts: (rank, bytes), shared across actor closures.
 type RankTranscripts = Vec<(u32, Vec<u8>)>;
-type Transcripts = Arc<Mutex<RankTranscripts>>;
+type Transcripts = Arc<Lock<RankTranscripts>>;
 
 /// Run an MPI job on an explicit cluster spec (the stock helper in
 /// `mpi_e2e.rs` hardcodes Myrinet); returns the cluster so the caller can
@@ -112,7 +112,7 @@ fn collectives_identical_on_myrinet_and_mesh_with_closed_chains() {
         ("myrinet", ClusterSpec::dawning3000(NODES)),
         ("mesh", ClusterSpec::dawning3000_mesh(NODES)),
     ] {
-        let transcripts: Transcripts = Arc::new(Mutex::new(Vec::new()));
+        let transcripts: Transcripts = Arc::new(Lock::new(Vec::new()));
         let t2 = transcripts.clone();
         let cluster = mpi_job_on(spec, NODES, RANKS, move |ctx, comm| {
             let transcript = collective_suite(ctx, comm);
@@ -130,7 +130,7 @@ fn collectives_identical_on_myrinet_and_mesh_with_closed_chains() {
             report.violations.join("\n")
         );
 
-        let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner().unwrap();
+        let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner();
         ranks.sort_by_key(|(r, _)| *r);
         assert_eq!(ranks.len(), RANKS as usize, "{name}: missing ranks");
         per_fabric.push((name, ranks));

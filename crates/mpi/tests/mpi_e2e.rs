@@ -73,9 +73,8 @@ fn sendrecv_symmetric_exchange_does_not_deadlock() {
 
 #[test]
 fn barrier_synchronizes() {
-    use std::sync::Mutex;
-    use suca_sim::MutexExt;
-    let order: Arc<Mutex<Vec<(u32, &'static str)>>> = Arc::new(Mutex::new(Vec::new()));
+    use suca_sim::Lock;
+    let order: Arc<Lock<Vec<(u32, &'static str)>>> = Arc::new(Lock::new(Vec::new()));
     let o2 = order.clone();
     mpi_job(3, 3, move |ctx, comm| {
         // Rank 2 dawdles before the barrier; nobody may pass it first.

@@ -4,18 +4,18 @@
 //! (`ChainPolicy::collective()`), the fan-in/fan-out happening entirely in
 //! the NIC's plan interpreter.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_cluster::{Cluster, ClusterSpec};
 use suca_coll::{Algorithm, CollKind, Plan, PlanRegistry, Topology};
 use suca_eadi::{Universe, EADI_HEADER};
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
 use suca_sim::mtrace::{check_completeness, stage, ChainPolicy};
-use suca_sim::{MutexExt, RunOutcome};
+use suca_sim::{Lock, RunOutcome};
 
 /// Per-rank transcripts: (rank, bytes), shared across actor closures.
 type RankTranscripts = Vec<(u32, Vec<u8>)>;
-type Transcripts = Arc<Mutex<RankTranscripts>>;
+type Transcripts = Arc<Lock<RankTranscripts>>;
 
 fn mpi_job_on(
     spec: ClusterSpec,
@@ -117,7 +117,7 @@ fn offloaded_collectives_correct_and_one_trap_on_both_fabrics() {
         ("myrinet", ClusterSpec::dawning3000(NODES)),
         ("mesh", ClusterSpec::dawning3000_mesh(NODES)),
     ] {
-        let transcripts: Transcripts = Arc::new(Mutex::new(Vec::new()));
+        let transcripts: Transcripts = Arc::new(Lock::new(Vec::new()));
         let t2 = transcripts.clone();
         let cluster = mpi_job_on(
             spec,
@@ -173,7 +173,7 @@ fn offloaded_collectives_correct_and_one_trap_on_both_fabrics() {
             report.violations.join("\n")
         );
 
-        let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner().unwrap();
+        let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner();
         ranks.sort_by_key(|(r, _)| *r);
         assert_eq!(ranks.len(), RANKS as usize, "{name}: missing ranks");
         per_fabric.push((name, ranks));
@@ -255,13 +255,13 @@ fn transcripts_of(
     cfg: MpiConfig,
     body: impl Fn(&mut suca_sim::ActorCtx, &Comm) -> Vec<u8> + Send + Sync + 'static,
 ) -> RankTranscripts {
-    let transcripts: Transcripts = Arc::new(Mutex::new(Vec::new()));
+    let transcripts: Transcripts = Arc::new(Lock::new(Vec::new()));
     let t2 = transcripts.clone();
     mpi_job_on(spec, nodes, ranks, cfg, move |ctx, comm| {
         let transcript = body(ctx, comm);
         t2.locked().push((comm.rank(), transcript));
     });
-    let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner().unwrap();
+    let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner();
     ranks.sort_by_key(|(r, _)| *r);
     ranks
 }

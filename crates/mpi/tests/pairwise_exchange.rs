@@ -9,12 +9,12 @@
 //! that were never lost and took 53.6 ms of virtual time; with the timer
 //! only probing, nothing is resent and it takes about 9 ms.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_cluster::ClusterSpec;
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig};
-use suca_sim::{MutexExt, RunOutcome, SimDuration, SimTime};
+use suca_sim::{Lock, RunOutcome, SimDuration, SimTime};
 
 /// The byte `rank` sends at offset `i` in round `k`.
 fn byte(rank: u32, k: u32, i: usize) -> u8 {
@@ -30,8 +30,8 @@ fn exchange(spec: ClusterSpec, ranks: u32, bytes: usize) -> (SimDuration, u64, u
     let cluster = spec.with_trace_sampling(0).build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, ranks);
-    let span: Arc<Mutex<(SimTime, SimTime)>> =
-        Arc::new(Mutex::new((SimTime::from_ns(u64::MAX), SimTime::ZERO)));
+    let span: Arc<Lock<(SimTime, SimTime)>> =
+        Arc::new(Lock::new((SimTime::from_ns(u64::MAX), SimTime::ZERO)));
     for r in 0..ranks {
         let (uni, span) = (uni.clone(), span.clone());
         cluster.spawn_process(r, format!("mpi{r}"), move |ctx, env| {

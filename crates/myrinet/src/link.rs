@@ -6,10 +6,10 @@
 //! per-link deterministic RNG stream.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_sim::mtrace::stage as trace_stage;
-use suca_sim::{Counter, MutexExt, Sim, SimDuration, SimRng, SimTime};
+use suca_sim::{Counter, Lock, Sim, SimDuration, SimRng, SimTime};
 
 use crate::fabric::{FaultPlan, Packet};
 
@@ -38,7 +38,7 @@ pub struct Link {
     /// Chaos state: a downed link consumes packets without delivering
     /// (counted). Flipped by the chaos controller via [`Link::set_up`].
     up: AtomicBool,
-    state: Mutex<LinkState>,
+    state: Lock<LinkState>,
     // Typed metric handles, registered once at link creation; shared cells
     // across all links ("fabric.*" / "link.*" are fabric-wide totals).
     drops: Counter,
@@ -72,7 +72,7 @@ impl Link {
             corruptions: metrics.counter("fabric.corrupted"),
             tx_bytes: metrics.counter("link.tx_bytes"),
             down_drops: metrics.counter("link.down_drops"),
-            state: Mutex::new(LinkState {
+            state: Lock::new(LinkState {
                 busy_until: SimTime::ZERO,
                 rng,
                 sent: 0,
@@ -186,7 +186,7 @@ mod tests {
     use suca_sim::RunOutcome;
 
     struct Recorder {
-        arrivals: Mutex<Vec<(u64, bool)>>,
+        arrivals: Lock<Vec<(u64, bool)>>,
     }
     impl PacketSink for Recorder {
         fn deliver(&self, sim: &Sim, pkt: Packet) {
@@ -212,7 +212,7 @@ mod tests {
     fn transmission_and_propagation_timing() {
         let sim = Sim::new(1);
         let rec = Arc::new(Recorder {
-            arrivals: Mutex::new(Vec::new()),
+            arrivals: Lock::new(Vec::new()),
         });
         let link = Link::new(
             &sim,
@@ -231,7 +231,7 @@ mod tests {
     fn wire_serializes_packets() {
         let sim = Sim::new(1);
         let rec = Arc::new(Recorder {
-            arrivals: Mutex::new(Vec::new()),
+            arrivals: Lock::new(Vec::new()),
         });
         let link = Link::new(
             &sim,
@@ -253,7 +253,7 @@ mod tests {
     fn downed_link_blackholes_then_revives() {
         let sim = Sim::new(1);
         let rec = Arc::new(Recorder {
-            arrivals: Mutex::new(Vec::new()),
+            arrivals: Lock::new(Vec::new()),
         });
         let link = Link::new(
             &sim,
@@ -282,7 +282,7 @@ mod tests {
         let run = |seed| {
             let sim = Sim::new(seed);
             let rec = Arc::new(Recorder {
-                arrivals: Mutex::new(Vec::new()),
+                arrivals: Lock::new(Vec::new()),
             });
             let link = Link::new(
                 &sim,

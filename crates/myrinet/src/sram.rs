@@ -6,9 +6,9 @@
 //! stages packets through SRAM buffers; this pool enforces the capacity so
 //! protocols experience back-pressure when staging outruns draining.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use suca_sim::{Gauge, MutexExt};
+use suca_sim::{Gauge, Lock};
 
 struct PoolInner {
     capacity: u64,
@@ -20,7 +20,7 @@ struct PoolInner {
 /// Byte-granular SRAM allocator. Clones share the pool.
 #[derive(Clone)]
 pub struct SramPool {
-    inner: Arc<Mutex<PoolInner>>,
+    inner: Arc<Lock<PoolInner>>,
 }
 
 /// RAII lease on SRAM bytes; returned to the pool on drop.
@@ -34,7 +34,7 @@ impl SramPool {
     /// the MCP reserves most of it for staging buffers).
     pub fn new(capacity: u64) -> Self {
         SramPool {
-            inner: Arc::new(Mutex::new(PoolInner {
+            inner: Arc::new(Lock::new(PoolInner {
                 capacity,
                 used: 0,
                 high_water: 0,

@@ -5,10 +5,10 @@
 //! Output-port contention is inherited from the output [`Link`]'s
 //! serialization; the crossbar itself is non-blocking.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{Counter, MutexExt, Sim, SimDuration};
+use suca_sim::{Counter, Lock, Sim, SimDuration};
 
 use crate::fabric::Packet;
 use crate::link::{Link, PacketSink};
@@ -35,10 +35,10 @@ pub fn trace_wire_instant(sim: &Sim, pkt: &Packet, stage_name: &'static str) {
 pub struct Switch {
     label: String,
     cut_through: SimDuration,
-    out: Mutex<Vec<Option<Arc<Link>>>>,
+    out: Lock<Vec<Option<Arc<Link>>>>,
     /// Chaos state: ports the controller has killed. Packets routed through
     /// a dead port are counted drops, never panics.
-    dead: Mutex<Vec<bool>>,
+    dead: Lock<Vec<bool>>,
     unwired_drops: Counter,
     route_exhausted_drops: Counter,
     dead_port_drops: Counter,
@@ -56,8 +56,8 @@ impl Switch {
         Arc::new(Switch {
             label: label.into(),
             cut_through,
-            out: Mutex::new(vec![None; radix]),
-            dead: Mutex::new(vec![false; radix]),
+            out: Lock::new(vec![None; radix]),
+            dead: Lock::new(vec![false; radix]),
             unwired_drops: metrics.counter("switch.unwired_drop"),
             route_exhausted_drops: metrics.counter("switch.route_exhausted_drop"),
             dead_port_drops: metrics.counter("switch.dead_port_drop"),
@@ -135,7 +135,7 @@ mod tests {
     use super::*;
     use crate::fabric::{FabricNodeId, FaultPlan};
 
-    struct Recorder(Mutex<Vec<u64>>);
+    struct Recorder(Lock<Vec<u64>>);
     impl PacketSink for Recorder {
         fn deliver(&self, sim: &Sim, _pkt: Packet) {
             self.0.locked().push(sim.now().as_ns());
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn routes_through_ports_with_cut_through_latency() {
         let sim = Sim::new(1);
-        let rec = Arc::new(Recorder(Mutex::new(Vec::new())));
+        let rec = Arc::new(Recorder(Lock::new(Vec::new())));
         let sw = Switch::new(&sim, "sw0", 8, SimDuration::from_ns(300));
         let out = Link::new(
             &sim,
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn dead_port_is_a_counted_drop_and_revivable() {
         let sim = Sim::new(1);
-        let rec = Arc::new(Recorder(Mutex::new(Vec::new())));
+        let rec = Arc::new(Recorder(Lock::new(Vec::new())));
         let sw = Switch::new(&sim, "swx", 8, SimDuration::ZERO);
         let out = Link::new(
             &sim,

@@ -79,13 +79,12 @@ impl Myrinet {
 mod tests {
     use super::*;
     use crate::fabric::FabricNodeId;
-    use std::sync::Mutex;
-    use suca_sim::{MutexExt, RunOutcome};
+    use suca_sim::{Lock, RunOutcome};
 
-    type Arrivals = Arc<Mutex<Vec<(u64, Vec<u8>, bool)>>>;
+    type Arrivals = Arc<Lock<Vec<(u64, Vec<u8>, bool)>>>;
 
     fn collect_arrivals(net: &Network, node: u32) -> Arrivals {
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::new(Lock::new(Vec::new()));
         let l2 = log.clone();
         net.attach(
             FabricNodeId(node),

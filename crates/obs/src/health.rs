@@ -40,12 +40,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 use crate::timeseries::{TimeSeries, FABRIC_NODE};
 use crate::trace::{stage, MsgTracer, TraceEvent, TraceId, TraceLayer};
 use crate::watchdog::Stall;
-use crate::{json_escape, Counter, Gauge, HistogramSnapshot, Metrics};
+use crate::{json_escape, Counter, Gauge, HistogramSnapshot, Lock, Metrics};
 
 /// Schema tag carried in every [`AlertReport`].
 pub const SCHEMA: &str = "suca.health.v1";
@@ -462,7 +461,7 @@ struct EngineState {
 /// by the telemetry tick.
 pub struct HealthEngine {
     armed: AtomicBool,
-    state: Mutex<Option<EngineState>>,
+    state: Lock<Option<EngineState>>,
 }
 
 impl Default for HealthEngine {
@@ -476,7 +475,7 @@ impl HealthEngine {
     pub fn new() -> Self {
         HealthEngine {
             armed: AtomicBool::new(false),
-            state: Mutex::new(None),
+            state: Lock::new(None),
         }
     }
 
@@ -493,7 +492,7 @@ impl HealthEngine {
     /// no probe with a declared capacity would never evaluate, so it panics
     /// too.
     pub fn install(&self, rules: Vec<HealthRule>, metrics: &Metrics, series: &TimeSeries) {
-        let mut st = self.state.lock().expect("health poisoned");
+        let mut st = self.state.locked();
         assert!(st.is_none(), "health rules already installed for this run");
         let probes = series.snapshot().series;
         for r in &rules {
@@ -555,7 +554,7 @@ impl HealthEngine {
         if !self.armed() {
             return;
         }
-        let mut st = self.state.lock().expect("health poisoned");
+        let mut st = self.state.locked();
         if let Some(st) = st.as_mut() {
             st.windows.open[tenant_idx(tenant)][class_idx(op_class)].record(ok, latency_ns);
         }
@@ -568,7 +567,7 @@ impl HealthEngine {
         if !self.armed() {
             return;
         }
-        let mut st = self.state.lock().expect("health poisoned");
+        let mut st = self.state.locked();
         if let Some(st) = st.as_mut() {
             st.windows.open[tenant_idx(tenant)][class_idx(op_class)].err += 1;
         }
@@ -584,7 +583,7 @@ impl HealthEngine {
         if !self.armed() || stalls.is_empty() {
             return;
         }
-        let mut guard = self.state.lock().expect("health poisoned");
+        let mut guard = self.state.locked();
         let Some(st) = guard.as_mut() else {
             return;
         };
@@ -612,7 +611,7 @@ impl HealthEngine {
         if !self.armed() {
             return;
         }
-        let mut guard = self.state.lock().expect("health poisoned");
+        let mut guard = self.state.locked();
         let Some(st) = guard.as_mut() else {
             return;
         };
@@ -775,8 +774,7 @@ impl HealthEngine {
     /// fires is not an alert).
     pub fn alerts(&self) -> Vec<AlertRecord> {
         self.state
-            .lock()
-            .expect("health poisoned")
+            .locked()
             .as_ref()
             .map(|st| st.alerts.clone())
             .unwrap_or_default()
@@ -810,8 +808,7 @@ impl HealthEngine {
         ticks: u32,
     ) -> (HistogramSnapshot, u64, u64) {
         self.state
-            .lock()
-            .expect("health poisoned")
+            .locked()
             .as_ref()
             .map(|st| st.windows.window(tenant, class, ticks))
             .unwrap_or((HistogramSnapshot::empty(), 0, 0))
@@ -827,7 +824,7 @@ impl HealthEngine {
         seed: u64,
         detections: &[DetectionSpec],
     ) -> AlertReport {
-        let guard = self.state.lock().expect("health poisoned");
+        let guard = self.state.locked();
         let (rules, alerts, ticks) = match guard.as_ref() {
             Some(st) => (st.rules.clone(), st.alerts.clone(), st.ticks),
             None => (Vec::new(), Vec::new(), 0),

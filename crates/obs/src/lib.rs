@@ -27,17 +27,19 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 pub mod artifact;
 pub mod critpath;
 pub mod health;
+pub mod lock;
 pub mod prof;
 pub mod timeseries;
 pub mod trace;
 pub mod watchdog;
 
 pub use artifact::{validate_json, write_artifact};
+pub use lock::{Lock, LockGuard};
 
 /// A monotonically increasing counter. Cloning shares the underlying cell.
 #[derive(Clone)]
@@ -119,36 +121,36 @@ impl Gauge {
 const HIST_BUCKETS: usize = 65;
 
 /// A log2-bucketed histogram of u64 samples (latencies in ns, sizes in
-/// bytes). Cloning shares the underlying cell. Recording takes a short
-/// uncontended mutex — use it for per-message events, not per-byte ones.
+/// bytes). Cloning shares the underlying cell. Recording takes the cell's
+/// [`Lock`] — use it for per-message events, not per-byte ones.
 #[derive(Clone)]
-pub struct Histogram(Arc<Mutex<HistogramSnapshot>>);
+pub struct Histogram(Arc<Lock<HistogramSnapshot>>);
 
 impl Histogram {
     fn new() -> Self {
-        Histogram(Arc::new(Mutex::new(HistogramSnapshot::empty())))
+        Histogram(Arc::new(Lock::new(HistogramSnapshot::empty())))
     }
 
     /// Record one sample.
     pub fn record(&self, v: u64) {
-        self.0.lock().expect("histogram poisoned").record(v);
+        self.0.locked().record(v);
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.0.lock().expect("histogram poisoned").count
+        self.0.locked().count
     }
 
     fn snap(&self) -> HistogramSnapshot {
-        self.0.lock().expect("histogram poisoned").clone()
+        self.0.locked().clone()
     }
 }
 
 struct RegistryInner {
-    counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
-    meta: Mutex<BTreeMap<String, String>>,
+    counters: Lock<BTreeMap<String, Counter>>,
+    gauges: Lock<BTreeMap<String, Gauge>>,
+    histograms: Lock<BTreeMap<String, Histogram>>,
+    meta: Lock<BTreeMap<String, String>>,
 }
 
 /// The shared registry handle. Cheap to clone; all clones see the same
@@ -169,10 +171,10 @@ impl Metrics {
     pub fn new() -> Self {
         Metrics {
             inner: Arc::new(RegistryInner {
-                counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
-                histograms: Mutex::new(BTreeMap::new()),
-                meta: Mutex::new(BTreeMap::new()),
+                counters: Lock::new(BTreeMap::new()),
+                gauges: Lock::new(BTreeMap::new()),
+                histograms: Lock::new(BTreeMap::new()),
+                meta: Lock::new(BTreeMap::new()),
             }),
         }
     }
@@ -181,7 +183,7 @@ impl Metrics {
     /// time and keep the returned handle; increments through the handle
     /// never touch the registry again.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.counters.lock().expect("registry poisoned");
+        let mut map = self.inner.counters.locked();
         map.entry(name.to_string())
             .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
             .clone()
@@ -189,7 +191,7 @@ impl Metrics {
 
     /// Register (or fetch) the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.gauges.lock().expect("registry poisoned");
+        let mut map = self.inner.gauges.locked();
         map.entry(name.to_string())
             .or_insert_with(|| {
                 Gauge(Arc::new(GaugeCell {
@@ -202,7 +204,7 @@ impl Metrics {
 
     /// Register (or fetch) the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.inner.histograms.lock().expect("registry poisoned");
+        let mut map = self.inner.histograms.locked();
         map.entry(name.to_string())
             .or_insert_with(Histogram::new)
             .clone()
@@ -212,7 +214,7 @@ impl Metrics {
     /// names). One registry-map lock per call; the name is looked up by
     /// `&str` and only allocated on first registration.
     pub fn add(&self, name: &str, n: u64) {
-        let mut map = self.inner.counters.lock().expect("registry poisoned");
+        let mut map = self.inner.counters.locked();
         match map.get(name) {
             Some(c) => c.add(n),
             None => {
@@ -225,8 +227,7 @@ impl Metrics {
     pub fn get(&self, name: &str) -> u64 {
         self.inner
             .counters
-            .lock()
-            .expect("registry poisoned")
+            .locked()
             .get(name)
             .map(|c| c.get())
             .unwrap_or(0)
@@ -237,8 +238,7 @@ impl Metrics {
     pub fn set_meta(&self, key: &str, value: impl Into<String>) {
         self.inner
             .meta
-            .lock()
-            .expect("registry poisoned")
+            .locked()
             .insert(key.to_string(), value.into());
     }
 
@@ -246,8 +246,7 @@ impl Metrics {
     pub fn counter_values(&self) -> BTreeMap<String, u64> {
         self.inner
             .counters
-            .lock()
-            .expect("registry poisoned")
+            .locked()
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect()
@@ -256,13 +255,12 @@ impl Metrics {
     /// Consistent point-in-time copy of every instrument.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            meta: self.inner.meta.lock().expect("registry poisoned").clone(),
+            meta: self.inner.meta.locked().clone(),
             counters: self.counter_values(),
             gauges: self
                 .inner
                 .gauges
-                .lock()
-                .expect("registry poisoned")
+                .locked()
                 .iter()
                 .map(|(k, g)| {
                     (
@@ -277,8 +275,7 @@ impl Metrics {
             histograms: self
                 .inner
                 .histograms
-                .lock()
-                .expect("registry poisoned")
+                .locked()
                 .iter()
                 .map(|(k, h)| (k.clone(), h.snap()))
                 .collect(),

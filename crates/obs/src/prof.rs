@@ -13,7 +13,7 @@
 //!   fraction of the wall clock is attributed.
 //!
 //! Lock accounting is phase-based: `lock_acquisitions` counts every
-//! event-queue `lock()` the pop phase takes, while `lock_hold_ns` is the pop
+//! event-queue lock the pop phase takes, while `lock_hold_ns` is the pop
 //! phase's wall time — it runs entirely under the queue lock (dispatch never
 //! does).
 //!

@@ -26,9 +26,8 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
-use crate::json_escape;
+use crate::{json_escape, Lock};
 
 /// Pseudo-node id for fabric-wide probes (per-link backlog, trunk
 /// utilization) that belong to no single host. Rendered as node `-1` in
@@ -59,7 +58,7 @@ struct Inner {
 /// The probe registry plus the bounded sample rings. One per simulation,
 /// held (like [`crate::Metrics`]) outside the engine lock.
 pub struct TimeSeries {
-    inner: Mutex<Inner>,
+    inner: Lock<Inner>,
 }
 
 impl Default for TimeSeries {
@@ -77,7 +76,7 @@ impl TimeSeries {
     /// Empty registry keeping the last `ring_capacity` samples per probe.
     pub fn with_capacity(ring_capacity: usize) -> Self {
         TimeSeries {
-            inner: Mutex::new(Inner {
+            inner: Lock::new(Inner {
                 probes: Vec::new(),
                 ring_capacity: ring_capacity.max(1),
                 samples_taken: 0,
@@ -101,7 +100,7 @@ impl TimeSeries {
         sample: impl Fn(u64) -> u64 + Send + Sync + 'static,
     ) {
         let name = name.into();
-        let mut inner = self.inner.lock().expect("timeseries poisoned");
+        let mut inner = self.inner.locked();
         assert!(
             !inner.probes.iter().any(|p| p.name == name),
             "duplicate telemetry probe {name:?}"
@@ -119,10 +118,7 @@ impl TimeSeries {
 
     /// Sampling ticks taken so far.
     pub fn samples_taken(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("timeseries poisoned")
-            .samples_taken
+        self.inner.locked().samples_taken
     }
 
     /// Read every probe at virtual time `now_ns` and append the points to
@@ -130,7 +126,7 @@ impl TimeSeries {
     /// simulator's telemetry tick; probes are visited in registration
     /// order, which is deterministic under a fixed seed.
     pub fn sample_all(&self, now_ns: u64) {
-        let mut inner = self.inner.lock().expect("timeseries poisoned");
+        let mut inner = self.inner.locked();
         let ring_capacity = inner.ring_capacity;
         inner.samples_taken += 1;
         for p in inner.probes.iter_mut() {
@@ -149,7 +145,7 @@ impl TimeSeries {
     /// rules read levels through this on every tick — [`Self::snapshot`]
     /// would clone the full history each time.
     pub fn for_each_latest(&self, mut f: impl FnMut(&str, u32, Option<u64>, u64)) {
-        let inner = self.inner.lock().expect("timeseries poisoned");
+        let inner = self.inner.locked();
         for p in &inner.probes {
             if let Some(&(_, v)) = p.ring.back() {
                 f(&p.name, p.node, p.capacity, v);
@@ -159,7 +155,7 @@ impl TimeSeries {
 
     /// Point-in-time copy of every probe's ring, sorted by probe name.
     pub fn snapshot(&self) -> TimeSeriesSnapshot {
-        let inner = self.inner.lock().expect("timeseries poisoned");
+        let inner = self.inner.locked();
         let mut series: Vec<SeriesSnapshot> = inner
             .probes
             .iter()
@@ -498,7 +494,7 @@ mod tests {
     fn rings_hold_nothing_until_sampled_and_grow_to_the_bound() {
         let ts = TimeSeries::new();
         ts.register("idle", 0, None, |_| 0);
-        let ring_capacity = |ts: &TimeSeries| ts.inner.lock().unwrap().probes[0].ring.capacity();
+        let ring_capacity = |ts: &TimeSeries| ts.inner.locked().probes[0].ring.capacity();
         assert_eq!(ring_capacity(&ts), 0, "registration reserves no ring");
         let bound = DEFAULT_RING_CAPACITY as u64;
         for t in 0..bound + 2 {

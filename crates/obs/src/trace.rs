@@ -14,7 +14,7 @@
 //! * [`TraceEvent`] — one typed record (span with begin/end, or instant)
 //!   tagged with layer, node, message identity, sequence number and bytes.
 //! * [`MsgTracer`] — bounded per-node ring buffers holding the most recent
-//!   events. Always armed (one short uncontended mutex per admitted event;
+//!   events. Always armed (one [`crate::Lock`] taken per admitted event;
 //!   [`SampleSpec`] decides which messages are admitted) so it doubles as a
 //!   *flight recorder*: [`MsgTracer::dump_once`] prints the rings to stderr
 //!   on the first sim panic or protocol error.
@@ -39,9 +39,9 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::{json_escape, Metrics};
+use crate::{json_escape, Lock, Metrics};
 
 /// Identity of one traced message: the node that originated the send plus
 /// the kernel-assigned message id. The pair is unique cluster-wide because
@@ -473,7 +473,7 @@ struct TracerInner {
     sampled_out: AtomicU64,
     /// Per-node rings, keyed by node id so sparse / sentinel ids (the
     /// fabric pseudo-node is `u32::MAX`) cost one map entry, not an index.
-    rings: Mutex<BTreeMap<u32, NodeRing>>,
+    rings: Lock<BTreeMap<u32, NodeRing>>,
 }
 
 /// Default ring capacity per node. Sized so a small debugging run keeps its
@@ -511,7 +511,7 @@ impl MsgTracer {
                 sample_rate_ppm: AtomicU32::new(1_000_000),
                 sample_seed: AtomicU64::new(0),
                 sampled_out: AtomicU64::new(0),
-                rings: Mutex::new(BTreeMap::new()),
+                rings: Lock::new(BTreeMap::new()),
             }),
         }
     }
@@ -526,7 +526,7 @@ impl MsgTracer {
     pub fn set_capacity(&self, capacity: usize) {
         let capacity = capacity.max(1);
         self.inner.capacity.store(capacity, Ordering::Relaxed);
-        let mut rings = self.inner.rings.lock().expect("tracer poisoned");
+        let mut rings = self.inner.rings.locked();
         for ring in rings.values_mut() {
             while ring.events.len() > capacity {
                 ring.events.pop_front();
@@ -568,7 +568,7 @@ impl MsgTracer {
             return;
         }
         let capacity = self.capacity();
-        let mut rings = self.inner.rings.lock().expect("tracer poisoned");
+        let mut rings = self.inner.rings.locked();
         let ring = rings.entry(ev.node).or_default();
         ring.recorded += 1;
         if ring.events.len() >= capacity {
@@ -580,7 +580,7 @@ impl MsgTracer {
 
     /// Snapshot of every ring, merged and sorted by start time.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let rings = self.inner.rings.lock().expect("tracer poisoned");
+        let rings = self.inner.rings.locked();
         let mut all: Vec<TraceEvent> = rings
             .values()
             .flat_map(|r| r.events.iter().cloned())
@@ -592,7 +592,7 @@ impl MsgTracer {
     /// Drain every ring, returning the merged sorted events.
     pub fn take_events(&self) -> Vec<TraceEvent> {
         let mut all: Vec<TraceEvent> = {
-            let mut rings = self.inner.rings.lock().expect("tracer poisoned");
+            let mut rings = self.inner.rings.locked();
             rings
                 .values_mut()
                 .flat_map(|r| std::mem::take(&mut r.events))
@@ -604,7 +604,7 @@ impl MsgTracer {
 
     /// Drop all buffered events (counts are kept).
     pub fn clear(&self) {
-        let mut rings = self.inner.rings.lock().expect("tracer poisoned");
+        let mut rings = self.inner.rings.locked();
         for ring in rings.values_mut() {
             ring.events.clear();
         }
@@ -612,13 +612,13 @@ impl MsgTracer {
 
     /// Total events ever recorded (including since-evicted ones).
     pub fn total_recorded(&self) -> u64 {
-        let rings = self.inner.rings.lock().expect("tracer poisoned");
+        let rings = self.inner.rings.locked();
         rings.values().map(|r| r.recorded).sum()
     }
 
     /// Events evicted from full rings.
     pub fn total_evicted(&self) -> u64 {
-        let rings = self.inner.rings.lock().expect("tracer poisoned");
+        let rings = self.inner.rings.locked();
         rings.values().map(|r| r.evicted).sum()
     }
 
@@ -630,7 +630,7 @@ impl MsgTracer {
     /// Render the flight-recorder contents: the last `max_per_node` events
     /// of every node's ring, newest last.
     pub fn dump(&self, max_per_node: usize) -> String {
-        let rings = self.inner.rings.lock().expect("tracer poisoned");
+        let rings = self.inner.rings.locked();
         let mut out = String::new();
         for (&node, ring) in rings.iter() {
             if ring.recorded == 0 {

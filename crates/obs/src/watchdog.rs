@@ -19,11 +19,10 @@
 //! exactly once, so clean runs can assert `watchdog.stalls == 0`.
 
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
 use crate::timeseries::TimeSeries;
 use crate::trace::{chains, MsgTracer};
-use crate::{Counter, Metrics};
+use crate::{Counter, Lock, Metrics};
 
 /// Stall thresholds. The defaults are deliberately generous: they must stay
 /// silent across every clean harness (including 128 KB bandwidth sweeps
@@ -74,7 +73,7 @@ pub struct Stall {
 pub struct Watchdog {
     cfg: WatchdogConfig,
     stalls: Counter,
-    state: Mutex<WatchState>,
+    state: Lock<WatchState>,
 }
 
 impl Watchdog {
@@ -85,7 +84,7 @@ impl Watchdog {
         Watchdog {
             cfg,
             stalls: metrics.counter("watchdog.stalls"),
-            state: Mutex::new(WatchState {
+            state: Lock::new(WatchState {
                 flagged_chains: BTreeSet::new(),
                 telemetry_dumped: false,
             }),
@@ -115,7 +114,7 @@ impl Watchdog {
                 continue;
             }
             let fresh = {
-                let mut st = self.state.lock().expect("watchdog poisoned");
+                let mut st = self.state.locked();
                 st.flagged_chains.insert((trace.origin, trace.msg_id))
             };
             if fresh {
@@ -146,7 +145,7 @@ impl Watchdog {
         eprintln!("[watchdog] {reason}");
         tracer.dump_once(reason);
         let dump_window = {
-            let mut st = self.state.lock().expect("watchdog poisoned");
+            let mut st = self.state.locked();
             !std::mem::replace(&mut st.telemetry_dumped, true)
         };
         if dump_window {

@@ -8,10 +8,10 @@
 //! structure (user library → ioctl subcommands → kernel module).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca_mem::{AddressSpace, Asid, PhysMemory};
-use suca_sim::{ActorCtx, Counter, MutexExt, Sim, SimDuration};
+use suca_sim::{ActorCtx, Counter, Lock, Sim, SimDuration};
 
 use crate::costs::{OsCostModel, OsPersonality};
 
@@ -49,7 +49,7 @@ pub struct NodeOs {
     /// Kernel cost model.
     pub costs: OsCostModel,
     mem: PhysMemory,
-    inner: Mutex<NodeOsInner>,
+    inner: Lock<NodeOsInner>,
     // Typed handles for the Table 1 counters: cluster-wide and per-node.
     traps: Counter,
     traps_node: Counter,
@@ -74,7 +74,7 @@ impl NodeOs {
             personality,
             costs,
             mem,
-            inner: Mutex::new(NodeOsInner {
+            inner: Lock::new(NodeOsInner {
                 next_pid: 1,
                 live: HashMap::new(),
             }),
@@ -210,7 +210,7 @@ mod tests {
         let sim = Sim::new(1);
         let o = os(&sim);
         let o2 = o.clone();
-        let fired = Arc::new(Mutex::new(0u64));
+        let fired = Arc::new(Lock::new(0u64));
         let f2 = fired.clone();
         sim.schedule_in(SimDuration::from_us(1), move |s| {
             o2.interrupt(s, move |s2| *f2.locked() = s2.now().as_ns());

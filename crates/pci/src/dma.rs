@@ -7,9 +7,9 @@
 //! bandwidth curve (Fig. 9). The actual byte movement is performed by the
 //! completion closure, so data and timing stay consistent.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use suca_sim::{Counter, Gauge, MutexExt, Sim, SimDuration, SimTime};
+use suca_sim::{Counter, Gauge, Lock, Sim, SimDuration, SimTime};
 
 use crate::bus::PciModel;
 
@@ -26,7 +26,7 @@ pub struct DmaEngine {
     name: &'static str,
     setup: SimDuration,
     bytes_per_sec: u64,
-    state: Arc<Mutex<EngineState>>,
+    state: Arc<Lock<EngineState>>,
     // Typed metric handles (registered once; hot-path updates are atomic).
     transfers: Counter,
     busy_ns: Counter,
@@ -43,7 +43,7 @@ impl DmaEngine {
             name,
             setup,
             bytes_per_sec,
-            state: Arc::new(Mutex::new(EngineState {
+            state: Arc::new(Lock::new(EngineState {
                 busy_until: SimTime::ZERO,
                 completed: 0,
                 bytes_moved: 0,
@@ -131,7 +131,7 @@ mod tests {
     fn engine_serializes_back_to_back_transfers() {
         let sim = Sim::new(1);
         let eng = DmaEngine::new(&sim, "t", SimDuration::ZERO, 1_000_000_000);
-        let times = Arc::new(Mutex::new(Vec::new()));
+        let times = Arc::new(Lock::new(Vec::new()));
         for _ in 0..3 {
             let t = times.clone();
             eng.submit(1000, move |s| t.locked().push(s.now().as_ns()));

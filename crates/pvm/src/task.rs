@@ -6,12 +6,12 @@
 //! rank in the job (its *tid*), with PVM's `initsend`/`pack*`/`send` /
 //! `recv`/`upk*` call shape, including `-1` wildcards for both tid and tag.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use suca_bcl::BclNode;
 use suca_eadi::{EadiConfig, EadiEndpoint, Universe};
 use suca_os::OsProcess;
-use suca_sim::{ActorCtx, MutexExt, SimDuration};
+use suca_sim::{ActorCtx, Lock, LockGuard, SimDuration};
 
 use crate::msgbuf::{PackBuf, UnpackBuf};
 
@@ -54,7 +54,7 @@ pub struct PvmMessage {
 pub struct PvmTask {
     eadi: EadiEndpoint,
     cfg: PvmConfig,
-    sendbuf: Mutex<PackBuf>,
+    sendbuf: Lock<PackBuf>,
 }
 
 impl PvmTask {
@@ -71,7 +71,7 @@ impl PvmTask {
         PvmTask {
             eadi,
             cfg,
-            sendbuf: Mutex::new(PackBuf::new()),
+            sendbuf: Lock::new(PackBuf::new()),
         }
     }
 
@@ -86,7 +86,7 @@ impl PvmTask {
     }
 
     /// `pvm_initsend`: reset the send buffer; returns a guard to pack into.
-    pub fn initsend(&self) -> MutexGuard<'_, PackBuf> {
+    pub fn initsend(&self) -> LockGuard<'_, PackBuf> {
         let mut b = self.sendbuf.locked();
         *b = PackBuf::new();
         b

@@ -57,17 +57,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Serializes unit tests that arm the (process-global) counting state.
+/// Test threads really share that state, so this is std's lock, not a
+/// [`crate::Lock`]; a failed test's panic does not stop the next one.
 #[cfg(test)]
-pub(crate) static TEST_ARM_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+static TEST_ARM_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Take [`TEST_ARM_LOCK`].
+#[cfg(test)]
+pub(crate) fn arm_for_test() -> std::sync::MutexGuard<'static, ()> {
+    TEST_ARM_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MutexExt;
 
     #[test]
     fn counts_move_only_while_armed() {
-        let _arm = TEST_ARM_LOCK.locked();
+        let _arm = arm_for_test();
         set_counting(false);
         let (a0, b0) = counts();
         let v = vec![0u8; 4096];

@@ -9,8 +9,9 @@
 //!
 //! # One queue
 //!
-//! All events live in one binary heap keyed `(time, seq)` plus a live-event
-//! set, behind one mutex. `seq` is a single counter bumped in program order,
+//! All events live in one binary heap of `(time, seq, slot)` keys over a
+//! slab of actions, behind one [`Lock`] owned by the thread that runs the
+//! simulation. `seq` is a single counter bumped in program order,
 //! and exactly one stack — the driver loop's or one actor's, see
 //! [`crate::actor`] — runs at a time, so the dispatch order is the strict
 //! `(time, seq)` order and a fixed seed yields byte-identical reports on
@@ -20,10 +21,10 @@
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::Instant;
 
@@ -33,49 +34,28 @@ use crate::actor::{new_coro, ActorCtx, ActorId, ActorRecord};
 use crate::coro::Link;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::MutexExt;
+use crate::Lock;
 
 /// Identifies a scheduled event; returned by the `schedule_*` methods and
 /// accepted by [`Sim::cancel`] (used for e.g. retransmission timers).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    slot: u32,
+}
 
 /// Handle to a registered poller callback (see [`Sim::register_poller`]).
 /// Scheduling a poll tick allocates nothing: the event carries only this id.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PollerId(u32);
 
-/// A registered poller callback (shared so a poll tick can run it without
-/// holding the registry lock).
-type PollerFn = Arc<dyn Fn(&Sim) + Send + Sync + 'static>;
+/// A registered poller callback; a poll tick runs it from the registry.
+type PollerFn = Box<dyn Fn(&Sim) + Send + Sync + 'static>;
 
 enum EventAction {
     Call(Box<dyn FnOnce(&Sim) + Send + 'static>),
     Wake(ActorId, u64),
     Poll(u32),
-}
-
-struct EventEntry {
-    time: SimTime,
-    seq: u64,
-    action: EventAction,
-}
-
-impl PartialEq for EventEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for EventEntry {}
-impl PartialOrd for EventEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EventEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
 }
 
 /// Why [`Sim::run`] (or [`Sim::run_until`]) returned.
@@ -91,14 +71,82 @@ pub enum RunOutcome {
     Pending,
 }
 
-/// The event queue. `live` tracks the seqs of still-pending (never fired,
-/// never cancelled) events, which makes [`Sim::cancel`] exact: a cancel
-/// succeeds iff the seq is removed here, a popped event whose seq is absent
-/// is a cancelled tombstone and is discarded. Nothing grows without bound:
-/// every seq leaves `live` exactly once, at cancel or at pop.
+/// The event queue: a min-heap of `(time, seq, slot)` keys over a slab of
+/// actions. A slot holds its event's action until the key pops;
+/// [`Sim::cancel`] takes the action out early and leaves the key behind as a
+/// tombstone, which the pop discards without advancing time. A slot is
+/// reused only after its key popped, and then carries the new event's seq,
+/// so a fired or cancelled [`EventId`] never matches again. Nothing grows
+/// without bound: the slab is as long as the most keys ever queued at once.
+#[derive(Default)]
 struct Queue {
-    heap: BinaryHeap<Reverse<EventEntry>>,
-    live: HashSet<u64>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    slots: Vec<Slot>,
+    /// Slots whose key popped, ready for reuse.
+    free: Vec<u32>,
+    /// Events scheduled and neither dispatched nor cancelled.
+    pending: usize,
+    /// Next event sequence number; allocation order == program order.
+    seq: u64,
+    dispatched: u64,
+}
+
+struct Slot {
+    seq: u64,
+    /// `None` once the event was dispatched or cancelled.
+    action: Option<EventAction>,
+}
+
+impl Queue {
+    fn push(&mut self, time: SimTime, action: EventAction) -> EventId {
+        let seq = self.seq;
+        self.seq += 1;
+        let slot = Slot {
+            seq,
+            action: Some(action),
+        };
+        let slot = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                u32::try_from(self.slots.len() - 1).expect("event queue overflow")
+            }
+        };
+        self.heap.push(Reverse((time, seq, slot)));
+        self.pending += 1;
+        EventId { seq, slot }
+    }
+
+    fn cancel(&mut self, id: EventId) -> bool {
+        let cancelled = match self.slots.get_mut(id.slot as usize) {
+            Some(slot) if slot.seq == id.seq => slot.action.take().is_some(),
+            _ => false,
+        };
+        self.pending -= usize::from(cancelled);
+        cancelled
+    }
+
+    /// The next live event in `(time, seq)` order, unless the queue drained
+    /// or that event lies past `limit`.
+    fn pop(&mut self, limit: SimTime) -> Option<(SimTime, EventAction)> {
+        while let Some(&Reverse((time, _, slot))) = self.heap.peek() {
+            if time > limit {
+                return None;
+            }
+            self.heap.pop();
+            self.free.push(slot);
+            if let Some(action) = self.slots[slot as usize].action.take() {
+                self.pending -= 1;
+                self.dispatched += 1;
+                return Some((time, action));
+            }
+            // Cancelled tombstone: discard, no time advance.
+        }
+        None
+    }
 }
 
 /// Profiler stamp opening a dispatch interval: `(start, allocs, bytes)`.
@@ -113,30 +161,27 @@ enum Abort {
 }
 
 pub(crate) struct SimInner {
-    queue: Mutex<Queue>,
-    /// Actor table, kept in one mutex separate from the hot event queue.
-    actors: Mutex<Vec<ActorRecord>>,
+    queue: Lock<Queue>,
+    /// Actor table, kept in one lock separate from the hot event queue.
+    actors: Lock<Vec<ActorRecord>>,
     /// Stack-pointer slots for switching between the driver loop and the
     /// actor it resumed.
     link: Link,
     /// Current virtual time in ns. Atomic so `Sim::now` never touches a
     /// queue lock from hot paths.
     now_ns: AtomicU64,
-    /// Global event sequence counter; allocation order == program order.
-    seq: AtomicU64,
-    dispatched: AtomicU64,
     running: AtomicBool,
     seed: u64,
     /// Registered poller callbacks, indexed by `PollerId`. Append-only.
-    pollers: RwLock<Vec<PollerFn>>,
-    /// Metrics registry lives *outside* the engine mutex: bumping a counter
+    pollers: Lock<Vec<PollerFn>>,
+    /// Metrics registry lives *outside* the queue lock: bumping a counter
     /// from inside an event handler must not touch the scheduler lock.
     metrics: suca_obs::Metrics,
-    /// Per-message causal tracer / flight recorder. Also outside the engine
-    /// mutex so protocol code can record events from anywhere.
+    /// Per-message causal tracer / flight recorder. Also outside the queue
+    /// lock so protocol code can record events from anywhere.
     mtrace: suca_obs::trace::MsgTracer,
     /// Continuous-telemetry probe registry (sim-clock sampled rings). Also
-    /// outside the engine mutex: probes are registered at construction time
+    /// outside the queue lock: probes are registered at construction time
     /// and sampled only from the telemetry tick.
     timeseries: suca_obs::timeseries::TimeSeries,
     /// Guard so `start_telemetry` arms exactly one sampler per run.
@@ -181,18 +226,13 @@ impl Sim {
         metrics.set_meta("seed", seed.to_string());
         Sim {
             inner: Arc::new(SimInner {
-                queue: Mutex::new(Queue {
-                    heap: BinaryHeap::new(),
-                    live: HashSet::new(),
-                }),
-                actors: Mutex::new(Vec::new()),
+                queue: Lock::default(),
+                actors: Lock::new(Vec::new()),
                 link: Link::default(),
                 now_ns: AtomicU64::new(0),
-                seq: AtomicU64::new(0),
-                dispatched: AtomicU64::new(0),
                 running: AtomicBool::new(false),
                 seed,
-                pollers: RwLock::new(Vec::new()),
+                pollers: Lock::new(Vec::new()),
                 metrics,
                 mtrace: suca_obs::trace::MsgTracer::new(),
                 timeseries: suca_obs::timeseries::TimeSeries::new(),
@@ -233,15 +273,13 @@ impl Sim {
     /// Register a reusable poller callback. Pollers are the zero-alloc
     /// alternative to boxed closures for recurring firmware work
     /// (descriptor-ring drains): registration allocates once, every
-    /// [`Sim::schedule_poll_in`] after that is allocation-free.
+    /// [`Sim::schedule_poll_in`] after that is allocation-free. A poll tick
+    /// runs its callback from the registry, so a poller must not register
+    /// another (that is a re-entrant lock, and panics).
     pub fn register_poller(&self, f: impl Fn(&Sim) + Send + Sync + 'static) -> PollerId {
-        let mut pollers = self
-            .inner
-            .pollers
-            .write()
-            .expect("poller registry poisoned");
+        let mut pollers = self.inner.pollers.locked();
         let idx = u32::try_from(pollers.len()).expect("poller registry overflow");
-        pollers.push(Arc::new(f));
+        pollers.push(Box::new(f));
         PollerId(idx)
     }
 
@@ -253,20 +291,16 @@ impl Sim {
     }
 
     fn push_event(&self, time: SimTime, action: EventAction) -> EventId {
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let mut q = self.inner.queue.locked();
-        q.heap.push(Reverse(EventEntry { time, seq, action }));
-        q.live.insert(seq);
-        EventId(seq)
+        self.inner.queue.locked().push(time, action)
     }
 
     /// Cancel a pending event. Returns `false` if it already fired or was
     /// already cancelled. Cancelling a wakeup event is safe: generational
     /// parking means a cancelled wake simply never matches.
     pub fn cancel(&self, id: EventId) -> bool {
-        // The entry stays in the heap as a tombstone and is discarded
+        // The key stays in the heap as a tombstone and is discarded
         // (without advancing time) when it reaches the front.
-        self.inner.queue.locked().live.remove(&id.0)
+        self.inner.queue.locked().cancel(id)
     }
 
     /// Spawn an actor on a coroutine stack of its own; it starts running at
@@ -355,30 +389,16 @@ impl Sim {
 
     /// The next event in `(time, seq)` order; `None` when the queue drained
     /// or the next event lies past `limit`.
-    fn next_event(&self, limit: SimTime) -> Option<EventEntry> {
+    fn next_event(&self, limit: SimTime) -> Option<EventAction> {
         let pop_t0 = self.prof_on().then(Instant::now);
-        let next = {
-            let mut q = self.inner.queue.locked();
-            loop {
-                match q.heap.peek() {
-                    Some(Reverse(e)) if e.time <= limit => {}
-                    _ => break None,
-                }
-                let Reverse(e) = q.heap.pop().expect("peeked");
-                if q.live.remove(&e.seq) {
-                    break Some(e);
-                }
-                // Cancelled tombstone: discard, no time advance.
-            }
-        };
+        let next = self.inner.queue.locked().pop(limit);
         if let Some(t0) = pop_t0 {
             self.inner.prof.lock_acq(1);
             self.inner.prof.add_pop_ns(t0.elapsed().as_nanos() as u64);
         }
-        let e = next?;
-        self.inner.now_ns.store(e.time.as_ns(), Ordering::Relaxed);
-        self.inner.dispatched.fetch_add(1, Ordering::Relaxed);
-        Some(e)
+        let (time, action) = next?;
+        self.inner.now_ns.store(time.as_ns(), Ordering::Relaxed);
+        Some(action)
     }
 
     /// The driver loop, on the `run` caller's stack: `Call` and `Poll`
@@ -387,16 +407,15 @@ impl Sim {
     /// lies past `limit`, or early on the first panic.
     fn drive(&self, limit: SimTime) -> Result<(), Abort> {
         let here = std::thread::current().id();
-        while let Some(e) = self.next_event(limit) {
+        while let Some(action) = self.next_event(limit) {
             let stamp = self.prof_on().then(Self::stamp);
-            match e.action {
+            match action {
                 EventAction::Call(f) => {
                     self.run_handler(KIND_CALL, stamp, "sim event handler panicked", || f(self))?;
                 }
                 EventAction::Poll(idx) => {
-                    let f = self.inner.pollers.read().expect("poller registry poisoned")
-                        [idx as usize]
-                        .clone();
+                    let pollers = self.inner.pollers.locked();
+                    let f = &pollers[idx as usize];
                     self.run_handler(KIND_POLL, stamp, "sim poller panicked", || f(self))?;
                 }
                 EventAction::Wake(id, gen) => {
@@ -581,7 +600,7 @@ impl Sim {
     /// Number of events dispatched so far (observability / runaway-loop
     /// diagnosis).
     pub fn events_dispatched(&self) -> u64 {
-        self.inner.dispatched.load(Ordering::Relaxed)
+        self.inner.queue.locked().dispatched
     }
 
     /// The continuous-telemetry probe registry. Components register named
@@ -592,11 +611,11 @@ impl Sim {
         &self.inner.timeseries
     }
 
-    /// Number of live (non-cancelled) events still in the queue. O(1): the
-    /// size of the live set, read every telemetry tick to decide whether
-    /// the sampler reschedules itself.
+    /// Number of live (non-cancelled) events still in the queue. O(1): a
+    /// counter, read every telemetry tick to decide whether the sampler
+    /// reschedules itself.
     pub fn pending_events(&self) -> usize {
-        self.inner.queue.locked().live.len()
+        self.inner.queue.locked().pending
     }
 
     /// The online health engine. Unarmed (every hook a no-op) until a
@@ -657,7 +676,7 @@ mod tests {
     #[test]
     fn events_run_in_time_order_with_fifo_ties() {
         let sim = Sim::new(1);
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::new(Lock::new(Vec::new()));
         for (i, d) in [(0u32, 30u64), (1, 10), (2, 10), (3, 20)] {
             let log = log.clone();
             sim.schedule_in(SimDuration::from_ns(d), move |_| log.locked().push(i));
@@ -696,10 +715,10 @@ mod tests {
             assert!(!sim.cancel(*id), "cancel of a fired event must be false");
             assert!(!sim.cancel(*id), "and stays false on retry");
         }
-        // Nothing is retained for fired or cancelled events: the live set
-        // and the queue are both empty, bounded regardless of churn.
+        // Nothing is retained for fired or cancelled events: every slot is
+        // free and the queue is empty, bounded regardless of churn.
         let q = sim.inner.queue.locked();
-        assert!(q.live.is_empty(), "live set must drain");
+        assert_eq!(q.free.len(), q.slots.len(), "every slot must be freed");
         assert!(q.heap.is_empty(), "queue must drain");
         drop(q);
         assert_eq!(sim.pending_events(), 0);
@@ -717,7 +736,7 @@ mod tests {
             sim.run();
         }
         let q = sim.inner.queue.locked();
-        assert!(q.live.is_empty());
+        assert_eq!(q.free.len(), q.slots.len());
         assert!(q.heap.is_empty());
         drop(q);
         assert_eq!(sim.pending_events(), 0);
@@ -770,7 +789,7 @@ mod tests {
     #[test]
     fn actor_sleep_advances_virtual_time() {
         let sim = Sim::new(1);
-        let t = Arc::new(Mutex::new(SimTime::ZERO));
+        let t = Arc::new(Lock::new(SimTime::ZERO));
         let t2 = t.clone();
         sim.spawn("sleeper", move |ctx| {
             ctx.sleep(SimDuration::from_us(5));
@@ -784,7 +803,7 @@ mod tests {
     #[test]
     fn actors_interleave_deterministically() {
         let sim = Sim::new(1);
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::new(Lock::new(Vec::new()));
         for who in ["a", "b"] {
             let log = log.clone();
             sim.spawn(who, move |ctx| {
@@ -875,14 +894,14 @@ mod tests {
     fn torture(prof: bool) -> (Vec<(u64, u32)>, u64, Sim) {
         let sim = Sim::new(9);
         sim.set_profiling(prof);
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::new(Lock::new(Vec::new()));
         for node in 0..8u32 {
             let log = log.clone();
             sim.schedule_in(SimDuration::from_ns(u64::from(node % 3)), move |s| {
                 chain(s, node, 0, log.clone());
             });
         }
-        fn chain(s: &Sim, node: u32, depth: u32, log: Arc<Mutex<Vec<(u64, u32)>>>) {
+        fn chain(s: &Sim, node: u32, depth: u32, log: Arc<Lock<Vec<(u64, u32)>>>) {
             log.locked().push((s.now().as_ns(), node));
             if depth >= 6 {
                 return;
@@ -902,7 +921,7 @@ mod tests {
             }
         }
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let l = Arc::try_unwrap(log).unwrap().into_inner().unwrap();
+        let l = Arc::try_unwrap(log).unwrap().into_inner();
         let n = sim.events_dispatched();
         (l, n, sim)
     }
@@ -910,7 +929,7 @@ mod tests {
     #[test]
     fn pollers_fire_in_seq_order_with_zero_alloc_events() {
         let sim = Sim::new(1);
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::new(Lock::new(Vec::new()));
         let l1 = log.clone();
         let p1 = sim.register_poller(move |s| l1.locked().push(("p1", s.now().as_ns())));
         let l2 = log.clone();
@@ -941,7 +960,7 @@ mod tests {
 
     #[test]
     fn profiled_run_keeps_order_and_balances_counters() {
-        let _arm = crate::alloc::TEST_ARM_LOCK.locked();
+        let _arm = crate::alloc::arm_for_test();
         let (plain, n_plain, _) = torture(false);
         let (profiled, n_prof, sim) = torture(true);
         assert_eq!(plain, profiled, "profiling must not change dispatch order");
@@ -1016,7 +1035,7 @@ mod tests {
         // The limit is reached while the sleeping actor is driving.
         let go = |split: Option<u64>| {
             let sim = Sim::new(4);
-            let log = Arc::new(Mutex::new(Vec::new()));
+            let log = Arc::new(Lock::new(Vec::new()));
             let l = log.clone();
             sim.spawn("a", move |ctx| {
                 for i in 0..4u64 {
@@ -1046,7 +1065,7 @@ mod tests {
         // Two actors hand off to each other through sleeps; every body step
         // and every handler must run on the thread that called `run`.
         let sim = Sim::new(1);
-        let ids = Arc::new(Mutex::new(Vec::new()));
+        let ids = Arc::new(Lock::new(Vec::new()));
         for who in 0..2u64 {
             let ids = ids.clone();
             sim.spawn(format!("a{who}"), move |ctx| {
@@ -1072,7 +1091,7 @@ mod tests {
         // The body returns at t=0; a handler at t=3 µs sees its stack gone
         // (dropping a `Coro` unmaps it) while the run is still going.
         let sim = Sim::new(1);
-        let seen = Arc::new(Mutex::new(None));
+        let seen = Arc::new(Lock::new(None));
         let s = seen.clone();
         sim.spawn("brief", |_| {});
         sim.schedule_in(SimDuration::from_us(3), move |sim| {

@@ -39,7 +39,6 @@ pub mod alloc;
 mod actor;
 mod coro;
 mod engine;
-mod lock;
 mod rng;
 mod signal;
 mod telemetry;
@@ -47,7 +46,6 @@ mod time;
 
 pub use actor::{ActorCtx, ActorId};
 pub use engine::{EventId, PollerId, RunOutcome, Sim};
-pub use lock::MutexExt;
 pub use rng::SimRng;
 pub use signal::{Semaphore, Signal};
 pub use telemetry::TelemetryConfig;
@@ -56,6 +54,10 @@ pub use time::{SimDuration, SimTime};
 // Re-export the observability layer so components taking a `Sim` handle can
 // hold typed instrument handles without a separate suca-obs dependency.
 pub use suca_obs::{Counter, Gauge, Histogram, Metrics, MetricsSnapshot};
+
+// The one lock (see `suca_obs::lock`): simulation state is shared between
+// components on one thread, never between threads.
+pub use suca_obs::{Lock, LockGuard};
 
 // The one artifact writer (see `suca_obs::artifact`), for report types in
 // crates that depend on the engine only.

@@ -9,11 +9,11 @@
 //! [`Semaphore`] builds counting-resource semantics (DMA engines, CPU slots)
 //! on top of `Signal`.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::actor::{ActorCtx, ActorId};
 use crate::engine::Sim;
-use crate::MutexExt;
+use crate::Lock;
 
 struct SignalState {
     waiters: Vec<(ActorId, u64)>,
@@ -23,7 +23,7 @@ struct SignalState {
 #[derive(Clone)]
 pub struct Signal {
     sim: Sim,
-    state: Arc<Mutex<SignalState>>,
+    state: Arc<Lock<SignalState>>,
 }
 
 impl Signal {
@@ -31,7 +31,7 @@ impl Signal {
     pub fn new(sim: &Sim) -> Self {
         Signal {
             sim: sim.clone(),
-            state: Arc::new(Mutex::new(SignalState {
+            state: Arc::new(Lock::new(SignalState {
                 waiters: Vec::new(),
             })),
         }
@@ -89,7 +89,7 @@ struct SemState {
 /// resources that actors contend for.
 #[derive(Clone)]
 pub struct Semaphore {
-    state: Arc<Mutex<SemState>>,
+    state: Arc<Lock<SemState>>,
     signal: Signal,
 }
 
@@ -97,7 +97,7 @@ impl Semaphore {
     /// Create with an initial number of permits.
     pub fn new(sim: &Sim, permits: u64) -> Self {
         Semaphore {
-            state: Arc::new(Mutex::new(SemState { permits })),
+            state: Arc::new(Lock::new(SemState { permits })),
             signal: Signal::new(sim),
         }
     }
@@ -149,7 +149,7 @@ mod tests {
     fn signal_wakes_waiter() {
         let sim = Sim::new(1);
         let sig = Signal::new(&sim);
-        let done = Arc::new(Mutex::new(false));
+        let done = Arc::new(Lock::new(false));
 
         let s2 = sig.clone();
         let d2 = done.clone();
@@ -197,7 +197,7 @@ mod tests {
     fn notify_wakes_all_current_waiters_in_order() {
         let sim = Sim::new(1);
         let sig = Signal::new(&sim);
-        let log: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        let log: Arc<Lock<Vec<u32>>> = Arc::new(Lock::new(Vec::new()));
         for i in 0..3u32 {
             let sig = sig.clone();
             let log = log.clone();
@@ -216,7 +216,7 @@ mod tests {
     fn semaphore_serializes_access() {
         let sim = Sim::new(1);
         let sem = Semaphore::new(&sim, 1);
-        let max_inside = Arc::new(Mutex::new((0u32, 0u32))); // (current, max)
+        let max_inside = Arc::new(Lock::new((0u32, 0u32))); // (current, max)
         for i in 0..4u32 {
             let sem = sem.clone();
             let mi = max_inside.clone();

@@ -14,7 +14,7 @@
 //! cargo run --example cluster_fs
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca::bcl::{ChannelId, ProcAddr, SendStatus};
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -38,7 +38,7 @@ const CLIENTS: u32 = 3;
 const WRITES_PER_CLIENT: u32 = 8;
 
 /// Committed-write log the server fills: `(block, bytes)` pairs.
-type CommitLog = Arc<Mutex<Vec<(u64, Vec<u8>)>>>;
+type CommitLog = Arc<Lock<Vec<(u64, Vec<u8>)>>>;
 
 fn block_payload(client: u32, seq: u32) -> Vec<u8> {
     (0..BLOCK)
@@ -51,9 +51,9 @@ fn main() {
     let sim = cluster.sim.clone();
     let up = SimBarrier::new(&sim, CLIENTS + 1);
     let down = SimBarrier::new(&sim, CLIENTS + 1);
-    let server: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
+    let server: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
     // Ground truth of committed writes, filled by the server.
-    let committed: CommitLog = Arc::new(Mutex::new(Vec::new()));
+    let committed: CommitLog = Arc::new(Lock::new(Vec::new()));
 
     // --- the storage server (node 0) ---
     {

@@ -12,7 +12,7 @@
 //! cargo run --example heterogeneous
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca::bcl::{Architecture, ChannelId};
 use suca::cluster::{Cluster, ClusterSpec, SimBarrier};
@@ -24,14 +24,14 @@ use suca::prelude::*;
 fn ring_app(cluster: &Cluster, n: u32) -> f64 {
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, n);
-    let addrs: Arc<Mutex<Vec<suca::bcl::ProcAddr>>> = Arc::new(Mutex::new(vec![
+    let addrs: Arc<Lock<Vec<suca::bcl::ProcAddr>>> = Arc::new(Lock::new(vec![
         suca::bcl::ProcAddr {
             node: suca::os::NodeId(0),
             port: suca::bcl::PortId(0)
         };
         n as usize
     ]));
-    let finish = Arc::new(Mutex::new(0.0f64));
+    let finish = Arc::new(Lock::new(0.0f64));
     for me in 0..n {
         let barrier = barrier.clone();
         let addrs = addrs.clone();

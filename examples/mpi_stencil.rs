@@ -10,7 +10,7 @@
 //! cargo run --example mpi_stencil
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca::cluster::ClusterSpec;
 use suca::eadi::Universe;
@@ -50,7 +50,7 @@ fn main() {
     let cluster = ClusterSpec::dawning3000(NODES).build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, RANKS);
-    let gathered: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
+    let gathered: Arc<Lock<Vec<f64>>> = Arc::new(Lock::new(Vec::new()));
 
     for rank in 0..RANKS {
         let uni = uni.clone();

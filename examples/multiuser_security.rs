@@ -13,7 +13,7 @@
 //! cargo run --example multiuser_security
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca::bcl::{BclError, ChannelId, PortId, ProcAddr};
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -25,7 +25,7 @@ fn main() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 3);
-    let victim_addr: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
+    let victim_addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
 
     // Victim receiver on node 1.
     {

@@ -9,7 +9,7 @@
 //! the receive path takes none — the NIC DMA'd the payload into the
 //! receiver's buffer and the completion event into its user-space queue.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca::bcl::ChannelId;
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -21,7 +21,7 @@ fn main() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<suca::bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<suca::bcl::ProcAddr>>> = Arc::new(Lock::new(None));
 
     // Receiver process on node 1.
     {

@@ -10,7 +10,7 @@
 //! cargo run --example rma_window
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca::bcl::{ProcAddr, SendStatus};
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -21,7 +21,7 @@ fn main() {
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
     let done = SimBarrier::new(&sim, 2);
-    let server_addr: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
+    let server_addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
 
     // Server: binds an 8 KiB window, preloads a lookup table in its second
     // half, then goes compute-bound. All access to its memory is one-sided.

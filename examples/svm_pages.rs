@@ -13,7 +13,7 @@
 //! cargo run --example svm_pages
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca::bcl::{ProcAddr, SendStatus};
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -29,7 +29,7 @@ fn main() {
     let sim = cluster.sim.clone();
     let ready = SimBarrier::new(&sim, WORKERS + 1);
     let done = SimBarrier::new(&sim, WORKERS + 1);
-    let home: Arc<Mutex<Option<ProcAddr>>> = Arc::new(Mutex::new(None));
+    let home: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
 
     // The home node: owns the shared array and verifies the result.
     {

@@ -2,7 +2,7 @@
 //! over both SANs, faults injected under a full MPI workload, scale-out to
 //! the full 70-node DAWNING-3000, and SMP CPU accounting.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use suca::cluster::{ClusterSpec, SanKind};
 use suca::eadi::Universe;
@@ -15,7 +15,7 @@ fn mpi_allreduce_job(spec: ClusterSpec, ranks: u32) -> Vec<f64> {
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, ranks);
     let nodes = cluster.nodes.len() as u32;
-    let out = Arc::new(Mutex::new(Vec::new()));
+    let out = Arc::new(Lock::new(Vec::new()));
     for r in 0..ranks {
         let uni = uni.clone();
         let out = out.clone();
@@ -63,7 +63,7 @@ fn mpi_survives_lossy_network() {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, 6);
-    let results = Arc::new(Mutex::new(Vec::new()));
+    let results = Arc::new(Lock::new(Vec::new()));
     for r in 0..6u32 {
         let uni = uni.clone();
         let results = results.clone();
@@ -106,9 +106,9 @@ fn full_dawning_70_nodes_all_to_root() {
     // The full machine: every node sends its id to node 0 over BCL.
     let cluster = ClusterSpec::dawning3000(70).build();
     let sim = cluster.sim.clone();
-    let root_addr: Arc<Mutex<Option<suca::bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let root_addr: Arc<Lock<Option<suca::bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     let barrier = suca::cluster::SimBarrier::new(&sim, 70);
-    let sum = Arc::new(Mutex::new(0u64));
+    let sum = Arc::new(Lock::new(0u64));
 
     let s2 = sum.clone();
     let ra = root_addr.clone();
@@ -207,7 +207,7 @@ fn thirty_two_rank_allreduce_over_sixteen_nodes() {
     let sim = cluster.sim.clone();
     const R: u32 = 32;
     let uni = Universe::new(&sim, R);
-    let checked = Arc::new(Mutex::new(0u32));
+    let checked = Arc::new(Lock::new(0u32));
     for r in 0..R {
         let uni = uni.clone();
         let checked = checked.clone();

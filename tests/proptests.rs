@@ -11,7 +11,7 @@
 //!   and actors in exactly the `(time, insertion index)` order of a sorted
 //!   `Vec`.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -36,7 +36,7 @@ fn roundtrip_payloads(payloads: Vec<Vec<u8>>, fault: FaultPlan, seed: u64) {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Mutex<Option<suca::bcl::ProcAddr>>> = Arc::new(Mutex::new(None));
+    let addr: Arc<Lock<Option<suca::bcl::ProcAddr>>> = Arc::new(Lock::new(None));
     let expect = payloads.clone();
 
     let b2 = barrier.clone();
@@ -518,8 +518,8 @@ fn build_program(raw: &[RawNode], raw_scripts: [&[RawStep]; 2], split: u64) -> P
 /// What the handlers and actors of the real run share.
 struct Real {
     prog: Program,
-    log: Arc<Mutex<Vec<Entry>>>,
-    ids: Mutex<Vec<Option<EventId>>>,
+    log: Arc<Lock<Vec<Entry>>>,
+    ids: Lock<Vec<Option<EventId>>>,
     pollers: [PollerId; 2],
 }
 
@@ -567,7 +567,7 @@ impl Real {
 
 fn run_real(prog: Program) -> Vec<Entry> {
     let sim = Sim::new(1);
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::new(Lock::new(Vec::new()));
     let pollers = [0, 1].map(|p| {
         let log = log.clone();
         sim.register_poller(move |s| {
@@ -577,7 +577,7 @@ fn run_real(prog: Program) -> Vec<Entry> {
     });
     let sigs = [Signal::new(&sim), Signal::new(&sim)];
     let real = Arc::new(Real {
-        ids: Mutex::new(vec![None; prog.nodes.len()]),
+        ids: Lock::new(vec![None; prog.nodes.len()]),
         prog,
         log,
         pollers,
