@@ -1,14 +1,15 @@
 //! Buffer lifetime end to end: frames die when the NIC lets go of them, a
-//! long run fits in a small node, and the DMA-lifetime checker counts a host
-//! write into a buffer the NIC is still reading (the bug class of the RPC
-//! response-scratch corruption) — once, with one flight-recorder dump.
+//! long run fits in a small node, a frame holds only the bytes written to
+//! it, and the DMA-lifetime checker counts a host write into a buffer the
+//! NIC is still reading (the bug class of the RPC response-scratch
+//! corruption) — once, with one flight-recorder dump.
 
 use std::sync::Arc;
 
 use suca_bcl::{ChannelId, ProcAddr, SendStatus};
 use suca_cluster::{ClusterSpec, SimBarrier};
 use suca_eadi::Universe;
-use suca_mem::PhysMemory;
+use suca_mem::{PhysMemory, PAGE_SIZE};
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
 use suca_sim::{Lock, RunOutcome, SimDuration};
 
@@ -74,6 +75,66 @@ fn host_write_after_the_send_completion_is_clean() {
     let (violations, dumped, landed) = overwrite_scratch_after_rma_write(true);
     assert_eq!((violations, dumped), (0, false));
     assert_eq!(landed, vec![0xAA; 1024], "the bytes sent, not the re-use");
+}
+
+/// 512 B messages DMA'd into page-sized posted buffers cost the receiver
+/// their 512 B, not a page each: a frame holds only its written prefix.
+#[test]
+fn small_messages_into_page_sized_buffers_hold_only_their_bytes() {
+    const MSGS: u16 = 16;
+    const LEN: u64 = 512;
+    let cluster = ClusterSpec::dawning3000(2).with_trace_sampling(0).build();
+    let sim = cluster.sim.clone();
+    let barrier = SimBarrier::new(&sim, 2);
+    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let rx_mem = cluster.nodes[1].os.memory().clone();
+    let grown = Arc::new(Lock::new(0u64));
+    let message = |chan: u16| vec![chan as u8 + 1; LEN as usize];
+    {
+        let (barrier, addr, grown) = (barrier.clone(), addr.clone(), grown.clone());
+        cluster.spawn_process(1, "rx", move |ctx, env| {
+            let port = env.open_port(ctx);
+            *addr.locked() = Some(port.addr());
+            let posted: Vec<_> = (0..MSGS)
+                .map(|chan| port.post_recv(ctx, chan, PAGE_SIZE).expect("post"))
+                .collect();
+            let before = rx_mem.resident_bytes();
+            barrier.wait(ctx);
+            for _ in 0..MSGS {
+                let ev = port.wait_recv(ctx);
+                let data = port.recv_bytes(ctx, &ev).expect("recv");
+                assert_eq!(data, message(ev.channel.index), "message damaged");
+            }
+            *grown.locked() = rx_mem.resident_bytes() - before;
+            for (chan, buf) in (0..MSGS).zip(posted) {
+                let page = port.read_buffer(buf, PAGE_SIZE).expect("read");
+                assert_eq!(page[..LEN as usize], message(chan), "channel {chan}");
+                assert!(page[LEN as usize..].iter().all(|&b| b == 0));
+            }
+        });
+    }
+    cluster.spawn_process(0, "tx", move |ctx, env| {
+        let port = env.open_port(ctx);
+        barrier.wait(ctx);
+        let dst = addr.locked().expect("receiver ready");
+        for chan in 0..MSGS {
+            let buf = port.alloc_buffer(LEN).expect("alloc");
+            port.write_buffer(buf, &message(chan)).expect("fill");
+            port.send(ctx, dst, ChannelId::normal(chan), buf, LEN)
+                .expect("send");
+        }
+        for _ in 0..MSGS {
+            assert_eq!(port.wait_send(ctx).status, SendStatus::Ok);
+        }
+    });
+    assert_eq!(sim.run(), RunOutcome::Completed);
+    let grown = *grown.locked();
+    let msgs = u64::from(MSGS);
+    assert!(grown >= msgs * LEN, "{grown} B cannot hold {msgs} messages");
+    assert!(
+        grown < msgs * 1024,
+        "{grown} B resident for {msgs} written frames: over 1 KiB each"
+    );
 }
 
 /// `rounds` ping-pong round trips between nodes 0 and 1 in which *both*

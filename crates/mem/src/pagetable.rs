@@ -7,13 +7,12 @@
 //! nothing else) perform virtual→physical translation — the paper's central
 //! security property.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use suca_sim::Lock;
 
 use crate::addr::{pages_spanned, PhysAddr, PhysFrame, VirtAddr, VirtPage, PAGE_SIZE};
-use crate::phys::PhysMemory;
+use crate::phys::{FrameMap, PhysMemory};
 use crate::MemError;
 
 /// Address-space identifier (one per process).
@@ -22,7 +21,7 @@ pub struct Asid(pub u32);
 
 struct SpaceInner {
     asid: Asid,
-    table: HashMap<VirtPage, PhysFrame>,
+    table: FrameMap<VirtPage, PhysFrame>,
     next_page: u64,
 }
 
@@ -56,7 +55,7 @@ impl AddressSpace {
             mem,
             inner: Arc::new(Lock::new(SpaceInner {
                 asid,
-                table: HashMap::new(),
+                table: FrameMap::default(),
                 next_page: USER_BASE_PAGE,
             })),
         }

@@ -1,11 +1,14 @@
 //! Simulated physical memory with real contents.
 //!
-//! Every node owns one [`PhysMemory`]: a sparse array of 4 KiB frames whose
-//! bytes exist once something has been written to them (an unwritten frame
-//! reads as zeros and costs one small record, not a page). All data movement
-//! in the reproduction — PIO, host DMA, intra-node shared-memory copies —
-//! reads and writes these frames, so data integrity can be asserted end to
-//! end (through fragmentation, packet drops and retransmission).
+//! Every node owns one [`PhysMemory`]: a sparse array of 4 KiB frames, each
+//! of which holds only its written prefix — bytes `[0, hw)` with `hw` the
+//! highest offset ever written, rounded up to a power of two (at most a
+//! page); every byte past the prefix reads as zero. An unwritten frame costs
+//! one small record and no bytes, a 512 B message into a page-sized buffer
+//! costs 512 B, and a full-page DMA allocates the 4 KiB once. All data
+//! movement in the reproduction — PIO, host DMA, intra-node shared-memory
+//! copies — reads and writes these frames, so data integrity can be asserted
+//! end to end (through fragmentation, packet drops and retransmission).
 //!
 //! ## Frame lifetime
 //!
@@ -44,21 +47,31 @@ use crate::MemError;
 const HOST_WRITE_TO_BUSY: &str = "mem: host write to a frame with DMA in flight";
 const DMA_UNREFERENCED: &str = "mem: DMA to a frame the NIC holds no reference on";
 
-/// Hasher of the frame table. Its keys are frame numbers this allocator
-/// handed out consecutively — never values from outside the program — so it
-/// needs no defence against crafted collisions, and every simulated memory
-/// access pays for it: one multiplication spreads consecutive numbers over
-/// the buckets.
+/// Hasher of the frame table, the page tables and the pin-down table. Their
+/// keys are numbers the simulation hands out consecutively — frame numbers,
+/// virtual page numbers, address-space ids — never values from outside the
+/// program, so it needs no defence against crafted collisions, and every
+/// simulated memory access and translation pays for it: one multiplication
+/// per word spreads consecutive numbers over the buckets. Each word is
+/// combined with what came before, so an `(Asid, VirtPage)` key hashes both
+/// halves, and a lone `u64` key hashes to that key times the constant.
 #[derive(Default)]
-struct FrameHasher(u64);
+pub(crate) struct FrameHasher(u64);
+
+/// A map keyed by simulation-assigned numbers (see [`FrameHasher`]).
+pub(crate) type FrameMap<K, V> = HashMap<K, V, BuildHasherDefault<FrameHasher>>;
 
 impl Hasher for FrameHasher {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("frame numbers hash through write_u64");
+        unreachable!("keys hash through write_u32 / write_u64");
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
     }
 
     fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = (self.0.rotate_left(26) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 
     fn finish(&self) -> u64 {
@@ -67,8 +80,10 @@ impl Hasher for FrameHasher {
 }
 
 struct Frame {
-    /// Contents; `None` until the first write (reads as zeros).
-    data: Option<Box<[u8]>>,
+    /// The written prefix (see the module docs): empty, holding no
+    /// allocation, until the first write; a power of two long, at most a
+    /// page, after it. Bytes past it read as zeros.
+    data: Box<[u8]>,
     /// Cleared by `free_frame`; an unmapped frame lives on only while
     /// `nic_refs > 0`.
     mapped: bool,
@@ -76,6 +91,30 @@ struct Frame {
     nic_refs: u32,
     /// Of those, the ones whose owner still awaits its completion event.
     nic_busy: u32,
+}
+
+impl Frame {
+    /// Copy bytes `[off, off + out.len())` of the frame into `out`.
+    fn read(&self, off: usize, out: &mut [u8]) {
+        let held = self.data.get(off..).unwrap_or_default();
+        let n = held.len().min(out.len());
+        out[..n].copy_from_slice(&held[..n]);
+        out[n..].fill(0);
+    }
+
+    /// Copy `buf` into the frame at `off`, first growing the prefix to the
+    /// next power of two that holds it.
+    fn write(&mut self, off: usize, buf: &[u8]) {
+        let end = off + buf.len();
+        if self.data.len() < end {
+            let len = end.next_power_of_two().min(PAGE_SIZE as usize);
+            let mut grown = Vec::from(std::mem::take(&mut self.data));
+            grown.reserve_exact(len - grown.len());
+            grown.resize(len, 0);
+            self.data = grown.into_boxed_slice();
+        }
+        self.data[off..end].copy_from_slice(buf);
+    }
 }
 
 /// Who is touching memory; decides which lifetime rule applies.
@@ -86,7 +125,7 @@ enum Accessor {
 }
 
 struct PhysInner {
-    frames: HashMap<u64, Frame, BuildHasherDefault<FrameHasher>>,
+    frames: FrameMap<u64, Frame>,
     /// Next frame number to hand out. Frames are never reused after free in
     /// this model; a u64 namespace cannot realistically be exhausted and
     /// non-reuse catches use-after-free bugs deterministically.
@@ -157,7 +196,7 @@ impl PhysMemory {
     pub fn new(total_bytes: u64) -> Self {
         PhysMemory {
             inner: Arc::new(Lock::new(PhysInner {
-                frames: HashMap::default(),
+                frames: FrameMap::default(),
                 next_frame: 1, // frame 0 reserved: catches null-frame bugs
                 total_frames: total_bytes / PAGE_SIZE,
                 allocated: 0,
@@ -197,7 +236,7 @@ impl PhysMemory {
         inner.next_frame += n;
         inner.allocated += n;
         let fresh = || Frame {
-            data: None,
+            data: Box::default(),
             mapped: true,
             nic_refs: 0,
             nic_busy: 0,
@@ -227,6 +266,13 @@ impl PhysMemory {
     /// by the NIC. This is what counts against the capacity.
     pub fn allocated_frames(&self) -> u64 {
         self.inner.locked().allocated
+    }
+
+    /// Bytes the frames hold: the sum of their written prefixes (see the
+    /// module docs). Unwritten frames hold none.
+    pub fn resident_bytes(&self) -> u64 {
+        let inner = self.inner.locked();
+        inner.frames.values().map(|f| f.data.len() as u64).sum()
     }
 
     /// Total frame capacity.
@@ -282,11 +328,9 @@ impl PhysMemory {
         while done < buf.len() {
             let off = pos.frame_offset() as usize;
             let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
-            let out = &mut buf[done..done + chunk];
-            match &inner.access(pos.frame(), who, false, &mut violation)?.data {
-                Some(data) => out.copy_from_slice(&data[off..off + chunk]),
-                None => out.fill(0),
-            }
+            inner
+                .access(pos.frame(), who, false, &mut violation)?
+                .read(off, &mut buf[done..done + chunk]);
             done += chunk;
             pos = pos.add(chunk as u64);
         }
@@ -302,11 +346,9 @@ impl PhysMemory {
         while done < buf.len() {
             let off = pos.frame_offset() as usize;
             let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
-            let frame = inner.access(pos.frame(), who, true, &mut violation)?;
-            let data = frame
-                .data
-                .get_or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into());
-            data[off..off + chunk].copy_from_slice(&buf[done..done + chunk]);
+            inner
+                .access(pos.frame(), who, true, &mut violation)?
+                .write(off, &buf[done..done + chunk]);
             done += chunk;
             pos = pos.add(chunk as u64);
         }
@@ -411,6 +453,7 @@ impl fmt::Debug for NicSegs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn alloc_and_rw_single_frame() {
@@ -470,7 +513,12 @@ mod tests {
 
     fn materialised(m: &PhysMemory) -> usize {
         let inner = m.inner.locked();
-        inner.frames.values().filter(|f| f.data.is_some()).count()
+        inner.frames.values().filter(|f| !f.data.is_empty()).count()
+    }
+
+    #[test]
+    fn a_frame_record_is_no_larger_than_four_words() {
+        assert!(std::mem::size_of::<Frame>() <= 4 * std::mem::size_of::<usize>());
     }
 
     #[test]
@@ -482,6 +530,7 @@ mod tests {
         m.read(frames[0].base().add(7), &mut out).unwrap();
         assert!(out.iter().all(|&b| b == 0));
         assert_eq!(materialised(&m), 0, "a read must not materialise");
+        assert_eq!(m.resident_bytes(), 0);
     }
 
     #[test]
@@ -490,12 +539,51 @@ mod tests {
         let frames = m.alloc_frames(3).unwrap();
         m.write(frames[1].base().add(10), b"x").unwrap();
         assert_eq!(materialised(&m), 1);
+        assert!(m.resident_bytes() <= 16, "a 1-byte write holds its prefix");
         let mut out = [0xFFu8; 12];
         m.read(frames[1].base(), &mut out).unwrap();
         assert_eq!(
             &out, b"\0\0\0\0\0\0\0\0\0\0x\0",
             "rest of the frame is zero"
         );
+    }
+
+    #[test]
+    fn a_write_at_the_last_offset_reads_back_after_zeros() {
+        let m = PhysMemory::new(1 << 20);
+        let f = m.alloc_frame().unwrap();
+        m.write(f.base().add(PAGE_SIZE - 1), b"z").unwrap();
+        let mut out = vec![0xFFu8; PAGE_SIZE as usize];
+        m.read(f.base(), &mut out).unwrap();
+        assert!(out[..PAGE_SIZE as usize - 1].iter().all(|&b| b == 0));
+        assert_eq!(out[PAGE_SIZE as usize - 1], b'z');
+        assert_eq!(m.resident_bytes(), PAGE_SIZE);
+    }
+
+    #[test]
+    fn a_full_page_write_holds_exactly_one_page() {
+        let m = PhysMemory::new(1 << 20);
+        let f = m.alloc_frame().unwrap();
+        m.dma_write(f.base(), &[7u8; PAGE_SIZE as usize]).unwrap();
+        assert_eq!(m.resident_bytes(), PAGE_SIZE);
+    }
+
+    #[test]
+    fn appends_grow_the_prefix_but_never_past_a_page() {
+        let m = PhysMemory::new(1 << 20);
+        let f = m.alloc_frame().unwrap();
+        for i in 0..PAGE_SIZE / 32 {
+            m.write(f.base().add(i * 32), &[i as u8 + 1; 32]).unwrap();
+            let held = m.resident_bytes();
+            assert!(held <= PAGE_SIZE, "{held} B after {} appends", i + 1);
+            assert!(held >= (i + 1) * 32, "the prefix holds every append");
+        }
+        let mut out = vec![0u8; PAGE_SIZE as usize];
+        m.read(f.base(), &mut out).unwrap();
+        assert!(out
+            .chunks(32)
+            .zip(1u8..)
+            .all(|(c, i)| c.iter().all(|&b| b == i)));
     }
 
     #[test]
@@ -587,5 +675,168 @@ mod tests {
         m.dma_write(f.base(), b"b").unwrap();
         assert_eq!(sim.get_count("mem.dma_lifetime_violations"), 2);
         assert!(sim.msg_trace().has_dumped());
+    }
+
+    /// The record a frame should have; `None` once reclaimed (or never
+    /// allocated).
+    #[derive(Clone, Copy)]
+    struct ModelFrame {
+        mapped: bool,
+        refs: u32,
+        busy: u32,
+    }
+
+    /// Physical memory as a flat byte array plus per-frame lifetime state,
+    /// written straight from the module docs.
+    struct Model {
+        bytes: Vec<u8>,
+        frames: Vec<Option<ModelFrame>>,
+        violations: u64,
+    }
+
+    impl Model {
+        /// One host or NIC access of `buf.len()` bytes at `off`: chunk by
+        /// chunk, so a fault on a later frame leaves earlier chunks written
+        /// and counts no violation.
+        fn access(&mut self, who: Accessor, write: bool, off: usize, buf: &mut [u8]) -> bool {
+            let page = PAGE_SIZE as usize;
+            let mut violation = false;
+            let mut done = 0;
+            while done < buf.len() {
+                let at = off + done;
+                let chunk = (page - at % page).min(buf.len() - done);
+                let Some(f) = self.frames[at / page] else {
+                    return false;
+                };
+                match who {
+                    Accessor::Host if !f.mapped => return false,
+                    Accessor::Host => violation |= write && f.busy > 0,
+                    Accessor::Nic => violation |= f.refs == 0,
+                }
+                let mem = &mut self.bytes[at..at + chunk];
+                let out = &mut buf[done..done + chunk];
+                if write {
+                    mem.copy_from_slice(out);
+                } else {
+                    out.copy_from_slice(mem);
+                }
+                done += chunk;
+            }
+            self.violations += u64::from(violation);
+            true
+        }
+
+        /// Apply `f` to every live frame of `[off, off + len)`, then
+        /// reclaim the ones nothing holds.
+        fn each_frame(&mut self, off: usize, len: usize, f: impl Fn(&mut ModelFrame)) {
+            let page = PAGE_SIZE as usize;
+            for slot in &mut self.frames[off / page..=(off + len - 1) / page] {
+                if let Some(frame) = slot {
+                    f(frame);
+                    if !frame.mapped && frame.refs == 0 {
+                        *slot = None;
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn frames_match_a_flat_byte_model(
+            ops in prop::collection::vec(
+                (0u8..8, 0u64..4 * PAGE_SIZE, 0usize..9_000, any::<u8>()),
+                1..80,
+            ),
+        ) {
+            // Three frames and, past them, one page that was never allocated.
+            const FRAMES: usize = 3;
+            let page = PAGE_SIZE as usize;
+            let m = PhysMemory::new(1 << 20);
+            let base = m.alloc_frames(FRAMES as u64).unwrap()[0].base();
+            let fresh = ModelFrame { mapped: true, refs: 0, busy: 0 };
+            let mut model = Model {
+                bytes: vec![0; (FRAMES + 1) * page],
+                frames: [vec![Some(fresh); FRAMES], vec![None]].concat(),
+                violations: 0,
+            };
+            let mut holds: Vec<(NicSegs, usize, usize, bool)> = Vec::new();
+            for (step, (kind, off, raw, seed)) in ops.into_iter().enumerate() {
+                // Page-aligned starts (how every real buffer begins) and
+                // short, message-sized and multi-page lengths, all common.
+                let off = if seed & 0x10 != 0 { off & !(PAGE_SIZE - 1) } else { off } as usize;
+                let len = 1 + raw % [16, 700, 9_000][usize::from(seed) % 3];
+                let len = len.min(model.bytes.len() - off);
+                let addr = base.add(off as u64);
+                let busy = seed & 0x20 != 0;
+                match kind {
+                    0 | 2 => {
+                        let mut data: Vec<u8> =
+                            (0..len).map(|i| ((step + i) % 255 + 1) as u8).collect();
+                        let (ok, who) = match kind {
+                            0 => (m.write(addr, &data).is_ok(), Accessor::Host),
+                            _ => (m.dma_write(addr, &data).is_ok(), Accessor::Nic),
+                        };
+                        prop_assert_eq!(ok, model.access(who, true, off, &mut data), "write {}", step);
+                    }
+                    1 | 3 => {
+                        let (mut got, mut want) = (vec![0xEE; len], vec![0xEE; len]);
+                        let (ok, who) = match kind {
+                            1 => (m.read(addr, &mut got).is_ok(), Accessor::Host),
+                            _ => (m.dma_read(addr, &mut got).is_ok(), Accessor::Nic),
+                        };
+                        prop_assert_eq!(ok, model.access(who, false, off, &mut want), "read {}", step);
+                        if ok {
+                            prop_assert!(got == want, "read {} of {} B at {}", step, len, off);
+                        }
+                    }
+                    4 => {
+                        holds.push((m.nic_hold(vec![(addr, len as u64)], busy), off, len, busy));
+                        model.each_frame(off, len, |f| {
+                            f.refs += 1;
+                            f.busy += u32::from(busy);
+                        });
+                    }
+                    5 => {
+                        let n = off / page;
+                        let ok = m.free_frame(PhysFrame(addr.frame().0)).is_ok();
+                        prop_assert_eq!(ok, model.frames[n].is_some_and(|f| f.mapped));
+                        if ok {
+                            model.each_frame(off, 1, |f| f.mapped = false);
+                        }
+                    }
+                    _ if holds.is_empty() => {}
+                    6 => {
+                        let (segs, off, len, busy) = holds.swap_remove(raw % holds.len());
+                        drop(segs);
+                        model.each_frame(off, len, |f| {
+                            f.busy -= u32::from(busy);
+                            f.refs -= 1;
+                        });
+                    }
+                    _ => {
+                        let i = raw % holds.len();
+                        let (segs, off, len, busy) = &mut holds[i];
+                        segs.end_busy();
+                        if std::mem::take(busy) {
+                            model.each_frame(*off, *len, |f| f.busy -= 1);
+                        }
+                    }
+                }
+                prop_assert_eq!(m.lifetime_violations(), model.violations, "step {}", step);
+                let live = model.frames.iter().flatten().count() as u64;
+                prop_assert_eq!(m.allocated_frames(), live);
+                prop_assert!(m.resident_bytes() <= live * PAGE_SIZE);
+            }
+            // Every byte of every frame the NIC can still reach.
+            for (n, f) in model.frames.iter().enumerate() {
+                let mut got = vec![0xEE; page];
+                let ok = m.dma_read(base.add((n * page) as u64), &mut got).is_ok();
+                prop_assert_eq!(ok, f.is_some());
+                if ok {
+                    prop_assert!(got[..] == model.bytes[n * page..(n + 1) * page], "frame {}", n);
+                }
+            }
+        }
     }
 }

@@ -11,10 +11,9 @@
 //! eviction policy and a pin count so that pages in use by an in-flight DMA
 //! are never evicted.
 
-use std::collections::HashMap;
-
 use crate::addr::{PhysFrame, VirtAddr, VirtPage};
 use crate::pagetable::{AddressSpace, Asid};
+use crate::phys::FrameMap;
 use crate::MemError;
 
 #[derive(Clone)]
@@ -36,7 +35,7 @@ pub enum PinLookup {
 
 /// Kernel-resident pin-down page table with capacity-bounded LRU caching.
 pub struct PinDownTable {
-    entries: HashMap<(Asid, VirtPage), PinEntry>,
+    entries: FrameMap<(Asid, VirtPage), PinEntry>,
     capacity: usize,
     clock: u64,
     hits: u64,
@@ -51,7 +50,7 @@ impl PinDownTable {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "pin-down table needs capacity");
         PinDownTable {
-            entries: HashMap::new(),
+            entries: FrameMap::default(),
             capacity,
             clock: 0,
             hits: 0,
@@ -254,6 +253,28 @@ mod tests {
         assert!(t.pin_range(&s, b, PAGE_SIZE).is_ok());
         let (_, _, ev) = t.stats();
         assert_eq!(ev, 1);
+    }
+
+    #[test]
+    fn eviction_takes_the_least_recently_used_unpinned_entry() {
+        let s = AddressSpace::new(Asid(1), PhysMemory::new(1 << 22));
+        let mut t = PinDownTable::new(3);
+        let base = s.alloc(PAGE_SIZE * 4).unwrap();
+        let page = |i| base.add(i * PAGE_SIZE);
+        // p0 stays pinned, the oldest; p1 and p2 are released, then p1 is
+        // used again, which leaves p2 the least recently used unpinned one.
+        t.pin_range(&s, page(0), 1).unwrap();
+        for i in [1, 2, 1] {
+            t.pin_range(&s, page(i), 1).unwrap();
+            t.unpin(s.asid(), page(i).page());
+        }
+        t.pin_range(&s, page(3), 1).unwrap();
+        assert_eq!(t.stats(), (1, 4, 1));
+        for i in [0, 1, 3] {
+            assert_eq!(t.pin_range(&s, page(i), 1).unwrap()[0].1, PinLookup::Hit);
+            t.unpin(s.asid(), page(i).page());
+        }
+        assert_eq!(t.pin_range(&s, page(2), 1).unwrap()[0].1, PinLookup::Miss);
     }
 
     #[test]
