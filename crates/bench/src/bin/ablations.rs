@@ -10,13 +10,14 @@
 //!
 //! Every cluster built here must finish with `watchdog.stalls == 0`.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::{Architecture, BclConfig, ChannelId};
 use suca_bench::report::assert_anchor;
 use suca_cluster::{ClusterSpec, SimBarrier};
 use suca_sim::mtrace::stage;
-use suca_sim::{Lock, TraceId};
+use suca_sim::TraceId;
 
 /// What one arm of the translation sweep measured in its second round
 /// over `working_set` distinct 64 B buffers (the first round only warms the
@@ -40,14 +41,14 @@ fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
-    let out = Arc::new(Lock::new(TranslationArm::default()));
+    let addr: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
+    let out = Rc::new(RefCell::new(TranslationArm::default()));
 
     let b2 = barrier.clone();
     let a2 = addr.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.locked() = Some(port.addr());
+        *a2.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         for _ in 0..working_set * 2 {
             let ev = port.wait_recv(ctx);
@@ -64,7 +65,7 @@ fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
             .map(|_| port.alloc_buffer(64).expect("buf"))
             .collect();
         b3.wait(ctx);
-        let dst = addr.locked().expect("rx");
+        let dst = addr.borrow_mut().expect("rx");
         let mut warm_misses = 0;
         for round in 0..2 {
             for &buf in &bufs {
@@ -88,7 +89,7 @@ fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
                         .iter()
                         .find(|ev| ev.trace == id && ev.stage == stage::DESCRIPTOR)
                         .expect("descriptor fetch traced");
-                    let mut o = o2.locked();
+                    let mut o = o2.borrow_mut();
                     o.send_us += send_us;
                     o.stall_us += (fetch.duration_ns() - send_fixed) as f64 / 1_000.0;
                 }
@@ -97,7 +98,7 @@ fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
                 warm_misses = ctx.sim().get_count("mcp.nic_tlb_misses");
             }
         }
-        o2.locked().misses = ctx.sim().get_count("mcp.nic_tlb_misses") - warm_misses;
+        o2.borrow_mut().misses = ctx.sim().get_count("mcp.nic_tlb_misses") - warm_misses;
     });
     assert_eq!(
         sim.run(),
@@ -111,7 +112,7 @@ fn translation_arm(spec: ClusterSpec, working_set: u64) -> TranslationArm {
         0,
         "translation arm stalled"
     );
-    let arm = std::mem::take(&mut *out.locked());
+    let arm = std::mem::take(&mut *out.borrow_mut());
     let n = working_set as f64;
     TranslationArm {
         send_us: arm.send_us / n,

@@ -40,7 +40,8 @@
 //! stops at 64 nodes, below the crossover cells, and checks the committed
 //! rows up to there).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bench::report::{field, fields, ledger_rows, render_markdown, Recovery};
 use suca_bench::{env_u32, sweep_spec};
@@ -49,7 +50,7 @@ use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
 use suca_sim::artifact::write_artifact;
 use suca_sim::mtrace::{check_completeness, check_completeness_sampled, ChainPolicy, SampleSpec};
-use suca_sim::{ActorCtx, Lock, RunOutcome, SimDuration, SimTime};
+use suca_sim::{ActorCtx, RunOutcome, SimDuration, SimTime};
 
 /// The committed ledger every row of the sweep must reproduce.
 const COMMITTED: &str = include_str!("../../../../BENCH_collectives.json");
@@ -172,7 +173,7 @@ fn run_cell(
     let uni = Universe::new(&sim, nodes);
     let ops = ops.to_vec();
     // `slowest[op][rep]`: the latest any rank returned, in ns past the start.
-    let slowest = Arc::new(Lock::new(vec![[0u64; REPS as usize]; ops.len()]));
+    let slowest = Rc::new(RefCell::new(vec![[0u64; REPS as usize]; ops.len()]));
     for r in 0..nodes {
         let uni = uni.clone();
         let ops = ops.clone();
@@ -187,7 +188,7 @@ fn run_cell(
                     let start = start_together(ctx, &comm);
                     run_op(ctx, &comm, op, lanes);
                     let took = ctx.now().since(start).as_ns();
-                    let slot = &mut slowest.locked()[i][rep];
+                    let slot = &mut slowest.borrow_mut()[i][rep];
                     *slot = (*slot).max(took);
                 }
             }
@@ -237,7 +238,7 @@ fn run_cell(
             );
         }
     }
-    let slowest = Arc::into_inner(slowest).unwrap().into_inner();
+    let slowest = Rc::into_inner(slowest).unwrap().into_inner();
     CellResult {
         latencies: ops
             .iter()

@@ -11,11 +11,12 @@
 //! 3. the same cross-traffic pattern on the 2-D mesh, which offers path
 //!    diversity in aggregate.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::ChannelId;
 use suca_cluster::{Cluster, ClusterSpec, SimBarrier};
-use suca_sim::{Lock, RunOutcome};
+use suca_sim::RunOutcome;
 
 const MSG: u64 = 64 * 1024;
 const COUNT: u32 = 8;
@@ -24,17 +25,17 @@ const COUNT: u32 = 8;
 fn aggregate_bandwidth(cluster: &Cluster, pairs: &[(u32, u32)]) -> f64 {
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, pairs.len() as u32 * 2);
-    let t0 = Arc::new(Lock::new(f64::MAX));
-    let t1 = Arc::new(Lock::new(0.0f64));
+    let t0 = Rc::new(RefCell::new(f64::MAX));
+    let t1 = Rc::new(RefCell::new(0.0f64));
     for (k, &(src, dst)) in pairs.iter().enumerate() {
-        let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+        let addr: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
         {
             let barrier = barrier.clone();
             let addr = addr.clone();
             let t1 = t1.clone();
             cluster.spawn_process(dst, format!("rx{k}"), move |ctx, env| {
                 let port = env.open_port(ctx);
-                *addr.locked() = Some(port.addr());
+                *addr.borrow_mut() = Some(port.addr());
                 let mut bufs = Vec::new();
                 for c in 0..4u16 {
                     bufs.push(port.post_recv(ctx, c, MSG).expect("post"));
@@ -52,7 +53,7 @@ fn aggregate_bandwidth(cluster: &Cluster, pairs: &[(u32, u32)]) -> f64 {
                         .expect("re-post");
                     }
                 }
-                let mut g = t1.locked();
+                let mut g = t1.borrow_mut();
                 *g = g.max(ctx.now().as_us());
             });
         }
@@ -62,9 +63,9 @@ fn aggregate_bandwidth(cluster: &Cluster, pairs: &[(u32, u32)]) -> f64 {
             cluster.spawn_process(src, format!("tx{k}"), move |ctx, env| {
                 let port = env.open_port(ctx);
                 barrier.wait(ctx);
-                let dst = addr.locked().expect("rx ready");
+                let dst = addr.borrow_mut().expect("rx ready");
                 {
-                    let mut g = t0.locked();
+                    let mut g = t0.borrow_mut();
                     *g = g.min(ctx.now().as_us());
                 }
                 for i in 0..COUNT {
@@ -78,7 +79,7 @@ fn aggregate_bandwidth(cluster: &Cluster, pairs: &[(u32, u32)]) -> f64 {
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "congestion workload hung");
     let bytes = MSG as f64 * COUNT as f64 * pairs.len() as f64;
-    let (start, end) = (*t0.locked(), *t1.locked());
+    let (start, end) = (*t0.borrow(), *t1.borrow());
     bytes / (end - start)
 }
 

@@ -20,7 +20,8 @@
 //! the committed `BENCH_stack.json` at the repository root. An intended
 //! change copies `target/bench/BENCH_stack.json` over it.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::{Architecture, ChannelId};
 use suca_bench::measure::{measured_host_overheads, traced_zero_len_run, COST_CONSTANTS};
@@ -33,7 +34,7 @@ use suca_cluster::{measure_bandwidth, measure_one_way, ClusterSpec, LatencyResul
 use suca_sim::artifact::write_artifact;
 use suca_sim::critpath;
 use suca_sim::mtrace::{check_completeness, stage};
-use suca_sim::{Lock, Sim, SimDuration, TraceId};
+use suca_sim::{Sim, SimDuration, TraceId};
 
 /// The committed ledger this run must reproduce byte for byte.
 const COMMITTED: &str = include_str!("../../../../BENCH_stack.json");
@@ -87,17 +88,17 @@ fn count(arch: Architecture) -> (u64, u64) {
     let cluster = ClusterSpec::dawning3000(2).with_architecture(arch).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     // (send traps, recv traps, recv interrupts)
-    let counts = Arc::new(Lock::new((0u64, 0u64, 0u64)));
-    let sent: Arc<Lock<Option<TraceId>>> = Arc::new(Lock::new(None));
+    let counts = Rc::new(RefCell::new((0u64, 0u64, 0u64)));
+    let sent: Rc<RefCell<Option<TraceId>>> = Rc::new(RefCell::new(None));
 
     let b2 = barrier.clone();
     let a2 = addr.clone();
     let c2 = counts.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.locked() = Some(port.addr());
+        *a2.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         let before = (
             ctx.sim().get_count("os.traps.n1"),
@@ -108,7 +109,7 @@ fn count(arch: Architecture) -> (u64, u64) {
             ctx.sim().get_count("os.traps.n1"),
             ctx.sim().get_count("os.interrupts.n1"),
         );
-        let mut g = c2.locked();
+        let mut g = c2.borrow_mut();
         g.1 += after.0 - before.0;
         g.2 += after.1 - before.1;
     });
@@ -118,17 +119,17 @@ fn count(arch: Architecture) -> (u64, u64) {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr.locked().expect("rx ready");
+        let dst = addr.borrow_mut().expect("rx ready");
         let before = ctx.sim().get_count("os.traps.n0");
         let msg_id = port
             .send_bytes(ctx, dst, ChannelId::SYSTEM, b"one message")
             .expect("send");
         let after = ctx.sim().get_count("os.traps.n0");
-        c3.locked().0 += after - before;
-        *s3.locked() = Some(TraceId::new(0, msg_id));
+        c3.borrow_mut().0 += after - before;
+        *s3.borrow_mut() = Some(TraceId::new(0, msg_id));
     });
     sim.run();
-    let (send_traps, recv_traps, recv_interrupts) = *counts.locked();
+    let (send_traps, recv_traps, recv_interrupts) = *counts.borrow();
     let name = arch.name();
     if arch == Architecture::SemiUser {
         let snap = emit_metrics(&sim, "table1_bcl");
@@ -143,7 +144,7 @@ fn count(arch: Architecture) -> (u64, u64) {
             snap.counter_count()
         );
     }
-    let id = sent.locked().expect("message sent");
+    let id = sent.borrow_mut().expect("message sent");
     let mut events = cluster.trace_events();
     events.retain(|ev| ev.trace == id);
     let chains = check_completeness(&events, &arch.chain_policy());

@@ -4,7 +4,8 @@
 //! policy (exactly 1 trap, 0 interrupts), and print the trace-derived
 //! per-stage latency breakdown.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bench::report::{emit_metrics, write_trace_json};
 use suca_cluster::{Cluster, ClusterSpec, SanKind, SimBarrier};
@@ -12,7 +13,7 @@ use suca_myrinet::FaultPlan;
 use suca_sim::mtrace::{
     check_completeness, record_stage_histograms, stage, ChainPolicy, STAGE_HISTOGRAMS,
 };
-use suca_sim::{Lock, RunOutcome, SimDuration};
+use suca_sim::{RunOutcome, SimDuration};
 
 const MSGS: u32 = 20;
 const LEN: usize = 4096;
@@ -23,12 +24,12 @@ fn ping_pong(spec: ClusterSpec) -> Cluster {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     let b2 = barrier.clone();
     let a2 = addr.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.locked() = Some(port.addr());
+        *a2.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         for _ in 0..MSGS {
             let ev = port.wait_recv(ctx);
@@ -39,7 +40,7 @@ fn ping_pong(spec: ClusterSpec) -> Cluster {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr.locked().expect("rx ready");
+        let dst = addr.borrow_mut().expect("rx ready");
         for i in 0..MSGS {
             port.send_bytes(ctx, dst, suca_bcl::ChannelId::SYSTEM, &vec![i as u8; LEN])
                 .expect("send");

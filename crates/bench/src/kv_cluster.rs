@@ -3,13 +3,14 @@
 //! on every other node, a barrier between setup and traffic, and the
 //! clients' tallies merged into one [`LoadStats`].
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::ProcAddr;
 use suca_cluster::{Cluster, ClusterSpec, SimBarrier};
 use suca_load::{KvCosts, KvService, LoadStats};
 use suca_rpc::{RpcClient, RpcClientConfig, RpcServer, RpcServerConfig};
-use suca_sim::{ActorCtx, Lock, RunOutcome};
+use suca_sim::{ActorCtx, RunOutcome};
 
 /// Spread `n_servers` shard nodes evenly across `[0, nodes)`. Both SAN
 /// models reward locality (Myrinet is a linear switch array; the mesh is
@@ -33,7 +34,7 @@ pub fn run(
     client_cfg: RpcClientConfig,
     costs: KvCosts,
     before_run: impl FnOnce(&Cluster),
-    drive: impl Fn(&mut ActorCtx, &mut RpcClient, &[ProcAddr], u32) -> LoadStats + Send + Sync + 'static,
+    drive: impl Fn(&mut ActorCtx, &mut RpcClient, &[ProcAddr], u32) -> LoadStats + 'static,
 ) -> (Cluster, LoadStats) {
     let nodes = spec.nodes;
     let n_servers = server_nodes.len() as u32;
@@ -42,14 +43,14 @@ pub fn run(
     before_run(&cluster);
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, nodes);
-    let addrs: Arc<Lock<Vec<Option<ProcAddr>>>> =
-        Arc::new(Lock::new(vec![None; n_servers as usize]));
-    let totals: Arc<Lock<LoadStats>> = Arc::new(Lock::new(LoadStats::default()));
+    let addrs: Rc<RefCell<Vec<Option<ProcAddr>>>> =
+        Rc::new(RefCell::new(vec![None; n_servers as usize]));
+    let totals: Rc<RefCell<LoadStats>> = Rc::new(RefCell::new(LoadStats::default()));
     for (s, &node) in server_nodes.iter().enumerate() {
         let (b, a, scfg) = (barrier.clone(), addrs.clone(), server_cfg.clone());
         cluster.spawn_process(node, "kv-shard", move |ctx, env| {
             let port = env.open_port(ctx);
-            a.locked()[s] = Some(port.addr());
+            a.borrow_mut()[s] = Some(port.addr());
             let mut srv = RpcServer::new(ctx, port, scfg).expect("shard up");
             let mut svc = KvService::new(costs);
             b.wait(ctx);
@@ -58,7 +59,7 @@ pub fn run(
             });
         });
     }
-    let drive = Arc::new(drive);
+    let drive = Rc::new(drive);
     let client_nodes: Vec<u32> = (0..nodes).filter(|n| !server_nodes.contains(n)).collect();
     for (c, &node) in client_nodes.iter().enumerate() {
         let (b, a, t) = (barrier.clone(), addrs.clone(), totals.clone());
@@ -68,13 +69,16 @@ pub fn run(
             let port = env.open_port(ctx);
             let mut cli = RpcClient::new(ctx, port, ccfg).expect("client up");
             b.wait(ctx);
-            let servers: Vec<ProcAddr> =
-                a.locked().iter().map(|x| x.expect("shard ready")).collect();
+            let servers: Vec<ProcAddr> = a
+                .borrow_mut()
+                .iter()
+                .map(|x| x.expect("shard ready"))
+                .collect();
             let stats = drive(ctx, &mut cli, &servers, c);
-            t.locked().merge(&stats);
+            t.borrow_mut().merge(&stats);
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "KV workload hung");
-    let stats = *totals.locked();
+    let stats = *totals.borrow();
     (cluster, stats)
 }

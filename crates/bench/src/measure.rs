@@ -4,7 +4,8 @@
 //! for BCL and for every comparator architecture, which is BCL with an
 //! `Architecture` preset — live in `suca-cluster::harness`.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_cluster::{ClusterSpec, ProcessEnv, SanKind};
 use suca_eadi::Universe;
@@ -12,7 +13,7 @@ use suca_mpi::{Comm, MpiConfig};
 use suca_myrinet::MyrinetConfig;
 use suca_pvm::{PvmConfig, PvmTask};
 use suca_sim::critpath::{self, BucketReport};
-use suca_sim::{ActorCtx, Lock, RunOutcome, Sim, SimDuration, TraceEvent, TraceId};
+use suca_sim::{ActorCtx, RunOutcome, Sim, SimDuration, TraceEvent, TraceId};
 
 use crate::report::stage_rows;
 
@@ -85,8 +86,8 @@ pub fn layer_one_way_us(layer: Layer, intra: bool, size: usize, warmup: u32, ite
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, 2);
     let total = warmup + iters;
-    let send_t: Arc<Lock<Vec<f64>>> = Arc::new(Lock::new(Vec::new()));
-    let recv_t: Arc<Lock<Vec<f64>>> = Arc::new(Lock::new(Vec::new()));
+    let send_t: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
+    let recv_t: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
     let dst_node = if intra { 0 } else { 1 };
 
     for rank in 0..2u32 {
@@ -99,12 +100,12 @@ pub fn layer_one_way_us(layer: Layer, intra: bool, size: usize, warmup: u32, ite
             let payload = vec![0x44u8; size];
             for _ in 0..total {
                 if rank == 0 {
-                    send_t.locked().push(ctx.now().as_us());
+                    send_t.borrow_mut().push(ctx.now().as_us());
                     me.send(ctx, 1, 1, &payload);
                     me.recv(ctx, 1, 2); // pacing reply
                 } else {
                     let len = me.recv(ctx, 0, 1);
-                    recv_t.locked().push(ctx.now().as_us());
+                    recv_t.borrow_mut().push(ctx.now().as_us());
                     assert_eq!(len, size);
                     me.send(ctx, 0, 2, b"");
                 }
@@ -112,8 +113,8 @@ pub fn layer_one_way_us(layer: Layer, intra: bool, size: usize, warmup: u32, ite
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "latency job hung");
-    let st = send_t.locked();
-    let rt = recv_t.locked();
+    let st = send_t.borrow();
+    let rt = recv_t.borrow();
     assert_eq!(st.len() as u32, total);
     assert_eq!(rt.len() as u32, total);
     (warmup as usize..total as usize)
@@ -129,8 +130,8 @@ pub fn layer_bandwidth_mbps(layer: Layer, intra: bool, size: usize, count: u32) 
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, 2);
-    let t0 = Arc::new(Lock::new(0.0f64));
-    let t1 = Arc::new(Lock::new(0.0f64));
+    let t0 = Rc::new(RefCell::new(0.0f64));
+    let t1 = Rc::new(RefCell::new(0.0f64));
     let dst_node = if intra { 0 } else { 1 };
 
     for rank in 0..2u32 {
@@ -144,7 +145,7 @@ pub fn layer_bandwidth_mbps(layer: Layer, intra: bool, size: usize, count: u32) 
             if rank == 0 {
                 // Warmup message starts the clock at its completion.
                 me.send(ctx, 1, 1, &payload);
-                *t0.locked() = ctx.now().as_us();
+                *t0.borrow_mut() = ctx.now().as_us();
                 for _ in 1..count {
                     me.send(ctx, 1, 1, &payload);
                 }
@@ -152,12 +153,12 @@ pub fn layer_bandwidth_mbps(layer: Layer, intra: bool, size: usize, count: u32) 
                 for _ in 0..count {
                     me.recv(ctx, 0, 1);
                 }
-                *t1.locked() = ctx.now().as_us();
+                *t1.borrow_mut() = ctx.now().as_us();
             }
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "bandwidth job hung");
-    let (start, end) = (*t0.locked(), *t1.locked());
+    let (start, end) = (*t0.borrow(), *t1.borrow());
     assert!(end > start);
     (size as f64 * (count - 1) as f64) / (end - start)
 }
@@ -183,14 +184,14 @@ pub fn traced_zero_len_run() -> TracedZeroLen {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
-    let sent: Arc<Lock<Option<TraceId>>> = Arc::new(Lock::new(None));
+    let addr_b: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
+    let sent: Rc<RefCell<Option<TraceId>>> = Rc::new(RefCell::new(None));
 
     let b2 = barrier.clone();
     let ab = addr_b.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.locked() = Some(port.addr());
+        *ab.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         let _ = port.wait_recv(ctx);
     });
@@ -199,15 +200,15 @@ pub fn traced_zero_len_run() -> TracedZeroLen {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.locked().expect("rx ready");
+        let dst = addr_b.borrow_mut().expect("rx ready");
         let buf = port.alloc_buffer(1).expect("buf");
         let msg_id = port
             .send(ctx, dst, ChannelId::SYSTEM, buf, 0)
             .expect("send");
-        *sent2.locked() = Some(TraceId::new(0, msg_id));
+        *sent2.borrow_mut() = Some(TraceId::new(0, msg_id));
     });
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let id = sent.locked().expect("message sent");
+    let id = sent.borrow_mut().expect("message sent");
     let mut events = cluster.trace_events();
     events.retain(|ev| ev.trace == id);
     let bucket = critpath::bottleneck_report(&critpath::analyze(&events))
@@ -230,41 +231,41 @@ pub fn measured_host_overheads(spec: ClusterSpec) -> (f64, f64, f64) {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
-    let out = Arc::new(Lock::new((0.0f64, 0.0f64, 0.0f64)));
+    let addr_b: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
+    let out = Rc::new(RefCell::new((0.0f64, 0.0f64, 0.0f64)));
 
     let b2 = barrier.clone();
     let ab = addr_b.clone();
     let out_rx = out.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.locked() = Some(port.addr());
+        *ab.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         // Let the event arrive, then measure pure poll cost.
         ctx.sleep(suca_sim::SimDuration::from_us(100));
         let t0 = ctx.now().as_us();
         let _ = port.poll_recv(ctx).expect("event queued");
-        out_rx.locked().2 = ctx.now().as_us() - t0;
+        out_rx.borrow_mut().2 = ctx.now().as_us() - t0;
     });
     let b3 = barrier.clone();
     let out_tx = out.clone();
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.locked().expect("rx ready");
+        let dst = addr_b.borrow_mut().expect("rx ready");
         let buf = port.alloc_buffer(1).expect("buf");
         let t0 = ctx.now().as_us();
         port.send(ctx, dst, ChannelId::SYSTEM, buf, 0)
             .expect("send");
-        out_tx.locked().0 = ctx.now().as_us() - t0;
+        out_tx.borrow_mut().0 = ctx.now().as_us() - t0;
         // Wait for the completion event to be present, then time the poll.
         ctx.sleep(suca_sim::SimDuration::from_us(100));
         let t1 = ctx.now().as_us();
         let _ = port.poll_send(ctx).expect("send event queued");
-        out_tx.locked().1 = ctx.now().as_us() - t1;
+        out_tx.borrow_mut().1 = ctx.now().as_us() - t1;
     });
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let g = out.locked();
+    let g = out.borrow();
     (g.0, g.1, g.2)
 }
 

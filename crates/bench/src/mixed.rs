@@ -12,7 +12,8 @@
 //! The harness binary (`mixed_slo`) and the cluster e2e determinism test
 //! both build on [`run_mixed`]; only scale knobs and assertions differ.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::ProcAddr;
 use suca_cluster::{Cluster, ClusterSpec, SimBarrier};
@@ -30,7 +31,7 @@ use suca_rpc::{
     Priority, RpcClient, RpcClientConfig, RpcReply, RpcServer, RpcServerConfig, TenantId,
     TenantPolicy,
 };
-use suca_sim::{ActorCtx, HealthRule, Lock, RunOutcome, SimDuration, SimTime};
+use suca_sim::{ActorCtx, HealthRule, RunOutcome, SimDuration, SimTime};
 
 use crate::kv_cluster::interleave_servers;
 use crate::report::Recovery;
@@ -197,10 +198,12 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
     let barrier = SimBarrier::new(&sim, NODES);
 
     let servers = interleave_servers(NODES, N_SERVERS);
-    let addrs: Arc<Lock<Vec<Option<ProcAddr>>>> = Arc::new(Lock::new(vec![None; servers.len()]));
-    let tenant_totals: Arc<Lock<[LoadStats; 3]>> = Arc::new(Lock::new([LoadStats::default(); 3]));
-    let sub_totals: Arc<Lock<SubTotals>> = Arc::new(Lock::new(SubTotals::default()));
-    let drv_totals: Arc<Lock<DriverStats>> = Arc::new(Lock::new(DriverStats::default()));
+    let addrs: Rc<RefCell<Vec<Option<ProcAddr>>>> =
+        Rc::new(RefCell::new(vec![None; servers.len()]));
+    let tenant_totals: Rc<RefCell<[LoadStats; 3]>> =
+        Rc::new(RefCell::new([LoadStats::default(); 3]));
+    let sub_totals: Rc<RefCell<SubTotals>> = Rc::new(RefCell::new(SubTotals::default()));
+    let drv_totals: Rc<RefCell<DriverStats>> = Rc::new(RefCell::new(DriverStats::default()));
 
     // Overload drives each publisher's room-home server past its service
     // rate (40 µs publishes vs 20 µs arrivals), so the pub-sub tenant's
@@ -232,7 +235,7 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
         let (b, a, scfg) = (barrier.clone(), addrs.clone(), server_cfg.clone());
         cluster.spawn_process(node, "mixed-srv", move |ctx, env| {
             let port = env.open_port(ctx);
-            a.locked()[s] = Some(port.addr());
+            a.borrow_mut()[s] = Some(port.addr());
             let mut srv = RpcServer::new(ctx, port, scfg).expect("server up");
             let m = ctx.sim().metrics();
             let mut kv = KvService::new(KvCosts::default());
@@ -260,8 +263,8 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
 
     let client_nodes: Vec<u32> = (0..NODES).filter(|n| !servers.contains(n)).collect();
     assert_eq!(client_nodes.len(), N_KV + N_PUB + N_SUB + N_PIPE);
-    let fetch_servers = move |a: &Arc<Lock<Vec<Option<ProcAddr>>>>| -> Vec<ProcAddr> {
-        a.locked()
+    let fetch_servers = move |a: &Rc<RefCell<Vec<Option<ProcAddr>>>>| -> Vec<ProcAddr> {
+        a.borrow_mut()
             .iter()
             .map(|x| x.expect("server ready"))
             .collect()
@@ -288,7 +291,7 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
             let mut rng = ctx.sim().fork_rng(&format!("mixed.kv.c{c}"));
             let hists = LatencyHists::named(&ctx.sim().metrics(), "t0", suca_load::KV_CLASSES);
             let stats = run_closed_loop(ctx, &mut cli, &servers, &mut rng, &cfg, &hists);
-            t.locked()[TENANT_KV as usize].merge(&stats);
+            t.borrow_mut()[TENANT_KV as usize].merge(&stats);
         });
     }
 
@@ -330,7 +333,7 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
                 };
                 run_publisher(ctx, &mut cli, home, room, &mut rng, &pcfg, &hists)
             };
-            t.locked()[TENANT_PUBSUB as usize].merge(&stats);
+            t.borrow_mut()[TENANT_PUBSUB as usize].merge(&stats);
         });
     }
     for su in 0..N_SUB {
@@ -360,8 +363,8 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
             };
             let hists = LatencyHists::named(&ctx.sim().metrics(), "t1", suca_pubsub::CLASS_NAMES);
             let (stats, sub) = run_subscriber(ctx, &mut cli, home, room, &scfg, &hists);
-            t.locked()[TENANT_PUBSUB as usize].merge(&stats);
-            let mut s = st.locked();
+            t.borrow_mut()[TENANT_PUBSUB as usize].merge(&stats);
+            let mut s = st.borrow_mut();
             s.received += sub.received;
             s.bytes += sub.bytes;
             s.gaps += sub.gaps;
@@ -395,8 +398,8 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
             };
             let hists = LatencyHists::named(&ctx.sim().metrics(), "t2", suca_pipeline::CLASS_NAMES);
             let (stats, drv) = run_driver(ctx, &mut cli, &servers, &dcfg, &hists);
-            t.locked()[TENANT_PIPELINE as usize].merge(&stats);
-            let mut d = dt.locked();
+            t.borrow_mut()[TENANT_PIPELINE as usize].merge(&stats);
+            let mut d = dt.borrow_mut();
             d.jobs_done += drv.jobs_done;
             d.execs_ok += drv.execs_ok;
             d.fetches_ok += drv.fetches_ok;
@@ -410,7 +413,7 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
         "mixed/{variant}/{fabric}: workload hung"
     );
 
-    let tenant_stats = *tenant_totals.locked();
+    let tenant_stats = *tenant_totals.borrow();
     let mut total = LoadStats::default();
     for s in &tenant_stats {
         total.merge(s);
@@ -446,8 +449,8 @@ pub fn run_mixed(variant: &str, fabric: &str, cfg: &MixedCfg) -> MixedOutcome {
             &tenant_stats[TENANT_PIPELINE as usize],
         ),
     ];
-    let sub = *sub_totals.locked();
-    let drv = *drv_totals.locked();
+    let sub = *sub_totals.borrow();
+    let drv = *drv_totals.borrow();
     MixedOutcome {
         cluster,
         report,

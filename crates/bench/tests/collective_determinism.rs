@@ -5,20 +5,21 @@
 //! event ordering must not leak HashMap iteration order into anything
 //! observable.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_cluster::ClusterSpec;
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
-use suca_sim::{ActorCtx, Lock, RunOutcome};
+use suca_sim::{ActorCtx, RunOutcome};
 
 const SEED: u64 = 0xC0117;
 const NODES: u32 = 8;
 const RANKS: u32 = 11; // co-located ranks on some nodes, idle-ish others
 
 /// Per-rank transcripts: (rank, bytes), shared across actor closures.
-type Transcripts = Arc<Lock<Vec<(u32, Vec<u8>)>>>;
+type Transcripts = Rc<RefCell<Vec<(u32, Vec<u8>)>>>;
 
 struct RunBytes {
     results: String,
@@ -50,7 +51,7 @@ fn run_once(spec: ClusterSpec) -> RunBytes {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, RANKS);
-    let transcripts: Transcripts = Arc::new(Lock::new(Vec::new()));
+    let transcripts: Transcripts = Rc::new(RefCell::new(Vec::new()));
     for r in 0..RANKS {
         let uni = uni.clone();
         let t = transcripts.clone();
@@ -64,12 +65,12 @@ fn run_once(spec: ClusterSpec) -> RunBytes {
                 MpiConfig::dawning3000(),
             );
             let bytes = collective_workload(ctx, &comm);
-            t.locked().push((comm.rank(), bytes));
+            t.borrow_mut().push((comm.rank(), bytes));
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "collective workload hung");
 
-    let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner();
+    let mut ranks = Rc::into_inner(transcripts).unwrap().into_inner();
     ranks.sort_by_key(|(r, _)| *r);
     let mut results = String::new();
     for (r, bytes) in &ranks {

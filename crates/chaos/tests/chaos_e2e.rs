@@ -4,14 +4,15 @@
 //! blackhole — with every message delivered exactly once across the
 //! cutover.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::ChannelId;
 use suca_chaos::{ChaosController, ChaosPlan, ChaosReport, Fault, StormBuilder};
 use suca_cluster::{ClusterSpec, SanKind, SimBarrier};
 use suca_mesh::MeshConfig;
 use suca_myrinet::FabricNodeId;
-use suca_sim::{Lock, RunOutcome, SimDuration, SimTime, TelemetryConfig, WatchdogConfig};
+use suca_sim::{RunOutcome, SimDuration, SimTime, TelemetryConfig, WatchdogConfig};
 
 #[test]
 fn watchdog_fires_during_unrecovered_blackhole() {
@@ -42,13 +43,13 @@ fn watchdog_fires_during_unrecovered_blackhole() {
     ChaosController::install(&cluster, &plan);
 
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     {
         let (barrier, addr) = (barrier.clone(), addr.clone());
         cluster.spawn_process(1, "rx", move |ctx, env| {
             let port = env.open_port(ctx);
             port.bind_open(ctx, 0, 4096).expect("bind open channel");
-            *addr.locked() = Some(port.addr());
+            *addr.borrow_mut() = Some(port.addr());
             barrier.wait(ctx);
             let _ = port.wait_recv(ctx); // never arrives
         });
@@ -57,7 +58,7 @@ fn watchdog_fires_during_unrecovered_blackhole() {
         let port = env.open_port(ctx);
         let into = port.alloc_buffer(1024).expect("alloc");
         barrier.wait(ctx);
-        let dst = addr.locked().expect("rx ready");
+        let dst = addr.borrow_mut().expect("rx ready");
         port.rma_read(ctx, dst, 0, 0, into, 1024).expect("read");
         let _ = port.wait_send(ctx); // the data never comes back
     });
@@ -115,12 +116,12 @@ fn failover_recovers_the_blackhole_and_keeps_the_watchdog_silent() {
     ChaosController::install(&cluster, &plan);
 
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     {
         let (barrier, addr) = (barrier.clone(), addr.clone());
         cluster.spawn_process(1, "rx", move |ctx, env| {
             let port = env.open_port(ctx);
-            *addr.locked() = Some(port.addr());
+            *addr.borrow_mut() = Some(port.addr());
             barrier.wait(ctx);
             for i in 0..MSGS {
                 let ev = port.wait_recv(ctx);
@@ -137,7 +138,7 @@ fn failover_recovers_the_blackhole_and_keeps_the_watchdog_silent() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr.locked().expect("rx ready");
+        let dst = addr.borrow_mut().expect("rx ready");
         for i in 0..MSGS {
             port.send_bytes(ctx, dst, ChannelId::SYSTEM, &[i as u8; 64])
                 .expect("send");
@@ -218,10 +219,10 @@ fn frames_die_with_the_state_that_held_them_under_a_dual_rail_storm() {
         .iter()
         .map(|n| n.os.memory().clone())
         .collect();
-    let post_setup = Arc::new(Lock::new(Vec::new()));
+    let post_setup = Rc::new(RefCell::new(Vec::new()));
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
-    let delivered = Arc::new(Lock::new(0u32));
+    let addr: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
+    let delivered = Rc::new(RefCell::new(0u32));
     let quiet = SimDuration::from_ms(20);
     {
         let (barrier, addr, delivered) = (barrier.clone(), addr.clone(), delivered.clone());
@@ -232,7 +233,7 @@ fn frames_die_with_the_state_that_held_them_under_a_dual_rail_storm() {
             let late: Vec<_> = (0..4u16)
                 .map(|_| port.alloc_buffer(2048).expect("alloc"))
                 .collect();
-            *addr.locked() = Some(port.addr());
+            *addr.borrow_mut() = Some(port.addr());
             barrier.wait(ctx);
             ctx.sleep(SimDuration::from_ms(1));
             for (c, &buf) in late.iter().enumerate() {
@@ -241,7 +242,7 @@ fn frames_die_with_the_state_that_held_them_under_a_dual_rail_storm() {
             while let Some(ev) = port.wait_recv_timeout(ctx, quiet) {
                 let data = port.recv_bytes(ctx, &ev).expect("recv");
                 assert!(data.iter().all(|&b| b == data[0]), "payload torn");
-                *delivered.locked() += 1;
+                *delivered.borrow_mut() += 1;
                 if ev.channel.kind == suca_bcl::ChannelKind::Normal {
                     let c = ev.channel.index;
                     // A reset may have eaten the posting; re-arm either way.
@@ -255,8 +256,8 @@ fn frames_die_with_the_state_that_held_them_under_a_dual_rail_storm() {
         cluster.spawn_process(0, "tx", move |ctx, env| {
             let port = env.open_port(ctx);
             barrier.wait(ctx);
-            *post_setup.locked() = memories.iter().map(|m| m.allocated_frames()).collect();
-            let dst = addr.locked().expect("rx ready");
+            *post_setup.borrow_mut() = memories.iter().map(|m| m.allocated_frames()).collect();
+            let dst = addr.borrow_mut().expect("rx ready");
             for i in 0..MSGS {
                 let (channel, len) = match i % 8 {
                     7 => (ChannelId::normal((i / 8 % 4) as u16), 2000),
@@ -282,8 +283,8 @@ fn frames_die_with_the_state_that_held_them_under_a_dual_rail_storm() {
         sim.get_count("bcl.msg_retries") > 0,
         "no late-posted message was retried; the test is vacuous"
     );
-    assert!(*delivered.locked() > MSGS / 2, "the storm ate the stream");
+    assert!(*delivered.borrow() > MSGS / 2, "the storm ate the stream");
     let now: Vec<u64> = memories.iter().map(|m| m.allocated_frames()).collect();
-    assert_eq!(now, *post_setup.locked(), "frames leaked (or double-freed)");
+    assert_eq!(now, *post_setup.borrow(), "frames leaked (or double-freed)");
     assert_eq!(sim.get_count("mem.dma_lifetime_violations"), 0);
 }

@@ -1,6 +1,6 @@
 //! Cluster construction.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_bcl::{Architecture, BclConfig};
 use suca_mesh::{Mesh, MeshConfig};
@@ -213,7 +213,7 @@ impl ClusterSpec {
                 SanKind::Mesh(_) => "mesh",
             },
         );
-        let build_san = |san: &SanKind| -> Arc<Network> {
+        let build_san = |san: &SanKind| -> Rc<Network> {
             match san {
                 SanKind::Myrinet(cfg) => Myrinet::build(&sim, self.nodes, cfg.clone()),
                 SanKind::Mesh(cfg) => Mesh::build_square(&sim, self.nodes, cfg.clone()),
@@ -260,11 +260,11 @@ pub struct Cluster {
     /// The simulation.
     pub sim: Sim,
     /// All nodes, indexed by node id.
-    pub nodes: Vec<Arc<ClusterNode>>,
+    pub nodes: Vec<Rc<ClusterNode>>,
     /// The primary SAN (rail 0).
-    pub fabric: Arc<Network>,
+    pub fabric: Rc<Network>,
     /// Every rail, primary first. Single-rail clusters have one entry.
-    pub rails: Vec<Arc<Network>>,
+    pub rails: Vec<Rc<Network>>,
 }
 
 impl Cluster {
@@ -274,7 +274,7 @@ impl Cluster {
         &self,
         node: u32,
         name: impl Into<String>,
-        body: impl FnOnce(&mut ActorCtx, ProcessEnv) + Send + 'static,
+        body: impl FnOnce(&mut ActorCtx, ProcessEnv) + 'static,
     ) -> ActorId {
         let n = self.nodes[node as usize].clone();
         let proc = n.create_process();

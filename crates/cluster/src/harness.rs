@@ -6,11 +6,12 @@
 //! simulation clock is global, one-way latency is measured directly (no
 //! RTT/2 approximation).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::{BclError, ChannelId};
 use suca_sim::critpath::{self, MessageCritPath};
-use suca_sim::{ActorCtx, Lock, RunOutcome, Signal, Sim, TraceId};
+use suca_sim::{ActorCtx, RunOutcome, Signal, Sim, TraceId};
 
 use crate::builder::{Cluster, ClusterSpec};
 
@@ -19,7 +20,7 @@ use crate::builder::{Cluster, ClusterSpec};
 #[derive(Clone)]
 pub struct SimBarrier {
     n: u32,
-    state: Arc<Lock<(u32, u64)>>, // (arrived, generation)
+    state: Rc<RefCell<(u32, u64)>>, // (arrived, generation)
     signal: Signal,
 }
 
@@ -29,7 +30,7 @@ impl SimBarrier {
         assert!(n > 0);
         SimBarrier {
             n,
-            state: Arc::new(Lock::new((0, 0))),
+            state: Rc::new(RefCell::new((0, 0))),
             signal: Signal::new(sim),
         }
     }
@@ -37,7 +38,7 @@ impl SimBarrier {
     /// Block until all `n` participants have arrived.
     pub fn wait(&self, ctx: &mut ActorCtx) {
         let gen = {
-            let mut st = self.state.locked();
+            let mut st = self.state.borrow_mut();
             let gen = st.1;
             st.0 += 1;
             if st.0 == self.n {
@@ -49,7 +50,7 @@ impl SimBarrier {
             gen
         };
         let state = self.state.clone();
-        self.signal.wait_until(ctx, || state.locked().1 != gen);
+        self.signal.wait_until(ctx, || state.borrow().1 != gen);
     }
 }
 
@@ -99,11 +100,11 @@ pub fn measure_one_way(
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_of_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr_of_b: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     // Per message: (send call, trace id) on the sender, poll return on the
     // receiver.
-    let sends = Arc::new(Lock::new(Vec::new()));
-    let recv_times = Arc::new(Lock::new(Vec::new()));
+    let sends = Rc::new(RefCell::new(Vec::new()));
+    let recv_times = Rc::new(RefCell::new(Vec::new()));
     let total = warmup + iters;
     let use_system = size <= system_max;
     let channel = if use_system {
@@ -119,7 +120,7 @@ pub fn measure_one_way(
         let recv_times = recv_times.clone();
         cluster.spawn_process(dst, "latency-recv", move |ctx, env| {
             let port = env.open_port(ctx);
-            *addr_of_b.locked() = Some(port.addr());
+            *addr_of_b.borrow_mut() = Some(port.addr());
             let buf = if use_system {
                 None
             } else {
@@ -128,7 +129,7 @@ pub fn measure_one_way(
             barrier.wait(ctx);
             for _ in 0..total {
                 let ev = port.wait_recv(ctx);
-                recv_times.locked().push(ctx.now().as_ns());
+                recv_times.borrow_mut().push(ctx.now().as_ns());
                 let data = port.recv_bytes(ctx, &ev).expect("recv data");
                 assert_eq!(data.len() as u64, size, "payload length corrupted");
                 if let Some(addr) = buf {
@@ -151,11 +152,11 @@ pub fn measure_one_way(
             port.write_buffer(buf, &vec![0xA5u8; size as usize])
                 .expect("fill");
             barrier.wait(ctx);
-            let dst_addr = addr_of_b.locked().expect("receiver opened first");
+            let dst_addr = addr_of_b.borrow_mut().expect("receiver opened first");
             for _ in 0..total {
                 let at = ctx.now().as_ns();
                 let id = port.send(ctx, dst_addr, channel, buf, size).expect("send");
-                sends.locked().push((at, TraceId::new(src, id)));
+                sends.borrow_mut().push((at, TraceId::new(src, id)));
                 // Wait for the pacing reply before the next iteration
                 // (consuming it returns its system-pool buffer).
                 loop {
@@ -174,8 +175,8 @@ pub fn measure_one_way(
     assert_eq!(sim.run(), RunOutcome::Completed, "latency harness stuck");
     assert_eq!(sim.get_count("watchdog.stalls"), 0, "latency run stalled");
     let (sends, recv_times) = (
-        sends.locked().split_off(warmup as usize),
-        recv_times.locked(),
+        sends.borrow_mut().split_off(warmup as usize),
+        recv_times.borrow_mut(),
     );
     assert_eq!(sends.len() as u32, iters);
     assert_eq!(recv_times.len() as u32, total);
@@ -217,9 +218,9 @@ pub fn measure_bandwidth(
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_of_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
-    let t0 = Arc::new(Lock::new(0.0f64));
-    let t1 = Arc::new(Lock::new(0.0f64));
+    let addr_of_b: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
+    let t0 = Rc::new(RefCell::new(0.0f64));
+    let t1 = Rc::new(RefCell::new(0.0f64));
     let intra = src == dst;
 
     {
@@ -228,7 +229,7 @@ pub fn measure_bandwidth(
         let t1 = t1.clone();
         cluster.spawn_process(dst, "bw-recv", move |ctx, env| {
             let port = env.open_port(ctx);
-            *addr_of_b.locked() = Some(port.addr());
+            *addr_of_b.borrow_mut() = Some(port.addr());
             let mut bufs = Vec::new();
             for c in 0..window {
                 bufs.push(port.post_recv(ctx, c, size).expect("post"));
@@ -243,7 +244,7 @@ pub fn measure_bandwidth(
                         .expect("re-post");
                 }
             }
-            *t1.locked() = ctx.now().as_us();
+            *t1.borrow_mut() = ctx.now().as_us();
         });
     }
 
@@ -256,14 +257,14 @@ pub fn measure_bandwidth(
             port.write_buffer(buf, &vec![0x5Au8; size as usize])
                 .expect("fill");
             barrier.wait(ctx);
-            let dst_addr = addr_of_b.locked().expect("receiver first");
+            let dst_addr = addr_of_b.borrow_mut().expect("receiver first");
             // Warm the pin-down table so the stream measures steady state.
             // (One throwaway message, subtracted by starting the clock after
             // its completion event.)
             port.send(ctx, dst_addr, ChannelId::normal(0), buf, size)
                 .expect("warmup send");
             let _ = port.wait_send(ctx);
-            *t0.locked() = ctx.now().as_us();
+            *t0.borrow_mut() = ctx.now().as_us();
             let channel_of = |i: u32| ChannelId::normal((i % u32::from(window)) as u16);
             for i in 1..count {
                 loop {
@@ -281,8 +282,8 @@ pub fn measure_bandwidth(
     }
 
     assert_eq!(sim.run(), RunOutcome::Completed, "bandwidth harness stuck");
-    let start = *t0.locked();
-    let end = *t1.locked();
+    let start = *t0.borrow();
+    let end = *t1.borrow();
     assert!(end > start, "no time elapsed");
     // count-1 timed messages (the warmup message started the clock).
     let bytes = size as f64 * (count - 1) as f64;
@@ -419,33 +420,33 @@ mod tests {
         });
         let cluster = spec.build();
         let barrier = SimBarrier::new(&cluster.sim, 2);
-        let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
-        let got = Arc::new(Lock::new(0u32));
+        let addr: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
+        let got = Rc::new(RefCell::new(0u32));
         let (b2, a2, g2) = (barrier.clone(), addr.clone(), got.clone());
         cluster.spawn_process(1, "rx", move |ctx, env| {
             let port = env.open_port(ctx);
-            *a2.locked() = Some(port.addr());
+            *a2.borrow_mut() = Some(port.addr());
             b2.wait(ctx);
             // Poll for a bounded interval, then report what arrived.
             for _ in 0..30 {
                 ctx.sleep(SimDuration::from_ms(1));
                 while let Some(ev) = port.poll_recv(ctx) {
                     port.recv_bytes(ctx, &ev).expect("data");
-                    *g2.locked() += 1;
+                    *g2.borrow_mut() += 1;
                 }
             }
         });
         cluster.spawn_process(0, "tx", move |ctx, env| {
             let port = env.open_port(ctx);
             barrier.wait(ctx);
-            let dst = addr.locked().expect("rx ready");
+            let dst = addr.borrow_mut().expect("rx ready");
             for i in 0..30u32 {
                 port.send_bytes(ctx, dst, ChannelId::SYSTEM, &i.to_le_bytes())
                     .expect("send");
             }
         });
         cluster.sim.run_until(SimTime::from_ns(60_000_000));
-        let n = *got.locked();
+        let n = *got.borrow();
         n
     }
 

@@ -1,6 +1,6 @@
 //! One cluster node: SMP host + OS + NIC firmware + BCL stack.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_bcl::{BclConfig, BclNode, Mcp};
 use suca_mem::PhysMemory;
@@ -11,9 +11,9 @@ use suca_sim::{ActorCtx, Sim};
 /// A fully assembled node.
 pub struct ClusterNode {
     /// The node's OS instance.
-    pub os: Arc<NodeOs>,
+    pub os: Rc<NodeOs>,
     /// The node's BCL stack (kernel module, MCP, intra-node hub).
-    pub bcl: Arc<BclNode>,
+    pub bcl: Rc<BclNode>,
     /// The node's SMP CPUs (4-way on DAWNING-3000).
     pub cpus: CpuSet,
 }
@@ -25,19 +25,19 @@ impl ClusterNode {
     pub fn new(
         sim: &Sim,
         id: NodeId,
-        rails: Vec<Arc<Network>>,
+        rails: Vec<Rc<Network>>,
         num_nodes: u32,
         mem_bytes: u64,
         n_cpus: u32,
         personality: OsPersonality,
         os_costs: OsCostModel,
         bcl_cfg: BclConfig,
-    ) -> Arc<ClusterNode> {
+    ) -> Rc<ClusterNode> {
         let mem = PhysMemory::new(mem_bytes);
         let os = NodeOs::new(sim, id, mem, personality, os_costs);
         let mcp = Mcp::new_multi_rail(sim, os.clone(), FabricNodeId(id.0), rails, bcl_cfg.clone());
         let bcl = BclNode::new(sim, os.clone(), mcp, num_nodes, bcl_cfg);
-        Arc::new(ClusterNode {
+        Rc::new(ClusterNode {
             os,
             bcl,
             cpus: CpuSet::new(sim, n_cpus),
@@ -53,7 +53,7 @@ impl ClusterNode {
 /// Environment handed to a spawned application process.
 pub struct ProcessEnv {
     /// The node this process runs on.
-    pub node: Arc<ClusterNode>,
+    pub node: Rc<ClusterNode>,
     /// The OS process (PID + address space).
     pub proc: OsProcess,
 }

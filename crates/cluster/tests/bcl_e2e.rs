@@ -3,12 +3,13 @@
 //! faults, rendezvous semantics, security rejections, RMA, and the
 //! critical-path trap/interrupt accounting behind Table 1.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::{BclError, BclPort, ChannelId, SendStatus};
 use suca_cluster::{measure_bandwidth, measure_one_way, ClusterSpec, SimBarrier};
 use suca_myrinet::FaultPlan;
-use suca_sim::{Lock, RunOutcome};
+use suca_sim::RunOutcome;
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -95,13 +96,13 @@ fn large_message_integrity_through_fragmentation() {
     let barrier = SimBarrier::new(&sim, 2);
     let payload = pattern(300_000, 7); // ~74 fragments, odd length
     let expect = payload.clone();
-    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr_b: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
 
     let b2 = barrier.clone();
     let ab = addr_b.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.locked() = Some(port.addr());
+        *ab.borrow_mut() = Some(port.addr());
         port.post_recv(ctx, 3, 300_000).unwrap();
         b2.wait(ctx);
         let ev = port.wait_recv(ctx);
@@ -130,12 +131,12 @@ fn b2_wait_then_send(
     ctx: &mut suca_sim::ActorCtx,
     port: &BclPort,
     barrier: &SimBarrier,
-    addr_b: &Arc<Lock<Option<suca_bcl::ProcAddr>>>,
+    addr_b: &Rc<RefCell<Option<suca_bcl::ProcAddr>>>,
     payload: &[u8],
     channel: ChannelId,
 ) {
     barrier.wait(ctx);
-    let dst = addr_b.locked().expect("receiver ready");
+    let dst = addr_b.borrow_mut().expect("receiver ready");
     let buf = port.alloc_buffer(payload.len() as u64).unwrap();
     port.write_buffer(buf, payload).unwrap();
     port.send(ctx, dst, channel, buf, payload.len() as u64)
@@ -158,14 +159,14 @@ fn reliability_recovers_from_drops_and_corruption() {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr_b: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     const N: u32 = 40;
 
     let b2 = barrier.clone();
     let ab = addr_b.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.locked() = Some(port.addr());
+        *ab.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         // Messages must arrive complete, uncorrupted and in order.
         for i in 0..N {
@@ -178,7 +179,7 @@ fn reliability_recovers_from_drops_and_corruption() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.locked().unwrap();
+        let dst = addr_b.borrow_mut().unwrap();
         for i in 0..N {
             port.send_bytes(ctx, dst, ChannelId::SYSTEM, &pattern(1000, i as u8))
                 .unwrap();
@@ -212,14 +213,14 @@ fn lossy_stream(drop_prob: f64, n: u16) -> suca_sim::Sim {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr_b: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     const LEN: u64 = 32 * 1024;
 
     let b2 = barrier.clone();
     let ab = addr_b.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.locked() = Some(port.addr());
+        *ab.borrow_mut() = Some(port.addr());
         for i in 0..n {
             port.post_recv(ctx, i, LEN).unwrap();
         }
@@ -234,7 +235,7 @@ fn lossy_stream(drop_prob: f64, n: u16) -> suca_sim::Sim {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr_b.locked().expect("receiver ready");
+        let dst = addr_b.borrow_mut().expect("receiver ready");
         for i in 0..n {
             let buf = port.alloc_buffer(LEN).unwrap();
             port.write_buffer(buf, &pattern(LEN as usize, i as u8))
@@ -297,15 +298,15 @@ fn probes_repair_tail_losses_in_a_ping_pong() {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addrs: Arc<Lock<[Option<suca_bcl::ProcAddr>; 2]>> = Arc::new(Lock::new([None; 2]));
+    let addrs: Rc<RefCell<[Option<suca_bcl::ProcAddr>; 2]>> = Rc::new(RefCell::new([None; 2]));
     const ROUNDS: u32 = 40;
     for me in 0..2usize {
         let (barrier, addrs) = (barrier.clone(), addrs.clone());
         cluster.spawn_process(me as u32, format!("p{me}"), move |ctx, env| {
             let port = env.open_port(ctx);
-            addrs.locked()[me] = Some(port.addr());
+            addrs.borrow_mut()[me] = Some(port.addr());
             barrier.wait(ctx);
-            let peer = addrs.locked()[1 - me].expect("peer ready");
+            let peer = addrs.borrow_mut()[1 - me].expect("peer ready");
             for i in 0..ROUNDS {
                 if me == 1 {
                     let ev = port.wait_recv(ctx);
@@ -347,16 +348,16 @@ fn probes_repair_tail_losses_in_a_ping_pong() {
 fn late_posted_normal_channel_is_retried_and_delivered() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
-    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr_b: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     let barrier = SimBarrier::new(&sim, 2);
     let tx_mem = cluster.nodes[0].os.memory().clone();
-    let frames_before_send = Arc::new(Lock::new(0));
+    let frames_before_send = Rc::new(RefCell::new(0));
 
     let ab = addr_b.clone();
     let b2 = barrier.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.locked() = Some(port.addr());
+        *ab.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         // Post *after* the sender has already sent: the reject/retry path.
         ctx.sleep(suca_sim::SimDuration::from_us(400));
@@ -370,8 +371,8 @@ fn late_posted_normal_channel_is_retried_and_delivered() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.locked().unwrap();
-        *before.locked() = mem.allocated_frames();
+        let dst = addr_b.borrow_mut().unwrap();
+        *before.borrow_mut() = mem.allocated_frames();
         // `send_bytes` frees its page at once; the `Ok` completion is
         // posted long before the retries re-stage the payload from it.
         port.send_bytes(ctx, dst, ChannelId::normal(0), &pattern(512, 9))
@@ -379,7 +380,7 @@ fn late_posted_normal_channel_is_retried_and_delivered() {
         assert_eq!(port.wait_send(ctx).status, SendStatus::Ok);
         assert_eq!(
             mem.allocated_frames(),
-            *before.locked() + 1,
+            *before.borrow() + 1,
             "a refusable job keeps its page past the completion event"
         );
     });
@@ -390,7 +391,7 @@ fn late_posted_normal_channel_is_retried_and_delivered() {
     );
     // Delivered and acknowledged: the job is past refusal, so the NIC let
     // go of the page the retries were reading and it was reclaimed.
-    assert_eq!(tx_mem.allocated_frames(), *frames_before_send.locked());
+    assert_eq!(tx_mem.allocated_frames(), *frames_before_send.borrow());
     assert_eq!(sim.get_count("mem.dma_lifetime_violations"), 0);
 }
 
@@ -399,14 +400,14 @@ fn system_pool_overflow_discards_as_the_paper_specifies() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let pool_size = cluster.nodes[0].bcl.config().system_pool.buffers;
-    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr_b: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     let barrier = SimBarrier::new(&sim, 2);
 
     let ab = addr_b.clone();
     let b2 = barrier.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.locked() = Some(port.addr());
+        *ab.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         // Never consume: the pool fills, later messages are discarded.
         ctx.sleep(suca_sim::SimDuration::from_ms(50));
@@ -420,7 +421,7 @@ fn system_pool_overflow_discards_as_the_paper_specifies() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.locked().unwrap();
+        let dst = addr_b.borrow_mut().unwrap();
         for _ in 0..pool_size + 10 {
             port.send_bytes(ctx, dst, ChannelId::SYSTEM, b"x").unwrap();
             let _ = port.wait_send(ctx);
@@ -543,8 +544,8 @@ fn rma_write_and_read_roundtrip() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
-    let window: Arc<Lock<Option<suca_mem::VirtAddr>>> = Arc::new(Lock::new(None));
+    let addr_b: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
+    let window: Rc<RefCell<Option<suca_mem::VirtAddr>>> = Rc::new(RefCell::new(None));
     let done = SimBarrier::new(&sim, 2);
 
     let ab = addr_b.clone();
@@ -553,12 +554,12 @@ fn rma_write_and_read_roundtrip() {
     let w2 = window.clone();
     cluster.spawn_process(1, "target", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.locked() = Some(port.addr());
+        *ab.borrow_mut() = Some(port.addr());
         let win = port.bind_open(ctx, 0, 8192).unwrap();
         // Preload the second half with a known pattern for the read test.
         port.write_buffer(win.add(4096), &pattern(4096, 42))
             .unwrap();
-        *w2.locked() = Some(win);
+        *w2.borrow_mut() = Some(win);
         b2.wait(ctx);
         d2.wait(ctx); // stay alive until the initiator finished
         let got = port.read_buffer(win, 2000).unwrap();
@@ -569,7 +570,7 @@ fn rma_write_and_read_roundtrip() {
     cluster.spawn_process(0, "initiator", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.locked().unwrap();
+        let dst = addr_b.borrow_mut().unwrap();
         // One-sided write into the window.
         let src = port.alloc_buffer(2000).unwrap();
         port.write_buffer(src, &pattern(2000, 5)).unwrap();
@@ -595,7 +596,7 @@ fn rma_out_of_bounds_read_fails_with_rejected_event() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr_b: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     let done = SimBarrier::new(&sim, 2);
 
     let ab = addr_b.clone();
@@ -603,7 +604,7 @@ fn rma_out_of_bounds_read_fails_with_rejected_event() {
     let d2 = done.clone();
     cluster.spawn_process(1, "target", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.locked() = Some(port.addr());
+        *ab.borrow_mut() = Some(port.addr());
         port.bind_open(ctx, 0, 1024).unwrap();
         b2.wait(ctx);
         d2.wait(ctx);
@@ -613,7 +614,7 @@ fn rma_out_of_bounds_read_fails_with_rejected_event() {
     cluster.spawn_process(0, "initiator", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.locked().unwrap();
+        let dst = addr_b.borrow_mut().unwrap();
         let into = port.alloc_buffer(4096).unwrap();
         // Read beyond the 1 KB window: NIC-side bounds check refuses.
         let rid = port.rma_read(ctx, dst, 0, 512, into, 4096).unwrap();
@@ -632,30 +633,30 @@ fn critical_path_has_one_trap_and_zero_interrupts() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr_b: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
 
     let ab = addr_b.clone();
     let b2 = barrier.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.locked() = Some(port.addr());
+        *ab.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         let _ = port.wait_recv(ctx);
     });
     let b3 = barrier.clone();
-    let traps = Arc::new(Lock::new((0u64, 0u64)));
+    let traps = Rc::new(RefCell::new((0u64, 0u64)));
     let t2 = traps.clone();
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.locked().unwrap();
+        let dst = addr_b.borrow_mut().unwrap();
         let before = ctx.sim().get_count("os.traps");
         port.send_bytes(ctx, dst, ChannelId::SYSTEM, b"hi").unwrap();
         let after = ctx.sim().get_count("os.traps");
-        *t2.locked() = (before, after);
+        *t2.borrow_mut() = (before, after);
     });
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let (before, after) = *traps.locked();
+    let (before, after) = *traps.borrow();
     assert_eq!(after - before, 1, "exactly one trap on the send path");
     assert_eq!(sim.get_count("os.interrupts"), 0, "BCL never interrupts");
 }
@@ -675,8 +676,8 @@ fn same_application_runs_on_myrinet_and_mesh() {
         let cluster = spec.build();
         let sim = cluster.sim.clone();
         let barrier = SimBarrier::new(&sim, 4);
-        let addrs: Arc<Lock<Vec<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(Vec::new()));
-        let received = Arc::new(Lock::new(0u32));
+        let addrs: Rc<RefCell<Vec<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(Vec::new()));
+        let received = Rc::new(RefCell::new(0u32));
         // Every node sends to every other node over the system channel —
         // identical application code for both SANs.
         for n in 0..4u32 {
@@ -685,10 +686,10 @@ fn same_application_runs_on_myrinet_and_mesh() {
             let received = received.clone();
             cluster.spawn_process(n, format!("p{n}"), move |ctx, env| {
                 let port = env.open_port(ctx);
-                addrs.locked().push(port.addr());
+                addrs.borrow_mut().push(port.addr());
                 barrier.wait(ctx);
                 let peers: Vec<_> = addrs
-                    .locked()
+                    .borrow_mut()
                     .iter()
                     .copied()
                     .filter(|a| *a != port.addr())
@@ -700,11 +701,11 @@ fn same_application_runs_on_myrinet_and_mesh() {
                 for _ in 0..3 {
                     let ev = port.wait_recv(ctx);
                     let _ = port.recv_bytes(ctx, &ev).unwrap();
-                    *received.locked() += 1;
+                    *received.borrow_mut() += 1;
                 }
             });
         }
         assert_eq!(sim.run(), RunOutcome::Completed, "{name} stuck");
-        assert_eq!(*received.locked(), 12, "{name} lost messages");
+        assert_eq!(*received.borrow(), 12, "{name} lost messages");
     }
 }

@@ -2,12 +2,13 @@
 //! ring overflow, retry exhaustion, heavy loss, full-duplex bulk traffic,
 //! many ports, mixed intra/inter traffic, tiny go-back-N windows.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::{BclConfig, BclError, ChannelId, SendStatus};
 use suca_cluster::{ClusterSpec, SanKind, SimBarrier};
 use suca_myrinet::FaultPlan;
-use suca_sim::{Lock, RunOutcome, SimDuration};
+use suca_sim::{RunOutcome, SimDuration};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -18,25 +19,25 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
 fn two_proc(
     spec: ClusterSpec,
     rx_node: u32,
-    rx: impl FnOnce(&mut suca_sim::ActorCtx, suca_bcl::BclPort) + Send + 'static,
-    tx: impl FnOnce(&mut suca_sim::ActorCtx, suca_bcl::BclPort, suca_bcl::ProcAddr) + Send + 'static,
+    rx: impl FnOnce(&mut suca_sim::ActorCtx, suca_bcl::BclPort) + 'static,
+    tx: impl FnOnce(&mut suca_sim::ActorCtx, suca_bcl::BclPort, suca_bcl::ProcAddr) + 'static,
 ) -> suca_sim::Sim {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     let b2 = barrier.clone();
     let a2 = addr.clone();
     cluster.spawn_process(rx_node, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.locked() = Some(port.addr());
+        *a2.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         rx(ctx, port);
     });
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr.locked().expect("rx ready");
+        let dst = addr.borrow_mut().expect("rx ready");
         tx(ctx, port, dst);
     });
     assert_eq!(sim.run(), RunOutcome::Completed, "stress workload hung");
@@ -184,17 +185,18 @@ fn full_duplex_bulk_transfers_both_directions() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addrs: Arc<Lock<Vec<Option<suca_bcl::ProcAddr>>>> = Arc::new(Lock::new(vec![None, None]));
+    let addrs: Rc<RefCell<Vec<Option<suca_bcl::ProcAddr>>>> =
+        Rc::new(RefCell::new(vec![None, None]));
     const LEN: usize = 150_000;
     for me in 0..2u32 {
         let barrier = barrier.clone();
         let addrs = addrs.clone();
         cluster.spawn_process(me, format!("p{me}"), move |ctx, env| {
             let port = env.open_port(ctx);
-            addrs.locked()[me as usize] = Some(port.addr());
+            addrs.borrow_mut()[me as usize] = Some(port.addr());
             port.post_recv(ctx, 0, LEN as u64).unwrap();
             barrier.wait(ctx);
-            let peer = addrs.locked()[(1 - me) as usize].expect("peer ready");
+            let peer = addrs.borrow_mut()[(1 - me) as usize].expect("peer ready");
             let buf = port.alloc_buffer(LEN as u64).unwrap();
             port.write_buffer(buf, &pattern(LEN, me as u8)).unwrap();
             port.send(ctx, peer, ChannelId::normal(0), buf, LEN as u64)
@@ -214,22 +216,22 @@ fn eight_ports_all_to_all_on_two_nodes() {
     let sim = cluster.sim.clone();
     const P: u32 = 8;
     let barrier = SimBarrier::new(&sim, P);
-    let addrs: Arc<Lock<Vec<Option<suca_bcl::ProcAddr>>>> =
-        Arc::new(Lock::new(vec![None; P as usize]));
-    let received = Arc::new(Lock::new(0u32));
+    let addrs: Rc<RefCell<Vec<Option<suca_bcl::ProcAddr>>>> =
+        Rc::new(RefCell::new(vec![None; P as usize]));
+    let received = Rc::new(RefCell::new(0u32));
     for me in 0..P {
         let barrier = barrier.clone();
         let addrs = addrs.clone();
         let received = received.clone();
         cluster.spawn_process(me % 2, format!("p{me}"), move |ctx, env| {
             let port = env.open_port(ctx);
-            addrs.locked()[me as usize] = Some(port.addr());
+            addrs.borrow_mut()[me as usize] = Some(port.addr());
             barrier.wait(ctx);
             // Everyone sends a tagged message to everyone else (mixed
             // intra-node and inter-node destinations on the same port).
             let peers: Vec<_> = (0..P)
                 .filter(|p| *p != me)
-                .map(|p| addrs.locked()[p as usize].expect("ready"))
+                .map(|p| addrs.borrow_mut()[p as usize].expect("ready"))
                 .collect();
             for (k, peer) in peers.iter().enumerate() {
                 // Stagger slightly so 7 simultaneous senders cannot blow the
@@ -247,12 +249,12 @@ fn eight_ports_all_to_all_on_two_nodes() {
                     ev.src.node,
                     "sender id inconsistent with source node"
                 );
-                *received.locked() += 1;
+                *received.borrow_mut() += 1;
             }
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "all-to-all hung");
-    assert_eq!(*received.locked(), P * (P - 1));
+    assert_eq!(*received.borrow(), P * (P - 1));
 }
 
 #[test]
@@ -287,14 +289,14 @@ fn concurrent_rma_writes_to_disjoint_offsets() {
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 3);
     let done = SimBarrier::new(&sim, 3);
-    let target: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let target: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
 
     let b0 = barrier.clone();
     let d0 = done.clone();
     let t0 = target.clone();
     cluster.spawn_process(0, "window-owner", move |ctx, env| {
         let port = env.open_port(ctx);
-        *t0.locked() = Some(port.addr());
+        *t0.borrow_mut() = Some(port.addr());
         let win = port.bind_open(ctx, 0, 8192).unwrap();
         b0.wait(ctx);
         d0.wait(ctx);
@@ -314,7 +316,7 @@ fn concurrent_rma_writes_to_disjoint_offsets() {
         cluster.spawn_process(w, format!("writer{w}"), move |ctx, env| {
             let port = env.open_port(ctx);
             barrier.wait(ctx);
-            let dst = target.locked().expect("owner ready");
+            let dst = target.borrow_mut().expect("owner ready");
             let buf = port.alloc_buffer(4096).unwrap();
             port.write_buffer(buf, &pattern(4096, w as u8)).unwrap();
             let off = (w as u64 - 1) * 4096;

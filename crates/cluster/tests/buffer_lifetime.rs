@@ -4,14 +4,15 @@
 //! NIC is still reading (the bug class of the RPC response-scratch
 //! corruption) — once, with one flight-recorder dump.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::{ChannelId, ProcAddr, SendStatus};
 use suca_cluster::{ClusterSpec, SimBarrier};
 use suca_eadi::Universe;
 use suca_mem::{PhysMemory, PAGE_SIZE};
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
-use suca_sim::{Lock, RunOutcome, SimDuration};
+use suca_sim::{RunOutcome, SimDuration};
 
 const VIOLATIONS: &str = "mem.dma_lifetime_violations";
 const PIN_MISSES: &str = "kmod.pin_misses";
@@ -24,18 +25,18 @@ fn overwrite_scratch_after_rma_write(wait_first: bool) -> (u64, bool, Vec<u8>) {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
-    let landed = Arc::new(Lock::new(Vec::new()));
+    let addr: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
+    let landed = Rc::new(RefCell::new(Vec::new()));
     {
         let (barrier, addr, landed) = (barrier.clone(), addr.clone(), landed.clone());
         cluster.spawn_process(1, "window", move |ctx, env| {
             let port = env.open_port(ctx);
             let win = port.bind_open(ctx, 0, LEN).expect("bind");
-            *addr.locked() = Some(port.addr());
+            *addr.borrow_mut() = Some(port.addr());
             barrier.wait(ctx);
             barrier.wait(ctx); // the writer is done
             ctx.sleep(suca_sim::SimDuration::from_us(500));
-            *landed.locked() = port.read_buffer(win, LEN).expect("read window");
+            *landed.borrow_mut() = port.read_buffer(win, LEN).expect("read window");
         });
     }
     cluster.spawn_process(0, "writer", move |ctx, env| {
@@ -44,7 +45,7 @@ fn overwrite_scratch_after_rma_write(wait_first: bool) -> (u64, bool, Vec<u8>) {
         port.write_buffer(scratch, &[0xAA; LEN as usize])
             .expect("fill");
         barrier.wait(ctx);
-        let dst = addr.locked().expect("window bound");
+        let dst = addr.borrow_mut().expect("window bound");
         port.rma_write(ctx, dst, 0, 0, scratch, LEN).expect("write");
         if wait_first {
             assert_eq!(port.wait_send(ctx).status, SendStatus::Ok);
@@ -55,7 +56,7 @@ fn overwrite_scratch_after_rma_write(wait_first: bool) -> (u64, bool, Vec<u8>) {
         barrier.wait(ctx);
     });
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let landed = landed.locked().clone();
+    let landed = landed.borrow().clone();
     (
         sim.get_count(VIOLATIONS),
         sim.msg_trace().has_dumped(),
@@ -86,15 +87,15 @@ fn small_messages_into_page_sized_buffers_hold_only_their_bytes() {
     let cluster = ClusterSpec::dawning3000(2).with_trace_sampling(0).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
     let rx_mem = cluster.nodes[1].os.memory().clone();
-    let grown = Arc::new(Lock::new(0u64));
+    let grown = Rc::new(RefCell::new(0u64));
     let message = |chan: u16| vec![chan as u8 + 1; LEN as usize];
     {
         let (barrier, addr, grown) = (barrier.clone(), addr.clone(), grown.clone());
         cluster.spawn_process(1, "rx", move |ctx, env| {
             let port = env.open_port(ctx);
-            *addr.locked() = Some(port.addr());
+            *addr.borrow_mut() = Some(port.addr());
             let posted: Vec<_> = (0..MSGS)
                 .map(|chan| port.post_recv(ctx, chan, PAGE_SIZE).expect("post"))
                 .collect();
@@ -105,7 +106,7 @@ fn small_messages_into_page_sized_buffers_hold_only_their_bytes() {
                 let data = port.recv_bytes(ctx, &ev).expect("recv");
                 assert_eq!(data, message(ev.channel.index), "message damaged");
             }
-            *grown.locked() = rx_mem.resident_bytes() - before;
+            *grown.borrow_mut() = rx_mem.resident_bytes() - before;
             for (chan, buf) in (0..MSGS).zip(posted) {
                 let page = port.read_buffer(buf, PAGE_SIZE).expect("read");
                 assert_eq!(page[..LEN as usize], message(chan), "channel {chan}");
@@ -116,7 +117,7 @@ fn small_messages_into_page_sized_buffers_hold_only_their_bytes() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr.locked().expect("receiver ready");
+        let dst = addr.borrow_mut().expect("receiver ready");
         for chan in 0..MSGS {
             let buf = port.alloc_buffer(LEN).expect("alloc");
             port.write_buffer(buf, &message(chan)).expect("fill");
@@ -128,7 +129,7 @@ fn small_messages_into_page_sized_buffers_hold_only_their_bytes() {
         }
     });
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let grown = *grown.locked();
+    let grown = *grown.borrow();
     let msgs = u64::from(MSGS);
     assert!(grown >= msgs * LEN, "{grown} B cannot hold {msgs} messages");
     assert!(
@@ -153,19 +154,19 @@ fn send_bytes_ping_pong(
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
     let memories: Vec<PhysMemory> = cluster
         .nodes
         .iter()
         .map(|n| n.os.memory().clone())
         .collect();
-    let samples = Arc::new(Lock::new([0u64; 2]));
-    let misses_at_open = Arc::new(Lock::new(0u64));
+    let samples = Rc::new(RefCell::new([0u64; 2]));
+    let misses_at_open = Rc::new(RefCell::new(0u64));
     {
         let (barrier, addr) = (barrier.clone(), addr.clone());
         cluster.spawn_process(1, "pong", move |ctx, env| {
             let port = env.open_port(ctx);
-            *addr.locked() = Some(port.addr());
+            *addr.borrow_mut() = Some(port.addr());
             barrier.wait(ctx);
             for _ in 0..rounds {
                 let ev = port.wait_recv(ctx);
@@ -182,8 +183,8 @@ fn send_bytes_ping_pong(
         cluster.spawn_process(0, "ping", move |ctx, env| {
             let port = env.open_port(ctx);
             barrier.wait(ctx);
-            *misses_at_open.locked() = ctx.sim().get_count(PIN_MISSES);
-            let dst = addr.locked().expect("pong opened first");
+            *misses_at_open.borrow_mut() = ctx.sim().get_count(PIN_MISSES);
+            let dst = addr.borrow_mut().expect("pong opened first");
             for round in 1..=rounds {
                 let ping = [round as u8; 64];
                 port.send_bytes(ctx, dst, ChannelId::SYSTEM, &ping)
@@ -193,17 +194,17 @@ fn send_bytes_ping_pong(
                 while port.poll_send(ctx).is_some() {}
                 let frames = || memories.iter().map(|m| m.allocated_frames()).sum();
                 if round == sample_at {
-                    samples.locked()[0] = frames();
+                    samples.borrow_mut()[0] = frames();
                 } else if round == rounds {
-                    samples.locked()[1] = frames();
+                    samples.borrow_mut()[1] = frames();
                 }
             }
             barrier.wait(ctx);
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "ping-pong stuck");
-    let samples = *samples.locked();
-    let misses_at_open = *misses_at_open.locked();
+    let samples = *samples.borrow();
+    let misses_at_open = *misses_at_open.borrow();
     (samples, misses_at_open, cluster)
 }
 
@@ -253,7 +254,7 @@ fn a_dropped_comm_leaves_each_node_at_its_post_setup_frames() {
         .map(|n| n.os.memory().clone())
         .collect();
     // Each node's frames after setup, at the end of the run, and at its end.
-    let samples = Arc::new(Lock::new(Vec::new()));
+    let samples = Rc::new(RefCell::new(Vec::new()));
     for r in 0..RANKS {
         let (uni, barrier) = (uni.clone(), barrier.clone());
         let (memories, samples) = (memories.clone(), samples.clone());
@@ -264,7 +265,7 @@ fn a_dropped_comm_leaves_each_node_at_its_post_setup_frames() {
                 if r == 0 {
                     // Let the NIC let go of what it still holds.
                     ctx.sleep(SimDuration::from_ms(1));
-                    samples.locked().push(frames());
+                    samples.borrow_mut().push(frames());
                 }
                 barrier.wait(ctx);
             };
@@ -288,7 +289,7 @@ fn a_dropped_comm_leaves_each_node_at_its_post_setup_frames() {
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "MPI job hung");
-    let samples = samples.locked();
+    let samples = samples.borrow();
     let [set_up, ran, dropped] = [&samples[0], &samples[1], &samples[2]];
     for node in 0..NODES as usize {
         assert!(ran[node] > set_up[node], "node {node} pooled nothing");

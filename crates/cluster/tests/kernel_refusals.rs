@@ -5,7 +5,8 @@
 //! costs the caller the trap, the dispatch and the security check — no pin,
 //! no descriptor PIO, no message id.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::{
     BclError, BclPort, ChannelId, CollOp, CollStep, Entry, PortId, ProcAddr, Request, Rma,
@@ -13,7 +14,7 @@ use suca_bcl::{
 use suca_cluster::{ClusterSpec, SimBarrier};
 use suca_mem::VirtAddr;
 use suca_os::NodeId;
-use suca_sim::{ActorCtx, Lock, RunOutcome, SimDuration};
+use suca_sim::{ActorCtx, RunOutcome, SimDuration};
 
 #[derive(Clone, Copy, Debug)]
 enum Kind {
@@ -122,14 +123,14 @@ fn counts(ctx: &ActorCtx) -> [u64; 5] {
 fn every_refusal_costs_one_checked_trap_and_nothing_else() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let ready = SimBarrier::new(&cluster.sim, 2);
-    let peer: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
-    let refused = Arc::new(Lock::new(0));
+    let peer: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
+    let refused = Rc::new(RefCell::new(0));
     {
         let (ready, peer) = (ready.clone(), peer.clone());
         cluster.spawn_process(1, "peer", move |ctx, env| {
             let port = env.open_port(ctx);
             port.post_recv(ctx, 0, LEN).expect("post");
-            *peer.locked() = Some(port.addr());
+            *peer.borrow_mut() = Some(port.addr());
             ready.wait(ctx);
             port.wait_recv(ctx);
         });
@@ -143,7 +144,7 @@ fn every_refusal_costs_one_checked_trap_and_nothing_else() {
         let other_port = BclPort::open(ctx, &env.node.bcl, &other).expect("open");
         let other_buf = other_port.alloc_buffer(LEN).expect("buf");
         ready.wait(ctx);
-        let peer = peer.locked().expect("peer opened");
+        let peer = peer.borrow_mut().expect("peer opened");
         let (cfg, os) = (env.node.bcl.config().clone(), env.node.os.clone());
         let trap = os.costs.trap_enter + os.costs.trap_exit;
         let checked = cfg.copyin_dispatch + os.costs.security_check;
@@ -235,7 +236,7 @@ fn every_refusal_costs_one_checked_trap_and_nothing_else() {
                     [1, 1, 1, 0, 0],
                     "{case}: (rejects, ioctls, traps, descriptor PIOs, pin lookups)"
                 );
-                *done.locked() += 1;
+                *done.borrow_mut() += 1;
             }
         }
         // No refusal consumed a message id: the first accepted send gets
@@ -246,5 +247,5 @@ fn every_refusal_costs_one_checked_trap_and_nothing_else() {
         assert_eq!(first, 2, "a refusal consumed a message id");
     });
     assert_eq!(cluster.sim.run(), RunOutcome::Completed);
-    assert_eq!(*refused.locked(), 23, "every case ran");
+    assert_eq!(*refused.borrow(), 23, "every case ran");
 }

@@ -3,11 +3,12 @@
 //! the duration of every `kernel:*` event on its trace chain. The numbers
 //! are the calibrated model's own; any drift is a finding.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::{Architecture, BclPort, ChannelId, CollOp, CollStep, ProcAddr};
 use suca_cluster::{ClusterSpec, SimBarrier};
-use suca_sim::{ActorCtx, Lock, RunOutcome, TraceId};
+use suca_sim::{ActorCtx, RunOutcome, TraceId};
 
 /// One send-class request, issued by node 0 towards node 1.
 #[derive(Clone, Copy, Debug)]
@@ -60,15 +61,15 @@ fn measure(arch: Architecture, req: Req) -> Charges {
         SimBarrier::new(&cluster.sim, 2),
         SimBarrier::new(&cluster.sim, 2),
     );
-    let addrs: Arc<Lock<[Option<ProcAddr>; 2]>> = Arc::new(Lock::new([None; 2]));
-    let measured = Arc::new(Lock::new(None));
+    let addrs: Rc<RefCell<[Option<ProcAddr>; 2]>> = Rc::new(RefCell::new([None; 2]));
+    let measured = Rc::new(RefCell::new(None));
     {
         let (ready, go, addrs) = (ready.clone(), go.clone(), addrs.clone());
         cluster.spawn_process(1, "peer", move |ctx, env| {
             let port = env.open_port(ctx);
-            addrs.locked()[1] = Some(port.addr());
+            addrs.borrow_mut()[1] = Some(port.addr());
             ready.wait(ctx);
-            let peer = addrs.locked()[0].expect("node 0 opened");
+            let peer = addrs.borrow_mut()[0].expect("node 0 opened");
             match req {
                 Req::Message(_) => {
                     port.post_recv(ctx, 0, WINDOW).expect("post");
@@ -100,9 +101,9 @@ fn measure(arch: Architecture, req: Req) -> Charges {
     let m2 = measured.clone();
     cluster.spawn_process(0, "caller", move |ctx, env| {
         let port = env.open_port(ctx);
-        addrs.locked()[0] = Some(port.addr());
+        addrs.borrow_mut()[0] = Some(port.addr());
         ready.wait(ctx);
-        let peer = addrs.locked()[1].expect("node 1 opened");
+        let peer = addrs.borrow_mut()[1].expect("node 1 opened");
         go.wait(ctx);
         let bytes = match req {
             Req::Message(len) | Req::RmaWrite(len) | Req::RmaRead(len) => len,
@@ -125,10 +126,10 @@ fn measure(arch: Architecture, req: Req) -> Charges {
         let call_ns = ctx.now().since(t0).as_ns();
         let after = counts(ctx);
         let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        *m2.locked() = Some((msg_id, call_ns, delta));
+        *m2.borrow_mut() = Some((msg_id, call_ns, delta));
     });
     assert_eq!(cluster.sim.run(), RunOutcome::Completed, "{arch:?} {req:?}");
-    let (msg_id, call_ns, delta) = measured.locked().take().expect("measured");
+    let (msg_id, call_ns, delta) = measured.borrow_mut().take().expect("measured");
     let trace = TraceId::new(0, msg_id);
     let kernel = cluster
         .trace_events()

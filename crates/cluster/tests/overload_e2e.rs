@@ -13,11 +13,12 @@
 //!   the paper). Draining through `wait_recv_timeout` yields exactly
 //!   pool-many events and then a timeout, never a stall.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::{ChannelId, ProcAddr, SendStatus};
 use suca_cluster::{ClusterSpec, SimBarrier};
-use suca_sim::{Lock, RunOutcome, SimDuration};
+use suca_sim::{RunOutcome, SimDuration};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -37,13 +38,13 @@ fn unposted_channel_times_out_then_recovers() {
     let cluster = ClusterSpec::dawning3000(2).with_seed(0x0E41).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr_b: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
 
     let ab = addr_b.clone();
     let b2 = barrier.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.locked() = Some(port.addr());
+        *ab.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         // Starvation phase: no buffer posted, so nothing can complete. The
         // blocking wait must return None on schedule, not hang, while the
@@ -85,7 +86,7 @@ fn unposted_channel_times_out_then_recovers() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.locked().expect("receiver published its address");
+        let dst = addr_b.borrow_mut().expect("receiver published its address");
         for i in 0..MSGS {
             port.send_bytes(ctx, dst, ChannelId::normal(0), &pattern(512, i as u8))
                 .unwrap();
@@ -136,13 +137,13 @@ fn system_pool_burst_drains_to_exactly_pool_capacity() {
     let sim = cluster.sim.clone();
     let pool = cluster.nodes[0].bcl.config().system_pool.buffers;
     let barrier = SimBarrier::new(&sim, 2);
-    let addr_b: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr_b: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
 
     let ab = addr_b.clone();
     let b2 = barrier.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ab.locked() = Some(port.addr());
+        *ab.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         // Idle through the burst, then drain with the blocking timeout
         // wait.
@@ -163,7 +164,7 @@ fn system_pool_burst_drains_to_exactly_pool_capacity() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr_b.locked().expect("receiver published its address");
+        let dst = addr_b.borrow_mut().expect("receiver published its address");
         for i in 0..pool + OVERFLOW {
             port.send_bytes(ctx, dst, ChannelId::SYSTEM, &i.to_le_bytes())
                 .unwrap();

@@ -6,12 +6,13 @@
 //! byte-identical timeseries JSON; and the NIC SRAM working set must stay
 //! bounded while pinned host memory grows with the application working set.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::ChannelId;
 use suca_cluster::{Cluster, ClusterSpec, SanKind, SimBarrier};
 use suca_myrinet::FaultPlan;
-use suca_sim::{critpath, Lock, RunOutcome, SimDuration, SimTime, TelemetryConfig, WatchdogConfig};
+use suca_sim::{critpath, RunOutcome, SimDuration, SimTime, TelemetryConfig, WatchdogConfig};
 
 /// Stream `msgs` messages of `size` bytes node 0 → node 1 from a rotating
 /// working set of `bufs` distinct send buffers, with a 0 B pacing reply per
@@ -26,13 +27,13 @@ fn stream(spec: ClusterSpec, size: u64, msgs: u32, bufs: usize) -> Cluster {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     {
         let barrier = barrier.clone();
         let addr = addr.clone();
         cluster.spawn_process(1, "rx", move |ctx, env| {
             let port = env.open_port(ctx);
-            *addr.locked() = Some(port.addr());
+            *addr.borrow_mut() = Some(port.addr());
             let buf = if use_system {
                 None
             } else {
@@ -62,7 +63,7 @@ fn stream(spec: ClusterSpec, size: u64, msgs: u32, bufs: usize) -> Cluster {
             })
             .collect();
         barrier.wait(ctx);
-        let dst = addr.locked().expect("rx ready");
+        let dst = addr.borrow_mut().expect("rx ready");
         for i in 0..msgs {
             let buf = working_set[i as usize % bufs];
             port.send(ctx, dst, channel, buf, size).expect("send");
@@ -145,14 +146,14 @@ fn watchdog_fires_on_wedged_retransmission_loop() {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     {
         let barrier = barrier.clone();
         let addr = addr.clone();
         cluster.spawn_process(1, "rx", move |ctx, env| {
             let port = env.open_port(ctx);
             port.bind_open(ctx, 0, 4096).expect("bind open channel");
-            *addr.locked() = Some(port.addr());
+            *addr.borrow_mut() = Some(port.addr());
             barrier.wait(ctx);
             let _ = port.wait_recv(ctx); // never arrives
         });
@@ -161,7 +162,7 @@ fn watchdog_fires_on_wedged_retransmission_loop() {
         let port = env.open_port(ctx);
         let into = port.alloc_buffer(1024).expect("alloc");
         barrier.wait(ctx);
-        let dst = addr.locked().expect("rx ready");
+        let dst = addr.borrow_mut().expect("rx ready");
         port.rma_read(ctx, dst, 0, 0, into, 1024).expect("read");
         let _ = port.wait_send(ctx); // the data never comes back
     });

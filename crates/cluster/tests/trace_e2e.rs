@@ -4,14 +4,15 @@
 //! with all retransmissions attributed; protocol errors must trip the
 //! flight recorder without panicking the firmware.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::wire::{WireHeader, WireKind};
 use suca_bcl::{BclConfig, ChannelId, PortId, SendStatus};
 use suca_cluster::{ClusterSpec, SanKind, SimBarrier};
 use suca_myrinet::{FabricNodeId, FaultPlan};
 use suca_sim::mtrace::{check_completeness, stage, ChainPolicy};
-use suca_sim::{Lock, RunOutcome, SimDuration, TraceEvent, TraceLayer, TracePhase};
+use suca_sim::{RunOutcome, SimDuration, TraceEvent, TraceLayer, TracePhase};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -24,25 +25,25 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
 fn two_proc(
     spec: ClusterSpec,
     rx_node: u32,
-    rx: impl FnOnce(&mut suca_sim::ActorCtx, suca_bcl::BclPort) + Send + 'static,
-    tx: impl FnOnce(&mut suca_sim::ActorCtx, suca_bcl::BclPort, suca_bcl::ProcAddr) + Send + 'static,
+    rx: impl FnOnce(&mut suca_sim::ActorCtx, suca_bcl::BclPort) + 'static,
+    tx: impl FnOnce(&mut suca_sim::ActorCtx, suca_bcl::BclPort, suca_bcl::ProcAddr) + 'static,
 ) -> suca_cluster::Cluster {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     let b2 = barrier.clone();
     let a2 = addr.clone();
     cluster.spawn_process(rx_node, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.locked() = Some(port.addr());
+        *a2.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         rx(ctx, port);
     });
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr.locked().expect("rx ready");
+        let dst = addr.borrow_mut().expect("rx ready");
         tx(ctx, port, dst);
     });
     assert_eq!(sim.run(), RunOutcome::Completed, "traced workload hung");
@@ -315,12 +316,12 @@ fn intra_node_messages_are_not_traced() {
     let cluster = ClusterSpec::dawning3000(1).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<suca_bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<suca_bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     let b2 = barrier.clone();
     let a2 = addr.clone();
     cluster.spawn_process(0, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.locked() = Some(port.addr());
+        *a2.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         let ev = port.wait_recv(ctx);
         let _ = port.recv_bytes(ctx, &ev).unwrap();
@@ -328,7 +329,7 @@ fn intra_node_messages_are_not_traced() {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr.locked().expect("rx ready");
+        let dst = addr.borrow_mut().expect("rx ready");
         port.send_bytes(ctx, dst, ChannelId::SYSTEM, &pattern(256, 4))
             .unwrap();
         let _ = port.wait_send(ctx);

@@ -13,13 +13,14 @@
 //! [`crate::Architecture`] the inter-node send and the receive consume are
 //! the two places this file moves the kernel.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_mem::VirtAddr;
 use suca_os::{NodeOs, OsProcess};
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{ActorCtx, Lock, Sim, SimDuration};
+use suca_sim::{ActorCtx, Sim, SimDuration};
 
 use crate::coll::{CollOp, CollStep};
 use crate::config::BclConfig;
@@ -35,28 +36,22 @@ use crate::queues::UserQueues;
 pub struct BclNode {
     sim: Sim,
     /// The node's OS.
-    pub os: Arc<NodeOs>,
+    pub os: Rc<NodeOs>,
     /// The BCL kernel module.
-    pub kmod: Arc<BclKmod>,
+    pub kmod: Rc<BclKmod>,
     /// The NIC firmware.
     pub mcp: Mcp,
     /// The intra-node shared-memory hub.
-    pub intra: Arc<IntraHub>,
+    pub intra: Rc<IntraHub>,
     cfg: BclConfig,
 }
 
 impl BclNode {
     /// Assemble the BCL stack on a node whose NIC firmware is `mcp`.
-    pub fn new(
-        sim: &Sim,
-        os: Arc<NodeOs>,
-        mcp: Mcp,
-        num_nodes: u32,
-        cfg: BclConfig,
-    ) -> Arc<BclNode> {
+    pub fn new(sim: &Sim, os: Rc<NodeOs>, mcp: Mcp, num_nodes: u32, cfg: BclConfig) -> Rc<BclNode> {
         let kmod = BclKmod::new(os.clone(), mcp.clone(), num_nodes, cfg.clone());
         let intra = IntraHub::new(sim, os.node_id, os.memory().clone(), cfg.intra.clone());
-        Arc::new(BclNode {
+        Rc::new(BclNode {
             sim: sim.clone(),
             os,
             kmod,
@@ -92,17 +87,17 @@ impl BclNode {
 
 /// An open BCL port — the application-facing handle.
 pub struct BclPort {
-    node: Arc<BclNode>,
+    node: Rc<BclNode>,
     proc: OsProcess,
     id: PortId,
-    queues: Arc<UserQueues>,
+    queues: Rc<UserQueues>,
     pool_user: Vec<VirtAddr>,
     /// User-side record of posted normal channels: channel → (addr, len).
-    posted: Lock<HashMap<u16, (VirtAddr, u64)>>,
+    posted: RefCell<HashMap<u16, (VirtAddr, u64)>>,
     /// Normal channels whose posting was consumed by the intra-node path
     /// (the NIC never saw the consumption; re-posts must replace).
-    intra_consumed: Lock<std::collections::HashSet<u16>>,
-    intra_msg: Lock<u32>,
+    intra_consumed: RefCell<std::collections::HashSet<u16>>,
+    intra_msg: RefCell<u32>,
 }
 
 impl BclPort {
@@ -111,12 +106,12 @@ impl BclPort {
     /// to register everything on the NIC.
     pub fn open(
         ctx: &mut ActorCtx,
-        node: &Arc<BclNode>,
+        node: &Rc<BclNode>,
         proc: &OsProcess,
     ) -> Result<BclPort, BclError> {
         let cfg = node.config().clone();
         ctx.sleep(cfg.lib_compose);
-        let queues = Arc::new(UserQueues::new(&node.sim));
+        let queues = Rc::new(UserQueues::new(&node.sim));
         // Allocate the pool buffers in the caller's space.
         let mut pool_user = Vec::with_capacity(cfg.system_pool.buffers as usize);
         for _ in 0..cfg.system_pool.buffers {
@@ -132,9 +127,9 @@ impl BclPort {
             id,
             queues,
             pool_user,
-            posted: Lock::new(HashMap::new()),
-            intra_consumed: Lock::new(std::collections::HashSet::new()),
-            intra_msg: Lock::new(1), // odd ids: intra-node
+            posted: RefCell::new(HashMap::new()),
+            intra_consumed: RefCell::new(std::collections::HashSet::new()),
+            intra_msg: RefCell::new(1), // odd ids: intra-node
         })
     }
 
@@ -200,11 +195,11 @@ impl BclPort {
         len: u64,
     ) -> Result<(), BclError> {
         ctx.sleep(self.node.cfg.lib_compose);
-        let replace = self.intra_consumed.locked().remove(&chan);
+        let replace = self.intra_consumed.borrow_mut().remove(&chan);
         self.node.ioctl(ctx, |ctx, kmod| {
             kmod.ioctl_post_recv(ctx, &self.proc, self.id, chan, (addr, len), replace)
         })?;
-        self.posted.locked().insert(chan, (addr, len));
+        self.posted.borrow_mut().insert(chan, (addr, len));
         Ok(())
     }
 
@@ -405,7 +400,7 @@ impl BclPort {
             Vec::new()
         };
         let msg_id = {
-            let mut c = self.intra_msg.locked();
+            let mut c = self.intra_msg.borrow_mut();
             let id = *c;
             *c = c.wrapping_add(2);
             id
@@ -511,7 +506,7 @@ impl BclPort {
             RecvDataLoc::Posted => {
                 let (addr, _len) = self
                     .posted
-                    .locked()
+                    .borrow_mut()
                     .remove(&ev.channel.index)
                     .ok_or(BclError::BadChannel(ev.channel))?;
                 Ok(self.proc.space.read_vec(addr, ev.len)?)
@@ -522,9 +517,9 @@ impl BclPort {
                 // posted buffer, land the bytes there too.
                 let _ = &ctx;
                 if ev.channel.kind == ChannelKind::Normal {
-                    if let Some((addr, _)) = self.posted.locked().remove(&ev.channel.index) {
+                    if let Some((addr, _)) = self.posted.borrow_mut().remove(&ev.channel.index) {
                         self.proc.space.write(addr, v)?;
-                        self.intra_consumed.locked().insert(ev.channel.index);
+                        self.intra_consumed.borrow_mut().insert(ev.channel.index);
                     }
                 }
                 Ok(v.clone())

@@ -14,11 +14,12 @@
 //! concurrently with nothing, all earlier receiver copies overlap sender
 //! copies). This yields the paper's 2.7 µs / ~391 MB/s intra-node figures.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_mem::{PhysMemory, SharedRegion};
-use suca_sim::{ActorCtx, Lock, Sim, SimDuration};
+use suca_sim::{ActorCtx, Sim, SimDuration};
 
 use crate::config::IntraNodeConfig;
 use crate::port::{ChannelId, PortId, ProcAddr, RecvDataLoc, RecvEvent, SendEvent, SendStatus};
@@ -34,7 +35,7 @@ struct PairQueue {
 }
 
 struct HubState {
-    ports: HashMap<u16, Arc<UserQueues>>,
+    ports: HashMap<u16, Rc<UserQueues>>,
     pairs: HashMap<(u16, u16), PairQueue>,
 }
 
@@ -44,18 +45,18 @@ pub struct IntraHub {
     node: NodeId,
     cfg: IntraNodeConfig,
     mem: PhysMemory,
-    state: Lock<HubState>,
+    state: RefCell<HubState>,
 }
 
 impl IntraHub {
     /// Create the hub for a node.
-    pub fn new(sim: &Sim, node: NodeId, mem: PhysMemory, cfg: IntraNodeConfig) -> Arc<IntraHub> {
-        Arc::new(IntraHub {
+    pub fn new(sim: &Sim, node: NodeId, mem: PhysMemory, cfg: IntraNodeConfig) -> Rc<IntraHub> {
+        Rc::new(IntraHub {
             sim: sim.clone(),
             node,
             cfg,
             mem,
-            state: Lock::new(HubState {
+            state: RefCell::new(HubState {
                 ports: HashMap::new(),
                 pairs: HashMap::new(),
             }),
@@ -63,13 +64,13 @@ impl IntraHub {
     }
 
     /// Library side: register a port's event queues at port open.
-    pub fn register_port(&self, port: PortId, queues: Arc<UserQueues>) {
-        self.state.locked().ports.insert(port.0, queues);
+    pub fn register_port(&self, port: PortId, queues: Rc<UserQueues>) {
+        self.state.borrow_mut().ports.insert(port.0, queues);
     }
 
     /// Library side: deregister at close.
     pub fn unregister_port(&self, port: PortId) {
-        self.state.locked().ports.remove(&port.0);
+        self.state.borrow_mut().ports.remove(&port.0);
     }
 
     /// Time one chunk copy occupies a CPU.
@@ -94,7 +95,7 @@ impl IntraHub {
         msg_id: u32,
         data: &[u8],
     ) -> bool {
-        let dst_queues = match self.state.locked().ports.get(&dst_port.0) {
+        let dst_queues = match self.state.borrow().ports.get(&dst_port.0) {
             Some(q) => q.clone(),
             None => return false,
         };
@@ -104,7 +105,7 @@ impl IntraHub {
         // the sender's copy time.
         let mut copied = Vec::with_capacity(data.len());
         {
-            let mut st = self.state.locked();
+            let mut st = self.state.borrow_mut();
             let ring_bytes = self.cfg.chunk_bytes * self.cfg.ring_depth as u64;
             let pair = match st.pairs.entry((src_port.0, dst_port.0)) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -191,7 +192,7 @@ impl IntraHub {
             msg_id,
             data: RecvDataLoc::Inline(copied),
         };
-        let src_queues = self.state.locked().ports.get(&src_port.0).cloned();
+        let src_queues = self.state.borrow().ports.get(&src_port.0).cloned();
         self.sim.schedule_in(lag, move |_| {
             dst_queues.push_recv(ev);
             if let Some(q) = src_queues {
@@ -212,7 +213,7 @@ mod tests {
     use crate::config::BclConfig;
     use suca_sim::{RunOutcome, Sim};
 
-    fn hub(sim: &Sim) -> Arc<IntraHub> {
+    fn hub(sim: &Sim) -> Rc<IntraHub> {
         IntraHub::new(
             sim,
             NodeId(0),
@@ -225,8 +226,8 @@ mod tests {
     fn zero_len_latency_is_2_7us() {
         let sim = Sim::new(1);
         let h = hub(&sim);
-        let qa = Arc::new(UserQueues::new(&sim));
-        let qb = Arc::new(UserQueues::new(&sim));
+        let qa = Rc::new(UserQueues::new(&sim));
+        let qb = Rc::new(UserQueues::new(&sim));
         h.register_port(PortId(0), qa);
         h.register_port(PortId(1), qb.clone());
         let h2 = h.clone();
@@ -252,8 +253,8 @@ mod tests {
     fn payload_integrity_through_the_ring() {
         let sim = Sim::new(1);
         let h = hub(&sim);
-        let qb = Arc::new(UserQueues::new(&sim));
-        h.register_port(PortId(0), Arc::new(UserQueues::new(&sim)));
+        let qb = Rc::new(UserQueues::new(&sim));
+        h.register_port(PortId(0), Rc::new(UserQueues::new(&sim)));
         h.register_port(PortId(1), qb.clone());
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 255) as u8).collect();
         let expect = payload.clone();
@@ -275,8 +276,8 @@ mod tests {
     fn large_message_bandwidth_is_about_391_mbps() {
         let sim = Sim::new(1);
         let h = hub(&sim);
-        let qb = Arc::new(UserQueues::new(&sim));
-        h.register_port(PortId(0), Arc::new(UserQueues::new(&sim)));
+        let qb = Rc::new(UserQueues::new(&sim));
+        h.register_port(PortId(0), Rc::new(UserQueues::new(&sim)));
         h.register_port(PortId(1), qb.clone());
         let len = 128 * 1024u64;
         let payload = vec![7u8; len as usize];
@@ -284,14 +285,14 @@ mod tests {
         sim.spawn("sender", move |ctx| {
             h2.send(ctx, PortId(0), PortId(1), ChannelId::SYSTEM, 1, &payload);
         });
-        let done = Arc::new(Lock::new(0.0f64));
+        let done = Rc::new(RefCell::new(0.0f64));
         let d2 = done.clone();
         sim.spawn("receiver", move |ctx| {
             let _ = qb.wait_recv(ctx);
-            *d2.locked() = ctx.now().as_us() / 1e6;
+            *d2.borrow_mut() = ctx.now().as_us() / 1e6;
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let bw = len as f64 / *done.locked() / 1e6;
+        let bw = len as f64 / *done.borrow() / 1e6;
         assert!(
             (bw - 391.0).abs() < 15.0,
             "intra-node bandwidth {bw:.1} MB/s; paper says 391"
@@ -302,7 +303,7 @@ mod tests {
     fn unknown_destination_port_fails_cleanly() {
         let sim = Sim::new(1);
         let h = hub(&sim);
-        h.register_port(PortId(0), Arc::new(UserQueues::new(&sim)));
+        h.register_port(PortId(0), Rc::new(UserQueues::new(&sim)));
         let h2 = h.clone();
         sim.spawn("sender", move |ctx| {
             assert!(!h2.send(ctx, PortId(0), PortId(9), ChannelId::SYSTEM, 1, b"x"));
@@ -314,8 +315,8 @@ mod tests {
     fn messages_arrive_in_send_order() {
         let sim = Sim::new(1);
         let h = hub(&sim);
-        let qb = Arc::new(UserQueues::new(&sim));
-        h.register_port(PortId(0), Arc::new(UserQueues::new(&sim)));
+        let qb = Rc::new(UserQueues::new(&sim));
+        h.register_port(PortId(0), Rc::new(UserQueues::new(&sim)));
         h.register_port(PortId(1), qb.clone());
         let h2 = h.clone();
         sim.spawn("sender", move |ctx| {
@@ -330,15 +331,15 @@ mod tests {
                 );
             }
         });
-        let seen = Arc::new(Lock::new(Vec::new()));
+        let seen = Rc::new(RefCell::new(Vec::new()));
         let s2 = seen.clone();
         sim.spawn("receiver", move |ctx| {
             for _ in 0..10 {
                 let ev = qb.wait_recv(ctx);
-                s2.locked().push(ev.msg_id);
+                s2.borrow_mut().push(ev.msg_id);
             }
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(*seen.locked(), (0..10).collect::<Vec<u32>>());
+        assert_eq!(*seen.borrow(), (0..10).collect::<Vec<u32>>());
     }
 }

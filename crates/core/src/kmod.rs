@@ -17,14 +17,15 @@
 //! (`Request::rule`). The user-level architectures' doorbell send takes
 //! the same path with the kernel's charges left out ([`Entry::Doorbell`]).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_mem::{pages_spanned, NicSegs, PinDownTable, PinLookup, VirtAddr, PAGE_SIZE};
 use suca_myrinet::FabricNodeId;
 use suca_os::{NodeOs, OsProcess, Pid};
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{ActorCtx, Counter, Gauge, Lock, SimTime};
+use suca_sim::{ActorCtx, Counter, Gauge, SimTime};
 
 use crate::coll::{CollOp, CollSetup, CollStep};
 use crate::config::BclConfig;
@@ -146,11 +147,11 @@ struct KmodState {
 
 /// One node's BCL kernel module.
 pub struct BclKmod {
-    os: Arc<NodeOs>,
+    os: Rc<NodeOs>,
     cfg: BclConfig,
     mcp: Mcp,
     num_nodes: u32,
-    state: Lock<KmodState>,
+    state: RefCell<KmodState>,
     // Typed metric handles (cluster-wide totals across all nodes' modules).
     ioctls: Counter,
     security_rejects: Counter,
@@ -163,15 +164,15 @@ pub struct BclKmod {
 
 impl BclKmod {
     /// Load the module on a node.
-    pub fn new(os: Arc<NodeOs>, mcp: Mcp, num_nodes: u32, cfg: BclConfig) -> Arc<BclKmod> {
+    pub fn new(os: Rc<NodeOs>, mcp: Mcp, num_nodes: u32, cfg: BclConfig) -> Rc<BclKmod> {
         let pin = PinDownTable::new(cfg.pin_table_pages);
         let pin_table_pages = cfg.pin_table_pages as u64;
         let metrics = os.sim().metrics();
-        let kmod = Arc::new(BclKmod {
+        let kmod = Rc::new(BclKmod {
             cfg,
             mcp,
             num_nodes,
-            state: Lock::new(KmodState {
+            state: RefCell::new(KmodState {
                 pin,
                 ports: HashMap::new(),
                 next_port: 0,
@@ -194,17 +195,17 @@ impl BclKmod {
         let sim = kmod.os.sim();
         let ts = sim.timeseries();
         let n = kmod.os.node_id.0;
-        let w = Arc::downgrade(&kmod);
+        let w = Rc::downgrade(&kmod);
         ts.register(
             format!("n{n}.kmod.pinned_pages"),
             n,
             Some(pin_table_pages),
-            move |_| w.upgrade().map_or(0, |k| k.state.locked().pin.len() as u64),
+            move |_| w.upgrade().map_or(0, |k| k.state.borrow().pin.len() as u64),
         );
-        let w = Arc::downgrade(&kmod);
+        let w = Rc::downgrade(&kmod);
         ts.register(format!("n{n}.kmod.pinned_bytes"), n, None, move |_| {
             w.upgrade()
-                .map_or(0, |k| k.state.locked().pin.len() as u64 * PAGE_SIZE)
+                .map_or(0, |k| k.state.borrow().pin.len() as u64 * PAGE_SIZE)
         });
         kmod
     }
@@ -216,12 +217,12 @@ impl BclKmod {
 
     /// Pin-down table statistics `(hits, misses, evictions)`.
     pub fn pin_stats(&self) -> (u64, u64, u64) {
-        self.state.locked().pin.stats()
+        self.state.borrow().pin.stats()
     }
 
     /// Pages currently cached in the pin-down table.
     pub fn pinned_pages(&self) -> usize {
-        self.state.locked().pin.len()
+        self.state.borrow().pin.len()
     }
 
     /// Fold the pin table's current level into the shared `kmod.pinned_bytes`
@@ -266,7 +267,7 @@ impl BclKmod {
         let Some(port) = port else {
             return Ok(());
         };
-        match self.state.locked().ports.get(&port.0) {
+        match self.state.borrow().ports.get(&port.0) {
             Some(kp) if kp.owner == proc.pid => Ok(()),
             Some(_) => Err(self.reject(BclError::NotPortOwner {
                 port,
@@ -378,7 +379,7 @@ impl BclKmod {
         }
         if entry == Entry::Trap {
             let misses = {
-                let mut st = self.state.locked();
+                let mut st = self.state.borrow_mut();
                 let results = st.pin.pin_range(&proc.space, addr, len)?;
                 let misses = results
                     .iter()
@@ -411,7 +412,7 @@ impl BclKmod {
     /// like allocation; frames the NIC still references live on until it
     /// lets go (see `suca_mem::phys`).
     pub(crate) fn unmap_notify(&self, proc: &OsProcess, addr: VirtAddr, len: u64) {
-        let mut st = self.state.locked();
+        let mut st = self.state.borrow_mut();
         st.pin.purge_range(proc.space.asid(), addr, len);
         self.publish_pin_level(&mut st);
     }
@@ -432,12 +433,12 @@ impl BclKmod {
         &self,
         ctx: &mut ActorCtx,
         proc: &OsProcess,
-        queues: Arc<UserQueues>,
+        queues: Rc<UserQueues>,
         pool_buffers: &[VirtAddr],
     ) -> Result<PortId, BclError> {
         self.preamble(ctx, proc, None, Entry::Trap)?;
         {
-            let st = self.state.locked();
+            let st = self.state.borrow();
             if st.ports.values().any(|kp| kp.owner == proc.pid) {
                 // "Each process can create only one port." (§2.2)
                 return Err(BclError::PortAlreadyOpen(proc.pid));
@@ -452,7 +453,7 @@ impl BclKmod {
             bufs.push(self.pin(ctx, proc, (addr, buf_bytes), false, Entry::Trap)?);
         }
         let port = {
-            let mut st = self.state.locked();
+            let mut st = self.state.borrow_mut();
             let id = PortId(st.next_port);
             st.next_port += 1;
             st.ports.insert(id.0, KernelPort { owner: proc.pid });
@@ -461,7 +462,7 @@ impl BclKmod {
         // Port-init request to the NIC: queue bases, pool layout.
         self.charge_descriptor_pio(ctx, pool_buffers.len() as u64);
         self.mcp
-            .register_port(port, queues, Arc::new(SystemPool::new(buf_bytes, bufs)));
+            .register_port(port, queues, Rc::new(SystemPool::new(buf_bytes, bufs)));
         Ok(port)
     }
 
@@ -474,7 +475,7 @@ impl BclKmod {
     ) -> Result<(), BclError> {
         self.preamble(ctx, proc, Some(port), Entry::Trap)?;
         {
-            let mut st = self.state.locked();
+            let mut st = self.state.borrow_mut();
             st.ports.remove(&port.0);
             st.pin.purge_asid(proc.space.asid());
             self.publish_pin_level(&mut st);
@@ -656,7 +657,7 @@ impl BclKmod {
     }
 
     fn alloc_msg_id(&self) -> u32 {
-        let mut st = self.state.locked();
+        let mut st = self.state.borrow_mut();
         let id = st.next_msg;
         st.next_msg = st.next_msg.wrapping_add(2);
         id

@@ -8,7 +8,7 @@
 //! [`JobKind::Coll`] fragments; recovery from loss is go-back-N's.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_myrinet::FabricNodeId;
 use suca_sim::mtrace::{stage, TraceId, TraceLayer};
@@ -223,7 +223,7 @@ impl McpInner {
     /// Kernel module posted a collective descriptor. Registers the run,
     /// merges contributions that beat the descriptor to the NIC, then
     /// fetches the pinned contribution by DMA and starts the schedule.
-    pub(super) fn post_collective(self: &Arc<Self>, setup: CollSetup) {
+    pub(super) fn post_collective(self: &Rc<Self>, setup: CollSetup) {
         let (port, msg_id) = (setup.port, setup.msg_id);
         let key = (port.0, setup.coll_id);
         let trace = self.local_trace(msg_id);
@@ -231,7 +231,7 @@ impl McpInner {
         let segs = setup.payload.clone();
         let len = setup.payload_len;
         {
-            let mut st = self.state.locked();
+            let mut st = self.state.borrow_mut();
             if !st.ports.contains_key(&port.0) {
                 self.protocol_error(trace, "collective descriptor on unregistered port");
                 return;
@@ -255,7 +255,7 @@ impl McpInner {
             };
             let at = t0..me.sim.now();
             me.mt_span(trace, TraceLayer::Mcp, stage::COLL_POST, at, 0, len);
-            let mut st = me.state.locked();
+            let mut st = me.state.borrow_mut();
             let Some(run) = st.interp.runs.get_mut(&key) else {
                 return; // wiped meanwhile; the initiator was already rejected
             };
@@ -266,8 +266,8 @@ impl McpInner {
 
     /// Run one collective's interpreter until it parks — waiting on
     /// arrivals, on the per-step interpreter delay, or on outstanding wire
-    /// sends — or completes. Lock held.
-    fn coll_advance(self: &Arc<Self>, st: &mut McpState, key: RunKey) {
+    /// sends — or completes. State borrowed.
+    fn coll_advance(self: &Rc<Self>, st: &mut McpState, key: RunKey) {
         loop {
             let Some(run) = st.interp.runs.get_mut(&key) else {
                 return;
@@ -282,7 +282,7 @@ impl McpInner {
                     let me = self.clone();
                     let d = self.cfg.mcp.coll_step * combines.max(1);
                     self.sim.schedule_in(d, move |_| {
-                        let mut st = me.state.locked();
+                        let mut st = me.state.borrow_mut();
                         me.coll_advance(&mut st, key);
                     });
                     return;
@@ -310,7 +310,7 @@ impl McpInner {
 
     /// Fire one step's entry sends for run `key`, in `to` order.
     fn coll_send(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut McpState,
         key: RunKey,
         msg_id: u32,
@@ -327,7 +327,7 @@ impl McpInner {
                 let me = self.clone();
                 let arrival = ((self.os.node_id.0, src_port.0, chunk), data.clone());
                 self.sim.schedule_in(self.cfg.mcp.coll_step, move |_| {
-                    let mut st = me.state.locked();
+                    let mut st = me.state.borrow_mut();
                     me.mt_instant(me.local_trace(msg_id), stage::COLL_COMBINE);
                     me.coll_deliver(&mut st, (dst.port.0, coll_id), arrival);
                 });
@@ -357,16 +357,16 @@ impl McpInner {
     }
 
     /// The send engine finished injecting one of a run's wire sends; the
-    /// run may now be eligible to complete. Lock held.
-    pub(super) fn coll_send_injected(self: &Arc<Self>, st: &mut McpState, key: RunKey) {
+    /// run may now be eligible to complete. State borrowed.
+    pub(super) fn coll_send_injected(self: &Rc<Self>, st: &mut McpState, key: RunKey) {
         if let Some(run) = st.interp.runs.get_mut(&key) {
             run.outstanding_sends = run.outstanding_sends.saturating_sub(1);
             self.coll_advance(st, key);
         }
     }
 
-    /// One contribution (wire arrival or local copy) for `key`. Lock held.
-    fn coll_deliver(self: &Arc<Self>, st: &mut McpState, key: RunKey, arrival: CollArrival) {
+    /// One contribution (wire arrival or local copy) for `key`. State borrowed.
+    fn coll_deliver(self: &Rc<Self>, st: &mut McpState, key: RunKey, arrival: CollArrival) {
         if st.interp.deliver(key, arrival) {
             self.coll_advance(st, key); // no-op while the run does not exist
         } else {
@@ -376,8 +376,8 @@ impl McpInner {
     }
 
     /// An accepted `WireKind::Coll` packet: strip the 4-byte collective id
-    /// sub-header and hand the contribution to the interpreter. Lock held.
-    pub(super) fn coll_rx(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
+    /// sub-header and hand the contribution to the interpreter. State borrowed.
+    pub(super) fn coll_rx(self: &Rc<Self>, st: &mut McpState, d: RxDesc) {
         let (src, header) = (d.src, d.header);
         let trace = self.header_trace(src, &header);
         let Some((id, data)) = d.payload().split_first_chunk::<4>() else {
@@ -394,8 +394,8 @@ impl McpInner {
 
     /// Schedule finished and every wire send injected: DMA the accumulator
     /// into the pinned result buffer, then the completion event the
-    /// initiator is polling. Lock held.
-    fn coll_complete(self: &Arc<Self>, st: &mut McpState, run: CollRun) {
+    /// initiator is polling. State borrowed.
+    fn coll_complete(self: &Rc<Self>, st: &mut McpState, run: CollRun) {
         let (port, msg_id) = (run.setup.port, run.setup.msg_id);
         let trace = self.local_trace(msg_id);
         if run.acc.len() as u64 != run.setup.result_len {
@@ -411,7 +411,7 @@ impl McpInner {
         // Both staging buffers ride the result DMA: busy until the event.
         let payload = run.setup.payload;
         self.dma_payload(trace, run.setup.result, run.acc, 0, 0, move |me| {
-            let st = me.state.locked();
+            let st = me.state.borrow();
             me.post_local_event(&st, port, msg_id, SendStatus::Ok);
             drop(payload);
         });

@@ -6,8 +6,8 @@
 //! local memory, sending/receiving message with DMA engines and informing
 //! user process the completion." (§4.1.1)
 //!
-//! Everything is deterministic simulation events over one `McpState` behind
-//! one lock: the LANai is a single processor, every handler runs to
+//! Everything is deterministic simulation events over one `McpState` in
+//! one `RefCell`: the LANai is a single processor, every handler runs to
 //! completion against all of SRAM. The state is one plain struct per
 //! concern, each in the file that drives it:
 //!
@@ -45,16 +45,17 @@ mod peer;
 mod recv;
 mod send;
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::{Arc, Weak};
+use std::rc::{Rc, Weak};
 
 use suca_mem::{NicSegs, PhysAddr};
 use suca_myrinet::{FabricNodeId, Network, PacketTrace, SramPool};
 use suca_os::NodeOs;
 use suca_pci::DmaEngine;
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{Counter, Histogram, Lock, PollerId, Sim, SimDuration, SimTime};
+use suca_sim::{Counter, Histogram, PollerId, Sim, SimDuration, SimTime};
 
 use crate::coll::CollSetup;
 use crate::config::BclConfig;
@@ -70,13 +71,13 @@ pub use send::{JobKind, SendJob};
 /// does not hold a reference on, and whatever forgets a list (completion,
 /// port close, SRAM wipe, eviction) releases it by dropping it.
 struct NicPort {
-    queues: Arc<UserQueues>,
-    pool: Arc<SystemPool>,
+    queues: Rc<UserQueues>,
+    pool: Rc<SystemPool>,
     normal: HashMap<u16, NicSegs>,
     open: HashMap<u16, NicSegs>,
 }
 
-/// All of NIC SRAM, behind the one firmware lock.
+/// All of NIC SRAM, in the one firmware `RefCell`.
 #[derive(Default)]
 struct McpState {
     ports: HashMap<u16, NicPort>,
@@ -104,7 +105,7 @@ struct RxDesc {
     src: FabricNodeId,
     header: WireHeader,
     /// The packet as it arrived; its payload is read in place.
-    pkt: Arc<[u8]>,
+    pkt: Rc<[u8]>,
     rail: usize,
 }
 
@@ -118,7 +119,7 @@ impl RxDesc {
 struct TxDesc {
     rail: usize,
     dst: FabricNodeId,
-    pkt: Arc<[u8]>,
+    pkt: Rc<[u8]>,
     meta: Option<PacketTrace>,
 }
 
@@ -128,20 +129,20 @@ struct TxDesc {
 /// finds its own descriptor at the front — behavior is identical to one
 /// boxed closure per descriptor, minus the per-packet allocation.
 struct Ring<T> {
-    queue: Lock<VecDeque<T>>,
+    queue: RefCell<VecDeque<T>>,
     poller: PollerId,
 }
 
 impl<T> Ring<T> {
     fn new(poller: PollerId) -> Self {
         Ring {
-            queue: Lock::default(),
+            queue: RefCell::default(),
             poller,
         }
     }
 
     fn push(&self, sim: &Sim, delay: SimDuration, desc: T) {
-        self.queue.locked().push_back(desc);
+        self.queue.borrow_mut().push_back(desc);
         sim.schedule_poll_in(delay, self.poller);
     }
 }
@@ -162,15 +163,15 @@ struct McpInner {
     cfg: BclConfig,
     /// The host this NIC sits in: its node id, the physical memory its DMA
     /// engines reach, and the OS its interrupts are delivered to.
-    os: Arc<NodeOs>,
+    os: Rc<NodeOs>,
     fid: FabricNodeId,
     /// All rails this NIC is attached to. Single-rail clusters have one
     /// entry; dual-fabric nodes fail over between entries on path death.
-    fabrics: Vec<Arc<Network>>,
+    fabrics: Vec<Rc<Network>>,
     host_dma: DmaEngine,
     sram: SramPool,
     frag_cap: u64,
-    state: Lock<McpState>,
+    state: RefCell<McpState>,
     rings: Rings,
     /// Poller of the send-engine step ([`McpInner::sender_step`]).
     sender: PollerId,
@@ -190,7 +191,7 @@ struct McpInner {
 /// Handle to one NIC's firmware.
 #[derive(Clone)]
 pub struct Mcp {
-    inner: Arc<McpInner>,
+    inner: Rc<McpInner>,
 }
 
 /// A completion event bound for one of a port's user-space queues.
@@ -207,9 +208,9 @@ impl Mcp {
     /// `fid`.
     pub fn new_multi_rail(
         sim: &Sim,
-        os: Arc<NodeOs>,
+        os: Rc<NodeOs>,
         fid: FabricNodeId,
-        fabrics: Vec<Arc<Network>>,
+        fabrics: Vec<Rc<Network>>,
         cfg: BclConfig,
     ) -> Mcp {
         assert!(!fabrics.is_empty(), "a NIC needs at least one rail");
@@ -231,8 +232,8 @@ impl Mcp {
         sram.attach_gauge(metrics.gauge("nic.sram_used"));
         // Pollers hold weak references so the engine's registry never pins
         // the firmware alive past cluster teardown.
-        let inner = Arc::new_cyclic(|weak: &Weak<McpInner>| {
-            let poller = |f: fn(&Arc<McpInner>)| {
+        let inner = Rc::new_cyclic(|weak: &Weak<McpInner>| {
+            let poller = |f: fn(&Rc<McpInner>)| {
                 let weak = weak.clone();
                 sim.register_poller(move |_| {
                     if let Some(inner) = weak.upgrade() {
@@ -266,11 +267,11 @@ impl Mcp {
                     tx_ctrl: Ring::new(poller(|i| i.poll_tx(&i.rings.tx_ctrl))),
                 },
                 sender: poller(McpInner::sender_step),
-                state: Lock::default(),
+                state: RefCell::default(),
             }
         });
         for (rail, fabric) in fabrics.iter().enumerate() {
-            let weak = Arc::downgrade(&inner);
+            let weak = Rc::downgrade(&inner);
             fabric.attach(
                 fid,
                 Box::new(move |sim, pkt| {
@@ -286,9 +287,9 @@ impl Mcp {
         let ts = sim.timeseries();
         let n = inner.os.node_id.0;
         let probe = |name: &str, cap: Option<u64>, read: fn(&McpState) -> u64| {
-            let w = Arc::downgrade(&inner);
+            let w = Rc::downgrade(&inner);
             ts.register(format!("n{n}.mcp.{name}"), n, cap, move |_| {
-                w.upgrade().map_or(0, |i| read(&i.state.locked()))
+                w.upgrade().map_or(0, |i| read(&i.state.borrow_mut()))
             });
         };
         probe("send_queue", Some(send_ring), |st| {
@@ -315,8 +316,8 @@ impl Mcp {
     }
 
     /// Kernel module: register a port's host-memory structures on the NIC.
-    pub fn register_port(&self, port: PortId, queues: Arc<UserQueues>, pool: Arc<SystemPool>) {
-        let mut st = self.inner.state.locked();
+    pub fn register_port(&self, port: PortId, queues: Rc<UserQueues>, pool: Rc<SystemPool>) {
+        let mut st = self.inner.state.borrow_mut();
         let prev = st.ports.insert(
             port.0,
             NicPort {
@@ -332,7 +333,7 @@ impl Mcp {
     /// Kernel module: tear down a port. Its pool, posted buffers and bound
     /// windows are released with it.
     pub fn unregister_port(&self, port: PortId) {
-        self.inner.state.locked().ports.remove(&port.0);
+        self.inner.state.borrow_mut().ports.remove(&port.0);
     }
 
     /// Kernel module: post a receive buffer on a normal channel.
@@ -341,7 +342,7 @@ impl Mcp {
     /// the previous posting was consumed by the intra-node path (which
     /// bypasses the NIC entirely).
     pub fn post_normal(&self, port: PortId, idx: u16, segs: NicSegs, replace: bool) -> bool {
-        let mut st = self.inner.state.locked();
+        let mut st = self.inner.state.borrow_mut();
         let p = st
             .ports
             .get_mut(&port.0)
@@ -355,7 +356,7 @@ impl Mcp {
 
     /// Kernel module: bind a buffer to an open (RMA) channel.
     pub fn bind_open(&self, port: PortId, idx: u16, segs: NicSegs) {
-        let mut st = self.inner.state.locked();
+        let mut st = self.inner.state.borrow_mut();
         let p = st
             .ports
             .get_mut(&port.0)
@@ -366,7 +367,7 @@ impl Mcp {
     /// Kernel module: post a send descriptor (the doorbell side effect).
     pub fn post_send(&self, mut job: SendJob) {
         {
-            let mut st = self.inner.state.locked();
+            let mut st = self.inner.state.borrow_mut();
             if let JobKind::RmaReadReq { len, .. } = job.kind {
                 // The reply lands in this job's segments; the request
                 // packet itself has no use for them.
@@ -399,14 +400,14 @@ impl Mcp {
     /// Send descriptors currently queued (back-pressure for the ring-full
     /// check in the kernel module).
     pub fn queue_depth(&self) -> usize {
-        self.inner.state.locked().send.queue.len()
+        self.inner.state.borrow().send.queue.len()
     }
 
     /// Library side: return a consumed system-pool buffer. On hardware the
     /// library updates a free list in host memory that the NIC reads by
     /// DMA; no kernel involvement either way.
     pub fn release_pool_buffer(&self, port: PortId, idx: u32) {
-        let st = self.inner.state.locked();
+        let st = self.inner.state.borrow();
         if let Some(p) = st.ports.get(&port.0) {
             p.pool.release(idx);
         }
@@ -425,13 +426,13 @@ impl Mcp {
     /// Advisory — the firmware keeps retrying underneath, and ack progress
     /// clears the mark; but the kernel refuses *new* sends meanwhile.
     pub fn path_is_dead(&self, dst: FabricNodeId) -> bool {
-        let st = self.inner.state.locked();
+        let st = self.inner.state.borrow();
         st.peers.get(&dst.0).is_some_and(|p| p.dead)
     }
 
     /// The rail currently carrying traffic to `dst` (observability/tests).
     pub fn active_rail(&self, dst: FabricNodeId) -> usize {
-        self.inner.state.locked().rail_to(dst)
+        self.inner.state.borrow_mut().rail_to(dst)
     }
 
     /// Chaos: a NIC reset wipes all MCP SRAM state — send queue, staging,
@@ -455,7 +456,7 @@ impl Mcp {
         inner.sim.add_count("mcp.node_crashes", 1);
         inner.mt_instant(TraceId::NONE, stage::CHAOS_NODE_CRASH);
         inner.wipe_sram_state();
-        inner.state.locked().down_until = Some(inner.sim.now() + down_for);
+        inner.state.borrow_mut().down_until = Some(inner.sim.now() + down_for);
         let me = inner.clone();
         inner.sim.schedule_in(down_for, move |s| {
             s.add_count("mcp.node_restarts", 1);
@@ -466,7 +467,7 @@ impl Mcp {
 }
 
 impl McpInner {
-    /// True while a chaos crash holds the node down. Lock held.
+    /// True while a chaos crash holds the node down. State borrowed.
     fn is_down(&self, st: &McpState) -> bool {
         st.down_until.is_some_and(|t| self.sim.now() < t)
     }
@@ -537,8 +538,8 @@ impl McpInner {
     /// Process the next arrival parked in an rx ring. Control packets
     /// overload the generic header fields; their layouts are the header
     /// constructors in `peer.rs`.
-    fn poll_rx(self: &Arc<Self>, ring: &Ring<RxDesc>) {
-        let Some(d) = ring.queue.locked().pop_front() else {
+    fn poll_rx(self: &Rc<Self>, ring: &Ring<RxDesc>) {
+        let Some(d) = ring.queue.borrow_mut().pop_front() else {
             return;
         };
         let h = d.header;
@@ -556,7 +557,7 @@ impl McpInner {
 
     /// Inject the next packet of a tx ring (data or control) onto its rail.
     fn poll_tx(&self, ring: &Ring<TxDesc>) {
-        let Some(d) = ring.queue.locked().pop_front() else {
+        let Some(d) = ring.queue.borrow_mut().pop_front() else {
             return;
         };
         self.fabrics[d.rail].inject(&self.sim, self.fid, d.dst, d.pkt, d.meta);
@@ -584,17 +585,17 @@ impl McpInner {
     }
 
     /// DMA `data[from..]` into `target` (see [`Self::dma_window`]), record
-    /// the `dma:data` span, then run `then` (no lock held) — every payload
+    /// the `dma:data` span, then run `then` (no borrow held) — every payload
     /// that reaches host memory takes this path. An arrival passes its
     /// packet and [`HEADER_BYTES`], so the payload is never copied out.
     fn dma_payload(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         trace: TraceId,
         target: NicSegs,
-        data: impl AsRef<[u8]> + Send + 'static,
+        data: impl AsRef<[u8]> + 'static,
         from: usize,
         seq: u32,
-        then: impl FnOnce(&Arc<Self>) + Send + 'static,
+        then: impl FnOnce(&Rc<Self>) + 'static,
     ) {
         let len = (data.as_ref().len() - from) as u64;
         let t0 = self.sim.now();
@@ -612,9 +613,9 @@ impl McpInner {
     /// the only way the host ever learns anything from the NIC (under
     /// kernel-level receive, a receive event is queued by the handler of
     /// the interrupt it raises). Silently skipped when the port closed
-    /// meanwhile. Lock held.
+    /// meanwhile. State borrowed.
     fn post_completion(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &McpState,
         port: PortId,
         trace: TraceId,
@@ -642,7 +643,7 @@ impl McpInner {
 
     /// Raise a host interrupt for `trace` ([`NodeOs::interrupt`]: counted,
     /// and `handler` runs after the entry and service costs).
-    fn interrupt(&self, trace: TraceId, handler: impl FnOnce() + Send + 'static) {
+    fn interrupt(&self, trace: TraceId, handler: impl FnOnce() + 'static) {
         let (node, now) = (self.os.node_id.0, self.sim.now().as_ns());
         let ev = TraceEvent::instant(trace, node, TraceLayer::Kernel, stage::INTERRUPT, now);
         self.sim.trace_event(ev);
@@ -652,7 +653,7 @@ impl McpInner {
     /// Send-queue completion for a message `port` originated on this node
     /// (a collective, or a one-sided read whose chain is the requester's).
     fn post_local_event(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &McpState,
         port: PortId,
         msg_id: u32,
@@ -669,8 +670,8 @@ impl McpInner {
     /// forgot: senders, then outstanding reads, then collective initiators
     /// — each group in a hash-order-free sequence, because the completion
     /// DMAs queue in the order posted.
-    fn wipe_sram_state(self: &Arc<Self>) {
-        let mut guard = self.state.locked();
+    fn wipe_sram_state(self: &Rc<Self>) {
+        let mut guard = self.state.borrow_mut();
         let st = &mut *guard;
         for peer in st.peers.values_mut() {
             if let Some(timer) = peer.wipe(self.cfg.reliability.window) {

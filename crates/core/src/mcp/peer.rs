@@ -10,7 +10,7 @@
 //! [`crate::reliable::GbnSender::on_probe_reply`] hold the rules and the
 //! memory they judge by.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_myrinet::FabricNodeId;
 use suca_sim::mtrace::{stage, TraceId};
@@ -69,7 +69,7 @@ pub(super) enum Ack {
     /// cleared if the same ack also freed slots.
     FastRetransmit(FastResend),
     /// The probe's reply proved the packet at `cum` lost: go back N now.
-    ProbeRetransmit(Vec<Arc<[u8]>>),
+    ProbeRetransmit(Vec<Rc<[u8]>>),
     /// The probe's reply showed the receiver lost its stream: the stream
     /// was parked and a resync to `epoch` begun at once, on the same rail.
     /// Path health is left alone: a reply from a wiped receiver proves the
@@ -246,7 +246,7 @@ impl Peer {
 }
 
 impl McpInner {
-    pub(super) fn arm_timer(self: &Arc<Self>, peer: &mut Peer, dst: FabricNodeId) {
+    pub(super) fn arm_timer(self: &Rc<Self>, peer: &mut Peer, dst: FabricNodeId) {
         if peer.timer.is_some() {
             return;
         }
@@ -263,8 +263,8 @@ impl McpInner {
         }
     }
 
-    fn on_timeout(self: &Arc<Self>, dst: FabricNodeId) {
-        let mut guard = self.state.locked();
+    fn on_timeout(self: &Rc<Self>, dst: FabricNodeId) {
+        let mut guard = self.state.borrow_mut();
         let down = self.is_down(&guard);
         let st = &mut *guard;
         let peer = st.peers.entry(dst.0).or_default();
@@ -339,7 +339,7 @@ impl McpInner {
     }
 
     pub(super) fn on_ack(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         src: FabricNodeId,
         epoch: u16,
         cum: u32,
@@ -347,7 +347,7 @@ impl McpInner {
         token: u32,
     ) {
         {
-            let mut st = self.state.locked();
+            let mut st = self.state.borrow_mut();
             let st = &mut *st;
             let now = self.sim.now();
             let peer = st.peers.entry(src.0).or_default();
@@ -398,13 +398,13 @@ impl McpInner {
     /// stream's cum, echoing `token`, on the arrival rail. A newer epoch is
     /// adopted first; a stale probe is a counted drop.
     pub(super) fn on_probe(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         src: FabricNodeId,
         epoch: u16,
         token: u32,
         rail: usize,
     ) {
-        let mut st = self.state.locked();
+        let mut st = self.state.borrow_mut();
         let rx = &mut st.peers.entry(src.0).or_default().rx;
         let Some(cum) = rx.on_probe(epoch) else {
             self.stale_epoch_drop(TraceId::NONE);
@@ -421,13 +421,13 @@ impl McpInner {
     /// replay exactly the undelivered tail. Duplicate syncs replay the same
     /// captured ack; stale ones are counted drops.
     pub(super) fn on_epoch_sync(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         src: FabricNodeId,
         epoch: u16,
         parked: u16,
         rail: usize,
     ) {
-        let mut st = self.state.locked();
+        let mut st = self.state.borrow_mut();
         if self.is_down(&st) {
             return;
         }
@@ -445,9 +445,9 @@ impl McpInner {
     /// cumulative ack: prune what was delivered, re-stamp the undelivered
     /// tail onto the fresh stream, and resume. This is the moment a failover
     /// recovers — the latency since path death goes into the histogram.
-    pub(super) fn on_epoch_sync_ack(self: &Arc<Self>, src: FabricNodeId, epoch: u16, old_cum: u32) {
+    pub(super) fn on_epoch_sync_ack(self: &Rc<Self>, src: FabricNodeId, epoch: u16, old_cum: u32) {
         {
-            let mut guard = self.state.locked();
+            let mut guard = self.state.borrow_mut();
             if self.is_down(&guard) {
                 return;
             }
@@ -563,7 +563,7 @@ mod tests {
         let tx = peer.tx_or_open(WINDOW);
         for i in 0..n {
             let seq = tx.next_seq();
-            tx.record_sent(seq, Arc::from([i as u8]), 0)
+            tx.record_sent(seq, Rc::from([i as u8]), 0)
                 .expect("in window");
         }
         peer
@@ -657,7 +657,7 @@ mod tests {
             Ack::Progress { in_flight: false }
         );
         let tx = peer.tx.as_mut().expect("stream exists");
-        tx.record_sent(1, Arc::from(*b"x"), 20_000)
+        tx.record_sent(1, Rc::from(*b"x"), 20_000)
             .expect("in window");
         let period = peer.timer_period(RTO);
         assert_eq!(period, SimDuration::from_us(50));
@@ -680,7 +680,7 @@ mod tests {
     fn a_resent_packet_gives_no_rtt_sample() {
         let mut peer = peer_with_in_flight(1);
         let token = probe_token(expire(&mut peer, 0));
-        let resend = Ack::ProbeRetransmit(vec![Arc::from([0])]);
+        let resend = Ack::ProbeRetransmit(vec![Rc::from([0])]);
         assert_eq!(peer.on_ack(0, 0, 0, token, T0), resend);
         let late = SimTime::from_ns(1_000_000);
         assert_eq!(
@@ -689,7 +689,7 @@ mod tests {
         );
         assert_eq!(peer.timer_period(RTO), RTO, "no sample taken");
         let tx = peer.tx.as_mut().expect("stream exists");
-        tx.record_sent(1, Arc::from(*b"y"), late.as_ns())
+        tx.record_sent(1, Rc::from(*b"y"), late.as_ns())
             .expect("in window");
         let acked = SimTime::from_ns(late.as_ns() + 20_000);
         assert_eq!(
@@ -787,8 +787,8 @@ mod tests {
         assert_eq!(peer.silence, SimDuration::ZERO);
     }
 
-    fn pkts(vals: &[u8]) -> Vec<Arc<[u8]>> {
-        vals.iter().map(|&v| Arc::from([v])).collect()
+    fn pkts(vals: &[u8]) -> Vec<Rc<[u8]>> {
+        vals.iter().map(|&v| Rc::from([v])).collect()
     }
 
     fn fast(vals: &[u8], repeat: bool) -> Ack {

@@ -7,7 +7,7 @@
 //! ahead of it.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_mem::NicSegs;
 use suca_myrinet::{FabricNodeId, Packet};
@@ -101,8 +101,8 @@ impl RecvState {
 }
 
 impl McpInner {
-    pub(super) fn on_packet(self: &Arc<Self>, sim: &Sim, pkt: Packet, rail: usize) {
-        if self.is_down(&self.state.locked()) {
+    pub(super) fn on_packet(self: &Rc<Self>, sim: &Sim, pkt: Packet, rail: usize) {
+        if self.is_down(&self.state.borrow_mut()) {
             // Crashed node: the NIC is off the bus; every arrival is a
             // counted drop until the restart.
             self.node_down_drops.inc();
@@ -155,9 +155,9 @@ impl McpInner {
     }
 
     /// An arrival's `recv_per_frag` elapsed: go-back-N verdict, then demux.
-    pub(super) fn on_data(self: &Arc<Self>, d: RxDesc) {
+    pub(super) fn on_data(self: &Rc<Self>, d: RxDesc) {
         let (src, header, rail) = (d.src, d.header, d.rail);
-        let mut st = self.state.locked();
+        let mut st = self.state.borrow_mut();
         if !self.cfg.arch.reliable() {
             // No go-back-N (BIP): every intact arrival is taken, and none
             // is acknowledged.
@@ -193,8 +193,8 @@ impl McpInner {
         self.send_control(rail, src, ack);
     }
 
-    /// Dispatch an accepted arrival by kind. Lock held.
-    fn accept(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
+    /// Dispatch an accepted arrival by kind. State borrowed.
+    fn accept(self: &Rc<Self>, st: &mut McpState, d: RxDesc) {
         let header = d.header;
         match (header.kind, header.channel.kind) {
             (WireKind::Data, ChannelKind::Open) => self.rma_write(st, d),
@@ -230,7 +230,7 @@ impl McpInner {
         self.send_control(rail, src, Self::reject_header(header.msg_id, fatal));
     }
 
-    fn deliver_message(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
+    fn deliver_message(self: &Rc<Self>, st: &mut McpState, d: RxDesc) {
         let (src, header, rail) = (d.src, d.header, d.rail);
         let payload = d.payload();
         let key = (src.0, header.msg_id);
@@ -304,7 +304,7 @@ impl McpInner {
         let len = payload.len() as u64;
         let target = self.dma_window(&inc.target, header.offset as u64, len);
         self.dma_payload(trace, target, d.pkt, HEADER_BYTES, header.seq, move |me| {
-            let mut st = me.state.locked();
+            let mut st = me.state.borrow_mut();
             let Some(inc) = st.recv.frag_landed(key, len) else {
                 return;
             };
@@ -322,7 +322,7 @@ impl McpInner {
         });
     }
 
-    fn rma_write(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
+    fn rma_write(self: &Rc<Self>, st: &mut McpState, d: RxDesc) {
         let (header, len) = (d.header, d.payload().len() as u64);
         let trace = TraceId::new(d.src.0, header.msg_id);
         let Some(port) = st.ports.get(&header.dst_port.0) else {
@@ -345,7 +345,7 @@ impl McpInner {
         self.dma_payload(trace, target, d.pkt, HEADER_BYTES, header.seq, |_| {});
     }
 
-    fn rma_read_request(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
+    fn rma_read_request(self: &Rc<Self>, st: &mut McpState, d: RxDesc) {
         let (src, header) = (d.src, d.header);
         let refuse = |counter: &str| {
             self.sim.add_count(counter, 1);
@@ -383,7 +383,7 @@ impl McpInner {
         self.kick_sender_deferred();
     }
 
-    fn rma_read_data(self: &Arc<Self>, st: &mut McpState, d: RxDesc) {
+    fn rma_read_data(self: &Rc<Self>, st: &mut McpState, d: RxDesc) {
         let header = d.header;
         let msg_id = header.msg_id;
         // The read reply joins the requesting chain, which is this node's.
@@ -398,7 +398,7 @@ impl McpInner {
         let len = d.payload().len() as u64;
         let target = self.dma_window(&read.segments, header.offset as u64, len);
         self.dma_payload(trace, target, d.pkt, HEADER_BYTES, header.seq, move |me| {
-            let mut st = me.state.locked();
+            let mut st = me.state.borrow_mut();
             if let Some(read) = st.recv.read_landed(msg_id, len) {
                 me.post_local_event(&st, read.port, msg_id, SendStatus::Ok);
             }

@@ -4,7 +4,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_mem::{Asid, NicSegs};
 use suca_myrinet::{FabricNodeId, PacketTrace, SramLease, FRAMING_BYTES};
@@ -120,7 +120,7 @@ pub(super) struct SendEngine {
     pub(super) queue: VecDeque<SendJob>,
     /// Encoded packets owed a retransmission, and probes; they go before
     /// any fresh fragment, in order.
-    pub(super) retx: VecDeque<(FabricNodeId, Arc<[u8]>)>,
+    pub(super) retx: VecDeque<(FabricNodeId, Rc<[u8]>)>,
     active: Option<ActiveSend>,
     active_gen: u64,
     /// True while exactly one chain of `sender_step` events exists.
@@ -261,8 +261,8 @@ impl SendEngine {
     }
 }
 
-/// One unit of send-engine work, decided under the state lock and executed
-/// outside it.
+/// One unit of send-engine work, decided while the state is borrowed and
+/// executed outside the borrow.
 enum Work {
     /// Nothing to do (queue empty, window closed, staging DMA pending or
     /// node down); `busy` was cleared and whatever changes that re-kicks.
@@ -304,17 +304,17 @@ impl McpInner {
         }
     }
 
-    pub(super) fn kick_sender(self: &Arc<Self>) {
-        let idle = !std::mem::replace(&mut self.state.locked().send.busy, true);
+    pub(super) fn kick_sender(self: &Rc<Self>) {
+        let idle = !std::mem::replace(&mut self.state.borrow_mut().send.busy, true);
         if idle {
             self.sim.schedule_poll_in(SimDuration::ZERO, self.sender);
         }
     }
 
-    /// [`Self::kick_sender`] for callers that hold the state lock it takes.
+    /// [`Self::kick_sender`] for callers that hold the state borrow it takes.
     /// The zero-delay deferral is an event of its own and must stay one:
     /// folding it into the caller would shift every later `(time, seq)`.
-    pub(super) fn kick_sender_deferred(self: &Arc<Self>) {
+    pub(super) fn kick_sender_deferred(self: &Rc<Self>) {
         let me = self.clone();
         self.sim
             .schedule_in(SimDuration::ZERO, move |_| me.kick_sender());
@@ -322,8 +322,8 @@ impl McpInner {
 
     /// One step of the LANai send loop. Invariant: `busy` is true and
     /// exactly one chain of `sender_step` events exists while it is.
-    pub(super) fn sender_step(self: &Arc<Self>) {
-        let work = self.next_work(&mut self.state.locked());
+    pub(super) fn sender_step(self: &Rc<Self>) {
+        let work = self.next_work(&mut self.state.borrow_mut());
         let step_again_in = |d| {
             self.sim.schedule_poll_in(d, self.sender);
         };
@@ -368,10 +368,10 @@ impl McpInner {
         }
     }
 
-    /// Pick the next unit of send-engine work. Lock held. Any violated
+    /// Pick the next unit of send-engine work. State borrowed. Any violated
     /// protocol-state invariant becomes a counted [`Work::Dropped`] (with a
     /// flight-recorder dump) instead of a firmware panic.
-    fn next_work(self: &Arc<Self>, st: &mut McpState) -> Work {
+    fn next_work(self: &Rc<Self>, st: &mut McpState) -> Work {
         if self.is_down(st) {
             // Node crashed: the engine stalls; the restart event re-kicks.
             st.send.busy = false;
@@ -491,8 +491,8 @@ impl McpInner {
 
     /// Abandon the active send after a protocol-state violation: the sender
     /// (if it asked) learns via a Rejected completion, the error is counted
-    /// and the flight recorder dumped. Lock held.
-    fn protocol_drop(self: &Arc<Self>, st: &mut McpState, reason: &'static str) -> Work {
+    /// and the flight recorder dumped. State borrowed.
+    fn protocol_drop(self: &Rc<Self>, st: &mut McpState, reason: &'static str) -> Work {
         let mut trace = TraceId::NONE;
         if let Some(a) = st.send.active.take() {
             trace = self.job_trace(&a.job);
@@ -529,8 +529,8 @@ impl McpInner {
     }
 
     /// Start/continue staging fragments from user memory into SRAM.
-    /// Must be called with the state lock held.
-    fn stage_more(self: &Arc<Self>, st: &mut McpState) {
+    /// Must be called with the state borrowed.
+    fn stage_more(self: &Rc<Self>, st: &mut McpState) {
         let Some(a) = st.send.active.as_mut() else {
             return;
         };
@@ -550,7 +550,7 @@ impl McpInner {
         let gen = a.gen;
         let me = self.clone();
         self.host_dma.submit(len, move |_| {
-            let mut st = me.state.locked();
+            let mut st = me.state.borrow_mut();
             let Some(a) = st.send.active.as_mut().filter(|a| a.gen == gen) else {
                 return; // send was aborted (rejected, wiped) while staging
             };
@@ -567,7 +567,7 @@ impl McpInner {
 
     /// DMA a send-completion event into the job owner's user-space queue.
     pub(super) fn post_send_event(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &McpState,
         job: &SendJob,
         status: SendStatus,
@@ -579,9 +579,9 @@ impl McpInner {
 
     /// The receiver refused message `msg_id`: retry it after a delay, or —
     /// on a fatal refusal or once retries run out — fail it to its sender.
-    pub(super) fn on_reject(self: &Arc<Self>, msg_id: u32, fatal: bool) {
+    pub(super) fn on_reject(self: &Rc<Self>, msg_id: u32, fatal: bool) {
         let retry = {
-            let mut st = self.state.locked();
+            let mut st = self.state.borrow_mut();
             st.send.take_job(msg_id).and_then(|mut job| {
                 job.retries += 1;
                 if fatal || job.retries > self.cfg.reliability.max_message_retries {
@@ -609,7 +609,7 @@ impl McpInner {
         let me = self.clone();
         self.sim
             .schedule_in(self.cfg.reliability.reject_retry_delay, move |_| {
-                me.state.locked().send.queue.push_back(job);
+                me.state.borrow_mut().send.queue.push_back(job);
                 me.kick_sender();
             });
     }

@@ -10,17 +10,18 @@
 //! payloads themselves live in simulated memory); the DMA cost of writing an
 //! event is charged by the MCP before an entry appears here.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use suca_mem::{NicSegs, VirtAddr, PAGE_SIZE};
-use suca_sim::{ActorCtx, Gauge, Lock, Signal, Sim};
+use suca_sim::{ActorCtx, Gauge, Signal, Sim};
 
 use crate::port::{RecvEvent, SendEvent};
 
 /// Per-port completion queues, resident in the port owner's user memory.
 pub struct UserQueues {
-    recv: Lock<VecDeque<RecvEvent>>,
-    send: Lock<VecDeque<SendEvent>>,
+    recv: RefCell<VecDeque<RecvEvent>>,
+    send: RefCell<VecDeque<SendEvent>>,
     /// The library's pinned buffers: staged sends, freed by the posting of
     /// their completions, and the ones upper layers take and give back.
     pub(crate) staging: StagingPool,
@@ -42,8 +43,8 @@ impl UserQueues {
     pub fn new(sim: &Sim) -> Self {
         let metrics = sim.metrics();
         UserQueues {
-            recv: Lock::new(VecDeque::new()),
-            send: Lock::new(VecDeque::new()),
+            recv: RefCell::new(VecDeque::new()),
+            send: RefCell::new(VecDeque::new()),
             staging: StagingPool::default(),
             recv_depth: metrics.gauge("cq.recv_depth"),
             send_depth: metrics.gauge("cq.send_depth"),
@@ -56,7 +57,7 @@ impl UserQueues {
     /// NIC side: post a receive event and wake pollers.
     pub fn push_recv(&self, ev: RecvEvent) {
         {
-            let mut q = self.recv.locked();
+            let mut q = self.recv.borrow_mut();
             q.push_back(ev);
             self.recv_depth.add(1);
         }
@@ -69,7 +70,7 @@ impl UserQueues {
     pub fn push_send(&self, ev: SendEvent) {
         self.staging.posted(ev.msg_id);
         {
-            let mut q = self.send.locked();
+            let mut q = self.send.borrow_mut();
             q.push_back(ev);
             self.send_depth.add(1);
         }
@@ -81,7 +82,7 @@ impl UserQueues {
     /// Progress engines (EADI) use this to pump both queues.
     pub fn wait_any(&self, ctx: &mut ActorCtx) {
         loop {
-            if !self.recv.locked().is_empty() || !self.send.locked().is_empty() {
+            if !self.recv.borrow().is_empty() || !self.send.borrow().is_empty() {
                 return;
             }
             self.any_signal.wait(ctx);
@@ -90,7 +91,7 @@ impl UserQueues {
 
     /// Library side: non-blocking poll of the receive queue.
     pub fn pop_recv(&self) -> Option<RecvEvent> {
-        let ev = self.recv.locked().pop_front();
+        let ev = self.recv.borrow_mut().pop_front();
         if ev.is_some() {
             self.recv_depth.sub(1);
         }
@@ -99,7 +100,7 @@ impl UserQueues {
 
     /// Library side: non-blocking poll of the send queue.
     pub fn pop_send(&self) -> Option<SendEvent> {
-        let ev = self.send.locked().pop_front();
+        let ev = self.send.borrow_mut().pop_front();
         if ev.is_some() {
             self.send_depth.sub(1);
         }
@@ -128,7 +129,7 @@ impl UserQueues {
 
     /// Events currently queued (recv, send) — for tests.
     pub fn depths(&self) -> (usize, usize) {
-        (self.recv.locked().len(), self.send.locked().len())
+        (self.recv.borrow().len(), self.send.borrow().len())
     }
 }
 
@@ -141,7 +142,7 @@ impl UserQueues {
 /// only ever re-used at that size. The pool grows on demand and never
 /// shrinks; the port frees it all when it is dropped.
 #[derive(Default)]
-pub(crate) struct StagingPool(Lock<Staging>);
+pub(crate) struct StagingPool(RefCell<Staging>);
 
 #[derive(Default)]
 struct Staging {
@@ -165,14 +166,14 @@ fn pages(len: u64) -> u64 {
 impl StagingPool {
     /// The most recently freed buffer of `len` bytes' size class, if any.
     pub(crate) fn take(&self, len: u64) -> Option<VirtAddr> {
-        let mut st = self.0.locked();
+        let mut st = self.0.borrow_mut();
         let i = st.free.iter().rposition(|&(_, p)| p == pages(len))?;
         Some(st.free.remove(i).0)
     }
 
     /// File buffer `buf` of `len` bytes as free.
     pub(crate) fn give(&self, buf: VirtAddr, len: u64) {
-        self.0.locked().free.push((buf, pages(len)));
+        self.0.borrow_mut().free.push((buf, pages(len)));
     }
 
     /// Run `send` from buffer `buf` of `len` bytes, then file the buffer:
@@ -184,9 +185,9 @@ impl StagingPool {
         len: u64,
         send: impl FnOnce() -> Result<u32, E>,
     ) -> Result<u32, E> {
-        self.0.locked().submitting += 1;
+        self.0.borrow_mut().submitting += 1;
         let sent = send();
-        let mut st = self.0.locked();
+        let mut st = self.0.borrow_mut();
         let buf = (buf, pages(len));
         match sent {
             Ok(id) if !st.posted_meanwhile.contains(&id) => st.held.push((id, buf)),
@@ -201,7 +202,7 @@ impl StagingPool {
 
     /// The completion of message `msg_id` was posted.
     fn posted(&self, msg_id: u32) {
-        let mut st = self.0.locked();
+        let mut st = self.0.borrow_mut();
         if let Some(i) = st.held.iter().position(|&(id, _)| id == msg_id) {
             let (_, buf) = st.held.swap_remove(i);
             st.free.push(buf);
@@ -213,7 +214,7 @@ impl StagingPool {
     /// Empty the pool, held buffers included, as `(address, bytes)`; the
     /// owner frees them.
     pub(crate) fn drain(&self) -> Vec<(VirtAddr, u64)> {
-        let mut st = self.0.locked();
+        let mut st = self.0.borrow_mut();
         let held = std::mem::take(&mut st.held).into_iter().map(|(_, buf)| buf);
         let mut all = std::mem::take(&mut st.free);
         all.extend(held);
@@ -231,7 +232,7 @@ pub struct SystemPool {
     /// Physical segments of each buffer (pinned at port open, and held —
     /// not busy: the owner reads them — until the pool is dropped).
     bufs: Vec<NicSegs>,
-    free: Lock<VecDeque<u32>>,
+    free: RefCell<VecDeque<u32>>,
 }
 
 impl SystemPool {
@@ -241,7 +242,7 @@ impl SystemPool {
         SystemPool {
             buf_bytes,
             bufs,
-            free: Lock::new(free),
+            free: RefCell::new(free),
         }
     }
 
@@ -263,13 +264,13 @@ impl SystemPool {
     /// NIC side: claim the next free buffer (FIFO). `None` ⇒ the incoming
     /// message is discarded, as the paper specifies.
     pub fn claim(&self) -> Option<u32> {
-        self.free.locked().pop_front()
+        self.free.borrow_mut().pop_front()
     }
 
     /// Library side: return a consumed buffer to the pool.
     pub fn release(&self, idx: u32) {
         assert!((idx as usize) < self.bufs.len(), "bogus pool index {idx}");
-        let mut free = self.free.locked();
+        let mut free = self.free.borrow_mut();
         debug_assert!(!free.contains(&idx), "double release of buffer {idx}");
         free.push_back(idx);
     }
@@ -281,7 +282,7 @@ impl SystemPool {
 
     /// Free buffers right now.
     pub fn free_count(&self) -> usize {
-        self.free.locked().len()
+        self.free.borrow().len()
     }
 }
 
@@ -289,7 +290,7 @@ impl SystemPool {
 mod tests {
     use super::*;
     use crate::port::{ChannelId, ProcAddr, RecvDataLoc, SendStatus};
-    use std::sync::Arc;
+    use std::rc::Rc;
     use suca_os::NodeId;
     use suca_sim::{RunOutcome, SimDuration};
 
@@ -320,7 +321,7 @@ mod tests {
     #[test]
     fn wait_recv_blocks_until_event() {
         let sim = Sim::new(1);
-        let q = Arc::new(UserQueues::new(&sim));
+        let q = Rc::new(UserQueues::new(&sim));
         let q2 = q.clone();
         sim.spawn("rx", move |ctx| {
             let e = q2.wait_recv(ctx);
@@ -335,7 +336,7 @@ mod tests {
     #[test]
     fn wait_send_sees_status() {
         let sim = Sim::new(1);
-        let q = Arc::new(UserQueues::new(&sim));
+        let q = Rc::new(UserQueues::new(&sim));
         q.push_send(SendEvent {
             msg_id: 3,
             status: SendStatus::Ok,

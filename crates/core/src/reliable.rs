@@ -27,7 +27,7 @@
 //! (BCL relies on this for reassembly-free receives). The paper's MCP
 //! retransmits on timeout only; the gap ack and the probe are ours.
 //!
-//! The window keeps each packet as the `Arc<[u8]>` that went on the wire
+//! The window keeps each packet as the `Rc<[u8]>` that went on the wire
 //! (`wire.rs`): a retained copy or a resend shares its bytes.
 //!
 //! This module is pure state logic (no simulator types; times are plain
@@ -36,7 +36,7 @@
 
 use std::collections::VecDeque;
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::wire::WireHeader;
 
@@ -85,12 +85,12 @@ impl GbnError {
 ///
 /// ```
 /// use suca_bcl::reliable::{GbnSender, GbnReceiver, GbnVerdict};
-/// use std::sync::Arc;
+/// use std::rc::Rc;
 ///
 /// let mut tx = GbnSender::new(4);
 /// let mut rx = GbnReceiver::new();
 /// let seq = tx.next_seq();
-/// tx.record_sent(seq, Arc::from(*b"frag"), 0).expect("in window");
+/// tx.record_sent(seq, Rc::from(*b"frag"), 0).expect("in window");
 /// assert_eq!(rx.on_data(seq), GbnVerdict::Accept);
 /// assert_eq!(tx.on_ack(rx.cum_ack()).packets, 1); // window slot freed
 /// ```
@@ -115,7 +115,7 @@ pub struct GbnSender {
 struct Unacked {
     seq: u32,
     /// The encoded packet, kept for retransmission.
-    pkt: Arc<[u8]>,
+    pkt: Rc<[u8]>,
     /// Copies put on the wire so far, the first included.
     sends: u32,
     /// When the first copy went out (ns), for an RTT sample.
@@ -140,7 +140,7 @@ pub struct Freed {
 pub enum ProbeVerdict {
     /// The first unacked packet was lost: every unacknowledged packet,
     /// oldest first, goes out again.
-    Lost(Vec<Arc<[u8]>>),
+    Lost(Vec<Rc<[u8]>>),
     /// The receiver's cum is behind what it acknowledged before: it lost
     /// its stream (a NIC reset), and only an epoch resync reconciles.
     ReceiverReset,
@@ -150,7 +150,7 @@ pub enum ProbeVerdict {
 #[derive(Debug, PartialEq, Eq)]
 pub struct FastResend {
     /// Every unacknowledged packet, oldest first.
-    pub packets: Vec<Arc<[u8]>>,
+    pub packets: Vec<Rc<[u8]>>,
     /// The hole had been resent already, and that resend was dropped.
     pub repeat: bool,
 }
@@ -183,7 +183,7 @@ impl GbnSender {
     /// [`GbnSender::next_seq`]). The encoded packet is retained, shared,
     /// for retransmission. A violated precondition is reported instead of
     /// panicking, so firmware can turn it into a counted protocol error.
-    pub fn record_sent(&mut self, seq: u32, pkt: Arc<[u8]>, sent_ns: u64) -> Result<(), GbnError> {
+    pub fn record_sent(&mut self, seq: u32, pkt: Rc<[u8]>, sent_ns: u64) -> Result<(), GbnError> {
         if seq != self.next_seq {
             return Err(GbnError::OutOfOrderSeq {
                 expected: self.next_seq,
@@ -220,7 +220,7 @@ impl GbnSender {
     }
 
     /// Packets currently unacknowledged (oldest first).
-    pub fn unacked(&self) -> impl Iterator<Item = &Arc<[u8]>> + '_ {
+    pub fn unacked(&self) -> impl Iterator<Item = &Rc<[u8]>> + '_ {
         self.inflight.iter().map(|u| &u.pkt)
     }
 
@@ -229,7 +229,7 @@ impl GbnSender {
     /// copies of the packets behind that seq sent before it — for
     /// [`GbnSender::on_gap_ack`], and it voids the outstanding probe. Gap
     /// acks and probe replies both resend here.
-    fn resend_window(&mut self) -> Vec<Arc<[u8]>> {
+    fn resend_window(&mut self) -> Vec<Rc<[u8]>> {
         let Some(hole) = self.inflight.front().map(|u| u.seq) else {
             return Vec::new();
         };
@@ -522,7 +522,7 @@ impl EpochSender {
     }
 
     /// Record a packet as sent at `sent_ns` on the current epoch's stream.
-    pub fn record_sent(&mut self, seq: u32, pkt: Arc<[u8]>, sent_ns: u64) -> Result<(), GbnError> {
+    pub fn record_sent(&mut self, seq: u32, pkt: Rc<[u8]>, sent_ns: u64) -> Result<(), GbnError> {
         self.gbn.record_sent(seq, pkt, sent_ns)
     }
 
@@ -535,7 +535,7 @@ impl EpochSender {
         header: &mut WireHeader,
         payload: &[u8],
         sent_ns: u64,
-    ) -> Result<Arc<[u8]>, GbnError> {
+    ) -> Result<Rc<[u8]>, GbnError> {
         header.seq = self.next_seq();
         header.epoch = self.epoch;
         let pkt = header.encode(payload);
@@ -581,7 +581,7 @@ impl EpochSender {
     /// order, still carrying their *old* headers — the caller re-stamps seq
     /// and epoch and records them on the fresh stream), or `None` when the
     /// ack is stale. A duplicate sync-ack returns `Some(empty)`.
-    pub fn on_sync_ack(&mut self, epoch: u16, old_cum: u32) -> Option<Vec<Arc<[u8]>>> {
+    pub fn on_sync_ack(&mut self, epoch: u16, old_cum: u32) -> Option<Vec<Rc<[u8]>>> {
         if epoch != self.epoch {
             return None;
         }
@@ -593,7 +593,7 @@ impl EpochSender {
     }
 
     /// Packets currently unacknowledged on the live stream (oldest first).
-    pub fn unacked(&self) -> impl Iterator<Item = &Arc<[u8]>> + '_ {
+    pub fn unacked(&self) -> impl Iterator<Item = &Rc<[u8]>> + '_ {
         self.gbn.unacked()
     }
 
@@ -743,12 +743,12 @@ impl Default for EpochReceiver {
 mod tests {
     use super::*;
 
-    fn pkt(i: u32) -> Arc<[u8]> {
-        Arc::from(i.to_le_bytes())
+    fn pkt(i: u32) -> Rc<[u8]> {
+        Rc::from(i.to_le_bytes())
     }
 
     /// Decode a test packet's payload without slice-length unwraps.
-    fn val(b: &Arc<[u8]>) -> u32 {
+    fn val(b: &Rc<[u8]>) -> u32 {
         u32::from_le_bytes([b[0], b[1], b[2], b[3]])
     }
 
@@ -918,7 +918,7 @@ mod tests {
             Probe(u32),
         }
         /// Log `seqs` as sent and queue them on the wire.
-        fn put(log: &mut Vec<(u32, bool)>, wire: &mut VecDeque<Slot>, seqs: Vec<Arc<[u8]>>) {
+        fn put(log: &mut Vec<(u32, bool)>, wire: &mut VecDeque<Slot>, seqs: Vec<Rc<[u8]>>) {
             for b in seqs {
                 wire.push_back(Slot::Copy(log.len()));
                 log.push((val(&b), false));

@@ -12,14 +12,14 @@
 //! through its data rx ring, so its reply is ordered after every earlier
 //! packet.
 //!
-//! A packet is one immutable `Arc<[u8]>`, built once by
+//! A packet is one immutable `Rc<[u8]>`, built once by
 //! [`WireHeader::encode`] and shared, not copied, by the fabric, the
 //! sender's go-back-N window and the receiver's rx ring. The header has a
 //! fixed size, so a packet's payload is always `pkt[HEADER_BYTES..]`: the
 //! receive path keeps the packet and reads that range.
 
 use std::iter;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::port::{ChannelId, ChannelKind, PortId};
 
@@ -130,12 +130,12 @@ pub struct WireHeader {
 impl WireHeader {
     /// Serialize, prepending to `payload`. The packet is allocated once at
     /// its final length, and the payload is copied into it once.
-    pub fn encode(&self, payload: &[u8]) -> Arc<[u8]> {
+    pub fn encode(&self, payload: &[u8]) -> Rc<[u8]> {
         debug_assert_eq!(payload.len(), self.frag_len as usize);
         // Zero-filled, then written in place: collecting a chained iterator
-        // into the `Arc` allocates once too, but copies byte by byte.
-        let mut pkt: Arc<[u8]> = iter::repeat_n(0, HEADER_BYTES + payload.len()).collect();
-        let b = Arc::get_mut(&mut pkt).expect("a new packet is unshared");
+        // into the `Rc` allocates once too, but copies byte by byte.
+        let mut pkt: Rc<[u8]> = iter::repeat_n(0, HEADER_BYTES + payload.len()).collect();
+        let b = Rc::get_mut(&mut pkt).expect("a new packet is unshared");
         b[0] = self.kind.to_wire();
         b[1] = self.channel.kind.to_wire();
         b[2..4].copy_from_slice(&self.channel.index.to_le_bytes());

@@ -2,15 +2,16 @@
 //! exercises the public wiring (`Mcp::new_multi_rail` + `BclNode::new`), hostile
 //! wire-level inputs, and NIC-level observability.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::{BclNode, BclPort, ChannelId, Mcp, ProcAddr};
 use suca_mem::PhysMemory;
 use suca_myrinet::{FabricNodeId, Myrinet, MyrinetConfig, Network};
 use suca_os::{NodeId, NodeOs, OsCostModel, OsPersonality};
-use suca_sim::{Lock, RunOutcome, Signal, Sim, SimDuration};
+use suca_sim::{RunOutcome, Signal, Sim, SimDuration};
 
-fn build_pair(sim: &Sim) -> (Arc<BclNode>, Arc<BclNode>, Arc<Network>) {
+fn build_pair(sim: &Sim) -> (Rc<BclNode>, Rc<BclNode>, Rc<Network>) {
     let fabric = Myrinet::build(sim, 2, MyrinetConfig::dawning3000());
     let cfg = suca_bcl::BclConfig::dawning3000();
     let mut nodes = Vec::new();
@@ -37,7 +38,7 @@ fn hand_assembled_stack_round_trips() {
     let sim = Sim::new(1);
     let (na, nb, _) = build_pair(&sim);
     let ready = Signal::new(&sim);
-    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
 
     let a2 = addr.clone();
     let r2 = ready.clone();
@@ -45,7 +46,7 @@ fn hand_assembled_stack_round_trips() {
     sim.spawn("rx", move |ctx| {
         let proc = nb2.os.create_process();
         let port = BclPort::open(ctx, &nb2, &proc).expect("open");
-        *a2.locked() = Some(port.addr());
+        *a2.borrow_mut() = Some(port.addr());
         r2.notify();
         let ev = port.wait_recv(ctx);
         assert_eq!(port.recv_bytes(ctx, &ev).expect("data"), b"direct".to_vec());
@@ -55,8 +56,8 @@ fn hand_assembled_stack_round_trips() {
         let proc = na2.os.create_process();
         let port = BclPort::open(ctx, &na2, &proc).expect("open");
         let addr2 = addr.clone();
-        ready.wait_until(ctx, || addr2.locked().is_some());
-        let dst = addr.locked().expect("set");
+        ready.wait_until(ctx, || addr2.borrow_mut().is_some());
+        let dst = addr.borrow_mut().expect("set");
         port.send_bytes(ctx, dst, ChannelId::SYSTEM, b"direct")
             .expect("send");
     });
@@ -71,7 +72,7 @@ fn garbage_packets_on_the_wire_do_not_crash_the_firmware() {
     // Inject raw garbage straight into the fabric, addressed at node 1's
     // NIC: the firmware must count it as malformed and carry on.
     for i in 0..5u8 {
-        let junk = Arc::from(vec![i; 7 + i as usize * 13]);
+        let junk = Rc::from(vec![i; 7 + i as usize * 13]);
         fabric.inject(&sim, FabricNodeId(0), FabricNodeId(1), junk, None);
     }
     assert_eq!(sim.run(), RunOutcome::Completed);
@@ -83,14 +84,14 @@ fn sram_high_water_reflects_staging() {
     let sim = Sim::new(3);
     let (na, nb, _) = build_pair(&sim);
     let ready = Signal::new(&sim);
-    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
     let a2 = addr.clone();
     let r2 = ready.clone();
     let nb2 = nb.clone();
     sim.spawn("rx", move |ctx| {
         let proc = nb2.os.create_process();
         let port = BclPort::open(ctx, &nb2, &proc).expect("open");
-        *a2.locked() = Some(port.addr());
+        *a2.borrow_mut() = Some(port.addr());
         port.post_recv(ctx, 0, 100_000).expect("post");
         r2.notify();
         let _ = port.wait_recv(ctx);
@@ -101,8 +102,8 @@ fn sram_high_water_reflects_staging() {
         let proc = na2.os.create_process();
         let port = BclPort::open(ctx, &na2, &proc).expect("open");
         let addr2 = addr.clone();
-        ready.wait_until(ctx, || addr2.locked().is_some());
-        let dst = addr.locked().expect("set");
+        ready.wait_until(ctx, || addr2.borrow_mut().is_some());
+        let dst = addr.borrow_mut().expect("set");
         let buf = port.alloc_buffer(100_000).expect("buf");
         port.send(ctx, dst, ChannelId::normal(0), buf, 100_000)
             .expect("send");
@@ -120,14 +121,14 @@ fn queue_depth_drains_to_zero() {
     let sim = Sim::new(4);
     let (na, nb, _) = build_pair(&sim);
     let ready = Signal::new(&sim);
-    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
     let a2 = addr.clone();
     let r2 = ready.clone();
     let nb2 = nb.clone();
     sim.spawn("rx", move |ctx| {
         let proc = nb2.os.create_process();
         let port = BclPort::open(ctx, &nb2, &proc).expect("open");
-        *a2.locked() = Some(port.addr());
+        *a2.borrow_mut() = Some(port.addr());
         r2.notify();
         for _ in 0..6 {
             let ev = port.wait_recv(ctx);
@@ -140,8 +141,8 @@ fn queue_depth_drains_to_zero() {
         let proc = na2.os.create_process();
         let port = BclPort::open(ctx, &na2, &proc).expect("open");
         let addr2 = addr.clone();
-        ready.wait_until(ctx, || addr2.locked().is_some());
-        let dst = addr.locked().expect("set");
+        ready.wait_until(ctx, || addr2.borrow_mut().is_some());
+        let dst = addr.borrow_mut().expect("set");
         for i in 0..6u8 {
             port.send_bytes(ctx, dst, ChannelId::SYSTEM, &[i; 64])
                 .expect("send");

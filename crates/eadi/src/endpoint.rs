@@ -17,13 +17,14 @@
 //! * non-blocking operations with request handles and a progress engine
 //!   pumped from `wait`.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_bcl::{BclNode, BclPort, ChannelId, ChannelKind, ProcAddr, RecvEvent, SendStatus};
 use suca_mem::VirtAddr;
 use suca_os::OsProcess;
-use suca_sim::{ActorCtx, Lock, SimDuration};
+use suca_sim::{ActorCtx, SimDuration};
 
 use crate::header::{EadiHeader, EadiKind, EADI_HEADER};
 use crate::universe::Universe;
@@ -155,14 +156,14 @@ pub struct EadiEndpoint {
     /// Largest payload sent eagerly: a system-channel buffer less the
     /// header.
     eager_limit: u64,
-    st: Lock<EadiState>,
+    st: RefCell<EadiState>,
 }
 
 impl EadiEndpoint {
     /// Open a BCL port and join the universe as `rank`.
     pub fn create(
         ctx: &mut ActorCtx,
-        node: &Arc<BclNode>,
+        node: &Rc<BclNode>,
         proc: &OsProcess,
         uni: Universe,
         rank: u32,
@@ -182,7 +183,7 @@ impl EadiEndpoint {
             rank,
             cfg,
             eager_limit,
-            st: Lock::new(EadiState {
+            st: RefCell::new(EadiState {
                 next_xid: 1,
                 next_req: 1,
                 next_rid: 1,
@@ -227,7 +228,7 @@ impl EadiEndpoint {
     /// arrives, pumping the progress engine meanwhile. Returns its status.
     pub fn wait_external(&self, ctx: &mut ActorCtx, msg_id: u32) -> SendStatus {
         loop {
-            if let Some(status) = self.st.locked().ext_done.remove(&msg_id) {
+            if let Some(status) = self.st.borrow_mut().ext_done.remove(&msg_id) {
                 return status;
             }
             self.pump_blocking(ctx);
@@ -245,7 +246,10 @@ impl EadiEndpoint {
             .port
             .send_bytes(ctx, dst, ChannelId::SYSTEM, &wire)
             .expect("EADI control send");
-        self.st.locked().own_sends.insert(msg_id, OwnSend::Control);
+        self.st
+            .borrow_mut()
+            .own_sends
+            .insert(msg_id, OwnSend::Control);
     }
 
     /// Blocking tagged send.
@@ -272,7 +276,7 @@ impl EadiEndpoint {
         } else {
             // Rendezvous: RTS now, data when CTS arrives.
             let xid = {
-                let mut st = self.st.locked();
+                let mut st = self.st.borrow_mut();
                 let xid = st.next_xid;
                 st.next_xid += 1;
                 st.pending_sends.insert(
@@ -304,7 +308,7 @@ impl EadiEndpoint {
         };
         loop {
             {
-                let mut st = self.st.locked();
+                let mut st = self.st.borrow_mut();
                 if let Some(pos) = st.send_done.iter().position(|x| *x == xid) {
                     st.send_done.swap_remove(pos);
                     return;
@@ -325,14 +329,14 @@ impl EadiEndpoint {
     /// Post a non-blocking receive.
     pub fn irecv(&self, ctx: &mut ActorCtx, src: Option<u32>, tag: Option<i32>) -> RecvReq {
         let req = {
-            let mut st = self.st.locked();
+            let mut st = self.st.borrow_mut();
             let req = st.next_req;
             st.next_req += 1;
             req
         };
         // Check the unexpected queue first (in arrival order).
         let matched = {
-            let mut st = self.st.locked();
+            let mut st = self.st.borrow_mut();
             let pos = st.unexpected.iter().position(|u| {
                 let (usrc, utag) = match u {
                     Unexpected::Eager { src, tag, .. } | Unexpected::Rts { src, tag, .. } => {
@@ -346,7 +350,7 @@ impl EadiEndpoint {
         match matched {
             Some(Unexpected::Eager { src, tag, data }) => {
                 self.st
-                    .locked()
+                    .borrow_mut()
                     .completed
                     .insert(req, RecvDone { src, tag, data });
             }
@@ -360,7 +364,7 @@ impl EadiEndpoint {
             }
             None => {
                 self.st
-                    .locked()
+                    .borrow_mut()
                     .posted
                     .push_back(PostedRecv { req, src, tag });
             }
@@ -371,7 +375,7 @@ impl EadiEndpoint {
     /// Block until a receive request completes.
     pub fn wait(&self, ctx: &mut ActorCtx, req: RecvReq) -> RecvDone {
         loop {
-            if let Some(done) = self.st.locked().completed.remove(&req) {
+            if let Some(done) = self.st.borrow_mut().completed.remove(&req) {
                 ctx.sleep(self.cfg.recv_overhead);
                 return done;
             }
@@ -383,7 +387,7 @@ impl EadiEndpoint {
     /// was still pending; `false` if it already matched (in which case the
     /// completion must still be consumed via `wait`/`test`).
     pub fn cancel_recv(&self, req: RecvReq) -> bool {
-        let mut st = self.st.locked();
+        let mut st = self.st.borrow_mut();
         let before = st.posted.len();
         st.posted.retain(|p| p.req != req);
         st.posted.len() != before
@@ -392,7 +396,7 @@ impl EadiEndpoint {
     /// Non-blocking test of a receive request.
     pub fn test(&self, ctx: &mut ActorCtx, req: RecvReq) -> Option<RecvDone> {
         self.try_progress(ctx);
-        let done = self.st.locked().completed.remove(&req);
+        let done = self.st.borrow_mut().completed.remove(&req);
         if done.is_some() {
             ctx.sleep(self.cfg.recv_overhead);
         }
@@ -416,7 +420,7 @@ impl EadiEndpoint {
 
     fn drain_send_events(&self, ctx: &mut ActorCtx) {
         while let Some(sev) = self.port.poll_send(ctx) {
-            let mut st = self.st.locked();
+            let mut st = self.st.borrow_mut();
             match st.own_sends.remove(&sev.msg_id) {
                 // A completion of a message the endpoint never sent belongs
                 // to an externally launched one (offloaded collective):
@@ -465,7 +469,7 @@ impl EadiEndpoint {
     }
 
     fn match_posted(&self, src: u32, tag: i32) -> Option<RecvReq> {
-        let mut st = self.st.locked();
+        let mut st = self.st.borrow_mut();
         let pos = st
             .posted
             .iter()
@@ -477,7 +481,7 @@ impl EadiEndpoint {
         debug_assert_eq!(data.len(), h.total_len as usize);
         match self.match_posted(h.src_rank, h.tag) {
             Some(req) => {
-                self.st.locked().completed.insert(
+                self.st.borrow_mut().completed.insert(
                     req,
                     RecvDone {
                         src: h.src_rank,
@@ -486,18 +490,22 @@ impl EadiEndpoint {
                     },
                 );
             }
-            None => self.st.locked().unexpected.push_back(Unexpected::Eager {
-                src: h.src_rank,
-                tag: h.tag,
-                data,
-            }),
+            None => self
+                .st
+                .borrow_mut()
+                .unexpected
+                .push_back(Unexpected::Eager {
+                    src: h.src_rank,
+                    tag: h.tag,
+                    data,
+                }),
         }
     }
 
     fn on_rts(&self, ctx: &mut ActorCtx, h: EadiHeader) {
         match self.match_posted(h.src_rank, h.tag) {
             Some(req) => self.grant_cts(ctx, req, h.src_rank, h.tag, h.xid, h.total_len as u64),
-            None => self.st.locked().unexpected.push_back(Unexpected::Rts {
+            None => self.st.borrow_mut().unexpected.push_back(Unexpected::Rts {
                 src: h.src_rank,
                 tag: h.tag,
                 xid: h.xid,
@@ -532,7 +540,7 @@ impl EadiEndpoint {
             })
             .collect();
         let chan_base = {
-            let mut st = self.st.locked();
+            let mut st = self.st.borrow_mut();
             let Some(base) = find_free_run(&st.chan_used, nsegs as usize) else {
                 // All channels busy with other transfers: grant later, when
                 // a rendezvous completes and frees its run.
@@ -586,7 +594,7 @@ impl EadiEndpoint {
     /// Sender side: CTS arrived — stream the segments.
     fn on_cts(&self, ctx: &mut ActorCtx, h: EadiHeader) {
         let (dst_rank, data) = {
-            let st = self.st.locked();
+            let st = self.st.borrow();
             let Some(p) = st.pending_sends.get(&h.xid) else {
                 ctx.sim().add_count("eadi.orphan_cts", 1);
                 return;
@@ -597,7 +605,10 @@ impl EadiEndpoint {
         let (nsegs, seg) = self.segmentation(total);
         let chan_base = h.aux as u16;
         let dst = self.uni.addr_of(dst_rank);
-        self.st.locked().segs_left.insert(h.xid, u32::from(nsegs));
+        self.st
+            .borrow_mut()
+            .segs_left
+            .insert(h.xid, u32::from(nsegs));
         for i in 0..nsegs {
             let off = u64::from(i) * seg;
             let this_len = seg.min(total - off);
@@ -614,14 +625,14 @@ impl EadiEndpoint {
                 buf,
                 len: this_len,
             };
-            self.st.locked().own_sends.insert(msg_id, seg);
+            self.st.borrow_mut().own_sends.insert(msg_id, seg);
         }
     }
 
     /// Receiver side: a rendezvous segment landed.
     fn on_segment(&self, ctx: &mut ActorCtx, chan: u16, data: Vec<u8>) {
         let backlogged = {
-            let mut st = self.st.locked();
+            let mut st = self.st.borrow_mut();
             let Some(&rid) = st.chan_to_rndv.get(&chan) else {
                 // Not a rendezvous channel we know — drop loudly in counters.
                 return;
@@ -716,7 +727,7 @@ mod tests {
                 ep.recv(ctx, Some(peer), Some(3));
                 ctx.sleep(SimDuration::from_us(500));
                 ep.try_progress(ctx);
-                let st = ep.st.locked();
+                let st = ep.st.borrow();
                 assert!(st.ext_done.is_empty(), "rank {rank}: own completion parked");
                 assert!(st.own_sends.is_empty(), "rank {rank}: completion not seen");
             });

@@ -4,10 +4,11 @@
 //! process registers its port address under its rank at startup; peers block
 //! until the whole universe is present (the usual `MPI_Init` rendezvous).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::ProcAddr;
-use suca_sim::{ActorCtx, Lock, Signal, Sim};
+use suca_sim::{ActorCtx, Signal, Sim};
 
 struct UniverseState {
     slots: Vec<Option<ProcAddr>>,
@@ -17,7 +18,7 @@ struct UniverseState {
 /// The job-wide rank → address map.
 #[derive(Clone)]
 pub struct Universe {
-    state: Arc<Lock<UniverseState>>,
+    state: Rc<RefCell<UniverseState>>,
     signal: Signal,
 }
 
@@ -25,7 +26,7 @@ impl Universe {
     /// A universe of `n` ranks.
     pub fn new(sim: &Sim, n: u32) -> Universe {
         Universe {
-            state: Arc::new(Lock::new(UniverseState {
+            state: Rc::new(RefCell::new(UniverseState {
                 slots: vec![None; n as usize],
                 registered: 0,
             })),
@@ -35,14 +36,14 @@ impl Universe {
 
     /// Number of ranks.
     pub fn size(&self) -> u32 {
-        self.state.locked().slots.len() as u32
+        self.state.borrow().slots.len() as u32
     }
 
     /// Register this process's port under `rank`, then block until every
     /// rank has registered.
     pub fn register_and_wait(&self, ctx: &mut ActorCtx, rank: u32, addr: ProcAddr) {
         {
-            let mut st = self.state.locked();
+            let mut st = self.state.borrow_mut();
             assert!(
                 st.slots[rank as usize].is_none(),
                 "rank {rank} registered twice"
@@ -53,20 +54,20 @@ impl Universe {
         self.signal.notify();
         let state = self.state.clone();
         self.signal.wait_until(ctx, || {
-            let st = state.locked();
+            let st = state.borrow();
             st.registered as usize == st.slots.len()
         });
     }
 
     /// Address of `rank`. Panics if called before the universe is complete.
     pub fn addr_of(&self, rank: u32) -> ProcAddr {
-        self.state.locked().slots[rank as usize].expect("universe incomplete")
+        self.state.borrow().slots[rank as usize].expect("universe incomplete")
     }
 
     /// Reverse lookup: rank of a port address.
     pub fn rank_of(&self, addr: ProcAddr) -> Option<u32> {
         self.state
-            .locked()
+            .borrow_mut()
             .slots
             .iter()
             .position(|s| *s == Some(addr))

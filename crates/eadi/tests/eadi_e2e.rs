@@ -2,7 +2,7 @@
 //! wildcards, unexpected messages, eager↔rendezvous switchover, many-peer
 //! traffic, and both SANs.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_cluster::ClusterSpec;
 use suca_eadi::{EadiConfig, EadiEndpoint, Universe};
@@ -18,12 +18,12 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
 fn run_ranks(
     nodes: u32,
     ranks: u32,
-    body: impl Fn(&mut suca_sim::ActorCtx, EadiEndpoint) + Send + Sync + 'static,
+    body: impl Fn(&mut suca_sim::ActorCtx, EadiEndpoint) + 'static,
 ) {
     let cluster = ClusterSpec::dawning3000(nodes).build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, ranks);
-    let body = Arc::new(body);
+    let body = Rc::new(body);
     for r in 0..ranks {
         let uni = uni.clone();
         let body = body.clone();

@@ -7,9 +7,8 @@
 //! nothing else) perform virtual→physical translation — the paper's central
 //! security property.
 
-use std::sync::Arc;
-
-use suca_sim::Lock;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::addr::{pages_spanned, PhysAddr, PhysFrame, VirtAddr, VirtPage, PAGE_SIZE};
 use crate::phys::{FrameMap, PhysMemory};
@@ -41,7 +40,7 @@ struct SpaceInner {
 #[derive(Clone)]
 pub struct AddressSpace {
     mem: PhysMemory,
-    inner: Arc<Lock<SpaceInner>>,
+    inner: Rc<RefCell<SpaceInner>>,
 }
 
 /// Base of the user heap in every simulated process (an arbitrary non-zero
@@ -53,7 +52,7 @@ impl AddressSpace {
     pub fn new(asid: Asid, mem: PhysMemory) -> Self {
         AddressSpace {
             mem,
-            inner: Arc::new(Lock::new(SpaceInner {
+            inner: Rc::new(RefCell::new(SpaceInner {
                 asid,
                 table: FrameMap::default(),
                 next_page: USER_BASE_PAGE,
@@ -63,7 +62,7 @@ impl AddressSpace {
 
     /// This space's id.
     pub fn asid(&self) -> Asid {
-        self.inner.locked().asid
+        self.inner.borrow().asid
     }
 
     /// The physical memory this space maps into.
@@ -85,7 +84,7 @@ impl AddressSpace {
     pub fn free(&self, base: VirtAddr, len: u64) -> Result<(), MemError> {
         assert_eq!(base.page_offset(), 0, "free of non page-aligned region");
         let pages = pages_spanned(base, len.max(1));
-        let mut inner = self.inner.locked();
+        let mut inner = self.inner.borrow_mut();
         for i in 0..pages {
             let vp = VirtPage(base.page().0 + i);
             let frame = inner
@@ -99,7 +98,7 @@ impl AddressSpace {
 
     /// Translate one virtual address; fails on unmapped pages.
     pub fn translate(&self, addr: VirtAddr) -> Result<PhysAddr, MemError> {
-        let inner = self.inner.locked();
+        let inner = self.inner.borrow();
         let frame = inner
             .table
             .get(&addr.page())
@@ -109,7 +108,7 @@ impl AddressSpace {
 
     /// True if the whole byte range `[addr, addr+len)` is mapped.
     pub fn is_mapped(&self, addr: VirtAddr, len: u64) -> bool {
-        let inner = self.inner.locked();
+        let inner = self.inner.borrow();
         let pages = pages_spanned(addr, len.max(1));
         (0..pages).all(|i| inner.table.contains_key(&VirtPage(addr.page().0 + i)))
     }
@@ -125,7 +124,7 @@ impl AddressSpace {
     /// returns the base of the contiguous region.
     pub fn map_frames(&self, frames: &[PhysFrame]) -> VirtAddr {
         assert!(!frames.is_empty(), "mapping zero frames");
-        let mut inner = self.inner.locked();
+        let mut inner = self.inner.borrow_mut();
         let base = VirtPage(inner.next_page);
         inner.next_page += frames.len() as u64;
         for (i, f) in frames.iter().enumerate() {

@@ -33,13 +33,14 @@
 //! may still be reading it — and a **DMA** ([`PhysMemory::dma_read`] /
 //! [`PhysMemory::dma_write`]) **to a frame the NIC holds no reference on**.
 
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::{Deref, RangeInclusive};
-use std::sync::Arc;
+use std::ops::{Deref, Range, RangeInclusive};
+use std::rc::Rc;
 
-use suca_sim::{Counter, Lock, LockGuard, MsgTracer, Sim};
+use suca_sim::{Counter, MsgTracer, Sim};
 
 use crate::addr::{PhysAddr, PhysFrame, PAGE_SIZE};
 use crate::MemError;
@@ -187,7 +188,7 @@ fn frames_of(addr: PhysAddr, len: u64) -> RangeInclusive<u64> {
 /// Handle to one node's physical memory. Clones share storage.
 #[derive(Clone)]
 pub struct PhysMemory {
-    inner: Arc<Lock<PhysInner>>,
+    inner: Rc<RefCell<PhysInner>>,
 }
 
 impl PhysMemory {
@@ -195,7 +196,7 @@ impl PhysMemory {
     /// DAWNING-3000 nodes carried 1–4 GiB; tests typically use a few MiB.
     pub fn new(total_bytes: u64) -> Self {
         PhysMemory {
-            inner: Arc::new(Lock::new(PhysInner {
+            inner: Rc::new(RefCell::new(PhysInner {
                 frames: FrameMap::default(),
                 next_frame: 1, // frame 0 reserved: catches null-frame bugs
                 total_frames: total_bytes / PAGE_SIZE,
@@ -211,13 +212,13 @@ impl PhysMemory {
     /// dumps the flight recorder. The node's OS calls this at boot.
     pub fn watch(&self, sim: &Sim) {
         let counter = sim.metrics().counter("mem.dma_lifetime_violations");
-        self.inner.locked().reporter = Some((counter, sim.msg_trace().clone()));
+        self.inner.borrow_mut().reporter = Some((counter, sim.msg_trace().clone()));
     }
 
     /// Lifetime violations seen so far (see the module docs for the two
     /// kinds).
     pub fn lifetime_violations(&self) -> u64 {
-        self.inner.locked().violations
+        self.inner.borrow().violations
     }
 
     /// Allocate one frame (zero-filled, as every fresh frame reads).
@@ -228,7 +229,7 @@ impl PhysMemory {
     /// Allocate `n` consecutively numbered frames, all or none. A fresh
     /// frame reads as zeros and holds no bytes until first written.
     pub fn alloc_frames(&self, n: u64) -> Result<Vec<PhysFrame>, MemError> {
-        let mut inner = self.inner.locked();
+        let mut inner = self.inner.borrow_mut();
         if inner.allocated + n > inner.total_frames {
             return Err(MemError::OutOfMemory);
         }
@@ -251,7 +252,7 @@ impl PhysMemory {
     /// the frame is reclaimed now, or — while the NIC still references it —
     /// when the last [`NicSegs`] naming it is dropped.
     pub fn free_frame(&self, f: PhysFrame) -> Result<(), MemError> {
-        let mut inner = self.inner.locked();
+        let mut inner = self.inner.borrow_mut();
         let frame = inner.frames.get_mut(&f.0).filter(|fr| fr.mapped);
         let frame = frame.ok_or(MemError::BadFrame(f))?;
         frame.mapped = false;
@@ -265,19 +266,19 @@ impl PhysMemory {
     /// Frames currently allocated: mapped, or freed but not yet let go of
     /// by the NIC. This is what counts against the capacity.
     pub fn allocated_frames(&self) -> u64 {
-        self.inner.locked().allocated
+        self.inner.borrow().allocated
     }
 
     /// Bytes the frames hold: the sum of their written prefixes (see the
     /// module docs). Unwritten frames hold none.
     pub fn resident_bytes(&self) -> u64 {
-        let inner = self.inner.locked();
+        let inner = self.inner.borrow();
         inner.frames.values().map(|f| f.data.len() as u64).sum()
     }
 
     /// Total frame capacity.
     pub fn total_frames(&self) -> u64 {
-        self.inner.locked().total_frames
+        self.inner.borrow().total_frames
     }
 
     /// Take a NIC reference on every frame of `segs` — the kernel module
@@ -286,7 +287,7 @@ impl PhysMemory {
     /// buffers whose owner will get a completion event, not for windows and
     /// pools the owner may write while the NIC holds them.
     pub fn nic_hold(&self, segs: Vec<(PhysAddr, u64)>, busy: bool) -> NicSegs {
-        self.inner.locked().for_each_seg_frame(&segs, |f| {
+        self.inner.borrow_mut().for_each_seg_frame(&segs, |f| {
             f.nic_refs += 1;
             f.nic_busy += u32::from(busy);
         });
@@ -322,43 +323,34 @@ impl PhysMemory {
 
     fn read_as(&self, who: Accessor, addr: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
         let mut violation = None;
-        let mut inner = self.inner.locked();
-        let mut pos = addr;
-        let mut done = 0usize;
-        while done < buf.len() {
-            let off = pos.frame_offset() as usize;
-            let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
+        let mut inner = self.inner.borrow_mut();
+        let r = each_chunk(addr, buf.len(), |frame, off, range| {
             inner
-                .access(pos.frame(), who, false, &mut violation)?
-                .read(off, &mut buf[done..done + chunk]);
-            done += chunk;
-            pos = pos.add(chunk as u64);
-        }
+                .access(frame, who, false, &mut violation)?
+                .read(off, &mut buf[range]);
+            Ok(())
+        });
         Self::report(inner, violation);
-        Ok(())
+        r
     }
 
     fn write_as(&self, who: Accessor, addr: PhysAddr, buf: &[u8]) -> Result<(), MemError> {
         let mut violation = None;
-        let mut inner = self.inner.locked();
-        let mut pos = addr;
-        let mut done = 0usize;
-        while done < buf.len() {
-            let off = pos.frame_offset() as usize;
-            let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
+        let mut inner = self.inner.borrow_mut();
+        let r = each_chunk(addr, buf.len(), |frame, off, range| {
             inner
-                .access(pos.frame(), who, true, &mut violation)?
-                .write(off, &buf[done..done + chunk]);
-            done += chunk;
-            pos = pos.add(chunk as u64);
-        }
+                .access(frame, who, true, &mut violation)?
+                .write(off, &buf[range]);
+            Ok(())
+        });
         Self::report(inner, violation);
-        Ok(())
+        r
     }
 
-    /// Count one access's violation (if any) and publish it, outside the
-    /// lock.
-    fn report(mut inner: LockGuard<'_, PhysInner>, violation: Option<&'static str>) {
+    /// Count one access's violation (if any) and publish it once the borrow
+    /// is released. An access that faulted on a later frame still reports
+    /// the violation it committed on an earlier one.
+    fn report(mut inner: RefMut<'_, PhysInner>, violation: Option<&'static str>) {
         let Some(reason) = violation else {
             return;
         };
@@ -370,6 +362,25 @@ impl PhysMemory {
             recorder.dump_once(reason);
         }
     }
+}
+
+/// Walk the `len` bytes at `addr` one frame at a time, calling `f(frame,
+/// offset in the frame, range of the buffer)`; stop at the first fault.
+fn each_chunk(
+    addr: PhysAddr,
+    len: usize,
+    mut f: impl FnMut(PhysFrame, usize, Range<usize>) -> Result<(), MemError>,
+) -> Result<(), MemError> {
+    let mut pos = addr;
+    let mut done = 0usize;
+    while done < len {
+        let off = pos.frame_offset() as usize;
+        let chunk = ((PAGE_SIZE as usize) - off).min(len - done);
+        f(pos.frame(), off, done..done + chunk)?;
+        done += chunk;
+        pos = pos.add(chunk as u64);
+    }
+    Ok(())
 }
 
 /// A physical scatter/gather list whose frames the NIC holds a reference
@@ -394,7 +405,7 @@ impl NicSegs {
     /// until drop. Idempotent.
     pub fn end_busy(&mut self) {
         if let Some(mem) = self.mem.as_ref().filter(|_| self.busy) {
-            let mut inner = mem.inner.locked();
+            let mut inner = mem.inner.borrow_mut();
             inner.for_each_seg_frame(&self.segs, |f| f.nic_busy = f.nic_busy.saturating_sub(1));
         }
         self.busy = false;
@@ -425,7 +436,7 @@ impl Drop for NicSegs {
     fn drop(&mut self) {
         if let Some(mem) = &self.mem {
             let busy = u32::from(self.busy);
-            mem.inner.locked().for_each_seg_frame(&self.segs, |f| {
+            mem.inner.borrow_mut().for_each_seg_frame(&self.segs, |f| {
                 f.nic_busy = f.nic_busy.saturating_sub(busy);
                 f.nic_refs = f.nic_refs.saturating_sub(1);
             });
@@ -512,7 +523,7 @@ mod tests {
     }
 
     fn materialised(m: &PhysMemory) -> usize {
-        let inner = m.inner.locked();
+        let inner = m.inner.borrow();
         inner.frames.values().filter(|f| !f.data.is_empty()).count()
     }
 
@@ -650,6 +661,38 @@ mod tests {
     }
 
     #[test]
+    fn a_fault_on_a_later_frame_still_counts_the_violation_before_it() {
+        // The write covers the last 4 bytes of a busy frame, then the
+        // first 4 of the unallocated frame after it.
+        let m = PhysMemory::new(1 << 20);
+        let f = m.alloc_frame().unwrap();
+        let _held = m.nic_hold(vec![(f.base(), PAGE_SIZE)], true);
+        let at = f.base().add(PAGE_SIZE - 4);
+        assert!(matches!(
+            m.write(at, b"overflow"),
+            Err(MemError::BadFrame(_))
+        ));
+        assert_eq!(m.lifetime_violations(), 1, "the busy frame was written");
+        let mut out = [0u8; 4];
+        m.read(at, &mut out).unwrap();
+        assert_eq!(&out, b"over", "the chunk before the fault landed");
+    }
+
+    #[test]
+    fn a_dma_read_faulting_on_a_later_frame_still_counts_the_violation_before_it() {
+        // The read covers the end of an unreferenced frame, then the
+        // unallocated frame after it: the read path reports like the write.
+        let m = PhysMemory::new(1 << 20);
+        let f = m.alloc_frame().unwrap();
+        let mut out = [0u8; 8];
+        assert!(matches!(
+            m.dma_read(f.base().add(PAGE_SIZE - 4), &mut out),
+            Err(MemError::BadFrame(_))
+        ));
+        assert_eq!(m.lifetime_violations(), 1, "an unreferenced read");
+    }
+
+    #[test]
     fn dma_to_an_unreferenced_frame_is_a_violation() {
         let m = PhysMemory::new(1 << 20);
         let f = m.alloc_frame().unwrap();
@@ -697,7 +740,7 @@ mod tests {
     impl Model {
         /// One host or NIC access of `buf.len()` bytes at `off`: chunk by
         /// chunk, so a fault on a later frame leaves earlier chunks written
-        /// and counts no violation.
+        /// and still counts their violation.
         fn access(&mut self, who: Accessor, write: bool, off: usize, buf: &mut [u8]) -> bool {
             let page = PAGE_SIZE as usize;
             let mut violation = false;
@@ -705,11 +748,11 @@ mod tests {
             while done < buf.len() {
                 let at = off + done;
                 let chunk = (page - at % page).min(buf.len() - done);
-                let Some(f) = self.frames[at / page] else {
-                    return false;
+                let f = match (who, self.frames[at / page]) {
+                    (_, None) | (Accessor::Host, Some(ModelFrame { mapped: false, .. })) => break,
+                    (_, Some(f)) => f,
                 };
                 match who {
-                    Accessor::Host if !f.mapped => return false,
                     Accessor::Host => violation |= write && f.busy > 0,
                     Accessor::Nic => violation |= f.refs == 0,
                 }
@@ -723,7 +766,7 @@ mod tests {
                 done += chunk;
             }
             self.violations += u64::from(violation);
-            true
+            done == buf.len()
         }
 
         /// Apply `f` to every live frame of `[off, off + len)`, then

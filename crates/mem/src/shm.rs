@@ -6,7 +6,7 @@
 //! that any process on the node can map into its own address space; the
 //! region is also directly addressable for queue bookkeeping.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::addr::{PhysAddr, PhysFrame, VirtAddr, PAGE_SIZE};
 use crate::pagetable::AddressSpace;
@@ -32,7 +32,7 @@ impl Drop for RegionInner {
 /// they hold a clone, mirroring SysV `shmat` lifetime rules.
 #[derive(Clone)]
 pub struct SharedRegion {
-    inner: Arc<RegionInner>,
+    inner: Rc<RegionInner>,
 }
 
 impl SharedRegion {
@@ -40,7 +40,7 @@ impl SharedRegion {
     pub fn alloc(mem: &PhysMemory, len: u64) -> Result<Self, MemError> {
         let frames = mem.alloc_frames(len.max(1).div_ceil(PAGE_SIZE))?;
         Ok(SharedRegion {
-            inner: Arc::new(RegionInner {
+            inner: Rc::new(RegionInner {
                 mem: mem.clone(),
                 frames,
                 len,

@@ -16,7 +16,7 @@
 
 #![warn(missing_docs)]
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_sim::{Sim, SimDuration};
 
@@ -59,16 +59,10 @@ impl Mesh {
     /// Build a `width × height` mesh; node ids are row-major. `n_nodes` may
     /// be smaller than `width * height` (unused tail positions get routers
     /// but no hosts — matching a partially populated machine).
-    pub fn build(
-        sim: &Sim,
-        width: u32,
-        height: u32,
-        n_nodes: u32,
-        cfg: MeshConfig,
-    ) -> Arc<Network> {
+    pub fn build(sim: &Sim, width: u32, height: u32, n_nodes: u32, cfg: MeshConfig) -> Rc<Network> {
         assert!(width >= 1 && height >= 1);
         assert!(n_nodes >= 1 && n_nodes <= width * height);
-        let routers: Vec<Arc<Switch>> = (0..width * height)
+        let routers: Vec<Rc<Switch>> = (0..width * height)
             .map(|i| {
                 Switch::new(
                     sim,
@@ -108,7 +102,7 @@ impl Mesh {
     }
 
     /// Convenience: near-square mesh for `n_nodes`.
-    pub fn build_square(sim: &Sim, n_nodes: u32, cfg: MeshConfig) -> Arc<Network> {
+    pub fn build_square(sim: &Sim, n_nodes: u32, cfg: MeshConfig) -> Rc<Network> {
         let width = (n_nodes as f64).sqrt().ceil() as u32;
         let height = n_nodes.div_ceil(width);
         Self::build(sim, width, height, n_nodes, cfg)
@@ -118,23 +112,24 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use suca_myrinet::fabric::PORT_RIGHT;
     use suca_myrinet::{FabricNodeId, Myrinet, MyrinetConfig, PacketTrace};
     use suca_sim::mtrace::stage;
-    use suca_sim::{Lock, RunOutcome};
+    use suca_sim::RunOutcome;
 
-    fn listen(net: &Network, node: u32) -> Arc<Lock<Vec<Vec<u8>>>> {
-        let log = Arc::new(Lock::new(Vec::new()));
+    fn listen(net: &Network, node: u32) -> Rc<RefCell<Vec<Vec<u8>>>> {
+        let log = Rc::new(RefCell::new(Vec::new()));
         let l = log.clone();
         net.attach(
             FabricNodeId(node),
-            Box::new(move |_, pkt| l.locked().push(pkt.payload.to_vec())),
+            Box::new(move |_, pkt| l.borrow_mut().push(pkt.payload.to_vec())),
         );
         log
     }
 
-    fn send(sim: &Sim, net: &Network, src: u32, dst: u32, payload: Arc<[u8]>) {
+    fn send(sim: &Sim, net: &Network, src: u32, dst: u32, payload: Rc<[u8]>) {
         net.inject(sim, FabricNodeId(src), FabricNodeId(dst), payload, None);
     }
 
@@ -153,9 +148,9 @@ mod tests {
         let sim = Sim::new(1);
         let m = Mesh::build(&sim, 4, 4, 16, MeshConfig::dawning3000());
         let log = listen(&m, 15);
-        send(&sim, &m, 0, 15, Arc::from(*b"diag"));
+        send(&sim, &m, 0, 15, Rc::from(*b"diag"));
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(*log.locked(), vec![b"diag".to_vec()]);
+        assert_eq!(*log.borrow(), vec![b"diag".to_vec()]);
     }
 
     #[test]
@@ -166,12 +161,12 @@ mod tests {
         let logs: Vec<_> = (0..70).map(|n| listen(&m, n)).collect();
         for src in 0..70u32 {
             for dst in 0..70u32 {
-                send(&sim, &m, src, dst, Arc::from(*b"p"));
+                send(&sim, &m, src, dst, Rc::from(*b"p"));
             }
         }
         assert_eq!(sim.run(), RunOutcome::Completed);
         for (n, log) in logs.iter().enumerate() {
-            assert_eq!(log.locked().len(), 70, "node {n}");
+            assert_eq!(log.borrow().len(), 70, "node {n}");
         }
     }
 
@@ -180,15 +175,15 @@ mod tests {
         let time_to = |dst: u32| {
             let sim = Sim::new(1);
             let m = Mesh::build(&sim, 8, 8, 64, MeshConfig::dawning3000());
-            let t = Arc::new(Lock::new(0u64));
+            let t = Rc::new(RefCell::new(0u64));
             let t2 = t.clone();
             m.attach(
                 FabricNodeId(dst),
-                Box::new(move |s, _| *t2.locked() = s.now().as_ns()),
+                Box::new(move |s, _| *t2.borrow_mut() = s.now().as_ns()),
             );
-            send(&sim, &m, 0, dst, Arc::from(*b"t"));
+            send(&sim, &m, 0, dst, Rc::from(*b"t"));
             sim.run();
-            let v = *t.locked();
+            let v = *t.borrow();
             v
         };
         let near = time_to(1);
@@ -204,29 +199,29 @@ mod tests {
         let log = listen(&m, 1);
         assert!(m.set_node_link_up(FabricNodeId(1), false));
         assert!(!m.set_node_link_up(FabricNodeId(9), false));
-        send(&sim, &m, 0, 1, Arc::from(*b"a"));
-        send(&sim, &m, 1, 0, Arc::from(*b"b"));
+        send(&sim, &m, 0, 1, Rc::from(*b"a"));
+        send(&sim, &m, 1, 0, Rc::from(*b"b"));
         sim.run();
-        assert!(log.locked().is_empty());
+        assert!(log.borrow().is_empty());
         assert_eq!(sim.get_count("link.down_drops"), 2);
         assert!(m.set_node_link_up(FabricNodeId(1), true));
         // Kill router 0's east channel: node 0 -> node 1 now dies in-switch.
         assert!(m.set_switch_port_dead(0, port::EAST as usize, true));
         assert!(!m.set_switch_port_dead(99, 0, true));
-        send(&sim, &m, 0, 1, Arc::from(*b"c"));
+        send(&sim, &m, 0, 1, Rc::from(*b"c"));
         sim.run();
-        assert!(log.locked().is_empty());
+        assert!(log.borrow().is_empty());
         assert_eq!(sim.get_count("switch.dead_port_drop"), 1);
         assert!(m.set_switch_port_dead(0, port::EAST as usize, false));
-        send(&sim, &m, 0, 1, Arc::from(*b"d"));
+        send(&sim, &m, 0, 1, Rc::from(*b"d"));
         sim.run();
-        assert_eq!(log.locked().len(), 1);
+        assert_eq!(log.borrow().len(), 1);
     }
 
     // The shared path, once per wiring: both builders return one `Network`,
     // so each case below runs the same code over Myrinet and the mesh.
 
-    type Build = fn(&Sim, u32) -> Arc<Network>;
+    type Build = fn(&Sim, u32) -> Rc<Network>;
     const WIRINGS: [Build; 2] = [
         |sim, n| Myrinet::build(sim, n, MyrinetConfig::dawning3000()),
         |sim, n| Mesh::build_square(sim, n, MeshConfig::dawning3000()),
@@ -272,16 +267,16 @@ mod tests {
             for (len, ns) in [(0, ns_empty), (4096, ns_mtu)] {
                 let sim = Sim::new(1);
                 let net = build(&sim, nodes);
-                let at = Arc::new(Lock::new(None));
+                let at = Rc::new(RefCell::new(None));
                 let at2 = at.clone();
                 net.attach(
                     FabricNodeId(dst),
-                    Box::new(move |s, _| *at2.locked() = Some(s.now().as_ns())),
+                    Box::new(move |s, _| *at2.borrow_mut() = Some(s.now().as_ns())),
                 );
-                send(&sim, &net, src, dst, Arc::from(vec![0u8; len]));
+                send(&sim, &net, src, dst, Rc::from(vec![0u8; len]));
                 sim.run();
                 let what = format!("{} {src}->{dst} {len} B", net.name());
-                assert_eq!(*at.locked(), Some(ns), "{what}");
+                assert_eq!(*at.borrow(), Some(ns), "{what}");
                 assert_eq!(
                     net.hops(FabricNodeId(src), FabricNodeId(dst)),
                     hops,
@@ -294,7 +289,7 @@ mod tests {
     #[test]
     fn oversized_packet_panics() {
         each_wiring(2, |sim, net| {
-            let msg = panic_message(|| send(sim, net, 0, 1, Arc::from(vec![0u8; 5000])));
+            let msg = panic_message(|| send(sim, net, 0, 1, Rc::from(vec![0u8; 5000])));
             assert_eq!(
                 msg,
                 "packet of 5000 B exceeds MTU 4096 — fragmentation is the protocol's job"
@@ -305,7 +300,7 @@ mod tests {
     #[test]
     fn unclaimed_packets_are_counted_not_lost_silently() {
         each_wiring(2, |sim, net| {
-            send(sim, net, 0, 1, Arc::from(*b"z"));
+            send(sim, net, 0, 1, Rc::from(*b"z"));
             sim.run();
             assert_eq!(sim.get_count("fabric.delivered"), 1, "{}", net.name());
             assert_eq!(sim.get_count("fabric.unclaimed"), 1, "{}", net.name());
@@ -367,11 +362,11 @@ mod tests {
                 msg_id: 7,
                 seq: 0,
             };
-            let payload = Arc::from(*b"lost");
+            let payload = Rc::from(*b"lost");
             net.inject(&sim, FabricNodeId(0), FabricNodeId(1), payload, Some(trace));
             sim.run();
-            assert!(at0.locked().is_empty(), "the wrong host saw the packet");
-            assert!(at1.locked().is_empty());
+            assert!(at0.borrow().is_empty(), "the wrong host saw the packet");
+            assert!(at1.borrow().is_empty());
             assert_eq!(sim.get_count("fabric.misrouted"), 1);
             let drops: Vec<_> = sim
                 .trace_events()

@@ -9,12 +9,13 @@
 //! plan interpreter and the host walking the plan over point-to-point
 //! ([`crate::offload`]).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::BclNode;
 use suca_eadi::{EadiConfig, EadiEndpoint, RecvReq, SendReq, Universe};
 use suca_os::OsProcess;
-use suca_sim::{ActorCtx, Lock, SimDuration};
+use suca_sim::{ActorCtx, SimDuration};
 
 /// Wildcard source (like `MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: i32 = -1;
@@ -70,7 +71,7 @@ pub struct Comm {
     pub(crate) cfg: MpiConfig,
     /// Per-communicator collective sequence number (isolates successive
     /// collectives' traffic in the reserved tag space).
-    pub(crate) coll_seq: Lock<i32>,
+    pub(crate) coll_seq: RefCell<i32>,
     /// Fabric this rank's NIC sits on — keys collective plan selection.
     pub(crate) fabric: &'static str,
     /// Largest NIC-offloadable collective payload (whole `f64` lanes in
@@ -78,7 +79,7 @@ pub struct Comm {
     pub(crate) max_coll_payload: u64,
     /// Next collective id. Every rank issues collectives in the same
     /// order, so the local counter yields the same id cluster-wide.
-    pub(crate) coll_id: Lock<u32>,
+    pub(crate) coll_id: RefCell<u32>,
 }
 
 impl Comm {
@@ -86,7 +87,7 @@ impl Comm {
     /// the BCL port, joins the universe, blocks until all ranks are in.
     pub fn init(
         ctx: &mut ActorCtx,
-        node: &Arc<BclNode>,
+        node: &Rc<BclNode>,
         proc: &OsProcess,
         universe: Universe,
         rank: u32,
@@ -97,10 +98,10 @@ impl Comm {
         Comm {
             eadi,
             cfg,
-            coll_seq: Lock::new(0),
+            coll_seq: RefCell::new(0),
             fabric: node.fabric_name(),
             max_coll_payload,
-            coll_id: Lock::new(1),
+            coll_id: RefCell::new(1),
         }
     }
 
@@ -211,7 +212,7 @@ impl Comm {
 
     /// Internal: fresh tag for one collective invocation.
     pub(crate) fn next_coll_tag(&self) -> i32 {
-        let mut seq = self.coll_seq.locked();
+        let mut seq = self.coll_seq.borrow_mut();
         *seq += 1;
         // Cycle within a window to stay far from user tags.
         COLLECTIVE_TAG_BASE - (*seq % 100_000)

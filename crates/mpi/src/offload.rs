@@ -122,7 +122,7 @@ impl Comm {
     /// Fresh collective id. Ranks issue collectives in identical order, so
     /// independent counters agree cluster-wide.
     pub(crate) fn next_coll_id(&self) -> u32 {
-        let mut id = self.coll_id.locked();
+        let mut id = self.coll_id.borrow_mut();
         let v = *id;
         *id = id.wrapping_add(1);
         v

@@ -6,17 +6,18 @@
 //! its causal chain within the BCL crossing budget (1 trap, 0 interrupts)
 //! regardless of which SAN carried it.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_cluster::{Cluster, ClusterSpec};
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
 use suca_sim::mtrace::{check_completeness, ChainPolicy};
-use suca_sim::{Lock, RunOutcome};
+use suca_sim::RunOutcome;
 
 /// Per-rank transcripts: (rank, bytes), shared across actor closures.
 type RankTranscripts = Vec<(u32, Vec<u8>)>;
-type Transcripts = Arc<Lock<RankTranscripts>>;
+type Transcripts = Rc<RefCell<RankTranscripts>>;
 
 /// Run an MPI job on an explicit cluster spec (the stock helper in
 /// `mpi_e2e.rs` hardcodes Myrinet); returns the cluster so the caller can
@@ -25,12 +26,12 @@ fn mpi_job_on(
     spec: ClusterSpec,
     nodes: u32,
     ranks: u32,
-    body: impl Fn(&mut suca_sim::ActorCtx, &Comm) + Send + Sync + 'static,
+    body: impl Fn(&mut suca_sim::ActorCtx, &Comm) + 'static,
 ) -> Cluster {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, ranks);
-    let body = Arc::new(body);
+    let body = Rc::new(body);
     for r in 0..ranks {
         let uni = uni.clone();
         let body = body.clone();
@@ -112,11 +113,11 @@ fn collectives_identical_on_myrinet_and_mesh_with_closed_chains() {
         ("myrinet", ClusterSpec::dawning3000(NODES)),
         ("mesh", ClusterSpec::dawning3000_mesh(NODES)),
     ] {
-        let transcripts: Transcripts = Arc::new(Lock::new(Vec::new()));
+        let transcripts: Transcripts = Rc::new(RefCell::new(Vec::new()));
         let t2 = transcripts.clone();
         let cluster = mpi_job_on(spec, NODES, RANKS, move |ctx, comm| {
             let transcript = collective_suite(ctx, comm);
-            t2.locked().push((comm.rank(), transcript));
+            t2.borrow_mut().push((comm.rank(), transcript));
         });
 
         // Every traced message — whichever fabric carried it — must close
@@ -130,7 +131,7 @@ fn collectives_identical_on_myrinet_and_mesh_with_closed_chains() {
             report.violations.join("\n")
         );
 
-        let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner();
+        let mut ranks = Rc::into_inner(transcripts).unwrap().into_inner();
         ranks.sort_by_key(|(r, _)| *r);
         assert_eq!(ranks.len(), RANKS as usize, "{name}: missing ranks");
         per_fabric.push((name, ranks));

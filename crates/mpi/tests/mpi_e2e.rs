@@ -1,7 +1,8 @@
 //! MPI layer end-to-end: point-to-point semantics and every collective,
 //! across varied rank counts and both placements (inter- and intra-node).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_cluster::ClusterSpec;
 use suca_eadi::Universe;
@@ -9,15 +10,11 @@ use suca_mpi::{Comm, MpiConfig, ReduceOp, ANY_SOURCE, ANY_TAG};
 use suca_sim::RunOutcome;
 
 /// Run an MPI job: `ranks` processes round-robin over `nodes` nodes.
-fn mpi_job(
-    nodes: u32,
-    ranks: u32,
-    body: impl Fn(&mut suca_sim::ActorCtx, &Comm) + Send + Sync + 'static,
-) {
+fn mpi_job(nodes: u32, ranks: u32, body: impl Fn(&mut suca_sim::ActorCtx, &Comm) + 'static) {
     let cluster = ClusterSpec::dawning3000(nodes).build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, ranks);
-    let body = Arc::new(body);
+    let body = Rc::new(body);
     for r in 0..ranks {
         let uni = uni.clone();
         let body = body.clone();
@@ -73,19 +70,18 @@ fn sendrecv_symmetric_exchange_does_not_deadlock() {
 
 #[test]
 fn barrier_synchronizes() {
-    use suca_sim::Lock;
-    let order: Arc<Lock<Vec<(u32, &'static str)>>> = Arc::new(Lock::new(Vec::new()));
+    let order: Rc<RefCell<Vec<(u32, &'static str)>>> = Rc::new(RefCell::new(Vec::new()));
     let o2 = order.clone();
     mpi_job(3, 3, move |ctx, comm| {
         // Rank 2 dawdles before the barrier; nobody may pass it first.
         if comm.rank() == 2 {
             ctx.sleep(suca_sim::SimDuration::from_ms(1));
         }
-        o2.locked().push((comm.rank(), "before"));
+        o2.borrow_mut().push((comm.rank(), "before"));
         comm.barrier(ctx);
-        o2.locked().push((comm.rank(), "after"));
+        o2.borrow_mut().push((comm.rank(), "after"));
     });
-    let log = order.locked();
+    let log = order.borrow();
     let last_before = log.iter().rposition(|e| e.1 == "before").expect("befores");
     let first_after = log.iter().position(|e| e.1 == "after").expect("afters");
     assert!(last_before < first_after, "barrier violated: {log:?}");

@@ -4,30 +4,31 @@
 //! (`ChainPolicy::collective()`), the fan-in/fan-out happening entirely in
 //! the NIC's plan interpreter.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_cluster::{Cluster, ClusterSpec};
 use suca_coll::{Algorithm, CollKind, Plan, PlanRegistry, Topology};
 use suca_eadi::{Universe, EADI_HEADER};
 use suca_mpi::{Comm, MpiConfig, ReduceOp};
 use suca_sim::mtrace::{check_completeness, stage, ChainPolicy};
-use suca_sim::{Lock, RunOutcome};
+use suca_sim::RunOutcome;
 
 /// Per-rank transcripts: (rank, bytes), shared across actor closures.
 type RankTranscripts = Vec<(u32, Vec<u8>)>;
-type Transcripts = Arc<Lock<RankTranscripts>>;
+type Transcripts = Rc<RefCell<RankTranscripts>>;
 
 fn mpi_job_on(
     spec: ClusterSpec,
     nodes: u32,
     ranks: u32,
     cfg: MpiConfig,
-    body: impl Fn(&mut suca_sim::ActorCtx, &Comm) + Send + Sync + 'static,
+    body: impl Fn(&mut suca_sim::ActorCtx, &Comm) + 'static,
 ) -> Cluster {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, ranks);
-    let body = Arc::new(body);
+    let body = Rc::new(body);
     for r in 0..ranks {
         let uni = uni.clone();
         let body = body.clone();
@@ -117,7 +118,7 @@ fn offloaded_collectives_correct_and_one_trap_on_both_fabrics() {
         ("myrinet", ClusterSpec::dawning3000(NODES)),
         ("mesh", ClusterSpec::dawning3000_mesh(NODES)),
     ] {
-        let transcripts: Transcripts = Arc::new(Lock::new(Vec::new()));
+        let transcripts: Transcripts = Rc::new(RefCell::new(Vec::new()));
         let t2 = transcripts.clone();
         let cluster = mpi_job_on(
             spec,
@@ -129,7 +130,7 @@ fn offloaded_collectives_correct_and_one_trap_on_both_fabrics() {
                 // The communicator's offload buffers stay pinned: after the
                 // first bcast and allreduce, every pin-down lookup hits.
                 assert_eq!(warm, end, "rank {}: offload pins missed", comm.rank());
-                t2.locked().push((comm.rank(), transcript));
+                t2.borrow_mut().push((comm.rank(), transcript));
             },
         );
 
@@ -173,7 +174,7 @@ fn offloaded_collectives_correct_and_one_trap_on_both_fabrics() {
             report.violations.join("\n")
         );
 
-        let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner();
+        let mut ranks = Rc::into_inner(transcripts).unwrap().into_inner();
         ranks.sort_by_key(|(r, _)| *r);
         assert_eq!(ranks.len(), RANKS as usize, "{name}: missing ranks");
         per_fabric.push((name, ranks));
@@ -253,15 +254,15 @@ fn transcripts_of(
     nodes: u32,
     ranks: u32,
     cfg: MpiConfig,
-    body: impl Fn(&mut suca_sim::ActorCtx, &Comm) -> Vec<u8> + Send + Sync + 'static,
+    body: impl Fn(&mut suca_sim::ActorCtx, &Comm) -> Vec<u8> + 'static,
 ) -> RankTranscripts {
-    let transcripts: Transcripts = Arc::new(Lock::new(Vec::new()));
+    let transcripts: Transcripts = Rc::new(RefCell::new(Vec::new()));
     let t2 = transcripts.clone();
     mpi_job_on(spec, nodes, ranks, cfg, move |ctx, comm| {
         let transcript = body(ctx, comm);
-        t2.locked().push((comm.rank(), transcript));
+        t2.borrow_mut().push((comm.rank(), transcript));
     });
-    let mut ranks = Arc::into_inner(transcripts).unwrap().into_inner();
+    let mut ranks = Rc::into_inner(transcripts).unwrap().into_inner();
     ranks.sort_by_key(|(r, _)| *r);
     ranks
 }

@@ -9,12 +9,13 @@
 //! that were never lost and took 53.6 ms of virtual time; with the timer
 //! only probing, nothing is resent and it takes about 9 ms.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_cluster::ClusterSpec;
 use suca_eadi::Universe;
 use suca_mpi::{Comm, MpiConfig};
-use suca_sim::{Lock, RunOutcome, SimDuration, SimTime};
+use suca_sim::{RunOutcome, SimDuration, SimTime};
 
 /// The byte `rank` sends at offset `i` in round `k`.
 fn byte(rank: u32, k: u32, i: usize) -> u8 {
@@ -30,8 +31,8 @@ fn exchange(spec: ClusterSpec, ranks: u32, bytes: usize) -> (SimDuration, u64, u
     let cluster = spec.with_trace_sampling(0).build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, ranks);
-    let span: Arc<Lock<(SimTime, SimTime)>> =
-        Arc::new(Lock::new((SimTime::from_ns(u64::MAX), SimTime::ZERO)));
+    let span: Rc<RefCell<(SimTime, SimTime)>> =
+        Rc::new(RefCell::new((SimTime::from_ns(u64::MAX), SimTime::ZERO)));
     for r in 0..ranks {
         let (uni, span) = (uni.clone(), span.clone());
         cluster.spawn_process(r, format!("mpi{r}"), move |ctx, env| {
@@ -53,13 +54,13 @@ fn exchange(spec: ClusterSpec, ranks: u32, bytes: usize) -> (SimDuration, u64, u
                 let bad = (0..bytes).find(|&i| got.data[i] != byte(partner, k, i));
                 assert_eq!(bad, None, "rank {r} round {k}: first wrong byte");
             }
-            let mut span = span.locked();
+            let mut span = span.borrow_mut();
             span.0 = span.0.min(start);
             span.1 = span.1.max(ctx.now());
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "exchange hung");
-    let (start, end) = *span.locked();
+    let (start, end) = *span.borrow();
     let resent = sim.get_count("bcl.retx_packets");
     (end.since(start), resent, sim.get_count("bcl.rx_discarded"))
 }

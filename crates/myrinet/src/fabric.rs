@@ -11,10 +11,11 @@
 //! Payload bytes are opaque to the fabric — protocols serialize their own
 //! headers into the payload, exactly as on real hardware. The fabric adds a
 //! fixed per-packet framing overhead (route bytes + CRC) to the wire length.
-//! A packet's bytes are one immutable `Arc<[u8]>`: cloning a packet in
+//! A packet's bytes are one immutable `Rc<[u8]>`: cloning a packet in
 //! flight, in a retransmit window or in an rx ring shares them.
 
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 use suca_sim::mtrace::stage;
 use suca_sim::{Counter, Sim, SimDuration};
@@ -48,7 +49,7 @@ pub struct Packet {
     /// Destination NIC.
     pub dst: FabricNodeId,
     /// Protocol payload (headers included).
-    pub payload: Arc<[u8]>,
+    pub payload: Rc<[u8]>,
     /// Set by fault injection when the packet was damaged in flight; the
     /// receiving firmware's CRC check observes this and discards the packet.
     pub corrupted: bool,
@@ -74,7 +75,7 @@ pub const FRAMING_BYTES: u64 = 16;
 
 /// Receive callback a protocol registers on its NIC attachment. Runs as a
 /// simulation event at packet-arrival time.
-pub type RxHandler = Box<dyn Fn(&Sim, Packet) + Send + Sync + 'static>;
+pub type RxHandler = Box<dyn Fn(&Sim, Packet) + 'static>;
 
 /// Stochastic fault injection applied per link traversal.
 #[derive(Clone, Copy, Debug, Default)]
@@ -192,7 +193,7 @@ pub struct LinkSpec {
 
 impl LinkSpec {
     /// A link labelled `label` delivering into `dst`.
-    pub fn link(&self, sim: &Sim, label: String, dst: Arc<dyn PacketSink>) -> Arc<Link> {
+    pub fn link(&self, sim: &Sim, label: String, dst: Rc<dyn PacketSink>) -> Rc<Link> {
         Link::new(
             sim,
             label,
@@ -208,7 +209,7 @@ impl LinkSpec {
 /// protocol's handler, attached once at boot.
 struct Endpoint {
     node: FabricNodeId,
-    handler: OnceLock<RxHandler>,
+    handler: OnceCell<RxHandler>,
     delivered: Counter,
 }
 
@@ -238,13 +239,13 @@ pub struct Network {
     link_bytes_per_sec: u64,
     /// Switches (Myrinet) or routers (mesh), retained so chaos plans can
     /// kill ports.
-    switches: Vec<Arc<Switch>>,
+    switches: Vec<Rc<Switch>>,
     /// Host→switch links, indexed by node.
-    uplinks: Vec<Arc<Link>>,
+    uplinks: Vec<Rc<Link>>,
     /// Switch→host links, indexed by node (a host cable carries both
     /// directions, so a node's "link down" kills both).
-    downlinks: Vec<Arc<Link>>,
-    endpoints: Vec<Arc<Endpoint>>,
+    downlinks: Vec<Rc<Link>>,
+    endpoints: Vec<Rc<Endpoint>>,
     injected: Counter,
 }
 
@@ -257,9 +258,9 @@ impl Network {
         routing: Routing,
         mtu: usize,
         link: LinkSpec,
-        switches: Vec<Arc<Switch>>,
+        switches: Vec<Rc<Switch>>,
         n_nodes: u32,
-    ) -> Arc<Network> {
+    ) -> Rc<Network> {
         let metrics = sim.metrics();
         let delivered = metrics.counter("fabric.delivered");
         let mut uplinks = Vec::with_capacity(n_nodes as usize);
@@ -267,9 +268,9 @@ impl Network {
         let mut endpoints = Vec::with_capacity(n_nodes as usize);
         for node in 0..n_nodes {
             let (sw, port, down_label, up_label) = routing.host_cable(node);
-            let ep = Arc::new(Endpoint {
+            let ep = Rc::new(Endpoint {
                 node: FabricNodeId(node),
-                handler: OnceLock::new(),
+                handler: OnceCell::new(),
                 delivered: delivered.clone(),
             });
             let down = link.link(sim, down_label, ep.clone());
@@ -278,7 +279,7 @@ impl Network {
             uplinks.push(link.link(sim, up_label, switches[sw].clone()));
             endpoints.push(ep);
         }
-        Arc::new(Network {
+        Rc::new(Network {
             routing,
             mtu,
             link_bytes_per_sec: link.bytes_per_sec,
@@ -332,7 +333,7 @@ impl Network {
         sim: &Sim,
         src: FabricNodeId,
         dst: FabricNodeId,
-        payload: Arc<[u8]>,
+        payload: Rc<[u8]>,
         trace: Option<PacketTrace>,
     ) {
         assert!(

@@ -5,16 +5,16 @@
 //! adds a propagation delay, and applies stochastic fault injection with a
 //! per-link deterministic RNG stream.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use suca_sim::mtrace::stage as trace_stage;
-use suca_sim::{Counter, Lock, Sim, SimDuration, SimRng, SimTime};
+use suca_sim::{Counter, Sim, SimDuration, SimRng, SimTime};
 
 use crate::fabric::{FaultPlan, Packet};
 
 /// Anything that can accept a packet coming off a link (a switch or a NIC).
-pub trait PacketSink: Send + Sync {
+pub trait PacketSink {
     /// Handle an arriving packet at the current simulation instant.
     fn deliver(&self, sim: &Sim, pkt: Packet);
 }
@@ -34,11 +34,11 @@ pub struct Link {
     bytes_per_sec: u64,
     propagation: SimDuration,
     fault: FaultPlan,
-    dst: Arc<dyn PacketSink>,
+    dst: Rc<dyn PacketSink>,
     /// Chaos state: a downed link consumes packets without delivering
     /// (counted). Flipped by the chaos controller via [`Link::set_up`].
-    up: AtomicBool,
-    state: Lock<LinkState>,
+    up: Cell<bool>,
+    state: RefCell<LinkState>,
     // Typed metric handles, registered once at link creation; shared cells
     // across all links ("fabric.*" / "link.*" are fabric-wide totals).
     drops: Counter,
@@ -55,24 +55,24 @@ impl Link {
         bytes_per_sec: u64,
         propagation: SimDuration,
         fault: FaultPlan,
-        dst: Arc<dyn PacketSink>,
-    ) -> Arc<Link> {
+        dst: Rc<dyn PacketSink>,
+    ) -> Rc<Link> {
         assert!(bytes_per_sec > 0);
         let label = label.into();
         let rng = sim.fork_rng(&format!("link:{label}"));
         let metrics = sim.metrics();
-        let link = Arc::new(Link {
+        let link = Rc::new(Link {
             label,
             bytes_per_sec,
             propagation,
             fault,
             dst,
-            up: AtomicBool::new(true),
+            up: Cell::new(true),
             drops: metrics.counter("fabric.dropped"),
             corruptions: metrics.counter("fabric.corrupted"),
             tx_bytes: metrics.counter("link.tx_bytes"),
             down_drops: metrics.counter("link.down_drops"),
-            state: Lock::new(LinkState {
+            state: RefCell::new(LinkState {
                 busy_until: SimTime::ZERO,
                 rng,
                 sent: 0,
@@ -87,33 +87,38 @@ impl Link {
         // this cut-through model, so these three probes also cover per-port
         // switch occupancy.
         let ts = sim.timeseries();
-        let w = Arc::downgrade(&link);
+        let w = Rc::downgrade(&link);
         ts.register(
             format!("link.{}.backlog_bytes", link.label),
             suca_sim::FABRIC_NODE,
             None,
             move |now_ns| {
                 w.upgrade().map_or(0, |l| {
-                    let ahead = l.state.locked().busy_until.as_ns().saturating_sub(now_ns);
+                    let ahead = l
+                        .state
+                        .borrow_mut()
+                        .busy_until
+                        .as_ns()
+                        .saturating_sub(now_ns);
                     ahead * l.bytes_per_sec / 1_000_000_000
                 })
             },
         );
-        let w = Arc::downgrade(&link);
+        let w = Rc::downgrade(&link);
         ts.register(
             format!("link.{}.tx_bytes", link.label),
             suca_sim::FABRIC_NODE,
             None,
-            move |_| w.upgrade().map_or(0, |l| l.state.locked().sent_bytes),
+            move |_| w.upgrade().map_or(0, |l| l.state.borrow().sent_bytes),
         );
-        let w = Arc::downgrade(&link);
+        let w = Rc::downgrade(&link);
         ts.register(
             format!("link.{}.busy", link.label),
             suca_sim::FABRIC_NODE,
             None,
             move |now_ns| {
                 w.upgrade().map_or(0, |l| {
-                    u64::from(l.state.locked().busy_until.as_ns() > now_ns)
+                    u64::from(l.state.borrow().busy_until.as_ns() > now_ns)
                 })
             },
         );
@@ -124,27 +129,27 @@ impl Link {
     /// every packet offered to it (counted `link.down_drops`, no delivery,
     /// no wire time — the transmitter sees a dead line, not a busy one).
     pub fn set_up(&self, up: bool) {
-        self.up.store(up, Ordering::Release);
+        self.up.set(up);
     }
 
     /// True unless the chaos controller downed this link.
     pub fn is_up(&self) -> bool {
-        self.up.load(Ordering::Acquire)
+        self.up.get()
     }
 
     /// Transmit a packet: seize the wire for `wire_len / bandwidth`, then
     /// deliver after propagation. Faults are decided here.
-    pub fn send(self: &Arc<Self>, sim: &Sim, mut pkt: Packet) {
+    pub fn send(self: &Rc<Self>, sim: &Sim, mut pkt: Packet) {
         if !self.is_up() {
             self.down_drops.inc();
-            self.state.locked().dropped += 1;
+            self.state.borrow_mut().dropped += 1;
             crate::switch::trace_wire_instant(sim, &pkt, trace_stage::DROP_LINK_DOWN);
             return;
         }
         let tx = SimDuration::for_bytes(pkt.wire_len(), self.bytes_per_sec);
         self.tx_bytes.add(pkt.wire_len());
         let arrival = {
-            let mut st = self.state.locked();
+            let mut st = self.state.borrow_mut();
             let start = st.busy_until.max(sim.now());
             st.busy_until = start + tx;
             st.sent += 1;
@@ -163,13 +168,13 @@ impl Link {
             }
             start + tx + self.propagation
         };
-        let dst = Arc::clone(&self.dst);
+        let dst = Rc::clone(&self.dst);
         sim.schedule_at(arrival, move |s| dst.deliver(s, pkt));
     }
 
     /// `(sent, dropped, corrupted)` counts.
     pub fn stats(&self) -> (u64, u64, u64) {
-        let st = self.state.locked();
+        let st = self.state.borrow();
         (st.sent, st.dropped, st.corrupted)
     }
 
@@ -186,12 +191,12 @@ mod tests {
     use suca_sim::RunOutcome;
 
     struct Recorder {
-        arrivals: Lock<Vec<(u64, bool)>>,
+        arrivals: RefCell<Vec<(u64, bool)>>,
     }
     impl PacketSink for Recorder {
         fn deliver(&self, sim: &Sim, pkt: Packet) {
             self.arrivals
-                .locked()
+                .borrow_mut()
                 .push((sim.now().as_ns(), pkt.corrupted));
         }
     }
@@ -200,7 +205,7 @@ mod tests {
         Packet {
             src: FabricNodeId(0),
             dst: FabricNodeId(1),
-            payload: Arc::from(vec![0u8; n]),
+            payload: Rc::from(vec![0u8; n]),
             corrupted: false,
             route: vec![],
             route_pos: 0,
@@ -211,8 +216,8 @@ mod tests {
     #[test]
     fn transmission_and_propagation_timing() {
         let sim = Sim::new(1);
-        let rec = Arc::new(Recorder {
-            arrivals: Lock::new(Vec::new()),
+        let rec = Rc::new(Recorder {
+            arrivals: RefCell::new(Vec::new()),
         });
         let link = Link::new(
             &sim,
@@ -224,14 +229,14 @@ mod tests {
         );
         link.send(&sim, pkt(1584)); // 1584+16 = 1600 B -> 10 us at 160 MB/s
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(*rec.arrivals.locked(), vec![(10_050, false)]);
+        assert_eq!(*rec.arrivals.borrow(), vec![(10_050, false)]);
     }
 
     #[test]
     fn wire_serializes_packets() {
         let sim = Sim::new(1);
-        let rec = Arc::new(Recorder {
-            arrivals: Lock::new(Vec::new()),
+        let rec = Rc::new(Recorder {
+            arrivals: RefCell::new(Vec::new()),
         });
         let link = Link::new(
             &sim,
@@ -245,15 +250,15 @@ mod tests {
             link.send(&sim, pkt(1584));
         }
         sim.run();
-        let times: Vec<u64> = rec.arrivals.locked().iter().map(|a| a.0).collect();
+        let times: Vec<u64> = rec.arrivals.borrow().iter().map(|a| a.0).collect();
         assert_eq!(times, vec![10_000, 20_000, 30_000]);
     }
 
     #[test]
     fn downed_link_blackholes_then_revives() {
         let sim = Sim::new(1);
-        let rec = Arc::new(Recorder {
-            arrivals: Lock::new(Vec::new()),
+        let rec = Rc::new(Recorder {
+            arrivals: RefCell::new(Vec::new()),
         });
         let link = Link::new(
             &sim,
@@ -269,20 +274,20 @@ mod tests {
             link.send(&sim, pkt(100));
         }
         sim.run();
-        assert!(rec.arrivals.locked().is_empty(), "down link must blackhole");
+        assert!(rec.arrivals.borrow().is_empty(), "down link must blackhole");
         assert_eq!(sim.get_count("link.down_drops"), 3);
         link.set_up(true);
         link.send(&sim, pkt(100));
         sim.run();
-        assert_eq!(rec.arrivals.locked().len(), 1, "revived link delivers");
+        assert_eq!(rec.arrivals.borrow().len(), 1, "revived link delivers");
     }
 
     #[test]
     fn drops_and_corruption_are_deterministic_per_seed() {
         let run = |seed| {
             let sim = Sim::new(seed);
-            let rec = Arc::new(Recorder {
-                arrivals: Lock::new(Vec::new()),
+            let rec = Rc::new(Recorder {
+                arrivals: RefCell::new(Vec::new()),
             });
             let link = Link::new(
                 &sim,
@@ -299,7 +304,7 @@ mod tests {
                 link.send(&sim, pkt(100));
             }
             sim.run();
-            let delivered = rec.arrivals.locked().clone();
+            let delivered = rec.arrivals.borrow().clone();
             let stats = link.stats();
             (delivered, stats)
         };

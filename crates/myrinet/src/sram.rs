@@ -6,9 +6,10 @@
 //! stages packets through SRAM buffers; this pool enforces the capacity so
 //! protocols experience back-pressure when staging outruns draining.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use suca_sim::{Gauge, Lock};
+use suca_sim::Gauge;
 
 struct PoolInner {
     capacity: u64,
@@ -20,7 +21,7 @@ struct PoolInner {
 /// Byte-granular SRAM allocator. Clones share the pool.
 #[derive(Clone)]
 pub struct SramPool {
-    inner: Arc<Lock<PoolInner>>,
+    inner: Rc<RefCell<PoolInner>>,
 }
 
 /// RAII lease on SRAM bytes; returned to the pool on drop.
@@ -34,7 +35,7 @@ impl SramPool {
     /// the MCP reserves most of it for staging buffers).
     pub fn new(capacity: u64) -> Self {
         SramPool {
-            inner: Arc::new(Lock::new(PoolInner {
+            inner: Rc::new(RefCell::new(PoolInner {
                 capacity,
                 used: 0,
                 high_water: 0,
@@ -47,14 +48,14 @@ impl SramPool {
     /// registry gauge. The gauge cell may be shared cluster-wide, so the
     /// pool publishes add/sub deltas rather than absolute levels.
     pub fn attach_gauge(&self, gauge: Gauge) {
-        let mut st = self.inner.locked();
+        let mut st = self.inner.borrow_mut();
         gauge.add(st.used);
         st.gauge = Some(gauge);
     }
 
     /// Try to lease `len` bytes; `None` if the pool cannot satisfy it.
     pub fn try_alloc(&self, len: u64) -> Option<SramLease> {
-        let mut st = self.inner.locked();
+        let mut st = self.inner.borrow_mut();
         if st.used + len > st.capacity {
             return None;
         }
@@ -71,17 +72,17 @@ impl SramPool {
 
     /// Bytes currently leased.
     pub fn used(&self) -> u64 {
-        self.inner.locked().used
+        self.inner.borrow().used
     }
 
     /// Largest simultaneous usage observed.
     pub fn high_water(&self) -> u64 {
-        self.inner.locked().high_water
+        self.inner.borrow().high_water
     }
 
     /// Total capacity.
     pub fn capacity(&self) -> u64 {
-        self.inner.locked().capacity
+        self.inner.borrow().capacity
     }
 }
 
@@ -99,7 +100,7 @@ impl SramLease {
 
 impl Drop for SramLease {
     fn drop(&mut self) {
-        let mut st = self.pool.inner.locked();
+        let mut st = self.pool.inner.borrow_mut();
         st.used -= self.len;
         if let Some(g) = &st.gauge {
             g.sub(self.len);

@@ -5,10 +5,11 @@
 //! Output-port contention is inherited from the output [`Link`]'s
 //! serialization; the crossbar itself is non-blocking.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_sim::mtrace::{stage, TraceEvent, TraceId, TraceLayer};
-use suca_sim::{Counter, Lock, Sim, SimDuration};
+use suca_sim::{Counter, Sim, SimDuration};
 
 use crate::fabric::Packet;
 use crate::link::{Link, PacketSink};
@@ -35,10 +36,10 @@ pub fn trace_wire_instant(sim: &Sim, pkt: &Packet, stage_name: &'static str) {
 pub struct Switch {
     label: String,
     cut_through: SimDuration,
-    out: Lock<Vec<Option<Arc<Link>>>>,
+    out: RefCell<Vec<Option<Rc<Link>>>>,
     /// Chaos state: ports the controller has killed. Packets routed through
     /// a dead port are counted drops, never panics.
-    dead: Lock<Vec<bool>>,
+    dead: RefCell<Vec<bool>>,
     unwired_drops: Counter,
     route_exhausted_drops: Counter,
     dead_port_drops: Counter,
@@ -51,13 +52,13 @@ impl Switch {
         label: impl Into<String>,
         radix: usize,
         cut_through: SimDuration,
-    ) -> Arc<Switch> {
+    ) -> Rc<Switch> {
         let metrics = sim.metrics();
-        Arc::new(Switch {
+        Rc::new(Switch {
             label: label.into(),
             cut_through,
-            out: Lock::new(vec![None; radix]),
-            dead: Lock::new(vec![false; radix]),
+            out: RefCell::new(vec![None; radix]),
+            dead: RefCell::new(vec![false; radix]),
             unwired_drops: metrics.counter("switch.unwired_drop"),
             route_exhausted_drops: metrics.counter("switch.route_exhausted_drop"),
             dead_port_drops: metrics.counter("switch.dead_port_drop"),
@@ -66,8 +67,8 @@ impl Switch {
 
     /// Wire output port `port` to `link`. Panics on double-wiring: topology
     /// construction bugs should fail loudly.
-    pub fn connect(&self, port: usize, link: Arc<Link>) {
-        let mut out = self.out.locked();
+    pub fn connect(&self, port: usize, link: Rc<Link>) {
+        let mut out = self.out.borrow_mut();
         assert!(
             out[port].is_none(),
             "switch {} port {port} wired twice",
@@ -78,13 +79,13 @@ impl Switch {
 
     /// Switch radix.
     pub fn radix(&self) -> usize {
-        self.out.locked().len()
+        self.out.borrow().len()
     }
 
     /// Chaos hook: kill or revive an output port. Out-of-range ports return
     /// `false` (a chaos plan naming a bad port must not panic the sim).
     pub fn set_port_dead(&self, port: usize, dead: bool) -> bool {
-        let mut d = self.dead.locked();
+        let mut d = self.dead.borrow_mut();
         match d.get_mut(port) {
             Some(slot) => {
                 *slot = dead;
@@ -108,13 +109,13 @@ impl PacketSink for Switch {
         }
         let port = pkt.route[pkt.route_pos] as usize;
         pkt.route_pos += 1;
-        if self.dead.locked().get(port).copied().unwrap_or(false) {
+        if self.dead.borrow_mut().get(port).copied().unwrap_or(false) {
             self.dead_port_drops.inc();
             trace_wire_instant(sim, &pkt, stage::DROP_DEAD_PORT);
             return;
         }
         let link = {
-            let out = self.out.locked();
+            let out = self.out.borrow();
             match out.get(port).and_then(|l| l.as_ref()) {
                 Some(link) => link.clone(),
                 None => {
@@ -135,17 +136,17 @@ mod tests {
     use super::*;
     use crate::fabric::{FabricNodeId, FaultPlan};
 
-    struct Recorder(Lock<Vec<u64>>);
+    struct Recorder(RefCell<Vec<u64>>);
     impl PacketSink for Recorder {
         fn deliver(&self, sim: &Sim, _pkt: Packet) {
-            self.0.locked().push(sim.now().as_ns());
+            self.0.borrow_mut().push(sim.now().as_ns());
         }
     }
 
     #[test]
     fn routes_through_ports_with_cut_through_latency() {
         let sim = Sim::new(1);
-        let rec = Arc::new(Recorder(Lock::new(Vec::new())));
+        let rec = Rc::new(Recorder(RefCell::new(Vec::new())));
         let sw = Switch::new(&sim, "sw0", 8, SimDuration::from_ns(300));
         let out = Link::new(
             &sim,
@@ -159,7 +160,7 @@ mod tests {
         let pkt = Packet {
             src: FabricNodeId(0),
             dst: FabricNodeId(1),
-            payload: Arc::from(*b""), // 16 B framing -> 100 ns at 160 MB/s
+            payload: Rc::from(*b""), // 16 B framing -> 100 ns at 160 MB/s
             corrupted: false,
             route: vec![3],
             route_pos: 0,
@@ -167,7 +168,7 @@ mod tests {
         };
         sw.deliver(&sim, pkt);
         sim.run();
-        assert_eq!(*rec.0.locked(), vec![400]); // 300 cut-through + 100 wire
+        assert_eq!(*rec.0.borrow(), vec![400]); // 300 cut-through + 100 wire
     }
 
     #[test]
@@ -177,7 +178,7 @@ mod tests {
         let pkt = Packet {
             src: FabricNodeId(0),
             dst: FabricNodeId(1),
-            payload: Arc::from(*b""),
+            payload: Rc::from(*b""),
             corrupted: false,
             route: vec![5],
             route_pos: 0,
@@ -197,7 +198,7 @@ mod tests {
         let pkt = Packet {
             src: FabricNodeId(0),
             dst: FabricNodeId(1),
-            payload: Arc::from(*b""),
+            payload: Rc::from(*b""),
             corrupted: false,
             route: vec![200],
             route_pos: 0,
@@ -211,7 +212,7 @@ mod tests {
     #[test]
     fn dead_port_is_a_counted_drop_and_revivable() {
         let sim = Sim::new(1);
-        let rec = Arc::new(Recorder(Lock::new(Vec::new())));
+        let rec = Rc::new(Recorder(RefCell::new(Vec::new())));
         let sw = Switch::new(&sim, "swx", 8, SimDuration::ZERO);
         let out = Link::new(
             &sim,
@@ -230,7 +231,7 @@ mod tests {
         let mk = || Packet {
             src: FabricNodeId(0),
             dst: FabricNodeId(1),
-            payload: Arc::from(*b""),
+            payload: Rc::from(*b""),
             corrupted: false,
             route: vec![3],
             route_pos: 0,
@@ -239,11 +240,11 @@ mod tests {
         sw.deliver(&sim, mk());
         sim.run();
         assert_eq!(sim.get_count("switch.dead_port_drop"), 1);
-        assert!(rec.0.locked().is_empty());
+        assert!(rec.0.borrow().is_empty());
         assert!(sw.set_port_dead(3, false));
         sw.deliver(&sim, mk());
         sim.run();
-        assert_eq!(rec.0.locked().len(), 1, "revived port forwards again");
+        assert_eq!(rec.0.borrow().len(), 1, "revived port forwards again");
     }
 
     #[test]
@@ -253,7 +254,7 @@ mod tests {
         let pkt = Packet {
             src: FabricNodeId(0),
             dst: FabricNodeId(1),
-            payload: Arc::from(*b""),
+            payload: Rc::from(*b""),
             corrupted: false,
             route: vec![],
             route_pos: 0,

@@ -6,7 +6,7 @@
 //! right neighbor trunks. Source routes are computed at injection time, as
 //! Myrinet does: one route byte per switch hop.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_sim::{Sim, SimDuration};
 
@@ -50,11 +50,11 @@ pub struct Myrinet;
 
 impl Myrinet {
     /// Build a network with `n_nodes` attachment points.
-    pub fn build(sim: &Sim, n_nodes: u32, cfg: MyrinetConfig) -> Arc<Network> {
+    pub fn build(sim: &Sim, n_nodes: u32, cfg: MyrinetConfig) -> Rc<Network> {
         assert!(n_nodes > 0);
         assert!(cfg.hosts_per_switch >= 1 && cfg.hosts_per_switch <= PORT_RIGHT);
         let hosts_per_switch = cfg.hosts_per_switch;
-        let switches: Vec<Arc<Switch>> = (0..(n_nodes as usize).div_ceil(hosts_per_switch))
+        let switches: Vec<Rc<Switch>> = (0..(n_nodes as usize).div_ceil(hosts_per_switch))
             .map(|i| Switch::new(sim, format!("sw{i}"), 8, cfg.switch_cut_through))
             .collect();
         let link = LinkSpec {
@@ -79,17 +79,18 @@ impl Myrinet {
 mod tests {
     use super::*;
     use crate::fabric::FabricNodeId;
-    use suca_sim::{Lock, RunOutcome};
+    use std::cell::RefCell;
+    use suca_sim::RunOutcome;
 
-    type Arrivals = Arc<Lock<Vec<(u64, Vec<u8>, bool)>>>;
+    type Arrivals = Rc<RefCell<Vec<(u64, Vec<u8>, bool)>>>;
 
     fn collect_arrivals(net: &Network, node: u32) -> Arrivals {
-        let log = Arc::new(Lock::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let l2 = log.clone();
         net.attach(
             FabricNodeId(node),
             Box::new(move |s, pkt| {
-                l2.locked()
+                l2.borrow_mut()
                     .push((s.now().as_ns(), pkt.payload.to_vec(), pkt.corrupted));
             }),
         );
@@ -101,7 +102,7 @@ mod tests {
             sim,
             FabricNodeId(src),
             FabricNodeId(dst),
-            Arc::from(payload),
+            Rc::from(payload),
             None,
         );
     }
@@ -113,7 +114,7 @@ mod tests {
         let log = collect_arrivals(&net, 1);
         send(&sim, &net, 0, 1, b"ping");
         assert_eq!(sim.run(), RunOutcome::Completed);
-        let got = log.locked();
+        let got = log.borrow();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].1, b"ping");
         // 2 links * (20 B / 160 MB/s = 125 ns + 50 ns prop) + 300 ns switch.
@@ -130,12 +131,12 @@ mod tests {
         let log = collect_arrivals(&net, 13);
         send(&sim, &net, 0, 13, b"x");
         sim.run();
-        assert_eq!(log.locked().len(), 1);
+        assert_eq!(log.borrow().len(), 1);
         // And the reverse direction too.
         let back = collect_arrivals(&net, 0);
         send(&sim, &net, 13, 0, b"y");
         sim.run();
-        assert_eq!(back.locked().len(), 1);
+        assert_eq!(back.borrow().len(), 1);
     }
 
     #[test]
@@ -149,14 +150,14 @@ mod tests {
                     &sim,
                     FabricNodeId(src),
                     FabricNodeId(dst),
-                    Arc::from(src.to_le_bytes()),
+                    Rc::from(src.to_le_bytes()),
                     None,
                 );
             }
         }
         assert_eq!(sim.run(), RunOutcome::Completed);
         for (n, log) in counts.iter().enumerate() {
-            assert_eq!(log.locked().len(), 70, "node {n} missed packets");
+            assert_eq!(log.borrow().len(), 70, "node {n} missed packets");
         }
         assert_eq!(sim.get_count("fabric.delivered"), 70 * 70);
     }
@@ -173,16 +174,16 @@ mod tests {
         send(&sim, &net, 1, 2, b"a");
         send(&sim, &net, 0, 1, b"b");
         sim.run();
-        assert!(at1.locked().is_empty());
-        assert!(at2.locked().is_empty());
+        assert!(at1.borrow().is_empty());
+        assert!(at2.borrow().is_empty());
         assert_eq!(sim.get_count("link.down_drops"), 2);
         // Revival restores both directions.
         assert!(net.set_node_link_up(FabricNodeId(1), true));
         send(&sim, &net, 1, 2, b"c");
         send(&sim, &net, 0, 1, b"d");
         sim.run();
-        assert_eq!(at1.locked().len(), 1);
-        assert_eq!(at2.locked().len(), 1);
+        assert_eq!(at1.borrow().len(), 1);
+        assert_eq!(at2.borrow().len(), 1);
     }
 
     #[test]
@@ -198,11 +199,11 @@ mod tests {
         assert!(!net.set_switch_port_dead(0, 200, true));
         send(&sim, &net, 0, 13, b"x");
         sim.run();
-        assert!(log.locked().is_empty());
+        assert!(log.borrow().is_empty());
         assert_eq!(sim.get_count("switch.dead_port_drop"), 1);
         assert!(net.set_switch_port_dead(0, PORT_RIGHT, false));
         send(&sim, &net, 0, 13, b"y");
         sim.run();
-        assert_eq!(log.locked().len(), 1);
+        assert_eq!(log.borrow().len(), 1);
     }
 }

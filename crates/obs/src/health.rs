@@ -34,17 +34,17 @@
 //! The engine is created **unarmed** and registers nothing: harnesses that
 //! never install rules see byte-identical metric/timeseries artifacts.
 //! Arming happens once via [`HealthEngine::install`]; the hot-path hooks
-//! cost one relaxed atomic load while unarmed.
+//! cost one `Cell` read while unarmed.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::timeseries::{TimeSeries, FABRIC_NODE};
 use crate::trace::{stage, MsgTracer, TraceEvent, TraceId, TraceLayer};
 use crate::watchdog::Stall;
-use crate::{json_escape, Counter, Gauge, HistogramSnapshot, Lock, Metrics};
+use crate::{json_escape, Counter, Gauge, HistogramSnapshot, Metrics};
 
 /// Schema tag carried in every [`AlertReport`].
 pub const SCHEMA: &str = "suca.health.v1";
@@ -460,8 +460,8 @@ struct EngineState {
 /// registry footprint) and armed once via [`HealthEngine::install`]; driven
 /// by the telemetry tick.
 pub struct HealthEngine {
-    armed: AtomicBool,
-    state: Lock<Option<EngineState>>,
+    armed: Cell<bool>,
+    state: RefCell<Option<EngineState>>,
 }
 
 impl Default for HealthEngine {
@@ -471,18 +471,18 @@ impl Default for HealthEngine {
 }
 
 impl HealthEngine {
-    /// An unarmed engine: every hook is a no-op costing one atomic load.
+    /// An unarmed engine: every hook is a no-op costing one `Cell` read.
     pub fn new() -> Self {
         HealthEngine {
-            armed: AtomicBool::new(false),
-            state: Lock::new(None),
+            armed: Cell::new(false),
+            state: RefCell::new(None),
         }
     }
 
     /// Is a rule set installed?
     #[inline]
     pub fn armed(&self) -> bool {
-        self.armed.load(Ordering::Relaxed)
+        self.armed.get()
     }
 
     /// Install `rules` and register the `health.*` instruments. Call once
@@ -492,7 +492,7 @@ impl HealthEngine {
     /// no probe with a declared capacity would never evaluate, so it panics
     /// too.
     pub fn install(&self, rules: Vec<HealthRule>, metrics: &Metrics, series: &TimeSeries) {
-        let mut st = self.state.locked();
+        let mut st = self.state.borrow_mut();
         assert!(st.is_none(), "health rules already installed for this run");
         let probes = series.snapshot().series;
         for r in &rules {
@@ -543,7 +543,7 @@ impl HealthEngine {
             c_resolved: metrics.counter("health.alerts_resolved"),
             g_firing: metrics.gauge("health.firing"),
         });
-        self.armed.store(true, Ordering::Release);
+        self.armed.set(true);
     }
 
     /// Completion hook (the `suca-rpc` client calls this for every resolved
@@ -554,7 +554,7 @@ impl HealthEngine {
         if !self.armed() {
             return;
         }
-        let mut st = self.state.locked();
+        let mut st = self.state.borrow_mut();
         if let Some(st) = st.as_mut() {
             st.windows.open[tenant_idx(tenant)][class_idx(op_class)].record(ok, latency_ns);
         }
@@ -567,7 +567,7 @@ impl HealthEngine {
         if !self.armed() {
             return;
         }
-        let mut st = self.state.locked();
+        let mut st = self.state.borrow_mut();
         if let Some(st) = st.as_mut() {
             st.windows.open[tenant_idx(tenant)][class_idx(op_class)].err += 1;
         }
@@ -583,7 +583,7 @@ impl HealthEngine {
         if !self.armed() || stalls.is_empty() {
             return;
         }
-        let mut guard = self.state.locked();
+        let mut guard = self.state.borrow_mut();
         let Some(st) = guard.as_mut() else {
             return;
         };
@@ -611,7 +611,7 @@ impl HealthEngine {
         if !self.armed() {
             return;
         }
-        let mut guard = self.state.locked();
+        let mut guard = self.state.borrow_mut();
         let Some(st) = guard.as_mut() else {
             return;
         };
@@ -774,7 +774,7 @@ impl HealthEngine {
     /// fires is not an alert).
     pub fn alerts(&self) -> Vec<AlertRecord> {
         self.state
-            .locked()
+            .borrow_mut()
             .as_ref()
             .map(|st| st.alerts.clone())
             .unwrap_or_default()
@@ -808,7 +808,7 @@ impl HealthEngine {
         ticks: u32,
     ) -> (HistogramSnapshot, u64, u64) {
         self.state
-            .locked()
+            .borrow_mut()
             .as_ref()
             .map(|st| st.windows.window(tenant, class, ticks))
             .unwrap_or((HistogramSnapshot::empty(), 0, 0))
@@ -824,7 +824,7 @@ impl HealthEngine {
         seed: u64,
         detections: &[DetectionSpec],
     ) -> AlertReport {
-        let guard = self.state.locked();
+        let guard = self.state.borrow();
         let (rules, alerts, ticks) = match guard.as_ref() {
             Some(st) => (st.rules.clone(), st.alerts.clone(), st.ticks),
             None => (Vec::new(), Vec::new(), 0),
@@ -1224,18 +1224,16 @@ mod tests {
     fn saturation_hysteresis_holds_between_thresholds() {
         let rule = HealthRule::saturation("queue-sat", "mcp.send_queue", 900_000, 400_000)
             .with_lifecycle(2, 2);
-        let level = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let level = std::rc::Rc::new(Cell::new(0));
         let l2 = level.clone();
         let ts = TimeSeries::new();
-        ts.register("n3.mcp.send_queue", 3, Some(100), move |_| {
-            l2.load(std::sync::atomic::Ordering::Relaxed)
-        });
+        ts.register("n3.mcp.send_queue", 3, Some(100), move |_| l2.get());
         // An unrelated probe with capacity must not create a scope.
         ts.register("n3.nic.sram_used", 3, Some(100), |_| 100);
         let (h, _m, ts, tr) = engine_on(ts, vec![rule]);
         let mut t = 0u64;
         let step = |h: &HealthEngine, lvl: u64, t: &mut u64| {
-            level.store(lvl, std::sync::atomic::Ordering::Relaxed);
+            level.set(lvl);
             *t += 10_000;
             ts.sample_all(*t);
             h.on_tick(*t, &ts, &tr);

@@ -13,19 +13,19 @@
 //!   fraction of the wall clock is attributed.
 //!
 //! Lock accounting is phase-based: `lock_acquisitions` counts every
-//! event-queue lock the pop phase takes, while `lock_hold_ns` is the pop
-//! phase's wall time — it runs entirely under the queue lock (dispatch never
-//! does).
+//! event-queue borrow the pop phase takes, while `lock_hold_ns` is the pop
+//! phase's wall time — it runs entirely inside the queue borrow (dispatch
+//! never does).
 //!
-//! The profiler is **off by default**. Disabled cost is one relaxed atomic
-//! load per hook. Counters in [`ProfReport::counters_json`]
+//! The profiler is **off by default**. Disabled cost is one `Cell` read per
+//! hook. Counters in [`ProfReport::counters_json`]
 //! are deterministic for a fixed seed (they follow the dispatch schedule);
 //! wall-clock and allocation numbers are not and live in separate JSON
 //! sections.
 
+use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Event-kind index for closure events.
 pub const KIND_CALL: usize = 0;
@@ -38,21 +38,27 @@ const KIND_NAMES: [&str; 3] = ["call", "wake", "poll"];
 
 #[derive(Default)]
 struct ProfShared {
-    enabled: AtomicBool,
-    dispatch_count: [AtomicU64; 3],
-    dispatch_ns: [AtomicU64; 3],
-    alloc_count: [AtomicU64; 3],
-    alloc_bytes: [AtomicU64; 3],
-    run_ns: AtomicU64,
-    pop_ns: AtomicU64,
-    lock_acquisitions: AtomicU64,
+    enabled: Cell<bool>,
+    dispatch_count: [Cell<u64>; 3],
+    dispatch_ns: [Cell<u64>; 3],
+    alloc_count: [Cell<u64>; 3],
+    alloc_bytes: [Cell<u64>; 3],
+    run_ns: Cell<u64>,
+    pop_ns: Cell<u64>,
+    lock_acquisitions: Cell<u64>,
+}
+
+/// Add `n` to a profiler cell.
+#[inline]
+fn bump(c: &Cell<u64>, n: u64) {
+    c.set(c.get().wrapping_add(n));
 }
 
 /// Shared handle to one engine's profiler state. Cloning shares the cells;
-/// every hook is a relaxed atomic op, safe from any thread.
+/// every hook is a plain add on the engine's thread.
 #[derive(Clone, Default)]
 pub struct EngineProf {
-    inner: Arc<ProfShared>,
+    inner: Rc<ProfShared>,
 }
 
 impl EngineProf {
@@ -64,55 +70,52 @@ impl EngineProf {
     /// Is profiling on? The engine checks this once per hook.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        self.inner.enabled.get()
     }
 
     /// Turn profiling on/off. Accumulated numbers are kept either way.
     pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
+        self.inner.enabled.set(on);
     }
 
-    /// `n` scheduler-side lock acquisitions.
+    /// `n` scheduler-side queue borrows.
     #[inline]
     pub fn lock_acq(&self, n: u64) {
-        self.inner.lock_acquisitions.fetch_add(n, Ordering::Relaxed);
+        bump(&self.inner.lock_acquisitions, n);
     }
 
     /// One dispatched event of `kind` that took `ns` wall nanoseconds and
     /// made `allocs` heap allocations totalling `alloc_bytes`.
     #[inline]
     pub fn dispatch(&self, kind: usize, ns: u64, allocs: u64, alloc_bytes: u64) {
-        self.inner.dispatch_count[kind].fetch_add(1, Ordering::Relaxed);
-        self.inner.dispatch_ns[kind].fetch_add(ns, Ordering::Relaxed);
-        self.inner.alloc_count[kind].fetch_add(allocs, Ordering::Relaxed);
-        self.inner.alloc_bytes[kind].fetch_add(alloc_bytes, Ordering::Relaxed);
+        let s = &self.inner;
+        bump(&s.dispatch_count[kind], 1);
+        bump(&s.dispatch_ns[kind], ns);
+        bump(&s.alloc_count[kind], allocs);
+        bump(&s.alloc_bytes[kind], alloc_bytes);
     }
 
-    /// Add wall time to the queue-pop phase (runs under the queue lock).
+    /// Add wall time to the queue-pop phase (runs inside the queue borrow).
     #[inline]
     pub fn add_pop_ns(&self, ns: u64) {
-        self.inner.pop_ns.fetch_add(ns, Ordering::Relaxed);
+        bump(&self.inner.pop_ns, ns);
     }
 
     /// Add wall time to the whole run loop.
     #[inline]
     pub fn add_run_ns(&self, ns: u64) {
-        self.inner.run_ns.fetch_add(ns, Ordering::Relaxed);
+        bump(&self.inner.run_ns, ns);
     }
 
     /// Total events dispatched while profiling (all kinds).
     pub fn events(&self) -> u64 {
-        self.inner
-            .dispatch_count
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        self.inner.dispatch_count.iter().map(Cell::get).sum()
     }
 
     /// Point-in-time report.
     pub fn report(&self) -> ProfReport {
         let s = &self.inner;
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let ld = Cell::get;
         ProfReport {
             enabled: self.enabled(),
             cross_shard_pushes: 0,
@@ -145,9 +148,9 @@ pub struct ProfReport {
     pub alloc_bytes: [u64; 3],
     /// Run-loop wall nanoseconds.
     pub run_ns: u64,
-    /// Queue-pop phase wall nanoseconds (under the queue lock).
+    /// Queue-pop phase wall nanoseconds (inside the queue borrow).
     pub pop_ns: u64,
-    /// Scheduler-side lock acquisitions.
+    /// Scheduler-side queue borrows.
     pub lock_acquisitions: u64,
 }
 
@@ -180,7 +183,7 @@ impl ProfReport {
     }
 
     /// Scheduler lock-hold wall nanoseconds (the pop phase runs entirely
-    /// under the queue lock).
+    /// inside the queue borrow).
     pub fn lock_hold_ns(&self) -> u64 {
         self.pop_ns
     }

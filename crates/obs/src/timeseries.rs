@@ -21,13 +21,14 @@
 //!   *full*: what the health engine's `saturation` rules
 //!   ([`crate::health`]) compare its latest sample against.
 //!
-//! Sampling closures run under the registry lock and must not call back
-//! into the [`TimeSeries`] they are registered with.
+//! Sampling closures run while the registry is borrowed and must not call
+//! back into the [`TimeSeries`] they are registered with.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use crate::{json_escape, Lock};
+use crate::json_escape;
 
 /// Pseudo-node id for fabric-wide probes (per-link backlog, trunk
 /// utilization) that belong to no single host. Rendered as node `-1` in
@@ -38,7 +39,7 @@ pub const FABRIC_NODE: u32 = u32::MAX;
 /// period this keeps ~41 ms of history per probe.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
-type SampleFn = Box<dyn Fn(u64) -> u64 + Send + Sync>;
+type SampleFn = Box<dyn Fn(u64) -> u64>;
 
 struct Probe {
     name: String,
@@ -56,9 +57,9 @@ struct Inner {
 }
 
 /// The probe registry plus the bounded sample rings. One per simulation,
-/// held (like [`crate::Metrics`]) outside the engine lock.
+/// held (like [`crate::Metrics`]) outside the engine's queue.
 pub struct TimeSeries {
-    inner: Lock<Inner>,
+    inner: RefCell<Inner>,
 }
 
 impl Default for TimeSeries {
@@ -76,7 +77,7 @@ impl TimeSeries {
     /// Empty registry keeping the last `ring_capacity` samples per probe.
     pub fn with_capacity(ring_capacity: usize) -> Self {
         TimeSeries {
-            inner: Lock::new(Inner {
+            inner: RefCell::new(Inner {
                 probes: Vec::new(),
                 ring_capacity: ring_capacity.max(1),
                 samples_taken: 0,
@@ -97,10 +98,10 @@ impl TimeSeries {
         name: impl Into<String>,
         node: u32,
         capacity: Option<u64>,
-        sample: impl Fn(u64) -> u64 + Send + Sync + 'static,
+        sample: impl Fn(u64) -> u64 + 'static,
     ) {
         let name = name.into();
-        let mut inner = self.inner.locked();
+        let mut inner = self.inner.borrow_mut();
         assert!(
             !inner.probes.iter().any(|p| p.name == name),
             "duplicate telemetry probe {name:?}"
@@ -118,7 +119,7 @@ impl TimeSeries {
 
     /// Sampling ticks taken so far.
     pub fn samples_taken(&self) -> u64 {
-        self.inner.locked().samples_taken
+        self.inner.borrow().samples_taken
     }
 
     /// Read every probe at virtual time `now_ns` and append the points to
@@ -126,7 +127,7 @@ impl TimeSeries {
     /// simulator's telemetry tick; probes are visited in registration
     /// order, which is deterministic under a fixed seed.
     pub fn sample_all(&self, now_ns: u64) {
-        let mut inner = self.inner.locked();
+        let mut inner = self.inner.borrow_mut();
         let ring_capacity = inner.ring_capacity;
         inner.samples_taken += 1;
         for p in inner.probes.iter_mut() {
@@ -145,7 +146,7 @@ impl TimeSeries {
     /// rules read levels through this on every tick — [`Self::snapshot`]
     /// would clone the full history each time.
     pub fn for_each_latest(&self, mut f: impl FnMut(&str, u32, Option<u64>, u64)) {
-        let inner = self.inner.locked();
+        let inner = self.inner.borrow();
         for p in &inner.probes {
             if let Some(&(_, v)) = p.ring.back() {
                 f(&p.name, p.node, p.capacity, v);
@@ -155,7 +156,7 @@ impl TimeSeries {
 
     /// Point-in-time copy of every probe's ring, sorted by probe name.
     pub fn snapshot(&self) -> TimeSeriesSnapshot {
-        let inner = self.inner.locked();
+        let inner = self.inner.borrow();
         let mut series: Vec<SeriesSnapshot> = inner
             .probes
             .iter()
@@ -494,7 +495,7 @@ mod tests {
     fn rings_hold_nothing_until_sampled_and_grow_to_the_bound() {
         let ts = TimeSeries::new();
         ts.register("idle", 0, None, |_| 0);
-        let ring_capacity = |ts: &TimeSeries| ts.inner.locked().probes[0].ring.capacity();
+        let ring_capacity = |ts: &TimeSeries| ts.inner.borrow().probes[0].ring.capacity();
         assert_eq!(ring_capacity(&ts), 0, "registration reserves no ring");
         let bound = DEFAULT_RING_CAPACITY as u64;
         for t in 0..bound + 2 {

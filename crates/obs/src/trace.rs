@@ -14,7 +14,7 @@
 //! * [`TraceEvent`] — one typed record (span with begin/end, or instant)
 //!   tagged with layer, node, message identity, sequence number and bytes.
 //! * [`MsgTracer`] — bounded per-node ring buffers holding the most recent
-//!   events. Always armed (one [`crate::Lock`] taken per admitted event;
+//!   events. Always armed (one `RefCell` borrow per admitted event;
 //!   [`SampleSpec`] decides which messages are admitted) so it doubles as a
 //!   *flight recorder*: [`MsgTracer::dump_once`] prints the rings to stderr
 //!   on the first sim panic or protocol error.
@@ -36,12 +36,12 @@
 //! so it cannot name `SimTime`; the engine converts at the recording site.
 
 use std::borrow::Cow;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use crate::{json_escape, Lock, Metrics};
+use crate::{json_escape, Metrics};
 
 /// Identity of one traced message: the node that originated the send plus
 /// the kernel-assigned message id. The pair is unique cluster-wide because
@@ -463,17 +463,17 @@ struct NodeRing {
 }
 
 struct TracerInner {
-    capacity: AtomicUsize,
-    dumped: AtomicBool,
-    /// Sampling state, split into atomics so the record path never takes a
-    /// lock to consult it. `rate_ppm == 1_000_000` means record all.
-    sample_rate_ppm: AtomicU32,
-    sample_seed: AtomicU64,
+    capacity: Cell<usize>,
+    dumped: Cell<bool>,
+    /// The sampling spec, in a `Cell` of its own so the record path never
+    /// borrows the rings to consult it. `rate_ppm == 1_000_000` means
+    /// record all.
+    sampling: Cell<SampleSpec>,
     /// Events rejected by the sampler (kept for rate accounting).
-    sampled_out: AtomicU64,
+    sampled_out: Cell<u64>,
     /// Per-node rings, keyed by node id so sparse / sentinel ids (the
     /// fabric pseudo-node is `u32::MAX`) cost one map entry, not an index.
-    rings: Lock<BTreeMap<u32, NodeRing>>,
+    rings: RefCell<BTreeMap<u32, NodeRing>>,
 }
 
 /// Default ring capacity per node. Sized so a small debugging run keeps its
@@ -487,7 +487,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 8192;
 /// [`MsgTracer::set_sampling`].
 #[derive(Clone)]
 pub struct MsgTracer {
-    inner: Arc<TracerInner>,
+    inner: Rc<TracerInner>,
 }
 
 impl Default for MsgTracer {
@@ -505,28 +505,27 @@ impl MsgTracer {
     /// Tracer keeping the last `capacity` events per node.
     pub fn with_capacity(capacity: usize) -> Self {
         MsgTracer {
-            inner: Arc::new(TracerInner {
-                capacity: AtomicUsize::new(capacity.max(1)),
-                dumped: AtomicBool::new(false),
-                sample_rate_ppm: AtomicU32::new(1_000_000),
-                sample_seed: AtomicU64::new(0),
-                sampled_out: AtomicU64::new(0),
-                rings: Lock::new(BTreeMap::new()),
+            inner: Rc::new(TracerInner {
+                capacity: Cell::new(capacity.max(1)),
+                dumped: Cell::new(false),
+                sampling: Cell::new(SampleSpec::ALL),
+                sampled_out: Cell::new(0),
+                rings: RefCell::new(BTreeMap::new()),
             }),
         }
     }
 
     /// Per-node ring capacity.
     pub fn capacity(&self) -> usize {
-        self.inner.capacity.load(Ordering::Relaxed)
+        self.inner.capacity.get()
     }
 
     /// Resize the per-node rings (existing rings are trimmed from the
     /// oldest end).
     pub fn set_capacity(&self, capacity: usize) {
         let capacity = capacity.max(1);
-        self.inner.capacity.store(capacity, Ordering::Relaxed);
-        let mut rings = self.inner.rings.locked();
+        self.inner.capacity.set(capacity);
+        let mut rings = self.inner.rings.borrow_mut();
         for ring in rings.values_mut() {
             while ring.events.len() > capacity {
                 ring.events.pop_front();
@@ -537,10 +536,7 @@ impl MsgTracer {
 
     /// The active sampling spec ([`SampleSpec::ALL`] by default).
     pub fn sampling(&self) -> SampleSpec {
-        SampleSpec {
-            rate_ppm: self.inner.sample_rate_ppm.load(Ordering::Relaxed),
-            seed: self.inner.sample_seed.load(Ordering::Relaxed),
-        }
+        self.inner.sampling.get()
     }
 
     /// Install a sampling spec. Events of unadmitted messages are dropped
@@ -548,15 +544,15 @@ impl MsgTracer {
     /// ([`TraceId::NONE`]) events always pass, so the flight recorder
     /// stays armed for errors at any rate.
     pub fn set_sampling(&self, spec: SampleSpec) {
-        self.inner
-            .sample_rate_ppm
-            .store(spec.rate_ppm.min(1_000_000), Ordering::Relaxed);
-        self.inner.sample_seed.store(spec.seed, Ordering::Relaxed);
+        self.inner.sampling.set(SampleSpec {
+            rate_ppm: spec.rate_ppm.min(1_000_000),
+            seed: spec.seed,
+        });
     }
 
     /// Events rejected by the sampler so far.
     pub fn total_sampled_out(&self) -> u64 {
-        self.inner.sampled_out.load(Ordering::Relaxed)
+        self.inner.sampled_out.get()
     }
 
     /// Record one event into its node's ring, evicting the oldest entry
@@ -564,11 +560,12 @@ impl MsgTracer {
     /// messages are counted and dropped.
     pub fn record(&self, ev: TraceEvent) {
         if !self.sampling().admits(ev.trace) {
-            self.inner.sampled_out.fetch_add(1, Ordering::Relaxed);
+            let out = &self.inner.sampled_out;
+            out.set(out.get() + 1);
             return;
         }
         let capacity = self.capacity();
-        let mut rings = self.inner.rings.locked();
+        let mut rings = self.inner.rings.borrow_mut();
         let ring = rings.entry(ev.node).or_default();
         ring.recorded += 1;
         if ring.events.len() >= capacity {
@@ -580,7 +577,7 @@ impl MsgTracer {
 
     /// Snapshot of every ring, merged and sorted by start time.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let rings = self.inner.rings.locked();
+        let rings = self.inner.rings.borrow();
         let mut all: Vec<TraceEvent> = rings
             .values()
             .flat_map(|r| r.events.iter().cloned())
@@ -592,7 +589,7 @@ impl MsgTracer {
     /// Drain every ring, returning the merged sorted events.
     pub fn take_events(&self) -> Vec<TraceEvent> {
         let mut all: Vec<TraceEvent> = {
-            let mut rings = self.inner.rings.locked();
+            let mut rings = self.inner.rings.borrow_mut();
             rings
                 .values_mut()
                 .flat_map(|r| std::mem::take(&mut r.events))
@@ -604,7 +601,7 @@ impl MsgTracer {
 
     /// Drop all buffered events (counts are kept).
     pub fn clear(&self) {
-        let mut rings = self.inner.rings.locked();
+        let mut rings = self.inner.rings.borrow_mut();
         for ring in rings.values_mut() {
             ring.events.clear();
         }
@@ -612,25 +609,25 @@ impl MsgTracer {
 
     /// Total events ever recorded (including since-evicted ones).
     pub fn total_recorded(&self) -> u64 {
-        let rings = self.inner.rings.locked();
+        let rings = self.inner.rings.borrow();
         rings.values().map(|r| r.recorded).sum()
     }
 
     /// Events evicted from full rings.
     pub fn total_evicted(&self) -> u64 {
-        let rings = self.inner.rings.locked();
+        let rings = self.inner.rings.borrow();
         rings.values().map(|r| r.evicted).sum()
     }
 
     /// Has [`MsgTracer::dump_once`] fired?
     pub fn has_dumped(&self) -> bool {
-        self.inner.dumped.load(Ordering::Relaxed)
+        self.inner.dumped.get()
     }
 
     /// Render the flight-recorder contents: the last `max_per_node` events
     /// of every node's ring, newest last.
     pub fn dump(&self, max_per_node: usize) -> String {
-        let rings = self.inner.rings.locked();
+        let rings = self.inner.rings.borrow();
         let mut out = String::new();
         for (&node, ring) in rings.iter() {
             if ring.recorded == 0 {
@@ -675,7 +672,7 @@ impl MsgTracer {
     /// calls are no-ops returning `false`. One dump per run keeps a
     /// cascade of failures from flooding the log.
     pub fn dump_once(&self, reason: &str) -> bool {
-        if self.inner.dumped.swap(true, Ordering::SeqCst) {
+        if self.inner.dumped.replace(true) {
             return false;
         }
         eprintln!("==== flight recorder dump: {reason} ====");

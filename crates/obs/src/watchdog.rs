@@ -18,11 +18,12 @@
 //! every distinct stalled chain increments the `watchdog.stalls` counter
 //! exactly once, so clean runs can assert `watchdog.stalls == 0`.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use crate::timeseries::TimeSeries;
 use crate::trace::{chains, MsgTracer};
-use crate::{Counter, Lock, Metrics};
+use crate::{Counter, Metrics};
 
 /// Stall thresholds. The defaults are deliberately generous: they must stay
 /// silent across every clean harness (including 128 KB bandwidth sweeps
@@ -73,7 +74,7 @@ pub struct Stall {
 pub struct Watchdog {
     cfg: WatchdogConfig,
     stalls: Counter,
-    state: Lock<WatchState>,
+    state: RefCell<WatchState>,
 }
 
 impl Watchdog {
@@ -84,7 +85,7 @@ impl Watchdog {
         Watchdog {
             cfg,
             stalls: metrics.counter("watchdog.stalls"),
-            state: Lock::new(WatchState {
+            state: RefCell::new(WatchState {
                 flagged_chains: BTreeSet::new(),
                 telemetry_dumped: false,
             }),
@@ -114,7 +115,7 @@ impl Watchdog {
                 continue;
             }
             let fresh = {
-                let mut st = self.state.locked();
+                let mut st = self.state.borrow_mut();
                 st.flagged_chains.insert((trace.origin, trace.msg_id))
             };
             if fresh {
@@ -145,7 +146,7 @@ impl Watchdog {
         eprintln!("[watchdog] {reason}");
         tracer.dump_once(reason);
         let dump_window = {
-            let mut st = self.state.locked();
+            let mut st = self.state.borrow_mut();
             !std::mem::replace(&mut st.telemetry_dumped, true)
         };
         if dump_window {

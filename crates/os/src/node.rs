@@ -7,11 +7,12 @@
 //! registered here and reached via `ioctl`, exactly mirroring the paper's
 //! structure (user library → ioctl subcommands → kernel module).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_mem::{AddressSpace, Asid, PhysMemory};
-use suca_sim::{ActorCtx, Counter, Lock, Sim, SimDuration};
+use suca_sim::{ActorCtx, Counter, Sim, SimDuration};
 
 use crate::costs::{OsCostModel, OsPersonality};
 
@@ -49,7 +50,7 @@ pub struct NodeOs {
     /// Kernel cost model.
     pub costs: OsCostModel,
     mem: PhysMemory,
-    inner: Lock<NodeOsInner>,
+    inner: RefCell<NodeOsInner>,
     // Typed handles for the Table 1 counters: cluster-wide and per-node.
     traps: Counter,
     traps_node: Counter,
@@ -65,16 +66,16 @@ impl NodeOs {
         mem: PhysMemory,
         personality: OsPersonality,
         costs: OsCostModel,
-    ) -> Arc<NodeOs> {
+    ) -> Rc<NodeOs> {
         let metrics = sim.metrics();
         mem.watch(sim);
-        Arc::new(NodeOs {
+        Rc::new(NodeOs {
             sim: sim.clone(),
             node_id,
             personality,
             costs,
             mem,
-            inner: Lock::new(NodeOsInner {
+            inner: RefCell::new(NodeOsInner {
                 next_pid: 1,
                 live: HashMap::new(),
             }),
@@ -97,7 +98,7 @@ impl NodeOs {
 
     /// Fork a new process with a fresh address space.
     pub fn create_process(&self) -> OsProcess {
-        let mut inner = self.inner.locked();
+        let mut inner = self.inner.borrow_mut();
         let pid = Pid(inner.next_pid);
         inner.next_pid += 1;
         // ASIDs are globally unique per node: pid doubles as asid seed.
@@ -113,12 +114,12 @@ impl NodeOs {
     /// True if `pid` is a live process on this node (used by kernel-module
     /// security checks).
     pub fn is_live(&self, pid: Pid) -> bool {
-        self.inner.locked().live.contains_key(&pid)
+        self.inner.borrow().live.contains_key(&pid)
     }
 
     /// Terminate a process (its ASID becomes invalid for checks).
     pub fn exit_process(&self, pid: Pid) {
-        self.inner.locked().live.remove(&pid);
+        self.inner.borrow_mut().live.remove(&pid);
     }
 
     /// Execute `f` in kernel mode from the calling actor: charges trap entry
@@ -140,7 +141,7 @@ impl NodeOs {
     /// one per received message under the kernel-level (TCP-like)
     /// architecture (`suca_bcl::Architecture::KernelLevel`) — BCL's whole
     /// point is to have zero of these.
-    pub fn interrupt(&self, sim: &Sim, handler: impl FnOnce(&Sim) + Send + 'static) {
+    pub fn interrupt(&self, sim: &Sim, handler: impl FnOnce(&Sim) + 'static) {
         self.interrupts.inc();
         self.interrupts_node.inc();
         let cost = self.costs.interrupt_entry + self.costs.interrupt_service;
@@ -164,7 +165,7 @@ mod tests {
     use super::*;
     use suca_sim::RunOutcome;
 
-    fn os(sim: &Sim) -> Arc<NodeOs> {
+    fn os(sim: &Sim) -> Rc<NodeOs> {
         NodeOs::new(
             sim,
             NodeId(0),
@@ -210,14 +211,14 @@ mod tests {
         let sim = Sim::new(1);
         let o = os(&sim);
         let o2 = o.clone();
-        let fired = Arc::new(Lock::new(0u64));
+        let fired = Rc::new(RefCell::new(0u64));
         let f2 = fired.clone();
         sim.schedule_in(SimDuration::from_us(1), move |s| {
-            o2.interrupt(s, move |s2| *f2.locked() = s2.now().as_ns());
+            o2.interrupt(s, move |s2| *f2.borrow_mut() = s2.now().as_ns());
         });
         sim.run();
         let cost = o.costs.interrupt_entry + o.costs.interrupt_service;
-        assert_eq!(*fired.locked(), 1_000 + cost.as_ns());
+        assert_eq!(*fired.borrow(), 1_000 + cost.as_ns());
         assert_eq!(sim.get_count("os.interrupts"), 1);
     }
 

@@ -7,9 +7,10 @@
 //! bandwidth curve (Fig. 9). The actual byte movement is performed by the
 //! completion closure, so data and timing stay consistent.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use suca_sim::{Counter, Gauge, Lock, Sim, SimDuration, SimTime};
+use suca_sim::{Counter, Gauge, Sim, SimDuration, SimTime};
 
 use crate::bus::PciModel;
 
@@ -26,8 +27,8 @@ pub struct DmaEngine {
     name: &'static str,
     setup: SimDuration,
     bytes_per_sec: u64,
-    state: Arc<Lock<EngineState>>,
-    // Typed metric handles (registered once; hot-path updates are atomic).
+    state: Rc<RefCell<EngineState>>,
+    // Typed metric handles (registered once; hot-path updates are plain adds).
     transfers: Counter,
     busy_ns: Counter,
     queued_bytes: Gauge,
@@ -43,7 +44,7 @@ impl DmaEngine {
             name,
             setup,
             bytes_per_sec,
-            state: Arc::new(Lock::new(EngineState {
+            state: Rc::new(RefCell::new(EngineState {
                 busy_until: SimTime::ZERO,
                 completed: 0,
                 bytes_moved: 0,
@@ -62,7 +63,7 @@ impl DmaEngine {
     /// Submit a transfer of `len` bytes. `on_done` runs (as a simulation
     /// event) when the transfer completes; it should perform the byte copy
     /// and any follow-up notification. Returns the completion time.
-    pub fn submit(&self, len: u64, on_done: impl FnOnce(&Sim) + Send + 'static) -> SimTime {
+    pub fn submit(&self, len: u64, on_done: impl FnOnce(&Sim) + 'static) -> SimTime {
         let now = self.sim.now();
         let duration = self.setup
             + if len == 0 {
@@ -71,7 +72,7 @@ impl DmaEngine {
                 SimDuration::for_bytes(len, self.bytes_per_sec)
             };
         let done = {
-            let mut st = self.state.locked();
+            let mut st = self.state.borrow_mut();
             let start = st.busy_until.max(now);
             let done = start + duration;
             st.busy_until = done;
@@ -92,12 +93,12 @@ impl DmaEngine {
 
     /// Instant at which the engine becomes idle.
     pub fn busy_until(&self) -> SimTime {
-        self.state.locked().busy_until
+        self.state.borrow().busy_until
     }
 
     /// (transfers completed or queued, bytes moved).
     pub fn stats(&self) -> (u64, u64) {
-        let st = self.state.locked();
+        let st = self.state.borrow();
         (st.completed, st.bytes_moved)
     }
 
@@ -110,34 +111,34 @@ impl DmaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
     use suca_sim::RunOutcome;
 
     #[test]
     fn transfer_takes_setup_plus_bytes() {
         let sim = Sim::new(1);
         let eng = DmaEngine::new(&sim, "t", SimDuration::from_us(1), 100_000_000);
-        let done = Arc::new(AtomicU64::new(0));
+        let done = Rc::new(Cell::new(0));
         let d = done.clone();
         eng.submit(1000, move |s| {
-            d.store(s.now().as_ns(), Ordering::Relaxed);
+            d.set(s.now().as_ns());
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
         // 1 us setup + 1000 B / 100 MB/s = 10 us transfer.
-        assert_eq!(done.load(Ordering::Relaxed), 11_000);
+        assert_eq!(done.get(), 11_000);
     }
 
     #[test]
     fn engine_serializes_back_to_back_transfers() {
         let sim = Sim::new(1);
         let eng = DmaEngine::new(&sim, "t", SimDuration::ZERO, 1_000_000_000);
-        let times = Arc::new(Lock::new(Vec::new()));
+        let times = Rc::new(RefCell::new(Vec::new()));
         for _ in 0..3 {
             let t = times.clone();
-            eng.submit(1000, move |s| t.locked().push(s.now().as_ns()));
+            eng.submit(1000, move |s| t.borrow_mut().push(s.now().as_ns()));
         }
         sim.run();
-        assert_eq!(*times.locked(), vec![1_000, 2_000, 3_000]);
+        assert_eq!(*times.borrow(), vec![1_000, 2_000, 3_000]);
         assert_eq!(eng.stats(), (3, 3000));
     }
 
@@ -146,16 +147,16 @@ mod tests {
         let sim = Sim::new(1);
         let eng = DmaEngine::new(&sim, "t", SimDuration::ZERO, 1_000_000_000);
         let eng2 = eng.clone();
-        let fin = Arc::new(AtomicU64::new(0));
+        let fin = Rc::new(Cell::new(0));
         let f2 = fin.clone();
         sim.schedule_in(SimDuration::from_us(100), move |_| {
             eng2.submit(1000, move |s| {
-                f2.store(s.now().as_ns(), Ordering::Relaxed);
+                f2.set(s.now().as_ns());
             });
         });
         sim.run();
         // Starts at 100 us, not at the engine's stale busy_until of 0.
-        assert_eq!(fin.load(Ordering::Relaxed), 101_000);
+        assert_eq!(fin.get(), 101_000);
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! rank in the job (its *tid*), with PVM's `initsend`/`pack*`/`send` /
 //! `recv`/`upk*` call shape, including `-1` wildcards for both tid and tag.
 
-use std::sync::Arc;
+use std::cell::{RefCell, RefMut};
+use std::rc::Rc;
 
 use suca_bcl::BclNode;
 use suca_eadi::{EadiConfig, EadiEndpoint, Universe};
 use suca_os::OsProcess;
-use suca_sim::{ActorCtx, Lock, LockGuard, SimDuration};
+use suca_sim::{ActorCtx, SimDuration};
 
 use crate::msgbuf::{PackBuf, UnpackBuf};
 
@@ -54,14 +55,14 @@ pub struct PvmMessage {
 pub struct PvmTask {
     eadi: EadiEndpoint,
     cfg: PvmConfig,
-    sendbuf: Lock<PackBuf>,
+    sendbuf: RefCell<PackBuf>,
 }
 
 impl PvmTask {
     /// Enroll in the virtual machine as task `tid` (`pvm_mytid`).
     pub fn enroll(
         ctx: &mut ActorCtx,
-        node: &Arc<BclNode>,
+        node: &Rc<BclNode>,
         proc: &OsProcess,
         universe: Universe,
         tid: u32,
@@ -71,7 +72,7 @@ impl PvmTask {
         PvmTask {
             eadi,
             cfg,
-            sendbuf: Lock::new(PackBuf::new()),
+            sendbuf: RefCell::new(PackBuf::new()),
         }
     }
 
@@ -86,8 +87,8 @@ impl PvmTask {
     }
 
     /// `pvm_initsend`: reset the send buffer; returns a guard to pack into.
-    pub fn initsend(&self) -> LockGuard<'_, PackBuf> {
-        let mut b = self.sendbuf.locked();
+    pub fn initsend(&self) -> RefMut<'_, PackBuf> {
+        let mut b = self.sendbuf.borrow_mut();
         *b = PackBuf::new();
         b
     }
@@ -103,7 +104,7 @@ impl PvmTask {
     /// `pvm_send`: ship the current send buffer to `dst` with `tag`.
     pub fn send(&self, ctx: &mut ActorCtx, dst_tid: u32, tag: i32) {
         assert!(tag >= 0, "PVM user tags are non-negative");
-        let data = std::mem::take(&mut *self.sendbuf.locked());
+        let data = std::mem::take(&mut *self.sendbuf.borrow_mut());
         ctx.sleep(self.cfg.send_overhead + self.pack_cost(data.len() as u64));
         self.eadi.send(ctx, dst_tid, tag, data.finish());
     }
@@ -159,7 +160,7 @@ impl PvmTask {
     /// `pvm_bcast`-ish: send the current buffer to every other task.
     pub fn mcast(&self, ctx: &mut ActorCtx, tag: i32) {
         assert!(tag >= 0);
-        let data = std::mem::take(&mut *self.sendbuf.locked());
+        let data = std::mem::take(&mut *self.sendbuf.borrow_mut());
         ctx.sleep(self.cfg.send_overhead + self.pack_cost(data.len() as u64));
         for t in 0..self.ntasks() {
             if t != self.tid() {

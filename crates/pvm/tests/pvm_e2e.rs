@@ -1,21 +1,17 @@
 //! PVM layer end-to-end over the simulated cluster.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_cluster::ClusterSpec;
 use suca_eadi::Universe;
 use suca_pvm::{PvmConfig, PvmTask};
 use suca_sim::RunOutcome;
 
-fn pvm_job(
-    nodes: u32,
-    tasks: u32,
-    body: impl Fn(&mut suca_sim::ActorCtx, &PvmTask) + Send + Sync + 'static,
-) {
+fn pvm_job(nodes: u32, tasks: u32, body: impl Fn(&mut suca_sim::ActorCtx, &PvmTask) + 'static) {
     let cluster = ClusterSpec::dawning3000(nodes).build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, tasks);
-    let body = Arc::new(body);
+    let body = Rc::new(body);
     for t in 0..tasks {
         let uni = uni.clone();
         let body = body.clone();

@@ -5,9 +5,9 @@
 //! [`BclPort`] — the workload layer models thousands of simulated users
 //! with a few dozen client actors, each driving one of these.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_bcl::{BclError, BclPort, ChannelId, ProcAddr, RecvEvent};
 use suca_mem::VirtAddr;
@@ -129,7 +129,7 @@ pub struct RpcClient {
     pushes: VecDeque<PushEvent>,
     next_req_id: u32,
     node: u32,
-    inflight_probe: Arc<AtomicU64>,
+    inflight_probe: Rc<Cell<u64>>,
     c_issued: Counter,
     c_pushes: Counter,
     c_completed: Counter,
@@ -152,7 +152,7 @@ impl RpcClient {
         let addr = port.addr();
         let node = addr.node.0;
         let m = ctx.sim().metrics();
-        let inflight_probe = Arc::new(AtomicU64::new(0));
+        let inflight_probe = Rc::new(Cell::new(0));
         let probe = inflight_probe.clone();
         ctx.sim().timeseries().register(
             format!("n{node}.p{}.rpc.inflight", addr.port.0),
@@ -160,7 +160,7 @@ impl RpcClient {
             // No declared capacity: the bound is the arena (asserted via
             // the gauge high-water), and no saturation rule watches it.
             None,
-            move |_| probe.load(Ordering::Relaxed),
+            move |_| probe.get(),
         );
         Ok(RpcClient {
             free_slots: (0..cfg.arena_slots).rev().collect(),
@@ -256,7 +256,7 @@ impl RpcClient {
         };
         self.c_issued.inc();
         self.g_inflight.add(1);
-        self.inflight_probe.fetch_add(1, Ordering::Relaxed);
+        self.inflight_probe.set(self.inflight_probe.get() + 1);
         self.pending.insert(
             req_id,
             Pending {
@@ -490,7 +490,7 @@ impl RpcClient {
         };
         self.free_slots.push(p.slot);
         self.g_inflight.sub(1);
-        self.inflight_probe.fetch_sub(1, Ordering::Relaxed);
+        self.inflight_probe.set(self.inflight_probe.get() - 1);
         match status {
             RpcStatus::Ok => self.c_completed.inc(),
             RpcStatus::Shed => self.c_shed.inc(),

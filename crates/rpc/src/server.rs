@@ -15,9 +15,9 @@
 //! the newest queued low-priority request rather than being shed itself:
 //! low sheds first, and every shed is counted per tenant.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use suca_bcl::{BclError, BclPort, ChannelId, ProcAddr, RecvEvent};
 use suca_mem::VirtAddr;
@@ -157,7 +157,7 @@ pub struct RpcServer {
     scratch: Vec<(VirtAddr, Option<u32>)>,
     scratch_next: usize,
     node: u32,
-    depth_probe: Arc<AtomicU64>,
+    depth_probe: Rc<Cell<u64>>,
     c_admitted: Counter,
     c_served: Counter,
     c_sheds: Counter,
@@ -187,7 +187,7 @@ impl RpcServer {
         let addr = port.addr();
         let node = addr.node.0;
         let m = ctx.sim().metrics();
-        let depth_probe = Arc::new(AtomicU64::new(0));
+        let depth_probe = Rc::new(Cell::new(0));
         let probe = depth_probe.clone();
         ctx.sim().timeseries().register(
             format!("n{node}.p{}.rpc.srv_queue", addr.port.0),
@@ -197,7 +197,7 @@ impl RpcServer {
             // shedding, and no saturation rule watches it. Boundedness is
             // asserted through the `rpc.srv_queue_depth` gauge high-water.
             None,
-            move |_| probe.load(Ordering::Relaxed),
+            move |_| probe.get(),
         );
         Ok(RpcServer {
             queue_high: VecDeque::new(),
@@ -305,7 +305,7 @@ impl RpcServer {
     fn set_depth(&self) {
         let d = self.queue_depth() as u64;
         self.g_depth.set(d);
-        self.depth_probe.store(d, Ordering::Relaxed);
+        self.depth_probe.set(d);
     }
 
     fn tenant_counters(&mut self, tenant: TenantId) -> &TenantCounters {

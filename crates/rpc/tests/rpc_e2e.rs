@@ -2,13 +2,14 @@
 //! request/response matching, out-of-order completion, admission-control
 //! shedding, silent-discard timeouts, and RMA-delivered large responses.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca_bcl::ProcAddr;
 use suca_cluster::{Cluster, ClusterSpec, SimBarrier};
 use suca_rpc::{RpcClient, RpcClientConfig, RpcServer, RpcServerConfig, RpcStatus};
 use suca_sim::mtrace::{check_completeness, stage, ChainPolicy};
-use suca_sim::{ActorCtx, Lock, RunOutcome, SimDuration};
+use suca_sim::{ActorCtx, RunOutcome, SimDuration};
 
 /// Spawn a server on node 1 (serving until idle with `handler`) and a
 /// client body on node 0, barrier-synced, and run to completion.
@@ -19,18 +20,18 @@ use suca_sim::{ActorCtx, Lock, RunOutcome, SimDuration};
 fn rpc_pair(
     server_cfg: RpcServerConfig,
     client_cfg: RpcClientConfig,
-    handler: impl FnMut(&mut ActorCtx, u8, &[u8]) -> Vec<u8> + Send + 'static,
-    client: impl FnOnce(&mut ActorCtx, &mut RpcClient, ProcAddr) + Send + 'static,
+    handler: impl FnMut(&mut ActorCtx, u8, &[u8]) -> Vec<u8> + 'static,
+    client: impl FnOnce(&mut ActorCtx, &mut RpcClient, ProcAddr) + 'static,
 ) -> Cluster {
     let cluster = ClusterSpec::dawning3000(2).with_seed(42).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
     let (b2, a2) = (barrier.clone(), addr.clone());
     let mut handler = handler;
     cluster.spawn_process(1, "server", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.locked() = Some(port.addr());
+        *a2.borrow_mut() = Some(port.addr());
         let mut srv = RpcServer::new(ctx, port, server_cfg).expect("server up");
         b2.wait(ctx);
         srv.serve_until_idle(ctx, &mut handler);
@@ -39,7 +40,7 @@ fn rpc_pair(
         let port = env.open_port(ctx);
         let mut cli = RpcClient::new(ctx, port, client_cfg).expect("client up");
         barrier.wait(ctx);
-        let dst = addr.locked().expect("server ready");
+        let dst = addr.borrow_mut().expect("server ready");
         client(ctx, &mut cli, dst);
     });
     assert_eq!(sim.run(), RunOutcome::Completed, "rpc workload hung");
@@ -89,12 +90,12 @@ fn out_of_order_responses_match_by_request_id() {
     let cluster = ClusterSpec::dawning3000(3).with_seed(42).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 3);
-    let addrs: Arc<Lock<Vec<Option<ProcAddr>>>> = Arc::new(Lock::new(vec![None, None]));
+    let addrs: Rc<RefCell<Vec<Option<ProcAddr>>>> = Rc::new(RefCell::new(vec![None, None]));
     for (slot, delay_us) in [(0usize, 400u64), (1, 0)] {
         let (b, a) = (barrier.clone(), addrs.clone());
         cluster.spawn_process(1 + slot as u32, "server", move |ctx, env| {
             let port = env.open_port(ctx);
-            a.locked()[slot] = Some(port.addr());
+            a.borrow_mut()[slot] = Some(port.addr());
             let mut srv = RpcServer::new(ctx, port, RpcServerConfig::default()).expect("server up");
             b.wait(ctx);
             srv.serve_until_idle(ctx, &mut |ctx: &mut ActorCtx, op: u8, req: &[u8]| {
@@ -110,7 +111,7 @@ fn out_of_order_responses_match_by_request_id() {
         let mut cli = RpcClient::new(ctx, port, RpcClientConfig::default()).expect("client up");
         barrier.wait(ctx);
         let dsts: Vec<ProcAddr> = addrs
-            .locked()
+            .borrow_mut()
             .iter()
             .map(|a| a.expect("server ready"))
             .collect();
@@ -176,11 +177,11 @@ fn unresponsive_server_times_out_after_retries() {
     let cluster = ClusterSpec::dawning3000(2).with_seed(43).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
     let (b2, a2) = (barrier.clone(), addr.clone());
     cluster.spawn_process(1, "mute", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.locked() = Some(port.addr());
+        *a2.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         // Outlive the client's retries, then drop without ever polling.
         ctx.sleep(SimDuration::from_ms(10));
@@ -194,7 +195,7 @@ fn unresponsive_server_times_out_after_retries() {
         };
         let mut cli = RpcClient::new(ctx, port, ccfg).expect("client");
         barrier.wait(ctx);
-        let dst = addr.locked().expect("mute ready");
+        let dst = addr.borrow_mut().expect("mute ready");
         let c = cli.call(ctx, dst, 0, b"anyone?").expect("call");
         assert_eq!(c.status, RpcStatus::TimedOut);
         assert_eq!(c.attempts, 3);
@@ -219,11 +220,11 @@ fn requests_falling_due_together_retry_in_ascending_id_order() {
     let cluster = ClusterSpec::dawning3000(2).with_seed(44).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
     let (b2, a2) = (barrier.clone(), addr.clone());
     cluster.spawn_process(1, "mute", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.locked() = Some(port.addr());
+        *a2.borrow_mut() = Some(port.addr());
         b2.wait(ctx);
         ctx.sleep(SimDuration::from_ms(10));
     });
@@ -236,7 +237,7 @@ fn requests_falling_due_together_retry_in_ascending_id_order() {
         };
         let mut cli = RpcClient::new(ctx, port, ccfg).expect("client");
         barrier.wait(ctx);
-        let dst = addr.locked().expect("mute ready");
+        let dst = addr.borrow_mut().expect("mute ready");
         for token in 0..8u64 {
             cli.issue(ctx, dst, 0, b"anyone?", token).expect("issue");
         }

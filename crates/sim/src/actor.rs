@@ -123,7 +123,7 @@ impl ActorCtx {
 /// by [`actor_main`] on the first resume.
 struct Start {
     ctx: ActorCtx,
-    body: Box<dyn FnOnce(&mut ActorCtx) + Send + 'static>,
+    body: Box<dyn FnOnce(&mut ActorCtx) + 'static>,
 }
 
 /// Spawn machinery, called from [`Sim::spawn`]: a coroutine whose first
@@ -132,7 +132,7 @@ pub(crate) fn new_coro(
     sim: Sim,
     id: ActorId,
     name: String,
-    body: Box<dyn FnOnce(&mut ActorCtx) + Send + 'static>,
+    body: Box<dyn FnOnce(&mut ActorCtx) + 'static>,
 ) -> Coro {
     let coro_name = name.as_str().into();
     let start = Box::new(Start {

@@ -57,8 +57,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Serializes unit tests that arm the (process-global) counting state.
-/// Test threads really share that state, so this is std's lock, not a
-/// [`crate::Lock`]; a failed test's panic does not stop the next one.
+/// Test threads really share that state, so this is std's lock; a failed
+/// test's panic does not stop the next one.
 #[cfg(test)]
 static TEST_ARM_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 

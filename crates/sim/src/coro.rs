@@ -28,9 +28,7 @@ compile_error!(
 use std::cell::Cell;
 use std::ffi::c_void;
 use std::ptr::{self, NonNull};
-use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{Once, OnceLock};
-use std::thread::ThreadId;
 
 /// Usable stack per actor, the size of a default Rust thread stack. Pages
 /// are committed on first touch (`MAP_NORESERVE`), so an actor costs the
@@ -236,20 +234,16 @@ std::arch::global_asm!(
 
 /// A suspended coroutine: its stack (a `PROT_NONE` guard page under
 /// [`STACK_BYTES`] of read-write memory, unmapped on drop), the stack
-/// pointer its last switch saved, the OS thread it first ran on, and the
-/// actor's name, for the overflow message.
+/// pointer its last switch saved, and the actor's name, for the overflow
+/// message. Its raw pointers make it `!Send`: compiled code may cache the
+/// address of a thread-local across a switch, so a coroutine must never
+/// migrate to another thread.
 pub(crate) struct Coro {
     /// Lowest address of the mapping, where the guard page starts.
     base: NonNull<u8>,
     sp: *mut u8,
-    home: Option<ThreadId>,
     name: Box<str>,
 }
-
-// SAFETY: a `Coro` owns its mapping outright and `sp` points into it, so
-// moving the value between threads moves sole ownership. Running it on
-// another thread than its first is refused by `Coro::claim`.
-unsafe impl Send for Coro {}
 
 impl Coro {
     const MAP_BYTES: usize = PAGE + STACK_BYTES;
@@ -299,25 +293,7 @@ impl Coro {
         // mapping (`STACK_BYTES` is far larger than 80 bytes) and is
         // 16-aligned.
         unsafe { sp.cast::<[*const (); 8]>().write(frame) };
-        Coro {
-            base,
-            sp,
-            home: None,
-            name,
-        }
-    }
-
-    /// Bind the coroutine to `here`, the calling OS thread, on its first
-    /// resume, and panic on any other thread after that: compiled code may
-    /// cache the address of a thread-local across a switch, so a coroutine
-    /// must never migrate.
-    pub(crate) fn claim(&mut self, here: ThreadId) {
-        let home = *self.home.get_or_insert(here);
-        assert!(
-            home == here,
-            "an actor first ran on {home:?} and was resumed on {here:?}: \
-             a simulation with parked actors must keep running on one thread"
-        );
+        Coro { base, sp, name }
     }
 }
 
@@ -334,13 +310,19 @@ impl Drop for Coro {
 
 /// The two stack-pointer slots of one simulation's driver loop: the
 /// driver's, saved while an actor runs, and the running actor's, saved when
-/// it switches back. Only the one OS thread that runs the driver and its
-/// coroutines touches them, so `Relaxed` suffices; atomics just make the
-/// link `Sync` without an `unsafe impl`.
-#[derive(Default)]
+/// it switches back.
 pub(crate) struct Link {
-    driver: AtomicPtr<u8>,
-    actor: AtomicPtr<u8>,
+    driver: Cell<*mut u8>,
+    actor: Cell<*mut u8>,
+}
+
+impl Default for Link {
+    fn default() -> Self {
+        Link {
+            driver: Cell::new(ptr::null_mut()),
+            actor: Cell::new(ptr::null_mut()),
+        }
+    }
 }
 
 impl Link {
@@ -348,9 +330,8 @@ impl Link {
     ///
     /// # Safety
     /// The caller is this link's driver loop: no other coroutine of this
-    /// link is running, `coro` is suspended (fresh, or parked through
-    /// [`Link::suspend`]) and not finished, and [`Coro::claim`] accepted
-    /// the calling thread.
+    /// link is running, and `coro` is suspended (fresh, or parked through
+    /// [`Link::suspend`]) and not finished.
     pub(crate) unsafe fn resume(&self, coro: &mut Coro) {
         let outer = RUNNING.replace(Running {
             guard: coro.base.addr().get(),
@@ -363,7 +344,7 @@ impl Link {
         // link, which outlives the run.
         unsafe { suca_sim_coro_switch(self.driver.as_ptr(), coro.sp) };
         RUNNING.set(outer);
-        coro.sp = self.actor.load(Ordering::Relaxed);
+        coro.sp = self.actor.get();
     }
 
     /// Switch from the running coroutine back to the driver; returns when
@@ -374,7 +355,7 @@ impl Link {
     pub(crate) unsafe fn suspend(&self) {
         // SAFETY: the driver saved its stack pointer when it resumed us, and
         // its stack is live: it is blocked in that call to `resume`.
-        unsafe { suca_sim_coro_switch(self.actor.as_ptr(), self.driver.load(Ordering::Relaxed)) };
+        unsafe { suca_sim_coro_switch(self.actor.as_ptr(), self.driver.get()) };
     }
 
     /// Leave a finished coroutine for good. Everything on its stack must be

@@ -55,10 +55,6 @@ pub use time::{SimDuration, SimTime};
 // hold typed instrument handles without a separate suca-obs dependency.
 pub use suca_obs::{Counter, Gauge, Histogram, Metrics, MetricsSnapshot};
 
-// The one lock (see `suca_obs::lock`): simulation state is shared between
-// components on one thread, never between threads.
-pub use suca_obs::{Lock, LockGuard};
-
 // The one artifact writer (see `suca_obs::artifact`), for report types in
 // crates that depend on the engine only.
 pub use suca_obs::artifact;

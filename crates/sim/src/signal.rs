@@ -9,11 +9,11 @@
 //! [`Semaphore`] builds counting-resource semantics (DMA engines, CPU slots)
 //! on top of `Signal`.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::actor::{ActorCtx, ActorId};
 use crate::engine::Sim;
-use crate::Lock;
 
 struct SignalState {
     waiters: Vec<(ActorId, u64)>,
@@ -23,7 +23,7 @@ struct SignalState {
 #[derive(Clone)]
 pub struct Signal {
     sim: Sim,
-    state: Arc<Lock<SignalState>>,
+    state: Rc<RefCell<SignalState>>,
 }
 
 impl Signal {
@@ -31,7 +31,7 @@ impl Signal {
     pub fn new(sim: &Sim) -> Self {
         Signal {
             sim: sim.clone(),
-            state: Arc::new(Lock::new(SignalState {
+            state: Rc::new(RefCell::new(SignalState {
                 waiters: Vec::new(),
             })),
         }
@@ -42,7 +42,7 @@ impl Signal {
     /// Callers typically loop: `while !cond() { sig.wait(ctx); }`.
     pub fn wait(&self, ctx: &mut ActorCtx) {
         let gen = self.sim.next_park_gen(ctx.id());
-        self.state.locked().waiters.push((ctx.id(), gen));
+        self.state.borrow_mut().waiters.push((ctx.id(), gen));
         ctx.park();
     }
 
@@ -51,7 +51,7 @@ impl Signal {
     /// instant, in registration order: seq numbers are assigned here and
     /// dispatch follows the `(time, seq)` order.
     pub fn notify(&self) {
-        let waiters = std::mem::take(&mut self.state.locked().waiters);
+        let waiters = std::mem::take(&mut self.state.borrow_mut().waiters);
         for (id, gen) in waiters {
             self.sim.schedule_wake_now(id, gen);
         }
@@ -73,7 +73,7 @@ impl Signal {
     pub fn wait_timeout(&self, ctx: &mut ActorCtx, timeout: crate::SimDuration) -> bool {
         let deadline = ctx.now() + timeout;
         let gen = self.sim.next_park_gen(ctx.id());
-        self.state.locked().waiters.push((ctx.id(), gen));
+        self.state.borrow_mut().waiters.push((ctx.id(), gen));
         // The same generation wakes from either source; stale ones no-op.
         self.sim.schedule_wake_in(timeout, ctx.id(), gen);
         ctx.park();
@@ -89,7 +89,7 @@ struct SemState {
 /// resources that actors contend for.
 #[derive(Clone)]
 pub struct Semaphore {
-    state: Arc<Lock<SemState>>,
+    state: Rc<RefCell<SemState>>,
     signal: Signal,
 }
 
@@ -97,7 +97,7 @@ impl Semaphore {
     /// Create with an initial number of permits.
     pub fn new(sim: &Sim, permits: u64) -> Self {
         Semaphore {
-            state: Arc::new(Lock::new(SemState { permits })),
+            state: Rc::new(RefCell::new(SemState { permits })),
             signal: Signal::new(sim),
         }
     }
@@ -106,7 +106,7 @@ impl Semaphore {
     pub fn acquire(&self, ctx: &mut ActorCtx) {
         loop {
             {
-                let mut st = self.state.locked();
+                let mut st = self.state.borrow_mut();
                 if st.permits > 0 {
                     st.permits -= 1;
                     return;
@@ -118,7 +118,7 @@ impl Semaphore {
 
     /// Try to acquire without blocking.
     pub fn try_acquire(&self) -> bool {
-        let mut st = self.state.locked();
+        let mut st = self.state.borrow_mut();
         if st.permits > 0 {
             st.permits -= 1;
             true
@@ -129,13 +129,13 @@ impl Semaphore {
 
     /// Return one permit and wake waiters.
     pub fn release(&self) {
-        self.state.locked().permits += 1;
+        self.state.borrow_mut().permits += 1;
         self.signal.notify();
     }
 
     /// Currently available permits.
     pub fn available(&self) -> u64 {
-        self.state.locked().permits
+        self.state.borrow().permits
     }
 }
 
@@ -149,19 +149,19 @@ mod tests {
     fn signal_wakes_waiter() {
         let sim = Sim::new(1);
         let sig = Signal::new(&sim);
-        let done = Arc::new(Lock::new(false));
+        let done = Rc::new(RefCell::new(false));
 
         let s2 = sig.clone();
         let d2 = done.clone();
         sim.spawn("waiter", move |ctx| {
             s2.wait(ctx);
-            *d2.locked() = true;
+            *d2.borrow_mut() = true;
         });
         let s3 = sig.clone();
         sim.schedule_in(SimDuration::from_us(5), move |_| s3.notify());
 
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert!(*done.locked());
+        assert!(*done.borrow());
         assert_eq!(sim.now().as_us(), 5.0);
     }
 
@@ -197,43 +197,43 @@ mod tests {
     fn notify_wakes_all_current_waiters_in_order() {
         let sim = Sim::new(1);
         let sig = Signal::new(&sim);
-        let log: Arc<Lock<Vec<u32>>> = Arc::new(Lock::new(Vec::new()));
+        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
         for i in 0..3u32 {
             let sig = sig.clone();
             let log = log.clone();
             sim.spawn(format!("w{i}"), move |ctx| {
                 sig.wait(ctx);
-                log.locked().push(i);
+                log.borrow_mut().push(i);
             });
         }
         let sig2 = sig.clone();
         sim.schedule_in(SimDuration::from_us(1), move |_| sig2.notify());
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(*log.locked(), vec![0, 1, 2]);
+        assert_eq!(*log.borrow(), vec![0, 1, 2]);
     }
 
     #[test]
     fn semaphore_serializes_access() {
         let sim = Sim::new(1);
         let sem = Semaphore::new(&sim, 1);
-        let max_inside = Arc::new(Lock::new((0u32, 0u32))); // (current, max)
+        let max_inside = Rc::new(RefCell::new((0u32, 0u32))); // (current, max)
         for i in 0..4u32 {
             let sem = sem.clone();
             let mi = max_inside.clone();
             sim.spawn(format!("u{i}"), move |ctx| {
                 sem.acquire(ctx);
                 {
-                    let mut g = mi.locked();
+                    let mut g = mi.borrow_mut();
                     g.0 += 1;
                     g.1 = g.1.max(g.0);
                 }
                 ctx.sleep(SimDuration::from_us(10));
-                mi.locked().0 -= 1;
+                mi.borrow_mut().0 -= 1;
                 sem.release();
             });
         }
         assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(max_inside.locked().1, 1, "mutual exclusion violated");
+        assert_eq!(max_inside.borrow().1, 1, "mutual exclusion violated");
         assert_eq!(sim.now().as_us(), 40.0, "holders serialized");
         assert_eq!(sem.available(), 1);
     }

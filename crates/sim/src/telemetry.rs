@@ -13,8 +13,8 @@
 //! the sampler — and with it the watchdog — stays alive exactly when it is
 //! needed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use suca_obs::watchdog::{Watchdog, WatchdogConfig};
 
@@ -45,11 +45,11 @@ impl Default for TelemetryConfig {
 struct Driver {
     cfg: TelemetryConfig,
     watchdog: Watchdog,
-    ticks: AtomicU64,
+    ticks: Cell<u64>,
 }
 
 impl Driver {
-    fn tick(self: Arc<Self>, sim: &Sim) {
+    fn tick(self: Rc<Self>, sim: &Sim) {
         let now_ns = sim.now().as_ns();
         sim.timeseries().sample_all(now_ns);
         // Health evaluation rides the same tick, after sampling so
@@ -57,7 +57,8 @@ impl Driver {
         // harness installed rules.
         sim.health()
             .on_tick(now_ns, sim.timeseries(), sim.msg_trace());
-        let tick = self.ticks.fetch_add(1, Ordering::Relaxed) + 1;
+        let tick = self.ticks.get() + 1;
+        self.ticks.set(tick);
         let every = self.cfg.watchdog.check_every.max(1) as u64;
         if tick.is_multiple_of(every) {
             let stalls = self
@@ -81,13 +82,13 @@ impl Sim {
     /// this unconditionally). The first sample lands one period after the
     /// call; the sampler stops itself once the event queue drains.
     pub fn start_telemetry(&self, cfg: TelemetryConfig) {
-        if self.inner().telemetry_started.swap(true, Ordering::SeqCst) {
+        if self.inner().telemetry_started.replace(true) {
             return;
         }
-        let driver = Arc::new(Driver {
+        let driver = Rc::new(Driver {
             watchdog: Watchdog::new(cfg.watchdog.clone(), &self.metrics()),
             cfg,
-            ticks: AtomicU64::new(0),
+            ticks: Cell::new(0),
         });
         let period = driver.cfg.sample_period;
         self.schedule_in(period, move |s| driver.tick(s));

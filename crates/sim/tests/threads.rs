@@ -4,8 +4,8 @@
 //! `/proc/self/maps`), so they live in one test, alone in its binary: a
 //! second test would start and stop its own harness thread mid-count.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use suca_sim::{RunOutcome, Signal, Sim, SimDuration};
 
@@ -36,19 +36,19 @@ fn actors_add_no_threads_and_leave_no_stacks() {
 
     // 1,024 actors, each parking a few times.
     let sim = Sim::new(1);
-    let done = Arc::new(AtomicUsize::new(0));
+    let done = Rc::new(Cell::new(0));
     for i in 0..1024u64 {
         let done = done.clone();
         sim.spawn(format!("a{i}"), move |ctx| {
             for _ in 0..3 {
                 ctx.sleep(SimDuration::from_ns(1 + i % 7));
             }
-            done.fetch_add(1, Ordering::Relaxed);
+            done.set(done.get() + 1);
         });
     }
     assert_eq!(live_threads(), before, "spawning started threads");
     assert_eq!(sim.run(), RunOutcome::Completed);
-    assert_eq!(done.load(Ordering::Relaxed), 1024);
+    assert_eq!(done.get(), 1024);
     assert_eq!(live_threads(), before, "running started threads");
     drop(sim);
 
@@ -68,21 +68,21 @@ fn actors_add_no_threads_and_leave_no_stacks() {
     // returns: a handler after the actor's exit no longer finds the address
     // of one of its locals in any mapping.
     let sim = Sim::new(1);
-    let local = Arc::new(AtomicUsize::new(0));
-    let still_mapped = Arc::new(AtomicBool::new(true));
+    let local = Rc::new(Cell::new(0));
+    let still_mapped = Rc::new(Cell::new(true));
     let l = local.clone();
     sim.spawn("brief", move |ctx| {
         let on_stack = 0u8;
         let addr = std::ptr::from_ref(&on_stack).addr();
         assert!(mapped(addr), "a live stack must show in the maps");
-        l.store(addr, Ordering::Relaxed);
+        l.set(addr);
         ctx.sleep(SimDuration::from_us(1));
     });
     let (l, m) = (local.clone(), still_mapped.clone());
     sim.schedule_in(SimDuration::from_us(2), move |_| {
-        m.store(mapped(l.load(Ordering::Relaxed)), Ordering::Relaxed);
+        m.set(mapped(l.get()));
     });
     assert_eq!(sim.run(), RunOutcome::Completed);
-    assert_ne!(local.load(Ordering::Relaxed), 0);
-    assert!(!still_mapped.load(Ordering::Relaxed), "stack still mapped");
+    assert_ne!(local.get(), 0);
+    assert!(!still_mapped.get(), "stack still mapped");
 }

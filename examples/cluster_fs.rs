@@ -14,7 +14,8 @@
 //! cargo run --example cluster_fs
 //! ```
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca::bcl::{ChannelId, ProcAddr, SendStatus};
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -38,7 +39,7 @@ const CLIENTS: u32 = 3;
 const WRITES_PER_CLIENT: u32 = 8;
 
 /// Committed-write log the server fills: `(block, bytes)` pairs.
-type CommitLog = Arc<Lock<Vec<(u64, Vec<u8>)>>>;
+type CommitLog = Rc<RefCell<Vec<(u64, Vec<u8>)>>>;
 
 fn block_payload(client: u32, seq: u32) -> Vec<u8> {
     (0..BLOCK)
@@ -51,9 +52,9 @@ fn main() {
     let sim = cluster.sim.clone();
     let up = SimBarrier::new(&sim, CLIENTS + 1);
     let down = SimBarrier::new(&sim, CLIENTS + 1);
-    let server: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let server: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
     // Ground truth of committed writes, filled by the server.
-    let committed: CommitLog = Arc::new(Lock::new(Vec::new()));
+    let committed: CommitLog = Rc::new(RefCell::new(Vec::new()));
 
     // --- the storage server (node 0) ---
     {
@@ -63,7 +64,7 @@ fn main() {
         let committed = committed.clone();
         cluster.spawn_process(0, "blockserver", move |ctx, env| {
             let port = env.open_port(ctx);
-            *server.locked() = Some(port.addr());
+            *server.borrow_mut() = Some(port.addr());
             let disk = port
                 .bind_open(ctx, 0, BLOCK * BLOCKS)
                 .expect("export device");
@@ -84,7 +85,7 @@ fn main() {
                 // Commit: land the block in the exported window + remember.
                 port.write_buffer(disk.add(block * BLOCK), data)
                     .expect("commit");
-                committed.locked().push((block, data.to_vec()));
+                committed.borrow_mut().push((block, data.to_vec()));
                 ctx.sleep(SimDuration::from_us_f64(2.0)); // metadata update
                                                           // Ack with the block number.
                 port.send_bytes(ctx, ev.src, ChannelId::SYSTEM, &block.to_le_bytes())
@@ -103,7 +104,7 @@ fn main() {
         cluster.spawn_process(c, format!("client{c}"), move |ctx, env| {
             let port = env.open_port(ctx);
             up.wait(ctx);
-            let srv = server.locked().expect("server exported");
+            let srv = server.borrow_mut().expect("server exported");
             let scratch = port.alloc_buffer(BLOCK).expect("scratch");
             // Each client owns blocks c, c+CLIENTS+1, ... (disjoint sets).
             for w in 0..WRITES_PER_CLIENT {
@@ -146,7 +147,7 @@ fn main() {
     }
 
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let n = committed.locked().len();
+    let n = committed.borrow().len();
     assert_eq!(n as u32, CLIENTS * WRITES_PER_CLIENT);
     println!(
         "\n{} concurrent clients, {} committed writes, reads served one-sidedly by\n\

@@ -12,7 +12,8 @@
 //! cargo run --example heterogeneous
 //! ```
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca::bcl::{Architecture, ChannelId};
 use suca::cluster::{Cluster, ClusterSpec, SimBarrier};
@@ -24,23 +25,23 @@ use suca::prelude::*;
 fn ring_app(cluster: &Cluster, n: u32) -> f64 {
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, n);
-    let addrs: Arc<Lock<Vec<suca::bcl::ProcAddr>>> = Arc::new(Lock::new(vec![
+    let addrs: Rc<RefCell<Vec<suca::bcl::ProcAddr>>> = Rc::new(RefCell::new(vec![
         suca::bcl::ProcAddr {
             node: suca::os::NodeId(0),
             port: suca::bcl::PortId(0)
         };
         n as usize
     ]));
-    let finish = Arc::new(Lock::new(0.0f64));
+    let finish = Rc::new(RefCell::new(0.0f64));
     for me in 0..n {
         let barrier = barrier.clone();
         let addrs = addrs.clone();
         let finish = finish.clone();
         cluster.spawn_process(me, format!("ring{me}"), move |ctx, env| {
             let port = env.open_port(ctx);
-            addrs.locked()[me as usize] = port.addr();
+            addrs.borrow_mut()[me as usize] = port.addr();
             barrier.wait(ctx);
-            let next = addrs.locked()[((me + 1) % n) as usize];
+            let next = addrs.borrow_mut()[((me + 1) % n) as usize];
             // Pass a token around the ring, each hop appending its node id.
             if me == 0 {
                 port.send_bytes(ctx, next, ChannelId::SYSTEM, &[0u8])
@@ -54,12 +55,12 @@ fn ring_app(cluster: &Cluster, n: u32) -> f64 {
                     .expect("forward");
             } else {
                 assert_eq!(token.len(), n as usize + 1, "token visited every node");
-                *finish.locked() = ctx.now().as_us();
+                *finish.borrow_mut() = ctx.now().as_us();
             }
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let t = *finish.locked();
+    let t = *finish.borrow();
     t
 }
 

@@ -10,7 +10,8 @@
 //! cargo run --example mpi_stencil
 //! ```
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca::cluster::ClusterSpec;
 use suca::eadi::Universe;
@@ -50,7 +51,7 @@ fn main() {
     let cluster = ClusterSpec::dawning3000(NODES).build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, RANKS);
-    let gathered: Arc<Lock<Vec<f64>>> = Arc::new(Lock::new(Vec::new()));
+    let gathered: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
 
     for rank in 0..RANKS {
         let uni = uni.clone();
@@ -137,13 +138,13 @@ fn main() {
                 for p in parts {
                     full.extend(bytes_to_f64s(&p));
                 }
-                *gathered.locked() = full;
+                *gathered.borrow_mut() = full;
             }
         });
     }
 
     assert_eq!(sim.run(), RunOutcome::Completed);
-    let parallel = gathered.locked().clone();
+    let parallel = gathered.borrow().clone();
     let serial = serial_reference();
     assert_eq!(parallel.len(), serial.len());
     let max_err = parallel

@@ -13,7 +13,8 @@
 //! cargo run --example multiuser_security
 //! ```
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca::bcl::{BclError, ChannelId, PortId, ProcAddr};
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -25,7 +26,7 @@ fn main() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 3);
-    let victim_addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let victim_addr: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
 
     // Victim receiver on node 1.
     {
@@ -33,7 +34,7 @@ fn main() {
         let victim_addr = victim_addr.clone();
         cluster.spawn_process(1, "victim-rx", move |ctx, env| {
             let port = env.open_port(ctx);
-            *victim_addr.locked() = Some(port.addr());
+            *victim_addr.borrow_mut() = Some(port.addr());
             barrier.wait(ctx);
             for i in 0..5 {
                 let ev = port.wait_recv(ctx);
@@ -51,7 +52,7 @@ fn main() {
         cluster.spawn_process(0, "victim-tx", move |ctx, env| {
             let port = env.open_port(ctx);
             barrier.wait(ctx);
-            let dst = victim_addr.locked().expect("rx ready");
+            let dst = victim_addr.borrow_mut().expect("rx ready");
             for i in 0..5 {
                 port.send_bytes(
                     ctx,

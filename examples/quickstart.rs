@@ -9,7 +9,8 @@
 //! the receive path takes none — the NIC DMA'd the payload into the
 //! receiver's buffer and the completion event into its user-space queue.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca::bcl::ChannelId;
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -21,7 +22,7 @@ fn main() {
     let cluster = ClusterSpec::dawning3000(2).build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<suca::bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<suca::bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
 
     // Receiver process on node 1.
     {
@@ -29,7 +30,7 @@ fn main() {
         let addr = addr.clone();
         cluster.spawn_process(1, "receiver", move |ctx, env| {
             let port = env.open_port(ctx);
-            *addr.locked() = Some(port.addr());
+            *addr.borrow_mut() = Some(port.addr());
             barrier.wait(ctx);
             let ev = port.wait_recv(ctx); // poll in user space — no trap!
             let data = port.recv_bytes(ctx, &ev).expect("payload");
@@ -47,7 +48,7 @@ fn main() {
     cluster.spawn_process(0, "sender", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = addr.locked().expect("receiver ready");
+        let dst = addr.borrow_mut().expect("receiver ready");
         let traps_before = ctx.sim().get_count("os.traps.n0");
         let t0 = ctx.now();
         port.send_bytes(ctx, dst, ChannelId::SYSTEM, b"hello, DAWNING-3000!")

@@ -10,7 +10,8 @@
 //! cargo run --example rma_window
 //! ```
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca::bcl::{ProcAddr, SendStatus};
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -21,7 +22,7 @@ fn main() {
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
     let done = SimBarrier::new(&sim, 2);
-    let server_addr: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let server_addr: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
 
     // Server: binds an 8 KiB window, preloads a lookup table in its second
     // half, then goes compute-bound. All access to its memory is one-sided.
@@ -31,7 +32,7 @@ fn main() {
         let server_addr = server_addr.clone();
         cluster.spawn_process(1, "server", move |ctx, env| {
             let port = env.open_port(ctx);
-            *server_addr.locked() = Some(port.addr());
+            *server_addr.borrow_mut() = Some(port.addr());
             let win = port.bind_open(ctx, 0, 8192).expect("bind window");
             let table: Vec<u8> = (0..4096u32).map(|i| (i * 7 % 256) as u8).collect();
             port.write_buffer(win.add(4096), &table).expect("preload");
@@ -52,7 +53,7 @@ fn main() {
     cluster.spawn_process(0, "client", move |ctx, env| {
         let port = env.open_port(ctx);
         barrier.wait(ctx);
-        let dst = server_addr.locked().expect("server ready");
+        let dst = server_addr.borrow_mut().expect("server ready");
 
         // One-sided write of a request record into the window's first half.
         let req = port.alloc_buffer(64).expect("buf");

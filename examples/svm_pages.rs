@@ -13,7 +13,8 @@
 //! cargo run --example svm_pages
 //! ```
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca::bcl::{ProcAddr, SendStatus};
 use suca::cluster::{ClusterSpec, SimBarrier};
@@ -29,7 +30,7 @@ fn main() {
     let sim = cluster.sim.clone();
     let ready = SimBarrier::new(&sim, WORKERS + 1);
     let done = SimBarrier::new(&sim, WORKERS + 1);
-    let home: Arc<Lock<Option<ProcAddr>>> = Arc::new(Lock::new(None));
+    let home: Rc<RefCell<Option<ProcAddr>>> = Rc::new(RefCell::new(None));
 
     // The home node: owns the shared array and verifies the result.
     {
@@ -38,7 +39,7 @@ fn main() {
         let home = home.clone();
         cluster.spawn_process(0, "home", move |ctx, env| {
             let port = env.open_port(ctx);
-            *home.locked() = Some(port.addr());
+            *home.borrow_mut() = Some(port.addr());
             let win = port.bind_open(ctx, 0, TOTAL).expect("bind shared array");
             // Initialize the shared array: arr[i] = i % 251.
             let init: Vec<u8> = (0..TOTAL).map(|i| (i % 251) as u8).collect();
@@ -66,7 +67,7 @@ fn main() {
         cluster.spawn_process(w, format!("worker{w}"), move |ctx, env| {
             let port = env.open_port(ctx);
             ready.wait(ctx);
-            let home = home.locked().expect("home bound");
+            let home = home.borrow_mut().expect("home bound");
             let my_base = (w as u64 - 1) * PAGE * PAGES_PER_WORKER;
             let scratch = port.alloc_buffer(PAGE).expect("scratch page");
             for p in 0..PAGES_PER_WORKER {

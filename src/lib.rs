@@ -25,5 +25,5 @@ pub use suca_sim as sim;
 
 /// Commonly used items in one import.
 pub mod prelude {
-    pub use suca_sim::{ActorCtx, Lock, RunOutcome, Sim, SimDuration, SimTime};
+    pub use suca_sim::{ActorCtx, RunOutcome, Sim, SimDuration, SimTime};
 }

@@ -2,7 +2,8 @@
 //! over both SANs, faults injected under a full MPI workload, scale-out to
 //! the full 70-node DAWNING-3000, and SMP CPU accounting.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use suca::cluster::{ClusterSpec, SanKind};
 use suca::eadi::Universe;
@@ -15,7 +16,7 @@ fn mpi_allreduce_job(spec: ClusterSpec, ranks: u32) -> Vec<f64> {
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, ranks);
     let nodes = cluster.nodes.len() as u32;
-    let out = Arc::new(Lock::new(Vec::new()));
+    let out = Rc::new(RefCell::new(Vec::new()));
     for r in 0..ranks {
         let uni = uni.clone();
         let out = out.clone();
@@ -30,12 +31,12 @@ fn mpi_allreduce_job(spec: ClusterSpec, ranks: u32) -> Vec<f64> {
             );
             let got = comm.allreduce_f64(ctx, &[r as f64, 1.0], ReduceOp::Sum);
             if r == 0 {
-                *out.locked() = got;
+                *out.borrow_mut() = got;
             }
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "MPI job hung");
-    let v = out.locked().clone();
+    let v = out.borrow().clone();
     v
 }
 
@@ -63,7 +64,7 @@ fn mpi_survives_lossy_network() {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let uni = Universe::new(&sim, 6);
-    let results = Arc::new(Lock::new(Vec::new()));
+    let results = Rc::new(RefCell::new(Vec::new()));
     for r in 0..6u32 {
         let uni = uni.clone();
         let results = results.clone();
@@ -84,11 +85,11 @@ fn mpi_survives_lossy_network() {
             comm.bcast(ctx, 2, &mut seed);
             let x = u64::from_le_bytes(seed.clone().try_into().expect("8")) as f64;
             let total = comm.allreduce_f64(ctx, &[x * (r + 1) as f64], ReduceOp::Sum);
-            results.locked().push(total[0]);
+            results.borrow_mut().push(total[0]);
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "lossy MPI job hung");
-    let rs = results.locked();
+    let rs = results.borrow();
     let expect = 31415.0 * (1..=6).sum::<u64>() as f64;
     assert!(
         rs.iter().all(|&v| v == expect),
@@ -106,21 +107,21 @@ fn full_dawning_70_nodes_all_to_root() {
     // The full machine: every node sends its id to node 0 over BCL.
     let cluster = ClusterSpec::dawning3000(70).build();
     let sim = cluster.sim.clone();
-    let root_addr: Arc<Lock<Option<suca::bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let root_addr: Rc<RefCell<Option<suca::bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     let barrier = suca::cluster::SimBarrier::new(&sim, 70);
-    let sum = Arc::new(Lock::new(0u64));
+    let sum = Rc::new(RefCell::new(0u64));
 
     let s2 = sum.clone();
     let ra = root_addr.clone();
     let b0 = barrier.clone();
     cluster.spawn_process(0, "root", move |ctx, env| {
         let port = env.open_port(ctx);
-        *ra.locked() = Some(port.addr());
+        *ra.borrow_mut() = Some(port.addr());
         b0.wait(ctx);
         for _ in 0..69 {
             let ev = port.wait_recv(ctx);
             let data = port.recv_bytes(ctx, &ev).expect("payload");
-            *s2.locked() += u64::from(u32::from_le_bytes(data.try_into().expect("4B")));
+            *s2.borrow_mut() += u64::from(u32::from_le_bytes(data.try_into().expect("4B")));
         }
     });
     for n in 1..70u32 {
@@ -129,7 +130,7 @@ fn full_dawning_70_nodes_all_to_root() {
         cluster.spawn_process(n, format!("n{n}"), move |ctx, env| {
             let port = env.open_port(ctx);
             b.wait(ctx);
-            let dst = ra.locked().expect("root first");
+            let dst = ra.borrow_mut().expect("root first");
             // Stagger to avoid exhausting the root's 64-buffer system pool.
             ctx.sleep(SimDuration::from_us(30 * u64::from(n)));
             port.send_bytes(ctx, dst, suca::bcl::ChannelId::SYSTEM, &n.to_le_bytes())
@@ -137,7 +138,7 @@ fn full_dawning_70_nodes_all_to_root() {
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "70-node job hung");
-    assert_eq!(*sum.locked(), (1..70).sum::<u64>());
+    assert_eq!(*sum.borrow(), (1..70).sum::<u64>());
 }
 
 #[test]
@@ -207,7 +208,7 @@ fn thirty_two_rank_allreduce_over_sixteen_nodes() {
     let sim = cluster.sim.clone();
     const R: u32 = 32;
     let uni = Universe::new(&sim, R);
-    let checked = Arc::new(Lock::new(0u32));
+    let checked = Rc::new(RefCell::new(0u32));
     for r in 0..R {
         let uni = uni.clone();
         let checked = checked.clone();
@@ -232,9 +233,9 @@ fn thirty_two_rank_allreduce_over_sixteen_nodes() {
             comm.bcast(ctx, 13, &mut blob);
             assert_eq!(blob.len(), 9000);
             assert!(blob.iter().all(|b| *b == 0xCD));
-            *checked.locked() += 1;
+            *checked.borrow_mut() += 1;
         });
     }
     assert_eq!(sim.run(), RunOutcome::Completed, "32-rank job hung");
-    assert_eq!(*checked.locked(), R);
+    assert_eq!(*checked.borrow(), R);
 }

@@ -11,7 +11,8 @@
 //!   and actors in exactly the `(time, insertion index)` order of a sorted
 //!   `Vec`.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
@@ -36,14 +37,14 @@ fn roundtrip_payloads(payloads: Vec<Vec<u8>>, fault: FaultPlan, seed: u64) {
     let cluster = spec.build();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, 2);
-    let addr: Arc<Lock<Option<suca::bcl::ProcAddr>>> = Arc::new(Lock::new(None));
+    let addr: Rc<RefCell<Option<suca::bcl::ProcAddr>>> = Rc::new(RefCell::new(None));
     let expect = payloads.clone();
 
     let b2 = barrier.clone();
     let a2 = addr.clone();
     cluster.spawn_process(1, "rx", move |ctx, env| {
         let port = env.open_port(ctx);
-        *a2.locked() = Some(port.addr());
+        *a2.borrow_mut() = Some(port.addr());
         // Pre-post channels for the first lap (one channel per message,
         // modulo 8); later messages re-post on consumption below.
         for (i, p) in expect.iter().take(8).enumerate() {
@@ -75,7 +76,7 @@ fn roundtrip_payloads(payloads: Vec<Vec<u8>>, fault: FaultPlan, seed: u64) {
     cluster.spawn_process(0, "tx", move |ctx, env| {
         let port = env.open_port(ctx);
         b3.wait(ctx);
-        let dst = addr.locked().expect("rx ready");
+        let dst = addr.borrow_mut().expect("rx ready");
         for (i, p) in payloads.iter().enumerate() {
             let buf = port.alloc_buffer(p.len().max(1) as u64).expect("alloc");
             port.write_buffer(buf, p).expect("fill");
@@ -268,7 +269,7 @@ proptest! {
             prop_assert!(rounds < 10_000, "no progress");
             while tx.can_send() && (next_to_queue as usize) < n {
                 let seq = tx.next_seq();
-                tx.record_sent(seq, Arc::from(next_to_queue.to_le_bytes()), 0)
+                tx.record_sent(seq, Rc::from(next_to_queue.to_le_bytes()), 0)
                     .expect("seq from next_seq() under can_send()");
                 next_to_queue += 1;
             }
@@ -340,7 +341,7 @@ proptest! {
             }
             while tx.can_send() && (next_to_queue as usize) < n {
                 let seq = tx.next_seq();
-                tx.record_sent(seq, Arc::from(next_to_queue.to_le_bytes()), 0)
+                tx.record_sent(seq, Rc::from(next_to_queue.to_le_bytes()), 0)
                     .expect("seq from next_seq() under can_send()");
                 next_to_queue += 1;
             }
@@ -518,13 +519,13 @@ fn build_program(raw: &[RawNode], raw_scripts: [&[RawStep]; 2], split: u64) -> P
 /// What the handlers and actors of the real run share.
 struct Real {
     prog: Program,
-    log: Arc<Lock<Vec<Entry>>>,
-    ids: Lock<Vec<Option<EventId>>>,
+    log: Rc<RefCell<Vec<Entry>>>,
+    ids: RefCell<Vec<Option<EventId>>>,
     pollers: [PollerId; 2],
 }
 
 impl Real {
-    fn schedule(self: &Arc<Self>, sim: &Sim, k: usize) {
+    fn schedule(self: &Rc<Self>, sim: &Sim, k: usize) {
         let node = &self.prog.nodes[k];
         let delay = SimDuration::from_ns(node.delay);
         let id = match node.poller {
@@ -534,11 +535,13 @@ impl Real {
                 sim.schedule_in(delay, move |s| me.fire(s, k))
             }
         };
-        self.ids.locked()[k] = Some(id);
+        self.ids.borrow_mut()[k] = Some(id);
     }
 
-    fn fire(self: &Arc<Self>, sim: &Sim, k: usize) {
-        self.log.locked().push(Entry::Fired(sim.now().as_ns(), k));
+    fn fire(self: &Rc<Self>, sim: &Sim, k: usize) {
+        self.log
+            .borrow_mut()
+            .push(Entry::Fired(sim.now().as_ns(), k));
         let node = &self.prog.nodes[k];
         for &kid in &node.kids {
             self.schedule(sim, kid);
@@ -549,15 +552,15 @@ impl Real {
     }
 
     fn cancel(&self, sim: &Sim, target: usize) {
-        let id = self.ids.locked()[target];
+        let id = self.ids.borrow_mut()[target];
         if let Some(id) = id {
             let hit = sim.cancel(id);
-            self.log.locked().push(Entry::Cancelled(target, hit));
+            self.log.borrow_mut().push(Entry::Cancelled(target, hit));
         }
     }
 
     fn ran(&self, sim: &Sim, outcome: RunOutcome) {
-        self.log.locked().push(Entry::Ran(
+        self.log.borrow_mut().push(Entry::Ran(
             outcome,
             sim.now().as_ns(),
             sim.events_dispatched(),
@@ -567,17 +570,17 @@ impl Real {
 
 fn run_real(prog: Program) -> Vec<Entry> {
     let sim = Sim::new(1);
-    let log = Arc::new(Lock::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     let pollers = [0, 1].map(|p| {
         let log = log.clone();
         sim.register_poller(move |s| {
-            log.locked()
+            log.borrow_mut()
                 .push(Entry::Fired(s.now().as_ns(), POLL_TAG + p));
         })
     });
     let sigs = [Signal::new(&sim), Signal::new(&sim)];
-    let real = Arc::new(Real {
-        ids: Lock::new(vec![None; prog.nodes.len()]),
+    let real = Rc::new(Real {
+        ids: RefCell::new(vec![None; prog.nodes.len()]),
         prog,
         log,
         pollers,
@@ -595,7 +598,7 @@ fn run_real(prog: Program) -> Vec<Entry> {
                 }
                 if matches!(step, Step::Sleep(_) | Step::Wait) {
                     let now = ctx.now().as_ns();
-                    real.log.locked().push(Entry::Fired(now, ACTOR_TAG + a));
+                    real.log.borrow_mut().push(Entry::Fired(now, ACTOR_TAG + a));
                 }
             }
         });
@@ -618,7 +621,7 @@ fn run_real(prog: Program) -> Vec<Entry> {
         sigs.iter().for_each(Signal::notify);
     }
     assert_eq!(sim.pending_events(), 0);
-    let log = real.log.locked().clone();
+    let log = real.log.borrow().clone();
     log
 }
 
