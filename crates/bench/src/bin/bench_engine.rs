@@ -12,6 +12,12 @@
 //! * **delivered-messages/sec** — end-to-end message rate;
 //! * **wall-clock ms** — time for `Sim::run` on this host.
 //!
+//! Each row also records **build ms**, the time `ClusterSpec::build` took.
+//! Every node registers the same probes and instruments at every size, so
+//! the harness asserts that build µs per node at 1,024 nodes stays within
+//! 2× of the 32-node figure on both fabrics: a registry that scans what is
+//! already registered makes a build quadratic in the node count.
+//!
 //! Before the sweep, the 32-node cells assert that a run, a rerun and a
 //! profiled run produce byte-identical metrics snapshots and identical
 //! event counts.
@@ -46,6 +52,8 @@ const MSGS: u32 = 4;
 const FLEET_SAMPLE_PPM: u32 = 10_000;
 /// Node count at which the bench switches to fleet-mode observability.
 const FLEET_NODES: u32 = 1024;
+/// Bound on build µs per node at 1,024 nodes over the 32-node figure.
+const MAX_BUILD_GROWTH: f64 = 2.0;
 
 /// One `(fabric, nodes)` measurement.
 struct Row {
@@ -53,6 +61,8 @@ struct Row {
     fabric: &'static str,
     sim_events: u64,
     delivered_msgs: u64,
+    /// `ClusterSpec::build` wall-clock ms.
+    build_ms: f64,
     wall_ms: f64,
     events_per_sec: f64,
     msgs_per_sec: f64,
@@ -93,7 +103,7 @@ fn run_ring(fabric: &'static str, nodes: u32, opts: RunOpts) -> RunResult {
     if let Some(ppm) = opts.sample_ppm {
         spec = spec.with_trace_sampling(ppm);
     }
-    let (cluster, wall) = ring::run(spec, MSGS, PAYLOAD);
+    let (cluster, build, wall) = ring::run(spec, MSGS, PAYLOAD);
     let sim = &cluster.sim;
     let wall_s = wall.as_secs_f64();
     let delivered = u64::from(nodes) * u64::from(MSGS);
@@ -143,6 +153,7 @@ fn run_ring(fabric: &'static str, nodes: u32, opts: RunOpts) -> RunResult {
             fabric,
             sim_events,
             delivered_msgs: delivered,
+            build_ms: build.as_secs_f64() * 1e3,
             wall_ms: wall_s * 1e3,
             events_per_sec: sim_events as f64 / wall_s,
             msgs_per_sec: delivered as f64 / wall_s,
@@ -169,7 +180,7 @@ fn to_json(rows: &[Row]) -> String {
     use std::fmt::Write as _;
     let (os, arch, rustc, threads) = host_meta();
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"suca.bench_engine.v3\",");
+    let _ = writeln!(out, "  \"schema\": \"suca.bench_engine.v4\",");
     let _ = writeln!(out, "  \"seed\": {SEED},");
     let _ = writeln!(out, "  \"msgs_per_node\": {MSGS},");
     let _ = writeln!(out, "  \"payload_bytes\": {PAYLOAD},");
@@ -193,13 +204,14 @@ fn to_json(rows: &[Row]) -> String {
         let _ = writeln!(
             out,
             "    {{\"nodes\": {}, \"fabric\": \"{}\", \
-             \"sim_events\": {}, \"delivered_msgs\": {}, \"wall_ms\": {:.3}, \
+             \"sim_events\": {}, \"delivered_msgs\": {}, \"build_ms\": {:.3}, \"wall_ms\": {:.3}, \
              \"events_per_sec\": {:.1}, \"msgs_per_sec\": {:.1}, \"sim_us\": {:.3}, \
              \"trace_sample_ppm\": {}, \"obs_bytes\": {obs}, \"prof\": {prof}}}{comma}",
             r.nodes,
             r.fabric,
             r.sim_events,
             r.delivered_msgs,
+            r.build_ms,
             r.wall_ms,
             r.events_per_sec,
             r.msgs_per_sec,
@@ -209,6 +221,17 @@ fn to_json(rows: &[Row]) -> String {
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+/// Build µs per node of `fabric`'s 32-node and 1,024-node rows, when the
+/// sweep ran both.
+fn build_us_per_node(rows: &[Row], fabric: &str) -> Option<(f64, f64)> {
+    let per_node = |nodes: u32| {
+        rows.iter()
+            .find(|r| r.fabric == fabric && r.nodes == nodes)
+            .map(|r| r.build_ms * 1e3 / f64::from(nodes))
+    };
+    Some((per_node(32)?, per_node(1024)?))
 }
 
 fn main() {
@@ -344,15 +367,33 @@ fn main() {
         }
     }
 
-    println!("\nfabric   nodes    events     msgs   wall_ms   events/s     msgs/s  attr%");
+    // Acceptance: building a cluster costs the same per node at every size.
+    for fabric in ["myrinet", "mesh"] {
+        if let Some((small, large)) = build_us_per_node(&rows, fabric) {
+            println!(
+                "[build] {fabric}: {small:.1} µs/node at 32 nodes, {large:.1} at 1024 ({:.2}x)",
+                large / small
+            );
+            assert!(
+                large <= small * MAX_BUILD_GROWTH,
+                "{fabric}: build takes {large:.1} µs/node at 1024 nodes, over \
+                 {MAX_BUILD_GROWTH}x the {small:.1} µs/node at 32"
+            );
+        }
+    }
+
+    println!(
+        "\nfabric   nodes    events     msgs  build_ms   wall_ms   events/s     msgs/s  attr%"
+    );
     for r in &rows {
         let attr = r.prof.as_ref().map_or(0.0, ProfReport::attributed_pct);
         println!(
-            "{:<8} {:>5} {:>9} {:>8} {:>9.2} {:>10.0} {:>10.0} {:>6.1}",
+            "{:<8} {:>5} {:>9} {:>8} {:>9.2} {:>9.2} {:>10.0} {:>10.0} {:>6.1}",
             r.fabric,
             r.nodes,
             r.sim_events,
             r.delivered_msgs,
+            r.build_ms,
             r.wall_ms,
             r.events_per_sec,
             r.msgs_per_sec,
@@ -377,6 +418,7 @@ mod tests {
             fabric: "myrinet",
             sim_events: 1_000,
             delivered_msgs: 128,
+            build_ms: 0.5,
             wall_ms: 1.5,
             events_per_sec: 666_666.7,
             msgs_per_sec: 85_333.3,
@@ -388,7 +430,7 @@ mod tests {
         let prof = suca_sim::EngineProf::new().report();
         let j = to_json(&[row(Some(prof), Some(4096)), row(None, None)]);
         assert_eq!(suca_sim::artifact::validate_json(&j), Ok(()));
-        assert!(j.contains("\"schema\": \"suca.bench_engine.v3\""));
+        assert!(j.contains("\"schema\": \"suca.bench_engine.v4\""));
         assert!(j.contains("\"msgs_per_node\": 4,"));
         assert!(j.contains("\"obs_bytes\": null, \"prof\": null}"));
         for key in ["os", "arch", "rustc", "threads"] {
@@ -404,6 +446,7 @@ mod tests {
             "fabric",
             "sim_events",
             "delivered_msgs",
+            "build_ms",
             "wall_ms",
             "events_per_sec",
             "msgs_per_sec",
@@ -417,5 +460,31 @@ mod tests {
         ] {
             assert!(first.contains(&format!("\"{key}\": ")), "row missing {key}");
         }
+    }
+
+    #[test]
+    fn build_growth_compares_per_node_cost_of_the_end_cells() {
+        let row = |fabric, nodes, build_ms| Row {
+            nodes,
+            fabric,
+            sim_events: 1,
+            delivered_msgs: 1,
+            build_ms,
+            wall_ms: 1.0,
+            events_per_sec: 1.0,
+            msgs_per_sec: 1.0,
+            sim_us: 1.0,
+            trace_sample_ppm: 1_000_000,
+            prof: None,
+            obs_bytes: None,
+        };
+        let rows = [
+            row("myrinet", 32, 0.64),
+            row("myrinet", 128, 9.0),
+            row("myrinet", 1024, 40.96),
+            row("mesh", 32, 1.0),
+        ];
+        assert_eq!(build_us_per_node(&rows, "myrinet"), Some((20.0, 40.0)));
+        assert_eq!(build_us_per_node(&rows, "mesh"), None, "no 1024 cell");
     }
 }

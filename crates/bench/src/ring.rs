@@ -13,10 +13,13 @@ use suca_sim::RunOutcome;
 
 /// Build `spec` and have every node send `msgs` messages of `payload` bytes
 /// to its right neighbor. Returns the finished cluster and the wall-clock
-/// time `Sim::run` took; every message is checked to have arrived whole.
-pub fn run(spec: ClusterSpec, msgs: u32, payload: usize) -> (Cluster, Duration) {
+/// times `ClusterSpec::build` and `Sim::run` took; every message is checked
+/// to have arrived whole.
+pub fn run(spec: ClusterSpec, msgs: u32, payload: usize) -> (Cluster, Duration, Duration) {
     let nodes = spec.nodes;
+    let build = Instant::now();
     let cluster = spec.build();
+    let build = build.elapsed();
     let sim = cluster.sim.clone();
     let barrier = SimBarrier::new(&sim, nodes);
     let addrs: Rc<RefCell<Vec<Option<ProcAddr>>>> =
@@ -55,5 +58,5 @@ pub fn run(spec: ClusterSpec, msgs: u32, payload: usize) -> (Cluster, Duration) 
         u64::from(nodes) * u64::from(msgs),
         "a node never finished receiving"
     );
-    (cluster, wall)
+    (cluster, build, wall)
 }

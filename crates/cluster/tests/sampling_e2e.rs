@@ -23,7 +23,7 @@ fn run_ring(sample_ppm: Option<u32>) -> Vec<TraceEvent> {
     if let Some(ppm) = sample_ppm {
         spec = spec.with_trace_sampling(ppm);
     }
-    let (cluster, _wall) = ring::run(spec, MSGS, PAYLOAD);
+    let (cluster, _build, _wall) = ring::run(spec, MSGS, PAYLOAD);
     cluster.trace_events()
 }
 

@@ -25,8 +25,10 @@
 //! back into the [`TimeSeries`] they are registered with.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 
 use crate::json_escape;
 
@@ -51,9 +53,24 @@ struct Probe {
 }
 
 struct Inner {
+    /// In registration order: sampling and the health engine's saturation
+    /// rules visit probes in this order.
     probes: Vec<Probe>,
+    /// `hash(name)` of every registered probe: registration checks a name
+    /// against this instead of scanning `probes`, so registering is O(1)
+    /// and building an n-node cluster O(n). Only a hit (a duplicate, or two
+    /// names whose hashes collide) compares names.
+    name_hashes: HashSet<u64>,
+    hash: fn(&str) -> u64,
     ring_capacity: usize,
     samples_taken: u64,
+}
+
+/// The registry's name hash: std's SipHash with its fixed default keys.
+fn name_hash(name: &str) -> u64 {
+    let mut h = DefaultHasher::new();
+    name.hash(&mut h);
+    h.finish()
 }
 
 /// The probe registry plus the bounded sample rings. One per simulation,
@@ -79,6 +96,8 @@ impl TimeSeries {
         TimeSeries {
             inner: RefCell::new(Inner {
                 probes: Vec::new(),
+                name_hashes: HashSet::new(),
+                hash: name_hash,
                 ring_capacity: ring_capacity.max(1),
                 samples_taken: 0,
             }),
@@ -102,10 +121,13 @@ impl TimeSeries {
     ) {
         let name = name.into();
         let mut inner = self.inner.borrow_mut();
-        assert!(
-            !inner.probes.iter().any(|p| p.name == name),
-            "duplicate telemetry probe {name:?}"
-        );
+        let h = (inner.hash)(&name);
+        if !inner.name_hashes.insert(h) {
+            assert!(
+                !inner.probes.iter().any(|p| p.name == name),
+                "duplicate telemetry probe {name:?}"
+            );
+        }
         // The ring grows as samples arrive: most runs take only a few.
         inner.probes.push(Probe {
             name,
@@ -475,6 +497,62 @@ mod tests {
         let ts = TimeSeries::new();
         ts.register("x", 0, None, |_| 0);
         ts.register("x", 0, None, |_| 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate telemetry probe \"n7777.mcp.send_queue\"")]
+    fn a_duplicate_among_20000_probes_panics_naming_itself() {
+        let ts = TimeSeries::new();
+        for n in 0..20_000u32 {
+            ts.register(format!("n{n}.mcp.send_queue"), n, Some(64), |_| 0);
+        }
+        ts.register("n7777.mcp.send_queue", 7777, Some(64), |_| 0);
+    }
+
+    #[test]
+    fn names_with_equal_hashes_both_register() {
+        let ts = TimeSeries::new();
+        // Every name hashes alike: each registration after the first is a
+        // hash hit, and only the name compare tells a duplicate apart.
+        ts.inner.borrow_mut().hash = |_| 42;
+        ts.register("n0.q", 0, None, |_| 1);
+        ts.register("n1.q", 1, None, |_| 2);
+        ts.register("n2.q", 2, None, |_| 3);
+        ts.sample_all(10);
+        let snap = ts.snapshot();
+        assert_eq!(snap.series.len(), 3);
+        assert_eq!(snap.series("n1.q").unwrap().points, vec![(10, 2)]);
+        let dup = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ts.register("n1.q", 1, None, |_| 0)
+        }));
+        let msg = dup.expect_err("a colliding duplicate still panics");
+        assert_eq!(
+            msg.downcast_ref::<String>().map(String::as_str),
+            Some("duplicate telemetry probe \"n1.q\"")
+        );
+    }
+
+    #[test]
+    fn snapshot_sorts_by_name_and_latest_follows_registration() {
+        let ts = TimeSeries::new();
+        let names = ["n2.q", "link.sw0->n1.busy", "n10.q", "a.first", "n1.q"];
+        for (i, name) in names.iter().enumerate() {
+            ts.register(*name, i as u32, None, move |_| i as u64);
+        }
+        ts.sample_all(5);
+        let snap = ts.snapshot();
+        let got: Vec<&str> = snap.series.iter().map(|s| s.name.as_str()).collect();
+        let mut sorted = names.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(got, sorted);
+        let mut seen = Vec::new();
+        ts.for_each_latest(|name, node, _, v| seen.push((name.to_string(), node, v)));
+        let expect: Vec<(String, u32, u64)> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.to_string(), i as u32, i as u64))
+            .collect();
+        assert_eq!(seen, expect, "registration order, not name order");
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! wakeups (e.g. a signal notification racing a sleep timer) are dropped
 //! instead of resuming the actor early.
 
+use std::cell::{Cell, RefCell};
 use std::panic::{self, AssertUnwindSafe};
+use std::rc::Rc;
 
 use crate::coro::{Coro, Link};
 use crate::engine::Sim;
@@ -44,16 +46,30 @@ impl ActorId {
     }
 }
 
-/// Scheduler-side record of one actor.
+/// Scheduler-side record of one actor, shared by the actor table and the
+/// actor's own [`ActorCtx`]: the actor bumps its park generation and
+/// records its exit through its own handle, so a park/wake cycle takes the
+/// table only once, when the driver looks the woken actor up.
 pub(crate) struct ActorRecord {
     pub(crate) name: String,
     /// Park generation; a `WakeActor` event must match this to resume.
-    pub(crate) gen: u64,
+    pub(crate) gen: Cell<u64>,
     /// The suspended coroutine. The driver takes it out while the actor
     /// runs, and drops it (unmapping the stack) once the actor finished.
-    pub(crate) coro: Option<Coro>,
+    pub(crate) coro: Cell<Option<Coro>>,
     /// Set as the body returns (`Ok`) or panics (`Err(message)`).
-    pub(crate) exit: Option<Result<(), String>>,
+    pub(crate) exit: RefCell<Option<Result<(), String>>>,
+}
+
+impl ActorRecord {
+    /// Is the actor suspended, waiting for a wake? False while it runs and
+    /// once it finished.
+    pub(crate) fn parked(&self) -> bool {
+        let coro = self.coro.take();
+        let parked = coro.is_some();
+        self.coro.set(coro);
+        parked
+    }
 }
 
 /// Handle passed to actor bodies; the actor's view of the simulation.
@@ -63,7 +79,7 @@ pub(crate) struct ActorRecord {
 pub struct ActorCtx {
     sim: Sim,
     id: ActorId,
-    name: String,
+    rec: Rc<ActorRecord>,
 }
 
 impl ActorCtx {
@@ -79,7 +95,7 @@ impl ActorCtx {
 
     /// This actor's debug name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.rec.name
     }
 
     /// Current virtual time.
@@ -91,22 +107,31 @@ impl ActorCtx {
     /// CPU/elapsed time. Other events scheduled inside the window run while
     /// this actor is parked.
     pub fn sleep(&mut self, d: SimDuration) {
-        if d.is_zero() {
-            return self.yield_now();
-        }
-        let gen = self.sim.next_park_gen(self.id);
-        let id = self.id;
-        self.sim.schedule_wake_in(d, id, gen);
-        self.park();
+        self.park_for(d);
     }
 
     /// Yield without advancing time: all other events scheduled at the
     /// current instant run before this actor resumes.
     pub fn yield_now(&mut self) {
-        let gen = self.sim.next_park_gen(self.id);
-        let id = self.id;
-        self.sim.schedule_wake_in(SimDuration::ZERO, id, gen);
-        self.park();
+        self.park_for(SimDuration::ZERO);
+    }
+
+    /// Park until `d` from now. When the wake would be the very next event,
+    /// the clock moves in place instead ([`Sim::wake_in_place`]): no
+    /// queue round-trip, no stack switch, and the same dispatch order.
+    fn park_for(&mut self, d: SimDuration) {
+        let gen = self.next_park_gen();
+        if !self.sim.wake_in_place(d) {
+            self.sim.schedule_wake_in(d, self.id, gen);
+            self.park();
+        }
+    }
+
+    /// Bump and return the park generation for an upcoming park.
+    pub(crate) fn next_park_gen(&self) -> u64 {
+        let gen = self.rec.gen.get() + 1;
+        self.rec.gen.set(gen);
+        gen
     }
 
     /// Park until a matching wakeup. Internal: used by `sleep` and signals,
@@ -131,12 +156,12 @@ struct Start {
 pub(crate) fn new_coro(
     sim: Sim,
     id: ActorId,
-    name: String,
+    rec: Rc<ActorRecord>,
     body: Box<dyn FnOnce(&mut ActorCtx) + 'static>,
 ) -> Coro {
-    let coro_name = name.as_str().into();
+    let coro_name = rec.name.as_str().into();
     let start = Box::new(Start {
-        ctx: ActorCtx { sim, id, name },
+        ctx: ActorCtx { sim, id, rec },
         body,
     });
     Coro::new(actor_main, Box::into_raw(start).cast(), coro_name)
@@ -165,6 +190,6 @@ fn run_body(Start { mut ctx, body }: Start) -> *const Link {
             "<non-string panic payload>".to_string()
         }
     });
-    ctx.sim.actor_exited(ctx.id, exit);
+    *ctx.rec.exit.borrow_mut() = Some(exit);
     ctx.sim.link()
 }

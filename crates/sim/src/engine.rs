@@ -146,6 +146,19 @@ impl Queue {
         }
         None
     }
+
+    /// Account for an event at `time` as if it had been pushed and popped
+    /// at once, provided it would be the next to pop: no key, a cancelled
+    /// tombstone included, lies at or before `time`. Its seq is taken and
+    /// it counts as dispatched; the heap and the slab are not touched.
+    fn pass_through(&mut self, time: SimTime) -> bool {
+        if self.heap.peek().is_some_and(|k| k.0 .0 <= time) {
+            return false;
+        }
+        self.seq += 1;
+        self.dispatched += 1;
+        true
+    }
 }
 
 /// Profiler stamp opening a dispatch interval: `(start, allocs, bytes)`.
@@ -162,7 +175,8 @@ enum Abort {
 pub(crate) struct SimInner {
     queue: RefCell<Queue>,
     /// Actor table, in a cell of its own apart from the hot event queue.
-    actors: RefCell<Vec<ActorRecord>>,
+    /// Each record is shared with its actor's [`ActorCtx`].
+    actors: RefCell<Vec<Rc<ActorRecord>>>,
     /// Stack-pointer slots for switching between the driver loop and the
     /// actor it resumed.
     link: Link,
@@ -170,6 +184,8 @@ pub(crate) struct SimInner {
     /// never borrows it.
     now_ns: Cell<u64>,
     running: Cell<bool>,
+    /// The running `run_until` limit (`SimTime::MAX` under `run`).
+    limit: Cell<SimTime>,
     seed: u64,
     /// Registered poller callbacks, indexed by `PollerId`. Append-only.
     pollers: RefCell<Vec<PollerFn>>,
@@ -239,6 +255,7 @@ impl Sim {
                 link: Link::default(),
                 now_ns: Cell::new(0),
                 running: Cell::new(false),
+                limit: Cell::new(SimTime::MAX),
                 seed,
                 pollers: RefCell::new(Vec::new()),
                 metrics,
@@ -320,16 +337,17 @@ impl Sim {
         name: impl Into<String>,
         body: impl FnOnce(&mut ActorCtx) + 'static,
     ) -> ActorId {
-        let name = name.into();
+        let rec = Rc::new(ActorRecord {
+            name: name.into(),
+            gen: Cell::new(0),
+            coro: Cell::new(None),
+            exit: RefCell::new(None),
+        });
         let mut actors = self.inner.actors.borrow_mut();
         let id = ActorId(u32::try_from(actors.len()).expect("actor table overflow"));
-        let coro = new_coro(self.clone(), id, name.clone(), Box::new(body));
-        actors.push(ActorRecord {
-            name,
-            gen: 0,
-            coro: Some(coro),
-            exit: None,
-        });
+        let coro = new_coro(self.clone(), id, rec.clone(), Box::new(body));
+        rec.coro.set(Some(coro));
+        actors.push(rec);
         drop(actors);
         let now = self.now();
         self.push_event(now, EventAction::Wake(id, 0));
@@ -353,6 +371,7 @@ impl Sim {
             "Sim::run called reentrantly"
         );
         let _guard = RunningGuard(&self.inner);
+        self.inner.limit.set(limit);
         let prof_t0 = self.prof_on().then(|| {
             crate::alloc::set_counting(true);
             Instant::now()
@@ -461,27 +480,23 @@ impl Sim {
     }
 
     /// Dispatch a wake: switch into actor `id` unless the wake is stale,
-    /// then put its coroutine back, or unmap its stack if it finished.
+    /// then put its coroutine back, or unmap its stack if it finished. The
+    /// one borrow of the actor table in a park/wake cycle is the lookup
+    /// here: the actor bumps its generation through its own record.
     fn resume(&self, id: ActorId, gen: u64) -> Result<(), Abort> {
-        let mut coro = {
-            let mut actors = self.inner.actors.borrow_mut();
-            let rec = &mut actors[id.0 as usize];
-            if rec.gen != gen {
-                return Ok(()); // stale wake: the actor moved on
-            }
-            match rec.coro.take() {
-                Some(coro) => coro,
-                None => return Ok(()), // the actor finished
-            }
+        let rec = Rc::clone(&self.inner.actors.borrow()[id.0 as usize]);
+        if rec.gen.get() != gen {
+            return Ok(()); // stale wake: the actor moved on
+        }
+        let Some(mut coro) = rec.coro.take() else {
+            return Ok(()); // the actor finished
         };
         // SAFETY: this is the sim's driver loop and no actor is running
         // (`running` admits one driver, which runs actors one at a time);
         // `coro` sat in the table, so it is suspended and not finished.
         unsafe { self.inner.link.resume(&mut coro) };
-        let mut actors = self.inner.actors.borrow_mut();
-        let rec = &mut actors[id.0 as usize];
-        match &rec.exit {
-            None => rec.coro = Some(coro),
+        match &*rec.exit.borrow() {
+            None => rec.coro.set(Some(coro)),
             Some(Ok(())) => {}
             Some(Err(msg)) => return Err(Abort::ActorPanic(rec.name.clone(), msg.clone())),
         }
@@ -498,9 +513,9 @@ impl Sim {
         let stuck: Vec<String> = self
             .inner
             .actors
-            .borrow_mut()
+            .borrow()
             .iter()
-            .filter(|a| a.coro.is_some())
+            .filter(|a| a.parked())
             .map(|a| a.name.clone())
             .collect();
         if stuck.is_empty() {
@@ -512,12 +527,24 @@ impl Sim {
 
     // ---- actor support (crate-internal) ------------------------------------
 
-    /// Bump and return the park generation for an upcoming park.
-    pub(crate) fn next_park_gen(&self, id: ActorId) -> u64 {
-        let mut actors = self.inner.actors.borrow_mut();
-        let rec = &mut actors[id.0 as usize];
-        rec.gen += 1;
-        rec.gen
+    /// Move the clock `d` forward in place of an actor's park, when the
+    /// wake it would schedule is the very next event: no queued key (a
+    /// cancelled tombstone included) at or before `now + d`, and `now + d`
+    /// within the running limit. A tie goes through the queue, where the
+    /// earlier seq runs first. The wake still takes its seq and counts as
+    /// dispatched, and the profiler counts its pop and its dispatch, so no
+    /// counter can tell this from a park the driver woke at once.
+    pub(crate) fn wake_in_place(&self, d: SimDuration) -> bool {
+        let time = self.now() + d;
+        if time > self.inner.limit.get() || !self.inner.queue.borrow_mut().pass_through(time) {
+            return false;
+        }
+        self.inner.now_ns.set(time.as_ns());
+        if self.prof_on() {
+            self.inner.prof.lock_acq(1);
+            self.inner.prof.dispatch(KIND_WAKE, 0, 0, 0);
+        }
+        true
     }
 
     /// Schedule a generational wakeup.
@@ -529,12 +556,6 @@ impl Sim {
     /// Schedule a generational wakeup at the current instant (signal notify).
     pub(crate) fn schedule_wake_now(&self, id: ActorId, gen: u64) -> EventId {
         self.schedule_wake_in(SimDuration::ZERO, id, gen)
-    }
-
-    /// An actor's body returned (`Ok`) or panicked with a message; called
-    /// on the actor's stack just before it switches away for good.
-    pub(crate) fn actor_exited(&self, id: ActorId, exit: Result<(), String>) {
-        self.inner.actors.borrow_mut()[id.0 as usize].exit = Some(exit);
     }
 
     /// The driver loop's switch slots.
@@ -875,6 +896,94 @@ mod tests {
         assert_eq!(sim.now().as_us(), 100.0);
     }
 
+    /// Slab slots the event queue ever needed: a wake that moved the clock
+    /// in place took none.
+    fn slab_len(sim: &Sim) -> usize {
+        sim.inner.queue.borrow().slots.len()
+    }
+
+    #[test]
+    fn a_sleep_whose_wake_is_next_moves_the_clock_in_place() {
+        let sim = Sim::new(1);
+        sim.set_profiling(true);
+        let seen = Rc::new(Cell::new(0));
+        let s = seen.clone();
+        sim.spawn("a", move |ctx| {
+            ctx.sleep(SimDuration::from_us(5));
+            ctx.yield_now();
+            ctx.sleep(SimDuration::from_us(7));
+            s.set(ctx.now().as_ns());
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(seen.get(), 12_000);
+        assert_eq!(slab_len(&sim), 1, "only the spawn wake was queued");
+        // The three wakes count as if they had been queued and popped.
+        assert_eq!(sim.events_dispatched(), 4);
+        let r = sim.prof_report();
+        assert_eq!(r.dispatch_count[KIND_WAKE], 4);
+        assert_eq!(r.lock_acquisitions, 4 + 1);
+        assert_eq!(sim.inner.queue.borrow().seq, 4);
+    }
+
+    #[test]
+    fn a_sleep_past_the_run_until_limit_stays_pending_at_the_limit() {
+        let sim = Sim::new(1);
+        let woke = Rc::new(Cell::new(0));
+        let w = woke.clone();
+        sim.spawn("a", move |ctx| {
+            ctx.sleep(SimDuration::from_us(10));
+            w.set(ctx.now().as_ns());
+        });
+        assert_eq!(sim.run_until(SimTime::from_ns(4_000)), RunOutcome::Pending);
+        assert_eq!(sim.now().as_ns(), 4_000, "the clock stops at the limit");
+        assert_eq!(woke.get(), 0, "the actor still sleeps");
+        assert_eq!(sim.pending_events(), 1, "its wake is queued");
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(woke.get(), 10_000);
+        assert_eq!(sim.events_dispatched(), 2);
+    }
+
+    #[test]
+    fn a_sleep_that_ties_a_queued_event_wakes_after_it() {
+        let sim = Sim::new(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l = log.clone();
+        sim.spawn("a", move |ctx| {
+            let l2 = l.clone();
+            ctx.sim().schedule_in(SimDuration::from_us(3), move |s| {
+                l2.borrow_mut().push(("handler", s.now().as_ns()));
+            });
+            ctx.sleep(SimDuration::from_us(3));
+            l.borrow_mut().push(("actor", ctx.now().as_ns()));
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(*log.borrow(), [("handler", 3_000), ("actor", 3_000)]);
+        assert_eq!(slab_len(&sim), 2, "the wake went through the queue");
+    }
+
+    #[test]
+    fn a_cancelled_tombstone_at_the_heap_front_is_not_overtaken() {
+        let sim = Sim::new(1);
+        let woke = Rc::new(Cell::new(0));
+        let w = woke.clone();
+        sim.spawn("a", move |ctx| {
+            let id = ctx.sim().schedule_in(SimDuration::from_us(2), |_| {
+                panic!("a cancelled event ran");
+            });
+            assert!(ctx.sim().cancel(id));
+            ctx.sleep(SimDuration::from_us(5));
+            w.set(ctx.now().as_ns());
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(woke.get(), 5_000);
+        assert_eq!(slab_len(&sim), 2, "the wake went through the queue");
+        assert!(
+            sim.inner.queue.borrow().heap.is_empty(),
+            "tombstone discarded"
+        );
+        assert_eq!(sim.events_dispatched(), 2);
+    }
+
     #[test]
     #[should_panic(expected = "sim actor 'oops' panicked: boom")]
     fn actor_panics_propagate() {
@@ -1141,8 +1250,8 @@ mod tests {
         let s = seen.clone();
         sim.spawn("brief", |_| {});
         sim.schedule_in(SimDuration::from_us(3), move |sim| {
-            let rec = &sim.inner.actors.borrow_mut()[0];
-            *s.borrow_mut() = Some((rec.coro.is_none(), rec.exit.clone()));
+            let rec = &sim.inner.actors.borrow()[0];
+            *s.borrow_mut() = Some((!rec.parked(), rec.exit.borrow().clone()));
         });
         assert_eq!(sim.run(), RunOutcome::Completed);
         assert_eq!(*seen.borrow(), Some((true, Some(Ok(())))));
@@ -1163,7 +1272,7 @@ mod tests {
             s.borrow_mut().push(std::thread::current().id());
         });
         assert_eq!(sim.run_until(SimTime::from_ns(1_000)), RunOutcome::Pending);
-        assert!(sim.inner.actors.borrow()[0].coro.is_some(), "still parked");
+        assert!(sim.inner.actors.borrow()[0].parked(), "still parked");
         assert_eq!(sim.run(), RunOutcome::Completed);
         let here = std::thread::current().id();
         assert_eq!(*seen.borrow(), [here, here]);

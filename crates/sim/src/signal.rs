@@ -41,7 +41,7 @@ impl Signal {
     ///
     /// Callers typically loop: `while !cond() { sig.wait(ctx); }`.
     pub fn wait(&self, ctx: &mut ActorCtx) {
-        let gen = self.sim.next_park_gen(ctx.id());
+        let gen = ctx.next_park_gen();
         self.state.borrow_mut().waiters.push((ctx.id(), gen));
         ctx.park();
     }
@@ -72,7 +72,7 @@ impl Signal {
     /// predicate either way.
     pub fn wait_timeout(&self, ctx: &mut ActorCtx, timeout: crate::SimDuration) -> bool {
         let deadline = ctx.now() + timeout;
-        let gen = self.sim.next_park_gen(ctx.id());
+        let gen = ctx.next_park_gen();
         self.state.borrow_mut().waiters.push((ctx.id(), gen));
         // The same generation wakes from either source; stale ones no-op.
         self.sim.schedule_wake_in(timeout, ctx.id(), gen);

@@ -433,6 +433,9 @@ proptest! {
 
 /// Delays in ns; the repeated 0 and the small spread make ties common.
 const DELAYS: [u64; 5] = [0, 0, 1, 2, 7];
+/// Actor sleeps in ns: the short ones tie queued events or move the clock
+/// in place, the long one crosses every `run_until` split.
+const SLEEPS: [u64; 6] = [0, 1, 2, 7, 15, 40];
 /// Log tag of poller `p` is `POLL_TAG + p`, of actor `a` `ACTOR_TAG + a`;
 /// a handler node logs its own index.
 const POLL_TAG: usize = 1_000;
@@ -452,6 +455,7 @@ struct Node {
 #[derive(Clone, Copy)]
 enum Step {
     Sleep(u64),
+    Yield,
     /// Wait on this actor's own signal.
     Wait,
     /// Notify the other actor's signal.
@@ -500,11 +504,12 @@ fn build_program(raw: &[RawNode], raw_scripts: [&[RawStep]; 2], split: u64) -> P
     let script = |raw: &[RawStep]| {
         raw.iter()
             .map(|&(kind, pick)| match kind {
-                0 | 1 => Step::Sleep(DELAYS[usize::from(pick) % DELAYS.len()]),
+                0 | 1 => Step::Sleep(SLEEPS[usize::from(pick) % SLEEPS.len()]),
                 2 => Step::Wait,
                 3 => Step::Notify,
                 4 => Step::Cancel(usize::from(pick) % n),
-                _ => Step::Schedule(usize::from(pick) % n),
+                5 => Step::Schedule(usize::from(pick) % n),
+                _ => Step::Yield,
             })
             .collect()
     };
@@ -591,12 +596,13 @@ fn run_real(prog: Program) -> Vec<Entry> {
             for &step in &real.prog.scripts[a] {
                 match step {
                     Step::Sleep(d) => ctx.sleep(SimDuration::from_ns(d)),
+                    Step::Yield => ctx.yield_now(),
                     Step::Wait => sigs[a].wait(ctx),
                     Step::Notify => sigs[1 - a].notify(),
                     Step::Cancel(k) => real.cancel(ctx.sim(), k),
                     Step::Schedule(k) => real.schedule(ctx.sim(), k),
                 }
-                if matches!(step, Step::Sleep(_) | Step::Wait) {
+                if matches!(step, Step::Sleep(_) | Step::Yield | Step::Wait) {
                     let now = ctx.now().as_ns();
                     real.log.borrow_mut().push(Entry::Fired(now, ACTOR_TAG + a));
                 }
@@ -702,6 +708,10 @@ impl Model<'_> {
                             self.push(d, Ev::Wake(a));
                             return;
                         }
+                        Step::Yield => {
+                            self.push(0, Ev::Wake(a));
+                            return;
+                        }
                         Step::Wait => {
                             self.waiting[a] = true;
                             return;
@@ -779,8 +789,8 @@ proptest! {
             (0usize..DELAYS.len(), any::<u16>(), any::<u16>(), 0u8..6),
             1..40
         ),
-        script0 in prop::collection::vec((0u8..6, any::<u16>()), 0..10),
-        script1 in prop::collection::vec((0u8..6, any::<u16>()), 0..10),
+        script0 in prop::collection::vec((0u8..7, any::<u16>()), 0..12),
+        script1 in prop::collection::vec((0u8..7, any::<u16>()), 0..12),
         split in 0u64..25,
     ) {
         let expect = run_model(&build_program(&nodes, [&script0, &script1], split));
