@@ -422,6 +422,13 @@ impl Mcp {
         )
     }
 
+    /// Bytes the completed-job memory (jobs a late `Reject` may still name)
+    /// reserves: at most 256 small records, plus the whole jobs of the
+    /// normal-channel messages that may still be refused retryably.
+    pub fn completed_memory_bytes(&self) -> usize {
+        self.inner.state.borrow().send.completed.bytes()
+    }
+
     /// Kernel module: is `dst` currently declared unreachable on every rail?
     /// Advisory — the firmware keeps retrying underneath, and ack progress
     /// clears the mark; but the kernel refuses *new* sends meanwhile.

@@ -387,7 +387,7 @@ impl McpInner {
             if in_flight {
                 self.arm_timer(peer, src);
             } else {
-                st.send.settle(src);
+                st.send.completed.settle(src);
             }
         }
         self.kick_sender(); // window may have opened, or a resend is queued

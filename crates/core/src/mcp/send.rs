@@ -1,8 +1,8 @@
 //! MCP send engine: the descriptor queue, fragment staging, the LANai send
 //! loop (`sender_step` / `next_work`) and the completed-job memory that
-//! message-level (reject) retries draw on.
+//! message-level (reject) retries and failures draw on.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -81,13 +81,143 @@ pub struct SendJob {
     pub notify_sender: bool,
 }
 
+/// What a receiver can still do to a job after it completed, read off the
+/// refusals of `recv.rs`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Refusal {
+    /// A message to a normal channel: refused retryably when no buffer is
+    /// posted yet, which re-stages it from user memory, or fatally when it
+    /// is too big for the posted one.
+    Retryable,
+    /// A message to the system channel, too big for a pool buffer, or a
+    /// one-sided read request the target cannot serve: refused fatally or
+    /// not at all.
+    Fatal,
+    /// RMA writes, read replies and collective contributions: never refused.
+    Never,
+}
+
 impl SendJob {
-    /// Can the receiver still ask for this job again after it completed?
-    /// Only a message to a normal channel is refused retryably (no buffer
-    /// posted yet); the system channel discards silently, one-sided
-    /// operations are refused fatally or not at all.
-    fn refusable(&self) -> bool {
-        matches!(self.kind, JobKind::Message { .. }) && self.channel.kind == ChannelKind::Normal
+    fn refusal(&self) -> Refusal {
+        match (&self.kind, self.channel.kind) {
+            (JobKind::Message { .. }, ChannelKind::Normal) => Refusal::Retryable,
+            (JobKind::Message { .. }, ChannelKind::System) => Refusal::Fatal,
+            (JobKind::RmaReadReq { .. }, _) => Refusal::Fatal,
+            _ => Refusal::Never,
+        }
+    }
+}
+
+/// A completed job a late `Reject` may still name: what failing it reads.
+/// Its trace chain is always this node's (read replies, whose chain starts
+/// at the requester, are never kept), so no origin is stored.
+#[derive(Clone, Copy, Debug)]
+struct Nameable {
+    msg_id: u32,
+    /// The port its failure is posted to.
+    src_port: PortId,
+    /// A read request: failing it also clears its pending read.
+    read: bool,
+    /// Its whole job is in [`Completed::held`].
+    held: bool,
+}
+
+impl Nameable {
+    fn of(job: &SendJob, held: bool) -> Self {
+        Nameable {
+            msg_id: job.msg_id,
+            src_port: job.src_port,
+            read: matches!(job.kind, JobKind::RmaReadReq { .. }),
+            held,
+        }
+    }
+}
+
+/// Fully injected jobs a late `Reject` may still name, oldest first, at
+/// most [`COMPLETED_CAP`]. Their owners were told they are done. Only a
+/// [`Refusal::Retryable`] job is kept whole, holding its segments (a retry
+/// re-stages from user memory), until evicted or [`Completed::settle`]d;
+/// any other job a `Reject` can name is kept as its [`Nameable`] alone.
+/// Message ids are unique per node (the kernel module hands them out), so
+/// an id is remembered at most once.
+#[derive(Default)]
+pub(super) struct Completed {
+    order: VecDeque<Nameable>,
+    /// The whole jobs of the `held` entries, in no particular order.
+    held: Vec<SendJob>,
+}
+
+/// A job a `Reject` named.
+#[derive(Debug)]
+enum Remembered {
+    /// Active, queued, or completed and still refusable retryably: the
+    /// whole job, segments and all.
+    Whole(SendJob),
+    /// Completed and past any retry: enough to fail it.
+    Failable(Nameable),
+}
+
+impl Completed {
+    /// The job was fully injected and its owner told: the buffer is the
+    /// owner's again (not busy), and unless the receiver may yet refuse the
+    /// job retryably, the NIC lets go of it altogether.
+    fn remember(&mut self, mut job: SendJob) {
+        let refusal = job.refusal();
+        if refusal == Refusal::Never {
+            return;
+        }
+        if self.order.len() == COMPLETED_CAP {
+            self.evict_oldest();
+        }
+        let held = refusal == Refusal::Retryable;
+        self.order.push_back(Nameable::of(&job, held));
+        if held {
+            job.segments.end_busy();
+            self.held.push(job);
+        }
+    }
+
+    fn evict_oldest(&mut self) {
+        if let Some(old) = self.order.pop_front().filter(|n| n.held) {
+            self.take_held(old.msg_id);
+        }
+    }
+
+    fn take_held(&mut self, msg_id: u32) -> Option<SendJob> {
+        let i = self.held.iter().position(|j| j.msg_id == msg_id)?;
+        Some(self.held.swap_remove(i))
+    }
+
+    /// Take the job `msg_id` names out of the memory.
+    fn take(&mut self, msg_id: u32) -> Option<Remembered> {
+        let i = self.order.iter().rposition(|n| n.msg_id == msg_id)?;
+        let named = self.order.remove(i)?;
+        if !named.held {
+            return Some(Remembered::Failable(named));
+        }
+        self.take_held(msg_id).map(Remembered::Whole)
+    }
+
+    /// Everything sent to `dst` so far is acknowledged. A receiver refuses
+    /// a message before it acknowledges the fragment that made it decide
+    /// (`on_data`: the `Reject` is queued ahead of the ack, on the same
+    /// rail), so no remembered job to `dst` can be refused any more: forget
+    /// the ones still holding their buffers.
+    pub(super) fn settle(&mut self, dst: FabricNodeId) {
+        let before = self.held.len();
+        self.held.retain(|j| j.dst_fid != dst);
+        if self.held.len() == before {
+            return;
+        }
+        let held = &self.held;
+        self.order
+            .retain(|n| !n.held || held.iter().any(|j| j.msg_id == n.msg_id));
+    }
+
+    /// Bytes the memory's two containers reserve.
+    pub(super) fn bytes(&self) -> usize {
+        self.order.capacity() * std::mem::size_of::<Nameable>()
+            + self.held.capacity() * std::mem::size_of::<SendJob>()
     }
 }
 
@@ -104,7 +234,7 @@ struct ActiveSend {
 
 /// How many fragments the staging engine keeps ahead of injection.
 const STAGE_AHEAD: usize = 8;
-/// Completed-job memory for message-level retries.
+/// Completed jobs a late `Reject` may still name, per node.
 const COMPLETED_CAP: usize = 256;
 /// Translations the user-level NIC caches in SRAM: VMMC-2 and U-Net kept
 /// a few hundred, where BCL's host-resident pin-down table holds 64 K pages.
@@ -125,15 +255,8 @@ pub(super) struct SendEngine {
     active_gen: u64,
     /// True while exactly one chain of `sender_step` events exists.
     busy: bool,
-    /// Fully injected jobs a late `Reject` may still name, oldest first in
-    /// `completed_order`, bounded by [`COMPLETED_CAP`]. Their owners were
-    /// told they are done; only [`SendJob::refusable`] ones still hold
-    /// their segments (a retry re-stages from user memory), until evicted
-    /// or [`SendEngine::settle`]d.
-    completed: HashMap<u32, SendJob>,
-    completed_order: VecDeque<u32>,
-    /// Entries of `completed` still holding segments.
-    completed_holding: usize,
+    /// Fully injected jobs a late `Reject` may still name.
+    pub(super) completed: Completed,
     /// The user-level NIC's translation cache, least recently used first
     /// (empty under BCL).
     tlb: VecDeque<(Asid, u64)>,
@@ -187,65 +310,16 @@ impl SendEngine {
         misses
     }
 
-    /// The job was fully injected and its owner told: the buffer is the
-    /// owner's again (not busy), and unless the receiver may yet refuse the
-    /// job retryably, the NIC lets go of it altogether.
-    fn remember(&mut self, mut job: SendJob) {
-        if job.refusable() {
-            job.segments.end_busy();
-        } else {
-            job.segments = NicSegs::default();
-        }
-        // Ids can repeat (a read reply carries its requester's), and an
-        // insert replaces.
-        self.forget(job.msg_id);
-        self.completed_holding += usize::from(!job.segments.is_empty());
-        self.completed_order.push_back(job.msg_id);
-        self.completed.insert(job.msg_id, job);
-        if self.completed_order.len() > COMPLETED_CAP {
-            if let Some(old) = self.completed_order.pop_front() {
-                self.forget(old);
-            }
-        }
-    }
-
-    /// Drop `msg_id` from the completed-job map (not from the order queue).
-    fn forget(&mut self, msg_id: u32) -> Option<SendJob> {
-        let job = self.completed.remove(&msg_id)?;
-        self.completed_holding -= usize::from(!job.segments.is_empty());
-        Some(job)
-    }
-
-    /// Everything sent to `dst` so far is acknowledged. A receiver refuses
-    /// a message before it acknowledges the fragment that made it decide
-    /// (`on_data`: the `Reject` is queued ahead of the ack, on the same
-    /// rail), so no remembered job to `dst` can be refused any more: forget
-    /// the ones still holding their buffers.
-    pub(super) fn settle(&mut self, dst: FabricNodeId) {
-        if self.completed_holding == 0 {
-            return;
-        }
-        let past_refusal = |j: &&SendJob| j.dst_fid == dst && !j.segments.is_empty();
-        let jobs = self.completed.values().filter(past_refusal);
-        let done: Vec<u32> = jobs.map(|j| j.msg_id).collect();
-        for msg_id in &done {
-            self.forget(*msg_id);
-        }
-        self.completed_order.retain(|m| !done.contains(m));
-    }
-
     /// Pull the job a `Reject` names out of wherever it is: active, queued,
     /// or recently completed.
-    fn take_job(&mut self, msg_id: u32) -> Option<SendJob> {
+    fn take_job(&mut self, msg_id: u32) -> Option<Remembered> {
         if self.active.as_ref().is_some_and(|a| a.job.msg_id == msg_id) {
-            return self.active.take().map(|a| a.job);
+            return self.active.take().map(|a| Remembered::Whole(a.job));
         }
         if let Some(pos) = self.queue.iter().position(|j| j.msg_id == msg_id) {
-            return self.queue.remove(pos);
+            return self.queue.remove(pos).map(Remembered::Whole);
         }
-        let job = self.forget(msg_id)?;
-        self.completed_order.retain(|&m| m != msg_id);
-        Some(job)
+        self.completed.take(msg_id)
     }
 
     /// NIC reset: forget everything. Returns the in-progress and queued
@@ -473,7 +547,7 @@ impl McpInner {
                 // skip the completed-job memory.
                 self.coll_send_injected(st, (a.job.src_port.0, coll_id));
             } else {
-                st.send.remember(a.job);
+                st.send.completed.remember(a.job);
             }
         }
         let peer = st.peers.entry(dst.0).or_default();
@@ -579,18 +653,23 @@ impl McpInner {
 
     /// The receiver refused message `msg_id`: retry it after a delay, or —
     /// on a fatal refusal or once retries run out — fail it to its sender.
+    /// A completed job kept only as its [`Nameable`] cannot be re-sent, so
+    /// any refusal fails it.
     pub(super) fn on_reject(self: &Rc<Self>, msg_id: u32, fatal: bool) {
         let retry = {
             let mut st = self.state.borrow_mut();
-            st.send.take_job(msg_id).and_then(|mut job| {
+            st.send.take_job(msg_id).and_then(|named| {
+                let mut job = match named {
+                    Remembered::Whole(job) => job,
+                    Remembered::Failable(n) => {
+                        self.fail_job(&mut st, n, self.local_trace(msg_id));
+                        return None;
+                    }
+                };
                 job.retries += 1;
                 if fatal || job.retries > self.cfg.reliability.max_message_retries {
-                    self.sim.add_count("bcl.msg_failed", 1);
-                    self.mt_instant(self.job_trace(&job), stage::MSG_FAILED);
-                    if let JobKind::RmaReadReq { .. } = job.kind {
-                        st.recv.pending_reads.remove(&msg_id);
-                    }
-                    self.post_send_event(&st, &job, SendStatus::Rejected);
+                    let trace = self.job_trace(&job);
+                    self.fail_job(&mut st, Nameable::of(&job, false), trace);
                     return None;
                 }
                 self.sim.add_count("bcl.msg_retries", 1);
@@ -613,18 +692,38 @@ impl McpInner {
                 me.kick_sender();
             });
     }
+
+    /// Fail a refused job to its owner. State borrowed.
+    fn fail_job(self: &Rc<Self>, st: &mut McpState, n: Nameable, trace: TraceId) {
+        self.sim.add_count("bcl.msg_failed", 1);
+        self.mt_instant(trace, stage::MSG_FAILED);
+        if n.read {
+            st.recv.pending_reads.remove(&n.msg_id);
+        }
+        let ev = Completion::Send(SendEvent {
+            msg_id: n.msg_id,
+            status: SendStatus::Rejected,
+        });
+        self.post_completion(st, n.src_port, trace, ev);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BclConfig;
+    use crate::mcp::Mcp;
+    use crate::queues::{SystemPool, UserQueues};
     use suca_mem::{PhysMemory, PAGE_SIZE};
+    use suca_myrinet::{Myrinet, MyrinetConfig};
+    use suca_os::{NodeId, NodeOs, OsCostModel, OsPersonality};
+    use suca_sim::{Sim, SimTime};
 
     const DST: FabricNodeId = FabricNodeId(1);
 
-    /// A fully injected one-page message whose owner already freed the
-    /// page: the job's reference is all that keeps the frame alive.
-    fn sent(mem: &PhysMemory, msg_id: u32, channel: ChannelId) -> SendJob {
+    /// A fully injected one-page job whose owner already freed the page:
+    /// the job's reference is all that keeps the frame alive.
+    fn job(mem: &PhysMemory, msg_id: u32, channel: ChannelId, kind: JobKind) -> SendJob {
         let frame = mem.alloc_frame().expect("frame");
         let segments = mem.nic_hold(vec![(frame.base(), PAGE_SIZE)], true);
         mem.free_frame(frame).expect("free");
@@ -636,10 +735,15 @@ mod tests {
             msg_id,
             segments,
             total_len: PAGE_SIZE,
-            kind: JobKind::Message { user_pages: None },
+            kind,
             retries: 0,
             notify_sender: true,
         }
+    }
+
+    /// A one-page message to `channel`.
+    fn sent(mem: &PhysMemory, msg_id: u32, channel: ChannelId) -> SendJob {
+        job(mem, msg_id, channel, JobKind::Message { user_pages: None })
     }
 
     #[test]
@@ -648,23 +752,32 @@ mod tests {
         let mut eng = SendEngine::default();
         // The system channel never refuses retryably: released at once,
         // though the job itself stays nameable by a late fatal `Reject`.
-        eng.remember(sent(&mem, 2, ChannelId::SYSTEM));
+        eng.completed.remember(sent(&mem, 2, ChannelId::SYSTEM));
         assert_eq!(mem.allocated_frames(), 0);
-        assert!(eng.take_job(2).is_some_and(|j| j.segments.is_empty()));
+        assert!(matches!(
+            eng.take_job(2),
+            Some(Remembered::Failable(Nameable {
+                msg_id: 2,
+                held: false,
+                ..
+            }))
+        ));
         // A normal-channel message may be refused after its completion...
-        eng.remember(sent(&mem, 4, ChannelId::normal(0)));
-        eng.remember(sent(&mem, 6, ChannelId::normal(1)));
-        assert_eq!((mem.allocated_frames(), eng.completed_holding), (2, 2));
+        eng.completed.remember(sent(&mem, 4, ChannelId::normal(0)));
+        eng.completed.remember(sent(&mem, 6, ChannelId::normal(1)));
+        assert_eq!((mem.allocated_frames(), eng.completed.held.len()), (2, 2));
         // ...and a refusal takes the job, buffer and all, for the retry.
-        let retry = eng.take_job(4).expect("remembered");
+        let Some(Remembered::Whole(retry)) = eng.take_job(4) else {
+            panic!("job 4 is remembered whole");
+        };
         assert_eq!(retry.segments.len(), 1);
         // An ack that drains another destination settles nothing here.
-        eng.settle(FabricNodeId(9));
+        eng.completed.settle(FabricNodeId(9));
         assert_eq!(mem.allocated_frames(), 2);
         // One that drains this destination puts job 6 past refusal.
-        eng.settle(DST);
-        assert_eq!((mem.allocated_frames(), eng.completed_holding), (1, 0));
-        assert!(eng.take_job(6).is_none() && eng.completed_order.is_empty());
+        eng.completed.settle(DST);
+        assert_eq!((mem.allocated_frames(), eng.completed.held.len()), (1, 0));
+        assert!(eng.take_job(6).is_none() && eng.completed.order.is_empty());
         drop(retry);
         assert_eq!(mem.allocated_frames(), 0);
         assert_eq!(mem.lifetime_violations(), 0);
@@ -675,11 +788,144 @@ mod tests {
         let mem = PhysMemory::new(4 << 20);
         let mut eng = SendEngine::default();
         for i in 0..COMPLETED_CAP as u32 + 10 {
-            eng.remember(sent(&mem, 2 * i, ChannelId::normal(0)));
+            eng.completed
+                .remember(sent(&mem, 2 * i, ChannelId::normal(0)));
         }
         assert_eq!(mem.allocated_frames(), COMPLETED_CAP as u64);
-        assert_eq!(eng.completed_holding, COMPLETED_CAP);
+        assert_eq!(eng.completed.held.len(), COMPLETED_CAP);
+        assert!(eng.take_job(0).is_none(), "the oldest were evicted");
+        assert!(eng.completed.order.capacity() <= COMPLETED_CAP);
         assert!(eng.wipe().is_empty(), "nothing was queued or active");
-        assert_eq!((mem.allocated_frames(), eng.completed_holding), (0, 0));
+        assert_eq!((mem.allocated_frames(), eng.completed.held.len()), (0, 0));
+    }
+
+    #[test]
+    fn rma_writes_and_read_replies_are_not_remembered() {
+        let mem = PhysMemory::new(1 << 20);
+        let mut eng = SendEngine::default();
+        let open = ChannelId::open(0);
+        eng.completed
+            .remember(job(&mem, 2, open, JobKind::RmaWrite { offset: 0 }));
+        eng.completed
+            .remember(job(&mem, 4, open, JobKind::RmaReadData));
+        assert_eq!(mem.allocated_frames(), 0, "both buffers released");
+        assert!(eng.completed.order.is_empty());
+        assert!(eng.take_job(2).is_none() && eng.take_job(4).is_none());
+    }
+
+    #[test]
+    fn a_read_reply_carrying_a_local_jobs_id_leaves_that_job_nameable() {
+        // A reply's id is its requester's, which may equal an id this node
+        // handed out.
+        let mem = PhysMemory::new(1 << 20);
+        let mut eng = SendEngine::default();
+        eng.completed.remember(sent(&mem, 8, ChannelId::SYSTEM));
+        let mut reply = job(&mem, 8, ChannelId::open(0), JobKind::RmaReadData);
+        reply.src_port = PortId(3);
+        eng.completed.remember(reply);
+        assert!(matches!(
+            eng.take_job(8),
+            Some(Remembered::Failable(Nameable {
+                msg_id: 8,
+                src_port: PortId(0),
+                ..
+            }))
+        ));
+        assert!(eng.take_job(8).is_none());
+    }
+
+    #[test]
+    fn a_nameable_record_is_no_larger_than_one_word() {
+        assert!(std::mem::size_of::<Nameable>() <= std::mem::size_of::<usize>());
+    }
+
+    /// Node 0's firmware on a two-node Myrinet with nothing at node 1, and
+    /// its port 0's completion queues.
+    fn firmware(sim: &Sim) -> (Mcp, Rc<UserQueues>) {
+        let fabric = Myrinet::build(sim, 2, MyrinetConfig::dawning3000());
+        let mem = PhysMemory::new(1 << 20);
+        let personality = OsPersonality::AIX;
+        let os = NodeOs::new(sim, NodeId(0), mem, personality, OsCostModel::aix_power3());
+        let cfg = BclConfig::dawning3000();
+        let mcp = Mcp::new_multi_rail(sim, os, FabricNodeId(0), vec![fabric], cfg);
+        let queues = Rc::new(UserQueues::new(sim));
+        let pool = Rc::new(SystemPool::new(PAGE_SIZE, Vec::new()));
+        mcp.register_port(PortId(0), queues.clone(), pool);
+        (mcp, queues)
+    }
+
+    #[test]
+    fn a_fatal_reject_naming_a_remembered_system_message_fails_it_once() {
+        let sim = Sim::new(1);
+        let (mcp, queues) = firmware(&sim);
+        let mem = mcp.inner.os.memory().clone();
+        let mut st = mcp.inner.state.borrow_mut();
+        st.send.completed.remember(sent(&mem, 2, ChannelId::SYSTEM));
+        drop(st);
+        mcp.inner.on_reject(2, true);
+        mcp.inner.on_reject(2, true); // forgotten: names nothing now
+        sim.run();
+        let failed = SendEvent {
+            msg_id: 2,
+            status: SendStatus::Rejected,
+        };
+        assert_eq!(queues.pop_send(), Some(failed));
+        assert_eq!(queues.pop_send(), None);
+        assert_eq!(sim.get_count("bcl.msg_failed"), 1);
+        assert_eq!(sim.get_count("bcl.msg_retries"), 0);
+    }
+
+    #[test]
+    fn a_fatal_reject_naming_a_remembered_read_request_clears_its_read() {
+        let sim = Sim::new(1);
+        let (mcp, queues) = firmware(&sim);
+        let mem = mcp.inner.os.memory().clone();
+        let kind = JobKind::RmaReadReq {
+            offset: 0,
+            len: PAGE_SIZE,
+        };
+        let mut read = job(&mem, 6, ChannelId::open(0), kind);
+        let mut st = mcp.inner.state.borrow_mut();
+        st.recv.expect_read(&mut read, PAGE_SIZE);
+        st.send.completed.remember(read);
+        drop(st);
+        assert_eq!(mem.allocated_frames(), 1, "the landing buffer");
+        mcp.inner.on_reject(6, true);
+        sim.run();
+        assert!(mcp.inner.state.borrow().recv.pending_reads.is_empty());
+        assert_eq!(mem.allocated_frames(), 0, "released with the read");
+        let failed = SendEvent {
+            msg_id: 6,
+            status: SendStatus::Rejected,
+        };
+        assert_eq!(queues.pop_send(), Some(failed));
+        assert_eq!(queues.pop_send(), None);
+        assert_eq!(sim.get_count("bcl.msg_failed"), 1);
+    }
+
+    #[test]
+    fn a_retryable_reject_restages_a_held_normal_channel_job() {
+        let sim = Sim::new(1);
+        let (mcp, queues) = firmware(&sim);
+        let mem = mcp.inner.os.memory().clone();
+        let mut st = mcp.inner.state.borrow_mut();
+        st.send
+            .completed
+            .remember(sent(&mem, 4, ChannelId::normal(0)));
+        drop(st);
+        mcp.inner.on_reject(4, false);
+        assert_eq!(sim.get_count("bcl.msg_retries"), 1);
+        // After the retry delay the job is staged from the page again,
+        // re-injected, and remembered whole once more; the retry posts no
+        // second completion.
+        sim.run_until(SimTime::from_ns(1_000_000));
+        assert!(sim.get_count("fabric.injected") >= 1);
+        assert_eq!(queues.pop_send(), None);
+        let mut st = mcp.inner.state.borrow_mut();
+        let Some(Remembered::Whole(retried)) = st.send.take_job(4) else {
+            panic!("the retried job is remembered whole");
+        };
+        assert_eq!((retried.retries, retried.segments.len()), (1, 1));
+        assert_eq!(mem.lifetime_violations(), 0);
     }
 }

@@ -11,7 +11,7 @@
 //! ([`suca_mem::NicSegs`]), and touching anything the NIC does *not* hold
 //! is a counted lifetime violation.
 
-use suca_mem::{MemError, PhysAddr, PhysMemory};
+use suca_mem::{MemError, PhysAddr, PhysMemory, SegList};
 
 /// Total byte length of a segment list.
 pub fn sg_total(segs: &[(PhysAddr, u64)]) -> u64 {
@@ -20,15 +20,16 @@ pub fn sg_total(segs: &[(PhysAddr, u64)]) -> u64 {
 
 /// The sub-list covering `[offset, offset + len)` of the logical buffer.
 /// Panics if the range exceeds the list — callers bounds-check first
-/// (the kernel module or the NIC-side RMA validation).
-pub fn slice_sg(segs: &[(PhysAddr, u64)], offset: u64, len: u64) -> Vec<(PhysAddr, u64)> {
+/// (the kernel module or the NIC-side RMA validation). A slice within one
+/// segment is held inline.
+pub fn slice_sg(segs: &[(PhysAddr, u64)], offset: u64, len: u64) -> SegList {
     assert!(
         offset + len <= sg_total(segs),
         "sg slice [{offset}, {}) out of range {}",
         offset + len,
         sg_total(segs)
     );
-    let mut out = Vec::new();
+    let mut out = SegList::new();
     let mut skip = offset;
     let mut need = len;
     for &(addr, seg_len) in segs {
@@ -56,7 +57,7 @@ pub fn read_sg(
 ) -> Result<Vec<u8>, MemError> {
     let mut out = vec![0u8; len as usize];
     let mut done = 0usize;
-    for (addr, seg_len) in slice_sg(segs, offset, len) {
+    for &(addr, seg_len) in slice_sg(segs, offset, len).iter() {
         mem.dma_read(addr, &mut out[done..done + seg_len as usize])?;
         done += seg_len as usize;
     }
@@ -71,7 +72,7 @@ pub fn write_sg(
     data: &[u8],
 ) -> Result<(), MemError> {
     let mut done = 0usize;
-    for (addr, seg_len) in slice_sg(segs, offset, data.len() as u64) {
+    for &(addr, seg_len) in slice_sg(segs, offset, data.len() as u64).iter() {
         mem.dma_write(addr, &data[done..done + seg_len as usize])?;
         done += seg_len as usize;
     }

@@ -15,7 +15,7 @@ pub mod shm;
 
 pub use addr::{pages_spanned, BusAddr, PhysAddr, PhysFrame, VirtAddr, VirtPage, PAGE_SIZE};
 pub use pagetable::{AddressSpace, Asid};
-pub use phys::{NicSegs, PhysMemory};
+pub use phys::{NicSegs, PhysMemory, SegList};
 pub use pin::{PinDownTable, PinLookup};
 pub use shm::SharedRegion;
 

@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::addr::{pages_spanned, PhysAddr, PhysFrame, VirtAddr, VirtPage, PAGE_SIZE};
-use crate::phys::{FrameMap, PhysMemory};
+use crate::phys::{FrameMap, PhysMemory, SegList};
 use crate::MemError;
 
 /// Address-space identifier (one per process).
@@ -156,9 +156,10 @@ impl AddressSpace {
 
     /// Physical scatter/gather segments covering `[addr, addr+len)`, in
     /// order. Each segment lies within one frame. This is exactly the list
-    /// the BCL kernel module writes into a send descriptor.
-    pub fn sg_list(&self, addr: VirtAddr, len: u64) -> Result<Vec<(PhysAddr, u64)>, MemError> {
-        let mut segs = Vec::new();
+    /// the BCL kernel module writes into a send descriptor; a buffer within
+    /// one page gets a one-segment list, held inline.
+    pub fn sg_list(&self, addr: VirtAddr, len: u64) -> Result<SegList, MemError> {
+        let mut segs = SegList::new();
         self.for_each_segment(addr, len, |phys, range| {
             segs.push((phys, (range.1 - range.0) as u64));
             Ok(())

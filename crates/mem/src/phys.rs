@@ -286,7 +286,8 @@ impl PhysMemory {
     /// the frames as in flight until [`NicSegs::end_busy`]: set it for
     /// buffers whose owner will get a completion event, not for windows and
     /// pools the owner may write while the NIC holds them.
-    pub fn nic_hold(&self, segs: Vec<(PhysAddr, u64)>, busy: bool) -> NicSegs {
+    pub fn nic_hold(&self, segs: impl Into<SegList>, busy: bool) -> NicSegs {
+        let segs = segs.into();
         self.inner.borrow_mut().for_each_seg_frame(&segs, |f| {
             f.nic_refs += 1;
             f.nic_busy += u32::from(busy);
@@ -383,19 +384,84 @@ fn each_chunk(
     Ok(())
 }
 
+/// A physical scatter/gather list: `(address, length)` segments in buffer
+/// order. A list of one segment — a buffer within one page, which is every
+/// pool buffer and most messages — holds it inline, with no allocation; only
+/// a list of two or more segments allocates.
+///
+/// Dereferences to the segments.
+#[derive(Clone, Default)]
+pub struct SegList(Segs);
+
+#[derive(Clone)]
+enum Segs {
+    One((PhysAddr, u64)),
+    /// Empty (no allocation) or two segments and more.
+    Many(Vec<(PhysAddr, u64)>),
+}
+
+impl Default for Segs {
+    fn default() -> Self {
+        Segs::Many(Vec::new())
+    }
+}
+
+impl SegList {
+    /// The empty list.
+    pub fn new() -> Self {
+        SegList::default()
+    }
+
+    /// Append one segment.
+    pub fn push(&mut self, seg: (PhysAddr, u64)) {
+        match &mut self.0 {
+            Segs::Many(v) if v.is_empty() => self.0 = Segs::One(seg),
+            Segs::One(first) => self.0 = Segs::Many(vec![*first, seg]),
+            Segs::Many(v) => v.push(seg),
+        }
+    }
+}
+
+impl From<Vec<(PhysAddr, u64)>> for SegList {
+    fn from(segs: Vec<(PhysAddr, u64)>) -> Self {
+        match segs[..] {
+            [seg] => SegList(Segs::One(seg)),
+            _ => SegList(Segs::Many(segs)),
+        }
+    }
+}
+
+impl Deref for SegList {
+    type Target = [(PhysAddr, u64)];
+
+    fn deref(&self) -> &Self::Target {
+        match &self.0 {
+            Segs::One(seg) => std::slice::from_ref(seg),
+            Segs::Many(segs) => segs,
+        }
+    }
+}
+
+impl fmt::Debug for SegList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A physical scatter/gather list whose frames the NIC holds a reference
 /// on, from [`PhysMemory::nic_hold`]. NIC-side state stores buffers only in
 /// this form, so a list cannot outlive its references nor its references
 /// the list: dropping it (completion, port close, SRAM wipe, eviction) is
 /// the release, and the last release reclaims frames their owner already
 /// freed. A clone is a second, never-busy reference — what an in-flight DMA
-/// keeps while the state that started it may be wiped underneath.
+/// keeps while the state that started it may be wiped underneath. Holding,
+/// cloning and dropping a one-segment list allocates nothing ([`SegList`]).
 ///
 /// Dereferences to the `(address, length)` segments.
 pub struct NicSegs {
     /// `None` only for the empty list, which holds nothing.
     mem: Option<PhysMemory>,
-    segs: Vec<(PhysAddr, u64)>,
+    segs: SegList,
     busy: bool,
 }
 
@@ -417,7 +483,7 @@ impl Default for NicSegs {
     fn default() -> Self {
         NicSegs {
             mem: None,
-            segs: Vec::new(),
+            segs: SegList::new(),
             busy: false,
         }
     }
@@ -722,7 +788,7 @@ mod tests {
 
     /// The record a frame should have; `None` once reclaimed (or never
     /// allocated).
-    #[derive(Clone, Copy)]
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     struct ModelFrame {
         mapped: bool,
         refs: u32,
@@ -769,6 +835,14 @@ mod tests {
             done == buf.len()
         }
 
+        /// Apply `f` once per segment to every live frame it touches, then
+        /// reclaim the ones nothing holds.
+        fn each_seg_frame(&mut self, segs: &[(usize, usize)], f: impl Fn(&mut ModelFrame)) {
+            for &(off, len) in segs {
+                self.each_frame(off, len, &f);
+            }
+        }
+
         /// Apply `f` to every live frame of `[off, off + len)`, then
         /// reclaim the ones nothing holds.
         fn each_frame(&mut self, off: usize, len: usize, f: impl Fn(&mut ModelFrame)) {
@@ -784,11 +858,39 @@ mod tests {
         }
     }
 
+    /// A scatter/gather list as `(offset, length)` pairs of the model.
+    type ModelSegs = Vec<(usize, usize)>;
+
+    /// `[off, off + len)` as a list of `shape % 3` kinds: no segment, one,
+    /// or one per page it touches (as `sg_list` cuts) with the first of
+    /// them split once more, so any range of two bytes or more has two.
+    fn segments(off: usize, len: usize, shape: u8) -> ModelSegs {
+        let page = PAGE_SIZE as usize;
+        match shape % 3 {
+            0 => Vec::new(),
+            1 => vec![(off, len)],
+            _ => {
+                let mut segs = Vec::new();
+                let mut at = off;
+                while at < off + len {
+                    let chunk = (page - at % page).min(off + len - at);
+                    segs.push((at, chunk));
+                    at += chunk;
+                }
+                let (first, n) = segs[0];
+                if n > 1 {
+                    segs.splice(0..1, [(first, n / 2), (first + n / 2, n - n / 2)]);
+                }
+                segs
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn frames_match_a_flat_byte_model(
             ops in prop::collection::vec(
-                (0u8..8, 0u64..4 * PAGE_SIZE, 0usize..9_000, any::<u8>()),
+                (0u8..9, 0u64..4 * PAGE_SIZE, 0usize..9_000, any::<u8>()),
                 1..80,
             ),
         ) {
@@ -803,7 +905,8 @@ mod tests {
                 frames: [vec![Some(fresh); FRAMES], vec![None]].concat(),
                 violations: 0,
             };
-            let mut holds: Vec<(NicSegs, usize, usize, bool)> = Vec::new();
+            let first = base.frame().0;
+            let mut holds: Vec<(NicSegs, ModelSegs, bool)> = Vec::new();
             for (step, (kind, off, raw, seed)) in ops.into_iter().enumerate() {
                 // Page-aligned starts (how every real buffer begins) and
                 // short, message-sized and multi-page lengths, all common.
@@ -834,8 +937,14 @@ mod tests {
                         }
                     }
                     4 => {
-                        holds.push((m.nic_hold(vec![(addr, len as u64)], busy), off, len, busy));
-                        model.each_frame(off, len, |f| {
+                        let segs = segments(off, len, seed >> 6);
+                        let mut list = SegList::new();
+                        for &(o, n) in &segs {
+                            list.push((base.add(o as u64), n as u64));
+                        }
+                        prop_assert_eq!(list.len(), segs.len());
+                        holds.push((m.nic_hold(list, busy), segs.clone(), busy));
+                        model.each_seg_frame(&segs, |f| {
                             f.refs += 1;
                             f.busy += u32::from(busy);
                         });
@@ -850,21 +959,39 @@ mod tests {
                     }
                     _ if holds.is_empty() => {}
                     6 => {
-                        let (segs, off, len, busy) = holds.swap_remove(raw % holds.len());
-                        drop(segs);
-                        model.each_frame(off, len, |f| {
+                        let (held, segs, busy) = holds.swap_remove(raw % holds.len());
+                        drop(held);
+                        model.each_seg_frame(&segs, |f| {
                             f.busy -= u32::from(busy);
                             f.refs -= 1;
                         });
                     }
-                    _ => {
+                    7 => {
                         let i = raw % holds.len();
-                        let (segs, off, len, busy) = &mut holds[i];
-                        segs.end_busy();
+                        let (held, segs, busy) = &mut holds[i];
+                        held.end_busy();
                         if std::mem::take(busy) {
-                            model.each_frame(*off, *len, |f| f.busy -= 1);
+                            model.each_seg_frame(segs, |f| f.busy -= 1);
                         }
                     }
+                    _ => {
+                        // A clone is one more reference, never busy.
+                        let (held, segs, _) = &holds[raw % holds.len()];
+                        let copy = (held.clone(), segs.clone(), false);
+                        prop_assert_eq!(&copy.0[..], &held[..]);
+                        model.each_seg_frame(&copy.1, |f| f.refs += 1);
+                        holds.push(copy);
+                    }
+                }
+                // Every frame's record: mapped, references and busy ones.
+                for (n, want) in model.frames.iter().enumerate() {
+                    let inner = m.inner.borrow();
+                    let got = inner.frames.get(&(first + n as u64)).map(|f| ModelFrame {
+                        mapped: f.mapped,
+                        refs: f.nic_refs,
+                        busy: f.nic_busy,
+                    });
+                    prop_assert_eq!(got, *want, "frame {} after step {}", n, step);
                 }
                 prop_assert_eq!(m.lifetime_violations(), model.violations, "step {}", step);
                 let live = model.frames.iter().flatten().count() as u64;

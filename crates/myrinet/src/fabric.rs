@@ -53,10 +53,8 @@ pub struct Packet {
     /// Set by fault injection when the packet was damaged in flight; the
     /// receiving firmware's CRC check observes this and discards the packet.
     pub corrupted: bool,
-    /// Source route: output-port index at each switch/router hop.
-    pub route: Vec<u8>,
-    /// Next hop to consume from `route`.
-    pub route_pos: usize,
+    /// Source route: the hops still ahead of the packet.
+    pub route: Route,
     /// Trace identity for per-message causal tracing (`None` for untraced
     /// traffic). Survives corruption so damaged packets stay attributable.
     pub trace: Option<PacketTrace>,
@@ -66,6 +64,57 @@ impl Packet {
     /// Bytes that occupy the wire: payload plus framing (route + type + CRC).
     pub fn wire_len(&self) -> u64 {
         self.payload.len() as u64 + FRAMING_BYTES
+    }
+}
+
+/// A source route: the output port at each switch or router a packet
+/// visits, the last one the destination's host port. Every route a
+/// [`Routing`] computes is at most one run of a single trunk port per
+/// dimension, then the exit, so it is held as run lengths, inline: a
+/// packet's route allocates nothing, and its length is arithmetic.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Route {
+    /// `(port, hops left)` per dimension, taken in order.
+    legs: [(u8, u32); 2],
+    /// The last hop, until taken.
+    exit: Option<u8>,
+}
+
+impl Route {
+    /// No hop left: a switch that receives a packet on it drops it.
+    pub const EMPTY: Route = Route {
+        legs: [(0, 0); 2],
+        exit: None,
+    };
+
+    /// A single hop, out of `port`.
+    pub const fn direct(port: u8) -> Route {
+        Route {
+            legs: [(0, 0); 2],
+            exit: Some(port),
+        }
+    }
+
+    /// Hops left.
+    pub fn len(&self) -> usize {
+        let runs: u32 = self.legs.iter().map(|&(_, n)| n).sum();
+        runs as usize + usize::from(self.exit.is_some())
+    }
+
+    /// No hop left?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Take the next hop: the output port the current switch uses.
+    pub fn next_hop(&mut self) -> Option<u8> {
+        match self.legs.iter_mut().find(|(_, n)| *n > 0) {
+            Some((port, n)) => {
+                *n -= 1;
+                Some(*port)
+            }
+            None => self.exit.take(),
+        }
     }
 }
 
@@ -153,7 +202,7 @@ impl Routing {
 
     /// Source route from `src` to `dst`: one output port per switch visited,
     /// the last one the destination's host port.
-    fn route(self, src: FabricNodeId, dst: FabricNodeId) -> Vec<u8> {
+    fn route(self, src: FabricNodeId, dst: FabricNodeId) -> Route {
         let (s, d) = (src.0, dst.0);
         // Per dimension: (from, to, port when `to` is higher, port when
         // lower); a linear array's second dimension is empty.
@@ -169,14 +218,13 @@ impl Routing {
                 ([x, y], mesh_port::HOST)
             }
         };
-        let hops: u32 = legs.iter().map(|&(from, to, ..)| from.abs_diff(to)).sum();
-        let mut route = Vec::with_capacity(hops as usize + 1);
-        for (from, to, up, down) in legs {
-            let port = if to > from { up } else { down };
-            route.extend(std::iter::repeat_n(port, from.abs_diff(to) as usize));
+        let leg = |(from, to, up, down): (u32, u32, u8, u8)| {
+            (if to > from { up } else { down }, from.abs_diff(to))
+        };
+        Route {
+            legs: legs.map(leg),
+            exit: Some(exit),
         }
-        route.push(exit);
-        route
     }
 }
 
@@ -349,7 +397,6 @@ impl Network {
             payload,
             corrupted: false,
             route: self.routing.route(src, dst),
-            route_pos: 0,
             trace,
         };
         self.uplinks[src.0 as usize].send(sim, pkt);
@@ -384,5 +431,68 @@ impl Network {
     /// Number of switching elements (for chaos plans to pick targets from).
     pub fn num_switches(&self) -> usize {
         self.switches.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The route as a list of port bytes, built the way Myrinet writes a
+    /// source route: every trunk hop along the first dimension, then the
+    /// second, then the host port.
+    fn port_bytes(routing: Routing, s: u32, d: u32) -> Vec<u8> {
+        let mut legs = match routing {
+            Routing::LinearArray { hosts_per_switch } => {
+                let h = hosts_per_switch as u32;
+                vec![(s / h, d / h, PORT_RIGHT as u8, PORT_LEFT as u8)]
+            }
+            Routing::Mesh2D { width: w } => vec![
+                (s % w, d % w, mesh_port::EAST, mesh_port::WEST),
+                (s / w, d / w, mesh_port::SOUTH, mesh_port::NORTH),
+            ],
+        };
+        let mut bytes = Vec::new();
+        for (from, to, up, down) in legs.drain(..) {
+            let mut at = from;
+            while at != to {
+                bytes.push(if to > from { up } else { down });
+                at = if to > from { at + 1 } else { at - 1 };
+            }
+        }
+        bytes.push(match routing {
+            Routing::LinearArray { hosts_per_switch } => (d % hosts_per_switch as u32) as u8,
+            Routing::Mesh2D { .. } => mesh_port::HOST,
+        });
+        bytes
+    }
+
+    #[test]
+    fn every_route_takes_the_source_routes_hops_in_order() {
+        let fabrics = [
+            (
+                Routing::LinearArray {
+                    hosts_per_switch: 6,
+                },
+                70,
+            ),
+            (
+                Routing::LinearArray {
+                    hosts_per_switch: 1,
+                },
+                9,
+            ),
+            (Routing::Mesh2D { width: 5 }, 23),
+        ];
+        for (routing, nodes) in fabrics {
+            for (s, d) in (0..nodes).flat_map(|s| (0..nodes).map(move |d| (s, d))) {
+                let want = port_bytes(routing, s, d);
+                let mut route = routing.route(FabricNodeId(s), FabricNodeId(d));
+                assert_eq!(route.len(), want.len(), "{routing:?} {s}->{d}");
+                let got: Vec<u8> = std::iter::from_fn(|| route.next_hop()).collect();
+                assert_eq!(got, want, "{routing:?} {s}->{d}");
+                assert!(route.is_empty() && route.next_hop().is_none());
+            }
+        }
     }
 }

@@ -17,7 +17,7 @@ pub mod switch;
 pub mod topology;
 
 pub use fabric::{
-    FabricNodeId, FaultPlan, LinkSpec, Network, Packet, PacketTrace, Routing, RxHandler,
+    FabricNodeId, FaultPlan, LinkSpec, Network, Packet, PacketTrace, Route, Routing, RxHandler,
     FRAMING_BYTES,
 };
 pub use link::{Link, PacketSink};

@@ -187,7 +187,7 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::FabricNodeId;
+    use crate::fabric::{FabricNodeId, Route};
     use suca_sim::RunOutcome;
 
     struct Recorder {
@@ -207,8 +207,7 @@ mod tests {
             dst: FabricNodeId(1),
             payload: Rc::from(vec![0u8; n]),
             corrupted: false,
-            route: vec![],
-            route_pos: 0,
+            route: Route::EMPTY,
             trace: None,
         }
     }

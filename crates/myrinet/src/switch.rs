@@ -102,13 +102,12 @@ impl PacketSink for Switch {
         // corrupted route byte) — they must never panic the sim thread.
         // The packet is counted and dropped; end-to-end reliability
         // (go-back-N in the MCP) recovers it like any other loss.
-        if pkt.route_pos >= pkt.route.len() {
+        let Some(port) = pkt.route.next_hop() else {
             self.route_exhausted_drops.inc();
             trace_wire_instant(sim, &pkt, stage::DROP_ROUTE);
             return;
-        }
-        let port = pkt.route[pkt.route_pos] as usize;
-        pkt.route_pos += 1;
+        };
+        let port = port as usize;
         if self.dead.borrow_mut().get(port).copied().unwrap_or(false) {
             self.dead_port_drops.inc();
             trace_wire_instant(sim, &pkt, stage::DROP_DEAD_PORT);
@@ -134,7 +133,7 @@ impl PacketSink for Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::{FabricNodeId, FaultPlan};
+    use crate::fabric::{FabricNodeId, FaultPlan, Route};
 
     struct Recorder(RefCell<Vec<u64>>);
     impl PacketSink for Recorder {
@@ -162,8 +161,7 @@ mod tests {
             dst: FabricNodeId(1),
             payload: Rc::from(*b""), // 16 B framing -> 100 ns at 160 MB/s
             corrupted: false,
-            route: vec![3],
-            route_pos: 0,
+            route: Route::direct(3),
             trace: None,
         };
         sw.deliver(&sim, pkt);
@@ -180,8 +178,7 @@ mod tests {
             dst: FabricNodeId(1),
             payload: Rc::from(*b""),
             corrupted: false,
-            route: vec![5],
-            route_pos: 0,
+            route: Route::direct(5),
             trace: None,
         };
         sw.deliver(&sim, pkt);
@@ -200,8 +197,7 @@ mod tests {
             dst: FabricNodeId(1),
             payload: Rc::from(*b""),
             corrupted: false,
-            route: vec![200],
-            route_pos: 0,
+            route: Route::direct(200),
             trace: None,
         };
         sw.deliver(&sim, pkt);
@@ -233,8 +229,7 @@ mod tests {
             dst: FabricNodeId(1),
             payload: Rc::from(*b""),
             corrupted: false,
-            route: vec![3],
-            route_pos: 0,
+            route: Route::direct(3),
             trace: None,
         };
         sw.deliver(&sim, mk());
@@ -256,8 +251,7 @@ mod tests {
             dst: FabricNodeId(1),
             payload: Rc::from(*b""),
             corrupted: false,
-            route: vec![],
-            route_pos: 0,
+            route: Route::EMPTY,
             trace: None,
         };
         sw.deliver(&sim, pkt);

@@ -575,6 +575,15 @@ impl MsgTracer {
         ring.events.push_back(ev);
     }
 
+    /// Visit every buffered event in place, ring by ring, each oldest
+    /// first: no copy and no sort, for readers that need neither.
+    pub(crate) fn for_each_event(&self, mut f: impl FnMut(&TraceEvent)) {
+        let rings = self.inner.rings.borrow();
+        for ring in rings.values() {
+            ring.events.iter().for_each(&mut f);
+        }
+    }
+
     /// Snapshot of every ring, merged and sorted by start time.
     pub fn events(&self) -> Vec<TraceEvent> {
         let rings = self.inner.rings.borrow();

@@ -19,10 +19,10 @@
 //! exactly once, so clean runs can assert `watchdog.stalls == 0`.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use crate::timeseries::TimeSeries;
-use crate::trace::{chains, MsgTracer};
+use crate::trace::{is_terminal, stage, MsgTracer, TraceId};
 use crate::{Counter, Metrics};
 
 /// Stall thresholds. The defaults are deliberately generous: they must stay
@@ -52,6 +52,17 @@ impl Default for WatchdogConfig {
 struct WatchState {
     flagged_chains: BTreeSet<(u32, u32)>,
     telemetry_dumped: bool,
+}
+
+/// What a check needs of one chain: all it reads of its events.
+#[derive(Default)]
+struct ChainMark {
+    /// A [`stage::SEND`] survives in the rings.
+    sent: bool,
+    /// It reached an [`is_terminal`] stage.
+    closed: bool,
+    /// End time of its newest event.
+    last_ns: u64,
 }
 
 /// One detected stall, reported by [`Watchdog::check`]: a traced message
@@ -102,18 +113,28 @@ impl Watchdog {
     /// once). A chain whose SEND survives in the bounded ring is by
     /// construction recent enough to judge; once the SEND is evicted the
     /// chain is skipped (eviction is oldest-first, so a terminal can never
-    /// be evicted before its send).
+    /// be evicted before its send). The rings are read in place, and only
+    /// the chains over budget are sorted, by id.
     pub fn check(&self, now_ns: u64, tracer: &MsgTracer, series: &TimeSeries) -> Vec<Stall> {
+        let mut marks: HashMap<TraceId, ChainMark> = HashMap::new();
+        tracer.for_each_event(|ev| {
+            if ev.trace.is_none() {
+                return;
+            }
+            let mark = marks.entry(ev.trace).or_default();
+            mark.sent |= ev.stage == stage::SEND;
+            mark.closed |= is_terminal(&ev.stage);
+            mark.last_ns = mark.last_ns.max(ev.end_ns);
+        });
+        let mut over: Vec<(TraceId, u64)> = marks
+            .into_iter()
+            .filter(|(_, m)| m.sent && !m.closed)
+            .map(|(trace, m)| (trace, now_ns.saturating_sub(m.last_ns)))
+            .filter(|&(_, age)| age > self.cfg.chain_budget_ns)
+            .collect();
+        over.sort_unstable_by_key(|&(trace, _)| trace);
         let mut new_stalls = Vec::new();
-        let events = tracer.events();
-        for chain in chains(&events) {
-            if chain.send.is_none() || chain.closed() {
-                continue;
-            }
-            let (trace, age) = (chain.trace, now_ns.saturating_sub(chain.last_ns));
-            if age <= self.cfg.chain_budget_ns {
-                continue;
-            }
+        for (trace, age) in over {
             let fresh = {
                 let mut st = self.state.borrow_mut();
                 st.flagged_chains.insert((trace.origin, trace.msg_id))
@@ -160,7 +181,7 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{stage, TraceEvent, TraceId, TraceLayer};
+    use crate::trace::{chains, TraceEvent, TraceLayer};
 
     fn open_chain(tracer: &MsgTracer, msg: u32, at_ns: u64) {
         let t = TraceId::new(0, msg);
@@ -295,5 +316,90 @@ mod tests {
             }]
         );
         assert_eq!(wd.stalls(), 1);
+    }
+
+    /// The check as first written, kept as the reference the in-place one
+    /// must match: clone and sort every event, group all of them into
+    /// chains, and walk the chains in id order.
+    fn reference_check(
+        flagged: &mut BTreeSet<(u32, u32)>,
+        budget_ns: u64,
+        now_ns: u64,
+        tracer: &MsgTracer,
+    ) -> Vec<Stall> {
+        let events = tracer.events();
+        let mut stalls = Vec::new();
+        for chain in chains(&events) {
+            if chain.send.is_none() || chain.closed() {
+                continue;
+            }
+            let (trace, age) = (chain.trace, now_ns.saturating_sub(chain.last_ns));
+            if age > budget_ns && flagged.insert((trace.origin, trace.msg_id)) {
+                stalls.push(Stall {
+                    origin: trace.origin,
+                    msg_id: trace.msg_id,
+                    age_ns: age,
+                });
+            }
+        }
+        stalls
+    }
+
+    #[test]
+    fn in_place_check_matches_the_clone_and_sort_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let stages = [
+            stage::SEND,
+            stage::INJECT,
+            stage::RETX,
+            stage::POLL_RECV,
+            stage::POLL_SEND,
+            stage::MSG_FAILED,
+            stage::DROP_NO_PORT,
+            stage::DROP_NO_BUFFER,
+        ];
+        let mut stalls_seen = 0;
+        for case in 0..300 {
+            // Rings of at most 24 events, so SENDs are often evicted ahead
+            // of the rest of their chain.
+            let tracer = MsgTracer::with_capacity(1 + next(24) as usize);
+            let (m, ts) = (Metrics::new(), TimeSeries::new());
+            let budget = 500 + next(3_000);
+            let cfg = WatchdogConfig {
+                chain_budget_ns: budget,
+                check_every: 1,
+            };
+            let wd = Watchdog::new(cfg, &m);
+            let mut flagged = BTreeSet::new();
+            let mut now = 0;
+            for _ in 0..6 {
+                for _ in 0..next(40) {
+                    let trace = match next(10) {
+                        0 => TraceId::NONE,
+                        _ => TraceId::new(next(3) as u32, next(8) as u32),
+                    };
+                    let stage = stages[next(stages.len() as u64) as usize];
+                    let start = now + next(2_000);
+                    let (node, end) = (next(4) as u32, start + next(400));
+                    let layer = TraceLayer::Mcp;
+                    tracer.record(TraceEvent::span(trace, node, layer, stage, start, end));
+                }
+                now += next(4_000);
+                let want = reference_check(&mut flagged, budget, now, &tracer);
+                assert_eq!(wd.check(now, &tracer, &ts), want, "case {case} at {now} ns");
+                stalls_seen += want.len();
+            }
+            assert_eq!(wd.stalls(), flagged.len() as u64);
+        }
+        assert!(
+            stalls_seen > 100,
+            "{stalls_seen} stalls: the comparison is weak"
+        );
     }
 }
