@@ -225,6 +225,11 @@ impl BclKmod {
         self.state.borrow().pin.len()
     }
 
+    /// Heap bytes the pin-down table reserves.
+    pub fn pin_table_bytes(&self) -> usize {
+        self.state.borrow().pin.table_bytes()
+    }
+
     /// Fold the pin table's current level into the shared `kmod.pinned_bytes`
     /// gauge. Delta-published: the cell aggregates every node's module.
     fn publish_pin_level(&self, st: &mut KmodState) {

@@ -311,12 +311,14 @@ impl SendEngine {
     }
 
     /// Pull the job a `Reject` names out of wherever it is: active, queued,
-    /// or recently completed.
+    /// or recently completed. Only a job a receiver can refuse is named: a
+    /// read reply carries its requester's id, which may equal one of ours.
     fn take_job(&mut self, msg_id: u32) -> Option<Remembered> {
-        if self.active.as_ref().is_some_and(|a| a.job.msg_id == msg_id) {
+        let named = |j: &SendJob| j.msg_id == msg_id && j.refusal() != Refusal::Never;
+        if self.active.as_ref().is_some_and(|a| named(&a.job)) {
             return self.active.take().map(|a| Remembered::Whole(a.job));
         }
-        if let Some(pos) = self.queue.iter().position(|j| j.msg_id == msg_id) {
+        if let Some(pos) = self.queue.iter().position(named) {
             return self.queue.remove(pos).map(Remembered::Whole);
         }
         self.completed.take(msg_id)
@@ -832,6 +834,22 @@ mod tests {
             }))
         ));
         assert!(eng.take_job(8).is_none());
+    }
+
+    #[test]
+    fn a_reject_naming_a_local_id_leaves_a_queued_read_reply_with_that_id() {
+        let mem = PhysMemory::new(1 << 20);
+        let mut eng = SendEngine::default();
+        eng.completed.remember(sent(&mem, 8, ChannelId::SYSTEM));
+        eng.queue
+            .push_back(job(&mem, 8, ChannelId::open(0), JobKind::RmaReadData));
+        assert!(matches!(
+            eng.take_job(8),
+            Some(Remembered::Failable(Nameable { msg_id: 8, .. }))
+        ));
+        assert_eq!(eng.queue.len(), 1, "the reply is still queued");
+        assert!(eng.take_job(8).is_none());
+        assert_eq!(eng.queue.len(), 1);
     }
 
     #[test]

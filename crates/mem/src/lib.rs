@@ -8,6 +8,7 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+mod dense;
 pub mod pagetable;
 pub mod phys;
 pub mod pin;

@@ -8,10 +8,12 @@
 //! security property.
 
 use std::cell::RefCell;
+use std::num::NonZeroU64;
 use std::rc::Rc;
 
 use crate::addr::{pages_spanned, PhysAddr, PhysFrame, VirtAddr, VirtPage, PAGE_SIZE};
-use crate::phys::{FrameMap, PhysMemory, SegList};
+use crate::dense::DenseTable;
+use crate::phys::{PhysMemory, SegList};
 use crate::MemError;
 
 /// Address-space identifier (one per process).
@@ -20,7 +22,8 @@ pub struct Asid(pub u32);
 
 struct SpaceInner {
     asid: Asid,
-    table: FrameMap<VirtPage, PhysFrame>,
+    /// Frame number by virtual page; frame 0 is never handed out.
+    table: DenseTable<NonZeroU64>,
     next_page: u64,
 }
 
@@ -45,7 +48,7 @@ pub struct AddressSpace {
 
 /// Base of the user heap in every simulated process (an arbitrary non-zero
 /// constant so that a forged null/low pointer is always invalid).
-const USER_BASE_PAGE: u64 = 0x1000;
+pub(crate) const USER_BASE_PAGE: u64 = 0x1000;
 
 impl AddressSpace {
     /// Create an empty space over a node's physical memory.
@@ -54,7 +57,7 @@ impl AddressSpace {
             mem,
             inner: Rc::new(RefCell::new(SpaceInner {
                 asid,
-                table: FrameMap::default(),
+                table: DenseTable::new(USER_BASE_PAGE),
                 next_page: USER_BASE_PAGE,
             })),
         }
@@ -89,9 +92,9 @@ impl AddressSpace {
             let vp = VirtPage(base.page().0 + i);
             let frame = inner
                 .table
-                .remove(&vp)
+                .remove(&vp.0)
                 .ok_or(MemError::Unmapped(vp.base()))?;
-            self.mem.free_frame(frame)?;
+            self.mem.free_frame(PhysFrame(frame.get()))?;
         }
         Ok(())
     }
@@ -101,16 +104,16 @@ impl AddressSpace {
         let inner = self.inner.borrow();
         let frame = inner
             .table
-            .get(&addr.page())
+            .get(&addr.page().0)
             .ok_or(MemError::Unmapped(addr))?;
-        Ok(frame.base().add(addr.page_offset()))
+        Ok(PhysFrame(frame.get()).base().add(addr.page_offset()))
     }
 
     /// True if the whole byte range `[addr, addr+len)` is mapped.
     pub fn is_mapped(&self, addr: VirtAddr, len: u64) -> bool {
         let inner = self.inner.borrow();
         let pages = pages_spanned(addr, len.max(1));
-        (0..pages).all(|i| inner.table.contains_key(&VirtPage(addr.page().0 + i)))
+        (0..pages).all(|i| inner.table.get(&(addr.page().0 + i)).is_some())
     }
 
     /// Map an existing physical frame at a fresh virtual page (the shared-
@@ -128,9 +131,15 @@ impl AddressSpace {
         let base = VirtPage(inner.next_page);
         inner.next_page += frames.len() as u64;
         for (i, f) in frames.iter().enumerate() {
-            inner.table.insert(VirtPage(base.0 + i as u64), *f);
+            let frame = NonZeroU64::new(f.0).expect("frame 0 is never handed out");
+            inner.table.insert(base.0 + i as u64, frame);
         }
         base.base()
+    }
+
+    /// Heap bytes the page table reserves.
+    pub fn table_bytes(&self) -> usize {
+        self.inner.borrow().table.bytes()
     }
 
     /// Read user memory (as the process itself would).

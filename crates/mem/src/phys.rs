@@ -34,51 +34,21 @@
 //! [`PhysMemory::dma_write`]) **to a frame the NIC holds no reference on**.
 
 use std::cell::{RefCell, RefMut};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Deref, Range, RangeInclusive};
 use std::rc::Rc;
 
 use suca_sim::{Counter, MsgTracer, Sim};
 
 use crate::addr::{PhysAddr, PhysFrame, PAGE_SIZE};
+use crate::dense::DenseTable;
 use crate::MemError;
 
 const HOST_WRITE_TO_BUSY: &str = "mem: host write to a frame with DMA in flight";
 const DMA_UNREFERENCED: &str = "mem: DMA to a frame the NIC holds no reference on";
-
-/// Hasher of the frame table, the page tables and the pin-down table. Their
-/// keys are numbers the simulation hands out consecutively — frame numbers,
-/// virtual page numbers, address-space ids — never values from outside the
-/// program, so it needs no defence against crafted collisions, and every
-/// simulated memory access and translation pays for it: one multiplication
-/// per word spreads consecutive numbers over the buckets. Each word is
-/// combined with what came before, so an `(Asid, VirtPage)` key hashes both
-/// halves, and a lone `u64` key hashes to that key times the constant.
-#[derive(Default)]
-pub(crate) struct FrameHasher(u64);
-
-/// A map keyed by simulation-assigned numbers (see [`FrameHasher`]).
-pub(crate) type FrameMap<K, V> = HashMap<K, V, BuildHasherDefault<FrameHasher>>;
-
-impl Hasher for FrameHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("keys hash through write_u32 / write_u64");
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(26) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// The first frame number handed out: frame 0 is reserved, which catches
+/// null-frame bugs.
+const FIRST_FRAME: u64 = 1;
 
 struct Frame {
     /// The written prefix (see the module docs): empty, holding no
@@ -126,7 +96,8 @@ enum Accessor {
 }
 
 struct PhysInner {
-    frames: FrameMap<u64, Frame>,
+    /// Indexed by frame number.
+    frames: DenseTable<Frame>,
     /// Next frame number to hand out. Frames are never reused after free in
     /// this model; a u64 namespace cannot realistically be exhausted and
     /// non-reuse catches use-after-free bugs deterministically.
@@ -197,8 +168,8 @@ impl PhysMemory {
     pub fn new(total_bytes: u64) -> Self {
         PhysMemory {
             inner: Rc::new(RefCell::new(PhysInner {
-                frames: FrameMap::default(),
-                next_frame: 1, // frame 0 reserved: catches null-frame bugs
+                frames: DenseTable::new(FIRST_FRAME),
+                next_frame: FIRST_FRAME,
                 total_frames: total_bytes / PAGE_SIZE,
                 allocated: 0,
                 violations: 0,
@@ -242,9 +213,9 @@ impl PhysMemory {
             nic_refs: 0,
             nic_busy: 0,
         };
-        inner
-            .frames
-            .extend((first..first + n).map(|f| (f, fresh())));
+        for f in first..first + n {
+            inner.frames.insert(f, fresh());
+        }
         Ok((first..first + n).map(PhysFrame).collect())
     }
 
@@ -274,6 +245,12 @@ impl PhysMemory {
     pub fn resident_bytes(&self) -> u64 {
         let inner = self.inner.borrow();
         inner.frames.values().map(|f| f.data.len() as u64).sum()
+    }
+
+    /// Heap bytes the frame table reserves for its records (the written
+    /// prefixes they point to are [`PhysMemory::resident_bytes`]).
+    pub fn table_bytes(&self) -> usize {
+        self.inner.borrow().frames.bytes()
     }
 
     /// Total frame capacity.
@@ -596,6 +573,28 @@ mod tests {
     #[test]
     fn a_frame_record_is_no_larger_than_four_words() {
         assert!(std::mem::size_of::<Frame>() <= 4 * std::mem::size_of::<usize>());
+    }
+
+    #[test]
+    fn frame_churn_costs_the_table_under_a_byte_per_frame_handed_out() {
+        const PAIRS: u64 = 100_000;
+        let m = PhysMemory::new(1 << 20);
+        let kept = m.alloc_frame().unwrap();
+        for _ in 0..PAIRS {
+            let f = m.alloc_frame().unwrap();
+            m.free_frame(f).unwrap();
+        }
+        assert_eq!(m.allocated_frames(), 1);
+        let bytes = m.table_bytes();
+        assert!(bytes < PAIRS as usize, "{bytes} B after {PAIRS} pairs");
+        // A frame number never handed out reads as absent, above and below.
+        let mut out = [0u8; 1];
+        for n in [0, PAIRS + 2, u64::MAX / PAGE_SIZE] {
+            let err = m.read(PhysFrame(n).base(), &mut out).unwrap_err();
+            assert!(matches!(err, MemError::BadFrame(_)));
+        }
+        assert_eq!(m.table_bytes(), bytes);
+        m.read(kept.base(), &mut out).unwrap();
     }
 
     #[test]

@@ -7,20 +7,22 @@
 //! working set outgrows the NIC cache (the "usage of large memory" argument;
 //! reproduced by ablation 4 of the `ablations` harness).
 //!
-//! The table caches `(asid, virtual page) → frame` entries with an LRU
-//! eviction policy and a pin count so that pages in use by an in-flight DMA
-//! are never evicted.
+//! The table caches `(asid, virtual page)` entries with an LRU eviction
+//! policy and a pin count so that pages in use by an in-flight DMA are never
+//! evicted. An entry's frame is the process page table's: a page is never
+//! remapped while it stays mapped, and unmapping it purges its entry.
+
+use std::num::NonZeroU64;
 
 use crate::addr::{PhysFrame, VirtAddr, VirtPage};
-use crate::pagetable::{AddressSpace, Asid};
-use crate::phys::FrameMap;
+use crate::dense::DenseTable;
+use crate::pagetable::{AddressSpace, Asid, USER_BASE_PAGE};
 use crate::MemError;
 
-#[derive(Clone)]
 struct PinEntry {
-    frame: PhysFrame,
     pins: u32,
-    last_use: u64,
+    /// The clock at the last pin; unique, so the LRU victim is too.
+    last_use: NonZeroU64,
 }
 
 /// Outcome of one lookup, so cost accounting can distinguish hits (cheap
@@ -35,7 +37,8 @@ pub enum PinLookup {
 
 /// Kernel-resident pin-down page table with capacity-bounded LRU caching.
 pub struct PinDownTable {
-    entries: FrameMap<(Asid, VirtPage), PinEntry>,
+    /// One table per address space, indexed by virtual page.
+    spaces: Vec<(Asid, DenseTable<PinEntry>)>,
     capacity: usize,
     clock: u64,
     hits: u64,
@@ -50,13 +53,18 @@ impl PinDownTable {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "pin-down table needs capacity");
         PinDownTable {
-            entries: FrameMap::default(),
+            spaces: Vec::new(),
             capacity,
             clock: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
         }
+    }
+
+    fn space_mut(&mut self, asid: Asid) -> Option<&mut DenseTable<PinEntry>> {
+        let (_, table) = self.spaces.iter_mut().find(|(a, _)| *a == asid)?;
+        Some(table)
     }
 
     /// Look up (and if necessary create) the translation for every page of
@@ -100,42 +108,48 @@ impl PinDownTable {
         vp: VirtPage,
     ) -> Result<(PhysFrame, PinLookup), MemError> {
         self.clock += 1;
-        let clock = self.clock;
-        if let Some(e) = self.entries.get_mut(&(asid, vp)) {
+        let clock = NonZeroU64::new(self.clock).expect("the clock starts at 1");
+        // Translate through the process page table (kernel privilege): a hit
+        // reads its frame there too.
+        let frame = space.translate(vp.base())?.frame();
+        if let Some(e) = self.space_mut(asid).and_then(|t| t.get_mut(&vp.0)) {
             e.pins += 1;
             e.last_use = clock;
             self.hits += 1;
-            return Ok((e.frame, PinLookup::Hit));
+            return Ok((frame, PinLookup::Hit));
         }
-        // Miss: translate through the process page table (kernel privilege)
-        // and install, evicting an unpinned LRU entry if full.
-        let phys = space.translate(vp.base())?;
-        if self.entries.len() >= self.capacity {
+        // Miss: pin and install, evicting an unpinned LRU entry if full.
+        if self.len() >= self.capacity {
             self.evict_one()?;
         }
-        let frame = phys.frame();
-        self.entries.insert(
-            (asid, vp),
-            PinEntry {
-                frame,
-                pins: 1,
-                last_use: clock,
-            },
-        );
+        let entry = PinEntry {
+            pins: 1,
+            last_use: clock,
+        };
+        match self.space_mut(asid) {
+            Some(table) => table.insert(vp.0, entry),
+            None => {
+                let mut table = DenseTable::new(USER_BASE_PAGE);
+                table.insert(vp.0, entry);
+                self.spaces.push((asid, table));
+            }
+        }
         self.misses += 1;
         Ok((frame, PinLookup::Miss))
     }
 
     fn evict_one(&mut self) -> Result<(), MemError> {
         let victim = self
-            .entries
+            .spaces
             .iter()
-            .filter(|(_, e)| e.pins == 0)
-            .min_by_key(|(_, e)| e.last_use)
-            .map(|(k, _)| *k);
+            .enumerate()
+            .flat_map(|(i, (_, t))| t.iter().map(move |(vp, e)| (i, vp, e)))
+            .filter(|(_, _, e)| e.pins == 0)
+            .min_by_key(|(_, _, e)| e.last_use)
+            .map(|(i, vp, _)| (i, vp));
         match victim {
-            Some(k) => {
-                self.entries.remove(&k);
+            Some((i, vp)) => {
+                self.spaces[i].1.remove(&vp);
                 self.evictions += 1;
                 Ok(())
             }
@@ -149,7 +163,7 @@ impl PinDownTable {
     /// until evicted — that is the table's whole point: repeat sends from the
     /// same buffer hit without re-pinning.
     pub fn unpin(&mut self, asid: Asid, vp: VirtPage) {
-        if let Some(e) = self.entries.get_mut(&(asid, vp)) {
+        if let Some(e) = self.space_mut(asid).and_then(|t| t.get_mut(&vp.0)) {
             e.pins = e.pins.saturating_sub(1);
         }
     }
@@ -167,14 +181,16 @@ impl PinDownTable {
     /// re-used), so keeping it would only count it as pinned.
     pub fn purge_range(&mut self, asid: Asid, addr: VirtAddr, len: u64) {
         let pages = crate::addr::pages_spanned(addr, len.max(1));
-        for i in 0..pages {
-            self.entries.remove(&(asid, VirtPage(addr.page().0 + i)));
+        if let Some(table) = self.space_mut(asid) {
+            for i in 0..pages {
+                table.remove(&(addr.page().0 + i));
+            }
         }
     }
 
     /// Remove all entries belonging to a process (port close / exit).
     pub fn purge_asid(&mut self, asid: Asid) {
-        self.entries.retain(|(a, _), _| *a != asid);
+        self.spaces.retain(|(a, _)| *a != asid);
     }
 
     /// (hits, misses, evictions) so far.
@@ -184,12 +200,18 @@ impl PinDownTable {
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.spaces.iter().map(|(_, t)| t.len()).sum()
     }
 
     /// True if no entries are cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
+    }
+
+    /// Heap bytes the table reserves.
+    pub fn table_bytes(&self) -> usize {
+        let spaces = self.spaces.capacity() * std::mem::size_of::<(Asid, DenseTable<PinEntry>)>();
+        spaces + self.spaces.iter().map(|(_, t)| t.bytes()).sum::<usize>()
     }
 }
 

@@ -137,6 +137,16 @@ impl Histogram {
     }
 }
 
+/// The instrument `name` of `map`, registered by `make` first if it is
+/// new. The name is looked up by `&str` and only allocated on registration.
+fn fetch<T: Clone>(map: &RefCell<BTreeMap<String, T>>, name: &str, make: impl FnOnce() -> T) -> T {
+    let mut map = map.borrow_mut();
+    if let Some(found) = map.get(name) {
+        return found.clone();
+    }
+    map.entry(name.to_string()).or_insert_with(make).clone()
+}
+
 struct RegistryInner {
     counters: RefCell<BTreeMap<String, Counter>>,
     gauges: RefCell<BTreeMap<String, Gauge>>,
@@ -181,26 +191,17 @@ impl Metrics {
     /// time and keep the returned handle; increments through the handle
     /// never touch the registry again.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.counters.borrow_mut();
-        map.entry(name.to_string())
-            .or_insert_with(|| Counter(Rc::default()))
-            .clone()
+        fetch(&self.inner.counters, name, || Counter(Rc::default()))
     }
 
     /// Register (or fetch) the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.gauges.borrow_mut();
-        map.entry(name.to_string())
-            .or_insert_with(|| Gauge(Rc::default()))
-            .clone()
+        fetch(&self.inner.gauges, name, || Gauge(Rc::default()))
     }
 
     /// Register (or fetch) the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.inner.histograms.borrow_mut();
-        map.entry(name.to_string())
-            .or_insert_with(Histogram::new)
-            .clone()
+        fetch(&self.inner.histograms, name, Histogram::new)
     }
 
     /// Name-based counter increment (compat path, e.g. dynamic per-node
